@@ -1,10 +1,9 @@
-//! Criterion bench for the router's batched parallel rounds: the same
-//! placed design routed with the region buckets chewed through by 1, 2,
-//! or 4 host threads (`ExecContext::route_workers`). Results are
-//! bit-identical at every width; only wall clock moves — the multi-
-//! worker speedup is the point.
+//! Criterion bench for the router's batched parallel rounds: one placed
+//! design, four region buckets, routed at the width the router derives
+//! from the host (`min(non-empty buckets, cores)`). Results are
+//! bit-identical at every width; only wall clock moves.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use eda_cloud_flow::{ExecContext, Placement, Placer, Recipe, Router, Synthesizer};
 use eda_cloud_netlist::{generators, Netlist};
 use std::hint::black_box;
@@ -25,16 +24,10 @@ fn bench_router(c: &mut Criterion) {
     let router = Router::new();
     let mut group = c.benchmark_group("router_batching");
     group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        let ctx = ExecContext::with_vcpus(4).with_route_workers(workers);
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |bench, _| {
-                bench.iter(|| black_box(router.run(&nl, &pl, &ctx).expect("routes")));
-            },
-        );
-    }
+    let ctx = ExecContext::with_vcpus(4);
+    group.bench_function("vcpus4", |bench| {
+        bench.iter(|| black_box(router.run(&nl, &pl, &ctx).expect("routes")));
+    });
     group.finish();
 }
 

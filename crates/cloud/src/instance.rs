@@ -2,12 +2,11 @@
 
 use crate::CloudError;
 use eda_cloud_perf::MachineConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cloud instance families, mirroring the broad AWS categories the
 /// paper's recommendations are phrased in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InstanceFamily {
     /// Balanced compute/memory (AWS m5-like).
     GeneralPurpose,
@@ -29,7 +28,7 @@ impl fmt::Display for InstanceFamily {
 }
 
 /// One purchasable VM configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceType {
     /// Catalog name, e.g. `"m5.xlarge"`.
     pub name: String,
@@ -95,7 +94,7 @@ impl fmt::Display for InstanceType {
 /// let vcpus: Vec<u32> = sizes.iter().map(|i| i.vcpus).collect();
 /// assert_eq!(vcpus, vec![1, 2, 4, 8]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
     instances: Vec<InstanceType>,
     pricing: crate::Pricing,

@@ -1,13 +1,12 @@
 //! Billing rules.
 
 use crate::InstanceType;
-use serde::{Deserialize, Serialize};
 
 /// Billing model: per-second metering with a minimum billed duration,
 /// matching AWS Linux on-demand billing (and the paper's assumption that
 /// "cloud machines are billed per second (no fractions)", which lets the
 /// knapsack round runtimes to whole seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pricing {
     /// Minimum billed seconds per VM launch.
     pub min_billed_secs: u64,
@@ -126,7 +125,7 @@ mod tests {
 /// evaluation (it prices on-demand machines), but the natural follow-on
 /// an EDA team asks for; [`Pricing::expected_spot_cost_usd`] gives the
 /// expected cost including re-run work after interruptions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotMarket {
     /// Fraction of the on-demand price (e.g. 0.3 = 70% cheaper).
     pub price_fraction: f64,

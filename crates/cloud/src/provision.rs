@@ -1,10 +1,9 @@
 //! Simulated VM lifecycle.
 
 use crate::{CloudError, InstanceType, Pricing};
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle state of a provisioned VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmState {
     /// Requested; booting until `ready_at`.
     Pending,
@@ -15,7 +14,7 @@ pub enum VmState {
 }
 
 /// A provisioned virtual machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Monotonic id assigned by the [`Provisioner`].
     pub id: u64,
@@ -32,7 +31,7 @@ pub struct Vm {
 }
 
 /// What one job execution cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// VM the job ran on.
     pub vm_id: u64,
@@ -60,7 +59,7 @@ pub struct JobRecord {
 /// assert!(record.cost_usd > 0.0);
 /// # Ok::<(), eda_cloud_cloud::CloudError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Provisioner {
     pricing: Pricing,
     boot_secs: f64,

@@ -2,14 +2,13 @@
 
 use crate::{CloudError, InstanceType};
 use eda_cloud_perf::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 /// How co-tenant load translates into per-VM slowdown.
 ///
 /// The paper emulates multi-tenancy with cgroups on a 14-core Xeon; the
 /// interference a tenant suffers grows with how much of the host its
 /// neighbors occupy (shared LLC and memory bandwidth).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenancyModel {
     /// Maximum interference (fraction of throughput lost) when the host
     /// is fully packed with other tenants.
@@ -53,7 +52,7 @@ impl Default for TenancyModel {
 /// assert_eq!(cfg.vcpus, 8);
 /// # Ok::<(), eda_cloud_cloud::CloudError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// Total hardware threads.
     pub cores: u32,

@@ -6,10 +6,9 @@ use eda_cloud_flow::{
     Placer, Recipe, Router, StaEngine, StageKind, StageReport, Synthesizer,
 };
 use eda_cloud_netlist::Aig;
-use serde::{Deserialize, Serialize};
 
 /// How to run a characterization sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationConfig {
     /// vCPU counts to sweep (the paper uses 1, 2, 4, 8).
     pub vcpu_sweep: Vec<u32>,
@@ -62,7 +61,7 @@ impl Default for CharacterizationConfig {
 }
 
 /// One stage run at one vCPU count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcpuRun {
     /// vCPU count of the VM.
     pub vcpus: u32,
@@ -71,7 +70,7 @@ pub struct VcpuRun {
 }
 
 /// A stage's full sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageCharacterization {
     /// Which application.
     pub kind: StageKind,
@@ -100,7 +99,7 @@ impl StageCharacterization {
 }
 
 /// The characterization of one design across all four stages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationReport {
     /// Design name.
     pub design: String,
@@ -149,7 +148,7 @@ impl Workflow {
         let workers = resolve_workers(config.workers);
 
         type PointResult = Result<(usize, [StageReport; 4]), WorkflowError>;
-        let points = sweep::run_indexed_metered(
+        let points = sweep::map_metered(
             workers,
             config.vcpu_sweep.clone(),
             self.metrics(),

@@ -13,10 +13,9 @@ use crate::{Workflow, WorkflowError};
 use eda_cloud_flow::{Placer, Recipe, Router, StaEngine, StageKind, Synthesizer};
 use eda_cloud_gcn::GraphSample;
 use eda_cloud_netlist::{generators, DesignGraph};
-use serde::{Deserialize, Serialize};
 
 /// What corpus to generate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Design-family names (subset of
     /// [`generators::FAMILY_NAMES`]).
@@ -156,7 +155,7 @@ impl<'a> DatasetBuilder<'a> {
         let cache = FlowCache::new();
         let workers = resolve_workers(config.workers);
         type EntryResult = Result<Option<CorpusEntry>, WorkflowError>;
-        let entries = sweep::run_indexed_metered(workers, jobs, self.workflow.metrics(), |index, (family, size, recipe)| -> EntryResult {
+        let entries = sweep::map_metered(workers, jobs, self.workflow.metrics(), |index, (family, size, recipe)| -> EntryResult {
             let Some(aig) = generators::build_family(&family, size) else {
                 return Ok(None);
             };

@@ -12,7 +12,7 @@
 //! reduction, so the workload (and therefore the report) is
 //! byte-identical at any worker count.
 
-use crate::sweep::{reduce_results, resolve_workers, run_indexed_metered};
+use crate::sweep::{map_metered, reduce_results, resolve_workers};
 use crate::{StageRuntimes, Workflow, WorkflowError};
 use eda_cloud_flow::StageKind;
 use eda_cloud_fleet::{
@@ -21,7 +21,6 @@ use eda_cloud_fleet::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Boot seconds budgeted per stage when converting a job deadline into
 /// an MCKP runtime constraint (the provisioner's 30-second boot, once
@@ -53,7 +52,7 @@ fn table1_runtimes() -> [StageRuntimes; 4] {
 
 /// A fleet workload description: everything needed to regenerate the
 /// same job stream and simulation from a seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScenario {
     /// Number of jobs in the stream.
     pub jobs: usize,
@@ -131,7 +130,7 @@ impl Workflow {
         let slack = scenario.deadline_slack.max(1.0);
         let workers = resolve_workers(scenario.workers);
         let planned =
-            run_indexed_metered(workers, sized, self.metrics(), |index, (arrival_secs, runtimes)| {
+            map_metered(workers, sized, self.metrics(), |index, (arrival_secs, runtimes)| {
                 // Keyed by job index, so planning spans merge into the
                 // same canonical order at any worker count.
                 let span = self.tracer().root_at(index as u64, &format!("plan/{index:04}"));

@@ -18,12 +18,11 @@ use eda_cloud_serve::{
     design_pool, synthetic_requests_with_uploads, ModelSnapshot, RequestOutcome, ServeConfig,
     ServeReport, ServeRequest, Server, WorkloadConfig,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// An ingestion workload description: everything needed to regenerate
 /// the same upload-bearing request stream and report from a seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestScenario {
     /// Number of requests in the stream.
     pub requests: usize,

@@ -11,13 +11,12 @@
 
 use crate::{Workflow, WorkflowError};
 use eda_cloud_lifecycle::{FeedbackEvent, LifecycleConfig, LifecycleController, LifecycleReport};
-use serde::{Deserialize, Serialize};
 
 /// A model-lifecycle workload description: the request stream to serve
 /// and the runtime drift to inject into its ground truth. Everything
 /// else (detector thresholds, retrain hyper-parameters, rollout
 /// guardrails) stays at the [`LifecycleConfig`] defaults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleScenario {
     /// Number of requests in the stream.
     pub requests: usize,

@@ -3,11 +3,10 @@
 use crate::{recommended_family, WorkflowError, Workflow};
 use eda_cloud_flow::StageKind;
 use eda_cloud_mckp::{savings_of, Choice, CostSavings, Problem, Solver, Stage};
-use serde::{Deserialize, Serialize};
 
 /// Per-stage runtimes at the four swept vCPU counts (1, 2, 4, 8) —
 /// either measured by characterization or predicted by the GCN.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageRuntimes {
     /// Which application.
     pub kind: StageKind,
@@ -16,7 +15,7 @@ pub struct StageRuntimes {
 }
 
 /// The configuration selected for one stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StagePlan {
     /// Which application.
     pub kind: StageKind,
@@ -31,7 +30,7 @@ pub struct StagePlan {
 }
 
 /// The optimized deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentPlan {
     /// Per-stage selections in flow order.
     pub stages: Vec<StagePlan>,

@@ -26,13 +26,12 @@ use eda_cloud_serve::{
     ModelSnapshot, RecipePlanSummary, RecipePlanner, RequestKind, RequestOutcome, ServeConfig,
     ServeDesign, ServeError, ServeRequest, Server,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A recipe-search workload description: everything needed to
 /// regenerate the same searches, predictor, and joint plans from a
 /// seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecipeScenario {
     /// Design families to search recipes for (generator names).
     pub designs: Vec<String>,

@@ -19,11 +19,10 @@ use eda_cloud_serve::{
     design_pool, synthetic_requests, ModelSnapshot, PlanSummary, Planner, RequestOutcome,
     ServeConfig, ServeError, ServeReport, ServeRequest, Server, WorkloadConfig, VCPUS,
 };
-use serde::{Deserialize, Serialize};
 
 /// An online-serving workload description: everything needed to
 /// regenerate the same request stream and report from a seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeScenario {
     /// Number of requests in the stream.
     pub requests: usize,

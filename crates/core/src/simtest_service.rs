@@ -9,12 +9,11 @@
 
 use crate::{Workflow, WorkflowError};
 use eda_cloud_simtest::{run_simtest_traced, FaultPlan, SimtestConfig, SimtestReport};
-use serde::{Deserialize, Serialize};
 
 /// A fault-injection workload description. The harness's workload
 /// sizes stay at the [`SimtestConfig`] defaults; the scenario only
 /// chooses the seed, how many faults to draw from it, and the fan-out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimtestScenario {
     /// Seed driving the three workloads and the fault draw.
     pub seed: u64,

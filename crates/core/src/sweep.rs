@@ -1,5 +1,6 @@
-//! The parallel sweep engine: a shared-queue job pool with canonical
-//! (index-keyed) result reduction, plus a keyed flow-result cache.
+//! The parallel sweep engine: the workspace's indexed fan-out
+//! ([`par::map_indexed`]) with canonical (index-keyed) result
+//! reduction, metered, plus a keyed flow-result cache.
 //!
 //! Characterization sweeps and dataset generation fan the same shape of
 //! work out many times: run the four-stage flow for every point of a
@@ -23,143 +24,49 @@
 //!    machine (thread partitioning, coherence traffic), so they run per
 //!    sweep point on the cached netlist.
 
-use crossbeam::channel;
 use eda_cloud_flow::{ExecContext, FlowError, Recipe, StageReport, SynthesisTrace, Synthesizer};
 use eda_cloud_netlist::{Aig, AigNode, Netlist};
-use eda_cloud_trace::Metrics;
-use parking_lot::Mutex;
+use eda_cloud_trace::{par, Metrics};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Resolve a `workers` knob to a concrete worker count: `0` (the
-/// configs' default) asks for one worker per available core, capped at
+/// configs' default) asks for one worker per available core; at most
 /// 8 — the widest useful fan-out for a 1/2/4/8-vCPU sweep grid row.
 #[must_use]
 pub fn resolve_workers(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
+    par::resolve_workers(requested, 8)
 }
 
-/// Run `f` over every `(index, item)` pair on a pool of `workers`
-/// scoped threads and return the results **in item order**.
-///
-/// Workers pull jobs from a shared queue (fast items steal the slack
-/// left by slow ones) and push `(index, result)` pairs back; the
-/// reducer writes each result into its index's slot, so the output
-/// order — and therefore every downstream artifact — is independent of
-/// completion order. With `workers <= 1` (or one item) the pool is
-/// bypassed entirely and `f` runs on the caller's thread.
-///
-/// A panicking job propagates with its **original payload**: remaining
-/// jobs may or may not run, and the worker's panic resurfaces from the
-/// explicit joins below — the same observable outcome as a panic in a
-/// serial loop (a send-side `expect` must never shadow it).
-// Production sweeps all go through the metered variant; this plain
-// wrapper stays as the pool's minimal contract (and its test surface).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn run_indexed<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
+/// [`par::map_indexed`] plus sweep observability: counts jobs, samples
+/// each job's wait from fan-out start to pickup into a histogram, and
+/// reports aggregate worker occupancy (busy time / fan-out wall time)
+/// as a gauge. All recording goes through [`Metrics`], which is
+/// scheduling-dependent by contract — nothing here touches the
+/// deterministic trace.
+pub(crate) fn map_metered<I, T, F>(workers: usize, items: Vec<I>, metrics: &Metrics, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    run_indexed_metered(workers, items, &Metrics::disabled(), f)
-}
-
-/// [`run_indexed`] plus pool observability: counts jobs, samples each
-/// job's queue wait into a histogram, and reports aggregate worker
-/// occupancy (busy time / pool wall time) as a gauge. All recording
-/// goes through [`Metrics`], which is scheduling-dependent by contract
-/// — nothing here touches the deterministic trace.
-pub(crate) fn run_indexed_metered<I, T, F>(
-    workers: usize,
-    items: Vec<I>,
-    metrics: &Metrics,
-    f: F,
-) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let n = items.len();
-    metrics.add("sweep.jobs", n as u64);
-    let workers = workers.max(1).min(n.max(1));
-    if workers <= 1 {
-        metrics.set_gauge("sweep.worker_occupancy", 1.0);
-        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-
-    let pool_start = Instant::now();
-    let (job_tx, job_rx) = channel::unbounded::<(usize, I, Instant)>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, T)>();
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let busy_secs = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let job_rx = job_rx.clone();
-                let result_tx = result_tx.clone();
-                let f = &f;
-                scope.spawn(move |_| {
-                    let mut busy = 0.0f64;
-                    while let Ok((index, item, enqueued)) = job_rx.recv() {
-                        metrics.observe(
-                            "sweep.queue_wait_secs",
-                            enqueued.elapsed().as_secs_f64(),
-                        );
-                        let job_start = Instant::now();
-                        let result = f(index, item);
-                        busy += job_start.elapsed().as_secs_f64();
-                        if result_tx.send((index, result)).is_err() {
-                            break;
-                        }
-                    }
-                    busy
-                })
-            })
-            .collect();
-        // Only the workers' clones keep the channels alive now; when
-        // the queue drains, workers exit and the result stream ends.
-        drop(job_rx);
-        drop(result_tx);
-        for (index, item) in items.into_iter().enumerate() {
-            // A failed send means every worker is gone — one panicked
-            // and the rest drained out behind it. Stop feeding and fall
-            // through to the joins, which re-raise the worker's own
-            // panic; an `expect` here would mask it with a send error.
-            if job_tx.send((index, item, Instant::now())).is_err() {
-                break;
-            }
-        }
-        drop(job_tx);
-        for (index, result) in result_rx.iter() {
-            slots[index] = Some(result);
-        }
-        let mut busy_total = 0.0f64;
-        for handle in handles {
-            match handle.join() {
-                Ok(busy) => busy_total += busy,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        busy_total
-    })
-    .expect("sweep worker scope");
-    let wall = pool_start.elapsed().as_secs_f64();
-    if wall > 0.0 {
-        metrics.set_gauge(
-            "sweep.worker_occupancy",
-            (busy_secs / (wall * workers as f64)).clamp(0.0, 1.0),
-        );
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job reduced exactly once"))
-        .collect()
+    metrics.add("sweep.jobs", items.len() as u64);
+    let workers = workers.clamp(1, items.len().max(1));
+    let start = Instant::now();
+    let busy_nanos = AtomicU64::new(0);
+    let results = par::map_indexed(workers, items, |index, item| {
+        let picked_up = Instant::now();
+        metrics.observe("sweep.queue_wait_secs", (picked_up - start).as_secs_f64());
+        let result = f(index, item);
+        busy_nanos.fetch_add(picked_up.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        result
+    });
+    let capacity_nanos = start.elapsed().as_nanos() as f64 * workers as f64;
+    let busy = busy_nanos.load(Ordering::Relaxed) as f64;
+    metrics.set_gauge("sweep.worker_occupancy", (busy / capacity_nanos.max(1.0)).clamp(0.0, 1.0));
+    results
 }
 
 /// Reduce per-job `Result`s canonically: return all successes in order,
@@ -241,7 +148,7 @@ impl FlowCache {
             let span = ctx.span.child("synthesis");
             span.counter("instructions", report.counters.instructions);
         };
-        if let Some(entry) = self.entries.lock().get(key).cloned() {
+        if let Some(entry) = self.entries.lock().expect("flow cache map").get(key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let report = Synthesizer::report_from_trace(&entry.trace, ctx);
             record_span(&report);
@@ -257,6 +164,7 @@ impl FlowCache {
         let entry = self
             .entries
             .lock()
+            .expect("flow cache map")
             .entry(key.clone())
             .or_insert(entry)
             .clone();
@@ -330,56 +238,10 @@ mod tests {
     use eda_cloud_netlist::generators;
 
     #[test]
-    fn run_indexed_preserves_item_order() {
-        let items: Vec<u64> = (0..64).collect();
-        let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
-        for workers in [1, 2, 4, 9] {
-            let got = run_indexed(workers, items.clone(), |i, v| {
-                assert_eq!(i as u64, v);
-                // Stagger completion so out-of-order arrival is real.
-                if v % 3 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
-                v * v
-            });
-            assert_eq!(got, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn run_indexed_handles_empty_and_single() {
-        let none: Vec<u32> = run_indexed(4, Vec::new(), |_, v: u32| v);
-        assert!(none.is_empty());
-        assert_eq!(run_indexed(4, vec![7u32], |_, v| v + 1), vec![8]);
-    }
-
-    #[test]
-    fn panicking_job_resurfaces_original_payload() {
-        // The pool must re-raise the worker's own panic, not a
-        // send-side "job queue open" expect (the bug this guards).
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(4, (0..64u32).collect(), |_, v| {
-                if v == 5 {
-                    panic!("job 5 exploded");
-                }
-                v
-            })
-        });
-        let payload = result.expect_err("pool must propagate the panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert_eq!(msg, "job 5 exploded");
-    }
-
-    #[test]
-    fn metered_pool_records_jobs_and_occupancy() {
+    fn metered_fan_out_records_jobs_and_occupancy() {
         let metrics = Metrics::new();
-        let got = run_indexed_metered(4, (0..32u64).collect(), &metrics, |_, v| v);
-        assert_eq!(got.len(), 32);
+        let got = map_metered(4, (0..32u64).collect(), &metrics, |_, v| v);
+        assert_eq!(got, (0..32u64).collect::<Vec<_>>());
         assert_eq!(metrics.counter("sweep.jobs"), 32);
         let occupancy = metrics.gauge("sweep.worker_occupancy");
         assert!(occupancy.is_some_and(|o| (0.0..=1.0).contains(&o)));
@@ -427,10 +289,4 @@ mod tests {
         assert_eq!(cache.hits(), 3);
     }
 
-    #[test]
-    fn workers_resolve_to_positive_counts() {
-        assert_eq!(resolve_workers(3), 3);
-        let auto = resolve_workers(0);
-        assert!((1..=8).contains(&auto));
-    }
 }

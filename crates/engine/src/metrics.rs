@@ -4,102 +4,10 @@
 //!
 //! Moved here from `crates/fleet` so serve/lifecycle/engine reports
 //! stop reaching into the fleet crate for a histogram; fleet re-exports
-//! [`Histogram`] for source compatibility.
+//! [`Histogram`] for source compatibility. Both [`Histogram`] and
+//! [`fmt_f64`] are the `eda-cloud-trace` definitions, re-exported.
 
-use serde::{Deserialize, Serialize};
-
-/// A histogram over fixed, caller-chosen bucket edges. A value lands in
-/// the first bucket whose upper edge is `>=` the value; values beyond
-/// the last edge land in the overflow bucket, so `counts` has
-/// `edges.len() + 1` entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    edges: Vec<f64>,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// A histogram over ascending bucket edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges` is empty or not strictly ascending.
-    #[must_use]
-    pub fn new(edges: Vec<f64>) -> Self {
-        assert!(!edges.is_empty(), "histogram needs at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must ascend"
-        );
-        let counts = vec![0; edges.len() + 1];
-        Self { edges, counts }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, value: f64) {
-        let bucket = self
-            .edges
-            .iter()
-            .position(|&e| value <= e)
-            .unwrap_or(self.edges.len());
-        self.counts[bucket] += 1;
-    }
-
-    /// Fold another histogram's counts into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different edges — merging
-    /// incompatible bucketings silently would corrupt every report
-    /// built from the merge.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.edges, other.edges, "merged histograms must share bucket edges");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-    }
-
-    /// Bucket upper edges.
-    #[must_use]
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// Per-bucket counts (last entry is the overflow bucket).
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Render as `{"edges":[...],"counts":[...]}` with the same fixed
-    /// float formatting as every workspace report ([`fmt_f64`]) —
-    /// byte-stable, so other crates can embed histograms in their own
-    /// deterministic JSON documents.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let edges: Vec<String> = self.edges.iter().map(|e| fmt_f64(*e)).collect();
-        let counts: Vec<String> = self.counts.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"edges\":[{}],\"counts\":[{}]}}",
-            edges.join(","),
-            counts.join(",")
-        )
-    }
-}
-
-/// Fixed-precision float rendering for byte-stable JSON reports (6
-/// decimal places covers sub-cent costs and microsecond-rounded
-/// latencies).
-#[must_use]
-pub fn fmt_f64(v: f64) -> String {
-    format!("{v:.6}")
-}
+pub use eda_cloud_trace::{fmt_f64, Histogram};
 
 /// Running scalar samples; turned into mean/percentile statistics for
 /// reports.
@@ -154,41 +62,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(vec![10.0, 100.0]);
-        for v in [5.0, 10.0, 11.0, 250.0] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[2, 1, 1]);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.to_json(), "{\"edges\":[10.000000,100.000000],\"counts\":[2,1,1]}");
-    }
-
-    #[test]
-    #[should_panic(expected = "must ascend")]
-    fn histogram_rejects_unsorted_edges() {
-        let _ = Histogram::new(vec![10.0, 5.0]);
-    }
-
-    #[test]
-    fn histogram_merge_sums_counts() {
-        let mut a = Histogram::new(vec![10.0]);
-        let mut b = Histogram::new(vec![10.0]);
-        a.record(5.0);
-        b.record(5.0);
-        b.record(50.0);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[2, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "share bucket edges")]
-    fn histogram_merge_rejects_mismatched_edges() {
-        let mut a = Histogram::new(vec![10.0]);
-        a.merge(&Histogram::new(vec![20.0]));
-    }
-
-    #[test]
     fn samples_statistics() {
         let mut s = Samples::default();
         assert_eq!(s.mean(), 0.0);
@@ -202,11 +75,5 @@ mod tests {
         assert_eq!(s.percentile(0.5), 2.0);
         assert_eq!(s.percentile(0.95), 4.0);
         assert_eq!(s.percentile(0.0), 1.0);
-    }
-
-    #[test]
-    fn fmt_is_fixed_precision() {
-        assert_eq!(fmt_f64(1.25), "1.250000");
-        assert_eq!(fmt_f64(0.0), "0.000000");
     }
 }

@@ -649,8 +649,10 @@ impl RegionSim {
                 tenants[t].quota_rejected += c.quota_rejected;
                 tenants[t].shed += c.capacity_rejected;
             }
-            latency_hist.merge(&region.latency_hist);
-            traffic_hist.merge(&region.traffic_hist);
+            // Every region builds its histograms from the same constant
+            // edges, so a mismatch here is a bug in this file.
+            latency_hist.merge(&region.latency_hist).expect("regions share LATENCY_EDGES_US");
+            traffic_hist.merge(&region.traffic_hist).expect("regions share TRAFFIC_EDGES_US");
             makespan_us = makespan_us.max(region.counters.makespan_us);
             counters.push(region.counters);
         }

@@ -23,11 +23,12 @@
 use crate::message::{Envelope, Outbox};
 use crate::time::checked_add_us;
 use crate::{EngineError, EngineFaults, NoEngineFaults};
+use eda_cloud_trace::par;
 use std::sync::Arc;
 
-/// One shard of work for a window: the base region index of the
-/// chunk, the chunk of regions, and their sequence cursors.
-type ShardChunk<'a, S> = (usize, &'a mut [S], &'a mut [u64]);
+/// One shard of work for a window: a contiguous chunk of regions and
+/// their sequence cursors.
+type ShardChunk<'a, S> = (&'a mut [S], &'a mut [u64]);
 
 /// One region's event loop, driven by the coordinator.
 pub trait RegionShard: Send {
@@ -141,54 +142,25 @@ impl<S: RegionShard> ShardedSim<S> {
     ) -> Result<Vec<Envelope<S::Msg>>, EngineError> {
         let lookahead = self.lookahead_us;
         let chunk = self.regions.len().div_ceil(shard_count);
-        if workers <= 1 {
-            // Serial fast path: same code shape as a one-thread scope.
-            let mut all = Vec::new();
-            for (index, region) in self.regions.iter_mut().enumerate() {
-                let mut outbox = Outbox::new(index as u32, lookahead, self.next_seq[index]);
+        // Shards are contiguous chunks of regions. Grouping is invisible
+        // in the result because regions only read/write their own state
+        // this side of the barrier.
+        let shards: Vec<ShardChunk<'_, S>> =
+            self.regions.chunks_mut(chunk).zip(self.next_seq.chunks_mut(chunk)).collect();
+        let sent = par::map_indexed(workers, shards, |shard, (regions, seqs)| {
+            let mut sent = Vec::new();
+            for (k, (region, seq)) in regions.iter_mut().zip(seqs.iter_mut()).enumerate() {
+                let mut outbox = Outbox::new((shard * chunk + k) as u32, lookahead, *seq);
                 region.advance(horizon, &mut outbox)?;
-                self.next_seq[index] = outbox.next_seq();
-                all.extend(outbox.into_envelopes());
+                *seq = outbox.next_seq();
+                sent.extend(outbox.into_envelopes());
             }
-            return Ok(all);
-        }
-        // Shards are contiguous chunks of regions; each worker thread
-        // takes shards round-robin. Grouping is invisible in the result
-        // because regions only read/write their own state this side of
-        // the barrier.
-        let shards_iter = self
-            .regions
-            .chunks_mut(chunk)
-            .zip(self.next_seq.chunks_mut(chunk))
-            .enumerate()
-            .map(|(i, (regions, seqs))| (i * chunk, regions, seqs));
-        let mut groups: Vec<Vec<ShardChunk<'_, S>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (j, shard) in shards_iter.enumerate() {
-            groups[j % workers].push(shard);
-        }
+            Ok::<_, EngineError>(sent)
+        });
         let mut all = Vec::new();
-        std::thread::scope(|scope| -> Result<(), EngineError> {
-            let mut handles = Vec::with_capacity(workers);
-            for group in groups {
-                handles.push(scope.spawn(move || -> Result<Vec<Envelope<S::Msg>>, EngineError> {
-                    let mut sent = Vec::new();
-                    for (base, regions, seqs) in group {
-                        for (k, region) in regions.iter_mut().enumerate() {
-                            let mut outbox =
-                                Outbox::new((base + k) as u32, lookahead, seqs[k]);
-                            region.advance(horizon, &mut outbox)?;
-                            seqs[k] = outbox.next_seq();
-                            sent.extend(outbox.into_envelopes());
-                        }
-                    }
-                    Ok(sent)
-                }));
-            }
-            for handle in handles {
-                all.extend(handle.join().expect("shard worker panicked")?);
-            }
-            Ok(())
-        })?;
+        for shard_sent in sent {
+            all.extend(shard_sent?);
+        }
         Ok(all)
     }
 

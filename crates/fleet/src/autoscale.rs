@@ -1,11 +1,10 @@
 //! The warm-pool autoscaler policy.
 
 use eda_cloud_engine::time;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Warm-pool sizing rules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Observation window for the recent arrival rate, seconds.
     pub window_secs: f64,

@@ -2,11 +2,10 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One stage of a job's MCKP plan: which instance to buy and how long
 /// the stage runs on it (the knapsack's whole-second runtime).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedStage {
     /// Stage name (e.g. `"routing"`).
     pub name: String,
@@ -18,7 +17,7 @@ pub struct PlannedStage {
 
 /// A flow job's deployment plan: per-stage VM selections in flow order
 /// plus the deadline the plan was optimized against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPlan {
     /// Caller-assigned job id (stable across runs for a fixed seed).
     pub id: u64,
@@ -37,7 +36,7 @@ impl JobPlan {
 }
 
 /// A job plus its arrival time in the stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetJob {
     /// The deployment plan to execute.
     pub plan: JobPlan,

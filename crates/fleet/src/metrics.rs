@@ -1,25 +1,24 @@
 //! Fleet metrics: counters and the [`FleetReport`] with its
 //! deterministic JSON rendering.
 //!
-//! The histogram/sample primitives moved to `eda-cloud-engine` when
-//! the event engine was extracted; [`Histogram`] is re-exported here
-//! so downstream crates (serve, simtest) keep their import paths.
+//! [`Histogram`] and `fmt_f64` are the `eda-cloud-trace` definitions
+//! (reached through `eda-cloud-engine`, next to its sample statistics);
+//! [`Histogram`] is re-exported here so downstream crates (serve,
+//! simtest) keep their import paths.
 //!
-//! The workspace's `serde` is an offline marker stub, so the report
-//! writes its own JSON: keys in fixed order, floats printed with six
-//! decimal places, no whitespace variation — two reports are equal iff
-//! their JSON strings are byte-identical, which is what the determinism
-//! tests and the CI same-seed diff assert.
+//! The report writes its own JSON: keys in fixed order, floats printed
+//! with six decimal places, no whitespace variation — two reports are
+//! equal iff their JSON strings are byte-identical, which is what the
+//! determinism tests and the CI same-seed diff assert.
 
 use eda_cloud_engine::fmt_f64;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 pub use eda_cloud_engine::Histogram;
 pub(crate) use eda_cloud_engine::Samples;
 
 /// Monotone event counters accumulated over one simulation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetCounters {
     /// Jobs that arrived.
     pub jobs_submitted: u64,
@@ -51,7 +50,7 @@ pub struct FleetCounters {
 
 /// The per-run report: counters, cost, latency statistics, and
 /// histograms. Produced by `FleetSimulator::run`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Seed the run was driven by.
     pub seed: u64,
@@ -126,10 +125,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reexported_histogram_is_the_engine_histogram() {
+    fn reexported_histogram_is_the_trace_histogram() {
         // The serve/simtest crates import `eda_cloud_fleet::Histogram`;
-        // the re-export must stay type-identical to the engine's.
-        let mut h: eda_cloud_engine::Histogram = Histogram::new(vec![10.0]);
+        // the re-export must stay type-identical to the one definition.
+        let mut h: eda_cloud_trace::Histogram = Histogram::new(vec![10.0]);
         h.record(5.0);
         assert_eq!(h.counts(), &[1, 0]);
     }

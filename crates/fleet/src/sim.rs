@@ -25,7 +25,6 @@ use crate::{FleetError, FleetJob};
 use eda_cloud_cloud::{Catalog, InstanceType, Provisioner, VmState};
 use eda_cloud_engine::{time, EventHeap};
 use eda_cloud_trace::{Span, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Convert seconds to integer microseconds, rejecting values a
@@ -66,7 +65,7 @@ fn validate_edges(edges: &[f64], what: &'static str) -> Result<(), FleetError> {
 }
 
 /// How to run a fleet simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Seed for the fault-injection stream (callers usually reuse the
     /// seed that generated the arrival process).

@@ -3,10 +3,9 @@
 use eda_cloud_cloud::SpotMarket;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the fleet buys spot capacity and reacts to reclaims.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotPolicy {
     /// The spot market (discount + hourly interruption probability).
     pub market: SpotMarket,

@@ -23,20 +23,12 @@ pub struct ExecContext {
     /// Number of OS threads stages may really spawn for measured
     /// parallelism (capped at `machine.vcpus`).
     pub real_threads: usize,
-    /// Host threads for the router's batched parallel rounds; 0 (the
-    /// default) spawns one thread per non-empty region bucket, matching
-    /// the historical behavior. Purely a host execution knob — the
-    /// region partition (and thus every simulated quantity) is set by
-    /// `real_threads`, and results are bit-identical at any value.
-    pub route_workers: usize,
     /// Parent trace span the stage hangs its phase spans under.
     /// Disabled by default; instrumentation is a no-op then.
     pub span: Span,
 }
 
-// `span` is a recording handle and `route_workers` a host scheduling
-// knob that never changes results: neither is part of the context's
-// identity.
+// `span` is a recording handle, not part of the context's identity.
 impl PartialEq for ExecContext {
     fn eq(&self, other: &Self) -> bool {
         self.machine == other.machine
@@ -59,17 +51,8 @@ impl ExecContext {
             machine,
             model: MachineModel::default(),
             real_threads: machine.vcpus as usize,
-            route_workers: 0,
             span: Span::disabled(),
         }
-    }
-
-    /// Set the router's host-thread count (see
-    /// [`ExecContext::route_workers`]).
-    #[must_use]
-    pub fn with_route_workers(mut self, route_workers: usize) -> Self {
-        self.route_workers = route_workers;
-        self
     }
 
     /// Replace the cost model (e.g. to apply a work-scale calibration).

@@ -17,10 +17,9 @@ use eda_cloud_netlist::{NetId, Netlist};
 use eda_cloud_perf::StageWork;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Result of placement: one coordinate pair per cell on a die.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Cell x coordinates in µm (index = cell id).
     pub x: Vec<f64>,

@@ -23,11 +23,11 @@
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
 use eda_cloud_perf::{CounterSet, PerfProbe, StageWork};
-use serde::{Deserialize, Serialize};
+use eda_cloud_trace::par;
 use std::collections::BinaryHeap;
 
 /// Summary of a routing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingResult {
     /// Grid dimension (the grid is `grid x grid`).
     pub grid: usize,
@@ -223,67 +223,27 @@ impl Router {
             probe.instr(pending.len() as u64);
             // Batched parallel routing round. The region partition is
             // fixed by the simulated machine; how many *host* threads
-            // chew through the buckets is an independent knob
-            // (`ctx.route_workers`): worker `t` takes every
-            // `workers`-th non-empty bucket. Each bucket still routes
-            // against the same committed-usage snapshot and produces
-            // its own delta and counters, and the serial merge below
-            // re-sorts outcomes into canonical bucket-index order — so
-            // results are bit-identical at any worker count.
+            // chew through the non-empty buckets follows the host's
+            // cores. Each bucket routes against the same committed-
+            // usage snapshot and produces its own delta and counters,
+            // and the outcomes come back in bucket-index order — the
+            // canonical commit order — so results are bit-identical at
+            // any width.
             let background = state.usage.clone();
             let history = state.history.clone();
             let routed_view = &routed;
-            // One bucket's round output: routed (net index, path) pairs,
-            // its private usage delta, and its probe counters.
-            type BucketOutcome = (Vec<(usize, Vec<u32>)>, GridDelta, CounterSet);
-            let nonempty: Vec<(usize, &Vec<usize>)> = buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| !b.is_empty())
-                .collect();
-            let workers = if ctx.route_workers == 0 {
-                nonempty.len()
-            } else {
-                ctx.route_workers
-            }
-            .clamp(1, nonempty.len().max(1));
-            let mut results: Vec<(usize, BucketOutcome)> = Vec::new();
-            if !nonempty.is_empty() {
-                crossbeam::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|t| {
-                            let machine = ctx.machine;
-                            let background = &background;
-                            let history = &history;
-                            let nonempty = &nonempty;
-                            scope.spawn(move |_| {
-                                let mut outcomes: Vec<(usize, BucketOutcome)> = Vec::new();
-                                for &(bi, bucket) in nonempty.iter().skip(t).step_by(workers) {
-                                    let mut delta = GridState::with_background(
-                                        grid, capacity, background, history,
-                                    );
-                                    let mut wprobe = PerfProbe::for_machine(&machine);
-                                    let paths: Vec<(usize, Vec<u32>)> = bucket
-                                        .iter()
-                                        .map(|&i| (i, delta.route(routed_view[i].0, &mut wprobe)))
-                                        .collect();
-                                    outcomes
-                                        .push((bi, (paths, delta.into_delta(), wprobe.counters())));
-                                }
-                                outcomes
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        results.extend(h.join().expect("router worker panicked"));
-                    }
-                })
-                .expect("router thread scope");
-            }
-            // Canonical commit order: by bucket index, regardless of
-            // which worker finished first.
-            results.sort_by_key(|&(bi, _)| bi);
-            for (_, (paths, delta, counters)) in results {
+            let nonempty: Vec<&Vec<usize>> = buckets.iter().filter(|b| !b.is_empty()).collect();
+            let workers = par::resolve_workers(0, nonempty.len());
+            let outcomes = par::map_indexed(workers, nonempty, |_, bucket| {
+                let mut delta = GridState::with_background(grid, capacity, &background, &history);
+                let mut wprobe = PerfProbe::for_machine(&ctx.machine);
+                let paths: Vec<(usize, Vec<u32>)> = bucket
+                    .iter()
+                    .map(|&i| (i, delta.route(routed_view[i].0, &mut wprobe)))
+                    .collect();
+                (paths, delta.into_delta(), wprobe.counters())
+            });
+            for (paths, delta, counters) in outcomes {
                 state.merge_delta(&delta);
                 worker_counters.push(counters);
                 for (i, path) in paths {
@@ -840,48 +800,5 @@ mod tests {
         let (b, _) = routed(2);
         assert_eq!(a.wirelength, b.wirelength);
         assert_eq!(a.overflowed_edges, b.overflowed_edges);
-    }
-
-    #[test]
-    fn route_workers_never_change_results() {
-        // The batched rounds must be bit-identical at any host worker
-        // count: same paths, same overflow negotiation, same simulated
-        // counters. Only `measured_wall_secs` may differ.
-        let aig = generators::multiplier(12);
-        let ctx = ExecContext::with_vcpus(4);
-        let (nl, _) = Synthesizer::new()
-            .with_verification(false)
-            .run(&aig, &Recipe::balanced(), &ctx)
-            .unwrap();
-        let (pl, _) = Placer::new().run(&nl, &ctx).unwrap();
-        let route = |route_workers: usize| {
-            let ctx = ExecContext::with_vcpus(4).with_route_workers(route_workers);
-            Router::new().run(&nl, &pl, &ctx).unwrap()
-        };
-        let (base, base_report) = route(0); // historical one-thread-per-bucket
-        assert!(base.global_connections > 0, "partition actually split work");
-        for workers in [1usize, 2, 8] {
-            let (r, report) = route(workers);
-            assert_eq!(r.wirelength, base.wirelength, "workers {workers}");
-            assert_eq!(
-                r.overflowed_edges, base.overflowed_edges,
-                "workers {workers}"
-            );
-            assert_eq!(r.iterations, base.iterations, "workers {workers}");
-            assert_eq!(
-                r.local_connections, base.local_connections,
-                "workers {workers}"
-            );
-            assert_eq!(
-                r.global_connections, base.global_connections,
-                "workers {workers}"
-            );
-            assert_eq!(report.counters, base_report.counters, "workers {workers}");
-            assert_eq!(
-                report.runtime_secs.to_bits(),
-                base_report.runtime_secs.to_bits(),
-                "workers {workers}"
-            );
-        }
     }
 }

@@ -13,10 +13,9 @@ use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
 use eda_cloud_perf::StageWork;
 use eda_cloud_tech::{DelayModel, Library, LinearDelay};
-use serde::{Deserialize, Serialize};
 
 /// Result of a timing run (all times in picoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingReport {
     /// Worst negative slack (positive value = all constraints met).
     pub wns_ps: f64,

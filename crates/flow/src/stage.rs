@@ -1,11 +1,10 @@
 //! Stage identity and reporting.
 
 use eda_cloud_perf::{CounterSet, StageWork};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four EDA applications the paper characterizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StageKind {
     /// Logic synthesis (AIG optimization + technology mapping).
     Synthesis,
@@ -40,7 +39,7 @@ impl fmt::Display for StageKind {
 }
 
 /// What one stage run produced, performance-wise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Which application ran.
     pub kind: StageKind,

@@ -18,11 +18,10 @@ use eda_cloud_perf::{CounterSet, PerfProbe, ProbeTrace, StageWork};
 use eda_cloud_tech::{CellKind, Library};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One optimization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Reassociate AND chains into balanced trees (depth reduction).
     Balance,
@@ -60,7 +59,7 @@ impl fmt::Display for Pass {
 /// assert!(recipes.len() >= 18);
 /// assert!(recipes.iter().any(|r| r.name() == "resyn"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recipe {
     name: String,
     passes: Vec<Pass>,
@@ -164,7 +163,7 @@ impl Default for Recipe {
 }
 
 /// How the mapped netlist is verified against the source AIG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyMode {
     /// No verification.
     Off,

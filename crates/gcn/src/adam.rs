@@ -1,7 +1,6 @@
 //! The Adam optimizer.
 
 use crate::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Adam state for one parameter tensor.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!(param.get(0, 0).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     m: Matrix,
     v: Matrix,

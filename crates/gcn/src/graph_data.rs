@@ -2,7 +2,6 @@
 
 use crate::{Matrix, SparseMatrix};
 use eda_cloud_netlist::{DesignGraph, FEATURE_DIM};
-use serde::{Deserialize, Serialize};
 
 /// One training/evaluation sample.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// log-space; runtimes span orders of magnitude across the corpus, so
 /// regressing `ln(t)` with MSE keeps every design's *relative* error in
 /// the loss, which is what the paper's percentage-error metric measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphSample {
     /// Design name (used for family-wise dataset splits).
     pub name: String,

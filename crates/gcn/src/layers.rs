@@ -2,7 +2,6 @@
 
 use crate::{GcnError, Matrix, SparseMatrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Reusable scratch buffers for [`GcnLayer::infer_into`]. One instance
 /// amortizes the two intermediate products across every layer of every
@@ -31,7 +30,7 @@ impl InferScratch {
 /// where `Ā` is the mean-aggregation operator over each node's
 /// neighbors, `W` the aggregation weights, and `B` the self-loop
 /// weights. Both are trainable and shared across all nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcnLayer {
     /// Aggregation weight matrix (`in x out`).
     pub w: Matrix,
@@ -158,7 +157,7 @@ impl GcnLayer {
 
 /// A fully connected layer `y = x·W + bias`, with optional ReLU handled
 /// by the caller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseLayer {
     /// Weights (`in x out`).
     pub w: Matrix,

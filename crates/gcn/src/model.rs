@@ -7,10 +7,9 @@ use crate::{GcnError, GraphSample, Matrix};
 use eda_cloud_netlist::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Model architecture hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Output width of each GCN layer, in order.
     pub gcn_dims: Vec<usize>,

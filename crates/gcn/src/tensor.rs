@@ -2,7 +2,6 @@
 
 use crate::GcnError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A row-major dense matrix of `f64`.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -336,7 +335,7 @@ impl Matrix {
 ///
 /// Only the operations the GCN needs are provided: sparse-dense product
 /// and transpose-product for the backward pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,

@@ -4,7 +4,6 @@ use crate::{GcnError, GraphSample, ModelConfig, RuntimePredictor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Train/test indices over a sample corpus.
@@ -13,7 +12,7 @@ use std::collections::BTreeSet;
 /// unseen designs in the training set" — so the split is by *design
 /// family*, not by netlist: every recipe variant of a test design is
 /// held out together.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetSplit {
     /// Indices of training samples.
     pub train: Vec<usize>,
@@ -74,7 +73,7 @@ impl DatasetSplit {
 }
 
 /// Per-run training metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean training loss per epoch (log-space MSE).
     pub epoch_losses: Vec<f64>,
@@ -125,7 +124,7 @@ pub struct TrainOutcome {
 }
 
 /// Training-loop configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trainer {
     /// Epochs over the training set.
     pub epochs: usize,

@@ -158,12 +158,7 @@ impl LifecycleConfig {
     /// the machine's available parallelism; at most 4 either way.
     #[must_use]
     pub fn resolved_workers(&self) -> usize {
-        let w = if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        };
-        w.min(4)
+        eda_cloud_trace::par::resolve_workers(self.workers, 4)
     }
 }
 

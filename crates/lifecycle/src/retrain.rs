@@ -10,6 +10,7 @@
 use crate::ReplayBuffer;
 use eda_cloud_gcn::GraphSample;
 use eda_cloud_serve::ModelSnapshot;
+use eda_cloud_trace::par;
 
 /// Fine-tuning hyperparameters for one retrain cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,37 +50,10 @@ impl Retrainer {
             );
             (model, samples.len())
         };
-        let mut tuned: Vec<Option<(eda_cloud_gcn::RuntimePredictor, usize)>> =
-            vec![None, None, None, None];
-        let w = workers.clamp(1, 4);
-        if w == 1 {
-            for (k, slot) in tuned.iter_mut().enumerate() {
-                *slot = Some(tune_stage(k));
-            }
-        } else {
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..w)
-                    .map(|t| {
-                        let tune_stage = &tune_stage;
-                        scope.spawn(move || {
-                            (t..4).step_by(w).map(|k| (k, tune_stage(k))).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("retrain worker"))
-                    .collect::<Vec<_>>()
-            });
-            for (k, result) in results {
-                tuned[k] = Some(result);
-            }
-        }
-        let mut tuned = tuned.into_iter().map(|t| t.expect("all stages tuned"));
-        let (s, sn) = tuned.next().expect("stage");
-        let (p, pn) = tuned.next().expect("stage");
-        let (r, rn) = tuned.next().expect("stage");
-        let (t, tn) = tuned.next().expect("stage");
+        let tuned = par::map_indexed(workers, (0..4).collect(), |_, k| tune_stage(k));
+        let Ok([(s, sn), (p, pn), (r, rn), (t, tn)]) = <[_; 4]>::try_from(tuned) else {
+            unreachable!("four stages in, four stages out");
+        };
         (ModelSnapshot::new(s, p, r, t), [sn, pn, rn, tn])
     }
 }

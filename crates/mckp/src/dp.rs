@@ -1,10 +1,9 @@
 //! The pseudo-polynomial dynamic program.
 
 use crate::{MckpError, Problem, Stage};
-use serde::{Deserialize, Serialize};
 
 /// Which objective the DP optimizes under the runtime budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// The paper's Equation (2): maximize `Σ 1/pᵢⱼ`.
     MaxInverseCost,
@@ -13,7 +12,7 @@ pub enum Objective {
 }
 
 /// An optimal selection: one choice index per stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Selection {
     /// Choice index per stage (parallel to `Problem::stages`).
     pub picks: Vec<usize>,

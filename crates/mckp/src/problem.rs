@@ -1,10 +1,9 @@
 //! MCKP problem definition.
 
 use crate::MckpError;
-use serde::{Deserialize, Serialize};
 
 /// One VM-configuration option for a stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Choice {
     /// Human-readable label (e.g. `"r5.xlarge (4 vCPU)"`).
     pub label: String,
@@ -28,7 +27,7 @@ impl Choice {
 }
 
 /// One flow stage with its configuration choices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// Stage name (e.g. `"placement"`).
     pub name: String,
@@ -62,7 +61,7 @@ impl Stage {
 }
 
 /// A validated MCKP instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     stages: Vec<Stage>,
 }

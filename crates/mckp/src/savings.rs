@@ -2,10 +2,9 @@
 
 use crate::{baselines, Problem, Selection, Solver};
 use eda_cloud_cloud::{Pricing, SpotMarket};
-use serde::{Deserialize, Serialize};
 
 /// Savings of an optimized deployment relative to the naive baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostSavings {
     /// Optimized deployment cost in USD.
     pub optimized_usd: f64,
@@ -66,7 +65,7 @@ pub fn savings_of(problem: &Problem, optimized: &Selection) -> CostSavings {
 /// MCKP-optimized deployment would cost on spot capacity, accounting for
 /// interruption re-runs (see
 /// [`Pricing::expected_spot_multiplier`](eda_cloud_cloud::Pricing::expected_spot_multiplier)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotComparison {
     /// The selection's on-demand cost in USD (what the DP optimized).
     pub on_demand_usd: f64,

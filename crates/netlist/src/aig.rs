@@ -6,7 +6,6 @@
 //! consumes it directly.
 
 use crate::NetlistError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -29,7 +28,7 @@ pub type NodeId = u32;
 /// assert!((!x).is_complemented());
 /// assert_eq!(!!x, x);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lit(u32);
 
 impl Lit {
@@ -99,7 +98,7 @@ impl fmt::Display for Lit {
 }
 
 /// A node in the AIG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AigNode {
     /// The constant-false node (always node 0).
     Const0,
@@ -128,13 +127,12 @@ pub enum AigNode {
 /// assert_eq!(aig.simulate(&[true, false]).unwrap(), vec![true]);
 /// assert_eq!(aig.simulate(&[true, true]).unwrap(), vec![false]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Aig {
     name: String,
     nodes: Vec<AigNode>,
     pis: Vec<NodeId>,
     pos: Vec<(String, Lit)>,
-    #[serde(skip)]
     strash: HashMap<(Lit, Lit), NodeId>,
 }
 

@@ -7,7 +7,6 @@
 
 use crate::aig::{Aig, AigNode};
 use crate::netlist::{NetDriver, NetSink, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// Number of per-node input features produced by the converters.
 pub const FEATURE_DIM: usize = 10;
@@ -26,7 +25,7 @@ pub const FEATURE_DIM: usize = 10;
 /// | 7 | complemented-fanin fraction (AIG) or relative drive (netlist) |
 /// | 8 | relative area (netlist; 0 for AIG) |
 /// | 9 | constant 1 (bias) |
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFeatures(pub [f64; FEATURE_DIM]);
 
 /// A directed graph with node features, ready for GCN consumption.
@@ -45,7 +44,7 @@ pub struct NodeFeatures(pub [f64; FEATURE_DIM]);
 /// let deg: usize = (0..graph.node_count()).map(|v| graph.out_neighbors(v).len()).sum();
 /// assert_eq!(deg, graph.edge_count());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignGraph {
     name: String,
     node_count: usize,

@@ -2,7 +2,6 @@
 
 use crate::NetlistError;
 use eda_cloud_tech::{CellKind, Library};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a cell instance inside a [`Netlist`].
@@ -11,7 +10,7 @@ pub type CellId = u32;
 pub type NetId = u32;
 
 /// What drives a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetDriver {
     /// Driven by primary input number `n`.
     PrimaryInput(u32),
@@ -20,7 +19,7 @@ pub enum NetDriver {
 }
 
 /// A consumer of a net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetSink {
     /// Input pin `pin` of a cell.
     CellPin {
@@ -34,7 +33,7 @@ pub enum NetSink {
 }
 
 /// An instantiated standard cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellInst {
     /// Instance name (unique within the netlist).
     pub name: String,
@@ -49,7 +48,7 @@ pub struct CellInst {
 }
 
 /// A net: one driver, many sinks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Net name.
     pub name: String,
@@ -60,7 +59,7 @@ pub struct Net {
 }
 
 /// Summary statistics of a netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetlistStats {
     /// Number of cell instances.
     pub cells: usize,
@@ -100,7 +99,7 @@ pub struct NetlistStats {
 /// nl.check().expect("well-formed");
 /// assert_eq!(nl.stats(&lib).cells, 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
     library: String,

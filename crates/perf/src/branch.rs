@@ -1,7 +1,5 @@
 //! Branch-predictor simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// A classic bimodal predictor: a table of 2-bit saturating counters
 /// indexed by a hash of the branch "program counter" (any stable site
 /// identifier works — the EDA kernels pass small per-site constants).
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!(wrong <= 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictor {
     /// 2-bit counters: 0,1 predict not-taken; 2,3 predict taken.
     table: Vec<u8>,

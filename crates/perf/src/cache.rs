@@ -1,7 +1,5 @@
 //! Set-associative cache simulator (L1 + last-level).
 
-use serde::{Deserialize, Serialize};
-
 /// One level of set-associative cache with LRU replacement.
 ///
 /// Addresses are byte addresses; the simulator tracks tags only, so it is
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(l1.access(0x40));       // now resident
 /// assert!(l1.access(0x44));       // same line
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     sets: usize,
     ways: usize,
@@ -116,7 +114,7 @@ impl Cache {
 /// The LLC capacity models the paper's observation that more vCPUs come
 /// with a larger share of the host's last-level cache: construct via
 /// [`CacheSim::for_vcpus`] to get a per-vCPU LLC slice.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSim {
     l1: Cache,
     llc: Cache,

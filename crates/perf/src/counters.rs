@@ -1,6 +1,5 @@
 //! Raw event counters and derived metrics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -20,7 +19,7 @@ use std::ops::{Add, AddAssign};
 /// c.branch_misses = 7;
 /// assert!((c.branch_miss_rate() - 0.07).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSet {
     /// Retired instructions (modeled; incremented by kernels).
     pub instructions: u64,

@@ -44,4 +44,4 @@ pub use branch::BranchPredictor;
 pub use cache::{Cache, CacheSim};
 pub use counters::CounterSet;
 pub use machine::{MachineConfig, MachineModel, StageWork};
-pub use probe::{PerfProbe, PerfReport, ProbeEvent, ProbeTrace, SharedProbe};
+pub use probe::{PerfProbe, PerfReport, ProbeEvent, ProbeTrace};

@@ -1,7 +1,6 @@
 //! Machine configuration and the work-to-runtime execution model.
 
 use crate::CounterSet;
-use serde::{Deserialize, Serialize};
 
 /// A virtual-machine configuration as the EDA job sees it.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Xeon E5-2680 host with cgroups; this struct captures the quantities
 /// that throttling controls plus the instance-family traits the paper's
 /// recommendations hinge on (AVX support, memory-to-core ratio).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Number of virtual CPUs (hardware threads).
     pub vcpus: u32,
@@ -81,7 +80,7 @@ impl Default for MachineConfig {
 ///
 /// Produced by the flow engines from their [`CounterSet`] plus knowledge
 /// of which phases parallelize; consumed by [`MachineModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageWork {
     /// Cycles that must execute on one core (inherent dependencies).
     pub serial_cycles: f64,
@@ -167,7 +166,7 @@ impl StageWork {
 /// let t8 = model.runtime_secs(&work, &MachineConfig::vcpus(8));
 /// assert!(t8 < t1 && t8 > t1 / 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
     /// Base instructions per cycle.
     pub ipc: f64,

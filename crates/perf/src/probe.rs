@@ -1,8 +1,6 @@
 //! The probe EDA kernels emit events into.
 
 use crate::{BranchPredictor, CacheSim, CounterSet, MachineConfig};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// One event emitted by an instrumented kernel into a [`PerfProbe`].
 ///
@@ -271,46 +269,6 @@ impl PerfProbe {
     pub fn into_traced(mut self) -> (CounterSet, ProbeTrace) {
         let events = self.trace.take().unwrap_or_default();
         (self.counters(), ProbeTrace { events })
-    }
-}
-
-/// A thread-safe probe handle for sections where worker threads share one
-/// collector; coarse-grained, so workers should batch their events.
-///
-/// # Examples
-///
-/// ```
-/// use eda_cloud_perf::{MachineConfig, PerfProbe, SharedProbe};
-///
-/// let shared = SharedProbe::new(PerfProbe::for_machine(&MachineConfig::vcpus(4)));
-/// let handle = shared.clone();
-/// std::thread::spawn(move || handle.lock().instr(100)).join().unwrap();
-/// assert_eq!(shared.lock().counters().instructions, 100);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SharedProbe(Arc<Mutex<PerfProbe>>);
-
-impl SharedProbe {
-    /// Wrap a probe for sharing across threads.
-    #[must_use]
-    pub fn new(probe: PerfProbe) -> Self {
-        Self(Arc::new(Mutex::new(probe)))
-    }
-
-    /// Lock the inner probe.
-    pub fn lock(&self) -> parking_lot::MutexGuard<'_, PerfProbe> {
-        self.0.lock()
-    }
-
-    /// Unwrap if this is the last handle, else return the counters only.
-    #[must_use]
-    pub fn into_report(self) -> PerfReport {
-        match Arc::try_unwrap(self.0) {
-            Ok(m) => m.into_inner().finish(),
-            Err(arc) => PerfReport {
-                counters: arc.lock().counters(),
-            },
-        }
     }
 }
 

@@ -17,6 +17,7 @@ use crate::RecipeError;
 use eda_cloud_flow::Pass;
 use eda_cloud_gcn::{saturating_exp, Adam, DenseLayer, GcnLayer, GraphSample, Matrix, Trainer};
 use eda_cloud_netlist::FEATURE_DIM;
+use eda_cloud_trace::fnv1a64;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -187,7 +188,7 @@ impl HybridPredictor {
                 out.push('\n');
             }
         }
-        let checksum = fnv1a(out.as_bytes());
+        let checksum = fnv1a64(out.as_bytes());
         out.push_str(&format!("checksum {checksum:016x}\n"));
         out
     }
@@ -214,7 +215,7 @@ impl HybridPredictor {
             .ok_or_else(|| snapshot_err("malformed checksum footer"))?;
         let stated = u64::from_str_radix(stated, 16)
             .map_err(|_| snapshot_err("checksum is not 16 hex digits"))?;
-        if fnv1a(body.as_bytes()) != stated {
+        if fnv1a64(body.as_bytes()) != stated {
             return Err(snapshot_err("checksum mismatch — snapshot is corrupt"));
         }
         let mut lines = body.lines();
@@ -313,16 +314,6 @@ fn shuffle(order: &mut [usize], rng: &mut ChaCha8Rng) {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);
     }
-}
-
-/// FNV-1a 64-bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! any worker count.
 
 use crate::search::{SearchOutcome, TrajectoryPoint};
+use eda_cloud_trace::fmt_f64;
 use std::fmt::Write as _;
 
 /// The joint answer for one design: which recipe to synthesize with
@@ -189,11 +190,6 @@ impl RecipeReport {
         s.push_str("]}");
         s
     }
-}
-
-/// Fixed-precision float rendering, matching the serve report.
-fn fmt_f64(v: f64) -> String {
-    format!("{v:.6}")
 }
 
 fn fmt_u64s(vs: &[u64]) -> String {

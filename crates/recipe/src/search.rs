@@ -31,6 +31,7 @@ use crate::encode::{recipe_from_passes, recipe_key, ALPHABET, MAX_RECIPE_LEN};
 use crate::{NoRecipeFaults, RecipeError, RecipeFaults};
 use eda_cloud_flow::{ExecContext, Pass, Synthesizer};
 use eda_cloud_netlist::Aig;
+use eda_cloud_trace::par;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -94,7 +95,7 @@ impl SearchConfig {
     /// Effective worker count (at least one).
     #[must_use]
     pub fn effective_workers(&self) -> usize {
-        self.workers.clamp(1, 8)
+        par::resolve_workers(self.workers.max(1), 8)
     }
 }
 
@@ -506,32 +507,12 @@ impl RecipeSearch {
         aig: &Aig,
         pending: &[(String, Vec<Pass>)],
     ) -> Result<Vec<EvalOutcome>, RecipeError> {
-        let workers = self.config.effective_workers().min(pending.len().max(1));
-        if workers <= 1 || pending.len() <= 1 {
-            return pending
-                .iter()
-                .map(|(_, passes)| evaluate(&self.synthesizer, aig, passes))
-                .collect();
-        }
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = pending
-                .chunks(pending.len().div_ceil(workers))
-                .map(|chunk| {
-                    let syn = &self.synthesizer;
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|(_, passes)| evaluate(syn, aig, passes))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("evaluation worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        results.into_iter().collect()
+        let jobs: Vec<&[Pass]> = pending.iter().map(|(_, passes)| passes.as_slice()).collect();
+        par::map_indexed(self.config.effective_workers(), jobs, |_, passes| {
+            evaluate(&self.synthesizer, aig, passes)
+        })
+        .into_iter()
+        .collect()
     }
 }
 

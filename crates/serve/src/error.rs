@@ -39,6 +39,24 @@ pub enum ServeError {
         /// What was missing.
         message: String,
     },
+    /// The request stream handed to a `run` entry point is not sorted
+    /// by arrival time.
+    Unsorted {
+        /// Ordinal of the first request that arrives before its
+        /// predecessor in the stream.
+        ordinal: u64,
+    },
+    /// A geo request names a tenant or region the server does not have.
+    OutOfRange {
+        /// Ordinal of the offending request.
+        ordinal: u64,
+        /// Which field is out of range (`"tenant"` or `"region"`).
+        field: &'static str,
+        /// The value the request carried.
+        index: u32,
+        /// How many tenants / regions the server has.
+        count: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -52,6 +70,13 @@ impl fmt::Display for ServeError {
             Self::Snapshot { message } => write!(f, "cannot load model snapshot: {message}"),
             Self::Plan { message } => write!(f, "deployment planning failed: {message}"),
             Self::Ingest { message } => write!(f, "ingest routing failed: {message}"),
+            Self::Unsorted { ordinal } => write!(
+                f,
+                "request {ordinal} arrives before its predecessor: streams must be sorted by arrival time"
+            ),
+            Self::OutOfRange { ordinal, field, index, count } => {
+                write!(f, "request {ordinal}: {field} {index} out of range (server has {count})")
+            }
         }
     }
 }

@@ -196,18 +196,17 @@ impl GeoServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Plan`] when a replica's planner rejects an
-    /// instance (admission rejections are accounted, not errors).
-    ///
-    /// # Panics
-    ///
-    /// Panics when requests are not sorted by arrival time, or a
-    /// request names an unknown tenant or region.
+    /// Returns [`ServeError::Unsorted`] when requests are not sorted by
+    /// arrival time, [`ServeError::OutOfRange`] when a request names an
+    /// unknown tenant or region, and [`ServeError::Plan`] when a
+    /// replica's planner rejects an instance (admission rejections are
+    /// accounted, not errors).
     pub fn run(&self, seed: u64, requests: &[GeoRequest]) -> Result<GeoReport, ServeError> {
-        assert!(
-            requests.windows(2).all(|w| w[0].inner.arrival_us <= w[1].inner.arrival_us),
-            "geo requests must be sorted by arrival time"
-        );
+        if let Some(w) =
+            requests.windows(2).find(|w| w[0].inner.arrival_us > w[1].inner.arrival_us)
+        {
+            return Err(ServeError::Unsorted { ordinal: w[1].inner.ordinal });
+        }
         let tenants = self.config.tenant_weights.len();
         let regions = self.replicas.len();
         let mut fair = Self::fair_share(&self.config);
@@ -219,8 +218,18 @@ impl GeoServer {
         for request in requests {
             let tenant = request.tenant;
             let region = request.region as usize;
-            assert!((tenant as usize) < tenants, "tenant {tenant} out of range");
-            assert!(region < regions, "region {region} out of range");
+            let out_of_range = |field, index, count| ServeError::OutOfRange {
+                ordinal: request.inner.ordinal,
+                field,
+                index,
+                count,
+            };
+            if tenant as usize >= tenants {
+                return Err(out_of_range("tenant", tenant, tenants));
+            }
+            if region >= regions {
+                return Err(out_of_range("region", request.region, regions));
+            }
             let now = request.inner.arrival_us;
             while let Some(&(arrival_us, t, tag)) = in_flight.front() {
                 if arrival_us.saturating_add(self.config.drain_window_us) > now {
@@ -305,6 +314,41 @@ mod tests {
                 inner,
             })
             .collect()
+    }
+
+    #[test]
+    fn bad_streams_are_typed_errors_not_panics() {
+        let server = geo_server(3, 1, GeoConfig::default());
+        let tenants = GeoConfig::default().tenant_weights.len();
+        let sorted = geo_workload(8, tenants as u32, 3, 7);
+
+        let mut unsorted = sorted.clone();
+        unsorted.swap(0, 7);
+        assert!(matches!(server.run(7, &unsorted), Err(ServeError::Unsorted { .. })));
+
+        let mut bad_tenant = sorted.clone();
+        bad_tenant[3].tenant = tenants as u32;
+        assert_eq!(
+            server.run(7, &bad_tenant).unwrap_err(),
+            ServeError::OutOfRange {
+                ordinal: bad_tenant[3].inner.ordinal,
+                field: "tenant",
+                index: tenants as u32,
+                count: tenants,
+            }
+        );
+
+        let mut bad_region = sorted;
+        bad_region[5].region = 3;
+        assert_eq!(
+            server.run(7, &bad_region).unwrap_err(),
+            ServeError::OutOfRange {
+                ordinal: bad_region[5].inner.ordinal,
+                field: "region",
+                index: 3,
+                count: 3,
+            }
+        );
     }
 
     #[test]

@@ -16,25 +16,13 @@
 //! version.
 
 use crate::ServeError;
-use eda_cloud_gcn::{GraphBatch, ModelConfig, QuantizedPredictor, RuntimePredictor};
+use eda_cloud_gcn::{GraphBatch, LoadWeightsError, ModelConfig, QuantizedPredictor, RuntimePredictor};
+use eda_cloud_trace::{fnv1a64, par};
 use std::collections::BTreeMap;
 
 /// Stage names in flow order; index-aligned with every `[T; 4]` that
 /// crosses this crate's API (predictions, plans, service stages).
 pub const STAGE_NAMES: [&str; 4] = ["synthesis", "placement", "routing", "sta"];
-
-/// FNV-1a 64-bit hash — the snapshot-text checksum primitive. Each
-/// byte step `h' = (h ^ b) * p` multiplies by an odd prime, which is a
-/// bijection on `u64` per input byte, so any single-byte substitution
-/// (in particular any single-bit flip) changes the digest.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Split the next `\n`-terminated line off `rest`, tracking byte
 /// position (unlike `str::lines`) so the checksum footer can hash the
@@ -55,6 +43,109 @@ fn next_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
             Some(line)
         }
     }
+}
+
+/// Write the snapshot text layout shared by both numeric formats: the
+/// `header` line, each stage's weight document between `stage <name>` /
+/// `end <name>` delimiters in [`STAGE_NAMES`] order, and a
+/// `checksum <16 hex digits>` footer — an FNV-1a 64 digest of every
+/// preceding byte — so storage-level bit rot is detected at load
+/// instead of silently serving a corrupt model.
+fn write_stages(header: &str, stage_doc: impl Fn(usize) -> String) -> String {
+    let mut out = format!("{header}\n");
+    for (k, name) in STAGE_NAMES.iter().enumerate() {
+        out.push_str(&format!("stage {name}\n"));
+        out.push_str(&stage_doc(k));
+        out.push_str(&format!("end {name}\n"));
+    }
+    out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
+    out
+}
+
+/// Parse a document produced by [`write_stages`], loading each stage's
+/// embedded weight document with `load`. The checksum is verified after
+/// the structural parse, so structural corruption keeps its precise
+/// message while any surviving bit flip is still rejected.
+fn read_stages<P>(
+    header: &str,
+    text: &str,
+    load: impl Fn(&str) -> Result<P, LoadWeightsError>,
+) -> Result<[P; 4], ServeError> {
+    let err = |m: String| ServeError::Snapshot { message: m };
+    let mut rest = text;
+    if next_line(&mut rest) != Some(header) {
+        return Err(err("unknown header".into()));
+    }
+    let mut read_stage = |name: &str| -> Result<P, ServeError> {
+        let open = next_line(&mut rest).unwrap_or_default();
+        if open != format!("stage {name}") {
+            return Err(err(format!("expected `stage {name}`, found `{open}`")));
+        }
+        let close = format!("end {name}");
+        let mut doc = String::new();
+        loop {
+            let Some(line) = next_line(&mut rest) else {
+                return Err(err(format!("missing `{close}`")));
+            };
+            if line == close {
+                break;
+            }
+            doc.push_str(line);
+            doc.push('\n');
+        }
+        Ok(load(&doc)?)
+    };
+    let [synthesis, placement, routing, sta] = STAGE_NAMES;
+    let stages = [
+        read_stage(synthesis)?,
+        read_stage(placement)?,
+        read_stage(routing)?,
+        read_stage(sta)?,
+    ];
+    let body_len = text.len() - rest.len();
+    let footer = next_line(&mut rest).ok_or_else(|| err("missing `checksum` footer".into()))?;
+    let Some(hex) = footer.strip_prefix("checksum ") else {
+        return Err(err(format!(
+            "expected `checksum <16 hex digits>`, found `{footer}`"
+        )));
+    };
+    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(err(format!("malformed checksum `{hex}`")));
+    }
+    let stated = u64::from_str_radix(hex, 16).expect("validated hex");
+    if !rest.is_empty() {
+        return Err(err("trailing content after checksum footer".into()));
+    }
+    let computed = fnv1a64(&text.as_bytes()[..body_len]);
+    if stated != computed {
+        return Err(err(format!(
+            "checksum mismatch: stated {stated:016x}, computed {computed:016x}"
+        )));
+    }
+    Ok(stages)
+}
+
+/// Run the four independent per-stage forwards on up to `workers`
+/// threads — synthesis reads the AIG batch, the other three stages the
+/// netlist batch — and transpose to per-design rows. Results are joined
+/// **by stage index**, so the output is bit-identical at every worker
+/// count. Shared by the float and int8 snapshot types.
+fn predict_stages(
+    aig: &GraphBatch,
+    netlist: &GraphBatch,
+    workers: usize,
+    run_stage: impl Fn(usize, &GraphBatch) -> Vec<[f64; 4]> + Sync,
+) -> Vec<[[f64; 4]; 4]> {
+    assert_eq!(aig.len(), netlist.len(), "views must be index-aligned");
+    if aig.is_empty() {
+        return Vec::new();
+    }
+    let per_stage = par::map_indexed(workers, (0..4).collect(), |_, k: usize| {
+        run_stage(k, if k == 0 { aig } else { netlist })
+    });
+    (0..aig.len())
+        .map(|i| [per_stage[0][i], per_stage[1][i], per_stage[2][i], per_stage[3][i]])
+        .collect()
 }
 
 /// The four per-stage predictors, frozen for serving.
@@ -128,14 +219,7 @@ impl ModelSnapshot {
     /// model.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::from("eda-serve-snapshot v1\n");
-        for (k, name) in STAGE_NAMES.iter().enumerate() {
-            out.push_str(&format!("stage {name}\n"));
-            out.push_str(&self.stage(k).save_weights());
-            out.push_str(&format!("end {name}\n"));
-        }
-        out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        write_stages("eda-serve-snapshot v1", |k| self.stage(k).save_weights())
     }
 
     /// Parse a document produced by [`ModelSnapshot::to_text`].
@@ -148,58 +232,8 @@ impl ModelSnapshot {
     /// after the structural parse, so structural corruption keeps its
     /// precise message while any surviving bit flip is still rejected.
     pub fn from_text(text: &str) -> Result<Self, ServeError> {
-        let err = |m: String| ServeError::Snapshot { message: m };
-        let mut rest = text;
-        if next_line(&mut rest) != Some("eda-serve-snapshot v1") {
-            return Err(err("unknown header".into()));
-        }
-        let mut stages = Vec::with_capacity(4);
-        for name in STAGE_NAMES {
-            let open = next_line(&mut rest).unwrap_or_default();
-            if open != format!("stage {name}") {
-                return Err(err(format!("expected `stage {name}`, found `{open}`")));
-            }
-            let close = format!("end {name}");
-            let mut doc = String::new();
-            loop {
-                let Some(line) = next_line(&mut rest) else {
-                    return Err(err(format!("missing `{close}`")));
-                };
-                if line == close {
-                    break;
-                }
-                doc.push_str(line);
-                doc.push('\n');
-            }
-            stages.push(RuntimePredictor::load_weights(&doc)?);
-        }
-        let body_len = text.len() - rest.len();
-        let footer = next_line(&mut rest).ok_or_else(|| err("missing `checksum` footer".into()))?;
-        let Some(hex) = footer.strip_prefix("checksum ") else {
-            return Err(err(format!(
-                "expected `checksum <16 hex digits>`, found `{footer}`"
-            )));
-        };
-        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(err(format!("malformed checksum `{hex}`")));
-        }
-        let stated = u64::from_str_radix(hex, 16).expect("validated hex");
-        if !rest.is_empty() {
-            return Err(err("trailing content after checksum footer".into()));
-        }
-        let computed = fnv1a64(&text.as_bytes()[..body_len]);
-        if stated != computed {
-            return Err(err(format!(
-                "checksum mismatch: stated {stated:016x}, computed {computed:016x}"
-            )));
-        }
-        let mut stages = stages.into_iter();
-        let (s, p, r, t) = (
-            stages.next().expect("stage"),
-            stages.next().expect("stage"),
-            stages.next().expect("stage"),
-            stages.next().expect("stage"),
-        );
+        let [s, p, r, t] =
+            read_stages("eda-serve-snapshot v1", text, RuntimePredictor::load_weights)?;
         Ok(Self::new(s, p, r, t))
     }
 
@@ -218,67 +252,8 @@ impl ModelSnapshot {
         netlist: &GraphBatch,
         workers: usize,
     ) -> Vec<[[f64; 4]; 4]> {
-        assert_eq!(aig.len(), netlist.len(), "views must be index-aligned");
-        if aig.is_empty() {
-            return Vec::new();
-        }
-        let run_stage = |k: usize| -> Vec<[f64; 4]> {
-            let batch = if k == 0 { aig } else { netlist };
-            self.stage(k).predict_secs_batch(batch)
-        };
-        fan_out_stages(&run_stage, aig.len(), workers)
+        predict_stages(aig, netlist, workers, |k, batch| self.stage(k).predict_secs_batch(batch))
     }
-}
-
-/// Run the four independent per-stage forwards, optionally over scoped
-/// threads, and join the results **by stage index** — the canonical
-/// commit order that keeps the output bit-identical at every worker
-/// count. Shared by the float and int8 snapshot types.
-fn fan_out_stages<F>(run_stage: &F, len: usize, workers: usize) -> Vec<[[f64; 4]; 4]>
-where
-    F: Fn(usize) -> Vec<[f64; 4]> + Sync,
-{
-    let mut per_stage: Vec<Option<Vec<[f64; 4]>>> = vec![None, None, None, None];
-    let w = workers.clamp(1, 4);
-    if w == 1 {
-        for (k, slot) in per_stage.iter_mut().enumerate() {
-            *slot = Some(run_stage(k));
-        }
-    } else {
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..w)
-                .map(|t| {
-                    scope.spawn(move || {
-                        (t..4)
-                            .step_by(w)
-                            .map(|k| (k, run_stage(k)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("stage worker"))
-                .collect::<Vec<_>>()
-        });
-        for (k, secs) in results {
-            per_stage[k] = Some(secs);
-        }
-    }
-    let per_stage: Vec<Vec<[f64; 4]>> = per_stage
-        .into_iter()
-        .map(|s| s.expect("all stages ran"))
-        .collect();
-    (0..len)
-        .map(|i| {
-            [
-                per_stage[0][i],
-                per_stage[1][i],
-                per_stage[2][i],
-                per_stage[3][i],
-            ]
-        })
-        .collect()
 }
 
 /// The four per-stage predictors, quantized to int8 for serving (see
@@ -345,14 +320,7 @@ impl QuantizedSnapshot {
     /// `gcn-runtime-predictor-q8 v1` weight document.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::from("eda-serve-snapshot v2-int8\n");
-        for (k, name) in STAGE_NAMES.iter().enumerate() {
-            out.push_str(&format!("stage {name}\n"));
-            out.push_str(&self.stage(k).save_weights());
-            out.push_str(&format!("end {name}\n"));
-        }
-        out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
-        out
+        write_stages("eda-serve-snapshot v2-int8", |k| self.stage(k).save_weights())
     }
 
     /// Parse a document produced by [`QuantizedSnapshot::to_text`].
@@ -363,64 +331,9 @@ impl QuantizedSnapshot {
     /// misordered stage delimiters, malformed embedded weights, or a
     /// missing/mismatched `checksum` footer.
     pub fn from_text(text: &str) -> Result<Self, ServeError> {
-        let err = |m: String| ServeError::Snapshot { message: m };
-        let mut rest = text;
-        if next_line(&mut rest) != Some("eda-serve-snapshot v2-int8") {
-            return Err(err("unknown header".into()));
-        }
-        let mut stages = Vec::with_capacity(4);
-        for name in STAGE_NAMES {
-            let open = next_line(&mut rest).unwrap_or_default();
-            if open != format!("stage {name}") {
-                return Err(err(format!("expected `stage {name}`, found `{open}`")));
-            }
-            let close = format!("end {name}");
-            let mut doc = String::new();
-            loop {
-                let Some(line) = next_line(&mut rest) else {
-                    return Err(err(format!("missing `{close}`")));
-                };
-                if line == close {
-                    break;
-                }
-                doc.push_str(line);
-                doc.push('\n');
-            }
-            stages.push(QuantizedPredictor::load_weights(&doc)?);
-        }
-        let body_len = text.len() - rest.len();
-        let footer = next_line(&mut rest).ok_or_else(|| err("missing `checksum` footer".into()))?;
-        let Some(hex) = footer.strip_prefix("checksum ") else {
-            return Err(err(format!(
-                "expected `checksum <16 hex digits>`, found `{footer}`"
-            )));
-        };
-        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(err(format!("malformed checksum `{hex}`")));
-        }
-        let stated = u64::from_str_radix(hex, 16).expect("validated hex");
-        if !rest.is_empty() {
-            return Err(err("trailing content after checksum footer".into()));
-        }
-        let computed = fnv1a64(&text.as_bytes()[..body_len]);
-        if stated != computed {
-            return Err(err(format!(
-                "checksum mismatch: stated {stated:016x}, computed {computed:016x}"
-            )));
-        }
-        let mut stages = stages.into_iter();
-        let (s, p, r, t) = (
-            stages.next().expect("stage"),
-            stages.next().expect("stage"),
-            stages.next().expect("stage"),
-            stages.next().expect("stage"),
-        );
-        Ok(Self {
-            synthesis: s,
-            placement: p,
-            routing: r,
-            sta: t,
-        })
+        let [synthesis, placement, routing, sta] =
+            read_stages("eda-serve-snapshot v2-int8", text, QuantizedPredictor::load_weights)?;
+        Ok(Self { synthesis, placement, routing, sta })
     }
 
     /// Batched prediction over every stage — same contract and worker
@@ -433,15 +346,7 @@ impl QuantizedSnapshot {
         netlist: &GraphBatch,
         workers: usize,
     ) -> Vec<[[f64; 4]; 4]> {
-        assert_eq!(aig.len(), netlist.len(), "views must be index-aligned");
-        if aig.is_empty() {
-            return Vec::new();
-        }
-        let run_stage = |k: usize| -> Vec<[f64; 4]> {
-            let batch = if k == 0 { aig } else { netlist };
-            self.stage(k).predict_secs_batch(batch)
-        };
-        fan_out_stages(&run_stage, aig.len(), workers)
+        predict_stages(aig, netlist, workers, |k, batch| self.stage(k).predict_secs_batch(batch))
     }
 }
 

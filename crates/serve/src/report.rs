@@ -1,6 +1,7 @@
 //! The per-run serving report and its byte-stable JSON rendering.
 
 use eda_cloud_fleet::Histogram;
+use eda_cloud_trace::fmt_f64;
 use std::fmt::Write as _;
 
 /// Monotone counters accumulated over one serving run.
@@ -110,11 +111,6 @@ impl ServeReport {
         s.push('}');
         s
     }
-}
-
-/// Fixed-precision float rendering, matching the fleet report's format.
-fn fmt_f64(v: f64) -> String {
-    format!("{v:.6}")
 }
 
 #[cfg(test)]

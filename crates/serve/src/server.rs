@@ -86,12 +86,7 @@ impl ServeConfig {
     /// thread per stage model).
     #[must_use]
     pub fn resolved_workers(&self) -> usize {
-        let w = if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        };
-        w.min(4)
+        eda_cloud_trace::par::resolve_workers(self.workers, 4)
     }
 }
 
@@ -237,23 +232,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Plan`] if the planner rejects an instance
-    /// (sheds are outcomes, not errors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests` is not sorted by arrival time.
+    /// Returns [`ServeError::Unsorted`] if `requests` is not sorted by
+    /// arrival time, and [`ServeError::Plan`] if the planner rejects an
+    /// instance (sheds are outcomes, not errors).
     pub fn run(
         &self,
         seed: u64,
         requests: &[ServeRequest],
     ) -> Result<(ServeReport, Vec<RequestOutcome>), ServeError> {
-        assert!(
-            requests
-                .windows(2)
-                .all(|w| w[0].arrival_us <= w[1].arrival_us),
-            "requests must be sorted by arrival time"
-        );
+        if let Some(w) = requests.windows(2).find(|w| w[0].arrival_us > w[1].arrival_us) {
+            return Err(ServeError::Unsorted { ordinal: w[1].ordinal });
+        }
         let workers = self.config.resolved_workers();
         let mut queue = AdmissionQueue::new(self.config.queue_capacity);
         let version = self.config.model_version;
@@ -607,6 +596,18 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    #[test]
+    fn unsorted_stream_is_a_typed_error_not_a_panic() {
+        let mut requests = workload(8, 150.0, 7);
+        requests.swap(2, 5);
+        let late = requests.windows(2).find(|w| w[0].arrival_us > w[1].arrival_us);
+        let ordinal = late.expect("swap unsorted the stream")[1].ordinal;
+        assert_eq!(
+            server(ServeConfig::default()).run(7, &requests).unwrap_err(),
+            ServeError::Unsorted { ordinal }
+        );
     }
 
     #[test]

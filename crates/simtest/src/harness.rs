@@ -30,7 +30,7 @@ use eda_cloud_serve::{
     design_pool, synthetic_requests_with_uploads, CostTablePlanner, ModelSnapshot, RequestOutcome,
     ServeConfig, ServeReport, Server, SharedIngestFaults, SharedServeFaults, WorkloadConfig,
 };
-use eda_cloud_trace::{Trace, Tracer};
+use eda_cloud_trace::{fnv1a64, Trace, Tracer};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -387,10 +387,10 @@ pub fn run_simtest_traced(
         serve: serve.counters,
         lifecycle: lifecycle.counters,
         engine,
-        fleet_digest: crate::report::fnv1a64(fleet.to_json().as_bytes()),
-        serve_digest: crate::report::fnv1a64(serve.to_json().as_bytes()),
-        lifecycle_digest: crate::report::fnv1a64(lifecycle.to_json().as_bytes()),
-        engine_digest: crate::report::fnv1a64(regions.to_json().as_bytes()),
+        fleet_digest: fnv1a64(fleet.to_json().as_bytes()),
+        serve_digest: fnv1a64(serve.to_json().as_bytes()),
+        lifecycle_digest: fnv1a64(lifecycle.to_json().as_bytes()),
+        engine_digest: fnv1a64(regions.to_json().as_bytes()),
         fault_spans,
         corruption_injected,
         corruption_rejected,

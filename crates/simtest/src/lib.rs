@@ -42,5 +42,5 @@ pub use error::SimtestError;
 pub use harness::{run_simtest, run_simtest_traced, SimtestConfig, SimtestRun};
 pub use hooks::PlanFaults;
 pub use plan::{FaultEvent, FaultPlan, PPM};
-pub use report::{fnv1a64, EnginePhase, SimtestReport};
+pub use report::{EnginePhase, SimtestReport};
 pub use shrink::{shrink_plan, shrink_plan_with};

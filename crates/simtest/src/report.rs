@@ -11,33 +11,7 @@ use crate::{FaultPlan, Violation};
 use eda_cloud_fleet::FleetCounters;
 use eda_cloud_lifecycle::LifecycleCounters;
 use eda_cloud_serve::ServeCounters;
-
-/// FNV-1a 64-bit over raw bytes; used to pin each sub-report's full
-/// JSON without embedding kilobytes of it.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use eda_cloud_trace::json::escape;
 
 /// Engine-phase counters: the multi-region simulation's job and
 /// cross-shard message accounting, folded across regions.
@@ -214,20 +188,6 @@ impl SimtestReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
-    }
-
-    #[test]
-    fn escape_handles_quotes_backslashes_and_control_bytes() {
-        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape("x\ny"), "x\\ny");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn report_json_is_stable_and_reflects_violations() {

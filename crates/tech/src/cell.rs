@@ -1,13 +1,12 @@
 //! Standard-cell descriptions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The logical function class of a standard cell.
 ///
 /// The set covers what the simple cut-based technology mapper in
 /// `eda-cloud-flow` can target plus sequential and I/O helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellKind {
     /// Inverter.
     Inv,
@@ -156,7 +155,7 @@ impl fmt::Display for CellKind {
 }
 
 /// Direction of a cell pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PinDirection {
     /// Signal flows into the cell.
     Input,
@@ -165,7 +164,7 @@ pub enum PinDirection {
 }
 
 /// A pin on a standard-cell master.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PinSpec {
     /// Pin name (e.g. `"A"`, `"Y"`).
     pub name: String,
@@ -178,7 +177,7 @@ pub struct PinSpec {
 /// A standard-cell master: function, geometry, and timing parameters.
 ///
 /// Timing uses a linear delay model, see [`CellType::delay_ps`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellType {
     /// Library cell name, e.g. `"NAND2_X1"`.
     pub name: String,

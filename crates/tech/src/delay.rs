@@ -1,7 +1,6 @@
 //! Delay models.
 
 use crate::CellType;
-use serde::{Deserialize, Serialize};
 
 /// A gate delay model: maps a cell master and its output load to a delay.
 ///
@@ -23,7 +22,7 @@ pub trait DelayModel {
 /// per-micron RC estimate scaled by fanout, which is adequate for the
 /// runtime-characterization experiments where only relative magnitudes
 /// matter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearDelay {
     /// Wire resistance per micron in Ω/µm.
     pub wire_res_ohm_per_um: f64,

@@ -2,7 +2,6 @@
 
 use crate::cell::{CellKind, CellType, PinDirection, PinSpec};
 use crate::error::TechError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A collection of standard-cell masters addressable by name or function.
@@ -17,14 +16,12 @@ use std::collections::HashMap;
 /// let inv = lib.cell_by_kind(CellKind::Inv).expect("has inverter");
 /// assert_eq!(inv.kind, CellKind::Inv);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Library {
     /// Human-readable library name.
     name: String,
     cells: Vec<CellType>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
-    #[serde(skip)]
     by_kind: HashMap<CellKind, Vec<usize>>,
 }
 

@@ -9,7 +9,8 @@ use std::fmt::Write as _;
 /// Render an `f64` with six decimal places (the workspace's byte-stable
 /// float convention). Non-finite values render as quoted strings so the
 /// output stays parseable.
-pub(crate) fn fmt_f64(v: f64) -> String {
+#[must_use]
+pub fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else if v.is_nan() {
@@ -22,7 +23,8 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

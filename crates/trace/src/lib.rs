@@ -32,6 +32,13 @@
 //! call on a disabled [`Tracer`]/[`Span`]/[`Metrics`] is one branch on
 //! `None`.
 //!
+//! Because every crate that fans work out or renders a byte-stable
+//! report already sits on top of this one, it also holds the
+//! workspace's single copy of the primitives that determinism contract
+//! rests on: [`par::map_indexed`] (the one indexed thread fan-out),
+//! [`json`]'s fixed-precision float and string escaping, [`Histogram`],
+//! and [`fnv1a64`].
+//!
 //! # Examples
 //!
 //! ```
@@ -53,9 +60,36 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod metrics;
+pub mod par;
 mod span;
 
-pub use metrics::{Histogram, Metrics};
+pub use json::fmt_f64;
+pub use metrics::{EdgeMismatch, Histogram, Metrics};
 pub use span::{Span, SpanRecord, Trace, Tracer};
+
+/// FNV-1a 64-bit hash over raw bytes — the workspace's checksum and
+/// report-digest primitive. Each byte step `h' = (h ^ b) * p`
+/// multiplies by an odd prime, a bijection on `u64` per input byte, so
+/// any single-byte substitution (in particular any single-bit flip)
+/// changes the digest.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        assert_eq!(super::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

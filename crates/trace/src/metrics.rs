@@ -70,7 +70,28 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    fn to_json(&self) -> String {
+    /// Fold another histogram's counts into this one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EdgeMismatch`] (and leaves `self` untouched) if the two
+    /// histograms have different edges — merging incompatible
+    /// bucketings silently would corrupt every report built from it.
+    pub fn merge(&mut self, other: &Histogram) -> Result<(), EdgeMismatch> {
+        if self.edges != other.edges {
+            return Err(EdgeMismatch);
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        Ok(())
+    }
+
+    /// Render as `{"edges":[...],"counts":[...]}` with the workspace's
+    /// fixed float formatting ([`fmt_f64`]) — byte-stable, so other
+    /// crates can embed histograms in their own deterministic JSON.
+    #[must_use]
+    pub fn to_json(&self) -> String {
         let edges: Vec<String> = self.edges.iter().map(|e| fmt_f64(*e)).collect();
         let counts: Vec<String> = self.counts.iter().map(u64::to_string).collect();
         format!(
@@ -80,6 +101,18 @@ impl Histogram {
         )
     }
 }
+
+/// [`Histogram::merge`] was given a histogram over different edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeMismatch;
+
+impl std::fmt::Display for EdgeMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("merged histograms must share bucket edges")
+    }
+}
+
+impl std::error::Error for EdgeMismatch {}
 
 #[derive(Default)]
 struct MetricsInner {
@@ -239,6 +272,20 @@ mod tests {
         assert_eq!(h.edges(), &[1.0, 10.0]);
         let d = Histogram::new(Vec::new());
         assert_eq!(d.edges().len(), DEFAULT_EDGES.len());
+    }
+
+    #[test]
+    fn histogram_merge_sums_counts_and_rejects_mismatched_edges() {
+        let mut a = Histogram::new(vec![10.0]);
+        let mut b = Histogram::new(vec![10.0]);
+        a.record(5.0);
+        b.record(5.0);
+        b.record(50.0);
+        assert_eq!(a.merge(&b), Ok(()));
+        assert_eq!(a.counts(), &[2, 1]);
+        assert_eq!(a.to_json(), "{\"edges\":[10.000000],\"counts\":[2,1]}");
+        assert_eq!(a.merge(&Histogram::new(vec![20.0])), Err(EdgeMismatch));
+        assert_eq!(a.counts(), &[2, 1]);
     }
 
     #[test]
