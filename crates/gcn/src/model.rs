@@ -605,85 +605,109 @@ impl RuntimePredictor {
     /// Returns [`LoadWeightsError`] on version/shape mismatches or
     /// unparsable numbers.
     pub fn load_weights(text: &str) -> Result<Self, LoadWeightsError> {
-        let err = |m: &str| LoadWeightsError {
-            message: m.to_owned(),
-        };
         let mut lines = text.lines();
-        if lines.next() != Some("gcn-runtime-predictor v1") {
-            return Err(err("unknown header"));
-        }
-        let dims_line = lines.next().ok_or_else(|| err("missing gcn_dims"))?;
-        let gcn_dims: Vec<usize> = dims_line
-            .strip_prefix("gcn_dims ")
-            .ok_or_else(|| err("bad gcn_dims line"))?
-            .split_whitespace()
-            .map(|t| t.parse().map_err(|_| err("bad dim")))
-            .collect::<Result<_, _>>()?;
-        let fc_line = lines.next().ok_or_else(|| err("missing fc_dim"))?;
-        let fc_dim: usize = fc_line
-            .strip_prefix("fc_dim ")
-            .ok_or_else(|| err("bad fc_dim line"))?
-            .trim()
-            .parse()
-            .map_err(|_| err("bad fc_dim"))?;
-        // Validate the architecture before building it: an empty layer
-        // list would panic `Self::new`, and absurd widths would try to
-        // allocate the product — both must surface as typed errors.
-        const MAX_DIM: usize = 1 << 16;
-        if gcn_dims.is_empty() {
-            return Err(err("gcn_dims is empty"));
-        }
-        if gcn_dims.iter().any(|&d| d == 0 || d > MAX_DIM) || fc_dim == 0 || fc_dim > MAX_DIM {
-            return Err(err("layer width out of range"));
-        }
-        let config = ModelConfig { gcn_dims, fc_dim };
+        let config = parse_header(&mut lines, "gcn-runtime-predictor v1")?;
         let mut model = Self::new(&config, 0);
-
-        let mut parse_matrix = |expect: &str| -> Result<Matrix, LoadWeightsError> {
-            let line = lines.next().ok_or_else(|| err("missing tensor"))?;
-            let mut tok = line.split_whitespace();
-            let label = tok.next().ok_or_else(|| err("missing label"))?;
-            if label != expect {
-                return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
-            }
-            let rows: usize = tok
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("bad rows"))?;
-            let cols: usize = tok
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("bad cols"))?;
-            let data: Vec<f64> = tok
-                .map(|t| {
-                    let v: f64 = t.parse().map_err(|_| err("bad value"))?;
-                    // `"NaN"` and `"inf"` parse as valid f64s, but a
-                    // snapshot carrying them is corrupt: reject at load
-                    // time instead of letting them poison serving.
-                    if v.is_finite() {
-                        Ok(v)
-                    } else {
-                        Err(err("non-finite value"))
-                    }
-                })
-                .collect::<Result<_, _>>()?;
-            let expected = rows
-                .checked_mul(cols)
-                .ok_or_else(|| err("tensor shape overflows"))?;
-            if data.len() != expected {
-                return Err(err("value count mismatch"));
-            }
+        let mut matrix = |expect: &str| -> Result<Matrix, LoadWeightsError> {
+            let ([rows, cols], tok) = tensor_line(&mut lines, expect, ["bad rows", "bad cols"])?;
+            let data = values(tok, rows.checked_mul(cols), finite)?;
             Ok(Matrix::from_vec(rows, cols, data))
         };
         for i in 0..model.gcn.len() {
-            model.gcn[i].w = parse_matrix(&format!("gcn{i}.w"))?;
-            model.gcn[i].b = parse_matrix(&format!("gcn{i}.b"))?;
+            model.gcn[i].w = matrix(&format!("gcn{i}.w"))?;
+            model.gcn[i].b = matrix(&format!("gcn{i}.b"))?;
         }
-        model.fc.w = parse_matrix("fc.w")?;
-        model.fc.bias = parse_matrix("fc.bias")?;
-        model.head.w = parse_matrix("head.w")?;
-        model.head.bias = parse_matrix("head.bias")?;
+        model.fc.w = matrix("fc.w")?;
+        model.fc.bias = matrix("fc.bias")?;
+        model.head.w = matrix("head.w")?;
+        model.head.bias = matrix("head.bias")?;
         Ok(model)
+    }
+}
+
+pub(crate) fn err(message: &str) -> LoadWeightsError {
+    LoadWeightsError { message: message.to_owned() }
+}
+
+/// Parse the three header lines every weight document opens with —
+/// `magic`, `gcn_dims ..`, `fc_dim ..` — into the architecture.
+pub(crate) fn parse_header(
+    lines: &mut std::str::Lines<'_>,
+    magic: &str,
+) -> Result<ModelConfig, LoadWeightsError> {
+    if lines.next() != Some(magic) {
+        return Err(err("unknown header"));
+    }
+    let dims_line = lines.next().ok_or_else(|| err("missing gcn_dims"))?;
+    let gcn_dims: Vec<usize> = dims_line
+        .strip_prefix("gcn_dims ")
+        .ok_or_else(|| err("bad gcn_dims line"))?
+        .split_whitespace()
+        .map(|t| t.parse().map_err(|_| err("bad dim")))
+        .collect::<Result<_, _>>()?;
+    let fc_line = lines.next().ok_or_else(|| err("missing fc_dim"))?;
+    let fc_dim: usize = fc_line
+        .strip_prefix("fc_dim ")
+        .ok_or_else(|| err("bad fc_dim line"))?
+        .trim()
+        .parse()
+        .map_err(|_| err("bad fc_dim"))?;
+    // Validate the architecture before building it: an empty layer
+    // list would panic `RuntimePredictor::new`, and absurd widths would
+    // try to allocate the product — both must surface as typed errors.
+    const MAX_DIM: usize = 1 << 16;
+    if gcn_dims.is_empty() {
+        return Err(err("gcn_dims is empty"));
+    }
+    if gcn_dims.iter().any(|&d| d == 0 || d > MAX_DIM) || fc_dim == 0 || fc_dim > MAX_DIM {
+        return Err(err("layer width out of range"));
+    }
+    Ok(ModelConfig { gcn_dims, fc_dim })
+}
+
+/// Take the next tensor line: check its label is `expect`, read its `D`
+/// leading dimensions (`dims` names each one's error), and hand back
+/// the remaining tokens.
+pub(crate) fn tensor_line<'a, const D: usize>(
+    lines: &mut std::str::Lines<'a>,
+    expect: &str,
+    dims: [&str; D],
+) -> Result<([usize; D], std::str::SplitWhitespace<'a>), LoadWeightsError> {
+    let line = lines.next().ok_or_else(|| err("missing tensor"))?;
+    let mut tok = line.split_whitespace();
+    let label = tok.next().ok_or_else(|| err("missing label"))?;
+    if label != expect {
+        return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
+    }
+    let mut shape = [0usize; D];
+    for (dim, bad) in shape.iter_mut().zip(dims) {
+        *dim = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err(bad))?;
+    }
+    Ok((shape, tok))
+}
+
+/// Parse the rest of a tensor line and check the count against the
+/// shape the line declared (`None`: the shape's product overflowed).
+pub(crate) fn values<T>(
+    tok: std::str::SplitWhitespace<'_>,
+    expected: Option<usize>,
+    parse: impl Fn(&str) -> Result<T, LoadWeightsError>,
+) -> Result<Vec<T>, LoadWeightsError> {
+    let data: Vec<T> = tok.map(parse).collect::<Result<_, _>>()?;
+    if data.len() != expected.ok_or_else(|| err("tensor shape overflows"))? {
+        return Err(err("value count mismatch"));
+    }
+    Ok(data)
+}
+
+/// One float weight. `"NaN"` and `"inf"` parse as valid f64s, but a
+/// snapshot carrying them is corrupt: reject at load time instead of
+/// letting them poison serving.
+pub(crate) fn finite(token: &str) -> Result<f64, LoadWeightsError> {
+    match token.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(err("non-finite value")),
+        Err(_) => Err(err("bad value")),
     }
 }
 

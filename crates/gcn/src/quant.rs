@@ -44,7 +44,9 @@
 //!   slot is overwritten before it is read.
 
 use crate::batch::GraphBatch;
-use crate::model::{saturating_exp, LoadWeightsError, MAX_LOG_SECS};
+use crate::model::{
+    err, finite, parse_header, saturating_exp, tensor_line, values, LoadWeightsError, MAX_LOG_SECS,
+};
 use crate::{GraphSample, Matrix, ModelConfig, RuntimePredictor};
 
 /// A per-tensor symmetric int8 quantized weight matrix, stored
@@ -570,121 +572,45 @@ impl QuantizedPredictor {
     /// Returns [`LoadWeightsError`] on version/shape mismatches,
     /// unparsable numbers, or non-finite scales/biases.
     pub fn load_weights(text: &str) -> Result<Self, LoadWeightsError> {
-        let err = |m: &str| LoadWeightsError {
-            message: m.to_owned(),
-        };
-        let mut lines = text.lines();
-        if lines.next() != Some("gcn-runtime-predictor-q8 v1") {
-            return Err(err("unknown header"));
-        }
-        let dims_line = lines.next().ok_or_else(|| err("missing gcn_dims"))?;
-        let gcn_dims: Vec<usize> = dims_line
-            .strip_prefix("gcn_dims ")
-            .ok_or_else(|| err("bad gcn_dims line"))?
-            .split_whitespace()
-            .map(|t| t.parse().map_err(|_| err("bad dim")))
-            .collect::<Result<_, _>>()?;
-        let fc_line = lines.next().ok_or_else(|| err("missing fc_dim"))?;
-        let fc_dim: usize = fc_line
-            .strip_prefix("fc_dim ")
-            .ok_or_else(|| err("bad fc_dim line"))?
-            .trim()
-            .parse()
-            .map_err(|_| err("bad fc_dim"))?;
-        const MAX_DIM: usize = 1 << 16;
-        if gcn_dims.is_empty() {
-            return Err(err("gcn_dims is empty"));
-        }
-        if gcn_dims.iter().any(|&d| d == 0 || d > MAX_DIM) || fc_dim == 0 || fc_dim > MAX_DIM {
-            return Err(err("layer width out of range"));
-        }
-        let config = ModelConfig { gcn_dims, fc_dim };
-
-        let parse_q = |lines: &mut std::str::Lines<'_>,
-                       expect: &str|
-         -> Result<QuantizedMatrix, LoadWeightsError> {
-            let line = lines.next().ok_or_else(|| err("missing tensor"))?;
-            let mut tok = line.split_whitespace();
-            let label = tok.next().ok_or_else(|| err("missing label"))?;
-            if label != expect {
-                return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
-            }
-            let in_dim: usize = tok
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("bad rows"))?;
-            let out_dim: usize = tok
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("bad cols"))?;
-            let scale: f64 = tok
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("bad scale"))?;
-            if !scale.is_finite() || scale <= 0.0 {
-                return Err(err("non-finite or non-positive scale"));
-            }
-            let data: Vec<i8> = tok
-                .map(|t| t.parse().map_err(|_| err("bad int8 code")))
-                .collect::<Result<_, _>>()?;
-            let expected = in_dim
-                .checked_mul(out_dim)
-                .ok_or_else(|| err("tensor shape overflows"))?;
-            if data.len() != expected {
-                return Err(err("value count mismatch"));
-            }
-            Ok(QuantizedMatrix::from_codes(in_dim, out_dim, scale, data))
-        };
+        let lines = &mut text.lines();
+        let config = parse_header(lines, "gcn-runtime-predictor-q8 v1")?;
         let mut gcn = Vec::with_capacity(config.gcn_dims.len());
         for i in 0..config.gcn_dims.len() {
-            let w = parse_q(&mut lines, &format!("gcn{i}.w"))?;
-            let b = parse_q(&mut lines, &format!("gcn{i}.b"))?;
+            let w = quantized_line(lines, &format!("gcn{i}.w"))?;
+            let b = quantized_line(lines, &format!("gcn{i}.b"))?;
             gcn.push(QuantGcnLayer { w, b });
         }
-        let fc_w = parse_q(&mut lines, "fc.w")?;
-        let parse_f =
-            |lines: &mut std::str::Lines<'_>, expect: &str| -> Result<Vec<f64>, LoadWeightsError> {
-                let line = lines.next().ok_or_else(|| err("missing tensor"))?;
-                let mut tok = line.split_whitespace();
-                let label = tok.next().ok_or_else(|| err("missing label"))?;
-                if label != expect {
-                    return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
-                }
-                let n: usize = tok
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err("bad length"))?;
-                let v: Vec<f64> = tok
-                    .map(|t| {
-                        let x: f64 = t.parse().map_err(|_| err("bad value"))?;
-                        if x.is_finite() {
-                            Ok(x)
-                        } else {
-                            Err(err("non-finite value"))
-                        }
-                    })
-                    .collect::<Result<_, _>>()?;
-                if v.len() != n {
-                    return Err(err("value count mismatch"));
-                }
-                Ok(v)
-            };
-        let fc_bias = parse_f(&mut lines, "fc.bias")?;
-        let head_w = parse_q(&mut lines, "head.w")?;
-        let head_bias = parse_f(&mut lines, "head.bias")?;
-        Ok(Self {
-            gcn,
-            fc: QuantDenseLayer {
-                w: fc_w,
-                bias: fc_bias,
-            },
-            head: QuantDenseLayer {
-                w: head_w,
-                bias: head_bias,
-            },
-            config,
-        })
+        let fc = QuantDenseLayer {
+            w: quantized_line(lines, "fc.w")?,
+            bias: bias_line(lines, "fc.bias")?,
+        };
+        let head = QuantDenseLayer {
+            w: quantized_line(lines, "head.w")?,
+            bias: bias_line(lines, "head.bias")?,
+        };
+        Ok(Self { gcn, fc, head, config })
     }
+}
+
+/// `label rows cols scale` followed by `rows * cols` int8 codes.
+fn quantized_line(
+    lines: &mut std::str::Lines<'_>,
+    expect: &str,
+) -> Result<QuantizedMatrix, LoadWeightsError> {
+    let ([in_dim, out_dim], mut tok) = tensor_line(lines, expect, ["bad rows", "bad cols"])?;
+    let scale: f64 = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad scale"))?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(err("non-finite or non-positive scale"));
+    }
+    let code = |t: &str| t.parse().map_err(|_| err("bad int8 code"));
+    let data: Vec<i8> = values(tok, in_dim.checked_mul(out_dim), code)?;
+    Ok(QuantizedMatrix::from_codes(in_dim, out_dim, scale, data))
+}
+
+/// `label n` followed by `n` finite floats.
+fn bias_line(lines: &mut std::str::Lines<'_>, expect: &str) -> Result<Vec<f64>, LoadWeightsError> {
+    let ([n], tok) = tensor_line(lines, expect, ["bad length"])?;
+    values(tok, Some(n), finite)
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   [`Retrainer`] run, the candidate canaries through the registry,
 //!   and the [`RolloutManager`] promotes or rolls it back.
 //!
-//! Both planes are processed from one `(time_us, seq)`-ordered event
-//! map on a single thread; the only parallelism is the stage fan-out
+//! Both planes are processed from one [`EventHeap`] (ascending time,
+//! push-order ties) on a single thread; the only parallelism is the stage fan-out
 //! inside batch forwards and retrains, joined by stage index. The
 //! folded [`LifecycleReport`] is therefore byte-identical across runs
 //! and worker counts.
@@ -25,14 +25,14 @@ use crate::{
     ReplayBuffer, Retrainer, RolloutDecision, RolloutManager, RuntimeOracle, SharedLifecycleFaults,
     StageErrors, TimelineEvent,
 };
-use eda_cloud_fleet::Histogram;
+use eda_cloud_engine::EventHeap;
 use eda_cloud_gcn::{GraphBatch, ModelConfig};
 use eda_cloud_serve::{
     design_pool, synthetic_requests, LruCache, ModelRegistry, ModelSnapshot, QuantizedSnapshot,
-    ServeDesign, ServingSnapshot, WorkloadConfig, STAGE_NAMES,
+    ServeDesign, ServeRequest, ServingSnapshot, WorkloadConfig, STAGE_NAMES,
 };
-use eda_cloud_trace::Tracer;
-use std::collections::BTreeMap;
+use eda_cloud_trace::{LatencyFold, Span, Tracer};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Registry name the controller manages.
@@ -136,7 +136,55 @@ impl LifecycleController {
     /// rejected mid-run (a controller bug rather than an input error —
     /// surfaced as a typed error instead of a panic).
     pub fn run(&self) -> Result<(LifecycleReport, Vec<FeedbackEvent>), LifecycleError> {
-        let cfg = &self.config;
+        let mut run = Run::new(self);
+        while let Some((time_us, event)) = run.events.pop() {
+            run.now = time_us;
+            match event {
+                Event::Arrival(i) => run.on_arrival(i)?,
+                Event::Feedback(fb) => run.on_feedback(*fb)?,
+            }
+        }
+        run.report()
+    }
+}
+
+/// The state of one [`LifecycleController::run`]: the event heap and
+/// its clock, the serving plane, and the control plane.
+struct Run<'a> {
+    ctl: &'a LifecycleController,
+    workers: usize,
+    oracle: RuntimeOracle,
+    requests: Vec<ServeRequest>,
+    /// Both planes' events. Arrivals are pushed first, so an arrival
+    /// precedes a feedback join landing on the same microsecond.
+    events: EventHeap<Event>,
+    /// Time of the event being handled, µs (the makespan, at the end).
+    now: u64,
+    // Serving plane.
+    registry: ModelRegistry,
+    /// The bootstrapped snapshot every later version is compared to.
+    frozen: ServingSnapshot,
+    frozen_version: u32,
+    frozen_preds: BTreeMap<u64, [[f64; 4]; 4]>,
+    cache: LruCache<(u32, u64), [[f64; 4]; 4]>,
+    serve_free_at: u64,
+    latencies: LatencyFold,
+    // Control plane.
+    mode: Mode,
+    counters: LifecycleCounters,
+    stages: [StageErrors; 4],
+    timeline: Vec<TimelineEvent>,
+    detectors: [DriftDetector; 4],
+    baselines: [DesignBaseline; 4],
+    buffers: [ReplayBuffer; 4],
+    rollout: RolloutManager,
+    seen: BTreeSet<u64>,
+    feedback_log: Vec<FeedbackEvent>,
+}
+
+impl<'a> Run<'a> {
+    fn new(ctl: &'a LifecycleController) -> Self {
+        let cfg = &ctl.config;
         let workers = cfg.resolved_workers();
         let oracle = RuntimeOracle::new(cfg.drift_at, cfg.drift_factor);
         let pool = design_pool();
@@ -150,389 +198,328 @@ impl LifecycleController {
                 ..Default::default()
             },
         );
-
         // Bootstrap: fine-tune the seeded snapshot on the pre-drift
         // oracle labels, so serving starts from a model that actually
         // fits the distribution it is about to see.
-        let seeded = ModelSnapshot::seeded(&ModelConfig::fast(), cfg.seed);
-        let frozen = if cfg.bootstrap_epochs > 0 {
-            let mut buffers = std::array::from_fn::<_, 4, _>(|_| ReplayBuffer::new(pool.len()));
+        let mut frozen = ModelSnapshot::seeded(&ModelConfig::fast(), cfg.seed);
+        if cfg.bootstrap_epochs > 0 {
+            let mut buffers = std::array::from_fn(|_| ReplayBuffer::new(pool.len()));
             for design in &pool {
                 push_relabeled(&mut buffers, design, &oracle.runtimes(design, 0));
             }
-            Retrainer {
+            let retrainer = Retrainer {
                 epochs: cfg.bootstrap_epochs,
                 learning_rate: cfg.learning_rate,
                 seed: cfg.seed ^ 0xB007,
-            }
-            .retrain(&seeded, &buffers, workers)
-            .0
-        } else {
-            seeded
-        };
+            };
+            frozen = retrainer.retrain(&frozen, &buffers, workers).0;
+        }
         let frozen = ServingSnapshot::from(frozen);
         let mut registry = ModelRegistry::new();
         let frozen_version = registry.publish(MODEL_NAME, frozen.clone());
-
-        // Serving state.
-        let mut cache: LruCache<(u32, u64), [[f64; 4]; 4]> = LruCache::new(cfg.cache_capacity);
-        let mut frozen_preds: BTreeMap<u64, [[f64; 4]; 4]> = BTreeMap::new();
-        let mut serve_free_at = 0u64;
-        let mut latencies_us: Vec<u64> = Vec::with_capacity(requests.len());
-        let mut latency_hist = Histogram::new(vec![
-            1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
-        ]);
-
-        // Control state.
-        let mut counters = LifecycleCounters::default();
-        let mut stages = [StageErrors::default(); 4];
-        let mut timeline: Vec<TimelineEvent> = Vec::new();
-        let mut detectors = std::array::from_fn::<_, 4, _>(|_| {
-            DriftDetector::new(cfg.calibration, cfg.ph_delta_micros, cfg.ph_lambda_micros)
-        });
-        let mut baselines = std::array::from_fn::<_, 4, _>(|_| DesignBaseline::new());
-        let mut buffers =
-            std::array::from_fn::<_, 4, _>(|_| ReplayBuffer::new(cfg.replay_capacity));
-        let mut rollout = RolloutManager::new(
-            cfg.canary_min,
-            cfg.promote_max_error_pct,
-            cfg.canary_latency_budget_us,
-        );
-        let mut mode = Mode::Monitor;
-        let mut seen: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut retrain_round = 0u64;
-        let mut feedback_log: Vec<FeedbackEvent> = Vec::with_capacity(requests.len());
-        let mut control_ordinal = requests.len() as u64;
-        let mut makespan_us = 0u64;
-
-        // The event map is keyed `(time, seq)`: seq breaks same-time
-        // ties in insertion order, so arrivals (inserted first) precede
-        // feedback joins landing on the same microsecond.
-        let mut events: BTreeMap<(u64, u64), Event> = BTreeMap::new();
-        let mut seq = 0u64;
+        let mut events = EventHeap::new();
         for (i, request) in requests.iter().enumerate() {
-            events.insert((request.arrival_us, seq), Event::Arrival(i));
-            seq += 1;
+            events.push(request.arrival_us, Event::Arrival(i));
         }
+        Self {
+            ctl,
+            workers,
+            oracle,
+            events,
+            now: 0,
+            registry,
+            frozen,
+            frozen_version,
+            frozen_preds: BTreeMap::new(),
+            cache: LruCache::new(cfg.cache_capacity),
+            serve_free_at: 0,
+            latencies: LatencyFold::with_capacity(requests.len()),
+            mode: Mode::Monitor,
+            counters: LifecycleCounters::default(),
+            stages: [StageErrors::default(); 4],
+            timeline: Vec::new(),
+            detectors: std::array::from_fn(|_| {
+                DriftDetector::new(cfg.calibration, cfg.ph_delta_micros, cfg.ph_lambda_micros)
+            }),
+            baselines: std::array::from_fn(|_| DesignBaseline::new()),
+            buffers: std::array::from_fn(|_| ReplayBuffer::new(cfg.replay_capacity)),
+            rollout: RolloutManager::new(
+                cfg.canary_min,
+                cfg.promote_max_error_pct,
+                cfg.canary_latency_budget_us,
+            ),
+            seen: BTreeSet::new(),
+            feedback_log: Vec::with_capacity(requests.len()),
+            requests,
+        }
+    }
 
-        while let Some(((time_us, _), event)) = events.pop_first() {
-            makespan_us = makespan_us.max(time_us);
-            match event {
-                Event::Arrival(i) => {
-                    let request = &requests[i];
-                    counters.requests += 1;
-                    let canary = registry.canary(MODEL_NAME);
-                    let (version, predicted, cache_hit) = {
-                        let (version, snapshot) = registry.route(MODEL_NAME, request.ordinal)?;
-                        match cache.get(&(version, request.design.fingerprint)) {
-                            Some(hit) => (version, hit, true),
-                            None => {
-                                let secs = predict_one(snapshot, &request.design, workers);
-                                cache.insert((version, request.design.fingerprint), secs);
-                                counters.gcn_predictions += 1;
-                                (version, secs, false)
-                            }
-                        }
-                    };
-                    let arm = match canary {
-                        Some(c)
-                            if c.version == version && request.ordinal.is_multiple_of(c.every) =>
-                        {
-                            Arm::Canary
-                        }
-                        _ => Arm::Primary,
-                    };
-                    let service_us = if cache_hit {
-                        cfg.per_hit_us
-                    } else {
-                        cfg.per_miss_us
-                    };
-                    let start = time_us.max(serve_free_at);
-                    let done = start + service_us;
-                    serve_free_at = done;
-                    // An injected spike models a slow response, not a
-                    // busy server: it lands on this request's observed
-                    // latency (and its feedback join) but does not push
-                    // `serve_free_at` for later requests.
-                    let spike_us = self.faults.latency_spike_us(request.ordinal, arm);
-                    let latency_us = done - request.arrival_us + spike_us;
-                    latencies_us.push(latency_us);
-                    latency_hist.record(latency_us as f64 / 1_000.0);
-                    let span = self.tracer.root_at(request.ordinal, "request");
-                    span.attr("design", &request.design.name);
-                    span.attr("version", version);
-                    span.attr(
-                        "arm",
-                        if arm == Arm::Canary {
-                            "canary"
-                        } else {
-                            "primary"
-                        },
-                    );
-                    span.attr("cache", if cache_hit { "hit" } else { "miss" });
-                    span.attr("latency_us", latency_us);
-                    if spike_us > 0 {
-                        span.attr("fault", "latency_spike");
-                        span.attr("spike_us", spike_us);
-                    }
-                    if self.faults.drop_feedback(request.ordinal) {
-                        counters.feedback_dropped += 1;
-                        span.attr("fault", "feedback_dropped");
-                    } else {
-                        let extra_us = self.faults.feedback_extra_delay_us(request.ordinal);
-                        if extra_us > 0 {
-                            span.attr("fault", "feedback_delayed");
-                            span.attr("extra_us", extra_us);
-                        }
-                        events.insert(
-                            (done + cfg.feedback_delay_us + extra_us, seq),
-                            Event::Feedback(Box::new(FeedbackEvent {
-                                ordinal: request.ordinal,
-                                version,
-                                arm,
-                                design: request.design.clone(),
-                                predicted,
-                                actual: oracle.runtimes(&request.design, request.ordinal),
-                                latency_us,
-                            })),
-                        );
-                        seq += 1;
-                    }
-                }
-                Event::Feedback(fb) => {
-                    counters.feedback_joins += 1;
-                    seen.insert(fb.design.fingerprint);
-                    match fb.arm {
-                        Arm::Primary => counters.primary_joins += 1,
-                        Arm::Canary => counters.canary_joins += 1,
-                    }
-                    let frozen_pred = *frozen_preds
-                        .entry(fb.design.fingerprint)
-                        .or_insert_with(|| predict_one(&frozen, &fb.design, workers));
+    /// Serving plane: route request `i` to an arm, answer it (cache or
+    /// fresh forward) in FIFO service time, schedule its feedback join.
+    fn on_arrival(&mut self, i: usize) -> Result<(), LifecycleError> {
+        let (cfg, faults) = (&self.ctl.config, &self.ctl.faults);
+        let request = &self.requests[i];
+        self.counters.requests += 1;
+        let (version, snapshot) = self.registry.route(MODEL_NAME, request.ordinal)?;
+        let key = (version, request.design.fingerprint);
+        let (predicted, cache_hit) = match self.cache.get(&key) {
+            Some(hit) => (hit, true),
+            None => {
+                let secs = predict_one(snapshot, &request.design, self.workers);
+                self.cache.insert(key, secs);
+                self.counters.gcn_predictions += 1;
+                (secs, false)
+            }
+        };
+        let arm = match self.registry.canary(MODEL_NAME) {
+            Some(c) if c.version == version && request.ordinal.is_multiple_of(c.every) => {
+                Arm::Canary
+            }
+            _ => Arm::Primary,
+        };
+        let service_us = if cache_hit { cfg.per_hit_us } else { cfg.per_miss_us };
+        let done = self.now.max(self.serve_free_at) + service_us;
+        self.serve_free_at = done;
+        // An injected spike models a slow response, not a busy server:
+        // it lands on this request's observed latency (and its feedback
+        // join) but does not push `serve_free_at` for later requests.
+        let spike_us = faults.latency_spike_us(request.ordinal, arm);
+        let latency_us = done - request.arrival_us + spike_us;
+        self.latencies.record(latency_us);
+        let span = self.ctl.tracer.root_at(request.ordinal, "request");
+        span.attr("design", &request.design.name);
+        span.attr("version", version);
+        span.attr("arm", if arm == Arm::Canary { "canary" } else { "primary" });
+        span.attr("cache", if cache_hit { "hit" } else { "miss" });
+        span.attr("latency_us", latency_us);
+        if spike_us > 0 {
+            span.attr("fault", "latency_spike");
+            span.attr("spike_us", spike_us);
+        }
+        if faults.drop_feedback(request.ordinal) {
+            self.counters.feedback_dropped += 1;
+            span.attr("fault", "feedback_dropped");
+            return Ok(());
+        }
+        let extra_us = faults.feedback_extra_delay_us(request.ordinal);
+        if extra_us > 0 {
+            span.attr("fault", "feedback_delayed");
+            span.attr("extra_us", extra_us);
+        }
+        let join = FeedbackEvent {
+            ordinal: request.ordinal,
+            version,
+            arm,
+            design: request.design.clone(),
+            predicted,
+            actual: self.oracle.runtimes(&request.design, request.ordinal),
+            latency_us,
+        };
+        self.events.push(done + cfg.feedback_delay_us + extra_us, Event::Feedback(Box::new(join)));
+        Ok(())
+    }
 
-                    // Per-stage error bookkeeping.
-                    let mut active_apes = [0u64; 4];
-                    for k in 0..4 {
-                        let active = ape_micros(&fb.predicted[k], &fb.actual[k]);
-                        let baseline = ape_micros(&frozen_pred[k], &fb.actual[k]);
-                        active_apes[k] = active;
-                        if fb.ordinal < cfg.drift_at {
-                            stages[k].pre_drift.record(active);
-                        } else {
-                            stages[k].post_drift_frozen.record(baseline);
-                            if fb.version != frozen_version {
-                                stages[k].post_rollout_frozen.record(baseline);
-                                stages[k].post_rollout_active.record(active);
-                            }
-                        }
-                    }
-                    let mean_ape = active_apes.iter().sum::<u64>() / 4;
-
-                    match mode {
-                        Mode::Monitor => {
-                            push_relabeled(&mut buffers, &fb.design, &fb.actual);
-                            // Watch only joins served by the *current*
-                            // primary: in-flight joins from a version
-                            // retired mid-flight would poison the fresh
-                            // baseline profile after a rollout.
-                            if fb.arm == Arm::Primary
-                                && fb.version == registry.primary(MODEL_NAME)?.0
-                            {
-                                let mut fired = false;
-                                for k in 0..4 {
-                                    let bias = log_bias_micros(&fb.predicted[k], &fb.actual[k]);
-                                    let Some(deviation) =
-                                        baselines[k].deviation(fb.design.fingerprint, bias)
-                                    else {
-                                        continue;
-                                    };
-                                    if detectors[k].observe(deviation) == DriftSignal::Drift {
-                                        fired = true;
-                                        counters.drift_detections += 1;
-                                        timeline.push(TimelineEvent {
-                                            time_us,
-                                            ordinal: fb.ordinal,
-                                            kind: "drift_detected",
-                                            stage: STAGE_NAMES[k],
-                                            version: fb.version,
-                                        });
-                                        let span =
-                                            self.tracer.root_at(control_ordinal, "drift_detect");
-                                        control_ordinal += 1;
-                                        span.attr("stage", STAGE_NAMES[k]);
-                                        span.attr("ordinal", fb.ordinal);
-                                        span.attr(
-                                            "baseline_micros",
-                                            detectors[k].baseline_micros().unwrap_or(0),
-                                        );
-                                    }
-                                }
-                                if fired {
-                                    // Keep only shifted-distribution
-                                    // samples for the retrain.
-                                    for buffer in &mut buffers {
-                                        buffer.clear();
-                                    }
-                                    push_relabeled(&mut buffers, &fb.design, &fb.actual);
-                                    mode = Mode::Collect;
-                                }
-                            }
-                        }
-                        Mode::Collect => {
-                            push_relabeled(&mut buffers, &fb.design, &fb.actual);
-                            // Retrain only once the replay window covers
-                            // every design traffic has ever shown us: a
-                            // partial-coverage fine-tune catastrophically
-                            // distorts the model on the designs it missed.
-                            let covered = if seen.len() <= cfg.replay_capacity {
-                                seen.iter().all(|fp| buffers[0].contains_key(*fp))
-                            } else {
-                                // More designs than the window holds:
-                                // settle for a full buffer.
-                                buffers[0].len() == cfg.replay_capacity
-                            };
-                            if covered && buffers.iter().all(|b| b.len() >= cfg.min_retrain) {
-                                let retrainer = Retrainer {
-                                    epochs: cfg.retrain_epochs,
-                                    learning_rate: cfg.learning_rate,
-                                    seed: cfg.seed ^ (0x5E7A + retrain_round),
-                                };
-                                retrain_round += 1;
-                                // Retrains always run in float: a
-                                // quantized primary is dequantized back
-                                // into the warm start.
-                                let base = registry.primary(MODEL_NAME)?.1.to_float();
-                                let (candidate, trained_on) =
-                                    retrainer.retrain(&base, &buffers, workers);
-                                let version = if cfg.quantize_canary {
-                                    registry.publish(
-                                        MODEL_NAME,
-                                        QuantizedSnapshot::quantize(&candidate),
-                                    )
-                                } else {
-                                    registry.publish(MODEL_NAME, candidate)
-                                };
-                                counters.retrains += 1;
-                                timeline.push(TimelineEvent {
-                                    time_us,
-                                    ordinal: fb.ordinal,
-                                    kind: "retrained",
-                                    stage: "-",
-                                    version,
-                                });
-                                let span = self.tracer.root_at(control_ordinal, "retrain");
-                                control_ordinal += 1;
-                                span.attr("version", version);
-                                span.attr("epochs", cfg.retrain_epochs);
-                                span.counter("samples", trained_on.iter().sum::<usize>() as u64);
-                                registry.set_canary(MODEL_NAME, version, cfg.canary_every)?;
-                                counters.canaries_started += 1;
-                                timeline.push(TimelineEvent {
-                                    time_us,
-                                    ordinal: fb.ordinal,
-                                    kind: "canary_started",
-                                    stage: "-",
-                                    version,
-                                });
-                                let span = self.tracer.root_at(control_ordinal, "canary");
-                                control_ordinal += 1;
-                                span.attr("version", version);
-                                span.attr("every", cfg.canary_every);
-                                rollout.reset();
-                                mode = Mode::Canary;
-                            }
-                        }
-                        Mode::Canary => {
-                            push_relabeled(&mut buffers, &fb.design, &fb.actual);
-                            match fb.arm {
-                                Arm::Canary => {
-                                    #[allow(unused_mut)]
-                                    let mut observed_us = fb.latency_us;
-                                    // PLANTED BUG (test-only toggle): feed
-                                    // the guardrail a latency with any
-                                    // injected spike subtracted back out,
-                                    // blinding it to canary degradation.
-                                    #[cfg(any(test, feature = "planted-guardrail-bug"))]
-                                    if self.planted_guardrail_bug {
-                                        observed_us = observed_us.saturating_sub(
-                                            self.faults.latency_spike_us(fb.ordinal, Arm::Canary),
-                                        );
-                                    }
-                                    rollout.record_canary(mean_ape, observed_us);
-                                }
-                                Arm::Primary => rollout.record_primary(mean_ape),
-                            }
-                            let decision = rollout.evaluate();
-                            if decision != RolloutDecision::Pending {
-                                let candidate =
-                                    registry.canary(MODEL_NAME).map_or(0, |c| c.version);
-                                let (kind, label) = match decision {
-                                    RolloutDecision::Promote => {
-                                        registry.promote(MODEL_NAME, candidate)?;
-                                        counters.promotions += 1;
-                                        ("promoted", "promote")
-                                    }
-                                    _ => {
-                                        registry.clear_canary(MODEL_NAME);
-                                        counters.rollbacks += 1;
-                                        ("rolled_back", "rollback")
-                                    }
-                                };
-                                timeline.push(TimelineEvent {
-                                    time_us,
-                                    ordinal: fb.ordinal,
-                                    kind,
-                                    stage: "-",
-                                    version: candidate,
-                                });
-                                let span = self.tracer.root_at(control_ordinal, label);
-                                control_ordinal += 1;
-                                span.attr("version", candidate);
-                                if decision == RolloutDecision::RollbackLatency {
-                                    span.attr("guardrail", "latency");
-                                } else if decision == RolloutDecision::RollbackError {
-                                    span.attr("guardrail", "error_ratio");
-                                }
-                                for detector in &mut detectors {
-                                    detector.reset();
-                                }
-                                for baseline in &mut baselines {
-                                    baseline.clear();
-                                }
-                                for buffer in &mut buffers {
-                                    buffer.clear();
-                                }
-                                mode = Mode::Monitor;
-                            }
-                        }
-                    }
-                    feedback_log.push(*fb);
+    /// Control plane: book one ground-truth join's per-stage errors,
+    /// then let the current mode react to it.
+    fn on_feedback(&mut self, fb: FeedbackEvent) -> Result<(), LifecycleError> {
+        self.counters.feedback_joins += 1;
+        self.seen.insert(fb.design.fingerprint);
+        match fb.arm {
+            Arm::Primary => self.counters.primary_joins += 1,
+            Arm::Canary => self.counters.canary_joins += 1,
+        }
+        let frozen_pred = *self
+            .frozen_preds
+            .entry(fb.design.fingerprint)
+            .or_insert_with(|| predict_one(&self.frozen, &fb.design, self.workers));
+        let mut ape_sum = 0u64;
+        for (k, stage) in self.stages.iter_mut().enumerate() {
+            let active = ape_micros(&fb.predicted[k], &fb.actual[k]);
+            let baseline = ape_micros(&frozen_pred[k], &fb.actual[k]);
+            ape_sum += active;
+            if fb.ordinal < self.ctl.config.drift_at {
+                stage.pre_drift.record(active);
+            } else {
+                stage.post_drift_frozen.record(baseline);
+                if fb.version != self.frozen_version {
+                    stage.post_rollout_frozen.record(baseline);
+                    stage.post_rollout_active.record(active);
                 }
             }
         }
+        push_relabeled(&mut self.buffers, &fb.design, &fb.actual);
+        match self.mode {
+            Mode::Monitor => self.monitor(&fb)?,
+            Mode::Collect => self.collect(&fb)?,
+            Mode::Canary => self.canary(&fb, ape_sum / 4)?,
+        }
+        self.feedback_log.push(fb);
+        Ok(())
+    }
 
-        counters.cache_hits = cache.hits();
-        counters.cache_misses = cache.misses();
-        latencies_us.sort_unstable();
+    /// Append a timeline entry for the join being handled and open the
+    /// control-plane span that goes with it.
+    fn control_event(
+        &mut self,
+        fb: &FeedbackEvent,
+        kind: &'static str,
+        label: &str,
+        stage: &'static str,
+        version: u32,
+    ) -> Span {
+        // Control spans are keyed past the request ordinals, in
+        // timeline order.
+        let key = (self.requests.len() + self.timeline.len()) as u64;
+        let (time_us, ordinal) = (self.now, fb.ordinal);
+        self.timeline.push(TimelineEvent { time_us, ordinal, kind, stage, version });
+        self.ctl.tracer.root_at(key, label)
+    }
+
+    /// Monitor mode: feed the drift detectors; a detection starts
+    /// collecting shifted-distribution samples.
+    fn monitor(&mut self, fb: &FeedbackEvent) -> Result<(), LifecycleError> {
+        // Watch only joins served by the *current* primary: in-flight
+        // joins from a version retired mid-flight would poison the
+        // fresh baseline profile after a rollout.
+        if fb.arm != Arm::Primary || fb.version != self.registry.primary(MODEL_NAME)?.0 {
+            return Ok(());
+        }
+        let mut fired = false;
+        for (k, &stage) in STAGE_NAMES.iter().enumerate() {
+            let bias = log_bias_micros(&fb.predicted[k], &fb.actual[k]);
+            let deviation = self.baselines[k].deviation(fb.design.fingerprint, bias);
+            if deviation.map(|d| self.detectors[k].observe(d)) != Some(DriftSignal::Drift) {
+                continue;
+            }
+            fired = true;
+            self.counters.drift_detections += 1;
+            let span = self.control_event(fb, "drift_detected", "drift_detect", stage, fb.version);
+            span.attr("stage", stage);
+            span.attr("ordinal", fb.ordinal);
+            span.attr("baseline_micros", self.detectors[k].baseline_micros().unwrap_or(0));
+        }
+        if fired {
+            // Keep only shifted-distribution samples for the retrain.
+            self.buffers.iter_mut().for_each(ReplayBuffer::clear);
+            push_relabeled(&mut self.buffers, &fb.design, &fb.actual);
+            self.mode = Mode::Collect;
+        }
+        Ok(())
+    }
+
+    /// Collect mode: once the replay window is covered, retrain in the
+    /// shadow and start the candidate's canary.
+    fn collect(&mut self, fb: &FeedbackEvent) -> Result<(), LifecycleError> {
+        let cfg = &self.ctl.config;
+        // Retrain only once the replay window covers every design
+        // traffic has ever shown us: a partial-coverage fine-tune
+        // catastrophically distorts the model on the designs it missed.
+        let covered = if self.seen.len() <= cfg.replay_capacity {
+            self.seen.iter().all(|fp| self.buffers[0].contains_key(*fp))
+        } else {
+            // More designs than the window holds: settle for a full
+            // buffer.
+            self.buffers[0].len() == cfg.replay_capacity
+        };
+        if !covered || self.buffers.iter().any(|b| b.len() < cfg.min_retrain) {
+            return Ok(());
+        }
+        let retrainer = Retrainer {
+            epochs: cfg.retrain_epochs,
+            learning_rate: cfg.learning_rate,
+            seed: cfg.seed ^ (0x5E7A + self.counters.retrains),
+        };
+        // Retrains always run in float: a quantized primary is
+        // dequantized back into the warm start.
+        let base = self.registry.primary(MODEL_NAME)?.1.to_float();
+        let (candidate, trained_on) = retrainer.retrain(&base, &self.buffers, self.workers);
+        let version = if cfg.quantize_canary {
+            self.registry.publish(MODEL_NAME, QuantizedSnapshot::quantize(&candidate))
+        } else {
+            self.registry.publish(MODEL_NAME, candidate)
+        };
+        self.counters.retrains += 1;
+        let span = self.control_event(fb, "retrained", "retrain", "-", version);
+        span.attr("version", version);
+        span.attr("epochs", cfg.retrain_epochs);
+        span.counter("samples", trained_on.iter().sum::<usize>() as u64);
+        self.registry.set_canary(MODEL_NAME, version, cfg.canary_every)?;
+        self.counters.canaries_started += 1;
+        let span = self.control_event(fb, "canary_started", "canary", "-", version);
+        span.attr("version", version);
+        span.attr("every", cfg.canary_every);
+        self.rollout.reset();
+        self.mode = Mode::Canary;
+        Ok(())
+    }
+
+    /// Canary mode: feed the rollout guardrails; a verdict promotes or
+    /// rolls back the candidate and resumes monitoring from scratch.
+    fn canary(&mut self, fb: &FeedbackEvent, mean_ape: u64) -> Result<(), LifecycleError> {
+        match fb.arm {
+            Arm::Canary => {
+                #[allow(unused_mut)]
+                let mut observed_us = fb.latency_us;
+                // PLANTED BUG (test-only toggle): feed the guardrail a
+                // latency with any injected spike subtracted back out,
+                // blinding it to canary degradation.
+                #[cfg(any(test, feature = "planted-guardrail-bug"))]
+                if self.ctl.planted_guardrail_bug {
+                    let spike_us = self.ctl.faults.latency_spike_us(fb.ordinal, Arm::Canary);
+                    observed_us = observed_us.saturating_sub(spike_us);
+                }
+                self.rollout.record_canary(mean_ape, observed_us);
+            }
+            Arm::Primary => self.rollout.record_primary(mean_ape),
+        }
+        let decision = self.rollout.evaluate();
+        if decision == RolloutDecision::Pending {
+            return Ok(());
+        }
+        let candidate = self.registry.canary(MODEL_NAME).map_or(0, |c| c.version);
+        let span = if decision == RolloutDecision::Promote {
+            self.registry.promote(MODEL_NAME, candidate)?;
+            self.counters.promotions += 1;
+            self.control_event(fb, "promoted", "promote", "-", candidate)
+        } else {
+            self.registry.clear_canary(MODEL_NAME);
+            self.counters.rollbacks += 1;
+            self.control_event(fb, "rolled_back", "rollback", "-", candidate)
+        };
+        span.attr("version", candidate);
+        if decision == RolloutDecision::RollbackLatency {
+            span.attr("guardrail", "latency");
+        } else if decision == RolloutDecision::RollbackError {
+            span.attr("guardrail", "error_ratio");
+        }
+        for k in 0..4 {
+            self.detectors[k].reset();
+            self.baselines[k].clear();
+            self.buffers[k].clear();
+        }
+        self.mode = Mode::Monitor;
+        Ok(())
+    }
+
+    fn report(mut self) -> Result<(LifecycleReport, Vec<FeedbackEvent>), LifecycleError> {
+        let cfg = &self.ctl.config;
+        self.counters.cache_hits = self.cache.hits();
+        self.counters.cache_misses = self.cache.misses();
         let report = LifecycleReport {
             seed: cfg.seed,
             requests: cfg.requests as u64,
             drift_at: cfg.drift_at,
             drift_factor: cfg.drift_factor,
-            counters,
-            final_primary_version: registry.primary(MODEL_NAME)?.0,
-            stages,
-            timeline,
-            mean_latency_us: if latencies_us.is_empty() {
-                0
-            } else {
-                latencies_us.iter().sum::<u64>() / latencies_us.len() as u64
-            },
-            p95_latency_us: percentile_us(&latencies_us, 95),
-            makespan_us,
-            latency_hist,
+            counters: self.counters,
+            final_primary_version: self.registry.primary(MODEL_NAME)?.0,
+            stages: self.stages,
+            timeline: self.timeline,
+            mean_latency_us: self.latencies.mean_us() as u64,
+            p95_latency_us: self.latencies.percentile_us(95),
+            makespan_us: self.now,
+            latency_hist: self.latencies.into_histogram(),
         };
-        Ok((report, feedback_log))
+        Ok((report, self.feedback_log))
     }
 }
 
@@ -559,17 +546,6 @@ fn push_relabeled(
     for (k, buffer) in buffers.iter_mut().enumerate().skip(1) {
         buffer.push_keyed(design.fingerprint, design.netlist.with_targets(runtimes[k]));
     }
-}
-
-/// Nearest-rank percentile over sorted µs values.
-fn percentile_us(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (pct * sorted.len() as u64)
-        .div_ceil(100)
-        .clamp(1, sorted.len() as u64);
-    sorted[rank as usize - 1]
 }
 
 #[cfg(test)]
@@ -833,6 +809,46 @@ mod tests {
         // Same plan, same bytes.
         let (again, _) = run(true);
         assert_eq!(faulty.to_json(), again.to_json());
+    }
+
+    #[test]
+    fn same_instant_arrival_pops_before_the_feedback_join() {
+        // Delay request 0's join so it lands exactly on the last
+        // arrival's microsecond, then replay the loop by hand.
+        #[derive(Debug)]
+        struct Align(u64);
+        impl crate::LifecycleFaults for Align {
+            fn feedback_extra_delay_us(&self, ordinal: u64) -> u64 {
+                if ordinal == 0 {
+                    self.0
+                } else {
+                    0
+                }
+            }
+        }
+        let config = LifecycleConfig { requests: 16, bootstrap_epochs: 0, ..quick_config() };
+        let plain = LifecycleController::new(config.clone()).expect("valid");
+        let arrivals: Vec<u64> = Run::new(&plain).requests.iter().map(|r| r.arrival_us).collect();
+        let undelayed = arrivals[0] + config.per_miss_us + config.feedback_delay_us;
+        let tie = arrivals[15];
+        assert!(tie > undelayed, "the last arrival is later than join 0 would be");
+        let aligned = plain.with_faults(Arc::new(Align(tie - undelayed)));
+        let mut run = Run::new(&aligned);
+        let mut at_tie = Vec::new();
+        while let Some((time_us, event)) = run.events.pop() {
+            run.now = time_us;
+            match event {
+                Event::Arrival(i) => {
+                    at_tie.extend((time_us == tie).then(|| format!("arrival {i}")));
+                    run.on_arrival(i).expect("serves");
+                }
+                Event::Feedback(fb) => {
+                    at_tie.extend((time_us == tie).then(|| format!("join {}", fb.ordinal)));
+                    run.on_feedback(*fb).expect("joins");
+                }
+            }
+        }
+        assert_eq!(at_tie, ["arrival 15", "join 0"]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! formatting ambiguity anywhere, so two runs (at any worker count)
 //! producing equal state produce equal bytes.
 
-use eda_cloud_fleet::Histogram;
+use eda_cloud_trace::Histogram;
 
 /// Running mean of integer APE micros for one error bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,9 +1,9 @@
-//! Text formats: AIGER-ASCII (`aag`) for AIGs and a BLIF-style gate-level
-//! format for netlists.
+//! Text formats: AIGER-ASCII (`aag`) for AIGs, and BLIF-style /
+//! structural-Verilog writers for netlists.
 //!
 //! These are interchange helpers so corpora can be inspected and
-//! round-tripped in tests; both writers emit the subset their reader
-//! accepts.
+//! round-tripped in tests. Netlists are write-only here: uploaded BLIF
+//! and Verilog are read by `eda-cloud-ingest`'s hardened parsers.
 //!
 //! # Examples
 //!
@@ -18,7 +18,7 @@
 //! ```
 
 use crate::aig::{Aig, AigNode, Lit};
-use crate::netlist::{NetDriver, Netlist};
+use crate::netlist::Netlist;
 use crate::NetlistError;
 use eda_cloud_tech::Library;
 use std::collections::HashMap;
@@ -251,114 +251,6 @@ pub fn write_blif(netlist: &Netlist, lib: &Library) -> String {
     out
 }
 
-/// Parse the BLIF-style subset produced by [`write_blif`].
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Parse`] on malformed input or references to
-/// cells missing from `lib`.
-pub fn read_blif(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
-    let perr = |line: usize, col: usize, message: String| NetlistError::Parse { line, col, message };
-    let mut name = String::from("blif");
-    let mut inputs: Vec<String> = Vec::new();
-    // Remember where each `.outputs` name sat so late failures (an
-    // output referencing a net nothing drives) still carry a position.
-    let mut outputs: Vec<(usize, usize, String)> = Vec::new();
-    // (source line, master col, cell name, [(formal, actual)] bindings).
-    type BlifGate = (usize, usize, String, Vec<(String, String)>);
-    let mut gates: Vec<BlifGate> = Vec::new();
-    for (lno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Column of the first payload token, relative to the raw line.
-        let indent = raw.len() - raw.trim_start().len();
-        if let Some(rest) = line.strip_prefix(".model ") {
-            name = rest.trim().to_owned();
-        } else if let Some(rest) = line.strip_prefix(".inputs ") {
-            inputs.extend(rest.split_whitespace().map(str::to_owned));
-        } else if line.strip_prefix(".outputs ").is_some() {
-            for (col, field) in fields_with_cols(raw).into_iter().skip(1) {
-                outputs.push((lno + 1, col, field.to_owned()));
-            }
-        } else if line.strip_prefix(".gate ").is_some() {
-            let fields = fields_with_cols(raw);
-            let Some(&(master_col, master)) = fields.get(1) else {
-                return Err(perr(lno + 1, indent + 1, "missing gate master".into()));
-            };
-            let mut conns = Vec::new();
-            for &(col, f) in &fields[2..] {
-                let (pin, net) = f
-                    .split_once('=')
-                    .ok_or_else(|| perr(lno + 1, col, format!("bad connection `{f}`")))?;
-                conns.push((pin.to_owned(), net.to_owned()));
-            }
-            gates.push((lno + 1, master_col, master.to_owned(), conns));
-        } else if line == ".end" {
-            break;
-        } else {
-            return Err(perr(lno + 1, indent + 1, format!("unrecognized line `{line}`")));
-        }
-    }
-
-    let mut nl = Netlist::new(name, lib.name());
-    let mut net_ids: HashMap<String, u32> = HashMap::new();
-    for pi in &inputs {
-        let id = nl.add_input(pi.clone());
-        net_ids.insert(pi.clone(), id);
-    }
-    // Pre-create nets so gates can reference them in any order.
-    let intern = |nl: &mut Netlist, net_ids: &mut HashMap<String, u32>, n: &str| -> u32 {
-        if let Some(&id) = net_ids.get(n) {
-            id
-        } else {
-            let id = nl.add_net(n.to_owned());
-            net_ids.insert(n.to_owned(), id);
-            id
-        }
-    };
-    for (lno, master_col, master_name, conns) in &gates {
-        let master = lib
-            .cell(master_name)
-            .map_err(|e| perr(*lno, *master_col, e.to_string()))?;
-        let mut by_pin: HashMap<&str, &str> = HashMap::new();
-        for (pin, net) in conns {
-            by_pin.insert(pin.as_str(), net.as_str());
-        }
-        let mut input_nets = Vec::new();
-        for pin in master.input_pins() {
-            let net = by_pin.get(pin.name.as_str()).ok_or_else(|| {
-                perr(*lno, *master_col, format!("missing pin `{}` on {master_name}", pin.name))
-            })?;
-            input_nets.push(intern(&mut nl, &mut net_ids, net));
-        }
-        let out_pin = master.output_pin().name.clone();
-        let out_net_name = by_pin
-            .get(out_pin.as_str())
-            .ok_or_else(|| perr(*lno, *master_col, format!("missing output pin `{out_pin}`")))?;
-        let out_net = intern(&mut nl, &mut net_ids, out_net_name);
-        // Output nets must not already be driven: `add_cell` would
-        // panic on a double driver, so reject torn input up front.
-        if nl.nets()[out_net as usize].driver.is_some() {
-            return Err(perr(
-                *lno,
-                *master_col,
-                format!("net `{out_net_name}` already has a driver"),
-            ));
-        }
-        let inst = format!("g{}", nl.cell_count());
-        nl.add_cell(inst, master.name.clone(), master.kind, input_nets, out_net);
-    }
-    for (lno, col, po) in &outputs {
-        let &id = net_ids
-            .get(po)
-            .ok_or_else(|| perr(*lno, *col, format!("output `{po}` references unknown net")))?;
-        nl.add_output(po.clone(), id);
-    }
-    Ok(nl)
-}
-
 /// Serialize a netlist as structural Verilog (gate-level instantiations
 /// of the library masters). Write-only: the module is meant for
 /// inspection and hand-off to external tools, not re-import.
@@ -435,42 +327,6 @@ pub fn write_verilog(netlist: &Netlist, lib: &Library) -> String {
     out
 }
 
-/// Round-trip helper used by tests: whether two netlists are structurally
-/// identical up to net ids (same drivers, same cell masters, same pin
-/// wiring by name).
-#[must_use]
-pub fn netlists_equivalent(a: &Netlist, b: &Netlist) -> bool {
-    if a.cell_count() != b.cell_count()
-        || a.net_count() != b.net_count()
-        || a.primary_inputs().len() != b.primary_inputs().len()
-        || a.primary_outputs().len() != b.primary_outputs().len()
-    {
-        return false;
-    }
-    let net_name = |nl: &Netlist, id: u32| nl.nets()[id as usize].name.clone();
-    for (ca, cb) in a.cells().iter().zip(b.cells()) {
-        if ca.cell_name != cb.cell_name || ca.inputs.len() != cb.inputs.len() {
-            return false;
-        }
-        if net_name(a, ca.output) != net_name(b, cb.output) {
-            return false;
-        }
-        for (&ia, &ib) in ca.inputs.iter().zip(&cb.inputs) {
-            if net_name(a, ia) != net_name(b, ib) {
-                return false;
-            }
-        }
-    }
-    for (na, nb) in a.nets().iter().zip(b.nets()) {
-        let da = matches!(na.driver, Some(NetDriver::PrimaryInput(_)));
-        let db = matches!(nb.driver, Some(NetDriver::PrimaryInput(_)));
-        if na.name != nb.name || da != db {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,29 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn blif_roundtrip() {
-        let lib = Library::synthetic_14nm();
-        let mut nl = Netlist::new("rt", lib.name());
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let n1 = nl.add_net("n1");
-        let y = nl.add_net("y");
-        nl.add_cell("u1", "NAND2_X1", CellKind::Nand2, vec![a, b], n1);
-        nl.add_cell("u2", "INV_X1", CellKind::Inv, vec![n1], y);
-        nl.add_output("y", y);
-
-        let text = write_blif(&nl, &lib);
-        let back = read_blif(&text, &lib).expect("parse own output");
-        assert!(netlists_equivalent(&nl, &back), "structural round-trip");
-        for (va, vb) in [(false, false), (true, true), (true, false)] {
-            assert_eq!(
-                back.simulate(&[va, vb]).unwrap(),
-                nl.simulate(&[va, vb]).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn verilog_writer_emits_module() {
         let lib = Library::synthetic_14nm();
         let mut nl = Netlist::new("vtest", lib.name());
@@ -566,21 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn blif_rejects_unknown_master() {
-        let lib = Library::synthetic_14nm();
-        let text = ".model x\n.inputs a\n.outputs y\n.gate FROB_X1 A=a Y=y\n.end\n";
-        let err = read_blif(text, &lib).unwrap_err();
-        assert!(err.to_string().contains("FROB_X1"));
-    }
-
-    #[test]
-    fn blif_rejects_missing_pin() {
-        let lib = Library::synthetic_14nm();
-        let text = ".model x\n.inputs a\n.outputs y\n.gate NAND2_X1 A=a Y=y\n.end\n";
-        assert!(read_blif(text, &lib).is_err());
-    }
-
-    #[test]
     fn parse_errors_carry_positions() {
         // Truncated AND list: the error points one past the last line,
         // never the old `line 0`.
@@ -599,56 +417,15 @@ mod tests {
             NetlistError::Parse { line: 1, col, .. } => assert_eq!(col, 7),
             other => panic!("expected positioned Parse, got {other:?}"),
         }
-        // BLIF: an output referencing an unknown net names its line.
-        let lib = Library::synthetic_14nm();
-        let text = ".model x\n.inputs a\n.outputs ghost\n.end\n";
-        match read_blif(text, &lib).unwrap_err() {
-            NetlistError::Parse { line, col, message } => {
-                assert_eq!(line, 3);
-                assert_eq!(col, 10);
-                assert!(message.contains("ghost"), "{message}");
-            }
-            other => panic!("expected Parse, got {other:?}"),
-        }
     }
 
     #[test]
-    fn blif_double_driver_is_a_typed_error_not_a_panic() {
-        let lib = Library::synthetic_14nm();
-        let text = "\
-.model dd
-.inputs a b
-.outputs y
-.gate INV_X1 A=a Y=y
-.gate INV_X1 A=b Y=y
-.end
-";
-        match read_blif(text, &lib).unwrap_err() {
-            NetlistError::Parse { line: 5, message, .. } => {
-                assert!(message.contains("already has a driver"), "{message}");
-            }
-            other => panic!("expected positioned Parse, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn readers_never_panic_on_torn_or_garbage_input() {
+    fn aag_reader_never_panics_on_torn_or_garbage_input() {
         // Fuzz-shaped: every prefix of a valid document plus byte-level
         // mutations must produce Ok or a typed error, never a panic.
-        let lib = Library::synthetic_14nm();
         let aag = write_aag(&generators::adder(4));
         for cut in 0..aag.len() {
             let _ = read_aag(&aag[..cut]);
-        }
-        let mut nl = Netlist::new("fz", lib.name());
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let y = nl.add_net("y");
-        nl.add_cell("u1", "NAND2_X1", CellKind::Nand2, vec![a, b], y);
-        nl.add_output("y", y);
-        let blif = write_blif(&nl, &lib);
-        for cut in 0..blif.len() {
-            let _ = read_blif(&blif[..cut], &lib);
         }
         // Deterministic byte mutations (no RNG needed: every position,
         // a handful of replacement bytes).
@@ -658,15 +435,6 @@ mod tests {
                 bytes[pos] = byte;
                 if let Ok(s) = String::from_utf8(bytes) {
                     let _ = read_aag(&s);
-                }
-            }
-        }
-        for pos in 0..blif.len() {
-            for byte in [b'0', b'=', b' ', b'\n', b'~'] {
-                let mut bytes = blif.clone().into_bytes();
-                bytes[pos] = byte;
-                if let Ok(s) = String::from_utf8(bytes) {
-                    let _ = read_blif(&s, &lib);
                 }
             }
         }

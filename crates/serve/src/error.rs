@@ -57,6 +57,12 @@ pub enum ServeError {
         /// How many tenants / regions the server has.
         count: usize,
     },
+    /// A [`crate::ServeConfig`] knob that must be positive is zero.
+    Config {
+        /// The offending field (`"max_batch"`, `"queue_capacity"` or
+        /// `"pad_stride"`).
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -77,6 +83,7 @@ impl fmt::Display for ServeError {
             Self::OutOfRange { ordinal, field, index, count } => {
                 write!(f, "request {ordinal}: {field} {index} out of range (server has {count})")
             }
+            Self::Config { field } => write!(f, "serve config: `{field}` must be positive"),
         }
     }
 }

@@ -18,9 +18,8 @@ use crate::{
     ServeCounters, ServeError, ServeReport, ServeRequest, ServingSnapshot, SharedIngestFaults,
     SharedServeFaults,
 };
-use eda_cloud_fleet::Histogram;
 use eda_cloud_gcn::{GraphBatch, GraphSample};
-use eda_cloud_trace::Tracer;
+use eda_cloud_trace::{Histogram, LatencyFold, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -152,20 +151,14 @@ pub struct Server {
 
 impl Server {
     /// Build a server over a frozen model snapshot — float or int8
-    /// quantized — and a planner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch`, `queue_capacity`, or `pad_stride` is
-    /// zero.
+    /// quantized — and a planner. The configuration is checked by
+    /// [`Server::run`].
     #[must_use]
     pub fn new(
         snapshot: impl Into<ServingSnapshot>,
         planner: Box<dyn Planner>,
         config: ServeConfig,
     ) -> Self {
-        assert!(config.max_batch > 0, "max batch must be positive");
-        assert!(config.pad_stride > 0, "pad stride must be positive");
         Self {
             snapshot: snapshot.into(),
             planner,
@@ -232,343 +225,372 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Unsorted`] if `requests` is not sorted by
-    /// arrival time, and [`ServeError::Plan`] if the planner rejects an
-    /// instance (sheds are outcomes, not errors).
+    /// Returns [`ServeError::Config`] if `max_batch`, `queue_capacity`
+    /// or `pad_stride` is zero, [`ServeError::Unsorted`] if `requests`
+    /// is not sorted by arrival time, and [`ServeError::Plan`] if the
+    /// planner rejects an instance (sheds are outcomes, not errors).
     pub fn run(
         &self,
         seed: u64,
         requests: &[ServeRequest],
     ) -> Result<(ServeReport, Vec<RequestOutcome>), ServeError> {
+        for (field, value) in [
+            ("max_batch", self.config.max_batch),
+            ("queue_capacity", self.config.queue_capacity),
+            ("pad_stride", self.config.pad_stride),
+        ] {
+            if value == 0 {
+                return Err(ServeError::Config { field });
+            }
+        }
         if let Some(w) = requests.windows(2).find(|w| w[0].arrival_us > w[1].arrival_us) {
             return Err(ServeError::Unsorted { ordinal: w[1].ordinal });
         }
-        let workers = self.config.resolved_workers();
-        let mut queue = AdmissionQueue::new(self.config.queue_capacity);
-        let version = self.config.model_version;
-        let mut cache: LruCache<(u32, u64), [[f64; 4]; 4]> =
-            LruCache::new(self.config.cache_capacity);
-        let mut ingest_cache: LruCache<u64, IngestOutcome> =
-            LruCache::new(self.config.ingest_cache_capacity);
-        let mut counters = ServeCounters::default();
-        let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(requests.len());
-        let mut latencies_us: Vec<u64> = Vec::with_capacity(requests.len());
-        let mut latency_hist = Histogram::new(vec![
-            1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
-        ]);
-        let mut batch_hist = Histogram::new(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
-        let mut depth_hist = Histogram::new(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]);
-        let mut max_depth = 0usize;
-        let mut batch_size_sum = 0u64;
-        let mut now = 0u64;
-        let mut next = 0usize;
-
-        while next < requests.len() || !queue.is_empty() {
-            if queue.is_empty() {
-                // Idle server: jump to the next arrival.
-                now = now.max(requests[next].arrival_us);
+        // The stream is one slice, already sorted, so arrivals are a
+        // cursor walk rather than heap events: "admit every arrival
+        // <= now, then form the batch" needs no same-time tie rule.
+        let mut run = Run::new(self, requests);
+        while run.next < requests.len() || !run.queue.is_empty() {
+            run.admit();
+            let mut slots = run.form_batch();
+            if slots.is_empty() {
+                continue; // every arrival of this instant was shed
             }
-            while next < requests.len() && requests[next].arrival_us <= now {
-                let request = requests[next].clone();
-                next += 1;
-                counters.requests += 1;
-                if self.faults.wipe_cache(request.ordinal) {
-                    cache.clear();
-                    let span = self.tracer.root_at(request.ordinal, "fault/cache_wipe");
-                    span.attr("fault", "cache_wipe");
-                }
-                if self.faults.force_shed(request.ordinal) {
-                    // An injected overload burst: rejected exactly like
-                    // a capacity shed, so conservation still holds.
-                    let (ordinal, queue_depth) = (request.ordinal, queue.len());
-                    counters.shed += 1;
-                    let span = self.tracer.root_at(ordinal, "request");
-                    span.attr("outcome", "shed");
-                    span.attr("queue_depth", queue_depth);
-                    span.attr("fault", "force_shed");
-                    outcomes.push(RequestOutcome::Shed {
-                        ordinal,
-                        queue_depth,
-                    });
-                    continue;
-                }
-                if let Err(ServeError::Overloaded {
-                    ordinal,
-                    queue_depth,
-                    ..
-                }) = queue.try_admit(request)
-                {
-                    counters.shed += 1;
-                    let span = self.tracer.root_at(ordinal, "request");
-                    span.attr("outcome", "shed");
-                    span.attr("queue_depth", queue_depth);
-                    outcomes.push(RequestOutcome::Shed {
-                        ordinal,
-                        queue_depth,
-                    });
-                }
-            }
-            let depth = queue.len();
-            depth_hist.record(depth as f64);
-            max_depth = max_depth.max(depth);
-
-            let mut batch = Vec::with_capacity(self.config.max_batch);
-            while batch.len() < self.config.max_batch {
-                match queue.pop() {
-                    Some(r) => batch.push(r),
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                continue;
-            }
-            counters.batches += 1;
-            batch_hist.record(batch.len() as f64);
-            batch_size_sum += batch.len() as u64;
-
-            // Resolve ingest requests first: each Ingest slot either
-            // yields a servable design (the upload was accepted, fresh
-            // or from the fingerprint-keyed ingest cache) or is
-            // quarantined — `effective[i]` stays `None`, so the slot
-            // never reaches the result cache or the GCN below.
-            let mut dispositions: Vec<Option<IngestDisposition>> = vec![None; batch.len()];
-            let mut effective: Vec<Option<Arc<crate::ServeDesign>>> = vec![None; batch.len()];
-            let mut fresh_ingests = 0u64;
-            for (i, request) in batch.iter().enumerate() {
-                if request.kind != RequestKind::Ingest {
-                    effective[i] = Some(request.design.clone());
-                    continue;
-                }
-                let upload = request.upload.as_deref().ok_or_else(|| ServeError::Ingest {
-                    message: format!("request {} is Ingest but carries no upload", request.ordinal),
-                })?;
-                let ingestor = self.ingestor.as_deref().ok_or_else(|| ServeError::Ingest {
-                    message: "Ingest request without an ingestor".into(),
-                })?;
-                let outcome = if self.ingest_faults.flood(request.ordinal) {
-                    // Flood control rejects without caching: a later
-                    // clean upload of the same bytes ingests normally.
-                    IngestOutcome::Rejected {
-                        reason: "rejected by ingest flood control".into(),
-                    }
-                } else {
-                    let doc = if self.ingest_faults.corrupt_upload(request.ordinal) {
-                        std::borrow::Cow::Owned(upload.corrupted())
-                    } else {
-                        std::borrow::Cow::Borrowed(upload)
-                    };
-                    match ingest_cache.get(&doc.fingerprint) {
-                        Some(hit) => hit,
-                        None => {
-                            fresh_ingests += 1;
-                            let fresh = ingestor.ingest(&doc);
-                            ingest_cache.insert(doc.fingerprint, fresh.clone());
-                            fresh
-                        }
-                    }
-                };
-                match outcome {
-                    IngestOutcome::Accepted(summary) => {
-                        dispositions[i] = Some(IngestDisposition::Accepted {
-                            fingerprint: summary.design.fingerprint,
-                            ood_distance_micros: summary.ood_distance_micros,
-                            ood: summary.ood,
-                        });
-                        effective[i] = Some(summary.design);
-                    }
-                    IngestOutcome::Rejected { reason } => {
-                        dispositions[i] = Some(IngestDisposition::Rejected { reason });
-                    }
-                }
-            }
-
-            // Resolve each request from the cache, collecting unique
-            // missed designs in first-occurrence order; duplicates of a
-            // missed design within one batch ride the single forward.
-            let mut cached: Vec<Option<[[f64; 4]; 4]>> = vec![None; batch.len()];
-            let mut miss_slot: Vec<usize> = vec![usize::MAX; batch.len()];
-            let mut miss_designs: Vec<Arc<crate::ServeDesign>> = Vec::new();
-            let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
-            for (i, design) in effective.iter().enumerate() {
-                let Some(design) = design else {
-                    continue; // quarantined: no lookup, no forward
-                };
-                if let Some(hit) = cache.get(&(version, design.fingerprint)) {
-                    cached[i] = Some(hit);
-                } else {
-                    let slot = *slot_of.entry(design.fingerprint).or_insert_with(|| {
-                        miss_designs.push(design.clone());
-                        miss_designs.len() - 1
-                    });
-                    miss_slot[i] = slot;
-                }
-            }
-
-            let miss_secs: Vec<[[f64; 4]; 4]> = if miss_designs.is_empty() {
-                Vec::new()
-            } else {
-                let aig_refs: Vec<&GraphSample> = miss_designs.iter().map(|d| &d.aig).collect();
-                let net_refs: Vec<&GraphSample> = miss_designs.iter().map(|d| &d.netlist).collect();
-                let aig_batch = GraphBatch::pack_padded(&aig_refs, self.config.pad_stride);
-                let net_batch = GraphBatch::pack_padded(&net_refs, self.config.pad_stride);
-                self.snapshot
-                    .predict_batches(&aig_batch, &net_batch, workers)
-            };
-            counters.gcn_predictions += miss_designs.len() as u64;
-            for (design, secs) in miss_designs.iter().zip(&miss_secs) {
-                cache.insert((version, design.fingerprint), *secs);
-            }
-
-            let plans_in_batch = batch
-                .iter()
-                .filter(|r| {
-                    matches!(
-                        r.kind,
-                        RequestKind::Plan { .. } | RequestKind::PlanRecipe { .. }
-                    )
-                })
-                .count() as u64;
-            let service_us = self.config.batch_overhead_us
-                + miss_designs.len() as u64 * self.config.per_miss_us
-                + batch.len() as u64 * self.config.per_hit_us
-                + plans_in_batch * self.config.plan_us
-                + fresh_ingests * self.config.ingest_us;
-            now += service_us;
-
-            for (i, request) in batch.iter().enumerate() {
-                let quarantined =
-                    matches!(dispositions[i], Some(IngestDisposition::Rejected { .. }));
-                let cache_hit = cached[i].is_some();
-                let stage_secs = if quarantined {
-                    [[0.0; 4]; 4]
-                } else {
-                    cached[i].unwrap_or_else(|| miss_secs[miss_slot[i]])
-                };
-                let latency_us = now.saturating_sub(request.arrival_us);
-                let deadline_met = now <= request.deadline_us;
-                let mut recipe = None;
-                let plan = match request.kind {
-                    RequestKind::Plan { budget_secs } => {
-                        counters.plans += 1;
-                        let plan = self.planner.plan(&stage_secs, budget_secs)?;
-                        if plan.is_none() {
-                            counters.plans_infeasible += 1;
-                        }
-                        plan
-                    }
-                    RequestKind::PlanRecipe { deadline_secs } => {
-                        // Joint plans share the plan counters so the
-                        // report schema (and its goldens) are stable.
-                        counters.plans += 1;
-                        let planner =
-                            self.recipe_planner.as_deref().ok_or_else(|| ServeError::Plan {
-                                message: "PlanRecipe request without a recipe planner".into(),
-                            })?;
-                        recipe = planner
-                            .plan_recipe(&request.design, &stage_secs, deadline_secs)?
-                            .map(Box::new);
-                        if recipe.is_none() {
-                            counters.plans_infeasible += 1;
-                        }
-                        None
-                    }
-                    RequestKind::Predict | RequestKind::Ingest => None,
-                };
-                match &dispositions[i] {
-                    Some(IngestDisposition::Accepted { ood, .. }) => {
-                        counters.ingest_accepted += 1;
-                        if *ood {
-                            counters.ood_flagged += 1;
-                        }
-                    }
-                    Some(IngestDisposition::Rejected { .. }) => counters.ingest_rejected += 1,
-                    None => {}
-                }
-                counters.completed += 1;
-                if deadline_met {
-                    counters.deadline_hits += 1;
-                }
-                latencies_us.push(latency_us);
-                latency_hist.record(latency_us as f64 / 1_000.0);
-                let span = self.tracer.root_at(request.ordinal, "request");
-                span.attr("outcome", "completed");
-                span.attr("cache", if cache_hit { "hit" } else { "miss" });
-                span.attr("batch", counters.batches - 1);
-                span.attr("latency_us", latency_us);
-                span.attr("deadline_met", deadline_met);
-                if let RequestKind::Plan { .. } = request.kind {
-                    span.attr("planned", plan.is_some());
-                }
-                if let RequestKind::PlanRecipe { .. } = request.kind {
-                    span.attr("recipe_planned", recipe.is_some());
-                    if let Some(r) = &recipe {
-                        span.attr("recipe", &r.recipe);
-                    }
-                }
-                match &dispositions[i] {
-                    Some(IngestDisposition::Accepted { ood, .. }) => {
-                        span.attr("ingest", "accepted");
-                        span.attr("ood", *ood);
-                    }
-                    Some(IngestDisposition::Rejected { .. }) => {
-                        span.attr("ingest", "rejected");
-                    }
-                    None => {}
-                }
-                outcomes.push(RequestOutcome::Completed {
-                    ordinal: request.ordinal,
-                    latency_us,
-                    deadline_met,
-                    cache_hit,
-                    stage_secs,
-                    plan,
-                    recipe,
-                    ingest: dispositions[i].take().map(Box::new),
-                });
-            }
+            run.resolve_ingest(&mut slots)?;
+            run.forward_misses(&mut slots);
+            run.complete(slots)?;
         }
-
-        outcomes.sort_by_key(RequestOutcome::ordinal);
-        latencies_us.sort_unstable();
-        counters.cache_hits = cache.hits();
-        counters.cache_misses = cache.misses();
-        let report = ServeReport {
-            seed,
-            counters,
-            deadline_hit_rate: if counters.completed == 0 {
-                0.0
-            } else {
-                counters.deadline_hits as f64 / counters.completed as f64
-            },
-            mean_latency_ms: if latencies_us.is_empty() {
-                0.0
-            } else {
-                latencies_us.iter().sum::<u64>() as f64 / latencies_us.len() as f64 / 1_000.0
-            },
-            p50_latency_ms: percentile_ms(&latencies_us, 0.50),
-            p95_latency_ms: percentile_ms(&latencies_us, 0.95),
-            mean_batch_size: if counters.batches == 0 {
-                0.0
-            } else {
-                batch_size_sum as f64 / counters.batches as f64
-            },
-            max_queue_depth: max_depth as u64,
-            makespan_ms: now as f64 / 1_000.0,
-            latency_hist,
-            batch_hist,
-            depth_hist,
-        };
-        Ok((report, outcomes))
+        Ok(run.report(seed))
     }
 }
 
-/// Nearest-rank percentile over sorted µs latencies, reported in ms.
-fn percentile_ms(sorted_us: &[u64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
+/// One batch slot on its way to an outcome.
+struct Slot {
+    request: ServeRequest,
+    /// The design to predict: the request's own, or the one an accepted
+    /// upload parsed to. `None` quarantines the slot — a rejected
+    /// upload never reaches the result cache or the GCN.
+    design: Option<Arc<crate::ServeDesign>>,
+    /// How the upload was disposed; `None` for non-Ingest requests.
+    disposition: Option<IngestDisposition>,
+    /// Zero until `forward_misses` fills it; stays zero when quarantined.
+    stage_secs: [[f64; 4]; 4],
+    cache_hit: bool,
+}
+
+/// The state of one [`Server::run`]: the simulated clock, the arrival
+/// cursor, the queue, both caches, and everything the report folds.
+struct Run<'a> {
+    server: &'a Server,
+    requests: &'a [ServeRequest],
+    /// Simulated clock, µs; each phase charges its own service cost.
+    now: u64,
+    /// Index of the next request not yet arrived.
+    next: usize,
+    queue: AdmissionQueue,
+    cache: LruCache<(u32, u64), [[f64; 4]; 4]>,
+    ingest_cache: LruCache<u64, IngestOutcome>,
+    counters: ServeCounters,
+    outcomes: Vec<RequestOutcome>,
+    latencies: LatencyFold,
+    batch_hist: Histogram,
+    depth_hist: Histogram,
+    max_depth: usize,
+}
+
+impl<'a> Run<'a> {
+    fn new(server: &'a Server, requests: &'a [ServeRequest]) -> Self {
+        let config = &server.config;
+        Self {
+            server,
+            requests,
+            now: 0,
+            next: 0,
+            queue: AdmissionQueue::new(config.queue_capacity),
+            cache: LruCache::new(config.cache_capacity),
+            ingest_cache: LruCache::new(config.ingest_cache_capacity),
+            counters: ServeCounters::default(),
+            outcomes: Vec::with_capacity(requests.len()),
+            latencies: LatencyFold::with_capacity(requests.len()),
+            batch_hist: Histogram::new(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
+            depth_hist: Histogram::new(vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+            max_depth: 0,
+        }
     }
-    let rank = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[rank - 1] as f64 / 1_000.0
+
+    /// Admit (or shed) every arrival up to `now`; an idle server first
+    /// jumps the clock to the next arrival.
+    fn admit(&mut self) {
+        let faults = &self.server.faults;
+        if let (true, Some(request)) = (self.queue.is_empty(), self.requests.get(self.next)) {
+            self.now = self.now.max(request.arrival_us);
+        }
+        while let Some(request) = self.requests.get(self.next).filter(|r| r.arrival_us <= self.now)
+        {
+            self.next += 1;
+            self.counters.requests += 1;
+            let ordinal = request.ordinal;
+            if faults.wipe_cache(ordinal) {
+                self.cache.clear();
+                let span = self.server.tracer.root_at(ordinal, "fault/cache_wipe");
+                span.attr("fault", "cache_wipe");
+            }
+            if faults.force_shed(ordinal) {
+                // An injected overload burst: rejected exactly like a
+                // capacity shed, so conservation still holds.
+                self.shed(ordinal, self.queue.len(), true);
+            } else if let Err(ServeError::Overloaded { queue_depth, .. }) =
+                self.queue.try_admit(request.clone())
+            {
+                self.shed(ordinal, queue_depth, false);
+            }
+        }
+    }
+
+    fn shed(&mut self, ordinal: u64, queue_depth: usize, forced: bool) {
+        self.counters.shed += 1;
+        let span = self.server.tracer.root_at(ordinal, "request");
+        span.attr("outcome", "shed");
+        span.attr("queue_depth", queue_depth);
+        if forced {
+            span.attr("fault", "force_shed");
+        }
+        self.outcomes.push(RequestOutcome::Shed { ordinal, queue_depth });
+    }
+
+    /// Record the queue depth, then pop up to `max_batch` slots in
+    /// deadline order.
+    fn form_batch(&mut self) -> Vec<Slot> {
+        let depth = self.queue.len();
+        self.depth_hist.record(depth as f64);
+        self.max_depth = self.max_depth.max(depth);
+        let slots: Vec<Slot> = std::iter::from_fn(|| self.queue.pop())
+            .take(self.server.config.max_batch)
+            .map(|request| Slot {
+                design: Some(request.design.clone()),
+                disposition: None,
+                stage_secs: [[0.0; 4]; 4],
+                cache_hit: false,
+                request,
+            })
+            .collect();
+        if !slots.is_empty() {
+            self.counters.batches += 1;
+            self.batch_hist.record(slots.len() as f64);
+        }
+        slots
+    }
+
+    /// Swap each Ingest slot's design for the one its upload parses to;
+    /// a rejected upload quarantines the slot.
+    fn resolve_ingest(&mut self, slots: &mut [Slot]) -> Result<(), ServeError> {
+        for slot in slots.iter_mut().filter(|s| s.request.kind == RequestKind::Ingest) {
+            (slot.design, slot.disposition) = match self.ingest(&slot.request)? {
+                IngestOutcome::Accepted(summary) => {
+                    let disposition = IngestDisposition::Accepted {
+                        fingerprint: summary.design.fingerprint,
+                        ood_distance_micros: summary.ood_distance_micros,
+                        ood: summary.ood,
+                    };
+                    (Some(summary.design), Some(disposition))
+                }
+                IngestOutcome::Rejected { reason } => {
+                    (None, Some(IngestDisposition::Rejected { reason }))
+                }
+            };
+        }
+        Ok(())
+    }
+
+    /// One upload through flood control, the fingerprint-keyed ingest
+    /// cache and, on a miss, the ingestor (charged `ingest_us`).
+    fn ingest(&mut self, request: &ServeRequest) -> Result<IngestOutcome, ServeError> {
+        let faults = &self.server.ingest_faults;
+        let upload = request.upload.as_deref().ok_or_else(|| ServeError::Ingest {
+            message: format!("request {} is Ingest but carries no upload", request.ordinal),
+        })?;
+        let ingestor = self.server.ingestor.as_deref().ok_or_else(|| ServeError::Ingest {
+            message: "Ingest request without an ingestor".into(),
+        })?;
+        if faults.flood(request.ordinal) {
+            // Flood control rejects without caching: a later clean
+            // upload of the same bytes ingests normally.
+            let reason = "rejected by ingest flood control".into();
+            return Ok(IngestOutcome::Rejected { reason });
+        }
+        let doc = if faults.corrupt_upload(request.ordinal) {
+            std::borrow::Cow::Owned(upload.corrupted())
+        } else {
+            std::borrow::Cow::Borrowed(upload)
+        };
+        if let Some(hit) = self.ingest_cache.get(&doc.fingerprint) {
+            return Ok(hit);
+        }
+        self.now += self.server.config.ingest_us;
+        let fresh = ingestor.ingest(&doc);
+        self.ingest_cache.insert(doc.fingerprint, fresh.clone());
+        Ok(fresh)
+    }
+
+    /// Fill each slot's prediction from the result cache, or from one
+    /// padded batched forward (`per_miss_us` each) over the unique
+    /// missed designs in first-occurrence order; duplicates of a missed
+    /// design within the batch ride the single forward.
+    fn forward_misses(&mut self, slots: &mut [Slot]) {
+        let config = &self.server.config;
+        let version = config.model_version;
+        let mut miss_designs: Vec<Arc<crate::ServeDesign>> = Vec::new();
+        let mut miss_of: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut missed: Vec<(usize, usize)> = Vec::new(); // (slot, index into miss_designs)
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let Some(design) = &slot.design else {
+                continue; // quarantined: no lookup, no forward
+            };
+            if let Some(hit) = self.cache.get(&(version, design.fingerprint)) {
+                slot.stage_secs = hit;
+                slot.cache_hit = true;
+            } else {
+                let miss = *miss_of.entry(design.fingerprint).or_insert_with(|| {
+                    miss_designs.push(design.clone());
+                    miss_designs.len() - 1
+                });
+                missed.push((i, miss));
+            }
+        }
+        if miss_designs.is_empty() {
+            return;
+        }
+        let aig_refs: Vec<&GraphSample> = miss_designs.iter().map(|d| &d.aig).collect();
+        let net_refs: Vec<&GraphSample> = miss_designs.iter().map(|d| &d.netlist).collect();
+        let aig_batch = GraphBatch::pack_padded(&aig_refs, config.pad_stride);
+        let net_batch = GraphBatch::pack_padded(&net_refs, config.pad_stride);
+        let workers = config.resolved_workers();
+        let miss_secs = self.server.snapshot.predict_batches(&aig_batch, &net_batch, workers);
+        for (design, secs) in miss_designs.iter().zip(&miss_secs) {
+            self.cache.insert((version, design.fingerprint), *secs);
+        }
+        for (i, miss) in missed {
+            slots[i].stage_secs = miss_secs[miss];
+        }
+        self.counters.gcn_predictions += miss_designs.len() as u64;
+        self.now += miss_designs.len() as u64 * config.per_miss_us;
+    }
+
+    /// Charge the batch's fixed, per-request and per-plan costs, then
+    /// plan, count, trace and emit every slot at that completion time.
+    fn complete(&mut self, slots: Vec<Slot>) -> Result<(), ServeError> {
+        let config = &self.server.config;
+        let plans = slots
+            .iter()
+            .filter(|s| {
+                matches!(s.request.kind, RequestKind::Plan { .. } | RequestKind::PlanRecipe { .. })
+            })
+            .count() as u64;
+        let len = slots.len() as u64;
+        self.now += config.batch_overhead_us + len * config.per_hit_us + plans * config.plan_us;
+        for slot in slots {
+            let Slot { request, disposition, stage_secs, cache_hit, .. } = slot;
+            let latency_us = self.now.saturating_sub(request.arrival_us);
+            let deadline_met = self.now <= request.deadline_us;
+            let (plan, recipe) = self.plan(&request, &stage_secs)?;
+            self.counters.completed += 1;
+            self.counters.deadline_hits += u64::from(deadline_met);
+            self.latencies.record(latency_us);
+            let span = self.server.tracer.root_at(request.ordinal, "request");
+            span.attr("outcome", "completed");
+            span.attr("cache", if cache_hit { "hit" } else { "miss" });
+            span.attr("batch", self.counters.batches - 1);
+            span.attr("latency_us", latency_us);
+            span.attr("deadline_met", deadline_met);
+            if let RequestKind::Plan { .. } = request.kind {
+                span.attr("planned", plan.is_some());
+            }
+            if let RequestKind::PlanRecipe { .. } = request.kind {
+                span.attr("recipe_planned", recipe.is_some());
+                if let Some(r) = &recipe {
+                    span.attr("recipe", &r.recipe);
+                }
+            }
+            match &disposition {
+                Some(IngestDisposition::Accepted { ood, .. }) => {
+                    self.counters.ingest_accepted += 1;
+                    self.counters.ood_flagged += u64::from(*ood);
+                    span.attr("ingest", "accepted");
+                    span.attr("ood", *ood);
+                }
+                Some(IngestDisposition::Rejected { .. }) => {
+                    self.counters.ingest_rejected += 1;
+                    span.attr("ingest", "rejected");
+                }
+                None => {}
+            }
+            self.outcomes.push(RequestOutcome::Completed {
+                ordinal: request.ordinal,
+                latency_us,
+                deadline_met,
+                cache_hit,
+                stage_secs,
+                plan,
+                recipe,
+                ingest: disposition.map(Box::new),
+            });
+        }
+        Ok(())
+    }
+
+    /// Solve the request's deployment plan, if it asks for one. Joint
+    /// recipe plans share the plan counters so the report schema (and
+    /// its goldens) are stable.
+    fn plan(
+        &mut self,
+        request: &ServeRequest,
+        stage_secs: &[[f64; 4]; 4],
+    ) -> Result<(Option<PlanSummary>, Option<Box<RecipePlanSummary>>), ServeError> {
+        let (plan, recipe) = match request.kind {
+            RequestKind::Predict | RequestKind::Ingest => return Ok((None, None)),
+            RequestKind::Plan { budget_secs } => {
+                (self.server.planner.plan(stage_secs, budget_secs)?, None)
+            }
+            RequestKind::PlanRecipe { deadline_secs } => {
+                let planner =
+                    self.server.recipe_planner.as_deref().ok_or_else(|| ServeError::Plan {
+                        message: "PlanRecipe request without a recipe planner".into(),
+                    })?;
+                let recipe = planner.plan_recipe(&request.design, stage_secs, deadline_secs)?;
+                (None, recipe.map(Box::new))
+            }
+        };
+        self.counters.plans += 1;
+        if plan.is_none() && recipe.is_none() {
+            self.counters.plans_infeasible += 1;
+        }
+        Ok((plan, recipe))
+    }
+
+    /// Fold the run into its report, outcomes sorted by ordinal.
+    fn report(mut self, seed: u64) -> (ServeReport, Vec<RequestOutcome>) {
+        self.outcomes.sort_by_key(RequestOutcome::ordinal);
+        let mut counters = self.counters;
+        counters.cache_hits = self.cache.hits();
+        counters.cache_misses = self.cache.misses();
+        let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        let report = ServeReport {
+            seed,
+            counters,
+            deadline_hit_rate: ratio(counters.deadline_hits, counters.completed),
+            mean_latency_ms: self.latencies.mean_us() / 1_000.0,
+            p50_latency_ms: self.latencies.percentile_us(50) as f64 / 1_000.0,
+            p95_latency_ms: self.latencies.percentile_us(95) as f64 / 1_000.0,
+            // Every batched request completes, so the sizes sum to it.
+            mean_batch_size: ratio(counters.completed, counters.batches),
+            max_queue_depth: self.max_depth as u64,
+            makespan_ms: self.now as f64 / 1_000.0,
+            latency_hist: self.latencies.into_histogram(),
+            batch_hist: self.batch_hist,
+            depth_hist: self.depth_hist,
+        };
+        (report, self.outcomes)
+    }
 }
 
 #[cfg(test)]
@@ -608,6 +630,92 @@ mod tests {
             server(ServeConfig::default()).run(7, &requests).unwrap_err(),
             ServeError::Unsorted { ordinal }
         );
+    }
+
+    #[test]
+    fn zero_config_knobs_are_typed_errors_not_panics() {
+        // Regression: `max_batch` / `pad_stride` used to assert in
+        // `Server::new` and `queue_capacity` inside `run`.
+        let requests = workload(4, 150.0, 7);
+        let cases = [
+            ("max_batch", ServeConfig { max_batch: 0, ..Default::default() }),
+            ("queue_capacity", ServeConfig { queue_capacity: 0, ..Default::default() }),
+            ("pad_stride", ServeConfig { pad_stride: 0, ..Default::default() }),
+        ];
+        for (field, config) in cases {
+            let err = server(config).run(7, &requests).unwrap_err();
+            assert_eq!(err, ServeError::Config { field });
+        }
+    }
+
+    /// Hand-placed Predict requests, `(arrival_us, deadline_us, pool
+    /// design)` each, ordinals in slice order.
+    fn placed(specs: &[(u64, u64, usize)]) -> Vec<ServeRequest> {
+        let pool = design_pool();
+        let request = |(ordinal, &(arrival_us, deadline_us, design)): (usize, &(u64, u64, usize))| {
+            ServeRequest {
+                ordinal: ordinal as u64,
+                arrival_us,
+                deadline_us,
+                kind: RequestKind::Predict,
+                design: pool[design].clone(),
+                upload: None,
+            }
+        };
+        specs.iter().enumerate().map(request).collect()
+    }
+
+    fn latency_and_hit(outcome: &RequestOutcome) -> (u64, bool) {
+        match outcome {
+            RequestOutcome::Completed { latency_us, cache_hit, .. } => (*latency_us, *cache_hit),
+            RequestOutcome::Shed { .. } => panic!("nothing sheds here: {outcome:?}"),
+        }
+    }
+
+    #[test]
+    fn same_instant_arrivals_at_an_idle_server_ride_one_batch() {
+        let requests = placed(&[(1_000, 900_000, 0), (1_000, 800_000, 1)]);
+        let (report, outcomes) = server(ServeConfig::default()).run(7, &requests).expect("runs");
+        assert_eq!(report.counters.batches, 1, "the idle jump admits both before batching");
+        assert_eq!(latency_and_hit(&outcomes[0]).0, latency_and_hit(&outcomes[1]).0);
+    }
+
+    #[test]
+    fn arrival_on_a_completion_instant_is_admitted_before_the_next_batch() {
+        let config = || ServeConfig { max_batch: 2, ..Default::default() };
+        // Three at t=0: the two most urgent form batch 0, the third waits.
+        let mut specs = vec![(0, 100_000, 0), (0, 200_000, 1), (0, 900_000, 2)];
+        let (_, outcomes) = server(config()).run(7, &placed(&specs)).expect("runs");
+        let first_done = latency_and_hit(&outcomes[0]).0;
+        assert!(latency_and_hit(&outcomes[2]).0 > first_done, "third rides batch 1");
+        // A fourth lands exactly when batch 0 completes: it must be in
+        // the queue when batch 1 forms, so it shares it with the third.
+        specs.push((first_done, 800_000, 3));
+        let (report, outcomes) = server(config()).run(7, &placed(&specs)).expect("runs");
+        assert_eq!(report.counters.batches, 2, "no third batch for the late arrival");
+        let (third, fourth) = (latency_and_hit(&outcomes[2]).0, latency_and_hit(&outcomes[3]).0);
+        assert_eq!(third, fourth + first_done, "both complete at the same instant");
+    }
+
+    #[test]
+    fn cache_wipe_arriving_mid_service_clears_what_that_batch_inserted() {
+        struct WipeOnOne;
+        impl crate::ServeFaults for WipeOnOne {
+            fn wipe_cache(&self, ordinal: u64) -> bool {
+                ordinal == 1
+            }
+        }
+        // Request 1 (same design) arrives while batch 0 is in service.
+        let requests = placed(&[(0, 900_000, 0), (10, 900_000, 0)]);
+        let (clean, outcomes) = server(ServeConfig::default()).run(7, &requests).expect("runs");
+        assert!(latency_and_hit(&outcomes[1]).1, "batch 0 cached the design for request 1");
+        assert_eq!(clean.counters.gcn_predictions, 1);
+        let (wiped, outcomes) = server(ServeConfig::default())
+            .with_faults(Arc::new(WipeOnOne))
+            .run(7, &requests)
+            .expect("runs");
+        assert!(!latency_and_hit(&outcomes[1]).1, "the wipe lands after batch 0's insert");
+        assert_eq!(wiped.counters.gcn_predictions, 2);
     }
 
     #[test]

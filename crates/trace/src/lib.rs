@@ -66,7 +66,7 @@ pub mod par;
 mod span;
 
 pub use json::fmt_f64;
-pub use metrics::{EdgeMismatch, Histogram, Metrics};
+pub use metrics::{EdgeMismatch, Histogram, LatencyFold, Metrics};
 pub use span::{Span, SpanRecord, Trace, Tracer};
 
 /// FNV-1a 64-bit hash over raw bytes — the workspace's checksum and

@@ -114,6 +114,64 @@ impl std::fmt::Display for EdgeMismatch {
 
 impl std::error::Error for EdgeMismatch {}
 
+/// Request latencies folded for a report: every microsecond value is
+/// kept, so the mean and the nearest-rank percentiles are exact, and
+/// bucketed in milliseconds into the histogram the serve and lifecycle
+/// reports embed.
+#[derive(Debug, Clone)]
+pub struct LatencyFold {
+    us: Vec<u64>,
+    hist_ms: Histogram,
+}
+
+impl LatencyFold {
+    /// An empty fold with room for `n` latencies.
+    #[must_use]
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            us: Vec::with_capacity(n),
+            hist_ms: Histogram::new(vec![
+                1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
+            ]),
+        }
+    }
+
+    /// Record one latency, µs.
+    pub fn record(&mut self, latency_us: u64) {
+        self.us.push(latency_us);
+        self.hist_ms.record(latency_us as f64 / 1_000.0);
+    }
+
+    /// Arithmetic mean, µs; 0 when empty. Truncated to an integer it
+    /// equals `sum / n` in integer arithmetic for any sum below 2^53.
+    #[must_use]
+    pub fn mean_us(&self) -> f64 {
+        if self.us.is_empty() {
+            0.0
+        } else {
+            self.us.iter().sum::<u64>() as f64 / self.us.len() as f64
+        }
+    }
+
+    /// Nearest-rank percentile, µs: the value at 1-based rank
+    /// `ceil(pct · n / 100)` of the sorted latencies; 0 when empty.
+    pub fn percentile_us(&mut self, pct: u64) -> u64 {
+        if self.us.is_empty() {
+            return 0;
+        }
+        self.us.sort_unstable();
+        let n = self.us.len() as u64;
+        let rank = (pct * n).div_ceil(100).clamp(1, n);
+        self.us[rank as usize - 1]
+    }
+
+    /// The millisecond-bucketed histogram of everything recorded.
+    #[must_use]
+    pub fn into_histogram(self) -> Histogram {
+        self.hist_ms
+    }
+}
+
 #[derive(Default)]
 struct MetricsInner {
     counters: BTreeMap<String, u64>,
@@ -286,6 +344,26 @@ mod tests {
         assert_eq!(a.to_json(), "{\"edges\":[10.000000],\"counts\":[2,1]}");
         assert_eq!(a.merge(&Histogram::new(vec![20.0])), Err(EdgeMismatch));
         assert_eq!(a.counts(), &[2, 1]);
+    }
+
+    #[test]
+    fn latency_fold_is_nearest_rank_with_an_exact_mean() {
+        let mut fold = LatencyFold::with_capacity(0);
+        assert_eq!((fold.mean_us(), fold.percentile_us(95)), (0.0, 0));
+        // Recorded out of order; 20 values so 95 % lands on a whole rank.
+        for v in (1..=20u64).rev() {
+            fold.record(v * 1_000);
+        }
+        assert_eq!(fold.percentile_us(50), 10_000);
+        assert_eq!(fold.percentile_us(95), 19_000, "rank ceil(0.95 * 20) = 19");
+        assert_eq!(fold.percentile_us(0), 1_000, "rank clamps to 1");
+        assert_eq!(fold.percentile_us(100), 20_000);
+        assert_eq!(fold.mean_us(), 10_500.0);
+        fold.record(3);
+        assert_eq!(fold.mean_us() as u64, 210_003 / 21, "truncation is integer division");
+        let hist = fold.into_histogram();
+        assert_eq!(hist.total(), 21);
+        assert_eq!(hist.counts()[0], 2, "3 us and 1 ms land in the <= 1 ms bucket");
     }
 
     #[test]
