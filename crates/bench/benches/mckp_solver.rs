@@ -1,6 +1,7 @@
 //! Criterion benches for the MCKP solver: DP cost vs budget and stage
 //! count, against the greedy and exhaustive baselines — plus the
-//! objective ablation (paper's max Σ1/p vs direct min-cost).
+//! objective ablation (paper's max Σ1/p vs direct min-cost), and the
+//! frontier's worst case.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_mckp::{baselines, Choice, Objective, Problem, Solver, Stage};
@@ -55,6 +56,31 @@ fn bench_stage_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sparse solver's worst case: cost falls linearly with runtime, so
+/// a slower schedule is always cheaper, no state dominates another and
+/// the frontier is as wide as the budget. No caller builds such an
+/// instance; the id keeps the bound visible.
+fn bench_worst_case(c: &mut Criterion) {
+    let stages = synth_problem(16, 4)
+        .stages()
+        .iter()
+        .map(|s| {
+            let choices = s.choices.iter().map(|c| {
+                Choice::new(c.label.clone(), c.runtime_secs, (6_000 - c.runtime_secs) as f64 / 1e3)
+            });
+            Stage::new(s.name.clone(), choices.collect())
+        })
+        .collect();
+    let problem = Problem::new(stages).expect("valid");
+    let mut group = c.benchmark_group("dp_worst_case");
+    for budget in [30_000u64, 80_000] {
+        group.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &bud| {
+            b.iter(|| black_box(Solver::new().solve_min_cost(black_box(&problem), bud)));
+        });
+    }
+    group.finish();
+}
+
 fn bench_vs_baselines(c: &mut Criterion) {
     let problem = synth_problem(4, 4);
     let budget = 12_000;
@@ -84,6 +110,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_budget_scaling, bench_stage_scaling, bench_vs_baselines
+    targets = bench_budget_scaling, bench_stage_scaling, bench_worst_case, bench_vs_baselines
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Problem 3: deployment planning via MCKP.
 
 use crate::{recommended_family, WorkflowError, Workflow};
+use eda_cloud_cloud::{Catalog, CloudError};
 use eda_cloud_flow::StageKind;
 use eda_cloud_mckp::{savings_of, Choice, CostSavings, Problem, Solver, Stage};
 
@@ -45,6 +46,28 @@ pub struct DeploymentPlan {
 /// The swept vCPU counts, index-aligned with [`StageRuntimes`].
 pub const VCPU_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
+/// Price one stage's four vCPU choices: the cheapest instance of the
+/// stage's recommended family at each swept size, runtime rounded up to
+/// whole seconds, cost from the catalog's per-second billing.
+pub(crate) fn stage_choices(
+    catalog: &Catalog,
+    kind: StageKind,
+    runtimes_secs: &[f64; 4],
+) -> Result<Vec<Choice>, CloudError> {
+    let family = recommended_family(kind);
+    VCPU_SWEEP
+        .iter()
+        .zip(runtimes_secs)
+        .map(|(&vcpus, &secs)| {
+            let instance = catalog.cheapest_with(family, vcpus).ok_or_else(|| {
+                CloudError::UnknownInstance(format!("{family} with {vcpus} vCPUs"))
+            })?;
+            let cost = catalog.pricing().cost_usd(instance, secs);
+            Ok(Choice::new(instance.name.clone(), secs.max(0.0).ceil() as u64, cost))
+        })
+        .collect()
+}
+
 impl Workflow {
     /// Build the MCKP instance: one stage per application, one choice
     /// per vCPU size of its recommended family, costs from the catalog
@@ -61,21 +84,7 @@ impl Workflow {
     ) -> Result<Problem, WorkflowError> {
         let mut stages = Vec::with_capacity(runtimes.len());
         for sr in runtimes {
-            let family = recommended_family(sr.kind);
-            let mut choices = Vec::with_capacity(VCPU_SWEEP.len());
-            for (k, &vcpus) in VCPU_SWEEP.iter().enumerate() {
-                let instance = self
-                    .catalog()
-                    .cheapest_with(family, vcpus)
-                    .ok_or_else(|| {
-                        eda_cloud_cloud::CloudError::UnknownInstance(format!(
-                            "{family} with {vcpus} vCPUs"
-                        ))
-                    })?;
-                let runtime = sr.runtimes_secs[k].max(0.0).ceil() as u64;
-                let cost = self.catalog().pricing().cost_usd(instance, sr.runtimes_secs[k]);
-                choices.push(Choice::new(instance.name.clone(), runtime, cost));
-            }
+            let choices = stage_choices(self.catalog(), sr.kind, &sr.runtimes_secs)?;
             stages.push(Stage::new(sr.kind.to_string(), choices));
         }
         Ok(Problem::new(stages)?)

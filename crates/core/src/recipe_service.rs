@@ -12,11 +12,11 @@
 //! one exact MCKP whose synthesis stage has a (recipe × vCPU) choice
 //! row, so the knapsack picks the recipe and the VM shape jointly.
 
-use crate::optimize::VCPU_SWEEP;
-use crate::{recommended_family, Workflow, WorkflowError, WorkflowPlanner};
+use crate::optimize::{stage_choices, VCPU_SWEEP};
+use crate::{Workflow, WorkflowError, WorkflowPlanner};
 use eda_cloud_flow::{Pass, StageKind, Synthesizer};
 use eda_cloud_gcn::{GraphSample, ModelConfig, Trainer};
-use eda_cloud_mckp::{Choice, Problem, Solver, Stage};
+use eda_cloud_mckp::{Problem, Solver, Stage};
 use eda_cloud_netlist::{generators, Aig, DesignGraph};
 use eda_cloud_recipe::{
     candidate_recipes, recipe_from_passes, recipe_key, DesignReport, HybridPredictor, HybridSample,
@@ -136,44 +136,26 @@ impl RecipePlanner for WorkflowRecipePlanner {
 
         // Synthesis stage: one choice per (candidate recipe, vCPU size),
         // runtimes from the hybrid predictor, costs from the catalog.
-        let family = recommended_family(StageKind::Synthesis);
         let mut choices = Vec::with_capacity(self.candidates.len() * VCPU_SWEEP.len());
         let mut forecasts = Vec::with_capacity(self.candidates.len());
         for passes in &self.candidates {
             let secs = self.predictor.predict_secs(&embedding, passes).map_err(plan_err)?;
-            for (k, &vcpus) in VCPU_SWEEP.iter().enumerate() {
-                let instance = catalog.cheapest_with(family, vcpus).ok_or_else(|| {
-                    plan_err(format!("no {family} instance with {vcpus} vCPUs"))
-                })?;
-                let runtime = secs[k].max(0.0).ceil() as u64;
-                let cost = catalog.pricing().cost_usd(instance, secs[k]);
-                choices.push(Choice::new(
-                    format!("{}@{vcpus}", recipe_key(passes)),
-                    runtime,
-                    cost,
-                ));
+            let priced = stage_choices(catalog, StageKind::Synthesis, &secs).map_err(plan_err)?;
+            let key = recipe_key(passes);
+            for (mut choice, vcpus) in priced.into_iter().zip(VCPU_SWEEP) {
+                choice.label = format!("{key}@{vcpus}");
+                choices.push(choice);
             }
             forecasts.push(secs);
         }
         let mut stages = vec![Stage::new("synthesis", choices)];
 
-        // The other stages keep the GCN's runtime rows, priced exactly
-        // like the deployment problem.
+        // The other stages keep the GCN's runtime rows.
         for (row, kind) in [StageKind::Placement, StageKind::Routing, StageKind::Sta]
             .into_iter()
             .enumerate()
         {
-            let secs = stage_secs[row + 1];
-            let family = recommended_family(kind);
-            let mut choices = Vec::with_capacity(VCPU_SWEEP.len());
-            for (k, &vcpus) in VCPU_SWEEP.iter().enumerate() {
-                let instance = catalog.cheapest_with(family, vcpus).ok_or_else(|| {
-                    plan_err(format!("no {family} instance with {vcpus} vCPUs"))
-                })?;
-                let runtime = secs[k].max(0.0).ceil() as u64;
-                let cost = catalog.pricing().cost_usd(instance, secs[k]);
-                choices.push(Choice::new(instance.name.clone(), runtime, cost));
-            }
+            let choices = stage_choices(catalog, kind, &stage_secs[row + 1]).map_err(plan_err)?;
             stages.push(Stage::new(kind.to_string(), choices));
         }
 

@@ -174,7 +174,7 @@ mod tests {
         let p = problem();
         let sel = over_provision(&p);
         assert_eq!(sel.total_runtime_secs, 60);
-        assert_eq!(p.describe(&sel), vec!["4v", "4v"]);
+        assert_eq!(p.describe(&sel), Some(vec!["4v", "4v"]));
     }
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
         let p = problem();
         let sel = under_provision(&p);
         assert_eq!(sel.total_runtime_secs, 150);
-        assert_eq!(p.describe(&sel), vec!["1v", "1v"]);
+        assert_eq!(p.describe(&sel), Some(vec!["1v", "1v"]));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The pseudo-polynomial dynamic program.
+//! The pseudo-polynomial dynamic program, on a sparse Pareto frontier.
 
 use crate::{MckpError, Problem, Stage};
 
@@ -28,8 +28,24 @@ pub struct Selection {
 ///
 /// State: `z_l(C)` = best objective over the first `l` stages with total
 /// runtime at most `C`; the recurrence tries every choice of stage `l`,
-/// exactly as in the paper's Equation (3). Runtime values are integer
-/// seconds, so the table is `stages x (C+1)`.
+/// exactly as in the paper's Equation (3). Runtimes are integer seconds
+/// and `z_l` is a step function of `C`, so only its steps are kept: a
+/// Pareto frontier of (runtime `t`, score) states, `t` and score both
+/// strictly increasing. Cost is `O(stages · choices · F)` up to the
+/// merge's `log choices`, `F <= min(Π choices, C + 1)` states per
+/// frontier: 256 for four stages of four sizes, whatever the deadline.
+///
+/// The answer is bit for bit that of the one-cell-per-second table
+/// (kept as `dense_oracle` in `tests/solver_properties.rs`), because
+/// the table's tie-breaks are: scores accumulate in stage order as
+/// `prev + s`; within one `t` a candidate replaces the incumbent only
+/// on a strict `>`, candidates visited by choice index, then by
+/// predecessor `t`; the winner is the best score, then the smaller
+/// `t`. Dropping a state that a smaller `t` matches or beats is safe
+/// under them (float addition is monotone, so its descendants are
+/// matched or beaten too). LP-dominated choices are *not* dropped: one
+/// can sit in the integer optimum; Dudzinski and Walukiewicz use
+/// LP-dominance for the bound only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Solver;
 
@@ -86,36 +102,11 @@ impl Solver {
         budget_secs: u64,
         objective: Objective,
     ) -> Result<Option<Selection>, MckpError> {
-        if stages.is_empty() {
-            return Err(MckpError::NoStages);
-        }
-        for stage in stages {
-            if stage.choices.is_empty() {
-                return Err(MckpError::EmptyStage(stage.name.clone()));
-            }
-            for choice in &stage.choices {
-                if !choice.cost_usd.is_finite() || choice.cost_usd < 0.0 {
-                    return Err(MckpError::InvalidCost {
-                        stage: stage.name.clone(),
-                        choice: choice.label.clone(),
-                    });
-                }
-            }
-        }
+        crate::problem::validate(stages)?;
         Ok(Self::solve_core(stages, budget_secs, objective))
     }
 
     fn solve_core(stages: &[Stage], budget_secs: u64, objective: Objective) -> Option<Selection> {
-        // Any budget beyond the slowest possible schedule is equivalent
-        // to it; clamp so the DP table stays proportional to the
-        // problem, not to the caller's (possibly huge) deadline. The
-        // sum saturates so absurd per-stage runtimes cannot overflow
-        // the clamp itself.
-        let max_useful: u64 = stages
-            .iter()
-            .map(|s| s.choices.iter().map(|c| c.runtime_secs).max().unwrap_or(0))
-            .fold(0u64, u64::saturating_add);
-        let budget = usize::try_from(budget_secs.min(max_useful)).ok()?;
         // score(choice): larger is better for the DP max.
         let score = |cost: f64| -> f64 {
             match objective {
@@ -130,54 +121,44 @@ impl Solver {
             }
         };
 
-        // dp[t] = best score achievable using runtime exactly <= t,
-        // with parent pointers per stage for reconstruction.
-        let mut dp: Vec<Option<f64>> = vec![None; budget + 1];
-        dp[0] = Some(0.0);
-        // Allow any slack at stage 0 by prefix-maxing later; instead we
-        // keep "at most t" semantics by carrying forward the best value.
-        let mut parents: Vec<Vec<Option<(usize, usize)>>> = Vec::with_capacity(stages.len());
-
+        // frontiers[l] = the states worth keeping after `l` stages.
+        let mut frontiers = vec![vec![State { t: 0, score: 0.0, parent: 0, choice: 0 }]];
+        let mut cands: Vec<State> = Vec::new();
         for stage in stages {
-            let mut next: Vec<Option<f64>> = vec![None; budget + 1];
-            let mut parent: Vec<Option<(usize, usize)>> = vec![None; budget + 1];
+            let prev = &frontiers[frontiers.len() - 1];
+            cands.clear();
             for (j, choice) in stage.choices.iter().enumerate() {
-                let t = usize::try_from(choice.runtime_secs).unwrap_or(usize::MAX);
-                if t > budget {
-                    continue;
-                }
+                // Subtracting first: an absurd runtime cannot overflow `t`.
+                let Some(room) = budget_secs.checked_sub(choice.runtime_secs) else { continue };
                 let s = score(choice.cost_usd);
-                for (prev_t, &slot_score) in dp.iter().enumerate().take(budget - t + 1) {
-                    let Some(prev) = slot_score else { continue };
-                    let cand = prev + s;
-                    let slot = prev_t + t;
-                    if next[slot].is_none_or(|best| cand > best) {
-                        next[slot] = Some(cand);
-                        parent[slot] = Some((j, prev_t));
-                    }
+                for (i, p) in prev.iter().enumerate().take_while(|(_, p)| p.t <= room) {
+                    let (t, score) = (p.t + choice.runtime_secs, p.score + s);
+                    cands.push(State { t, score, parent: i, choice: j });
                 }
             }
-            dp = next;
-            parents.push(parent);
+            // Stable, so equal `t` stay in (choice, predecessor `t`)
+            // order and the strict `>` keeps the first best of them.
+            cands.sort_by_key(|c| c.t);
+            let mut next: Vec<State> = Vec::new();
+            for &c in &cands {
+                match next.last_mut() {
+                    Some(last) if c.score <= last.score => {}
+                    Some(last) if last.t == c.t => *last = c,
+                    _ => next.push(c),
+                }
+            }
+            frontiers.push(next);
         }
 
-        // Best cell within budget.
-        let (best_t, _) = dp
-            .iter()
-            .enumerate()
-            .filter_map(|(t, v)| v.map(|v| (t, v)))
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))?;
-
-        // Reconstruct. Every reachable cell was written together with
-        // its parent pointer, so the chain is complete by construction;
-        // `?` keeps the solver panic-free even if that invariant were
-        // ever broken.
+        // Scores rise along a frontier: its last state is the best
+        // score at the smallest `t` reaching it. Every state's `parent`
+        // indexes the frontier before its own, so the chain is complete
+        // by construction; `?` keeps the solver panic-free regardless.
+        let mut at = frontiers.last()?.len().checked_sub(1)?;
         let mut picks = vec![0usize; stages.len()];
-        let mut t = best_t;
-        for (l, parent) in parents.iter().enumerate().rev() {
-            let (j, prev_t) = parent[t]?;
-            picks[l] = j;
-            t = prev_t;
+        for (pick, frontier) in picks.iter_mut().zip(&frontiers[1..]).rev() {
+            let state = frontier.get(at)?;
+            (*pick, at) = (state.choice, state.parent);
         }
         let total_runtime_secs: u64 = picks
             .iter()
@@ -196,6 +177,16 @@ impl Solver {
             objective,
         })
     }
+}
+
+/// One point of a frontier: the best score at total runtime exactly
+/// `t`, reached from state `parent` of the previous frontier by `choice`.
+#[derive(Clone, Copy)]
+struct State {
+    t: u64,
+    score: f64,
+    parent: usize,
+    choice: usize,
 }
 
 #[cfg(test)]
@@ -248,7 +239,7 @@ mod tests {
         let p = toy_problem();
         let sel = Solver::new().solve_min_cost(&p, 5645).expect("feasible");
         assert_eq!(sel.total_runtime_secs, 5645);
-        assert_eq!(p.describe(&sel), vec!["8v", "8v", "8v", "8v"]);
+        assert_eq!(p.describe(&sel), Some(vec!["8v", "8v", "8v", "8v"]));
     }
 
     #[test]
@@ -325,7 +316,7 @@ mod tests {
         let sel = Solver::new()
             .solve_max_inverse_cost(&p, 100)
             .expect("feasible");
-        assert_eq!(p.describe(&sel), vec!["gratis"]);
+        assert_eq!(p.describe(&sel), Some(vec!["gratis"]));
     }
 
     #[test]
@@ -396,5 +387,26 @@ mod tests {
             .solve_stages(&stages, 1_000, Objective::MinCost)
             .expect("valid stages");
         assert!(sel.is_none());
+    }
+
+    #[test]
+    fn budgets_beyond_u32_still_solve() {
+        // The dense table read any budget it could not index with a
+        // `usize` as "infeasible"; on a 32-bit target that is this one.
+        let big = u64::from(u32::MAX);
+        let stages = vec![
+            Stage::new("a", vec![Choice::new("slow", 2 * big, 0.1), Choice::new("fast", big, 0.4)]),
+            Stage::new("b", vec![Choice::new("slow", 2 * big, 0.2), Choice::new("fast", big, 0.3)]),
+        ];
+        let solve = |budget| {
+            Solver::new()
+                .solve_stages(&stages, budget, Objective::MinCost)
+                .expect("valid stages")
+        };
+        let sel = solve(3 * big).expect("feasible");
+        assert_eq!(sel.picks, vec![0, 1]);
+        assert_eq!(sel.total_runtime_secs, 3 * big);
+        assert_eq!(solve(u64::MAX).expect("feasible").picks, vec![0, 0]);
+        assert!(solve(2 * big - 1).is_none());
     }
 }

@@ -6,7 +6,10 @@
 //! the deployment is as cheap as possible. The paper maps this to the
 //! multi-choice knapsack problem and solves it exactly with the
 //! Dudzinski–Walukiewicz pseudo-polynomial dynamic program, exploiting
-//! per-second billing to round runtimes to whole seconds.
+//! per-second billing to round runtimes to whole seconds. The program's
+//! state is a sparse Pareto frontier of (runtime, score) pairs, not a
+//! cell per second of deadline; [`Solver`] documents the tie-break
+//! rules that keep its answers those of the dense table.
 //!
 //! Two objectives are provided:
 //!
@@ -39,7 +42,7 @@
 //!     ],
 //! )])?;
 //! let pick = Solver::new().solve_min_cost(&problem, 50).expect("feasible");
-//! assert_eq!(problem.describe(&pick)[0], "8 vCPU");
+//! assert_eq!(problem.describe(&pick), Some(vec!["8 vCPU"]));
 //! # Ok::<(), eda_cloud_mckp::MckpError>(())
 //! ```
 

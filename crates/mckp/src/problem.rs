@@ -60,6 +60,27 @@ impl Stage {
     }
 }
 
+/// The conditions a [`Problem`] holds and the solver relies on.
+pub(crate) fn validate(stages: &[Stage]) -> Result<(), MckpError> {
+    if stages.is_empty() {
+        return Err(MckpError::NoStages);
+    }
+    for stage in stages {
+        if stage.choices.is_empty() {
+            return Err(MckpError::EmptyStage(stage.name.clone()));
+        }
+        for choice in &stage.choices {
+            if !choice.cost_usd.is_finite() || choice.cost_usd < 0.0 {
+                return Err(MckpError::InvalidCost {
+                    stage: stage.name.clone(),
+                    choice: choice.label.clone(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A validated MCKP instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
@@ -74,22 +95,7 @@ impl Problem {
     /// Returns [`MckpError::NoStages`], [`MckpError::EmptyStage`], or
     /// [`MckpError::InvalidCost`] when the instance is malformed.
     pub fn new(stages: Vec<Stage>) -> Result<Self, MckpError> {
-        if stages.is_empty() {
-            return Err(MckpError::NoStages);
-        }
-        for stage in &stages {
-            if stage.choices.is_empty() {
-                return Err(MckpError::EmptyStage(stage.name.clone()));
-            }
-            for choice in &stage.choices {
-                if !choice.cost_usd.is_finite() || choice.cost_usd < 0.0 {
-                    return Err(MckpError::InvalidCost {
-                        stage: stage.name.clone(),
-                        choice: choice.label.clone(),
-                    });
-                }
-            }
-        }
+        validate(&stages)?;
         Ok(Self { stages })
     }
 
@@ -108,19 +114,18 @@ impl Problem {
             .sum()
     }
 
-    /// Labels of the choices picked by a selection, stage by stage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the selection does not match this problem's shape.
+    /// Labels of the choices picked by a selection, stage by stage;
+    /// `None` if the selection does not match this problem's shape.
     #[must_use]
-    pub fn describe(&self, selection: &crate::Selection) -> Vec<&str> {
-        assert_eq!(selection.picks.len(), self.stages.len());
+    pub fn describe(&self, selection: &crate::Selection) -> Option<Vec<&str>> {
+        if selection.picks.len() != self.stages.len() {
+            return None;
+        }
         selection
             .picks
             .iter()
             .zip(&self.stages)
-            .map(|(&j, s)| s.choices[j].label.as_str())
+            .map(|(&j, s)| s.choices.get(j).map(|c| c.label.as_str()))
             .collect()
     }
 }
@@ -164,5 +169,20 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(p.min_total_runtime(), 11);
+    }
+
+    #[test]
+    fn describe_rejects_a_selection_of_the_wrong_shape() {
+        let p = Problem::new(vec![
+            Stage::new("a", vec![Choice::new("x", 10, 0.1), Choice::new("y", 4, 0.5)]),
+            Stage::new("b", vec![Choice::new("z", 7, 0.1)]),
+        ])
+        .unwrap();
+        let mut sel = crate::Solver::new().solve_min_cost(&p, 11).expect("feasible");
+        assert_eq!(p.describe(&sel), Some(vec!["y", "z"]));
+        sel.picks[1] = 1;
+        assert_eq!(p.describe(&sel), None, "choice index out of range");
+        sel.picks.pop();
+        assert_eq!(p.describe(&sel), None, "one pick short");
     }
 }

@@ -1,7 +1,181 @@
 //! Property-based tests for the MCKP solver.
 
-use eda_cloud_mckp::{baselines, Choice, Objective, Problem, Solver, Stage};
+use eda_cloud_mckp::{baselines, Choice, Objective, Problem, Selection, Solver, Stage};
 use proptest::prelude::*;
+
+/// The solver's previous body, kept as the reference: one cell per
+/// second of budget, every reachable `t` kept. `Solver` must return
+/// exactly what this returns.
+fn dense_oracle(stages: &[Stage], budget_secs: u64, objective: Objective) -> Option<Selection> {
+    // Any budget beyond the slowest possible schedule is equivalent
+    // to it; clamp so the DP table stays proportional to the
+    // problem, not to the caller's (possibly huge) deadline.
+    let max_useful: u64 = stages
+        .iter()
+        .map(|s| s.choices.iter().map(|c| c.runtime_secs).max().unwrap_or(0))
+        .fold(0u64, u64::saturating_add);
+    let budget = usize::try_from(budget_secs.min(max_useful)).ok()?;
+    // score(choice): larger is better for the DP max.
+    let score = |cost: f64| -> f64 {
+        match objective {
+            Objective::MaxInverseCost => {
+                if cost > 0.0 {
+                    1.0 / cost
+                } else {
+                    f64::INFINITY
+                }
+            }
+            Objective::MinCost => -cost,
+        }
+    };
+
+    // dp[t] = best score achievable using runtime exactly t, with
+    // parent pointers per stage for reconstruction.
+    let mut dp: Vec<Option<f64>> = vec![None; budget + 1];
+    dp[0] = Some(0.0);
+    let mut parents: Vec<Vec<Option<(usize, usize)>>> = Vec::with_capacity(stages.len());
+
+    for stage in stages {
+        let mut next: Vec<Option<f64>> = vec![None; budget + 1];
+        let mut parent: Vec<Option<(usize, usize)>> = vec![None; budget + 1];
+        for (j, choice) in stage.choices.iter().enumerate() {
+            let t = usize::try_from(choice.runtime_secs).unwrap_or(usize::MAX);
+            if t > budget {
+                continue;
+            }
+            let s = score(choice.cost_usd);
+            for (prev_t, &slot_score) in dp.iter().enumerate().take(budget - t + 1) {
+                let Some(prev) = slot_score else { continue };
+                let cand = prev + s;
+                let slot = prev_t + t;
+                if next[slot].is_none_or(|best| cand > best) {
+                    next[slot] = Some(cand);
+                    parent[slot] = Some((j, prev_t));
+                }
+            }
+        }
+        dp = next;
+        parents.push(parent);
+    }
+
+    // Best cell within budget.
+    let (best_t, _) = dp
+        .iter()
+        .enumerate()
+        .filter_map(|(t, v)| v.map(|v| (t, v)))
+        .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))?;
+
+    let mut picks = vec![0usize; stages.len()];
+    let mut t = best_t;
+    for (l, parent) in parents.iter().enumerate().rev() {
+        let (j, prev_t) = parent[t]?;
+        picks[l] = j;
+        t = prev_t;
+    }
+    let total_runtime_secs: u64 = picks
+        .iter()
+        .zip(stages)
+        .map(|(&j, s)| s.choices[j].runtime_secs)
+        .sum();
+    let total_cost_usd: f64 = picks
+        .iter()
+        .zip(stages)
+        .map(|(&j, s)| s.choices[j].cost_usd)
+        .sum();
+    Some(Selection {
+        picks,
+        total_runtime_secs,
+        total_cost_usd,
+        objective,
+    })
+}
+
+/// `Solver` == `dense_oracle` on picks, runtime and cost bits for both
+/// objectives, and == brute force on cost and feasibility, at a budget
+/// drawn from `0..=Σ max-runtime + 3`.
+fn assert_matches_oracles(problem: &Problem, budget_draw: u64) {
+    let slowest: u64 = problem
+        .stages()
+        .iter()
+        .map(|s| s.choices.iter().map(|c| c.runtime_secs).max().unwrap_or(0))
+        .sum();
+    let budget = budget_draw % (slowest + 4);
+    for objective in [Objective::MinCost, Objective::MaxInverseCost] {
+        let frontier = Solver::new().solve(problem, budget, objective);
+        let dense = dense_oracle(problem.stages(), budget, objective);
+        assert_eq!(
+            frontier
+                .as_ref()
+                .map(|s| (&s.picks, s.total_runtime_secs, s.total_cost_usd.to_bits())),
+            dense
+                .as_ref()
+                .map(|s| (&s.picks, s.total_runtime_secs, s.total_cost_usd.to_bits())),
+            "{objective:?} at budget {budget} on {problem:?}"
+        );
+    }
+    let frontier = Solver::new().solve_min_cost(problem, budget);
+    let brute = baselines::exhaustive_min_cost(problem, budget);
+    assert_eq!(
+        frontier.is_some(),
+        brute.is_some(),
+        "budget {budget} on {problem:?}"
+    );
+    if let (Some(frontier), Some(brute)) = (frontier, brute) {
+        assert!((frontier.total_cost_usd - brute.total_cost_usd).abs() <= 1e-9);
+    }
+}
+
+/// A seeded instance with runtimes and costs drawn through the given maps.
+fn seeded_problem(
+    seed: u64,
+    stages: usize,
+    choices: usize,
+    runtime: impl Fn(u64) -> u64,
+    cost: impl Fn(u64) -> f64,
+) -> Problem {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s >> 33
+    };
+    Problem::new(
+        (0..stages)
+            .map(|i| {
+                Stage::new(
+                    format!("s{i}"),
+                    (0..choices)
+                        .map(|j| Choice::new(format!("c{j}"), runtime(next()), cost(next())))
+                        .collect(),
+                )
+            })
+            .collect(),
+    )
+    .expect("generated problems are valid")
+}
+
+prop_compose! {
+    /// Costs quantised to three values (one of them free): score ties
+    /// within a `t` and across `t` are the common case.
+    fn tied_cost_problem()(seed in 0u64..100_000, stages in 1usize..6, choices in 1usize..5) -> Problem {
+        seeded_problem(seed, stages, choices, |r| 1 + r % 50, |r| (r % 3) as f64 * 0.25)
+    }
+}
+
+prop_compose! {
+    /// Runtimes in `0..8`: zero-runtime choices and duplicate `t`.
+    fn tiny_runtime_problem()(seed in 0u64..100_000, stages in 1usize..6, choices in 1usize..5) -> Problem {
+        seeded_problem(seed, stages, choices, |r| r % 8, |r| (r % 7) as f64 / 8.0)
+    }
+}
+
+prop_compose! {
+    /// Runtimes in `1..2000`: sparse `t`, few collisions.
+    fn wide_runtime_problem()(seed in 0u64..100_000, stages in 1usize..6, choices in 1usize..5) -> Problem {
+        seeded_problem(seed, stages, choices, |r| 1 + r % 1999, |r| (r % 1000) as f64 / 250.0)
+    }
+}
 
 prop_compose! {
     fn arbitrary_problem()(
@@ -151,5 +325,29 @@ proptest! {
                     <= under.total_runtime_secs.max(budget)
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn frontier_equals_dense_table_on_tied_costs(problem in tied_cost_problem(), draw in 0u64..u64::MAX) {
+        assert_matches_oracles(&problem, draw);
+    }
+
+    #[test]
+    fn frontier_equals_dense_table_on_tiny_runtimes(problem in tiny_runtime_problem(), draw in 0u64..u64::MAX) {
+        assert_matches_oracles(&problem, draw);
+    }
+
+    #[test]
+    fn frontier_equals_dense_table_on_wide_runtimes(problem in wide_runtime_problem(), draw in 0u64..u64::MAX) {
+        assert_matches_oracles(&problem, draw);
+    }
+
+    #[test]
+    fn frontier_equals_dense_table_on_arbitrary_problems(problem in arbitrary_problem(), draw in 0u64..u64::MAX) {
+        assert_matches_oracles(&problem, draw);
     }
 }

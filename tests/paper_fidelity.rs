@@ -1,0 +1,78 @@
+//! Paper-fidelity pins for Problem 3: Table I and Figure 6 on the
+//! paper's own sparc_core runtime matrix (EXPERIMENTS.md § Table I,
+//! § Figure 6). A solver or pricing change that moves a published
+//! number fails here, not in a report nobody diffs.
+
+use eda_cloud::core::{StageRuntimes, Workflow};
+use eda_cloud::flow::StageKind;
+use eda_cloud::mckp::{Objective, Solver};
+
+/// Table I's measured runtimes (seconds at 1, 2, 4, 8 vCPUs).
+fn paper_runtimes() -> Vec<StageRuntimes> {
+    [
+        (StageKind::Synthesis, [6100.0, 4342.0, 3449.0, 3352.0]),
+        (StageKind::Placement, [1206.0, 905.0, 644.0, 519.0]),
+        (StageKind::Routing, [10461.0, 5514.0, 2894.0, 1692.0]),
+        (StageKind::Sta, [183.0, 119.0, 90.0, 82.0]),
+    ]
+    .into_iter()
+    .map(|(kind, runtimes_secs)| StageRuntimes { kind, runtimes_secs })
+    .collect()
+}
+
+#[test]
+fn table1_rows_match_the_recorded_reproduction() {
+    let workflow = Workflow::with_defaults();
+    let runtimes = paper_runtimes();
+    // constraint → (vCPUs per stage, total runtime, cost in cents).
+    let rows = [
+        (10_000, Some(([2, 2, 4, 2], 8260, 35))),
+        (6_000, Some(([4, 4, 8, 2], 5904, 47))),
+        (5_645, Some(([8, 8, 8, 8], 5645, 68))),
+        (5_000, None),
+    ];
+    let problem = workflow.deployment_problem(&runtimes).expect("problem");
+    for (constraint, expected) in rows {
+        let plan = workflow.plan_deployment(&runtimes, constraint).expect("solves");
+        let got = plan.map(|p| {
+            let vcpus: Vec<u32> = p.stages.iter().map(|s| s.vcpus).collect();
+            (vcpus, p.total_runtime_secs, (p.total_cost_usd * 100.0).round() as u64)
+        });
+        let expected = expected.map(|(vcpus, secs, cents)| (vcpus.to_vec(), secs, cents));
+        assert_eq!(got, expected, "constraint {constraint} s");
+
+        // The paper's objective agrees on which deadlines are feasible.
+        let paper = Solver::new().solve(&problem, constraint, Objective::MaxInverseCost);
+        assert_eq!(paper.is_some(), expected.is_some(), "constraint {constraint} s");
+    }
+}
+
+#[test]
+fn fig6_savings_stay_in_the_papers_band() {
+    let workflow = Workflow::with_defaults();
+    let runtimes = paper_runtimes();
+    let fastest = workflow
+        .deployment_problem(&runtimes)
+        .expect("problem")
+        .min_total_runtime();
+    assert_eq!(fastest, 5645);
+
+    // fig6's sweep: the feasibility edge up to fully relaxed.
+    let mut averages = Vec::new();
+    for rel in [1.0, 1.1, 1.25, 1.5, 1.77, 2.0, 2.5, 3.0] {
+        let deadline = (fastest as f64 * rel).round() as u64;
+        let savings = workflow
+            .plan_deployment(&runtimes, deadline)
+            .expect("solves")
+            .expect("feasible at or above the fastest total")
+            .savings;
+        if rel >= 1.5 {
+            assert!(savings.saving_vs_over >= 0.0, "vs over at {rel}x");
+            assert!(savings.saving_vs_under >= 0.0, "vs under at {rel}x");
+        }
+        averages.push(savings.average_saving());
+    }
+    // Paper: 35.29 %; recorded reproduction: 30.8 %.
+    let average = averages.iter().sum::<f64>() / averages.len() as f64;
+    assert!((0.25..=0.40).contains(&average), "average saving {average}");
+}
