@@ -7,7 +7,8 @@
 //! contract the conservative lookahead barrier guarantees. Run with
 //! `BENCH_JSON=BENCH_engine.json cargo bench -p eda-cloud-bench
 //! --bench engine_substrate` to emit the document the `benchgate`
-//! binary diffs against `crates/bench/baselines/BENCH_engine.json`.
+//! binary diffs against a baseline recorded on the same host (CI gates
+//! this layer through the end-to-end `region_sim` workload instead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_engine::{EventHeap, RegionSim, RegionSimConfig};

@@ -5,11 +5,11 @@
 //! exits non-zero when any benchmark regressed beyond the tolerance.
 //!
 //! ```text
-//! BENCH_JSON=BENCH_engine.json cargo bench -p eda-cloud-bench --bench engine_substrate
+//! BENCH_JSON=BENCH_gcn.json cargo bench -p eda-cloud-bench --bench gcn_kernels
 //! cargo run -p eda-cloud-bench --bin benchgate -- \
-//!     --current BENCH_engine.json \
-//!     --baseline crates/bench/baselines/BENCH_engine.json \
-//!     --tolerance 15
+//!     --current crates/bench/BENCH_gcn.json \
+//!     --baseline crates/bench/baselines/BENCH_gcn.json \
+//!     --tolerance 25
 //! ```
 //!
 //! The comparison uses each benchmark's **min** sample — the most

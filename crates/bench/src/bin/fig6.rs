@@ -18,58 +18,22 @@
 //! characterization sweep's span trace; `--metrics <path>` snapshots
 //! sweep-pool occupancy and queue waits.
 
-use eda_cloud_bench::{experiment_design, Args, Observability};
+use eda_cloud_bench::{experiment_runtimes, Args, Observability};
 use eda_cloud_cloud::SpotMarket;
 use eda_cloud_core::report::{pct, render_table};
-use eda_cloud_core::{CharacterizationConfig, StageRuntimes, Workflow};
-use eda_cloud_flow::StageKind;
+use eda_cloud_core::Workflow;
 use eda_cloud_mckp::spot_savings_vs_baselines;
-
-const PAPER_RUNTIMES: [(StageKind, [f64; 4]); 4] = [
-    (StageKind::Synthesis, [6100.0, 4342.0, 3449.0, 3352.0]),
-    (StageKind::Placement, [1206.0, 905.0, 644.0, 519.0]),
-    (StageKind::Routing, [10461.0, 5514.0, 2894.0, 1692.0]),
-    (StageKind::Sta, [183.0, 119.0, 90.0, 82.0]),
-];
 
 fn main() {
     let args = Args::from_env();
     let obs = Observability::from_args(&args);
     let workflow = obs.instrument(Workflow::with_defaults());
 
-    let runtimes: Vec<StageRuntimes> = if args.flag("paper-runtimes") {
-        println!("Figure 6 — savings with the paper's exact runtimes");
-        PAPER_RUNTIMES
-            .iter()
-            .map(|&(kind, runtimes_secs)| StageRuntimes {
-                kind,
-                runtimes_secs,
-            })
-            .collect()
-    } else {
-        let design = experiment_design(&args);
-        println!("Figure 6 — savings for measured `{}` runtimes", design.name());
-        let report = workflow
-            .characterize_design(
-                &design,
-                &CharacterizationConfig::paper().with_workers(args.workers()),
-            )
-            .expect("characterization");
-        report
-            .stages
-            .iter()
-            .map(|s| {
-                let mut runtimes_secs = [0.0; 4];
-                for (k, run) in s.runs.iter().take(4).enumerate() {
-                    runtimes_secs[k] = run.report.runtime_secs;
-                }
-                StageRuntimes {
-                    kind: s.kind,
-                    runtimes_secs,
-                }
-            })
-            .collect()
-    };
+    let (design, runtimes) = experiment_runtimes(&args, &workflow);
+    match design {
+        None => println!("Figure 6 — savings with the paper's exact runtimes"),
+        Some(name) => println!("Figure 6 — savings for measured `{name}` runtimes"),
+    }
 
     let problem = workflow.deployment_problem(&runtimes).expect("problem");
     let min_total = problem.min_total_runtime();

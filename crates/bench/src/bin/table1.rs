@@ -21,58 +21,21 @@
 //! characterization sweep's span trace; `--metrics <path>` snapshots
 //! sweep-pool occupancy and queue waits.
 
-use eda_cloud_bench::{experiment_design, Args, Observability};
+use eda_cloud_bench::{experiment_runtimes, Args, Observability};
 use eda_cloud_core::report::render_table;
-use eda_cloud_core::{CharacterizationConfig, StageRuntimes, Workflow};
-use eda_cloud_flow::StageKind;
+use eda_cloud_core::Workflow;
 use eda_cloud_mckp::{Objective, Solver};
-
-/// The paper's measured sparc_core runtimes (seconds) on 1/2/4/8 vCPUs.
-const PAPER_RUNTIMES: [(StageKind, [f64; 4]); 4] = [
-    (StageKind::Synthesis, [6100.0, 4342.0, 3449.0, 3352.0]),
-    (StageKind::Placement, [1206.0, 905.0, 644.0, 519.0]),
-    (StageKind::Routing, [10461.0, 5514.0, 2894.0, 1692.0]),
-    (StageKind::Sta, [183.0, 119.0, 90.0, 82.0]),
-];
 
 fn main() {
     let args = Args::from_env();
     let obs = Observability::from_args(&args);
     let workflow = obs.instrument(Workflow::with_defaults());
 
-    let runtimes: Vec<StageRuntimes> = if args.flag("paper-runtimes") {
-        println!("Table I — using the paper's exact runtime measurements");
-        PAPER_RUNTIMES
-            .iter()
-            .map(|&(kind, runtimes_secs)| StageRuntimes {
-                kind,
-                runtimes_secs,
-            })
-            .collect()
-    } else {
-        let design = experiment_design(&args);
-        println!("Table I — measured runtimes for `{}`", design.name());
-        let report = workflow
-            .characterize_design(
-                &design,
-                &CharacterizationConfig::paper().with_workers(args.workers()),
-            )
-            .expect("characterization");
-        report
-            .stages
-            .iter()
-            .map(|s| {
-                let mut runtimes_secs = [0.0; 4];
-                for (k, run) in s.runs.iter().take(4).enumerate() {
-                    runtimes_secs[k] = run.report.runtime_secs;
-                }
-                StageRuntimes {
-                    kind: s.kind,
-                    runtimes_secs,
-                }
-            })
-            .collect()
-    };
+    let (design, runtimes) = experiment_runtimes(&args, &workflow);
+    match design {
+        None => println!("Table I — using the paper's exact runtime measurements"),
+        Some(name) => println!("Table I — measured runtimes for `{name}`"),
+    }
 
     // Print the per-stage runtime/cost matrix (the top of Table I).
     let problem = workflow.deployment_problem(&runtimes).expect("problem");

@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use eda_cloud_core::Workflow;
+use eda_cloud_core::{CharacterizationConfig, StageRuntimes, Workflow};
 use eda_cloud_netlist::{generators, Aig};
 use eda_cloud_trace::{Metrics, Tracer};
 use std::path::PathBuf;
@@ -176,6 +176,48 @@ pub fn experiment_design(args: &Args) -> Aig {
             generators::OPENPITON_NAMES.join(", ")
         )
     })
+}
+
+/// Stage runtimes for the deployment experiments (`table1`, `fig6`),
+/// with the name of the design they were measured on: the paper's own
+/// Table I (and no name) under `--paper-runtimes`, otherwise a
+/// paper-config characterization of [`experiment_design`] at
+/// `--workers`.
+///
+/// # Panics
+///
+/// Panics with a clear message when the design is unknown or its
+/// characterization fails.
+#[must_use]
+pub fn experiment_runtimes(
+    args: &Args,
+    workflow: &Workflow,
+) -> (Option<String>, Vec<StageRuntimes>) {
+    if args.flag("paper-runtimes") {
+        return (None, StageRuntimes::table1().to_vec());
+    }
+    let design = experiment_design(args);
+    let report = workflow
+        .characterize_design(
+            &design,
+            &CharacterizationConfig::paper().with_workers(args.workers()),
+        )
+        .expect("characterization");
+    let runtimes = report
+        .stages
+        .iter()
+        .map(|s| {
+            let mut runtimes_secs = [0.0; 4];
+            for (k, run) in s.runs.iter().take(4).enumerate() {
+                runtimes_secs[k] = run.report.runtime_secs;
+            }
+            StageRuntimes {
+                kind: s.kind,
+                runtimes_secs,
+            }
+        })
+        .collect();
+    (Some(design.name().to_owned()), runtimes)
 }
 
 #[cfg(test)]

@@ -14,7 +14,6 @@
 
 use crate::sweep::{map_metered, reduce_results, resolve_workers};
 use crate::{StageRuntimes, Workflow, WorkflowError};
-use eda_cloud_flow::StageKind;
 use eda_cloud_fleet::{
     poisson_arrivals, FleetConfig, FleetJob, FleetReport, FleetSimulator, JobPlan, PlannedStage,
     SpotPolicy,
@@ -26,29 +25,6 @@ use rand_chacha::ChaCha8Rng;
 /// an MCKP runtime constraint (the provisioner's 30-second boot, once
 /// per stage VM).
 const BOOT_SECS_PER_STAGE: f64 = 30.0;
-
-/// Table-I `sparc_core` stage runtimes at 1/2/4/8 vCPUs, the base
-/// workload every fleet job is a scaled copy of.
-fn table1_runtimes() -> [StageRuntimes; 4] {
-    [
-        StageRuntimes {
-            kind: StageKind::Synthesis,
-            runtimes_secs: [6_100.0, 4_342.0, 3_449.0, 3_352.0],
-        },
-        StageRuntimes {
-            kind: StageKind::Placement,
-            runtimes_secs: [1_206.0, 905.0, 644.0, 519.0],
-        },
-        StageRuntimes {
-            kind: StageKind::Routing,
-            runtimes_secs: [10_461.0, 5_514.0, 2_894.0, 1_692.0],
-        },
-        StageRuntimes {
-            kind: StageKind::Sta,
-            runtimes_secs: [183.0, 119.0, 90.0, 82.0],
-        },
-    ]
-}
 
 /// A fleet workload description: everything needed to regenerate the
 /// same job stream and simulation from a seed.
@@ -116,7 +92,7 @@ impl Workflow {
             .into_iter()
             .map(|arrival_secs| {
                 let size: f64 = rng.gen_range(0.5..1.5);
-                let mut runtimes = table1_runtimes();
+                let mut runtimes = StageRuntimes::table1();
                 for stage in &mut runtimes {
                     let jitter: f64 = rng.gen_range(0.9..1.1);
                     for r in &mut stage.runtimes_secs {

@@ -4,6 +4,7 @@ use crate::{recommended_family, WorkflowError, Workflow};
 use eda_cloud_cloud::{Catalog, CloudError};
 use eda_cloud_flow::StageKind;
 use eda_cloud_mckp::{savings_of, Choice, CostSavings, Problem, Solver, Stage};
+use eda_cloud_serve::TABLE1_SECS;
 
 /// Per-stage runtimes at the four swept vCPU counts (1, 2, 4, 8) —
 /// either measured by characterization or predicted by the GCN.
@@ -13,6 +14,18 @@ pub struct StageRuntimes {
     pub kind: StageKind,
     /// Runtimes in seconds at 1, 2, 4 and 8 vCPUs.
     pub runtimes_secs: [f64; 4],
+}
+
+impl StageRuntimes {
+    /// The paper's Table-I `sparc_core` measurements
+    /// ([`TABLE1_SECS`]), one entry per stage in flow order.
+    #[must_use]
+    pub fn table1() -> [StageRuntimes; 4] {
+        std::array::from_fn(|k| StageRuntimes {
+            kind: StageKind::ALL[k],
+            runtimes_secs: TABLE1_SECS[k],
+        })
+    }
 }
 
 /// The configuration selected for one stage.

@@ -60,13 +60,6 @@ impl Workflow {
         }
     }
 
-    /// Replace the instance catalog.
-    #[must_use]
-    pub fn with_catalog(mut self, catalog: Catalog) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
     /// Replace the machine cost model.
     #[must_use]
     pub fn with_model(mut self, model: MachineModel) -> Self {

@@ -10,7 +10,8 @@
 //!
 //! 1. [`time`] — checked simulated-time arithmetic. Every float→µs
 //!    conversion and clock addition returns a typed [`EngineError`]
-//!    instead of the silent casts/wraps that reorder event heaps.
+//!    instead of the silent casts/wraps that reorder event heaps; plus
+//!    [`poisson_arrivals`], the seeded arrival process of every tier.
 //! 2. [`EventHeap`] — the `(time_us, seq)` priority queue: ascending
 //!    time, push-order ties, sequence counter owned by the heap.
 //! 3. [`metrics`] — byte-stable [`Histogram`]/[`Samples`]/[`fmt_f64`]
@@ -53,3 +54,4 @@ pub use region::{
     TenantUsage,
 };
 pub use sharded::{MessageStats, RegionShard, ShardedSim};
+pub use time::poisson_arrivals;

@@ -65,9 +65,10 @@ mod sim;
 mod spot;
 
 pub use autoscale::AutoscaleConfig;
+pub use eda_cloud_engine::poisson_arrivals;
 pub use error::FleetError;
 pub use faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
-pub use job::{poisson_arrivals, FleetJob, JobPlan, PlannedStage};
+pub use job::{FleetJob, JobPlan, PlannedStage};
 pub use metrics::{FleetCounters, FleetReport, Histogram};
 pub use sim::{FleetConfig, FleetSimulator};
 pub use spot::SpotPolicy;

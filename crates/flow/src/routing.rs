@@ -46,19 +46,6 @@ pub struct RoutingResult {
     pub measured_wall_secs: f64,
 }
 
-impl RoutingResult {
-    /// Fraction of connections that were routable in parallel.
-    #[must_use]
-    pub fn local_fraction(&self) -> f64 {
-        let total = self.local_connections + self.global_connections;
-        if total == 0 {
-            0.0
-        } else {
-            self.local_connections as f64 / total as f64
-        }
-    }
-}
-
 /// The global-routing engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Router {
@@ -181,7 +168,6 @@ impl Router {
         // extra vCPUs simply have no independent work to do).
         let regions = threads.min(connections.len() / 96).max(1);
         let region_of = |y: u16| (y as usize * regions / grid).min(regions - 1);
-        let mut buckets: Vec<Vec<Connection>> = vec![Vec::new(); regions];
         let mut local_connections = 0usize;
         let mut global_connections = 0usize;
         for c in &connections {
@@ -192,7 +178,6 @@ impl Router {
             } else {
                 global_connections += 1;
             }
-            buckets[r1].push(*c);
         }
 
         // PathFinder-style parallel negotiation: every iteration routes

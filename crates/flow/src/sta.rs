@@ -60,20 +60,6 @@ impl StaEngine {
         }
     }
 
-    /// Number of process corners analyzed (slow/typical/fast). Real
-    /// signoff runs several; each corner repeats the arrival/required
-    /// sweeps with derated delays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corners == 0`.
-    #[must_use]
-    pub fn with_corners(mut self, corners: usize) -> Self {
-        assert!(corners > 0, "need at least one corner");
-        self.corners = corners;
-        self
-    }
-
     /// Override the clock period.
     ///
     /// # Panics

@@ -212,13 +212,6 @@ impl Synthesizer {
         self
     }
 
-    /// Use a custom library.
-    #[must_use]
-    pub fn with_library(mut self, library: Library) -> Self {
-        self.library = library;
-        self
-    }
-
     /// Run the recipe and map to cells.
     ///
     /// # Errors

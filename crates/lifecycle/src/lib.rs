@@ -22,10 +22,6 @@
 //!   published to the [`eda_cloud_serve::ModelRegistry`] as a canary
 //!   serving a deterministic slice of ordinals; integer guardrails
 //!   (error ratio, latency budget) promote it or roll it back.
-//! * **Staged region rollout** ([`StagedRegionRollout`]) — the same
-//!   canary machinery driven region by region: each region's
-//!   guardrails must promote before the next region's canary goes
-//!   live, and any rollback aborts the whole wave.
 //!
 //! Everything folds into a [`LifecycleReport`] whose JSON rendering is
 //! byte-identical across runs and worker counts.
@@ -63,7 +59,6 @@ mod error;
 mod faults;
 mod feedback;
 mod oracle;
-mod regions;
 mod report;
 mod retrain;
 mod rollout;
@@ -75,7 +70,6 @@ pub use error::LifecycleError;
 pub use faults::{LifecycleFaults, NoLifecycleFaults, SharedLifecycleFaults};
 pub use feedback::{ape_micros, log_bias_micros, Arm, FeedbackEvent, ReplayBuffer};
 pub use oracle::RuntimeOracle;
-pub use regions::{StagedRegionRollout, StagedStatus};
 pub use report::{LifecycleCounters, LifecycleReport, MeanApe, StageErrors, TimelineEvent};
 pub use retrain::Retrainer;
 pub use rollout::{RolloutDecision, RolloutManager};

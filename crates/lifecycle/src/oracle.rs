@@ -7,16 +7,7 @@
 //! request ordinal onward — the moment the "design distribution"
 //! changes under the serving model's feet.
 
-use eda_cloud_serve::ServeDesign;
-
-/// Table I `sparc_core` stage runtimes in seconds at 1/2/4/8 vCPUs,
-/// in stage order synthesis / placement / routing / STA.
-const BASE_RUNTIMES: [[f64; 4]; 4] = [
-    [6_100.0, 4_342.0, 3_449.0, 3_352.0],
-    [1_206.0, 905.0, 644.0, 519.0],
-    [10_461.0, 5_514.0, 2_894.0, 1_692.0],
-    [183.0, 119.0, 90.0, 82.0],
-];
+use eda_cloud_serve::{ServeDesign, TABLE1_SECS};
 
 /// Node count the base runtimes are calibrated to; pool designs scale
 /// linearly around it.
@@ -62,7 +53,7 @@ impl RuntimeOracle {
         };
         let scale = (nodes as f64 / REF_NODES).max(0.05);
         let drift = if self.drifted(ordinal) { self.drift_factor } else { 1.0 };
-        BASE_RUNTIMES[stage].map(|base| base * scale * drift)
+        TABLE1_SECS[stage].map(|base| base * scale * drift)
     }
 
     /// Ground truth for all four stages (`[stage][vcpu]` seconds).

@@ -52,12 +52,6 @@ impl CounterSet {
         ratio(self.l1_misses, self.cache_refs)
     }
 
-    /// Fraction of cache references that missed all the way to memory.
-    #[must_use]
-    pub fn llc_miss_rate(&self) -> f64 {
-        ratio(self.llc_misses, self.cache_refs)
-    }
-
     /// The metric `perf stat` prints as "cache misses": LLC misses over
     /// LLC references (references that already missed L1). This is the
     /// quantity plotted in the paper's Figure 2-b.

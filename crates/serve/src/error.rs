@@ -46,17 +46,6 @@ pub enum ServeError {
         /// predecessor in the stream.
         ordinal: u64,
     },
-    /// A geo request names a tenant or region the server does not have.
-    OutOfRange {
-        /// Ordinal of the offending request.
-        ordinal: u64,
-        /// Which field is out of range (`"tenant"` or `"region"`).
-        field: &'static str,
-        /// The value the request carried.
-        index: u32,
-        /// How many tenants / regions the server has.
-        count: usize,
-    },
     /// A [`crate::ServeConfig`] knob that must be positive is zero.
     Config {
         /// The offending field (`"max_batch"`, `"queue_capacity"` or
@@ -80,9 +69,6 @@ impl fmt::Display for ServeError {
                 f,
                 "request {ordinal} arrives before its predecessor: streams must be sorted by arrival time"
             ),
-            Self::OutOfRange { ordinal, field, index, count } => {
-                write!(f, "request {ordinal}: {field} {index} out of range (server has {count})")
-            }
             Self::Config { field } => write!(f, "serve config: `{field}` must be positive"),
         }
     }

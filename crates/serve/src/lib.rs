@@ -22,9 +22,6 @@
 //!   shed with the typed [`ServeError::Overloaded`].
 //! * **Result cache** ([`LruCache`]) — design fingerprint → per-stage
 //!   predictions, with hit/miss accounting in the report.
-//! * **Geo routing** ([`GeoServer`]) — per-region replicas behind the
-//!   engine's weighted fair-share admission, so multi-tenant traffic
-//!   is bounded to each tenant's share before any replica sees it.
 //! * **Planning** ([`Planner`]) — feasible [`RequestKind::Plan`]
 //!   requests get an exact MCKP deployment ([`PlanSummary`]); the
 //!   built-in [`CostTablePlanner`] prices a flat hourly-rate table,
@@ -68,7 +65,6 @@
 mod cache;
 mod error;
 mod faults;
-mod geo;
 mod ingestor;
 mod planner;
 mod queue;
@@ -84,9 +80,8 @@ pub use faults::{
     IngestFaults, NoIngestFaults, NoServeFaults, ServeFaults, SharedIngestFaults,
     SharedServeFaults,
 };
-pub use geo::{GeoConfig, GeoReport, GeoRequest, GeoServer, GeoTenantUsage};
 pub use ingestor::{IngestDisposition, IngestOutcome, IngestSummary, Ingestor};
-pub use planner::{CostTablePlanner, PlanSummary, Planner, VCPUS};
+pub use planner::{CostTablePlanner, PlanSummary, Planner, TABLE1_SECS, VCPUS};
 pub use queue::AdmissionQueue;
 pub use recipe_planner::{RecipePlanSummary, RecipePlanner};
 pub use registry::{

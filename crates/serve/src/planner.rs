@@ -15,6 +15,15 @@ use eda_cloud_mckp::{Choice, Objective, Solver, Stage};
 /// vector in this crate.
 pub const VCPUS: [u32; 4] = [1, 2, 4, 8];
 
+/// The paper's Table I: measured `sparc_core` stage runtimes in
+/// seconds, `[stage][vcpu]` in [`STAGE_NAMES`] × [`VCPUS`] order.
+pub const TABLE1_SECS: [[f64; 4]; 4] = [
+    [6_100.0, 4_342.0, 3_449.0, 3_352.0],
+    [1_206.0, 905.0, 644.0, 519.0],
+    [10_461.0, 5_514.0, 2_894.0, 1_692.0],
+    [183.0, 119.0, 90.0, 82.0],
+];
+
 /// A solved deployment: one vCPU size per stage plus the totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSummary {

@@ -17,15 +17,10 @@ pub struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
-    /// A queue admitting at most `capacity` requests at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (a server that can hold nothing
-    /// serves nothing).
+    /// A queue admitting at most `capacity` requests at a time; a
+    /// capacity of zero sheds every arrival.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
         Self { entries: BTreeMap::new(), capacity }
     }
 
@@ -119,8 +114,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = AdmissionQueue::new(0);
+    fn zero_capacity_sheds_every_arrival() {
+        let mut q = AdmissionQueue::new(0);
+        for ordinal in 0..3 {
+            let err = q.try_admit(request(ordinal, 10)).unwrap_err();
+            assert_eq!(err, ServeError::Overloaded { ordinal, queue_depth: 0, capacity: 0 });
+        }
+        assert!(q.pop().is_none());
     }
 }

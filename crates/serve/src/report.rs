@@ -1,7 +1,6 @@
 //! The per-run serving report and its byte-stable JSON rendering.
 
-use eda_cloud_fleet::Histogram;
-use eda_cloud_trace::fmt_f64;
+use eda_cloud_trace::{fmt_f64, Histogram};
 use std::fmt::Write as _;
 
 /// Monotone counters accumulated over one serving run.

@@ -1,6 +1,6 @@
 //! Requests, designs, and the seeded synthetic workload.
 
-use eda_cloud_fleet::poisson_arrivals;
+use eda_cloud_engine::poisson_arrivals;
 use eda_cloud_gcn::GraphSample;
 use eda_cloud_netlist::{generators, DesignGraph};
 use rand::{Rng, SeedableRng};
