@@ -1,5 +1,6 @@
 //! Criterion benches for the GCN stack: sparse aggregation (allocating
-//! and allocation-free CSR kernels), dense matmul, forward/backward
+//! and allocation-free CSR kernels), dense matmul and the fused
+//! transposed product of the weight gradients, forward/backward
 //! passes, a full training step, and float vs int8-quantized
 //! per-request inference.
 
@@ -31,16 +32,41 @@ fn bench_spmm(c: &mut Criterion) {
     });
 }
 
+/// A dense operand with no zero in it: the matmul kernels skip
+/// `a == 0.0`, so a zero-filled `A` would time the branch, not the MACs.
+fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut s = seed | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(7);
+            ((s >> 33) % 1000) as f64 / 100.0 + 0.5
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
 fn bench_dense_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense_matmul");
     for n in [64usize, 128, 256] {
-        let a = Matrix::zeros(n, n);
-        let b_mat = Matrix::identity(n);
+        let a = lcg_matrix(n, n, 1);
+        let b_mat = lcg_matrix(n, n, 2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
             bench.iter(|| black_box(a.matmul(black_box(&b_mat))));
         });
     }
     group.finish();
+    // The weight-gradient shape of the paper model's first layer on
+    // `aes`: a tall activation transposed against a tall gradient.
+    let s = sample();
+    let h = lcg_matrix(s.node_count(), 10, 3);
+    let dz = lcg_matrix(s.node_count(), 256, 4);
+    let mut out = Matrix::zeros(0, 0);
+    c.bench_function("matmul_tn_aes_10x256", |b| {
+        b.iter(|| {
+            black_box(&h).matmul_tn_into(black_box(&dz), &mut out);
+            black_box(&out);
+        });
+    });
 }
 
 fn bench_model(c: &mut Criterion) {

@@ -65,6 +65,11 @@ pub struct Provisioner {
     boot_secs: f64,
     clock: f64,
     vms: Vec<Vm>,
+    /// Boot-order cursor: every VM below it has had its `ready_at`
+    /// reached. `ready_at = clock + boot_secs` with a constant boot time
+    /// and a clock that never rewinds, so `ready_at` is non-decreasing
+    /// in VM id and [`Provisioner::advance`] only ever walks forward.
+    booted: usize,
 }
 
 impl Provisioner {
@@ -76,6 +81,7 @@ impl Provisioner {
             boot_secs: 30.0,
             clock: 0.0,
             vms: Vec::new(),
+            booted: 0,
         }
     }
 
@@ -111,10 +117,12 @@ impl Provisioner {
     /// booting.
     pub fn advance(&mut self, dt_secs: f64) {
         self.clock += dt_secs.max(0.0);
-        for vm in &mut self.vms {
-            if vm.state == VmState::Pending && self.clock >= vm.ready_at {
+        while let Some(vm) = self.vms.get_mut(self.booted).filter(|vm| self.clock >= vm.ready_at) {
+            // A VM terminated mid-boot stays terminated.
+            if vm.state == VmState::Pending {
                 vm.state = VmState::Running;
             }
+            self.booted += 1;
         }
     }
 
@@ -331,6 +339,56 @@ mod tests {
         let rec2 = cloud.terminate(id2).expect("terminates");
         assert_eq!(rec2.billed_secs, 200);
         assert!((rec2.runtime_secs - 170.0).abs() < 1e-9, "200s life - 30s boot");
+    }
+
+    /// The boot-order cursor against the full scan it replaced: many
+    /// tiny advances, one big advance and the naive scan agree on every
+    /// VM's state, with launches interleaved between advances and one
+    /// VM terminated while still `Pending`.
+    #[test]
+    fn boot_cursor_matches_a_full_scan() {
+        let (c, fresh) = setup();
+        let instance = c.instance("m5.large").unwrap().clone();
+        // (time, launches at that time); VM 3, launched at t = 20, is
+        // terminated at t = 29.5, mid-boot.
+        let script: [(f64, usize); 7] =
+            [(0.0, 2), (10.0, 1), (20.0, 2), (29.5, 0), (30.0, 1), (41.0, 3), (200.0, 0)];
+        let naive = |vms: &[Vm], now: f64| -> Vec<VmState> {
+            vms.iter()
+                .map(|vm| match vm.state {
+                    VmState::Terminated => VmState::Terminated,
+                    _ if now >= vm.ready_at => VmState::Running,
+                    _ => VmState::Pending,
+                })
+                .collect()
+        };
+        let states = |cloud: &Provisioner| cloud.vms().iter().map(|vm| vm.state).collect::<Vec<_>>();
+        let (mut tiny, mut big) = (fresh.clone(), fresh);
+        for (t, launches) in script {
+            while tiny.now() < t {
+                tiny.advance((t - tiny.now()).min(0.25));
+                assert_eq!(states(&tiny), naive(tiny.vms(), tiny.now()), "t = {}", tiny.now());
+            }
+            big.advance_to(t);
+            if t == 29.5 {
+                // Between the two checks: kill VM 3 mid-boot on both.
+                for cloud in [&mut tiny, &mut big] {
+                    assert_eq!(cloud.vm(3).unwrap().state, VmState::Pending);
+                    cloud.terminate(3).expect("terminates mid-boot");
+                }
+            }
+            for cloud in [&mut tiny, &mut big] {
+                for _ in 0..launches {
+                    cloud.launch(instance.clone());
+                }
+            }
+            assert_eq!(tiny.now(), big.now());
+            assert_eq!(states(&tiny), states(&big), "t = {t}");
+            assert_eq!(states(&big), naive(big.vms(), big.now()), "t = {t}");
+        }
+        assert_eq!(big.vms().len(), 9);
+        assert_eq!(big.vm(3).unwrap().state, VmState::Terminated);
+        assert!(big.vms().iter().all(|vm| vm.id == 3 || vm.state == VmState::Running));
     }
 
     #[test]

@@ -62,8 +62,11 @@ impl Adam {
             "gradient shape mismatch"
         );
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        // Past `i32::MAX` steps both powers are 0.0 either way; saturate
+        // instead of wrapping to a negative exponent.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let b1t = 1.0 - self.beta1.powi(t);
+        let b2t = 1.0 - self.beta2.powi(t);
         let (m, v) = (self.m.data_mut(), self.v.data_mut());
         for ((p, &g), (m, v)) in param
             .data_mut()

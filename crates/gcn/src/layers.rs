@@ -23,6 +23,21 @@ impl InferScratch {
     }
 }
 
+/// Temporaries of the layers' training forms (`forward_into` /
+/// `backward_into`). One instance serves every layer of a model: each
+/// call overwrites what it uses before reading it, so a warm training
+/// loop allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct LayerScratch {
+    /// `dZ`, the upstream gradient masked by the ReLU.
+    dz: Matrix,
+    /// A weight matrix transposed for one `dZ·Wᵀ` product.
+    transposed: Matrix,
+    /// The second operand of a sum of two products (`H·B`, `dZ·Wᵀ`,
+    /// `dZ·Bᵀ`), consumed before the next one is formed.
+    product: Matrix,
+}
+
 /// One graph-convolution layer implementing the paper's Equation (2):
 ///
 /// `H' = ReLU( Ā·H·W  +  H·B )`
@@ -38,6 +53,27 @@ pub struct GcnLayer {
     pub b: Matrix,
 }
 
+/// One GCN layer's caller-owned training buffers, kept across steps.
+/// `GcnLayer::forward_into` fills the first three; whoever consumes
+/// `output` writes the loss gradient with respect to it into
+/// `grad_output`; `GcnLayer::backward_into` reads all four and leaves
+/// the parameter gradients in `grads`. The layer *input* is not here:
+/// it stays borrowed (the layer below's `output`, or the sample's
+/// features) instead of being copied.
+#[derive(Debug, Clone, Default)]
+pub struct GcnBuffers {
+    /// Aggregated input `Ā·H`.
+    pub aggregated: Matrix,
+    /// Pre-activation `Z`.
+    pub pre_activation: Matrix,
+    /// Activations `H' = ReLU(Z)`.
+    pub output: Matrix,
+    /// `∂L/∂H'`.
+    pub grad_output: Matrix,
+    /// `∂L/∂W` and `∂L/∂B`.
+    pub grads: GcnGrads,
+}
+
 /// Cached forward state needed by the backward pass.
 #[derive(Debug, Clone)]
 pub struct GcnCache {
@@ -50,7 +86,7 @@ pub struct GcnCache {
 }
 
 /// Parameter gradients of one GCN layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GcnGrads {
     /// `∂L/∂W`.
     pub dw: Matrix,
@@ -69,19 +105,47 @@ impl GcnLayer {
     }
 
     /// Forward pass; returns activations and the cache for backward.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch or corrupt adjacency.
     #[must_use]
     pub fn forward(&self, a_norm: &SparseMatrix, input: &Matrix) -> (Matrix, GcnCache) {
-        let aggregated = a_norm.matmul(input);
-        let pre_activation = aggregated.matmul(&self.w).add(&input.matmul(&self.b));
-        let out = pre_activation.relu();
+        let mut buffers = GcnBuffers::default();
+        self.forward_into(a_norm, input, &mut buffers, &mut LayerScratch::default())
+            .unwrap_or_else(|e| panic!("{e}"));
         (
-            out,
+            buffers.output,
             GcnCache {
                 input: input.clone(),
-                aggregated,
-                pre_activation,
+                aggregated: buffers.aggregated,
+                pre_activation: buffers.pre_activation,
             },
         )
+    }
+
+    /// [`GcnLayer::forward`] into caller-owned buffers: `buffers`
+    /// receives the aggregate, the pre-activation and the activations,
+    /// and `input` is only borrowed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the adjacency kernel's typed errors (see
+    /// [`SparseMatrix::matmul_into`]); the buffers hold unspecified
+    /// partial products after an error.
+    pub(crate) fn forward_into(
+        &self,
+        a_norm: &SparseMatrix,
+        input: &Matrix,
+        buffers: &mut GcnBuffers,
+        work: &mut LayerScratch,
+    ) -> Result<(), GcnError> {
+        a_norm.matmul_into(input, &mut buffers.aggregated)?;
+        buffers.aggregated.matmul_into(&self.w, &mut buffers.pre_activation);
+        input.matmul_into(&self.b, &mut work.product);
+        buffers.pre_activation.add_assign(&work.product);
+        buffers.pre_activation.relu_into(&mut buffers.output);
+        Ok(())
     }
 
     /// Inference-only forward: the same arithmetic as
@@ -131,6 +195,10 @@ impl GcnLayer {
 
     /// Backward pass: given `∂L/∂H'`, produce parameter gradients and
     /// `∂L/∂H` for the upstream layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch or corrupt adjacency.
     #[must_use]
     pub fn backward(
         &self,
@@ -138,15 +206,58 @@ impl GcnLayer {
         cache: &GcnCache,
         grad_out: &Matrix,
     ) -> (GcnGrads, Matrix) {
-        let dz = grad_out.relu_backward(&cache.pre_activation);
-        let dw = cache.aggregated.transpose().matmul(&dz);
-        let db = cache.input.transpose().matmul(&dz);
-        // dH = Āᵀ (dZ Wᵀ) + dZ Bᵀ
-        let dzw = dz.matmul(&self.w.transpose());
-        let dh = a_norm
-            .matmul_transposed(&dzw)
-            .add(&dz.matmul(&self.b.transpose()));
-        (GcnGrads { dw, db }, dh)
+        let mut buffers = GcnBuffers {
+            aggregated: cache.aggregated.clone(),
+            pre_activation: cache.pre_activation.clone(),
+            grad_output: grad_out.clone(),
+            ..GcnBuffers::default()
+        };
+        let mut dinput = Matrix::zeros(0, 0);
+        let work = &mut LayerScratch::default();
+        self.backward_into(a_norm, &cache.input, &mut buffers, work, Some(&mut dinput))
+            .unwrap_or_else(|e| panic!("{e}"));
+        (buffers.grads, dinput)
+    }
+
+    /// [`GcnLayer::backward`] into caller-owned buffers. `input` is the
+    /// matrix the forward pass borrowed, `buffers` holds what it
+    /// recorded plus `grad_output`, and receives `grads`. The input
+    /// gradient `∂L/∂H = Āᵀ·(dZ·Wᵀ) + dZ·Bᵀ` — two dense products, a
+    /// transposed aggregation and a sum — is computed only when
+    /// `dinput` is `Some`: the first layer of a stack has nobody
+    /// upstream to hand it to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the adjacency kernel's typed errors (see
+    /// [`SparseMatrix::matmul_transposed_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` and the buffers disagree in shape.
+    pub(crate) fn backward_into(
+        &self,
+        a_norm: &SparseMatrix,
+        input: &Matrix,
+        buffers: &mut GcnBuffers,
+        work: &mut LayerScratch,
+        dinput: Option<&mut Matrix>,
+    ) -> Result<(), GcnError> {
+        buffers
+            .grad_output
+            .relu_backward_into(&buffers.pre_activation, &mut work.dz);
+        buffers.aggregated.matmul_tn_into(&work.dz, &mut buffers.grads.dw);
+        input.matmul_tn_into(&work.dz, &mut buffers.grads.db);
+        if let Some(dinput) = dinput {
+            // dH = Āᵀ (dZ Wᵀ) + dZ Bᵀ
+            self.w.transpose_into(&mut work.transposed);
+            work.dz.matmul_into(&work.transposed, &mut work.product);
+            a_norm.matmul_transposed_into(&work.product, dinput)?;
+            self.b.transpose_into(&mut work.transposed);
+            work.dz.matmul_into(&work.transposed, &mut work.product);
+            dinput.add_assign(&work.product);
+        }
+        Ok(())
     }
 
     /// Flatten parameters for the optimizer: `[W, B]`.
@@ -173,7 +284,7 @@ pub struct DenseCache {
 }
 
 /// Parameter gradients of a dense layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DenseGrads {
     /// `∂L/∂W`.
     pub dw: Matrix,
@@ -194,15 +305,8 @@ impl DenseLayer {
     /// Forward pass (`rows` of `input` are independent samples).
     #[must_use]
     pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        let mut out = input.matmul(&self.w);
-        for r in 0..out.rows() {
-            for c in 0..out.cols() {
-                let v = out.get(r, c) + self.bias.get(0, c);
-                out.set(r, c, v);
-            }
-        }
         (
-            out,
+            self.infer(input),
             DenseCache {
                 input: input.clone(),
             },
@@ -213,23 +317,68 @@ impl DenseLayer {
     /// without cloning the input for a backward pass.
     #[must_use]
     pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = input.matmul(&self.w);
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(input, &mut out);
+        out
+    }
+
+    /// [`DenseLayer::infer`] into a caller-owned buffer. Nothing is
+    /// recorded: the backward pass reads only the layer input, which
+    /// the caller still holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inner-dimension mismatch or a bias narrower than
+    /// the output.
+    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
+        input.matmul_into(&self.w, out);
+        let cols = out.cols();
+        let bias = &self.bias.row(0)[..cols];
         for r in 0..out.rows() {
-            for c in 0..out.cols() {
-                let v = out.get(r, c) + self.bias.get(0, c);
-                out.set(r, c, v);
+            let orow = &mut out.data_mut()[r * cols..(r + 1) * cols];
+            for (o, &b) in orow.iter_mut().zip(bias) {
+                *o += b;
             }
         }
-        out
     }
 
     /// Backward pass: returns gradients and `∂L/∂input`.
     #[must_use]
     pub fn backward(&self, cache: &DenseCache, grad_out: &Matrix) -> (DenseGrads, Matrix) {
-        let dw = cache.input.transpose().matmul(grad_out);
-        let dbias = grad_out.sum_rows();
-        let dinput = grad_out.matmul(&self.w.transpose());
-        (DenseGrads { dw, dbias }, dinput)
+        let mut grads = DenseGrads::default();
+        let mut dinput = Matrix::zeros(0, 0);
+        self.backward_into(
+            &cache.input,
+            grad_out,
+            &mut LayerScratch::default(),
+            &mut grads,
+            Some(&mut dinput),
+        );
+        (grads, dinput)
+    }
+
+    /// [`DenseLayer::backward`] into caller-owned buffers; `input` is
+    /// the matrix the forward pass was given. `∂L/∂input = dY·Wᵀ` is
+    /// computed only when `dinput` is `Some` — a layer fed by data
+    /// rather than by another layer has no use for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` and `grad_out` disagree in row count.
+    pub fn backward_into(
+        &self,
+        input: &Matrix,
+        grad_out: &Matrix,
+        work: &mut LayerScratch,
+        grads: &mut DenseGrads,
+        dinput: Option<&mut Matrix>,
+    ) {
+        input.matmul_tn_into(grad_out, &mut grads.dw);
+        grad_out.sum_rows_into(&mut grads.dbias);
+        if let Some(dinput) = dinput {
+            self.w.transpose_into(&mut work.transposed);
+            grad_out.matmul_into(&work.transposed, dinput);
+        }
     }
 
     /// Flatten parameters for the optimizer: `[W, bias]`.

@@ -38,6 +38,8 @@ mod error;
 mod graph_data;
 mod layers;
 mod model;
+#[cfg(test)]
+mod oracle;
 mod profile;
 mod quant;
 mod tensor;
@@ -47,7 +49,7 @@ pub use adam::Adam;
 pub use batch::{GraphBatch, CHUNK_TARGET_ROWS};
 pub use error::GcnError;
 pub use graph_data::GraphSample;
-pub use layers::{DenseLayer, GcnLayer, InferScratch};
+pub use layers::{DenseGrads, DenseLayer, GcnLayer, InferScratch, LayerScratch};
 pub use model::{saturating_exp, LoadWeightsError, ModelConfig, RuntimePredictor, MAX_LOG_SECS};
 pub use profile::FeatureProfile;
 pub use quant::{QuantizedMatrix, QuantizedPredictor};

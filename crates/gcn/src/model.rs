@@ -2,7 +2,7 @@
 
 use crate::adam::Adam;
 use crate::batch::GraphBatch;
-use crate::layers::{DenseLayer, GcnLayer};
+use crate::layers::{DenseGrads, DenseLayer, GcnBuffers, GcnLayer, LayerScratch};
 use crate::{GcnError, GraphSample, Matrix};
 use eda_cloud_netlist::FEATURE_DIM;
 use rand::SeedableRng;
@@ -84,7 +84,7 @@ pub struct RuntimePredictor {
     pub(crate) gcn: Vec<GcnLayer>,
     pub(crate) fc: DenseLayer,
     pub(crate) head: DenseLayer,
-    adam: Vec<Adam>,
+    pub(crate) adam: Vec<Adam>,
     config: ModelConfig,
 }
 
@@ -283,103 +283,146 @@ impl RuntimePredictor {
     }
 
     /// One Adam step on one sample; returns the pre-step loss.
+    ///
+    /// A warm step allocates nothing: activations, gradients and
+    /// temporaries live in one per-thread scratch (see `TrainScratch`)
+    /// that the forward pass fills and the backward pass reads in
+    /// place, and `sample.features` is borrowed, not copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample's adjacency, features and this model's
+    /// input width disagree in shape.
     pub fn train_step(&mut self, sample: &GraphSample, lr: f64) -> f64 {
-        let (out, caches) = self.forward(sample);
-        let ForwardCaches {
-            gcn_caches,
-            pooled_scale,
-            fc_cache,
-            fc_pre,
-            head_cache,
-            last_gcn_rows,
-        } = caches;
+        SCRATCH.with(|cell| {
+            let s = &mut *cell.borrow_mut();
+            self.forward(sample, s).unwrap_or_else(|e| panic!("{e}"));
 
-        // Loss and output gradient.
-        let mut loss = 0.0;
-        let mut dout = Matrix::zeros(1, 4);
-        for c in 0..4 {
-            let diff = out.get(0, c) - sample.log_targets[c];
-            loss += diff * diff / 4.0;
-            dout.set(0, c, 2.0 * diff / 4.0);
+            // Loss and output gradient.
+            let mut loss = 0.0;
+            s.dout.reshape_zeroed(1, 4);
+            for c in 0..4 {
+                let diff = s.out.get(0, c) - sample.log_targets[c];
+                loss += diff * diff / 4.0;
+                s.dout.set(0, c, 2.0 * diff / 4.0);
+            }
+
+            self.backward(sample, s).unwrap_or_else(|e| panic!("{e}"));
+
+            // Adam updates, in the same order the states were allocated.
+            let mut k = 0;
+            for (layer, buffers) in self.gcn.iter_mut().zip(&s.layers) {
+                self.adam[k].step(&mut layer.w, &buffers.grads.dw, lr);
+                self.adam[k + 1].step(&mut layer.b, &buffers.grads.db, lr);
+                k += 2;
+            }
+            self.adam[k].step(&mut self.fc.w, &s.fc_grads.dw, lr);
+            self.adam[k + 1].step(&mut self.fc.bias, &s.fc_grads.dbias, lr);
+            self.adam[k + 2].step(&mut self.head.w, &s.head_grads.dw, lr);
+            self.adam[k + 3].step(&mut self.head.bias, &s.head_grads.dbias, lr);
+            loss
+        })
+    }
+
+    /// Training forward pass: [`RuntimePredictor::predict_log`]'s
+    /// arithmetic with every operand the backward pass reads left in
+    /// `s`; the four outputs land in `s.out`.
+    fn forward(&self, sample: &GraphSample, s: &mut TrainScratch) -> Result<(), GcnError> {
+        // Grow only: a deeper model that trained on this thread keeps
+        // its extra buffers instead of being re-grown every other step.
+        if s.layers.len() < self.gcn.len() {
+            s.layers.resize_with(self.gcn.len(), GcnBuffers::default);
         }
+        let layers = &mut s.layers[..self.gcn.len()];
+        for (i, layer) in self.gcn.iter().enumerate() {
+            let (below, rest) = layers.split_at_mut(i);
+            let input = below.last().map_or(&sample.features, |b| &b.output);
+            layer.forward_into(&sample.a_norm, input, &mut rest[0], &mut s.work)?;
+        }
+        let h = &layers.last().expect("try_new rejects an empty GCN stack").output;
+        let pooled_scale = 1.0 / (h.rows() as f64).sqrt();
+        h.sum_rows_into(&mut s.pooled);
+        for v in s.pooled.data_mut() {
+            *v *= pooled_scale;
+        }
+        self.fc.forward_into(&s.pooled, &mut s.fc_pre);
+        s.fc_pre.relu_into(&mut s.fc_act);
+        self.head.forward_into(&s.fc_act, &mut s.out);
+        Ok(())
+    }
 
-        // Backward through head and FC.
-        let (head_grads, dfc_out) = self.head.backward(&head_cache, &dout);
-        let dfc_pre = dfc_out.relu_backward(&fc_pre);
-        let (fc_grads, dpooled) = self.fc.backward(&fc_cache, &dfc_pre);
+    /// Backward pass from `s.dout` through head, FC, pooling and the
+    /// GCN stack, leaving every parameter gradient in `s`. The bottom
+    /// GCN layer has nobody below it to hand an input gradient to, so
+    /// none is computed there.
+    fn backward(&self, sample: &GraphSample, s: &mut TrainScratch) -> Result<(), GcnError> {
+        let work = &mut s.work;
+        self.head
+            .backward_into(&s.fc_act, &s.dout, work, &mut s.head_grads, Some(&mut s.dfc_act));
+        s.dfc_act.relu_backward_into(&s.fc_pre, &mut s.dfc_pre);
+        self.fc
+            .backward_into(&s.pooled, &s.dfc_pre, work, &mut s.fc_grads, Some(&mut s.dpooled));
 
         // Un-pool: every node row receives the pooled gradient times the
         // scale factor.
-        let cols = dpooled.cols();
-        let mut dh = Matrix::zeros(last_gcn_rows, cols);
-        for r in 0..last_gcn_rows {
-            for c in 0..cols {
-                dh.set(r, c, dpooled.get(0, c) * pooled_scale);
+        let layers = &mut s.layers[..self.gcn.len()];
+        let top = layers.last_mut().expect("try_new rejects an empty GCN stack");
+        let n = top.output.rows();
+        let pooled_scale = 1.0 / (n as f64).sqrt();
+        let cols = s.dpooled.cols();
+        top.grad_output.reshape_for_overwrite(n, cols);
+        for r in 0..n {
+            let row = &mut top.grad_output.data_mut()[r * cols..(r + 1) * cols];
+            for (g, &d) in row.iter_mut().zip(s.dpooled.data()) {
+                *g = d * pooled_scale;
             }
         }
 
         // Backward through the GCN stack.
-        let mut gcn_grads = Vec::with_capacity(self.gcn.len());
-        let mut grad = dh;
-        for (layer, cache) in self.gcn.iter().zip(&gcn_caches).rev() {
-            let (grads, dinput) = layer.backward(&sample.a_norm, cache, &grad);
-            gcn_grads.push(grads);
-            grad = dinput;
+        for (i, layer) in self.gcn.iter().enumerate().rev() {
+            let (below, rest) = layers.split_at_mut(i);
+            let (input, dinput) = match below.last_mut() {
+                Some(b) => (&b.output, Some(&mut b.grad_output)),
+                None => (&sample.features, None),
+            };
+            layer.backward_into(&sample.a_norm, input, &mut rest[0], work, dinput)?;
         }
-        gcn_grads.reverse();
-
-        // Adam updates, in the same order the states were allocated.
-        let mut k = 0;
-        for (layer, grads) in self.gcn.iter_mut().zip(&gcn_grads) {
-            self.adam[k].step(&mut layer.w, &grads.dw, lr);
-            self.adam[k + 1].step(&mut layer.b, &grads.db, lr);
-            k += 2;
-        }
-        self.adam[k].step(&mut self.fc.w, &fc_grads.dw, lr);
-        self.adam[k + 1].step(&mut self.fc.bias, &fc_grads.dbias, lr);
-        self.adam[k + 2].step(&mut self.head.w, &head_grads.dw, lr);
-        self.adam[k + 3].step(&mut self.head.bias, &head_grads.dbias, lr);
-        loss
-    }
-
-    fn forward(&self, sample: &GraphSample) -> (Matrix, ForwardCaches) {
-        let mut h = sample.features.clone();
-        let mut gcn_caches = Vec::with_capacity(self.gcn.len());
-        for layer in &self.gcn {
-            let (next, cache) = layer.forward(&sample.a_norm, &h);
-            gcn_caches.push(cache);
-            h = next;
-        }
-        let n = h.rows();
-        let pooled_scale = 1.0 / (n as f64).sqrt();
-        let mut pooled = h.sum_rows();
-        for v in pooled.data_mut() {
-            *v *= pooled_scale;
-        }
-        let (fc_pre, fc_cache) = self.fc.forward(&pooled);
-        let fc_act = fc_pre.relu();
-        let (out, head_cache) = self.head.forward(&fc_act);
-        (
-            out,
-            ForwardCaches {
-                gcn_caches,
-                pooled_scale,
-                fc_cache,
-                fc_pre,
-                head_cache,
-                last_gcn_rows: n,
-            },
-        )
+        Ok(())
     }
 }
 
-struct ForwardCaches {
-    gcn_caches: Vec<crate::layers::GcnCache>,
-    pooled_scale: f64,
-    fc_cache: crate::layers::DenseCache,
+/// Everything one [`RuntimePredictor::train_step`] computes besides the
+/// loss: per-layer forward records and gradients, the dense tail's
+/// activations and gradients. Kept across steps so a warm step reuses
+/// the allocations; every buffer is overwritten (or zeroed) before it
+/// is read, so nothing leaks from one step, sample or model into the
+/// next.
+#[derive(Default)]
+struct TrainScratch {
+    /// One set of buffers per GCN layer, bottom first.
+    layers: Vec<GcnBuffers>,
+    /// Temporaries shared by every layer.
+    work: LayerScratch,
+    pooled: Matrix,
     fc_pre: Matrix,
-    head_cache: crate::layers::DenseCache,
-    last_gcn_rows: usize,
+    fc_act: Matrix,
+    out: Matrix,
+    dout: Matrix,
+    dfc_act: Matrix,
+    dfc_pre: Matrix,
+    dpooled: Matrix,
+    fc_grads: DenseGrads,
+    head_grads: DenseGrads,
+}
+
+std::thread_local! {
+    /// Per-thread training scratch, the float counterpart of the int8
+    /// path's. It belongs to the thread, not to a model, so cloning a
+    /// model (snapshots, the retrainer's `base.stage(k).clone()`) never
+    /// copies it, the four stage models one thread fits share one set
+    /// of buffers, and `RuntimePredictor` stays plain `Send + Sync` data.
+    static SCRATCH: std::cell::RefCell<TrainScratch> =
+        std::cell::RefCell::new(TrainScratch::default());
 }
 
 #[cfg(test)]
@@ -444,6 +487,14 @@ mod tests {
         let p1 = model.predict_secs(&s1)[0];
         let p2 = model.predict_secs(&s2)[0];
         assert!(p2 > 2.0 * p1, "model must separate designs: {p1} vs {p2}");
+    }
+
+    /// The training scratch is per thread, so the model itself stays
+    /// plain data that snapshots can share across serving threads.
+    #[test]
+    fn predictor_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<RuntimePredictor>();
     }
 
     #[test]

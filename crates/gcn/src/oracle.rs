@@ -1,0 +1,322 @@
+//! Differential oracle for the float training path.
+//!
+//! [`reference_train_step`] is the training step as it was before the
+//! fused kernels and the reusable scratch: fresh allocations, cloned
+//! caches, every transpose materialized, the bottom layer's input
+//! gradient computed and dropped. It is built from the naive primitives
+//! only — `transpose().matmul()`, `add`, `relu`, `relu_backward`,
+//! `sum_rows` and a local copy of the old row-copy `Āᵀ·D` loop — so it
+//! shares no fused kernel, no `_into` layer form and no buffer with the
+//! code it checks. The contract is bit-identity: equal `loss.to_bits()`
+//! on every step and equal `save_weights()` text.
+
+use crate::layers::{DenseLayer, GcnCache, GcnLayer};
+use crate::{GcnError, GraphSample, Matrix, ModelConfig, RuntimePredictor, SparseMatrix};
+use eda_cloud_netlist::{generators, DesignGraph};
+use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// `aᵀ · dense` the way `SparseMatrix::matmul_transposed` computed it
+/// before it became a wrapper over `matmul_transposed_into`: copy the
+/// dense row out, scatter it entry by entry in storage order.
+fn row_copy_matmul_transposed(a: &SparseMatrix, dense: &Matrix) -> Matrix {
+    assert_eq!(a.rows(), dense.rows(), "inner dimensions must agree");
+    let c = dense.cols();
+    let mut out = Matrix::zeros(a.cols(), c);
+    for (r, j, v) in a.entries() {
+        let drow: Vec<f64> = dense.row(r as usize).to_vec();
+        let orow = &mut out.data_mut()[j as usize * c..(j as usize + 1) * c];
+        for (o, &d) in orow.iter_mut().zip(&drow) {
+            *o += v * d;
+        }
+    }
+    out
+}
+
+fn gcn_forward(layer: &GcnLayer, a_norm: &SparseMatrix, input: &Matrix) -> (Matrix, GcnCache) {
+    let aggregated = a_norm.matmul(input);
+    let pre_activation = aggregated.matmul(&layer.w).add(&input.matmul(&layer.b));
+    let out = pre_activation.relu();
+    (
+        out,
+        GcnCache {
+            input: input.clone(),
+            aggregated,
+            pre_activation,
+        },
+    )
+}
+
+/// Returns `(dW, dB, dH)`.
+fn gcn_backward(
+    layer: &GcnLayer,
+    a_norm: &SparseMatrix,
+    cache: &GcnCache,
+    grad_out: &Matrix,
+) -> (Matrix, Matrix, Matrix) {
+    let dz = grad_out.relu_backward(&cache.pre_activation);
+    let dw = cache.aggregated.transpose().matmul(&dz);
+    let db = cache.input.transpose().matmul(&dz);
+    let dzw = dz.matmul(&layer.w.transpose());
+    let dh = row_copy_matmul_transposed(a_norm, &dzw).add(&dz.matmul(&layer.b.transpose()));
+    (dw, db, dh)
+}
+
+fn dense_forward(layer: &DenseLayer, input: &Matrix) -> Matrix {
+    let mut out = input.matmul(&layer.w);
+    for r in 0..out.rows() {
+        for c in 0..out.cols() {
+            let v = out.get(r, c) + layer.bias.get(0, c);
+            out.set(r, c, v);
+        }
+    }
+    out
+}
+
+/// Returns `(dW, dbias, dinput)`.
+fn dense_backward(layer: &DenseLayer, input: &Matrix, grad_out: &Matrix) -> (Matrix, Matrix, Matrix) {
+    let dw = input.transpose().matmul(grad_out);
+    let dbias = grad_out.sum_rows();
+    let dinput = grad_out.matmul(&layer.w.transpose());
+    (dw, dbias, dinput)
+}
+
+/// One Adam step on one sample, the old way; returns the pre-step loss.
+fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: f64) -> f64 {
+    // Forward.
+    let mut h = sample.features.clone();
+    let mut gcn_caches = Vec::new();
+    for layer in &model.gcn {
+        let (next, cache) = gcn_forward(layer, &sample.a_norm, &h);
+        gcn_caches.push(cache);
+        h = next;
+    }
+    let n = h.rows();
+    let pooled_scale = 1.0 / (n as f64).sqrt();
+    let mut pooled = h.sum_rows();
+    for v in pooled.data_mut() {
+        *v *= pooled_scale;
+    }
+    let fc_pre = dense_forward(&model.fc, &pooled);
+    let fc_act = fc_pre.relu();
+    let out = dense_forward(&model.head, &fc_act);
+
+    // Loss and output gradient.
+    let mut loss = 0.0;
+    let mut dout = Matrix::zeros(1, 4);
+    for c in 0..4 {
+        let diff = out.get(0, c) - sample.log_targets[c];
+        loss += diff * diff / 4.0;
+        dout.set(0, c, 2.0 * diff / 4.0);
+    }
+
+    // Backward through head and FC, un-pool, then the GCN stack.
+    let (head_dw, head_dbias, dfc_act) = dense_backward(&model.head, &fc_act, &dout);
+    let dfc_pre = dfc_act.relu_backward(&fc_pre);
+    let (fc_dw, fc_dbias, dpooled) = dense_backward(&model.fc, &pooled, &dfc_pre);
+    let cols = dpooled.cols();
+    let mut grad = Matrix::zeros(n, cols);
+    for r in 0..n {
+        for c in 0..cols {
+            grad.set(r, c, dpooled.get(0, c) * pooled_scale);
+        }
+    }
+    let mut gcn_grads = Vec::new();
+    for (layer, cache) in model.gcn.iter().zip(&gcn_caches).rev() {
+        let (dw, db, dinput) = gcn_backward(layer, &sample.a_norm, cache, &grad);
+        gcn_grads.push((dw, db));
+        grad = dinput;
+    }
+    gcn_grads.reverse();
+
+    // Adam updates, in the order the states were allocated.
+    let mut k = 0;
+    for (layer, (dw, db)) in model.gcn.iter_mut().zip(&gcn_grads) {
+        model.adam[k].step(&mut layer.w, dw, lr);
+        model.adam[k + 1].step(&mut layer.b, db, lr);
+        k += 2;
+    }
+    model.adam[k].step(&mut model.fc.w, &fc_dw, lr);
+    model.adam[k + 1].step(&mut model.fc.bias, &fc_dbias, lr);
+    model.adam[k + 2].step(&mut model.head.w, &head_dw, lr);
+    model.adam[k + 3].step(&mut model.head.bias, &head_dbias, lr);
+    loss
+}
+
+fn family_sample(family: &str, size: u32, t1: f64) -> GraphSample {
+    let aig = generators::build_family(family, size).expect("family");
+    GraphSample::new(&DesignGraph::from_aig(&aig), [t1, t1 / 1.6, t1 / 2.4, t1 / 3.0])
+}
+
+fn configs() -> Vec<ModelConfig> {
+    vec![
+        ModelConfig::fast(),
+        ModelConfig::shallow(8),
+        ModelConfig {
+            gcn_dims: vec![12, 7, 5],
+            fc_dim: 6,
+        },
+    ]
+}
+
+/// Matrix contents from a seed: values in `[-5, 5)` with exact `0.0`
+/// and `-0.0` planted in about a quarter of the cells, so the kernels'
+/// skip-zero branch and the sign of an all-skipped sum are exercised.
+/// With `infinities`, one cell in sixteen is `+inf`: a right-hand
+/// operand for which skipping a zero multiplier (`0 · inf = NaN`) is
+/// observable in the result.
+fn planted(seed: u64, rows: usize, cols: usize, infinities: bool) -> Matrix {
+    let mut s = seed | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(7);
+            match (s >> 33) % 16 {
+                0 | 1 => 0.0,
+                2 | 3 => -0.0,
+                4 if infinities => f64::INFINITY,
+                _ => ((s >> 37) % 1000) as f64 / 100.0 - 5.0,
+            }
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// A used output buffer: larger than anything the case needs and full
+/// of values that would show if a kernel read before writing.
+fn dirty() -> Matrix {
+    Matrix::from_vec(40, 12, vec![f64::NAN; 480])
+}
+
+fn bits(m: &Matrix) -> (usize, usize, Vec<u64>) {
+    (m.rows(), m.cols(), m.data().iter().map(|v| v.to_bits()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scratch-reusing `train_step` and the reference walk the same
+    /// trajectory bit for bit, on two graphs of different size visited
+    /// alternately (so every buffer is reused dirty and resized), for
+    /// every architecture depth the scratch has to follow.
+    #[test]
+    fn train_step_matches_the_reference(
+        fam_a in proptest::sample::select(generators::FAMILY_NAMES.to_vec()),
+        fam_b in proptest::sample::select(generators::FAMILY_NAMES.to_vec()),
+        size_a in 2u32..9,
+        size_b in 2u32..9,
+        config in proptest::sample::select(configs()),
+        seed in 0u64..1_000,
+        lr_exp in 2i32..4,
+    ) {
+        let samples = [family_sample(fam_a, size_a, 90.0), family_sample(fam_b, size_b, 400.0)];
+        let lr = 10f64.powi(-lr_exp);
+        let mut fused = RuntimePredictor::new(&config, seed);
+        let mut reference = fused.clone();
+        for step in 0..24 {
+            let sample = &samples[step % 2];
+            let got = fused.train_step(sample, lr);
+            let want = reference_train_step(&mut reference, sample, lr);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "loss at step {}", step);
+        }
+        prop_assert_eq!(fused.save_weights(), reference.save_weights());
+    }
+
+    /// `matmul_tn_into` is `transpose().matmul()` bit for bit, from 1x1
+    /// up, with planted zeros and a reused output buffer.
+    #[test]
+    fn matmul_tn_matches_transpose_then_matmul(
+        k in 1usize..20,
+        m in 1usize..10,
+        n in 1usize..10,
+        seed in 0u64..10_000,
+    ) {
+        let a = planted(seed, k, m, false);
+        let b = planted(seed ^ 0x9E37, k, n, true);
+        let mut out = dirty();
+        a.matmul_tn_into(&b, &mut out);
+        prop_assert_eq!(bits(&out), bits(&a.transpose().matmul(&b)));
+    }
+
+    /// `matmul_transposed_into` is the old row-copy loop bit for bit,
+    /// for random sparsity patterns (entries may hold planted zeros),
+    /// non-square shapes and a reused output buffer.
+    #[test]
+    fn sparse_matmul_transposed_matches_the_row_copy_loop(
+        rows in 1usize..12,
+        cols in 1usize..12,
+        rhs_cols in 1usize..8,
+        density in 0u64..100,
+        seed in 0u64..10_000,
+    ) {
+        let vals = planted(seed, rows, cols, false);
+        let mask = planted(seed ^ 0xD5, rows, cols, false);
+        let mut triplets = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if mask.get(r, c).to_bits() % 100 < density {
+                    triplets.push((r as u32, c as u32, vals.get(r, c)));
+                }
+            }
+        }
+        let sparse = SparseMatrix::from_triplets(rows, cols, &triplets);
+        let dense = planted(seed ^ 0x51, rows, rhs_cols, true);
+        let mut out = dirty();
+        sparse.matmul_transposed_into(&dense, &mut out).expect("valid operands");
+        prop_assert_eq!(bits(&out), bits(&row_copy_matmul_transposed(&sparse, &dense)));
+    }
+
+    /// A dense operand of the wrong height is a typed error, not a
+    /// panic, for any mismatched shape pair.
+    #[test]
+    fn sparse_matmul_transposed_rejects_shape_mismatch(
+        rows in 1usize..10,
+        wrong in 1usize..10,
+        rhs_cols in 1usize..6,
+    ) {
+        let wrong = if wrong == rows { wrong + 10 } else { wrong };
+        let sparse = SparseMatrix::from_triplets(rows, 3, &[(0, 0, 1.0)]);
+        let mut out = Matrix::zeros(0, 0);
+        prop_assert_eq!(
+            sparse.matmul_transposed_into(&Matrix::zeros(wrong, rhs_cols), &mut out),
+            Err(GcnError::ShapeMismatch {
+                op: "sparse transposed matmul",
+                expected: (rows, rhs_cols),
+                found: (wrong, rhs_cols),
+            })
+        );
+    }
+}
+
+/// `fine_tune` is the seeded-shuffle loop over `train_step`; run the
+/// same loop over the reference step and compare losses and weights.
+#[test]
+fn fine_tune_matches_the_reference_loop() {
+    let samples = [
+        family_sample("adder", 6, 610.0),
+        family_sample("parity", 10, 183.0),
+        family_sample("decoder", 5, 420.0),
+        family_sample("comparator", 6, 318.0),
+    ];
+    let refs: Vec<&GraphSample> = samples.iter().collect();
+    let (epochs, lr, seed) = (6, 3e-3, 7u64);
+    let mut fused = RuntimePredictor::new(&ModelConfig::fast(), 41);
+    let mut reference = fused.clone();
+    let got = fused.fine_tune(&refs, epochs, lr, seed);
+
+    let mut order: Vec<usize> = (0..refs.len()).collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF17E_7D4E);
+    let mut want = Vec::new();
+    for _ in 0..epochs {
+        order.shuffle(&mut rng);
+        let mut total = 0.0;
+        for &i in &order {
+            total += reference_train_step(&mut reference, refs[i], lr);
+        }
+        want.push(total / order.len() as f64);
+    }
+    let to_bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(to_bits(&got), to_bits(&want));
+    assert_eq!(fused.save_weights(), reference.save_weights());
+}

@@ -198,16 +198,53 @@ impl Matrix {
         }
     }
 
+    /// Fused transposed product `selfᵀ · rhs` into a caller-owned
+    /// buffer — the weight-gradient kernel (`∂L/∂W = Hᵀ·dZ`), without
+    /// materializing the transpose. The loop is `k`-outer so the small
+    /// `self.cols x rhs.cols` output stays cache-resident while both
+    /// tall operands stream through once, row by row. Every output
+    /// element accumulates its terms in ascending `k` and skips
+    /// `self[k][i] == 0.0`, exactly like `self.transpose().matmul(rhs)`,
+    /// so the result is bit-identical to that expression.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands' row counts differ.
+    pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, rhs.rows, "inner dimensions must agree");
+        let c = rhs.cols;
+        out.reshape_zeroed(self.cols, c);
+        for k in 0..self.rows {
+            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
+            let rrow = &rhs.data[k * c..(k + 1) * c];
+            for (i, &a) in arow.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let orow = &mut out.data[i * c..(i + 1) * c];
+                for (o, &b) in orow.iter_mut().zip(rrow) {
+                    *o += a * b;
+                }
+            }
+        }
+    }
+
     /// Transpose.
     #[must_use]
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::transpose`] into a caller-owned buffer.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.reshape_for_overwrite(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
     }
 
     /// Element-wise sum `self + rhs`.
@@ -254,10 +291,16 @@ impl Matrix {
     /// Element-wise ReLU.
     #[must_use]
     pub fn relu(&self) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| v.max(0.0)).collect(),
+        let mut out = Matrix::zeros(0, 0);
+        self.relu_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::relu`] into a caller-owned buffer.
+    pub(crate) fn relu_into(&self, out: &mut Matrix) {
+        out.reshape_for_overwrite(self.rows, self.cols);
+        for (o, &v) in out.data.iter_mut().zip(&self.data) {
+            *o = v.max(0.0);
         }
     }
 
@@ -293,21 +336,25 @@ impl Matrix {
     /// Panics on a shape mismatch.
     #[must_use]
     pub fn relu_backward(&self, pre_activation: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.relu_backward_into(pre_activation, &mut out);
+        out
+    }
+
+    /// [`Matrix::relu_backward`] into a caller-owned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch.
+    pub(crate) fn relu_backward_into(&self, pre_activation: &Matrix, out: &mut Matrix) {
         assert_eq!(
             (self.rows, self.cols),
             (pre_activation.rows, pre_activation.cols),
             "shape mismatch"
         );
-        let data = self
-            .data
-            .iter()
-            .zip(&pre_activation.data)
-            .map(|(&g, &z)| if z > 0.0 { g } else { 0.0 })
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
+        out.reshape_for_overwrite(self.rows, self.cols);
+        for ((o, &g), &z) in out.data.iter_mut().zip(&self.data).zip(&pre_activation.data) {
+            *o = if z > 0.0 { g } else { 0.0 };
         }
     }
 
@@ -315,13 +362,21 @@ impl Matrix {
     /// the sum-pooling readout.
     #[must_use]
     pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        let mut out = Matrix::zeros(0, 0);
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::sum_rows`] into a caller-owned buffer; rows are added
+    /// in ascending order onto a zeroed accumulator.
+    pub(crate) fn sum_rows_into(&self, out: &mut Matrix) {
+        out.reshape_zeroed(1, self.cols);
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -511,24 +566,63 @@ impl SparseMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `self.rows != dense.rows()`.
+    /// Panics if `self.rows != dense.rows()` or the CSR arrays are
+    /// corrupt ([`SparseMatrix::matmul_transposed_into`] is the
+    /// fallible form).
     #[must_use]
     pub fn matmul_transposed(&self, dense: &Matrix) -> Matrix {
-        assert_eq!(self.rows, dense.rows(), "inner dimensions must agree");
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_transposed_into(dense, &mut out)
+            .unwrap_or_else(|e| panic!("{e}"));
+        out
+    }
+
+    /// [`SparseMatrix::matmul_transposed`] into a caller-owned buffer,
+    /// reusing its allocation. `out` is reshaped and zeroed; each stored
+    /// entry `(r, j, v)` scatters `v · dense[r]` onto output row `j` in
+    /// CSR storage order, so every output element accumulates its terms
+    /// in the same order as the allocating form.
+    ///
+    /// # Errors
+    ///
+    /// The same typed errors as [`SparseMatrix::matmul_into`]:
+    /// [`GcnError::ShapeMismatch`] when `self.rows` does not match
+    /// `dense.rows()`, [`GcnError::ColumnOutOfRange`] and
+    /// [`GcnError::CorruptSparse`] for a deserialized or hand-built
+    /// operand whose arrays are inconsistent. `out` holds an
+    /// unspecified partial product after an error.
+    pub fn matmul_transposed_into(&self, dense: &Matrix, out: &mut Matrix) -> Result<(), GcnError> {
+        if self.rows != dense.rows() {
+            return Err(GcnError::ShapeMismatch {
+                op: "sparse transposed matmul",
+                expected: (self.rows, dense.cols()),
+                found: (dense.rows(), dense.cols()),
+            });
+        }
         let c = dense.cols();
-        let mut out = Matrix::zeros(self.cols, c);
+        out.reshape_zeroed(self.cols, c);
         for r in 0..self.rows {
-            let drow: Vec<f64> = dense.row(r).to_vec();
-            for k in self.offsets[r] as usize..self.offsets[r + 1] as usize {
-                let j = self.indices[k] as usize;
-                let v = self.values[k];
-                let orow = &mut out.data_mut()[j * c..(j + 1) * c];
-                for (o, &d) in orow.iter_mut().zip(&drow) {
+            let (lo, hi) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+            let (idx, vals) = match (self.indices.get(lo..hi), self.values.get(lo..hi)) {
+                (Some(i), Some(v)) => (i, v),
+                _ => return Err(GcnError::CorruptSparse { row: r }),
+            };
+            let drow = &dense.data[r * c..(r + 1) * c];
+            for (&j, &v) in idx.iter().zip(vals) {
+                let j = j as usize;
+                let Some(orow) = out.data.get_mut(j * c..j * c + c) else {
+                    return Err(GcnError::ColumnOutOfRange {
+                        row: r,
+                        col: j,
+                        cols: self.cols,
+                    });
+                };
+                for (o, &d) in orow.iter_mut().zip(drow) {
                     *o += v * d;
                 }
             }
         }
-        out
+        Ok(())
     }
 }
 
@@ -561,6 +655,24 @@ mod tests {
         let g = Matrix::from_rows(&[&[10.0, 10.0], &[10.0, 10.0]]);
         let back = g.relu_backward(&z);
         assert_eq!(back, Matrix::from_rows(&[&[0.0, 10.0], &[0.0, 0.0]]));
+    }
+
+    /// The element-wise `_into` forms ignore whatever a reused (larger,
+    /// dirty) buffer held and agree with their allocating wrappers.
+    #[test]
+    fn into_forms_overwrite_a_reused_buffer() {
+        let z = Matrix::from_rows(&[&[-1.0, 2.0, 0.0], &[4.0, -0.0, -3.0]]);
+        let g = Matrix::from_rows(&[&[10.0, 20.0, 30.0], &[40.0, 50.0, 60.0]]);
+        let mut out = Matrix::from_vec(5, 4, vec![f64::NAN; 20]);
+        z.relu_into(&mut out);
+        assert_eq!(out, z.relu());
+        g.relu_backward_into(&z, &mut out);
+        assert_eq!(out, g.relu_backward(&z));
+        z.transpose_into(&mut out);
+        assert_eq!(out, z.transpose());
+        assert_eq!((out.rows(), out.cols()), (3, 2));
+        z.sum_rows_into(&mut out);
+        assert_eq!(out, Matrix::from_rows(&[&[3.0, 2.0, -3.0]]));
     }
 
     #[test]

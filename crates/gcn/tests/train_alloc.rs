@@ -1,0 +1,131 @@
+//! A warm `train_step` allocates nothing.
+//!
+//! The speed of the training path rests on one property: after the
+//! per-thread scratch has seen the largest graph, a step makes no heap
+//! allocation at all. This file pins the property itself with a
+//! counting global allocator. Counts are kept per thread, so whatever
+//! the test harness allocates on its own threads cannot leak into the
+//! reading.
+
+use eda_cloud_gcn::{GraphSample, ModelConfig, RuntimePredictor};
+use eda_cloud_netlist::{generators, DesignGraph};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// `(allocations, largest request in bytes)` made by this thread.
+    /// Const-initialized and `Copy`: touching it from inside the
+    /// allocator neither allocates nor registers a destructor.
+    static SEEN: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = SEEN.try_with(|seen| {
+        let (count, largest) = seen.get();
+        seen.set((count + 1, largest.max(size)));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the bookkeeping touches only a
+// const-initialized thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; the caller guarantees `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations this thread makes while `f` runs, and the largest one.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
+    let (before, _) = SEEN.with(Cell::get);
+    SEEN.with(|seen| seen.set((before, 0)));
+    let out = f();
+    let (after, largest) = SEEN.with(Cell::get);
+    (out, after - before, largest)
+}
+
+/// Three graphs of clearly different size, smallest first, so the
+/// warm-up lap has to grow every buffer twice.
+fn samples() -> Vec<GraphSample> {
+    [generators::parity(10), generators::adder(8), generators::multiplier(6)]
+        .iter()
+        .map(|aig| GraphSample::new(&DesignGraph::from_aig(aig), [100.0, 60.0, 40.0, 30.0]))
+        .collect()
+}
+
+#[test]
+fn warm_train_steps_allocate_nothing() {
+    let samples = samples();
+    let nodes: Vec<usize> = samples.iter().map(GraphSample::node_count).collect();
+    assert!(nodes[0] < nodes[1] && nodes[1] < nodes[2], "sizes must differ: {nodes:?}");
+    // The deepest architecture first: the scratch keeps the widest and
+    // deepest shape it has seen, whichever model asked for it.
+    let three_layers = ModelConfig {
+        gcn_dims: vec![12, 7, 5],
+        fc_dim: 6,
+    };
+    for config in [three_layers, ModelConfig::fast(), ModelConfig::shallow(8)] {
+        let mut model = RuntimePredictor::new(&config, 7);
+        let (_, cold, _) = allocations_in(|| {
+            for s in &samples {
+                model.train_step(s, 1e-3);
+            }
+        });
+        let (losses, warm, _) = allocations_in(|| {
+            let mut losses = [0.0; 3];
+            for _ in 0..4 {
+                for (loss, s) in losses.iter_mut().zip(&samples) {
+                    *loss = model.train_step(s, 1e-3);
+                }
+            }
+            losses
+        });
+        assert!(losses.iter().all(|l| l.is_finite()));
+        assert_eq!(warm, 0, "{config:?}: 12 warm steps allocated ({cold} in the warm-up lap)");
+    }
+}
+
+#[test]
+fn cloning_a_trained_model_copies_no_scratch() {
+    let samples = samples();
+    let mut model = RuntimePredictor::new(&ModelConfig::fast(), 7);
+    for s in &samples {
+        model.train_step(s, 1e-3);
+    }
+    // The largest tensor a clone legitimately copies is the 32x16
+    // weight matrix (and its two Adam moments); the smallest
+    // activation buffer of the largest graph is already bigger.
+    let weights = 32 * 16 * std::mem::size_of::<f64>();
+    let activation = samples[2].node_count() * 16 * std::mem::size_of::<f64>();
+    assert!(activation > weights, "pick a larger graph: {activation} <= {weights}");
+    let (clone, count, largest) = allocations_in(|| model.clone());
+    assert!(count > 0, "a clone copies the weights");
+    assert!(largest <= weights, "clone allocated {largest} bytes at once");
+    assert_eq!(clone.save_weights(), model.save_weights());
+}

@@ -15,7 +15,10 @@
 use crate::encode::{encode_recipe, ENCODING_DIM};
 use crate::RecipeError;
 use eda_cloud_flow::Pass;
-use eda_cloud_gcn::{saturating_exp, Adam, DenseLayer, GcnLayer, GraphSample, Matrix, Trainer};
+use eda_cloud_gcn::{
+    saturating_exp, Adam, DenseGrads, DenseLayer, GcnLayer, GraphSample, LayerScratch, Matrix,
+    Trainer,
+};
 use eda_cloud_netlist::FEATURE_DIM;
 use eda_cloud_trace::fnv1a64;
 use rand::SeedableRng;
@@ -138,12 +141,13 @@ impl HybridPredictor {
         let mut adam_b2 = Adam::new(1, 4);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut last_mse = 0.0;
+        let (mut g1, mut work) = (DenseGrads::default(), LayerScratch::default());
         for _ in 0..trainer.epochs {
             shuffle(&mut order, &mut rng);
             let mut epoch_se = 0.0;
             for &i in &order {
                 let x = &rows[i];
-                let (h_pre, cache1) = self.head1.forward(x);
+                let h_pre = self.head1.infer(x);
                 let h = h_pre.relu();
                 let (y, cache2) = self.head2.forward(&h);
                 let mut grad_y = Matrix::zeros(1, 4);
@@ -154,7 +158,8 @@ impl HybridPredictor {
                 }
                 let (g2, dh) = self.head2.backward(&cache2, &grad_y);
                 let dh_pre = dh.relu_backward(&h_pre);
-                let (g1, _) = self.head1.backward(&cache1, &dh_pre);
+                // `head1` is fed by data: nobody reads its input gradient.
+                self.head1.backward_into(x, &dh_pre, &mut work, &mut g1, None);
                 adam_w2.step(&mut self.head2.w, &g2.dw, trainer.lr);
                 adam_b2.step(&mut self.head2.bias, &g2.dbias, trainer.lr);
                 adam_w1.step(&mut self.head1.w, &g1.dw, trainer.lr);
