@@ -1,9 +1,11 @@
 //! Criterion benches for the four EDA engines on a mid-size design,
-//! plus the Fig. 2-d ablation of simulated runtime vs vCPU count.
+//! plus the Fig. 2-d ablation of simulated runtime vs vCPU count and
+//! the cost of constructing the probe every engine run starts with.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_flow::{ExecContext, Placer, Recipe, Router, StaEngine, Synthesizer};
 use eda_cloud_netlist::generators;
+use eda_cloud_perf::{MachineConfig, PerfProbe};
 use std::hint::black_box;
 
 fn bench_stages(c: &mut Criterion) {
@@ -68,6 +70,32 @@ fn bench_routing_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_probe_construction(c: &mut Criterion) {
+    // Create, one access, drop — warm, i.e. on the arrays the previous
+    // probe of this thread left on the cache simulator's free list.
+    // Every engine run and every router strip pays this once.
+    let mut group = c.benchmark_group("probe");
+    for vcpus in [1u32, 8] {
+        let machine = MachineConfig::vcpus(vcpus);
+        group.bench_with_input(BenchmarkId::new("one_machine", vcpus), &machine, |b, m| {
+            b.iter(|| {
+                let mut probe = PerfProbe::for_machine(m);
+                probe.read(black_box(0x1000));
+                black_box(probe.counters())
+            });
+        });
+    }
+    let sweep = [1u32, 2, 4, 8].map(MachineConfig::vcpus);
+    group.bench_function("sweep_of_four", |b| {
+        b.iter(|| {
+            let mut probe = PerfProbe::for_machines(&sweep);
+            probe.read(black_box(0x1000));
+            black_box(probe.counters_for(3))
+        });
+    });
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
@@ -78,6 +106,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_stages, bench_routing_scaling
+    targets = bench_stages, bench_routing_scaling, bench_probe_construction
 }
 criterion_main!(benches);

@@ -6,6 +6,7 @@ use eda_cloud_flow::{
     Placer, Recipe, Router, StaEngine, StageKind, StageReport, Synthesizer,
 };
 use eda_cloud_netlist::Aig;
+use eda_cloud_trace::Span;
 
 /// How to run a characterization sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,22 +123,61 @@ impl Workflow {
     /// stage on its recommended instance family, and collect the
     /// counter signatures and runtimes of the paper's Figure 2.
     ///
-    /// The sweep points fan out over `config.workers` threads and the
-    /// synthesis result is computed once per `(design, recipe)` pair
-    /// via [`FlowCache`], then replayed per machine configuration.
-    /// Results are reduced in sweep order (index-keyed, not completion
-    /// order), so the report is bit-identical for any worker count.
+    /// Synthesis, placement and STA do the same work at every vCPU
+    /// count, so each runs once for the whole sweep (synthesis recorded
+    /// through [`FlowCache`] and replayed per machine, the other two
+    /// through their `run_sweep`). Routing is the stage whose work
+    /// depends on the machine — a design worth characterizing splits
+    /// into a different number of strips at every count — and the
+    /// dominant one, so it stays one job per sweep point fanned out
+    /// over `config.workers` threads. Results are reduced in sweep
+    /// order (index-keyed, not completion order), so the report is
+    /// bit-identical for any worker count.
     ///
     /// # Errors
     ///
     /// Propagates stage failures as [`WorkflowError::Flow`]; with
     /// several failing sweep points, the error is the one a serial
-    /// sweep would hit first.
+    /// sweep would hit first (only routing can fail at one point and
+    /// not another).
     pub fn characterize_design(
         &self,
         design: &Aig,
         config: &CharacterizationConfig,
     ) -> Result<CharacterizationReport, WorkflowError> {
+        let sweep = &config.vcpu_sweep;
+        let report = |cells: usize, per_stage: [Vec<StageReport>; 4]| CharacterizationReport {
+            design: design.name().to_owned(),
+            cells,
+            stages: StageKind::ALL
+                .into_iter()
+                .zip(per_stage)
+                .map(|(kind, reports)| StageCharacterization {
+                    kind,
+                    family: recommended_family(kind).to_string(),
+                    runs: sweep
+                        .iter()
+                        .zip(reports)
+                        .map(|(&vcpus, report)| VcpuRun { vcpus, report })
+                        .collect(),
+                })
+                .collect(),
+        };
+
+        // Span identity comes from the sweep index — canonical data,
+        // never scheduling — and every point's children are created in
+        // flow order, so the drained trace is byte-identical at any
+        // worker count.
+        let points: Vec<Span> = sweep
+            .iter()
+            .enumerate()
+            .map(|(index, vcpus)| {
+                let point = self.tracer().root_at(index as u64, &format!("point/{index:04}"));
+                point.attr("vcpus", vcpus);
+                point
+            })
+            .collect();
+
         let synthesizer = Synthesizer::new().with_verification(config.verify);
         let cache = FlowCache::new();
         let key = FlowKey {
@@ -145,72 +185,39 @@ impl Workflow {
             recipe: config.recipe.name().to_owned(),
             verify: config.verify,
         };
-        let workers = resolve_workers(config.workers);
-
-        type PointResult = Result<(usize, [StageReport; 4]), WorkflowError>;
-        let points = sweep::map_metered(
-            workers,
-            config.vcpu_sweep.clone(),
-            self.metrics(),
-            |index, vcpus| -> PointResult {
-                // Span identity comes from the sweep index — canonical
-                // data, never scheduling — so the drained trace is
-                // byte-identical at any worker count.
-                let point_span = self.tracer().root_at(index as u64, &format!("point/{index:04}"));
-                point_span.attr("vcpus", vcpus);
-
-                let ctx = self
-                    .exec_context(StageKind::Synthesis, vcpus)
-                    .with_span(point_span.clone());
-                let (netlist, syn_report) =
-                    cache.synthesize(&synthesizer, design, &key, &config.recipe, &ctx)?;
-
-                let ctx = self
-                    .exec_context(StageKind::Placement, vcpus)
-                    .with_span(point_span.child("placement"));
-                let (placement, place_report) = Placer::new().run(&netlist, &ctx)?;
-
-                let ctx = self
-                    .exec_context(StageKind::Routing, vcpus)
-                    .with_span(point_span.child("routing"));
-                let (_routing, route_report) = Router::new().run(&netlist, &placement, &ctx)?;
-
-                let ctx = self
-                    .exec_context(StageKind::Sta, vcpus)
-                    .with_span(point_span.child("sta"));
-                let (_timing, sta_report) = StaEngine::new().run(&netlist, &placement, &ctx)?;
-
-                Ok((
-                    netlist.cell_count(),
-                    [syn_report, place_report, route_report, sta_report],
-                ))
-            },
-        );
-        let points = sweep::reduce_results(points)?;
-
-        let mut stages: Vec<StageCharacterization> = StageKind::ALL
-            .iter()
-            .map(|&kind| {
-                let family = recommended_family(kind);
-                StageCharacterization {
-                    kind,
-                    family: family.to_string(),
-                    runs: Vec::new(),
-                }
-            })
-            .collect();
-        let mut cells = 0;
-        for (&vcpus, (point_cells, reports)) in config.vcpu_sweep.iter().zip(points) {
-            cells = point_cells;
-            for (stage, report) in stages.iter_mut().zip(reports) {
-                stage.runs.push(VcpuRun { vcpus, report });
-            }
+        let mut syn_reports = Vec::with_capacity(sweep.len());
+        let mut netlist = None;
+        for (&vcpus, point) in sweep.iter().zip(&points) {
+            let ctx = self
+                .exec_context(StageKind::Synthesis, vcpus)
+                .with_span(point.clone());
+            let (nl, syn_report) =
+                cache.synthesize(&synthesizer, design, &key, &config.recipe, &ctx)?;
+            syn_reports.push(syn_report);
+            netlist = Some(nl);
         }
-        Ok(CharacterizationReport {
-            design: design.name().to_owned(),
-            cells,
-            stages,
-        })
+        let Some(netlist) = netlist else {
+            return Ok(report(0, Default::default()));
+        };
+
+        let contexts = |stage| self.stage_contexts(stage, sweep, &points);
+        let (placement, place_reports) =
+            Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
+        let route_contexts = contexts(StageKind::Routing);
+        let sta_contexts = contexts(StageKind::Sta);
+        let routed = sweep::map_metered(
+            resolve_workers(config.workers),
+            route_contexts,
+            self.metrics(),
+            |_, ctx| Router::new().run(&netlist, &placement, &ctx).map(|(_, report)| report),
+        );
+        let route_reports = sweep::reduce_results(routed)?;
+        let (_, sta_reports) = StaEngine::new().run_sweep(&netlist, &placement, &sta_contexts)?;
+
+        Ok(report(
+            netlist.cell_count(),
+            [syn_reports, place_reports, route_reports, sta_reports],
+        ))
     }
 }
 

@@ -13,6 +13,7 @@ use crate::{Workflow, WorkflowError};
 use eda_cloud_flow::{Placer, Recipe, Router, StaEngine, StageKind, Synthesizer};
 use eda_cloud_gcn::GraphSample;
 use eda_cloud_netlist::{generators, DesignGraph};
+use eda_cloud_trace::Span;
 
 /// What corpus to generate.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,9 +128,11 @@ impl<'a> DatasetBuilder<'a> {
     /// Generate the corpus.
     ///
     /// Corpus entries — one per (family, size, recipe) triple — fan out
-    /// over `config.workers` threads; within each entry the synthesis
-    /// result is computed once and replayed across the 1/2/4/8-vCPU
-    /// sweep via a shared [`FlowCache`]. Entries are reduced in
+    /// over `config.workers` threads; within each entry every engine
+    /// runs once for the whole 1/2/4/8-vCPU sweep: synthesis through a
+    /// shared [`FlowCache`] (recorded once, replayed per machine),
+    /// placement, routing and STA through their `run_sweep` (routing
+    /// once per distinct strip count). Entries are reduced in
     /// canonical triple order regardless of completion order, so the
     /// corpus is bit-identical for any worker count.
     ///
@@ -174,44 +177,36 @@ impl<'a> DatasetBuilder<'a> {
                 recipe: recipe.name().to_owned(),
                 verify: config.verify,
             };
+            // Spans are created in the order a point-by-point loop
+            // creates them — the points, then under each point
+            // synthesis, placement, routing, sta — so span keys do not
+            // depend on the engines running stage by stage.
+            let points: Vec<Span> = VCPU_SWEEP
+                .iter()
+                .map(|vcpus| entry_span.child(&format!("vcpus/{vcpus}")))
+                .collect();
             let mut syn_times = [0.0f64; 4];
-            let mut place_times = [0.0f64; 4];
-            let mut route_times = [0.0f64; 4];
-            let mut sta_times = [0.0f64; 4];
             let mut netlist = None;
-            for (k, &vcpus) in VCPU_SWEEP.iter().enumerate() {
-                let point_span = entry_span.child(&format!("vcpus/{vcpus}"));
+            for ((time, &vcpus), point) in syn_times.iter_mut().zip(&VCPU_SWEEP).zip(&points) {
                 let ctx = self
                     .workflow
                     .exec_context(StageKind::Synthesis, vcpus)
-                    .with_span(point_span.clone());
+                    .with_span(point.clone());
                 let (nl, rep) = cache.synthesize(&synthesizer, &aig, &key, &recipe, &ctx)?;
-                syn_times[k] = rep.runtime_secs;
-
-                let ctx = self
-                    .workflow
-                    .exec_context(StageKind::Placement, vcpus)
-                    .with_span(point_span.child("placement"));
-                let (placement, rep) = Placer::new().run(&nl, &ctx)?;
-                place_times[k] = rep.runtime_secs;
-
-                let ctx = self
-                    .workflow
-                    .exec_context(StageKind::Routing, vcpus)
-                    .with_span(point_span.child("routing"));
-                let (_, rep) = Router::new().run(&nl, &placement, &ctx)?;
-                route_times[k] = rep.runtime_secs;
-
-                let ctx = self
-                    .workflow
-                    .exec_context(StageKind::Sta, vcpus)
-                    .with_span(point_span.child("sta"));
-                let (_, rep) = StaEngine::new().run(&nl, &placement, &ctx)?;
-                sta_times[k] = rep.runtime_secs;
-
+                *time = rep.runtime_secs;
                 netlist = Some(nl);
             }
             let netlist = netlist.expect("sweep ran at least once");
+            let contexts = |stage| self.workflow.stage_contexts(stage, &VCPU_SWEEP, &points);
+            let (placement, reports) =
+                Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
+            let place_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
+            let routed =
+                Router::new().run_sweep(&netlist, &placement, &contexts(StageKind::Routing))?;
+            let route_times: [f64; 4] = std::array::from_fn(|k| routed[k].1.runtime_secs);
+            let (_, reports) =
+                StaEngine::new().run_sweep(&netlist, &placement, &contexts(StageKind::Sta))?;
+            let sta_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
             let base_name = format!("{family}{size}.{}", recipe.name());
 
             let mut syn_sample = GraphSample::new(&aig_graph, syn_times);
@@ -252,6 +247,101 @@ struct CorpusEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eda_cloud_trace::Tracer;
+
+    /// The corpus as it was built before `run_sweep`: a serial loop
+    /// over entries and, inside each, over the vCPU points, running
+    /// every engine once per point under that point's span. What
+    /// `DatasetBuilder::build` must reproduce — samples, labels and
+    /// trace.
+    fn reference_build(workflow: &Workflow, config: &DatasetConfig) -> StageDatasets {
+        let recipes: Vec<Recipe> =
+            Recipe::standard_suite().into_iter().take(config.recipes.max(1)).collect();
+        let synthesizer = Synthesizer::new().with_verification(config.verify);
+        let mut out = StageDatasets::default();
+        let mut index = 0u64;
+        for family in &config.families {
+            for &size in &config.sizes {
+                for recipe in &recipes {
+                    let entry_span = workflow.tracer().root_at(index, &format!("corpus/{index:04}"));
+                    index += 1;
+                    entry_span.attr("design", format_args!("{family}{size}"));
+                    entry_span.attr("recipe", recipe.name());
+                    let aig = generators::build_family(family, size).expect("known family");
+                    let mut times = [[0.0f64; 4]; 4];
+                    let mut netlist = None;
+                    for (k, &vcpus) in VCPU_SWEEP.iter().enumerate() {
+                        let point_span = entry_span.child(&format!("vcpus/{vcpus}"));
+                        let ctx = |stage| workflow.exec_context(stage, vcpus);
+                        let (nl, rep) =
+                            synthesizer.run(&aig, recipe, &ctx(StageKind::Synthesis)).expect("synthesis");
+                        point_span.child("synthesis").counter("instructions", rep.counters.instructions);
+                        times[0][k] = rep.runtime_secs;
+                        let ctx = |stage: StageKind| {
+                            workflow.exec_context(stage, vcpus).with_span(point_span.child(&stage.to_string()))
+                        };
+                        let (placement, rep) =
+                            Placer::new().run(&nl, &ctx(StageKind::Placement)).expect("placement");
+                        times[1][k] = rep.runtime_secs;
+                        let (_, rep) = Router::new()
+                            .run(&nl, &placement, &ctx(StageKind::Routing))
+                            .expect("routing");
+                        times[2][k] = rep.runtime_secs;
+                        let (_, rep) =
+                            StaEngine::new().run(&nl, &placement, &ctx(StageKind::Sta)).expect("sta");
+                        times[3][k] = rep.runtime_secs;
+                        netlist = Some(nl);
+                    }
+                    let name = format!("{family}{size}.{}", recipe.name());
+                    let named = |graph: &DesignGraph, times: [f64; 4]| {
+                        let mut sample = GraphSample::new(graph, times);
+                        sample.name = name.clone();
+                        sample
+                    };
+                    let nl_graph = DesignGraph::from_netlist(&netlist.expect("four points ran"));
+                    out.synthesis.push(named(&DesignGraph::from_aig(&aig), times[0]));
+                    out.placement.push(named(&nl_graph, times[1]));
+                    out.routing.push(named(&nl_graph, times[2]));
+                    out.sta.push(named(&nl_graph, times[3]));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every label of every sample, by bit pattern.
+    fn label_bits(data: &StageDatasets) -> Vec<[u64; 4]> {
+        StageKind::ALL
+            .iter()
+            .flat_map(|&kind| data.for_stage(kind))
+            .map(|sample| sample.targets_secs.map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn build_equals_the_per_point_loop_at_any_worker_count() {
+        let cfg = DatasetConfig::smoke();
+        let reference_tracer = Tracer::new();
+        let reference =
+            reference_build(&Workflow::with_defaults().with_tracer(reference_tracer.clone()), &cfg);
+        let reference_trace = reference_tracer.drain();
+        assert_eq!(reference.label_count(), 4 * 4 * cfg.netlist_count());
+        assert!(reference_trace.len() > 4 * 4 * cfg.netlist_count(), "engine phases are traced");
+        for workers in [1, 2, 4] {
+            let tracer = Tracer::new();
+            let wf = Workflow::with_defaults().with_tracer(tracer.clone());
+            let built = DatasetBuilder::new(&wf)
+                .build(&cfg.clone().with_workers(workers))
+                .expect("builds");
+            assert_eq!(built, reference, "corpus at {workers} workers");
+            assert_eq!(label_bits(&built), label_bits(&reference), "labels at {workers} workers");
+            let trace = tracer.drain();
+            assert_eq!(trace.len(), reference_trace.len(), "span count at {workers} workers");
+            for (got, want) in trace.records().iter().zip(reference_trace.records()) {
+                assert_eq!(got, want, "span at {workers} workers");
+            }
+        }
+    }
 
     #[test]
     fn smoke_corpus_builds() {

@@ -14,15 +14,20 @@
 //!    are bit-identical to serial runs (`workers = 1`), and when
 //!    several jobs fail, the error reported is the one the serial loop
 //!    would have hit first.
-//! 2. **Synthesis is machine-independent.** The synthesis engine's
-//!    probe event stream depends only on `(design, recipe, verify)`, so
-//!    [`FlowCache`] records it once ([`Synthesizer::run_traced`]) and
-//!    replays it per machine configuration — the 1/2/4/8-vCPU sweep
-//!    performs the expensive structural work once instead of four
-//!    times, with counters bit-identical to a fresh run at each vCPU
-//!    count. Placement, routing, and STA genuinely depend on the
-//!    machine (thread partitioning, coherence traffic), so they run per
-//!    sweep point on the cached netlist.
+//! 2. **The engines' work is machine-independent; only its cost is
+//!    not.** No engine reads its probe back, so the event stream of a
+//!    run depends on the design (and recipe), never on the machine the
+//!    probe models. For synthesis [`FlowCache`] records the stream once
+//!    ([`Synthesizer::run_traced`]) and replays it per machine
+//!    configuration. Placement and STA run once per netlist through
+//!    their `run_sweep`, one sweep probe costing the run for every
+//!    machine at once. Routing depends on the machine through one
+//!    number, the strip count (`threads`, capped by the connections
+//!    there are to share), plus a closed-form tail (coherence traffic,
+//!    the width the parallel work ran at): `Router::run_sweep`
+//!    negotiates once per distinct strip count. The 1/2/4/8-vCPU sweep
+//!    thus does each piece of structural work once, with counters
+//!    bit-identical to a fresh run at each vCPU count.
 
 use eda_cloud_flow::{ExecContext, FlowError, Recipe, StageReport, SynthesisTrace, Synthesizer};
 use eda_cloud_netlist::{Aig, AigNode, Netlist};

@@ -4,7 +4,7 @@ use crate::recommended_family;
 use eda_cloud_cloud::Catalog;
 use eda_cloud_flow::{ExecContext, StageKind};
 use eda_cloud_perf::MachineModel;
-use eda_cloud_trace::{Metrics, Tracer};
+use eda_cloud_trace::{Metrics, Span, Tracer};
 
 /// Base calibration constant bridging this reproduction's lightweight
 /// engines to commercial-flow runtimes (see `DESIGN.md`).
@@ -130,6 +130,24 @@ impl Workflow {
             ..self.model
         };
         ExecContext::new(machine).with_model(model)
+    }
+
+    /// [`Workflow::exec_context`] for `stage` at every point of a
+    /// sweep, each tracing under a child of its point's span named for
+    /// the stage — what one `run_sweep` call of the stage's engine
+    /// takes.
+    pub(crate) fn stage_contexts(
+        &self,
+        stage: StageKind,
+        vcpu_sweep: &[u32],
+        points: &[Span],
+    ) -> Vec<ExecContext> {
+        let label = stage.to_string();
+        vcpu_sweep
+            .iter()
+            .zip(points)
+            .map(|(&vcpus, point)| self.exec_context(stage, vcpus).with_span(point.child(&label)))
+            .collect()
     }
 }
 

@@ -2,6 +2,7 @@
 
 use eda_cloud_perf::{MachineConfig, MachineModel, PerfProbe};
 use eda_cloud_trace::Span;
+use std::fmt::Display;
 
 /// Where and how a flow stage executes: the target machine configuration
 /// plus the calibrated cost model converting counted work into seconds.
@@ -94,6 +95,50 @@ impl ExecContext {
 impl Default for ExecContext {
     fn default() -> Self {
         Self::with_vcpus(1)
+    }
+}
+
+/// One probe for every context of a sweep, in context order: the
+/// engine runs once and reads context `k`'s counters with
+/// [`PerfProbe::counters_for`].
+pub(crate) fn sweep_probe<'a>(ctxs: impl IntoIterator<Item = &'a ExecContext>) -> PerfProbe {
+    let machines: Vec<MachineConfig> = ctxs.into_iter().map(|ctx| ctx.machine).collect();
+    PerfProbe::for_machines(&machines)
+}
+
+/// The spans of a sweep's contexts, driven as one. An engine run that
+/// serves several contexts opens each phase span under every context's
+/// span and adds each counter to all of them, so every context's trace
+/// subtree is the one a run of its own would record. Holds only the
+/// spans that record: with tracing off it is empty and labels are never
+/// formatted.
+pub(crate) struct SpanFan(Vec<Span>);
+
+impl SpanFan {
+    pub(crate) fn of<'a>(ctxs: impl IntoIterator<Item = &'a ExecContext>) -> Self {
+        Self(
+            ctxs.into_iter()
+                .map(|ctx| &ctx.span)
+                .filter(|span| span.is_enabled())
+                .cloned()
+                .collect(),
+        )
+    }
+
+    /// Open a child under every span.
+    pub(crate) fn child(&self, label: impl Display) -> Self {
+        if self.0.is_empty() {
+            return Self(Vec::new());
+        }
+        let label = label.to_string();
+        Self(self.0.iter().map(|span| span.child(&label)).collect())
+    }
+
+    /// Add `delta` to a named counter on every span.
+    pub(crate) fn counter(&self, name: &str, delta: u64) {
+        for span in &self.0 {
+            span.counter(name, delta);
+        }
     }
 }
 

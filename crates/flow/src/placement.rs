@@ -12,9 +12,9 @@
 //! connectivity-ordered accesses that thrash small caches and benefit
 //! from the larger LLC share that comes with more vCPUs.
 
+use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, StageKind, StageReport};
 use eda_cloud_netlist::{NetId, Netlist};
-use eda_cloud_perf::StageWork;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -46,17 +46,25 @@ impl Placement {
     /// positions.
     #[must_use]
     pub fn hpwl_of(points: &[(f64, f64)]) -> f64 {
-        if points.is_empty() {
-            return 0.0;
-        }
-        let (mut x0, mut x1, mut y0, mut y1) = (f64::MAX, f64::MIN, f64::MAX, f64::MIN);
-        for &(x, y) in points {
-            x0 = x0.min(x);
-            x1 = x1.max(x);
-            y0 = y0.min(y);
-            y1 = y1.max(y);
-        }
+        hpwl(points.iter().copied())
+    }
+}
+
+/// Half-perimeter of the bounding box of `points` (0 for no points).
+fn hpwl(points: impl IntoIterator<Item = (f64, f64)>) -> f64 {
+    let (mut x0, mut x1, mut y0, mut y1) = (f64::MAX, f64::MIN, f64::MAX, f64::MIN);
+    let mut any = false;
+    for (x, y) in points {
+        any = true;
+        x0 = x0.min(x);
+        x1 = x1.max(x);
+        y0 = y0.min(y);
+        y1 = y1.max(y);
+    }
+    if any {
         (x1 - x0) + (y1 - y0)
+    } else {
+        0.0
     }
 }
 
@@ -74,7 +82,7 @@ pub struct Placer {
 }
 
 impl Placer {
-    /// Placer with default settings (40 descent iterations, 70% target
+    /// Placer with default settings (64 descent iterations, 70% target
     /// utilization).
     #[must_use]
     pub fn new() -> Self {
@@ -110,11 +118,31 @@ impl Placer {
         netlist: &Netlist,
         ctx: &ExecContext,
     ) -> Result<(Placement, StageReport), FlowError> {
+        let (placement, mut reports) = self.run_sweep(netlist, std::slice::from_ref(ctx))?;
+        Ok((placement, reports.pop().expect("one report per context")))
+    }
+
+    /// Place the netlist once for every context of a sweep: the
+    /// placement and one report per context, in context order, each
+    /// what [`Placer::run`] under that context returns. The algorithm
+    /// never reads its probe back, so positions and the event stream
+    /// are the same on every machine; only the cost of the events
+    /// differs, and one sweep probe counts that for all of them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Placer::run`].
+    pub fn run_sweep(
+        &self,
+        netlist: &Netlist,
+        ctxs: &[ExecContext],
+    ) -> Result<(Placement, Vec<StageReport>), FlowError> {
         let n = netlist.cell_count();
         if n == 0 {
             return Err(FlowError::EmptyDesign);
         }
-        let mut probe = ctx.probe();
+        let mut probe = sweep_probe(ctxs);
+        let spans = SpanFan::of(ctxs);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
 
         // Die: square sized for the cell count at target utilization
@@ -136,8 +164,10 @@ impl Placer {
         let mut x: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..side)).collect();
         let mut y: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..side)).collect();
 
-        // Net endpoint table: (cell ids, fixed points).
+        // Net endpoint table: (cell ids, fixed points), and its
+        // transpose.
         let endpoints = net_endpoints(netlist, &pi_pins, &po_pins);
+        let cell_net_list = cell_nets(netlist);
 
         // Gradient descent with density spreading.
         let bins = ((n as f64).sqrt() / 3.0).ceil().max(2.0) as usize;
@@ -157,9 +187,11 @@ impl Placer {
         let c_base = 0x9000_0000u64;
         let g_base = 0xD000_0000u64;
         let pin_base = 0x1_2000_0000u64;
-        let gd_span = ctx.span.child("gradient_descent");
+        let mut load = vec![0u32; bins * bins];
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let gd_span = spans.child("gradient_descent");
         for iter in 0..self.iterations {
-            let iter_span = gd_span.child(&format!("iter/{iter}"));
+            let iter_span = gd_span.child(format_args!("iter/{iter}"));
             // 1) Net centroids (reads of scattered cell coordinates).
             for (ni, ep) in endpoints.iter().enumerate() {
                 let mut sx = 0.0;
@@ -184,7 +216,7 @@ impl Placer {
             // 2) Cell gradients: move toward the mean of its nets'
             //    centroids (quadratic-wirelength gradient step).
             let alpha = 0.55 * (1.0 - iter as f64 / (2.0 * self.iterations as f64));
-            for (cell, nets) in cell_nets(netlist).iter().enumerate() {
+            for (cell, nets) in cell_net_list.iter().enumerate() {
                 if nets.is_empty() {
                     continue;
                 }
@@ -208,7 +240,7 @@ impl Placer {
             }
             // 3) Density spreading on a coarse bin grid.
             let cap = (n as f64) / (bins * bins) as f64 * 1.4;
-            let mut load = vec![0u32; bins * bins];
+            load.fill(0);
             for cell in 0..n {
                 let bx = ((x[cell] / side) * bins as f64).clamp(0.0, bins as f64 - 1.0) as usize;
                 let by = ((y[cell] / side) * bins as f64).clamp(0.0, bins as f64 - 1.0) as usize;
@@ -241,7 +273,8 @@ impl Placer {
             if iter % 3 == 2 {
                 iter_span.counter("quantile_spread", 1);
                 for coords in [&mut x, &mut y] {
-                    let mut order: Vec<usize> = (0..n).collect();
+                    order.clear();
+                    order.extend(0..n);
                     order.sort_by(|&a, &b| coords[a].total_cmp(&coords[b]));
                     probe.instr((n as f64 * (n as f64).log2().max(1.0)) as u64);
                     for (rank, &cell) in order.iter().enumerate() {
@@ -261,7 +294,7 @@ impl Placer {
 
         // Legalization: snap to rows (sequential sort-based).
         {
-            let _legalize_span = ctx.span.child("legalize");
+            let _legalize_span = spans.child("legalize");
             legalize(&mut x, &mut y, side, &mut probe);
         }
 
@@ -269,19 +302,14 @@ impl Placer {
         // cell pairs and swap whenever the half-perimeter wirelength of
         // the touched nets improves — the cheap tail-end pass every
         // production placer runs after legalization.
-        let cell_net_list = cell_nets(netlist);
         let hpwl_of_cell = |cell: usize, x: &[f64], y: &[f64]| -> f64 {
             let mut total = 0.0;
             for &ni in &cell_net_list[cell] {
-                let ep = &endpoints[ni as usize];
-                let mut pts: Vec<(f64, f64)> =
-                    ep.cells.iter().map(|&c| (x[c], y[c])).collect();
-                pts.extend_from_slice(&ep.fixed);
-                total += Placement::hpwl_of(&pts);
+                total += hpwl(endpoints[ni as usize].points(x, y));
             }
             total
         };
-        let detailed_span = ctx.span.child("detailed");
+        let detailed_span = spans.child("detailed");
         let swaps = (n * 2).min(40_000);
         let mut improved = 0u32;
         for _ in 0..swaps {
@@ -313,35 +341,25 @@ impl Placer {
         drop(detailed_span);
 
         // Final HPWL.
-        let mut hpwl = 0.0;
+        let mut hpwl_um = 0.0;
         for ep in &endpoints {
-            let mut pts: Vec<(f64, f64)> =
-                ep.cells.iter().map(|&c| (x[c], y[c])).collect();
-            pts.extend_from_slice(&ep.fixed);
-            hpwl += Placement::hpwl_of(&pts);
-            probe.fp(2 * pts.len() as u64, true);
+            hpwl_um += hpwl(ep.points(&x, &y));
+            probe.fp(2 * (ep.cells.len() + ep.fixed.len()) as u64, true);
         }
 
-        let counters = probe.counters();
         let sync = 900.0 * self.iterations as f64;
-        let work = StageWork::from_counters(&counters, self.parallel_fraction, sync, &ctx.model);
-        let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
+        let reports =
+            StageReport::for_sweep(StageKind::Placement, &probe, self.parallel_fraction, sync, ctxs);
         Ok((
             Placement {
                 x,
                 y,
                 die_um: die,
-                hpwl_um: hpwl,
+                hpwl_um,
                 pi_pins,
                 po_pins,
             },
-            StageReport {
-                kind: StageKind::Placement,
-                runtime_secs,
-                counters,
-                work,
-                parallel_fraction: self.parallel_fraction,
-            },
+            reports,
         ))
     }
 }
@@ -357,6 +375,13 @@ impl Default for Placer {
 struct NetEndpoints {
     cells: Vec<usize>,
     fixed: Vec<(f64, f64)>,
+}
+
+impl NetEndpoints {
+    /// Every endpoint's position under the cell coordinates `x`, `y`.
+    fn points<'a>(&'a self, x: &'a [f64], y: &'a [f64]) -> impl Iterator<Item = (f64, f64)> + 'a {
+        self.cells.iter().map(|&c| (x[c], y[c])).chain(self.fixed.iter().copied())
+    }
 }
 
 fn net_endpoints(
@@ -472,9 +497,7 @@ mod tests {
         let ry: Vec<f64> = (0..nl.cell_count()).map(|_| rng.gen_range(0.0..p.die_um.1)).collect();
         let mut random_hpwl = 0.0;
         for ep in &endpoints {
-            let mut pts: Vec<(f64, f64)> = ep.cells.iter().map(|&c| (rx[c], ry[c])).collect();
-            pts.extend_from_slice(&ep.fixed);
-            random_hpwl += Placement::hpwl_of(&pts);
+            random_hpwl += hpwl(ep.points(&rx, &ry));
         }
         assert!(
             p.hpwl_um < 0.8 * random_hpwl,

@@ -20,6 +20,7 @@
 //! proportionally more crossing connections and fewer local ones — which
 //! is exactly why their speedup plateaus in Figure 3.
 
+use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
 use eda_cloud_perf::{CounterSet, PerfProbe, StageWork};
@@ -96,11 +97,36 @@ impl Router {
         placement: &Placement,
         ctx: &ExecContext,
     ) -> Result<(RoutingResult, StageReport), FlowError> {
+        let mut results = self.run_sweep(netlist, placement, std::slice::from_ref(ctx))?;
+        Ok(results.pop().expect("one result per context"))
+    }
+
+    /// Route the placed netlist for every context of a sweep: one
+    /// result per context, in context order, each what [`Router::run`]
+    /// under that context returns (up to `measured_wall_secs`).
+    ///
+    /// The machine reaches the algorithm only through the strip count —
+    /// `threads`, capped by how many connections there are to share —
+    /// so contexts that agree on it share one negotiation, and what is
+    /// left per context (coherence traffic, the width the parallel work
+    /// really ran at) is closed-form. A small design routes once for
+    /// the whole sweep; one big enough to fill every vCPU count routes
+    /// once per count, serially.
+    ///
+    /// # Errors
+    ///
+    /// As [`Router::run`]; the error is the one a loop of `run` over
+    /// `ctxs` hits first.
+    pub fn run_sweep(
+        &self,
+        netlist: &Netlist,
+        placement: &Placement,
+        ctxs: &[ExecContext],
+    ) -> Result<Vec<(RoutingResult, StageReport)>, FlowError> {
         let n_cells = netlist.cell_count();
         if n_cells == 0 {
             return Err(FlowError::EmptyDesign);
         }
-        let mut probe = ctx.probe();
 
         // Grid dimension scales with design size.
         let grid = ((n_cells as f64).sqrt() * 0.8).ceil().clamp(8.0, 192.0) as usize;
@@ -161,16 +187,53 @@ impl Router {
         // source: dataflow runs PI (left) to PO (right), so nets are
         // long in x and short in y, and strips maximize the share of
         // connections whose entire search stays inside one strip.
-        let threads = ctx.threads();
         // Don't over-partition tiny designs: a worker needs enough
         // connections to amortize its setup, so small workloads use
         // fewer strips than vCPUs (this is the Figure-3 plateau — the
         // extra vCPUs simply have no independent work to do).
-        let regions = threads.min(connections.len() / 96).max(1);
+        //
+        // Contexts with the same strip count route together. Groups
+        // form in order of their first context, so the first group to
+        // fail is the one holding the first context that would.
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (k, ctx) in ctxs.iter().enumerate() {
+            let regions = ctx.threads().min(connections.len() / 96).max(1);
+            match groups.iter_mut().find(|(r, _)| *r == regions) {
+                Some((_, members)) => members.push(k),
+                None => groups.push((regions, vec![k])),
+            }
+        }
+        let mut results: Vec<Option<(RoutingResult, StageReport)>> = vec![None; ctxs.len()];
+        for (regions, members) in groups {
+            let group: Vec<&ExecContext> = members.iter().map(|&k| &ctxs[k]).collect();
+            let routed = self.route_group(grid, capacity, &connections, regions, &group)?;
+            for (k, result) in members.into_iter().zip(routed) {
+                results[k] = Some(result);
+            }
+        }
+        Ok(results
+            .into_iter()
+            .map(|result| result.expect("every context is in one group"))
+            .collect())
+    }
+
+    /// Negotiate the routing once at `regions` strips and finish one
+    /// result for each of `ctxs`, all of which partition into that many
+    /// strips.
+    fn route_group(
+        &self,
+        grid: usize,
+        capacity: u16,
+        connections: &[Connection],
+        regions: usize,
+        ctxs: &[&ExecContext],
+    ) -> Result<Vec<(RoutingResult, StageReport)>, FlowError> {
+        let mut probe = sweep_probe(ctxs.iter().copied());
+        let spans = SpanFan::of(ctxs.iter().copied());
         let region_of = |y: u16| (y as usize * regions / grid).min(regions - 1);
         let mut local_connections = 0usize;
         let mut global_connections = 0usize;
-        for c in &connections {
+        for c in connections {
             let (r1, r2) = (region_of(c.src.1), region_of(c.dst.1));
             probe.branch(0xC0, r1 == r2);
             if r1 == r2 {
@@ -190,53 +253,50 @@ impl Router {
         // all run concurrently; only the merge/overflow scan is serial.
         let wall_start = std::time::Instant::now();
         let mut state = GridState::new(grid, capacity);
-        let mut routed: Vec<(Connection, Vec<u32>)> =
-            connections.iter().map(|c| (*c, Vec::new())).collect();
-        let mut pending: Vec<usize> = (0..routed.len()).collect();
-        let mut worker_counters: Vec<CounterSet> = Vec::new();
+        let mut paths: Vec<Vec<u32>> = vec![Vec::new(); connections.len()];
+        let mut pending: Vec<usize> = (0..connections.len()).collect();
+        // One worker per strip, kept for the whole run.
+        let mut strips: Vec<Strip> = (0..regions).map(|_| Strip::new(grid, capacity, ctxs)).collect();
+        let mut worker_totals = vec![CounterSet::default(); ctxs.len()];
+        let mut over = vec![false; state.usage.len()];
         let mut iterations = 0usize;
-        let negotiate_span = ctx.span.child("negotiate");
+        let negotiate_span = spans.child("negotiate");
         for round in 0..self.max_iterations.max(1) {
             iterations += 1;
-            let round_span = negotiate_span.child(&format!("round/{round}"));
+            let round_span = negotiate_span.child(format_args!("round/{round}"));
             round_span.counter("pending", pending.len() as u64);
             // Partition pending connections by source strip.
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); regions];
+            for strip in &mut strips {
+                strip.bucket.clear();
+            }
             for &i in &pending {
-                buckets[region_of(routed[i].0.src.1)].push(i);
+                strips[region_of(connections[i].src.1)].bucket.push(i);
             }
             probe.instr(pending.len() as u64);
             // Batched parallel routing round. The region partition is
             // fixed by the simulated machine; how many *host* threads
             // chew through the non-empty buckets follows the host's
             // cores. Each bucket routes against the same committed-
-            // usage snapshot and produces its own delta and counters,
-            // and the outcomes come back in bucket-index order — the
+            // usage snapshot into its strip's own delta, paths and
+            // probe, and those are committed in strip order — the
             // canonical commit order — so results are bit-identical at
             // any width.
-            let background = state.usage.clone();
-            let history = state.history.clone();
-            let routed_view = &routed;
-            let nonempty: Vec<&Vec<usize>> = buckets.iter().filter(|b| !b.is_empty()).collect();
-            let workers = par::resolve_workers(0, nonempty.len());
-            let outcomes = par::map_indexed(workers, nonempty, |_, bucket| {
-                let mut delta = GridState::with_background(grid, capacity, &background, &history);
-                let mut wprobe = PerfProbe::for_machine(&ctx.machine);
-                let paths: Vec<(usize, Vec<u32>)> = bucket
-                    .iter()
-                    .map(|&i| (i, delta.route(routed_view[i].0, &mut wprobe)))
-                    .collect();
-                (paths, delta.into_delta(), wprobe.counters())
+            let busy: Vec<&mut Strip> = strips.iter_mut().filter(|s| !s.bucket.is_empty()).collect();
+            let workers = par::resolve_workers(0, busy.len());
+            par::map_indexed(workers, busy, |_, strip| {
+                strip.route_bucket(&state.usage, &state.history, connections);
             });
-            for (paths, delta, counters) in outcomes {
-                state.merge_delta(&delta);
-                worker_counters.push(counters);
-                for (i, path) in paths {
-                    routed[i].1 = path;
+            for strip in strips.iter_mut().filter(|s| !s.bucket.is_empty()) {
+                state.merge_delta(&strip.grid.delta);
+                for (k, total) in worker_totals.iter_mut().enumerate() {
+                    *total += strip.probe.counters_for(k);
+                }
+                for (&i, path) in strip.bucket.iter().zip(strip.paths.drain(..)) {
+                    paths[i] = path;
                 }
             }
             // Serial phase: overflow scan + history bump + rip-up.
-            let mut over = vec![false; state.usage.len()];
+            over.fill(false);
             let mut any = false;
             let mut over_edges = 0u64;
             for (e, &u) in state.usage.iter().enumerate() {
@@ -254,7 +314,7 @@ impl Router {
                 break;
             }
             pending.clear();
-            for (i, (_, path)) in routed.iter().enumerate() {
+            for (i, path) in paths.iter().enumerate() {
                 let crosses = path.iter().any(|&e| over[e as usize]);
                 probe.branch(0xD5, crosses);
                 if crosses {
@@ -265,7 +325,7 @@ impl Router {
                 break;
             }
             for &i in &pending {
-                for &e in &routed[i].1 {
+                for &e in &paths[i] {
                     state.usage[e as usize] -= 1;
                     probe.write(0xB000_0000 + u64::from(e) * 256);
                 }
@@ -275,14 +335,11 @@ impl Router {
         // Wall-clock stays out of the span tree: only logical counters
         // go in, so the trace is byte-identical across machines.
         let measured_wall_secs = wall_start.elapsed().as_secs_f64();
-        let parallel_counters = worker_counters
-            .iter()
-            .fold(CounterSet::default(), |acc, &c| acc + c);
-        probe.absorb(parallel_counters);
+        probe.absorb(&worker_totals);
 
-        let wirelength: u64 = routed.iter().map(|(_, p)| p.len() as u64).sum();
-        ctx.span.counter("ripup_rounds", iterations as u64);
-        ctx.span.counter("wirelength", wirelength);
+        let wirelength: u64 = paths.iter().map(|p| p.len() as u64).sum();
+        spans.counter("ripup_rounds", iterations as u64);
+        spans.counter("wirelength", wirelength);
         let overflowed_edges = state.overflow_count();
         let total_edges = state.usage.len().max(1);
         if overflowed_edges as f64 / total_edges as f64 > self.overflow_tolerance {
@@ -291,54 +348,59 @@ impl Router {
             });
         }
 
-        // Coherence traffic: global connections write edges that worker
-        // caches also hold; a share of those writes miss on real hardware
-        // (this is the paper's slight cache-miss increase at 8 vCPUs).
-        let mut counters = probe.counters();
-        if threads > 1 {
-            let coherence = (wirelength as f64 * (1.0 - 1.0 / threads as f64) * 0.6) as u64;
-            counters.cache_refs += coherence;
-            counters.l1_misses += coherence;
-            counters.llc_misses += coherence / 2;
-        }
+        // Worker events are the same on every machine of the group
+        // (only their LLC and AVX attribution differ).
+        let worker_ops = worker_totals[0].instructions as f64;
+        let results = ctxs.iter().enumerate().map(|(k, ctx)| {
+            let threads = ctx.threads();
+            // Coherence traffic: global connections write edges that worker
+            // caches also hold; a share of those writes miss on real hardware
+            // (this is the paper's slight cache-miss increase at 8 vCPUs).
+            let mut counters = probe.counters_for(k);
+            if threads > 1 {
+                let coherence = (wirelength as f64 * (1.0 - 1.0 / threads as f64) * 0.6) as u64;
+                counters.cache_refs += coherence;
+                counters.l1_misses += coherence;
+                counters.llc_misses += coherence / 2;
+            }
 
-        // Work split: worker counters are the parallel share; the
-        // merge/overflow bookkeeping on the main probe is serial. When
-        // the design is too small to fill every vCPU with a strip
-        // (regions < vCPUs), the parallel work runs at width `regions`,
-        // not `vcpus` — inflate it so the machine model's division by
-        // effective cores lands on parallel/width (the Figure-3
-        // plateau).
-        let worker_ops: f64 = worker_counters.iter().map(|c| c.instructions as f64).sum();
-        let total_ops = counters.instructions.max(1) as f64;
-        let parallel_fraction = (worker_ops / total_ops).clamp(0.0, 0.99);
-        let sync = 1_500.0 * iterations as f64;
-        let mut work = StageWork::from_counters(&counters, parallel_fraction, sync, &ctx.model);
-        if regions < threads {
-            let eff_full = ctx.model.effective_cores(&ctx.machine);
-            let eff_width = 1.0 + (regions as f64 - 1.0) * ctx.model.scaling_efficiency;
-            work.parallel_cycles *= eff_full / eff_width;
-        }
-        let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
-
-        Ok((
-            RoutingResult {
-                grid,
-                wirelength,
-                overflowed_edges,
-                iterations,
-                local_connections,
-                global_connections,
-                measured_wall_secs,
-            },
-            StageReport {
-                kind: StageKind::Routing,
-                runtime_secs,
-                counters,
-                work,
-                parallel_fraction,
-            },
-        ))
+            // Work split: worker counters are the parallel share; the
+            // merge/overflow bookkeeping on the main probe is serial. When
+            // the design is too small to fill every vCPU with a strip
+            // (regions < vCPUs), the parallel work runs at width `regions`,
+            // not `vcpus` — inflate it so the machine model's division by
+            // effective cores lands on parallel/width (the Figure-3
+            // plateau).
+            let total_ops = counters.instructions.max(1) as f64;
+            let parallel_fraction = (worker_ops / total_ops).clamp(0.0, 0.99);
+            let sync = 1_500.0 * iterations as f64;
+            let mut work = StageWork::from_counters(&counters, parallel_fraction, sync, &ctx.model);
+            if regions < threads {
+                let eff_full = ctx.model.effective_cores(&ctx.machine);
+                let eff_width = 1.0 + (regions as f64 - 1.0) * ctx.model.scaling_efficiency;
+                work.parallel_cycles *= eff_full / eff_width;
+            }
+            let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
+            (
+                RoutingResult {
+                    grid,
+                    wirelength,
+                    overflowed_edges,
+                    iterations,
+                    local_connections,
+                    global_connections,
+                    measured_wall_secs,
+                },
+                StageReport {
+                    kind: StageKind::Routing,
+                    runtime_secs,
+                    counters,
+                    work,
+                    parallel_fraction,
+                },
+            )
+        });
+        Ok(results.collect())
     }
 }
 
@@ -355,10 +417,42 @@ struct Connection {
     dst: (u16, u16),
 }
 
-/// An edge-usage delta produced by one worker's routing round.
-#[derive(Debug, Clone)]
-struct GridDelta {
-    usage: Vec<u16>,
+/// What one strip's worker keeps for a whole run: its probe, search
+/// scratch and view of the grid are built once and reset for each
+/// round's bucket — cold caches, an untrained predictor and fresh
+/// search records, exactly as if built for that bucket.
+struct Strip {
+    /// This round's pending connections whose source lies in the strip.
+    bucket: Vec<usize>,
+    /// Their routed paths, in bucket order, until the round commits.
+    paths: Vec<Vec<u32>>,
+    probe: PerfProbe,
+    grid: GridState,
+    search: AStar,
+}
+
+impl Strip {
+    fn new(grid: usize, capacity: u16, ctxs: &[&ExecContext]) -> Self {
+        Self {
+            bucket: Vec::new(),
+            paths: Vec::new(),
+            probe: sweep_probe(ctxs.iter().copied()),
+            grid: GridState::new(grid, capacity),
+            search: AStar::new(grid * grid),
+        }
+    }
+
+    /// Route the bucket against the committed `background` usage,
+    /// leaving the paths, the usage delta and the probe's counters for
+    /// the round's serial phase to commit.
+    fn route_bucket(&mut self, background: &[u16], history: &[f32], connections: &[Connection]) {
+        self.probe.reset();
+        self.grid.rebase(background, history);
+        for &i in &self.bucket {
+            let path = self.grid.route(connections[i], &mut self.search, &mut self.probe);
+            self.paths.push(path);
+        }
+    }
 }
 
 /// Mutable routing state: edge usage (optionally layered on a read-only
@@ -376,7 +470,6 @@ struct GridState {
     usage: Vec<u16>,
     delta: Vec<u16>,
     history: Vec<f32>,
-    track_delta: bool,
 }
 
 impl GridState {
@@ -386,33 +479,23 @@ impl GridState {
             grid,
             capacity,
             usage: vec![0; edges],
-            delta: Vec::new(),
+            delta: vec![0; edges],
             history: vec![0.0; edges],
-            track_delta: false,
             search_seq: 0,
         }
     }
 
-    /// Worker view: costs see `background + own commits`; commits are
-    /// recorded separately for the merge.
-    fn with_background(grid: usize, capacity: u16, background: &[u16], history: &[f32]) -> Self {
-        Self {
-            grid,
-            capacity,
-            usage: background.to_vec(),
-            delta: vec![0; background.len()],
-            history: history.to_vec(),
-            track_delta: true,
-            search_seq: 0,
-        }
+    /// Become a worker's view for one round: costs see `background`
+    /// plus own commits; commits are recorded separately for the merge.
+    fn rebase(&mut self, background: &[u16], history: &[f32]) {
+        self.usage.copy_from_slice(background);
+        self.delta.fill(0);
+        self.history.copy_from_slice(history);
+        self.search_seq = 0;
     }
 
-    fn into_delta(self) -> GridDelta {
-        GridDelta { usage: self.delta }
-    }
-
-    fn merge_delta(&mut self, delta: &GridDelta) {
-        for (u, &d) in self.usage.iter_mut().zip(&delta.usage) {
+    fn merge_delta(&mut self, delta: &[u16]) {
+        for (u, &d) in self.usage.iter_mut().zip(delta) {
             *u += d;
         }
     }
@@ -431,9 +514,7 @@ impl GridState {
 
     fn commit_edge(&mut self, e: usize) {
         self.usage[e] += 1;
-        if self.track_delta {
-            self.delta[e] += 1;
-        }
+        self.delta[e] += 1;
     }
 
     fn overflow_count(&self) -> usize {
@@ -442,7 +523,7 @@ impl GridState {
 
     /// A* maze route of one connection; commits edge usage and returns
     /// the path (edge indices from destination back to source).
-    fn route(&mut self, c: Connection, probe: &mut PerfProbe) -> Vec<u32> {
+    fn route(&mut self, c: Connection, search: &mut AStar, probe: &mut PerfProbe) -> Vec<u32> {
         let g = self.grid;
         self.search_seq += 1;
         // Fresh per-search node-record arena (16 B per visited node).
@@ -457,17 +538,15 @@ impl GridState {
         let y0 = sy.min(dy).saturating_sub(margin);
         let y1 = (sy.max(dy) + margin).min(g - 1);
 
-        let mut dist = vec![f64::INFINITY; g * g];
-        let mut from = vec![u32::MAX; g * g];
-        let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
-        dist[idx(sx, sy)] = 0.0;
-        heap.push(HeapItem {
+        search.begin();
+        search.reach(idx(sx, sy), 0.0, u32::MAX);
+        search.heap.push(HeapItem {
             cost: 0.0,
             x: sx as u16,
             y: sy as u16,
         });
         let h = |x: usize, y: usize| (x.abs_diff(dx) + y.abs_diff(dy)) as f64;
-        while let Some(item) = heap.pop() {
+        while let Some(item) = search.heap.pop() {
             let (x, y) = (item.x as usize, item.y as usize);
             probe.loop_branches(1);
             probe.read(search_base + idx(x, y) as u64 * 16); // search-node record
@@ -476,7 +555,7 @@ impl GridState {
             if found {
                 break;
             }
-            let d = dist[idx(x, y)];
+            let d = search.dist(idx(x, y));
             let stale = item.cost > d + h(x, y) + 1e-9;
             probe.branch(0xD2, stale);
             if stale {
@@ -504,12 +583,11 @@ impl GridState {
                 probe.read(0xB000_0000 + e as u64 * 256); // edge record lookup
                 probe.read(0xB000_0000 + e as u64 * 256 + 64); // per-layer row
                 let nd = d + self.edge_cost(e);
-                let better = nd < dist[idx(nx, ny)];
+                let better = nd < search.dist(idx(nx, ny));
                 probe.branch(0xD4, better);
                 if better {
-                    dist[idx(nx, ny)] = nd;
-                    from[idx(nx, ny)] = idx(x, y) as u32;
-                    heap.push(HeapItem {
+                    search.reach(idx(nx, ny), nd, idx(x, y) as u32);
+                    search.heap.push(HeapItem {
                         cost: nd + h(nx, ny),
                         x: nx as u16,
                         y: ny as u16,
@@ -521,13 +599,13 @@ impl GridState {
         // Backtrack and commit usage.
         let mut path = Vec::new();
         let mut cur = idx(dx, dy);
-        if from[cur] == u32::MAX && cur != idx(sx, sy) {
+        if search.from(cur) == u32::MAX && cur != idx(sx, sy) {
             // Unreachable inside the window (cannot happen on an open
             // grid with an inflated box); treated as a zero-length path.
             return path;
         }
         while cur != idx(sx, sy) {
-            let prev = from[cur] as usize;
+            let prev = search.from(cur) as usize;
             let (cx, cy) = (cur % g, cur / g);
             let (px, py) = (prev % g, prev / g);
             let e = if cy == py {
@@ -541,6 +619,61 @@ impl GridState {
             cur = prev;
         }
         path
+    }
+}
+
+/// Reusable A* state for one worker: a best cost and predecessor per
+/// grid node, and the open heap. A node's record counts only when its
+/// stamp is the current search's, so starting a search costs a counter
+/// bump instead of refilling two grid-sized vectors.
+struct AStar {
+    nodes: Vec<SearchNode>,
+    search: u32,
+    heap: BinaryHeap<HeapItem>,
+}
+
+#[derive(Clone, Copy)]
+struct SearchNode {
+    dist: f64,
+    from: u32,
+    /// The search that last reached this node (0: none yet).
+    stamp: u32,
+}
+
+impl AStar {
+    fn new(nodes: usize) -> Self {
+        Self {
+            nodes: vec![SearchNode { dist: f64::INFINITY, from: u32::MAX, stamp: 0 }; nodes],
+            search: 0,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Start a search: no node reached, empty heap.
+    fn begin(&mut self) {
+        self.heap.clear();
+        self.search = self.search.wrapping_add(1);
+        if self.search == 0 {
+            self.nodes.iter_mut().for_each(|node| node.stamp = 0);
+            self.search = 1;
+        }
+    }
+
+    /// Best known cost to node `i` (infinite until reached).
+    fn dist(&self, i: usize) -> f64 {
+        let node = &self.nodes[i];
+        if node.stamp == self.search { node.dist } else { f64::INFINITY }
+    }
+
+    /// Predecessor of node `i` (`u32::MAX` for the source and for nodes
+    /// not reached).
+    fn from(&self, i: usize) -> u32 {
+        let node = &self.nodes[i];
+        if node.stamp == self.search { node.from } else { u32::MAX }
+    }
+
+    fn reach(&mut self, i: usize, dist: f64, from: u32) {
+        self.nodes[i] = SearchNode { dist, from, stamp: self.search };
     }
 }
 
@@ -661,6 +794,7 @@ mod tests {
                 src: (2, 2),
                 dst: (7, 5),
             },
+            &mut AStar::new(16 * 16),
             &mut probe,
         );
         assert_eq!(path.len(), 5 + 3, "uncongested route = Manhattan distance");
@@ -681,6 +815,7 @@ mod tests {
                 src: (2, 3),
                 dst: (7, 3),
             },
+            &mut AStar::new(16 * 16),
             &mut probe,
         );
         assert!(
@@ -690,32 +825,32 @@ mod tests {
         );
     }
 
+    /// A worker's view of `base` for one round.
+    fn worker_view(base: &GridState) -> GridState {
+        let mut view = GridState::new(base.grid, base.capacity);
+        view.rebase(&base.usage, &base.history);
+        view
+    }
+
     #[test]
     fn worker_deltas_merge_exactly() {
         // Two workers route over the same background; merging their
-        // deltas must equal the sum of their individual commits.
+        // deltas must equal the sum of their individual commits. The
+        // second worker reuses the first one's search scratch.
         let mut probe = PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1));
+        let mut search = AStar::new(16 * 16);
         let mut state = GridState::new(16, 4);
-        let background = state.usage.clone();
-        let history = state.history.clone();
-        let mut w1 = GridState::with_background(16, 4, &background, &history);
-        let mut w2 = GridState::with_background(16, 4, &background, &history);
-        let p1 = w1.route(
-            Connection {
-                src: (1, 2),
-                dst: (6, 2),
-            },
-            &mut probe,
-        );
-        let p2 = w2.route(
-            Connection {
-                src: (1, 2),
-                dst: (6, 2),
-            },
-            &mut probe,
-        );
-        state.merge_delta(&w1.into_delta());
-        state.merge_delta(&w2.into_delta());
+        let mut w1 = worker_view(&state);
+        let mut w2 = worker_view(&state);
+        let c = Connection {
+            src: (1, 2),
+            dst: (6, 2),
+        };
+        let p1 = w1.route(c, &mut search, &mut probe);
+        let p2 = w2.route(c, &mut search, &mut probe);
+        assert_eq!(p1, p2, "a reused scratch starts every search clean");
+        state.merge_delta(&w1.delta);
+        state.merge_delta(&w2.delta);
         let total: u64 = state.usage.iter().map(|&u| u64::from(u)).sum();
         assert_eq!(total as usize, p1.len() + p2.len());
     }
@@ -729,18 +864,18 @@ mod tests {
             let e = base.edge_index(x, 3, 0);
             base.usage[e] = 3;
         }
-        let mut worker = GridState::with_background(16, 1, &base.usage, &base.history);
+        let mut worker = worker_view(&base);
         let path = worker.route(
             Connection {
                 src: (2, 3),
                 dst: (9, 3),
             },
+            &mut AStar::new(16 * 16),
             &mut probe,
         );
         assert!(path.len() > 7, "detour expected, got {}", path.len());
         // The delta records only the worker's own commits.
-        let delta = worker.into_delta();
-        let committed: u64 = delta.usage.iter().map(|&u| u64::from(u)).sum();
+        let committed: u64 = worker.delta.iter().map(|&u| u64::from(u)).sum();
         assert_eq!(committed as usize, path.len());
     }
 
@@ -771,6 +906,29 @@ mod tests {
                 .unwrap_err(),
             FlowError::EmptyDesign
         );
+    }
+
+    #[test]
+    fn failing_sweep_returns_the_first_contexts_error() {
+        // `Unroutable` is out of reach of the public knobs: the final
+        // round's rip-up takes every connection off every overflowed
+        // edge, so the closing overflow count is always zero (DESIGN.md,
+        // "The sweep probe" records it with the other routing-label
+        // defects). A negative tolerance makes that zero fail, in every
+        // strip-count group; the sweep must stop at the group holding
+        // the first context, as a loop of `run` stops at that context.
+        let ctx = ExecContext::with_vcpus(1);
+        let (nl, _) = Synthesizer::new()
+            .with_verification(false)
+            .run(&generators::multiplier(6), &Recipe::balanced(), &ctx)
+            .unwrap();
+        let (pl, _) = Placer::new().run(&nl, &ctx).unwrap();
+        let router = Router { overflow_tolerance: -1.0, ..Router::new() };
+        let ctxs: Vec<ExecContext> = [4, 1, 8, 4].map(ExecContext::with_vcpus).into();
+        let looped = ctxs.iter().map(|c| router.run(&nl, &pl, c)).find_map(Result::err);
+        let looped = looped.expect("every context fails");
+        assert!(matches!(looped, FlowError::Unroutable { .. }), "{looped:?}");
+        assert_eq!(router.run_sweep(&nl, &pl, &ctxs).unwrap_err(), looped);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! within a level, barrier between levels), then requireds backward, and
 //! reports worst / total negative slack.
 
+use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
-use eda_cloud_perf::StageWork;
 use eda_cloud_tech::{DelayModel, Library, LinearDelay};
 
 /// Result of a timing run (all times in picoseconds).
@@ -85,10 +85,29 @@ impl StaEngine {
         placement: &Placement,
         ctx: &ExecContext,
     ) -> Result<(TimingReport, StageReport), FlowError> {
+        let (timing, mut reports) = self.run_sweep(netlist, placement, std::slice::from_ref(ctx))?;
+        Ok((timing, reports.pop().expect("one report per context")))
+    }
+
+    /// Analyze the placed netlist once for every context of a sweep:
+    /// the timing result and one report per context, in context order,
+    /// each what [`StaEngine::run`] under that context returns (timing
+    /// and the probe's event stream do not depend on the machine).
+    ///
+    /// # Errors
+    ///
+    /// As [`StaEngine::run`].
+    pub fn run_sweep(
+        &self,
+        netlist: &Netlist,
+        placement: &Placement,
+        ctxs: &[ExecContext],
+    ) -> Result<(TimingReport, Vec<StageReport>), FlowError> {
         if netlist.cell_count() == 0 {
             return Err(FlowError::EmptyDesign);
         }
-        let mut probe = ctx.probe();
+        let mut probe = sweep_probe(ctxs);
+        let spans = SpanFan::of(ctxs);
         let order = netlist.topological_cells()?;
 
         // Per-net timing records are ~64 bytes in a production timer
@@ -101,8 +120,9 @@ impl StaEngine {
         let n_nets = netlist.net_count();
         let mut net_wl = vec![0.0f64; n_nets];
         let mut net_load = vec![0.0f64; n_nets];
+        let mut pts: Vec<(f64, f64)> = Vec::new();
         for (ni, net) in netlist.nets().iter().enumerate() {
-            let mut pts: Vec<(f64, f64)> = Vec::with_capacity(net.sinks.len() + 1);
+            pts.clear();
             match net.driver {
                 Some(NetDriver::Cell(c)) => pts.push(placement.cell_pos(c as usize)),
                 Some(NetDriver::PrimaryInput(k)) => pts.push(placement.pi_pins[k as usize]),
@@ -137,9 +157,9 @@ impl StaEngine {
         // this also gives the memory system the re-reference behaviour a
         // real timer exhibits).
         let mut net_arrival = vec![0.0f64; n_nets];
-        ctx.span.counter("levelized_cells", order.len() as u64);
+        spans.counter("levelized_cells", order.len() as u64);
         for corner in 0..self.corners {
-            let corner_span = ctx.span.child(&format!("corner/{corner}"));
+            let corner_span = spans.child(format_args!("corner/{corner}"));
             corner_span.counter("nets", n_nets as u64);
             let derate = 1.0 + 0.08 * corner as f64;
             // Forward arrival propagation.
@@ -250,11 +270,9 @@ impl StaEngine {
             wns = self.clock_period_ps;
         }
 
-        let counters = probe.counters();
         let levels = netlist.depth().max(1) as f64;
         let sync = 250.0 * levels; // one barrier per level
-        let work = StageWork::from_counters(&counters, self.parallel_fraction, sync, &ctx.model);
-        let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
+        let reports = StageReport::for_sweep(StageKind::Sta, &probe, self.parallel_fraction, sync, ctxs);
         Ok((
             TimingReport {
                 wns_ps: wns,
@@ -263,13 +281,7 @@ impl StaEngine {
                 clock_period_ps: self.clock_period_ps,
                 endpoints: endpoints.len(),
             },
-            StageReport {
-                kind: StageKind::Sta,
-                runtime_secs,
-                counters,
-                work,
-                parallel_fraction: self.parallel_fraction,
-            },
+            reports,
         ))
     }
 }

@@ -1,6 +1,7 @@
 //! Stage identity and reporting.
 
-use eda_cloud_perf::{CounterSet, StageWork};
+use crate::ExecContext;
+use eda_cloud_perf::{CounterSet, PerfProbe, StageWork};
 use std::fmt;
 
 /// The four EDA applications the paper characterizes.
@@ -51,6 +52,47 @@ pub struct StageReport {
     pub work: StageWork,
     /// Effective parallel fraction the stage achieved on this machine.
     pub parallel_fraction: f64,
+}
+
+impl StageReport {
+    /// Cost counted work on `ctx`'s machine: the work split for a stage
+    /// that distributes `parallel_fraction` of its cycles and pays
+    /// `sync_cycles` per barrier, and the runtime the context's model
+    /// gives it.
+    pub(crate) fn from_counters(
+        kind: StageKind,
+        counters: CounterSet,
+        parallel_fraction: f64,
+        sync_cycles: f64,
+        ctx: &ExecContext,
+    ) -> Self {
+        let work = StageWork::from_counters(&counters, parallel_fraction, sync_cycles, &ctx.model);
+        Self {
+            kind,
+            runtime_secs: ctx.model.runtime_secs(&work, &ctx.machine),
+            counters,
+            work,
+            parallel_fraction,
+        }
+    }
+
+    /// One report per context of a sweep, in context order, from the
+    /// sweep probe one engine run fed: context `k` is costed on the
+    /// counters of the probe's machine `k`.
+    pub(crate) fn for_sweep(
+        kind: StageKind,
+        probe: &PerfProbe,
+        parallel_fraction: f64,
+        sync_cycles: f64,
+        ctxs: &[ExecContext],
+    ) -> Vec<Self> {
+        ctxs.iter()
+            .enumerate()
+            .map(|(k, ctx)| {
+                Self::from_counters(kind, probe.counters_for(k), parallel_fraction, sync_cycles, ctx)
+            })
+            .collect()
+    }
 }
 
 impl fmt::Display for StageReport {

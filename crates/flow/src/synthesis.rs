@@ -14,7 +14,7 @@
 
 use crate::{ExecContext, FlowError, StageKind, StageReport};
 use eda_cloud_netlist::{Aig, AigNode, Lit, NetId, Netlist};
-use eda_cloud_perf::{CounterSet, PerfProbe, ProbeTrace, StageWork};
+use eda_cloud_perf::{CounterSet, PerfProbe, ProbeTrace};
 use eda_cloud_tech::{CellKind, Library};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -267,16 +267,13 @@ impl Synthesizer {
     #[must_use]
     pub fn report_from_trace(trace: &SynthesisTrace, ctx: &ExecContext) -> StageReport {
         let counters = trace.events.replay(&ctx.machine);
-        let work =
-            StageWork::from_counters(&counters, trace.parallel_fraction, trace.sync_cycles, &ctx.model);
-        let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
-        StageReport {
-            kind: StageKind::Synthesis,
-            runtime_secs,
+        StageReport::from_counters(
+            StageKind::Synthesis,
             counters,
-            work,
-            parallel_fraction: trace.parallel_fraction,
-        }
+            trace.parallel_fraction,
+            trace.sync_cycles,
+            ctx,
+        )
     }
 
     /// The structural pipeline: passes, mapping, verification.
@@ -339,20 +336,13 @@ impl Synthesizer {
 
     /// Turn final counters into the stage report for `ctx`.
     fn finalize(&self, counters: CounterSet, recipe: &Recipe, ctx: &ExecContext) -> StageReport {
-        let work = StageWork::from_counters(
-            &counters,
+        StageReport::from_counters(
+            StageKind::Synthesis,
+            counters,
             self.parallel_fraction,
             sync_overhead(recipe),
-            &ctx.model,
-        );
-        let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
-        StageReport {
-            kind: StageKind::Synthesis,
-            runtime_secs,
-            counters,
-            work,
-            parallel_fraction: self.parallel_fraction,
-        }
+            ctx,
+        )
     }
 }
 

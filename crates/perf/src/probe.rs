@@ -80,16 +80,37 @@ impl ProbeTrace {
 /// [`PerfProbe::absorb`] after a parallel section (cache/predictor state
 /// is per-thread, matching private L1s).
 ///
+/// A probe serves one machine ([`PerfProbe::for_machine`]) or a whole
+/// sweep of them ([`PerfProbe::for_machines`]). Machines differ, to a
+/// probe, in two things only — the LLC slice their vCPU count buys and
+/// whether vector FP lands on AVX units — so a sweep probe runs one L1,
+/// one predictor and one set of event counts for all of them, one LLC
+/// per machine behind the shared L1's miss stream, and splits the
+/// vectorizable FP per machine when counters are read.
+/// [`PerfProbe::counters_for`]`(k)` is, bit for bit, what a probe for
+/// machine `k` alone reports after the same events.
+///
 /// A probe created with [`PerfProbe::for_machine_traced`] additionally
 /// records every event into a [`ProbeTrace`] for later replay against
 /// other machine configurations.
 #[derive(Debug, Clone)]
 pub struct PerfProbe {
+    /// Events every machine counts alike. Vectorizable FP waits in
+    /// `avx_ops` until a read moves it to `flops` for machines without
+    /// AVX; `llc_misses` stays zero (the hierarchy counts those).
     counters: CounterSet,
     cache: CacheSim,
     branch: BranchPredictor,
-    avx_available: bool,
+    machines: Vec<Machine>,
     trace: Option<Vec<ProbeEvent>>,
+}
+
+/// What one machine of a sweep adds to the shared counts.
+#[derive(Debug, Clone)]
+struct Machine {
+    avx: bool,
+    /// Worker counters merged in by [`PerfProbe::absorb`].
+    absorbed: CounterSet,
 }
 
 /// The final result of a probed run.
@@ -100,16 +121,34 @@ pub struct PerfReport {
 }
 
 impl PerfProbe {
+    fn new(cache: CacheSim, machines: Vec<Machine>) -> Self {
+        Self {
+            counters: CounterSet::default(),
+            cache,
+            branch: BranchPredictor::new(4096),
+            machines,
+            trace: None,
+        }
+    }
+
     /// Probe with a cache hierarchy and AVX capability matching `machine`.
     #[must_use]
     pub fn for_machine(machine: &MachineConfig) -> Self {
-        Self {
-            counters: CounterSet::default(),
-            cache: CacheSim::for_vcpus(machine.vcpus),
-            branch: BranchPredictor::new(4096),
-            avx_available: machine.avx,
-            trace: None,
-        }
+        Self::for_machines(std::slice::from_ref(machine))
+    }
+
+    /// One probe for every machine of a sweep, in the order given
+    /// (duplicates allowed); read machine `k`'s result with
+    /// [`PerfProbe::counters_for`].
+    #[must_use]
+    pub fn for_machines(machines: &[MachineConfig]) -> Self {
+        Self::new(
+            CacheSim::for_vcpu_sweep(machines.iter().map(|m| m.vcpus)),
+            machines
+                .iter()
+                .map(|m| Machine { avx: m.avx, absorbed: CounterSet::default() })
+                .collect(),
+        )
     }
 
     /// Like [`PerfProbe::for_machine`], but records every event into a
@@ -126,13 +165,7 @@ impl PerfProbe {
     /// ablations).
     #[must_use]
     pub fn with_cache(cache: CacheSim, avx_available: bool) -> Self {
-        Self {
-            counters: CounterSet::default(),
-            cache,
-            branch: BranchPredictor::new(4096),
-            avx_available,
-            trace: None,
-        }
+        Self::new(cache, vec![Machine { avx: avx_available, absorbed: CounterSet::default() }])
     }
 
     #[inline]
@@ -171,13 +204,17 @@ impl PerfProbe {
             }
             ProbeEvent::Fp { n, vectorizable } => {
                 self.counters.instructions += n;
-                if vectorizable && self.avx_available {
+                if vectorizable {
                     self.counters.avx_ops += n;
                 } else {
                     self.counters.flops += n;
                 }
             }
-            ProbeEvent::Absorb(other) => self.counters += other,
+            ProbeEvent::Absorb(other) => {
+                for machine in &mut self.machines {
+                    machine.absorbed += other;
+                }
+            }
         }
     }
 
@@ -228,32 +265,80 @@ impl PerfProbe {
         self.apply(ProbeEvent::Fp { n, vectorizable });
     }
 
-    /// Current counter snapshot.
+    /// Current counter snapshot (of the first machine, for a sweep
+    /// probe).
     #[must_use]
     pub fn counters(&self) -> CounterSet {
+        self.counters_for(0)
+    }
+
+    /// Current counter snapshot for machine `k` of the sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probe has no machine `k`.
+    #[must_use]
+    pub fn counters_for(&self, k: usize) -> CounterSet {
+        let machine = &self.machines[k];
         let mut c = self.counters;
-        // Fold LLC misses from the hierarchy (kept there to avoid a
-        // second counter increment on the hot path).
-        c.llc_misses = self.cache.llc_misses();
+        if !machine.avx {
+            c.flops += c.avx_ops;
+            c.avx_ops = 0;
+        }
+        c += machine.absorbed;
+        // LLC misses live in the hierarchy (kept there to avoid a
+        // second counter increment on the hot path). Assigning them
+        // here drops the LLC misses of absorbed worker counters, so a
+        // stage that routes on workers under-reports them — a recorded
+        // defect every routing label carries (DESIGN.md, "The sweep
+        // probe"; ROADMAP item 2), reproduced on purpose.
+        c.llc_misses = self.cache.llc_misses_at(k);
         c
     }
 
-    /// Merge counters collected by another probe (e.g. a worker thread).
+    /// Merge counters collected by worker probes (e.g. one per routing
+    /// strip), one set per machine in the probe's machine order — a
+    /// worker's LLC and AVX attribution are its machine's.
     ///
-    /// Note for tracing: the absorbed counters are recorded verbatim,
-    /// so a trace containing absorbs replays machine-independently only
-    /// if the absorbed counters themselves are (worker probes are
-    /// usually machine-specific; the flow engines that absorb — the
-    /// router — are exactly the ones that are never traced).
-    pub fn absorb(&mut self, other: CounterSet) {
-        self.record(ProbeEvent::Absorb(other));
-        self.apply(ProbeEvent::Absorb(other));
+    /// A traced probe (always one machine) records the set verbatim, so
+    /// a trace containing absorbs replays machine-independently only if
+    /// the absorbed counters themselves are; the one engine that
+    /// absorbs, the router, is never traced.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `workers` holds exactly one set per machine.
+    pub fn absorb(&mut self, workers: &[CounterSet]) {
+        assert_eq!(workers.len(), self.machines.len(), "one worker counter set per machine");
+        if let [only] = workers {
+            self.record(ProbeEvent::Absorb(*only));
+        }
+        for (machine, &worker) in self.machines.iter_mut().zip(workers) {
+            machine.absorbed += worker;
+        }
     }
 
-    /// Whether this probe attributes vector FP work to AVX hardware.
+    /// Whether this probe attributes vector FP work to AVX hardware
+    /// (on its first machine, for a sweep probe).
     #[must_use]
     pub fn avx_available(&self) -> bool {
-        self.avx_available
+        self.machines[0].avx
+    }
+
+    /// Return the probe to its just-constructed state — cold caches,
+    /// untrained predictor, zero counts — keeping its arrays. A worker
+    /// that probes one batch after another resets in between instead
+    /// of building a probe per batch.
+    pub fn reset(&mut self) {
+        self.counters = CounterSet::default();
+        self.cache.reset();
+        self.branch.reset();
+        for machine in &mut self.machines {
+            machine.absorbed = CounterSet::default();
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.clear();
+        }
     }
 
     /// Finish the run and produce the report.
@@ -275,6 +360,8 @@ impl PerfProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::oracle::StampCache;
+    use proptest::prelude::*;
 
     fn probe() -> PerfProbe {
         PerfProbe::for_machine(&MachineConfig::vcpus(1))
@@ -316,7 +403,7 @@ mod tests {
         let mut worker = probe();
         worker.instr(50);
         worker.branch(1, true);
-        main.absorb(worker.counters());
+        main.absorb(&[worker.counters()]);
         assert_eq!(main.counters().instructions, 51);
         assert_eq!(main.counters().branches, 1);
     }
@@ -388,10 +475,223 @@ mod tests {
         let mut p = PerfProbe::for_machine_traced(&m);
         let mut worker = PerfProbe::for_machine(&m);
         worker.instr(40);
-        p.absorb(worker.counters());
+        p.absorb(&[worker.counters()]);
         p.instr(2);
         let (counters, trace) = p.into_traced();
         assert_eq!(trace.replay(&m), counters);
         assert_eq!(counters.instructions, 42);
+    }
+    // -----------------------------------------------------------------
+    // Differential tests: the sweep probe against one probe per
+    // machine, and both against the arithmetic this module replaced.
+    // -----------------------------------------------------------------
+
+    /// What machine `k`'s worker would hand to `absorb`: the same
+    /// events, its own LLC misses and FP attribution.
+    fn worker_set(base: CounterSet, k: usize) -> CounterSet {
+        let k = k as u64;
+        CounterSet {
+            llc_misses: base.llc_misses + 3 * k,
+            flops: base.flops + k,
+            avx_ops: base.avx_ops + 5 * k,
+            ..base
+        }
+    }
+
+    /// Feed `events` through the public entry points; `ks[i]` is the
+    /// sweep index of the probe's `i`-th machine (what its workers
+    /// absorb depends on it).
+    fn drive(p: &mut PerfProbe, events: &[ProbeEvent], ks: &[usize]) {
+        for &event in events {
+            match event {
+                ProbeEvent::Instr(n) => p.instr(n),
+                ProbeEvent::Access(addr) => p.read(addr),
+                ProbeEvent::Branch { pc, taken } => p.branch(pc, taken),
+                ProbeEvent::LoopBranches(n) => p.loop_branches(n),
+                ProbeEvent::Fp { n, vectorizable } => p.fp(n, vectorizable),
+                ProbeEvent::Absorb(base) => {
+                    let sets: Vec<CounterSet> = ks.iter().map(|&k| worker_set(base, k)).collect();
+                    p.absorb(&sets);
+                }
+            }
+        }
+    }
+
+    /// The single-machine probe as it was before the sweep probe, event
+    /// for event: stamp caches, FP attributed as it arrives, absorbed
+    /// counters added into the one set, `llc_misses` assigned on read.
+    fn reference_counters(machine: &MachineConfig, events: &[ProbeEvent], k: usize) -> CounterSet {
+        let (mut l1, mut llc) = StampCache::hierarchy_for_vcpus(machine.vcpus);
+        let mut branch = BranchPredictor::new(4096);
+        let mut c = CounterSet::default();
+        let mut llc_misses = 0;
+        for &event in events {
+            match event {
+                ProbeEvent::Instr(n) => c.instructions += n,
+                ProbeEvent::Access(addr) => {
+                    c.instructions += 1;
+                    c.cache_refs += 1;
+                    if !l1.access(addr) {
+                        c.l1_misses += 1;
+                        if !llc.access(addr) {
+                            llc_misses += 1;
+                        }
+                    }
+                }
+                ProbeEvent::Branch { pc, taken } => {
+                    c.instructions += 1;
+                    c.branches += 1;
+                    if !branch.predict_and_update(pc, taken) {
+                        c.branch_misses += 1;
+                    }
+                }
+                ProbeEvent::LoopBranches(n) => {
+                    c.instructions += n;
+                    c.branches += n;
+                    c.branch_misses += n / 48;
+                }
+                ProbeEvent::Fp { n, vectorizable } => {
+                    c.instructions += n;
+                    if vectorizable && machine.avx {
+                        c.avx_ops += n;
+                    } else {
+                        c.flops += n;
+                    }
+                }
+                ProbeEvent::Absorb(base) => c += worker_set(base, k),
+            }
+        }
+        c.llc_misses = llc_misses;
+        c
+    }
+
+    /// Segments of strided passes sized around the 2.9–5.5 MiB LLC
+    /// slices (so slices disagree and evict), clustered re-references
+    /// (L1 hits at every depth), branches, loop branches, FP of both
+    /// kinds, plain instructions and absorbs.
+    fn event_stream() -> impl Strategy<Value = Vec<ProbeEvent>> {
+        proptest::strategy::from_fn(|rng| {
+            let mut events = Vec::new();
+            for _ in 0..2 + rng.below(5) {
+                match rng.below(6) {
+                    0 | 1 => {
+                        let base = rng.below(4) << 28;
+                        let stride = [64, 64, 192, 4096 + 64][rng.below(4) as usize];
+                        let lines = 30_000 + rng.below(70_000);
+                        for _pass in 0..1 + rng.below(2) {
+                            events.extend((0..lines).map(|i| ProbeEvent::Access(base + i * stride)));
+                        }
+                    }
+                    2 => {
+                        let base = rng.below(1 << 32);
+                        let window = 64 << rng.below(6);
+                        for _ in 0..500 + rng.below(4_500) {
+                            events.push(ProbeEvent::Access(base + rng.below(window) * 64 + rng.below(64)));
+                        }
+                    }
+                    3 => {
+                        let bias = 1 + rng.below(9);
+                        for _ in 0..200 + rng.below(1_800) {
+                            let (pc, taken) = (0xD0 + rng.below(8), rng.below(10) < bias);
+                            events.push(ProbeEvent::Branch { pc, taken });
+                        }
+                    }
+                    4 => {
+                        for _ in 0..1 + rng.below(12) {
+                            events.push(match rng.below(3) {
+                                0 => ProbeEvent::Instr(rng.below(10_000)),
+                                1 => ProbeEvent::LoopBranches(rng.below(500)),
+                                _ => ProbeEvent::Fp { n: rng.below(4_000), vectorizable: rng.below(2) == 0 },
+                            });
+                        }
+                    }
+                    _ => events.push(ProbeEvent::Absorb(CounterSet {
+                        instructions: rng.below(1 << 20),
+                        branches: rng.below(1 << 16),
+                        branch_misses: rng.below(1 << 10),
+                        cache_refs: rng.below(1 << 18),
+                        l1_misses: rng.below(1 << 12),
+                        llc_misses: rng.below(1 << 10),
+                        flops: rng.below(1 << 8),
+                        avx_ops: rng.below(1 << 8),
+                    })),
+                }
+            }
+            events
+        })
+    }
+
+    /// One to four machines: every sweep size, both instance families,
+    /// AVX on and off, duplicates likely.
+    fn machine_list() -> impl Strategy<Value = Vec<MachineConfig>> {
+        proptest::strategy::from_fn(|rng| {
+            (0..1 + rng.below(4))
+                .map(|_| {
+                    let vcpus = 1 << rng.below(4);
+                    let base = if rng.below(2) == 0 {
+                        MachineConfig::vcpus(vcpus)
+                    } else {
+                        MachineConfig::memory_optimized(vcpus)
+                    };
+                    MachineConfig { avx: rng.below(3) != 0, ..base }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn sweep_probe_equals_one_probe_per_machine(machines in machine_list(), events in event_stream()) {
+            let all: Vec<usize> = (0..machines.len()).collect();
+            let mut sweep = PerfProbe::for_machines(&machines);
+            drive(&mut sweep, &events, &all);
+            for (k, machine) in machines.iter().enumerate() {
+                let mut single = PerfProbe::for_machine(machine);
+                drive(&mut single, &events, &[k]);
+                prop_assert_eq!(sweep.counters_for(k), single.counters(), "machine {} of {:?}", k, machines);
+                prop_assert_eq!(single.counters(), reference_counters(machine, &events, k), "machine {}", k);
+            }
+        }
+
+        /// A probe that ran one stream, was reset, and runs another is a
+        /// fresh probe; so is one built on the arrays a dropped, larger
+        /// probe left on the free list.
+        #[test]
+        fn reset_or_reused_probe_equals_fresh(machines in machine_list(), first in event_stream(), second in event_stream()) {
+            let all: Vec<usize> = (0..machines.len()).collect();
+            let expected: Vec<CounterSet> = machines
+                .iter()
+                .enumerate()
+                .map(|(k, machine)| reference_counters(machine, &second, k))
+                .collect();
+            let mut eights = PerfProbe::for_machines(&[MachineConfig::vcpus(8); 4]);
+            drive(&mut eights, &first, &[0, 1, 2, 3]);
+            drop(eights);
+            let mut probe = PerfProbe::for_machines(&machines);
+            for round in 0..2 {
+                drive(&mut probe, &first, &all);
+                probe.reset();
+                drive(&mut probe, &second, &all);
+                for (k, want) in expected.iter().enumerate() {
+                    prop_assert_eq!(probe.counters_for(k), *want, "machine {} round {}", k, round);
+                }
+            }
+        }
+
+        /// Record on one machine, replay on another: equal to running
+        /// there.
+        #[test]
+        fn replay_equals_a_fresh_run(machines in machine_list(), events in event_stream()) {
+            let mut traced = PerfProbe::for_machine_traced(&machines[0]);
+            drive(&mut traced, &events, &[0]);
+            let (recorded, trace) = traced.into_traced();
+            prop_assert_eq!(trace.len(), events.len());
+            prop_assert_eq!(recorded, reference_counters(&machines[0], &events, 0));
+            for machine in &machines {
+                prop_assert_eq!(trace.replay(machine), reference_counters(machine, &events, 0));
+            }
+        }
     }
 }
