@@ -1,19 +1,17 @@
 //! Criterion benches for the parallel sweep engine: dataset-corpus
-//! generation and design characterization at 1 vs 4 workers, plus the
-//! flow-result cache's effect in isolation.
+//! generation and design characterization at 1 vs 4 workers, plus
+//! what one sweep probe saves synthesis in isolation.
 //!
 //! Before timing anything, each comparison asserts that the parallel
 //! output is bit-identical to the serial output — the determinism
 //! contract the sweep engine's canonical reduction guarantees. The
 //! worker speedup scales with the host's core count (on a single-core
-//! runner the 1- and 4-worker times coincide); the cache speedup is
-//! architectural and shows up everywhere.
+//! runner the 1- and 4-worker times coincide); the sweep-probe speedup
+//! is architectural and shows up everywhere.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_core::dataset::{DatasetBuilder, DatasetConfig};
-use eda_cloud_core::{
-    design_fingerprint, CharacterizationConfig, FlowCache, FlowKey, Workflow,
-};
+use eda_cloud_core::{CharacterizationConfig, Workflow};
 use eda_cloud_flow::{ExecContext, Recipe, Synthesizer};
 use eda_cloud_netlist::generators;
 use std::hint::black_box;
@@ -64,9 +62,9 @@ fn bench_characterize_workers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_flow_cache(c: &mut Criterion) {
-    // The record-once/replay-per-machine cache vs four fresh synthesis
-    // runs — the per-sweep-point saving independent of worker count.
+fn bench_synthesis_sweep(c: &mut Criterion) {
+    // One run on a sweep probe vs four fresh synthesis runs — the
+    // per-sweep-point saving independent of worker count.
     let design = generators::openpiton_design("dynamic_node").unwrap();
     let recipe = Recipe::balanced();
     let synthesizer = Synthesizer::new().with_verification(false);
@@ -83,21 +81,7 @@ fn bench_flow_cache(c: &mut Criterion) {
         });
     });
     group.bench_function("cached", |b| {
-        b.iter(|| {
-            let cache = FlowCache::new();
-            let key = FlowKey {
-                design: design_fingerprint(&design),
-                recipe: recipe.name().to_owned(),
-                verify: false,
-            };
-            for ctx in &contexts {
-                black_box(
-                    cache
-                        .synthesize(&synthesizer, black_box(&design), &key, &recipe, ctx)
-                        .unwrap(),
-                );
-            }
-        });
+        b.iter(|| black_box(synthesizer.run_sweep(black_box(&design), &recipe, &contexts).unwrap()));
     });
     group.finish();
 }
@@ -112,6 +96,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_dataset_workers, bench_characterize_workers, bench_flow_cache
+    targets = bench_dataset_workers, bench_characterize_workers, bench_synthesis_sweep
 }
 criterion_main!(benches);

@@ -107,7 +107,7 @@ fn main() {
 fn cache_model_ablation() {
     use eda_cloud_flow::{ExecContext, Placer, Recipe, Synthesizer};
     use eda_cloud_netlist::generators;
-    use eda_cloud_perf::{Cache, CacheSim, CounterSet, PerfProbe};
+    use eda_cloud_perf::{Cache, CacheSim};
 
     println!("Figure 2-b ablation — partitioned vs shared LLC (placement)");
     let design = generators::openpiton_design("l2_bank").expect("design");
@@ -125,23 +125,17 @@ fn cache_model_ablation() {
         let partitioned = report.counters.perf_cache_miss_rate();
         // Shared: fixed 10 MiB LLC regardless of size. Exercise the
         // cache sim directly with the same footprint placement touches.
-        let mut probe = PerfProbe::with_cache(
-            CacheSim::new(
-                Cache::new(32 * 1024, 64, 8),
-                Cache::new_random_replacement(10 * 1024 * 1024, 64, 16),
-            ),
-            true,
+        let mut sim = CacheSim::new(
+            Cache::new(32 * 1024, 64, 8),
+            Cache::new_random_replacement(10 * 1024 * 1024, 64, 16),
         );
-        let mut shared_counters = CounterSet::default();
-        for pass in 0..4u64 {
+        for _pass in 0..4 {
             for cell in 0..netlist.cell_count() as u64 {
-                probe.read(0x1000_0000 + cell * 192);
-                probe.read(0x5000_0000 + cell * 192);
-                let _ = pass;
+                sim.access(0x1000_0000 + cell * 192);
+                sim.access(0x5000_0000 + cell * 192);
             }
         }
-        shared_counters += probe.counters();
-        let shared = shared_counters.perf_cache_miss_rate();
+        let shared = sim.llc_misses() as f64 / sim.l1_misses() as f64;
         rows.push(vec![
             format!("{vcpus}"),
             pct(partitioned),

@@ -24,18 +24,11 @@ use eda_cloud_core::report::{pct, render_table};
 use eda_cloud_core::{FleetScenario, Workflow};
 use eda_cloud_fleet::{FleetReport, SpotPolicy};
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 fn main() {
     let args = Args::from_env();
-    let mut scenario = FleetScenario::new(numeric(&args, "jobs", 50), numeric(&args, "seed", 7));
-    scenario.rate_per_hour = numeric(&args, "rate", 60.0);
-    scenario.deadline_slack = numeric(&args, "slack", 1.6);
+    let mut scenario = FleetScenario::new(args.numeric("jobs", 50), args.numeric("seed", 7));
+    scenario.rate_per_hour = args.numeric("rate", 60.0);
+    scenario.deadline_slack = args.numeric("slack", 1.6);
     scenario.workers = args.workers();
     if args.flag("spot") {
         scenario.spot = Some(SpotPolicy::typical());

@@ -32,13 +32,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 /// Load every ingestible file under `dir`: `*.blif` and `*.v` become
 /// single uploads; `*.nodes`/`*.nets`/`*.pl` triples are grouped by
 /// stem and stitched into one Bookshelf upload. Deterministic order
@@ -92,10 +85,10 @@ fn load_dir(dir: &Path) -> Vec<Arc<UploadDoc>> {
 
 fn main() {
     let args = Args::from_env();
-    let seed = numeric(&args, "seed", 7u64);
-    let requests = numeric(&args, "requests", 64usize);
-    let rate = numeric(&args, "rate", 200.0f64);
-    let every = numeric(&args, "every", 3u64);
+    let seed = args.numeric("seed", 7u64);
+    let requests = args.numeric("requests", 64usize);
+    let rate = args.numeric("rate", 200.0f64);
+    let every = args.numeric("every", 3u64);
     let workers = args.workers();
     let uploads = args
         .value("dir")

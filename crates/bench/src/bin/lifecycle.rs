@@ -23,21 +23,14 @@ use eda_cloud_core::report::render_table;
 use eda_cloud_core::{LifecycleScenario, Workflow};
 use eda_cloud_lifecycle::LifecycleReport;
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 fn main() {
     let args = Args::from_env();
     let mut scenario =
-        LifecycleScenario::new(numeric(&args, "requests", 320), numeric(&args, "seed", 7));
-    scenario.rate_per_sec = numeric(&args, "rate", scenario.rate_per_sec);
-    scenario.drift_at = numeric(&args, "drift", scenario.drift_at);
-    scenario.drift_factor = numeric(&args, "drift-factor", scenario.drift_factor);
-    scenario.canary_every = numeric(&args, "canary", scenario.canary_every);
+        LifecycleScenario::new(args.numeric("requests", 320), args.numeric("seed", 7));
+    scenario.rate_per_sec = args.numeric("rate", scenario.rate_per_sec);
+    scenario.drift_at = args.numeric("drift", scenario.drift_at);
+    scenario.drift_factor = args.numeric("drift-factor", scenario.drift_factor);
+    scenario.canary_every = args.numeric("canary", scenario.canary_every);
     scenario.workers = args.workers();
 
     let obs = Observability::from_args(&args);

@@ -19,23 +19,16 @@ use eda_cloud_core::report::render_table;
 use eda_cloud_core::{RecipeScenario, Workflow};
 use eda_cloud_recipe::RecipeReport;
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 fn main() {
     let mut scenario = RecipeScenario::new(7);
     let args = Args::from_env();
     if let Some(designs) = args.value("designs") {
         scenario.designs = designs.split(',').map(str::to_owned).collect();
     }
-    scenario.size = numeric(&args, "size", scenario.size);
-    scenario.seed = numeric(&args, "seed", scenario.seed);
-    scenario.iters = numeric(&args, "iters", scenario.iters);
-    scenario.deadline_secs = numeric(&args, "deadline", scenario.deadline_secs);
+    scenario.size = args.numeric("size", scenario.size);
+    scenario.seed = args.numeric("seed", scenario.seed);
+    scenario.iters = args.numeric("iters", scenario.iters);
+    scenario.deadline_secs = args.numeric("deadline", scenario.deadline_secs);
     scenario.workers = args.workers();
 
     let obs = Observability::from_args(&args);

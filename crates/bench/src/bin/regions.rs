@@ -19,24 +19,17 @@ use eda_cloud_bench::Args;
 use eda_cloud_core::report::render_table;
 use eda_cloud_engine::{RegionReport, RegionSim, RegionSimConfig};
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 fn main() {
     let args = Args::from_env();
     let config = RegionSimConfig {
-        seed: numeric(&args, "seed", 7),
-        regions: numeric(&args, "regions", 3),
-        tenants: numeric(&args, "tenants", 4),
-        jobs: numeric(&args, "jobs", 200),
+        seed: args.numeric("seed", 7),
+        regions: args.numeric("regions", 3),
+        tenants: args.numeric("tenants", 4),
+        jobs: args.numeric("jobs", 200),
         ..RegionSimConfig::default()
     };
     let workers = args.workers().max(1);
-    let shards = numeric(&args, "shards", config.regions as usize);
+    let shards = args.numeric("shards", config.regions as usize);
 
     let report = RegionSim::run(&config, workers, shards).expect("multi-region simulation");
 

@@ -24,23 +24,16 @@ use eda_cloud_core::{ServeScenario, Workflow, WorkflowPlanner};
 use eda_cloud_gcn::ModelConfig;
 use eda_cloud_serve::{ModelSnapshot, ServeConfig, ServeReport, Server};
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 fn main() {
     let args = Args::from_env();
     let mut scenario =
-        ServeScenario::new(numeric(&args, "requests", 64), numeric(&args, "seed", 7));
-    scenario.rate_per_sec = numeric(&args, "rate", 200.0);
+        ServeScenario::new(args.numeric("requests", 64), args.numeric("seed", 7));
+    scenario.rate_per_sec = args.numeric("rate", 200.0);
     scenario.workers = args.workers();
     let config = ServeConfig {
-        max_batch: numeric(&args, "batch", 8),
-        queue_capacity: numeric(&args, "queue", 32),
-        cache_capacity: numeric(&args, "cache", 32),
+        max_batch: args.numeric("batch", 8),
+        queue_capacity: args.numeric("queue", 32),
+        cache_capacity: args.numeric("cache", 32),
         workers: scenario.workers,
         ..ServeConfig::default()
     };

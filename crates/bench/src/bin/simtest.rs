@@ -22,18 +22,11 @@ use eda_cloud_core::{SimtestScenario, Workflow};
 use eda_cloud_simtest::{shrink_plan, FaultPlan, SimtestReport};
 use std::process::ExitCode;
 
-fn numeric<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
-    args.value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
-    })
-}
-
 fn main() -> ExitCode {
     let args = Args::from_env();
-    let seed: u64 = numeric(&args, "seed", 7);
-    let runs: u64 = numeric(&args, "runs", 1);
-    let faults: usize = numeric(&args, "faults", 6);
+    let seed: u64 = args.numeric("seed", 7);
+    let runs: u64 = args.numeric("runs", 1);
+    let faults: usize = args.numeric("faults", 6);
     let mut scenario = SimtestScenario::new(seed, faults);
     scenario.workers = args.workers();
 

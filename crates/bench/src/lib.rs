@@ -61,6 +61,20 @@ impl Args {
             .map(|w| w[1].as_str())
     }
 
+    /// The value of `--name` parsed as a number, or `default` when the
+    /// flag is absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a clear message when the value is not a number.
+    #[must_use]
+    pub fn numeric<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.value(name).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{name} expects a number, got `{v}`"))
+        })
+    }
+
     /// Sweep worker count from `--workers N`; `0` (the default) lets
     /// the sweep engine pick one worker per available core.
     ///
@@ -69,10 +83,7 @@ impl Args {
     /// Panics with a clear message when the value is not a number.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.value("workers").map_or(0, |v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--workers expects a number, got `{v}`"))
-        })
+        self.numeric("workers", 0)
     }
 }
 
@@ -226,12 +237,14 @@ mod tests {
 
     #[test]
     fn args_parse_flags_and_values() {
-        let a = Args::parse(["--x", "--k", "v", "--y"].iter().map(|s| (*s).to_owned()));
+        let a = Args::parse(["--x", "--k", "v", "--n", "2.5", "--y"].iter().map(|s| (*s).to_owned()));
         assert!(a.flag("x"));
         assert!(a.flag("y"));
         assert!(!a.flag("k2"));
         assert_eq!(a.value("k"), Some("v"));
         assert_eq!(a.value("missing"), None);
+        assert_eq!(a.numeric("n", 1.0), 2.5);
+        assert_eq!(a.numeric("missing", 7u64), 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Problem 1: characterize the four applications across VM sizes.
 
-use crate::sweep::{self, design_fingerprint, resolve_workers, FlowCache, FlowKey};
+use crate::sweep::{self, resolve_workers};
 use crate::{recommended_family, WorkflowError, Workflow};
 use eda_cloud_flow::{
     Placer, Recipe, Router, StaEngine, StageKind, StageReport, Synthesizer,
@@ -124,13 +124,13 @@ impl Workflow {
     /// counter signatures and runtimes of the paper's Figure 2.
     ///
     /// Synthesis, placement and STA do the same work at every vCPU
-    /// count, so each runs once for the whole sweep (synthesis recorded
-    /// through [`FlowCache`] and replayed per machine, the other two
-    /// through their `run_sweep`). Routing is the stage whose work
-    /// depends on the machine — a design worth characterizing splits
-    /// into a different number of strips at every count — and the
-    /// dominant one, so it stays one job per sweep point fanned out
-    /// over `config.workers` threads. Results are reduced in sweep
+    /// count, so each runs once for the whole sweep through its
+    /// `run_sweep`. Routing is the stage whose work depends on the
+    /// machine — a design worth characterizing splits into a different
+    /// number of strips at every count — and the dominant one, so it
+    /// stays one job per sweep point fanned out over `config.workers`
+    /// threads (measured: EXPERIMENTS.md § Synthesis joins `run_sweep`
+    /// (PR 20)). Results are reduced in sweep
     /// order (index-keyed, not completion order), so the report is
     /// bit-identical for any worker count.
     ///
@@ -178,29 +178,13 @@ impl Workflow {
             })
             .collect();
 
-        let synthesizer = Synthesizer::new().with_verification(config.verify);
-        let cache = FlowCache::new();
-        let key = FlowKey {
-            design: design_fingerprint(design),
-            recipe: config.recipe.name().to_owned(),
-            verify: config.verify,
-        };
-        let mut syn_reports = Vec::with_capacity(sweep.len());
-        let mut netlist = None;
-        for (&vcpus, point) in sweep.iter().zip(&points) {
-            let ctx = self
-                .exec_context(StageKind::Synthesis, vcpus)
-                .with_span(point.clone());
-            let (nl, syn_report) =
-                cache.synthesize(&synthesizer, design, &key, &config.recipe, &ctx)?;
-            syn_reports.push(syn_report);
-            netlist = Some(nl);
-        }
-        let Some(netlist) = netlist else {
+        if sweep.is_empty() {
             return Ok(report(0, Default::default()));
-        };
-
+        }
         let contexts = |stage| self.stage_contexts(stage, sweep, &points);
+        let (netlist, syn_reports) = Synthesizer::new()
+            .with_verification(config.verify)
+            .run_sweep(design, &config.recipe, &contexts(StageKind::Synthesis))?;
         let (placement, place_reports) =
             Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
         let route_contexts = contexts(StageKind::Routing);

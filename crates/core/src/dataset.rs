@@ -8,7 +8,7 @@
 //! 1/2/4/8 vCPUs for every stage.
 
 use crate::optimize::VCPU_SWEEP;
-use crate::sweep::{self, design_fingerprint, resolve_workers, FlowCache, FlowKey};
+use crate::sweep::{self, resolve_workers};
 use crate::{Workflow, WorkflowError};
 use eda_cloud_flow::{Placer, Recipe, Router, StaEngine, StageKind, Synthesizer};
 use eda_cloud_gcn::GraphSample;
@@ -74,7 +74,13 @@ impl DatasetConfig {
     /// Expected number of netlists this config generates.
     #[must_use]
     pub fn netlist_count(&self) -> usize {
-        self.families.len() * self.sizes.len() * self.recipes
+        self.families.len() * self.sizes.len() * self.recipe_suite().len()
+    }
+
+    /// The recipes a corpus is built under: the first `recipes` of the
+    /// standard suite, at least one and at most all of them.
+    fn recipe_suite(&self) -> Vec<Recipe> {
+        Recipe::standard_suite().into_iter().take(self.recipes.max(1)).collect()
     }
 }
 
@@ -129,12 +135,10 @@ impl<'a> DatasetBuilder<'a> {
     ///
     /// Corpus entries — one per (family, size, recipe) triple — fan out
     /// over `config.workers` threads; within each entry every engine
-    /// runs once for the whole 1/2/4/8-vCPU sweep: synthesis through a
-    /// shared [`FlowCache`] (recorded once, replayed per machine),
-    /// placement, routing and STA through their `run_sweep` (routing
-    /// once per distinct strip count). Entries are reduced in
-    /// canonical triple order regardless of completion order, so the
-    /// corpus is bit-identical for any worker count.
+    /// runs once for the whole 1/2/4/8-vCPU sweep through its
+    /// `run_sweep` (routing once per distinct strip count). Entries
+    /// are reduced in canonical triple order regardless of completion
+    /// order, so the corpus is bit-identical for any worker count.
     ///
     /// # Errors
     ///
@@ -142,10 +146,7 @@ impl<'a> DatasetBuilder<'a> {
     /// error is the one a serial build would hit first); returns
     /// [`WorkflowError::EmptyDataset`] when the config yields nothing.
     pub fn build(&self, config: &DatasetConfig) -> Result<StageDatasets, WorkflowError> {
-        let recipes: Vec<Recipe> = Recipe::standard_suite()
-            .into_iter()
-            .take(config.recipes.max(1))
-            .collect();
+        let recipes = config.recipe_suite();
         let mut jobs: Vec<(String, u32, Recipe)> = Vec::new();
         for family in &config.families {
             for &size in &config.sizes {
@@ -155,7 +156,6 @@ impl<'a> DatasetBuilder<'a> {
             }
         }
 
-        let cache = FlowCache::new();
         let workers = resolve_workers(config.workers);
         type EntryResult = Result<Option<CorpusEntry>, WorkflowError>;
         let entries = sweep::map_metered(workers, jobs, self.workflow.metrics(), |index, (family, size, recipe)| -> EntryResult {
@@ -171,12 +171,6 @@ impl<'a> DatasetBuilder<'a> {
             entry_span.attr("design", format_args!("{family}{size}"));
             entry_span.attr("recipe", recipe.name());
             let aig_graph = DesignGraph::from_aig(&aig);
-            let synthesizer = Synthesizer::new().with_verification(config.verify);
-            let key = FlowKey {
-                design: design_fingerprint(&aig),
-                recipe: recipe.name().to_owned(),
-                verify: config.verify,
-            };
             // Spans are created in the order a point-by-point loop
             // creates them — the points, then under each point
             // synthesis, placement, routing, sta — so span keys do not
@@ -185,19 +179,11 @@ impl<'a> DatasetBuilder<'a> {
                 .iter()
                 .map(|vcpus| entry_span.child(&format!("vcpus/{vcpus}")))
                 .collect();
-            let mut syn_times = [0.0f64; 4];
-            let mut netlist = None;
-            for ((time, &vcpus), point) in syn_times.iter_mut().zip(&VCPU_SWEEP).zip(&points) {
-                let ctx = self
-                    .workflow
-                    .exec_context(StageKind::Synthesis, vcpus)
-                    .with_span(point.clone());
-                let (nl, rep) = cache.synthesize(&synthesizer, &aig, &key, &recipe, &ctx)?;
-                *time = rep.runtime_secs;
-                netlist = Some(nl);
-            }
-            let netlist = netlist.expect("sweep ran at least once");
             let contexts = |stage| self.workflow.stage_contexts(stage, &VCPU_SWEEP, &points);
+            let (netlist, reports) = Synthesizer::new()
+                .with_verification(config.verify)
+                .run_sweep(&aig, &recipe, &contexts(StageKind::Synthesis))?;
+            let syn_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
             let (placement, reports) =
                 Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
             let place_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
@@ -255,8 +241,7 @@ mod tests {
     /// `DatasetBuilder::build` must reproduce — samples, labels and
     /// trace.
     fn reference_build(workflow: &Workflow, config: &DatasetConfig) -> StageDatasets {
-        let recipes: Vec<Recipe> =
-            Recipe::standard_suite().into_iter().take(config.recipes.max(1)).collect();
+        let recipes = config.recipe_suite();
         let synthesizer = Synthesizer::new().with_verification(config.verify);
         let mut out = StageDatasets::default();
         let mut index = 0u64;
@@ -272,14 +257,12 @@ mod tests {
                     let mut netlist = None;
                     for (k, &vcpus) in VCPU_SWEEP.iter().enumerate() {
                         let point_span = entry_span.child(&format!("vcpus/{vcpus}"));
-                        let ctx = |stage| workflow.exec_context(stage, vcpus);
-                        let (nl, rep) =
-                            synthesizer.run(&aig, recipe, &ctx(StageKind::Synthesis)).expect("synthesis");
-                        point_span.child("synthesis").counter("instructions", rep.counters.instructions);
-                        times[0][k] = rep.runtime_secs;
                         let ctx = |stage: StageKind| {
                             workflow.exec_context(stage, vcpus).with_span(point_span.child(&stage.to_string()))
                         };
+                        let (nl, rep) =
+                            synthesizer.run(&aig, recipe, &ctx(StageKind::Synthesis)).expect("synthesis");
+                        times[0][k] = rep.runtime_secs;
                         let (placement, rep) =
                             Placer::new().run(&nl, &ctx(StageKind::Placement)).expect("placement");
                         times[1][k] = rep.runtime_secs;
@@ -381,6 +364,24 @@ mod tests {
             DatasetBuilder::new(&wf).build(&cfg).unwrap_err(),
             WorkflowError::EmptyDataset { .. }
         ));
+    }
+
+    #[test]
+    fn netlist_count_is_what_build_builds() {
+        let wf = Workflow::with_defaults();
+        let over = Recipe::standard_suite().len() + 1;
+        for recipes in [0, 3, 9, over] {
+            let cfg = DatasetConfig {
+                families: vec!["adder".to_owned()],
+                sizes: vec![4],
+                recipes,
+                verify: false,
+                workers: 1,
+            };
+            let built = DatasetBuilder::new(&wf).build(&cfg).expect("builds");
+            assert_eq!(built.synthesis.len(), cfg.netlist_count(), "recipes: {recipes}");
+            assert_eq!(cfg.netlist_count(), recipes.clamp(1, over - 1));
+        }
     }
 
     #[test]

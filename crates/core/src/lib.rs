@@ -89,5 +89,5 @@ pub use recipe_service::{RecipeScenario, WorkflowRecipePlanner};
 pub use recommend::{recommended_family, recommendation_notes};
 pub use serve_service::{ServeScenario, WorkflowPlanner};
 pub use simtest_service::SimtestScenario;
-pub use sweep::{design_fingerprint, resolve_workers, FlowCache, FlowKey};
+pub use sweep::resolve_workers;
 pub use workflow::{stage_work_scale, Workflow};

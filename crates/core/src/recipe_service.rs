@@ -4,7 +4,7 @@
 //! A [`RecipeScenario`] names a set of design families; [`Workflow::recipe`]
 //! runs the deterministic MCTS recipe search per design, trains the
 //! LOSTIN-style hybrid (design ⊕ recipe) runtime predictor on the
-//! candidate set with real traced synthesis labels, and then serves one
+//! candidate set with real synthesis labels, and then serves one
 //! [`eda_cloud_serve::RequestKind::PlanRecipe`] request per design
 //! through a [`Server`] whose recipe planner is the catalog-priced
 //! [`WorkflowRecipePlanner`]: the hybrid predictor's per-recipe
@@ -205,7 +205,7 @@ impl Workflow {
             .collect()
     }
 
-    /// Label every (design, candidate recipe) pair with traced
+    /// Label every (design, candidate recipe) pair with its
     /// synthesis runtimes at the swept vCPU counts and fit the hybrid
     /// predictor's dense head on them.
     fn fit_hybrid(
@@ -215,17 +215,15 @@ impl Workflow {
     ) -> Result<HybridPredictor, WorkflowError> {
         let mut predictor = HybridPredictor::seeded(scenario.seed);
         let synthesizer = Synthesizer::new().with_verification(false);
-        let trace_ctx = self.exec_context(StageKind::Synthesis, 1);
-        let cost_ctxs = VCPU_SWEEP.map(|v| self.exec_context(StageKind::Synthesis, v));
+        let ctxs = VCPU_SWEEP.map(|v| self.exec_context(StageKind::Synthesis, v));
         let mut samples = Vec::with_capacity(designs.len() * candidate_recipes().len());
         for (name, aig, design) in designs {
             let embedding = predictor.embed(&design.aig);
             for passes in candidate_recipes() {
                 let recipe = recipe_from_passes(&passes).map_err(WorkflowError::Recipe)?;
-                let (_, _, trace) = synthesizer.run_traced(aig, &recipe, &trace_ctx)?;
-                let log_targets = cost_ctxs
-                    .each_ref()
-                    .map(|ctx| Synthesizer::report_from_trace(&trace, ctx).runtime_secs.max(1e-9).ln());
+                let (_, reports) = synthesizer.run_sweep(aig, &recipe, &ctxs)?;
+                let log_targets =
+                    std::array::from_fn(|k| reports[k].runtime_secs.max(1e-9).ln());
                 samples.push(HybridSample {
                     design: name.clone(),
                     embedding: embedding.clone(),
@@ -240,7 +238,7 @@ impl Workflow {
     }
 
     /// Run the joint recipe × VM pipeline: per-design MCTS recipe
-    /// search, hybrid-predictor training on traced labels, and one
+    /// search, hybrid-predictor training on engine labels, and one
     /// [`RequestKind::PlanRecipe`] request per design served through
     /// the online tier with the [`WorkflowRecipePlanner`].
     ///
@@ -289,7 +287,7 @@ impl Workflow {
             outcomes.push(outcome);
         }
 
-        // Phase 2: hybrid predictor on traced candidate labels.
+        // Phase 2: hybrid predictor on the candidates' engine labels.
         let predictor = self.fit_hybrid(scenario, &designs)?;
 
         // Phase 3: one PlanRecipe request per design through the

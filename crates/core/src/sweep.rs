@@ -1,6 +1,5 @@
 //! The parallel sweep engine: the workspace's indexed fan-out
-//! ([`par::map_indexed`]) with canonical (index-keyed) result
-//! reduction, metered, plus a keyed flow-result cache.
+//! ([`par::map_indexed`]), metered, with canonical result reduction.
 //!
 //! Characterization sweeps and dataset generation fan the same shape of
 //! work out many times: run the four-stage flow for every point of a
@@ -17,24 +16,19 @@
 //! 2. **The engines' work is machine-independent; only its cost is
 //!    not.** No engine reads its probe back, so the event stream of a
 //!    run depends on the design (and recipe), never on the machine the
-//!    probe models. For synthesis [`FlowCache`] records the stream once
-//!    ([`Synthesizer::run_traced`]) and replays it per machine
-//!    configuration. Placement and STA run once per netlist through
-//!    their `run_sweep`, one sweep probe costing the run for every
-//!    machine at once. Routing depends on the machine through one
+//!    probe models. Synthesis, placement and STA run once per netlist
+//!    through their `run_sweep`, one sweep probe costing the run for
+//!    every machine at once. Routing depends on the machine through one
 //!    number, the strip count (`threads`, capped by the connections
 //!    there are to share), plus a closed-form tail (coherence traffic,
 //!    the width the parallel work ran at): `Router::run_sweep`
 //!    negotiates once per distinct strip count. The 1/2/4/8-vCPU sweep
 //!    thus does each piece of structural work once, with counters
-//!    bit-identical to a fresh run at each vCPU count.
+//!    bit-identical to a fresh run at each vCPU count; what fans out
+//!    here is whole corpus entries and routing's per-point runs.
 
-use eda_cloud_flow::{ExecContext, FlowError, Recipe, StageReport, SynthesisTrace, Synthesizer};
-use eda_cloud_netlist::{Aig, AigNode, Netlist};
 use eda_cloud_trace::{par, Metrics};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Resolve a `workers` knob to a concrete worker count: `0` (the
@@ -81,166 +75,9 @@ pub(crate) fn reduce_results<T, E>(results: Vec<Result<T, E>>) -> Result<Vec<T>,
     results.into_iter().collect()
 }
 
-/// Key identifying one synthesis computation: the design's structural
-/// fingerprint plus the recipe and verification toggle. Machine
-/// configuration is deliberately absent — that is the point of the
-/// cache.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FlowKey {
-    /// [`design_fingerprint`] of the input AIG.
-    pub design: u64,
-    /// Recipe name (recipes in a suite are name-unique).
-    pub recipe: String,
-    /// Whether synthesis runs its equivalence spot-check.
-    pub verify: bool,
-}
-
-struct CachedSynthesis {
-    netlist: Arc<Netlist>,
-    trace: SynthesisTrace,
-}
-
-/// A keyed cache of synthesis results shared across the points of a
-/// sweep.
-///
-/// The first lookup for a key runs [`Synthesizer::run_traced`] and
-/// stores the mapped netlist plus the machine-independent probe trace;
-/// later lookups — the remaining vCPU counts of the sweep, on any
-/// worker thread — replay the trace against their machine
-/// configuration, which is bit-identical to a fresh run there (see
-/// [`Synthesizer::report_from_trace`]). The cache is exactly
-/// transparent: no output of a sweep changes by routing synthesis
-/// through it.
-pub struct FlowCache {
-    entries: Mutex<HashMap<FlowKey, Arc<CachedSynthesis>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl FlowCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Synthesize `aig` under `recipe` for `ctx`, computing the
-    /// structural work at most once per [`FlowKey`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates synthesis failures; errors are not cached (the next
-    /// lookup retries, matching the serial loop's behavior of failing
-    /// at its own sweep point).
-    pub fn synthesize(
-        &self,
-        synthesizer: &Synthesizer,
-        aig: &Aig,
-        key: &FlowKey,
-        recipe: &Recipe,
-        ctx: &ExecContext,
-    ) -> Result<(Arc<Netlist>, StageReport), FlowError> {
-        // The cache is trace-transparent: hit/miss is scheduling-
-        // dependent, so the engine-internal pass spans (which only a
-        // miss would produce) are suppressed and one uniform stage span
-        // is recorded from the report — identical on either path, since
-        // replayed reports are bit-identical to fresh runs.
-        let record_span = |report: &StageReport| {
-            let span = ctx.span.child("synthesis");
-            span.counter("instructions", report.counters.instructions);
-        };
-        if let Some(entry) = self.entries.lock().expect("flow cache map").get(key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let report = Synthesizer::report_from_trace(&entry.trace, ctx);
-            record_span(&report);
-            return Ok((entry.netlist.clone(), report));
-        }
-
-        // Miss: run outside the lock (synthesis is the expensive part).
-        // Two workers racing on the same key both compute — identical,
-        // deterministic results; first insert wins and both share it.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (netlist, report, trace) = synthesizer.run_traced(aig, recipe, &ctx.without_span())?;
-        let entry = Arc::new(CachedSynthesis { netlist: Arc::new(netlist), trace });
-        let entry = self
-            .entries
-            .lock()
-            .expect("flow cache map")
-            .entry(key.clone())
-            .or_insert(entry)
-            .clone();
-        record_span(&report);
-        Ok((entry.netlist.clone(), report))
-    }
-
-    /// Lookups served from the cache so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that ran the synthesizer.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for FlowCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A structural fingerprint of an AIG (FNV-1a over name, nodes, and
-/// outputs), used as the design component of a [`FlowKey`].
-#[must_use]
-pub fn design_fingerprint(aig: &Aig) -> u64 {
-    fn mix(h: &mut u64, byte: u8) {
-        *h ^= u64::from(byte);
-        *h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    fn mix_u64(h: &mut u64, v: u64) {
-        for byte in v.to_le_bytes() {
-            mix(h, byte);
-        }
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in aig.name().bytes() {
-        mix(&mut h, byte);
-    }
-    mix(&mut h, 0xFF); // name/body separator
-    for node in aig.nodes() {
-        match node {
-            AigNode::Const0 => mix_u64(&mut h, 0),
-            AigNode::Pi(pos) => {
-                mix_u64(&mut h, 1);
-                mix_u64(&mut h, u64::from(*pos));
-            }
-            AigNode::And(a, b) => {
-                mix_u64(&mut h, 2);
-                mix_u64(&mut h, u64::from(a.raw()));
-                mix_u64(&mut h, u64::from(b.raw()));
-            }
-        }
-    }
-    for (name, lit) in aig.outputs() {
-        for byte in name.bytes() {
-            mix(&mut h, byte);
-        }
-        mix_u64(&mut h, u64::from(lit.raw()));
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eda_cloud_netlist::generators;
 
     #[test]
     fn metered_fan_out_records_jobs_and_occupancy() {
@@ -259,39 +96,4 @@ mod tests {
         let ok: Vec<Result<u32, &str>> = vec![Ok(1), Ok(2)];
         assert_eq!(reduce_results(ok), Ok(vec![1, 2]));
     }
-
-    #[test]
-    fn fingerprint_separates_structures_and_names() {
-        let a = generators::adder(6);
-        let b = generators::adder(7);
-        let c = generators::parity(6);
-        assert_eq!(design_fingerprint(&a), design_fingerprint(&generators::adder(6)));
-        assert_ne!(design_fingerprint(&a), design_fingerprint(&b));
-        assert_ne!(design_fingerprint(&a), design_fingerprint(&c));
-    }
-
-    #[test]
-    fn cache_replays_identical_reports() {
-        let aig = generators::multiplier(6);
-        let recipe = Recipe::balanced();
-        let synthesizer = Synthesizer::new();
-        let cache = FlowCache::new();
-        let key = FlowKey {
-            design: design_fingerprint(&aig),
-            recipe: recipe.name().to_owned(),
-            verify: true,
-        };
-        for vcpus in [1u32, 2, 4, 8] {
-            let ctx = ExecContext::with_vcpus(vcpus);
-            let (nl, cached) = cache
-                .synthesize(&synthesizer, &aig, &key, &recipe, &ctx)
-                .expect("cached synthesis");
-            let (fresh_nl, fresh) = synthesizer.run(&aig, &recipe, &ctx).expect("fresh synthesis");
-            assert_eq!(cached, fresh, "report mismatch at {vcpus} vCPUs");
-            assert_eq!(nl.cell_count(), fresh_nl.cell_count());
-        }
-        assert_eq!(cache.misses(), 1, "one structural run for the whole sweep");
-        assert_eq!(cache.hits(), 3);
-    }
-
 }

@@ -70,20 +70,6 @@ impl ExecContext {
         self
     }
 
-    /// The same context with tracing detached (used by caches so the
-    /// trace shape cannot depend on hit/miss patterns).
-    #[must_use]
-    pub fn without_span(&self) -> Self {
-        self.clone().with_span(Span::disabled())
-    }
-
-    /// A fresh probe wired to this machine's cache hierarchy and AVX
-    /// capability.
-    #[must_use]
-    pub fn probe(&self) -> PerfProbe {
-        PerfProbe::for_machine(&self.machine)
-    }
-
     /// Threads a stage should actually spawn (at least one).
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -151,13 +137,6 @@ mod tests {
         let ctx = ExecContext::default();
         assert_eq!(ctx.machine.vcpus, 1);
         assert_eq!(ctx.threads(), 1);
-    }
-
-    #[test]
-    fn probe_matches_machine() {
-        let ctx = ExecContext::with_vcpus(2);
-        let p = ctx.probe();
-        assert!(p.avx_available());
     }
 
     #[test]

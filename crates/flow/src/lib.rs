@@ -24,9 +24,9 @@
 //! [`eda_cloud_perf::PerfProbe`] and reports a [`StageReport`] whose
 //! simulated runtime comes from the calibrated machine model. No engine
 //! reads its probe back, so what a run does never depends on the
-//! machine it is costed for: placement, routing and STA take a whole
-//! sweep of [`ExecContext`]s in one `run_sweep` call — one run, one
-//! report per context — and `run` is the one-context case.
+//! machine it is costed for: every engine takes a whole sweep of
+//! [`ExecContext`]s in one `run_sweep` call — one run, one report per
+//! context — and `run` is the one-context case.
 //!
 //! # Examples
 //!

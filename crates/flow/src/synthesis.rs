@@ -12,6 +12,7 @@
 //! the same function — exactly how the paper turns 18 designs into 330
 //! netlists to challenge its GCN.
 
+use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, StageKind, StageReport};
 use eda_cloud_netlist::{Aig, AigNode, Lit, NetId, Netlist};
 use eda_cloud_perf::{CounterSet, PerfProbe, ProbeTrace};
@@ -225,10 +226,37 @@ impl Synthesizer {
         recipe: &Recipe,
         ctx: &ExecContext,
     ) -> Result<(Netlist, StageReport), FlowError> {
-        let mut probe = ctx.probe();
-        let netlist = self.execute(aig, recipe, &ctx.span, &mut probe)?;
-        let report = self.finalize(probe.counters(), recipe, ctx);
-        Ok((netlist, report))
+        let (netlist, mut reports) = self.run_sweep(aig, recipe, std::slice::from_ref(ctx))?;
+        Ok((netlist, reports.pop().expect("one report per context")))
+    }
+
+    /// Synthesize once for every context of a sweep: the mapped netlist
+    /// and one report per context, in context order, each what
+    /// [`Synthesizer::run`] under that context returns. The passes,
+    /// the mapper and the verifier never read the probe back, so the
+    /// netlist and the event stream are the same on every machine;
+    /// only the cost of the events differs, and one sweep probe counts
+    /// that for all of them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Synthesizer::run`].
+    pub fn run_sweep(
+        &self,
+        aig: &Aig,
+        recipe: &Recipe,
+        ctxs: &[ExecContext],
+    ) -> Result<(Netlist, Vec<StageReport>), FlowError> {
+        let mut probe = sweep_probe(ctxs);
+        let netlist = self.execute(aig, recipe, &SpanFan::of(ctxs), &mut probe)?;
+        let reports = StageReport::for_sweep(
+            StageKind::Synthesis,
+            &probe,
+            self.parallel_fraction,
+            sync_overhead(recipe),
+            ctxs,
+        );
+        Ok((netlist, reports))
     }
 
     /// Like [`Synthesizer::run`], additionally recording the probe
@@ -251,7 +279,7 @@ impl Synthesizer {
         ctx: &ExecContext,
     ) -> Result<(Netlist, StageReport, SynthesisTrace), FlowError> {
         let mut probe = PerfProbe::for_machine_traced(&ctx.machine);
-        let netlist = self.execute(aig, recipe, &ctx.span, &mut probe)?;
+        let netlist = self.execute(aig, recipe, &SpanFan::of([ctx]), &mut probe)?;
         let (counters, events) = probe.into_traced();
         let report = self.finalize(counters, recipe, ctx);
         let trace = SynthesisTrace {
@@ -281,7 +309,7 @@ impl Synthesizer {
         &self,
         aig: &Aig,
         recipe: &Recipe,
-        span: &eda_cloud_trace::Span,
+        span: &SpanFan,
         probe: &mut PerfProbe,
     ) -> Result<Netlist, FlowError> {
         if aig.output_count() == 0 {
@@ -357,8 +385,10 @@ fn sync_overhead(recipe: &Recipe) -> f64 {
 ///
 /// Produced by [`Synthesizer::run_traced`]; consumed by
 /// [`Synthesizer::report_from_trace`] to re-cost the same run on other
-/// machine configurations without repeating the structural work — the
-/// basis of the sweep engine's flow-result cache.
+/// machine configurations without repeating the structural work. No
+/// product path records one any more ([`Synthesizer::run_sweep`] costs
+/// a run for every machine at once); it stays as the independent
+/// reference `tests/sweep_equivalence.rs` holds the sweep to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisTrace {
     events: ProbeTrace,

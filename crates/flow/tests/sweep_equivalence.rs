@@ -1,20 +1,22 @@
 //! Differential tests: one engine run for a whole sweep equals one run
 //! per context.
 //!
-//! `Placer`, `Router` and `StaEngine` serve every context of a sweep
-//! from one run (`run_sweep`); `run` is the one-context case. Sharing
-//! is exact only if nothing a context's result depends on leaks between
-//! contexts — the sweep probe's per-machine LLC and FP split, the
-//! router's grouping by strip count, the span fan-out — so
-//! `run_sweep(ctxs)[k]` is held to `run(ctxs[k])` field for field, bits
-//! for floats, over every generator family and context lists that are
-//! permuted, repeated, and mixed across instance families.
+//! Every engine serves every context of a sweep from one run
+//! (`run_sweep`); `run` is the one-context case. Sharing is exact only
+//! if nothing a context's result depends on leaks between contexts —
+//! the sweep probe's per-machine LLC and FP split, the router's
+//! grouping by strip count, the span fan-out — so `run_sweep(ctxs)[k]`
+//! is held to `run(ctxs[k])` field for field, bits for floats, over
+//! every generator family and context lists that are permuted,
+//! repeated, and mixed across instance families. Synthesis is also
+//! held to a reference that shares no probe code with the sweep: one
+//! `run_traced` event recording, replayed per machine.
 
 use eda_cloud_flow::{
     ExecContext, FlowError, Placement, Placer, Recipe, Router, RoutingResult, StaEngine,
     StageReport, Synthesizer,
 };
-use eda_cloud_netlist::{generators, Netlist};
+use eda_cloud_netlist::{generators, Aig, Netlist};
 use eda_cloud_perf::{MachineConfig, MachineModel};
 use eda_cloud_trace::{Trace, Tracer};
 
@@ -48,13 +50,52 @@ fn routing_fields(r: &RoutingResult) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// Synthesis of `aig` as one sweep over `ctxs`, held to one run per
+/// context and to one `run_traced` recording replayed per context.
+fn assert_synthesis_sweep_equals_runs(
+    aig: &Aig,
+    recipe: &Recipe,
+    ctxs: &[ExecContext],
+    verify: bool,
+    what: &str,
+) -> Netlist {
+    let synthesizer = Synthesizer::new().with_verification(verify);
+    let (swept, singles, sweep_trace, single_trace) = both_ways(
+        ctxs,
+        "synthesis",
+        |c| synthesizer.run_sweep(aig, recipe, c).expect("synthesis sweep"),
+        |c| synthesizer.run(aig, recipe, c).expect("synthesis"),
+    );
+    let (netlist, reports) = swept;
+    let (recorded, _, recording) = synthesizer
+        .run_traced(aig, recipe, &ExecContext::with_vcpus(1))
+        .expect("traced synthesis");
+    assert_eq!(format!("{netlist:?}"), format!("{recorded:?}"), "{what}: recorded netlist");
+    assert_eq!(reports.len(), ctxs.len(), "{what}");
+    for (k, (single_netlist, single_report)) in singles.iter().enumerate() {
+        assert_eq!(format!("{netlist:?}"), format!("{single_netlist:?}"), "{what}: netlist at context {k}");
+        assert_eq!(report_bits(&reports[k]), report_bits(single_report), "{what}: synthesis report {k}");
+        let replayed = Synthesizer::report_from_trace(&recording, &ctxs[k]);
+        assert_eq!(report_bits(&reports[k]), report_bits(&replayed), "{what}: replayed report {k}");
+    }
+    assert_eq!(sweep_trace, single_trace, "{what}: synthesis spans");
+    assert_eq!(sweep_trace.is_empty(), ctxs.is_empty(), "{what}: passes and mapping are traced");
+    netlist
+}
+
+/// `family` at `size` synthesized under `recipe`, as a sweep over each
+/// of the four context lists with verification on and off.
 fn synthesized(family: &str, size: u32, recipe: &Recipe) -> Netlist {
     let aig = generators::build_family(family, size).expect("known family");
-    let (netlist, _) = Synthesizer::new()
-        .with_verification(false)
-        .run(&aig, recipe, &ExecContext::with_vcpus(1))
-        .expect("synthesis");
-    netlist
+    (0..4)
+        .flat_map(|variant| [(variant, true), (variant, false)])
+        .map(|(variant, verify)| {
+            let what = format!("{family}{size}.{} contexts {variant} verify {verify}", recipe.name());
+            assert_synthesis_sweep_equals_runs(&aig, recipe, &context_list(variant), verify, &what)
+        })
+        .collect::<Vec<_>>()
+        .pop()
+        .expect("eight sweeps")
 }
 
 /// Context lists a sweep may be asked for; `variant` picks one.
@@ -188,11 +229,15 @@ fn router_groups_contexts_by_strip_count() {
     let results = assert_flow_sweeps_equal_runs(&netlist, &context_list(0), "multiplier6");
     assert_eq!(split(&results), 4, "four strip counts, four local/global splits");
     // parity4 is one strip at any vCPU count: one negotiation serves
-    // the whole sweep, and an empty sweep is no work at all.
+    // the whole sweep, and an empty sweep returns what does not depend
+    // on a context — the netlist, the placement, the timing — and no
+    // reports.
     let netlist = synthesized("parity", 4, &Recipe::balanced());
     let results = assert_flow_sweeps_equal_runs(&netlist, &context_list(1), "parity4");
     assert_eq!(split(&results), 1);
     assert!(results.iter().all(|r| r.global_connections == 0));
+    let aig = generators::build_family("parity", 4).expect("known family");
+    let netlist = assert_synthesis_sweep_equals_runs(&aig, &Recipe::balanced(), &[], true, "parity4, no contexts");
     assert_flow_sweeps_equal_runs(&netlist, &[], "parity4, no contexts");
 }
 
@@ -212,6 +257,10 @@ fn a_design_no_context_can_run_fails_the_sweep_as_it_fails_each_run() {
         po_pins: vec![],
     };
     let ctxs = context_list(1);
+    let logic_free = Aig::new("empty");
+    let synthesizer = Synthesizer::new();
+    assert_eq!(synthesizer.run_sweep(&logic_free, &Recipe::raw(), &ctxs).unwrap_err(), FlowError::EmptyDesign);
+    assert_eq!(synthesizer.run(&logic_free, &Recipe::raw(), &ctxs[0]).unwrap_err(), FlowError::EmptyDesign);
     assert_eq!(Placer::new().run_sweep(&empty, &ctxs).unwrap_err(), FlowError::EmptyDesign);
     assert_eq!(StaEngine::new().run_sweep(&empty, &placement, &ctxs).unwrap_err(), FlowError::EmptyDesign);
     assert_eq!(Router::new().run_sweep(&empty, &placement, &ctxs).unwrap_err(), FlowError::EmptyDesign);

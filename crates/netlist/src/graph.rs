@@ -31,8 +31,8 @@ pub struct NodeFeatures(pub [f64; FEATURE_DIM]);
 /// A directed graph with node features, ready for GCN consumption.
 ///
 /// Stored in CSR (compressed sparse row) form over *outgoing* edges;
-/// [`DesignGraph::reverse_offsets`]/[`DesignGraph::reverse_targets`] give
-/// the transposed (incoming) view used for fanin aggregation.
+/// [`DesignGraph::in_neighbors`] reads the transposed (incoming) view
+/// used for fanin aggregation.
 ///
 /// # Examples
 ///
@@ -281,18 +281,6 @@ impl DesignGraph {
     #[must_use]
     pub fn targets(&self) -> &[u32] {
         &self.targets
-    }
-
-    /// CSR offsets over incoming edges.
-    #[must_use]
-    pub fn reverse_offsets(&self) -> &[u32] {
-        &self.rev_offsets
-    }
-
-    /// CSR source array over incoming edges.
-    #[must_use]
-    pub fn reverse_targets(&self) -> &[u32] {
-        &self.rev_targets
     }
 
     /// Feature row of node `v`.

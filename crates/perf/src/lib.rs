@@ -26,9 +26,9 @@
 //! probe.read(0x1000);
 //! probe.read(0x1000); // second access hits L1
 //! probe.branch(0xA, true);
-//! let report = probe.finish();
-//! assert_eq!(report.counters.cache_refs, 2);
-//! assert_eq!(report.counters.l1_misses, 1);
+//! let counters = probe.counters();
+//! assert_eq!(counters.cache_refs, 2);
+//! assert_eq!(counters.l1_misses, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,4 +44,4 @@ pub use branch::BranchPredictor;
 pub use cache::{Cache, CacheSim};
 pub use counters::CounterSet;
 pub use machine::{MachineConfig, MachineModel, StageWork};
-pub use probe::{PerfProbe, PerfReport, ProbeEvent, ProbeTrace};
+pub use probe::{PerfProbe, ProbeEvent, ProbeTrace};

@@ -113,24 +113,7 @@ struct Machine {
     absorbed: CounterSet,
 }
 
-/// The final result of a probed run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfReport {
-    /// All counted events with cache/branch misses folded in.
-    pub counters: CounterSet,
-}
-
 impl PerfProbe {
-    fn new(cache: CacheSim, machines: Vec<Machine>) -> Self {
-        Self {
-            counters: CounterSet::default(),
-            cache,
-            branch: BranchPredictor::new(4096),
-            machines,
-            trace: None,
-        }
-    }
-
     /// Probe with a cache hierarchy and AVX capability matching `machine`.
     #[must_use]
     pub fn for_machine(machine: &MachineConfig) -> Self {
@@ -142,13 +125,16 @@ impl PerfProbe {
     /// [`PerfProbe::counters_for`].
     #[must_use]
     pub fn for_machines(machines: &[MachineConfig]) -> Self {
-        Self::new(
-            CacheSim::for_vcpu_sweep(machines.iter().map(|m| m.vcpus)),
-            machines
+        Self {
+            counters: CounterSet::default(),
+            cache: CacheSim::for_vcpu_sweep(machines.iter().map(|m| m.vcpus)),
+            branch: BranchPredictor::new(4096),
+            machines: machines
                 .iter()
                 .map(|m| Machine { avx: m.avx, absorbed: CounterSet::default() })
                 .collect(),
-        )
+            trace: None,
+        }
     }
 
     /// Like [`PerfProbe::for_machine`], but records every event into a
@@ -159,13 +145,6 @@ impl PerfProbe {
             trace: Some(Vec::new()),
             ..Self::for_machine(machine)
         }
-    }
-
-    /// Probe with an explicit cache hierarchy (used by cache-model
-    /// ablations).
-    #[must_use]
-    pub fn with_cache(cache: CacheSim, avx_available: bool) -> Self {
-        Self::new(cache, vec![Machine { avx: avx_available, absorbed: CounterSet::default() }])
     }
 
     #[inline]
@@ -318,13 +297,6 @@ impl PerfProbe {
         }
     }
 
-    /// Whether this probe attributes vector FP work to AVX hardware
-    /// (on its first machine, for a sweep probe).
-    #[must_use]
-    pub fn avx_available(&self) -> bool {
-        self.machines[0].avx
-    }
-
     /// Return the probe to its just-constructed state — cold caches,
     /// untrained predictor, zero counts — keeping its arrays. A worker
     /// that probes one batch after another resets in between instead
@@ -339,13 +311,6 @@ impl PerfProbe {
         if let Some(trace) = &mut self.trace {
             trace.clear();
         }
-    }
-
-    /// Finish the run and produce the report.
-    #[must_use]
-    pub fn finish(self) -> PerfReport {
-        let counters = self.counters();
-        PerfReport { counters }
     }
 
     /// Finish a traced run, returning the final counters and the
@@ -406,16 +371,6 @@ mod tests {
         main.absorb(&[worker.counters()]);
         assert_eq!(main.counters().instructions, 51);
         assert_eq!(main.counters().branches, 1);
-    }
-
-    #[test]
-    fn finish_reports_llc() {
-        let mut p = probe();
-        for i in 0..1000u64 {
-            p.read(i * 4096); // pathological stride
-        }
-        let report = p.finish();
-        assert!(report.counters.llc_misses > 0);
     }
 
     /// Drive a deterministic but machine-sensitive event mix through a

@@ -570,18 +570,13 @@ fn complete_rollout(mut passes: Vec<Pass>, max_len: usize, rng: &mut ChaCha8Rng)
     passes
 }
 
-/// Synthesize one pass sequence and replay its trace at 1/2/4/8 vCPUs.
+/// Synthesize one pass sequence once, costed at 1/2/4/8 vCPUs.
 fn evaluate(syn: &Synthesizer, aig: &Aig, passes: &[Pass]) -> Result<EvalOutcome, RecipeError> {
     let recipe = recipe_from_passes(passes)?;
-    let (netlist, _, trace) = syn.run_traced(aig, &recipe, &ExecContext::with_vcpus(1))?;
-    let mut runtime_ms = [0u64; 4];
-    for (i, vcpus) in [1u32, 2, 4, 8].into_iter().enumerate() {
-        let report = Synthesizer::report_from_trace(&trace, &ExecContext::with_vcpus(vcpus));
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        {
-            runtime_ms[i] = (report.runtime_secs * 1_000.0).round().max(0.0) as u64;
-        }
-    }
+    let (netlist, reports) = syn.run_sweep(aig, &recipe, &[1, 2, 4, 8].map(ExecContext::with_vcpus))?;
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let runtime_ms =
+        std::array::from_fn(|k| (reports[k].runtime_secs * 1_000.0).round().max(0.0) as u64);
     Ok(EvalOutcome {
         cells: netlist.cell_count() as u64,
         depth: netlist.depth() as u64,

@@ -17,7 +17,8 @@ pub struct ServeDesign {
     pub aig: GraphSample,
     /// Netlist view, consumed by placement / routing / STA predictors.
     pub netlist: GraphSample,
-    /// FNV-1a over the name and both views' node counts and features.
+    /// FNV-1a-style hash of the name and both views' node counts and
+    /// features.
     pub fingerprint: u64,
 }
 
@@ -31,31 +32,33 @@ impl ServeDesign {
     }
 }
 
-/// FNV-1a over the design name and the raw feature bytes of both graph
-/// views — two designs collide only if they are structurally identical
-/// under the GCN's featurization, in which case sharing a cached
-/// prediction is exactly right.
+/// One step of the fingerprint hash: `bytes` folded into `hash`, which
+/// starts at [`FINGERPRINT_SEED`]. It is FNV-1a's offset basis and byte
+/// step `h' = (h ^ b) * p`, but with `p = 0x1000_0000_01b3` — one zero
+/// more than the FNV prime `trace::fnv1a64` multiplies by. Still odd,
+/// so each step is still a bijection on `u64`; every cache key and
+/// `ingest_report.json` carry its values, so it is kept as it is
+/// rather than folded into `fnv1a64`.
+fn mix(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+}
+
+const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The design name and the raw feature bytes of both graph views — two
+/// designs collide only if they are structurally identical under the
+/// GCN's featurization, in which case sharing a cached prediction is
+/// exactly right.
 fn fingerprint_views(name: &str, aig: &GraphSample, netlist: &GraphSample) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    for byte in name.bytes() {
-        mix(byte);
-    }
+    let mut hash = mix(FINGERPRINT_SEED, name.as_bytes());
     for view in [aig, netlist] {
-        mix(0xFF); // view separator
-        for byte in (view.node_count() as u64).to_le_bytes() {
-            mix(byte);
-        }
+        hash = mix(hash, &[0xFF]); // view separator
+        hash = mix(hash, &(view.node_count() as u64).to_le_bytes());
         for v in view.features.data() {
-            for byte in v.to_bits().to_le_bytes() {
-                mix(byte);
-            }
+            hash = mix(hash, &v.to_bits().to_le_bytes());
         }
     }
-    h
+    hash
 }
 
 /// An untrusted external design document as uploaded: raw text plus a
@@ -70,8 +73,9 @@ pub struct UploadDoc {
     pub format: String,
     /// The raw uploaded text.
     pub text: String,
-    /// FNV-1a over the format tag and the raw bytes; two uploads share
-    /// an ingest-cache entry only if they are byte-identical.
+    /// FNV-1a-style hash of the format tag and the raw bytes; two
+    /// uploads share an ingest-cache entry only if they are
+    /// byte-identical.
     pub fingerprint: u64,
 }
 
@@ -97,21 +101,9 @@ impl UploadDoc {
     }
 }
 
-/// FNV-1a over the format tag, a separator, and the raw upload bytes.
+/// The format tag, a separator, and the raw upload bytes.
 fn fingerprint_upload(format: &str, text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    for byte in format.bytes() {
-        mix(byte);
-    }
-    mix(0xFF);
-    for byte in text.bytes() {
-        mix(byte);
-    }
-    h
+    mix(mix(mix(FINGERPRINT_SEED, format.as_bytes()), &[0xFF]), text.as_bytes())
 }
 
 /// What the caller wants back.

@@ -1,11 +1,18 @@
-//! Paper-fidelity pins for Problem 3: Table I and Figure 6 on the
+//! Paper-fidelity pins. Problem 3: Table I and Figure 6 on the
 //! paper's own sparc_core runtime matrix (EXPERIMENTS.md § Table I,
-//! § Figure 6). A solver or pricing change that moves a published
-//! number fails here, not in a report nobody diffs.
+//! § Figure 6). Problem 1: Figure 2's orderings on the `fig2 --smoke`
+//! design. A solver, pricing or engine change that moves a published
+//! number or ordering fails here, not in a report nobody diffs.
+//!
+//! Figure 3's "speed-up grows with design size" is left out on
+//! purpose: it does not hold on the smoke-sized designs (routing at 8
+//! vCPUs reads 2.94x / 2.37x / 3.45x for `dynamic_node` / `aes` /
+//! `fpu`), and `fig3 --smoke` takes 27 s in release.
 
-use eda_cloud::core::{StageRuntimes, Workflow};
+use eda_cloud::core::{CharacterizationConfig, StageRuntimes, Workflow};
 use eda_cloud::flow::StageKind;
 use eda_cloud::mckp::{Objective, Solver};
+use eda_cloud::netlist::generators;
 
 /// Table I's measured runtimes (seconds at 1, 2, 4, 8 vCPUs).
 fn paper_runtimes() -> Vec<StageRuntimes> {
@@ -75,4 +82,48 @@ fn fig6_savings_stay_in_the_papers_band() {
     // Paper: 35.29 %; recorded reproduction: 30.8 %.
     let average = averages.iter().sum::<f64>() / averages.len() as f64;
     assert!((0.25..=0.40).contains(&average), "average saving {average}");
+}
+
+#[test]
+fn fig2_orderings_hold_on_the_smoke_design() {
+    let design = generators::openpiton_design("dynamic_node").expect("known design");
+    let report = Workflow::with_defaults()
+        .characterize_design(&design, &CharacterizationConfig::paper())
+        .expect("characterizes");
+    let stage = |kind| report.stage(kind).expect("all four stages are swept");
+    let counters = |kind, vcpus| stage(kind).at_vcpus(vcpus).expect("swept").report.counters;
+    let others = |kind| StageKind::ALL.into_iter().filter(move |&k| k != kind);
+
+    // (a) Routing is the branchiest stage at either end of the sweep.
+    for vcpus in [1, 8] {
+        let routing = counters(StageKind::Routing, vcpus).branch_miss_rate();
+        for kind in others(StageKind::Routing) {
+            assert!(routing > counters(kind, vcpus).branch_miss_rate(), "{kind} at {vcpus} vCPUs");
+        }
+    }
+
+    // (c) Placement is the most AVX-heavy stage, STA the second;
+    // synthesis and routing do no floating-point work at all.
+    let avx = |kind| {
+        let c = counters(kind, 1);
+        c.avx_share() * c.fp_instruction_share()
+    };
+    assert!(avx(StageKind::Placement) > avx(StageKind::Sta));
+    assert!(avx(StageKind::Sta) > 0.0);
+    assert_eq!(avx(StageKind::Synthesis), 0.0);
+    assert_eq!(avx(StageKind::Routing), 0.0);
+
+    // (d) Routing scales best and synthesis worst, and no stage gets
+    // slower with more vCPUs.
+    let speedup = |kind| *stage(kind).speedups().last().expect("swept");
+    for kind in others(StageKind::Routing) {
+        assert!(speedup(StageKind::Routing) > speedup(kind), "{kind}");
+    }
+    for kind in others(StageKind::Synthesis) {
+        assert!(speedup(StageKind::Synthesis) < speedup(kind), "{kind}");
+    }
+    for kind in StageKind::ALL {
+        let runtimes: Vec<f64> = stage(kind).runs.iter().map(|r| r.report.runtime_secs).collect();
+        assert!(runtimes.windows(2).all(|w| w[1] <= w[0]), "{kind}: {runtimes:?}");
+    }
 }
