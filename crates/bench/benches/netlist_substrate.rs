@@ -1,8 +1,8 @@
 //! Criterion benches for the design substrate: generator throughput,
-//! structural hashing, graph conversion, and format round-trips.
+//! scalar simulation and graph conversion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_cloud_netlist::{formats, generators, DesignGraph};
+use eda_cloud_netlist::{generators, DesignGraph};
 use std::hint::black_box;
 
 fn bench_generators(c: &mut Criterion) {
@@ -21,13 +21,9 @@ fn bench_generators(c: &mut Criterion) {
 fn bench_simulation(c: &mut Criterion) {
     let aig = generators::multiplier(16);
     let inputs = vec![true; aig.input_count()];
-    let words: Vec<u64> = (0..aig.input_count() as u64).map(|i| i * 0x9E37).collect();
     let mut group = c.benchmark_group("simulation");
     group.bench_function("scalar", |b| {
         b.iter(|| black_box(aig.simulate(black_box(&inputs)).unwrap()));
-    });
-    group.bench_function("word64", |b| {
-        b.iter(|| black_box(aig.simulate_words(black_box(&words)).unwrap()));
     });
     group.finish();
 }
@@ -37,19 +33,6 @@ fn bench_graph_conversion(c: &mut Criterion) {
     c.bench_function("design_graph_from_aig", |b| {
         b.iter(|| black_box(DesignGraph::from_aig(black_box(&aig))));
     });
-}
-
-fn bench_formats(c: &mut Criterion) {
-    let aig = generators::multiplier(12);
-    let text = formats::write_aag(&aig);
-    let mut group = c.benchmark_group("formats");
-    group.bench_function("write_aag", |b| {
-        b.iter(|| black_box(formats::write_aag(black_box(&aig))));
-    });
-    group.bench_function("read_aag", |b| {
-        b.iter(|| black_box(formats::read_aag(black_box(&text)).unwrap()));
-    });
-    group.finish();
 }
 
 fn quick() -> Criterion {
@@ -64,8 +47,6 @@ criterion_group! {
     config = quick();
     targets = bench_generators,
     bench_simulation,
-    bench_graph_conversion,
-    bench_formats
-
+    bench_graph_conversion
 }
 criterion_main!(benches);

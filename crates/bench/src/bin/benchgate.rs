@@ -110,10 +110,8 @@ fn run() -> Result<ExitCode, GateError> {
     let baseline_path = args
         .value("baseline")
         .expect("--baseline <BENCH_*.json> is required");
-    let tolerance_pct: u64 = args.value("tolerance").map_or(15, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--tolerance expects a percentage, got `{v}`"))
-    });
+    let tolerance_pct: u64 = args.numeric("tolerance", 15);
+    args.reject_unknown();
 
     let current = load(current_path)?.ok_or_else(|| GateError {
         path: current_path.to_owned(),

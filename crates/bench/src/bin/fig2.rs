@@ -14,11 +14,13 @@ use eda_cloud_core::{CharacterizationConfig, Workflow};
 
 fn main() {
     let args = Args::from_env();
-    if args.flag("cache-model") {
+    let cache_model = args.flag("cache-model");
+    let design = experiment_design(&args);
+    args.reject_unknown();
+    if cache_model {
         cache_model_ablation();
         return;
     }
-    let design = experiment_design(&args);
     println!("Figure 2 — characterization of `{}` ({})", design.name(), design);
 
     let workflow = Workflow::with_defaults();

@@ -21,6 +21,8 @@ fn main() {
     } else {
         generators::OPENPITON_NAMES.to_vec()
     };
+    let measured = args.flag("measured");
+    args.reject_unknown();
     let vcpu_sweep = [1u32, 2, 4, 8];
     let workflow = Workflow::with_defaults();
 
@@ -52,14 +54,14 @@ fn main() {
         for t in &runtimes {
             row.push(format!("{:.2}x", base / t));
         }
-        if args.flag("measured") {
+        if measured {
             let wall_base = walls[0].max(1e-9);
             row.push(format!("{:.2}x", wall_base / walls[3].max(1e-9)));
         }
         rows.push(row);
     }
     let mut headers = vec!["design", "#cells", "1 vCPU", "2 vCPUs", "4 vCPUs", "8 vCPUs"];
-    if args.flag("measured") {
+    if measured {
         headers.push("wall@8 (measured)");
     }
     println!("{}", render_table(&headers, &rows));

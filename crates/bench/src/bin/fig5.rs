@@ -27,12 +27,15 @@ fn main() {
     let args = Args::from_env();
     let obs = Observability::from_args(&args);
     let workflow = obs.instrument(Workflow::with_defaults());
-    let config = if args.flag("smoke") {
+    let smoke = args.flag("smoke");
+    let (paper_dims, sweep) = (args.flag("paper-dims"), args.flag("sweep"));
+    let config = if smoke {
         DatasetConfig::smoke()
     } else {
         DatasetConfig::paper_scaled()
     }
     .with_workers(args.workers());
+    args.reject_unknown();
     println!(
         "Figure 5 — runtime prediction errors ({} netlists, {} runtime labels)",
         config.netlist_count(),
@@ -46,7 +49,7 @@ fn main() {
     // here so the `--sweep` early return below still writes them.
     obs.export();
 
-    let trainer = if args.flag("smoke") {
+    let trainer = if smoke {
         Trainer::fast()
     } else {
         // The paper's 200-epoch Adam recipe with a mid-size model:
@@ -55,14 +58,14 @@ fn main() {
         let mut t = Trainer::fast();
         t.epochs = 200;
         t.lr = 1e-3;
-        if args.flag("paper-dims") {
+        if paper_dims {
             t.config = ModelConfig::paper();
             t.lr = 1e-4;
         }
         t
     };
 
-    if args.flag("sweep") {
+    if sweep {
         // Ablation: GCN depth/width vs accuracy on the routing corpus.
         println!("\nablation: architecture vs routing-stage accuracy");
         let mut rows = Vec::new();

@@ -29,7 +29,9 @@ fn main() {
     let obs = Observability::from_args(&args);
     let workflow = obs.instrument(Workflow::with_defaults());
 
+    let spot = args.flag("spot").then(SpotMarket::typical);
     let (design, runtimes) = experiment_runtimes(&args, &workflow);
+    args.reject_unknown();
     match design {
         None => println!("Figure 6 — savings with the paper's exact runtimes"),
         Some(name) => println!("Figure 6 — savings for measured `{name}` runtimes"),
@@ -37,7 +39,6 @@ fn main() {
 
     let problem = workflow.deployment_problem(&runtimes).expect("problem");
     let min_total = problem.min_total_runtime();
-    let spot = args.flag("spot").then(SpotMarket::typical);
     let pricing = *workflow.catalog().pricing();
 
     // Sweep deadlines from the feasibility edge up to fully relaxed.

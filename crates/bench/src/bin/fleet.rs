@@ -35,13 +35,15 @@ fn main() {
     }
 
     let obs = Observability::from_args(&args);
+    let json = args.flag("json");
+    args.reject_unknown();
     let report = obs
         .instrument(Workflow::with_defaults())
         .simulate_fleet(&scenario)
         .expect("fleet simulation");
     obs.export();
 
-    if args.flag("json") {
+    if json {
         println!("{}", report.to_json());
         return;
     }

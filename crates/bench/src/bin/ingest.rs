@@ -21,13 +21,10 @@
 
 use eda_cloud_bench::{Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
-use eda_cloud_core::{IngestRunReport, Workflow, WorkflowPlanner};
+use eda_cloud_core::{IngestScenario, Workflow};
 use eda_cloud_gcn::ModelConfig;
-use eda_cloud_ingest::{fixtures, FrontDoor, FrontDoorConfig};
-use eda_cloud_serve::{
-    design_pool, synthetic_requests_with_uploads, ModelSnapshot, ServeConfig, Server, UploadDoc,
-    WorkloadConfig,
-};
+use eda_cloud_ingest::fixtures;
+use eda_cloud_serve::{ModelSnapshot, UploadDoc};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -85,56 +82,38 @@ fn load_dir(dir: &Path) -> Vec<Arc<UploadDoc>> {
 
 fn main() {
     let args = Args::from_env();
-    let seed = args.numeric("seed", 7u64);
-    let requests = args.numeric("requests", 64usize);
-    let rate = args.numeric("rate", 200.0f64);
-    let every = args.numeric("every", 3u64);
-    let workers = args.workers();
+    let mut scenario = IngestScenario::new(args.numeric("requests", 64), args.numeric("seed", 7));
+    scenario.rate_per_sec = args.numeric("rate", 200.0);
+    scenario.ingest_every = args.numeric("every", 3);
+    scenario.workers = args.workers();
     let uploads = args
         .value("dir")
         .map_or_else(fixtures::uploads, |d| load_dir(Path::new(d)));
     assert!(!uploads.is_empty(), "no ingestible files found");
 
     let obs = Observability::from_args(&args);
+    let json = args.flag("json");
+    args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let door = FrontDoor::with_pool_profile(FrontDoorConfig::default());
-    let mut reports = Vec::new();
-    for doc in &uploads {
-        match door.ingest_doc(doc) {
-            Ok((report, _design)) => reports.push(report),
-            Err(e) => eprintln!("{} ({}): rejected: {e}", doc.name, doc.format),
-        }
+    let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed);
+    let (run, _outcomes) = workflow.ingest(&scenario, &snapshot, &uploads).expect("serving run");
+    obs.export();
+    for (name, reason) in &run.rejected {
+        eprintln!("{name}: rejected: {reason}");
     }
 
-    let config = WorkloadConfig {
-        requests,
-        rate_per_sec: rate,
-        seed,
-        ingest_every: every,
-        ..WorkloadConfig::default()
-    };
-    let stream = synthetic_requests_with_uploads(&design_pool(), &uploads, &config);
-    let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), seed);
-    let server = Server::new(
-        snapshot,
-        Box::new(WorkflowPlanner::new(workflow.clone())),
-        ServeConfig { workers, ..ServeConfig::default() },
-    )
-    .with_ingestor(Box::new(door))
-    .with_tracer(workflow.tracer().clone());
-    let (serve, _outcomes) = server.run(seed, &stream).expect("serving run");
-    obs.export();
-    let run = IngestRunReport { seed, fixtures: reports, serve };
-
-    if args.flag("json") {
+    if json {
         println!("{}", run.to_json());
         return;
     }
 
     println!(
-        "Ingest — {} uploads, {} requests at {rate}/s, seed {seed}, 1-in-{every} upload mix",
+        "Ingest — {} uploads, {} requests at {}/s, seed {}, 1-in-{} upload mix",
         uploads.len(),
-        requests,
+        scenario.requests,
+        scenario.rate_per_sec,
+        scenario.seed,
+        scenario.ingest_every,
     );
     let rows: Vec<Vec<String>> = run
         .fixtures

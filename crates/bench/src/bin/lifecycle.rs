@@ -34,11 +34,13 @@ fn main() {
     scenario.workers = args.workers();
 
     let obs = Observability::from_args(&args);
+    let json = args.flag("json");
+    args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
     let (report, _feedback) = workflow.lifecycle(&scenario).expect("lifecycle run");
     obs.export();
 
-    if args.flag("json") {
+    if json {
         println!("{}", report.to_json());
         return;
     }

@@ -32,11 +32,13 @@ fn main() {
     scenario.workers = args.workers();
 
     let obs = Observability::from_args(&args);
+    let json = args.flag("json");
+    args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
     let report = workflow.recipe(&scenario).expect("recipe pipeline");
     obs.export();
 
-    if args.flag("json") {
+    if json {
         println!("{}", report.to_json());
         return;
     }

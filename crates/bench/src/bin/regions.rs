@@ -30,10 +30,12 @@ fn main() {
     };
     let workers = args.workers().max(1);
     let shards = args.numeric("shards", config.regions as usize);
+    let json = args.flag("json");
+    args.reject_unknown();
 
     let report = RegionSim::run(&config, workers, shards).expect("multi-region simulation");
 
-    if args.flag("json") {
+    if json {
         println!("{}", report.to_json());
         return;
     }

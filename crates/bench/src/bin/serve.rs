@@ -20,49 +20,41 @@
 
 use eda_cloud_bench::{Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
-use eda_cloud_core::{ServeScenario, Workflow, WorkflowPlanner};
+use eda_cloud_core::{ServeScenario, Workflow};
 use eda_cloud_gcn::ModelConfig;
-use eda_cloud_serve::{ModelSnapshot, ServeConfig, ServeReport, Server};
+use eda_cloud_serve::{ModelSnapshot, ServeConfig, ServeReport};
 
 fn main() {
     let args = Args::from_env();
     let mut scenario =
         ServeScenario::new(args.numeric("requests", 64), args.numeric("seed", 7));
     scenario.rate_per_sec = args.numeric("rate", 200.0);
-    scenario.workers = args.workers();
+    let (max_batch, queue_capacity) = (args.numeric("batch", 8), args.numeric("queue", 32));
     let config = ServeConfig {
-        max_batch: args.numeric("batch", 8),
-        queue_capacity: args.numeric("queue", 32),
+        max_batch,
+        queue_capacity,
         cache_capacity: args.numeric("cache", 32),
-        workers: scenario.workers,
+        workers: args.workers(),
         ..ServeConfig::default()
     };
 
     let obs = Observability::from_args(&args);
+    let json = args.flag("json");
+    args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let requests = workflow.serve_workload(&scenario);
     let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed);
-    let server = Server::new(
-        snapshot,
-        Box::new(WorkflowPlanner::new(workflow.clone())),
-        config,
-    )
-    .with_tracer(workflow.tracer().clone());
-    let (report, _outcomes) = server.run(scenario.seed, &requests).expect("serving run");
+    let (report, _outcomes) =
+        workflow.serve(&scenario, &snapshot, config).expect("serving run");
     obs.export();
 
-    if args.flag("json") {
+    if json {
         println!("{}", report.to_json());
         return;
     }
 
     println!(
-        "Serve — {} requests at {}/s, seed {}, batch {}, queue {}",
-        scenario.requests,
-        scenario.rate_per_sec,
-        scenario.seed,
-        server.config().max_batch,
-        server.config().queue_capacity,
+        "Serve — {} requests at {}/s, seed {}, batch {max_batch}, queue {queue_capacity}",
+        scenario.requests, scenario.rate_per_sec, scenario.seed,
     );
     print_report(&report);
 }

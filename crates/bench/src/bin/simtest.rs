@@ -49,6 +49,8 @@ fn main() -> ExitCode {
     };
 
     let obs = Observability::from_args(&args);
+    let (json, shrink) = (args.flag("json"), args.flag("shrink"));
+    args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
 
     let mut failed = false;
@@ -66,14 +68,14 @@ fn main() -> ExitCode {
             }
             None => (scenario.plan(), workflow.simtest(&scenario).expect("simtest run")),
         };
-        if args.flag("json") {
+        if json {
             println!("{}", report.to_json());
         } else {
             print_report(run_seed, &report);
         }
         if !report.passed() {
             failed = true;
-            if args.flag("shrink") {
+            if shrink {
                 match shrink_plan(&config, &plan) {
                     Ok(minimal) => {
                         eprintln!(

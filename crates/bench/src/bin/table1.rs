@@ -31,7 +31,9 @@ fn main() {
     let obs = Observability::from_args(&args);
     let workflow = obs.instrument(Workflow::with_defaults());
 
+    let objective = args.flag("objective");
     let (design, runtimes) = experiment_runtimes(&args, &workflow);
+    args.reject_unknown();
     match design {
         None => println!("Table I — using the paper's exact runtime measurements"),
         Some(name) => println!("Table I — measured runtimes for `{name}`"),
@@ -95,7 +97,7 @@ fn main() {
         )
     );
 
-    if args.flag("objective") {
+    if objective {
         // Ablation: the paper's max Σ1/p objective vs direct min-cost.
         println!("ablation: objective comparison at each constraint");
         let mut rows = Vec::new();

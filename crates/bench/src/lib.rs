@@ -11,6 +11,8 @@
 use eda_cloud_core::{CharacterizationConfig, StageRuntimes, Workflow};
 use eda_cloud_netlist::{generators, Aig};
 use eda_cloud_trace::{Metrics, Tracer};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Minimal flag parser for the reproduction binaries: `--flag` booleans
@@ -29,14 +31,13 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     tokens: Vec<String>,
+    queried: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
     /// Parse from an iterator of tokens (usually `std::env::args`).
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Self {
-        Self {
-            tokens: tokens.into_iter().collect(),
-        }
+        Self { tokens: tokens.into_iter().collect(), queried: RefCell::default() }
     }
 
     /// Parse from the process arguments (skipping `argv[0]`).
@@ -48,17 +49,42 @@ impl Args {
     /// Whether `--name` was passed.
     #[must_use]
     pub fn flag(&self, name: &str) -> bool {
-        self.tokens.iter().any(|t| t == &format!("--{name}"))
+        self.tokens.contains(&self.key(name))
     }
 
     /// The token following `--name`, if any.
     #[must_use]
     pub fn value(&self, name: &str) -> Option<&str> {
-        let key = format!("--{name}");
+        let key = self.key(name);
         self.tokens
             .windows(2)
             .find(|w| w[0] == key)
             .map(|w| w[1].as_str())
+    }
+
+    /// `--name`, recorded as a name this binary understands.
+    fn key(&self, name: &str) -> String {
+        let key = format!("--{name}");
+        self.queried.borrow_mut().insert(key.clone());
+        key
+    }
+
+    /// Every `--token` no lookup has named so far, in command-line order.
+    fn unqueried(&self) -> Vec<&str> {
+        let queried = self.queried.borrow();
+        let unknown = |t: &&String| t.starts_with("--") && !queried.contains(*t);
+        self.tokens.iter().filter(unknown).map(String::as_str).collect()
+    }
+
+    /// Call once every flag has been looked up: exits with status 2 listing
+    /// any `--token` no lookup named — a misspelled `--worker 4` must not
+    /// silently run the default. A value starting with `--` counts as one.
+    pub fn reject_unknown(&self) {
+        let unknown = self.unqueried();
+        if !unknown.is_empty() {
+            eprintln!("unknown flag(s): {}", unknown.join(" "));
+            std::process::exit(2);
+        }
     }
 
     /// The value of `--name` parsed as a number, or `default` when the
@@ -245,6 +271,26 @@ mod tests {
         assert_eq!(a.value("missing"), None);
         assert_eq!(a.numeric("n", 1.0), 2.5);
         assert_eq!(a.numeric("missing", 7u64), 7);
+    }
+
+    #[test]
+    fn unknown_flags_are_the_tokens_no_lookup_named() {
+        let parse = |tokens: &[&str]| Args::parse(tokens.iter().map(|s| (*s).to_owned()));
+        // The misspelling CI would otherwise diff against itself.
+        let a = parse(&["--seed", "7", "--worker", "4", "--json"]);
+        let _ = (a.numeric("seed", 0u64), a.workers(), a.flag("json"));
+        assert_eq!(a.unqueried(), ["--worker"]);
+        // A value that looks like a flag is one: `--trace` lost its path.
+        let a = parse(&["--trace", "--json"]);
+        assert_eq!(a.value("trace"), Some("--json"));
+        assert_eq!(a.unqueried(), ["--json"]);
+        assert!(a.flag("json"));
+        assert!(a.unqueried().is_empty());
+        // Happy path: every name asked for, present or not; values are not flags.
+        let a = parse(&["--requests", "64", "--rate", "-2.5", "--json"]);
+        let _ = (a.numeric("requests", 0usize), a.numeric("rate", 0.0), a.flag("json"));
+        assert!(a.unqueried().is_empty());
+        a.reject_unknown();
     }
 
     #[test]

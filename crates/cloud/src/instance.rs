@@ -64,12 +64,6 @@ impl InstanceType {
             interference: 0.0,
         }
     }
-
-    /// Price in USD per vCPU-hour (cost-efficiency metric).
-    #[must_use]
-    pub fn price_per_vcpu_hour(&self) -> f64 {
-        self.price_per_hour / f64::from(self.vcpus.max(1))
-    }
 }
 
 impl fmt::Display for InstanceType {
@@ -90,9 +84,8 @@ impl fmt::Display for InstanceType {
 /// use eda_cloud_cloud::{Catalog, InstanceFamily};
 ///
 /// let catalog = Catalog::aws_like();
-/// let sizes = catalog.family_sizes(InstanceFamily::MemoryOptimized);
-/// let vcpus: Vec<u32> = sizes.iter().map(|i| i.vcpus).collect();
-/// assert_eq!(vcpus, vec![1, 2, 4, 8]);
+/// let r5 = catalog.cheapest_with(InstanceFamily::MemoryOptimized, 3).expect("a 4-vCPU r5");
+/// assert_eq!((r5.name.as_str(), r5.vcpus), ("r5.xlarge", 4));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
@@ -171,18 +164,6 @@ impl Catalog {
             .ok_or_else(|| CloudError::UnknownInstance(name.to_owned()))
     }
 
-    /// Sizes of one family ordered by vCPU count.
-    #[must_use]
-    pub fn family_sizes(&self, family: InstanceFamily) -> Vec<&InstanceType> {
-        let mut v: Vec<&InstanceType> = self
-            .instances
-            .iter()
-            .filter(|i| i.family == family)
-            .collect();
-        v.sort_by_key(|i| i.vcpus);
-        v
-    }
-
     /// The cheapest instance of `family` with at least `vcpus` vCPUs.
     #[must_use]
     pub fn cheapest_with(&self, family: InstanceFamily, vcpus: u32) -> Option<&InstanceType> {
@@ -203,19 +184,25 @@ impl Default for Catalog {
 mod tests {
     use super::*;
 
+    /// The 1/2/4/8-vCPU sizes of `family`, through the lookup planners use.
+    fn sizes(c: &Catalog, family: InstanceFamily) -> Vec<&InstanceType> {
+        let of = |vcpus| c.cheapest_with(family, vcpus).expect("every family has the size");
+        [1, 2, 4, 8].map(of).to_vec()
+    }
+
     #[test]
     fn catalog_has_three_families_at_four_sizes() {
         let c = Catalog::aws_like();
+        assert_eq!(c.instances().len(), 12);
         for family in [
             InstanceFamily::GeneralPurpose,
             InstanceFamily::MemoryOptimized,
             InstanceFamily::ComputeOptimized,
         ] {
-            let sizes = c.family_sizes(family);
-            assert_eq!(sizes.len(), 4, "{family}");
             assert_eq!(
-                sizes.iter().map(|i| i.vcpus).collect::<Vec<_>>(),
-                vec![1, 2, 4, 8]
+                sizes(&c, family).iter().map(|i| i.vcpus).collect::<Vec<_>>(),
+                vec![1, 2, 4, 8],
+                "{family}"
             );
         }
     }
@@ -223,7 +210,7 @@ mod tests {
     #[test]
     fn prices_scale_linearly_from_large_up() {
         let c = Catalog::aws_like();
-        let m5 = c.family_sizes(InstanceFamily::GeneralPurpose);
+        let m5 = sizes(&c, InstanceFamily::GeneralPurpose);
         // .large -> .xlarge -> .2xlarge double exactly; .medium carries
         // the small-instance premium.
         for w in m5[1..].windows(2) {
@@ -231,7 +218,7 @@ mod tests {
             assert!((ratio - 2.0).abs() < 1e-9, "m5 doubles each step");
         }
         assert!(
-            m5[0].price_per_vcpu_hour() > 1.5 * m5[1].price_per_vcpu_hour(),
+            m5[0].price_per_hour > 1.5 * m5[1].price_per_hour / 2.0,
             "1-vCPU premium present"
         );
     }
@@ -241,7 +228,8 @@ mod tests {
         let c = Catalog::aws_like();
         let m5 = c.instance("m5.large").unwrap();
         let r5 = c.instance("r5.large").unwrap();
-        assert!(r5.price_per_vcpu_hour() > m5.price_per_vcpu_hour());
+        assert_eq!(r5.vcpus, m5.vcpus);
+        assert!(r5.price_per_hour > m5.price_per_hour);
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl StageDatasets {
             StageKind::Sta => &self.sta,
         }
     }
-
-    /// Total number of runtime labels across stages (4 per sample).
-    #[must_use]
-    pub fn label_count(&self) -> usize {
-        4 * (self.synthesis.len() + self.placement.len() + self.routing.len() + self.sta.len())
-    }
 }
 
 /// Corpus generator bound to a workflow (for machine contexts).
@@ -308,7 +302,9 @@ mod tests {
         let reference =
             reference_build(&Workflow::with_defaults().with_tracer(reference_tracer.clone()), &cfg);
         let reference_trace = reference_tracer.drain();
-        assert_eq!(reference.label_count(), 4 * 4 * cfg.netlist_count());
+        for kind in StageKind::ALL {
+            assert_eq!(reference.for_stage(kind).len(), cfg.netlist_count(), "{kind:?} samples");
+        }
         assert!(reference_trace.len() > 4 * 4 * cfg.netlist_count(), "engine phases are traced");
         for workers in [1, 2, 4] {
             let tracer = Tracer::new();
@@ -333,7 +329,7 @@ mod tests {
         let data = DatasetBuilder::new(&wf).build(&cfg).expect("builds");
         assert_eq!(data.synthesis.len(), cfg.netlist_count());
         assert_eq!(data.routing.len(), cfg.netlist_count());
-        assert_eq!(data.label_count(), 4 * 4 * cfg.netlist_count());
+        assert_eq!(data.placement.len() + data.sta.len(), 2 * cfg.netlist_count());
         // Synthesis runtimes improve with more vCPUs even on small
         // designs; routing/placement may plateau or regress on tiny
         // ones (the paper's Figure-3 effect), so only positivity is

@@ -4,7 +4,6 @@ use eda_cloud_cloud::CloudError;
 use eda_cloud_fleet::FleetError;
 use eda_cloud_flow::FlowError;
 use eda_cloud_gcn::GcnError;
-use eda_cloud_ingest::IngestError;
 use eda_cloud_lifecycle::LifecycleError;
 use eda_cloud_mckp::MckpError;
 use eda_cloud_recipe::RecipeError;
@@ -34,9 +33,6 @@ pub enum WorkflowError {
     Simtest(SimtestError),
     /// The recipe subsystem rejected a search, encoding, or snapshot.
     Recipe(RecipeError),
-    /// The ingestion front door rejected an upload that the workflow
-    /// needed to succeed (e.g. a checked-in fixture).
-    Ingest(IngestError),
     /// The dataset builder produced no samples for a stage.
     EmptyDataset {
         /// The stage whose corpus came out empty.
@@ -58,7 +54,6 @@ impl fmt::Display for WorkflowError {
             WorkflowError::Lifecycle(e) => write!(f, "lifecycle error: {e}"),
             WorkflowError::Simtest(e) => write!(f, "simtest harness error: {e}"),
             WorkflowError::Recipe(e) => write!(f, "recipe subsystem error: {e}"),
-            WorkflowError::Ingest(e) => write!(f, "ingestion error: {e}"),
             WorkflowError::EmptyDataset { stage } => {
                 write!(f, "dataset for stage `{stage}` is empty")
             }
@@ -78,7 +73,6 @@ impl Error for WorkflowError {
             WorkflowError::Lifecycle(e) => Some(e),
             WorkflowError::Simtest(e) => Some(e),
             WorkflowError::Recipe(e) => Some(e),
-            WorkflowError::Ingest(e) => Some(e),
             WorkflowError::EmptyDataset { .. } => None,
             WorkflowError::Train(e) => Some(e),
         }
@@ -133,12 +127,6 @@ impl From<RecipeError> for WorkflowError {
     }
 }
 
-impl From<IngestError> for WorkflowError {
-    fn from(e: IngestError) -> Self {
-        WorkflowError::Ingest(e)
-    }
-}
-
 impl From<GcnError> for WorkflowError {
     fn from(e: GcnError) -> Self {
         WorkflowError::Train(e)
@@ -176,11 +164,8 @@ mod tests {
         let e: WorkflowError = SimtestError::Config("fleet_jobs must be positive").into();
         assert!(e.to_string().contains("simtest harness"));
         assert!(e.source().is_some());
-        let e: WorkflowError = RecipeError::NoCandidates.into();
+        let e: WorkflowError = RecipeError::RecipeTooLong { len: 9, max: 6 }.into();
         assert!(e.to_string().contains("recipe subsystem"));
-        assert!(e.source().is_some());
-        let e: WorkflowError = IngestError::UnknownFormat { format: "edif".into() }.into();
-        assert!(e.to_string().contains("ingestion"));
         assert!(e.source().is_some());
         let e = WorkflowError::EmptyDataset { stage: "routing" };
         assert!(e.to_string().contains("routing"));

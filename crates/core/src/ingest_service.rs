@@ -3,22 +3,24 @@
 //!
 //! This wires `eda-cloud-ingest` into the workflow: an
 //! [`IngestScenario`] describes an open-loop request stream with an
-//! upload mix-in rate, [`Workflow::ingest`] first pushes the checked-in
-//! fixture corpus through [`FrontDoor::ingest_doc`] (so every format —
-//! BLIF, structural Verilog, Bookshelf — is exercised end to end and
-//! its [`IngestReport`] lands in the run report), then plays the
-//! scenario's stream through a [`Server`] with the front door mounted
-//! as its [`eda_cloud_serve::Ingestor`]. Uploads that parse, validate,
-//! and clear quotas are canonicalized, fingerprinted, OOD-scored, and
+//! upload mix-in rate, [`Workflow::ingest`] first pushes the caller's
+//! upload corpus — the checked-in fixtures or a directory of designs —
+//! through [`FrontDoor::ingest_doc`] (so every format — BLIF, structural
+//! Verilog, Bookshelf — is exercised end to end and its
+//! [`IngestReport`] lands in the run report), then plays the scenario's
+//! stream through a [`Server`] with the front door mounted as its
+//! [`eda_cloud_serve::Ingestor`]. Uploads that parse, validate, and
+//! clear quotas are canonicalized, fingerprinted, OOD-scored, and
 //! served; rejected uploads are quarantined with a typed reason.
 
 use crate::{Workflow, WorkflowError, WorkflowPlanner};
-use eda_cloud_ingest::{fixtures, FrontDoor, FrontDoorConfig, IngestReport};
+use eda_cloud_ingest::{FrontDoor, FrontDoorConfig, IngestError, IngestReport};
 use eda_cloud_serve::{
     design_pool, synthetic_requests_with_uploads, ModelSnapshot, RequestOutcome, ServeConfig,
-    ServeReport, ServeRequest, Server, WorkloadConfig,
+    ServeReport, Server, UploadDoc, WorkloadConfig,
 };
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// An ingestion workload description: everything needed to regenerate
 /// the same upload-bearing request stream and report from a seed.
@@ -35,7 +37,7 @@ pub struct IngestScenario {
     /// at 4). Any value produces the identical report.
     pub workers: usize,
     /// Every `ingest_every`-th non-plan draw (in expectation) becomes
-    /// an upload of one of the fixture documents. 0 disables uploads.
+    /// an upload of one of the corpus documents. 0 disables uploads.
     pub ingest_every: u64,
 }
 
@@ -60,16 +62,21 @@ impl IngestScenario {
     }
 }
 
-/// The byte-stable result of one ingestion run: the per-fixture front
+/// The byte-stable result of one ingestion run: the per-upload front
 /// door reports followed by the serve-tier report for the mixed
-/// stream. Identical scenarios produce identical
+/// stream. Identical scenarios and corpora produce identical
 /// [`IngestRunReport::to_json`] bytes at any worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestRunReport {
     /// The scenario seed.
     pub seed: u64,
-    /// One report per checked-in fixture, in fixture order.
+    /// One report per upload the front door accepted, in corpus order.
     pub fixtures: Vec<IngestReport>,
+    /// `(name, reason)` of each upload the front door turned away before
+    /// the stream started (none for the checked-in fixtures). They stay
+    /// in the stream's draw, where they come back quarantined; the
+    /// rendered report carries them in the serve counters only.
+    pub rejected: Vec<(String, IngestError)>,
     /// The serving report for the upload-bearing stream.
     pub serve: ServeReport,
 }
@@ -92,68 +99,58 @@ impl IngestRunReport {
 }
 
 impl Workflow {
-    /// Materialize the scenario's request stream over the synthetic
-    /// design pool and the fixture upload corpus: seeded Poisson
-    /// arrivals with an expected 1-in-`ingest_every` upload mix.
-    /// Deterministic per scenario.
-    #[must_use]
-    pub fn ingest_workload(&self, scenario: &IngestScenario) -> Vec<ServeRequest> {
-        synthetic_requests_with_uploads(
-            &design_pool(),
-            &fixtures::uploads(),
-            &scenario.workload_config(),
-        )
-    }
-
-    /// Ingest the fixture corpus and serve the scenario's mixed stream
-    /// against `snapshot` with the front door mounted as the server's
-    /// ingestor: the end-to-end upload → validate → canonicalize →
-    /// OOD-score → serve pipeline.
+    /// Ingest `uploads` (the checked-in `fixtures::uploads()` or a
+    /// caller's own corpus) and serve the scenario's mixed stream over
+    /// them against `snapshot` with the front door mounted as the
+    /// server's ingestor: the end-to-end upload → validate →
+    /// canonicalize → OOD-score → serve pipeline.
     ///
-    /// Same scenario and snapshot, same report — byte-identical
+    /// Same scenario, corpus and snapshot, same report — byte-identical
     /// [`IngestRunReport::to_json`] output across runs and worker
     /// counts. Ingestion counters are folded into the workflow's
     /// metrics under `ingest.*`.
     ///
     /// # Errors
     ///
-    /// Surfaces a fixture the front door rejects as
-    /// [`WorkflowError::Ingest`] (the fixtures are checked in, so this
-    /// indicates corruption) and planner failures as
-    /// [`WorkflowError::Serve`]. Stream uploads that fail to parse are
-    /// quarantined outcomes in the report, not errors.
+    /// Surfaces planner failures as [`WorkflowError::Serve`]. An upload
+    /// the front door rejects is not an error: it is listed in
+    /// [`IngestRunReport::rejected`] and quarantined when the stream
+    /// draws it.
     ///
     /// # Examples
     ///
     /// ```
     /// use eda_cloud_core::{IngestScenario, Workflow};
     /// use eda_cloud_gcn::ModelConfig;
+    /// use eda_cloud_ingest::fixtures;
     /// use eda_cloud_serve::ModelSnapshot;
     ///
     /// let workflow = Workflow::with_defaults();
     /// let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), 7);
-    /// let (report, outcomes) = workflow.ingest(&IngestScenario::new(8, 7), &snapshot)?;
+    /// let (report, outcomes) =
+    ///     workflow.ingest(&IngestScenario::new(8, 7), &snapshot, &fixtures::uploads())?;
     /// assert_eq!(outcomes.len(), 8);
     /// assert_eq!(report.fixtures.len(), 5);
+    /// assert!(report.rejected.is_empty());
     /// # Ok::<(), eda_cloud_core::WorkflowError>(())
     /// ```
     pub fn ingest(
         &self,
         scenario: &IngestScenario,
         snapshot: &ModelSnapshot,
+        uploads: &[Arc<UploadDoc>],
     ) -> Result<(IngestRunReport, Vec<RequestOutcome>), WorkflowError> {
         let front_door = FrontDoor::with_pool_profile(FrontDoorConfig::default());
-        let uploads = fixtures::uploads();
-        let mut fixture_reports = Vec::with_capacity(uploads.len());
-        for doc in &uploads {
-            let (report, _design) = front_door.ingest_doc(doc)?;
-            fixture_reports.push(report);
+        let mut fixtures = Vec::with_capacity(uploads.len());
+        let mut rejected = Vec::new();
+        for doc in uploads {
+            match front_door.ingest_doc(doc) {
+                Ok((report, _design)) => fixtures.push(report),
+                Err(reason) => rejected.push((doc.name.clone(), reason)),
+            }
         }
-        let requests = synthetic_requests_with_uploads(
-            &design_pool(),
-            &uploads,
-            &scenario.workload_config(),
-        );
+        let requests =
+            synthetic_requests_with_uploads(&design_pool(), uploads, &scenario.workload_config());
         let config = ServeConfig { workers: scenario.workers, ..ServeConfig::default() };
         let server =
             Server::new(snapshot.clone(), Box::new(WorkflowPlanner::new(self.clone())), config)
@@ -161,11 +158,11 @@ impl Workflow {
                 .with_tracer(self.tracer().clone());
         let (serve, outcomes) = server.run(scenario.seed, &requests)?;
         let m = self.metrics();
-        m.add("ingest.fixtures", fixture_reports.len() as u64);
+        m.add("ingest.fixtures", fixtures.len() as u64);
         m.add("ingest.accepted", serve.counters.ingest_accepted);
         m.add("ingest.rejected", serve.counters.ingest_rejected);
         m.add("ingest.ood_flagged", serve.counters.ood_flagged);
-        let report = IngestRunReport { seed: scenario.seed, fixtures: fixture_reports, serve };
+        let report = IngestRunReport { seed: scenario.seed, fixtures, rejected, serve };
         Ok((report, outcomes))
     }
 }
@@ -174,6 +171,7 @@ impl Workflow {
 mod tests {
     use super::*;
     use eda_cloud_gcn::ModelConfig;
+    use eda_cloud_ingest::fixtures;
     use eda_cloud_serve::RequestKind;
 
     fn seeded_snapshot(seed: u64) -> ModelSnapshot {
@@ -186,12 +184,14 @@ mod tests {
         let snapshot = seeded_snapshot(7);
         let mut scenario = IngestScenario::new(24, 7);
         scenario.workers = 1;
-        let (base, base_outcomes) = wf.ingest(&scenario, &snapshot).expect("ingests");
+        let (base, base_outcomes) =
+            wf.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingests");
         assert_eq!(base.serve.counters.requests, 24);
         assert_eq!(base.fixtures.len(), 5);
         for workers in [2usize, 8] {
             scenario.workers = workers;
-            let (report, outcomes) = wf.ingest(&scenario, &snapshot).expect("ingests");
+            let (report, outcomes) =
+                wf.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingests");
             assert_eq!(report.to_json(), base.to_json(), "workers {workers}");
             assert_eq!(outcomes, base_outcomes, "workers {workers}");
         }
@@ -202,11 +202,14 @@ mod tests {
         let wf = Workflow::with_defaults();
         let mut scenario = IngestScenario::new(48, 11);
         scenario.ingest_every = 2;
-        let requests = wf.ingest_workload(&scenario);
+        let uploads = fixtures::uploads();
+        let requests =
+            synthetic_requests_with_uploads(&design_pool(), &uploads, &scenario.workload_config());
         assert_eq!(requests.len(), 48);
         let ingests = requests.iter().filter(|r| r.kind == RequestKind::Ingest).count();
         assert!(ingests > 0, "a 1-in-2 mix over 48 requests draws uploads");
-        let (report, outcomes) = wf.ingest(&scenario, &seeded_snapshot(11)).expect("ingests");
+        let (report, outcomes) =
+            wf.ingest(&scenario, &seeded_snapshot(11), &uploads).expect("ingests");
         let c = &report.serve.counters;
         assert_eq!(
             c.ingest_accepted + c.ingest_rejected,
@@ -219,24 +222,40 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_upload_is_listed_not_an_error() {
+        let mut uploads = fixtures::uploads();
+        let torn = UploadDoc::new("torn", "blif", ".model torn\n.inputs a\n.names a y\n1 ");
+        uploads.insert(1, Arc::new(torn));
+        let (report, outcomes) = Workflow::with_defaults()
+            .ingest(&IngestScenario::new(16, 3), &seeded_snapshot(3), &uploads)
+            .expect("a bad upload does not fail the run");
+        assert_eq!(outcomes.len(), 16);
+        assert_eq!(report.fixtures.len(), 5, "the five fixtures are still reported, in order");
+        let [(name, reason)] = &report.rejected[..] else { panic!("{:?}", report.rejected) };
+        assert_eq!(name, "torn");
+        assert!(matches!(reason, IngestError::Parse { line: 4, .. }), "{reason}");
+    }
+
+    #[test]
     fn run_report_json_is_stable_and_well_shaped() {
         let wf = Workflow::with_defaults();
         let scenario = IngestScenario::new(12, 3);
         let snapshot = seeded_snapshot(3);
-        let (report, _) = wf.ingest(&scenario, &snapshot).expect("ingests");
+        let (report, _) = wf.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingests");
         let json = report.to_json();
         assert!(json.starts_with("{\"seed\":3,\"fixtures\":[{\"name\":\"c17\""), "{json}");
         assert!(json.contains("\"serve\":{\"seed\":3,"), "{json}");
         assert!(json.ends_with('}'), "{json}");
-        let (again, _) = wf.ingest(&scenario, &snapshot).expect("ingests");
+        let (again, _) = wf.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingests");
         assert_eq!(again.to_json(), json, "byte-stable across runs");
     }
 
     #[test]
     fn fixture_reports_cover_every_format() {
         let wf = Workflow::with_defaults();
-        let (report, _) =
-            wf.ingest(&IngestScenario::new(4, 9), &seeded_snapshot(9)).expect("ingests");
+        let (report, _) = wf
+            .ingest(&IngestScenario::new(4, 9), &seeded_snapshot(9), &fixtures::uploads())
+            .expect("ingests");
         let formats: Vec<&str> = report.fixtures.iter().map(|r| r.format.as_str()).collect();
         assert!(formats.contains(&"blif"));
         assert!(formats.contains(&"verilog"));
@@ -252,7 +271,8 @@ mod tests {
         let wf = Workflow::with_defaults().with_metrics(eda_cloud_trace::Metrics::new());
         let mut scenario = IngestScenario::new(20, 5);
         scenario.ingest_every = 2;
-        let (report, _) = wf.ingest(&scenario, &seeded_snapshot(5)).expect("ingests");
+        let (report, _) =
+            wf.ingest(&scenario, &seeded_snapshot(5), &fixtures::uploads()).expect("ingests");
         assert_eq!(wf.metrics().counter("ingest.fixtures"), 5);
         assert_eq!(
             wf.metrics().counter("ingest.accepted"),

@@ -159,7 +159,8 @@ mod tests {
         assert_eq!(wf.metrics().counter("lifecycle.requests"), 48);
         assert_eq!(wf.metrics().counter("lifecycle.feedback_joins"), 48);
         assert_eq!(wf.metrics().counter("lifecycle.drift_detections"), 0);
-        assert_eq!(wf.metrics().gauge("lifecycle.final_primary_version"), Some(1.0));
+        let json = wf.metrics().to_json();
+        assert!(json.contains("\"lifecycle.final_primary_version\":1.000000"), "{json}");
     }
 
     #[test]

@@ -106,13 +106,6 @@ impl WorkflowRecipePlanner {
             candidates: candidate_recipes(),
         }
     }
-
-    /// Replace the candidate recipe set.
-    #[must_use]
-    pub fn with_candidates(mut self, candidates: Vec<Vec<Pass>>) -> Self {
-        self.candidates = candidates;
-        self
-    }
 }
 
 /// Surface any planning-side failure as the serve tier's typed plan
@@ -128,9 +121,6 @@ impl RecipePlanner for WorkflowRecipePlanner {
         stage_secs: &[[f64; 4]; 4],
         deadline_secs: u64,
     ) -> Result<Option<RecipePlanSummary>, ServeError> {
-        if self.candidates.is_empty() {
-            return Err(plan_err(RecipeError::NoCandidates));
-        }
         let catalog = self.workflow.catalog();
         let embedding = self.predictor.embed(&design.aig);
 
@@ -408,18 +398,6 @@ mod tests {
             .expect("plans")
             .expect("feasible");
         assert_eq!(plan, again);
-    }
-
-    #[test]
-    fn empty_candidate_set_is_a_typed_plan_error() {
-        let wf = Workflow::with_defaults();
-        let planner =
-            WorkflowRecipePlanner::new(wf, HybridPredictor::seeded(7)).with_candidates(Vec::new());
-        let pool = eda_cloud_serve::design_pool();
-        let err = planner
-            .plan_recipe(&pool[0], &[[1.0; 4]; 4], 100)
-            .expect_err("no candidates");
-        assert!(err.to_string().contains("no candidate recipes"));
     }
 
     #[test]

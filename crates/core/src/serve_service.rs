@@ -8,9 +8,6 @@
 //! [`eda_cloud_serve::Server`] whose planner is the workflow's own
 //! MCKP deployment planner ([`WorkflowPlanner`]) priced on the real
 //! instance catalog rather than the service's flat rate table.
-//! [`ServeScenario::from_fleet`] converts a fleet workload description
-//! into serving traffic, so the fleet simulator doubles as the traffic
-//! source for the online tier.
 
 use crate::predict::StagePredictors;
 use crate::{StageRuntimes, Workflow, WorkflowError};
@@ -30,31 +27,13 @@ pub struct ServeScenario {
     pub rate_per_sec: f64,
     /// Seed driving arrivals, design choice, deadlines, and kinds.
     pub seed: u64,
-    /// Stage-model fan-out threads (0 = available parallelism, capped
-    /// at 4). Any value produces the identical report.
-    pub workers: usize,
 }
 
 impl ServeScenario {
-    /// A `requests`-request scenario at the default 200 req/s with
-    /// automatic stage fan-out.
+    /// A `requests`-request scenario at the default 200 req/s.
     #[must_use]
     pub fn new(requests: usize, seed: u64) -> Self {
-        Self { requests, rate_per_sec: 200.0, seed, workers: 0 }
-    }
-
-    /// Derive serving traffic from a fleet workload description: one
-    /// request per fleet job, the fleet's hourly arrival rate converted
-    /// to per-second, same seed and fan-out — the fleet simulator as a
-    /// traffic source for the online tier.
-    #[must_use]
-    pub fn from_fleet(scenario: &crate::FleetScenario) -> Self {
-        Self {
-            requests: scenario.jobs,
-            rate_per_sec: (scenario.rate_per_hour / 3600.0).max(f64::MIN_POSITIVE),
-            seed: scenario.seed,
-            workers: scenario.workers,
-        }
+        Self { requests, rate_per_sec: 200.0, seed }
     }
 
     /// The serve-crate workload parameters this scenario expands to.
@@ -141,11 +120,12 @@ impl Workflow {
     }
 
     /// Serve the scenario's request stream against `snapshot` with the
-    /// workflow's catalog-backed planner: the end-to-end
-    /// materialize → serve → report pipeline for the online tier.
+    /// workflow's catalog-backed planner under the caller's serving
+    /// knobs: the end-to-end materialize → serve → report pipeline for
+    /// the online tier.
     ///
-    /// Same scenario and snapshot, same report — byte-identical
-    /// [`ServeReport::to_json`] output across runs and worker counts.
+    /// Same scenario, snapshot and `config`, same report — byte-identical
+    /// [`ServeReport::to_json`] output across runs and `config.workers`.
     /// Serving counters are folded into the workflow's metrics under
     /// `serve.*`.
     ///
@@ -159,11 +139,12 @@ impl Workflow {
     /// ```
     /// use eda_cloud_core::{ServeScenario, Workflow};
     /// use eda_cloud_gcn::ModelConfig;
-    /// use eda_cloud_serve::ModelSnapshot;
+    /// use eda_cloud_serve::{ModelSnapshot, ServeConfig};
     ///
     /// let workflow = Workflow::with_defaults();
     /// let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), 7);
-    /// let (report, outcomes) = workflow.serve(&ServeScenario::new(8, 7), &snapshot)?;
+    /// let (report, outcomes) =
+    ///     workflow.serve(&ServeScenario::new(8, 7), &snapshot, ServeConfig::default())?;
     /// assert_eq!(outcomes.len(), 8);
     /// assert_eq!(report.counters.requests, 8);
     /// # Ok::<(), eda_cloud_core::WorkflowError>(())
@@ -172,9 +153,9 @@ impl Workflow {
         &self,
         scenario: &ServeScenario,
         snapshot: &ModelSnapshot,
+        config: ServeConfig,
     ) -> Result<(ServeReport, Vec<RequestOutcome>), WorkflowError> {
         let requests = self.serve_workload(scenario);
-        let config = ServeConfig { workers: scenario.workers, ..ServeConfig::default() };
         let server = Server::new(snapshot.clone(), Box::new(WorkflowPlanner::new(self.clone())), config)
             .with_tracer(self.tracer().clone());
         let (report, outcomes) = server.run(scenario.seed, &requests)?;
@@ -193,9 +174,7 @@ impl Workflow {
 mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, DatasetConfig};
-    use crate::FleetScenario;
     use eda_cloud_gcn::{ModelConfig, Trainer};
-    use eda_cloud_serve::RequestKind;
 
     fn seeded_snapshot(seed: u64) -> ModelSnapshot {
         ModelSnapshot::seeded(&ModelConfig::fast(), seed)
@@ -205,13 +184,14 @@ mod tests {
     fn serve_is_deterministic_and_worker_invariant() {
         let wf = Workflow::with_defaults();
         let snapshot = seeded_snapshot(7);
-        let mut scenario = ServeScenario::new(24, 7);
-        scenario.workers = 1;
-        let (base, base_outcomes) = wf.serve(&scenario, &snapshot).expect("serves");
+        let scenario = ServeScenario::new(24, 7);
+        let with_workers = |workers| ServeConfig { workers, ..ServeConfig::default() };
+        let (base, base_outcomes) =
+            wf.serve(&scenario, &snapshot, with_workers(1)).expect("serves");
         assert_eq!(base.counters.requests, 24);
         for workers in [2usize, 8] {
-            scenario.workers = workers;
-            let (report, outcomes) = wf.serve(&scenario, &snapshot).expect("serves");
+            let (report, outcomes) =
+                wf.serve(&scenario, &snapshot, with_workers(workers)).expect("serves");
             assert_eq!(report.to_json(), base.to_json(), "workers {workers}");
             assert_eq!(outcomes, base_outcomes, "workers {workers}");
         }
@@ -244,20 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_scenario_converts_to_serving_traffic() {
-        let fleet = FleetScenario::new(12, 21);
-        let scenario = ServeScenario::from_fleet(&fleet);
-        assert_eq!(scenario.requests, 12);
-        assert_eq!(scenario.seed, 21);
-        assert!((scenario.rate_per_sec - fleet.rate_per_hour / 3600.0).abs() < 1e-12);
-        let wf = Workflow::with_defaults();
-        let requests = wf.serve_workload(&scenario);
-        assert_eq!(requests.len(), 12);
-        assert!(requests.windows(2).all(|w| w[0].arrival_us <= w[1].arrival_us));
-        assert!(requests.iter().any(|r| matches!(r.kind, RequestKind::Plan { .. })));
-    }
-
-    #[test]
     fn trained_predictors_snapshot_and_serve() {
         let wf = Workflow::with_defaults();
         let data = DatasetBuilder::new(&wf).build(&DatasetConfig::smoke()).expect("corpus");
@@ -271,7 +237,8 @@ mod tests {
         let direct = predictors.predict_design(&data.synthesis[0], &data.routing[0]);
         let via = reloaded.stage(0).predict_secs(&data.synthesis[0]);
         assert_eq!(direct[0].runtimes_secs, via);
-        let (report, outcomes) = wf.serve(&ServeScenario::new(8, 3), &snapshot).expect("serves");
+        let (report, outcomes) =
+            wf.serve(&ServeScenario::new(8, 3), &snapshot, ServeConfig::default()).expect("serves");
         assert_eq!(outcomes.len(), 8);
         assert_eq!(report.counters.completed + report.counters.shed, 8);
     }
@@ -279,12 +246,15 @@ mod tests {
     #[test]
     fn serving_counters_fold_into_workflow_metrics() {
         let wf = Workflow::with_defaults().with_metrics(eda_cloud_trace::Metrics::new());
-        let (report, _) = wf.serve(&ServeScenario::new(10, 5), &seeded_snapshot(5)).expect("serves");
+        let (report, _) = wf
+            .serve(&ServeScenario::new(10, 5), &seeded_snapshot(5), ServeConfig::default())
+            .expect("serves");
         assert_eq!(wf.metrics().counter("serve.requests"), 10);
         assert_eq!(wf.metrics().counter("serve.completed"), report.counters.completed);
-        assert_eq!(
-            wf.metrics().gauge("serve.deadline_hit_rate"),
-            Some(report.deadline_hit_rate)
+        let gauge = format!(
+            "\"serve.deadline_hit_rate\":{}",
+            eda_cloud_trace::fmt_f64(report.deadline_hit_rate)
         );
+        assert!(wf.metrics().to_json().contains(&gauge), "{gauge}");
     }
 }

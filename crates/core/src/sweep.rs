@@ -85,8 +85,11 @@ mod tests {
         let got = map_metered(4, (0..32u64).collect(), &metrics, |_, v| v);
         assert_eq!(got, (0..32u64).collect::<Vec<_>>());
         assert_eq!(metrics.counter("sweep.jobs"), 32);
-        let occupancy = metrics.gauge("sweep.worker_occupancy");
-        assert!(occupancy.is_some_and(|o| (0.0..=1.0).contains(&o)));
+        let json = metrics.to_json();
+        let (_, rest) = json.split_once("\"sweep.worker_occupancy\":").expect("gauge is set");
+        let value = rest.split(['}', ',']).next().expect("a value");
+        let occupancy: f64 = value.parse().expect("a number");
+        assert!((0.0..=1.0).contains(&occupancy), "{json}");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use eda_cloud_trace::{Metrics, Span, Tracer};
 /// engines to commercial-flow runtimes (see `DESIGN.md`).
 pub(crate) const DEFAULT_WORK_SCALE: f64 = 1.0;
 
-/// Per-stage calibration on top of [`DEFAULT_WORK_SCALE`]: each engine
+/// Per-stage calibration on top of `DEFAULT_WORK_SCALE`: each engine
 /// under-models a different share of its commercial counterpart's work
 /// (a production synthesis tool runs orders of magnitude more
 /// optimization than our three passes; our router is closer to the real
@@ -60,23 +60,10 @@ impl Workflow {
         }
     }
 
-    /// Replace the machine cost model.
-    #[must_use]
-    pub fn with_model(mut self, model: MachineModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// The instance catalog in use.
     #[must_use]
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The machine cost model in use.
-    #[must_use]
-    pub fn model(&self) -> &MachineModel {
-        &self.model
     }
 
     /// Attach a tracer; characterization and fleet runs record spans
@@ -178,7 +165,7 @@ mod tests {
         let ctx = wf.exec_context(StageKind::Routing, 1);
         assert_eq!(
             ctx.model.work_scale,
-            wf.model().work_scale * stage_work_scale(StageKind::Routing)
+            DEFAULT_WORK_SCALE * stage_work_scale(StageKind::Routing)
         );
         // Synthesis is scaled harder than routing (its engine models a
         // smaller share of the commercial tool's work).

@@ -126,12 +126,6 @@ impl FairShare {
         })
     }
 
-    /// Number of tenants.
-    #[must_use]
-    pub fn tenants(&self) -> usize {
-        self.policies.len()
-    }
-
     /// The effective per-tenant queue bound:
     /// `min(max_queued, max(1, capacity * weight / Σweights))`.
     ///

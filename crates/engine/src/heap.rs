@@ -92,12 +92,6 @@ impl<E> EventHeap<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total events ever pushed (the sequence counter).
-    #[must_use]
-    pub fn pushes(&self) -> u64 {
-        self.seq
-    }
 }
 
 #[cfg(test)]
@@ -132,14 +126,14 @@ mod tests {
         let mut heap = EventHeap::new();
         heap.push(1, ());
         heap.push(2, ());
-        assert_eq!(heap.pushes(), 2);
+        assert_eq!(heap.seq, 2);
         let _ = heap.pop();
         let _ = heap.pop();
         assert!(heap.is_empty());
         // New pushes keep counting up: a drained heap must not recycle
         // sequence numbers, or a later same-time push could jump ahead.
         heap.push(5, ());
-        assert_eq!(heap.pushes(), 3);
+        assert_eq!(heap.seq, 3);
         assert_eq!(heap.len(), 1);
     }
 }

@@ -106,13 +106,6 @@ impl<S: RegionShard> ShardedSim<S> {
         Ok(Self { regions, lookahead_us, faults, next_seq, stats: MessageStats::default(), windows: 0 })
     }
 
-    /// The lookahead window, µs — also the minimum legal cross-region
-    /// latency.
-    #[must_use]
-    pub fn lookahead_us(&self) -> u64 {
-        self.lookahead_us
-    }
-
     /// Run to quiescence: barrier windows until no region has a
     /// pending event. `workers` bounds the threads used per window;
     /// `shards` groups regions into execution containers. Neither
@@ -208,12 +201,6 @@ impl<S: RegionShard> ShardedSim<S> {
     #[must_use]
     pub fn windows(&self) -> u64 {
         self.windows
-    }
-
-    /// The regions, in index order.
-    #[must_use]
-    pub fn regions(&self) -> &[S] {
-        &self.regions
     }
 
     /// Consume the coordinator, returning the regions in index order.

@@ -94,18 +94,6 @@ impl Placer {
         }
     }
 
-    /// Override the descent iteration count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations == 0`.
-    #[must_use]
-    pub fn with_iterations(mut self, iterations: usize) -> Self {
-        assert!(iterations > 0, "placement needs at least one iteration");
-        self.iterations = iterations;
-        self
-    }
-
     /// Place the netlist.
     ///
     /// # Errors
@@ -546,12 +534,6 @@ mod tests {
         let nl = Netlist::new("empty", "synth14");
         let err = Placer::new().run(&nl, &ExecContext::default()).unwrap_err();
         assert_eq!(err, FlowError::EmptyDesign);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn zero_iterations_panics() {
-        let _ = Placer::new().with_iterations(0);
     }
 
     #[test]

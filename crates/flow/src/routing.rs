@@ -3,10 +3,10 @@
 //!
 //! The paper attributes routing's counter signature — the highest
 //! branch-miss rate of the four stages — to "graph search algorithms
-//! [that] encompass a large portion of conditional statements that
+//! \[that\] encompass a large portion of conditional statements that
 //! cannot be avoided" and to rip-up-and-reroute halting continuous
 //! execution; and its excellent vCPU scaling to "nets in independent
-//! grid cells [that] can be routed in parallel with no conflict".
+//! grid cells \[that\] can be routed in parallel with no conflict".
 //!
 //! This engine is that algorithm: placement positions are snapped onto a
 //! capacitated routing grid, nets are decomposed into two-pin
@@ -70,18 +70,6 @@ impl Router {
             max_iterations: 6,
             overflow_tolerance: 0.02,
         }
-    }
-
-    /// Override the minimum edge capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: u16) -> Self {
-        assert!(capacity > 0, "edge capacity must be positive");
-        self.capacity = capacity;
-        self
     }
 
     /// Route the placed netlist.
@@ -929,12 +917,6 @@ mod tests {
         let looped = looped.expect("every context fails");
         assert!(matches!(looped, FlowError::Unroutable { .. }), "{looped:?}");
         assert_eq!(router.run_sweep(&nl, &pl, &ctxs).unwrap_err(), looped);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = Router::new().with_capacity(0);
     }
 
     #[test]

@@ -29,14 +29,6 @@ pub struct TimingReport {
     pub endpoints: usize,
 }
 
-impl TimingReport {
-    /// Whether every endpoint meets the clock constraint.
-    #[must_use]
-    pub fn timing_met(&self) -> bool {
-        self.wns_ps >= 0.0
-    }
-}
-
 /// The STA engine.
 #[derive(Debug, Clone)]
 pub struct StaEngine {
@@ -58,18 +50,6 @@ impl StaEngine {
             parallel_fraction: 0.60,
             corners: 3,
         }
-    }
-
-    /// Override the clock period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_ps <= 0`.
-    #[must_use]
-    pub fn with_clock_ps(mut self, period_ps: f64) -> Self {
-        assert!(period_ps > 0.0, "clock period must be positive");
-        self.clock_period_ps = period_ps;
-        self
     }
 
     /// Analyze the placed netlist.
@@ -304,16 +284,13 @@ mod tests {
         let ctx = ExecContext::with_vcpus(1);
         let (nl, _) = Synthesizer::new().run(&aig, &Recipe::balanced(), &ctx).unwrap();
         let (pl, _) = Placer::new().run(&nl, &ctx).unwrap();
-        StaEngine::new()
-            .with_clock_ps(clock_ps)
-            .run(&nl, &pl, &ctx)
-            .unwrap()
+        StaEngine { clock_period_ps: clock_ps, ..StaEngine::new() }.run(&nl, &pl, &ctx).unwrap()
     }
 
     #[test]
     fn loose_clock_meets_timing() {
         let (t, _) = analyzed(8, 1_000_000.0);
-        assert!(t.timing_met());
+        assert!(t.wns_ps >= 0.0);
         assert_eq!(t.tns_ps, 0.0);
         assert!(t.critical_path_ps > 0.0);
     }
@@ -321,7 +298,6 @@ mod tests {
     #[test]
     fn tight_clock_fails_timing() {
         let (t, _) = analyzed(8, 1.0);
-        assert!(!t.timing_met());
         assert!(t.tns_ps < 0.0);
         assert!(t.wns_ps < 0.0);
         // WNS is the single worst endpoint; TNS accumulates all.
@@ -376,11 +352,5 @@ mod tests {
                 .unwrap_err(),
             FlowError::EmptyDesign
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "clock period must be positive")]
-    fn bad_clock_panics() {
-        let _ = StaEngine::new().with_clock_ps(0.0);
     }
 }

@@ -396,14 +396,6 @@ pub struct SynthesisTrace {
     parallel_fraction: f64,
 }
 
-impl SynthesisTrace {
-    /// Number of recorded probe events.
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-}
-
 impl Default for Synthesizer {
     fn default() -> Self {
         Self::new()
@@ -1102,7 +1094,7 @@ mod tests {
         assert_eq!(nl_plain.cell_count(), nl_traced.cell_count());
         assert_eq!(format!("{nl_plain:?}"), format!("{nl_traced:?}"));
         assert_eq!(rep_plain, rep_traced);
-        assert!(trace.event_count() > 0);
+        assert!(!trace.events.is_empty());
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl Adam {
             *p -= lr * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
-
-    /// Steps taken so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +97,6 @@ mod tests {
         }
         assert!(p.get(0, 0).abs() < 0.01, "{}", p.get(0, 0));
         assert!(p.get(0, 1).abs() < 0.01, "{}", p.get(0, 1));
-        assert_eq!(adam.steps(), 5000);
     }
 
     #[test]

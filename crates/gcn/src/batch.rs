@@ -154,12 +154,6 @@ impl GraphBatch {
     pub fn node_rows(&self) -> usize {
         self.chunks.iter().map(|c| c.features.rows()).sum()
     }
-
-    /// Number of internal cache-sized chunks.
-    #[must_use]
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +210,7 @@ mod tests {
         let many: Vec<&GraphSample> = (0..24).map(|i| &base[i % base.len()]).collect();
         let model = RuntimePredictor::new(&ModelConfig::fast(), 5);
         let batch = GraphBatch::pack_padded(&many, 8);
-        assert!(batch.chunk_count() > 1, "expected multiple chunks");
+        assert!(batch.chunks.len() > 1, "expected multiple chunks");
         let batched = model.predict_log_batch(&batch);
         assert_eq!(batched.len(), many.len());
         for (s, got) in many.iter().zip(&batched) {
@@ -245,7 +239,7 @@ mod tests {
         let batch = GraphBatch::pack(&[]);
         assert!(batch.is_empty());
         assert_eq!(batch.len(), 0);
-        assert_eq!(batch.chunk_count(), 0);
+        assert!(batch.chunks.is_empty());
         assert!(model.predict_log_batch(&batch).is_empty());
         assert!(model.predict_secs_batch(&batch).is_empty());
     }

@@ -3,26 +3,6 @@
 use crate::{GcnError, Matrix, SparseMatrix};
 use rand::Rng;
 
-/// Reusable scratch buffers for [`GcnLayer::infer_into`]. One instance
-/// amortizes the two intermediate products across every layer of every
-/// request in a serving loop — after the first call the steady state
-/// allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct InferScratch {
-    /// `Ā·H` aggregation product.
-    agg: Matrix,
-    /// `H·B` self-term product.
-    selfterm: Matrix,
-}
-
-impl InferScratch {
-    /// Empty scratch; buffers grow on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Temporaries of the layers' training forms (`forward_into` /
 /// `backward_into`). One instance serves every layer of a model: each
 /// call overwrites what it uses before reading it, so a warm training
@@ -156,41 +136,13 @@ impl GcnLayer {
     ///
     /// # Panics
     ///
-    /// Panics on a shape mismatch or corrupt adjacency
-    /// ([`GcnLayer::infer_into`] is the fallible form).
+    /// Panics on a shape mismatch or corrupt adjacency.
     #[must_use]
     pub fn infer(&self, a_norm: &SparseMatrix, input: &Matrix) -> Matrix {
-        let mut scratch = InferScratch::new();
-        let mut out = Matrix::zeros(0, 0);
-        self.infer_into(a_norm, input, &mut scratch, &mut out)
-            .unwrap_or_else(|e| panic!("{e}"));
-        out
-    }
-
-    /// [`GcnLayer::infer`] into caller-owned buffers: `out` receives
-    /// the activations and `scratch` absorbs the two intermediate
-    /// products, so a warm serving loop runs the whole layer stack
-    /// without allocating. Output is bit-identical to
-    /// [`GcnLayer::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the adjacency kernel's typed errors (see
-    /// [`SparseMatrix::matmul_into`]); `out`/`scratch` hold
-    /// unspecified partial products after an error.
-    pub fn infer_into(
-        &self,
-        a_norm: &SparseMatrix,
-        input: &Matrix,
-        scratch: &mut InferScratch,
-        out: &mut Matrix,
-    ) -> Result<(), GcnError> {
-        a_norm.matmul_into(input, &mut scratch.agg)?;
-        scratch.agg.matmul_into(&self.w, out);
-        input.matmul_into(&self.b, &mut scratch.selfterm);
-        out.add_assign(&scratch.selfterm);
+        let mut out = a_norm.matmul(input).matmul(&self.w);
+        out.add_assign(&input.matmul(&self.b));
         out.relu_in_place();
-        Ok(())
+        out
     }
 
     /// Backward pass: given `∂L/∂H'`, produce parameter gradients and
@@ -258,11 +210,6 @@ impl GcnLayer {
             dinput.add_assign(&work.product);
         }
         Ok(())
-    }
-
-    /// Flatten parameters for the optimizer: `[W, B]`.
-    pub fn params_mut(&mut self) -> [&mut Matrix; 2] {
-        [&mut self.w, &mut self.b]
     }
 }
 
@@ -379,11 +326,6 @@ impl DenseLayer {
             self.w.transpose_into(&mut work.transposed);
             grad_out.matmul_into(&work.transposed, dinput);
         }
-    }
-
-    /// Flatten parameters for the optimizer: `[W, bias]`.
-    pub fn params_mut(&mut self) -> [&mut Matrix; 2] {
-        [&mut self.w, &mut self.bias]
     }
 }
 

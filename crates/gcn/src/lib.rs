@@ -22,11 +22,11 @@
 //! let graph = DesignGraph::from_aig(&generators::adder(4));
 //! let sample = GraphSample::new(&graph, [10.0, 6.0, 4.0, 3.0]);
 //! let mut model = RuntimePredictor::new(&ModelConfig::fast(), 7);
-//! let before = model.loss(&sample);
+//! let before = model.train_step(&sample, 1e-2); // returns the pre-step loss
 //! for _ in 0..50 {
 //!     model.train_step(&sample, 1e-2);
 //! }
-//! assert!(model.loss(&sample) < before);
+//! assert!(model.train_step(&sample, 1e-2) < before);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +49,7 @@ pub use adam::Adam;
 pub use batch::{GraphBatch, CHUNK_TARGET_ROWS};
 pub use error::GcnError;
 pub use graph_data::GraphSample;
-pub use layers::{DenseGrads, DenseLayer, GcnLayer, InferScratch, LayerScratch};
+pub use layers::{DenseGrads, DenseLayer, GcnLayer, LayerScratch};
 pub use model::{saturating_exp, LoadWeightsError, ModelConfig, RuntimePredictor, MAX_LOG_SECS};
 pub use profile::FeatureProfile;
 pub use quant::{QuantizedMatrix, QuantizedPredictor};

@@ -178,26 +178,6 @@ impl RuntimePredictor {
         self.predict_log(sample).map(saturating_exp)
     }
 
-    /// Predicted speedups of 2/4/8 vCPUs over 1 vCPU (the paper derives
-    /// speedup gains from the four predictions).
-    ///
-    /// Computed in log space (`exp(l₁ − lₖ)` with the difference
-    /// saturated), so the ratio stays finite even when the individual
-    /// runtimes sit at the saturation bounds; a `NaN` prediction
-    /// degrades to a neutral speedup of 1.
-    #[must_use]
-    pub fn predict_speedups(&self, sample: &GraphSample) -> [f64; 3] {
-        let l = self.predict_log(sample);
-        [1, 2, 3].map(|k| {
-            let diff = l[0] - l[k];
-            if diff.is_nan() {
-                1.0
-            } else {
-                diff.clamp(-MAX_LOG_SECS, MAX_LOG_SECS).exp()
-            }
-        })
-    }
-
     /// Predicted `ln(runtime)` for every sample of a packed batch, in
     /// batch order — bit-identical to calling
     /// [`RuntimePredictor::predict_log`] per sample (the batch's blocks
@@ -269,17 +249,6 @@ impl RuntimePredictor {
             .into_iter()
             .map(|l| l.map(saturating_exp))
             .collect()
-    }
-
-    /// MSE loss (in log space) on one sample.
-    #[must_use]
-    pub fn loss(&self, sample: &GraphSample) -> f64 {
-        let pred = self.predict_log(sample);
-        pred.iter()
-            .zip(&sample.log_targets)
-            .map(|(p, t)| (p - t) * (p - t))
-            .sum::<f64>()
-            / 4.0
     }
 
     /// One Adam step on one sample; returns the pre-step loss.
@@ -439,11 +408,11 @@ mod tests {
     fn training_reduces_loss_on_one_sample() {
         let s = sample();
         let mut model = RuntimePredictor::new(&ModelConfig::fast(), 42);
-        let initial = model.loss(&s);
-        for _ in 0..200 {
+        let initial = model.train_step(&s, 1e-2);
+        for _ in 0..199 {
             model.train_step(&s, 1e-2);
         }
-        let fin = model.loss(&s);
+        let fin = model.train_step(&s, 1e-2);
         assert!(fin < initial * 0.1, "loss {initial} -> {fin}");
     }
 
@@ -459,19 +428,6 @@ mod tests {
             let ape = (p - t).abs() / t;
             assert!(ape < 0.10, "pred {p} vs target {t}");
         }
-    }
-
-    #[test]
-    fn speedups_derived_from_predictions() {
-        let s = sample();
-        let mut model = RuntimePredictor::new(&ModelConfig::fast(), 1);
-        for _ in 0..800 {
-            model.train_step(&s, 1e-2);
-        }
-        let sp = model.predict_speedups(&s);
-        // Targets: 100/60, 100/40, 100/30.
-        assert!((sp[0] - 100.0 / 60.0).abs() < 0.3);
-        assert!((sp[2] - 100.0 / 30.0).abs() < 0.6);
     }
 
     #[test]
@@ -569,8 +525,6 @@ mod tests {
         );
         let secs = model.predict_secs(&s);
         assert!(secs.iter().all(|t| t.is_finite() && *t > 0.0), "{secs:?}");
-        let sp = model.predict_speedups(&s);
-        assert!(sp.iter().all(|v| v.is_finite() && *v > 0.0), "{sp:?}");
     }
 
     #[test]
@@ -583,23 +537,6 @@ mod tests {
         let secs = model.predict_secs(&s);
         assert!(secs.iter().all(|t| t.is_finite()), "{secs:?}");
         assert_eq!(secs, [MAX_LOG_SECS.exp(); 4]);
-        // NaN speedups degrade to the neutral ratio 1.
-        assert_eq!(model.predict_speedups(&s), [1.0; 3]);
-    }
-
-    #[test]
-    fn huge_log_gap_yields_finite_speedup() {
-        let s = sample();
-        let mut model = RuntimePredictor::new(&ModelConfig::fast(), 6);
-        // Spread the per-vCPU biases so the log gap exceeds the clamp.
-        let data = model.head.bias.data_mut();
-        data[0] = 2.0e3;
-        data[1] = -2.0e3;
-        data[2] = 0.0;
-        data[3] = 0.0;
-        let sp = model.predict_speedups(&s);
-        assert!(sp.iter().all(|v| v.is_finite() && *v > 0.0), "{sp:?}");
-        assert_eq!(sp[0], MAX_LOG_SECS.exp());
     }
 }
 

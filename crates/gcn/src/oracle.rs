@@ -18,9 +18,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// `aᵀ · dense` the way `SparseMatrix::matmul_transposed` computed it
-/// before it became a wrapper over `matmul_transposed_into`: copy the
-/// dense row out, scatter it entry by entry in storage order.
+/// `aᵀ · dense` the way the allocating transposed product computed it
+/// before `matmul_transposed_into` replaced it: copy the dense row out,
+/// scatter it entry by entry in storage order.
 fn row_copy_matmul_transposed(a: &SparseMatrix, dense: &Matrix) -> Matrix {
     assert_eq!(a.rows(), dense.rows(), "inner dimensions must agree");
     let c = dense.cols();

@@ -8,8 +8,7 @@
 //! pure function of the inputs — no float-accumulation-order
 //! dependence, byte-identical across platforms and worker counts.
 
-use crate::{GraphSample, LoadWeightsError};
-use std::fmt::Write as _;
+use crate::GraphSample;
 
 const MICROS: i64 = 1_000_000;
 
@@ -61,18 +60,6 @@ impl FeatureProfile {
         Self { dim, samples: vectors.len(), mean_micros, scale_micros }
     }
 
-    /// Feature dimension of the profiled corpus.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of samples the profile was built from.
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
     /// Distance of one graph from the corpus: per-feature normalized
     /// absolute deviation from the mean, averaged over features, in
     /// micros (`1_000_000` = one corpus deviation).
@@ -92,55 +79,6 @@ impl FeatureProfile {
             })
             .sum();
         u64::try_from(total / self.dim as i128).unwrap_or(u64::MAX)
-    }
-
-    /// Canonical byte-stable text export (the profile equivalent of a
-    /// model-snapshot save).
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "feature_profile v1");
-        let _ = writeln!(out, "dim {} samples {}", self.dim, self.samples);
-        for f in 0..self.dim {
-            let _ = writeln!(out, "f{f} {} {}", self.mean_micros[f], self.scale_micros[f]);
-        }
-        out
-    }
-
-    /// Parse the canonical text export.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadWeightsError`] on any structural mismatch.
-    pub fn from_text(text: &str) -> Result<Self, LoadWeightsError> {
-        let err = |message: &str| LoadWeightsError { message: message.to_owned() };
-        let mut lines = text.lines();
-        if lines.next() != Some("feature_profile v1") {
-            return Err(err("expected `feature_profile v1` header"));
-        }
-        let shape = lines.next().ok_or_else(|| err("missing shape line"))?;
-        let fields: Vec<&str> = shape.split_whitespace().collect();
-        if fields.len() != 4 || fields[0] != "dim" || fields[2] != "samples" {
-            return Err(err("expected `dim D samples N`"));
-        }
-        let dim: usize = fields[1].parse().map_err(|_| err("bad dim"))?;
-        let samples: usize = fields[3].parse().map_err(|_| err("bad sample count"))?;
-        let mut mean_micros = Vec::with_capacity(dim);
-        let mut scale_micros = Vec::with_capacity(dim);
-        for f in 0..dim {
-            let line = lines.next().ok_or_else(|| err("missing feature line"))?;
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            if parts.len() != 3 || parts[0] != format!("f{f}") {
-                return Err(err("malformed feature line"));
-            }
-            mean_micros.push(parts[1].parse().map_err(|_| err("bad mean"))?);
-            let scale: i64 = parts[2].parse().map_err(|_| err("bad scale"))?;
-            if scale < 1 {
-                return Err(err("scale must be >= 1"));
-            }
-            scale_micros.push(scale);
-        }
-        Ok(Self { dim, samples, mean_micros, scale_micros })
     }
 }
 
@@ -182,7 +120,7 @@ mod tests {
             .flat_map(|f| [4u32, 6, 8].map(|s| sample(f, s)))
             .collect();
         let profile = FeatureProfile::from_samples(corpus.iter());
-        assert_eq!(profile.samples(), 9);
+        assert_eq!(profile.samples, 9);
         let in_dist = profile.distance_micros(&corpus[0]);
         // A much larger design of an unseen family sits farther out.
         let outlier = sample("hamming", 16);
@@ -199,22 +137,5 @@ mod tests {
         let profile2 = FeatureProfile::from_samples(corpus.iter());
         assert_eq!(profile, profile2);
         assert_eq!(d1, profile2.distance_micros(&probe));
-    }
-
-    #[test]
-    fn text_round_trip_is_exact() {
-        let corpus: Vec<GraphSample> = [4u32, 6].map(|s| sample("gray2bin", s)).into();
-        let profile = FeatureProfile::from_samples(corpus.iter());
-        let text = profile.to_text();
-        let back = FeatureProfile::from_text(&text).expect("canonical text parses");
-        assert_eq!(profile, back);
-        assert_eq!(text, back.to_text());
-    }
-
-    #[test]
-    fn malformed_text_is_rejected() {
-        assert!(FeatureProfile::from_text("").is_err());
-        assert!(FeatureProfile::from_text("feature_profile v1\ndim 2 samples 1\nf0 0 1\n").is_err());
-        assert!(FeatureProfile::from_text("feature_profile v1\ndim 1 samples 1\nf0 0 0\n").is_err());
     }
 }

@@ -45,7 +45,7 @@
 
 use crate::batch::GraphBatch;
 use crate::model::{
-    err, finite, parse_header, saturating_exp, tensor_line, values, LoadWeightsError, MAX_LOG_SECS,
+    err, finite, parse_header, saturating_exp, tensor_line, values, LoadWeightsError,
 };
 use crate::{GraphSample, Matrix, ModelConfig, RuntimePredictor};
 
@@ -110,18 +110,6 @@ impl QuantizedMatrix {
             }
         }
         out
-    }
-
-    /// Logical `(rows, cols)` of the float weight this encodes.
-    #[must_use]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.in_dim, self.out_dim)
-    }
-
-    /// The dequantization scale.
-    #[must_use]
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 }
 
@@ -394,12 +382,6 @@ impl QuantizedPredictor {
         model
     }
 
-    /// The architecture this model was built with.
-    #[must_use]
-    pub fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
     /// Run the quantized GCN stack over one activation matrix in place
     /// of `scratch.h`, then return the final activations by reference.
     fn run_gcn_stack<'s>(
@@ -463,21 +445,6 @@ impl QuantizedPredictor {
     #[must_use]
     pub fn predict_secs(&self, sample: &GraphSample) -> [f64; 4] {
         self.predict_log(sample).map(saturating_exp)
-    }
-
-    /// Predicted speedups of 2/4/8 vCPUs over 1 vCPU, saturated like
-    /// [`RuntimePredictor::predict_speedups`].
-    #[must_use]
-    pub fn predict_speedups(&self, sample: &GraphSample) -> [f64; 3] {
-        let l = self.predict_log(sample);
-        [1, 2, 3].map(|k| {
-            let diff = l[0] - l[k];
-            if diff.is_nan() {
-                1.0
-            } else {
-                diff.clamp(-MAX_LOG_SECS, MAX_LOG_SECS).exp()
-            }
-        })
     }
 
     /// Batched [`QuantizedPredictor::predict_log`] over a packed batch,
@@ -640,7 +607,7 @@ mod tests {
         assert_eq!(back.rows(), model.gcn[0].w.rows());
         for r in 0..back.rows() {
             for (a, b) in model.gcn[0].w.row(r).iter().zip(back.row(r)) {
-                assert!((a - b).abs() <= q.scale() / 2.0 + 1e-12, "{a} vs {b}");
+                assert!((a - b).abs() <= q.scale / 2.0 + 1e-12, "{a} vs {b}");
             }
         }
     }
@@ -648,7 +615,7 @@ mod tests {
     #[test]
     fn zero_tensor_quantizes_to_zero() {
         let q = QuantizedMatrix::quantize(&Matrix::zeros(3, 4));
-        assert_eq!(q.scale(), 1.0);
+        assert_eq!(q.scale, 1.0);
         assert_eq!(q.dequantize(), Matrix::zeros(3, 4));
     }
 
@@ -657,7 +624,7 @@ mod tests {
         // maxabs = 127 so scale = 1.0 and the codes are round(v).
         let m = Matrix::from_rows(&[&[0.5, -0.5, 1.49, -2.5, 127.0, -126.0]]);
         let q = QuantizedMatrix::quantize(&m);
-        assert_eq!(q.scale(), 1.0);
+        assert_eq!(q.scale, 1.0);
         let back = q.dequantize();
         assert_eq!(back.row(0), &[1.0, -1.0, 1.0, -3.0, 127.0, -126.0]);
     }
@@ -686,7 +653,6 @@ mod tests {
             );
         }
         assert!(q.predict_secs(&s).iter().all(|v| v.is_finite() && *v > 0.0));
-        assert_eq!(q.predict_speedups(&s).len(), 3);
     }
 
     #[test]

@@ -272,22 +272,6 @@ impl Matrix {
         }
     }
 
-    /// In-place AXPY: `self += alpha * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch.
-    pub fn axpy(&mut self, alpha: f64, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Element-wise ReLU.
     #[must_use]
     pub fn relu(&self) -> Matrix {
@@ -377,12 +361,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -562,26 +540,10 @@ impl SparseMatrix {
     }
 
     /// Transposed sparse-dense product `selfᵀ * dense` (needed to push
-    /// gradients backward through the aggregation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows != dense.rows()` or the CSR arrays are
-    /// corrupt ([`SparseMatrix::matmul_transposed_into`] is the
-    /// fallible form).
-    #[must_use]
-    pub fn matmul_transposed(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transposed_into(dense, &mut out)
-            .unwrap_or_else(|e| panic!("{e}"));
-        out
-    }
-
-    /// [`SparseMatrix::matmul_transposed`] into a caller-owned buffer,
-    /// reusing its allocation. `out` is reshaped and zeroed; each stored
-    /// entry `(r, j, v)` scatters `v · dense[r]` onto output row `j` in
-    /// CSR storage order, so every output element accumulates its terms
-    /// in the same order as the allocating form.
+    /// gradients backward through the aggregation) into a caller-owned
+    /// buffer, reusing its allocation. `out` is reshaped and zeroed; each
+    /// stored entry `(r, j, v)` scatters `v · dense[r]` onto output row
+    /// `j` in CSR storage order.
     ///
     /// # Errors
     ///
@@ -687,7 +649,7 @@ mod tests {
         let m = Matrix::xavier(20, 30, &mut rng);
         let bound = (6.0 / 50.0f64).sqrt();
         assert!(m.data().iter().all(|v| v.abs() <= bound));
-        assert!(m.norm() > 0.0);
+        assert!(m.data().iter().any(|v| *v != 0.0));
     }
 
     #[test]
@@ -697,10 +659,9 @@ mod tests {
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 3.0]]);
         assert_eq!(a.matmul(&x), Matrix::from_rows(&[&[4.0, 6.0], &[1.0, 1.0]]));
         // Aᵀ X = [[0,1],[2,0]] * X = [[2,3],[2,2]].
-        assert_eq!(
-            a.matmul_transposed(&x),
-            Matrix::from_rows(&[&[2.0, 3.0], &[2.0, 2.0]])
-        );
+        let mut at_x = Matrix::zeros(0, 0);
+        a.matmul_transposed_into(&x, &mut at_x).expect("shapes agree");
+        assert_eq!(at_x, Matrix::from_rows(&[&[2.0, 3.0], &[2.0, 2.0]]));
         assert_eq!(a.nnz(), 2);
     }
 
@@ -798,12 +759,5 @@ mod tests {
     fn block_diagonal_rejects_overrun() {
         let a = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]);
         let _ = SparseMatrix::block_diagonal(&[&a], &[1], 2);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::zeros(1, 3);
-        a.axpy(2.0, &Matrix::from_rows(&[&[1.0, 2.0, 3.0]]));
-        assert_eq!(a, Matrix::from_rows(&[&[2.0, 4.0, 6.0]]));
     }
 }

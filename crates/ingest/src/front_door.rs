@@ -67,12 +67,6 @@ impl FrontDoor {
         Self::new(FeatureProfile::from_samples(&views), config)
     }
 
-    /// The configured quotas.
-    #[must_use]
-    pub fn quotas(&self) -> &IngestQuotas {
-        &self.config.quotas
-    }
-
     /// Run the full pipeline on one upload.
     ///
     /// # Errors

@@ -26,12 +26,6 @@ impl OodGate {
         Self { profile, threshold_micros }
     }
 
-    /// The configured threshold in micros.
-    #[must_use]
-    pub fn threshold_micros(&self) -> u64 {
-        self.threshold_micros
-    }
-
     /// Score a graph: `(distance in micros, flagged)`.
     #[must_use]
     pub fn score(&self, sample: &GraphSample) -> (u64, bool) {

@@ -120,12 +120,6 @@ impl LifecycleController {
         self
     }
 
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &LifecycleConfig {
-        &self.config
-    }
-
     /// Run the full lifecycle to completion. Returns the folded report
     /// plus every feedback join in processing order (the raw material
     /// for assertions the report aggregates away).

@@ -153,22 +153,10 @@ impl DriftDetector {
         DriftSignal::Stable
     }
 
-    /// Whether a detection is latched.
-    #[must_use]
-    pub fn fired(&self) -> bool {
-        self.fired
-    }
-
     /// The calibrated baseline mean bias (micros), once known.
     #[must_use]
     pub fn baseline_micros(&self) -> Option<i64> {
         self.baseline
-    }
-
-    /// Observations fed since construction or the last reset.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// Forget everything and recalibrate from scratch — called after a
@@ -203,7 +191,7 @@ mod tests {
         for i in 0..200 {
             assert_eq!(d.observe(200_000 + (i % 3) * 10_000), DriftSignal::Stable, "obs {i}");
         }
-        assert!(!d.fired());
+        assert!(!d.fired);
     }
 
     #[test]
@@ -221,11 +209,11 @@ mod tests {
             }
         }
         assert_eq!(fires, 1, "drift reported exactly once");
-        assert!(d.fired());
+        assert!(d.fired);
         d.reset();
-        assert!(!d.fired());
+        assert!(!d.fired);
         assert_eq!(d.baseline_micros(), None);
-        assert_eq!(d.observations(), 0);
+        assert_eq!(d.observations, 0);
     }
 
     #[test]
@@ -256,7 +244,7 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(d.observe(200_000), DriftSignal::Stable);
         }
-        assert!(!d.fired());
+        assert!(!d.fired);
     }
 
     #[test]

@@ -82,14 +82,13 @@ pub fn log_bias_micros(predicted: &[f64; 4], actual: &[f64; 4]) -> i64 {
 pub struct ReplayBuffer {
     capacity: usize,
     samples: VecDeque<(Option<u64>, GraphSample)>,
-    pushed: u64,
 }
 
 impl ReplayBuffer {
     /// An empty buffer holding at most `capacity` samples.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, samples: VecDeque::with_capacity(capacity), pushed: 0 }
+        Self { capacity, samples: VecDeque::with_capacity(capacity) }
     }
 
     /// Append an unkeyed sample, evicting the oldest if the buffer is
@@ -114,7 +113,6 @@ impl ReplayBuffer {
             self.samples.pop_front();
         }
         self.samples.push_back((key, sample));
-        self.pushed += 1;
     }
 
     /// Whether a keyed sample for this design is currently held.
@@ -152,12 +150,6 @@ impl ReplayBuffer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Total samples ever pushed (including evicted ones).
-    #[must_use]
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Drop every sample (capacity unchanged).
@@ -203,12 +195,10 @@ mod tests {
             buffer.push(design.netlist.with_targets([(i + 1) as f64; 4]));
         }
         assert_eq!(buffer.len(), 3);
-        assert_eq!(buffer.total_pushed(), 5);
         let held: Vec<f64> = buffer.samples().iter().map(|s| s.targets_secs[0]).collect();
         assert_eq!(held, vec![3.0, 4.0, 5.0], "oldest two evicted");
         buffer.clear();
         assert!(buffer.is_empty());
-        assert_eq!(buffer.total_pushed(), 5, "clear keeps the lifetime count");
     }
 
     #[test]

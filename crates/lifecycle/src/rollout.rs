@@ -73,12 +73,6 @@ impl RolloutManager {
         self.primary_joins += 1;
     }
 
-    /// Canary-arm joins recorded so far.
-    #[must_use]
-    pub fn canary_joins(&self) -> u64 {
-        self.canary_joins
-    }
-
     /// Evaluate the guardrails. Integer arithmetic throughout: means
     /// are floor divisions and the error guardrail cross-multiplies,
     /// so the decision is byte-stable.
@@ -125,7 +119,7 @@ mod tests {
         m.record_primary(300_000);
         m.record_primary(300_000);
         assert_eq!(m.evaluate(), RolloutDecision::Promote);
-        assert_eq!(m.canary_joins(), 2);
+        assert_eq!(m.canary_joins, 2);
     }
 
     #[test]

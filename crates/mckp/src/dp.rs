@@ -56,15 +56,6 @@ impl Solver {
         Self
     }
 
-    /// Solve with the paper's `max Σ 1/p` objective.
-    ///
-    /// Returns `None` when no selection meets the budget (the paper's
-    /// `z_l(C) = -∞`, printed as "NA" in Table I).
-    #[must_use]
-    pub fn solve_max_inverse_cost(&self, problem: &Problem, budget_secs: u64) -> Option<Selection> {
-        self.solve(problem, budget_secs, Objective::MaxInverseCost)
-    }
-
     /// Solve with the direct `min Σ p` objective.
     #[must_use]
     pub fn solve_min_cost(&self, problem: &Problem, budget_secs: u64) -> Option<Selection> {
@@ -231,7 +222,7 @@ mod tests {
         // Fastest possible total = 3352 + 519 + 1692 + 82 = 5645.
         assert_eq!(p.min_total_runtime(), 5645);
         assert!(Solver::new().solve_min_cost(&p, 5644).is_none());
-        assert!(Solver::new().solve_max_inverse_cost(&p, 5000).is_none());
+        assert!(Solver::new().solve(&p, 5000, Objective::MaxInverseCost).is_none());
     }
 
     #[test]
@@ -253,8 +244,7 @@ mod tests {
         let cheapest: f64 = p
             .stages()
             .iter()
-            .filter_map(|s| s.cheapest())
-            .map(|c| c.cost_usd)
+            .map(|s| s.choices.iter().map(|c| c.cost_usd).fold(f64::INFINITY, f64::min))
             .sum();
         assert!((sel.total_cost_usd - cheapest).abs() < 1e-9);
     }
@@ -296,7 +286,7 @@ mod tests {
         let p = toy_problem();
         let solver = Solver::new();
         for budget in [5_645u64, 6_000, 10_000] {
-            let a = solver.solve_max_inverse_cost(&p, budget);
+            let a = solver.solve(&p, budget, Objective::MaxInverseCost);
             let b = solver.solve_min_cost(&p, budget);
             assert_eq!(a.is_some(), b.is_some(), "budget {budget}");
             let (a, b) = (a.unwrap(), b.unwrap());
@@ -313,9 +303,7 @@ mod tests {
             vec![Choice::new("gratis", 10, 0.0), Choice::new("paid", 5, 1.0)],
         )])
         .unwrap();
-        let sel = Solver::new()
-            .solve_max_inverse_cost(&p, 100)
-            .expect("feasible");
+        let sel = Solver::new().solve(&p, 100, Objective::MaxInverseCost).expect("feasible");
         assert_eq!(p.describe(&sel), Some(vec!["gratis"]));
     }
 

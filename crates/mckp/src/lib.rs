@@ -11,14 +11,15 @@
 //! cell per second of deadline; [`Solver`] documents the tie-break
 //! rules that keep its answers those of the dense table.
 //!
-//! Two objectives are provided:
+//! [`Solver::solve`] takes one of two objectives:
 //!
-//! * [`Solver::solve_max_inverse_cost`] — the paper's formulation,
+//! * [`Objective::MaxInverseCost`] — the paper's formulation,
 //!   maximizing `Σ 1/pᵢⱼ` subject to `Σ tᵢⱼ ≤ C`.
-//! * [`Solver::solve_min_cost`] — the direct formulation, minimizing
-//!   `Σ pᵢⱼ` under the same constraint. The ablation bench compares the
-//!   two (they agree on which deadlines are feasible but can pick
-//!   different configurations; minimizing cost is never worse in USD).
+//! * [`Objective::MinCost`] ([`Solver::solve_min_cost`]) — the direct
+//!   formulation, minimizing `Σ pᵢⱼ` under the same constraint. The
+//!   ablation bench compares the two (they agree on which deadlines are
+//!   feasible but can pick different configurations; minimizing cost is
+//!   never worse in USD).
 //!
 //! Callers assembling stages on the fly can use
 //! [`Solver::solve_stages`], which validates raw stages and reports
@@ -59,6 +60,5 @@ pub use dp::{Objective, Selection, Solver};
 pub use error::MckpError;
 pub use problem::{Choice, Problem, Stage};
 pub use savings::{
-    savings_of, savings_vs_baselines, spot_comparison, spot_savings_vs_baselines, CostSavings,
-    SpotComparison,
+    savings_of, spot_comparison, spot_savings_vs_baselines, CostSavings, SpotComparison,
 };

@@ -50,14 +50,6 @@ impl Stage {
     pub fn fastest(&self) -> Option<&Choice> {
         self.choices.iter().min_by_key(|c| c.runtime_secs)
     }
-
-    /// The cheapest choice.
-    #[must_use]
-    pub fn cheapest(&self) -> Option<&Choice> {
-        self.choices
-            .iter()
-            .min_by(|a, b| a.cost_usd.total_cmp(&b.cost_usd))
-    }
 }
 
 /// The conditions a [`Problem`] holds and the solver relies on.
@@ -149,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn fastest_and_cheapest() {
+    fn fastest_is_by_runtime() {
         let stage = Stage::new(
             "route",
             vec![
@@ -158,7 +150,6 @@ mod tests {
             ],
         );
         assert_eq!(stage.fastest().unwrap().label, "fast-dear");
-        assert_eq!(stage.cheapest().unwrap().label, "slow-cheap");
     }
 
     #[test]

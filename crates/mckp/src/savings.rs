@@ -29,15 +29,6 @@ impl CostSavings {
     }
 }
 
-/// Solve the problem at `budget_secs` and compare against the
-/// over/under-provisioning baselines. Returns `None` when the deadline
-/// is infeasible.
-#[must_use]
-pub fn savings_vs_baselines(problem: &Problem, budget_secs: u64) -> Option<CostSavings> {
-    let optimized = Solver::new().solve_min_cost(problem, budget_secs)?;
-    Some(savings_of(problem, &optimized))
-}
-
 /// Compare an existing selection against the baselines.
 #[must_use]
 pub fn savings_of(problem: &Problem, optimized: &Selection) -> CostSavings {
@@ -164,7 +155,8 @@ mod tests {
 
     #[test]
     fn savings_positive_at_moderate_deadline() {
-        let s = savings_vs_baselines(&problem(), 10_000).expect("feasible");
+        let p = problem();
+        let s = savings_of(&p, &Solver::new().solve_min_cost(&p, 10_000).expect("feasible"));
         assert!(s.saving_vs_over > 0.0, "{s:?}");
         assert!(s.saving_vs_under > 0.0, "{s:?}");
         assert!(s.average_saving() > 0.1);
@@ -173,7 +165,6 @@ mod tests {
 
     #[test]
     fn infeasible_deadline_gives_none() {
-        assert!(savings_vs_baselines(&problem(), 100).is_none());
         let pricing = Pricing::per_second();
         let market = SpotMarket::typical();
         assert!(spot_savings_vs_baselines(&problem(), 100, &pricing, &market).is_none());
@@ -234,7 +225,7 @@ mod tests {
     fn at_the_feasibility_edge_optimized_equals_over_provisioning() {
         let p = problem();
         let edge = p.min_total_runtime();
-        let s = savings_vs_baselines(&p, edge).expect("feasible");
+        let s = savings_of(&p, &Solver::new().solve_min_cost(&p, edge).expect("feasible"));
         assert!(
             (s.optimized_usd - s.over_provision_usd).abs() < 1e-9,
             "at the edge only the all-fastest deployment fits"

@@ -49,12 +49,6 @@ impl Lit {
         self.0
     }
 
-    /// Build from a raw AIGER-style encoding.
-    #[must_use]
-    pub fn from_raw(raw: u32) -> Self {
-        Lit(raw)
-    }
-
     /// The referenced node.
     #[must_use]
     pub fn node(self) -> NodeId {
@@ -153,11 +147,6 @@ impl Aig {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Rename the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 
     /// Total node count including the constant node.
@@ -396,49 +385,6 @@ impl Aig {
             .collect())
     }
 
-    /// 64-way parallel bit-vector simulation: each input carries 64
-    /// patterns packed into a `u64`. Used by equivalence spot-checks in
-    /// tests and by the synthesis engine's verification pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InputArity`] on input-count mismatch.
-    pub fn simulate_words(&self, inputs: &[u64]) -> Result<Vec<u64>, NetlistError> {
-        if inputs.len() != self.pis.len() {
-            return Err(NetlistError::InputArity {
-                got: inputs.len(),
-                expected: self.pis.len(),
-            });
-        }
-        let mut value = vec![0u64; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            value[i] = match node {
-                AigNode::Const0 => 0,
-                AigNode::Pi(k) => inputs[*k as usize],
-                AigNode::And(a, b) => {
-                    let va = value[a.node() as usize] ^ (a.is_complemented() as u64).wrapping_neg();
-                    let vb = value[b.node() as usize] ^ (b.is_complemented() as u64).wrapping_neg();
-                    va & vb
-                }
-            };
-        }
-        Ok(self
-            .pos
-            .iter()
-            .map(|(_, l)| value[l.node() as usize] ^ (l.is_complemented() as u64).wrapping_neg())
-            .collect())
-    }
-
-    /// Rebuild the structural-hash table (needed after deserialization).
-    pub fn rehash(&mut self) {
-        self.strash.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let AigNode::And(a, b) = node {
-                self.strash.insert((*a, *b), i as NodeId);
-            }
-        }
-    }
-
     /// Validate internal invariants: fanins reference earlier nodes only.
     ///
     /// # Errors
@@ -590,22 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn word_simulation_matches_scalar() {
-        let aig = half_adder();
-        // Pattern i in bit i: enumerate all 4 combinations in bits 0..4.
-        let a = 0b1010u64;
-        let b = 0b1100u64;
-        let words = aig.simulate_words(&[a, b]).unwrap();
-        for bit in 0..4 {
-            let sa = (a >> bit) & 1 == 1;
-            let sb = (b >> bit) & 1 == 1;
-            let scalar = aig.simulate(&[sa, sb]).unwrap();
-            assert_eq!((words[0] >> bit) & 1 == 1, scalar[0]);
-            assert_eq!((words[1] >> bit) & 1 == 1, scalar[1]);
-        }
-    }
-
-    #[test]
     fn arity_error() {
         let aig = half_adder();
         let err = aig.simulate(&[true]).unwrap_err();
@@ -624,21 +554,9 @@ mod tests {
     }
 
     #[test]
-    fn rehash_restores_sharing() {
-        let mut aig = half_adder();
-        aig.strash.clear();
-        aig.rehash();
-        let a = Lit::from_node(aig.inputs()[0], false);
-        let b = Lit::from_node(aig.inputs()[1], false);
-        let before = aig.and_count();
-        let _ = aig.and2(a, b); // should hit strash, not grow
-        assert_eq!(aig.and_count(), before);
-    }
-
-    #[test]
     fn lit_roundtrip() {
         let l = Lit::from_node(7, true);
-        assert_eq!(Lit::from_raw(l.raw()), l);
+        assert_eq!(l.raw(), 15);
         assert_eq!(l.to_string(), "!n7");
         assert_eq!((!l).to_string(), "n7");
         assert!(Lit::TRUE.is_const());

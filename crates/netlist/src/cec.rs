@@ -1,6 +1,6 @@
 //! Combinational equivalence checking (CEC) via a built-in SAT solver.
 //!
-//! Random simulation (see [`crate::Aig::simulate_words`]) catches most
+//! Random simulation (see [`crate::Aig::simulate`]) catches most
 //! synthesis bugs but is not sound. This module provides the classical
 //! sound check: build a *miter* of two AIGs (XOR of each output pair,
 //! OR-reduced), Tseitin-encode it into CNF, and decide satisfiability

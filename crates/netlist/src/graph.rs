@@ -41,7 +41,7 @@ pub struct NodeFeatures(pub [f64; FEATURE_DIM]);
 ///
 /// let graph = DesignGraph::from_aig(&generators::adder(4));
 /// assert!(graph.edge_count() > 0);
-/// let deg: usize = (0..graph.node_count()).map(|v| graph.out_neighbors(v).len()).sum();
+/// let deg: usize = (0..graph.node_count()).map(|v| graph.in_neighbors(v).len()).sum();
 /// assert_eq!(deg, graph.edge_count());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -251,16 +251,6 @@ impl DesignGraph {
         self.targets.len()
     }
 
-    /// Outgoing neighbors of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= node_count`.
-    #[must_use]
-    pub fn out_neighbors(&self, v: usize) -> &[u32] {
-        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
     /// Incoming neighbors of node `v` (its fanins under signal flow).
     ///
     /// # Panics
@@ -281,16 +271,6 @@ impl DesignGraph {
     #[must_use]
     pub fn targets(&self) -> &[u32] {
         &self.targets
-    }
-
-    /// Feature row of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= node_count`.
-    #[must_use]
-    pub fn feature_row(&self, v: usize) -> &[f64] {
-        &self.features[v * FEATURE_DIM..(v + 1) * FEATURE_DIM]
     }
 
     /// Flat row-major feature matrix (`node_count x FEATURE_DIM`).
@@ -320,7 +300,7 @@ mod tests {
         let g = DesignGraph::from_aig(&generators::adder(4));
         let mut fwd: Vec<(u32, u32)> = Vec::new();
         for v in 0..g.node_count() {
-            for &t in g.out_neighbors(v) {
+            for &t in &g.targets()[g.offsets()[v] as usize..g.offsets()[v + 1] as usize] {
                 fwd.push((v as u32, t));
             }
         }
@@ -352,24 +332,22 @@ mod tests {
         assert_eq!(g.edge_count(), 7);
         assert_eq!(g.node_count(), 4 + 1 + 3);
         // drv node (id 0) has 3 outgoing star edges.
-        assert_eq!(g.out_neighbors(0).len(), 3);
+        assert_eq!(g.offsets()[1] - g.offsets()[0], 3);
     }
 
     #[test]
     fn features_have_bias_and_flags() {
         let aig = generators::adder(4);
         let g = DesignGraph::from_aig(&aig);
-        for v in 0..g.node_count() {
-            let f = g.feature_row(v);
-            assert_eq!(f.len(), FEATURE_DIM);
-            assert_eq!(f[9], 1.0, "bias feature");
-        }
+        let rows: Vec<&[f64]> = g.features().chunks(FEATURE_DIM).collect();
+        assert_eq!(rows.len(), g.node_count());
+        assert!(rows.iter().all(|f| f[9] == 1.0), "bias feature");
         // PI nodes flagged.
         let pi = aig.inputs()[0] as usize;
-        assert_eq!(g.feature_row(pi)[0], 1.0);
+        assert_eq!(rows[pi][0], 1.0);
         // PO nodes flagged (appended after core nodes).
         let po = aig.node_count();
-        assert_eq!(g.feature_row(po)[1], 1.0);
+        assert_eq!(rows[po][1], 1.0);
     }
 
     #[test]

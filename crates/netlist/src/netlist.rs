@@ -129,11 +129,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Rename the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Name of the library the cells reference.
     #[must_use]
     pub fn library(&self) -> &str {

@@ -33,14 +33,13 @@ proptest! {
         prop_assert_eq!(g.node_count(), aig.node_count() + aig.output_count());
         prop_assert_eq!(g.edge_count(), 2 * aig.and_count() + aig.output_count());
         // Degree sums equal edge count on both CSR views.
-        let out_deg: usize = (0..g.node_count()).map(|v| g.out_neighbors(v).len()).sum();
+        let out_deg = *g.offsets().last().expect("node_count + 1 offsets") as usize;
         let in_deg: usize = (0..g.node_count()).map(|v| g.in_neighbors(v).len()).sum();
         prop_assert_eq!(out_deg, g.edge_count());
         prop_assert_eq!(in_deg, g.edge_count());
         // Features: right width, finite, bias set.
-        for v in 0..g.node_count() {
-            let f = g.feature_row(v);
-            prop_assert_eq!(f.len(), FEATURE_DIM);
+        prop_assert_eq!(g.features().len(), g.node_count() * FEATURE_DIM);
+        for f in g.features().chunks(FEATURE_DIM) {
             prop_assert!(f.iter().all(|x| x.is_finite()));
             prop_assert_eq!(f[FEATURE_DIM - 1], 1.0);
             // Levels are normalized.

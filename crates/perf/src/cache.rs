@@ -126,12 +126,6 @@ impl Cache {
         cache
     }
 
-    /// Total capacity in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        (self.sets * self.ways) << self.line_shift
-    }
-
     /// Simulate one access; returns `true` on hit. Misses install the
     /// line (allocate-on-miss; the replaced way is the first invalid
     /// one, else the policy's victim).
@@ -241,16 +235,15 @@ impl Drop for Cache {
 /// per-access statistics.
 ///
 /// The LLC capacity models the paper's observation that more vCPUs come
-/// with a larger share of the host's last-level cache: construct via
-/// [`CacheSim::for_vcpus`] to get a per-vCPU LLC slice. VM sizes differ
-/// in nothing else, so [`CacheSim::for_vcpu_sweep`] simulates several of
-/// them in one pass: every LLC sees exactly the L1's miss stream, which
-/// is the stream it would see behind an L1 of its own.
+/// with a larger share of the host's last-level cache:
+/// [`CacheSim::for_vcpu_sweep`] builds one LLC slice per vCPU count. VM
+/// sizes differ in nothing else, so one pass simulates several of them:
+/// every LLC sees exactly the L1's miss stream, which is the stream it
+/// would see behind an L1 of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSim {
     l1: Cache,
     llcs: Vec<Llc>,
-    accesses: u64,
     l1_misses: u64,
 }
 
@@ -267,24 +260,16 @@ impl CacheSim {
         Self {
             l1,
             llcs: vec![Llc { cache: llc, misses: 0 }],
-            accesses: 0,
             l1_misses: 0,
         }
     }
 
-    /// Hierarchy sized for a VM with `vcpus` virtual CPUs: a private
-    /// 32 KiB L1, and an LLC slice that grows *sub-linearly* with the
-    /// vCPU count — the hypervisor carves one physical last-level cache
-    /// among tenants, so a 1-vCPU tenant still sees a few MiB while an
-    /// 8-vCPU tenant gets roughly the paper's Xeon-class share.
-    #[must_use]
-    pub fn for_vcpus(vcpus: u32) -> Self {
-        Self::for_vcpu_sweep([vcpus])
-    }
-
-    /// One L1 in front of one [`CacheSim::for_vcpus`] LLC slice per
-    /// entry of `vcpus`; slice `k` counts what a hierarchy built for
-    /// the `k`-th entry alone would.
+    /// One private 32 KiB L1 in front of one LLC slice per entry of
+    /// `vcpus`; slice `k` counts what a hierarchy built for the `k`-th
+    /// entry alone would. A slice grows *sub-linearly* with the vCPU
+    /// count — the hypervisor carves one physical last-level cache among
+    /// tenants, so a 1-vCPU tenant still sees a few MiB while an 8-vCPU
+    /// tenant gets roughly the paper's Xeon-class share.
     #[must_use]
     pub fn for_vcpu_sweep(vcpus: impl IntoIterator<Item = u32>) -> Self {
         let llcs = vcpus
@@ -297,7 +282,6 @@ impl CacheSim {
         Self {
             l1: Cache::new(32 * 1024, 64, 8),
             llcs,
-            accesses: 0,
             l1_misses: 0,
         }
     }
@@ -305,7 +289,6 @@ impl CacheSim {
     /// Simulate one access through both levels; returns `true` on L1 hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.accesses += 1;
         if self.l1.access(addr) {
             return true;
         }
@@ -316,12 +299,6 @@ impl CacheSim {
             }
         }
         false
-    }
-
-    /// Number of simulated accesses.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Accesses that missed L1.
@@ -347,16 +324,6 @@ impl CacheSim {
         self.llcs[k].misses
     }
 
-    /// L1 miss ratio.
-    #[must_use]
-    pub fn l1_miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.l1_misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Reset statistics and contents.
     pub fn reset(&mut self) {
         self.l1.flush();
@@ -364,7 +331,6 @@ impl CacheSim {
             llc.cache.flush();
             llc.misses = 0;
         }
-        self.accesses = 0;
         self.l1_misses = 0;
     }
 }
@@ -400,7 +366,7 @@ pub(crate) mod oracle {
             }
         }
 
-        /// The L1 and LLC slice `CacheSim::for_vcpus` builds.
+        /// The L1 and LLC slice `CacheSim::for_vcpu_sweep` builds for one entry.
         pub(crate) fn hierarchy_for_vcpus(vcpus: u32) -> (Self, Self) {
             let llc_bytes = 2_621_440 + (vcpus as usize).max(1) * 393_216;
             (Self::new(32 * 1024, 64, 8, true), Self::new(llc_bytes, 64, 16, false))
@@ -449,12 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_matches_geometry() {
-        let c = Cache::new(32 * 1024, 64, 8);
-        assert_eq!(c.capacity_bytes(), 32 * 1024);
-    }
-
-    #[test]
     fn lru_evicts_oldest() {
         // 2 ways, 1 set of interest: lines mapping to the same set.
         let mut c = Cache::new(128, 64, 2); // 1 set, 2 ways
@@ -493,13 +453,11 @@ mod tests {
 
     #[test]
     fn hierarchy_counts_levels_separately() {
-        let mut sim = CacheSim::for_vcpus(1);
+        let mut sim = CacheSim::for_vcpu_sweep([1]);
         sim.access(0);
         sim.access(0);
-        assert_eq!(sim.accesses(), 2);
         assert_eq!(sim.l1_misses(), 1);
         assert_eq!(sim.llc_misses(), 1);
-        assert!((sim.l1_miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -519,15 +477,15 @@ mod tests {
     #[test]
     fn more_vcpus_mean_more_llc() {
         let sim = CacheSim::for_vcpu_sweep([1, 8]);
-        assert!(sim.llcs[1].cache.capacity_bytes() > sim.llcs[0].cache.capacity_bytes());
+        assert!(sim.llcs[1].cache.sets > sim.llcs[0].cache.sets);
     }
 
     #[test]
     fn reset_zeroes_stats() {
-        let mut sim = CacheSim::for_vcpus(1);
+        let mut sim = CacheSim::for_vcpu_sweep([1]);
         sim.access(0);
         sim.reset();
-        assert_eq!(sim.accesses(), 0);
+        assert_eq!((sim.l1_misses(), sim.llc_misses()), (0, 0));
         assert!(!sim.access(0), "contents flushed too");
     }
 

@@ -71,12 +71,6 @@ impl CounterSet {
     pub fn fp_instruction_share(&self) -> f64 {
         ratio(self.avx_ops + self.flops, self.instructions)
     }
-
-    /// Total dynamic operation count (instructions incl. FP work).
-    #[must_use]
-    pub fn total_ops(&self) -> u64 {
-        self.instructions
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {

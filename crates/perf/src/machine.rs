@@ -41,19 +41,6 @@ impl MachineConfig {
         }
     }
 
-    /// A memory-optimized variant: double memory and +50% bandwidth per
-    /// vCPU, matching the paper's recommendation target for placement and
-    /// routing.
-    #[must_use]
-    pub fn memory_optimized(vcpus: u32) -> Self {
-        let base = Self::vcpus(vcpus);
-        Self {
-            memory_gb: base.memory_gb * 2.0,
-            mem_bw_gbps: base.mem_bw_gbps * 1.5,
-            ..base
-        }
-    }
-
     /// Simulate co-tenancy: return a copy with the given interference.
     ///
     /// # Panics
@@ -126,16 +113,6 @@ impl StageWork {
             mem_parallel_cycles: mem_stall * p,
             sync_cycles,
         }
-    }
-
-    /// Total cycles ignoring parallelism (1-core lower bound).
-    #[must_use]
-    pub fn total_cycles(&self) -> f64 {
-        self.serial_cycles
-            + self.parallel_cycles
-            + self.mem_serial_cycles
-            + self.mem_parallel_cycles
-            + self.sync_cycles
     }
 }
 
@@ -232,22 +209,6 @@ impl MachineModel {
         let hz = machine.clock_ghz * 1e9;
         (compute + mem + sync) * self.work_scale / hz
     }
-
-    /// Speedup of `machine` over a single-vCPU machine of the same family
-    /// for the given per-machine work measurements.
-    ///
-    /// `work_1` must be measured on the 1-vCPU configuration and `work_n`
-    /// on `machine` (counters differ because cache capacity differs).
-    #[must_use]
-    pub fn speedup(
-        &self,
-        work_1: &StageWork,
-        base: &MachineConfig,
-        work_n: &StageWork,
-        machine: &MachineConfig,
-    ) -> f64 {
-        self.runtime_secs(work_1, base) / self.runtime_secs(work_n, machine)
-    }
 }
 
 #[cfg(test)]
@@ -309,9 +270,9 @@ mod tests {
         // relative to perfect core scaling for pure compute.
         let speedup = t1 / t8;
         assert!(speedup > 1.0 && speedup < 8.0, "speedup={speedup}");
-        // Memory-optimized family with more bandwidth is faster.
-        let mem = model.runtime_secs(&w, &MachineConfig::memory_optimized(8));
-        assert!(mem < t8);
+        // A memory-optimized size with +50% bandwidth is faster.
+        let r5 = MachineConfig { mem_bw_gbps: 72.0, ..MachineConfig::vcpus(8) };
+        assert!(model.runtime_secs(&w, &r5) < t8);
     }
 
     #[test]
@@ -357,7 +318,8 @@ mod tests {
         };
         let ws = StageWork::from_counters(&scalar, 0.5, 0.0, &model);
         let wv = StageWork::from_counters(&vector, 0.5, 0.0, &model);
-        assert!(wv.total_cycles() < ws.total_cycles());
+        let one = MachineConfig::vcpus(1);
+        assert!(model.runtime_secs(&wv, &one) < model.runtime_secs(&ws, &one));
     }
 
     #[test]

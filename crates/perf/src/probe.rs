@@ -583,12 +583,13 @@ mod tests {
             (0..1 + rng.below(4))
                 .map(|_| {
                     let vcpus = 1 << rng.below(4);
-                    let base = if rng.below(2) == 0 {
-                        MachineConfig::vcpus(vcpus)
-                    } else {
-                        MachineConfig::memory_optimized(vcpus)
-                    };
-                    MachineConfig { avx: rng.below(3) != 0, ..base }
+                    let base = MachineConfig::vcpus(vcpus);
+                    let bandwidth_scale = [1.0, 1.5][rng.below(2) as usize];
+                    MachineConfig {
+                        avx: rng.below(3) != 0,
+                        mem_bw_gbps: base.mem_bw_gbps * bandwidth_scale,
+                        ..base
+                    }
                 })
                 .collect()
         })

@@ -74,7 +74,10 @@ proptest! {
         let model = MachineModel::default();
         let a = StageWork::from_counters(&counters, p1, 0.0, &model);
         let b = StageWork::from_counters(&counters, p2, 0.0, &model);
-        prop_assert!((a.total_cycles() - b.total_cycles()).abs() < 1e-6 * a.total_cycles().max(1.0));
+        let total = |w: &StageWork| {
+            w.serial_cycles + w.parallel_cycles + w.mem_serial_cycles + w.mem_parallel_cycles
+        };
+        prop_assert!((total(&a) - total(&b)).abs() < 1e-6 * total(&a).max(1.0));
     }
 
     /// Work scale is an exact multiplier on runtime.

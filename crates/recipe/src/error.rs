@@ -22,13 +22,6 @@ pub enum RecipeError {
         /// Maximum encodable length.
         max: usize,
     },
-    /// A predictor snapshot failed to parse or failed its checksum.
-    Snapshot {
-        /// What was wrong with the snapshot text.
-        message: String,
-    },
-    /// Joint planning was asked to rank an empty candidate set.
-    NoCandidates,
     /// A search scenario named a design family the generators don't
     /// know.
     UnknownDesign {
@@ -47,10 +40,6 @@ impl fmt::Display for RecipeError {
             RecipeError::RecipeTooLong { len, max } => {
                 write!(f, "recipe has {len} passes but the encoder window is {max}")
             }
-            RecipeError::Snapshot { message } => {
-                write!(f, "hybrid-predictor snapshot rejected: {message}")
-            }
-            RecipeError::NoCandidates => write!(f, "no candidate recipes to plan over"),
             RecipeError::UnknownDesign { name } => {
                 write!(f, "unknown design family `{name}`")
             }
@@ -85,8 +74,6 @@ mod tests {
         let e = RecipeError::RecipeTooLong { len: 9, max: 6 };
         assert!(e.to_string().contains('9'));
         assert!(e.source().is_none());
-        let e = RecipeError::Snapshot { message: "bad header".into() };
-        assert!(e.to_string().contains("bad header"));
         let e = RecipeError::UnknownDesign { name: "mystery".into() };
         assert!(e.to_string().contains("mystery"));
         assert!(e.source().is_none());

@@ -7,10 +7,7 @@
 //! log-runtime of the synthesis stage at 1/2/4/8 vCPUs. Training
 //! reuses the existing [`Trainer`] hyperparameters (epochs, Adam
 //! learning rate, seed) and mirrors its seeded-shuffle semantics, so a
-//! fit is bit-identical across runs and worker counts. Snapshots use a
-//! versioned text format (`recipe-hybrid-predictor v1`) with an FNV-1a
-//! checksum footer, so serving tiers can canary it like any other
-//! model and any single-bit corruption is rejected at load.
+//! fit is bit-identical across runs and worker counts.
 
 use crate::encode::{encode_recipe, ENCODING_DIM};
 use crate::RecipeError;
@@ -20,7 +17,6 @@ use eda_cloud_gcn::{
     Trainer,
 };
 use eda_cloud_netlist::FEATURE_DIM;
-use eda_cloud_trace::fnv1a64;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -29,9 +25,6 @@ pub const EMBED_DIM: usize = 12;
 
 /// Hidden width of the trainable dense head.
 pub const HIDDEN_DIM: usize = 16;
-
-/// Snapshot format header.
-const SNAPSHOT_HEADER: &str = "recipe-hybrid-predictor v1";
 
 /// One training sample: a design embedding, a recipe, and the
 /// ground-truth log-runtimes of the synthesis stage.
@@ -50,7 +43,6 @@ pub struct HybridSample {
 /// The hybrid predictor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybridPredictor {
-    seed: u64,
     gcn1: GcnLayer,
     gcn2: GcnLayer,
     head1: DenseLayer,
@@ -66,18 +58,11 @@ impl HybridPredictor {
     pub fn seeded(seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4C05_71A1);
         Self {
-            seed,
             gcn1: GcnLayer::new(FEATURE_DIM, EMBED_DIM, &mut rng),
             gcn2: GcnLayer::new(EMBED_DIM, EMBED_DIM, &mut rng),
             head1: DenseLayer::new(EMBED_DIM + ENCODING_DIM, HIDDEN_DIM, &mut rng),
             head2: DenseLayer::new(HIDDEN_DIM, 4, &mut rng),
         }
-    }
-
-    /// The initialization seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Mean-pooled design embedding from the frozen GCN stack.
@@ -170,122 +155,6 @@ impl HybridPredictor {
         Ok(last_mse)
     }
 
-    /// Canonical snapshot text: versioned header, dimensions, every
-    /// tensor row-major in round-trippable `{v:e}` notation, and an
-    /// FNV-1a checksum footer over everything above it.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SNAPSHOT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("seed {}\n", self.seed));
-        out.push_str(&format!(
-            "dims {} {} {} {} 4\n",
-            FEATURE_DIM, EMBED_DIM, ENCODING_DIM, HIDDEN_DIM
-        ));
-        for (name, tensor) in self.tensors() {
-            out.push_str(&format!("tensor {name} {} {}\n", tensor.rows(), tensor.cols()));
-            for r in 0..tensor.rows() {
-                let row: Vec<String> = (0..tensor.cols())
-                    .map(|c| format!("{:e}", tensor.get(r, c)))
-                    .collect();
-                out.push_str(&row.join(" "));
-                out.push('\n');
-            }
-        }
-        let checksum = fnv1a64(out.as_bytes());
-        out.push_str(&format!("checksum {checksum:016x}\n"));
-        out
-    }
-
-    /// Parse a snapshot produced by [`HybridPredictor::to_text`],
-    /// verifying the checksum before anything else.
-    ///
-    /// # Errors
-    ///
-    /// [`RecipeError::Snapshot`] on a missing/mismatched checksum, a
-    /// wrong header, unexpected dimensions, or malformed tensor data —
-    /// any single-bit corruption lands in one of these.
-    pub fn from_text(text: &str) -> Result<Self, RecipeError> {
-        let snapshot_err = |message: &str| RecipeError::Snapshot {
-            message: message.to_owned(),
-        };
-        let body_end = text
-            .rfind("checksum ")
-            .ok_or_else(|| snapshot_err("missing checksum footer"))?;
-        let (body, footer) = text.split_at(body_end);
-        let stated = footer
-            .trim_end()
-            .strip_prefix("checksum ")
-            .ok_or_else(|| snapshot_err("malformed checksum footer"))?;
-        let stated = u64::from_str_radix(stated, 16)
-            .map_err(|_| snapshot_err("checksum is not 16 hex digits"))?;
-        if fnv1a64(body.as_bytes()) != stated {
-            return Err(snapshot_err("checksum mismatch — snapshot is corrupt"));
-        }
-        let mut lines = body.lines();
-        if lines.next() != Some(SNAPSHOT_HEADER) {
-            return Err(snapshot_err("unknown header (expected recipe-hybrid-predictor v1)"));
-        }
-        let seed_line = lines.next().ok_or_else(|| snapshot_err("missing seed"))?;
-        let seed: u64 = seed_line
-            .strip_prefix("seed ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| snapshot_err("malformed seed line"))?;
-        let dims_line = lines.next().ok_or_else(|| snapshot_err("missing dims"))?;
-        let expected_dims = format!(
-            "dims {} {} {} {} 4",
-            FEATURE_DIM, EMBED_DIM, ENCODING_DIM, HIDDEN_DIM
-        );
-        if dims_line != expected_dims {
-            return Err(snapshot_err("dimension mismatch with this build"));
-        }
-        let mut predictor = Self::seeded(seed);
-        let shapes: Vec<(String, usize, usize)> = predictor
-            .tensors()
-            .iter()
-            .map(|(n, t)| ((*n).to_owned(), t.rows(), t.cols()))
-            .collect();
-        let mut parsed: Vec<Matrix> = Vec::with_capacity(shapes.len());
-        for (name, rows, cols) in &shapes {
-            let header = lines
-                .next()
-                .ok_or_else(|| snapshot_err("truncated snapshot"))?;
-            if header != format!("tensor {name} {rows} {cols}") {
-                return Err(snapshot_err(&format!("unexpected tensor header `{header}`")));
-            }
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..*rows {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| snapshot_err("truncated tensor data"))?;
-                let values: Vec<f64> = line
-                    .split(' ')
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| snapshot_err(&format!("malformed value in tensor {name}")))?;
-                if values.len() != *cols {
-                    return Err(snapshot_err(&format!("wrong column count in tensor {name}")));
-                }
-                data.extend(values);
-            }
-            parsed.push(Matrix::from_vec(*rows, *cols, data));
-        }
-        if lines.next().is_some() {
-            return Err(snapshot_err("trailing data after tensors"));
-        }
-        let mut parsed = parsed.into_iter();
-        predictor.gcn1.w = parsed.next().expect("shape list");
-        predictor.gcn1.b = parsed.next().expect("shape list");
-        predictor.gcn2.w = parsed.next().expect("shape list");
-        predictor.gcn2.b = parsed.next().expect("shape list");
-        predictor.head1.w = parsed.next().expect("shape list");
-        predictor.head1.bias = parsed.next().expect("shape list");
-        predictor.head2.w = parsed.next().expect("shape list");
-        predictor.head2.bias = parsed.next().expect("shape list");
-        Ok(predictor)
-    }
-
     /// Concatenate embedding and recipe encoding into a 1-row input.
     fn input_row(&self, embedding: &[f64], passes: &[Pass]) -> Result<Matrix, RecipeError> {
         let encoding = encode_recipe(passes)?;
@@ -294,20 +163,6 @@ impl HybridPredictor {
         data.resize(EMBED_DIM, 0.0);
         data.extend_from_slice(&encoding);
         Ok(Matrix::from_vec(1, EMBED_DIM + ENCODING_DIM, data))
-    }
-
-    /// Tensors in canonical snapshot order.
-    fn tensors(&self) -> [(&'static str, &Matrix); 8] {
-        [
-            ("gcn1.w", &self.gcn1.w),
-            ("gcn1.b", &self.gcn1.b),
-            ("gcn2.w", &self.gcn2.w),
-            ("gcn2.b", &self.gcn2.b),
-            ("head1.w", &self.head1.w),
-            ("head1.bias", &self.head1.bias),
-            ("head2.w", &self.head2.w),
-            ("head2.bias", &self.head2.bias),
-        ]
     }
 }
 
@@ -388,54 +243,6 @@ mod tests {
             p
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_identically() {
-        let mut p = HybridPredictor::seeded(7);
-        let s = sample();
-        let emb = p.embed(&s);
-        let samples = vec![HybridSample {
-            design: "adder_4".into(),
-            embedding: emb.clone(),
-            passes: DEFAULT_PASSES.to_vec(),
-            log_targets: [1.0, 0.5, 0.2, 0.1],
-        }];
-        p.fit(&samples, &Trainer::fast()).expect("fit");
-        let text = p.to_text();
-        let reloaded = HybridPredictor::from_text(&text).expect("canonical text parses");
-        assert_eq!(p, reloaded);
-        assert_eq!(
-            p.predict_log(&emb, &DEFAULT_PASSES).expect("predict"),
-            reloaded.predict_log(&emb, &DEFAULT_PASSES).expect("predict"),
-        );
-        assert_eq!(text, reloaded.to_text(), "canonical form is a fixed point");
-    }
-
-    #[test]
-    fn every_single_bit_corruption_is_rejected() {
-        let p = HybridPredictor::seeded(3);
-        let text = p.to_text();
-        let bytes = text.as_bytes();
-        // Sample positions across the whole snapshot (header, tensor
-        // data, checksum footer) and flip one bit at each.
-        let step = (bytes.len() / 64).max(1);
-        for pos in (0..bytes.len()).step_by(step) {
-            for bit in [0u8, 3, 7] {
-                let mut corrupt = bytes.to_vec();
-                corrupt[pos] ^= 1 << bit;
-                let Ok(corrupt_text) = String::from_utf8(corrupt) else {
-                    continue; // Invalid UTF-8 cannot even reach the parser.
-                };
-                if corrupt_text == text {
-                    continue;
-                }
-                assert!(
-                    HybridPredictor::from_text(&corrupt_text).is_err(),
-                    "bit {bit} at byte {pos} slipped through"
-                );
-            }
-        }
     }
 
     #[test]

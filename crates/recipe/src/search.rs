@@ -328,12 +328,6 @@ impl RecipeSearch {
         }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
-    }
-
     /// Run the search with no faults and a fresh cache.
     ///
     /// # Errors

@@ -59,12 +59,6 @@ impl AdmissionQueue {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]

@@ -377,30 +377,6 @@ impl From<QuantizedSnapshot> for ServingSnapshot {
 }
 
 impl ServingSnapshot {
-    /// Whether this is the int8 variant.
-    #[must_use]
-    pub fn is_quantized(&self) -> bool {
-        matches!(self, ServingSnapshot::Int8(_))
-    }
-
-    /// The float snapshot, if this is the float variant.
-    #[must_use]
-    pub fn as_float(&self) -> Option<&ModelSnapshot> {
-        match self {
-            ServingSnapshot::Float(s) => Some(s),
-            ServingSnapshot::Int8(_) => None,
-        }
-    }
-
-    /// The quantized snapshot, if this is the int8 variant.
-    #[must_use]
-    pub fn as_int8(&self) -> Option<&QuantizedSnapshot> {
-        match self {
-            ServingSnapshot::Float(_) => None,
-            ServingSnapshot::Int8(s) => Some(s),
-        }
-    }
-
     /// A float snapshot in either case: a clone of the float variant,
     /// or the dequantized reconstruction of the int8 one — the warm
     /// start a retraining loop needs regardless of what is deployed.
@@ -505,23 +481,6 @@ impl ModelRegistry {
         version
     }
 
-    /// The newest snapshot under `name` and its version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] if nothing was published
-    /// under `name`.
-    pub fn latest(&self, name: &str) -> Result<(u32, &ServingSnapshot), ServeError> {
-        let versions = self
-            .models
-            .get(name)
-            .filter(|v| !v.is_empty())
-            .ok_or_else(|| ServeError::UnknownModel {
-                name: name.to_owned(),
-            })?;
-        Ok((versions.len() as u32, versions.last().expect("non-empty")))
-    }
-
     /// A pinned `(name, version)` snapshot.
     ///
     /// # Errors
@@ -535,12 +494,6 @@ impl ModelRegistry {
             .ok_or_else(|| ServeError::UnknownModel {
                 name: format!("{name}@v{version}"),
             })
-    }
-
-    /// Registered model names in sorted order.
-    #[must_use]
-    pub fn names(&self) -> Vec<&str> {
-        self.models.keys().map(String::as_str).collect()
     }
 
     /// The primary snapshot under `name` and its version — what
@@ -717,18 +670,14 @@ mod tests {
     #[test]
     fn registry_versions_and_lookups() {
         let mut reg = ModelRegistry::new();
-        assert!(reg.latest("prod").is_err());
+        assert!(reg.get("prod", 1).is_err());
         let v1 = reg.publish("prod", ModelSnapshot::seeded(&ModelConfig::fast(), 1));
         let v2 = reg.publish("prod", ModelSnapshot::seeded(&ModelConfig::fast(), 2));
         assert_eq!((v1, v2), (1, 2));
-        let (latest, _) = reg.latest("prod").expect("published");
-        assert_eq!(latest, 2);
         let s = sample();
-        let pinned = reg
-            .get("prod", 1)
-            .expect("v1 kept")
-            .as_float()
-            .expect("float snapshot");
+        let ServingSnapshot::Float(pinned) = reg.get("prod", 1).expect("v1 kept") else {
+            panic!("float snapshot");
+        };
         let fresh = ModelSnapshot::seeded(&ModelConfig::fast(), 1);
         assert_eq!(
             pinned.stage(0).predict_log(&s),
@@ -736,7 +685,6 @@ mod tests {
         );
         assert!(reg.get("prod", 3).is_err());
         assert!(reg.get("prod", 0).is_err());
-        assert_eq!(reg.names(), vec!["prod"]);
     }
 
     #[test]
@@ -895,16 +843,14 @@ mod tests {
         let quant = QuantizedSnapshot::quantize(&float);
         let sf = ServingSnapshot::from(float.clone());
         let sq = ServingSnapshot::from(quant.clone());
-        assert!(!sf.is_quantized() && sq.is_quantized());
-        assert!(sf.as_float().is_some() && sf.as_int8().is_none());
-        assert!(sq.as_int8().is_some() && sq.as_float().is_none());
+        assert!(matches!(sf, ServingSnapshot::Float(_)) && matches!(sq, ServingSnapshot::Int8(_)));
 
         // Text round trip picks the right parser from the header.
         let back = ServingSnapshot::from_text(&sf.to_text()).expect("float parses");
-        assert!(!back.is_quantized());
+        assert!(matches!(back, ServingSnapshot::Float(_)));
         assert_eq!(back.to_text(), sf.to_text());
         let back = ServingSnapshot::from_text(&sq.to_text()).expect("int8 parses");
-        assert!(back.is_quantized());
+        assert!(matches!(back, ServingSnapshot::Int8(_)));
         assert_eq!(back.to_text(), sq.to_text());
         assert!(ServingSnapshot::from_text("eda-serve-snapshot v9\n").is_err());
 
@@ -917,7 +863,7 @@ mod tests {
         let mut reg = ModelRegistry::new();
         let v1 = reg.publish("prod", float);
         let v2 = reg.publish("prod", quant);
-        assert!(!reg.get("prod", v1).expect("v1").is_quantized());
-        assert!(reg.get("prod", v2).expect("v2").is_quantized());
+        assert!(matches!(reg.get("prod", v1), Ok(ServingSnapshot::Float(_))));
+        assert!(matches!(reg.get("prod", v2), Ok(ServingSnapshot::Int8(_))));
     }
 }

@@ -213,12 +213,6 @@ impl Server {
         self
     }
 
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Serve an arrival-ordered request stream to completion; `seed`
     /// only stamps the report. Returns the report plus one outcome per
     /// request, sorted by ordinal.
@@ -736,7 +730,10 @@ mod tests {
         assert!(report.counters.gcn_predictions <= report.counters.cache_misses);
         assert!(report.counters.plans > 0);
         assert!(report.mean_latency_ms > 0.0);
-        assert_eq!(report.latency_hist.total(), report.counters.completed);
+        assert_eq!(
+            report.latency_hist.counts().iter().sum::<u64>(),
+            report.counters.completed
+        );
     }
 
     #[test]

@@ -28,12 +28,6 @@ impl PlanFaults {
     pub fn new(plan: FaultPlan) -> Self {
         Self { plan }
     }
-
-    /// The wrapped plan.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 }
 
 impl FleetFaults for PlanFaults {
@@ -285,6 +279,6 @@ mod tests {
         assert_eq!(h.partition_heal_us(0, 1, 0), None);
         assert_eq!(h.eval_extra_us(0), 0);
         assert!(!h.corrupt_upload(0) && !h.flood(0));
-        assert_eq!(h.plan().events.len(), 0);
+        assert_eq!(h.plan.events.len(), 0);
     }
 }

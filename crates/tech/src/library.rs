@@ -195,28 +195,6 @@ impl Library {
             .get(&kind)
             .and_then(|v| v.iter().map(|&i| &self.cells[i]).min_by_key(|c| c.drive))
     }
-
-    /// All drive variants implementing `kind`, weakest first.
-    #[must_use]
-    pub fn variants(&self, kind: CellKind) -> Vec<&CellType> {
-        let mut v: Vec<&CellType> = self
-            .by_kind
-            .get(&kind)
-            .map(|v| v.iter().map(|&i| &self.cells[i]).collect())
-            .unwrap_or_default();
-        v.sort_by_key(|c| c.drive);
-        v
-    }
-
-    /// Rebuild the name/kind indices (needed after deserialization).
-    pub fn reindex(&mut self) {
-        self.by_name.clear();
-        self.by_kind.clear();
-        for (i, c) in self.cells.iter().enumerate() {
-            self.by_name.insert(c.name.clone(), i);
-            self.by_kind.entry(c.kind).or_default().push(i);
-        }
-    }
 }
 
 impl Default for Library {
@@ -246,14 +224,14 @@ mod tests {
     }
 
     #[test]
-    fn variants_sorted_by_drive() {
+    fn stronger_drive_trades_area_for_resistance() {
         let lib = Library::synthetic_14nm();
-        let v = lib.variants(CellKind::Inv);
-        assert_eq!(v.len(), 2);
-        assert!(v[0].drive < v[1].drive);
-        // Stronger drive: lower resistance, bigger area.
-        assert!(v[1].drive_resistance_kohm < v[0].drive_resistance_kohm);
-        assert!(v[1].area_um2 > v[0].area_um2);
+        let inverters: Vec<&CellType> = lib.cells().filter(|c| c.kind == CellKind::Inv).collect();
+        let [x1, x2] = inverters[..] else { panic!("two inverter drives, weakest first") };
+        assert!(x1.drive < x2.drive);
+        assert_eq!(lib.cell_by_kind(CellKind::Inv), Some(x1), "lowest drive is the default");
+        assert!(x2.drive_resistance_kohm < x1.drive_resistance_kohm);
+        assert!(x2.area_um2 > x1.area_um2);
     }
 
     #[test]
@@ -273,13 +251,6 @@ mod tests {
         let mux = lib.cell_by_kind(CellKind::Mux2).expect("mux");
         assert_eq!(mux.input_pins().count(), 3);
         assert_eq!(mux.output_pin().name, "Y");
-    }
-
-    #[test]
-    fn reindex_after_manual_clear() {
-        let mut lib = Library::synthetic_14nm();
-        lib.reindex();
-        assert!(lib.cell("INV_X1").is_ok());
     }
 
     #[test]

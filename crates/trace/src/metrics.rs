@@ -64,12 +64,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Total observations recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Fold another histogram's counts into this one.
     ///
     /// # Errors
@@ -220,20 +214,8 @@ impl Metrics {
         }
     }
 
-    /// Pre-register a histogram with explicit bucket edges. Replaces
-    /// any same-named histogram (and its counts).
-    pub fn register_histogram(&self, name: &str, edges: Vec<f64>) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("metrics registry")
-                .histograms
-                .insert(name.to_owned(), Histogram::new(edges));
-        }
-    }
-
     /// Record one observation into a named histogram, creating it with
-    /// the default log-spaced edges if it was never registered.
+    /// the default log-spaced edges on first use.
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
             inner
@@ -252,14 +234,6 @@ impl Metrics {
         self.inner.as_ref().map_or(0, |inner| {
             inner.lock().expect("metrics registry").counters.get(name).copied().unwrap_or(0)
         })
-    }
-
-    /// Current value of a gauge, if set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.lock().expect("metrics registry").gauges.get(name).copied())
     }
 
     /// Byte-stable JSON dump: counters, gauges, then histograms, each
@@ -321,7 +295,6 @@ mod tests {
         // <=1: {0.5, 1.0}; <=10: {1.5, 10.0}; <=100: {99.9, 100.0};
         // overflow: {100.1, NaN}.
         assert_eq!(h.counts(), &[2, 2, 2, 2]);
-        assert_eq!(h.total(), 8);
     }
 
     #[test]
@@ -362,7 +335,7 @@ mod tests {
         fold.record(3);
         assert_eq!(fold.mean_us() as u64, 210_003 / 21, "truncation is integer division");
         let hist = fold.into_histogram();
-        assert_eq!(hist.total(), 21);
+        assert_eq!(hist.counts().iter().sum::<u64>(), 21);
         assert_eq!(hist.counts()[0], 2, "3 us and 1 ms land in the <= 1 ms bucket");
     }
 
@@ -372,13 +345,10 @@ mod tests {
         m.add("jobs", 2);
         m.add("jobs", 3);
         m.set_gauge("occupancy", 0.75);
-        m.register_histogram("wait", vec![1.0, 2.0]);
-        m.observe("wait", 1.5);
         assert_eq!(m.counter("jobs"), 5);
-        assert_eq!(m.gauge("occupancy"), Some(0.75));
         assert_eq!(
             m.to_json(),
-            "{\"counters\":{\"jobs\":5},\"gauges\":{\"occupancy\":0.750000},\"histograms\":{\"wait\":{\"edges\":[1.000000,2.000000],\"counts\":[0,1,0]}}}"
+            "{\"counters\":{\"jobs\":5},\"gauges\":{\"occupancy\":0.750000},\"histograms\":{}}"
         );
     }
 
@@ -389,12 +359,11 @@ mod tests {
         m.observe("wait", 1.0);
         m.set_gauge("g", 1.0);
         assert_eq!(m.counter("jobs"), 0);
-        assert_eq!(m.gauge("g"), None);
         assert_eq!(m.to_json(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
     }
 
     #[test]
-    fn unregistered_histogram_gets_default_edges() {
+    fn first_observation_creates_a_default_edged_histogram() {
         let m = Metrics::new();
         m.observe("adhoc", 5.0);
         assert!(m.to_json().contains("\"adhoc\""));

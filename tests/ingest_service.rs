@@ -7,7 +7,7 @@
 
 use eda_cloud::core::{IngestScenario, Workflow};
 use eda_cloud::gcn::ModelConfig;
-use eda_cloud::ingest::{FrontDoor, FrontDoorConfig, IngestError};
+use eda_cloud::ingest::{fixtures, FrontDoor, FrontDoorConfig, IngestError};
 use eda_cloud::serve::{ModelSnapshot, UploadDoc};
 
 mod common;
@@ -21,8 +21,10 @@ fn same_seed_runs_are_byte_identical() {
     let scenario = IngestScenario::new(32, 42);
     let snapshot = seeded_snapshot(42);
     let workflow = Workflow::with_defaults();
-    let (a, a_out) = workflow.ingest(&scenario, &snapshot).expect("ingest run");
-    let (b, b_out) = workflow.ingest(&scenario, &snapshot).expect("ingest run");
+    let (a, a_out) =
+        workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
+    let (b, b_out) =
+        workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
     assert_eq!(a.to_json(), b.to_json(), "same seed must replay exactly");
     assert_eq!(a_out, b_out);
 }
@@ -33,10 +35,12 @@ fn worker_count_cannot_change_the_report() {
     let mut scenario = IngestScenario::new(24, 9);
     scenario.workers = 1;
     let workflow = Workflow::with_defaults();
-    let (serial, serial_out) = workflow.ingest(&scenario, &snapshot).expect("ingest run");
+    let (serial, serial_out) =
+        workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
     for workers in [2usize, 8] {
         scenario.workers = workers;
-        let (parallel, parallel_out) = workflow.ingest(&scenario, &snapshot).expect("ingest run");
+        let (parallel, parallel_out) =
+            workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
         assert_eq!(
             serial.to_json(),
             parallel.to_json(),
@@ -72,7 +76,7 @@ fn malformed_uploads_come_back_as_typed_positioned_errors() {
 fn golden_report_for_seed_7() {
     let scenario = IngestScenario::new(64, 7);
     let (report, _) = Workflow::with_defaults()
-        .ingest(&scenario, &seeded_snapshot(7))
+        .ingest(&scenario, &seeded_snapshot(7), &fixtures::uploads())
         .expect("ingest run");
     common::assert_golden(&report.to_json(), "golden/ingest_report.json");
 }

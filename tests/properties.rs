@@ -3,7 +3,7 @@
 use eda_cloud::flow::{ExecContext, Recipe, Synthesizer};
 use eda_cloud::gcn::{Matrix, SparseMatrix};
 use eda_cloud::mckp::{baselines, Choice, Problem, Solver, Stage};
-use eda_cloud::netlist::{formats, generators, Aig};
+use eda_cloud::netlist::{generators, Aig};
 use proptest::prelude::*;
 
 fn bits(v: u64, w: u32) -> Vec<bool> {
@@ -42,36 +42,6 @@ proptest! {
         inputs.extend(bits(b, w));
         let out = aig.simulate(&inputs).expect("arity");
         prop_assert_eq!(to_u64(&out), a * b);
-    }
-
-    /// Word-parallel simulation agrees with scalar simulation on random
-    /// designs and patterns.
-    #[test]
-    fn word_sim_matches_scalar(seed in 0u64..500, gates in 20u32..120) {
-        let aig = generators::ctrl(seed, gates);
-        let n = aig.input_count();
-        let words: Vec<u64> = (0..n).map(|i| seed.wrapping_mul(i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let word_out = aig.simulate_words(&words).expect("arity");
-        for bit in [0usize, 17, 63] {
-            let scalar_in: Vec<bool> = words.iter().map(|w| (w >> bit) & 1 == 1).collect();
-            let scalar_out = aig.simulate(&scalar_in).expect("arity");
-            for (wo, so) in word_out.iter().zip(&scalar_out) {
-                prop_assert_eq!((wo >> bit) & 1 == 1, *so);
-            }
-        }
-    }
-
-    /// AAG round-trip preserves structure and function for random
-    /// control-logic designs.
-    #[test]
-    fn aag_roundtrip(seed in 0u64..300, gates in 10u32..80) {
-        let aig = generators::ctrl(seed, gates);
-        let text = formats::write_aag(&aig);
-        let back = formats::read_aag(&text).expect("parse own output");
-        prop_assert_eq!(back.and_count(), aig.and_count());
-        prop_assert_eq!(back.input_count(), aig.input_count());
-        let inputs: Vec<bool> = (0..aig.input_count()).map(|i| (seed >> (i % 60)) & 1 == 1).collect();
-        prop_assert_eq!(back.simulate(&inputs).expect("sim"), aig.simulate(&inputs).expect("sim"));
     }
 
     /// Every synthesis recipe preserves the function of random designs

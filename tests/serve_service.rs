@@ -15,10 +15,18 @@ fn seeded_snapshot(seed: u64) -> ModelSnapshot {
     ModelSnapshot::seeded(&ModelConfig::fast(), seed)
 }
 
-fn run(scenario: &ServeScenario, snapshot: &ModelSnapshot) -> (ServeReport, Vec<RequestOutcome>) {
+fn run_with(
+    scenario: &ServeScenario,
+    snapshot: &ModelSnapshot,
+    config: ServeConfig,
+) -> (ServeReport, Vec<RequestOutcome>) {
     Workflow::with_defaults()
-        .serve(scenario, snapshot)
+        .serve(scenario, snapshot, config)
         .expect("serving run")
+}
+
+fn run(scenario: &ServeScenario, snapshot: &ModelSnapshot) -> (ServeReport, Vec<RequestOutcome>) {
+    run_with(scenario, snapshot, ServeConfig::default())
 }
 
 #[test]
@@ -34,12 +42,11 @@ fn same_seed_reports_are_byte_identical() {
 #[test]
 fn inference_worker_count_cannot_change_the_report() {
     let snapshot = seeded_snapshot(9);
-    let mut scenario = ServeScenario::new(24, 9);
-    scenario.workers = 1;
-    let (serial, serial_out) = run(&scenario, &snapshot);
+    let scenario = ServeScenario::new(24, 9);
+    let with_workers = |workers| ServeConfig { workers, ..ServeConfig::default() };
+    let (serial, serial_out) = run_with(&scenario, &snapshot, with_workers(1));
     for workers in [2usize, 8] {
-        scenario.workers = workers;
-        let (parallel, parallel_out) = run(&scenario, &snapshot);
+        let (parallel, parallel_out) = run_with(&scenario, &snapshot, with_workers(workers));
         assert_eq!(
             serial.to_json(),
             parallel.to_json(),
