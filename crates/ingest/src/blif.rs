@@ -10,10 +10,11 @@
 //! [`IngestError::Unsupported`] rather than silently mis-read.
 
 use crate::error::IngestError;
-use crate::text::{fields_with_cols, logical_lines, LogicalLine};
+use crate::text::{bound_net, numbered, Lines};
 use eda_cloud_netlist::{NetId, Netlist};
-use eda_cloud_tech::{CellKind, Library};
-use std::collections::HashMap;
+use eda_cloud_tech::{CellKind, CellType, Library};
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 /// Parse a (possibly multi-model) BLIF document against `lib`. The
 /// first `.model` is the top; later models are parsed identically and
@@ -27,229 +28,207 @@ use std::collections::HashMap;
 /// Returns a positioned [`IngestError`] on any malformed, truncated, or
 /// unsupported input.
 pub fn parse_blif(text: &str, lib: &Library) -> Result<Vec<Netlist>, IngestError> {
-    let lines = logical_lines(text, '#');
-    let mut models: Vec<Netlist> = Vec::new();
-    let mut builder: Option<ModelBuilder> = None;
-    for line in &lines {
-        let fields = fields_with_cols(&line.text);
-        let Some(&(first_col, first)) = fields.first() else {
-            continue;
-        };
-        if first.starts_with('.') {
-            match first {
-                ".model" => {
-                    if let Some(done) = builder.take() {
-                        models.push(done.build(lib)?);
-                    }
-                    let name = fields.get(1).map_or("blif", |&(_, f)| f).to_owned();
-                    builder = Some(ModelBuilder::new(name));
-                }
-                ".end" => {
-                    if let Some(done) = builder.take() {
-                        models.push(done.build(lib)?);
-                    }
-                }
-                ".subckt" | ".exdc" | ".search" | ".clock" => {
-                    return Err(IngestError::Unsupported {
-                        line: line.lno,
-                        construct: first.to_owned(),
-                    });
-                }
-                _ => {
-                    let b = builder.get_or_insert_with(|| ModelBuilder::new("blif".to_owned()));
-                    b.directive(line, &fields, first_col, first)?;
-                }
-            }
-        } else {
-            let b = builder.get_or_insert_with(|| ModelBuilder::new("blif".to_owned()));
-            b.table_row(line, &fields)?;
-        }
+    let mut lines = Lines::new(text, '#');
+    let mut parser = Parser { lib, models: Vec::new(), builder: None };
+    while let Some(lno) = lines.next_line() {
+        parser.line(lno, lines.fields(), lines.text())?;
     }
-    if let Some(done) = builder.take() {
-        models.push(done.build(lib)?);
-    }
-    if models.is_empty() {
-        return Err(IngestError::Parse {
-            line: text.lines().count().max(1),
-            col: 0,
-            message: "document declares no model".into(),
-        });
-    }
-    Ok(models)
+    parser.finish(text)
 }
 
-/// One `.names` table: signal list (last = output) plus cube rows.
+/// The document-level state: one logical line in at a time, finished
+/// models out. Everything it holds borrows from the upload.
+struct Parser<'a, 'l> {
+    lib: &'l Library,
+    models: Vec<Netlist>,
+    builder: Option<ModelBuilder<'a>>,
+}
+
+impl<'a> Parser<'a, '_> {
+    fn line(
+        &mut self,
+        lno: usize,
+        fields: &[(usize, &'a str)],
+        text: &str,
+    ) -> Result<(), IngestError> {
+        let Some(&(_, first)) = fields.first() else {
+            return Ok(());
+        };
+        match first {
+            ".model" => {
+                self.close()?;
+                self.builder = Some(ModelBuilder::new(fields.get(1).map_or("blif", |&(_, f)| f)));
+            }
+            ".end" => self.close()?,
+            ".subckt" | ".exdc" | ".search" | ".clock" => {
+                return Err(IngestError::Unsupported { line: lno, construct: first.to_owned() });
+            }
+            _ => {
+                let b = self.builder.get_or_insert_with(|| ModelBuilder::new("blif"));
+                if first.starts_with('.') {
+                    b.directive(lno, fields)?;
+                } else {
+                    b.table_row(lno, fields, text)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn close(&mut self) -> Result<(), IngestError> {
+        if let Some(done) = self.builder.take() {
+            self.models.push(done.build(self.lib)?);
+        }
+        Ok(())
+    }
+
+    fn finish(mut self, text: &str) -> Result<Vec<Netlist>, IngestError> {
+        self.close()?;
+        if self.models.is_empty() {
+            return Err(IngestError::Parse {
+                line: text.lines().count().max(1),
+                col: 0,
+                message: "document declares no model".into(),
+            });
+        }
+        Ok(self.models)
+    }
+}
+
+/// One `.names` table: signal list (last = output) plus cube rows, as
+/// ranges of the builder's `signals` and `rows`.
 struct NamesTable {
     lno: usize,
     col: usize,
-    signals: Vec<String>,
-    rows: Vec<(usize, String, char)>,
+    signals: Range<usize>,
+    rows: Range<usize>,
 }
 
 /// One `.latch`: data in, state out, optional control net.
-struct Latch {
+struct Latch<'a> {
     lno: usize,
     col: usize,
-    input: String,
-    output: String,
-    control: Option<String>,
+    input: &'a str,
+    output: &'a str,
+    control: Option<&'a str>,
 }
 
-/// One `.gate`: master plus formal=actual bindings.
-struct Gate {
+/// One `.gate`: master plus formal=actual bindings, a range of the
+/// builder's `conns`.
+struct Gate<'a> {
     lno: usize,
     col: usize,
-    master: String,
-    conns: Vec<(String, String)>,
+    master: &'a str,
+    conns: Range<usize>,
 }
 
-struct ModelBuilder {
-    name: String,
-    inputs: Vec<String>,
-    outputs: Vec<(usize, usize, String)>,
+#[derive(Default)]
+struct ModelBuilder<'a> {
+    name: &'a str,
+    inputs: Vec<&'a str>,
+    outputs: Vec<(usize, usize, &'a str)>,
     tables: Vec<NamesTable>,
-    latches: Vec<Latch>,
-    gates: Vec<Gate>,
+    /// Every table's signals, back to back.
+    signals: Vec<&'a str>,
+    /// Every table's `(line, cube, phase)` rows, back to back.
+    rows: Vec<(usize, &'a str, char)>,
+    latches: Vec<Latch<'a>>,
+    gates: Vec<Gate<'a>>,
+    /// Every gate's `(formal, actual)` bindings, back to back.
+    conns: Vec<(&'a str, &'a str)>,
     /// Whether the most recent directive was `.names` (rows attach).
     open_table: bool,
 }
 
-impl ModelBuilder {
-    fn new(name: String) -> Self {
-        Self {
-            name,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            tables: Vec::new(),
-            latches: Vec::new(),
-            gates: Vec::new(),
-            open_table: false,
-        }
+impl<'a> ModelBuilder<'a> {
+    fn new(name: &'a str) -> Self {
+        Self { name, ..Self::default() }
     }
 
-    fn directive(
-        &mut self,
-        line: &LogicalLine,
-        fields: &[(usize, &str)],
-        first_col: usize,
-        first: &str,
-    ) -> Result<(), IngestError> {
+    fn directive(&mut self, lno: usize, fields: &[(usize, &'a str)]) -> Result<(), IngestError> {
         self.open_table = false;
-        let perr = |col: usize, message: String| IngestError::Parse {
-            line: line.lno,
-            col,
-            message,
+        let perr = |col: usize, message: String| IngestError::Parse { line: lno, col, message };
+        let [(first_col, first), args @ ..] = fields else {
+            return Ok(());
         };
-        match first {
-            ".inputs" => {
-                self.inputs.extend(fields[1..].iter().map(|&(_, f)| f.to_owned()));
-            }
-            ".outputs" => {
-                for &(col, f) in &fields[1..] {
-                    self.outputs.push((line.lno, col, f.to_owned()));
-                }
-            }
+        match *first {
+            ".inputs" => self.inputs.extend(args.iter().map(|&(_, f)| f)),
+            ".outputs" => self.outputs.extend(args.iter().map(|&(col, f)| (lno, col, f))),
             ".names" => {
-                if fields.len() < 2 {
-                    return Err(perr(first_col, "`.names` needs at least an output".into()));
-                }
+                let Some(&(col, _)) = args.first() else {
+                    return Err(perr(*first_col, "`.names` needs at least an output".into()));
+                };
+                let start = self.signals.len();
+                self.signals.extend(args.iter().map(|&(_, f)| f));
                 self.tables.push(NamesTable {
-                    lno: line.lno,
-                    col: fields[1].0,
-                    signals: fields[1..].iter().map(|&(_, f)| f.to_owned()).collect(),
-                    rows: Vec::new(),
+                    lno,
+                    col,
+                    signals: start..self.signals.len(),
+                    rows: self.rows.len()..self.rows.len(),
                 });
                 self.open_table = true;
             }
             ".latch" => {
-                if fields.len() < 3 {
-                    return Err(perr(first_col, "`.latch` needs input and output".into()));
-                }
-                let input = fields[1].1.to_owned();
-                let output = fields[2].1.to_owned();
-                let rest = &fields[3..];
+                let [(_, input), (col, output), rest @ ..] = args else {
+                    return Err(perr(*first_col, "`.latch` needs input and output".into()));
+                };
                 let mut control = None;
                 let init = match rest {
                     [] => None,
-                    [(_, init)] => Some(*init),
-                    [(_, ty), (ctl_col, ctl), tail @ ..] => {
+                    [init] => Some(*init),
+                    [(ty_col, ty), (_, ctl), tail @ ..] => {
                         if !matches!(*ty, "re" | "fe" | "ah" | "al" | "as") {
-                            return Err(perr(rest[0].0, format!("unknown latch type `{ty}`")));
+                            return Err(perr(*ty_col, format!("unknown latch type `{ty}`")));
                         }
                         if *ctl != "NIL" {
-                            control = Some((*ctl).to_owned());
+                            control = Some(*ctl);
                         }
-                        let _ = ctl_col;
                         match tail {
                             [] => None,
-                            [(_, init)] => Some(*init),
-                            _ => {
-                                return Err(perr(
-                                    tail[1].0,
-                                    "too many fields on `.latch`".into(),
-                                ))
+                            [init] => Some(*init),
+                            [_, (col, _), ..] => {
+                                return Err(perr(*col, "too many fields on `.latch`".into()))
                             }
                         }
                     }
                 };
-                if let Some(init) = init {
+                if let Some((init_col, init)) = init {
                     if !matches!(init, "0" | "1" | "2" | "3") {
-                        return Err(perr(
-                            fields.last().unwrap().0,
-                            format!("bad latch init value `{init}`"),
-                        ));
+                        return Err(perr(init_col, format!("bad latch init value `{init}`")));
                     }
                 }
-                self.latches.push(Latch {
-                    lno: line.lno,
-                    col: fields[2].0,
-                    input,
-                    output,
-                    control,
-                });
+                self.latches.push(Latch { lno, col: *col, input, output, control });
             }
             ".gate" => {
-                let Some(&(master_col, master)) = fields.get(1) else {
-                    return Err(perr(first_col, "missing gate master".into()));
+                let [(col, master), bindings @ ..] = args else {
+                    return Err(perr(*first_col, "missing gate master".into()));
                 };
-                let mut conns = Vec::new();
-                for &(col, f) in &fields[2..] {
-                    let (pin, net) = f
-                        .split_once('=')
-                        .ok_or_else(|| perr(col, format!("bad connection `{f}`")))?;
-                    conns.push((pin.to_owned(), net.to_owned()));
+                let start = self.conns.len();
+                for &(col, f) in bindings {
+                    let conn = f.split_once('=');
+                    self.conns.push(conn.ok_or_else(|| perr(col, format!("bad connection `{f}`")))?);
                 }
-                self.gates.push(Gate {
-                    lno: line.lno,
-                    col: master_col,
-                    master: master.to_owned(),
-                    conns,
-                });
+                self.gates.push(Gate { lno, col: *col, master, conns: start..self.conns.len() });
             }
-            other => {
-                return Err(perr(first_col, format!("unrecognized directive `{other}`")));
-            }
+            other => return Err(perr(*first_col, format!("unrecognized directive `{other}`"))),
         }
         Ok(())
     }
 
     fn table_row(
         &mut self,
-        line: &LogicalLine,
-        fields: &[(usize, &str)],
+        lno: usize,
+        fields: &[(usize, &'a str)],
+        text: &str,
     ) -> Result<(), IngestError> {
-        let perr = |col: usize, message: String| IngestError::Parse {
-            line: line.lno,
-            col,
-            message,
+        let perr = |col: usize, message: String| IngestError::Parse { line: lno, col, message };
+        let first_col = fields.first().map_or(0, |&(col, _)| col);
+        let (true, Some(table)) = (self.open_table, self.tables.last_mut()) else {
+            return Err(perr(first_col, format!("stray line `{text}`")));
         };
-        if !self.open_table {
-            return Err(perr(fields[0].0, format!("stray line `{}`", line.text)));
-        }
-        let table = self.tables.last_mut().expect("open_table implies a table");
         let want_inputs = table.signals.len() - 1;
         let (cube, out, out_col) = match (want_inputs, fields) {
-            (0, [(col, out)]) => (String::new(), out, col),
+            (0, [(col, out)]) => ("", out, col),
             (_, [(ccol, cube), (ocol, out)]) if want_inputs > 0 => {
                 if cube.len() != want_inputs {
                     return Err(perr(
@@ -257,114 +236,119 @@ impl ModelBuilder {
                         format!("cube `{cube}` has {} columns, table has {want_inputs} inputs", cube.len()),
                     ));
                 }
-                ((*cube).to_owned(), out, ocol)
+                (*cube, out, ocol)
             }
-            _ => {
-                return Err(perr(
-                    fields[0].0,
-                    format!("bad truth-table row `{}`", line.text),
-                ))
-            }
+            _ => return Err(perr(first_col, format!("bad truth-table row `{text}`"))),
         };
         if cube.chars().any(|c| !matches!(c, '0' | '1' | '-')) {
-            return Err(perr(fields[0].0, format!("bad cube `{cube}`")));
+            return Err(perr(first_col, format!("bad cube `{cube}`")));
         }
         let out_char = match *out {
             "0" => '0',
             "1" => '1',
             other => return Err(perr(*out_col, format!("bad output value `{other}`"))),
         };
-        if let Some(&(_, _, first)) = table.rows.first() {
-            if first != out_char {
-                return Err(perr(
-                    *out_col,
-                    "truth table mixes ON-set and OFF-set rows".into(),
-                ));
-            }
+        if self.rows[table.rows.clone()].first().is_some_and(|&(_, _, phase)| phase != out_char) {
+            return Err(perr(*out_col, "truth table mixes ON-set and OFF-set rows".into()));
         }
-        table.rows.push((line.lno, cube, out_char));
+        self.rows.push((lno, cube, out_char));
+        table.rows.end = self.rows.len();
         Ok(())
     }
 
     fn build(self, lib: &Library) -> Result<Netlist, IngestError> {
-        let mut lower = Lowerer::new(Netlist::new(self.name, lib.name()), lib);
-        for pi in &self.inputs {
-            lower.add_input(pi);
+        let mut lower = Lowerer {
+            nl: Netlist::new(self.name, lib.name()),
+            lib,
+            net_ids: HashMap::new(),
+            temps: Vec::new(),
+        };
+        for &pi in &self.inputs {
+            if let Entry::Vacant(slot) = lower.net_ids.entry(pi) {
+                slot.insert(lower.nl.add_input(pi));
+            }
         }
         for table in &self.tables {
-            lower.lower_names(table)?;
+            let rows = &self.rows[table.rows.clone()];
+            lower.lower_names(table, &self.signals[table.signals.clone()], rows)?;
         }
         for latch in &self.latches {
             lower.lower_latch(latch)?;
         }
         for gate in &self.gates {
-            lower.lower_gate(gate)?;
+            lower.lower_gate(gate, &self.conns[gate.conns.clone()])?;
         }
-        let mut nl = lower.finish();
-        for (lno, col, po) in &self.outputs {
-            let id = nl
-                .nets()
-                .iter()
-                .position(|n| &n.name == po)
-                .ok_or_else(|| IngestError::Parse {
-                    line: *lno,
-                    col: *col,
-                    message: format!("output `{po}` references unknown net"),
-                })?;
-            nl.add_output(po.clone(), id as NetId);
+        for &(line, col, po) in &self.outputs {
+            let id = lower.lowest_net_named(po).ok_or_else(|| IngestError::Parse {
+                line,
+                col,
+                message: format!("output `{po}` references unknown net"),
+            })?;
+            lower.nl.add_output(po, id);
         }
-        Ok(nl)
+        Ok(lower.nl)
     }
 }
 
 /// Builds gates into a netlist with interning, double-driver guards,
 /// and fresh temp nets for lowering trees.
-struct Lowerer<'a> {
+struct Lowerer<'a, 'l> {
     nl: Netlist,
-    lib: &'a Library,
-    net_ids: HashMap<String, NetId>,
-    tmp: usize,
+    lib: &'l Library,
+    /// The model's one name table: every net the text names.
+    net_ids: HashMap<&'a str, NetId>,
+    /// Net of the lowering temp `_t{k}`, by `k`.
+    temps: Vec<NetId>,
 }
 
-impl<'a> Lowerer<'a> {
-    fn new(nl: Netlist, lib: &'a Library) -> Self {
-        Self { nl, lib, net_ids: HashMap::new(), tmp: 0 }
-    }
-
-    fn add_input(&mut self, name: &str) {
-        if !self.net_ids.contains_key(name) {
-            let id = self.nl.add_input(name.to_owned());
-            self.net_ids.insert(name.to_owned(), id);
-        }
-    }
-
-    fn intern(&mut self, name: &str) -> NetId {
-        if let Some(&id) = self.net_ids.get(name) {
-            id
-        } else {
-            let id = self.nl.add_net(name.to_owned());
-            self.net_ids.insert(name.to_owned(), id);
-            id
-        }
+impl<'a, 'l> Lowerer<'a, 'l> {
+    fn intern(&mut self, name: &'a str) -> NetId {
+        *self.net_ids.entry(name).or_insert_with(|| self.nl.add_net(name))
     }
 
     fn temp(&mut self) -> NetId {
-        let id = self.nl.add_net(format!("_t{}", self.tmp));
-        self.tmp += 1;
+        let id = self.nl.add_net(numbered("_t", self.temps.len()));
+        self.temps.push(id);
         id
     }
 
-    fn master(&self, kind: CellKind, lno: usize) -> Result<(String, CellKind), IngestError> {
-        let cell = self.lib.cell_by_kind(kind).ok_or_else(|| IngestError::Parse {
+    /// What `.outputs` binds to: the lowest-numbered net called `name`.
+    /// A lowering temp is a net like any other, so when the text also
+    /// names a net `_t{k}` either can be the lowest; temps are not in
+    /// the name table and are found by their number.
+    fn lowest_net_named(&self, name: &str) -> Option<NetId> {
+        let digits = name.strip_prefix("_t").filter(|d| *d == "0" || !d.starts_with(['0', '+']));
+        let temp = digits.and_then(|d| self.temps.get(d.parse::<usize>().ok()?));
+        temp.into_iter().chain(self.net_ids.get(name)).min().copied()
+    }
+
+    fn master(&self, kind: CellKind, lno: usize) -> Result<&'l CellType, IngestError> {
+        self.lib.cell_by_kind(kind).ok_or_else(|| IngestError::Parse {
             line: lno,
             col: 0,
             message: format!("library `{}` has no {kind} master", self.lib.name()),
-        })?;
-        Ok((cell.name.clone(), cell.kind))
+        })
     }
 
-    /// Guard [`Netlist::add_cell`]'s double-driver panic with a typed
-    /// error, then emit the cell.
+    /// [`Netlist::add_cell`] panics on a second driver; this is the
+    /// typed error every caller raises first.
+    fn undriven(&self, net: NetId, lno: usize, col: usize) -> Result<(), IngestError> {
+        let net = &self.nl.nets()[net as usize];
+        if net.driver.is_some() {
+            return Err(IngestError::Parse {
+                line: lno,
+                col,
+                message: format!("net `{}` already has a driver", net.name),
+            });
+        }
+        Ok(())
+    }
+
+    fn add_cell(&mut self, master: &CellType, inputs: Vec<NetId>, output: NetId) {
+        let inst = numbered("g", self.nl.cell_count());
+        self.nl.add_cell(inst, master.name.clone(), master.kind, inputs, output);
+    }
+
     fn emit(
         &mut self,
         kind: CellKind,
@@ -373,24 +357,14 @@ impl<'a> Lowerer<'a> {
         lno: usize,
         col: usize,
     ) -> Result<(), IngestError> {
-        if self.nl.nets()[output as usize].driver.is_some() {
-            return Err(IngestError::Parse {
-                line: lno,
-                col,
-                message: format!(
-                    "net `{}` already has a driver",
-                    self.nl.nets()[output as usize].name
-                ),
-            });
-        }
-        let (master, kind) = self.master(kind, lno)?;
-        let inst = format!("g{}", self.nl.cell_count());
-        self.nl.add_cell(inst, master, kind, inputs, output);
+        self.undriven(output, lno, col)?;
+        let master = self.master(kind, lno)?;
+        self.add_cell(master, inputs, output);
         Ok(())
     }
 
-    /// Reduce `nets` with a balanced-enough left fold of 2-input
-    /// `kind` gates, writing the final result into `target`.
+    /// Reduce `nets` with a left fold of 2-input `kind` gates, writing
+    /// the final result into `target`.
     fn reduce_into(
         &mut self,
         kind: CellKind,
@@ -400,12 +374,12 @@ impl<'a> Lowerer<'a> {
         col: usize,
     ) -> Result<(), IngestError> {
         match nets {
-            [] => unreachable!("callers handle empty reductions"),
+            [] => Err(IngestError::Parse { line: lno, col, message: "empty reduction".into() }),
             [single] => self.emit(CellKind::Buf, vec![*single], target, lno, col),
-            more => {
-                let mut acc = more[0];
-                for (i, &next) in more[1..].iter().enumerate() {
-                    let out = if i + 2 == more.len() { target } else { self.temp() };
+            [first, rest @ ..] => {
+                let mut acc = *first;
+                for (i, &next) in rest.iter().enumerate() {
+                    let out = if i + 1 == rest.len() { target } else { self.temp() };
                     self.emit(kind, vec![acc, next], out, lno, col)?;
                     acc = out;
                 }
@@ -414,41 +388,49 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_names(&mut self, table: &NamesTable) -> Result<(), IngestError> {
+    fn lower_names(
+        &mut self,
+        table: &NamesTable,
+        signals: &[&'a str],
+        rows: &[(usize, &'a str, char)],
+    ) -> Result<(), IngestError> {
         let (lno, col) = (table.lno, table.col);
-        let (in_names, out_name) = table.signals.split_at(table.signals.len() - 1);
+        let Some((out_name, in_names)) = signals.split_last() else {
+            return Ok(());
+        };
         let in_nets: Vec<NetId> = in_names.iter().map(|n| self.intern(n)).collect();
-        let target = self.intern(&out_name[0]);
-        let phase = table.rows.first().map_or('0', |&(_, _, out)| out);
+        let target = self.intern(out_name);
+        let phase = rows.first().map_or('0', |&(_, _, out)| out);
         let tie = |v: bool| if v { CellKind::Tie1 } else { CellKind::Tie0 };
         // No rows => constant 0. A row with an all-dash (or empty)
         // cube covers the whole input space => constant at the phase.
-        if table.rows.is_empty() {
+        if rows.is_empty() {
             return self.emit(tie(false), vec![], target, lno, col);
         }
-        if table.rows.iter().any(|(_, cube, _)| cube.chars().all(|c| c == '-')) {
+        if rows.iter().any(|(_, cube, _)| cube.chars().all(|c| c == '-')) {
             return self.emit(tie(phase == '1'), vec![], target, lno, col);
         }
         // Each cube ANDs its literals ('0' literals go through an INV).
-        let mut cube_nets = Vec::with_capacity(table.rows.len());
-        for (row_lno, cube, _) in &table.rows {
-            let mut lits = Vec::new();
+        let mut cube_nets = Vec::with_capacity(rows.len());
+        let mut lits = Vec::new();
+        for &(row_lno, cube, _) in rows {
+            lits.clear();
             for (pos, ch) in cube.chars().enumerate() {
                 match ch {
                     '1' => lits.push(in_nets[pos]),
                     '0' => {
                         let inv = self.temp();
-                        self.emit(CellKind::Inv, vec![in_nets[pos]], inv, *row_lno, 0)?;
+                        self.emit(CellKind::Inv, vec![in_nets[pos]], inv, row_lno, 0)?;
                         lits.push(inv);
                     }
                     _ => {}
                 }
             }
-            let cube_net = if lits.len() == 1 {
-                lits[0]
+            let cube_net = if let [single] = lits[..] {
+                single
             } else {
                 let out = self.temp();
-                self.reduce_into(CellKind::And2, &lits, out, *row_lno, 0)?;
+                self.reduce_into(CellKind::And2, &lits, out, row_lno, 0)?;
                 out
             };
             cube_nets.push(cube_net);
@@ -457,8 +439,8 @@ impl<'a> Lowerer<'a> {
         if phase == '1' {
             self.reduce_into(CellKind::Or2, &cube_nets, target, lno, col)
         } else {
-            let off = if cube_nets.len() == 1 {
-                cube_nets[0]
+            let off = if let [single] = cube_nets[..] {
+                single
             } else {
                 let out = self.temp();
                 self.reduce_into(CellKind::Or2, &cube_nets, out, lno, col)?;
@@ -468,74 +450,39 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_latch(&mut self, latch: &Latch) -> Result<(), IngestError> {
-        let d = self.intern(&latch.input);
-        let q = self.intern(&latch.output);
+    fn lower_latch(&mut self, latch: &Latch<'a>) -> Result<(), IngestError> {
+        let d = self.intern(latch.input);
+        let q = self.intern(latch.output);
         // The control net (or the implicit global `clock`) is promoted
         // to a primary input when nothing else declares or drives it.
-        let ctl_name = latch.control.as_deref().unwrap_or("clock");
-        let ck = match self.net_ids.get(ctl_name) {
-            Some(&id) => id,
-            None => {
-                let id = self.nl.add_input(ctl_name.to_owned());
-                self.net_ids.insert(ctl_name.to_owned(), id);
-                id
-            }
-        };
-        let (master, kind) = self.master(CellKind::Dff, latch.lno)?;
-        if self.nl.nets()[q as usize].driver.is_some() {
-            return Err(IngestError::Parse {
-                line: latch.lno,
-                col: latch.col,
-                message: format!("net `{}` already has a driver", latch.output),
-            });
-        }
-        let inst = format!("g{}", self.nl.cell_count());
-        self.nl.add_cell(inst, master, kind, vec![d, ck], q);
+        let ctl_name = latch.control.unwrap_or("clock");
+        let ck = *self.net_ids.entry(ctl_name).or_insert_with(|| self.nl.add_input(ctl_name));
+        let master = self.master(CellKind::Dff, latch.lno)?;
+        self.undriven(q, latch.lno, latch.col)?;
+        self.add_cell(master, vec![d, ck], q);
         Ok(())
     }
 
-    fn lower_gate(&mut self, gate: &Gate) -> Result<(), IngestError> {
-        let master = self.lib.cell(&gate.master).map_err(|e| IngestError::Parse {
-            line: gate.lno,
-            col: gate.col,
-            message: e.to_string(),
-        })?;
-        let (master_name, kind) = (master.name.clone(), master.kind);
-        let mut by_pin: HashMap<&str, &str> = HashMap::new();
-        for (pin, net) in &gate.conns {
-            by_pin.insert(pin.as_str(), net.as_str());
-        }
-        let mut input_nets = Vec::new();
+    fn lower_gate(
+        &mut self,
+        gate: &Gate<'a>,
+        conns: &[(&'a str, &'a str)],
+    ) -> Result<(), IngestError> {
+        let perr = |message: String| IngestError::Parse { line: gate.lno, col: gate.col, message };
+        let master = self.lib.cell(gate.master).map_err(|e| perr(e.to_string()))?;
+        let mut input_nets = Vec::with_capacity(master.pins.len().saturating_sub(1));
         for pin in master.input_pins() {
-            let net = *by_pin.get(pin.name.as_str()).ok_or_else(|| IngestError::Parse {
-                line: gate.lno,
-                col: gate.col,
-                message: format!("missing pin `{}` on {}", pin.name, gate.master),
-            })?;
+            let net = bound_net(conns, &pin.name)
+                .ok_or_else(|| perr(format!("missing pin `{}` on {}", pin.name, gate.master)))?;
             input_nets.push(self.intern(net));
         }
-        let out_pin = master.output_pin().name.clone();
-        let out_name = *by_pin.get(out_pin.as_str()).ok_or_else(|| IngestError::Parse {
-            line: gate.lno,
-            col: gate.col,
-            message: format!("missing output pin `{out_pin}`"),
-        })?;
+        let out_pin = &master.output_pin().name;
+        let out_name = bound_net(conns, out_pin)
+            .ok_or_else(|| perr(format!("missing output pin `{out_pin}`")))?;
         let out_net = self.intern(out_name);
-        if self.nl.nets()[out_net as usize].driver.is_some() {
-            return Err(IngestError::Parse {
-                line: gate.lno,
-                col: gate.col,
-                message: format!("net `{out_name}` already has a driver"),
-            });
-        }
-        let inst = format!("g{}", self.nl.cell_count());
-        self.nl.add_cell(inst, master_name, kind, input_nets, out_net);
+        self.undriven(out_net, gate.lno, gate.col)?;
+        self.add_cell(master, input_nets, out_net);
         Ok(())
-    }
-
-    fn finish(self) -> Netlist {
-        self.nl
     }
 }
 
@@ -546,6 +493,57 @@ mod tests {
 
     fn lib() -> Library {
         Library::synthetic_14nm()
+    }
+
+    /// `parse_blif` fed by the owned line splitter `Lines` replaced.
+    fn parse_over_owned_lines(text: &str, lib: &Library) -> Result<Vec<Netlist>, IngestError> {
+        use crate::text::tests::{fields_with_cols, logical_lines};
+        let lines = logical_lines(text, '#');
+        let mut parser = Parser { lib, models: Vec::new(), builder: None };
+        for line in &lines {
+            parser.line(line.lno, &fields_with_cols(&line.text), &line.text)?;
+        }
+        parser.finish(text)
+    }
+
+    #[test]
+    fn borrowed_and_owned_lines_parse_alike() {
+        let l = lib();
+        for text in crate::corpus::texts() {
+            let (new, old) = (parse_blif(&text, &l), parse_over_owned_lines(&text, &l));
+            assert_eq!(format!("{new:?}"), format!("{old:?}"), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn outputs_bind_to_the_lowest_net_of_their_name() {
+        // `y = !a & !b` lowers through the temps `_t0`, `_t1` (the two
+        // inverters) and `_t2` (their AND).
+        let text = ".model t\n.inputs a b\n.outputs _t1 y\n.names a b y\n00 1\n.end\n";
+        let nl = &parse_blif(text, &lib()).expect("parses")[0];
+        let (name, net) = &nl.primary_outputs()[0];
+        assert_eq!((name.as_str(), nl.nets()[*net as usize].name.as_str()), ("_t1", "_t1"));
+        assert!(matches!(nl.nets()[*net as usize].driver, Some(NetDriver::Cell(_))));
+        // A net the text names `_t0` comes first when it has the lower id ...
+        let named = ".model t\n.inputs _t0 b\n.outputs _t0 y\n.names _t0 b y\n00 1\n.end\n";
+        let nl = &parse_blif(named, &lib()).expect("parses")[0];
+        assert_eq!(nl.primary_outputs()[0].1, nl.primary_inputs()[0]);
+        // ... and only the spelling `format!` writes names a temp.
+        for ghost in ["_t01", "_t+1", "_t", "_t9"] {
+            let text = text.replace("_t1 y", &format!("{ghost} y"));
+            let e = parse_blif(&text, &lib()).unwrap_err();
+            assert!(e.to_string().contains("references unknown net"), "{ghost}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_pin_bound_twice_takes_its_last_binding() {
+        let text = ".model g\n.inputs a b\n.outputs y\n.gate AND2_X1 A=b B=b A=a Y=q Y=y\n.end\n";
+        let nl = &parse_blif(text, &lib()).expect("parses")[0];
+        let names: Vec<&str> =
+            nl.cells()[0].inputs.iter().map(|&n| nl.nets()[n as usize].name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(nl.nets()[nl.cells()[0].output as usize].name, "y");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! sibling files into this form). `@pl` is optional.
 
 use crate::error::IngestError;
-use crate::text::{fields_with_cols, logical_lines};
+use crate::text::Lines;
 use eda_cloud_netlist::{DesignGraph, NodeFeatures, FEATURE_DIM};
 use std::collections::HashMap;
 
@@ -62,65 +62,46 @@ pub struct BookshelfDesign {
 /// Returns a positioned [`IngestError`] on malformed or inconsistent
 /// input.
 pub fn parse_bookshelf(name: &str, text: &str) -> Result<BookshelfDesign, IngestError> {
-    let mut sections: Vec<(&str, usize, Vec<crate::text::LogicalLine>)> = Vec::new();
-    for line in logical_lines(text, '#') {
-        if let Some(marker) = line.text.strip_prefix('@') {
-            let marker = marker.trim();
-            if !matches!(marker, "nodes" | "nets" | "pl") {
-                return Err(IngestError::Parse {
-                    line: line.lno,
-                    col: 1,
-                    message: format!("unknown section marker `@{marker}`"),
-                });
-            }
-            sections.push((
-                match marker {
-                    "nodes" => "nodes",
-                    "nets" => "nets",
-                    _ => "pl",
-                },
-                line.lno,
-                Vec::new(),
-            ));
-        } else {
-            match sections.last_mut() {
-                Some((_, _, lines)) => lines.push(line),
-                None => {
-                    return Err(IngestError::Parse {
-                        line: line.lno,
-                        col: 1,
-                        message: "expected `@nodes` section marker before content".into(),
-                    })
-                }
-            }
+    // First pass: check the markers and note where the first section of
+    // each kind starts (nodes, nets, pl); later duplicates are not read.
+    let mut lines = Lines::new(text, '#');
+    let mut sections = [None, None, None];
+    let mut in_section = false;
+    while let Some(lno) = lines.next_line() {
+        let perr = |message: String| IngestError::Parse { line: lno, col: 1, message };
+        if let Some(marker) = lines.text().strip_prefix('@') {
+            let kind = match marker.trim() {
+                "nodes" => 0,
+                "nets" => 1,
+                "pl" => 2,
+                other => return Err(perr(format!("unknown section marker `@{other}`"))),
+            };
+            sections[kind].get_or_insert_with(|| lines.fork());
+            in_section = true;
+        } else if !in_section {
+            return Err(perr("expected `@nodes` section marker before content".into()));
         }
     }
-    let section = |want: &str| sections.iter().find(|(tag, _, _)| *tag == want);
-    let Some((_, _, node_lines)) = section("nodes") else {
-        return Err(IngestError::Parse {
-            line: text.lines().count().max(1),
-            col: 0,
-            message: "missing `@nodes` section".into(),
-        });
+    let missing = |what: &str| IngestError::Parse {
+        line: text.lines().count().max(1),
+        col: 0,
+        message: format!("missing `@{what}` section"),
     };
-    let Some((_, _, net_lines)) = section("nets") else {
-        return Err(IngestError::Parse {
-            line: text.lines().count().max(1),
-            col: 0,
-            message: "missing `@nets` section".into(),
-        });
-    };
-    let mut nodes = parse_nodes(node_lines)?;
-    let index: HashMap<String, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.clone(), i))
-        .collect();
+    let [node_lines, net_lines, pl_lines] = sections;
+    let node_lines = node_lines.ok_or_else(|| missing("nodes"))?;
+    let net_lines = net_lines.ok_or_else(|| missing("nets"))?;
+    let (mut nodes, index) = parse_nodes(node_lines)?;
     let nets = parse_nets(net_lines, &index)?;
-    if let Some((_, _, pl_lines)) = section("pl") {
+    if let Some(pl_lines) = pl_lines {
         parse_pl(pl_lines, &index, &mut nodes)?;
     }
     Ok(BookshelfDesign { name: name.to_owned(), nodes, nets })
+}
+
+/// Advance to the next line of the section `lines` is in: `None` at the
+/// next `@` marker or the end of the text.
+fn section_line(lines: &mut Lines<'_>) -> Option<usize> {
+    lines.next_line().filter(|_| !lines.text().starts_with('@'))
 }
 
 fn parse_num(field: (usize, &str), lno: usize) -> Result<f64, IngestError> {
@@ -160,29 +141,31 @@ fn header_or_decl(fields: &[(usize, &str)], lno: usize, key: &str) -> Result<Opt
     Ok(None)
 }
 
-fn parse_nodes(lines: &[crate::text::LogicalLine]) -> Result<Vec<BookshelfNode>, IngestError> {
+/// The nodes in file order, and the index of each by name (slices of
+/// the upload; a repeated name resolves to its last node).
+fn parse_nodes(
+    mut lines: Lines<'_>,
+) -> Result<(Vec<BookshelfNode>, HashMap<&str, usize>), IngestError> {
     let mut nodes = Vec::new();
+    let mut index = HashMap::new();
     let mut declared: Option<u64> = None;
-    for line in lines {
-        let fields = fields_with_cols(&line.text);
-        if fields.is_empty() {
-            continue;
-        }
-        if let Some(n) = header_or_decl(&fields, line.lno, "NumNodes")? {
+    while let Some(lno) = section_line(&mut lines) {
+        let fields = lines.fields();
+        if let Some(n) = header_or_decl(fields, lno, "NumNodes")? {
             if n != u64::MAX {
                 declared = Some(n);
             }
             continue;
         }
-        if header_or_decl(&fields, line.lno, "NumTerminals")?.is_some() {
+        if header_or_decl(fields, lno, "NumTerminals")?.is_some() {
             continue;
         }
         // `name width height [terminal]`
-        let [name, width, height, rest @ ..] = fields.as_slice() else {
+        let [name, width, height, rest @ ..] = fields else {
             return Err(IngestError::Parse {
-                line: line.lno,
-                col: fields[0].0,
-                message: format!("bad node line `{}`", line.text),
+                line: lno,
+                col: fields.first().map_or(0, |f| f.0),
+                message: format!("bad node line `{}`", lines.text()),
             });
         };
         let terminal = match rest {
@@ -190,23 +173,24 @@ fn parse_nodes(lines: &[crate::text::LogicalLine]) -> Result<Vec<BookshelfNode>,
             [(_, t)] if t.eq_ignore_ascii_case("terminal") => true,
             [(col, t)] => {
                 return Err(IngestError::Parse {
-                    line: line.lno,
+                    line: lno,
                     col: *col,
                     message: format!("expected `terminal`, found `{t}`"),
                 })
             }
-            _ => {
+            [_, (col, _), ..] => {
                 return Err(IngestError::Parse {
-                    line: line.lno,
-                    col: rest[1].0,
+                    line: lno,
+                    col: *col,
                     message: "too many fields on node line".into(),
                 })
             }
         };
+        index.insert(name.1, nodes.len());
         nodes.push(BookshelfNode {
             name: name.1.to_owned(),
-            width: parse_num(*width, line.lno)?,
-            height: parse_num(*height, line.lno)?,
+            width: parse_num(*width, lno)?,
+            height: parse_num(*height, lno)?,
             terminal,
             position: None,
         });
@@ -221,86 +205,69 @@ fn parse_nodes(lines: &[crate::text::LogicalLine]) -> Result<Vec<BookshelfNode>,
             });
         }
     }
-    Ok(nodes)
+    Ok((nodes, index))
 }
 
 fn parse_nets(
-    lines: &[crate::text::LogicalLine],
-    index: &HashMap<String, usize>,
+    mut lines: Lines<'_>,
+    index: &HashMap<&str, usize>,
 ) -> Result<Vec<BookshelfNet>, IngestError> {
     let mut nets: Vec<BookshelfNet> = Vec::new();
     let mut declared: Option<u64> = None;
     let mut expecting_pins = 0usize;
-    for line in lines {
-        let fields = fields_with_cols(&line.text);
-        if fields.is_empty() {
+    while let Some(lno) = section_line(&mut lines) {
+        let perr = |col: usize, message: String| IngestError::Parse { line: lno, col, message };
+        let fields = lines.fields();
+        let Some(&(first_col, first)) = fields.first() else {
             continue;
-        }
-        if expecting_pins > 0 {
+        };
+        if let (true, Some(net)) = (expecting_pins > 0, nets.last_mut()) {
             // `nodename [I|O|B] [: x y]`
-            let (node_col, node_name) = fields[0];
-            let &node = index.get(node_name).ok_or_else(|| IngestError::Parse {
-                line: line.lno,
-                col: node_col,
-                message: format!("pin references unknown node `{node_name}`"),
+            let &node = index.get(first).ok_or_else(|| {
+                perr(first_col, format!("pin references unknown node `{first}`"))
             })?;
             let dir = match fields.get(1) {
-                Some(&(_, d)) if matches!(d, "I" | "O" | "B") => d.chars().next().unwrap(),
-                Some(&(_, ":")) | None => 'B',
+                Some(&(_, "I")) => 'I',
+                Some(&(_, "O")) => 'O',
+                Some(&(_, "B" | ":")) | None => 'B',
                 Some(&(col, other)) => {
-                    return Err(IngestError::Parse {
-                        line: line.lno,
-                        col,
-                        message: format!("bad pin direction `{other}`"),
-                    })
+                    return Err(perr(col, format!("bad pin direction `{other}`")))
                 }
             };
-            nets.last_mut().expect("expecting_pins implies a net").pins.push((node, dir));
+            net.pins.push((node, dir));
             expecting_pins -= 1;
             continue;
         }
-        if let Some(n) = header_or_decl(&fields, line.lno, "NumNets")? {
+        if let Some(n) = header_or_decl(fields, lno, "NumNets")? {
             if n != u64::MAX {
                 declared = Some(n);
             }
             continue;
         }
-        if header_or_decl(&fields, line.lno, "NumPins")?.is_some() {
+        if header_or_decl(fields, lno, "NumPins")?.is_some() {
             continue;
         }
-        if fields[0].1.eq_ignore_ascii_case("NetDegree") {
+        if first.eq_ignore_ascii_case("NetDegree") {
             // `NetDegree : k [name]`
-            let (degree, name) = match fields.as_slice() {
+            let (degree, name) = match fields {
                 [_, (_, ":"), k, rest @ ..] => (*k, rest.first()),
                 [_, k, rest @ ..] if k.1.starts_with(':') => ((k.0, &k.1[1..]), rest.first()),
-                _ => {
-                    return Err(IngestError::Parse {
-                        line: line.lno,
-                        col: fields[0].0,
-                        message: "malformed `NetDegree` line".into(),
-                    })
-                }
+                _ => return Err(perr(first_col, "malformed `NetDegree` line".into())),
             };
-            let k = degree.1.parse::<usize>().map_err(|_| IngestError::Parse {
-                line: line.lno,
-                col: degree.0,
-                message: format!("bad net degree `{}`", degree.1),
+            let k = degree.1.parse::<usize>().map_err(|_| {
+                perr(degree.0, format!("bad net degree `{}`", degree.1))
             })?;
             let name = name
                 .map(|&(_, n)| n.to_owned())
                 .unwrap_or_else(|| format!("net{}", nets.len()));
-            nets.push(BookshelfNet { name, pins: Vec::with_capacity(k) });
+            // No capacity from `k`: the file, not its header, sizes the list.
+            nets.push(BookshelfNet { name, pins: Vec::new() });
             expecting_pins = k;
             continue;
         }
-        return Err(IngestError::Parse {
-            line: line.lno,
-            col: fields[0].0,
-            message: format!("bad nets line `{}`", line.text),
-        });
+        return Err(perr(first_col, format!("bad nets line `{}`", lines.text())));
     }
-    if expecting_pins > 0 {
-        let net = nets.last().expect("pins pending implies a net");
+    if let (true, Some(net)) = (expecting_pins > 0, nets.last()) {
         return Err(IngestError::Validation {
             message: format!(
                 "net `{}` declares {} more pin(s) than the file provides",
@@ -320,29 +287,29 @@ fn parse_nets(
 }
 
 fn parse_pl(
-    lines: &[crate::text::LogicalLine],
-    index: &HashMap<String, usize>,
+    mut lines: Lines<'_>,
+    index: &HashMap<&str, usize>,
     nodes: &mut [BookshelfNode],
 ) -> Result<(), IngestError> {
-    for line in lines {
-        let fields = fields_with_cols(&line.text);
-        if fields.is_empty() || fields[0].1 == "UCLA" {
+    while let Some(lno) = section_line(&mut lines) {
+        let fields = lines.fields();
+        if fields.first().is_some_and(|f| f.1 == "UCLA") {
             continue;
         }
         // `name x y [: orientation [/FIXED]]`
-        let [name, x, y, ..] = fields.as_slice() else {
+        let [name, x, y, ..] = fields else {
             return Err(IngestError::Parse {
-                line: line.lno,
-                col: fields[0].0,
-                message: format!("bad placement line `{}`", line.text),
+                line: lno,
+                col: fields.first().map_or(0, |f| f.0),
+                message: format!("bad placement line `{}`", lines.text()),
             });
         };
         let &node = index.get(name.1).ok_or_else(|| IngestError::Parse {
-            line: line.lno,
+            line: lno,
             col: name.0,
             message: format!("placement references unknown node `{}`", name.1),
         })?;
-        nodes[node].position = Some((parse_num(*x, line.lno)?, parse_num(*y, line.lno)?));
+        nodes[node].position = Some((parse_num(*x, lno)?, parse_num(*y, lno)?));
     }
     Ok(())
 }
@@ -493,5 +460,25 @@ a0 4 2 : N
         // Missing sections.
         assert!(parse_bookshelf("x", "@nodes\na 1 1\n").is_err());
         assert!(parse_bookshelf("x", "").is_err());
+    }
+
+    #[test]
+    fn sections_are_found_wherever_they_sit() {
+        // `@nets` ahead of `@nodes`, and a second `@nodes` nobody reads.
+        let (nodes, rest) = TINY.split_once("@nets").expect("two sections");
+        let shuffled = format!("@nets{rest}{nodes}@nodes\nghost 1 1\n");
+        assert_eq!(parse_bookshelf("tiny", &shuffled), parse_bookshelf("tiny", TINY));
+        // Markers and missing sections are reported before any line is read.
+        let e = parse_bookshelf("x", &format!("{TINY}@scl\n")).unwrap_err();
+        assert!(e.to_string().contains("@scl"), "{e}");
+        let e = parse_bookshelf("x", "@nodes\nnot a node line\n").unwrap_err();
+        assert!(e.to_string().contains("missing `@nets`"), "{e}");
+    }
+
+    #[test]
+    fn a_declared_degree_allocates_nothing() {
+        let bad = TINY.replace("NetDegree : 2 n1", "NetDegree : 18446744073709551615 n1");
+        let e = parse_bookshelf("tiny", &bad).unwrap_err();
+        assert!(e.to_string().contains("more pin(s) than the file provides"), "{e}");
     }
 }

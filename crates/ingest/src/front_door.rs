@@ -13,7 +13,7 @@ use crate::blif::parse_blif;
 use crate::bookshelf::parse_bookshelf;
 use crate::error::IngestError;
 use crate::ood::OodGate;
-use crate::pipeline::{canonicalize, validate, IngestQuotas, IngestReport};
+use crate::pipeline::{canonicalize_with_depth, validate, IngestQuotas, IngestReport};
 use crate::verilog::parse_verilog;
 use eda_cloud_gcn::{FeatureProfile, GraphSample};
 use eda_cloud_netlist::DesignGraph;
@@ -109,11 +109,11 @@ impl FrontDoor {
             other => return Err(IngestError::UnknownFormat { format: other.to_owned() }),
         };
         let view = GraphSample::new(&shape.graph, [1.0; 4]);
+        let (ood_distance_micros, ood) = self.gate.score(&view);
         // Constant internal name: the fingerprint sees only canonical
         // structure, never the client-supplied name.
-        let mut design = ServeDesign::new("ingest", view.clone(), view.clone());
+        let mut design = ServeDesign::new("ingest", view.clone(), view);
         design.name.clone_from(&doc.name);
-        let (ood_distance_micros, ood) = self.gate.score(&view);
         let report = IngestReport {
             name: doc.name.clone(),
             format: doc.format.clone(),
@@ -140,7 +140,7 @@ impl FrontDoor {
             (nl.cell_count() + nl.primary_inputs().len() + nl.primary_outputs().len()) as u64;
         let degree = nl.nets().iter().map(|n| n.sinks.len()).max().unwrap_or(0) as u64;
         self.config.quotas.check_graph(nodes, degree)?;
-        let canon = canonicalize(&nl, &self.lib)?;
+        let (canon, depth) = canonicalize_with_depth(&nl, &self.lib)?;
         let registers =
             canon.cells().iter().filter(|c| c.kind.is_sequential()).count() as u64;
         Ok(Shape {
@@ -149,7 +149,7 @@ impl FrontDoor {
             pos: canon.primary_outputs().len() as u64,
             cells: canon.cell_count() as u64,
             registers,
-            depth: canon.depth() as u64,
+            depth: depth as u64,
         })
     }
 }

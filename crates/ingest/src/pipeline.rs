@@ -17,8 +17,11 @@
 //! panics on user input.
 
 use crate::error::IngestError;
+use crate::text::numbered;
 use eda_cloud_netlist::{NetDriver, NetId, Netlist};
 use eda_cloud_tech::{CellKind, Library};
+use eda_cloud_trace::json::escape;
+use std::collections::HashMap;
 
 /// Admission ceilings enforced on every upload. Byte quota applies to
 /// the raw text before parsing; node/degree quotas apply to the parsed
@@ -102,14 +105,11 @@ pub fn validate(nl: &Netlist) -> Result<(), IngestError> {
             });
         }
     }
-    let po_nets: std::collections::HashSet<NetId> =
-        nl.primary_outputs().iter().map(|&(_, n)| n).collect();
-    for (ni, net) in nl.nets().iter().enumerate() {
-        if net.sinks.is_empty() && !po_nets.contains(&(ni as NetId)) {
-            return Err(IngestError::Validation {
-                message: format!("net `{}` floats: no sinks and not a primary output", net.name),
-            });
-        }
+    // A primary output is itself a sink, so a net without sinks is not one.
+    if let Some(net) = nl.nets().iter().find(|net| net.sinks.is_empty()) {
+        return Err(IngestError::Validation {
+            message: format!("net `{}` floats: no sinks and not a primary output", net.name),
+        });
     }
     Ok(())
 }
@@ -128,10 +128,47 @@ pub fn validate(nl: &Netlist) -> Result<(), IngestError> {
 /// combinational cycle (callers running [`validate`] first never see
 /// this).
 pub fn canonicalize(nl: &Netlist, lib: &Library) -> Result<Netlist, IngestError> {
-    let order = nl.topological_cells()?;
-    // Combinational logic level, as in `Netlist::depth`.
-    let mut level = vec![0usize; nl.cell_count()];
-    for &cid in &order {
+    canonicalize_with_depth(nl, lib).map(|(canon, _)| canon)
+}
+
+/// [`canonicalize`], plus the combinational depth it computes on the
+/// way — the [`Netlist::depth`] of both `nl` and the result.
+pub(crate) fn canonicalize_with_depth(
+    nl: &Netlist,
+    lib: &Library,
+) -> Result<(Netlist, usize), IngestError> {
+    let level = levels(nl)?;
+    let order = structural_order(nl, &level);
+    let mut out = Netlist::new(nl.name(), lib.name());
+    let mut net_map: Vec<NetId> = vec![NetId::MAX; nl.nets().len()];
+    for (i, &pi) in nl.primary_inputs().iter().enumerate() {
+        net_map[pi as usize] = out.add_input(numbered("p", i));
+    }
+    for (i, &ci) in order.iter().enumerate() {
+        let onet = nl.cells()[ci as usize].output as usize;
+        net_map[onet] = out.add_net(numbered("n", i));
+    }
+    for (i, &ci) in order.iter().enumerate() {
+        let cell = &nl.cells()[ci as usize];
+        let inputs: Vec<NetId> = cell.inputs.iter().map(|&n| net_map[n as usize]).collect();
+        out.add_cell(
+            numbered("g", i),
+            cell.cell_name.clone(),
+            cell.kind,
+            inputs,
+            net_map[cell.output as usize],
+        );
+    }
+    for (i, (_, net)) in nl.primary_outputs().iter().enumerate() {
+        out.add_output(numbered("o", i), net_map[*net as usize]);
+    }
+    Ok((out, level.iter().copied().max().unwrap_or(0) as usize))
+}
+
+/// Combinational logic level of every cell, as in [`Netlist::depth`].
+fn levels(nl: &Netlist) -> Result<Vec<u32>, IngestError> {
+    let mut level = vec![0u32; nl.cell_count()];
+    for cid in nl.topological_cells()? {
         let cell = &nl.cells()[cid as usize];
         if cell.kind.is_sequential() {
             continue;
@@ -146,44 +183,39 @@ pub fn canonicalize(nl: &Netlist, lib: &Library) -> Result<Netlist, IngestError>
         }
         level[cid as usize] = l.max(1);
     }
-    let mut canon: Vec<usize> = (0..nl.cell_count()).collect();
-    canon.sort_by(|&a, &b| {
-        let cell = |i: usize| &nl.cells()[i];
-        let key = |i: usize| {
-            (
-                level[i],
-                &cell(i).cell_name,
-                cell(i).inputs.len(),
-                nl.nets()[cell(i).output as usize].sinks.len(),
-                i,
-            )
-        };
-        key(a).cmp(&key(b))
-    });
-    let mut out = Netlist::new(nl.name(), lib.name());
-    let mut net_map: Vec<NetId> = vec![NetId::MAX; nl.nets().len()];
-    for (i, &pi) in nl.primary_inputs().iter().enumerate() {
-        net_map[pi as usize] = out.add_input(format!("p{i}"));
+    Ok(level)
+}
+
+/// Cell indices sorted by `(level, master name, fan-in, fan-out, index)`.
+/// The sort compares one integer per cell: a master's rank among the
+/// distinct master names orders exactly as the names themselves do, so
+/// it stands in for the string, and the index makes every key distinct.
+fn structural_order(nl: &Netlist, level: &[u32]) -> Vec<u32> {
+    let mut first_seen: HashMap<&str, u32> = HashMap::new();
+    let master_of: Vec<u32> = (nl.cells().iter())
+        .map(|cell| {
+            let next = first_seen.len() as u32;
+            *first_seen.entry(&cell.cell_name).or_insert(next)
+        })
+        .collect();
+    let mut by_name: Vec<(&str, u32)> = first_seen.into_iter().collect();
+    by_name.sort_unstable();
+    let mut rank = vec![0u128; by_name.len()];
+    for (r, &(_, seen)) in by_name.iter().enumerate() {
+        rank[seen as usize] = r as u128;
     }
-    for (i, &ci) in canon.iter().enumerate() {
-        let onet = nl.cells()[ci].output as usize;
-        net_map[onet] = out.add_net(format!("n{i}"));
-    }
-    for (i, &ci) in canon.iter().enumerate() {
-        let cell = &nl.cells()[ci];
-        let inputs: Vec<NetId> = cell.inputs.iter().map(|&n| net_map[n as usize]).collect();
-        out.add_cell(
-            format!("g{i}"),
-            cell.cell_name.clone(),
-            cell.kind,
-            inputs,
-            net_map[cell.output as usize],
-        );
-    }
-    for (i, (_, net)) in nl.primary_outputs().iter().enumerate() {
-        out.add_output(format!("o{i}"), net_map[*net as usize]);
-    }
-    Ok(out)
+    let mut keys: Vec<(u128, u32)> = (nl.cells().iter().zip(level).zip(&master_of).enumerate())
+        .map(|(i, ((cell, &level), &master))| {
+            let fanout = nl.nets()[cell.output as usize].sinks.len();
+            let key = u128::from(level) << 96
+                | rank[master as usize] << 64
+                | (cell.inputs.len() as u128 & 0xFFFF_FFFF) << 32
+                | (fanout as u128 & 0xFFFF_FFFF);
+            (key, i as u32)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, i)| i).collect()
 }
 
 /// The byte-stable per-design record the front door emits: identity,
@@ -228,8 +260,8 @@ impl IngestReport {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"name\":\"{}\",\"format\":\"{}\",\"upload_bytes\":{},\"fingerprint\":\"{:016x}\",\"nodes\":{},\"edges\":{},\"pis\":{},\"pos\":{},\"cells\":{},\"registers\":{},\"depth\":{},\"ood_distance_micros\":{},\"ood\":{}}}",
-            self.name,
-            self.format,
+            escape(&self.name),
+            escape(&self.format),
             self.upload_bytes,
             self.fingerprint,
             self.nodes,
@@ -358,6 +390,71 @@ mod tests {
             let vc = a.simulate(&[x, y]).expect("canon");
             assert_eq!(vo, vc, "PO values under x={x} y={y}");
         }
+    }
+
+    #[test]
+    fn integer_keys_sort_as_the_master_names_do() {
+        use crate::upload_gen::gate_soup;
+        use eda_cloud_tech::CellKind;
+        // The comparator the integer keys replaced: a tuple rebuilt, and
+        // two master names compared, per comparison.
+        let by_names = |nl: &Netlist, level: &[u32]| {
+            let mut order: Vec<u32> = (0..nl.cell_count() as u32).collect();
+            order.sort_by(|&a, &b| {
+                let key = |i: u32| {
+                    let cell = &nl.cells()[i as usize];
+                    let fanout = nl.nets()[cell.output as usize].sinks.len();
+                    (level[i as usize], &cell.cell_name, cell.inputs.len(), fanout, i)
+                };
+                key(a).cmp(&key(b))
+            });
+            order
+        };
+        // One level, one fan-in, one fan-out: masters alone decide, and
+        // they first appear in neither name order nor its reverse.
+        let mut flat = Netlist::new("flat", "synth14");
+        let a = flat.add_input("a");
+        for (i, master) in ["NOR2_X1", "AND2_X2", "XOR2_X1", "AND2_X1", "NOR2_X1", "AND2_X2"]
+            .into_iter()
+            .enumerate()
+        {
+            let y = flat.add_net(format!("y{i}"));
+            flat.add_cell(format!("u{i}"), master, CellKind::And2, vec![a, a], y);
+            flat.add_output(format!("y{i}"), y);
+        }
+        let level = levels(&flat).expect("acyclic");
+        assert_eq!(structural_order(&flat, &level), [3, 1, 5, 0, 4, 2]);
+        assert_eq!(structural_order(&flat, &level), by_names(&flat, &level));
+        for seed in 0..500 {
+            let nl = gate_soup(seed);
+            let level = levels(&nl).expect("soup is acyclic");
+            assert_eq!(structural_order(&nl, &level), by_names(&nl, &level), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn reports_escape_what_the_client_named() {
+        let mut r = IngestReport {
+            name: "a\"b\\c\nd".into(),
+            format: "bl\"if".into(),
+            upload_bytes: 1,
+            fingerprint: 2,
+            nodes: 3,
+            edges: 4,
+            pis: 5,
+            pos: 6,
+            cells: 7,
+            registers: 8,
+            depth: 9,
+            ood_distance_micros: 10,
+            ood: true,
+        };
+        let json = r.to_json();
+        assert!(json.starts_with(r#"{"name":"a\"b\\c\nd","format":"bl\"if","upload_bytes":1,"#), "{json}");
+        assert!(!json.contains('\n'));
+        // Names without specials are written as before.
+        r.name = "c17".into();
+        assert!(r.to_json().starts_with("{\"name\":\"c17\","));
     }
 
     #[test]

@@ -32,18 +32,48 @@ impl ServeDesign {
     }
 }
 
-/// One step of the fingerprint hash: `bytes` folded into `hash`, which
-/// starts at [`FINGERPRINT_SEED`]. It is FNV-1a's offset basis and byte
-/// step `h' = (h ^ b) * p`, but with `p = 0x1000_0000_01b3` — one zero
-/// more than the FNV prime `trace::fnv1a64` multiplies by. Still odd,
-/// so each step is still a bijection on `u64`; every cache key and
-/// `ingest_report.json` carry its values, so it is kept as it is
-/// rather than folded into `fnv1a64`.
+/// The fingerprint hash: `bytes` folded into `hash`, which starts at
+/// [`FINGERPRINT_SEED`]. It is FNV-1a's offset basis and byte step
+/// `h' = (h ^ b) * p`, but with `p = 0x1000_0000_01b3` — one zero more
+/// than the FNV prime `trace::fnv1a64` multiplies by. Still odd, so each
+/// step is still a bijection on `u64`; every cache key and
+/// `ingest_report.json` carry its values, so it is kept as it is rather
+/// than folded into `fnv1a64`.
+///
+/// A zero byte's step is `(h ^ 0) * p = h * p`, so a run of `k` zero
+/// bytes is one multiply by `p^k` from [`PRIME_POWERS`] instead of `k`
+/// dependent ones — the same value bit for bit. Feature matrices are
+/// mostly zero bytes (`0.0`, and the low six of `1.0`, `0.5`, `0.25`).
 fn mix(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+    let (mut h, mut i) = (hash, 0);
+    while let Some(&b) = bytes.get(i) {
+        if b != 0 {
+            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            i += 1;
+            continue;
+        }
+        // A run longer than the table takes another turn of the loop.
+        let run = bytes[i..].iter().take(PRIME_POWERS.len() - 1).take_while(|&&b| b == 0).count();
+        h = h.wrapping_mul(PRIME_POWERS[run]);
+        i += run;
+    }
+    h
 }
 
+const PRIME: u64 = 0x1000_0000_01b3;
 const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// `PRIME_POWERS[k] = PRIME^k` (wrapping), for zero runs up to 255 bytes
+/// in one step.
+const PRIME_POWERS: [u64; 256] = {
+    let mut powers = [1u64; 256];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(PRIME);
+        k += 1;
+    }
+    powers
+};
 
 /// The design name and the raw feature bytes of both graph views — two
 /// designs collide only if they are structurally identical under the
@@ -51,11 +81,18 @@ const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// exactly right.
 fn fingerprint_views(name: &str, aig: &GraphSample, netlist: &GraphSample) -> u64 {
     let mut hash = mix(FINGERPRINT_SEED, name.as_bytes());
+    // Features go through `mix` a block at a time so that zero runs
+    // span values, not just the eight bytes of one.
+    let mut block = [0u8; 512];
     for view in [aig, netlist] {
         hash = mix(hash, &[0xFF]); // view separator
         hash = mix(hash, &(view.node_count() as u64).to_le_bytes());
-        for v in view.features.data() {
-            hash = mix(hash, &v.to_bits().to_le_bytes());
+        for values in view.features.data().chunks(block.len() / 8) {
+            let bytes = &mut block[..values.len() * 8];
+            for (slot, v) in bytes.chunks_exact_mut(8).zip(values) {
+                slot.copy_from_slice(&v.to_bits().to_le_bytes());
+            }
+            hash = mix(hash, bytes);
         }
     }
     hash
@@ -295,6 +332,50 @@ pub fn synthetic_requests_with_uploads(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-serial fold `mix` replaced, kept as its oracle.
+    fn mix_serial(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3))
+    }
+
+    #[test]
+    fn zero_runs_fold_to_the_byte_serial_hash() {
+        // Every run length around the table's end, alone and between bytes.
+        for run in (0..=20).chain(250..=260).chain([509, 510, 511, 512, 513, 1025]) {
+            let zeros = vec![0u8; run];
+            let framed = [&[7u8][..], &zeros, &[9u8]].concat();
+            for bytes in [&zeros, &framed] {
+                assert_eq!(mix(FINGERPRINT_SEED, bytes), mix_serial(FINGERPRINT_SEED, bytes), "run {run}");
+            }
+        }
+        // Feature matrices with planted zeros of both signs, ones,
+        // subnormals and seeded random bit patterns, through the real
+        // fingerprint and through the oracle over the same byte image.
+        let graph = DesignGraph::from_aig(&generators::build_family("adder", 4).expect("family"));
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        for case in 0..64 {
+            let mut view = GraphSample::new(&graph, [1.0; 4]);
+            for v in view.features.data_mut() {
+                *v = match rng.gen_range(0..8u32) {
+                    0..=2 => 0.0,
+                    3 => -0.0,
+                    4 => 1.0,
+                    5 => f64::from_bits(rng.gen_range(1..4096u64)),
+                    6 => f64::from_bits(rng.gen_range(0..u64::MAX)),
+                    _ => *v,
+                };
+            }
+            let mut want = mix_serial(FINGERPRINT_SEED, b"probe");
+            for _ in 0..2 {
+                want = mix_serial(want, &[0xFF]);
+                want = mix_serial(want, &(view.node_count() as u64).to_le_bytes());
+                for v in view.features.data() {
+                    want = mix_serial(want, &v.to_bits().to_le_bytes());
+                }
+            }
+            assert_eq!(fingerprint_views("probe", &view, &view), want, "case {case}");
+        }
+    }
 
     #[test]
     fn workload_is_deterministic_and_ordered() {
