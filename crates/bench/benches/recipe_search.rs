@@ -1,9 +1,9 @@
-//! Criterion bench for the deterministic MCTS recipe search: the same
-//! seeded search over one design's pass sequences with the evaluation
-//! batch chewed through by 1, 2, or 4 workers. Outcomes are
-//! byte-identical at every width; only wall clock moves.
+//! Criterion bench for the deterministic MCTS recipe search: one
+//! seeded 24-iteration search over one design's pass sequences. A
+//! developer bench with no baseline — the gated number will be the
+//! `recipe_search` e2e workload (ROADMAP item 1c).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use eda_cloud_netlist::generators;
 use eda_cloud_recipe::{RecipeSearch, SearchConfig};
 use std::hint::black_box;
@@ -12,21 +12,14 @@ fn bench_search(c: &mut Criterion) {
     let aig = generators::build_family("comparator", 6).expect("known family");
     let mut group = c.benchmark_group("recipe_search");
     group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        let search = RecipeSearch::new(SearchConfig {
-            iters: 24,
-            seed: 7,
-            workers,
-            ..SearchConfig::default()
-        });
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |bench, _| {
-                bench.iter(|| black_box(search.run("comparator_6", &aig).expect("searches")));
-            },
-        );
-    }
+    let search = RecipeSearch::new(SearchConfig {
+        iters: 24,
+        seed: 7,
+        ..SearchConfig::default()
+    });
+    group.bench_function("iters_24", |bench| {
+        bench.iter(|| black_box(search.run("comparator_6", &aig).expect("searches")));
+    });
     group.finish();
 }
 

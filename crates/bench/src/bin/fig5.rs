@@ -34,7 +34,7 @@ fn main() {
     } else {
         DatasetConfig::paper_scaled()
     }
-    .with_workers(args.workers());
+    .with_workers(args.workers(0));
     args.reject_unknown();
     println!(
         "Figure 5 — runtime prediction errors ({} netlists, {} runtime labels)",

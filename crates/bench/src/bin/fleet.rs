@@ -29,7 +29,7 @@ fn main() {
     let mut scenario = FleetScenario::new(args.numeric("jobs", 50), args.numeric("seed", 7));
     scenario.rate_per_hour = args.numeric("rate", 60.0);
     scenario.deadline_slack = args.numeric("slack", 1.6);
-    scenario.workers = args.workers();
+    scenario.workers = args.workers(0);
     if args.flag("spot") {
         scenario.spot = Some(SpotPolicy::typical());
     }

@@ -17,7 +17,8 @@
 //! (`*.nodes`/`*.nets`/`*.pl`, grouped by file stem) in the directory
 //! is ingested instead. The run is deterministic: the same
 //! `--requests/--seed/--rate/--every` and upload set produce a
-//! byte-identical `--json` line at any `--workers` count.
+//! byte-identical `--json` line at any `--workers` count (a bare run
+//! uses one worker, the faster configuration here).
 
 use eda_cloud_bench::{Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
@@ -85,7 +86,7 @@ fn main() {
     let mut scenario = IngestScenario::new(args.numeric("requests", 64), args.numeric("seed", 7));
     scenario.rate_per_sec = args.numeric("rate", 200.0);
     scenario.ingest_every = args.numeric("every", 3);
-    scenario.workers = args.workers();
+    scenario.workers = args.workers(1);
     let uploads = args
         .value("dir")
         .map_or_else(fixtures::uploads, |d| load_dir(Path::new(d)));

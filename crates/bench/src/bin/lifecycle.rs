@@ -31,7 +31,7 @@ fn main() {
     scenario.drift_at = args.numeric("drift", scenario.drift_at);
     scenario.drift_factor = args.numeric("drift-factor", scenario.drift_factor);
     scenario.canary_every = args.numeric("canary", scenario.canary_every);
-    scenario.workers = args.workers();
+    scenario.workers = args.workers(0);
 
     let obs = Observability::from_args(&args);
     let json = args.flag("json");

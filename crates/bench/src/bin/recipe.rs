@@ -6,13 +6,12 @@
 //! cargo run -p eda-cloud-bench --bin recipe --release -- --seed 7
 //! cargo run -p eda-cloud-bench --bin recipe --release -- --seed 7 --json
 //! cargo run -p eda-cloud-bench --bin recipe --release -- --designs adder,parity --iters 16
-//! cargo run -p eda-cloud-bench --bin recipe --release -- --seed 7 --workers 4 --json
 //! ```
 //!
 //! The run is deterministic: the same `--designs/--size/--seed/--iters/
-//! --deadline` produce a byte-identical `--json` line at any
-//! `--workers` count — workers only parallelize the pure synthesis
-//! evaluations inside each search batch, joined by index.
+//! --deadline` produce a byte-identical `--json` line. There is no
+//! worker-count flag: a search evaluates its batches in order (the
+//! fan-out measured slower at every count above one).
 
 use eda_cloud_bench::{Args, Observability};
 use eda_cloud_core::report::render_table;
@@ -29,7 +28,6 @@ fn main() {
     scenario.seed = args.numeric("seed", scenario.seed);
     scenario.iters = args.numeric("iters", scenario.iters);
     scenario.deadline_secs = args.numeric("deadline", scenario.deadline_secs);
-    scenario.workers = args.workers();
 
     let obs = Observability::from_args(&args);
     let json = args.flag("json");

@@ -28,7 +28,7 @@ fn main() {
         jobs: args.numeric("jobs", 200),
         ..RegionSimConfig::default()
     };
-    let workers = args.workers().max(1);
+    let workers = args.workers(0).max(1);
     let shards = args.numeric("shards", config.regions as usize);
     let json = args.flag("json");
     args.reject_unknown();

@@ -16,7 +16,8 @@
 //! --batch/--queue/--cache` produce a byte-identical report (and
 //! `--json` line, and `--trace` file) at any `--workers` count — the
 //! only parallelism is the per-stage fan-out of the batched forward,
-//! joined by stage index.
+//! joined by stage index. A bare run uses one worker: the fan-out is
+//! measured slower than serial on this workload.
 
 use eda_cloud_bench::{Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
@@ -34,7 +35,7 @@ fn main() {
         max_batch,
         queue_capacity,
         cache_capacity: args.numeric("cache", 32),
-        workers: args.workers(),
+        workers: args.workers(1),
         ..ServeConfig::default()
     };
 

@@ -28,7 +28,7 @@ fn main() -> ExitCode {
     let runs: u64 = args.numeric("runs", 1);
     let faults: usize = args.numeric("faults", 6);
     let mut scenario = SimtestScenario::new(seed, faults);
-    scenario.workers = args.workers();
+    scenario.workers = args.workers(0);
 
     // --plan FILE replays a checked-in reproducer instead of a
     // seed-generated plan; --runs is ignored in that mode.

@@ -101,15 +101,19 @@ impl Args {
         })
     }
 
-    /// Sweep worker count from `--workers N`; `0` (the default) lets
-    /// the sweep engine pick one worker per available core.
+    /// Worker count from `--workers N`; a bare run gets `default`. `0`
+    /// lets the engine pick one worker per available core — for the
+    /// bins whose sweep or training pool scales with it. `1` is for the
+    /// bins whose only fan-out is serve's per-stage forward, which is
+    /// measured slower than serial (EXPERIMENTS.md § Second users that
+    /// never arrived).
     ///
     /// # Panics
     ///
     /// Panics with a clear message when the value is not a number.
     #[must_use]
-    pub fn workers(&self) -> usize {
-        self.numeric("workers", 0)
+    pub fn workers(&self, default: usize) -> usize {
+        self.numeric("workers", default)
     }
 }
 
@@ -237,7 +241,7 @@ pub fn experiment_runtimes(
     let report = workflow
         .characterize_design(
             &design,
-            &CharacterizationConfig::paper().with_workers(args.workers()),
+            &CharacterizationConfig::paper().with_workers(args.workers(0)),
         )
         .expect("characterization");
     let runtimes = report
@@ -278,7 +282,7 @@ mod tests {
         let parse = |tokens: &[&str]| Args::parse(tokens.iter().map(|s| (*s).to_owned()));
         // The misspelling CI would otherwise diff against itself.
         let a = parse(&["--seed", "7", "--worker", "4", "--json"]);
-        let _ = (a.numeric("seed", 0u64), a.workers(), a.flag("json"));
+        let _ = (a.numeric("seed", 0u64), a.workers(0), a.flag("json"));
         assert_eq!(a.unqueried(), ["--worker"]);
         // A value that looks like a flag is one: `--trace` lost its path.
         let a = parse(&["--trace", "--json"]);
@@ -296,15 +300,16 @@ mod tests {
     #[test]
     fn workers_flag_parses_with_auto_default() {
         let a = Args::parse(["--workers", "4"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(a.workers(), 4);
-        assert_eq!(Args::default().workers(), 0);
+        assert_eq!((a.workers(0), a.workers(1)), (4, 4));
+        assert_eq!(Args::default().workers(0), 0, "auto");
+        assert_eq!(Args::default().workers(1), 1, "serial");
     }
 
     #[test]
     #[should_panic(expected = "--workers expects a number")]
     fn bad_workers_value_panics() {
         let a = Args::parse(["--workers".to_owned(), "lots".to_owned()]);
-        let _ = a.workers();
+        let _ = a.workers(0);
     }
 
     #[test]

@@ -42,9 +42,6 @@ pub struct RecipeScenario {
     pub seed: u64,
     /// MCTS iterations per design.
     pub iters: u64,
-    /// Evaluation threads per search (and serve-stage fan-out). Any
-    /// value produces the identical report.
-    pub workers: usize,
     /// Total-flow deadline handed to each joint plan, seconds.
     pub deadline_secs: u64,
 }
@@ -58,7 +55,6 @@ impl RecipeScenario {
             size: 6,
             seed,
             iters: 48,
-            workers: 1,
             deadline_secs: 100_000,
         }
     }
@@ -77,7 +73,6 @@ impl RecipeScenario {
         SearchConfig {
             iters: self.iters,
             seed: self.design_seed(index),
-            workers: self.workers,
             ..SearchConfig::default()
         }
     }
@@ -233,7 +228,7 @@ impl Workflow {
     /// the online tier with the [`WorkflowRecipePlanner`].
     ///
     /// Same scenario, same report — [`RecipeReport::to_json`] is
-    /// byte-identical across runs and worker counts. Search and
+    /// byte-identical across runs. Search and
     /// planning counters fold into the workflow metrics under
     /// `recipe.*`; per-design spans are recorded as `recipe_search`
     /// roots when a tracer is attached.
@@ -297,7 +292,7 @@ impl Workflow {
         let server = Server::new(
             ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed),
             Box::new(WorkflowPlanner::new(self.clone())),
-            ServeConfig { workers: scenario.workers, ..ServeConfig::default() },
+            ServeConfig::default(),
         )
         .with_recipe_planner(Box::new(WorkflowRecipePlanner::new(self.clone(), predictor)))
         .with_tracer(self.tracer().clone());
@@ -415,18 +410,15 @@ mod tests {
     }
 
     #[test]
-    fn recipe_pipeline_is_deterministic_and_worker_invariant() {
+    fn recipe_pipeline_is_deterministic() {
         let wf = Workflow::with_defaults();
-        let mut scenario = tiny_scenario();
+        let scenario = tiny_scenario();
         let base = wf.recipe(&scenario).expect("runs");
         assert_eq!(base.designs.len(), 2);
         assert!(base.designs.iter().all(|d| d.plan.is_some()));
         assert!(base.designs.iter().all(|d| d.tree_visits == scenario.iters));
-        for workers in [2usize, 8] {
-            scenario.workers = workers;
-            let report = wf.recipe(&scenario).expect("runs");
-            assert_eq!(report.to_json(), base.to_json(), "workers {workers}");
-        }
+        let again = wf.recipe(&scenario).expect("runs");
+        assert_eq!(again.to_json(), base.to_json(), "same scenario, same bytes");
     }
 
     #[test]

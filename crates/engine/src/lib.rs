@@ -14,8 +14,7 @@
 //!    [`poisson_arrivals`], the seeded arrival process of every tier.
 //! 2. [`EventHeap`] — the `(time_us, seq)` priority queue: ascending
 //!    time, push-order ties, sequence counter owned by the heap.
-//! 3. [`metrics`] — byte-stable [`Histogram`]/[`Samples`]/[`fmt_f64`]
-//!    shared by every deterministic JSON report in the workspace.
+//! 3. [`metrics`] — the running [`Samples`] behind report statistics.
 //! 4. [`ShardedSim`] — N independent [`RegionShard`] event loops
 //!    advancing under a conservative lookahead barrier, exchanging
 //!    [`Envelope`]s merged in `(send_time_us, region_id, seq)` order.
@@ -48,7 +47,7 @@ pub use fair::{AdmitRejection, FairShare, TenantCounters, TenantPolicy};
 pub use faults::{EngineFaults, NoEngineFaults};
 pub use heap::EventHeap;
 pub use message::{Envelope, Outbox};
-pub use metrics::{fmt_f64, Histogram, Samples};
+pub use metrics::Samples;
 pub use region::{
     synthetic_region_jobs, RegionCounters, RegionJob, RegionReport, RegionSim, RegionSimConfig,
     TenantUsage,

@@ -1,13 +1,5 @@
-//! Shared deterministic metrics primitives: fixed-bucket histograms,
-//! running samples, and the fixed-precision float rendering every
-//! byte-stable JSON report in the workspace uses.
-//!
-//! Moved here from `crates/fleet` so serve/lifecycle/engine reports
-//! stop reaching into the fleet crate for a histogram; fleet re-exports
-//! [`Histogram`] for source compatibility. Both [`Histogram`] and
-//! [`fmt_f64`] are the `eda-cloud-trace` definitions, re-exported.
-
-pub use eda_cloud_trace::{fmt_f64, Histogram};
+//! Running samples for report statistics. (Histograms and the
+//! fixed-precision float rendering are `eda-cloud-trace`'s.)
 
 /// Running scalar samples; turned into mean/percentile statistics for
 /// reports.

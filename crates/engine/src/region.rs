@@ -11,7 +11,7 @@
 //! shard-count invariance is checked with `diff`.
 
 use crate::message::{Envelope, Outbox};
-use crate::metrics::Histogram;
+use eda_cloud_trace::Histogram;
 use crate::sharded::{MessageStats, RegionShard, ShardedSim};
 use crate::time::checked_add_us;
 use crate::{AdmitRejection, EngineError, EngineFaults, EventHeap, FairShare, TenantPolicy};

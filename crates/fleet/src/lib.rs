@@ -69,6 +69,6 @@ pub use eda_cloud_engine::poisson_arrivals;
 pub use error::FleetError;
 pub use faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
 pub use job::{FleetJob, JobPlan, PlannedStage};
-pub use metrics::{FleetCounters, FleetReport, Histogram};
+pub use metrics::{FleetCounters, FleetReport};
 pub use sim::{FleetConfig, FleetSimulator};
 pub use spot::SpotPolicy;

@@ -1,20 +1,14 @@
 //! Fleet metrics: counters and the [`FleetReport`] with its
 //! deterministic JSON rendering.
 //!
-//! [`Histogram`] and `fmt_f64` are the `eda-cloud-trace` definitions
-//! (reached through `eda-cloud-engine`, next to its sample statistics);
-//! [`Histogram`] is re-exported here so downstream crates (serve,
-//! simtest) keep their import paths.
-//!
 //! The report writes its own JSON: keys in fixed order, floats printed
 //! with six decimal places, no whitespace variation — two reports are
 //! equal iff their JSON strings are byte-identical, which is what the
 //! determinism tests and the CI same-seed diff assert.
 
-use eda_cloud_engine::fmt_f64;
+use eda_cloud_trace::{fmt_f64, Histogram};
 use std::fmt::Write as _;
 
-pub use eda_cloud_engine::Histogram;
 pub(crate) use eda_cloud_engine::Samples;
 
 /// Monotone event counters accumulated over one simulation run.
@@ -123,15 +117,6 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reexported_histogram_is_the_trace_histogram() {
-        // The serve/simtest crates import `eda_cloud_fleet::Histogram`;
-        // the re-export must stay type-identical to the one definition.
-        let mut h: eda_cloud_trace::Histogram = Histogram::new(vec![10.0]);
-        h.record(5.0);
-        assert_eq!(h.counts(), &[1, 0]);
-    }
 
     #[test]
     fn report_json_is_stable_and_ordered() {

@@ -19,12 +19,12 @@
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler};
 use crate::faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
-use crate::metrics::{FleetCounters, FleetReport, Histogram, Samples};
+use crate::metrics::{FleetCounters, FleetReport, Samples};
 use crate::spot::{SpotInjector, SpotPolicy};
 use crate::{FleetError, FleetJob};
 use eda_cloud_cloud::{Catalog, InstanceType, Provisioner, VmState};
 use eda_cloud_engine::{time, EventHeap};
-use eda_cloud_trace::{Span, Tracer};
+use eda_cloud_trace::{Histogram, Span, Tracer};
 use std::collections::BTreeMap;
 
 /// Convert seconds to integer microseconds, rejecting values a

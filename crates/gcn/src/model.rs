@@ -594,13 +594,9 @@ impl RuntimePredictor {
     /// unparsable numbers.
     pub fn load_weights(text: &str) -> Result<Self, LoadWeightsError> {
         let mut lines = text.lines();
-        let config = parse_header(&mut lines, "gcn-runtime-predictor v1")?;
+        let config = parse_header(&mut lines)?;
         let mut model = Self::new(&config, 0);
-        let mut matrix = |expect: &str| -> Result<Matrix, LoadWeightsError> {
-            let ([rows, cols], tok) = tensor_line(&mut lines, expect, ["bad rows", "bad cols"])?;
-            let data = values(tok, rows.checked_mul(cols), finite)?;
-            Ok(Matrix::from_vec(rows, cols, data))
-        };
+        let mut matrix = |expect: &str| tensor_line(&mut lines, expect);
         for i in 0..model.gcn.len() {
             model.gcn[i].w = matrix(&format!("gcn{i}.w"))?;
             model.gcn[i].b = matrix(&format!("gcn{i}.b"))?;
@@ -613,17 +609,15 @@ impl RuntimePredictor {
     }
 }
 
-pub(crate) fn err(message: &str) -> LoadWeightsError {
+fn err(message: &str) -> LoadWeightsError {
     LoadWeightsError { message: message.to_owned() }
 }
 
-/// Parse the three header lines every weight document opens with —
-/// `magic`, `gcn_dims ..`, `fc_dim ..` — into the architecture.
-pub(crate) fn parse_header(
-    lines: &mut std::str::Lines<'_>,
-    magic: &str,
-) -> Result<ModelConfig, LoadWeightsError> {
-    if lines.next() != Some(magic) {
+/// Parse the three header lines a weight document opens with —
+/// `gcn-runtime-predictor v1`, `gcn_dims ..`, `fc_dim ..` — into the
+/// architecture.
+fn parse_header(lines: &mut std::str::Lines<'_>) -> Result<ModelConfig, LoadWeightsError> {
+    if lines.next() != Some("gcn-runtime-predictor v1") {
         return Err(err("unknown header"));
     }
     let dims_line = lines.next().ok_or_else(|| err("missing gcn_dims"))?;
@@ -653,45 +647,29 @@ pub(crate) fn parse_header(
     Ok(ModelConfig { gcn_dims, fc_dim })
 }
 
-/// Take the next tensor line: check its label is `expect`, read its `D`
-/// leading dimensions (`dims` names each one's error), and hand back
-/// the remaining tokens.
-pub(crate) fn tensor_line<'a, const D: usize>(
-    lines: &mut std::str::Lines<'a>,
-    expect: &str,
-    dims: [&str; D],
-) -> Result<([usize; D], std::str::SplitWhitespace<'a>), LoadWeightsError> {
+/// Take the next tensor line: check its label is `expect`, read its
+/// `rows cols` shape, then parse the values and check their count
+/// against that shape.
+fn tensor_line(lines: &mut std::str::Lines<'_>, expect: &str) -> Result<Matrix, LoadWeightsError> {
     let line = lines.next().ok_or_else(|| err("missing tensor"))?;
     let mut tok = line.split_whitespace();
     let label = tok.next().ok_or_else(|| err("missing label"))?;
     if label != expect {
         return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
     }
-    let mut shape = [0usize; D];
-    for (dim, bad) in shape.iter_mut().zip(dims) {
-        *dim = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err(bad))?;
-    }
-    Ok((shape, tok))
-}
-
-/// Parse the rest of a tensor line and check the count against the
-/// shape the line declared (`None`: the shape's product overflowed).
-pub(crate) fn values<T>(
-    tok: std::str::SplitWhitespace<'_>,
-    expected: Option<usize>,
-    parse: impl Fn(&str) -> Result<T, LoadWeightsError>,
-) -> Result<Vec<T>, LoadWeightsError> {
-    let data: Vec<T> = tok.map(parse).collect::<Result<_, _>>()?;
-    if data.len() != expected.ok_or_else(|| err("tensor shape overflows"))? {
+    let rows: usize = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad rows"))?;
+    let cols: usize = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad cols"))?;
+    let data: Vec<f64> = tok.map(finite).collect::<Result<_, _>>()?;
+    if data.len() != rows.checked_mul(cols).ok_or_else(|| err("tensor shape overflows"))? {
         return Err(err("value count mismatch"));
     }
-    Ok(data)
+    Ok(Matrix::from_vec(rows, cols, data))
 }
 
 /// One float weight. `"NaN"` and `"inf"` parse as valid f64s, but a
 /// snapshot carrying them is corrupt: reject at load time instead of
 /// letting them poison serving.
-pub(crate) fn finite(token: &str) -> Result<f64, LoadWeightsError> {
+fn finite(token: &str) -> Result<f64, LoadWeightsError> {
     match token.parse::<f64>() {
         Ok(v) if v.is_finite() => Ok(v),
         Ok(_) => Err(err("non-finite value")),

@@ -44,9 +44,7 @@
 //!   slot is overwritten before it is read.
 
 use crate::batch::GraphBatch;
-use crate::model::{
-    err, finite, parse_header, saturating_exp, tensor_line, values, LoadWeightsError,
-};
+use crate::model::saturating_exp;
 use crate::{GraphSample, Matrix, ModelConfig, RuntimePredictor};
 
 /// A per-tensor symmetric int8 quantized weight matrix, stored
@@ -65,8 +63,7 @@ pub struct QuantizedMatrix {
     /// `data` pre-widened to `i16`, same layout. The AXPY kernels
     /// multiply `i16` activations against `i16` weight rows, and loading
     /// codes already at product width saves a sign-extension per vector
-    /// load in the innermost loop. Derived from `data`, never
-    /// serialized.
+    /// load in the innermost loop. Derived from `data`.
     wide: Vec<i16>,
 }
 
@@ -492,92 +489,6 @@ impl QuantizedPredictor {
             .map(|l| l.map(saturating_exp))
             .collect()
     }
-
-    /// Serialize as a plain-text document, mirroring
-    /// [`RuntimePredictor::save_weights`]: an architecture header, then
-    /// one line per tensor — int8 tensors as `label rows cols scale`
-    /// followed by integer codes (in storage order), float biases as
-    /// `{:e}` values. Round-trips exactly.
-    #[must_use]
-    pub fn save_weights(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let dims: Vec<String> = self.config.gcn_dims.iter().map(|d| d.to_string()).collect();
-        let _ = writeln!(out, "gcn-runtime-predictor-q8 v1");
-        let _ = writeln!(out, "gcn_dims {}", dims.join(" "));
-        let _ = writeln!(out, "fc_dim {}", self.config.fc_dim);
-        let dump_q = |out: &mut String, label: &str, m: &QuantizedMatrix| {
-            let _ = write!(out, "{label} {} {} {:e}", m.in_dim, m.out_dim, m.scale);
-            for &q in &m.data {
-                let _ = write!(out, " {q}");
-            }
-            let _ = writeln!(out);
-        };
-        let dump_f = |out: &mut String, label: &str, v: &[f64]| {
-            let _ = write!(out, "{label} {}", v.len());
-            for x in v {
-                let _ = write!(out, " {x:e}");
-            }
-            let _ = writeln!(out);
-        };
-        for (i, layer) in self.gcn.iter().enumerate() {
-            dump_q(&mut out, &format!("gcn{i}.w"), &layer.w);
-            dump_q(&mut out, &format!("gcn{i}.b"), &layer.b);
-        }
-        dump_q(&mut out, "fc.w", &self.fc.w);
-        dump_f(&mut out, "fc.bias", &self.fc.bias);
-        dump_q(&mut out, "head.w", &self.head.w);
-        dump_f(&mut out, "head.bias", &self.head.bias);
-        out
-    }
-
-    /// Load a document produced by
-    /// [`QuantizedPredictor::save_weights`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadWeightsError`] on version/shape mismatches,
-    /// unparsable numbers, or non-finite scales/biases.
-    pub fn load_weights(text: &str) -> Result<Self, LoadWeightsError> {
-        let lines = &mut text.lines();
-        let config = parse_header(lines, "gcn-runtime-predictor-q8 v1")?;
-        let mut gcn = Vec::with_capacity(config.gcn_dims.len());
-        for i in 0..config.gcn_dims.len() {
-            let w = quantized_line(lines, &format!("gcn{i}.w"))?;
-            let b = quantized_line(lines, &format!("gcn{i}.b"))?;
-            gcn.push(QuantGcnLayer { w, b });
-        }
-        let fc = QuantDenseLayer {
-            w: quantized_line(lines, "fc.w")?,
-            bias: bias_line(lines, "fc.bias")?,
-        };
-        let head = QuantDenseLayer {
-            w: quantized_line(lines, "head.w")?,
-            bias: bias_line(lines, "head.bias")?,
-        };
-        Ok(Self { gcn, fc, head, config })
-    }
-}
-
-/// `label rows cols scale` followed by `rows * cols` int8 codes.
-fn quantized_line(
-    lines: &mut std::str::Lines<'_>,
-    expect: &str,
-) -> Result<QuantizedMatrix, LoadWeightsError> {
-    let ([in_dim, out_dim], mut tok) = tensor_line(lines, expect, ["bad rows", "bad cols"])?;
-    let scale: f64 = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad scale"))?;
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err(err("non-finite or non-positive scale"));
-    }
-    let code = |t: &str| t.parse().map_err(|_| err("bad int8 code"));
-    let data: Vec<i8> = values(tok, in_dim.checked_mul(out_dim), code)?;
-    Ok(QuantizedMatrix::from_codes(in_dim, out_dim, scale, data))
-}
-
-/// `label n` followed by `n` finite floats.
-fn bias_line(lines: &mut std::str::Lines<'_>, expect: &str) -> Result<Vec<f64>, LoadWeightsError> {
-    let ([n], tok) = tensor_line(lines, expect, ["bad length"])?;
-    values(tok, Some(n), finite)
 }
 
 #[cfg(test)]
@@ -683,35 +594,6 @@ mod tests {
         let b = q.predict_log_batch(&batch);
         assert_eq!(a, b);
         assert_eq!(a.len(), samples.len());
-    }
-
-    #[test]
-    fn save_load_roundtrip_is_bit_identical() {
-        let model = trained_model();
-        let q = QuantizedPredictor::quantize(&model);
-        let text = q.save_weights();
-        let loaded = QuantizedPredictor::load_weights(&text).expect("loads");
-        assert_eq!(q, loaded);
-        let s = sample();
-        assert_eq!(
-            q.predict_log(&s),
-            loaded.predict_log(&s),
-            "bitwise after round-trip"
-        );
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        assert!(QuantizedPredictor::load_weights("nope").is_err());
-        assert!(QuantizedPredictor::load_weights("gcn-runtime-predictor-q8 v1\n").is_err());
-        let model = trained_model();
-        let q = QuantizedPredictor::quantize(&model);
-        let text = q.save_weights();
-        let truncated: String = text.lines().take(4).collect::<Vec<_>>().join("\n");
-        assert!(QuantizedPredictor::load_weights(&truncated).is_err());
-        let bad_scale = text.replacen("gcn0.w", "gcn0.oops", 1);
-        let e = QuantizedPredictor::load_weights(&bad_scale).unwrap_err();
-        assert!(e.to_string().contains("gcn0.w"), "{e}");
     }
 
     #[test]

@@ -35,9 +35,6 @@ use eda_cloud_trace::{LatencyFold, Span, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Registry name the controller manages.
-pub const MODEL_NAME: &str = "prod";
-
 /// What the control plane is currently doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -210,7 +207,7 @@ impl<'a> Run<'a> {
         }
         let frozen = ServingSnapshot::from(frozen);
         let mut registry = ModelRegistry::new();
-        let frozen_version = registry.publish(MODEL_NAME, frozen.clone());
+        let frozen_version = registry.publish(frozen.clone());
         let mut events = EventHeap::new();
         for (i, request) in requests.iter().enumerate() {
             events.push(request.arrival_us, Event::Arrival(i));
@@ -254,7 +251,7 @@ impl<'a> Run<'a> {
         let (cfg, faults) = (&self.ctl.config, &self.ctl.faults);
         let request = &self.requests[i];
         self.counters.requests += 1;
-        let (version, snapshot) = self.registry.route(MODEL_NAME, request.ordinal)?;
+        let (version, snapshot) = self.registry.route(request.ordinal)?;
         let key = (version, request.design.fingerprint);
         let (predicted, cache_hit) = match self.cache.get(&key) {
             Some(hit) => (hit, true),
@@ -265,7 +262,7 @@ impl<'a> Run<'a> {
                 (secs, false)
             }
         };
-        let arm = match self.registry.canary(MODEL_NAME) {
+        let arm = match self.registry.canary() {
             Some(c) if c.version == version && request.ordinal.is_multiple_of(c.every) => {
                 Arm::Canary
             }
@@ -375,7 +372,7 @@ impl<'a> Run<'a> {
         // Watch only joins served by the *current* primary: in-flight
         // joins from a version retired mid-flight would poison the
         // fresh baseline profile after a rollout.
-        if fb.arm != Arm::Primary || fb.version != self.registry.primary(MODEL_NAME)?.0 {
+        if fb.arm != Arm::Primary || fb.version != self.registry.primary()?.0 {
             return Ok(());
         }
         let mut fired = false;
@@ -425,19 +422,19 @@ impl<'a> Run<'a> {
         };
         // Retrains always run in float: a quantized primary is
         // dequantized back into the warm start.
-        let base = self.registry.primary(MODEL_NAME)?.1.to_float();
+        let base = self.registry.primary()?.1.to_float();
         let (candidate, trained_on) = retrainer.retrain(&base, &self.buffers, self.workers);
         let version = if cfg.quantize_canary {
-            self.registry.publish(MODEL_NAME, QuantizedSnapshot::quantize(&candidate))
+            self.registry.publish(QuantizedSnapshot::quantize(&candidate))
         } else {
-            self.registry.publish(MODEL_NAME, candidate)
+            self.registry.publish(candidate)
         };
         self.counters.retrains += 1;
         let span = self.control_event(fb, "retrained", "retrain", "-", version);
         span.attr("version", version);
         span.attr("epochs", cfg.retrain_epochs);
         span.counter("samples", trained_on.iter().sum::<usize>() as u64);
-        self.registry.set_canary(MODEL_NAME, version, cfg.canary_every)?;
+        self.registry.set_canary(version, cfg.canary_every)?;
         self.counters.canaries_started += 1;
         let span = self.control_event(fb, "canary_started", "canary", "-", version);
         span.attr("version", version);
@@ -470,13 +467,13 @@ impl<'a> Run<'a> {
         if decision == RolloutDecision::Pending {
             return Ok(());
         }
-        let candidate = self.registry.canary(MODEL_NAME).map_or(0, |c| c.version);
+        let candidate = self.registry.canary().map_or(0, |c| c.version);
         let span = if decision == RolloutDecision::Promote {
-            self.registry.promote(MODEL_NAME, candidate)?;
+            self.registry.promote(candidate)?;
             self.counters.promotions += 1;
             self.control_event(fb, "promoted", "promote", "-", candidate)
         } else {
-            self.registry.clear_canary(MODEL_NAME);
+            self.registry.clear_canary();
             self.counters.rollbacks += 1;
             self.control_event(fb, "rolled_back", "rollback", "-", candidate)
         };
@@ -505,7 +502,7 @@ impl<'a> Run<'a> {
             drift_at: cfg.drift_at,
             drift_factor: cfg.drift_factor,
             counters: self.counters,
-            final_primary_version: self.registry.primary(MODEL_NAME)?.0,
+            final_primary_version: self.registry.primary()?.0,
             stages: self.stages,
             timeline: self.timeline,
             mean_latency_us: self.latencies.mean_us() as u64,

@@ -64,7 +64,7 @@ mod retrain;
 mod rollout;
 
 pub use config::LifecycleConfig;
-pub use controller::{LifecycleController, MODEL_NAME};
+pub use controller::LifecycleController;
 pub use drift::{DesignBaseline, DriftDetector, DriftSignal};
 pub use error::LifecycleError;
 pub use faults::{LifecycleFaults, NoLifecycleFaults, SharedLifecycleFaults};

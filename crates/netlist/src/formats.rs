@@ -106,16 +106,6 @@ pub fn write_verilog(netlist: &Netlist, lib: &Library) -> String {
             let _ = writeln!(out, "  wire {};", sanitize(&net.name));
         }
     }
-    // PO aliasing: when a PO port name differs from its net, emit assign.
-    for (name, net) in netlist.primary_outputs() {
-        let net_name = sanitize(&netlist.nets()[*net as usize].name);
-        let port = sanitize(name);
-        if port != net_name && !netlist.primary_inputs().contains(net) {
-            // The net itself is the port in this writer; nothing to do
-            // unless another port aliases it.
-            let _ = (&port, &net_name);
-        }
-    }
     for cell in netlist.cells() {
         let Ok(master) = lib.cell(&cell.cell_name) else {
             continue;

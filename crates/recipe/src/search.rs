@@ -19,19 +19,19 @@
 //! * **Rollout randomness is one ChaCha8 stream** advanced only during
 //!   the sequential selection phase, in iteration order.
 //! * **Evaluations are pure** functions of `(design, pass sequence)`.
-//!   Worker threads evaluate the distinct uncached sequences of a
-//!   batch in parallel and results are joined by index; the cache is
-//!   filled in first-appearance order. A worker count can therefore
-//!   change wall-clock time and nothing else — the tree, the report,
-//!   and the cache contents are byte-identical at any worker count,
-//!   and a pre-warmed cache short-circuits evaluations without
-//!   perturbing a single visit count.
+//!   The distinct uncached sequences of a batch are evaluated one
+//!   after another, in selection order, and the cache is filled in
+//!   first-appearance order, so a pre-warmed cache short-circuits
+//!   evaluations without perturbing a single visit count. There is no
+//!   evaluation fan-out:
+//!   a whole search is under 100 µs per evaluation on batches of at
+//!   most `batch` candidates, and measured slower on 2 and 4 threads
+//!   than on 1 (EXPERIMENTS.md § Synthesis joins `run_sweep`).
 
 use crate::encode::{recipe_from_passes, recipe_key, ALPHABET, MAX_RECIPE_LEN};
 use crate::{NoRecipeFaults, RecipeError, RecipeFaults};
 use eda_cloud_flow::{ExecContext, Pass, Synthesizer};
 use eda_cloud_netlist::Aig;
-use eda_cloud_trace::par;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -68,9 +68,6 @@ pub struct SearchConfig {
     pub max_len: usize,
     /// Rollout seed.
     pub seed: u64,
-    /// Threads used to evaluate a batch's distinct uncached
-    /// candidates. Affects wall-clock only.
-    pub workers: usize,
 }
 
 impl Default for SearchConfig {
@@ -80,7 +77,6 @@ impl Default for SearchConfig {
             batch: 4,
             max_len: 4,
             seed: 7,
-            workers: 1,
         }
     }
 }
@@ -90,12 +86,6 @@ impl SearchConfig {
     #[must_use]
     pub fn effective_max_len(&self) -> usize {
         self.max_len.clamp(1, MAX_RECIPE_LEN)
-    }
-
-    /// Effective worker count (at least one).
-    #[must_use]
-    pub fn effective_workers(&self) -> usize {
-        par::resolve_workers(self.workers.max(1), 8)
     }
 }
 
@@ -235,8 +225,7 @@ pub struct SearchOutcome {
     pub evaluations: u64,
     /// Evaluations served from the cache.
     pub cache_hits: u64,
-    /// Total simulated evaluation time (worker-independent sum,
-    /// including injected stalls).
+    /// Total simulated evaluation time (including injected stalls).
     pub total_eval_us: u64,
     /// Tree statistics.
     pub tree: TreeStats,
@@ -394,30 +383,22 @@ impl RecipeSearch {
                 iter += 1;
             }
 
-            // Distinct uncached candidates, in first-appearance order.
-            let mut pending: Vec<(String, Vec<Pass>)> = Vec::new();
-            let mut hit_flags = Vec::with_capacity(selections.len());
+            // Evaluation and canonical-order backup + accounting: a
+            // candidate's first appearance is the miss that fills the
+            // cache, every repeat (in this batch or a later one) a hit.
             for sel in &selections {
-                let hit = cache.get(&sel.key).is_some()
-                    || pending.iter().any(|(k, _)| k == &sel.key);
-                if hit {
-                    cache_hits += 1;
-                } else {
-                    pending.push((sel.key.clone(), sel.rollout.clone()));
-                }
-                hit_flags.push(hit);
-            }
-
-            // Parallel evaluation, joined by index.
-            let outcomes = self.eval_batch(aig, &pending)?;
-            for ((key, _), outcome) in pending.into_iter().zip(outcomes) {
-                cache.insert(key, outcome);
-                evaluations += 1;
-            }
-
-            // Canonical-order backup + accounting.
-            for (sel, &hit) in selections.iter().zip(&hit_flags) {
-                let outcome = *cache.get(&sel.key).expect("batch filled the cache");
+                let (outcome, hit) = match cache.get(&sel.key) {
+                    Some(&outcome) => {
+                        cache_hits += 1;
+                        (outcome, true)
+                    }
+                    None => {
+                        let outcome = evaluate(&self.synthesizer, aig, &sel.rollout)?;
+                        cache.insert(sel.key.clone(), outcome);
+                        evaluations += 1;
+                        (outcome, false)
+                    }
+                };
                 let score = outcome.score().max(1);
                 let reward = (baseline_score.saturating_mul(PPM) / score).min(REWARD_CAP_PPM);
                 for &idx in &sel.path {
@@ -492,21 +473,6 @@ impl RecipeSearch {
         cache.insert(key, outcome);
         *evaluations += 1;
         Ok(outcome)
-    }
-
-    /// Evaluate a batch of distinct pass sequences across the
-    /// configured workers, preserving order.
-    fn eval_batch(
-        &self,
-        aig: &Aig,
-        pending: &[(String, Vec<Pass>)],
-    ) -> Result<Vec<EvalOutcome>, RecipeError> {
-        let jobs: Vec<&[Pass]> = pending.iter().map(|(_, passes)| passes.as_slice()).collect();
-        par::map_indexed(self.config.effective_workers(), jobs, |_, passes| {
-            evaluate(&self.synthesizer, aig, passes)
-        })
-        .into_iter()
-        .collect()
     }
 }
 
@@ -614,20 +580,6 @@ mod tests {
         let a = search.run("adder_4", &aig()).expect("search");
         let b = search.run("adder_4", &aig()).expect("search");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn worker_count_cannot_change_the_outcome() {
-        let mut config = SearchConfig {
-            iters: 24,
-            ..SearchConfig::default()
-        };
-        let serial = RecipeSearch::new(config.clone()).run("adder_4", &aig()).expect("search");
-        for workers in [2usize, 8] {
-            config.workers = workers;
-            let parallel = RecipeSearch::new(config.clone()).run("adder_4", &aig()).expect("search");
-            assert_eq!(serial, parallel, "workers must only change wall-clock");
-        }
     }
 
     #[test]

@@ -17,9 +17,9 @@ pub enum ServeError {
         /// Configured queue capacity.
         capacity: usize,
     },
-    /// The registry holds no model under the requested name/version.
+    /// The registry holds no snapshot at the requested version.
     UnknownModel {
-        /// The name (and optional version) that failed to resolve.
+        /// The version that failed to resolve, as `v<N>`.
         name: String,
     },
     /// A model snapshot failed to parse.

@@ -30,26 +30,11 @@ pub trait ServeFaults: Send + Sync {
         let _ = ordinal;
         false
     }
-}
 
-/// The no-fault default: every hook answers "no".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoServeFaults;
-
-impl ServeFaults for NoServeFaults {}
-
-/// A shared, immutable hook object (hooks take `&self` so one plan can
-/// be consulted from any number of runs concurrently).
-pub type SharedServeFaults = Arc<dyn ServeFaults>;
-
-/// Fault hooks on the ingestion path, consulted for every
-/// [`crate::RequestKind::Ingest`] request by ordinal. Same contract as
-/// [`ServeFaults`]: pure functions of canonical identity, so plans
-/// replay byte-identically at any worker count.
-pub trait IngestFaults: Send + Sync {
     /// Tear this ordinal's upload in transit (the server substitutes
     /// [`crate::UploadDoc::corrupted`] before consulting the ingest
-    /// cache) — a corrupted-transfer fault. The torn document has its
+    /// cache) — a corrupted-transfer fault, consulted for every
+    /// [`crate::RequestKind::Ingest`] request. The torn document has its
     /// own fingerprint, so it is cached and judged on its own content.
     fn corrupt_upload(&self, ordinal: u64) -> bool {
         let _ = ordinal;
@@ -66,14 +51,15 @@ pub trait IngestFaults: Send + Sync {
     }
 }
 
-/// The no-fault default for the ingestion path.
+/// The no-fault default: every hook answers "no".
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoIngestFaults;
+pub struct NoServeFaults;
 
-impl IngestFaults for NoIngestFaults {}
+impl ServeFaults for NoServeFaults {}
 
-/// A shared, immutable ingest hook object.
-pub type SharedIngestFaults = Arc<dyn IngestFaults>;
+/// A shared, immutable hook object (hooks take `&self` so one plan can
+/// be consulted from any number of runs concurrently).
+pub type SharedServeFaults = Arc<dyn ServeFaults>;
 
 #[cfg(test)]
 mod tests {
@@ -86,8 +72,7 @@ mod tests {
         assert!(!faults.wipe_cache(0));
         let shared: SharedServeFaults = Arc::new(NoServeFaults);
         assert!(!shared.force_shed(123));
-        let ingest: SharedIngestFaults = Arc::new(NoIngestFaults);
-        assert!(!ingest.corrupt_upload(0));
-        assert!(!ingest.flood(0));
+        assert!(!shared.corrupt_upload(0));
+        assert!(!shared.flood(0));
     }
 }

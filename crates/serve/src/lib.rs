@@ -9,7 +9,7 @@
 //! microsecond clock:
 //!
 //! * **Model registry** ([`ModelRegistry`] / [`ModelSnapshot`]) —
-//!   named, versioned bundles of the four per-stage GCN predictors
+//!   versioned bundles of the four per-stage GCN predictors
 //!   with a canonical byte-stable text format whose save → load round
 //!   trip reproduces bit-identical predictions.
 //! * **Micro-batching inference** — queued requests are coalesced into
@@ -76,10 +76,7 @@ mod server;
 
 pub use cache::LruCache;
 pub use error::ServeError;
-pub use faults::{
-    IngestFaults, NoIngestFaults, NoServeFaults, ServeFaults, SharedIngestFaults,
-    SharedServeFaults,
-};
+pub use faults::{NoServeFaults, ServeFaults, SharedServeFaults};
 pub use ingestor::{IngestDisposition, IngestOutcome, IngestSummary, Ingestor};
 pub use planner::{CostTablePlanner, PlanSummary, Planner, TABLE1_SECS, VCPUS};
 pub use queue::AdmissionQueue;

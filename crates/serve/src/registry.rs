@@ -8,17 +8,17 @@
 //! `stage <name>` / `end <name>` delimiters under an
 //! `eda-serve-snapshot v1` header — byte-stable, so equal snapshots
 //! serialize to equal bytes and a save → load round trip reproduces
-//! bit-identical predictions.
+//! bit-identical predictions. It is the one stored format: an int8
+//! [`QuantizedSnapshot`] is derived from a float one by
+//! [`QuantizedSnapshot::quantize`], a pure function of the weights.
 //!
-//! The [`ModelRegistry`] keys snapshots by name and monotonically
-//! increasing version, the way a production server rolls models
-//! forward without dropping in-flight traffic pinned to an older
-//! version.
+//! The [`ModelRegistry`] keys snapshots by monotonically increasing
+//! version, the way a production server rolls models forward without
+//! dropping in-flight traffic pinned to an older version.
 
 use crate::ServeError;
-use eda_cloud_gcn::{GraphBatch, LoadWeightsError, ModelConfig, QuantizedPredictor, RuntimePredictor};
+use eda_cloud_gcn::{GraphBatch, ModelConfig, QuantizedPredictor, RuntimePredictor};
 use eda_cloud_trace::{fnv1a64, par};
-use std::collections::BTreeMap;
 
 /// Stage names in flow order; index-aligned with every `[T; 4]` that
 /// crosses this crate's API (predictions, plans, service stages).
@@ -43,86 +43,6 @@ fn next_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
             Some(line)
         }
     }
-}
-
-/// Write the snapshot text layout shared by both numeric formats: the
-/// `header` line, each stage's weight document between `stage <name>` /
-/// `end <name>` delimiters in [`STAGE_NAMES`] order, and a
-/// `checksum <16 hex digits>` footer — an FNV-1a 64 digest of every
-/// preceding byte — so storage-level bit rot is detected at load
-/// instead of silently serving a corrupt model.
-fn write_stages(header: &str, stage_doc: impl Fn(usize) -> String) -> String {
-    let mut out = format!("{header}\n");
-    for (k, name) in STAGE_NAMES.iter().enumerate() {
-        out.push_str(&format!("stage {name}\n"));
-        out.push_str(&stage_doc(k));
-        out.push_str(&format!("end {name}\n"));
-    }
-    out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
-    out
-}
-
-/// Parse a document produced by [`write_stages`], loading each stage's
-/// embedded weight document with `load`. The checksum is verified after
-/// the structural parse, so structural corruption keeps its precise
-/// message while any surviving bit flip is still rejected.
-fn read_stages<P>(
-    header: &str,
-    text: &str,
-    load: impl Fn(&str) -> Result<P, LoadWeightsError>,
-) -> Result<[P; 4], ServeError> {
-    let err = |m: String| ServeError::Snapshot { message: m };
-    let mut rest = text;
-    if next_line(&mut rest) != Some(header) {
-        return Err(err("unknown header".into()));
-    }
-    let mut read_stage = |name: &str| -> Result<P, ServeError> {
-        let open = next_line(&mut rest).unwrap_or_default();
-        if open != format!("stage {name}") {
-            return Err(err(format!("expected `stage {name}`, found `{open}`")));
-        }
-        let close = format!("end {name}");
-        let mut doc = String::new();
-        loop {
-            let Some(line) = next_line(&mut rest) else {
-                return Err(err(format!("missing `{close}`")));
-            };
-            if line == close {
-                break;
-            }
-            doc.push_str(line);
-            doc.push('\n');
-        }
-        Ok(load(&doc)?)
-    };
-    let [synthesis, placement, routing, sta] = STAGE_NAMES;
-    let stages = [
-        read_stage(synthesis)?,
-        read_stage(placement)?,
-        read_stage(routing)?,
-        read_stage(sta)?,
-    ];
-    let body_len = text.len() - rest.len();
-    let footer = next_line(&mut rest).ok_or_else(|| err("missing `checksum` footer".into()))?;
-    let Some(hex) = footer.strip_prefix("checksum ") else {
-        return Err(err(format!(
-            "expected `checksum <16 hex digits>`, found `{footer}`"
-        )));
-    };
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(err(format!("malformed checksum `{hex}`")));
-    }
-    let stated = u64::from_str_radix(hex, 16).expect("validated hex");
-    if !rest.is_empty() {
-        return Err(err("trailing content after checksum footer".into()));
-    }
-    let computed = fnv1a64(&text.as_bytes()[..body_len]);
-    if stated != computed {
-        return Err(err(format!(
-            "checksum mismatch: stated {stated:016x}, computed {computed:016x}"
-        )));
-    }
-    Ok(stages)
 }
 
 /// Run the four independent per-stage forwards on up to `workers`
@@ -211,7 +131,9 @@ impl ModelSnapshot {
         }
     }
 
-    /// Serialize to the canonical `eda-serve-snapshot v1` text format.
+    /// Serialize to the canonical `eda-serve-snapshot v1` text format:
+    /// the header line, then each stage's weight document between
+    /// `stage <name>` / `end <name>` delimiters in [`STAGE_NAMES`] order.
     ///
     /// The document ends with a `checksum <16 hex digits>` footer — an
     /// FNV-1a 64 digest of every preceding byte — so storage-level bit
@@ -219,7 +141,14 @@ impl ModelSnapshot {
     /// model.
     #[must_use]
     pub fn to_text(&self) -> String {
-        write_stages("eda-serve-snapshot v1", |k| self.stage(k).save_weights())
+        let mut out = String::from("eda-serve-snapshot v1\n");
+        for (k, name) in STAGE_NAMES.iter().enumerate() {
+            out.push_str(&format!("stage {name}\n"));
+            out.push_str(&self.stage(k).save_weights());
+            out.push_str(&format!("end {name}\n"));
+        }
+        out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
+        out
     }
 
     /// Parse a document produced by [`ModelSnapshot::to_text`].
@@ -232,9 +161,58 @@ impl ModelSnapshot {
     /// after the structural parse, so structural corruption keeps its
     /// precise message while any surviving bit flip is still rejected.
     pub fn from_text(text: &str) -> Result<Self, ServeError> {
-        let [s, p, r, t] =
-            read_stages("eda-serve-snapshot v1", text, RuntimePredictor::load_weights)?;
-        Ok(Self::new(s, p, r, t))
+        let err = |m: String| ServeError::Snapshot { message: m };
+        let mut rest = text;
+        if next_line(&mut rest) != Some("eda-serve-snapshot v1") {
+            return Err(err("unknown header".into()));
+        }
+        let mut read_stage = |name: &str| -> Result<RuntimePredictor, ServeError> {
+            let open = next_line(&mut rest).unwrap_or_default();
+            if open != format!("stage {name}") {
+                return Err(err(format!("expected `stage {name}`, found `{open}`")));
+            }
+            let close = format!("end {name}");
+            let mut doc = String::new();
+            loop {
+                let Some(line) = next_line(&mut rest) else {
+                    return Err(err(format!("missing `{close}`")));
+                };
+                if line == close {
+                    break;
+                }
+                doc.push_str(line);
+                doc.push('\n');
+            }
+            Ok(RuntimePredictor::load_weights(&doc)?)
+        };
+        let [synthesis, placement, routing, sta] = STAGE_NAMES;
+        let snapshot = Self::new(
+            read_stage(synthesis)?,
+            read_stage(placement)?,
+            read_stage(routing)?,
+            read_stage(sta)?,
+        );
+        let body_len = text.len() - rest.len();
+        let footer = next_line(&mut rest).ok_or_else(|| err("missing `checksum` footer".into()))?;
+        let Some(hex) = footer.strip_prefix("checksum ") else {
+            return Err(err(format!(
+                "expected `checksum <16 hex digits>`, found `{footer}`"
+            )));
+        };
+        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(err(format!("malformed checksum `{hex}`")));
+        }
+        let stated = u64::from_str_radix(hex, 16).expect("validated hex");
+        if !rest.is_empty() {
+            return Err(err("trailing content after checksum footer".into()));
+        }
+        let computed = fnv1a64(&text.as_bytes()[..body_len]);
+        if stated != computed {
+            return Err(err(format!(
+                "checksum mismatch: stated {stated:016x}, computed {computed:016x}"
+            )));
+        }
+        Ok(snapshot)
     }
 
     /// Batched prediction over every stage: `secs[i][k]` is the
@@ -314,28 +292,6 @@ impl QuantizedSnapshot {
         }
     }
 
-    /// Serialize to the canonical `eda-serve-snapshot v2-int8` text
-    /// format: the same stage-delimited, checksummed layout as
-    /// [`ModelSnapshot::to_text`], embedding each stage's
-    /// `gcn-runtime-predictor-q8 v1` weight document.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        write_stages("eda-serve-snapshot v2-int8", |k| self.stage(k).save_weights())
-    }
-
-    /// Parse a document produced by [`QuantizedSnapshot::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Snapshot`] on a bad header, missing or
-    /// misordered stage delimiters, malformed embedded weights, or a
-    /// missing/mismatched `checksum` footer.
-    pub fn from_text(text: &str) -> Result<Self, ServeError> {
-        let [synthesis, placement, routing, sta] =
-            read_stages("eda-serve-snapshot v2-int8", text, QuantizedPredictor::load_weights)?;
-        Ok(Self { synthesis, placement, routing, sta })
-    }
-
     /// Batched prediction over every stage — same contract and worker
     /// invariance as [`ModelSnapshot::predict_batches`], running the
     /// int8 kernels.
@@ -402,39 +358,11 @@ impl ServingSnapshot {
             ServingSnapshot::Int8(s) => s.predict_batches(aig, netlist, workers),
         }
     }
-
-    /// Serialize to the variant's canonical text format; the header
-    /// line identifies the variant for [`ServingSnapshot::from_text`].
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        match self {
-            ServingSnapshot::Float(s) => s.to_text(),
-            ServingSnapshot::Int8(s) => s.to_text(),
-        }
-    }
-
-    /// Parse either snapshot format, dispatching on the header line.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Snapshot`] for an unknown header or any
-    /// error of the variant parser.
-    pub fn from_text(text: &str) -> Result<Self, ServeError> {
-        if text.starts_with("eda-serve-snapshot v1\n") {
-            Ok(ServingSnapshot::Float(ModelSnapshot::from_text(text)?))
-        } else if text.starts_with("eda-serve-snapshot v2-int8\n") {
-            Ok(ServingSnapshot::Int8(QuantizedSnapshot::from_text(text)?))
-        } else {
-            Err(ServeError::Snapshot {
-                message: "unknown header".into(),
-            })
-        }
-    }
 }
 
-/// Canary rollout state for one named model: the candidate version and
-/// the deterministic routing fraction (every `every`-th request ordinal
-/// goes to the candidate).
+/// Canary rollout state: the candidate version and the deterministic
+/// routing fraction (every `every`-th request ordinal goes to the
+/// candidate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CanaryState {
     /// Candidate snapshot version.
@@ -443,16 +371,17 @@ pub struct CanaryState {
     pub every: u64,
 }
 
-/// Named, versioned snapshot store. Publishing bumps the version;
-/// lookups resolve either the latest or a pinned version. Each name
-/// also tracks a **primary** version (what baseline traffic sees) and
-/// an optional **canary** — a candidate version receiving a
-/// deterministic slice of requests until it is promoted or rolled back.
+/// Versioned snapshot store for the one served model. Publishing bumps
+/// the version; lookups resolve a pinned version. The registry tracks a
+/// **primary** version (what baseline traffic sees) and an optional
+/// **canary** — a candidate version receiving a deterministic slice of
+/// requests until it is promoted or rolled back.
 #[derive(Debug, Clone, Default)]
 pub struct ModelRegistry {
-    models: BTreeMap<String, Vec<ServingSnapshot>>,
-    primary: BTreeMap<String, u32>,
-    canary: BTreeMap<String, CanaryState>,
+    versions: Vec<ServingSnapshot>,
+    /// 0 until the first publish.
+    primary: u32,
+    canary: Option<CanaryState>,
 }
 
 impl ModelRegistry {
@@ -462,125 +391,110 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Store a snapshot under `name`; returns its version (1-based,
-    /// monotonically increasing per name). The first publish under a
-    /// name becomes its primary; later publishes leave the primary
-    /// untouched until an explicit [`ModelRegistry::promote`]. Accepts
-    /// a float [`ModelSnapshot`], an int8 [`QuantizedSnapshot`], or a
-    /// [`ServingSnapshot`] directly.
-    pub fn publish(
-        &mut self,
-        name: impl Into<String>,
-        snapshot: impl Into<ServingSnapshot>,
-    ) -> u32 {
-        let name = name.into();
-        let versions = self.models.entry(name.clone()).or_default();
-        versions.push(snapshot.into());
-        let version = versions.len() as u32;
-        self.primary.entry(name).or_insert(version);
+    /// Store a snapshot; returns its version (1-based, monotonically
+    /// increasing). The first publish becomes the primary; later
+    /// publishes leave the primary untouched until an explicit
+    /// [`ModelRegistry::promote`]. Accepts a float [`ModelSnapshot`],
+    /// an int8 [`QuantizedSnapshot`], or a [`ServingSnapshot`] directly.
+    pub fn publish(&mut self, snapshot: impl Into<ServingSnapshot>) -> u32 {
+        self.versions.push(snapshot.into());
+        let version = self.versions.len() as u32;
+        if self.primary == 0 {
+            self.primary = version;
+        }
         version
     }
 
-    /// A pinned `(name, version)` snapshot.
+    /// A pinned version's snapshot.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] if the name or version does
-    /// not exist.
-    pub fn get(&self, name: &str, version: u32) -> Result<&ServingSnapshot, ServeError> {
-        self.models
-            .get(name)
-            .and_then(|v| v.get(version.checked_sub(1)? as usize))
+    /// Returns [`ServeError::UnknownModel`] if the version does not
+    /// exist.
+    pub fn get(&self, version: u32) -> Result<&ServingSnapshot, ServeError> {
+        version
+            .checked_sub(1)
+            .and_then(|i| self.versions.get(i as usize))
             .ok_or_else(|| ServeError::UnknownModel {
-                name: format!("{name}@v{version}"),
+                name: format!("v{version}"),
             })
     }
 
-    /// The primary snapshot under `name` and its version — what
-    /// baseline (non-canary) traffic is served from.
+    /// The primary snapshot and its version — what baseline
+    /// (non-canary) traffic is served from.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] if nothing was published
-    /// under `name`.
-    pub fn primary(&self, name: &str) -> Result<(u32, &ServingSnapshot), ServeError> {
-        let version = *self
-            .primary
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownModel {
-                name: name.to_owned(),
-            })?;
-        Ok((version, self.get(name, version)?))
+    /// Returns [`ServeError::UnknownModel`] if nothing was published.
+    pub fn primary(&self) -> Result<(u32, &ServingSnapshot), ServeError> {
+        Ok((self.primary, self.get(self.primary)?))
     }
 
-    /// Start a canary: route every `every`-th request ordinal under
-    /// `name` to snapshot `version`. Replaces any in-flight canary.
+    /// Start a canary: route every `every`-th request ordinal to
+    /// snapshot `version`. Replaces any in-flight canary.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] if `name@version` does not
+    /// Returns [`ServeError::UnknownModel`] if `version` does not
     /// exist, or [`ServeError::Snapshot`] if `every == 0` or the
     /// candidate is already the primary.
-    pub fn set_canary(&mut self, name: &str, version: u32, every: u64) -> Result<(), ServeError> {
+    pub fn set_canary(&mut self, version: u32, every: u64) -> Result<(), ServeError> {
         if every == 0 {
             return Err(ServeError::Snapshot {
                 message: "canary `every` must be > 0".into(),
             });
         }
-        let _ = self.get(name, version)?;
-        let (primary_version, _) = self.primary(name)?;
-        if version == primary_version {
+        let _ = self.get(version)?;
+        if version == self.primary {
             return Err(ServeError::Snapshot {
-                message: format!("{name}@v{version} is already primary"),
+                message: format!("v{version} is already primary"),
             });
         }
-        self.canary
-            .insert(name.to_owned(), CanaryState { version, every });
+        self.canary = Some(CanaryState { version, every });
         Ok(())
     }
 
-    /// The in-flight canary for `name`, if any.
+    /// The in-flight canary, if any.
     #[must_use]
-    pub fn canary(&self, name: &str) -> Option<CanaryState> {
-        self.canary.get(name).copied()
+    pub fn canary(&self) -> Option<CanaryState> {
+        self.canary
     }
 
-    /// Abort the canary for `name` (rollback); baseline traffic was
-    /// never moved, so this only stops the candidate's request slice.
-    /// Returns the aborted state, or `None` if no canary was in flight.
-    pub fn clear_canary(&mut self, name: &str) -> Option<CanaryState> {
-        self.canary.remove(name)
+    /// Abort the canary (rollback); baseline traffic was never moved,
+    /// so this only stops the candidate's request slice. Returns the
+    /// aborted state, or `None` if no canary was in flight.
+    pub fn clear_canary(&mut self) -> Option<CanaryState> {
+        self.canary.take()
     }
 
-    /// Promote `version` to primary for `name`, clearing any canary.
+    /// Promote `version` to primary, clearing any canary.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] if `name@version` does not
+    /// Returns [`ServeError::UnknownModel`] if `version` does not
     /// exist.
-    pub fn promote(&mut self, name: &str, version: u32) -> Result<(), ServeError> {
-        let _ = self.get(name, version)?;
-        self.primary.insert(name.to_owned(), version);
-        self.canary.remove(name);
+    pub fn promote(&mut self, version: u32) -> Result<(), ServeError> {
+        let _ = self.get(version)?;
+        self.primary = version;
+        self.canary = None;
         Ok(())
     }
 
-    /// Resolve the snapshot serving request `ordinal` under `name`:
-    /// the canary candidate when one is in flight and
-    /// `ordinal % every == 0`, the primary otherwise. Deterministic in
-    /// `ordinal`, so the same request stream always splits the same way.
+    /// Resolve the snapshot serving request `ordinal`: the canary
+    /// candidate when one is in flight and `ordinal % every == 0`, the
+    /// primary otherwise. Deterministic in `ordinal`, so the same
+    /// request stream always splits the same way.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownModel`] if nothing was published
-    /// under `name`.
-    pub fn route(&self, name: &str, ordinal: u64) -> Result<(u32, &ServingSnapshot), ServeError> {
-        if let Some(state) = self.canary.get(name) {
+    /// Returns [`ServeError::UnknownModel`] if nothing was published.
+    pub fn route(&self, ordinal: u64) -> Result<(u32, &ServingSnapshot), ServeError> {
+        if let Some(state) = self.canary {
             if ordinal.is_multiple_of(state.every) {
-                return Ok((state.version, self.get(name, state.version)?));
+                return Ok((state.version, self.get(state.version)?));
             }
         }
-        self.primary(name)
+        self.primary()
     }
 }
 
@@ -670,12 +584,13 @@ mod tests {
     #[test]
     fn registry_versions_and_lookups() {
         let mut reg = ModelRegistry::new();
-        assert!(reg.get("prod", 1).is_err());
-        let v1 = reg.publish("prod", ModelSnapshot::seeded(&ModelConfig::fast(), 1));
-        let v2 = reg.publish("prod", ModelSnapshot::seeded(&ModelConfig::fast(), 2));
+        assert!(reg.get(1).is_err());
+        assert!(reg.primary().is_err() && reg.route(0).is_err());
+        let v1 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 1));
+        let v2 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 2));
         assert_eq!((v1, v2), (1, 2));
         let s = sample();
-        let ServingSnapshot::Float(pinned) = reg.get("prod", 1).expect("v1 kept") else {
+        let ServingSnapshot::Float(pinned) = reg.get(1).expect("v1 kept") else {
             panic!("float snapshot");
         };
         let fresh = ModelSnapshot::seeded(&ModelConfig::fast(), 1);
@@ -683,31 +598,30 @@ mod tests {
             pinned.stage(0).predict_log(&s),
             fresh.stage(0).predict_log(&s)
         );
-        assert!(reg.get("prod", 3).is_err());
-        assert!(reg.get("prod", 0).is_err());
+        assert!(reg.get(3).is_err());
+        assert!(reg.get(0).is_err());
     }
 
     #[test]
     fn canary_routing_promote_and_rollback() {
         let mut reg = ModelRegistry::new();
-        reg.publish("prod", ModelSnapshot::seeded(&ModelConfig::fast(), 1));
-        let v2 = reg.publish("prod", ModelSnapshot::seeded(&ModelConfig::fast(), 2));
+        reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 1));
+        let v2 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 2));
         // First publish is primary; the second is not until promoted.
-        assert_eq!(reg.primary("prod").expect("primary").0, 1);
-        assert!(reg.canary("prod").is_none());
+        assert_eq!(reg.primary().expect("primary").0, 1);
+        assert!(reg.canary().is_none());
 
         // Invalid canaries are typed errors.
-        assert!(reg.set_canary("prod", v2, 0).is_err());
-        assert!(reg.set_canary("prod", 9, 4).is_err());
+        assert!(reg.set_canary(v2, 0).is_err());
+        assert!(reg.set_canary(9, 4).is_err());
         assert!(
-            reg.set_canary("prod", 1, 4).is_err(),
+            reg.set_canary(1, 4).is_err(),
             "primary can't canary itself"
         );
-        assert!(reg.set_canary("nope", 1, 4).is_err());
 
-        reg.set_canary("prod", v2, 4).expect("canary starts");
+        reg.set_canary(v2, 4).expect("canary starts");
         assert_eq!(
-            reg.canary("prod"),
+            reg.canary(),
             Some(CanaryState {
                 version: 2,
                 every: 4
@@ -715,7 +629,7 @@ mod tests {
         );
         // Deterministic split: multiples of `every` hit the candidate.
         for ordinal in 0..12u64 {
-            let (version, _) = reg.route("prod", ordinal).expect("routes");
+            let (version, _) = reg.route(ordinal).expect("routes");
             assert_eq!(
                 version,
                 if ordinal % 4 == 0 { 2 } else { 1 },
@@ -724,17 +638,17 @@ mod tests {
         }
 
         // Rollback: candidate slice stops, primary unchanged.
-        let aborted = reg.clear_canary("prod").expect("was in flight");
+        let aborted = reg.clear_canary().expect("was in flight");
         assert_eq!(aborted.version, 2);
-        assert_eq!(reg.route("prod", 0).expect("routes").0, 1);
+        assert_eq!(reg.route(0).expect("routes").0, 1);
 
         // Promote: primary moves, canary (restarted first) clears.
-        reg.set_canary("prod", v2, 4).expect("canary restarts");
-        reg.promote("prod", v2).expect("promotes");
-        assert_eq!(reg.primary("prod").expect("primary").0, 2);
-        assert!(reg.canary("prod").is_none());
-        assert_eq!(reg.route("prod", 3).expect("routes").0, 2);
-        assert!(reg.promote("prod", 9).is_err());
+        reg.set_canary(v2, 4).expect("canary restarts");
+        reg.promote(v2).expect("promotes");
+        assert_eq!(reg.primary().expect("primary").0, 2);
+        assert!(reg.canary().is_none());
+        assert_eq!(reg.route(3).expect("routes").0, 2);
+        assert!(reg.promote(9).is_err());
     }
 
     #[test]
@@ -766,47 +680,28 @@ mod tests {
     }
 
     #[test]
-    fn quantized_snapshot_roundtrip_is_bit_identical() {
-        let float = ModelSnapshot::seeded(&ModelConfig::fast(), 11);
-        let snap = QuantizedSnapshot::quantize(&float);
-        let text = snap.to_text();
-        assert!(text.starts_with("eda-serve-snapshot v2-int8\n"));
-        let loaded = QuantizedSnapshot::from_text(&text).expect("parses");
-        assert_eq!(loaded, snap, "weights survive the round trip exactly");
-        assert_eq!(
-            loaded.to_text(),
-            text,
-            "canonical bytes survive the round trip"
-        );
-        let s = sample();
-        for k in 0..4 {
-            assert_eq!(
-                loaded.stage(k).predict_log(&s),
-                snap.stage(k).predict_log(&s),
-                "stage {k} predictions must be bit-identical"
-            );
+    fn int8_needs_no_format_of_its_own() {
+        // Quantization is a pure function of the float weights and the
+        // float text round-trips bit-exactly, so an int8 snapshot
+        // rebuilt from stored float text is the int8 snapshot.
+        let pool = crate::design_pool();
+        let aig: Vec<&GraphSample> = pool.iter().map(|d| &d.aig).collect();
+        let netlist: Vec<&GraphSample> = pool.iter().map(|d| &d.netlist).collect();
+        let (aig, netlist) = (GraphBatch::pack(&aig), GraphBatch::pack(&netlist));
+        for (config, seed) in [(ModelConfig::fast(), 11), (ModelConfig::paper(), 12)] {
+            let float = ModelSnapshot::seeded(&config, seed);
+            let direct = QuantizedSnapshot::quantize(&float);
+            let reloaded = ModelSnapshot::from_text(&float.to_text()).expect("parses");
+            let derived = QuantizedSnapshot::quantize(&reloaded);
+            assert_eq!(derived, direct, "codes and scales survive the float text");
+            for workers in [1usize, 2] {
+                assert_eq!(
+                    derived.predict_batches(&aig, &netlist, workers),
+                    direct.predict_batches(&aig, &netlist, workers),
+                    "workers {workers}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn quantized_snapshot_rejects_malformed_documents() {
-        assert!(QuantizedSnapshot::from_text("nonsense").is_err());
-        let snap = QuantizedSnapshot::quantize(&ModelSnapshot::seeded(&ModelConfig::fast(), 4));
-        let text = snap.to_text();
-        assert!(QuantizedSnapshot::from_text(&text[..text.len() / 2]).is_err());
-        let swapped = text.replace("stage placement", "stage routing");
-        let e = QuantizedSnapshot::from_text(&swapped).unwrap_err();
-        assert!(e.to_string().contains("placement"), "{e}");
-        let footer = text.lines().last().expect("non-empty");
-        let zeroed = text.replace(footer, "checksum 0000000000000000");
-        let e = QuantizedSnapshot::from_text(&zeroed).unwrap_err();
-        assert!(e.to_string().contains("mismatch"), "{e}");
-        let e = QuantizedSnapshot::from_text(&format!("{text}extra\n")).unwrap_err();
-        assert!(e.to_string().contains("trailing"), "{e}");
-        // The float parser refuses the int8 header and vice versa.
-        assert!(ModelSnapshot::from_text(&text).is_err());
-        let float_text = ModelSnapshot::seeded(&ModelConfig::fast(), 4).to_text();
-        assert!(QuantizedSnapshot::from_text(&float_text).is_err());
     }
 
     #[test]
@@ -838,21 +733,12 @@ mod tests {
     }
 
     #[test]
-    fn serving_snapshot_dispatches_both_formats() {
+    fn serving_snapshot_to_float_and_registry_hold_both_variants() {
         let float = ModelSnapshot::seeded(&ModelConfig::fast(), 6);
         let quant = QuantizedSnapshot::quantize(&float);
         let sf = ServingSnapshot::from(float.clone());
         let sq = ServingSnapshot::from(quant.clone());
         assert!(matches!(sf, ServingSnapshot::Float(_)) && matches!(sq, ServingSnapshot::Int8(_)));
-
-        // Text round trip picks the right parser from the header.
-        let back = ServingSnapshot::from_text(&sf.to_text()).expect("float parses");
-        assert!(matches!(back, ServingSnapshot::Float(_)));
-        assert_eq!(back.to_text(), sf.to_text());
-        let back = ServingSnapshot::from_text(&sq.to_text()).expect("int8 parses");
-        assert!(matches!(back, ServingSnapshot::Int8(_)));
-        assert_eq!(back.to_text(), sq.to_text());
-        assert!(ServingSnapshot::from_text("eda-serve-snapshot v9\n").is_err());
 
         // to_float: identity for floats, dequantize for int8 — and
         // re-quantizing the dequantized weights reproduces the codes.
@@ -861,9 +747,9 @@ mod tests {
 
         // A registry holds both variants side by side.
         let mut reg = ModelRegistry::new();
-        let v1 = reg.publish("prod", float);
-        let v2 = reg.publish("prod", quant);
-        assert!(matches!(reg.get("prod", v1), Ok(ServingSnapshot::Float(_))));
-        assert!(matches!(reg.get("prod", v2), Ok(ServingSnapshot::Int8(_))));
+        let v1 = reg.publish(float);
+        let v2 = reg.publish(quant);
+        assert!(matches!(reg.get(v1), Ok(ServingSnapshot::Float(_))));
+        assert!(matches!(reg.get(v2), Ok(ServingSnapshot::Int8(_))));
     }
 }

@@ -443,7 +443,8 @@ pub fn check_guardrail_soundness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eda_cloud_fleet::{FleetCounters, Histogram};
+    use eda_cloud_fleet::FleetCounters;
+    use eda_cloud_trace::Histogram;
 
     fn fleet_report(counters: FleetCounters) -> FleetReport {
         FleetReport {

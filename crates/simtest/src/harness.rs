@@ -28,7 +28,7 @@ use eda_cloud_lifecycle::{
 use eda_cloud_ingest::{fixtures, FrontDoor, FrontDoorConfig};
 use eda_cloud_serve::{
     design_pool, synthetic_requests_with_uploads, CostTablePlanner, ModelSnapshot, RequestOutcome,
-    ServeConfig, ServeReport, Server, SharedIngestFaults, SharedServeFaults, WorkloadConfig,
+    ServeConfig, ServeReport, Server, SharedServeFaults, WorkloadConfig,
 };
 use eda_cloud_trace::{fnv1a64, Trace, Tracer};
 use rand::{Rng, SeedableRng};
@@ -273,8 +273,7 @@ pub fn run_simtest_traced(
     )
     .with_ingestor(Box::new(FrontDoor::with_pool_profile(FrontDoorConfig::default())))
     .with_tracer(serve_tracer.clone())
-    .with_faults(Arc::clone(&hooks) as SharedServeFaults)
-    .with_ingest_faults(Arc::clone(&hooks) as SharedIngestFaults);
+    .with_faults(Arc::clone(&hooks) as SharedServeFaults);
     let (serve, serve_outcomes) = server.run(config.seed, &requests)?;
     let serve_trace = serve_tracer.drain();
     fault_spans += count_fault_spans(&serve_trace);

@@ -12,7 +12,7 @@ use eda_cloud_engine::EngineFaults;
 use eda_cloud_fleet::FleetFaults;
 use eda_cloud_lifecycle::{Arm, LifecycleFaults};
 use eda_cloud_recipe::RecipeFaults;
-use eda_cloud_serve::{IngestFaults, ServeFaults};
+use eda_cloud_serve::ServeFaults;
 
 /// A fault plan wired up as hook objects for all three loops.
 #[derive(Debug, Clone)]
@@ -71,9 +71,7 @@ impl ServeFaults for PlanFaults {
             .iter()
             .any(|event| matches!(*event, FaultEvent::CacheWipe { ordinal: o } if o == ordinal))
     }
-}
 
-impl IngestFaults for PlanFaults {
     fn corrupt_upload(&self, ordinal: u64) -> bool {
         self.plan.events.iter().any(|event| {
             matches!(*event, FaultEvent::IngestCorruptUpload { ordinal: o } if o == ordinal)

@@ -148,76 +148,91 @@ pub enum FaultEvent {
     },
 }
 
-impl FaultEvent {
-    /// The event's canonical kind string, as it appears in the JSON.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FaultEvent::SpotStorm { .. } => "spot_storm",
-            FaultEvent::VmStall { .. } => "vm_stall",
-            FaultEvent::OverloadBurst { .. } => "overload_burst",
-            FaultEvent::CacheWipe { .. } => "cache_wipe",
-            FaultEvent::FeedbackDelay { .. } => "feedback_delay",
-            FaultEvent::FeedbackDrop { .. } => "feedback_drop",
-            FaultEvent::SnapshotCorruption { .. } => "snapshot_corruption",
-            FaultEvent::CanaryLatencySpike { .. } => "canary_latency_spike",
-            FaultEvent::CrossShardDelay { .. } => "cross_shard_delay",
-            FaultEvent::RecipeEvalStall { .. } => "recipe_eval_stall",
-            FaultEvent::IngestCorruptUpload { .. } => "ingest_corrupt_upload",
-            FaultEvent::IngestFlood { .. } => "ingest_flood",
-            FaultEvent::RegionPartition { .. } => "region_partition",
-        }
-    }
+/// The wire schema, written once: each row names a variant, its
+/// canonical kind string, and its fields in canonical order with their
+/// Rust types. [`FaultEvent::kind`], the rendered JSON line, the
+/// parser's field-list diagnostics and its integer range checks are all
+/// generated from these rows, so a new fault kind is one variant plus
+/// one row here.
+macro_rules! schema {
+    ($($variant:ident $kind:literal { $($field:ident: $ty:ident),+ })+) => {
+        impl FaultEvent {
+            /// The event's canonical kind string, as it appears in the JSON.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(FaultEvent::$variant { .. } => $kind,)+
+                }
+            }
 
+            /// The event's `(field name, value)` pairs in canonical order
+            /// (`as u64` only widens: every field is `u32`, `usize` or `u64`).
+            fn fields(&self) -> Vec<(&'static str, u64)> {
+                match *self {
+                    $(FaultEvent::$variant { $($field),+ } => {
+                        vec![$((stringify!($field), $field as u64)),+]
+                    })+
+                }
+            }
+
+            /// Build the event of `kind` from its parsed fields: exactly
+            /// the schema's names in the schema's order, each value in
+            /// range for its field's type.
+            fn from_fields(kind: &str, fields: &[(&str, u64)]) -> Result<Self, SimtestError> {
+                let bad = |message: String| SimtestError::Plan { message };
+                let got: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+                match kind {
+                    $($kind => {
+                        let names = [$(stringify!($field)),+];
+                        if got != names {
+                            return Err(bad(format!(
+                                "kind `{kind}` expects fields {names:?}, found {got:?}"
+                            )));
+                        }
+                        let mut values = fields.iter().map(|(_, v)| *v);
+                        Ok(FaultEvent::$variant {
+                            $($field: {
+                                let v = values.next().expect("one value per checked name");
+                                $ty::try_from(v).map_err(|_| {
+                                    let (field, ty) = (stringify!($field), stringify!($ty));
+                                    bad(format!("{field} {v} overflows {ty}"))
+                                })?
+                            }),+
+                        })
+                    })+
+                    other => Err(bad(format!("unknown fault kind `{other}`"))),
+                }
+            }
+        }
+    };
+}
+
+schema! {
+    SpotStorm "spot_storm" { job_lo: u64, job_hi: u64, attempts: u32, fraction_ppm: u64 }
+    VmStall "vm_stall" { job_id: u64, stage: usize, pct: u64 }
+    OverloadBurst "overload_burst" { ord_lo: u64, ord_hi: u64 }
+    CacheWipe "cache_wipe" { ordinal: u64 }
+    FeedbackDelay "feedback_delay" { ordinal: u64, extra_us: u64 }
+    FeedbackDrop "feedback_drop" { ordinal: u64 }
+    SnapshotCorruption "snapshot_corruption" { byte_index: u64 }
+    CanaryLatencySpike "canary_latency_spike" { ord_lo: u64, ord_hi: u64, spike_us: u64 }
+    CrossShardDelay "cross_shard_delay" { src: u32, dst: u32, seq_lo: u64, seq_hi: u64, extra_us: u64 }
+    RecipeEvalStall "recipe_eval_stall" { iter_lo: u64, iter_hi: u64, extra_us: u64 }
+    IngestCorruptUpload "ingest_corrupt_upload" { ordinal: u64 }
+    IngestFlood "ingest_flood" { ord_lo: u64, ord_hi: u64 }
+    RegionPartition "region_partition" { src: u32, dst: u32, from_us: u64, heal_us: u64 }
+}
+
+impl FaultEvent {
     /// Render the event as one canonical single-line JSON object.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        match *self {
-            FaultEvent::SpotStorm { job_lo, job_hi, attempts, fraction_ppm } => format!(
-                "{{\"kind\":\"spot_storm\",\"job_lo\":{job_lo},\"job_hi\":{job_hi},\
-                 \"attempts\":{attempts},\"fraction_ppm\":{fraction_ppm}}}"
-            ),
-            FaultEvent::VmStall { job_id, stage, pct } => format!(
-                "{{\"kind\":\"vm_stall\",\"job_id\":{job_id},\"stage\":{stage},\"pct\":{pct}}}"
-            ),
-            FaultEvent::OverloadBurst { ord_lo, ord_hi } => format!(
-                "{{\"kind\":\"overload_burst\",\"ord_lo\":{ord_lo},\"ord_hi\":{ord_hi}}}"
-            ),
-            FaultEvent::CacheWipe { ordinal } => {
-                format!("{{\"kind\":\"cache_wipe\",\"ordinal\":{ordinal}}}")
-            }
-            FaultEvent::FeedbackDelay { ordinal, extra_us } => format!(
-                "{{\"kind\":\"feedback_delay\",\"ordinal\":{ordinal},\"extra_us\":{extra_us}}}"
-            ),
-            FaultEvent::FeedbackDrop { ordinal } => {
-                format!("{{\"kind\":\"feedback_drop\",\"ordinal\":{ordinal}}}")
-            }
-            FaultEvent::SnapshotCorruption { byte_index } => {
-                format!("{{\"kind\":\"snapshot_corruption\",\"byte_index\":{byte_index}}}")
-            }
-            FaultEvent::CanaryLatencySpike { ord_lo, ord_hi, spike_us } => format!(
-                "{{\"kind\":\"canary_latency_spike\",\"ord_lo\":{ord_lo},\"ord_hi\":{ord_hi},\
-                 \"spike_us\":{spike_us}}}"
-            ),
-            FaultEvent::CrossShardDelay { src, dst, seq_lo, seq_hi, extra_us } => format!(
-                "{{\"kind\":\"cross_shard_delay\",\"src\":{src},\"dst\":{dst},\
-                 \"seq_lo\":{seq_lo},\"seq_hi\":{seq_hi},\"extra_us\":{extra_us}}}"
-            ),
-            FaultEvent::RecipeEvalStall { iter_lo, iter_hi, extra_us } => format!(
-                "{{\"kind\":\"recipe_eval_stall\",\"iter_lo\":{iter_lo},\"iter_hi\":{iter_hi},\
-                 \"extra_us\":{extra_us}}}"
-            ),
-            FaultEvent::IngestCorruptUpload { ordinal } => {
-                format!("{{\"kind\":\"ingest_corrupt_upload\",\"ordinal\":{ordinal}}}")
-            }
-            FaultEvent::IngestFlood { ord_lo, ord_hi } => format!(
-                "{{\"kind\":\"ingest_flood\",\"ord_lo\":{ord_lo},\"ord_hi\":{ord_hi}}}"
-            ),
-            FaultEvent::RegionPartition { src, dst, from_us, heal_us } => format!(
-                "{{\"kind\":\"region_partition\",\"src\":{src},\"dst\":{dst},\
-                 \"from_us\":{from_us},\"heal_us\":{heal_us}}}"
-            ),
+        let mut line = format!("{{\"kind\":\"{}\"", self.kind());
+        for (name, value) in self.fields() {
+            line.push_str(&format!(",\"{name}\":{value}"));
         }
+        line.push('}');
+        line
     }
 }
 
@@ -503,101 +518,7 @@ fn parse_event(object: &str) -> Result<FaultEvent, SimtestError> {
         }
     }
     let kind = kind.ok_or_else(|| bad(format!("event `{object}` has no kind")))?;
-    let take = |fields: &[(&str, u64)], names: &[&str]| -> Result<Vec<u64>, SimtestError> {
-        let got: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
-        if got != names {
-            return Err(SimtestError::Plan {
-                message: format!("kind `{kind}` expects fields {names:?}, found {got:?}"),
-            });
-        }
-        Ok(fields.iter().map(|(_, v)| *v).collect())
-    };
-    let event = match kind {
-        "spot_storm" => {
-            let v = take(&fields, &["job_lo", "job_hi", "attempts", "fraction_ppm"])?;
-            FaultEvent::SpotStorm {
-                job_lo: v[0],
-                job_hi: v[1],
-                attempts: u32::try_from(v[2]).map_err(|_| SimtestError::Plan {
-                    message: format!("attempts {} overflows u32", v[2]),
-                })?,
-                fraction_ppm: v[3],
-            }
-        }
-        "vm_stall" => {
-            let v = take(&fields, &["job_id", "stage", "pct"])?;
-            FaultEvent::VmStall { job_id: v[0], stage: v[1] as usize, pct: v[2] }
-        }
-        "overload_burst" => {
-            let v = take(&fields, &["ord_lo", "ord_hi"])?;
-            FaultEvent::OverloadBurst { ord_lo: v[0], ord_hi: v[1] }
-        }
-        "cache_wipe" => {
-            let v = take(&fields, &["ordinal"])?;
-            FaultEvent::CacheWipe { ordinal: v[0] }
-        }
-        "feedback_delay" => {
-            let v = take(&fields, &["ordinal", "extra_us"])?;
-            FaultEvent::FeedbackDelay { ordinal: v[0], extra_us: v[1] }
-        }
-        "feedback_drop" => {
-            let v = take(&fields, &["ordinal"])?;
-            FaultEvent::FeedbackDrop { ordinal: v[0] }
-        }
-        "snapshot_corruption" => {
-            let v = take(&fields, &["byte_index"])?;
-            FaultEvent::SnapshotCorruption { byte_index: v[0] }
-        }
-        "canary_latency_spike" => {
-            let v = take(&fields, &["ord_lo", "ord_hi", "spike_us"])?;
-            FaultEvent::CanaryLatencySpike { ord_lo: v[0], ord_hi: v[1], spike_us: v[2] }
-        }
-        "cross_shard_delay" => {
-            let v = take(&fields, &["src", "dst", "seq_lo", "seq_hi", "extra_us"])?;
-            let region = |v: u64| {
-                u32::try_from(v).map_err(|_| SimtestError::Plan {
-                    message: format!("region id {v} overflows u32"),
-                })
-            };
-            FaultEvent::CrossShardDelay {
-                src: region(v[0])?,
-                dst: region(v[1])?,
-                seq_lo: v[2],
-                seq_hi: v[3],
-                extra_us: v[4],
-            }
-        }
-        "recipe_eval_stall" => {
-            let v = take(&fields, &["iter_lo", "iter_hi", "extra_us"])?;
-            FaultEvent::RecipeEvalStall { iter_lo: v[0], iter_hi: v[1], extra_us: v[2] }
-        }
-        "ingest_corrupt_upload" => {
-            let v = take(&fields, &["ordinal"])?;
-            FaultEvent::IngestCorruptUpload { ordinal: v[0] }
-        }
-        "ingest_flood" => {
-            let v = take(&fields, &["ord_lo", "ord_hi"])?;
-            FaultEvent::IngestFlood { ord_lo: v[0], ord_hi: v[1] }
-        }
-        "region_partition" => {
-            let v = take(&fields, &["src", "dst", "from_us", "heal_us"])?;
-            let region = |v: u64| {
-                u32::try_from(v).map_err(|_| SimtestError::Plan {
-                    message: format!("region id {v} overflows u32"),
-                })
-            };
-            FaultEvent::RegionPartition {
-                src: region(v[0])?,
-                dst: region(v[1])?,
-                from_us: v[2],
-                heal_us: v[3],
-            }
-        }
-        other => {
-            return Err(SimtestError::Plan { message: format!("unknown fault kind `{other}`") })
-        }
-    };
-    Ok(event)
+    FaultEvent::from_fields(kind, &fields)
 }
 
 #[cfg(test)]
@@ -639,6 +560,26 @@ mod tests {
         let parsed = FaultPlan::from_json(&text).expect("parses");
         assert_eq!(parsed, plan);
         assert_eq!(parsed.to_json(), text, "canonical form is a fixpoint");
+        // The bytes each kind rendered to before the schema became one
+        // table, in `sample_plan` order: checked-in plans and the
+        // simtest golden depend on them.
+        let pinned = [
+            r#"{"kind":"spot_storm","job_lo":0,"job_hi":2,"attempts":2,"fraction_ppm":500000}"#,
+            r#"{"kind":"vm_stall","job_id":1,"stage":2,"pct":250}"#,
+            r#"{"kind":"overload_burst","ord_lo":4,"ord_hi":9}"#,
+            r#"{"kind":"cache_wipe","ordinal":11}"#,
+            r#"{"kind":"feedback_delay","ordinal":17,"extra_us":2000000}"#,
+            r#"{"kind":"feedback_drop","ordinal":23}"#,
+            r#"{"kind":"snapshot_corruption","byte_index":341}"#,
+            r#"{"kind":"canary_latency_spike","ord_lo":0,"ord_hi":159,"spike_us":10000000}"#,
+            r#"{"kind":"cross_shard_delay","src":0,"dst":2,"seq_lo":3,"seq_hi":8,"extra_us":120000}"#,
+            r#"{"kind":"recipe_eval_stall","iter_lo":4,"iter_hi":11,"extra_us":250000}"#,
+            r#"{"kind":"ingest_corrupt_upload","ordinal":13}"#,
+            r#"{"kind":"ingest_flood","ord_lo":20,"ord_hi":25}"#,
+            r#"{"kind":"region_partition","src":1,"dst":0,"from_us":100000,"heal_us":900000}"#,
+        ];
+        let rendered: Vec<String> = plan.events.iter().map(FaultEvent::to_json_line).collect();
+        assert_eq!(rendered, pinned);
     }
 
     #[test]
@@ -682,6 +623,16 @@ mod tests {
                 "trailing content",
             ),
             ("{\n  \"seed\": 7,\n  \"events\": [\n", "unterminated"),
+            (
+                "{\n  \"seed\": 7,\n  \"events\": [\n    {\"kind\":\"spot_storm\",\"job_lo\":0,\
+                 \"job_hi\":0,\"attempts\":4294967296,\"fraction_ppm\":1}\n  ]\n}",
+                "attempts 4294967296 overflows u32",
+            ),
+            (
+                "{\n  \"seed\": 7,\n  \"events\": [\n    {\"kind\":\"region_partition\",\"src\":0,\
+                 \"dst\":4294967296,\"from_us\":1,\"heal_us\":2}\n  ]\n}",
+                "dst 4294967296 overflows u32",
+            ),
         ];
         for (text, needle) in cases {
             match FaultPlan::from_json(text) {

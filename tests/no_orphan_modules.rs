@@ -1,10 +1,13 @@
-//! Reference audit, two grains. **Modules**: every `crates/*/src` module
+//! Reference audit, three grains. **Modules**: every `crates/*/src` module
 //! has a top-level `pub` item that some *other* `.rs` file names outside
 //! comments and `pub use` lines. **Items**: every `pub fn` / `pub(crate) fn`
 //! a member crate declares above its file's first `#[cfg(test)]` is named by
 //! product code — a bin, an example, the e2e workloads or non-test library
 //! code — or sits in [`TEST_REFERENCES`] with the reason it stays. A module
 //! or function only tests and benches reach is a design nobody runs.
+//! **Knobs**: the `pub` fields of the configuration structs are counted, and
+//! so are those no product code outside the declaring file ever sets; both
+//! counts have a ceiling that may only be lowered.
 
 use std::path::{Path, PathBuf};
 use std::{collections::HashSet, fs};
@@ -115,14 +118,20 @@ fn uses(line: &str) -> impl Iterator<Item = &str> {
     idents(code).filter(move |w| std::mem::replace(&mut prev, w) != "fn")
 }
 
+/// A file whose non-test part is product code: not under `tests/` or `benches/`.
+fn caller(path: &str) -> bool {
+    !path.split('/').any(|dir| dir == "tests" || dir == "benches")
+}
+
+/// A `crates/*/src/**` file: where audited declarations live.
+fn audited(path: &str) -> bool {
+    matches!(path.split('/').collect::<Vec<_>>()[..], ["crates", _, "src", _, ..])
+}
+
 /// `path: name` of every function declared above the first `#[cfg(test)]` of a
 /// `crates/*/src/**` file that nothing names from product code: callers are
 /// the non-test part of any file outside a `tests/` or `benches/` directory.
 fn unreferenced_fns(sources: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<String> {
-    let caller = |path: &str| !path.split('/').any(|dir| dir == "tests" || dir == "benches");
-    let audited = |path: &str| {
-        matches!(path.split('/').collect::<Vec<_>>()[..], ["crates", _, "src", _, ..])
-    };
     let called: HashSet<&str> = sources
         .iter()
         .filter(|(path, _)| caller(path))
@@ -189,5 +198,108 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
     {
         let with_caller = [sources.clone(), vec![file(path, caller)]].concat();
         assert_eq!(unreferenced_fns(&with_caller, &[]).len(), orphans, "{path}");
+    }
+}
+
+/// Ceilings of the knob census; lower them when a knob goes, never raise them.
+const MAX_KNOBS: usize = 144;
+const MAX_UNWRITTEN_KNOBS: usize = 45;
+
+/// A struct whose `pub` fields are knobs: each is a value a caller may set.
+fn is_knob_struct(name: &str) -> bool {
+    ["Config", "Scenario", "Policy", "Quotas"].iter().any(|end| name.ends_with(end))
+        || ["Trainer", "Retrainer"].contains(&name)
+}
+
+/// Whether `line` sets a field called `field`: `field:` in a struct literal
+/// (not the path `field::`) or `.field =` (not `==`), outside a trailing comment.
+fn writes(line: &str, field: &str) -> bool {
+    let code = line.split("//").next().unwrap_or(line);
+    code.match_indices(field).any(|(at, _)| {
+        let prev = code[..at].chars().next_back();
+        let rest = &code[at + field.len()..];
+        let literal = prev != Some('.') && rest.starts_with(':') && !rest.starts_with("::");
+        let assigned = rest.trim_start().strip_prefix('=').is_some_and(|r| !r.starts_with('='));
+        let starts_ident = !prev.is_some_and(|c| c.is_alphanumeric() || c == '_');
+        starts_ident && (literal || prev == Some('.') && assigned)
+    })
+}
+
+/// `Struct.field` of every `pub` field of a knob struct declared above the first
+/// `#[cfg(test)]` of a `crates/*/src/**` file, and the subset with no product
+/// writer: no struct literal or assignment sets a field of that name in the
+/// non-test part of another file outside `tests/` and `benches/`. The match is
+/// by field name, so a namesake in another struct counts as a writer — the
+/// second list is a floor.
+fn knob_census(sources: &[(String, String)]) -> (Vec<String>, Vec<String>) {
+    // Product code of every possible writer, with its identifiers as a prefilter.
+    let writers: Vec<(&String, &str, HashSet<&str>)> = sources
+        .iter()
+        .filter(|(path, _)| caller(path))
+        .map(|(path, text)| (path, product(text), words(product(text))))
+        .collect();
+    let (mut knobs, mut unwritten) = (Vec::new(), Vec::new());
+    for (path, text) in sources.iter().filter(|(path, _)| audited(path)) {
+        let mut owner = None;
+        for line in code_lines(product(text)) {
+            if let Some(name) = line.strip_prefix("pub struct ").and_then(|l| idents(l).next()) {
+                owner = (is_knob_struct(name) && line.ends_with('{')).then_some(name);
+            } else if line == "}" {
+                owner = None;
+            } else if let (Some(owner), Some(rest)) = (owner, line.strip_prefix("pub ")) {
+                let Some(field) = idents(rest).next().filter(|f| rest[f.len()..].starts_with(':'))
+                else {
+                    continue;
+                };
+                let written = writers.iter().any(|(other, code, names)| {
+                    *other != path
+                        && names.contains(field)
+                        && code_lines(code).any(|line| writes(line, field))
+                });
+                knobs.push(format!("{owner}.{field}"));
+                if !written {
+                    unwritten.push(format!("{owner}.{field}"));
+                }
+            }
+        }
+    }
+    (knobs, unwritten)
+}
+
+#[test]
+fn public_knobs_are_not_up() {
+    let (knobs, unwritten) = knob_census(&workspace_sources());
+    assert!(
+        knobs.len() <= MAX_KNOBS && unwritten.len() <= MAX_UNWRITTEN_KNOBS,
+        "{} public knobs (ceiling {MAX_KNOBS}), {} that no product code sets (ceiling \
+         {MAX_UNWRITTEN_KNOBS}) — delete a knob, do not raise a ceiling.\nknobs: {}\nnever set: {}",
+        knobs.len(),
+        unwritten.len(),
+        knobs.join(" "),
+        unwritten.join(" ")
+    );
+}
+
+#[test]
+fn the_census_counts_pub_fields_and_their_product_writers() {
+    let lib = "pub struct GaugeConfig {\n    /// Samples per second.\n    pub rate: u32,\n    \
+               pub depth: u32,\n    pub tag: u32,\n    cap: u32,\n}\n\
+               pub struct Gauge {\n    pub raw: u32,\n}\n\
+               fn own() -> GaugeConfig { GaugeConfig { rate: 1, depth: 1, tag: 1, cap: 1 } }\n\
+               #[cfg(test)]\nmod tests {\n    pub struct HiddenConfig {\n        pub x: u32,\n    }\n}\n";
+    let bin = "fn main() {\n    let mut c = GaugeConfig { rate: 3, ..own() }; // depth: 9\n    \
+               if c.depth == 2 { let _ = depth::MAX; }\n    c.cap = 2;\n}\n";
+    let file = |path: &str, text: &str| (path.to_owned(), text.to_owned());
+    let sources = vec![file("crates/a/src/gauge.rs", lib), file("crates/a/src/bin/x.rs", bin)];
+    // `cap` is private, `Gauge` is not a knob struct, `HiddenConfig` is test code;
+    // the declaring file's own literal, a comment, `==` and a path are not writers.
+    let (knobs, unwritten) = knob_census(&sources);
+    assert_eq!(knobs, ["GaugeConfig.rate", "GaugeConfig.depth", "GaugeConfig.tag"]);
+    assert_eq!(unwritten, ["GaugeConfig.depth", "GaugeConfig.tag"]);
+    // An assignment in an example is a product writer; one under `tests/` is not.
+    let assign = "fn f(c: &mut GaugeConfig) { c.depth = 4; c.tag= 5; }\n";
+    for (path, left) in [("examples/e.rs", 0), ("crates/a/tests/it.rs", 2)] {
+        let with_writer = [sources.clone(), vec![file(path, assign)]].concat();
+        assert_eq!(knob_census(&with_writer).1.len(), left, "{path}");
     }
 }

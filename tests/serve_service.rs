@@ -4,10 +4,21 @@
 //! byte of the report, overload sheds requests instead of stalling the
 //! stream, and the CI smoke scenario (`serve --requests 64 --seed 7`)
 //! is pinned against a checked-in golden report.
+//!
+//! The property tests at the end harden `ModelSnapshot::from_text`:
+//! snapshots cross a trust boundary — they are loaded from text a
+//! registry or operator hands us — so the parser must turn every
+//! malformed, truncated, or poisoned document into a typed
+//! [`ServeError`], never a panic, and a document that does parse must
+//! reproduce the canonical bytes it came from.
 
 use eda_cloud::core::{ServeScenario, Workflow, WorkflowPlanner};
 use eda_cloud::gcn::ModelConfig;
-use eda_cloud::serve::{ModelSnapshot, RequestOutcome, ServeConfig, ServeReport, Server};
+use eda_cloud::serve::{
+    ModelSnapshot, RequestOutcome, ServeConfig, ServeError, ServeReport, Server,
+};
+use proptest::prelude::*;
+use proptest::sample::select;
 
 mod common;
 
@@ -109,4 +120,164 @@ fn golden_report_for_seed_7() {
     let scenario = ServeScenario::new(64, 7);
     let (report, _) = run(&scenario, &seeded_snapshot(7));
     common::assert_golden(&report.to_json(), "golden/serve_report.json");
+}
+
+fn canonical() -> String {
+    ModelSnapshot::seeded(&ModelConfig::fast(), 7).to_text()
+}
+
+prop_compose! {
+    /// A random slice boundary of the canonical document (in chars so
+    /// we never split a UTF-8 sequence; the format is ASCII anyway).
+    fn truncation()(fraction in 0.0f64..1.0) -> usize {
+        let len = canonical().len();
+        ((fraction * len as f64) as usize).min(len.saturating_sub(1))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn truncated_documents_are_typed_errors(cut in truncation()) {
+        let text = canonical();
+        let result = ModelSnapshot::from_text(&text[..cut]);
+        prop_assert!(
+            matches!(result, Err(ServeError::Snapshot { .. })),
+            "truncation at {cut} must be a typed snapshot error"
+        );
+    }
+
+    #[test]
+    fn poisoned_values_are_typed_errors(
+        line_pick in 0usize..64,
+        poison in select(vec!["NaN", "nan", "inf", "-inf", "infinity", "1e999", "-1e999"]),
+    ) {
+        // Replace one weight value on a tensor line with a value that
+        // parses as f64 but is non-finite (or overflows to infinity).
+        let text = canonical();
+        let tensor_lines: Vec<usize> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.contains(".w ") || l.contains(".b "))
+            .map(|(i, _)| i)
+            .collect();
+        let target = tensor_lines[line_pick % tensor_lines.len()];
+        let poisoned: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                if i != target {
+                    return format!("{l}\n");
+                }
+                let mut parts: Vec<String> = l.split(' ').map(str::to_owned).collect();
+                let last = parts.len() - 1;
+                parts[last] = poison.to_owned();
+                format!("{}\n", parts.join(" "))
+            })
+            .collect();
+        let result = ModelSnapshot::from_text(&poisoned);
+        prop_assert!(
+            matches!(result, Err(ServeError::Snapshot { .. })),
+            "poison `{poison}` on line {target} must be a typed error"
+        );
+    }
+
+    #[test]
+    fn corrupted_lines_never_panic(
+        line_pick in 0usize..512,
+        garbage in select(vec![
+            "", " ", "stage synthesis", "end sta", "gcn0.w", "gcn0.w 2 2",
+            "gcn0.w -1 -1 0.0", "gcn_dims", "fc_dim x", "lorem ipsum",
+            "gcn0.w 18446744073709551615 2 1.0",
+        ]),
+    ) {
+        // Overwrite an arbitrary line with structural garbage; the
+        // parser may accept documents where the line was redundant, but
+        // must never panic, and any accepted document must re-serialize.
+        let text = canonical();
+        let total = text.lines().count();
+        let target = line_pick % total;
+        let corrupted: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| format!("{}\n", if i == target { garbage } else { l }))
+            .collect();
+        if let Ok(snapshot) = ModelSnapshot::from_text(&corrupted) {
+            let _ = snapshot.to_text();
+        }
+    }
+
+    #[test]
+    fn single_bit_flips_are_typed_errors(position in 0.0f64..1.0, bit in 0u32..7) {
+        // The checksum footer makes every single-byte corruption
+        // detectable: FNV-1a's per-byte step is bijective, so two
+        // documents differing in one byte can never share a digest.
+        // Flips land on bits 0-6 to keep the document valid UTF-8
+        // (the canonical format is pure ASCII).
+        let text = canonical();
+        let index = ((position * text.len() as f64) as usize).min(text.len() - 1);
+        let mut bytes = text.into_bytes();
+        bytes[index] ^= 1 << bit;
+        let corrupted = String::from_utf8(bytes).expect("ASCII stays UTF-8 below bit 7");
+        let result = ModelSnapshot::from_text(&corrupted);
+        prop_assert!(
+            result.is_err(),
+            "flipping bit {bit} of byte {index} must be rejected, got Ok"
+        );
+    }
+
+    #[test]
+    fn truncation_after_any_newline_is_a_typed_error(position in 0.0f64..1.0) {
+        // Cutting at a line boundary produces a structurally plausible
+        // prefix — exactly what a partial download looks like. The
+        // parser must still reject it (missing sections or missing
+        // checksum), never panic or accept.
+        let text = canonical();
+        let newlines: Vec<usize> =
+            text.bytes().enumerate().filter(|&(_, b)| b == b'\n').map(|(i, _)| i).collect();
+        let pick = ((position * newlines.len() as f64) as usize).min(newlines.len() - 1);
+        let cut = newlines[pick] + 1;
+        if cut == text.len() {
+            return; // The full document parses; nothing was truncated.
+        }
+        let result = ModelSnapshot::from_text(&text[..cut]);
+        prop_assert!(
+            matches!(result, Err(ServeError::Snapshot { .. })),
+            "truncation after newline {pick} must be a typed snapshot error"
+        );
+    }
+
+    #[test]
+    fn random_bytes_never_panic(seed_a in 0u64..u64::MAX, lines in 1usize..20) {
+        // Arbitrary printable garbage, sometimes under a valid header.
+        let mut state = seed_a | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for with_header in [false, true] {
+            let mut doc = String::new();
+            if with_header {
+                doc.push_str("eda-serve-snapshot v1\n");
+            }
+            for _ in 0..lines {
+                let n = (next() % 24) as usize;
+                for _ in 0..n {
+                    doc.push(char::from(b' ' + (next() % 95) as u8));
+                }
+                doc.push('\n');
+            }
+            let _ = ModelSnapshot::from_text(&doc);
+        }
+    }
+}
+
+#[test]
+fn parse_roundtrip_reproduces_canonical_bytes() {
+    let text = canonical();
+    let parsed = ModelSnapshot::from_text(&text).expect("canonical text parses");
+    assert_eq!(parsed.to_text(), text);
 }
