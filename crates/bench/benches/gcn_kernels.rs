@@ -45,6 +45,21 @@ fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_vec(rows, cols, data)
 }
 
+/// [`lcg_matrix`] with about half the entries zeroed by a seeded mask:
+/// what a dense product's left operand looks like in the product, where
+/// it is the previous layer's ReLU output.
+fn relu_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = lcg_matrix(rows, cols, seed);
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for v in m.data_mut() {
+        s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(7);
+        if (s >> 40) & 1 == 0 {
+            *v = 0.0;
+        }
+    }
+    m
+}
+
 fn bench_dense_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense_matmul");
     for n in [64usize, 128, 256] {
@@ -55,6 +70,26 @@ fn bench_dense_matmul(c: &mut Criterion) {
         });
     }
     group.finish();
+    // The traffic rather than the peak: the paper model's second layer
+    // on one serving chunk (`CHUNK_TARGET_ROWS` rows, 256 -> 128) with a
+    // post-ReLU left operand, forward and weight-gradient.
+    let rows = eda_cloud_gcn::CHUNK_TARGET_ROWS;
+    let h = relu_matrix(rows, 256, 5);
+    let w = lcg_matrix(256, 128, 6);
+    let dz = lcg_matrix(rows, 128, 7);
+    let mut out = Matrix::zeros(0, 0);
+    c.bench_function("dense_matmul_relu/256", |b| {
+        b.iter(|| {
+            black_box(&h).matmul_into(black_box(&w), &mut out);
+            black_box(&out);
+        });
+    });
+    c.bench_function("matmul_tn_relu_256x128", |b| {
+        b.iter(|| {
+            black_box(&h).matmul_tn_into(black_box(&dz), &mut out);
+            black_box(&out);
+        });
+    });
     // The weight-gradient shape of the paper model's first layer on
     // `aes`: a tall activation transposed against a tall gradient.
     let s = sample();

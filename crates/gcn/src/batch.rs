@@ -28,11 +28,16 @@
 use crate::{GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;
 
-/// Default target of padded node rows per internal chunk. 192 rows
-/// keeps a chunk's activations (192 × 32 f64 = 48 KiB at the widest
-/// layer) cache-resident alongside the weights; a sample larger than
-/// the target gets a chunk of its own. Chosen by sweeping targets in
-/// the `inference_batching` bench (see `EXPERIMENTS.md`).
+/// Default target of padded node rows per internal chunk; a sample
+/// larger than the target gets a chunk of its own. 192 was chosen on the
+/// *fast* model by sweeping targets in the `inference_batching` bench
+/// (192 × 32 f64 = 48 KiB at its widest layer). At paper dims a chunk's
+/// widest activation is 192 × 256 f64 = 384 KiB — L2, not L1 — and the
+/// target barely matters: `serve_miss` reads 153 / 155 / 150 requests/s
+/// at 48 / 192 / 768 (`EXPERIMENTS.md` § Float GEMM), because the dense
+/// kernels walk one activation row at a time against weights that stay
+/// resident. What the chunking still buys is the bound on the scratch's
+/// size.
 pub const CHUNK_TARGET_ROWS: usize = 192;
 
 /// One cache-sized slice of a batch: a block-diagonal adjacency over a

@@ -190,8 +190,8 @@ impl RuntimePredictor {
         }
         // Run the GCN stack chunk by chunk (chunks are cache-sized row
         // partitions along segment boundaries — exact under a block-
-        // diagonal adjacency), ping-ponging one set of scratch buffers
-        // so the hot loop allocates nothing after the first chunk.
+        // diagonal adjacency), ping-ponging the thread's forward scratch
+        // so a warm call allocates nothing but what it returns.
         // Arithmetic and accumulation order match `GcnLayer::forward`
         // exactly, so the output stays bit-identical to the per-sample
         // path.
@@ -199,40 +199,39 @@ impl RuntimePredictor {
         // width by construction, without an `expect` in the hot path.
         let d = self.fc.w.rows();
         let mut pooled = Matrix::zeros(batch.len(), d);
-        let mut h = Matrix::zeros(0, 0);
-        let mut agg = Matrix::zeros(0, 0);
-        let mut tmp = Matrix::zeros(0, 0);
-        let mut next = Matrix::zeros(0, 0);
-        let mut sample = 0usize;
-        for chunk in &batch.chunks {
-            h.clone_from(&chunk.features);
-            for layer in &self.gcn {
-                chunk
-                    .a_norm
-                    .matmul_into(&h, &mut agg)
-                    .expect("batch adjacency is validated at pack time");
-                agg.matmul_into(&layer.w, &mut next);
-                h.matmul_into(&layer.b, &mut tmp);
-                next.add_assign(&tmp);
-                next.relu_in_place();
-                std::mem::swap(&mut h, &mut next);
-            }
-            // Pool each sample's row segment exactly like the single-
-            // sample path: sum the rows in order, then scale by 1/√n.
-            for &(start, n) in &chunk.segments {
-                let prow = &mut pooled.data_mut()[sample * d..(sample + 1) * d];
-                for r in start..start + n {
-                    for (o, &v) in prow.iter_mut().zip(h.row(r)) {
-                        *o += v;
+        FORWARD.with(|cell| {
+            let ForwardScratch { h, agg, tmp, next } = &mut *cell.borrow_mut();
+            let mut sample = 0usize;
+            for chunk in &batch.chunks {
+                h.clone_from(&chunk.features);
+                for layer in &self.gcn {
+                    chunk
+                        .a_norm
+                        .matmul_into(h, agg)
+                        .expect("batch adjacency is validated at pack time");
+                    agg.matmul_into(&layer.w, next);
+                    h.matmul_into(&layer.b, tmp);
+                    next.add_assign(tmp);
+                    next.relu_in_place();
+                    std::mem::swap(h, next);
+                }
+                // Pool each sample's row segment exactly like the single-
+                // sample path: sum the rows in order, then scale by 1/√n.
+                for &(start, n) in &chunk.segments {
+                    let prow = &mut pooled.data_mut()[sample * d..(sample + 1) * d];
+                    for r in start..start + n {
+                        for (o, &v) in prow.iter_mut().zip(h.row(r)) {
+                            *o += v;
+                        }
                     }
+                    let scale = 1.0 / (n as f64).sqrt();
+                    for o in prow {
+                        *o *= scale;
+                    }
+                    sample += 1;
                 }
-                let scale = 1.0 / (n as f64).sqrt();
-                for o in prow {
-                    *o *= scale;
-                }
-                sample += 1;
             }
-        }
+        });
         let mut fc_act = self.fc.infer(&pooled);
         fc_act.relu_in_place();
         let out = self.head.infer(&fc_act);
@@ -384,6 +383,21 @@ struct TrainScratch {
     head_grads: DenseGrads,
 }
 
+/// The activations [`RuntimePredictor::predict_log_batch`] ping-pongs
+/// through the GCN stack: the layer input, its aggregate, the self-term
+/// product and the layer output. Kept across calls — a serving thread
+/// predicts batch after batch, and four fresh buffers of up to several
+/// hundred KB per call cost more in page faults than the small layers'
+/// arithmetic. Every buffer is overwritten before it is read, so
+/// nothing leaks from one batch or model into the next.
+#[derive(Default)]
+struct ForwardScratch {
+    h: Matrix,
+    agg: Matrix,
+    tmp: Matrix,
+    next: Matrix,
+}
+
 std::thread_local! {
     /// Per-thread training scratch, the float counterpart of the int8
     /// path's. It belongs to the thread, not to a model, so cloning a
@@ -392,6 +406,10 @@ std::thread_local! {
     /// of buffers, and `RuntimePredictor` stays plain `Send + Sync` data.
     static SCRATCH: std::cell::RefCell<TrainScratch> =
         std::cell::RefCell::new(TrainScratch::default());
+
+    /// Per-thread batched-inference scratch, owned like `SCRATCH`.
+    static FORWARD: std::cell::RefCell<ForwardScratch> =
+        std::cell::RefCell::new(ForwardScratch::default());
 }
 
 #[cfg(test)]

@@ -4,11 +4,16 @@
 //! fused kernels and the reusable scratch: fresh allocations, cloned
 //! caches, every transpose materialized, the bottom layer's input
 //! gradient computed and dropped. It is built from the naive primitives
-//! only — `transpose().matmul()`, `add`, `relu`, `relu_backward`,
-//! `sum_rows` and a local copy of the old row-copy `Āᵀ·D` loop — so it
-//! shares no fused kernel, no `_into` layer form and no buffer with the
-//! code it checks. The contract is bit-identity: equal `loss.to_bits()`
-//! on every step and equal `save_weights()` text.
+//! only — `naive_matmul` over `transpose()`, `add`, `relu`,
+//! `relu_backward`, `sum_rows` and a local copy of the old row-copy
+//! `Āᵀ·D` loop — so it shares no fused kernel, no `_into` layer form
+//! and no buffer with the code it checks. The contract is bit-identity:
+//! equal `loss.to_bits()` on every step and equal `save_weights()` text.
+//!
+//! Every dense product here goes through [`naive_matmul`], the
+//! `i`-`k`-`j` loop `Matrix::matmul_into` was before the gather-and-fold
+//! kernel replaced it — `Matrix::matmul` is a wrapper over the new body,
+//! so using it here would compare the kernel with itself.
 
 use crate::layers::{DenseLayer, GcnCache, GcnLayer};
 use crate::{GcnError, GraphSample, Matrix, ModelConfig, RuntimePredictor, SparseMatrix};
@@ -17,6 +22,28 @@ use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// `a · b` as `Matrix::matmul_into` computed it before the
+/// gather-and-fold kernel: one AXPY per non-zero `a[i][k]`, `k`
+/// ascending, the `a == 0.0` skip a branch.
+fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let x = a.data()[i * a.cols() + k];
+            if x == 0.0 {
+                continue;
+            }
+            let rrow = &b.data()[k * b.cols()..(k + 1) * b.cols()];
+            let orow = &mut out.data_mut()[i * b.cols()..(i + 1) * b.cols()];
+            for (o, &w) in orow.iter_mut().zip(rrow) {
+                *o += x * w;
+            }
+        }
+    }
+    out
+}
 
 /// `aᵀ · dense` the way the allocating transposed product computed it
 /// before `matmul_transposed_into` replaced it: copy the dense row out,
@@ -37,7 +64,8 @@ fn row_copy_matmul_transposed(a: &SparseMatrix, dense: &Matrix) -> Matrix {
 
 fn gcn_forward(layer: &GcnLayer, a_norm: &SparseMatrix, input: &Matrix) -> (Matrix, GcnCache) {
     let aggregated = a_norm.matmul(input);
-    let pre_activation = aggregated.matmul(&layer.w).add(&input.matmul(&layer.b));
+    let pre_activation =
+        naive_matmul(&aggregated, &layer.w).add(&naive_matmul(input, &layer.b));
     let out = pre_activation.relu();
     (
         out,
@@ -57,15 +85,16 @@ fn gcn_backward(
     grad_out: &Matrix,
 ) -> (Matrix, Matrix, Matrix) {
     let dz = grad_out.relu_backward(&cache.pre_activation);
-    let dw = cache.aggregated.transpose().matmul(&dz);
-    let db = cache.input.transpose().matmul(&dz);
-    let dzw = dz.matmul(&layer.w.transpose());
-    let dh = row_copy_matmul_transposed(a_norm, &dzw).add(&dz.matmul(&layer.b.transpose()));
+    let dw = naive_matmul(&cache.aggregated.transpose(), &dz);
+    let db = naive_matmul(&cache.input.transpose(), &dz);
+    let dzw = naive_matmul(&dz, &layer.w.transpose());
+    let dh = row_copy_matmul_transposed(a_norm, &dzw)
+        .add(&naive_matmul(&dz, &layer.b.transpose()));
     (dw, db, dh)
 }
 
 fn dense_forward(layer: &DenseLayer, input: &Matrix) -> Matrix {
-    let mut out = input.matmul(&layer.w);
+    let mut out = naive_matmul(input, &layer.w);
     for r in 0..out.rows() {
         for c in 0..out.cols() {
             let v = out.get(r, c) + layer.bias.get(0, c);
@@ -77,9 +106,9 @@ fn dense_forward(layer: &DenseLayer, input: &Matrix) -> Matrix {
 
 /// Returns `(dW, dbias, dinput)`.
 fn dense_backward(layer: &DenseLayer, input: &Matrix, grad_out: &Matrix) -> (Matrix, Matrix, Matrix) {
-    let dw = input.transpose().matmul(grad_out);
+    let dw = naive_matmul(&input.transpose(), grad_out);
     let dbias = grad_out.sum_rows();
-    let dinput = grad_out.matmul(&layer.w.transpose());
+    let dinput = naive_matmul(grad_out, &layer.w.transpose());
     (dw, dbias, dinput)
 }
 
@@ -193,6 +222,61 @@ fn bits(m: &Matrix) -> (usize, usize, Vec<u64>) {
     (m.rows(), m.cols(), m.data().iter().map(|v| v.to_bits()).collect())
 }
 
+/// Inner dimensions and per-row non-zero counts on both sides of every
+/// seam of the dense kernels: the 8 / 4 / 1 fold (0, 1, 3, 4, 7, 8, 9,
+/// 12) and the 64-entry gather block (63, 64, 65, 129).
+const SEAMS: [usize; 12] = [0, 1, 3, 4, 7, 8, 9, 12, 63, 64, 65, 129];
+
+/// One value of a seamed operand: mostly `[-5, 5) \ {0}`, one in eight
+/// `±inf` or `NaN` — all of them non-zero to the kernels' skip.
+fn nonzero(s: u64) -> f64 {
+    match (s >> 20) % 24 {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 => f64::NAN,
+        _ => ((s >> 37) % 999) as f64 / 100.0 - 4.995,
+    }
+}
+
+/// Left operand of the dense-kernel differential, `SEAMS.len() + 1`
+/// rows by `k`: row `r` holds `SEAMS[(r + rot) % 12].min(k)` non-zeros
+/// at seeded positions (so one row is all zeros, the last one has no
+/// zero at all) and `+0.0` / `-0.0` alternating everywhere else.
+fn seamed(seed: u64, k: usize, rot: usize) -> Matrix {
+    let rows = SEAMS.len() + 1;
+    let mut s = seed | 1;
+    let mut step = move || {
+        s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(7);
+        s
+    };
+    let mut data = Vec::with_capacity(rows * k);
+    for r in 0..rows {
+        let nnz = if r == SEAMS.len() { k } else { SEAMS[(r + rot) % SEAMS.len()].min(k) };
+        // Seeded partial shuffle: the first `nnz` slots of `order` are
+        // the non-zero positions.
+        let mut order: Vec<usize> = (0..k).collect();
+        for i in 0..nnz {
+            let j = i + (step() >> 33) as usize % (k - i);
+            order.swap(i, j);
+        }
+        let mut row: Vec<f64> = (0..k).map(|c| if c % 2 == 0 { 0.0 } else { -0.0 }).collect();
+        for &c in &order[..nnz] {
+            row[c] = nonzero(step());
+        }
+        data.extend(row);
+    }
+    Matrix::from_vec(rows, k, data)
+}
+
+/// [`bits`] with every `NaN` mapped to one pattern. Which payload and
+/// sign a `NaN` result carries when two different `NaN`s meet depends on
+/// operand order at the instruction level, which Rust does not fix; that
+/// an element *is* `NaN`, and every other element's bits, it does.
+fn bits_nan_folded(m: &Matrix) -> (usize, usize, Vec<u64>) {
+    let fold = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+    (m.rows(), m.cols(), m.data().iter().map(fold).collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -236,7 +320,34 @@ proptest! {
         let b = planted(seed ^ 0x9E37, k, n, true);
         let mut out = dirty();
         a.matmul_tn_into(&b, &mut out);
-        prop_assert_eq!(bits(&out), bits(&a.transpose().matmul(&b)));
+        prop_assert_eq!(bits(&out), bits(&naive_matmul(&a.transpose(), &b)));
+    }
+
+    /// `matmul_into` and `matmul_tn_into` are the naive `i`-`k`-`j` loop
+    /// bit for bit at every seam of the gather-and-fold kernel: inner
+    /// dimensions and per-row non-zero counts from [`SEAMS`], all-zero
+    /// rows, output widths below, at and far above one vector, `±0.0`,
+    /// `±inf` and `NaN` planted in both operands, and one dirty output
+    /// buffer, larger than any case, reused across every shape.
+    #[test]
+    fn dense_kernels_match_the_naive_loop(seed in 0u64..1_000_000) {
+        let mut out = Matrix::from_vec(20, 140, vec![f64::NAN; 2800]);
+        for (n, &k) in SEAMS.iter().enumerate() {
+            for cols in [1usize, 2, 3, 16, 128] {
+                let a = seamed(seed ^ (k * 131 + cols) as u64, k, n);
+                let mut b = planted(seed ^ 0x9E37 ^ (cols * 977 + k) as u64, k, cols, true);
+                for (i, v) in b.data_mut().iter_mut().enumerate() {
+                    if (i as u64 + seed).is_multiple_of(29) {
+                        *v = nonzero(seed.wrapping_mul(i as u64 | 1));
+                    }
+                }
+                let want = bits_nan_folded(&naive_matmul(&a, &b));
+                a.matmul_into(&b, &mut out);
+                prop_assert_eq!(bits_nan_folded(&out), want.clone(), "matmul k {} cols {}", k, cols);
+                a.transpose().matmul_tn_into(&b, &mut out);
+                prop_assert_eq!(bits_nan_folded(&out), want, "matmul_tn k {} cols {}", k, cols);
+            }
+        }
     }
 
     /// `matmul_transposed_into` is the old row-copy loop bit for bit,

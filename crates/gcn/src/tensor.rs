@@ -14,11 +14,29 @@ use rand::Rng;
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation when it is large enough: the serving
+    /// scratches copy each chunk's features into a kept buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -177,33 +195,41 @@ impl Matrix {
     /// reshaped and zeroed; the result is bit-identical to
     /// [`Matrix::matmul`].
     ///
+    /// Per output row the non-zero entries of `self`'s row are gathered
+    /// 64 of `k` at a time and the matching rows of `rhs` folded onto it
+    /// several per pass: every output element still accumulates its
+    /// terms in ascending `k` onto `+0.0`, and a `self[i][k] == 0.0` term
+    /// is never formed (`NaN` is not zero and is kept).
+    ///
     /// # Panics
     ///
     /// Panics on an inner-dimension mismatch.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        out.reshape_zeroed(self.rows, rhs.cols);
+        let c = rhs.cols;
+        out.reshape_zeroed(self.rows, c);
+        let (mut idx, mut val) = ([0usize; GATHER_BLOCK], [0.0f64; GATHER_BLOCK]);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
+            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
+            let acc = &mut out.data[i * c..(i + 1) * c];
+            for k0 in (0..self.cols).step_by(GATHER_BLOCK) {
+                let ks = k0..(k0 + GATHER_BLOCK).min(self.cols);
+                let m = gather(ks.map(|k| (k, arow[k])), &mut idx, &mut val);
+                fold_rows(acc, &idx[..m], &val[..m], &rhs.data);
             }
         }
     }
 
     /// Fused transposed product `selfᵀ · rhs` into a caller-owned
     /// buffer — the weight-gradient kernel (`∂L/∂W = Hᵀ·dZ`), without
-    /// materializing the transpose. The loop is `k`-outer so the small
-    /// `self.cols x rhs.cols` output stays cache-resident while both
-    /// tall operands stream through once, row by row. Every output
-    /// element accumulates its terms in ascending `k` and skips
+    /// materializing the transpose. The two tall operands are walked
+    /// once, 64 rows at a time: within a block, output row `i` gathers
+    /// the non-zero entries of column `i` of `self` (a strided read of a
+    /// panel that is still in cache) and the matching rows of `rhs` are
+    /// folded onto it several per pass, so the small
+    /// `self.cols x rhs.cols` output is swept once per block of `k`
+    /// rather than once per `k`, however tall the operands are. Every
+    /// output element accumulates its terms in ascending `k` and skips
     /// `self[k][i] == 0.0`, exactly like `self.transpose().matmul(rhs)`,
     /// so the result is bit-identical to that expression.
     ///
@@ -214,17 +240,13 @@ impl Matrix {
         assert_eq!(self.rows, rhs.rows, "inner dimensions must agree");
         let c = rhs.cols;
         out.reshape_zeroed(self.cols, c);
-        for k in 0..self.rows {
-            let arow = &self.data[k * self.cols..(k + 1) * self.cols];
-            let rrow = &rhs.data[k * c..(k + 1) * c];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * c..(i + 1) * c];
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
+        let (mut idx, mut val) = ([0usize; GATHER_BLOCK], [0.0f64; GATHER_BLOCK]);
+        for k0 in (0..self.rows).step_by(GATHER_BLOCK) {
+            let ks = k0..(k0 + GATHER_BLOCK).min(self.rows);
+            for i in 0..self.cols {
+                let column = ks.clone().map(|k| (k, self.data[k * self.cols + i]));
+                let m = gather(column, &mut idx, &mut val);
+                fold_rows(&mut out.data[i * c..(i + 1) * c], &idx[..m], &val[..m], &rhs.data);
             }
         }
     }
@@ -360,6 +382,72 @@ impl Matrix {
             for (o, &v) in out.data.iter_mut().zip(row) {
                 *o += v;
             }
+        }
+    }
+}
+
+/// Operand entries of `k` gathered per pass of the dense kernels: the
+/// size of their two stack arrays (1 KiB together), so a product of
+/// any inner dimension allocates nothing.
+const GATHER_BLOCK: usize = 64;
+
+/// Compact the non-zero `(k, a)` entries of one block of an operand row
+/// (or column) into `idx` / `val`, in the order given; returns how many
+/// were kept. Branchless: every entry is written and the cursor only
+/// advances past `a != 0.0` — which holds for `NaN`, so exactly the
+/// entries an `if a == 0.0 { continue }` would skip (`+0.0`, `-0.0`)
+/// are dropped. After ReLU about half the entries are zeros, a coin flip
+/// a branch predictor cannot learn.
+fn gather(
+    entries: impl Iterator<Item = (usize, f64)>,
+    idx: &mut [usize; GATHER_BLOCK],
+    val: &mut [f64; GATHER_BLOCK],
+) -> usize {
+    let mut m = 0;
+    for (k, a) in entries {
+        idx[m] = k;
+        val[m] = a;
+        m += usize::from(a != 0.0);
+    }
+    m
+}
+
+/// `acc += Σ val[t] · rhs_row(idx[t])`, terms added in the order given,
+/// eight, then four, then one row of `rhs` per pass over `acc` (`rhs`
+/// is row-major with rows as long as `acc`). Each pass is the single
+/// left-associated expression `acc[j] + a0·w0[j] + a1·w1[j] + …`, so
+/// per element the additions happen in exactly the sequence of one
+/// AXPY per term — the accumulator just stays in a register for eight
+/// of them instead of being stored and reloaded after each. Nothing is
+/// fused or reassociated; lanes run across `j`.
+fn fold_rows(acc: &mut [f64], idx: &[usize], val: &[f64], rhs: &[f64]) {
+    let c = acc.len();
+    let row = |k: usize| &rhs[k * c..][..c];
+    let (mut idx8, mut val8) = (idx.chunks_exact(8), val.chunks_exact(8));
+    for (k, a) in (&mut idx8).zip(&mut val8) {
+        let w: [&[f64]; 8] = std::array::from_fn(|t| row(k[t]));
+        for (j, o) in acc.iter_mut().enumerate() {
+            *o = *o
+                + a[0] * w[0][j]
+                + a[1] * w[1][j]
+                + a[2] * w[2][j]
+                + a[3] * w[3][j]
+                + a[4] * w[4][j]
+                + a[5] * w[5][j]
+                + a[6] * w[6][j]
+                + a[7] * w[7][j];
+        }
+    }
+    let (mut idx4, mut val4) = (idx8.remainder().chunks_exact(4), val8.remainder().chunks_exact(4));
+    for (k, a) in (&mut idx4).zip(&mut val4) {
+        let w: [&[f64]; 4] = std::array::from_fn(|t| row(k[t]));
+        for (j, o) in acc.iter_mut().enumerate() {
+            *o = *o + a[0] * w[0][j] + a[1] * w[1][j] + a[2] * w[2][j] + a[3] * w[3][j];
+        }
+    }
+    for (&k, &a) in idx4.remainder().iter().zip(val4.remainder()) {
+        for (o, &b) in acc.iter_mut().zip(row(k)) {
+            *o += a * b;
         }
     }
 }

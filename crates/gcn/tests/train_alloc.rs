@@ -1,13 +1,15 @@
-//! A warm `train_step` allocates nothing.
+//! A warm `train_step` allocates nothing, and a warm
+//! `predict_log_batch` only what it returns.
 //!
 //! The speed of the training path rests on one property: after the
 //! per-thread scratch has seen the largest graph, a step makes no heap
-//! allocation at all. This file pins the property itself with a
-//! counting global allocator. Counts are kept per thread, so whatever
-//! the test harness allocates on its own threads cannot leak into the
-//! reading.
+//! allocation at all; the batched forward pass keeps its activations in
+//! a per-thread scratch of its own on the same terms. This file pins
+//! the properties themselves with a counting global allocator. Counts
+//! are kept per thread, so whatever the test harness allocates on its
+//! own threads cannot leak into the reading.
 
-use eda_cloud_gcn::{GraphSample, ModelConfig, RuntimePredictor};
+use eda_cloud_gcn::{GraphBatch, GraphSample, ModelConfig, RuntimePredictor};
 use eda_cloud_netlist::{generators, DesignGraph};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,4 +130,76 @@ fn cloning_a_trained_model_copies_no_scratch() {
     assert!(count > 0, "a clone copies the weights");
     assert!(largest <= weights, "clone allocated {largest} bytes at once");
     assert_eq!(clone.save_weights(), model.save_weights());
+}
+
+/// `[small], [small, mid], [all three]` — the last is the largest.
+fn batches(samples: &[GraphSample]) -> Vec<GraphBatch> {
+    (1..=samples.len())
+        .map(|n| GraphBatch::pack(&samples[..n].iter().collect::<Vec<_>>()))
+        .collect()
+}
+
+#[test]
+fn warm_batched_predictions_allocate_only_what_they_return() {
+    let samples = samples();
+    let batches = batches(&samples);
+    let model = RuntimePredictor::new(&ModelConfig::paper(), 7);
+    // What the bound below has to exclude: one activation buffer of the
+    // largest graph at the widest layer.
+    const BIG: usize = 64 * 1024;
+    let activation = samples[2].node_count() * 256 * std::mem::size_of::<f64>();
+    assert!(activation >= BIG, "pick a larger graph: {activation} < {BIG}");
+    // One lap over the largest batch grows the four scratch buffers…
+    let (_, cold, cold_largest) =
+        allocations_in(|| model.predict_log_batch(&batches[2]));
+    assert!(cold_largest >= BIG, "the cold call allocates the activations");
+    // …after which a call makes exactly four allocations, all of them
+    // results: the `B x 128` pooled matrix, the FC and head outputs, and
+    // the returned `Vec` — none of them activation-sized.
+    for _ in 0..3 {
+        for batch in &batches {
+            let (out, warm, largest) = allocations_in(|| model.predict_log_batch(batch));
+            assert_eq!(out.len(), batch.len());
+            assert_eq!(warm, 4, "warm call allocated {warm} times ({cold} cold)");
+            assert!(largest < BIG, "warm call allocated {largest} bytes at once");
+        }
+    }
+}
+
+/// The forward scratch belongs to the thread, so models of different
+/// widths and depths share it. Alternating them on one thread must
+/// predict exactly what each predicts on a thread nobody used before.
+#[test]
+fn alternating_models_on_one_thread_predict_what_fresh_threads_predict() {
+    let samples = samples();
+    let three_layers = ModelConfig {
+        gcn_dims: vec![12, 7, 5],
+        fc_dim: 6,
+    };
+    let models: Vec<RuntimePredictor> = [ModelConfig::paper(), ModelConfig::fast(), three_layers]
+        .iter()
+        .map(|config| RuntimePredictor::new(config, 11))
+        .collect();
+    let bits = |rows: Vec<[f64; 4]>| -> Vec<[u64; 4]> {
+        rows.into_iter().map(|r| r.map(f64::to_bits)).collect()
+    };
+    // Largest batch first, so every later call reads a buffer that is
+    // larger than it needs and dirty with another model's activations.
+    let batches = batches(&samples);
+    let mut shared = Vec::new();
+    for batch in batches.iter().rev() {
+        for model in &models {
+            shared.push(bits(model.predict_log_batch(batch)));
+        }
+    }
+    let mut fresh = Vec::new();
+    for batch in batches.iter().rev() {
+        for model in &models {
+            let on_new_thread = std::thread::scope(|scope| {
+                scope.spawn(|| model.predict_log_batch(batch)).join().expect("prediction thread")
+            });
+            fresh.push(bits(on_new_thread));
+        }
+    }
+    assert_eq!(shared, fresh);
 }

@@ -11,9 +11,14 @@
 //! malformed, truncated, or poisoned document into a typed
 //! [`ServeError`], never a panic, and a document that does parse must
 //! reproduce the canonical bytes it came from.
+//!
+//! Last come the differentials of the two inference fast paths at paper
+//! dimensions: chunked vs monolithic batches against per-sample
+//! predictions (bit-equal), and int8 against float (a stated bound).
 
 use eda_cloud::core::{ServeScenario, Workflow, WorkflowPlanner};
-use eda_cloud::gcn::ModelConfig;
+use eda_cloud::gcn::{GraphBatch, GraphSample, ModelConfig, QuantizedPredictor, RuntimePredictor};
+use eda_cloud::netlist::{generators, DesignGraph};
 use eda_cloud::serve::{
     ModelSnapshot, RequestOutcome, ServeConfig, ServeError, ServeReport, Server,
 };
@@ -280,4 +285,80 @@ fn parse_roundtrip_reproduces_canonical_bytes() {
     let text = canonical();
     let parsed = ModelSnapshot::from_text(&text).expect("canonical text parses");
     assert_eq!(parsed.to_text(), text);
+}
+
+// ---- Differentials for the two inference fast paths, at paper dims ----
+
+/// Every generator family at sizes 4 and 8: 36 graphs, 9 to a few
+/// hundred nodes.
+fn generator_corpus() -> Vec<GraphSample> {
+    let mut corpus = Vec::new();
+    for family in generators::FAMILY_NAMES {
+        for size in [4u32, 8] {
+            let aig = generators::build_family(family, size).expect("known family");
+            corpus.push(GraphSample::new(&DesignGraph::from_aig(&aig), [40.0, 25.0, 16.0, 12.0]));
+        }
+    }
+    corpus
+}
+
+/// Batching is invisible: one sample per chunk, the serving default's
+/// neighbourhood (64, 192) and one monolithic chunk all predict, bit for
+/// bit, what `predict_log` predicts one design at a time.
+#[test]
+fn chunked_and_monolithic_batches_match_per_sample_predictions() {
+    let corpus = generator_corpus();
+    let refs: Vec<&GraphSample> = corpus.iter().collect();
+    let model = RuntimePredictor::new(&ModelConfig::paper(), 7);
+    let bits = |rows: &[[f64; 4]]| -> Vec<[u64; 4]> {
+        rows.iter().map(|r| r.map(f64::to_bits)).collect()
+    };
+    let per_sample: Vec<[f64; 4]> = corpus.iter().map(|s| model.predict_log(s)).collect();
+    for target in [1usize, 64, 192, usize::MAX] {
+        let batch = GraphBatch::pack_chunked(&refs, 1, target);
+        assert_eq!(batch.len(), corpus.len());
+        assert_eq!(
+            bits(&model.predict_log_batch(&batch)),
+            bits(&per_sample),
+            "chunk target {target}"
+        );
+    }
+}
+
+/// Largest relative difference between an int8 and a float prediction
+/// (seconds), over every design and stage of the generator corpus, and
+/// the mean over the same set. Measured when they were set (seeds 3 /
+/// 7 / 11, after 0 / 2 / 4 epochs): worst 0.115–0.243, mean
+/// 0.016–0.024.
+const INT8_WORST_REL: f64 = 0.35;
+const INT8_MEAN_REL: f64 = 0.04;
+
+/// Int8 serving tracks float on the paper architecture within the two
+/// bounds above — for freshly seeded weights and after a short fit,
+/// where activations have moved away from the Xavier range.
+#[test]
+fn int8_predictions_stay_within_the_stated_bound_of_float() {
+    let corpus = generator_corpus();
+    let refs: Vec<&GraphSample> = corpus.iter().collect();
+    for seed in [7u64, 11] {
+        let mut model = RuntimePredictor::new(&ModelConfig::paper(), seed);
+        for fitted in [false, true] {
+            if fitted {
+                model.fine_tune(&refs, 4, 1e-3, seed);
+            }
+            let int8 = QuantizedPredictor::quantize(&model);
+            let (mut worst, mut sum) = (0.0f64, 0.0f64);
+            for sample in &corpus {
+                let (f, q) = (model.predict_secs(sample), int8.predict_secs(sample));
+                for (f, q) in f.iter().zip(&q) {
+                    let rel = (q - f).abs() / f;
+                    worst = worst.max(rel);
+                    sum += rel;
+                }
+            }
+            let mean = sum / (4 * corpus.len()) as f64;
+            assert!(worst <= INT8_WORST_REL, "seed {seed} fitted {fitted}: worst {worst}");
+            assert!(mean <= INT8_MEAN_REL, "seed {seed} fitted {fitted}: mean {mean}");
+        }
+    }
 }
