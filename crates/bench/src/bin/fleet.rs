@@ -19,7 +19,7 @@
 //! exports the same spans for `chrome://tracing`; `--metrics <path>`
 //! snapshots pool occupancy and queue waits (scheduling-dependent).
 
-use eda_cloud_bench::{Args, Observability};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
 use eda_cloud_core::{FleetScenario, Workflow};
 use eda_cloud_fleet::{FleetReport, SpotPolicy};
@@ -37,10 +37,7 @@ fn main() {
     let obs = Observability::from_args(&args);
     let json = args.flag("json");
     args.reject_unknown();
-    let report = obs
-        .instrument(Workflow::with_defaults())
-        .simulate_fleet(&scenario)
-        .expect("fleet simulation");
+    let report = or_exit(obs.instrument(Workflow::with_defaults()).simulate_fleet(&scenario));
     obs.export();
 
     if json {

@@ -20,7 +20,7 @@
 //! byte-identical `--json` line at any `--workers` count (a bare run
 //! uses one worker, the faster configuration here).
 
-use eda_cloud_bench::{Args, Observability};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
 use eda_cloud_core::{IngestScenario, Workflow};
 use eda_cloud_gcn::ModelConfig;
@@ -97,7 +97,7 @@ fn main() {
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
     let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed);
-    let (run, _outcomes) = workflow.ingest(&scenario, &snapshot, &uploads).expect("serving run");
+    let (run, _outcomes) = or_exit(workflow.ingest(&scenario, &snapshot, &uploads));
     obs.export();
     for (name, reason) in &run.rejected {
         eprintln!("{name}: rejected: {reason}");

@@ -18,7 +18,7 @@
 //! the only parallelism is the per-stage fan-out of batched forwards
 //! and retrains, joined by stage index.
 
-use eda_cloud_bench::{Args, Observability};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::render_table;
 use eda_cloud_core::{LifecycleScenario, Workflow};
 use eda_cloud_lifecycle::LifecycleReport;
@@ -37,7 +37,7 @@ fn main() {
     let json = args.flag("json");
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let (report, _feedback) = workflow.lifecycle(&scenario).expect("lifecycle run");
+    let (report, _feedback) = or_exit(workflow.lifecycle(&scenario));
     obs.export();
 
     if json {

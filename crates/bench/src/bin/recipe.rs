@@ -13,7 +13,7 @@
 //! worker-count flag: a search evaluates its batches in order (the
 //! fan-out measured slower at every count above one).
 
-use eda_cloud_bench::{Args, Observability};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::render_table;
 use eda_cloud_core::{RecipeScenario, Workflow};
 use eda_cloud_recipe::RecipeReport;
@@ -33,7 +33,7 @@ fn main() {
     let json = args.flag("json");
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let report = workflow.recipe(&scenario).expect("recipe pipeline");
+    let report = or_exit(workflow.recipe(&scenario));
     obs.export();
 
     if json {

@@ -1,8 +1,8 @@
 //! Runs the sharded multi-region simulation: N region shards exchange
 //! job migrations, staged model-rollout waves, and replicated cache
 //! invalidations under a conservative lookahead barrier, with
-//! per-tenant weighted fair-share admission in front of every region's
-//! run queue.
+//! per-tenant fair-share admission (equal weights) in front of every
+//! region's run queue.
 //!
 //! ```text
 //! cargo run -p eda-cloud-bench --bin regions --release -- --regions 3 --tenants 4 --jobs 200
@@ -15,7 +15,7 @@
 //! `--workers` and `--shards` count — the CI diff step pins exactly
 //! that.
 
-use eda_cloud_bench::Args;
+use eda_cloud_bench::{or_exit, Args};
 use eda_cloud_core::report::render_table;
 use eda_cloud_engine::{RegionReport, RegionSim, RegionSimConfig};
 
@@ -33,7 +33,7 @@ fn main() {
     let json = args.flag("json");
     args.reject_unknown();
 
-    let report = RegionSim::run(&config, workers, shards).expect("multi-region simulation");
+    let report = or_exit(RegionSim::run(&config, workers, shards));
 
     if json {
         println!("{}", report.to_json());

@@ -19,7 +19,7 @@
 //! joined by stage index. A bare run uses one worker: the fan-out is
 //! measured slower than serial on this workload.
 
-use eda_cloud_bench::{Args, Observability};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
 use eda_cloud_core::{ServeScenario, Workflow};
 use eda_cloud_gcn::ModelConfig;
@@ -44,8 +44,7 @@ fn main() {
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
     let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed);
-    let (report, _outcomes) =
-        workflow.serve(&scenario, &snapshot, config).expect("serving run");
+    let (report, _outcomes) = or_exit(workflow.serve(&scenario, &snapshot, config));
     obs.export();
 
     if json {

@@ -16,7 +16,7 @@
 //! Exit status is non-zero when any run trips an invariant, making the
 //! binary a drop-in CI smoke check.
 
-use eda_cloud_bench::{Args, Observability};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::render_table;
 use eda_cloud_core::{SimtestScenario, Workflow};
 use eda_cloud_simtest::{shrink_plan, FaultPlan, SimtestReport};
@@ -62,11 +62,10 @@ fn main() -> ExitCode {
         let (plan, report) = match &loaded_plan {
             // A loaded reproducer bypasses the seed-generated plan.
             Some(plan) => {
-                let run =
-                    eda_cloud_simtest::run_simtest(&config, plan).expect("simtest run");
+                let run = or_exit(eda_cloud_simtest::run_simtest(&config, plan));
                 (plan.clone(), run.report)
             }
-            None => (scenario.plan(), workflow.simtest(&scenario).expect("simtest run")),
+            None => (scenario.plan(), or_exit(workflow.simtest(&scenario))),
         };
         if json {
             println!("{}", report.to_json());

@@ -82,8 +82,7 @@ impl Args {
     pub fn reject_unknown(&self) {
         let unknown = self.unqueried();
         if !unknown.is_empty() {
-            eprintln!("unknown flag(s): {}", unknown.join(" "));
-            std::process::exit(2);
+            usage_exit(&format!("unknown flag(s): {}", unknown.join(" ")));
         }
     }
 
@@ -115,6 +114,20 @@ impl Args {
     pub fn workers(&self, default: usize) -> usize {
         self.numeric("workers", default)
     }
+}
+
+/// Print `message` to stderr and exit with status 2, the usage-error code.
+fn usage_exit(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// The value of a run, or — when the run failed, most often because a
+/// flag value is one the config rejects (`serve --batch 0`) — `error:
+/// <error>` on stderr and exit status 2, like [`Args::reject_unknown`]:
+/// a usage error, not a panic with a backtrace.
+pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| usage_exit(&format!("error: {e}")))
 }
 
 /// Observability sinks requested on the command line:
@@ -310,6 +323,27 @@ mod tests {
     fn bad_workers_value_panics() {
         let a = Args::parse(["--workers".to_owned(), "lots".to_owned()]);
         let _ = a.workers(0);
+    }
+
+    #[test]
+    fn or_exit_passes_values_through_and_exits_2_on_an_error() {
+        assert_eq!(or_exit(Ok::<_, String>(7)), 7);
+        // The error path ends the process: run this test again in a child
+        // that takes it, and read its status and stderr.
+        if std::env::var_os("OR_EXIT_CHILD").is_some() {
+            or_exit(Err::<(), _>("`max_batch` must be positive"));
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let child = std::process::Command::new(exe)
+            .args(["--exact", "tests::or_exit_passes_values_through_and_exits_2_on_an_error"])
+            .arg("--nocapture") // else the harness swallows the child's stderr
+            .env("OR_EXIT_CHILD", "1")
+            .output()
+            .expect("child runs");
+        assert_eq!(child.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert!(stderr.contains("error: `max_batch` must be positive\n"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
 
     #[test]

@@ -161,7 +161,7 @@ mod tests {
         .into();
         assert!(e.to_string().contains("lifecycle"));
         assert!(e.source().is_some());
-        let e: WorkflowError = SimtestError::Config("fleet_jobs must be positive").into();
+        let e: WorkflowError = SimtestError::Config("planted_guardrail_bug needs its feature").into();
         assert!(e.to_string().contains("simtest harness"));
         assert!(e.source().is_some());
         let e: WorkflowError = RecipeError::RecipeTooLong { len: 9, max: 6 }.into();

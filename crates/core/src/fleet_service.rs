@@ -264,7 +264,6 @@ mod tests {
         let on_demand = wf.simulate_fleet(&FleetScenario::new(12, 5)).expect("simulates");
         let stormy = SpotPolicy {
             market: SpotMarket { price_fraction: 0.3, interruption_per_hour: 0.25 },
-            ..SpotPolicy::typical()
         };
         let spot = wf
             .simulate_fleet(&FleetScenario::new(12, 5).with_spot(stormy))

@@ -11,8 +11,8 @@ use crate::{Workflow, WorkflowError};
 use eda_cloud_simtest::{run_simtest_traced, FaultPlan, SimtestConfig, SimtestReport};
 
 /// A fault-injection workload description. The harness's workload
-/// sizes stay at the [`SimtestConfig`] defaults; the scenario only
-/// chooses the seed, how many faults to draw from it, and the fan-out.
+/// sizes are fixed; the scenario only chooses the seed, how many faults
+/// to draw from it, and the fan-out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimtestScenario {
     /// Seed driving the three workloads and the fault draw.
@@ -40,7 +40,7 @@ impl SimtestScenario {
     /// The fault plan this scenario generates.
     #[must_use]
     pub fn plan(&self) -> FaultPlan {
-        FaultPlan::generate(self.seed, self.faults, &self.config())
+        FaultPlan::generate(self.seed, self.faults)
     }
 }
 
@@ -100,7 +100,6 @@ mod tests {
         let config = scenario.config();
         assert_eq!(config.seed, 11);
         assert_eq!(config.workers, 1);
-        config.validate().expect("defaults are valid");
         let plan = scenario.plan();
         assert_eq!(plan.events.len(), 5);
         assert_eq!(plan, scenario.plan(), "same scenario, same plan");

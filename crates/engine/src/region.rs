@@ -28,7 +28,19 @@ const LATENCY_EDGES_US: [f64; 7] =
 /// Cross-region traffic histogram bucket edges, µs (send → delivery).
 const TRAFFIC_EDGES_US: [f64; 5] = [50_000.0, 100_000.0, 200_000.0, 500_000.0, 1_000_000.0];
 
-/// How to run a multi-region simulation.
+/// Service slots per region.
+const SERVERS_PER_REGION: u32 = 2;
+/// Mean job service time, µs.
+const MEAN_SERVICE_US: u64 = 40_000;
+/// Mean inter-arrival gap of the synthetic workload, µs.
+const MEAN_GAP_US: u64 = 5_000;
+/// Cross-region message latency, µs; must be at least the lookahead.
+const INTER_REGION_LATENCY_US: u64 = 60_000;
+/// Gap between model-rollout wave starts, µs.
+const WAVE_INTERVAL_US: u64 = 200_000;
+
+/// How to run a multi-region simulation. Every tenant has fair-share
+/// weight 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionSimConfig {
     /// Seed for the synthetic workload.
@@ -39,21 +51,14 @@ pub struct RegionSimConfig {
     pub tenants: u32,
     /// Jobs in the synthetic workload.
     pub jobs: u64,
-    /// Service slots per region.
-    pub servers_per_region: u32,
-    /// Mean job service time, µs.
-    pub mean_service_us: u64,
-    /// Mean inter-arrival gap, µs (0 = all jobs arrive at once).
-    pub mean_gap_us: u64,
     /// Distinct cacheable design keys.
     pub designs: u64,
     /// Percent of jobs that update their design (completing one
     /// broadcasts a cache invalidation to every other region), 0–100.
     pub update_pct: u32,
-    /// Conservative lookahead window, µs.
+    /// Conservative lookahead window, µs; at most the cross-region
+    /// message latency.
     pub lookahead_us: u64,
-    /// Cross-region message latency, µs; must be ≥ the lookahead.
-    pub inter_region_latency_us: u64,
     /// Local queue depth at which a fresh arrival is migrated to the
     /// next region instead of queued.
     pub migrate_threshold: u32,
@@ -61,12 +66,8 @@ pub struct RegionSimConfig {
     pub queue_capacity: usize,
     /// Per-tenant hard quota on queued jobs per region.
     pub tenant_quota: u32,
-    /// Fair-share weights, one per tenant; empty = all ones.
-    pub tenant_weights: Vec<u64>,
     /// Model-rollout waves to stage through the regions.
     pub rollout_waves: u32,
-    /// Gap between wave starts, µs.
-    pub wave_interval_us: u64,
 }
 
 impl Default for RegionSimConfig {
@@ -76,19 +77,13 @@ impl Default for RegionSimConfig {
             regions: 3,
             tenants: 4,
             jobs: 200,
-            servers_per_region: 2,
-            mean_service_us: 40_000,
-            mean_gap_us: 5_000,
             designs: 16,
             update_pct: 25,
             lookahead_us: 50_000,
-            inter_region_latency_us: 60_000,
             migrate_threshold: 12,
             queue_capacity: 32,
             tenant_quota: 16,
-            tenant_weights: Vec::new(),
             rollout_waves: 2,
-            wave_interval_us: 200_000,
         }
     }
 }
@@ -102,12 +97,6 @@ impl RegionSimConfig {
         if self.tenants == 0 {
             return Err(EngineError::InvalidConfig("region sim needs at least one tenant"));
         }
-        if self.servers_per_region == 0 {
-            return Err(EngineError::InvalidConfig("regions need at least one service slot"));
-        }
-        if self.mean_service_us == 0 {
-            return Err(EngineError::InvalidConfig("mean service time must be positive"));
-        }
         if self.designs == 0 {
             return Err(EngineError::InvalidConfig("the design pool cannot be empty"));
         }
@@ -117,7 +106,7 @@ impl RegionSimConfig {
         if self.lookahead_us == 0 {
             return Err(EngineError::InvalidConfig("lookahead window must be positive"));
         }
-        if self.inter_region_latency_us < self.lookahead_us {
+        if INTER_REGION_LATENCY_US < self.lookahead_us {
             return Err(EngineError::InvalidConfig(
                 "cross-region latency must be at least the lookahead window",
             ));
@@ -128,27 +117,13 @@ impl RegionSimConfig {
         if self.tenant_quota == 0 {
             return Err(EngineError::InvalidConfig("tenant quota must be positive"));
         }
-        if !self.tenant_weights.is_empty() {
-            if self.tenant_weights.len() != self.tenants as usize {
-                return Err(EngineError::InvalidConfig(
-                    "tenant weights must match the tenant count",
-                ));
-            }
-            if self.tenant_weights.contains(&0) {
-                return Err(EngineError::InvalidConfig("tenant weights must be positive"));
-            }
-        }
         Ok(())
     }
 
     /// The per-tenant policies this config implies.
     fn policies(&self) -> Vec<TenantPolicy> {
-        (0..self.tenants as usize)
-            .map(|t| TenantPolicy {
-                weight: self.tenant_weights.get(t).copied().unwrap_or(1),
-                max_queued: self.tenant_quota,
-            })
-            .collect()
+        let policy = TenantPolicy { weight: 1, max_queued: self.tenant_quota };
+        vec![policy; self.tenants as usize]
     }
 }
 
@@ -177,11 +152,9 @@ pub fn synthetic_region_jobs(config: &RegionSimConfig) -> Result<Vec<RegionJob>,
     let mut t = 0u64;
     let mut jobs = Vec::with_capacity(config.jobs as usize);
     for _ in 0..config.jobs {
-        if config.mean_gap_us > 0 {
-            t = checked_add_us(t, rng.gen_range(0..=config.mean_gap_us * 2))?;
-        }
-        let service_lo = (config.mean_service_us / 2).max(1);
-        let service_hi = (config.mean_service_us * 3).div_ceil(2).max(service_lo + 1);
+        t = checked_add_us(t, rng.gen_range(0..=MEAN_GAP_US * 2))?;
+        let service_lo = MEAN_SERVICE_US / 2;
+        let service_hi = (MEAN_SERVICE_US * 3).div_ceil(2);
         jobs.push(RegionJob {
             arrival_us: t,
             region: rng.gen_range(0..config.regions),
@@ -300,12 +273,12 @@ impl RegionState {
         Ok(Self {
             id,
             regions: config.regions,
-            latency_us: config.inter_region_latency_us,
+            latency_us: INTER_REGION_LATENCY_US,
             migrate_threshold: config.migrate_threshold,
             heap: EventHeap::new(),
             fair: FairShare::new(config.policies(), config.queue_capacity)?,
             queue: BTreeMap::new(),
-            slots_free: config.servers_per_region,
+            slots_free: SERVERS_PER_REGION,
             cache: BTreeSet::new(),
             counters: RegionCounters::default(),
             latency_hist: Histogram::new(LATENCY_EDGES_US.to_vec()),
@@ -618,8 +591,7 @@ impl RegionSim {
         }
         // Rollout waves originate in region 0 and stage outward.
         for wave in 0..config.rollout_waves {
-            let at = config
-                .wave_interval_us
+            let at = WAVE_INTERVAL_US
                 .checked_mul(u64::from(wave) + 1)
                 .ok_or(EngineError::Time("wave start overflows the microsecond clock"))?;
             regions[0].heap.push(at, RegionEvent::Wave { version: wave + 1 });
@@ -631,10 +603,7 @@ impl RegionSim {
         let regions = sim.into_regions();
 
         let mut tenants =
-            vec![TenantUsage::default(); config.tenants as usize];
-        for (t, usage) in tenants.iter_mut().enumerate() {
-            usage.weight = config.tenant_weights.get(t).copied().unwrap_or(1);
-        }
+            vec![TenantUsage { weight: 1, ..TenantUsage::default() }; config.tenants as usize];
         for job in jobs {
             tenants[job.tenant as usize].submitted += 1;
         }
@@ -707,8 +676,7 @@ mod tests {
             tenants: 3,
             migrate_threshold: u32::MAX, // isolate admission from migration
             queue_capacity: 12,
-            tenant_quota: 16, // higher than the share bound: the weighted share binds
-            tenant_weights: vec![1, 1, 2],
+            tenant_quota: 16, // higher than the share bound: the fair share binds
             rollout_waves: 0,
             ..RegionSimConfig::default()
         };
@@ -742,11 +710,11 @@ mod tests {
         )
         .expect("runs");
         let t0 = &report.tenants[0];
-        // Share bound for tenant 0: capacity 12 * weight 1 / Σ4 = 3.
+        // Share bound for tenant 0: capacity 12 * weight 1 / Σ3 = 4.
         assert!(t0.quota_rejected > 0, "the burst hits the quota: {t0:?}");
         assert_eq!(t0.submitted, 60);
         assert!(
-            t0.admitted <= 3 + t0.served,
+            t0.admitted <= 4 + t0.served,
             "tenant 0 never holds more than its share: {t0:?}"
         );
         // The trickling tenants were not starved by the burst.

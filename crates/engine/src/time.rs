@@ -58,21 +58,6 @@ pub fn us_to_secs(us: u64) -> f64 {
     us as f64 / MICROS_PER_SEC
 }
 
-/// Saturating seconds→µs conversion for soft windows where clamping is
-/// the *intended* semantics (an autoscaler's look-back horizon): NaN
-/// and negatives clamp to 0, overlarge values pin to the clock's top.
-/// Event times must never go through here — use [`secs_to_us`].
-#[must_use]
-pub fn saturating_secs_to_us(secs: f64) -> u64 {
-    let clamped = if secs.is_finite() { secs.max(0.0) } else { 0.0 };
-    let us = (clamped * MICROS_PER_SEC).round();
-    if us > MAX_US {
-        MAX_US as u64
-    } else {
-        us as u64
-    }
-}
-
 /// A planned duration of whole seconds in microseconds, or an error
 /// when the multiply would wrap `u64` (a >292-millennium stage is a
 /// bad plan, not a schedulable event).
@@ -161,14 +146,6 @@ mod tests {
         for us in [0u64, 1, 999_999, 1_000_000, 86_400_000_000] {
             assert_eq!(secs_to_us(us_to_secs(us)), Ok(us));
         }
-    }
-
-    #[test]
-    fn saturating_conversion_clamps_instead_of_erroring() {
-        assert_eq!(saturating_secs_to_us(1.5), 1_500_000);
-        assert_eq!(saturating_secs_to_us(-3.0), 0);
-        assert_eq!(saturating_secs_to_us(f64::NAN), 0);
-        assert_eq!(saturating_secs_to_us(1e20), MAX_US as u64);
     }
 
     #[test]

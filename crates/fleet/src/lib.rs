@@ -7,7 +7,7 @@
 //! discrete-event engine ([`FleetSimulator`]) plays the stream against
 //! `eda-cloud-cloud`'s provisioner: per-stage VM requests with real
 //! boot intervals, a warm pool sized by an arrival-rate autoscaler
-//! ([`AutoscaleConfig`]), optional spot purchasing with seeded
+//! (fixed window, cap and idle reap), optional spot purchasing with seeded
 //! interruption injection, exponential-backoff retries, and
 //! stage-boundary checkpointing ([`SpotPolicy`]). Each run folds into a
 //! [`FleetReport`] — deadline-hit rate, total and per-job cost, latency
@@ -64,7 +64,6 @@ mod metrics;
 mod sim;
 mod spot;
 
-pub use autoscale::AutoscaleConfig;
 pub use eda_cloud_engine::poisson_arrivals;
 pub use error::FleetError;
 pub use faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};

@@ -17,10 +17,10 @@
 //! stages never re-run) and falls back to on-demand capacity once its
 //! spot attempts are exhausted.
 
-use crate::autoscale::{AutoscaleConfig, Autoscaler};
+use crate::autoscale::{Autoscaler, MAX_IDLE_US};
 use crate::faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
 use crate::metrics::{FleetCounters, FleetReport, Samples};
-use crate::spot::{SpotInjector, SpotPolicy};
+use crate::spot::{backoff_secs, SpotInjector, SpotPolicy, MAX_SPOT_ATTEMPTS};
 use crate::{FleetError, FleetJob};
 use eda_cloud_cloud::{Catalog, InstanceType, Provisioner, VmState};
 use eda_cloud_engine::{time, EventHeap};
@@ -48,21 +48,12 @@ fn stage_duration_us(runtime_secs: u64) -> Result<u64, FleetError> {
     Ok(time::secs_to_duration_us(runtime_secs)?)
 }
 
-/// Histogram bucket edges must be non-empty, finite, and strictly
-/// ascending — checked here so a bad config surfaces as an error
-/// instead of a panic inside [`Histogram::new`].
-fn validate_edges(edges: &[f64], what: &'static str) -> Result<(), FleetError> {
-    if edges.is_empty() {
-        return Err(FleetError::InvalidConfig(what));
-    }
-    if edges.iter().any(|e| !e.is_finite()) {
-        return Err(FleetError::InvalidConfig(what));
-    }
-    if edges.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(FleetError::InvalidConfig(what));
-    }
-    Ok(())
-}
+/// Latency histogram bucket edges, seconds: half an hour to 32 hours.
+const LATENCY_EDGES_SECS: [f64; 7] =
+    [1_800.0, 3_600.0, 7_200.0, 14_400.0, 28_800.0, 57_600.0, 115_200.0];
+
+/// Per-job cost histogram bucket edges, USD: five cents to $3.20.
+const COST_EDGES_USD: [f64; 7] = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2];
 
 /// How to run a fleet simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,37 +64,19 @@ pub struct FleetConfig {
     /// Buy stage capacity on the spot market under this policy; `None`
     /// runs everything on demand.
     pub spot: Option<SpotPolicy>,
-    /// Warm-pool sizing rules.
-    pub autoscale: AutoscaleConfig,
-    /// Latency histogram bucket edges, seconds.
-    pub latency_edges: Vec<f64>,
-    /// Per-job cost histogram bucket edges, USD.
-    pub cost_edges: Vec<f64>,
     /// Hard cap on attempts of a single stage before the job is
     /// abandoned with the typed `jobs_exhausted` outcome. Ordinary runs
     /// never approach it (spot fallback completes on demand after at
-    /// most `max_spot_attempts + 1` tries); it exists so injected
-    /// interrupt-every-attempt faults terminate instead of retrying
-    /// forever.
+    /// most four tries); it exists so injected interrupt-every-attempt
+    /// faults terminate instead of retrying forever.
     pub max_stage_attempts: u32,
 }
 
 impl FleetConfig {
-    /// On-demand-only fleet with default autoscaling and histogram
-    /// edges spanning minutes-to-days latencies and cent-to-dollar job
-    /// costs.
+    /// On-demand-only fleet.
     #[must_use]
     pub fn on_demand(seed: u64) -> Self {
-        Self {
-            seed,
-            spot: None,
-            autoscale: AutoscaleConfig::default(),
-            latency_edges: vec![
-                1_800.0, 3_600.0, 7_200.0, 14_400.0, 28_800.0, 57_600.0, 115_200.0,
-            ],
-            cost_edges: vec![0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2],
-            max_stage_attempts: 64,
-        }
+        Self { seed, spot: None, max_stage_attempts: 64 }
     }
 
     /// The same fleet buying stages on spot capacity under `policy`.
@@ -193,11 +166,6 @@ impl FleetSimulator {
     /// non-finite arrival times, and [`FleetError::Cloud`] when a plan
     /// names an instance the catalog does not sell.
     pub fn run(&self, jobs: &[FleetJob], config: &FleetConfig) -> Result<FleetReport, FleetError> {
-        validate_edges(&config.latency_edges, "latency histogram edges")?;
-        validate_edges(&config.cost_edges, "cost histogram edges")?;
-        if !config.autoscale.max_idle_secs.is_finite() {
-            return Err(FleetError::InvalidConfig("autoscale idle bound must be finite"));
-        }
         if config.max_stage_attempts == 0 {
             return Err(FleetError::InvalidConfig("max stage attempts must be positive"));
         }
@@ -322,14 +290,14 @@ impl<'a> Engine<'a> {
             warm_count: 0,
             stamp: 0,
             vm_fraction: Vec::new(),
-            autoscaler: Autoscaler::new(&config.autoscale),
+            autoscaler: Autoscaler::default(),
             injector: SpotInjector::new(config.seed),
             counters: FleetCounters::default(),
             total_cost_usd: 0.0,
             latencies: Samples::default(),
             job_costs: Samples::default(),
-            latency_hist: Histogram::new(config.latency_edges.clone()),
-            cost_hist: Histogram::new(config.cost_edges.clone()),
+            latency_hist: Histogram::new(LATENCY_EDGES_SECS.to_vec()),
+            cost_hist: Histogram::new(COST_EDGES_USD.to_vec()),
             makespan_us: 0,
             sim_span,
             job_spans,
@@ -377,10 +345,7 @@ impl<'a> Engine<'a> {
     /// Whether the job's *next* attempt of its current stage runs on
     /// spot capacity, given how many attempts it already burned.
     fn next_attempt_on_spot(&self, state: &JobState) -> bool {
-        self.config
-            .spot
-            .as_ref()
-            .is_some_and(|policy| state.attempt < policy.max_spot_attempts)
+        self.config.spot.is_some() && state.attempt < MAX_SPOT_ATTEMPTS
     }
 
     /// Acquire a VM for the job's current stage: a warm on-demand VM
@@ -399,10 +364,8 @@ impl<'a> Engine<'a> {
         }
         let on_spot = self.next_attempt_on_spot(state);
         let instance_name = self.jobs[job].plan.stages[state.stage].instance.clone();
-        if let Some(policy) = &self.config.spot {
-            if !on_spot && state.attempt == policy.max_spot_attempts && state.attempt > 0 {
-                self.counters.spot_fallbacks += 1;
-            }
+        if self.config.spot.is_some() && state.attempt == MAX_SPOT_ATTEMPTS {
+            self.counters.spot_fallbacks += 1;
         }
         self.states[job].attempt += 1;
 
@@ -522,11 +485,8 @@ impl<'a> Engine<'a> {
         self.attribute_cost(job, vm, partial_secs);
         self.bill(vm)?;
         // Injected interrupts can reclaim on-demand VMs with no spot
-        // policy configured; those retries use the standard backoff.
-        let backoff = match self.config.spot.as_ref() {
-            Some(policy) => policy.backoff_secs(self.states[job].attempt),
-            None => SpotPolicy::typical().backoff_secs(self.states[job].attempt),
-        };
+        // policy configured; those retries back off the same way.
+        let backoff = backoff_secs(self.states[job].attempt);
         let retry_at = time::checked_add_us(now, to_us(backoff)?)?;
         self.push(retry_at, Event::Retry { job });
         Ok(())
@@ -575,15 +535,14 @@ impl<'a> Engine<'a> {
     /// autoscaler's target, otherwise terminate and bill it.
     fn release_or_bill(&mut self, vm: u64, now: u64) -> Result<(), FleetError> {
         let target = self.autoscaler.target(now);
-        if self.warm_count < target && self.warm_count < self.config.autoscale.max_warm {
+        if self.warm_count < target {
             self.sim_span.counter("autoscale/kept_warm", 1);
             let name = self.provisioner.vm(vm)?.instance.name.clone();
             let stamp = self.stamp;
             self.stamp += 1;
             self.warm.entry(name).or_default().push((vm, stamp));
             self.warm_count += 1;
-            let reap_at =
-                time::checked_add_us(now, to_us(self.config.autoscale.max_idle_secs.max(0.0))?)?;
+            let reap_at = time::checked_add_us(now, MAX_IDLE_US)?;
             self.push(reap_at, Event::IdleReap { vm, stamp });
             Ok(())
         } else {
@@ -684,9 +643,7 @@ mod tests {
     #[test]
     fn single_job_on_demand_accounting() {
         let job = two_stage_job(0, 0.0, 2000);
-        let mut cfg = FleetConfig::on_demand(1);
-        cfg.autoscale = AutoscaleConfig::disabled();
-        let report = sim().run(&[job], &cfg).expect("runs");
+        let report = sim().run(&[job], &FleetConfig::on_demand(1)).expect("runs");
         let c = report.counters;
         assert_eq!(c.jobs_submitted, 1);
         assert_eq!(c.jobs_completed, 1);
@@ -694,16 +651,18 @@ mod tests {
         assert_eq!(c.vms_launched, 2);
         assert_eq!(c.cold_starts, 2);
         assert_eq!(c.interruptions, 0);
+        assert_eq!(c.idle_reaped, 2, "each VM waits out the idle reap in the warm pool");
         // Latency = 600 + 900 runtime + 2 x 30 s boots (+2 us slack).
         assert!((report.mean_latency_secs - 1560.0).abs() < 1e-3);
-        // Cost: both VMs bill boot + runtime; the microsecond of
-        // readiness slack can push each bill up by one ceiled second.
+        // Cost: both VMs bill boot + runtime + the 600 s idle reap; the
+        // microsecond of readiness slack can push each bill up by one
+        // ceiled second.
         let catalog = Catalog::aws_like();
         let pricing = catalog.pricing();
         let m5 = catalog.instance("m5.large").unwrap();
         let c5 = catalog.instance("c5.xlarge").unwrap();
-        let low = pricing.cost_usd(m5, 630.0) + pricing.cost_usd(c5, 930.0);
-        let high = pricing.cost_usd(m5, 632.0) + pricing.cost_usd(c5, 932.0);
+        let low = pricing.cost_usd(m5, 1230.0) + pricing.cost_usd(c5, 1530.0);
+        let high = pricing.cost_usd(m5, 1232.0) + pricing.cost_usd(c5, 1532.0);
         assert!(
             report.total_cost_usd >= low - 1e-9 && report.total_cost_usd <= high + 1e-9,
             "total {} outside [{low}, {high}]",
@@ -742,15 +701,12 @@ mod tests {
         assert_eq!(report.counters.cold_starts, 1);
         assert_eq!(report.counters.warm_reuses, 1);
 
-        // With the pool disabled both jobs boot cold.
-        let mut cold_cfg = FleetConfig::on_demand(1);
-        cold_cfg.autoscale = AutoscaleConfig::disabled();
-        let cold = sim().run(&[mk(0, 0.0), mk(1, 700.0)], &cold_cfg).expect("runs");
+        // Spaced past the 600 s idle reap, the first VM is gone when
+        // the second job arrives: both boot cold.
+        let cold = sim().run(&[mk(0, 0.0), mk(1, 1300.0)], &cfg).expect("runs");
         assert_eq!(cold.counters.vms_launched, 2);
         assert_eq!(cold.counters.warm_reuses, 0);
-        assert!(cold.total_cost_usd < report.total_cost_usd + 1e-9 ||
-                cold.total_cost_usd >= report.total_cost_usd - 1e-9,
-                "both accountings are finite");
+        assert_eq!(cold.counters.idle_reaped, 2);
     }
 
     #[test]
@@ -770,7 +726,6 @@ mod tests {
         let on_demand = sim().run(&jobs, &FleetConfig::on_demand(3)).expect("runs");
         let calm = SpotPolicy {
             market: SpotMarket { price_fraction: 0.3, interruption_per_hour: 0.0 },
-            ..SpotPolicy::typical()
         };
         let spot = sim()
             .run(&jobs, &FleetConfig::on_demand(3).with_spot(calm))
@@ -799,7 +754,6 @@ mod tests {
         };
         let hostile = SpotPolicy {
             market: SpotMarket { price_fraction: 0.3, interruption_per_hour: 0.9999 },
-            ..SpotPolicy::typical()
         };
         let report = sim()
             .run(&[job], &FleetConfig::on_demand(5).with_spot(hostile))
@@ -831,7 +785,6 @@ mod tests {
         };
         let hostile = SpotPolicy {
             market: SpotMarket { price_fraction: 0.3, interruption_per_hour: 0.9999 },
-            ..SpotPolicy::typical()
         };
         let report = sim()
             .run(&[job], &FleetConfig::on_demand(11).with_spot(hostile))
@@ -865,7 +818,6 @@ mod tests {
         }
         let job = two_stage_job(0, 0.0, 2000);
         let mut cfg = FleetConfig::on_demand(1);
-        cfg.autoscale = AutoscaleConfig::disabled();
         cfg.max_stage_attempts = 5;
         let report = FleetSimulator::new(Catalog::aws_like())
             .with_faults(std::sync::Arc::new(AlwaysInterrupt))
@@ -899,8 +851,7 @@ mod tests {
             }
         }
         let job = two_stage_job(0, 0.0, 2000);
-        let mut cfg = FleetConfig::on_demand(1);
-        cfg.autoscale = AutoscaleConfig::disabled();
+        let cfg = FleetConfig::on_demand(1);
         let clean = sim().run(std::slice::from_ref(&job), &cfg).expect("runs");
         let stalled = FleetSimulator::new(Catalog::aws_like())
             .with_faults(std::sync::Arc::new(DoubleStage0))
@@ -1008,25 +959,6 @@ mod tests {
             sim().run(&[forever], &FleetConfig::on_demand(1)).unwrap_err(),
             FleetError::InvalidConfig(_)
         ));
-    }
-
-    #[test]
-    fn bad_histogram_edges_error_instead_of_panicking() {
-        let job = two_stage_job(0, 0.0, 2000);
-        for edges in [vec![], vec![1.0, f64::NAN], vec![2.0, 1.0], vec![1.0, 1.0]] {
-            let mut cfg = FleetConfig::on_demand(1);
-            cfg.latency_edges = edges.clone();
-            assert!(
-                matches!(
-                    sim().run(std::slice::from_ref(&job), &cfg).unwrap_err(),
-                    FleetError::InvalidConfig(_)
-                ),
-                "edges {edges:?} must be rejected"
-            );
-        }
-        let mut cfg = FleetConfig::on_demand(1);
-        cfg.autoscale.max_idle_secs = f64::INFINITY;
-        assert!(sim().run(&[job], &cfg).is_err());
     }
 
     #[test]

@@ -4,38 +4,36 @@ use eda_cloud_cloud::SpotMarket;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// How the fleet buys spot capacity and reacts to reclaims.
+/// Attempts a stage makes on spot capacity before falling back to
+/// on-demand (stage-boundary checkpointing: only the reclaimed stage
+/// restarts, completed stages keep their results).
+pub(crate) const MAX_SPOT_ATTEMPTS: u32 = 3;
+
+/// Base retry delay after a reclaim; doubles per failed attempt.
+const BACKOFF_BASE_SECS: f64 = 60.0;
+
+/// How the fleet buys spot capacity: three tries on the
+/// market, then on demand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotPolicy {
     /// The spot market (discount + hourly interruption probability).
     pub market: SpotMarket,
-    /// Attempts a stage makes on spot capacity before falling back to
-    /// on-demand (stage-boundary checkpointing: only the reclaimed
-    /// stage restarts, completed stages keep their results).
-    pub max_spot_attempts: u32,
-    /// Base retry delay after a reclaim; doubles per failed attempt.
-    pub backoff_base_secs: f64,
 }
 
 impl SpotPolicy {
-    /// Typical conditions: the [`SpotMarket::typical`] market, three
-    /// spot attempts, and a 60-second base backoff.
+    /// Typical conditions: the [`SpotMarket::typical`] market.
     #[must_use]
     pub fn typical() -> Self {
-        Self {
-            market: SpotMarket::typical(),
-            max_spot_attempts: 3,
-            backoff_base_secs: 60.0,
-        }
+        Self { market: SpotMarket::typical() }
     }
+}
 
-    /// Retry delay before attempt `attempt + 1` after `attempt` failed
-    /// ones: exponential backoff capped at 16x the base.
-    #[must_use]
-    pub fn backoff_secs(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(4);
-        self.backoff_base_secs * f64::from(1u32 << exp)
-    }
+/// Retry delay before attempt `attempt + 1` after `attempt` failed ones,
+/// spot reclaim or injected interrupt alike: exponential backoff from
+/// [`BACKOFF_BASE_SECS`], capped at 16x the base.
+pub(crate) fn backoff_secs(attempt: u32) -> f64 {
+    let exp = attempt.saturating_sub(1).min(4);
+    BACKOFF_BASE_SECS * f64::from(1u32 << exp)
 }
 
 /// The seeded fault injector: decides, at stage start, whether the spot
@@ -113,10 +111,9 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = SpotPolicy::typical();
-        assert_eq!(policy.backoff_secs(1), 60.0);
-        assert_eq!(policy.backoff_secs(2), 120.0);
-        assert_eq!(policy.backoff_secs(3), 240.0);
-        assert_eq!(policy.backoff_secs(10), 960.0, "capped at 16x");
+        assert_eq!(backoff_secs(1), 60.0);
+        assert_eq!(backoff_secs(2), 120.0);
+        assert_eq!(backoff_secs(3), 240.0);
+        assert_eq!(backoff_secs(10), 960.0, "capped at 16x");
     }
 }

@@ -45,7 +45,7 @@
 
 use crate::batch::GraphBatch;
 use crate::model::saturating_exp;
-use crate::{GraphSample, Matrix, ModelConfig, RuntimePredictor};
+use crate::{GraphSample, Matrix, RuntimePredictor};
 
 /// A per-tensor symmetric int8 quantized weight matrix, stored
 /// row-major like its float counterpart so the AXPY GEMM streams whole
@@ -94,19 +94,6 @@ impl QuantizedMatrix {
             .map(|&v| quantize_value(v, inv_scale))
             .collect();
         Self::from_codes(in_dim, out_dim, scale, data)
-    }
-
-    /// Reconstruct the float weight: `w[r][c] = q[r][c] · scale`.
-    #[must_use]
-    pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.in_dim, self.out_dim);
-        for r in 0..self.in_dim {
-            let row = &self.data[r * self.out_dim..(r + 1) * self.out_dim];
-            for (c, &q) in row.iter().enumerate() {
-                out.set(r, c, f64::from(q) * self.scale);
-            }
-        }
-        out
     }
 }
 
@@ -207,7 +194,6 @@ pub struct QuantizedPredictor {
     gcn: Vec<QuantGcnLayer>,
     fc: QuantDenseLayer,
     head: QuantDenseLayer,
-    config: ModelConfig,
 }
 
 /// The integer AXPY at the bottom of the quantized GEMM:
@@ -358,25 +344,7 @@ impl QuantizedPredictor {
                 w: QuantizedMatrix::quantize(&model.head.w),
                 bias: model.head.bias.data().to_vec(),
             },
-            config: model.config().clone(),
         }
-    }
-
-    /// Reconstruct a float model carrying the dequantized weights (and
-    /// a fresh optimizer state) — the warm start a retraining loop uses
-    /// when its deployed base is quantized.
-    #[must_use]
-    pub fn dequantize(&self) -> RuntimePredictor {
-        let mut model = RuntimePredictor::new(&self.config, 0);
-        for (layer, q) in model.gcn.iter_mut().zip(&self.gcn) {
-            layer.w = q.w.dequantize();
-            layer.b = q.b.dequantize();
-        }
-        model.fc.w = self.fc.w.dequantize();
-        model.fc.bias = Matrix::from_vec(1, self.fc.bias.len(), self.fc.bias.clone());
-        model.head.w = self.head.w.dequantize();
-        model.head.bias = Matrix::from_vec(1, self.head.bias.len(), self.head.bias.clone());
-        model
     }
 
     /// Run the quantized GCN stack over one activation matrix in place
@@ -494,6 +462,7 @@ impl QuantizedPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelConfig;
     use eda_cloud_netlist::{generators, DesignGraph};
 
     fn sample() -> GraphSample {
@@ -510,11 +479,17 @@ mod tests {
         model
     }
 
+    /// The float weight a quantized one stands for: `w[r][c] = q[r][c] · scale`.
+    fn dequantize(q: &QuantizedMatrix) -> Matrix {
+        let codes = q.data.iter().map(|&c| f64::from(c) * q.scale).collect();
+        Matrix::from_vec(q.in_dim, q.out_dim, codes)
+    }
+
     #[test]
     fn quantize_dequantize_bounds_error() {
         let model = trained_model();
         let q = QuantizedMatrix::quantize(&model.gcn[0].w);
-        let back = q.dequantize();
+        let back = dequantize(&q);
         assert_eq!(back.rows(), model.gcn[0].w.rows());
         for r in 0..back.rows() {
             for (a, b) in model.gcn[0].w.row(r).iter().zip(back.row(r)) {
@@ -527,7 +502,7 @@ mod tests {
     fn zero_tensor_quantizes_to_zero() {
         let q = QuantizedMatrix::quantize(&Matrix::zeros(3, 4));
         assert_eq!(q.scale, 1.0);
-        assert_eq!(q.dequantize(), Matrix::zeros(3, 4));
+        assert_eq!(dequantize(&q), Matrix::zeros(3, 4));
     }
 
     #[test]
@@ -536,7 +511,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[0.5, -0.5, 1.49, -2.5, 127.0, -126.0]]);
         let q = QuantizedMatrix::quantize(&m);
         assert_eq!(q.scale, 1.0);
-        let back = q.dequantize();
+        let back = dequantize(&q);
         assert_eq!(back.row(0), &[1.0, -1.0, 1.0, -3.0, 127.0, -126.0]);
     }
 
@@ -594,15 +569,5 @@ mod tests {
         let b = q.predict_log_batch(&batch);
         assert_eq!(a, b);
         assert_eq!(a.len(), samples.len());
-    }
-
-    #[test]
-    fn dequantize_round_trips_through_float_model() {
-        let model = trained_model();
-        let q = QuantizedPredictor::quantize(&model);
-        let back = q.dequantize();
-        // Re-quantizing the dequantized model reproduces the codes: the
-        // reconstruction is exactly representable on the int8 grid.
-        assert_eq!(QuantizedPredictor::quantize(&back), q);
     }
 }

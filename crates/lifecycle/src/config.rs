@@ -2,9 +2,25 @@
 
 use crate::LifecycleError;
 
-/// Every knob of the lifecycle controller: the synthetic workload it
-/// serves, the drift it injects into ground truth, the detector and
-/// retrainer thresholds, and the canary rollout policy. Defaults are
+/// Simulated delay between a response and its ground-truth feedback
+/// join, µs (the flow "executes" before truth arrives).
+pub(crate) const FEEDBACK_DELAY_US: u64 = 25_000;
+/// Per-stage replay-buffer capacity (samples).
+pub(crate) const REPLAY_CAPACITY: usize = 48;
+/// Page-Hinkley slack per observation, log-bias micros (1e6 = one
+/// natural-log unit; a drift factor `f` shifts the bias by
+/// `ln(f) * 1e6`).
+pub(crate) const PH_DELTA_MICROS: i64 = 250_000;
+/// Page-Hinkley firing threshold, cumulative log-bias micros.
+pub(crate) const PH_LAMBDA_MICROS: i64 = 2_500_000;
+/// The canary promotes only if its mean serving latency stays within
+/// this budget, µs.
+pub const CANARY_LATENCY_BUDGET_US: u64 = 50_000;
+
+/// The lifecycle controller's knobs: the synthetic workload it serves,
+/// the drift it injects into ground truth, the detector calibration,
+/// the retrainer, and the canary rollout policy (the constants above fix
+/// the rest). Defaults are
 /// the golden-report parameters: drift injected a third of the way
 /// into the stream is detected, retrained away, canaried, and promoted
 /// well before the stream ends.
@@ -24,9 +40,6 @@ pub struct LifecycleConfig {
     pub drift_at: u64,
     /// Multiplicative runtime shift applied from `drift_at` onward.
     pub drift_factor: f64,
-    /// Simulated delay between a response and its ground-truth
-    /// feedback join, µs (the flow "executes" before truth arrives).
-    pub feedback_delay_us: u64,
     /// Serving result-cache capacity (entries); 0 disables caching.
     pub cache_capacity: usize,
     /// Simulated service cost of a cache miss (one GCN forward), µs.
@@ -41,8 +54,6 @@ pub struct LifecycleConfig {
     pub retrain_epochs: usize,
     /// Learning rate for bootstrap and retrains.
     pub learning_rate: f64,
-    /// Per-stage replay-buffer capacity (samples).
-    pub replay_capacity: usize,
     /// Distinct designs each stage buffer must hold after a drift
     /// detection before a retrain launches (the controller additionally
     /// waits until the buffers cover every design seen in traffic —
@@ -51,26 +62,12 @@ pub struct LifecycleConfig {
     /// Primary-arm joins the drift detector calibrates its baseline
     /// over before the Page-Hinkley test arms.
     pub calibration: usize,
-    /// Page-Hinkley slack per observation, log-bias micros (1e6 = one
-    /// natural-log unit; a drift factor `f` shifts the bias by
-    /// `ln(f) * 1e6`).
-    pub ph_delta_micros: i64,
-    /// Page-Hinkley firing threshold, cumulative log-bias micros.
-    pub ph_lambda_micros: i64,
     /// Route every `canary_every`-th request ordinal to the candidate.
     pub canary_every: u64,
     /// Joins required on *each* arm before guardrails are evaluated.
     pub canary_min: usize,
     /// Promote only if `canary_mape * 100 <= pct * primary_mape`.
     pub promote_max_error_pct: u64,
-    /// Promote only if the canary's mean serving latency stays within
-    /// this budget, µs.
-    pub canary_latency_budget_us: u64,
-    /// Publish each retrained candidate as an int8 quantized snapshot
-    /// instead of float, so the canary judges the quantized serving
-    /// path head-to-head against the float primary. Guardrails,
-    /// routing, and promotion are identical either way.
-    pub quantize_canary: bool,
 }
 
 impl Default for LifecycleConfig {
@@ -82,23 +79,17 @@ impl Default for LifecycleConfig {
             workers: 1,
             drift_at: 106,
             drift_factor: 2.2,
-            feedback_delay_us: 25_000,
             cache_capacity: 32,
             per_miss_us: 1_000,
             per_hit_us: 50,
             bootstrap_epochs: 40,
             retrain_epochs: 60,
             learning_rate: 3e-3,
-            replay_capacity: 48,
             min_retrain: 12,
             calibration: 24,
-            ph_delta_micros: 250_000,
-            ph_lambda_micros: 2_500_000,
             canary_every: 4,
             canary_min: 8,
             promote_max_error_pct: 90,
-            canary_latency_budget_us: 50_000,
-            quantize_canary: false,
         }
     }
 }
@@ -142,14 +133,11 @@ impl LifecycleConfig {
         if self.min_retrain == 0 {
             return err("min_retrain must be positive");
         }
-        if self.replay_capacity < self.min_retrain {
-            return err("replay_capacity must be >= min_retrain");
+        if self.min_retrain > REPLAY_CAPACITY {
+            return err("min_retrain must fit the replay capacity");
         }
         if self.promote_max_error_pct == 0 {
             return err("promote_max_error_pct must be positive");
-        }
-        if self.ph_delta_micros < 0 || self.ph_lambda_micros <= 0 {
-            return err("Page-Hinkley thresholds must be non-negative / positive");
         }
         Ok(())
     }
@@ -234,10 +222,10 @@ mod tests {
             ),
             (
                 LifecycleConfig {
-                    replay_capacity: 1,
+                    min_retrain: REPLAY_CAPACITY + 1,
                     ..Default::default()
                 },
-                "replay_capacity",
+                "replay capacity",
             ),
             (
                 LifecycleConfig {
@@ -245,13 +233,6 @@ mod tests {
                     ..Default::default()
                 },
                 "promote_max_error_pct",
-            ),
-            (
-                LifecycleConfig {
-                    ph_lambda_micros: 0,
-                    ..Default::default()
-                },
-                "Page-Hinkley",
             ),
         ];
         for (config, needle) in cases {

@@ -19,17 +19,18 @@
 //! folded [`LifecycleReport`] is therefore byte-identical across runs
 //! and worker counts.
 
+use crate::config::{FEEDBACK_DELAY_US, PH_DELTA_MICROS, PH_LAMBDA_MICROS, REPLAY_CAPACITY};
 use crate::{
     ape_micros, log_bias_micros, Arm, DesignBaseline, DriftDetector, DriftSignal, FeedbackEvent,
     LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleReport, NoLifecycleFaults,
     ReplayBuffer, Retrainer, RolloutDecision, RolloutManager, RuntimeOracle, SharedLifecycleFaults,
-    StageErrors, TimelineEvent,
+    StageErrors, TimelineEvent, CANARY_LATENCY_BUDGET_US,
 };
 use eda_cloud_engine::EventHeap;
 use eda_cloud_gcn::{GraphBatch, ModelConfig};
 use eda_cloud_serve::{
-    design_pool, synthetic_requests, LruCache, ModelRegistry, ModelSnapshot, QuantizedSnapshot,
-    ServeDesign, ServeRequest, ServingSnapshot, WorkloadConfig, STAGE_NAMES,
+    design_pool, synthetic_requests, LruCache, ModelRegistry, ModelSnapshot, ServeDesign,
+    ServeRequest, WorkloadConfig, STAGE_NAMES,
 };
 use eda_cloud_trace::{LatencyFold, Span, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -154,7 +155,7 @@ struct Run<'a> {
     // Serving plane.
     registry: ModelRegistry,
     /// The bootstrapped snapshot every later version is compared to.
-    frozen: ServingSnapshot,
+    frozen: ModelSnapshot,
     frozen_version: u32,
     frozen_preds: BTreeMap<u64, [[f64; 4]; 4]>,
     cache: LruCache<(u32, u64), [[f64; 4]; 4]>,
@@ -205,7 +206,6 @@ impl<'a> Run<'a> {
             };
             frozen = retrainer.retrain(&frozen, &buffers, workers).0;
         }
-        let frozen = ServingSnapshot::from(frozen);
         let mut registry = ModelRegistry::new();
         let frozen_version = registry.publish(frozen.clone());
         let mut events = EventHeap::new();
@@ -230,14 +230,14 @@ impl<'a> Run<'a> {
             stages: [StageErrors::default(); 4],
             timeline: Vec::new(),
             detectors: std::array::from_fn(|_| {
-                DriftDetector::new(cfg.calibration, cfg.ph_delta_micros, cfg.ph_lambda_micros)
+                DriftDetector::new(cfg.calibration, PH_DELTA_MICROS, PH_LAMBDA_MICROS)
             }),
             baselines: std::array::from_fn(|_| DesignBaseline::new()),
-            buffers: std::array::from_fn(|_| ReplayBuffer::new(cfg.replay_capacity)),
+            buffers: std::array::from_fn(|_| ReplayBuffer::new(REPLAY_CAPACITY)),
             rollout: RolloutManager::new(
                 cfg.canary_min,
                 cfg.promote_max_error_pct,
-                cfg.canary_latency_budget_us,
+                CANARY_LATENCY_BUDGET_US,
             ),
             seen: BTreeSet::new(),
             feedback_log: Vec::with_capacity(requests.len()),
@@ -306,7 +306,7 @@ impl<'a> Run<'a> {
             actual: self.oracle.runtimes(&request.design, request.ordinal),
             latency_us,
         };
-        self.events.push(done + cfg.feedback_delay_us + extra_us, Event::Feedback(Box::new(join)));
+        self.events.push(done + FEEDBACK_DELAY_US + extra_us, Event::Feedback(Box::new(join)));
         Ok(())
     }
 
@@ -405,12 +405,12 @@ impl<'a> Run<'a> {
         // Retrain only once the replay window covers every design
         // traffic has ever shown us: a partial-coverage fine-tune
         // catastrophically distorts the model on the designs it missed.
-        let covered = if self.seen.len() <= cfg.replay_capacity {
+        let covered = if self.seen.len() <= REPLAY_CAPACITY {
             self.seen.iter().all(|fp| self.buffers[0].contains_key(*fp))
         } else {
             // More designs than the window holds: settle for a full
             // buffer.
-            self.buffers[0].len() == cfg.replay_capacity
+            self.buffers[0].len() == REPLAY_CAPACITY
         };
         if !covered || self.buffers.iter().any(|b| b.len() < cfg.min_retrain) {
             return Ok(());
@@ -420,15 +420,9 @@ impl<'a> Run<'a> {
             learning_rate: cfg.learning_rate,
             seed: cfg.seed ^ (0x5E7A + self.counters.retrains),
         };
-        // Retrains always run in float: a quantized primary is
-        // dequantized back into the warm start.
-        let base = self.registry.primary()?.1.to_float();
-        let (candidate, trained_on) = retrainer.retrain(&base, &self.buffers, self.workers);
-        let version = if cfg.quantize_canary {
-            self.registry.publish(QuantizedSnapshot::quantize(&candidate))
-        } else {
-            self.registry.publish(candidate)
-        };
+        let base = self.registry.primary()?.1;
+        let (candidate, trained_on) = retrainer.retrain(base, &self.buffers, self.workers);
+        let version = self.registry.publish(candidate);
         self.counters.retrains += 1;
         let span = self.control_event(fb, "retrained", "retrain", "-", version);
         span.attr("version", version);
@@ -517,7 +511,7 @@ impl<'a> Run<'a> {
 /// One forward pass over a single design: a 1-element batch through
 /// the snapshot's stage fan-out (joined by stage index, so the result
 /// is worker-invariant).
-fn predict_one(snapshot: &ServingSnapshot, design: &ServeDesign, workers: usize) -> [[f64; 4]; 4] {
+fn predict_one(snapshot: &ModelSnapshot, design: &ServeDesign, workers: usize) -> [[f64; 4]; 4] {
     let aig = GraphBatch::pack(&[&design.aig]);
     let netlist = GraphBatch::pack(&[&design.netlist]);
     snapshot.predict_batches(&aig, &netlist, workers)[0]
@@ -636,60 +630,6 @@ mod tests {
             "identical candidate must roll back"
         );
         assert_eq!(report.final_primary_version, 1, "primary never moves");
-    }
-
-    #[test]
-    fn quantized_canary_arc_is_deterministic() {
-        // Candidates published as int8 snapshots walk the same detect →
-        // retrain → canary arc, judged by the same guardrails, and the
-        // whole run stays byte-identical across repeats and workers.
-        let run = |workers: usize| {
-            let config = LifecycleConfig {
-                quantize_canary: true,
-                workers,
-                ..quick_config()
-            };
-            LifecycleController::new(config)
-                .expect("valid")
-                .run()
-                .expect("runs")
-        };
-        // Bit-exact projection of a feedback log for comparison.
-        type FeedbackDigest = Vec<(u64, u32, Arm, u64, [[u64; 4]; 4], u64)>;
-        let digest = |fs: &[FeedbackEvent]| -> FeedbackDigest {
-            fs.iter()
-                .map(|f| {
-                    (
-                        f.ordinal,
-                        f.version,
-                        f.arm,
-                        f.design.fingerprint,
-                        f.predicted.map(|s| s.map(f64::to_bits)),
-                        f.latency_us,
-                    )
-                })
-                .collect()
-        };
-        let (report, feedback) = run(1);
-        assert!(report.counters.drift_detections > 0);
-        assert!(report.counters.retrains > 0);
-        assert!(
-            report.counters.canaries_started > 0,
-            "quantized candidate canaries"
-        );
-        assert!(
-            report.counters.promotions + report.counters.rollbacks > 0,
-            "guardrails must reach a verdict on the quantized candidate"
-        );
-        assert!(
-            feedback.iter().any(|f| f.version > 1),
-            "some joins are served by the int8 snapshot"
-        );
-        for w in [2usize, 4] {
-            let (again, again_feedback) = run(w);
-            assert_eq!(report.to_json(), again.to_json(), "workers {w}");
-            assert_eq!(digest(&feedback), digest(&again_feedback), "workers {w}");
-        }
     }
 
     #[test]
@@ -820,7 +760,7 @@ mod tests {
         let config = LifecycleConfig { requests: 16, bootstrap_epochs: 0, ..quick_config() };
         let plain = LifecycleController::new(config.clone()).expect("valid");
         let arrivals: Vec<u64> = Run::new(&plain).requests.iter().map(|r| r.arrival_us).collect();
-        let undelayed = arrivals[0] + config.per_miss_us + config.feedback_delay_us;
+        let undelayed = arrivals[0] + config.per_miss_us + FEEDBACK_DELAY_US;
         let tie = arrivals[15];
         assert!(tie > undelayed, "the last arrival is later than join 0 would be");
         let aligned = plain.with_faults(Arc::new(Align(tie - undelayed)));

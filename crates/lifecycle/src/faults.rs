@@ -25,7 +25,7 @@ pub trait LifecycleFaults: Send + Sync {
     }
 
     /// Extra delay, µs, added to this request's feedback join on top of
-    /// the configured `feedback_delay_us` — a straggling flow job.
+    /// the fixed feedback delay — a straggling flow job.
     fn feedback_extra_delay_us(&self, ordinal: u64) -> u64 {
         let _ = ordinal;
         0

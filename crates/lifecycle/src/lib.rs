@@ -63,7 +63,7 @@ mod report;
 mod retrain;
 mod rollout;
 
-pub use config::LifecycleConfig;
+pub use config::{LifecycleConfig, CANARY_LATENCY_BUDGET_US};
 pub use controller::LifecycleController;
 pub use drift::{DesignBaseline, DriftDetector, DriftSignal};
 pub use error::LifecycleError;

@@ -28,7 +28,7 @@
 //!   most `batch` candidates, and measured slower on 2 and 4 threads
 //!   than on 1 (EXPERIMENTS.md § Synthesis joins `run_sweep`).
 
-use crate::encode::{recipe_from_passes, recipe_key, ALPHABET, MAX_RECIPE_LEN};
+use crate::encode::{recipe_from_passes, recipe_key, ALPHABET};
 use crate::{NoRecipeFaults, RecipeError, RecipeFaults};
 use eda_cloud_flow::{ExecContext, Pass, Synthesizer};
 use eda_cloud_netlist::Aig;
@@ -54,6 +54,10 @@ const EVAL_MISS_US: u64 = 1_000;
 /// Simulated cost of an evaluation served from the cache.
 const EVAL_HIT_US: u64 = 50;
 
+/// Maximum recipe length the tree may reach (at most
+/// [`crate::MAX_RECIPE_LEN`]).
+const MAX_LEN: usize = 4;
+
 /// Search-agent configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
@@ -63,9 +67,6 @@ pub struct SearchConfig {
     /// search definition — the tree depends on it, so it must not be
     /// derived from the machine.
     pub batch: usize,
-    /// Maximum recipe length the tree may reach (clamped to
-    /// [`MAX_RECIPE_LEN`]).
-    pub max_len: usize,
     /// Rollout seed.
     pub seed: u64,
 }
@@ -75,17 +76,8 @@ impl Default for SearchConfig {
         Self {
             iters: 64,
             batch: 4,
-            max_len: 4,
             seed: 7,
         }
-    }
-}
-
-impl SearchConfig {
-    /// Effective maximum recipe length.
-    #[must_use]
-    pub fn effective_max_len(&self) -> usize {
-        self.max_len.clamp(1, MAX_RECIPE_LEN)
     }
 }
 
@@ -339,7 +331,6 @@ impl RecipeSearch {
         faults: &dyn RecipeFaults,
         cache: &mut EvalCache,
     ) -> Result<SearchOutcome, RecipeError> {
-        let max_len = self.config.effective_max_len();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x5EC1_FE00);
         let mut nodes = vec![Node::new(Vec::new())];
         let mut evaluations = 0u64;
@@ -370,9 +361,9 @@ impl RecipeSearch {
             // Sequential selection phase: virtual visits + rollouts.
             let mut selections = Vec::with_capacity(batch_len as usize);
             for _ in 0..batch_len {
-                let path = select_path(&mut nodes, max_len);
+                let path = select_path(&mut nodes);
                 let leaf_passes = nodes[*path.last().expect("path never empty")].passes.clone();
-                let rollout = complete_rollout(leaf_passes, max_len, &mut rng);
+                let rollout = complete_rollout(leaf_passes, &mut rng);
                 let key = recipe_key(&rollout);
                 selections.push(Selection {
                     path,
@@ -479,12 +470,12 @@ impl RecipeSearch {
 /// Select a leaf: descend by integer UCB, expand the lowest-index
 /// unvisited action, applying the visit increment (virtual loss)
 /// immediately. Returns the root-to-leaf path.
-fn select_path(nodes: &mut Vec<Node>, max_len: usize) -> Vec<usize> {
+fn select_path(nodes: &mut Vec<Node>) -> Vec<usize> {
     let mut path = vec![0usize];
     let mut current = 0usize;
     loop {
         nodes[current].visits += 1;
-        if nodes[current].passes.len() >= max_len {
+        if nodes[current].passes.len() >= MAX_LEN {
             nodes[current].own_selections += 1;
             return path;
         }
@@ -519,8 +510,8 @@ fn select_path(nodes: &mut Vec<Node>, max_len: usize) -> Vec<usize> {
 
 /// Complete a leaf's prefix to a full rollout sequence with seeded
 /// random suffix passes.
-fn complete_rollout(mut passes: Vec<Pass>, max_len: usize, rng: &mut ChaCha8Rng) -> Vec<Pass> {
-    let remaining = max_len - passes.len().min(max_len);
+fn complete_rollout(mut passes: Vec<Pass>, rng: &mut ChaCha8Rng) -> Vec<Pass> {
+    let remaining = MAX_LEN - passes.len().min(MAX_LEN);
     if remaining > 0 {
         let extra = rng.gen_range(0..=remaining);
         for _ in 0..extra {

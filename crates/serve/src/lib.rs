@@ -81,9 +81,7 @@ pub use ingestor::{IngestDisposition, IngestOutcome, IngestSummary, Ingestor};
 pub use planner::{CostTablePlanner, PlanSummary, Planner, TABLE1_SECS, VCPUS};
 pub use queue::AdmissionQueue;
 pub use recipe_planner::{RecipePlanSummary, RecipePlanner};
-pub use registry::{
-    CanaryState, ModelRegistry, ModelSnapshot, QuantizedSnapshot, ServingSnapshot, STAGE_NAMES,
-};
+pub use registry::{CanaryState, ModelRegistry, ModelSnapshot, QuantizedSnapshot, STAGE_NAMES};
 pub use report::{ServeCounters, ServeReport};
 pub use request::{
     design_pool, synthetic_requests, synthetic_requests_with_uploads, RequestKind, ServeDesign,

@@ -234,11 +234,10 @@ impl ModelSnapshot {
     }
 }
 
-/// The four per-stage predictors, quantized to int8 for serving (see
-/// [`eda_cloud_gcn::QuantizedPredictor`]). Versioned alongside float
-/// snapshots in the [`ModelRegistry`] via [`ServingSnapshot`], so a
-/// lifecycle controller can canary a quantized candidate head-to-head
-/// against its float primary on the same request stream.
+/// The four per-stage predictors, quantized to int8 (see
+/// [`eda_cloud_gcn::QuantizedPredictor`]). Derived from a float snapshot,
+/// never stored or served: it exists for the int8 kernel's accuracy
+/// bound against float and for the e2e benchmark's int8 lap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedSnapshot {
     /// Synthesis model (consumes the AIG view of a design).
@@ -262,18 +261,6 @@ impl QuantizedSnapshot {
             routing: QuantizedPredictor::quantize(&snapshot.routing),
             sta: QuantizedPredictor::quantize(&snapshot.sta),
         }
-    }
-
-    /// Reconstruct a float snapshot from the dequantized weights — the
-    /// warm start used when retraining from a quantized base.
-    #[must_use]
-    pub fn dequantize(&self) -> ModelSnapshot {
-        ModelSnapshot::new(
-            self.synthesis.dequantize(),
-            self.placement.dequantize(),
-            self.routing.dequantize(),
-            self.sta.dequantize(),
-        )
     }
 
     /// The predictor for stage index `k` (see [`STAGE_NAMES`]).
@@ -306,60 +293,6 @@ impl QuantizedSnapshot {
     }
 }
 
-/// A snapshot in either numeric format, as stored and served by the
-/// [`ModelRegistry`]: the float predictors a trainer produces, or
-/// their int8 quantized replica. Everything downstream of the registry
-/// — the server, the lifecycle controller's canary router — dispatches
-/// through this enum, so a quantized candidate flows through the exact
-/// code path of a float one.
-#[derive(Debug, Clone)]
-pub enum ServingSnapshot {
-    /// Full-precision `f64` predictors.
-    Float(ModelSnapshot),
-    /// Int8 fixed-point predictors.
-    Int8(QuantizedSnapshot),
-}
-
-impl From<ModelSnapshot> for ServingSnapshot {
-    fn from(s: ModelSnapshot) -> Self {
-        ServingSnapshot::Float(s)
-    }
-}
-
-impl From<QuantizedSnapshot> for ServingSnapshot {
-    fn from(s: QuantizedSnapshot) -> Self {
-        ServingSnapshot::Int8(s)
-    }
-}
-
-impl ServingSnapshot {
-    /// A float snapshot in either case: a clone of the float variant,
-    /// or the dequantized reconstruction of the int8 one — the warm
-    /// start a retraining loop needs regardless of what is deployed.
-    #[must_use]
-    pub fn to_float(&self) -> ModelSnapshot {
-        match self {
-            ServingSnapshot::Float(s) => s.clone(),
-            ServingSnapshot::Int8(s) => s.dequantize(),
-        }
-    }
-
-    /// Dispatching [`ModelSnapshot::predict_batches`] /
-    /// [`QuantizedSnapshot::predict_batches`].
-    #[must_use]
-    pub fn predict_batches(
-        &self,
-        aig: &GraphBatch,
-        netlist: &GraphBatch,
-        workers: usize,
-    ) -> Vec<[[f64; 4]; 4]> {
-        match self {
-            ServingSnapshot::Float(s) => s.predict_batches(aig, netlist, workers),
-            ServingSnapshot::Int8(s) => s.predict_batches(aig, netlist, workers),
-        }
-    }
-}
-
 /// Canary rollout state: the candidate version and the deterministic
 /// routing fraction (every `every`-th request ordinal goes to the
 /// candidate).
@@ -378,7 +311,7 @@ pub struct CanaryState {
 /// requests until it is promoted or rolled back.
 #[derive(Debug, Clone, Default)]
 pub struct ModelRegistry {
-    versions: Vec<ServingSnapshot>,
+    versions: Vec<ModelSnapshot>,
     /// 0 until the first publish.
     primary: u32,
     canary: Option<CanaryState>,
@@ -394,10 +327,9 @@ impl ModelRegistry {
     /// Store a snapshot; returns its version (1-based, monotonically
     /// increasing). The first publish becomes the primary; later
     /// publishes leave the primary untouched until an explicit
-    /// [`ModelRegistry::promote`]. Accepts a float [`ModelSnapshot`],
-    /// an int8 [`QuantizedSnapshot`], or a [`ServingSnapshot`] directly.
-    pub fn publish(&mut self, snapshot: impl Into<ServingSnapshot>) -> u32 {
-        self.versions.push(snapshot.into());
+    /// [`ModelRegistry::promote`].
+    pub fn publish(&mut self, snapshot: ModelSnapshot) -> u32 {
+        self.versions.push(snapshot);
         let version = self.versions.len() as u32;
         if self.primary == 0 {
             self.primary = version;
@@ -411,7 +343,7 @@ impl ModelRegistry {
     ///
     /// Returns [`ServeError::UnknownModel`] if the version does not
     /// exist.
-    pub fn get(&self, version: u32) -> Result<&ServingSnapshot, ServeError> {
+    pub fn get(&self, version: u32) -> Result<&ModelSnapshot, ServeError> {
         version
             .checked_sub(1)
             .and_then(|i| self.versions.get(i as usize))
@@ -426,7 +358,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`] if nothing was published.
-    pub fn primary(&self) -> Result<(u32, &ServingSnapshot), ServeError> {
+    pub fn primary(&self) -> Result<(u32, &ModelSnapshot), ServeError> {
         Ok((self.primary, self.get(self.primary)?))
     }
 
@@ -488,7 +420,7 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownModel`] if nothing was published.
-    pub fn route(&self, ordinal: u64) -> Result<(u32, &ServingSnapshot), ServeError> {
+    pub fn route(&self, ordinal: u64) -> Result<(u32, &ModelSnapshot), ServeError> {
         if let Some(state) = self.canary {
             if ordinal.is_multiple_of(state.every) {
                 return Ok((state.version, self.get(state.version)?));
@@ -590,9 +522,7 @@ mod tests {
         let v2 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 2));
         assert_eq!((v1, v2), (1, 2));
         let s = sample();
-        let ServingSnapshot::Float(pinned) = reg.get(1).expect("v1 kept") else {
-            panic!("float snapshot");
-        };
+        let pinned = reg.get(1).expect("v1 kept");
         let fresh = ModelSnapshot::seeded(&ModelConfig::fast(), 1);
         assert_eq!(
             pinned.stage(0).predict_log(&s),
@@ -730,26 +660,5 @@ mod tests {
                 assert!(stage.iter().all(|v| v.is_finite() && *v > 0.0));
             }
         }
-    }
-
-    #[test]
-    fn serving_snapshot_to_float_and_registry_hold_both_variants() {
-        let float = ModelSnapshot::seeded(&ModelConfig::fast(), 6);
-        let quant = QuantizedSnapshot::quantize(&float);
-        let sf = ServingSnapshot::from(float.clone());
-        let sq = ServingSnapshot::from(quant.clone());
-        assert!(matches!(sf, ServingSnapshot::Float(_)) && matches!(sq, ServingSnapshot::Int8(_)));
-
-        // to_float: identity for floats, dequantize for int8 — and
-        // re-quantizing the dequantized weights reproduces the codes.
-        assert_eq!(sf.to_float().to_text(), float.to_text());
-        assert_eq!(QuantizedSnapshot::quantize(&sq.to_float()), quant);
-
-        // A registry holds both variants side by side.
-        let mut reg = ModelRegistry::new();
-        let v1 = reg.publish(float);
-        let v2 = reg.publish(quant);
-        assert!(matches!(reg.get(v1), Ok(ServingSnapshot::Float(_))));
-        assert!(matches!(reg.get(v2), Ok(ServingSnapshot::Int8(_))));
     }
 }

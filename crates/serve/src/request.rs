@@ -195,18 +195,9 @@ pub struct WorkloadConfig {
     pub rate_per_sec: f64,
     /// Seed for arrivals, design choice, deadlines, and request kinds.
     pub seed: u64,
-    /// Response-deadline window after arrival, milliseconds (inclusive
-    /// of `min`, exclusive of `max`).
-    pub min_deadline_ms: u64,
-    /// Upper edge of the deadline window, ms.
-    pub max_deadline_ms: u64,
     /// Every `plan_every`-th draw (in expectation) asks for a plan; 0
     /// disables planning requests.
     pub plan_every: u64,
-    /// Every `recipe_every`-th draw (in expectation) asks for a joint
-    /// recipe × VM plan; 0 (the default) disables recipe requests and
-    /// leaves the request stream byte-identical to earlier releases.
-    pub recipe_every: u64,
     /// Every `ingest_every`-th draw (in expectation) is an upload of
     /// one of the documents handed to
     /// [`synthetic_requests_with_uploads`]; 0 (the default) disables
@@ -220,14 +211,15 @@ impl Default for WorkloadConfig {
             requests: 64,
             rate_per_sec: 200.0,
             seed: 7,
-            min_deadline_ms: 30,
-            max_deadline_ms: 250,
             plan_every: 4,
-            recipe_every: 0,
             ingest_every: 0,
         }
     }
 }
+
+/// Response-deadline window after arrival, milliseconds: inclusive
+/// lower edge, exclusive upper edge.
+const DEADLINE_WINDOW_MS: std::ops::Range<u64> = 30..250;
 
 /// Families × sizes backing the synthetic design pool. Small designs
 /// keep the forward passes fast; the pool is larger than a typical
@@ -264,7 +256,7 @@ pub fn design_pool() -> Vec<Arc<ServeDesign>> {
 ///
 /// # Panics
 ///
-/// Panics if the pool is empty or the deadline window is empty.
+/// Panics if the pool is empty.
 #[must_use]
 pub fn synthetic_requests(pool: &[Arc<ServeDesign>], config: &WorkloadConfig) -> Vec<ServeRequest> {
     synthetic_requests_with_uploads(pool, &[], config)
@@ -279,7 +271,7 @@ pub fn synthetic_requests(pool: &[Arc<ServeDesign>], config: &WorkloadConfig) ->
 ///
 /// # Panics
 ///
-/// Panics if the pool is empty or the deadline window is empty.
+/// Panics if the pool is empty.
 #[must_use]
 pub fn synthetic_requests_with_uploads(
     pool: &[Arc<ServeDesign>],
@@ -287,10 +279,6 @@ pub fn synthetic_requests_with_uploads(
     config: &WorkloadConfig,
 ) -> Vec<ServeRequest> {
     assert!(!pool.is_empty(), "design pool must not be empty");
-    assert!(
-        config.min_deadline_ms < config.max_deadline_ms,
-        "deadline window must be non-empty"
-    );
     let arrivals = poisson_arrivals(config.requests, config.rate_per_sec * 3600.0, config.seed);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x5E4E);
     arrivals
@@ -299,19 +287,16 @@ pub fn synthetic_requests_with_uploads(
         .map(|(i, arrival_secs)| {
             let arrival_us = (arrival_secs * 1e6).round() as u64;
             let design = pool[rng.gen_range(0..pool.len())].clone();
-            let window_ms = rng.gen_range(config.min_deadline_ms..config.max_deadline_ms);
+            let window_ms = rng.gen_range(DEADLINE_WINDOW_MS);
             let mut upload = None;
             let kind = if config.plan_every > 0 && rng.gen_range(0..config.plan_every) == 0 {
                 RequestKind::Plan { budget_secs: rng.gen_range(6_000u64..20_000) }
-            } else if config.recipe_every > 0 && rng.gen_range(0..config.recipe_every) == 0 {
-                // Guarded by `recipe_every > 0` so the default stream
-                // draws nothing extra and stays byte-identical.
-                RequestKind::PlanRecipe { deadline_secs: rng.gen_range(6_000u64..20_000) }
             } else if config.ingest_every > 0
                 && !uploads.is_empty()
                 && rng.gen_range(0..config.ingest_every) == 0
             {
-                // Same guard discipline as `recipe_every`.
+                // Guarded by `ingest_every > 0` so the default stream
+                // draws nothing extra and stays byte-identical.
                 upload = Some(uploads[rng.gen_range(0..uploads.len())].clone());
                 RequestKind::Ingest
             } else {
@@ -395,28 +380,6 @@ mod tests {
         assert!(a.iter().all(|r| r.deadline_us > r.arrival_us));
         assert!(a.iter().any(|r| matches!(r.kind, RequestKind::Plan { .. })));
         assert!(a.iter().any(|r| r.kind == RequestKind::Predict));
-    }
-
-    #[test]
-    fn recipe_requests_are_off_by_default_and_guarded() {
-        let pool = design_pool();
-        let default_stream = synthetic_requests(&pool, &WorkloadConfig::default());
-        assert!(
-            !default_stream
-                .iter()
-                .any(|r| matches!(r.kind, RequestKind::PlanRecipe { .. })),
-            "recipe_every = 0 must draw nothing extra"
-        );
-        let config = WorkloadConfig { recipe_every: 2, ..WorkloadConfig::default() };
-        let stream = synthetic_requests(&pool, &config);
-        assert!(stream
-            .iter()
-            .any(|r| matches!(r.kind, RequestKind::PlanRecipe { .. })));
-        // Deterministic under the new draw too.
-        let again = synthetic_requests(&pool, &config);
-        for (x, y) in stream.iter().zip(&again) {
-            assert_eq!(x.kind, y.kind);
-        }
     }
 
     #[test]

@@ -13,14 +13,24 @@
 //! and every outcome are byte-identical across runs and worker counts.
 
 use crate::{
-    AdmissionQueue, IngestDisposition, IngestOutcome, Ingestor, LruCache, NoServeFaults,
-    PlanSummary, Planner, RecipePlanSummary, RecipePlanner, RequestKind, ServeCounters,
-    ServeError, ServeReport, ServeRequest, ServingSnapshot, SharedServeFaults,
+    AdmissionQueue, IngestDisposition, IngestOutcome, Ingestor, LruCache, ModelSnapshot,
+    NoServeFaults, PlanSummary, Planner, RecipePlanSummary, RecipePlanner, RequestKind,
+    ServeCounters, ServeError, ServeReport, ServeRequest, SharedServeFaults,
 };
 use eda_cloud_gcn::{GraphBatch, GraphSample};
 use eda_cloud_trace::{Histogram, LatencyFold, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Simulated fixed cost of executing one micro-batch, µs.
+const BATCH_OVERHEAD_US: u64 = 4_000;
+/// Simulated cost of one MCKP solve, µs.
+const PLAN_US: u64 = 500;
+/// Ingest-cache capacity (uploads, keyed by content fingerprint).
+const INGEST_CACHE_CAPACITY: usize = 16;
+/// Simulated cost of one fresh (uncached) parse + validate + OOD-gate
+/// pass, µs.
+const INGEST_US: u64 = 2_000;
 
 /// Serving knobs: batching, queueing, caching, and the simulated
 /// service-time model.
@@ -39,24 +49,10 @@ pub struct ServeConfig {
     /// per stage model); 0 picks the available parallelism. Worker
     /// count never changes results.
     pub workers: usize,
-    /// Simulated fixed cost of executing one micro-batch, µs.
-    pub batch_overhead_us: u64,
     /// Simulated marginal cost of one GCN forward (a cache miss), µs.
     pub per_miss_us: u64,
     /// Simulated per-request assembly cost (hit or miss), µs.
     pub per_hit_us: u64,
-    /// Simulated cost of one MCKP solve, µs.
-    pub plan_us: u64,
-    /// Version of the snapshot being served; result-cache entries are
-    /// keyed by `(model_version, design fingerprint)` so predictions
-    /// cached under one model version are never served under another.
-    pub model_version: u32,
-    /// Ingest-cache capacity (uploads, keyed by content fingerprint);
-    /// 0 disables ingest caching so every upload re-parses.
-    pub ingest_cache_capacity: usize,
-    /// Simulated cost of one fresh (uncached) parse + validate +
-    /// OOD-gate pass, µs.
-    pub ingest_us: u64,
 }
 
 impl Default for ServeConfig {
@@ -67,13 +63,8 @@ impl Default for ServeConfig {
             cache_capacity: 32,
             pad_stride: 8,
             workers: 1,
-            batch_overhead_us: 4_000,
             per_miss_us: 1_000,
             per_hit_us: 50,
-            plan_us: 500,
-            model_version: 1,
-            ingest_cache_capacity: 16,
-            ingest_us: 2_000,
         }
     }
 }
@@ -138,7 +129,7 @@ impl RequestOutcome {
 
 /// The prediction & planning server.
 pub struct Server {
-    snapshot: ServingSnapshot,
+    snapshot: ModelSnapshot,
     planner: Box<dyn Planner>,
     recipe_planner: Option<Box<dyn RecipePlanner>>,
     ingestor: Option<Box<dyn Ingestor>>,
@@ -148,17 +139,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build a server over a frozen model snapshot — float or int8
-    /// quantized — and a planner. The configuration is checked by
-    /// [`Server::run`].
+    /// Build a server over a frozen model snapshot and a planner. The
+    /// configuration is checked by [`Server::run`].
     #[must_use]
-    pub fn new(
-        snapshot: impl Into<ServingSnapshot>,
-        planner: Box<dyn Planner>,
-        config: ServeConfig,
-    ) -> Self {
+    pub fn new(snapshot: ModelSnapshot, planner: Box<dyn Planner>, config: ServeConfig) -> Self {
         Self {
-            snapshot: snapshot.into(),
+            snapshot,
             planner,
             recipe_planner: None,
             ingestor: None,
@@ -271,7 +257,9 @@ struct Run<'a> {
     /// Index of the next request not yet arrived.
     next: usize,
     queue: AdmissionQueue,
-    cache: LruCache<(u32, u64), [[f64; 4]; 4]>,
+    /// Predictions by design fingerprint: a server serves one snapshot
+    /// for its whole life, so the fingerprint alone is the key.
+    cache: LruCache<u64, [[f64; 4]; 4]>,
     ingest_cache: LruCache<u64, IngestOutcome>,
     counters: ServeCounters,
     outcomes: Vec<RequestOutcome>,
@@ -291,7 +279,7 @@ impl<'a> Run<'a> {
             next: 0,
             queue: AdmissionQueue::new(config.queue_capacity),
             cache: LruCache::new(config.cache_capacity),
-            ingest_cache: LruCache::new(config.ingest_cache_capacity),
+            ingest_cache: LruCache::new(INGEST_CACHE_CAPACITY),
             counters: ServeCounters::default(),
             outcomes: Vec::with_capacity(requests.len()),
             latencies: LatencyFold::with_capacity(requests.len()),
@@ -386,7 +374,7 @@ impl<'a> Run<'a> {
     }
 
     /// One upload through flood control, the fingerprint-keyed ingest
-    /// cache and, on a miss, the ingestor (charged `ingest_us`).
+    /// cache and, on a miss, the ingestor (charged [`INGEST_US`]).
     fn ingest(&mut self, request: &ServeRequest) -> Result<IngestOutcome, ServeError> {
         let faults = &self.server.faults;
         let upload = request.upload.as_deref().ok_or_else(|| ServeError::Ingest {
@@ -409,7 +397,7 @@ impl<'a> Run<'a> {
         if let Some(hit) = self.ingest_cache.get(&doc.fingerprint) {
             return Ok(hit);
         }
-        self.now += self.server.config.ingest_us;
+        self.now += INGEST_US;
         let fresh = ingestor.ingest(&doc);
         self.ingest_cache.insert(doc.fingerprint, fresh.clone());
         Ok(fresh)
@@ -421,7 +409,6 @@ impl<'a> Run<'a> {
     /// design within the batch ride the single forward.
     fn forward_misses(&mut self, slots: &mut [Slot]) {
         let config = &self.server.config;
-        let version = config.model_version;
         let mut miss_designs: Vec<Arc<crate::ServeDesign>> = Vec::new();
         let mut miss_of: BTreeMap<u64, usize> = BTreeMap::new();
         let mut missed: Vec<(usize, usize)> = Vec::new(); // (slot, index into miss_designs)
@@ -429,7 +416,7 @@ impl<'a> Run<'a> {
             let Some(design) = &slot.design else {
                 continue; // quarantined: no lookup, no forward
             };
-            if let Some(hit) = self.cache.get(&(version, design.fingerprint)) {
+            if let Some(hit) = self.cache.get(&design.fingerprint) {
                 slot.stage_secs = hit;
                 slot.cache_hit = true;
             } else {
@@ -450,7 +437,7 @@ impl<'a> Run<'a> {
         let workers = config.resolved_workers();
         let miss_secs = self.server.snapshot.predict_batches(&aig_batch, &net_batch, workers);
         for (design, secs) in miss_designs.iter().zip(&miss_secs) {
-            self.cache.insert((version, design.fingerprint), *secs);
+            self.cache.insert(design.fingerprint, *secs);
         }
         for (i, miss) in missed {
             slots[i].stage_secs = miss_secs[miss];
@@ -470,7 +457,7 @@ impl<'a> Run<'a> {
             })
             .count() as u64;
         let len = slots.len() as u64;
-        self.now += config.batch_overhead_us + len * config.per_hit_us + plans * config.plan_us;
+        self.now += BATCH_OVERHEAD_US + len * config.per_hit_us + plans * PLAN_US;
         for slot in slots {
             let Slot { request, disposition, stage_secs, cache_hit, .. } = slot;
             let latency_us = self.now.saturating_sub(request.arrival_us);
@@ -759,33 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_server_is_worker_invariant() {
-        // The int8 serving path must be bit-identical at any worker
-        // count.
-        let float = ModelSnapshot::seeded(&ModelConfig::fast(), 7);
-        let quant = crate::QuantizedSnapshot::quantize(&float);
-        let requests = workload(48, 150.0, 7);
-        let run = |snapshot: crate::QuantizedSnapshot, workers: usize| {
-            Server::new(
-                snapshot,
-                Box::new(CostTablePlanner::aws_like()),
-                ServeConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .run(7, &requests)
-            .expect("runs")
-        };
-        let (base_report, base_outcomes) = run(quant.clone(), 1);
-        for workers in [2usize, 8] {
-            let (report, outcomes) = run(quant.clone(), workers);
-            assert_eq!(report.to_json(), base_report.to_json(), "workers {workers}");
-            assert_eq!(outcomes, base_outcomes, "workers {workers}");
-        }
-    }
-
-    #[test]
     fn overload_sheds_with_typed_outcome() {
         // Arrivals far faster than the service rate, tiny queue.
         let requests = workload(64, 5_000.0, 7);
@@ -845,44 +805,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cache_entries_are_keyed_by_model_version() {
-        // Regression: the result cache used to key entries by design
-        // fingerprint alone, so a model rollout kept serving the
-        // previous version's predictions for any cached design. Keys
-        // now carry the model version: the same fingerprint cached
-        // under v1 must not answer a v2 lookup.
-        let fingerprint = 0xDEAD_BEEFu64;
-        let mut cache: LruCache<(u32, u64), [[f64; 4]; 4]> = LruCache::new(8);
-        cache.insert((1, fingerprint), [[1.0; 4]; 4]);
-        assert_eq!(
-            cache.get(&(2, fingerprint)),
-            None,
-            "v2 must miss a v1 entry"
-        );
-        cache.insert((2, fingerprint), [[2.0; 4]; 4]);
-        assert_eq!(cache.get(&(1, fingerprint)), Some([[1.0; 4]; 4]));
-        assert_eq!(cache.get(&(2, fingerprint)), Some([[2.0; 4]; 4]));
-
-        // And the server threads its configured version into the key:
-        // identical workloads under different versions still produce
-        // identical predictions (same snapshot), but the runs never
-        // alias — smoke-checked via byte-identical reports.
-        let requests = workload(24, 150.0, 7);
-        let v1 = server(ServeConfig::default())
-            .run(7, &requests)
-            .expect("runs")
-            .0;
-        let v2 = server(ServeConfig {
-            model_version: 2,
-            ..Default::default()
-        })
-        .run(7, &requests)
-        .expect("runs")
-        .0;
-        assert_eq!(v1.to_json(), v2.to_json());
     }
 
     #[test]
@@ -1070,16 +992,21 @@ mod tests {
     #[test]
     fn ingest_cache_deduplicates_and_charges_fresh_parses_only() {
         let uploads = vec![Arc::new(crate::UploadDoc::new("good", "blif", ".model g\n.end\n"))];
-        let requests = ingest_workload(&uploads, 16);
-        let run = |ingest_cache_capacity: usize| {
-            server(ServeConfig { ingest_cache_capacity, ..Default::default() })
+        let repeated = ingest_workload(&uploads, 16);
+        // The same stream with every upload distinct: each one parses fresh.
+        let mut distinct = repeated.clone();
+        for r in &mut distinct {
+            let text = format!(".model g{}\n.end\n", r.ordinal);
+            r.upload = Some(Arc::new(crate::UploadDoc::new("good", "blif", text)));
+        }
+        let run = |requests: &[ServeRequest]| {
+            server(ServeConfig::default())
                 .with_ingestor(Box::new(StubIngestor))
-                .run(7, &requests)
+                .run(7, requests)
                 .expect("runs")
                 .0
         };
-        let cached = run(16);
-        let uncached = run(0);
+        let (cached, uncached) = (run(&repeated), run(&distinct));
         assert_eq!(cached.counters.ingest_accepted, uncached.counters.ingest_accepted);
         assert!(
             cached.makespan_ms < uncached.makespan_ms,
@@ -1157,18 +1084,15 @@ mod tests {
     #[test]
     fn recipe_requests_route_through_the_recipe_planner() {
         let pool = design_pool();
-        let requests = synthetic_requests(
+        let mut requests = synthetic_requests(
             &pool,
-            &WorkloadConfig {
-                requests: 48,
-                plan_every: 0,
-                recipe_every: 2,
-                ..Default::default()
-            },
+            &WorkloadConfig { requests: 48, plan_every: 0, ..Default::default() },
         );
-        assert!(requests
-            .iter()
-            .any(|r| matches!(r.kind, RequestKind::PlanRecipe { .. })));
+        // Every second request asks for a joint plan, with deadlines on
+        // both sides of the stub's cutoff.
+        for r in requests.iter_mut().filter(|r| r.ordinal % 2 == 0) {
+            r.kind = RequestKind::PlanRecipe { deadline_secs: 6_000 + r.ordinal * 250 };
+        }
 
         // Without a planner attached the request class is a typed error.
         let bare = server(ServeConfig::default()).run(7, &requests);

@@ -11,7 +11,7 @@ use eda_cloud_engine::RegionReport;
 use eda_cloud_fleet::FleetReport;
 use eda_cloud_lifecycle::{
     ape_micros, Arm, FeedbackEvent, LifecycleConfig, LifecycleReport, RolloutDecision,
-    RolloutManager,
+    RolloutManager, CANARY_LATENCY_BUDGET_US,
 };
 use eda_cloud_recipe::TreeStats;
 use eda_cloud_serve::{IngestDisposition, RequestOutcome, ServeReport};
@@ -379,7 +379,7 @@ pub fn check_guardrail_soundness(
         let mut manager = RolloutManager::new(
             config.canary_min,
             config.promote_max_error_pct,
-            config.canary_latency_budget_us,
+            CANARY_LATENCY_BUDGET_US,
         );
         let mut replayed: Option<(RolloutDecision, u64)> = None;
         for fb in &feedback[cursor..] {

@@ -40,8 +40,21 @@ use std::sync::Arc;
 /// enough that ordinary storms retry through.
 const MAX_STAGE_ATTEMPTS: u32 = 6;
 
-/// Harness knobs: workload sizes per loop plus the shared seed and
-/// fan-out width.
+/// Jobs in the fleet stream.
+pub(crate) const FLEET_JOBS: usize = 6;
+/// Requests in the serve stream.
+pub(crate) const SERVE_REQUESTS: usize = 48;
+/// Requests in the lifecycle stream (the controller needs calibration
+/// traffic: at least 48).
+pub(crate) const LIFECYCLE_REQUESTS: usize = 160;
+/// Regions in the engine phase's multi-region simulation (cross-shard
+/// faults need a link to cut: at least 2).
+pub(crate) const ENGINE_REGIONS: usize = 3;
+/// Jobs in the engine phase's multi-region workload.
+const ENGINE_JOBS: u64 = 120;
+
+/// Harness knobs: the shared seed and fan-out width. Workload sizes per
+/// loop are fixed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimtestConfig {
     /// Seed driving all three workloads (and, by default, plan
@@ -50,16 +63,6 @@ pub struct SimtestConfig {
     /// Stage fan-out threads (0 = available parallelism, capped at 4).
     /// Any value produces byte-identical reports.
     pub workers: usize,
-    /// Jobs in the fleet stream.
-    pub fleet_jobs: usize,
-    /// Requests in the serve stream.
-    pub serve_requests: usize,
-    /// Requests in the lifecycle stream.
-    pub lifecycle_requests: usize,
-    /// Regions in the engine phase's multi-region simulation.
-    pub engine_regions: usize,
-    /// Jobs in the engine phase's multi-region workload.
-    pub engine_jobs: usize,
     /// Arm the deliberately planted guardrail bug in the lifecycle
     /// controller. Requires the `planted-guardrail-bug` feature; exists
     /// so the invariant suite can demonstrate catching a real
@@ -72,11 +75,6 @@ impl Default for SimtestConfig {
         Self {
             seed: 7,
             workers: 1,
-            fleet_jobs: 6,
-            serve_requests: 48,
-            lifecycle_requests: 160,
-            engine_regions: 3,
-            engine_jobs: 120,
             planted_guardrail_bug: false,
         }
     }
@@ -89,45 +87,16 @@ impl SimtestConfig {
         Self { seed, ..Self::default() }
     }
 
-    /// Reject empty workloads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimtestError::Config`] when any loop's workload is
-    /// empty.
-    pub fn validate(&self) -> Result<(), SimtestError> {
-        if self.fleet_jobs == 0 {
-            return Err(SimtestError::Config("fleet_jobs must be positive"));
-        }
-        if self.serve_requests == 0 {
-            return Err(SimtestError::Config("serve_requests must be positive"));
-        }
-        if self.lifecycle_requests < 48 {
-            return Err(SimtestError::Config(
-                "lifecycle_requests must be at least 48 (the controller needs calibration traffic)",
-            ));
-        }
-        if self.engine_regions < 2 {
-            return Err(SimtestError::Config(
-                "engine_regions must be at least 2 (cross-shard faults need a link to cut)",
-            ));
-        }
-        if self.engine_jobs == 0 {
-            return Err(SimtestError::Config("engine_jobs must be positive"));
-        }
-        Ok(())
-    }
-
     /// The lifecycle controller configuration this harness drives: a
     /// compressed version of the production defaults that still walks
     /// the full detect → retrain → canary → decide arc.
     #[must_use]
     pub fn lifecycle_config(&self) -> LifecycleConfig {
         LifecycleConfig {
-            requests: self.lifecycle_requests,
+            requests: LIFECYCLE_REQUESTS,
             seed: self.seed,
             workers: self.workers,
-            drift_at: (self.lifecycle_requests as u64) * 5 / 16,
+            drift_at: (LIFECYCLE_REQUESTS as u64) * 5 / 16,
             calibration: 12,
             min_retrain: 6,
             canary_min: 5,
@@ -169,7 +138,7 @@ fn fleet_jobs(config: &SimtestConfig) -> Vec<FleetJob> {
         ("routing", "c5.2xlarge", 2_894.0),
         ("sta", "m5.large", 90.0),
     ];
-    let arrivals = poisson_arrivals(config.fleet_jobs, 60.0, config.seed);
+    let arrivals = poisson_arrivals(FLEET_JOBS, 60.0, config.seed);
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x51E7_F1EE_7B05_0002);
     arrivals
         .into_iter()
@@ -208,8 +177,8 @@ fn count_fault_spans(trace: &Trace) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns [`SimtestError`] for invalid configs or plans, or when a
-/// driven loop rejects its workload outright. Invariant violations are
+/// Returns [`SimtestError`] for invalid plans, or when a driven loop
+/// rejects its workload outright. Invariant violations are
 /// NOT errors — they are data, reported in
 /// [`SimtestReport::violations`] so the shrinker can bisect the plan.
 pub fn run_simtest(config: &SimtestConfig, plan: &FaultPlan) -> Result<SimtestRun, SimtestError> {
@@ -229,7 +198,6 @@ pub fn run_simtest_traced(
     plan: &FaultPlan,
     tracer: &Tracer,
 ) -> Result<SimtestRun, SimtestError> {
-    config.validate()?;
     plan.validate()?;
     let hooks = Arc::new(PlanFaults::new(plan.clone()));
     let mut violations: Vec<Violation> = Vec::new();
@@ -258,7 +226,7 @@ pub fn run_simtest_traced(
         &pool,
         &fixtures::uploads(),
         &WorkloadConfig {
-            requests: config.serve_requests,
+            requests: SERVE_REQUESTS,
             rate_per_sec: 150.0,
             seed: config.seed,
             ingest_every: 4,
@@ -281,7 +249,7 @@ pub fn run_simtest_traced(
     violations.extend(check::check_serve_conservation(
         &serve,
         &serve_outcomes,
-        config.serve_requests as u64,
+        SERVE_REQUESTS as u64,
     ));
     violations.extend(check::check_ingest_quarantine(&serve, &serve_outcomes));
 
@@ -310,7 +278,7 @@ pub fn run_simtest_traced(
     violations.extend(check::check_lifecycle_conservation(
         &lifecycle,
         &feedback,
-        config.lifecycle_requests as u64,
+        LIFECYCLE_REQUESTS as u64,
     ));
     violations.extend(check::check_cache_coherence(&feedback));
     violations.extend(check::check_monotonic_time(&lifecycle));
@@ -322,8 +290,8 @@ pub fn run_simtest_traced(
     // migrated job) is lost without being accounted as dropped.
     let region_config = RegionSimConfig {
         seed: config.seed,
-        regions: config.engine_regions as u32,
-        jobs: config.engine_jobs as u64,
+        regions: ENGINE_REGIONS as u32,
+        jobs: ENGINE_JOBS,
         ..RegionSimConfig::default()
     };
     let region_jobs = synthetic_region_jobs(&region_config)?;
@@ -332,7 +300,7 @@ pub fn run_simtest_traced(
         &region_jobs,
         Arc::clone(&hooks) as Arc<dyn EngineFaults>,
         config.workers,
-        config.engine_regions,
+        ENGINE_REGIONS,
     )?;
     violations.extend(check::check_cross_shard_conservation(&regions));
 
@@ -403,24 +371,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_validation_rejects_empty_workloads() {
-        assert!(SimtestConfig { fleet_jobs: 0, ..Default::default() }.validate().is_err());
-        assert!(SimtestConfig { serve_requests: 0, ..Default::default() }.validate().is_err());
-        assert!(
-            SimtestConfig { lifecycle_requests: 10, ..Default::default() }.validate().is_err()
-        );
-        assert!(SimtestConfig { engine_regions: 1, ..Default::default() }.validate().is_err());
-        assert!(SimtestConfig { engine_jobs: 0, ..Default::default() }.validate().is_err());
-        SimtestConfig::default().validate().expect("defaults are valid");
-    }
-
-    #[test]
     fn fleet_workload_is_deterministic_and_sized() {
         let config = SimtestConfig::default();
         let a = fleet_jobs(&config);
         let b = fleet_jobs(&config);
         assert_eq!(a, b);
-        assert_eq!(a.len(), config.fleet_jobs);
+        assert_eq!(a.len(), FLEET_JOBS);
         assert!(a.iter().all(|j| j.plan.stages.len() == 4));
         // Sizes differ across jobs (seeded per-job factor).
         assert_ne!(a[0].plan.planned_runtime_secs(), a[1].plan.planned_runtime_secs());

@@ -9,7 +9,8 @@
 //! back strictly: the parser accepts exactly what the renderer emits,
 //! so a shrunk reproducer artifact round-trips losslessly.
 
-use crate::{SimtestConfig, SimtestError};
+use crate::harness::{ENGINE_REGIONS, FLEET_JOBS, LIFECYCLE_REQUESTS, SERVE_REQUESTS};
+use crate::SimtestError;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -253,17 +254,15 @@ impl FaultPlan {
         Self { seed, events: Vec::new() }
     }
 
-    /// Generate `faults` events from `seed`, targeted at the workload
-    /// shapes in `config` so most events actually land. Generation
+    /// Generate `faults` events from `seed`, targeted at the harness's
+    /// workload shapes so most events actually land. Generation
     /// consumes one ChaCha8 stream in event order — same seed, same
     /// plan, bytes and all.
     #[must_use]
-    pub fn generate(seed: u64, faults: usize, config: &SimtestConfig) -> Self {
+    pub fn generate(seed: u64, faults: usize) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xFA17_1227_5EED_0001);
-        let jobs = config.fleet_jobs.max(1) as u64;
-        let serve_ords = config.serve_requests.max(1) as u64;
-        let life_ords = config.lifecycle_requests.max(1) as u64;
-        let regions = config.engine_regions.max(2) as u32;
+        let (jobs, serve_ords) = (FLEET_JOBS as u64, SERVE_REQUESTS as u64);
+        let (life_ords, regions) = (LIFECYCLE_REQUESTS as u64, ENGINE_REGIONS as u32);
         let events = (0..faults)
             .map(|_| match rng.gen_range(0u32..10) {
                 0 => {
@@ -584,9 +583,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_valid() {
-        let config = SimtestConfig::default();
-        let a = FaultPlan::generate(21, 32, &config);
-        let b = FaultPlan::generate(21, 32, &config);
+        let a = FaultPlan::generate(21, 32);
+        let b = FaultPlan::generate(21, 32);
         assert_eq!(a, b);
         assert_eq!(a.events.len(), 32);
         a.validate().expect("generated plans are always valid");
@@ -597,12 +595,12 @@ mod tests {
         // invalidate every checked-in fault-plan golden. They are
         // injected by hand-written plans (and the recipe/ingest
         // invariant tests) only.
-        let wide = FaultPlan::generate(21, 64, &config);
+        let wide = FaultPlan::generate(21, 64);
         wide.validate().expect("generated plans are always valid");
         let kinds: std::collections::BTreeSet<&str> =
             wide.events.iter().map(FaultEvent::kind).collect();
         assert_eq!(kinds.len(), 10, "kinds drawn: {kinds:?}");
-        assert_ne!(FaultPlan::generate(22, 32, &config), a, "seed changes the plan");
+        assert_ne!(FaultPlan::generate(22, 32), a, "seed changes the plan");
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn injected_faults_change_outcomes_but_not_invariants() {
 #[test]
 fn generated_plans_replay_byte_identically() {
     let config = SimtestConfig::default();
-    let plan = FaultPlan::generate(11, 6, &config);
+    let plan = FaultPlan::generate(11, 6);
     let json = plan.to_json();
     let reloaded = FaultPlan::from_json(&json).expect("canonical JSON round-trips");
     assert_eq!(plan, reloaded);

@@ -3,6 +3,8 @@
 //! report is pinned as a golden value so any behavioral drift in the
 //! event engine, the planner, or the fault injector is caught.
 
+mod common;
+
 use eda_cloud::core::{FleetScenario, Workflow};
 use eda_cloud::fleet::SpotPolicy;
 
@@ -45,9 +47,12 @@ fn different_seeds_move_the_fleet() {
 
 /// Golden report for the CI smoke scenario (`fleet --jobs 50 --seed 7`):
 /// pins deadline-hit rate, total cost, and retry count, on demand and
-/// under the typical spot market. These values are a contract — they
-/// only change when the engine's semantics change, and such a change
-/// must be deliberate.
+/// under the typical spot market, and the whole spot report — histogram
+/// edges and counts included — byte for byte in
+/// `tests/golden/fleet_report.json` (regenerate with `cargo run -p
+/// eda-cloud-bench --bin fleet --release -- --jobs 50 --seed 7 --spot
+/// --json`). These values are a contract — they only change when the
+/// engine's semantics change, and such a change must be deliberate.
 #[test]
 fn golden_report_for_seed_7() {
     let workflow = Workflow::with_defaults();
@@ -82,4 +87,5 @@ fn golden_report_for_seed_7() {
     );
     // The typical market's 70% discount dominates its 5%/h reclaim tax.
     assert!(spot.total_cost_usd < 0.5 * on_demand.total_cost_usd);
+    common::assert_golden(&spot.to_json(), "golden/fleet_report.json");
 }
