@@ -1,6 +1,7 @@
 //! Criterion benches for the deterministic simulation substrate: the
-//! raw event heap, and the sharded multi-region simulation at 1 vs 4
-//! workers and 1 vs 3 shards.
+//! raw event heap (time-ordered pushes on its run lane, a standing
+//! queue on its heap lane), and the sharded multi-region simulation at
+//! 1 vs 4 workers and 1 vs 3 shards.
 //!
 //! Before timing anything, the multi-region comparison asserts that
 //! every fan-out produces the byte-identical report — the determinism
@@ -30,6 +31,31 @@ fn bench_event_heap(c: &mut Criterion) {
                 sum = sum.wrapping_add(t ^ v);
             }
             black_box(sum)
+        });
+    });
+    // The pushes above arrive in time order, so they all ride the run
+    // lane. A simulation's in-flight events do not: a standing queue of
+    // 1 024 pops its earliest event and reschedules it at a pseudo-random
+    // later time (e2e's `engine.heap_push_pop_ns` shape), which mostly
+    // exercises the heap lane.
+    group.bench_function("standing_queue_10k", |b| {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 44
+        };
+        let mut heap: EventHeap<u64> = EventHeap::new();
+        for i in 0..1_024 {
+            heap.push(next(), i);
+        }
+        b.iter(|| {
+            for i in 0..10_000u64 {
+                let (now, _) = heap.pop().expect("standing queue never drains");
+                heap.push(now + next(), i);
+            }
+            black_box(heap.len())
         });
     });
     group.finish();

@@ -8,16 +8,22 @@
 //! cargo run -p eda-cloud-bench --bin regions --release -- --regions 3 --tenants 4 --jobs 200
 //! cargo run -p eda-cloud-bench --bin regions --release -- --jobs 500 --seed 7 --json
 //! cargo run -p eda-cloud-bench --bin regions --release -- --jobs 500 --workers 8 --shards 3
+//! cargo run -p eda-cloud-bench --bin regions --release -- --jobs 500 --metrics metrics.json
 //! ```
 //!
 //! The run is deterministic: the same `--regions/--tenants/--jobs/
-//! --seed` produce a byte-identical report (and `--json` line) at any
-//! `--workers` and `--shards` count — the CI diff step pins exactly
-//! that.
+//! --seed` produce a byte-identical report (and `--json` line, and
+//! `--metrics` file) at any `--workers` and `--shards` count — the CI
+//! diff step pins exactly that. `--metrics <path>` snapshots the
+//! report's counters: barrier windows, messages sent / delivered /
+//! dropped, and each region's served / migrated-out / shed jobs. The
+//! engine records no spans yet, so `--trace` / `--chrome-trace` write
+//! an empty span list.
 
-use eda_cloud_bench::{or_exit, Args};
+use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::render_table;
 use eda_cloud_engine::{RegionReport, RegionSim, RegionSimConfig};
+use eda_cloud_trace::Metrics;
 
 fn main() {
     let args = Args::from_env();
@@ -30,10 +36,13 @@ fn main() {
     };
     let workers = args.workers(0).max(1);
     let shards = args.numeric("shards", config.regions as usize);
+    let obs = Observability::from_args(&args);
     let json = args.flag("json");
     args.reject_unknown();
 
     let report = or_exit(RegionSim::run(&config, workers, shards));
+    record(obs.metrics(), &report);
+    obs.export();
 
     if json {
         println!("{}", report.to_json());
@@ -45,6 +54,19 @@ fn main() {
         config.jobs, config.regions, config.tenants, config.seed, workers, shards
     );
     print_report(&report);
+}
+
+/// The report's counters, as `--metrics` exports them.
+fn record(metrics: &Metrics, report: &RegionReport) {
+    metrics.add("regions.windows", report.windows);
+    metrics.add("regions.messages_sent", report.messages.sent);
+    metrics.add("regions.messages_delivered", report.messages.delivered);
+    metrics.add("regions.messages_dropped", report.messages.dropped);
+    for (r, c) in report.regions.iter().enumerate() {
+        metrics.add(&format!("regions.region{r}.served"), c.served);
+        metrics.add(&format!("regions.region{r}.migrated_out"), c.migrated_out);
+        metrics.add(&format!("regions.region{r}.shed"), c.shed);
+    }
 }
 
 fn print_report(report: &RegionReport) {

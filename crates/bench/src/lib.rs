@@ -184,6 +184,13 @@ impl Observability {
             .with_metrics(self.metrics.clone())
     }
 
+    /// The registry `--metrics` exports — for a binary whose run takes
+    /// no [`Workflow`] and records its report's counters itself.
+    #[must_use]
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
     /// Write every requested file. Call once, after the run; spans
     /// recorded after this are lost.
     ///

@@ -7,9 +7,17 @@
 //! inputs: no hash-map iteration order, no thread interleaving, no
 //! wall clock ever decides which of two simultaneous events runs
 //! first.
+//!
+//! Behind that rule sit two lanes. Every simulator pushes its whole
+//! arrival stream, already sorted by time, before the first pop; those
+//! pushes append to a FIFO run lane in O(1), and only the few in-flight
+//! events that land before the run's tail go through the binary heap.
+//! Both lanes hold the same `(t, seq)` order and `seq` is unique, so
+//! popping the smaller of the two heads yields exactly the pop sequence
+//! one heap would.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// One scheduled event: fire time, tie-breaking sequence, payload.
 struct Entry<E> {
@@ -18,9 +26,16 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    /// The total pop order: time, then push order.
+    fn key(&self) -> (u64, u64) {
+        (self.t, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -35,7 +50,7 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we pop earliest (t, seq).
-        (other.t, other.seq).cmp(&(self.t, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -45,6 +60,10 @@ impl<E> Ord for Entry<E> {
 /// to stamp it, reuse it across heaps, or tick it out of order, which
 /// is exactly the class of bug the extraction retires.
 pub struct EventHeap<E> {
+    /// Pushes at or after the lane's last time, in push order — hence
+    /// sorted by `(t, seq)`.
+    run: VecDeque<Entry<E>>,
+    /// Every other push.
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
@@ -59,38 +78,49 @@ impl<E> EventHeap<E> {
     /// An empty heap with the sequence counter at zero.
     #[must_use]
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), seq: 0 }
+        Self { run: VecDeque::new(), heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Schedule `event` at `t` microseconds. Events pushed at the same
     /// time pop in push order.
     pub fn push(&mut self, t: u64, event: E) {
-        let seq = self.seq;
+        let entry = Entry { t, seq: self.seq, event };
         self.seq += 1;
-        self.heap.push(Entry { t, seq, event });
+        // `seq` only grows, so `t >= last.t` keeps the run sorted.
+        if self.run.back().is_none_or(|last| t >= last.t) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Remove and return the earliest `(time, event)` pair.
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        self.heap.pop().map(|e| (e.t, e.event))
+        let from_run = match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => r.key() < h.key(),
+            (r, _) => r.is_some(),
+        };
+        let entry = if from_run { self.run.pop_front() } else { self.heap.pop() };
+        entry.map(|e| (e.t, e.event))
     }
 
     /// Fire time of the earliest pending event.
     #[must_use]
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.t)
+        let (r, h) = (self.run.front().map(|e| e.t), self.heap.peek().map(|e| e.t));
+        r.into_iter().chain(h).min()
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True when nothing is scheduled.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -119,6 +149,23 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| heap.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, ["first", "second", "third", "fourth"]);
+    }
+
+    #[test]
+    fn an_equal_time_straddling_both_lanes_pops_in_push_order() {
+        // 10 and 20 append to the run lane; the second 10 lands behind
+        // the run's tail and goes to the heap lane. The tie between the
+        // two lanes' heads is broken by `seq`, not by lane.
+        let mut heap = EventHeap::new();
+        heap.push(10, "first");
+        heap.push(20, "second");
+        heap.push(10, "third");
+        assert_eq!((heap.run.len(), heap.heap.len()), (2, 1));
+        assert_eq!(heap.peek_time(), Some(10));
+        assert_eq!(heap.pop(), Some((10, "first")));
+        assert_eq!(heap.pop(), Some((10, "third")));
+        assert_eq!(heap.pop(), Some((20, "second")));
+        assert_eq!(heap.pop(), None);
     }
 
     #[test]

@@ -3,8 +3,15 @@
 //! worker/shard fan-out (the CI diff step pins the same contract on the
 //! `regions` binary), and fair-share admission bounds a bursting tenant
 //! while its neighbors ride out the storm untouched.
+//!
+//! Under all of it sits `EventHeap`'s two lanes (a sorted run and a
+//! binary heap); the differential at the end drives it against a
+//! `BTreeMap` model through random push/pop scripts.
 
-use eda_cloud::engine::{RegionJob, RegionSim, RegionSimConfig};
+use eda_cloud::engine::{EventHeap, RegionJob, RegionSim, RegionSimConfig};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::collections::BTreeMap;
 
 mod common;
 
@@ -85,5 +92,89 @@ fn overload_burst_is_bounded_to_the_tenants_share() {
         let u = &report.tenants[t];
         assert_eq!(u.quota_rejected, 0, "tenant {t} was never squeezed: {u:?}");
         assert_eq!(u.served, u.submitted, "tenant {t} fully served: {u:?}");
+    }
+}
+
+// ---- EventHeap against a BTreeMap<(t, push index), payload> model ----
+
+/// One step of a heap script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Push(u64),
+    Pop,
+    /// Pop until empty; later pushes refill the heap.
+    Drain,
+}
+
+prop_compose! {
+    /// A script mixing ascending runs, out-of-order pushes, equal-time
+    /// bursts that straddle both lanes, interleaved pops, and drains.
+    fn heap_script()(seed in 0u64..u64::MAX, len in 1usize..400) -> Vec<Step> {
+        let mut rng = TestRng::for_test(&seed.to_string());
+        // The latest time pushed so far: the run lane's tail is at most this.
+        let mut clock = 0u64;
+        let mut steps = Vec::with_capacity(len + 8);
+        while steps.len() < len {
+            match rng.below(5) {
+                0 => {
+                    for _ in 0..=rng.below(12) {
+                        clock += rng.below(4);
+                        steps.push(Step::Push(clock));
+                    }
+                }
+                1 => {
+                    for _ in 0..=rng.below(6) {
+                        steps.push(Step::Push(rng.below(clock + 1)));
+                    }
+                }
+                2 => {
+                    // Two at `t` join the run, a later push moves its
+                    // tail past `t`, two more at `t` go to the heap.
+                    let t = clock;
+                    clock += 1 + rng.below(3);
+                    steps.extend([t, t, clock, t, t].map(Step::Push));
+                }
+                3 => steps.extend((0..=rng.below(6)).map(|_| Step::Pop)),
+                _ => {
+                    steps.push(Step::Drain);
+                    clock = rng.below(clock + 1); // refill from earlier times too
+                }
+            }
+        }
+        steps
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn event_heap_matches_an_ordered_map_model(script in heap_script()) {
+        let mut heap = EventHeap::new();
+        let mut model = BTreeMap::new();
+        let mut pushed = 0u64;
+        let pop_both = |heap: &mut EventHeap<u64>, model: &mut BTreeMap<(u64, u64), u64>| {
+            let want = model.pop_first().map(|((t, _), payload)| (t, payload));
+            assert_eq!(heap.pop(), want);
+        };
+        for step in script {
+            match step {
+                Step::Push(t) => {
+                    heap.push(t, pushed);
+                    model.insert((t, pushed), pushed);
+                    pushed += 1;
+                }
+                Step::Pop => pop_both(&mut heap, &mut model),
+                Step::Drain => {
+                    while !model.is_empty() {
+                        pop_both(&mut heap, &mut model);
+                    }
+                    pop_both(&mut heap, &mut model);
+                }
+            }
+            prop_assert_eq!(heap.peek_time(), model.keys().next().map(|&(t, _)| t));
+            prop_assert_eq!(heap.len(), model.len());
+            prop_assert_eq!(heap.is_empty(), model.is_empty());
+        }
     }
 }

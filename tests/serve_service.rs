@@ -12,18 +12,24 @@
 //! [`ServeError`], never a panic, and a document that does parse must
 //! reproduce the canonical bytes it came from.
 //!
-//! Last come the differentials of the two inference fast paths at paper
+//! Then come the differentials of the two inference fast paths at paper
 //! dimensions: chunked vs monolithic batches against per-sample
 //! predictions (bit-equal), and int8 against float (a stated bound).
+//!
+//! Last, the EDF admission queue's properties: deadline order with an
+//! ordinal tie-break, first-come shedding at capacity, and urgency under
+//! interleaved admits and pops.
 
 use eda_cloud::core::{ServeScenario, Workflow, WorkflowPlanner};
 use eda_cloud::gcn::{GraphBatch, GraphSample, ModelConfig, QuantizedPredictor, RuntimePredictor};
 use eda_cloud::netlist::{generators, DesignGraph};
 use eda_cloud::serve::{
-    ModelSnapshot, RequestOutcome, ServeConfig, ServeError, ServeReport, Server,
+    AdmissionQueue, ModelSnapshot, RequestKind, RequestOutcome, ServeConfig, ServeDesign,
+    ServeError, ServeReport, ServeRequest, Server,
 };
 use proptest::prelude::*;
 use proptest::sample::select;
+use std::sync::Arc;
 
 mod common;
 
@@ -360,5 +366,115 @@ fn int8_predictions_stay_within_the_stated_bound_of_float() {
             assert!(worst <= INT8_WORST_REL, "seed {seed} fitted {fitted}: worst {worst}");
             assert!(mean <= INT8_MEAN_REL, "seed {seed} fitted {fitted}: mean {mean}");
         }
+    }
+}
+
+// ---- The EDF admission queue: deadline order, ordinal ties, shedding ----
+
+fn queued(ordinal: u64, deadline_us: u64) -> ServeRequest {
+    let g = DesignGraph::from_aig(&generators::adder(3));
+    let view = || GraphSample::new(&g, [1.0; 4]);
+    ServeRequest {
+        ordinal,
+        arrival_us: 0,
+        deadline_us,
+        kind: RequestKind::Predict,
+        design: Arc::new(ServeDesign::new("d", view(), view())),
+        upload: None,
+    }
+}
+
+prop_compose! {
+    /// A batch of distinct-ordinal requests with clustered deadlines
+    /// (many ties, the interesting regime for the tie-break).
+    fn queue_workload()(count in 1usize..40, spread in 1u64..8, seed in 0u64..u64::MAX)
+        -> Vec<(u64, u64)>
+    {
+        let mut rng = proptest::test_runner::TestRng::for_test(&seed.to_string());
+        (0..count as u64).map(|ordinal| (ordinal, rng.below(spread) * 100)).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn queue_pops_are_sorted_by_deadline_then_ordinal(batch in queue_workload()) {
+        let mut queue = AdmissionQueue::new(64);
+        for &(ordinal, deadline_us) in &batch {
+            queue.try_admit(queued(ordinal, deadline_us)).expect("capacity 64 fits the batch");
+        }
+        let mut popped = Vec::new();
+        while let Some(r) = queue.pop() {
+            popped.push((r.deadline_us, r.ordinal));
+        }
+        prop_assert_eq!(popped.len(), batch.len(), "every admitted request pops exactly once");
+        let mut expected: Vec<(u64, u64)> = batch.iter().map(|&(o, d)| (d, o)).collect();
+        expected.sort_unstable();
+        prop_assert_eq!(popped, expected, "EDF order with ordinal tie-break");
+    }
+
+    #[test]
+    fn queue_capacity_sheds_exactly_the_overflow(capacity in 1usize..16, extra in 0usize..16) {
+        let mut queue = AdmissionQueue::new(capacity);
+        let total = capacity + extra;
+        let mut shed = Vec::new();
+        for ordinal in 0..total as u64 {
+            // Later requests carry earlier deadlines: urgency must NOT
+            // let them displace already-admitted work.
+            let deadline_us = 10_000 - ordinal * 10;
+            match queue.try_admit(queued(ordinal, deadline_us)) {
+                Ok(()) => {}
+                Err(ServeError::Overloaded { ordinal: o, queue_depth, capacity: c }) => {
+                    prop_assert_eq!(o, ordinal, "the arriving request is the one shed");
+                    prop_assert_eq!(queue_depth, capacity);
+                    prop_assert_eq!(c, capacity);
+                    shed.push(ordinal);
+                }
+                Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+            }
+        }
+        prop_assert_eq!(shed.len(), extra, "exactly the overflow is shed");
+        prop_assert_eq!(queue.len(), capacity, "the queue sits at capacity");
+        prop_assert_eq!(
+            shed,
+            ((capacity as u64)..(total as u64)).collect::<Vec<_>>(),
+            "admission is strictly first-come once full"
+        );
+        // Draining still yields EDF order over the survivors.
+        let mut last = None;
+        let mut drained = 0usize;
+        while let Some(r) = queue.pop() {
+            if let Some(prev) = last {
+                prop_assert!((r.deadline_us, r.ordinal) > prev);
+            }
+            last = Some((r.deadline_us, r.ordinal));
+            drained += 1;
+        }
+        prop_assert_eq!(drained, capacity, "shed requests never reappear");
+    }
+
+    #[test]
+    fn queue_interleaved_admits_and_pops_preserve_urgency(seed_ops in 2u64..2000) {
+        // Alternate admissions with pops; every pop must return the
+        // minimum (deadline, ordinal) key present at that instant.
+        let mut queue = AdmissionQueue::new(8);
+        let mut model = std::collections::BTreeSet::new();
+        let mut x = seed_ops;
+        for ordinal in 0..24u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let deadline_us = (x >> 33) % 500;
+            match queue.try_admit(queued(ordinal, deadline_us)) {
+                Ok(()) => {
+                    model.insert((deadline_us, ordinal));
+                }
+                Err(_) => prop_assert_eq!(model.len(), 8, "sheds only at capacity"),
+            }
+            if x % 3 == 0 {
+                let popped = queue.pop().map(|r| (r.deadline_us, r.ordinal));
+                prop_assert_eq!(popped, model.pop_first(), "pop returns the most urgent entry");
+            }
+        }
+        prop_assert_eq!(queue.len(), model.len());
     }
 }
