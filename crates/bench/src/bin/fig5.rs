@@ -13,7 +13,8 @@
 //! worker per core); the corpus is bit-identical for any worker count.
 //! `--trace <path>` / `--chrome-trace <path>` export the corpus
 //! build's span trace; `--metrics <path>` snapshots sweep-pool
-//! occupancy and queue waits.
+//! occupancy, queue waits and the distinct-netlist count the header
+//! prints.
 
 use eda_cloud_bench::{Args, Observability};
 use eda_cloud_core::dataset::{DatasetBuilder, DatasetConfig};
@@ -22,11 +23,17 @@ use eda_cloud_core::report::{pct, render_table};
 use eda_cloud_core::Workflow;
 use eda_cloud_flow::StageKind;
 use eda_cloud_gcn::{DatasetSplit, ModelConfig, Trainer};
+use eda_cloud_trace::Metrics;
 
 fn main() {
     let args = Args::from_env();
     let obs = Observability::from_args(&args);
-    let workflow = obs.instrument(Workflow::with_defaults());
+    let mut workflow = obs.instrument(Workflow::with_defaults());
+    // The header reads the build's distinct-netlist count from the
+    // metrics, so count even when `--metrics` is not asked for.
+    if !workflow.metrics().is_enabled() {
+        workflow = workflow.with_metrics(Metrics::new());
+    }
     let smoke = args.flag("smoke");
     let (paper_dims, sweep) = (args.flag("paper-dims"), args.flag("sweep"));
     let config = if smoke {
@@ -36,15 +43,16 @@ fn main() {
     }
     .with_workers(args.workers(0));
     args.reject_unknown();
-    println!(
-        "Figure 5 — runtime prediction errors ({} netlists, {} runtime labels)",
-        config.netlist_count(),
-        config.netlist_count() * 16
-    );
     eprintln!("building corpus ...");
     let datasets = DatasetBuilder::new(&workflow)
         .build(&config)
         .expect("corpus generation");
+    println!(
+        "Figure 5 — runtime prediction errors ({} netlists, {} distinct, {} runtime labels)",
+        config.netlist_count(),
+        workflow.metrics().counter("dataset.distinct_netlists"),
+        config.netlist_count() * 16
+    );
     // Spans and pool metrics all come from the corpus build; export
     // here so the `--sweep` early return below still writes them.
     obs.export();

@@ -5,14 +5,17 @@
 //! configurations × 2 stages-of-interest × 330). This module rebuilds
 //! that corpus from the synthetic design families: each (family, size,
 //! recipe) triple yields one netlist, labeled with simulated runtimes at
-//! 1/2/4/8 vCPUs for every stage.
+//! 1/2/4/8 vCPUs for every stage. Recipes often converge on the same
+//! netlist: the paper-scaled corpus's 324 triples synthesize to 154
+//! structurally distinct netlists, and placement, routing and STA label
+//! each distinct netlist once.
 
 use crate::optimize::VCPU_SWEEP;
 use crate::sweep::{self, resolve_workers};
 use crate::{Workflow, WorkflowError};
 use eda_cloud_flow::{Placer, Recipe, Router, StaEngine, StageKind, Synthesizer};
 use eda_cloud_gcn::GraphSample;
-use eda_cloud_netlist::{generators, DesignGraph};
+use eda_cloud_netlist::{generators, DesignGraph, Netlist};
 use eda_cloud_trace::Span;
 
 /// What corpus to generate.
@@ -28,7 +31,8 @@ pub struct DatasetConfig {
     pub recipes: usize,
     /// Run the synthesis equivalence spot-check while generating.
     pub verify: bool,
-    /// Worker threads fanning corpus entries out; `0` (the default)
+    /// Worker threads fanning corpus entries (for synthesis) and then
+    /// distinct netlists (for the other stages) out; `0` (the default)
     /// means one per available core, capped at 8. Entries are reduced
     /// in canonical (family, size, recipe) order, so any worker count
     /// yields a bit-identical corpus.
@@ -127,12 +131,27 @@ impl<'a> DatasetBuilder<'a> {
 
     /// Generate the corpus.
     ///
-    /// Corpus entries — one per (family, size, recipe) triple — fan out
-    /// over `config.workers` threads; within each entry every engine
-    /// runs once for the whole 1/2/4/8-vCPU sweep through its
-    /// `run_sweep` (routing once per distinct strip count). Entries
-    /// are reduced in canonical triple order regardless of completion
-    /// order, so the corpus is bit-identical for any worker count.
+    /// Three steps; the first and the last fan out over
+    /// `config.workers` threads:
+    ///
+    /// 1. **Synthesize** every corpus entry — one per (family, size,
+    ///    recipe) triple — once for the whole 1/2/4/8-vCPU sweep
+    ///    through [`Synthesizer::run_sweep`]. Synthesis depends on the
+    ///    recipe, so every entry keeps its own synthesis label.
+    /// 2. **Group** entries whose netlists are equal but for their
+    ///    names (synthesis names a netlist `{design}.{recipe}`; no
+    ///    placement, routing or STA engine reads that name).
+    /// 3. **Label each group once**: one placement, routing and STA
+    ///    `run_sweep` over every member's four contexts, concatenated
+    ///    (routing once per distinct strip count). An engine serves
+    ///    repeated contexts exactly as it serves each alone, spans
+    ///    included, so every member's labels and trace subtree are the
+    ///    ones a run of its own records.
+    ///
+    /// Entries are reduced in canonical triple order regardless of
+    /// completion order, so the corpus is bit-identical for any worker
+    /// count. The build adds its group count to the workflow metrics as
+    /// `dataset.distinct_netlists`.
     ///
     /// # Errors
     ///
@@ -151,8 +170,9 @@ impl<'a> DatasetBuilder<'a> {
         }
 
         let workers = resolve_workers(config.workers);
-        type EntryResult = Result<Option<CorpusEntry>, WorkflowError>;
-        let entries = sweep::map_metered(workers, jobs, self.workflow.metrics(), |index, (family, size, recipe)| -> EntryResult {
+        let metrics = self.workflow.metrics();
+        type Synthesized = Result<Option<SynthesizedEntry>, WorkflowError>;
+        let entries = sweep::map_metered(workers, jobs, metrics, |index, (family, size, recipe)| -> Synthesized {
             let Some(aig) = generators::build_family(&family, size) else {
                 return Ok(None);
             };
@@ -164,7 +184,6 @@ impl<'a> DatasetBuilder<'a> {
                 .root_at(index as u64, &format!("corpus/{index:04}"));
             entry_span.attr("design", format_args!("{family}{size}"));
             entry_span.attr("recipe", recipe.name());
-            let aig_graph = DesignGraph::from_aig(&aig);
             // Spans are created in the order a point-by-point loop
             // creates them — the points, then under each point
             // synthesis, placement, routing, sta — so span keys do not
@@ -173,41 +192,78 @@ impl<'a> DatasetBuilder<'a> {
                 .iter()
                 .map(|vcpus| entry_span.child(&format!("vcpus/{vcpus}")))
                 .collect();
-            let contexts = |stage| self.workflow.stage_contexts(stage, &VCPU_SWEEP, &points);
+            let contexts = self.workflow.stage_contexts(StageKind::Synthesis, &VCPU_SWEEP, &points);
             let (netlist, reports) = Synthesizer::new()
                 .with_verification(config.verify)
-                .run_sweep(&aig, &recipe, &contexts(StageKind::Synthesis))?;
-            let syn_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
-            let (placement, reports) =
-                Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
-            let place_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
-            let routed =
-                Router::new().run_sweep(&netlist, &placement, &contexts(StageKind::Routing))?;
-            let route_times: [f64; 4] = std::array::from_fn(|k| routed[k].1.runtime_secs);
-            let (_, reports) =
-                StaEngine::new().run_sweep(&netlist, &placement, &contexts(StageKind::Sta))?;
-            let sta_times: [f64; 4] = std::array::from_fn(|k| reports[k].runtime_secs);
-            let base_name = format!("{family}{size}.{}", recipe.name());
+                .run_sweep(&aig, &recipe, &contexts)?;
+            let name = format!("{family}{size}.{}", recipe.name());
+            let mut synthesis = GraphSample::new(
+                &DesignGraph::from_aig(&aig),
+                std::array::from_fn(|k| reports[k].runtime_secs),
+            );
+            synthesis.name = name.clone();
+            Ok(Some(SynthesizedEntry { name, synthesis, netlist, points }))
+        });
 
-            let mut syn_sample = GraphSample::new(&aig_graph, syn_times);
-            syn_sample.name = base_name.clone();
+        let synthesized = |i: usize| match &entries[i] {
+            Ok(Some(entry)) => entry,
+            _ => unreachable!("groups hold synthesized entries only"),
+        };
+        // Group by structure, in order of first occurrence; `group_of[i]`
+        // is entry `i`'s group.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of = vec![usize::MAX; entries.len()];
+        for (i, entry) in entries.iter().enumerate() {
+            let Ok(Some(entry)) = entry else { continue };
+            let same = |g: &Vec<usize>| same_structure(&synthesized(g[0]).netlist, &entry.netlist);
+            group_of[i] = groups.iter().position(same).unwrap_or_else(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[group_of[i]].push(i);
+        }
+        metrics.add("dataset.distinct_netlists", groups.len() as u64);
 
-            let nl_graph = DesignGraph::from_netlist(&netlist);
-            let [placement, routing, sta] =
-                [place_times, route_times, sta_times].map(|times| {
-                    let mut sample = GraphSample::new(&nl_graph, times);
-                    sample.name = base_name.clone();
-                    sample
-                });
-            Ok(Some(CorpusEntry { synthesis: syn_sample, placement, routing, sta }))
+        type Labels = Result<std::vec::IntoIter<[GraphSample; 3]>, WorkflowError>;
+        let mut labels = sweep::map_metered(workers, groups, metrics, |_, members| -> Labels {
+            let netlist = &synthesized(members[0]).netlist;
+            let points: Vec<Span> =
+                members.iter().flat_map(|&i| synthesized(i).points.iter().cloned()).collect();
+            let vcpus = VCPU_SWEEP.repeat(members.len());
+            let contexts = |stage| self.workflow.stage_contexts(stage, &vcpus, &points);
+            let (placement, place) = Placer::new().run_sweep(netlist, &contexts(StageKind::Placement))?;
+            let routed = Router::new().run_sweep(netlist, &placement, &contexts(StageKind::Routing))?;
+            let (_, sta) = StaEngine::new().run_sweep(netlist, &placement, &contexts(StageKind::Sta))?;
+            let graph = GraphSample::new(&DesignGraph::from_netlist(netlist), [1.0; 4]);
+            let samples: Vec<[GraphSample; 3]> = members
+                .iter()
+                .enumerate()
+                .map(|(m, &i)| {
+                    // Member `m`'s reports are the `m`-th four of each sweep.
+                    let at = |k: usize| 4 * m + k;
+                    let times: [[f64; 4]; 3] = [
+                        std::array::from_fn(|k| place[at(k)].runtime_secs),
+                        std::array::from_fn(|k| routed[at(k)].1.runtime_secs),
+                        std::array::from_fn(|k| sta[at(k)].runtime_secs),
+                    ];
+                    times.map(|t| GraphSample { name: synthesized(i).name.clone(), ..graph.with_targets(t) })
+                })
+                .collect();
+            Ok(samples.into_iter())
         });
 
         let mut out = StageDatasets::default();
-        for entry in sweep::reduce_results(entries)?.into_iter().flatten() {
+        for (i, entry) in entries.into_iter().enumerate() {
+            let Some(entry) = entry? else { continue };
+            // A group's members are in index order, and so are its labels.
+            let [placement, routing, sta] = match &mut labels[group_of[i]] {
+                Ok(samples) => samples.next().expect("one label set per member"),
+                Err(e) => return Err(e.clone()),
+            };
             out.synthesis.push(entry.synthesis);
-            out.placement.push(entry.placement);
-            out.routing.push(entry.routing);
-            out.sta.push(entry.sta);
+            out.placement.push(placement);
+            out.routing.push(routing);
+            out.sta.push(sta);
         }
         if out.synthesis.is_empty() {
             return Err(WorkflowError::EmptyDataset { stage: "synthesis" });
@@ -216,12 +272,25 @@ impl<'a> DatasetBuilder<'a> {
     }
 }
 
-/// The four samples one (family, size, recipe) triple contributes.
-struct CorpusEntry {
+/// One (family, size, recipe) triple after synthesis: its synthesis
+/// sample, the netlist placement, routing and STA label, and the
+/// per-vCPU spans they trace under.
+struct SynthesizedEntry {
+    name: String,
     synthesis: GraphSample,
-    placement: GraphSample,
-    routing: GraphSample,
-    sta: GraphSample,
+    netlist: Netlist,
+    points: Vec<Span>,
+}
+
+/// Whether two netlists are the same circuit: equal in everything but
+/// the name. Slice comparison checks lengths first, so most unequal
+/// pairs cost a few integer compares.
+fn same_structure(a: &Netlist, b: &Netlist) -> bool {
+    a.library() == b.library()
+        && a.primary_inputs() == b.primary_inputs()
+        && a.primary_outputs() == b.primary_outputs()
+        && a.cells() == b.cells()
+        && a.nets() == b.nets()
 }
 
 #[cfg(test)]

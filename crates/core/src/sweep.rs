@@ -25,7 +25,8 @@
 //!    negotiates once per distinct strip count. The 1/2/4/8-vCPU sweep
 //!    thus does each piece of structural work once, with counters
 //!    bit-identical to a fresh run at each vCPU count; what fans out
-//!    here is whole corpus entries and routing's per-point runs.
+//!    here is corpus entries (synthesis), distinct corpus netlists
+//!    (placement, routing, STA) and routing's per-point runs.
 
 use eda_cloud_trace::{par, Metrics};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,10 +13,10 @@ const INVALID: u64 = u64::MAX;
 const REUSE_MIN_TAGS: usize = 4096;
 
 /// Arrays one thread keeps between probes: as many as the LLC slices
-/// of one 1/2/4/8-vCPU sweep probe, at most 2.9 MB of tags once all
-/// four are 8-vCPU sized. A run that holds more caches at once (the
-/// router's per-strip probes) allocates the excess and frees it again
-/// on drop.
+/// of one 1/2/4/8-vCPU sweep probe (however many times its contexts
+/// repeat that sweep), at most 2.9 MB of tags once all four are 8-vCPU
+/// sized. A run that holds more caches at once (the router's per-strip
+/// probes) allocates the excess and frees it again on drop.
 const FREE_LIST_SLOTS: usize = 4;
 
 /// The arrays behind one cache. On the free list every tag is
@@ -239,11 +239,15 @@ impl Drop for Cache {
 /// [`CacheSim::for_vcpu_sweep`] builds one LLC slice per vCPU count. VM
 /// sizes differ in nothing else, so one pass simulates several of them:
 /// every LLC sees exactly the L1's miss stream, which is the stream it
-/// would see behind an L1 of its own.
+/// would see behind an L1 of its own. Entries with the same slice size
+/// read one slice: equal geometry, fed the same stream from the same
+/// tick, ends in the same state with the same misses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSim {
     l1: Cache,
     llcs: Vec<Llc>,
+    /// Entry `k`'s slice in `llcs`.
+    slice_of: Vec<usize>,
     l1_misses: u64,
 }
 
@@ -260,28 +264,39 @@ impl CacheSim {
         Self {
             l1,
             llcs: vec![Llc { cache: llc, misses: 0 }],
+            slice_of: vec![0],
             l1_misses: 0,
         }
     }
 
-    /// One private 32 KiB L1 in front of one LLC slice per entry of
-    /// `vcpus`; slice `k` counts what a hierarchy built for the `k`-th
-    /// entry alone would. A slice grows *sub-linearly* with the vCPU
-    /// count — the hypervisor carves one physical last-level cache among
-    /// tenants, so a 1-vCPU tenant still sees a few MiB while an 8-vCPU
-    /// tenant gets roughly the paper's Xeon-class share.
+    /// One private 32 KiB L1 in front of one LLC slice per distinct
+    /// slice size among `vcpus`; entry `k` counts what a hierarchy built
+    /// for the `k`-th entry alone would. A slice grows *sub-linearly*
+    /// with the vCPU count — the hypervisor carves one physical
+    /// last-level cache among tenants, so a 1-vCPU tenant still sees a
+    /// few MiB while an 8-vCPU tenant gets roughly the paper's
+    /// Xeon-class share.
     #[must_use]
     pub fn for_vcpu_sweep(vcpus: impl IntoIterator<Item = u32>) -> Self {
-        let llcs = vcpus
+        let mut sizes: Vec<usize> = Vec::new();
+        let slice_of = vcpus
             .into_iter()
             .map(|v| {
                 let llc_bytes = 2_621_440 + (v as usize).max(1) * 393_216; // ~2.9 MiB .. ~5.6 MiB
-                Llc { cache: Cache::new_random_replacement(llc_bytes, 64, 16), misses: 0 }
+                sizes.iter().position(|&s| s == llc_bytes).unwrap_or_else(|| {
+                    sizes.push(llc_bytes);
+                    sizes.len() - 1
+                })
             })
+            .collect();
+        let llcs = sizes
+            .into_iter()
+            .map(|bytes| Llc { cache: Cache::new_random_replacement(bytes, 64, 16), misses: 0 })
             .collect();
         Self {
             l1: Cache::new(32 * 1024, 64, 8),
             llcs,
+            slice_of,
             l1_misses: 0,
         }
     }
@@ -307,21 +322,21 @@ impl CacheSim {
         self.l1_misses
     }
 
-    /// Accesses that missed both levels (of the first LLC slice, for a
-    /// sweep hierarchy).
+    /// Accesses that missed both levels (of the first entry's LLC slice,
+    /// for a sweep hierarchy).
     #[must_use]
     pub fn llc_misses(&self) -> u64 {
         self.llc_misses_at(0)
     }
 
-    /// Accesses that missed both the L1 and LLC slice `k`.
+    /// Accesses that missed both the L1 and entry `k`'s LLC slice.
     ///
     /// # Panics
     ///
-    /// Panics if the hierarchy has no slice `k`.
+    /// Panics if the hierarchy has no entry `k`.
     #[must_use]
     pub fn llc_misses_at(&self, k: usize) -> u64 {
-        self.llcs[k].misses
+        self.llcs[self.slice_of[k]].misses
     }
 
     /// Reset statistics and contents.
@@ -481,6 +496,30 @@ mod tests {
     }
 
     #[test]
+    fn repeated_counts_read_what_a_lone_hierarchy_counts() {
+        // A 4 MiB footprint, swept three times: more than the 1-vCPU
+        // slice holds, less than the 8-vCPU one, so slices disagree.
+        let touch = |sim: &mut CacheSim| {
+            for _pass in 0..3 {
+                for i in 0..(4u64 << 20) / 64 {
+                    sim.access(i * 64);
+                }
+            }
+        };
+        let vcpus = [8, 1, 4, 1, 2, 8, 1];
+        let mut sweep = CacheSim::for_vcpu_sweep(vcpus);
+        assert_eq!(sweep.llcs.len(), 4);
+        touch(&mut sweep);
+        for (k, &v) in vcpus.iter().enumerate() {
+            let mut lone = CacheSim::for_vcpu_sweep([v]);
+            touch(&mut lone);
+            assert_eq!(sweep.llc_misses_at(k), lone.llc_misses(), "entry {k} ({v} vCPUs)");
+            assert_eq!(sweep.l1_misses(), lone.l1_misses());
+        }
+        assert_ne!(sweep.llc_misses_at(0), sweep.llc_misses_at(1), "8 and 1 vCPUs disagree");
+    }
+
+    #[test]
     fn reset_zeroes_stats() {
         let mut sim = CacheSim::for_vcpu_sweep([1]);
         sim.access(0);
@@ -573,14 +612,19 @@ mod tests {
             }
         };
         let mut first = CacheSim::for_vcpu_sweep([1, 2, 1, 1, 4, 8, 8]);
+        assert_eq!(first.llcs.len(), 4, "one slice per distinct vCPU count");
         touch(&mut first);
+        let mut second = CacheSim::for_vcpu_sweep([8]);
+        touch(&mut second);
         let expected = {
             let mut fresh = CacheSim::for_vcpu_sweep([1, 2]);
             touch(&mut fresh);
             fresh
         };
         drop(first);
-        // Seven dirty LLCs dropped, shortest first: the four longest stay.
+        assert_eq!(free_lens(), [47_104, 53_248, 65_536, 90_112]);
+        drop(second);
+        // Five dirty LLCs dropped, shortest first: the four longest stay.
         assert_eq!(free_lens(), [53_248, 65_536, 90_112, 90_112]);
         // Smaller caches on longer, previously dirty arrays.
         let mut reused = CacheSim::for_vcpu_sweep([1, 2]);

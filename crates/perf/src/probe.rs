@@ -85,8 +85,8 @@ impl ProbeTrace {
 /// probe, in two things only — the LLC slice their vCPU count buys and
 /// whether vector FP lands on AVX units — so a sweep probe runs one L1,
 /// one predictor and one set of event counts for all of them, one LLC
-/// per machine behind the shared L1's miss stream, and splits the
-/// vectorizable FP per machine when counters are read.
+/// per distinct vCPU count behind the shared L1's miss stream, and
+/// splits the vectorizable FP per machine when counters are read.
 /// [`PerfProbe::counters_for`]`(k)` is, bit for bit, what a probe for
 /// machine `k` alone reports after the same events.
 ///

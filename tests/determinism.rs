@@ -3,9 +3,13 @@
 
 use eda_cloud::core::dataset::{DatasetBuilder, DatasetConfig};
 use eda_cloud::core::{CharacterizationConfig, Workflow};
-use eda_cloud::flow::{run_full_flow, ExecContext, Recipe};
+use eda_cloud::flow::{
+    run_full_flow, ExecContext, Placer, Recipe, Router, StaEngine, StageKind, StageReport,
+    Synthesizer,
+};
 use eda_cloud::gcn::{DatasetSplit, Trainer};
-use eda_cloud::netlist::generators;
+use eda_cloud::netlist::{generators, Netlist};
+use eda_cloud::trace::{Metrics, Span, Tracer};
 
 #[test]
 fn full_flow_is_deterministic() {
@@ -81,6 +85,127 @@ fn dataset_build_is_identical_across_worker_counts() {
         .build(&cfg.with_workers(4))
         .expect("parallel corpus");
     assert_eq!(serial, parallel);
+}
+
+/// A sweep's runtimes, by bit pattern.
+fn label_bits<'a>(reports: impl IntoIterator<Item = &'a StageReport>) -> Vec<u64> {
+    reports.into_iter().map(|r| r.runtime_secs.to_bits()).collect()
+}
+
+/// Whether two netlists are the same circuit under different names.
+fn same_structure(a: &Netlist, b: &Netlist) -> bool {
+    (a.library(), a.cells(), a.nets(), a.primary_inputs(), a.primary_outputs())
+        == (b.library(), b.cells(), b.nets(), b.primary_inputs(), b.primary_outputs())
+}
+
+/// Build `cfg` with `DatasetBuilder` at 1 and 4 workers and hold it to
+/// every (family, size, recipe) entry swept on its own through the
+/// engines' public `run_sweep`, under the spans the builder names:
+/// names, labels by bits, the distinct-netlist count, and the drained
+/// trace record for record. Returns the entries' netlists.
+fn assert_build_equals_per_entry_loop(cfg: &DatasetConfig) -> Vec<Netlist> {
+    const VCPUS: [u32; 4] = [1, 2, 4, 8];
+    let tracer = Tracer::new();
+    let workflow = Workflow::with_defaults().with_tracer(tracer.clone());
+    let recipes: Vec<Recipe> = Recipe::standard_suite().into_iter().take(cfg.recipes).collect();
+    let (mut labels, mut names, mut netlists) = (Vec::new(), Vec::new(), Vec::<Netlist>::new());
+    let mut index = 0u64;
+    for family in &cfg.families {
+        for &size in &cfg.sizes {
+            for recipe in &recipes {
+                let entry = tracer.root_at(index, &format!("corpus/{index:04}"));
+                index += 1;
+                entry.attr("design", format_args!("{family}{size}"));
+                entry.attr("recipe", recipe.name());
+                let points: Vec<Span> = VCPUS.iter().map(|v| entry.child(&format!("vcpus/{v}"))).collect();
+                let contexts = |stage: StageKind| -> Vec<ExecContext> {
+                    VCPUS
+                        .iter()
+                        .zip(&points)
+                        .map(|(&v, point)| workflow.exec_context(stage, v).with_span(point.child(&stage.to_string())))
+                        .collect()
+                };
+                let aig = generators::build_family(family, size).expect("known family");
+                let (netlist, syn) = Synthesizer::new()
+                    .with_verification(cfg.verify)
+                    .run_sweep(&aig, recipe, &contexts(StageKind::Synthesis))
+                    .expect("synthesis");
+                let (placement, place) =
+                    Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement)).expect("placement");
+                let routed = Router::new()
+                    .run_sweep(&netlist, &placement, &contexts(StageKind::Routing))
+                    .expect("routing");
+                let (_, sta) =
+                    StaEngine::new().run_sweep(&netlist, &placement, &contexts(StageKind::Sta)).expect("sta");
+                labels.push([
+                    label_bits(&syn),
+                    label_bits(&place),
+                    label_bits(routed.iter().map(|(_, report)| report)),
+                    label_bits(&sta),
+                ]);
+                names.push(format!("{family}{size}.{}", recipe.name()));
+                netlists.push(netlist);
+            }
+        }
+    }
+    let reference_trace = tracer.drain();
+    let distinct = (0..netlists.len())
+        .filter(|&i| !netlists[..i].iter().any(|earlier| same_structure(earlier, &netlists[i])))
+        .count();
+
+    for workers in [1, 4] {
+        let tracer = Tracer::new();
+        let metrics = Metrics::new();
+        let workflow = Workflow::with_defaults().with_tracer(tracer.clone()).with_metrics(metrics.clone());
+        let built = DatasetBuilder::new(&workflow)
+            .build(&cfg.clone().with_workers(workers))
+            .expect("corpus");
+        assert_eq!(metrics.counter("dataset.distinct_netlists"), distinct as u64, "workers={workers}");
+        for (stage, kind) in StageKind::ALL.into_iter().enumerate() {
+            let samples = built.for_stage(kind);
+            assert_eq!(samples.len(), labels.len(), "{kind} samples, workers={workers}");
+            for (i, sample) in samples.iter().enumerate() {
+                assert_eq!(sample.name, names[i], "{kind} sample {i}, workers={workers}");
+                assert_eq!(
+                    sample.targets_secs.map(f64::to_bits).to_vec(),
+                    labels[i][stage],
+                    "{kind} labels of {}, workers={workers}",
+                    names[i]
+                );
+            }
+        }
+        let trace = tracer.drain();
+        assert_eq!(trace.len(), reference_trace.len(), "span count, workers={workers}");
+        for (got, want) in trace.records().iter().zip(reference_trace.records()) {
+            assert_eq!(got, want, "span, workers={workers}");
+        }
+    }
+    netlists
+}
+
+#[test]
+fn dataset_build_equals_a_per_entry_sweep_loop() {
+    // The builder labels each distinct netlist once; the smoke corpus
+    // has entries that repeat an earlier netlist under another recipe.
+    let smoke = assert_build_equals_per_entry_loop(&DatasetConfig::smoke());
+    let repeats = (1..smoke.len()).filter(|&i| smoke[..i].iter().any(|e| same_structure(e, &smoke[i]))).count();
+    assert!(repeats > 0, "the smoke corpus repeats a netlist");
+
+    // alu4 under raw and balanced: two different netlists with equal
+    // cell, net and port counts, which a grouping that compared sizes
+    // only would merge.
+    let mut near_miss = DatasetConfig::smoke();
+    near_miss.families = vec!["alu".to_owned()];
+    near_miss.sizes = vec![4];
+    near_miss.recipes = 2;
+    let [raw, balanced] = &assert_build_equals_per_entry_loop(&near_miss)[..] else {
+        panic!("two recipes, two netlists");
+    };
+    assert_eq!(
+        (raw.cells().len(), raw.nets().len(), raw.primary_outputs()),
+        (balanced.cells().len(), balanced.nets().len(), balanced.primary_outputs())
+    );
+    assert!(!same_structure(raw, balanced), "alu4 differs between raw and balanced");
 }
 
 #[test]
