@@ -7,12 +7,18 @@
 //! cargo run -p eda-cloud-bench --bin fig3 --release -- --smoke      # 3 designs
 //! cargo run -p eda-cloud-bench --bin fig3 --release -- --measured   # also wall-clock
 //! ```
+//!
+//! The netlist and placement do not depend on the machine, so each
+//! design is synthesized and placed once and routed at every vCPU
+//! count. `--measured` adds the host wall-clock speed-up of
+//! `Router::run` from 1 to 8 vCPUs.
 
 use eda_cloud_bench::Args;
 use eda_cloud_core::report::render_table;
 use eda_cloud_core::Workflow;
 use eda_cloud_flow::{Placer, Recipe, Router, StageKind, Synthesizer};
 use eda_cloud_netlist::generators;
+use std::time::Instant;
 
 fn main() {
     let args = Args::from_env();
@@ -30,27 +36,25 @@ fn main() {
     let mut rows = Vec::new();
     for name in names {
         let design = generators::openpiton_design(name).expect("known design");
-        let synthesizer = Synthesizer::new().with_verification(false);
+        let (netlist, _) = Synthesizer::new()
+            .with_verification(false)
+            .run(&design, &Recipe::balanced(), &workflow.exec_context(StageKind::Synthesis, 1))
+            .expect("synthesis");
+        let place_ctx = workflow.exec_context(StageKind::Placement, 1);
+        let (placement, _) = Placer::new().run(&netlist, &place_ctx).expect("placement");
         let mut runtimes = Vec::new();
         let mut walls = Vec::new();
-        let mut cells = 0;
         for &vcpus in &vcpu_sweep {
-            let syn_ctx = workflow.exec_context(StageKind::Synthesis, vcpus);
-            let (netlist, _) = synthesizer
-                .run(&design, &Recipe::balanced(), &syn_ctx)
-                .expect("synthesis");
-            cells = netlist.cell_count();
-            let place_ctx = workflow.exec_context(StageKind::Placement, vcpus);
-            let (placement, _) = Placer::new().run(&netlist, &place_ctx).expect("placement");
             let route_ctx = workflow.exec_context(StageKind::Routing, vcpus);
-            let (result, report) = Router::new()
+            let start = Instant::now();
+            let (_, report) = Router::new()
                 .run(&netlist, &placement, &route_ctx)
                 .expect("routing");
+            walls.push(start.elapsed().as_secs_f64());
             runtimes.push(report.runtime_secs);
-            walls.push(result.measured_wall_secs);
         }
         let base = runtimes[0];
-        let mut row = vec![name.to_owned(), format!("{cells}")];
+        let mut row = vec![name.to_owned(), format!("{}", netlist.cell_count())];
         for t in &runtimes {
             row.push(format!("{:.2}x", base / t));
         }

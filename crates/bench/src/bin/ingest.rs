@@ -22,10 +22,10 @@
 
 use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
-use eda_cloud_core::{IngestScenario, Workflow};
+use eda_cloud_core::{IngestRunReport, Workflow};
 use eda_cloud_gcn::ModelConfig;
 use eda_cloud_ingest::fixtures;
-use eda_cloud_serve::{ModelSnapshot, UploadDoc};
+use eda_cloud_serve::{ModelSnapshot, ServeConfig, UploadDoc, WorkloadConfig};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -83,10 +83,14 @@ fn load_dir(dir: &Path) -> Vec<Arc<UploadDoc>> {
 
 fn main() {
     let args = Args::from_env();
-    let mut scenario = IngestScenario::new(args.numeric("requests", 64), args.numeric("seed", 7));
-    scenario.rate_per_sec = args.numeric("rate", 200.0);
-    scenario.ingest_every = args.numeric("every", 3);
-    scenario.workers = args.workers(1);
+    let workload = WorkloadConfig {
+        requests: args.numeric("requests", 64),
+        rate_per_sec: args.numeric("rate", 200.0),
+        seed: args.numeric("seed", 7),
+        ingest_every: args.numeric("every", 3),
+        ..WorkloadConfig::default()
+    };
+    let config = ServeConfig { workers: args.workers(1), ..ServeConfig::default() };
     let uploads = args
         .value("dir")
         .map_or_else(fixtures::uploads, |d| load_dir(Path::new(d)));
@@ -96,8 +100,8 @@ fn main() {
     let json = args.flag("json");
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed);
-    let (run, _outcomes) = or_exit(workflow.ingest(&scenario, &snapshot, &uploads));
+    let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), workload.seed);
+    let (run, _outcomes) = or_exit(workflow.ingest(&workload, &snapshot, config, &uploads));
     obs.export();
     for (name, reason) in &run.rejected {
         eprintln!("{name}: rejected: {reason}");
@@ -111,11 +115,15 @@ fn main() {
     println!(
         "Ingest — {} uploads, {} requests at {}/s, seed {}, 1-in-{} upload mix",
         uploads.len(),
-        scenario.requests,
-        scenario.rate_per_sec,
-        scenario.seed,
-        scenario.ingest_every,
+        workload.requests,
+        workload.rate_per_sec,
+        workload.seed,
+        workload.ingest_every,
     );
+    print_report(&run);
+}
+
+fn print_report(run: &IngestRunReport) {
     let rows: Vec<Vec<String>> = run
         .fixtures
         .iter()

@@ -20,24 +20,23 @@
 
 use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::render_table;
-use eda_cloud_core::{LifecycleScenario, Workflow};
-use eda_cloud_lifecycle::LifecycleReport;
+use eda_cloud_core::Workflow;
+use eda_cloud_lifecycle::{LifecycleConfig, LifecycleReport};
 
 fn main() {
     let args = Args::from_env();
-    let mut scenario =
-        LifecycleScenario::new(args.numeric("requests", 320), args.numeric("seed", 7));
-    scenario.rate_per_sec = args.numeric("rate", scenario.rate_per_sec);
-    scenario.drift_at = args.numeric("drift", scenario.drift_at);
-    scenario.drift_factor = args.numeric("drift-factor", scenario.drift_factor);
-    scenario.canary_every = args.numeric("canary", scenario.canary_every);
-    scenario.workers = args.workers(0);
+    let mut config = LifecycleConfig::new(args.numeric("requests", 320), args.numeric("seed", 7));
+    config.rate_per_sec = args.numeric("rate", config.rate_per_sec);
+    config.drift_at = args.numeric("drift", config.drift_at);
+    config.drift_factor = args.numeric("drift-factor", config.drift_factor);
+    config.canary_every = args.numeric("canary", config.canary_every);
+    config.workers = args.workers(0);
 
     let obs = Observability::from_args(&args);
     let json = args.flag("json");
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let (report, _feedback) = or_exit(workflow.lifecycle(&scenario));
+    let (report, _feedback) = or_exit(workflow.lifecycle(&config));
     obs.export();
 
     if json {
@@ -47,12 +46,12 @@ fn main() {
 
     println!(
         "Lifecycle — {} requests at {}/s, seed {}, drift x{} at ordinal {}, canary 1/{}",
-        scenario.requests,
-        scenario.rate_per_sec,
-        scenario.seed,
-        scenario.drift_factor,
-        scenario.drift_at,
-        scenario.canary_every,
+        config.requests,
+        config.rate_per_sec,
+        config.seed,
+        config.drift_factor,
+        config.drift_at,
+        config.canary_every,
     );
     print_report(&report);
 }

@@ -21,15 +21,18 @@
 
 use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::{pct, render_table};
-use eda_cloud_core::{ServeScenario, Workflow};
+use eda_cloud_core::Workflow;
 use eda_cloud_gcn::ModelConfig;
-use eda_cloud_serve::{ModelSnapshot, ServeConfig, ServeReport};
+use eda_cloud_serve::{ModelSnapshot, ServeConfig, ServeReport, WorkloadConfig};
 
 fn main() {
     let args = Args::from_env();
-    let mut scenario =
-        ServeScenario::new(args.numeric("requests", 64), args.numeric("seed", 7));
-    scenario.rate_per_sec = args.numeric("rate", 200.0);
+    let workload = WorkloadConfig {
+        requests: args.numeric("requests", 64),
+        rate_per_sec: args.numeric("rate", 200.0),
+        seed: args.numeric("seed", 7),
+        ..WorkloadConfig::default()
+    };
     let (max_batch, queue_capacity) = (args.numeric("batch", 8), args.numeric("queue", 32));
     let config = ServeConfig {
         max_batch,
@@ -43,8 +46,8 @@ fn main() {
     let json = args.flag("json");
     args.reject_unknown();
     let workflow = obs.instrument(Workflow::with_defaults());
-    let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), scenario.seed);
-    let (report, _outcomes) = or_exit(workflow.serve(&scenario, &snapshot, config));
+    let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), workload.seed);
+    let (report, _outcomes) = or_exit(workflow.serve(&workload, &snapshot, config));
     obs.export();
 
     if json {
@@ -54,7 +57,7 @@ fn main() {
 
     println!(
         "Serve — {} requests at {}/s, seed {}, batch {max_batch}, queue {queue_capacity}",
-        scenario.requests, scenario.rate_per_sec, scenario.seed,
+        workload.requests, workload.rate_per_sec, workload.seed,
     );
     print_report(&report);
 }

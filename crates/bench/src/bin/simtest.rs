@@ -18,8 +18,8 @@
 
 use eda_cloud_bench::{or_exit, Args, Observability};
 use eda_cloud_core::report::render_table;
-use eda_cloud_core::{SimtestScenario, Workflow};
-use eda_cloud_simtest::{shrink_plan, FaultPlan, SimtestReport};
+use eda_cloud_core::Workflow;
+use eda_cloud_simtest::{shrink_plan, FaultPlan, SimtestConfig, SimtestReport};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -27,8 +27,7 @@ fn main() -> ExitCode {
     let seed: u64 = args.numeric("seed", 7);
     let runs: u64 = args.numeric("runs", 1);
     let faults: usize = args.numeric("faults", 6);
-    let mut scenario = SimtestScenario::new(seed, faults);
-    scenario.workers = args.workers(0);
+    let workers = args.workers(0);
 
     // --plan FILE replays a checked-in reproducer instead of a
     // seed-generated plan; --runs is ignored in that mode.
@@ -57,16 +56,10 @@ fn main() -> ExitCode {
     let run_seeds: Vec<u64> =
         if loaded_plan.is_some() { vec![seed] } else { (seed..seed + runs.max(1)).collect() };
     for run_seed in run_seeds {
-        let scenario = SimtestScenario { seed: run_seed, ..scenario.clone() };
-        let config = scenario.config();
-        let (plan, report) = match &loaded_plan {
-            // A loaded reproducer bypasses the seed-generated plan.
-            Some(plan) => {
-                let run = or_exit(eda_cloud_simtest::run_simtest(&config, plan));
-                (plan.clone(), run.report)
-            }
-            None => (scenario.plan(), or_exit(workflow.simtest(&scenario))),
-        };
+        let config = SimtestConfig { seed: run_seed, workers, ..SimtestConfig::default() };
+        // A loaded reproducer replaces the seed-generated plan.
+        let plan = loaded_plan.clone().unwrap_or_else(|| FaultPlan::generate(run_seed, faults));
+        let report = or_exit(workflow.simtest(&config, &plan));
         if json {
             println!("{}", report.to_json());
         } else {

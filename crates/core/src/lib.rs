@@ -30,10 +30,10 @@
 //!    shadow-retrain a candidate, and canary it to promotion or
 //!    rollback, all in deterministic simulated time.
 //! 8. [`Workflow::simtest`] — stress the fleet, serve, and lifecycle
-//!    loops under a seeded fault plan (spot storms, overload bursts,
-//!    feedback drops, snapshot corruption) and check global invariants
-//!    over the results, with delta-debugging down to a minimal
-//!    reproducer on failure.
+//!    loops under a fault plan (spot storms, overload bursts, feedback
+//!    drops, snapshot corruption), seed-generated or a replayed
+//!    reproducer, and check global invariants over the results, with
+//!    delta-debugging down to a minimal reproducer on failure.
 //! 9. [`Workflow::recipe`] — search synthesis recipes per design with
 //!    the deterministic MCTS agent, train the hybrid (design ⊕ recipe)
 //!    runtime predictor, and answer joint recipe × VM-plan requests
@@ -43,6 +43,11 @@
 //!     a request stream with an upload mix: accepted designs are
 //!     canonicalized, fingerprinted, and OOD-scored; malformed uploads
 //!     are quarantined with typed, position-annotated reasons.
+//!
+//! Steps 6–8 and 10 take their tier's own config (`WorkloadConfig`,
+//! `ServeConfig`, `LifecycleConfig`, `SimtestConfig`); a `*Scenario`
+//! here ([`FleetScenario`], [`RecipeScenario`]) exists only where it
+//! owns workload-generator parameters no tier config has.
 //!
 //! # Examples
 //!
@@ -82,12 +87,15 @@ pub use characterize::{
 };
 pub use error::WorkflowError;
 pub use fleet_service::FleetScenario;
-pub use ingest_service::{IngestRunReport, IngestScenario};
-pub use lifecycle_service::LifecycleScenario;
+pub use ingest_service::IngestRunReport;
 pub use optimize::{DeploymentPlan, StagePlan, StageRuntimes};
 pub use recipe_service::{RecipeScenario, WorkflowRecipePlanner};
 pub use recommend::{recommended_family, recommendation_notes};
-pub use serve_service::{ServeScenario, WorkflowPlanner};
-pub use simtest_service::SimtestScenario;
+pub use serve_service::WorkflowPlanner;
 pub use sweep::resolve_workers;
 pub use workflow::{stage_work_scale, Workflow};
+
+/// The lifecycle tier's own config under the name the e2e benchmark
+/// package still pins; [`Workflow::lifecycle`] takes it directly.
+/// Deleted once that package stops naming it (ROADMAP item 1(a)).
+pub type LifecycleScenario = eda_cloud_lifecycle::LifecycleConfig;

@@ -1,52 +1,21 @@
 //! Online serving: play a request stream against the trained stage
 //! predictors and the catalog-backed deployment planner.
 //!
-//! This wires `eda-cloud-serve` into the workflow: a [`ServeScenario`]
-//! describes an open-loop request stream (count, Poisson rate, seed),
-//! [`Workflow::serve_workload`] materializes it over the synthetic
-//! design pool, and [`Workflow::serve`] plays it through a
-//! [`eda_cloud_serve::Server`] whose planner is the workflow's own
-//! MCKP deployment planner ([`WorkflowPlanner`]) priced on the real
-//! instance catalog rather than the service's flat rate table.
+//! This wires `eda-cloud-serve` into the workflow: [`Workflow::serve`]
+//! materializes the caller's [`WorkloadConfig`] (count, Poisson rate,
+//! seed, request mix) over the synthetic design pool and plays it
+//! through a [`eda_cloud_serve::Server`] whose planner is the
+//! workflow's own MCKP deployment planner ([`WorkflowPlanner`]) priced
+//! on the real instance catalog rather than the service's flat rate
+//! table.
 
 use crate::predict::StagePredictors;
 use crate::{StageRuntimes, Workflow, WorkflowError};
 use eda_cloud_flow::StageKind;
 use eda_cloud_serve::{
     design_pool, synthetic_requests, ModelSnapshot, PlanSummary, Planner, RequestOutcome,
-    ServeConfig, ServeError, ServeReport, ServeRequest, Server, WorkloadConfig, VCPUS,
+    ServeConfig, ServeError, ServeReport, Server, WorkloadConfig, VCPUS,
 };
-
-/// An online-serving workload description: everything needed to
-/// regenerate the same request stream and report from a seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeScenario {
-    /// Number of requests in the stream.
-    pub requests: usize,
-    /// Mean arrival rate, requests per second (Poisson process).
-    pub rate_per_sec: f64,
-    /// Seed driving arrivals, design choice, deadlines, and kinds.
-    pub seed: u64,
-}
-
-impl ServeScenario {
-    /// A `requests`-request scenario at the default 200 req/s.
-    #[must_use]
-    pub fn new(requests: usize, seed: u64) -> Self {
-        Self { requests, rate_per_sec: 200.0, seed }
-    }
-
-    /// The serve-crate workload parameters this scenario expands to.
-    #[must_use]
-    pub fn workload_config(&self) -> WorkloadConfig {
-        WorkloadConfig {
-            requests: self.requests,
-            rate_per_sec: self.rate_per_sec,
-            seed: self.seed,
-            ..WorkloadConfig::default()
-        }
-    }
-}
 
 /// The workflow's deployment planner behind the serving API: predicted
 /// per-stage runtimes go through [`Workflow::plan_deployment`] — the
@@ -111,23 +80,17 @@ impl StagePredictors {
 }
 
 impl Workflow {
-    /// Materialize the scenario's request stream over the synthetic
-    /// design pool: seeded Poisson arrivals, uniform deadline windows,
-    /// and a seeded Predict/Plan mix. Deterministic per scenario.
-    #[must_use]
-    pub fn serve_workload(&self, scenario: &ServeScenario) -> Vec<ServeRequest> {
-        synthetic_requests(&design_pool(), &scenario.workload_config())
-    }
-
-    /// Serve the scenario's request stream against `snapshot` with the
-    /// workflow's catalog-backed planner under the caller's serving
-    /// knobs: the end-to-end materialize → serve → report pipeline for
-    /// the online tier.
+    /// Serve the workload's request stream — seeded Poisson arrivals
+    /// over the synthetic design pool, uniform deadline windows, a
+    /// seeded Predict/Plan mix — against `snapshot` with the workflow's
+    /// catalog-backed planner under the caller's serving knobs: the
+    /// end-to-end materialize → serve → report pipeline for the online
+    /// tier.
     ///
-    /// Same scenario, snapshot and `config`, same report — byte-identical
-    /// [`ServeReport::to_json`] output across runs and `config.workers`.
-    /// Serving counters are folded into the workflow's metrics under
-    /// `serve.*`.
+    /// Same workload, snapshot and `config`, same report —
+    /// byte-identical [`ServeReport::to_json`] output across runs and
+    /// `config.workers`. Serving counters are folded into the
+    /// workflow's metrics under `serve.*`.
     ///
     /// # Errors
     ///
@@ -137,28 +100,28 @@ impl Workflow {
     /// # Examples
     ///
     /// ```
-    /// use eda_cloud_core::{ServeScenario, Workflow};
+    /// use eda_cloud_core::Workflow;
     /// use eda_cloud_gcn::ModelConfig;
-    /// use eda_cloud_serve::{ModelSnapshot, ServeConfig};
+    /// use eda_cloud_serve::{ModelSnapshot, ServeConfig, WorkloadConfig};
     ///
     /// let workflow = Workflow::with_defaults();
     /// let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), 7);
-    /// let (report, outcomes) =
-    ///     workflow.serve(&ServeScenario::new(8, 7), &snapshot, ServeConfig::default())?;
+    /// let workload = WorkloadConfig { requests: 8, seed: 7, ..WorkloadConfig::default() };
+    /// let (report, outcomes) = workflow.serve(&workload, &snapshot, ServeConfig::default())?;
     /// assert_eq!(outcomes.len(), 8);
     /// assert_eq!(report.counters.requests, 8);
     /// # Ok::<(), eda_cloud_core::WorkflowError>(())
     /// ```
     pub fn serve(
         &self,
-        scenario: &ServeScenario,
+        workload: &WorkloadConfig,
         snapshot: &ModelSnapshot,
         config: ServeConfig,
     ) -> Result<(ServeReport, Vec<RequestOutcome>), WorkflowError> {
-        let requests = self.serve_workload(scenario);
+        let requests = synthetic_requests(&design_pool(), workload);
         let server = Server::new(snapshot.clone(), Box::new(WorkflowPlanner::new(self.clone())), config)
             .with_tracer(self.tracer().clone());
-        let (report, outcomes) = server.run(scenario.seed, &requests)?;
+        let (report, outcomes) = server.run(workload.seed, &requests)?;
         let m = self.metrics();
         m.add("serve.requests", report.counters.requests);
         m.add("serve.completed", report.counters.completed);
@@ -180,18 +143,22 @@ mod tests {
         ModelSnapshot::seeded(&ModelConfig::fast(), seed)
     }
 
+    fn workload(requests: usize, seed: u64) -> WorkloadConfig {
+        WorkloadConfig { requests, seed, ..WorkloadConfig::default() }
+    }
+
     #[test]
     fn serve_is_deterministic_and_worker_invariant() {
         let wf = Workflow::with_defaults();
         let snapshot = seeded_snapshot(7);
-        let scenario = ServeScenario::new(24, 7);
+        let workload = workload(24, 7);
         let with_workers = |workers| ServeConfig { workers, ..ServeConfig::default() };
         let (base, base_outcomes) =
-            wf.serve(&scenario, &snapshot, with_workers(1)).expect("serves");
+            wf.serve(&workload, &snapshot, with_workers(1)).expect("serves");
         assert_eq!(base.counters.requests, 24);
         for workers in [2usize, 8] {
             let (report, outcomes) =
-                wf.serve(&scenario, &snapshot, with_workers(workers)).expect("serves");
+                wf.serve(&workload, &snapshot, with_workers(workers)).expect("serves");
             assert_eq!(report.to_json(), base.to_json(), "workers {workers}");
             assert_eq!(outcomes, base_outcomes, "workers {workers}");
         }
@@ -238,7 +205,7 @@ mod tests {
         let via = reloaded.stage(0).predict_secs(&data.synthesis[0]);
         assert_eq!(direct[0].runtimes_secs, via);
         let (report, outcomes) =
-            wf.serve(&ServeScenario::new(8, 3), &snapshot, ServeConfig::default()).expect("serves");
+            wf.serve(&workload(8, 3), &snapshot, ServeConfig::default()).expect("serves");
         assert_eq!(outcomes.len(), 8);
         assert_eq!(report.counters.completed + report.counters.shed, 8);
     }
@@ -247,7 +214,7 @@ mod tests {
     fn serving_counters_fold_into_workflow_metrics() {
         let wf = Workflow::with_defaults().with_metrics(eda_cloud_trace::Metrics::new());
         let (report, _) = wf
-            .serve(&ServeScenario::new(10, 5), &seeded_snapshot(5), ServeConfig::default())
+            .serve(&workload(10, 5), &seeded_snapshot(5), ServeConfig::default())
             .expect("serves");
         assert_eq!(wf.metrics().counter("serve.requests"), 10);
         assert_eq!(wf.metrics().counter("serve.completed"), report.counters.completed);

@@ -42,9 +42,6 @@ pub struct RoutingResult {
     pub local_connections: usize,
     /// Connections spanning strips (routed in the serial phase).
     pub global_connections: usize,
-    /// Wall-clock seconds of the real threaded routing phase (measured,
-    /// not simulated; for the `fig3 --measured` ablation).
-    pub measured_wall_secs: f64,
 }
 
 /// The global-routing engine.
@@ -91,7 +88,7 @@ impl Router {
 
     /// Route the placed netlist for every context of a sweep: one
     /// result per context, in context order, each what [`Router::run`]
-    /// under that context returns (up to `measured_wall_secs`).
+    /// under that context returns.
     ///
     /// The machine reaches the algorithm only through the strip count —
     /// `threads`, capped by how many connections there are to share —
@@ -239,7 +236,6 @@ impl Router {
         // connections for the next round. This mirrors how production
         // parallel routers scale: the maze searches dominate and they
         // all run concurrently; only the merge/overflow scan is serial.
-        let wall_start = std::time::Instant::now();
         let mut state = GridState::new(grid, capacity);
         let mut paths: Vec<Vec<u32>> = vec![Vec::new(); connections.len()];
         let mut pending: Vec<usize> = (0..connections.len()).collect();
@@ -320,9 +316,6 @@ impl Router {
             }
         }
         drop(negotiate_span);
-        // Wall-clock stays out of the span tree: only logical counters
-        // go in, so the trace is byte-identical across machines.
-        let measured_wall_secs = wall_start.elapsed().as_secs_f64();
         probe.absorb(&worker_totals);
 
         let wirelength: u64 = paths.iter().map(|p| p.len() as u64).sum();
@@ -377,7 +370,6 @@ impl Router {
                     iterations,
                     local_connections,
                     global_connections,
-                    measured_wall_secs,
                 },
                 StageReport {
                     kind: StageKind::Routing,

@@ -38,18 +38,6 @@ fn report_bits(r: &StageReport) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// A routing result minus its measured (host) wall time.
-fn routing_fields(r: &RoutingResult) -> impl PartialEq + std::fmt::Debug {
-    (
-        r.grid,
-        r.wirelength,
-        r.overflowed_edges,
-        r.iterations,
-        r.local_connections,
-        r.global_connections,
-    )
-}
-
 /// Synthesis of `aig` as one sweep over `ctxs`, held to one run per
 /// context and to one `run_traced` recording replayed per context.
 fn assert_synthesis_sweep_equals_runs(
@@ -190,7 +178,7 @@ fn assert_flow_sweeps_equal_runs(netlist: &Netlist, ctxs: &[ExecContext], what: 
     );
     assert_eq!(swept.len(), ctxs.len(), "{what}");
     for (k, ((result, report), (single_result, single_report))) in swept.iter().zip(&singles).enumerate() {
-        assert_eq!(routing_fields(result), routing_fields(single_result), "{what}: routing result {k}");
+        assert_eq!(result, single_result, "{what}: routing result {k}");
         assert_eq!(report_bits(report), report_bits(single_report), "{what}: routing report {k}");
     }
     assert_eq!(sweep_trace, single_trace, "{what}: routing spans");

@@ -95,6 +95,28 @@ impl Default for LifecycleConfig {
 }
 
 impl LifecycleConfig {
+    /// A `requests`-request stream at `seed` with drift injected a third
+    /// of the way in and the stage fan-out at the machine's parallelism
+    /// (`workers` 0); every other knob keeps its default.
+    #[must_use]
+    pub fn new(requests: usize, seed: u64) -> Self {
+        Self {
+            requests,
+            seed,
+            workers: 0,
+            drift_at: requests as u64 / 3,
+            ..Self::default()
+        }
+    }
+
+    /// A copy of this configuration. Kept only because the e2e
+    /// `lifecycle_arc` workload still calls it through core's pinned
+    /// alias for this type; it goes with the alias.
+    #[must_use]
+    pub fn config(&self) -> Self {
+        self.clone()
+    }
+
     /// Check every knob is in range.
     ///
     /// # Errors

@@ -1,6 +1,7 @@
-//! End-to-end harness runs: clean seed-7 pass, fault-laden pass,
-//! worker-count byte-identity, and (behind the feature) the planted
-//! guardrail bug being caught and shrunk.
+//! End-to-end harness runs: clean seed-7 pass, fault-laden pass, and
+//! worker-count byte-identity. The planted guardrail bug is caught and
+//! shrunk in the workspace's `tests/simtest_service.rs`, the one test
+//! crate that enables its feature.
 
 use eda_cloud_simtest::{run_simtest, FaultEvent, FaultPlan, SimtestConfig};
 
@@ -124,55 +125,4 @@ fn reports_are_byte_identical_across_worker_counts() {
     }
     assert_eq!(renderings[0], renderings[1], "1 vs 2 workers");
     assert_eq!(renderings[0], renderings[2], "1 vs 8 workers");
-}
-
-#[cfg(feature = "planted-guardrail-bug")]
-mod planted {
-    use super::*;
-    use eda_cloud_simtest::shrink_plan;
-
-    /// The spike plus two decoy events the shrinker must discard.
-    fn buggy_plan() -> FaultPlan {
-        FaultPlan {
-            seed: 7,
-            events: vec![
-                FaultEvent::CacheWipe { ordinal: 3 },
-                FaultEvent::CanaryLatencySpike { ord_lo: 0, ord_hi: 159, spike_us: 10_000_000 },
-                FaultEvent::FeedbackDelay { ordinal: 50, extra_us: 500_000 },
-            ],
-        }
-    }
-
-    #[test]
-    fn planted_bug_is_caught_and_shrunk_to_the_spike() {
-        let config =
-            SimtestConfig { planted_guardrail_bug: true, ..SimtestConfig::default() };
-        let run = run_simtest(&config, &buggy_plan()).expect("harness runs");
-        assert!(
-            run.report.violations.iter().any(|v| v.checker == "guardrail_soundness"),
-            "the blinded guardrail must trip the soundness checker; got {:?}",
-            run.report.violations
-        );
-        let shrunk = shrink_plan(&config, &buggy_plan()).expect("plan fails, so it shrinks");
-        assert!(shrunk.events.len() <= 3, "minimal reproducer, got {:?}", shrunk.events);
-        assert!(
-            shrunk
-                .events
-                .iter()
-                .any(|e| matches!(e, FaultEvent::CanaryLatencySpike { .. })),
-            "the spike is the essential event: {:?}",
-            shrunk.events
-        );
-        // The reproducer replays the same violation from its JSON form.
-        let replayed = FaultPlan::from_json(&shrunk.to_json()).expect("reproducer round-trips");
-        let rerun = run_simtest(&config, &replayed).expect("harness runs");
-        assert!(rerun.report.violations.iter().any(|v| v.checker == "guardrail_soundness"));
-    }
-
-    #[test]
-    fn sound_controller_passes_the_same_plan() {
-        let config = SimtestConfig::default();
-        let run = run_simtest(&config, &buggy_plan()).expect("harness runs");
-        assert!(run.report.passed(), "violations: {:?}", run.report.violations);
-    }
 }

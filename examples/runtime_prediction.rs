@@ -8,8 +8,8 @@
 
 use eda_cloud::core::dataset::{DatasetBuilder, DatasetConfig};
 use eda_cloud::core::predict::StagePredictors;
-use eda_cloud::core::Workflow;
-use eda_cloud::flow::{ExecContext, Placer, Recipe, StageKind, Synthesizer};
+use eda_cloud::core::{CharacterizationConfig, Workflow};
+use eda_cloud::flow::{ExecContext, Recipe, StageKind, Synthesizer};
 use eda_cloud::gcn::{GraphSample, Trainer};
 use eda_cloud::netlist::{generators, DesignGraph};
 use std::error::Error;
@@ -48,10 +48,9 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 3. Predict a design the corpus has never seen: a comparator.
     let unseen = generators::comparator(12);
-    let ctx = ExecContext::with_vcpus(1);
     let (netlist, _) = Synthesizer::new()
         .with_verification(false)
-        .run(&unseen, &Recipe::balanced(), &ctx)?;
+        .run(&unseen, &Recipe::balanced(), &ExecContext::with_vcpus(1))?;
     let aig_sample = GraphSample::new(&DesignGraph::from_aig(&unseen), [1.0; 4]);
     let nl_sample = GraphSample::new(&DesignGraph::from_netlist(&netlist), [1.0; 4]);
     let predicted = predictors.predict_design(&aig_sample, &nl_sample);
@@ -68,16 +67,22 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // 4. Compare against ground truth (run the actual flow).
-    let (placement, place_rep) = Placer::new().run(&netlist, &ctx)?;
-    let (_, route_rep) =
-        eda_cloud::flow::Router::new().run(&netlist, &placement, &ctx)?;
-    println!(
-        "\nmeasured @1v: placement {:.3}s (predicted {:.3}s), routing {:.3}s (predicted {:.3}s)",
-        place_rep.runtime_secs,
-        predicted[1].runtimes_secs[0],
-        route_rep.runtime_secs,
-        predicted[2].runtimes_secs[0],
-    );
+    // 4. Compare against ground truth, labelled the way the corpus was:
+    //    each stage on its recommended instance family at the workflow's
+    //    per-stage work scale.
+    let truth = workflow.characterize_design(
+        &unseen,
+        &CharacterizationConfig { verify: false, ..CharacterizationConfig::paper() },
+    )?;
+    println!("\nmeasured vs predicted @1v:");
+    for sr in &predicted {
+        let measured = truth.stage(sr.kind).and_then(|s| s.at_vcpus(1)).ok_or("1-vCPU run")?;
+        println!(
+            "  {:<9} measured {:>8.3}s  predicted {:>8.3}s",
+            sr.kind.to_string(),
+            measured.report.runtime_secs,
+            sr.runtimes_secs[0],
+        );
+    }
     Ok(())
 }

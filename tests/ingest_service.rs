@@ -11,11 +11,13 @@
 //! carries, and arbitrarily mutated fixture bytes produce a typed
 //! outcome, never a panic.
 
-use eda_cloud::core::{IngestScenario, Workflow};
+use eda_cloud::core::Workflow;
 use eda_cloud::gcn::ModelConfig;
 use eda_cloud::ingest::{fixtures, FrontDoor, FrontDoorConfig, IngestError};
 use eda_cloud::netlist::formats::{write_blif, write_verilog};
-use eda_cloud::serve::{IngestOutcome, Ingestor, ModelSnapshot, UploadDoc};
+use eda_cloud::serve::{
+    IngestOutcome, Ingestor, ModelSnapshot, ServeConfig, UploadDoc, WorkloadConfig,
+};
 use eda_cloud::tech::Library;
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -36,15 +38,22 @@ fn seeded_snapshot(seed: u64) -> ModelSnapshot {
     ModelSnapshot::seeded(&ModelConfig::fast(), seed)
 }
 
+/// The `ingest` bin's stream shape: a 1-in-3 upload mix.
+fn workload(requests: usize, seed: u64) -> WorkloadConfig {
+    WorkloadConfig { requests, seed, ingest_every: 3, ..WorkloadConfig::default() }
+}
+
 #[test]
 fn same_seed_runs_are_byte_identical() {
-    let scenario = IngestScenario::new(32, 42);
+    let workload = workload(32, 42);
     let snapshot = seeded_snapshot(42);
     let workflow = Workflow::with_defaults();
-    let (a, a_out) =
-        workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
-    let (b, b_out) =
-        workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
+    let run = || {
+        workflow
+            .ingest(&workload, &snapshot, ServeConfig::default(), &fixtures::uploads())
+            .expect("ingest run")
+    };
+    let ((a, a_out), (b, b_out)) = (run(), run());
     assert_eq!(a.to_json(), b.to_json(), "same seed must replay exactly");
     assert_eq!(a_out, b_out);
 }
@@ -52,15 +61,15 @@ fn same_seed_runs_are_byte_identical() {
 #[test]
 fn worker_count_cannot_change_the_report() {
     let snapshot = seeded_snapshot(9);
-    let mut scenario = IngestScenario::new(24, 9);
-    scenario.workers = 1;
+    let workload = workload(24, 9);
     let workflow = Workflow::with_defaults();
-    let (serial, serial_out) =
-        workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
+    let run = |workers| {
+        let config = ServeConfig { workers, ..ServeConfig::default() };
+        workflow.ingest(&workload, &snapshot, config, &fixtures::uploads()).expect("ingest run")
+    };
+    let (serial, serial_out) = run(1);
     for workers in [2usize, 8] {
-        scenario.workers = workers;
-        let (parallel, parallel_out) =
-            workflow.ingest(&scenario, &snapshot, &fixtures::uploads()).expect("ingest run");
+        let (parallel, parallel_out) = run(workers);
         assert_eq!(
             serial.to_json(),
             parallel.to_json(),
@@ -181,16 +190,15 @@ proptest! {
 
 /// Golden report for the CI smoke scenario
 /// (`ingest --requests 64 --seed 7 --json`). The run is a pure
-/// function of the scenario, the fixture corpus, and the snapshot —
+/// function of the workload, the fixture corpus, and the snapshot —
 /// independent of worker count, build profile, and platform — so the
 /// comparison is byte for byte. Regenerate with
 /// `UPDATE_GOLDEN=1 cargo test --test ingest_service` if a deliberate
 /// engine or parser change shifts it.
 #[test]
 fn golden_report_for_seed_7() {
-    let scenario = IngestScenario::new(64, 7);
     let (report, _) = Workflow::with_defaults()
-        .ingest(&scenario, &seeded_snapshot(7), &fixtures::uploads())
+        .ingest(&workload(64, 7), &seeded_snapshot(7), ServeConfig::default(), &fixtures::uploads())
         .expect("ingest run");
     common::assert_golden(&report.to_json(), "golden/ingest_report.json");
 }

@@ -4,10 +4,40 @@
 //! pinned against a checked-in report, and the promoted model beats
 //! the frozen baseline on every stage of the post-rollout traffic.
 
-use eda_cloud::core::{LifecycleScenario, Workflow};
+use eda_cloud::core::Workflow;
 use eda_cloud::lifecycle::{LifecycleConfig, LifecycleController, LifecycleReport};
 
 mod common;
+
+/// `LifecycleConfig::new` spelled out field by field: drift a third of
+/// the way in, automatic fan-out, every other knob at its default.
+fn spelled_out(requests: usize, seed: u64, drift_at: u64) -> LifecycleConfig {
+    LifecycleConfig {
+        requests,
+        rate_per_sec: 200.0,
+        seed,
+        workers: 0,
+        drift_at,
+        drift_factor: 2.2,
+        cache_capacity: 32,
+        per_miss_us: 1_000,
+        per_hit_us: 50,
+        bootstrap_epochs: 40,
+        retrain_epochs: 60,
+        learning_rate: 3e-3,
+        min_retrain: 12,
+        calibration: 24,
+        canary_every: 4,
+        canary_min: 8,
+        promote_max_error_pct: 90,
+    }
+}
+
+#[test]
+fn new_expands_to_every_field_of_the_bin_arc() {
+    assert_eq!(LifecycleConfig::new(320, 7), spelled_out(320, 7, 106));
+    assert_eq!(LifecycleConfig::new(160, 11), spelled_out(160, 11, 53));
+}
 
 /// A trimmed-down arc (smaller stream, fewer epochs) for the replay
 /// tests: still detects, retrains, and resolves a canary — cheap
@@ -58,15 +88,14 @@ fn worker_count_cannot_change_the_report() {
 
 /// Golden report for the CI lifecycle scenario
 /// (`lifecycle --requests 320 --seed 7 --json`). The controller's
-/// output is a pure function of the scenario — independent of worker
+/// output is a pure function of its config — independent of worker
 /// count, build profile, and platform — so the comparison is byte for
 /// byte. Regenerate with `UPDATE_GOLDEN=1 cargo test --test
 /// lifecycle_service` if a deliberate change shifts it.
 #[test]
 fn golden_report_for_seed_7() {
     let workflow = Workflow::with_defaults();
-    let scenario = LifecycleScenario::new(320, 7);
-    let (report, _) = workflow.lifecycle(&scenario).expect("lifecycle run");
+    let (report, _) = workflow.lifecycle(&LifecycleConfig::new(320, 7)).expect("lifecycle run");
     common::assert_golden(&report.to_json(), "golden/lifecycle_report.json");
 
     // The golden arc walks detect → retrain → canary → promote...

@@ -20,12 +20,12 @@
 //! ordinal tie-break, first-come shedding at capacity, and urgency under
 //! interleaved admits and pops.
 
-use eda_cloud::core::{ServeScenario, Workflow, WorkflowPlanner};
+use eda_cloud::core::{Workflow, WorkflowPlanner};
 use eda_cloud::gcn::{GraphBatch, GraphSample, ModelConfig, QuantizedPredictor, RuntimePredictor};
 use eda_cloud::netlist::{generators, DesignGraph};
 use eda_cloud::serve::{
-    AdmissionQueue, ModelSnapshot, RequestKind, RequestOutcome, ServeConfig, ServeDesign,
-    ServeError, ServeReport, ServeRequest, Server,
+    design_pool, synthetic_requests, AdmissionQueue, ModelSnapshot, RequestKind, RequestOutcome,
+    ServeConfig, ServeDesign, ServeError, ServeReport, ServeRequest, Server, WorkloadConfig,
 };
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -37,26 +37,30 @@ fn seeded_snapshot(seed: u64) -> ModelSnapshot {
     ModelSnapshot::seeded(&ModelConfig::fast(), seed)
 }
 
+fn workload(requests: usize, seed: u64) -> WorkloadConfig {
+    WorkloadConfig { requests, seed, ..WorkloadConfig::default() }
+}
+
 fn run_with(
-    scenario: &ServeScenario,
+    workload: &WorkloadConfig,
     snapshot: &ModelSnapshot,
     config: ServeConfig,
 ) -> (ServeReport, Vec<RequestOutcome>) {
     Workflow::with_defaults()
-        .serve(scenario, snapshot, config)
+        .serve(workload, snapshot, config)
         .expect("serving run")
 }
 
-fn run(scenario: &ServeScenario, snapshot: &ModelSnapshot) -> (ServeReport, Vec<RequestOutcome>) {
-    run_with(scenario, snapshot, ServeConfig::default())
+fn run(workload: &WorkloadConfig, snapshot: &ModelSnapshot) -> (ServeReport, Vec<RequestOutcome>) {
+    run_with(workload, snapshot, ServeConfig::default())
 }
 
 #[test]
 fn same_seed_reports_are_byte_identical() {
-    let scenario = ServeScenario::new(32, 42);
+    let workload = workload(32, 42);
     let snapshot = seeded_snapshot(42);
-    let (a, a_out) = run(&scenario, &snapshot);
-    let (b, b_out) = run(&scenario, &snapshot);
+    let (a, a_out) = run(&workload, &snapshot);
+    let (b, b_out) = run(&workload, &snapshot);
     assert_eq!(a.to_json(), b.to_json(), "same seed must replay exactly");
     assert_eq!(a_out, b_out);
 }
@@ -64,11 +68,11 @@ fn same_seed_reports_are_byte_identical() {
 #[test]
 fn inference_worker_count_cannot_change_the_report() {
     let snapshot = seeded_snapshot(9);
-    let scenario = ServeScenario::new(24, 9);
+    let workload = workload(24, 9);
     let with_workers = |workers| ServeConfig { workers, ..ServeConfig::default() };
-    let (serial, serial_out) = run_with(&scenario, &snapshot, with_workers(1));
+    let (serial, serial_out) = run_with(&workload, &snapshot, with_workers(1));
     for workers in [2usize, 8] {
-        let (parallel, parallel_out) = run_with(&scenario, &snapshot, with_workers(workers));
+        let (parallel, parallel_out) = run_with(&workload, &snapshot, with_workers(workers));
         assert_eq!(
             serial.to_json(),
             parallel.to_json(),
@@ -80,11 +84,11 @@ fn inference_worker_count_cannot_change_the_report() {
 
 #[test]
 fn snapshot_text_round_trip_preserves_the_report() {
-    let scenario = ServeScenario::new(24, 5);
+    let workload = workload(24, 5);
     let snapshot = seeded_snapshot(5);
     let reloaded = ModelSnapshot::from_text(&snapshot.to_text()).expect("canonical text parses");
-    let (original, _) = run(&scenario, &snapshot);
-    let (roundtrip, _) = run(&scenario, &reloaded);
+    let (original, _) = run(&workload, &snapshot);
+    let (roundtrip, _) = run(&workload, &reloaded);
     assert_eq!(
         original.to_json(),
         roundtrip.to_json(),
@@ -94,10 +98,9 @@ fn snapshot_text_round_trip_preserves_the_report() {
 
 #[test]
 fn overload_sheds_requests_instead_of_stalling() {
-    let mut scenario = ServeScenario::new(128, 7);
-    scenario.rate_per_sec = 5_000.0;
+    let workload = WorkloadConfig { rate_per_sec: 5_000.0, ..workload(128, 7) };
     let workflow = Workflow::with_defaults();
-    let requests = workflow.serve_workload(&scenario);
+    let requests = synthetic_requests(&design_pool(), &workload);
     let config = ServeConfig {
         max_batch: 4,
         queue_capacity: 8,
@@ -108,7 +111,7 @@ fn overload_sheds_requests_instead_of_stalling() {
         Box::new(WorkflowPlanner::new(workflow.clone())),
         config,
     );
-    let (report, outcomes) = server.run(scenario.seed, &requests).expect("overloaded run");
+    let (report, outcomes) = server.run(workload.seed, &requests).expect("overloaded run");
     assert!(report.counters.shed > 0, "burst must shed load");
     assert_eq!(
         report.counters.shed + report.counters.completed,
@@ -122,14 +125,13 @@ fn overload_sheds_requests_instead_of_stalling() {
 
 /// Golden report for the CI smoke scenario
 /// (`serve --requests 64 --seed 7 --json`). The serving tier's output
-/// is a pure function of the scenario and the snapshot — independent
+/// is a pure function of the workload and the snapshot — independent
 /// of worker count, build profile, and platform — so the comparison is
 /// byte for byte. Regenerate with `UPDATE_GOLDEN=1 cargo test --test
 /// serve_service` if a deliberate engine change shifts it.
 #[test]
 fn golden_report_for_seed_7() {
-    let scenario = ServeScenario::new(64, 7);
-    let (report, _) = run(&scenario, &seeded_snapshot(7));
+    let (report, _) = run(&workload(64, 7), &seeded_snapshot(7));
     common::assert_golden(&report.to_json(), "golden/serve_report.json");
 }
 

@@ -9,31 +9,49 @@
 //! it via a dev-dependency, so production builds never compile the
 //! faulty path.
 
-use eda_cloud::core::{SimtestScenario, Workflow};
+use eda_cloud::core::Workflow;
 use eda_cloud::simtest::{run_simtest, shrink_plan, FaultEvent, FaultPlan, SimtestConfig};
 
 mod common;
 
+/// The CI smoke scenario's plan: six faults drawn from seed 7.
+fn seed_7_plan() -> FaultPlan {
+    FaultPlan::generate(7, 6)
+}
+
 /// Golden report for the CI smoke scenario (`simtest --seed 7 --faults
 /// 6 --json`). The harness is deterministic in simulated time, so the
-/// report is a pure function of the scenario — independent of worker
+/// report is a pure function of config and plan — independent of worker
 /// count, build profile, and platform. Regenerate with
 /// `UPDATE_GOLDEN=1 cargo test --test simtest_service` if a deliberate
 /// change shifts it.
 #[test]
 fn golden_report_for_seed_7() {
     let workflow = Workflow::with_defaults();
-    let report = workflow.simtest(&SimtestScenario::new(7, 6)).expect("simtest run");
+    let report = workflow.simtest(&SimtestConfig::new(7), &seed_7_plan()).expect("simtest run");
     assert!(report.passed(), "seed-7 violations: {:?}", report.violations);
     assert!(report.fault_spans > 0, "the generated plan injects observable faults");
     common::assert_golden(&report.to_json(), "golden/simtest_report.json");
+}
+
+/// The `simtest --plan FILE` path: the same plan read back from its JSON
+/// form goes through `Workflow::simtest` like a generated one, so it
+/// renders the golden report and records the `simtest.*` counters.
+#[test]
+fn a_replayed_plan_renders_the_golden_and_records_metrics() {
+    let replayed = FaultPlan::from_json(&seed_7_plan().to_json()).expect("plan round-trips");
+    let workflow = Workflow::with_defaults().with_metrics(eda_cloud::trace::Metrics::new());
+    let report = workflow.simtest(&SimtestConfig::new(7), &replayed).expect("simtest run");
+    common::assert_golden(&report.to_json(), "golden/simtest_report.json");
+    assert_eq!(workflow.metrics().counter("simtest.fault_events"), 6);
+    assert_eq!(workflow.metrics().counter("simtest.fault_spans"), report.fault_spans);
 }
 
 #[test]
 fn instrumented_workflow_exports_the_fault_span_tree() {
     let tracer = eda_cloud::trace::Tracer::new();
     let workflow = Workflow::with_defaults().with_tracer(tracer.clone());
-    let report = workflow.simtest(&SimtestScenario::new(7, 6)).expect("simtest run");
+    let report = workflow.simtest(&SimtestConfig::new(7), &seed_7_plan()).expect("simtest run");
     let trace = tracer.drain();
     let fault_spans = trace
         .records()
@@ -51,13 +69,13 @@ fn instrumented_workflow_exports_the_fault_span_tree() {
 
 #[test]
 fn workflow_reports_are_byte_identical_across_worker_counts() {
-    let serial = Workflow::with_defaults()
-        .simtest(&SimtestScenario::new(7, 6))
-        .expect("simtest run")
-        .to_json();
+    let run = |workers| {
+        let config = SimtestConfig { workers, ..SimtestConfig::new(7) };
+        Workflow::with_defaults().simtest(&config, &seed_7_plan()).expect("simtest run")
+    };
+    let serial = run(1).to_json();
     for workers in [2usize, 8] {
-        let scenario = SimtestScenario { workers, ..SimtestScenario::new(7, 6) };
-        let parallel = Workflow::with_defaults().simtest(&scenario).expect("simtest run");
+        let parallel = run(workers);
         assert_eq!(serial, parallel.to_json(), "fan-out must be invisible ({workers} workers)");
     }
 }
