@@ -1,29 +1,30 @@
-//! Micro-batched inference: pack several graph samples into one padded
-//! block-diagonal batch and run the GCN forward pass once.
+//! Micro-batched inference: pack several graph samples into padded
+//! block-diagonal chunks and run the GCN forward pass once per chunk.
 //!
-//! The per-sample forward pass pays its fixed costs — layer dispatch,
-//! output-matrix allocation, the 1-row dense layers — once per graph.
-//! A [`GraphBatch`] concatenates the node-feature matrices of `B`
-//! graphs into one tall matrix, places their adjacencies on the
-//! diagonal of one sparse operator (optionally padded to a row stride),
-//! and lets [`crate::RuntimePredictor::predict_log_batch`] push all `B`
-//! graphs through the GCN stack in a single pass, pooling each graph's
-//! row segment separately and running the dense layers on a `B`-row
-//! matrix.
+//! A [`GraphBatch`] concatenates the node-feature matrices of
+//! consecutive graphs into one tall matrix per chunk and places their
+//! adjacencies on the diagonal of one sparse operator (optionally
+//! padded to a row stride). [`crate::RuntimePredictor::predict_log_batch`]
+//! pushes each chunk through the GCN stack, pools each graph's row
+//! segment separately and runs the dense layers once on a `B`-row
+//! matrix, so layer dispatch and the 1-row dense products are paid per
+//! chunk rather than per graph.
 //!
-//! Because the blocks are disjoint, every per-row accumulation happens
-//! in exactly the order the unbatched pass uses, so batched predictions
-//! are **bit-identical** to one-at-a-time predictions — batching is a
-//! pure throughput optimization, invisible to every downstream
-//! consumer (verified by `batched_equals_sequential` below).
+//! One-at-a-time prediction is the same body: `predict_log` hands it
+//! the sample's own adjacency and features, borrowed, as one chunk with
+//! one segment. Because the blocks are disjoint, every per-row
+//! accumulation of a packed chunk happens in exactly the order of that
+//! one-sample chunk, so batched predictions are **bit-identical** to
+//! one-at-a-time predictions — batching is a pure throughput
+//! optimization, invisible to every downstream consumer (verified by
+//! `batched_equals_sequential` below, and against an independent naive
+//! forward pass by the crate's oracle).
 //!
-//! Internally the batch is split into cache-sized chunks (block
-//! diagonality makes any row partition along segment boundaries exact,
-//! not approximate): one giant activation matrix would stream
-//! megabytes through every layer, evicting itself between operations,
-//! while chunk activations stay L1/L2-resident like the per-sample
-//! path — without paying the per-sample dispatch and allocation costs
-//! batching exists to amortize.
+//! Chunks are cache-sized (block diagonality makes any row partition
+//! along segment boundaries exact, not approximate): one giant
+//! activation matrix would stream megabytes through every layer,
+//! evicting itself between operations, and the chunk target bounds the
+//! size of the thread's forward scratch.
 
 use crate::{GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;

@@ -103,7 +103,8 @@ mod tests {
         // Multiply Ā by a column of ones: every row with fanins sums
         // to exactly 1 (mean aggregation), sources to 0.
         let ones = Matrix::from_vec(s.node_count(), 1, vec![1.0; s.node_count()]);
-        let sums = s.a_norm.matmul(&ones);
+        let mut sums = Matrix::zeros(0, 0);
+        s.a_norm.matmul_into(&ones, &mut sums).expect("shapes agree");
         for r in 0..s.node_count() {
             let v = sums.get(r, 0);
             assert!(

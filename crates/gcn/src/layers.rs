@@ -1,16 +1,14 @@
-//! Network layers with manual backpropagation.
+//! Network layers with manual backpropagation: one `forward_into` and
+//! one `backward_into` per layer, over caller-owned buffers.
 
 use crate::{GcnError, Matrix, SparseMatrix};
 use rand::Rng;
 
-/// Temporaries of the layers' training forms (`forward_into` /
-/// `backward_into`). One instance serves every layer of a model: each
-/// call overwrites what it uses before reading it, so a warm training
-/// loop allocates nothing.
+/// Temporaries of the layers' passes (`forward_into` / `backward_into`).
+/// One instance serves every layer of a model: each call overwrites what
+/// it uses before reading it, so a warm loop allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
-    /// `dZ`, the upstream gradient masked by the ReLU.
-    dz: Matrix,
     /// A weight matrix transposed for one `dZ·Wᵀ` product.
     transposed: Matrix,
     /// The second operand of a sum of two products (`H·B`, `dZ·Wᵀ`,
@@ -33,41 +31,21 @@ pub struct GcnLayer {
     pub b: Matrix,
 }
 
-/// One GCN layer's caller-owned training buffers, kept across steps.
-/// `GcnLayer::forward_into` fills the first three; whoever consumes
+/// One GCN layer's caller-owned buffers, kept across calls.
+/// `GcnLayer::forward_into` fills the first two; whoever consumes
 /// `output` writes the loss gradient with respect to it into
-/// `grad_output`; `GcnLayer::backward_into` reads all four and leaves
-/// the parameter gradients in `grads`. The layer *input* is not here:
-/// it stays borrowed (the layer below's `output`, or the sample's
+/// `grad_output`; `GcnLayer::backward_into` reads all three and leaves
+/// the parameter gradients in `dw` and `db`. The layer *input* is not
+/// here: it stays borrowed (the layer below's `output`, or the sample's
 /// features) instead of being copied.
 #[derive(Debug, Clone, Default)]
 pub struct GcnBuffers {
     /// Aggregated input `Ā·H`.
     pub aggregated: Matrix,
-    /// Pre-activation `Z`.
-    pub pre_activation: Matrix,
-    /// Activations `H' = ReLU(Z)`.
+    /// Activations `H' = ReLU(Z)`; the backward pass masks on them.
     pub output: Matrix,
-    /// `∂L/∂H'`.
+    /// `∂L/∂H'`, masked in place into `∂L/∂Z` by the backward pass.
     pub grad_output: Matrix,
-    /// `∂L/∂W` and `∂L/∂B`.
-    pub grads: GcnGrads,
-}
-
-/// Cached forward state needed by the backward pass.
-#[derive(Debug, Clone)]
-pub struct GcnCache {
-    /// Input activations `H`.
-    pub input: Matrix,
-    /// Aggregated input `Ā·H`.
-    pub aggregated: Matrix,
-    /// Pre-activation `Z`.
-    pub pre_activation: Matrix,
-}
-
-/// Parameter gradients of one GCN layer.
-#[derive(Debug, Clone, Default)]
-pub struct GcnGrads {
     /// `∂L/∂W`.
     pub dw: Matrix,
     /// `∂L/∂B`.
@@ -84,36 +62,20 @@ impl GcnLayer {
         }
     }
 
-    /// Forward pass; returns activations and the cache for backward.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch or corrupt adjacency.
-    #[must_use]
-    pub fn forward(&self, a_norm: &SparseMatrix, input: &Matrix) -> (Matrix, GcnCache) {
-        let mut buffers = GcnBuffers::default();
-        self.forward_into(a_norm, input, &mut buffers, &mut LayerScratch::default())
-            .unwrap_or_else(|e| panic!("{e}"));
-        (
-            buffers.output,
-            GcnCache {
-                input: input.clone(),
-                aggregated: buffers.aggregated,
-                pre_activation: buffers.pre_activation,
-            },
-        )
-    }
-
-    /// [`GcnLayer::forward`] into caller-owned buffers: `buffers`
-    /// receives the aggregate, the pre-activation and the activations,
-    /// and `input` is only borrowed.
+    /// Forward pass into caller-owned buffers: `buffers` receives the
+    /// aggregate `Ā·H` and the activations `ReLU(Ā·H·W + H·B)`, and
+    /// `input` is only borrowed.
     ///
     /// # Errors
     ///
     /// Propagates the adjacency kernel's typed errors (see
     /// [`SparseMatrix::matmul_into`]); the buffers hold unspecified
     /// partial products after an error.
-    pub(crate) fn forward_into(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` and the weights disagree in width.
+    pub fn forward_into(
         &self,
         a_norm: &SparseMatrix,
         input: &Matrix,
@@ -121,63 +83,19 @@ impl GcnLayer {
         work: &mut LayerScratch,
     ) -> Result<(), GcnError> {
         a_norm.matmul_into(input, &mut buffers.aggregated)?;
-        buffers.aggregated.matmul_into(&self.w, &mut buffers.pre_activation);
+        buffers.aggregated.matmul_into(&self.w, &mut buffers.output);
         input.matmul_into(&self.b, &mut work.product);
-        buffers.pre_activation.add_assign(&work.product);
-        buffers.pre_activation.relu_into(&mut buffers.output);
+        buffers.output.add_assign(&work.product);
+        buffers.output.relu_in_place();
         Ok(())
     }
 
-    /// Inference-only forward: the same arithmetic as
-    /// [`GcnLayer::forward`] — bit-identical output — without
-    /// materializing the backward caches. Serving runs batches of
-    /// thousands of node rows, where the cache clones triple the
-    /// memory traffic for state inference never reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch or corrupt adjacency.
-    #[must_use]
-    pub fn infer(&self, a_norm: &SparseMatrix, input: &Matrix) -> Matrix {
-        let mut out = a_norm.matmul(input).matmul(&self.w);
-        out.add_assign(&input.matmul(&self.b));
-        out.relu_in_place();
-        out
-    }
-
-    /// Backward pass: given `∂L/∂H'`, produce parameter gradients and
-    /// `∂L/∂H` for the upstream layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch or corrupt adjacency.
-    #[must_use]
-    pub fn backward(
-        &self,
-        a_norm: &SparseMatrix,
-        cache: &GcnCache,
-        grad_out: &Matrix,
-    ) -> (GcnGrads, Matrix) {
-        let mut buffers = GcnBuffers {
-            aggregated: cache.aggregated.clone(),
-            pre_activation: cache.pre_activation.clone(),
-            grad_output: grad_out.clone(),
-            ..GcnBuffers::default()
-        };
-        let mut dinput = Matrix::zeros(0, 0);
-        let work = &mut LayerScratch::default();
-        self.backward_into(a_norm, &cache.input, &mut buffers, work, Some(&mut dinput))
-            .unwrap_or_else(|e| panic!("{e}"));
-        (buffers.grads, dinput)
-    }
-
-    /// [`GcnLayer::backward`] into caller-owned buffers. `input` is the
-    /// matrix the forward pass borrowed, `buffers` holds what it
-    /// recorded plus `grad_output`, and receives `grads`. The input
-    /// gradient `∂L/∂H = Āᵀ·(dZ·Wᵀ) + dZ·Bᵀ` — two dense products, a
-    /// transposed aggregation and a sum — is computed only when
-    /// `dinput` is `Some`: the first layer of a stack has nobody
-    /// upstream to hand it to.
+    /// Backward pass into caller-owned buffers. `input` is the matrix
+    /// the forward pass borrowed, `buffers` holds what it recorded plus
+    /// `grad_output`, and receives `dw` and `db`. The input gradient
+    /// `∂L/∂H = Āᵀ·(dZ·Wᵀ) + dZ·Bᵀ` — two dense products, a transposed
+    /// aggregation and a sum — is computed only when `dinput` is `Some`:
+    /// the first layer of a stack has nobody upstream to hand it to.
     ///
     /// # Errors
     ///
@@ -187,7 +105,7 @@ impl GcnLayer {
     /// # Panics
     ///
     /// Panics if `input` and the buffers disagree in shape.
-    pub(crate) fn backward_into(
+    pub fn backward_into(
         &self,
         a_norm: &SparseMatrix,
         input: &Matrix,
@@ -195,18 +113,17 @@ impl GcnLayer {
         work: &mut LayerScratch,
         dinput: Option<&mut Matrix>,
     ) -> Result<(), GcnError> {
-        buffers
-            .grad_output
-            .relu_backward_into(&buffers.pre_activation, &mut work.dz);
-        buffers.aggregated.matmul_tn_into(&work.dz, &mut buffers.grads.dw);
-        input.matmul_tn_into(&work.dz, &mut buffers.grads.db);
+        let dz = &mut buffers.grad_output;
+        dz.relu_mask(&buffers.output);
+        buffers.aggregated.matmul_tn_into(dz, &mut buffers.dw);
+        input.matmul_tn_into(dz, &mut buffers.db);
         if let Some(dinput) = dinput {
             // dH = Āᵀ (dZ Wᵀ) + dZ Bᵀ
             self.w.transpose_into(&mut work.transposed);
-            work.dz.matmul_into(&work.transposed, &mut work.product);
+            dz.matmul_into(&work.transposed, &mut work.product);
             a_norm.matmul_transposed_into(&work.product, dinput)?;
             self.b.transpose_into(&mut work.transposed);
-            work.dz.matmul_into(&work.transposed, &mut work.product);
+            dz.matmul_into(&work.transposed, &mut work.product);
             dinput.add_assign(&work.product);
         }
         Ok(())
@@ -221,13 +138,6 @@ pub struct DenseLayer {
     pub w: Matrix,
     /// Bias (`1 x out`).
     pub bias: Matrix,
-}
-
-/// Cached forward state of a dense layer.
-#[derive(Debug, Clone)]
-pub struct DenseCache {
-    /// Layer input.
-    pub input: Matrix,
 }
 
 /// Parameter gradients of a dense layer.
@@ -249,29 +159,9 @@ impl DenseLayer {
         }
     }
 
-    /// Forward pass (`rows` of `input` are independent samples).
-    #[must_use]
-    pub fn forward(&self, input: &Matrix) -> (Matrix, DenseCache) {
-        (
-            self.infer(input),
-            DenseCache {
-                input: input.clone(),
-            },
-        )
-    }
-
-    /// Inference-only forward, bit-identical to [`DenseLayer::forward`]
-    /// without cloning the input for a backward pass.
-    #[must_use]
-    pub fn infer(&self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    /// [`DenseLayer::infer`] into a caller-owned buffer. Nothing is
-    /// recorded: the backward pass reads only the layer input, which
-    /// the caller still holds.
+    /// Forward pass into a caller-owned buffer (`rows` of `input` are
+    /// independent samples). Nothing is recorded: the backward pass
+    /// reads only the layer input, which the caller still holds.
     ///
     /// # Panics
     ///
@@ -289,25 +179,10 @@ impl DenseLayer {
         }
     }
 
-    /// Backward pass: returns gradients and `∂L/∂input`.
-    #[must_use]
-    pub fn backward(&self, cache: &DenseCache, grad_out: &Matrix) -> (DenseGrads, Matrix) {
-        let mut grads = DenseGrads::default();
-        let mut dinput = Matrix::zeros(0, 0);
-        self.backward_into(
-            &cache.input,
-            grad_out,
-            &mut LayerScratch::default(),
-            &mut grads,
-            Some(&mut dinput),
-        );
-        (grads, dinput)
-    }
-
-    /// [`DenseLayer::backward`] into caller-owned buffers; `input` is
-    /// the matrix the forward pass was given. `∂L/∂input = dY·Wᵀ` is
-    /// computed only when `dinput` is `Some` — a layer fed by data
-    /// rather than by another layer has no use for it.
+    /// Backward pass into caller-owned buffers; `input` is the matrix
+    /// the forward pass was given. `∂L/∂input = dY·Wᵀ` is computed only
+    /// when `dinput` is `Some` — a layer fed by data rather than by
+    /// another layer has no use for it.
     ///
     /// # Panics
     ///
@@ -340,6 +215,45 @@ mod tests {
         SparseMatrix::from_triplets(3, 3, &[(2, 0, 0.5), (2, 1, 0.5)])
     }
 
+    fn gcn_forward(layer: &GcnLayer, a: &SparseMatrix, x: &Matrix) -> GcnBuffers {
+        let mut buffers = GcnBuffers::default();
+        layer
+            .forward_into(a, x, &mut buffers, &mut LayerScratch::default())
+            .expect("shapes agree");
+        buffers
+    }
+
+    /// Parameter and input gradients of `loss = Σ outputs`.
+    fn gcn_backward(layer: &GcnLayer, a: &SparseMatrix, x: &Matrix) -> (GcnBuffers, Matrix) {
+        let mut buffers = gcn_forward(layer, a, x);
+        let (rows, cols) = (buffers.output.rows(), buffers.output.cols());
+        buffers.grad_output = Matrix::from_vec(rows, cols, vec![1.0; rows * cols]);
+        let mut dx = Matrix::zeros(0, 0);
+        layer
+            .backward_into(a, x, &mut buffers, &mut LayerScratch::default(), Some(&mut dx))
+            .expect("shapes agree");
+        (buffers, dx)
+    }
+
+    fn dense_forward(layer: &DenseLayer, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        layer.forward_into(x, &mut out);
+        out
+    }
+
+    /// Parameter and input gradients of `loss = Σ outputs`.
+    fn dense_backward(layer: &DenseLayer, x: &Matrix) -> (DenseGrads, Matrix) {
+        let cols = layer.w.cols();
+        let ones = Matrix::from_vec(x.rows(), cols, vec![1.0; x.rows() * cols]);
+        let (mut grads, mut dx) = (DenseGrads::default(), Matrix::zeros(0, 0));
+        layer.backward_into(x, &ones, &mut LayerScratch::default(), &mut grads, Some(&mut dx));
+        (grads, dx)
+    }
+
+    fn sum(m: &Matrix) -> f64 {
+        m.data().iter().sum()
+    }
+
     #[test]
     fn gcn_forward_aggregates_neighbors() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -348,7 +262,7 @@ mod tests {
         layer.w = Matrix::from_rows(&[&[1.0]]);
         layer.b = Matrix::from_rows(&[&[0.0]]);
         let x = Matrix::from_rows(&[&[2.0], &[4.0], &[100.0]]);
-        let (out, _) = layer.forward(&tiny_graph(), &x);
+        let out = gcn_forward(&layer, &tiny_graph(), &x).output;
         // Node 2 receives mean(2, 4) = 3; nodes 0, 1 have no fanins.
         assert_eq!(out.get(2, 0), 3.0);
         assert_eq!(out.get(0, 0), 0.0);
@@ -362,14 +276,8 @@ mod tests {
         let layer = GcnLayer::new(2, 2, &mut rng);
         let a = tiny_graph();
         let x = Matrix::from_rows(&[&[0.5, -1.0], &[1.5, 0.3], &[-0.2, 0.8]]);
-        // Loss = sum of outputs (grad_out = ones).
-        let loss = |l: &GcnLayer| -> f64 {
-            let (out, _) = l.forward(&a, &x);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&a, &x);
-        let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        let (grads, _) = layer.backward(&a, &cache, &ones);
+        let loss = |l: &GcnLayer| sum(&gcn_forward(l, &a, &x).output);
+        let (grads, _) = gcn_backward(&layer, &a, &x);
 
         let eps = 1e-6;
         for (pick_grad, name) in [(0usize, "w"), (1, "b")] {
@@ -405,13 +313,8 @@ mod tests {
         let layer = GcnLayer::new(2, 2, &mut rng);
         let a = tiny_graph();
         let x = Matrix::from_rows(&[&[0.5, -1.0], &[1.5, 0.3], &[-0.2, 0.8]]);
-        let loss = |x: &Matrix| -> f64 {
-            let (out, _) = layer.forward(&a, x);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&a, &x);
-        let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        let (_, dx) = layer.backward(&a, &cache, &ones);
+        let loss = |x: &Matrix| sum(&gcn_forward(&layer, &a, x).output);
+        let (_, dx) = gcn_backward(&layer, &a, &x);
         let eps = 1e-6;
         for r in 0..3 {
             for c in 0..2 {
@@ -434,13 +337,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let layer = DenseLayer::new(3, 2, &mut rng);
         let x = Matrix::from_rows(&[&[1.0, -2.0, 0.5]]);
-        let loss = |l: &DenseLayer| -> f64 {
-            let (out, _) = l.forward(&x);
-            out.data().iter().sum()
-        };
-        let (out, cache) = layer.forward(&x);
-        let ones = Matrix::from_vec(1, out.cols(), vec![1.0; out.cols()]);
-        let (grads, _) = layer.backward(&cache, &ones);
+        let loss = |l: &DenseLayer| sum(&dense_forward(l, &x));
+        let (grads, _) = dense_backward(&layer, &x);
         let eps = 1e-6;
         for r in 0..3 {
             for c in 0..2 {
@@ -463,12 +361,32 @@ mod tests {
     }
 
     #[test]
+    fn dense_input_gradient_matches_finite_differences() {
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let layer = DenseLayer::new(3, 2, &mut rng);
+        let x = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[0.3, 0.0, -1.5]]);
+        let loss = |x: &Matrix| sum(&dense_forward(&layer, x));
+        let (_, dx) = dense_backward(&layer, &x);
+        let eps = 1e-6;
+        for r in 0..2 {
+            for c in 0..3 {
+                let mut plus = x.clone();
+                plus.set(r, c, plus.get(r, c) + eps);
+                let mut minus = x.clone();
+                minus.set(r, c, minus.get(r, c) - eps);
+                let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+                assert!((numeric - dx.get(r, c)).abs() < 1e-5, "x[{r}][{c}]");
+            }
+        }
+    }
+
+    #[test]
     fn dense_bias_applied_per_row() {
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let mut layer = DenseLayer::new(1, 1, &mut rng);
         layer.w = Matrix::from_rows(&[&[2.0]]);
         layer.bias = Matrix::from_rows(&[&[10.0]]);
-        let (out, _) = layer.forward(&Matrix::from_rows(&[&[1.0], &[3.0]]));
+        let out = dense_forward(&layer, &Matrix::from_rows(&[&[1.0], &[3.0]]));
         assert_eq!(out.get(0, 0), 12.0);
         assert_eq!(out.get(1, 0), 16.0);
     }

@@ -49,7 +49,7 @@ pub use adam::Adam;
 pub use batch::{GraphBatch, CHUNK_TARGET_ROWS};
 pub use error::GcnError;
 pub use graph_data::GraphSample;
-pub use layers::{DenseGrads, DenseLayer, GcnLayer, LayerScratch};
+pub use layers::{DenseGrads, DenseLayer, GcnBuffers, GcnLayer, LayerScratch};
 pub use model::{saturating_exp, LoadWeightsError, ModelConfig, RuntimePredictor, MAX_LOG_SECS};
 pub use profile::FeatureProfile;
 pub use quant::{QuantizedMatrix, QuantizedPredictor};

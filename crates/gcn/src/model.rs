@@ -3,7 +3,7 @@
 use crate::adam::Adam;
 use crate::batch::GraphBatch;
 use crate::layers::{DenseGrads, DenseLayer, GcnBuffers, GcnLayer, LayerScratch};
-use crate::{GcnError, GraphSample, Matrix};
+use crate::{GcnError, GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -147,22 +147,15 @@ impl RuntimePredictor {
     }
 
     /// Predicted `ln(runtime)` for 1/2/4/8 vCPUs.
+    ///
+    /// The batched pass over a batch of one: the sample is one chunk
+    /// with one segment, borrowed as is, so nothing is packed or copied
+    /// and a warm call allocates nothing.
     #[must_use]
     pub fn predict_log(&self, sample: &GraphSample) -> [f64; 4] {
-        let mut h = sample.features.clone();
-        for layer in &self.gcn {
-            h = layer.infer(&sample.a_norm, &h);
-        }
-        let n = h.rows();
-        let mut pooled = h.sum_rows();
-        let scale = 1.0 / (n as f64).sqrt();
-        for v in pooled.data_mut() {
-            *v *= scale;
-        }
-        let mut fc_act = self.fc.infer(&pooled);
-        fc_act.relu_in_place();
-        let out = self.head.infer(&fc_act);
-        [out.get(0, 0), out.get(0, 1), out.get(0, 2), out.get(0, 3)]
+        let segment = [(0, sample.node_count())];
+        let chunk = (&sample.a_norm, &sample.features, &segment[..]);
+        self.predict([chunk], 1, |out| head_row(out, 0))
     }
 
     /// Predicted runtimes in seconds for 1/2/4/8 vCPUs.
@@ -182,62 +175,11 @@ impl RuntimePredictor {
     /// batch order — bit-identical to calling
     /// [`RuntimePredictor::predict_log`] per sample (the batch's blocks
     /// are disjoint, so every accumulation runs in the same order), but
-    /// one pass through the layer stack instead of `B`.
+    /// one pass through the layer stack per chunk instead of per sample.
     #[must_use]
     pub fn predict_log_batch(&self, batch: &GraphBatch) -> Vec<[f64; 4]> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        // Run the GCN stack chunk by chunk (chunks are cache-sized row
-        // partitions along segment boundaries — exact under a block-
-        // diagonal adjacency), ping-ponging the thread's forward scratch
-        // so a warm call allocates nothing but what it returns.
-        // Arithmetic and accumulation order match `GcnLayer::forward`
-        // exactly, so the output stays bit-identical to the per-sample
-        // path.
-        // The FC layer's input width equals the last GCN layer's output
-        // width by construction, without an `expect` in the hot path.
-        let d = self.fc.w.rows();
-        let mut pooled = Matrix::zeros(batch.len(), d);
-        FORWARD.with(|cell| {
-            let ForwardScratch { h, agg, tmp, next } = &mut *cell.borrow_mut();
-            let mut sample = 0usize;
-            for chunk in &batch.chunks {
-                h.clone_from(&chunk.features);
-                for layer in &self.gcn {
-                    chunk
-                        .a_norm
-                        .matmul_into(h, agg)
-                        .expect("batch adjacency is validated at pack time");
-                    agg.matmul_into(&layer.w, next);
-                    h.matmul_into(&layer.b, tmp);
-                    next.add_assign(tmp);
-                    next.relu_in_place();
-                    std::mem::swap(h, next);
-                }
-                // Pool each sample's row segment exactly like the single-
-                // sample path: sum the rows in order, then scale by 1/√n.
-                for &(start, n) in &chunk.segments {
-                    let prow = &mut pooled.data_mut()[sample * d..(sample + 1) * d];
-                    for r in start..start + n {
-                        for (o, &v) in prow.iter_mut().zip(h.row(r)) {
-                            *o += v;
-                        }
-                    }
-                    let scale = 1.0 / (n as f64).sqrt();
-                    for o in prow {
-                        *o *= scale;
-                    }
-                    sample += 1;
-                }
-            }
-        });
-        let mut fc_act = self.fc.infer(&pooled);
-        fc_act.relu_in_place();
-        let out = self.head.infer(&fc_act);
-        (0..batch.len())
-            .map(|g| [out.get(g, 0), out.get(g, 1), out.get(g, 2), out.get(g, 3)])
-            .collect()
+        let chunks = batch.chunks.iter().map(|c| (&c.a_norm, &c.features, &c.segments[..]));
+        self.predict(chunks, batch.len(), |out| (0..out.rows()).map(|g| head_row(out, g)).collect())
     }
 
     /// Batched [`RuntimePredictor::predict_secs`]: saturated, finite,
@@ -248,6 +190,21 @@ impl RuntimePredictor {
             .into_iter()
             .map(|l| l.map(saturating_exp))
             .collect()
+    }
+
+    /// [`RuntimePredictor::forward`] in the thread's scratch, handing
+    /// the `samples x 4` head output to `read`.
+    fn predict<'a, R>(
+        &self,
+        chunks: impl IntoIterator<Item = Chunk<'a>>,
+        samples: usize,
+        read: impl FnOnce(&Matrix) -> R,
+    ) -> R {
+        SCRATCH.with(|cell| {
+            let s = &mut cell.borrow_mut().forward;
+            self.forward(chunks, samples, s).unwrap_or_else(|e| panic!("{e}"));
+            read(&s.out)
+        })
     }
 
     /// One Adam step on one sample; returns the pre-step loss.
@@ -264,13 +221,15 @@ impl RuntimePredictor {
     pub fn train_step(&mut self, sample: &GraphSample, lr: f64) -> f64 {
         SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
-            self.forward(sample, s).unwrap_or_else(|e| panic!("{e}"));
+            let segment = [(0, sample.node_count())];
+            let chunk = (&sample.a_norm, &sample.features, &segment[..]);
+            self.forward([chunk], 1, &mut s.forward).unwrap_or_else(|e| panic!("{e}"));
 
             // Loss and output gradient.
             let mut loss = 0.0;
             s.dout.reshape_zeroed(1, 4);
             for c in 0..4 {
-                let diff = s.out.get(0, c) - sample.log_targets[c];
+                let diff = s.forward.out.get(0, c) - sample.log_targets[c];
                 loss += diff * diff / 4.0;
                 s.dout.set(0, c, 2.0 * diff / 4.0);
             }
@@ -279,9 +238,9 @@ impl RuntimePredictor {
 
             // Adam updates, in the same order the states were allocated.
             let mut k = 0;
-            for (layer, buffers) in self.gcn.iter_mut().zip(&s.layers) {
-                self.adam[k].step(&mut layer.w, &buffers.grads.dw, lr);
-                self.adam[k + 1].step(&mut layer.b, &buffers.grads.db, lr);
+            for (layer, buffers) in self.gcn.iter_mut().zip(&s.forward.layers) {
+                self.adam[k].step(&mut layer.w, &buffers.dw, lr);
+                self.adam[k + 1].step(&mut layer.b, &buffers.db, lr);
                 k += 2;
             }
             self.adam[k].step(&mut self.fc.w, &s.fc_grads.dw, lr);
@@ -292,29 +251,53 @@ impl RuntimePredictor {
         })
     }
 
-    /// Training forward pass: [`RuntimePredictor::predict_log`]'s
-    /// arithmetic with every operand the backward pass reads left in
-    /// `s`; the four outputs land in `s.out`.
-    fn forward(&self, sample: &GraphSample, s: &mut TrainScratch) -> Result<(), GcnError> {
-        // Grow only: a deeper model that trained on this thread keeps
-        // its extra buffers instead of being re-grown every other step.
+    /// The forward pass every prediction and training step runs: the GCN
+    /// stack chunk by chunk, each sample's row segment sum-pooled and
+    /// scaled by `1/√n` into row `sample` of `s.pooled`, then FC (ReLU)
+    /// and head on all `samples` rows at once into `s.out`. Chunks are
+    /// block-diagonal, so a sample's rows see only its own graph; a
+    /// dense layer's output row depends only on its input row. After a
+    /// one-chunk call, `s` holds every operand the backward pass reads.
+    fn forward<'a>(
+        &self,
+        chunks: impl IntoIterator<Item = Chunk<'a>>,
+        samples: usize,
+        s: &mut Forward,
+    ) -> Result<(), GcnError> {
+        // Grow only: a deeper model that ran on this thread keeps its
+        // extra buffers instead of being re-grown every other call.
         if s.layers.len() < self.gcn.len() {
             s.layers.resize_with(self.gcn.len(), GcnBuffers::default);
         }
         let layers = &mut s.layers[..self.gcn.len()];
-        for (i, layer) in self.gcn.iter().enumerate() {
-            let (below, rest) = layers.split_at_mut(i);
-            let input = below.last().map_or(&sample.features, |b| &b.output);
-            layer.forward_into(&sample.a_norm, input, &mut rest[0], &mut s.work)?;
+        // The FC layer's input width equals the last GCN layer's output
+        // width by construction.
+        let d = self.fc.w.rows();
+        s.pooled.reshape_zeroed(samples, d);
+        let mut sample = 0;
+        for (a_norm, features, segments) in chunks {
+            for (i, layer) in self.gcn.iter().enumerate() {
+                let (below, rest) = layers.split_at_mut(i);
+                let input = below.last().map_or(features, |b| &b.output);
+                layer.forward_into(a_norm, input, &mut rest[0], &mut s.work)?;
+            }
+            let h = &layers.last().expect("try_new rejects an empty GCN stack").output;
+            for &(start, n) in segments {
+                let prow = &mut s.pooled.data_mut()[sample * d..(sample + 1) * d];
+                for r in start..start + n {
+                    for (o, &v) in prow.iter_mut().zip(h.row(r)) {
+                        *o += v;
+                    }
+                }
+                let scale = 1.0 / (n as f64).sqrt();
+                for o in prow {
+                    *o *= scale;
+                }
+                sample += 1;
+            }
         }
-        let h = &layers.last().expect("try_new rejects an empty GCN stack").output;
-        let pooled_scale = 1.0 / (h.rows() as f64).sqrt();
-        h.sum_rows_into(&mut s.pooled);
-        for v in s.pooled.data_mut() {
-            *v *= pooled_scale;
-        }
-        self.fc.forward_into(&s.pooled, &mut s.fc_pre);
-        s.fc_pre.relu_into(&mut s.fc_act);
+        self.fc.forward_into(&s.pooled, &mut s.fc_act);
+        s.fc_act.relu_in_place();
         self.head.forward_into(&s.fc_act, &mut s.out);
         Ok(())
     }
@@ -324,16 +307,17 @@ impl RuntimePredictor {
     /// GCN layer has nobody below it to hand an input gradient to, so
     /// none is computed there.
     fn backward(&self, sample: &GraphSample, s: &mut TrainScratch) -> Result<(), GcnError> {
-        let work = &mut s.work;
+        let f = &mut s.forward;
+        let work = &mut f.work;
         self.head
-            .backward_into(&s.fc_act, &s.dout, work, &mut s.head_grads, Some(&mut s.dfc_act));
-        s.dfc_act.relu_backward_into(&s.fc_pre, &mut s.dfc_pre);
+            .backward_into(&f.fc_act, &s.dout, work, &mut s.head_grads, Some(&mut s.dfc_act));
+        s.dfc_act.relu_mask(&f.fc_act);
         self.fc
-            .backward_into(&s.pooled, &s.dfc_pre, work, &mut s.fc_grads, Some(&mut s.dpooled));
+            .backward_into(&f.pooled, &s.dfc_act, work, &mut s.fc_grads, Some(&mut s.dpooled));
 
         // Un-pool: every node row receives the pooled gradient times the
         // scale factor.
-        let layers = &mut s.layers[..self.gcn.len()];
+        let layers = &mut f.layers[..self.gcn.len()];
         let top = layers.last_mut().expect("try_new rejects an empty GCN stack");
         let n = top.output.rows();
         let pooled_scale = 1.0 / (n as f64).sqrt();
@@ -359,57 +343,58 @@ impl RuntimePredictor {
     }
 }
 
-/// Everything one [`RuntimePredictor::train_step`] computes besides the
-/// loss: per-layer forward records and gradients, the dense tail's
-/// activations and gradients. Kept across steps so a warm step reuses
-/// the allocations; every buffer is overwritten (or zeroed) before it
-/// is read, so nothing leaks from one step, sample or model into the
-/// next.
+/// One borrowed chunk of graph rows: a block-diagonal adjacency, the
+/// stacked node features, and each sample's `(first_row, node_count)`
+/// segment within them. A single sample is the chunk
+/// `(a_norm, features, [(0, n)])`.
+type Chunk<'a> = (&'a SparseMatrix, &'a Matrix, &'a [(usize, usize)]);
+
+/// Row `g` of the head output: the four log-runtimes of sample `g`.
+fn head_row(out: &Matrix, g: usize) -> [f64; 4] {
+    [out.get(g, 0), out.get(g, 1), out.get(g, 2), out.get(g, 3)]
+}
+
+/// What [`RuntimePredictor::forward`] computes: per-layer buffers, the
+/// pooled rows, the FC activations and the head output. Kept across
+/// calls — a serving thread predicts batch after batch, and fresh
+/// activation buffers of up to several hundred KB per call cost more in
+/// page faults than the small layers' arithmetic. Every buffer is
+/// overwritten (or zeroed) before it is read, so nothing leaks from one
+/// call, batch or model into the next.
 #[derive(Default)]
-struct TrainScratch {
+struct Forward {
     /// One set of buffers per GCN layer, bottom first.
     layers: Vec<GcnBuffers>,
     /// Temporaries shared by every layer.
     work: LayerScratch,
     pooled: Matrix,
-    fc_pre: Matrix,
     fc_act: Matrix,
     out: Matrix,
+}
+
+/// Everything one [`RuntimePredictor::train_step`] computes besides the
+/// loss: the forward pass's record and the gradients of the dense tail.
+/// Kept across steps so a warm step reuses the allocations; every
+/// buffer is overwritten (or zeroed) before it is read.
+#[derive(Default)]
+struct TrainScratch {
+    forward: Forward,
     dout: Matrix,
     dfc_act: Matrix,
-    dfc_pre: Matrix,
     dpooled: Matrix,
     fc_grads: DenseGrads,
     head_grads: DenseGrads,
 }
 
-/// The activations [`RuntimePredictor::predict_log_batch`] ping-pongs
-/// through the GCN stack: the layer input, its aggregate, the self-term
-/// product and the layer output. Kept across calls — a serving thread
-/// predicts batch after batch, and four fresh buffers of up to several
-/// hundred KB per call cost more in page faults than the small layers'
-/// arithmetic. Every buffer is overwritten before it is read, so
-/// nothing leaks from one batch or model into the next.
-#[derive(Default)]
-struct ForwardScratch {
-    h: Matrix,
-    agg: Matrix,
-    tmp: Matrix,
-    next: Matrix,
-}
-
 std::thread_local! {
-    /// Per-thread training scratch, the float counterpart of the int8
-    /// path's. It belongs to the thread, not to a model, so cloning a
-    /// model (snapshots, the retrainer's `base.stage(k).clone()`) never
-    /// copies it, the four stage models one thread fits share one set
-    /// of buffers, and `RuntimePredictor` stays plain `Send + Sync` data.
+    /// Per-thread forward and training scratch, the float counterpart
+    /// of the int8 path's. It belongs to the thread, not to a model, so
+    /// cloning a model (snapshots, the retrainer's
+    /// `base.stage(k).clone()`) never copies it, the four stage models
+    /// one thread fits or serves share one set of buffers, and
+    /// `RuntimePredictor` stays plain `Send + Sync` data.
     static SCRATCH: std::cell::RefCell<TrainScratch> =
         std::cell::RefCell::new(TrainScratch::default());
-
-    /// Per-thread batched-inference scratch, owned like `SCRATCH`.
-    static FORWARD: std::cell::RefCell<ForwardScratch> =
-        std::cell::RefCell::new(ForwardScratch::default());
 }
 
 #[cfg(test)]

@@ -1,22 +1,27 @@
-//! Differential oracle for the float training path.
+//! Differential oracle for the float training and inference paths.
 //!
 //! [`reference_train_step`] is the training step as it was before the
 //! fused kernels and the reusable scratch: fresh allocations, cloned
 //! caches, every transpose materialized, the bottom layer's input
-//! gradient computed and dropped. It is built from the naive primitives
-//! only — `naive_matmul` over `transpose()`, `add`, `relu`,
+//! gradient computed and dropped. [`reference_predict_log`] is its
+//! forward half. Both are built from the naive primitives below only —
+//! [`naive_matmul`], [`naive_spmm`], `transpose`, `add`, `relu`,
 //! `relu_backward`, `sum_rows` and a local copy of the old row-copy
-//! `Āᵀ·D` loop — so it shares no fused kernel, no `_into` layer form
-//! and no buffer with the code it checks. The contract is bit-identity:
-//! equal `loss.to_bits()` on every step and equal `save_weights()` text.
+//! `Āᵀ·D` loop — so they share no fused kernel, no layer form and no
+//! buffer with the code they check. The contract is bit-identity: equal
+//! `loss.to_bits()` on every step, equal `save_weights()` text, and
+//! equal prediction bits from `predict_log` and `predict_log_batch` at
+//! any chunking and padding.
 //!
 //! Every dense product here goes through [`naive_matmul`], the
 //! `i`-`k`-`j` loop `Matrix::matmul_into` was before the gather-and-fold
 //! kernel replaced it — `Matrix::matmul` is a wrapper over the new body,
 //! so using it here would compare the kernel with itself.
 
-use crate::layers::{DenseLayer, GcnCache, GcnLayer};
-use crate::{GcnError, GraphSample, Matrix, ModelConfig, RuntimePredictor, SparseMatrix};
+use crate::layers::{DenseLayer, GcnLayer};
+use crate::{
+    GcnError, GraphBatch, GraphSample, Matrix, ModelConfig, RuntimePredictor, SparseMatrix,
+};
 use eda_cloud_netlist::{generators, DesignGraph};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -45,6 +50,20 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// `a · dense`, one AXPY per stored entry in storage order.
+fn naive_spmm(a: &SparseMatrix, dense: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), dense.rows(), "inner dimensions must agree");
+    let c = dense.cols();
+    let mut out = Matrix::zeros(a.rows(), c);
+    for (r, j, v) in a.entries() {
+        let orow = &mut out.data_mut()[r as usize * c..(r as usize + 1) * c];
+        for (o, &d) in orow.iter_mut().zip(dense.row(j as usize)) {
+            *o += v * d;
+        }
+    }
+    out
+}
+
 /// `aᵀ · dense` the way the allocating transposed product computed it
 /// before `matmul_transposed_into` replaced it: copy the dense row out,
 /// scatter it entry by entry in storage order.
@@ -62,14 +81,49 @@ fn row_copy_matmul_transposed(a: &SparseMatrix, dense: &Matrix) -> Matrix {
     out
 }
 
-fn gcn_forward(layer: &GcnLayer, a_norm: &SparseMatrix, input: &Matrix) -> (Matrix, GcnCache) {
-    let aggregated = a_norm.matmul(input);
+fn transpose(m: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(m.cols(), m.rows());
+    for r in 0..m.rows() {
+        for c in 0..m.cols() {
+            out.set(c, r, m.get(r, c));
+        }
+    }
+    out
+}
+
+/// Element-wise `a + b`.
+fn add(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
+    let data = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
+    Matrix::from_vec(a.rows(), a.cols(), data)
+}
+
+fn relu(m: &Matrix) -> Matrix {
+    Matrix::from_vec(m.rows(), m.cols(), m.data().iter().map(|v| v.max(0.0)).collect())
+}
+
+/// `grad * (pre > 0)`, masked on the pre-activation.
+fn relu_backward(grad: &Matrix, pre_activation: &Matrix) -> Matrix {
+    let data = grad.data().iter().zip(pre_activation.data());
+    let data = data.map(|(&g, &z)| if z > 0.0 { g } else { 0.0 }).collect();
+    Matrix::from_vec(grad.rows(), grad.cols(), data)
+}
+
+/// What the reference GCN backward reads of its forward pass.
+struct GcnRecord {
+    input: Matrix,
+    aggregated: Matrix,
+    pre_activation: Matrix,
+}
+
+fn gcn_forward(layer: &GcnLayer, a_norm: &SparseMatrix, input: &Matrix) -> (Matrix, GcnRecord) {
+    let aggregated = naive_spmm(a_norm, input);
     let pre_activation =
-        naive_matmul(&aggregated, &layer.w).add(&naive_matmul(input, &layer.b));
-    let out = pre_activation.relu();
+        add(&naive_matmul(&aggregated, &layer.w), &naive_matmul(input, &layer.b));
+    let out = relu(&pre_activation);
     (
         out,
-        GcnCache {
+        GcnRecord {
             input: input.clone(),
             aggregated,
             pre_activation,
@@ -81,15 +135,17 @@ fn gcn_forward(layer: &GcnLayer, a_norm: &SparseMatrix, input: &Matrix) -> (Matr
 fn gcn_backward(
     layer: &GcnLayer,
     a_norm: &SparseMatrix,
-    cache: &GcnCache,
+    cache: &GcnRecord,
     grad_out: &Matrix,
 ) -> (Matrix, Matrix, Matrix) {
-    let dz = grad_out.relu_backward(&cache.pre_activation);
-    let dw = naive_matmul(&cache.aggregated.transpose(), &dz);
-    let db = naive_matmul(&cache.input.transpose(), &dz);
-    let dzw = naive_matmul(&dz, &layer.w.transpose());
-    let dh = row_copy_matmul_transposed(a_norm, &dzw)
-        .add(&naive_matmul(&dz, &layer.b.transpose()));
+    let dz = relu_backward(grad_out, &cache.pre_activation);
+    let dw = naive_matmul(&transpose(&cache.aggregated), &dz);
+    let db = naive_matmul(&transpose(&cache.input), &dz);
+    let dzw = naive_matmul(&dz, &transpose(&layer.w));
+    let dh = add(
+        &row_copy_matmul_transposed(a_norm, &dzw),
+        &naive_matmul(&dz, &transpose(&layer.b)),
+    );
     (dw, db, dh)
 }
 
@@ -106,15 +162,19 @@ fn dense_forward(layer: &DenseLayer, input: &Matrix) -> Matrix {
 
 /// Returns `(dW, dbias, dinput)`.
 fn dense_backward(layer: &DenseLayer, input: &Matrix, grad_out: &Matrix) -> (Matrix, Matrix, Matrix) {
-    let dw = naive_matmul(&input.transpose(), grad_out);
+    let dw = naive_matmul(&transpose(input), grad_out);
     let dbias = grad_out.sum_rows();
-    let dinput = naive_matmul(grad_out, &layer.w.transpose());
+    let dinput = naive_matmul(grad_out, &transpose(&layer.w));
     (dw, dbias, dinput)
 }
 
-/// One Adam step on one sample, the old way; returns the pre-step loss.
-fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: f64) -> f64 {
-    // Forward.
+/// The reference forward pass: the caches the GCN backward reads, then
+/// the pooled row, the FC pre-activation and activation, and the head
+/// output.
+fn reference_forward(
+    model: &RuntimePredictor,
+    sample: &GraphSample,
+) -> (Vec<GcnRecord>, [Matrix; 4]) {
     let mut h = sample.features.clone();
     let mut gcn_caches = Vec::new();
     for layer in &model.gcn {
@@ -122,15 +182,28 @@ fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: 
         gcn_caches.push(cache);
         h = next;
     }
-    let n = h.rows();
-    let pooled_scale = 1.0 / (n as f64).sqrt();
+    let pooled_scale = 1.0 / (h.rows() as f64).sqrt();
     let mut pooled = h.sum_rows();
     for v in pooled.data_mut() {
         *v *= pooled_scale;
     }
     let fc_pre = dense_forward(&model.fc, &pooled);
-    let fc_act = fc_pre.relu();
+    let fc_act = relu(&fc_pre);
     let out = dense_forward(&model.head, &fc_act);
+    (gcn_caches, [pooled, fc_pre, fc_act, out])
+}
+
+/// Predicted `ln(runtime)` for one sample, the old way.
+fn reference_predict_log(model: &RuntimePredictor, sample: &GraphSample) -> [f64; 4] {
+    let (_, [.., out]) = reference_forward(model, sample);
+    [out.get(0, 0), out.get(0, 1), out.get(0, 2), out.get(0, 3)]
+}
+
+/// One Adam step on one sample, the old way; returns the pre-step loss.
+fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: f64) -> f64 {
+    let (gcn_caches, [pooled, fc_pre, fc_act, out]) = reference_forward(model, sample);
+    let n = sample.node_count();
+    let pooled_scale = 1.0 / (n as f64).sqrt();
 
     // Loss and output gradient.
     let mut loss = 0.0;
@@ -143,7 +216,7 @@ fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: 
 
     // Backward through head and FC, un-pool, then the GCN stack.
     let (head_dw, head_dbias, dfc_act) = dense_backward(&model.head, &fc_act, &dout);
-    let dfc_pre = dfc_act.relu_backward(&fc_pre);
+    let dfc_pre = relu_backward(&dfc_act, &fc_pre);
     let (fc_dw, fc_dbias, dpooled) = dense_backward(&model.fc, &pooled, &dfc_pre);
     let cols = dpooled.cols();
     let mut grad = Matrix::zeros(n, cols);
@@ -307,8 +380,50 @@ proptest! {
         prop_assert_eq!(fused.save_weights(), reference.save_weights());
     }
 
-    /// `matmul_tn_into` is `transpose().matmul()` bit for bit, from 1x1
-    /// up, with planted zeros and a reused output buffer.
+    /// `predict_log` and `predict_log_batch` are the reference forward
+    /// pass bit for bit: for every architecture above plus the paper's,
+    /// freshly seeded or a few steps in, on up to five graphs of mixed
+    /// size, at pad strides 1 and 8 and chunk targets of one sample per
+    /// chunk, 64, the 192 default and one monolithic chunk. Every case
+    /// reuses the thread's scratch dirty from the one before.
+    #[test]
+    fn predictions_match_the_reference(
+        picks in 0u64..u64::MAX,
+        count in 1usize..6,
+        config in proptest::sample::select([configs(), vec![ModelConfig::paper()]].concat()),
+        seed in 0u64..1_000,
+        steps in 0usize..3,
+    ) {
+        let families = generators::FAMILY_NAMES;
+        let samples: Vec<GraphSample> = (0..count)
+            .map(|i| {
+                let pick = (picks >> (i * 12)) as usize;
+                family_sample(families[pick % families.len()], 2 + (pick >> 6) as u32 % 7, 50.0)
+            })
+            .collect();
+        let mut model = RuntimePredictor::new(&config, seed);
+        for _ in 0..steps {
+            model.train_step(&samples[0], 1e-2);
+        }
+        let to_bits = |rows: &[[f64; 4]]| -> Vec<[u64; 4]> {
+            rows.iter().map(|r| r.map(f64::to_bits)).collect()
+        };
+        let want: Vec<_> = samples.iter().map(|s| reference_predict_log(&model, s)).collect();
+        let per_sample: Vec<[f64; 4]> = samples.iter().map(|s| model.predict_log(s)).collect();
+        prop_assert_eq!(to_bits(&per_sample), to_bits(&want));
+        let refs: Vec<&GraphSample> = samples.iter().collect();
+        for stride in [1usize, 8] {
+            for target in [1usize, 64, 192, usize::MAX] {
+                let batch = GraphBatch::pack_chunked(&refs, stride, target);
+                let got = model.predict_log_batch(&batch);
+                let (got, want) = (to_bits(&got), to_bits(&want));
+                prop_assert_eq!(got, want, "stride {} target {}", stride, target);
+            }
+        }
+    }
+
+    /// `matmul_tn_into` is the naive product of the transpose bit for
+    /// bit, from 1x1 up, with planted zeros and a reused output buffer.
     #[test]
     fn matmul_tn_matches_transpose_then_matmul(
         k in 1usize..20,
@@ -320,7 +435,7 @@ proptest! {
         let b = planted(seed ^ 0x9E37, k, n, true);
         let mut out = dirty();
         a.matmul_tn_into(&b, &mut out);
-        prop_assert_eq!(bits(&out), bits(&naive_matmul(&a.transpose(), &b)));
+        prop_assert_eq!(bits(&out), bits(&naive_matmul(&transpose(&a), &b)));
     }
 
     /// `matmul_into` and `matmul_tn_into` are the naive `i`-`k`-`j` loop
@@ -344,7 +459,7 @@ proptest! {
                 let want = bits_nan_folded(&naive_matmul(&a, &b));
                 a.matmul_into(&b, &mut out);
                 prop_assert_eq!(bits_nan_folded(&out), want.clone(), "matmul k {} cols {}", k, cols);
-                a.transpose().matmul_tn_into(&b, &mut out);
+                transpose(&a).matmul_tn_into(&b, &mut out);
                 prop_assert_eq!(bits_nan_folded(&out), want, "matmul_tn k {} cols {}", k, cols);
             }
         }

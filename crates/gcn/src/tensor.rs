@@ -30,8 +30,8 @@ impl Clone for Matrix {
         }
     }
 
-    /// Reuses `self`'s allocation when it is large enough: the serving
-    /// scratches copy each chunk's features into a kept buffer.
+    /// Reuses `self`'s allocation when it is large enough: the int8
+    /// serving scratch copies each chunk's features into a kept buffer.
     fn clone_from(&mut self, source: &Self) {
         self.rows = source.rows;
         self.cols = source.cols;
@@ -191,8 +191,8 @@ impl Matrix {
     /// [`Matrix::matmul`] into a caller-owned buffer, reusing its
     /// allocation. Large batched products otherwise allocate past the
     /// allocator's mmap threshold and pay a page-fault storm per call;
-    /// the serving hot loop ping-pongs two buffers instead. `out` is
-    /// reshaped and zeroed; the result is bit-identical to
+    /// the model keeps its buffers in a per-thread scratch instead. `out`
+    /// is reshaped and zeroed; the result is bit-identical to
     /// [`Matrix::matmul`].
     ///
     /// Per output row the non-zero entries of `self`'s row are gathered
@@ -230,8 +230,8 @@ impl Matrix {
     /// `self.cols x rhs.cols` output is swept once per block of `k`
     /// rather than once per `k`, however tall the operands are. Every
     /// output element accumulates its terms in ascending `k` and skips
-    /// `self[k][i] == 0.0`, exactly like `self.transpose().matmul(rhs)`,
-    /// so the result is bit-identical to that expression.
+    /// `self[k][i] == 0.0`, exactly like [`Matrix::matmul`] on the
+    /// materialized transpose, so the result is bit-identical to it.
     ///
     /// # Panics
     ///
@@ -251,15 +251,7 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::transpose`] into a caller-owned buffer.
+    /// Transpose into a caller-owned buffer.
     pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         out.reshape_for_overwrite(self.cols, self.rows);
         for r in 0..self.rows {
@@ -269,49 +261,7 @@ impl Matrix {
         }
     }
 
-    /// Element-wise sum `self + rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch.
-    #[must_use]
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Element-wise ReLU.
-    #[must_use]
-    pub fn relu(&self) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.relu_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::relu`] into a caller-owned buffer.
-    pub(crate) fn relu_into(&self, out: &mut Matrix) {
-        out.reshape_for_overwrite(self.rows, self.cols);
-        for (o, &v) in out.data.iter_mut().zip(&self.data) {
-            *o = v.max(0.0);
-        }
-    }
-
-    /// In-place elementwise sum `self += rhs`, bit-identical to
-    /// [`Matrix::add`] without the allocation (the inference hot path).
+    /// In-place elementwise sum `self += rhs`.
     ///
     /// # Panics
     ///
@@ -327,40 +277,28 @@ impl Matrix {
         }
     }
 
-    /// In-place ReLU, bit-identical to [`Matrix::relu`] without the
-    /// allocation.
+    /// In-place element-wise ReLU, `max(v, 0)`.
     pub fn relu_in_place(&mut self) {
         for v in &mut self.data {
             *v = v.max(0.0);
         }
     }
 
-    /// Gradient mask for ReLU: `grad * (pre > 0)`.
+    /// ReLU's backward pass in place, `grad * (z > 0)`. `activation` may
+    /// be `z` or `ReLU(z)`: both select the same entries (`NaN.max(0.0)`
+    /// is `0.0`), so a layer keeps only its output for the backward pass.
     ///
     /// # Panics
     ///
     /// Panics on a shape mismatch.
-    #[must_use]
-    pub fn relu_backward(&self, pre_activation: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.relu_backward_into(pre_activation, &mut out);
-        out
-    }
-
-    /// [`Matrix::relu_backward`] into a caller-owned buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a shape mismatch.
-    pub(crate) fn relu_backward_into(&self, pre_activation: &Matrix, out: &mut Matrix) {
+    pub fn relu_mask(&mut self, activation: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),
-            (pre_activation.rows, pre_activation.cols),
+            (activation.rows, activation.cols),
             "shape mismatch"
         );
-        out.reshape_for_overwrite(self.rows, self.cols);
-        for ((o, &g), &z) in out.data.iter_mut().zip(&self.data).zip(&pre_activation.data) {
-            *o = if z > 0.0 { g } else { 0.0 };
+        for (g, &z) in self.data.iter_mut().zip(&activation.data) {
+            *g = if z > 0.0 { *g } else { 0.0 };
         }
     }
 
@@ -555,24 +493,9 @@ impl SparseMatrix {
         Self::from_triplets(total, total, &triplets)
     }
 
-    /// Sparse-dense product `self * dense`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != dense.rows()` or the CSR arrays are
-    /// corrupt ([`SparseMatrix::matmul_into`] is the fallible form).
-    #[must_use]
-    pub fn matmul(&self, dense: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(dense, &mut out)
-            .unwrap_or_else(|e| panic!("{e}"));
-        out
-    }
-
-    /// [`SparseMatrix::matmul`] into a caller-owned buffer, reusing its
-    /// allocation (see [`Matrix::matmul_into`] for why the serving hot
-    /// loop needs this). `out` is reshaped and zeroed; the result is
-    /// bit-identical to [`SparseMatrix::matmul`].
+    /// Sparse-dense product `self * dense` into a caller-owned buffer,
+    /// reusing its allocation (see [`Matrix::matmul_into`] for why the
+    /// serving hot loop needs this). `out` is reshaped and zeroed.
     ///
     /// This is the serving hot kernel, laid out SIMD-friendly: the
     /// output row is resolved once per CSR row (not once per stored
@@ -693,34 +616,38 @@ mod tests {
     #[test]
     fn transpose_roundtrip() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
+        let (mut t, mut back) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        a.transpose_into(&mut t);
+        t.transpose_into(&mut back);
+        assert_eq!(back, a);
+        assert_eq!(t.get(2, 1), 6.0);
     }
 
+    /// The mask keeps a gradient exactly where the activation is
+    /// positive, and reads the same from `z` as from `ReLU(z)`.
     #[test]
     fn relu_and_backward() {
-        let z = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -3.0]]);
-        let a = z.relu();
-        assert_eq!(a, Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 0.0]]));
-        let g = Matrix::from_rows(&[&[10.0, 10.0], &[10.0, 10.0]]);
-        let back = g.relu_backward(&z);
-        assert_eq!(back, Matrix::from_rows(&[&[0.0, 10.0], &[0.0, 0.0]]));
+        let z = Matrix::from_rows(&[&[-1.0, 2.0, f64::NAN], &[0.0, -3.0, -0.0]]);
+        let mut a = z.clone();
+        a.relu_in_place();
+        assert_eq!(a, Matrix::from_rows(&[&[0.0, 2.0, 0.0], &[0.0, 0.0, 0.0]]));
+        let g = Matrix::from_vec(2, 3, vec![10.0; 6]);
+        let want = Matrix::from_rows(&[&[0.0, 10.0, 0.0], &[0.0, 0.0, 0.0]]);
+        for activation in [&z, &a] {
+            let mut back = g.clone();
+            back.relu_mask(activation);
+            assert_eq!(back, want);
+        }
     }
 
-    /// The element-wise `_into` forms ignore whatever a reused (larger,
-    /// dirty) buffer held and agree with their allocating wrappers.
+    /// The `_into` forms ignore whatever a reused (larger, dirty) buffer
+    /// held.
     #[test]
     fn into_forms_overwrite_a_reused_buffer() {
         let z = Matrix::from_rows(&[&[-1.0, 2.0, 0.0], &[4.0, -0.0, -3.0]]);
-        let g = Matrix::from_rows(&[&[10.0, 20.0, 30.0], &[40.0, 50.0, 60.0]]);
         let mut out = Matrix::from_vec(5, 4, vec![f64::NAN; 20]);
-        z.relu_into(&mut out);
-        assert_eq!(out, z.relu());
-        g.relu_backward_into(&z, &mut out);
-        assert_eq!(out, g.relu_backward(&z));
         z.transpose_into(&mut out);
-        assert_eq!(out, z.transpose());
-        assert_eq!((out.rows(), out.cols()), (3, 2));
+        assert_eq!(out, Matrix::from_rows(&[&[-1.0, 4.0], &[2.0, -0.0], &[0.0, -3.0]]));
         z.sum_rows_into(&mut out);
         assert_eq!(out, Matrix::from_rows(&[&[3.0, 2.0, -3.0]]));
     }
@@ -745,7 +672,9 @@ mod tests {
         // A = [[0, 2], [1, 0]]; X = [[1, 1], [2, 3]].
         let a = SparseMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
         let x = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 3.0]]);
-        assert_eq!(a.matmul(&x), Matrix::from_rows(&[&[4.0, 6.0], &[1.0, 1.0]]));
+        let mut a_x = Matrix::zeros(0, 0);
+        a.matmul_into(&x, &mut a_x).expect("shapes agree");
+        assert_eq!(a_x, Matrix::from_rows(&[&[4.0, 6.0], &[1.0, 1.0]]));
         // Aᵀ X = [[0,1],[2,0]] * X = [[2,3],[2,2]].
         let mut at_x = Matrix::zeros(0, 0);
         a.matmul_transposed_into(&x, &mut at_x).expect("shapes agree");
@@ -811,15 +740,6 @@ mod tests {
         );
     }
 
-    /// The panicking wrapper carries the typed error's message.
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn sparse_matmul_wrapper_panics_on_mismatch() {
-        let a = SparseMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]);
-        let x = Matrix::zeros(2, 2);
-        let _ = a.matmul(&x);
-    }
-
     #[test]
     fn entries_roundtrip_triplets() {
         let t = [(0u32, 1u32, 2.0f64), (1, 0, 1.0), (1, 1, 3.0)];
@@ -835,7 +755,8 @@ mod tests {
         // Block `b` starts at row 3, leaving a zero padding row at 2.
         let big = SparseMatrix::block_diagonal(&[&a, &b], &[0, 3], 4);
         let x = Matrix::from_rows(&[&[1.0], &[2.0], &[9.0], &[4.0]]);
-        let y = big.matmul(&x);
+        let mut y = Matrix::zeros(0, 0);
+        big.matmul_into(&x, &mut y).expect("shapes agree");
         assert_eq!(y.get(0, 0), 4.0, "a's rows see only a's columns");
         assert_eq!(y.get(1, 0), 1.0);
         assert_eq!(y.get(2, 0), 0.0, "padding row has no entries");

@@ -1,10 +1,10 @@
-//! A warm `train_step` allocates nothing, and a warm
-//! `predict_log_batch` only what it returns.
+//! A warm `train_step` or `predict_log` allocates nothing, and a warm
+//! `predict_log_batch` only the `Vec` it returns.
 //!
 //! The speed of the training path rests on one property: after the
 //! per-thread scratch has seen the largest graph, a step makes no heap
-//! allocation at all; the batched forward pass keeps its activations in
-//! a per-thread scratch of its own on the same terms. This file pins
+//! allocation at all; the forward pass every prediction runs keeps its
+//! activations, pooled rows and dense outputs in the same scratch. This file pins
 //! the properties themselves with a counting global allocator. Counts
 //! are kept per thread, so whatever the test harness allocates on its
 //! own threads cannot leak into the reading.
@@ -149,19 +149,37 @@ fn warm_batched_predictions_allocate_only_what_they_return() {
     const BIG: usize = 64 * 1024;
     let activation = samples[2].node_count() * 256 * std::mem::size_of::<f64>();
     assert!(activation >= BIG, "pick a larger graph: {activation} < {BIG}");
-    // One lap over the largest batch grows the four scratch buffers…
+    // One lap over the largest batch grows the scratch buffers…
     let (_, cold, cold_largest) =
         allocations_in(|| model.predict_log_batch(&batches[2]));
     assert!(cold_largest >= BIG, "the cold call allocates the activations");
-    // …after which a call makes exactly four allocations, all of them
-    // results: the `B x 128` pooled matrix, the FC and head outputs, and
-    // the returned `Vec` — none of them activation-sized.
+    // …after which a call makes exactly one allocation: the returned
+    // `Vec`. The pooled rows and the FC and head outputs live in the
+    // scratch too.
     for _ in 0..3 {
         for batch in &batches {
             let (out, warm, largest) = allocations_in(|| model.predict_log_batch(batch));
             assert_eq!(out.len(), batch.len());
-            assert_eq!(warm, 4, "warm call allocated {warm} times ({cold} cold)");
+            assert_eq!(warm, 1, "warm call allocated {warm} times ({cold} cold)");
             assert!(largest < BIG, "warm call allocated {largest} bytes at once");
+        }
+    }
+}
+
+/// A one-at-a-time prediction runs the batched pass over the sample's
+/// own borrowed adjacency and features: once the scratch is warm it
+/// allocates nothing, since its return value is a `[f64; 4]`.
+#[test]
+fn warm_per_sample_predictions_allocate_nothing() {
+    let samples = samples();
+    let model = RuntimePredictor::new(&ModelConfig::paper(), 7);
+    let (_, cold, _) = allocations_in(|| model.predict_log(&samples[2]));
+    assert!(cold > 0, "the cold call grows the scratch");
+    for _ in 0..3 {
+        for s in &samples {
+            let (out, warm, _) = allocations_in(|| model.predict_log(s));
+            assert!(out.iter().all(|v| v.is_finite()));
+            assert_eq!(warm, 0, "warm call allocated {warm} times ({cold} cold)");
         }
     }
 }

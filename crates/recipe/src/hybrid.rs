@@ -13,10 +13,11 @@ use crate::encode::{encode_recipe, ENCODING_DIM};
 use crate::RecipeError;
 use eda_cloud_flow::Pass;
 use eda_cloud_gcn::{
-    saturating_exp, Adam, DenseGrads, DenseLayer, GcnLayer, GraphSample, LayerScratch, Matrix,
-    Trainer,
+    saturating_exp, Adam, DenseGrads, DenseLayer, GcnBuffers, GcnLayer, GraphSample,
+    LayerScratch, Matrix, Trainer,
 };
 use eda_cloud_netlist::FEATURE_DIM;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -68,10 +69,15 @@ impl HybridPredictor {
     /// Mean-pooled design embedding from the frozen GCN stack.
     #[must_use]
     pub fn embed(&self, sample: &GraphSample) -> Vec<f64> {
-        let h1 = self.gcn1.infer(&sample.a_norm, &sample.features);
-        let h2 = self.gcn2.infer(&sample.a_norm, &h1);
-        let n = h2.rows().max(1) as f64;
-        let sums = h2.sum_rows();
+        let (mut h1, mut h2) = (GcnBuffers::default(), GcnBuffers::default());
+        let work = &mut LayerScratch::default();
+        let a = &sample.a_norm;
+        self.gcn1
+            .forward_into(a, &sample.features, &mut h1, work)
+            .and_then(|()| self.gcn2.forward_into(a, &h1.output, &mut h2, work))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let n = h2.output.rows().max(1) as f64;
+        let sums = h2.output.sum_rows();
         (0..EMBED_DIM).map(|c| sums.get(0, c) / n).collect()
     }
 
@@ -84,8 +90,10 @@ impl HybridPredictor {
     /// [`RecipeError::RecipeTooLong`]).
     pub fn predict_log(&self, embedding: &[f64], passes: &[Pass]) -> Result<[f64; 4], RecipeError> {
         let x = self.input_row(embedding, passes)?;
-        let h = self.head1.infer(&x).relu();
-        let y = self.head2.infer(&h);
+        let (mut h, mut y) = (Matrix::default(), Matrix::default());
+        self.head1.forward_into(&x, &mut h);
+        h.relu_in_place();
+        self.head2.forward_into(&h, &mut y);
         Ok([y.get(0, 0), y.get(0, 1), y.get(0, 2), y.get(0, 3)])
     }
 
@@ -126,25 +134,27 @@ impl HybridPredictor {
         let mut adam_b2 = Adam::new(1, 4);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut last_mse = 0.0;
-        let (mut g1, mut work) = (DenseGrads::default(), LayerScratch::default());
+        let (mut g1, mut g2, mut work) =
+            (DenseGrads::default(), DenseGrads::default(), LayerScratch::default());
+        let (mut h, mut y, mut dh) = (Matrix::default(), Matrix::default(), Matrix::default());
+        let mut grad_y = Matrix::zeros(1, 4);
         for _ in 0..trainer.epochs {
-            shuffle(&mut order, &mut rng);
+            order.shuffle(&mut rng);
             let mut epoch_se = 0.0;
             for &i in &order {
                 let x = &rows[i];
-                let h_pre = self.head1.infer(x);
-                let h = h_pre.relu();
-                let (y, cache2) = self.head2.forward(&h);
-                let mut grad_y = Matrix::zeros(1, 4);
+                self.head1.forward_into(x, &mut h);
+                h.relu_in_place();
+                self.head2.forward_into(&h, &mut y);
                 for c in 0..4 {
                     let err = y.get(0, c) - samples[i].log_targets[c];
                     epoch_se += err * err;
                     grad_y.set(0, c, 2.0 * err / 4.0);
                 }
-                let (g2, dh) = self.head2.backward(&cache2, &grad_y);
-                let dh_pre = dh.relu_backward(&h_pre);
+                self.head2.backward_into(&h, &grad_y, &mut work, &mut g2, Some(&mut dh));
+                dh.relu_mask(&h);
                 // `head1` is fed by data: nobody reads its input gradient.
-                self.head1.backward_into(x, &dh_pre, &mut work, &mut g1, None);
+                self.head1.backward_into(x, &dh, &mut work, &mut g1, None);
                 adam_w2.step(&mut self.head2.w, &g2.dw, trainer.lr);
                 adam_b2.step(&mut self.head2.bias, &g2.dbias, trainer.lr);
                 adam_w1.step(&mut self.head1.w, &g1.dw, trainer.lr);
@@ -163,16 +173,6 @@ impl HybridPredictor {
         data.resize(EMBED_DIM, 0.0);
         data.extend_from_slice(&encoding);
         Ok(Matrix::from_vec(1, EMBED_DIM + ENCODING_DIM, data))
-    }
-}
-
-/// Fisher–Yates with the caller's stream (matches the GCN trainer's
-/// shuffle semantics).
-fn shuffle(order: &mut [usize], rng: &mut ChaCha8Rng) {
-    use rand::Rng;
-    for i in (1..order.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
     }
 }
 

@@ -102,3 +102,19 @@ fn counters_and_selections_are_pinned() {
 fn characterization_document_is_deterministic() {
     assert_eq!(characterization_document(), characterization_document());
 }
+
+/// A golden failure names where the documents part: on a one-line JSON
+/// report that differs in one nested value, the message gives the key
+/// that value sits under and an excerpt of both sides.
+#[test]
+fn golden_drift_names_the_changed_key() {
+    let golden = r#"{"seed":7,"latency":{"p50_ms":9.10,"p95_ms":9.10},"plans":13}"#;
+    let actual = r#"{"seed":7,"latency":{"p50_ms":9.10,"p95_ms":9.25},"plans":13}"#;
+    let message = common::first_difference(golden, actual);
+    assert!(message.contains(r#"after key "p95_ms":"#), "{message}");
+    assert!(message.contains("line 1"), "{message}");
+    assert!(message.contains("9.10") && message.contains("9.25"), "{message}");
+    let (golden, actual) = ("{\n  \"a\": 1,\n  \"b\": 2\n}", "{\n  \"a\": 1,\n  \"b\": 3\n}");
+    let multi_line = common::first_difference(golden, actual);
+    assert!(multi_line.contains(r#"line 3, byte 19, after key "b":"#), "{multi_line}");
+}

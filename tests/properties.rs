@@ -138,7 +138,8 @@ proptest! {
                 x.set(r, c, next());
             }
         }
-        let sparse = a.matmul(&x);
+        let mut sparse = Matrix::zeros(0, 0);
+        a.matmul_into(&x, &mut sparse).expect("valid operands");
         let dense = dense_a.matmul(&x);
         for r in 0..rows {
             for c in 0..x_cols {

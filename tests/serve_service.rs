@@ -312,7 +312,10 @@ fn generator_corpus() -> Vec<GraphSample> {
 
 /// Batching is invisible: one sample per chunk, the serving default's
 /// neighbourhood (64, 192) and one monolithic chunk all predict, bit for
-/// bit, what `predict_log` predicts one design at a time.
+/// bit, what `predict_log` predicts one design at a time. `predict_log`
+/// runs the same body over a one-sample chunk, so this compares the
+/// chunk targets with each other; the independent reference for both
+/// is the naive forward pass in `crates/gcn/src/oracle.rs`.
 #[test]
 fn chunked_and_monolithic_batches_match_per_sample_predictions() {
     let corpus = generator_corpus();
