@@ -1,6 +1,6 @@
 //! Criterion benches for the four EDA engines on a mid-size design,
-//! plus the Fig. 2-d ablation of simulated runtime vs vCPU count and
-//! the cost of constructing the probe every engine run starts with.
+//! plus the cost of constructing the probe every engine run starts
+//! with.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_flow::{ExecContext, Placer, Recipe, Router, StaEngine, Synthesizer};
@@ -50,30 +50,11 @@ fn bench_stages(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_routing_scaling(c: &mut Criterion) {
-    // Real wall-clock of the threaded router across thread counts — the
-    // measured companion to Fig. 3's simulated speedups.
-    let design = generators::openpiton_design("aes").unwrap();
-    let ctx1 = ExecContext::with_vcpus(1);
-    let synthesizer = Synthesizer::new().with_verification(false);
-    let (netlist, _) = synthesizer.run(&design, &Recipe::balanced(), &ctx1).unwrap();
-    let (placement, _) = Placer::new().run(&netlist, &ctx1).unwrap();
-
-    let mut group = c.benchmark_group("routing_threads");
-    group.sample_size(10);
-    for vcpus in [1u32, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(vcpus), &vcpus, |b, &v| {
-            let ctx = ExecContext::with_vcpus(v);
-            b.iter(|| black_box(Router::new().run(&netlist, &placement, &ctx).unwrap()));
-        });
-    }
-    group.finish();
-}
-
 fn bench_probe_construction(c: &mut Criterion) {
     // Create, one access, drop — warm, i.e. on the arrays the previous
     // probe of this thread left on the cache simulator's free list.
-    // Every engine run and every router strip pays this once.
+    // Every engine run pays this once (the router twice: its main and
+    // search probes).
     let mut group = c.benchmark_group("probe");
     for vcpus in [1u32, 8] {
         let machine = MachineConfig::vcpus(vcpus);
@@ -106,6 +87,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_stages, bench_routing_scaling, bench_probe_construction
+    targets = bench_stages, bench_probe_construction
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
-//! Criterion bench for the router's batched parallel rounds: one placed
-//! design, four region buckets, routed at the width the router derives
-//! from the host (`min(non-empty buckets, cores)`). Results are
-//! bit-identical at every width; only wall clock moves.
+//! Criterion bench for one routing negotiation: `multiplier14`, placed,
+//! routed for one 4-vCPU context (`run`) and for the paper's 1/2/4/8
+//! sweep (`run_sweep`). The layout does not depend on the machine, so
+//! the sweep negotiates once and costs about what one run does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eda_cloud_flow::{ExecContext, Placement, Placer, Recipe, Router, Synthesizer};
@@ -25,8 +25,12 @@ fn bench_router(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_batching");
     group.sample_size(10);
     let ctx = ExecContext::with_vcpus(4);
-    group.bench_function("vcpus4", |bench| {
+    group.bench_function("run/vcpus4", |bench| {
         bench.iter(|| black_box(router.run(&nl, &pl, &ctx).expect("routes")));
+    });
+    let sweep: Vec<ExecContext> = [1, 2, 4, 8].map(ExecContext::with_vcpus).into();
+    group.bench_function("run_sweep/vcpus1248", |bench| {
+        bench.iter(|| black_box(router.run_sweep(&nl, &pl, &sweep).expect("routes")));
     });
     group.finish();
 }

@@ -1,9 +1,9 @@
 //! Criterion benches for the parallel sweep engine: dataset-corpus
-//! generation and design characterization at 1 vs 4 workers, plus
-//! what one sweep probe saves synthesis in isolation.
+//! generation at 1 vs 4 workers, plus what one sweep probe saves
+//! synthesis in isolation.
 //!
-//! Before timing anything, each comparison asserts that the parallel
-//! output is bit-identical to the serial output — the determinism
+//! Before timing anything, the corpus comparison asserts that the
+//! parallel output is bit-identical to the serial output — the determinism
 //! contract the sweep engine's canonical reduction guarantees. The
 //! worker speedup scales with the host's core count (on a single-core
 //! runner the 1- and 4-worker times coincide); the sweep-probe speedup
@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_core::dataset::{DatasetBuilder, DatasetConfig};
-use eda_cloud_core::{CharacterizationConfig, Workflow};
+use eda_cloud_core::Workflow;
 use eda_cloud_flow::{ExecContext, Recipe, Synthesizer};
 use eda_cloud_netlist::generators;
 use std::hint::black_box;
@@ -33,30 +33,6 @@ fn bench_dataset_workers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
             let config = DatasetConfig::smoke().with_workers(w);
             b.iter(|| black_box(builder.build(black_box(&config)).unwrap()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_characterize_workers(c: &mut Criterion) {
-    let workflow = Workflow::with_defaults();
-    let design = generators::openpiton_design("dynamic_node").unwrap();
-    let serial = workflow
-        .characterize_design(&design, &CharacterizationConfig::paper().with_workers(1))
-        .expect("serial sweep");
-    let parallel = workflow
-        .characterize_design(&design, &CharacterizationConfig::paper().with_workers(4))
-        .expect("parallel sweep");
-    assert_eq!(serial, parallel, "parallel sweep must be bit-identical to serial");
-
-    let mut group = c.benchmark_group("characterize_workers");
-    group.sample_size(10);
-    for workers in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            let config = CharacterizationConfig::paper().with_workers(w);
-            b.iter(|| {
-                black_box(workflow.characterize_design(black_box(&design), &config).unwrap())
-            });
         });
     }
     group.finish();
@@ -96,6 +72,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_dataset_workers, bench_characterize_workers, bench_synthesis_sweep
+    targets = bench_dataset_workers, bench_synthesis_sweep
 }
 criterion_main!(benches);

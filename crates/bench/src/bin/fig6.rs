@@ -6,17 +6,13 @@
 //! ```text
 //! cargo run -p eda-cloud-bench --bin fig6 --release
 //! cargo run -p eda-cloud-bench --bin fig6 --release -- --paper-runtimes
-//! cargo run -p eda-cloud-bench --bin fig6 --release -- --workers 4
 //! cargo run -p eda-cloud-bench --bin fig6 --release -- --spot
 //! ```
 //!
-//! `--workers N` sets the characterization-sweep fan-out (default: one
-//! worker per core); the report is bit-identical for any worker count.
 //! `--spot` adds the expected-spot cost of each optimized deployment
 //! (typical market: 70% discount, 5%/hour interruption).
 //! `--trace <path>` / `--chrome-trace <path>` export the
-//! characterization sweep's span trace; `--metrics <path>` snapshots
-//! sweep-pool occupancy and queue waits.
+//! characterization sweep's span trace.
 
 use eda_cloud_bench::{experiment_runtimes, Args, Observability};
 use eda_cloud_cloud::SpotMarket;

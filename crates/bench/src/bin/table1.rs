@@ -12,14 +12,10 @@
 //! cargo run -p eda-cloud-bench --bin table1 --release
 //! cargo run -p eda-cloud-bench --bin table1 --release -- --paper-runtimes
 //! cargo run -p eda-cloud-bench --bin table1 --release -- --objective   # ablation
-//! cargo run -p eda-cloud-bench --bin table1 --release -- --workers 4
 //! ```
 //!
-//! `--workers N` sets the characterization-sweep fan-out (default: one
-//! worker per core); the table is bit-identical for any worker count.
 //! `--trace <path>` / `--chrome-trace <path>` export the
-//! characterization sweep's span trace; `--metrics <path>` snapshots
-//! sweep-pool occupancy and queue waits.
+//! characterization sweep's span trace.
 
 use eda_cloud_bench::{experiment_runtimes, Args, Observability};
 use eda_cloud_core::report::render_table;

@@ -242,8 +242,7 @@ pub fn experiment_design(args: &Args) -> Aig {
 /// Stage runtimes for the deployment experiments (`table1`, `fig6`),
 /// with the name of the design they were measured on: the paper's own
 /// Table I (and no name) under `--paper-runtimes`, otherwise a
-/// paper-config characterization of [`experiment_design`] at
-/// `--workers`.
+/// paper-config characterization of [`experiment_design`].
 ///
 /// # Panics
 ///
@@ -259,10 +258,7 @@ pub fn experiment_runtimes(
     }
     let design = experiment_design(args);
     let report = workflow
-        .characterize_design(
-            &design,
-            &CharacterizationConfig::paper().with_workers(args.workers(0)),
-        )
+        .characterize_design(&design, &CharacterizationConfig::paper())
         .expect("characterization");
     let runtimes = report
         .stages

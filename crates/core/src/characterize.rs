@@ -1,6 +1,5 @@
 //! Problem 1: characterize the four applications across VM sizes.
 
-use crate::sweep::{self, resolve_workers};
 use crate::{recommended_family, WorkflowError, Workflow};
 use eda_cloud_flow::{
     Placer, Recipe, Router, StaEngine, StageKind, StageReport, Synthesizer,
@@ -17,11 +16,6 @@ pub struct CharacterizationConfig {
     pub recipe: Recipe,
     /// Whether synthesis runs its equivalence spot-check.
     pub verify: bool,
-    /// Worker threads fanning the sweep out; `0` (the default) means
-    /// one per available core, capped at 8. Results are reduced in
-    /// canonical sweep order, so any worker count yields bit-identical
-    /// output.
-    pub workers: usize,
 }
 
 impl CharacterizationConfig {
@@ -32,7 +26,6 @@ impl CharacterizationConfig {
             vcpu_sweep: vec![1, 2, 4, 8],
             recipe: Recipe::balanced(),
             verify: true,
-            workers: 0,
         }
     }
 
@@ -43,15 +36,7 @@ impl CharacterizationConfig {
             vcpu_sweep: vec![1, 2],
             recipe: Recipe::balanced(),
             verify: false,
-            workers: 0,
         }
-    }
-
-    /// The same sweep pinned to a specific worker count.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 }
 
@@ -123,23 +108,14 @@ impl Workflow {
     /// stage on its recommended instance family, and collect the
     /// counter signatures and runtimes of the paper's Figure 2.
     ///
-    /// Synthesis, placement and STA do the same work at every vCPU
-    /// count, so each runs once for the whole sweep through its
-    /// `run_sweep`. Routing is the stage whose work depends on the
-    /// machine — a design worth characterizing splits into a different
-    /// number of strips at every count — and the dominant one, so it
-    /// stays one job per sweep point fanned out over `config.workers`
-    /// threads (measured: EXPERIMENTS.md § Synthesis joins `run_sweep`
-    /// (PR 20)). Results are reduced in sweep
-    /// order (index-keyed, not completion order), so the report is
-    /// bit-identical for any worker count.
+    /// No stage's result depends on the machine, only its cost, so each
+    /// stage runs once for the whole sweep through its `run_sweep`:
+    /// routing lays the netlist out once and prices that layout on every
+    /// vCPU count.
     ///
     /// # Errors
     ///
-    /// Propagates stage failures as [`WorkflowError::Flow`]; with
-    /// several failing sweep points, the error is the one a serial
-    /// sweep would hit first (only routing can fail at one point and
-    /// not another).
+    /// Propagates stage failures as [`WorkflowError::Flow`].
     pub fn characterize_design(
         &self,
         design: &Aig,
@@ -166,8 +142,7 @@ impl Workflow {
 
         // Span identity comes from the sweep index — canonical data,
         // never scheduling — and every point's children are created in
-        // flow order, so the drained trace is byte-identical at any
-        // worker count.
+        // flow order, so the drained trace is the same on every run.
         let points: Vec<Span> = sweep
             .iter()
             .enumerate()
@@ -187,16 +162,9 @@ impl Workflow {
             .run_sweep(design, &config.recipe, &contexts(StageKind::Synthesis))?;
         let (placement, place_reports) =
             Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
-        let route_contexts = contexts(StageKind::Routing);
-        let sta_contexts = contexts(StageKind::Sta);
-        let routed = sweep::map_metered(
-            resolve_workers(config.workers),
-            route_contexts,
-            self.metrics(),
-            |_, ctx| Router::new().run(&netlist, &placement, &ctx).map(|(_, report)| report),
-        );
-        let route_reports = sweep::reduce_results(routed)?;
-        let (_, sta_reports) = StaEngine::new().run_sweep(&netlist, &placement, &sta_contexts)?;
+        let routed = Router::new().run_sweep(&netlist, &placement, &contexts(StageKind::Routing))?;
+        let route_reports = routed.into_iter().map(|(_, report)| report).collect();
+        let (_, sta_reports) = StaEngine::new().run_sweep(&netlist, &placement, &contexts(StageKind::Sta))?;
 
         Ok(report(
             netlist.cell_count(),

@@ -142,9 +142,9 @@ impl<'a> DatasetBuilder<'a> {
     ///    names (synthesis names a netlist `{design}.{recipe}`; no
     ///    placement, routing or STA engine reads that name).
     /// 3. **Label each group once**: one placement, routing and STA
-    ///    `run_sweep` over every member's four contexts, concatenated
-    ///    (routing once per distinct strip count). An engine serves
-    ///    repeated contexts exactly as it serves each alone, spans
+    ///    `run_sweep` over every member's four contexts, concatenated.
+    ///    An engine serves repeated contexts exactly as it serves each
+    ///    alone, spans
     ///    included, so every member's labels and trace subtree are the
     ///    ones a run of its own records.
     ///

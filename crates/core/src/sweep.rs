@@ -16,17 +16,14 @@
 //! 2. **The engines' work is machine-independent; only its cost is
 //!    not.** No engine reads its probe back, so the event stream of a
 //!    run depends on the design (and recipe), never on the machine the
-//!    probe models. Synthesis, placement and STA run once per netlist
-//!    through their `run_sweep`, one sweep probe costing the run for
-//!    every machine at once. Routing depends on the machine through one
-//!    number, the strip count (`threads`, capped by the connections
-//!    there are to share), plus a closed-form tail (coherence traffic,
-//!    the width the parallel work ran at): `Router::run_sweep`
-//!    negotiates once per distinct strip count. The 1/2/4/8-vCPU sweep
-//!    thus does each piece of structural work once, with counters
-//!    bit-identical to a fresh run at each vCPU count; what fans out
-//!    here is corpus entries (synthesis), distinct corpus netlists
-//!    (placement, routing, STA) and routing's per-point runs.
+//!    probe models. Every engine runs once per netlist through its
+//!    `run_sweep`, one sweep probe costing the run for every machine at
+//!    once; routing adds a closed-form tail per machine (its batches'
+//!    makespans on the machine's threads, coherence traffic). The
+//!    1/2/4/8-vCPU sweep thus does each piece of structural work once,
+//!    with counters bit-identical to a fresh run at each vCPU count;
+//!    what fans out here is corpus entries (synthesis) and distinct
+//!    corpus netlists (placement, routing, STA).
 
 use eda_cloud_trace::{par, Metrics};
 use std::sync::atomic::{AtomicU64, Ordering};

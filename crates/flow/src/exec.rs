@@ -21,9 +21,6 @@ pub struct ExecContext {
     pub machine: MachineConfig,
     /// Cost model (cycle weights, scaling efficiency, work scale).
     pub model: MachineModel,
-    /// Number of OS threads stages may really spawn for measured
-    /// parallelism (capped at `machine.vcpus`).
-    pub real_threads: usize,
     /// Parent trace span the stage hangs its phase spans under.
     /// Disabled by default; instrumentation is a no-op then.
     pub span: Span,
@@ -32,9 +29,7 @@ pub struct ExecContext {
 // `span` is a recording handle, not part of the context's identity.
 impl PartialEq for ExecContext {
     fn eq(&self, other: &Self) -> bool {
-        self.machine == other.machine
-            && self.model == other.model
-            && self.real_threads == other.real_threads
+        self.machine == other.machine && self.model == other.model
     }
 }
 
@@ -51,7 +46,6 @@ impl ExecContext {
         Self {
             machine,
             model: MachineModel::default(),
-            real_threads: machine.vcpus as usize,
             span: Span::disabled(),
         }
     }
@@ -70,11 +64,11 @@ impl ExecContext {
         self
     }
 
-    /// Threads a stage should actually spawn (at least one).
+    /// Threads the machine runs a stage's parallel work on: one per
+    /// vCPU, at least one.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.real_threads
-            .clamp(1, (self.machine.vcpus as usize).max(1))
+        (self.machine.vcpus as usize).max(1)
     }
 }
 
@@ -140,11 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_clamped_to_vcpus() {
-        let mut ctx = ExecContext::with_vcpus(2);
-        ctx.real_threads = 64;
-        assert_eq!(ctx.threads(), 2);
-        ctx.real_threads = 0;
-        assert_eq!(ctx.threads(), 1);
+    fn threads_follow_vcpus() {
+        assert_eq!(ExecContext::with_vcpus(2).threads(), 2);
+        let none = MachineConfig { vcpus: 0, ..MachineConfig::vcpus(1) };
+        assert_eq!(ExecContext::new(none).threads(), 1);
     }
 }

@@ -12,20 +12,27 @@
 //! capacitated routing grid, nets are decomposed into two-pin
 //! connections, each connection is maze-routed (A*) under a
 //! PathFinder-style negotiated congestion cost, and only the connections
-//! crossing overflowed edges are ripped up and rerouted in later
-//! iterations. Connections whose bounding box fits inside one horizontal
-//! strip are *local* and are really routed on worker threads (disjoint
-//! edge sets, merged by addition); connections crossing strips are
-//! routed in a sequential global phase. Small designs have
-//! proportionally more crossing connections and fewer local ones — which
-//! is exactly why their speedup plateaus in Figure 3.
+//! crossing overflowed edges are ripped up and rerouted in later rounds.
+//!
+//! A round cuts its pending connections, in index order, into batches of
+//! `BATCH`. Every search of a batch reads the usage committed before the
+//! batch — a frozen snapshot, so the searches are independent — and the
+//! batch then commits in index order. Batch boundaries depend on the
+//! design alone, so a netlist has one layout on every machine, and the
+//! machine decides only how fast it is computed: machine `k` is charged,
+//! for each batch, the makespan of the batch's searches list-scheduled
+//! onto its threads. A batch whose work sits in fewer expensive searches
+//! than there are vCPUs leaves vCPUs idle.
 
 use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
 use eda_cloud_perf::{CounterSet, PerfProbe, StageWork};
-use eda_cloud_trace::par;
 use std::collections::BinaryHeap;
+
+/// Connections per batch. The searches of a batch see one usage
+/// snapshot, so a larger batch negotiates against staler usage.
+const BATCH: usize = 32;
 
 /// Summary of a routing run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,12 +43,10 @@ pub struct RoutingResult {
     pub wirelength: u64,
     /// Edges still over capacity after the final iteration.
     pub overflowed_edges: usize,
-    /// Rip-up-and-reroute iterations executed in the global phase.
+    /// Rip-up-and-reroute rounds executed.
     pub iterations: usize,
-    /// Two-pin connections routed entirely inside one strip (parallel).
-    pub local_connections: usize,
-    /// Connections spanning strips (routed in the serial phase).
-    pub global_connections: usize,
+    /// Batches routed, over all rounds.
+    pub batches: usize,
 }
 
 /// The global-routing engine.
@@ -90,18 +95,14 @@ impl Router {
     /// result per context, in context order, each what [`Router::run`]
     /// under that context returns.
     ///
-    /// The machine reaches the algorithm only through the strip count —
-    /// `threads`, capped by how many connections there are to share —
-    /// so contexts that agree on it share one negotiation, and what is
-    /// left per context (coherence traffic, the width the parallel work
-    /// really ran at) is closed-form. A small design routes once for
-    /// the whole sweep; one big enough to fill every vCPU count routes
-    /// once per count, serially.
+    /// The layout does not depend on the machine, so the sweep
+    /// negotiates once, and every context gets the same
+    /// [`RoutingResult`]; each context's report prices that one run on
+    /// the context's threads.
     ///
     /// # Errors
     ///
-    /// As [`Router::run`]; the error is the one a loop of `run` over
-    /// `ctxs` hits first.
+    /// As [`Router::run`]; every context fails alike.
     pub fn run_sweep(
         &self,
         netlist: &Netlist,
@@ -111,6 +112,9 @@ impl Router {
         let n_cells = netlist.cell_count();
         if n_cells == 0 {
             return Err(FlowError::EmptyDesign);
+        }
+        if ctxs.is_empty() {
+            return Ok(Vec::new());
         }
 
         // Grid dimension scales with design size.
@@ -168,115 +172,45 @@ impl Router {
             .max((demand as f64 / edges * 2.5).ceil() as u16)
             .max((pin_density * 2.0).ceil() as u16);
 
-        // Assign every connection to the horizontal strip of its
-        // source: dataflow runs PI (left) to PO (right), so nets are
-        // long in x and short in y, and strips maximize the share of
-        // connections whose entire search stays inside one strip.
-        // Don't over-partition tiny designs: a worker needs enough
-        // connections to amortize its setup, so small workloads use
-        // fewer strips than vCPUs (this is the Figure-3 plateau — the
-        // extra vCPUs simply have no independent work to do).
-        //
-        // Contexts with the same strip count route together. Groups
-        // form in order of their first context, so the first group to
-        // fail is the one holding the first context that would.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (k, ctx) in ctxs.iter().enumerate() {
-            let regions = ctx.threads().min(connections.len() / 96).max(1);
-            match groups.iter_mut().find(|(r, _)| *r == regions) {
-                Some((_, members)) => members.push(k),
-                None => groups.push((regions, vec![k])),
-            }
-        }
-        let mut results: Vec<Option<(RoutingResult, StageReport)>> = vec![None; ctxs.len()];
-        for (regions, members) in groups {
-            let group: Vec<&ExecContext> = members.iter().map(|&k| &ctxs[k]).collect();
-            let routed = self.route_group(grid, capacity, &connections, regions, &group)?;
-            for (k, result) in members.into_iter().zip(routed) {
-                results[k] = Some(result);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|result| result.expect("every context is in one group"))
-            .collect())
-    }
+        let mut probe = sweep_probe(ctxs);
+        // The searches' probe: the workers' private caches and
+        // predictor, warm for the whole negotiation.
+        let mut searcher = sweep_probe(ctxs);
+        let spans = SpanFan::of(ctxs);
 
-    /// Negotiate the routing once at `regions` strips and finish one
-    /// result for each of `ctxs`, all of which partition into that many
-    /// strips.
-    fn route_group(
-        &self,
-        grid: usize,
-        capacity: u16,
-        connections: &[Connection],
-        regions: usize,
-        ctxs: &[&ExecContext],
-    ) -> Result<Vec<(RoutingResult, StageReport)>, FlowError> {
-        let mut probe = sweep_probe(ctxs.iter().copied());
-        let spans = SpanFan::of(ctxs.iter().copied());
-        let region_of = |y: u16| (y as usize * regions / grid).min(regions - 1);
-        let mut local_connections = 0usize;
-        let mut global_connections = 0usize;
-        for c in connections {
-            let (r1, r2) = (region_of(c.src.1), region_of(c.dst.1));
-            probe.branch(0xC0, r1 == r2);
-            if r1 == r2 {
-                local_connections += 1;
-            } else {
-                global_connections += 1;
-            }
-        }
-
-        // PathFinder-style parallel negotiation: every iteration routes
-        // the pending connections in parallel (workers see a stale
-        // snapshot of the committed usage plus their own delta), then a
-        // cheap serial phase merges deltas, finds overflowed edges,
-        // bumps their history, and rips up only the offending
-        // connections for the next round. This mirrors how production
-        // parallel routers scale: the maze searches dominate and they
-        // all run concurrently; only the merge/overflow scan is serial.
+        // PathFinder-style negotiation: each round routes the pending
+        // connections batch by batch, then a cheap serial phase finds
+        // overflowed edges, bumps their history, and rips up only the
+        // offending connections for the next round.
         let mut state = GridState::new(grid, capacity);
+        let mut search = AStar::new(grid * grid);
         let mut paths: Vec<Vec<u32>> = vec![Vec::new(); connections.len()];
         let mut pending: Vec<usize> = (0..connections.len()).collect();
-        // One worker per strip, kept for the whole run.
-        let mut strips: Vec<Strip> = (0..regions).map(|_| Strip::new(grid, capacity, ctxs)).collect();
-        let mut worker_totals = vec![CounterSet::default(); ctxs.len()];
+        // Per context, the batches' makespans on its threads, summed,
+        // in searched instructions.
+        let mut makespans = vec![0u64; ctxs.len()];
+        let mut work: Vec<u64> = Vec::with_capacity(BATCH);
         let mut over = vec![false; state.usage.len()];
-        let mut iterations = 0usize;
+        let (mut iterations, mut batches) = (0usize, 0usize);
         let negotiate_span = spans.child("negotiate");
         for round in 0..self.max_iterations.max(1) {
             iterations += 1;
             let round_span = negotiate_span.child(format_args!("round/{round}"));
             round_span.counter("pending", pending.len() as u64);
-            // Partition pending connections by source strip.
-            for strip in &mut strips {
-                strip.bucket.clear();
-            }
-            for &i in &pending {
-                strips[region_of(connections[i].src.1)].bucket.push(i);
-            }
             probe.instr(pending.len() as u64);
-            // Batched parallel routing round. The region partition is
-            // fixed by the simulated machine; how many *host* threads
-            // chew through the non-empty buckets follows the host's
-            // cores. Each bucket routes against the same committed-
-            // usage snapshot into its strip's own delta, paths and
-            // probe, and those are committed in strip order — the
-            // canonical commit order — so results are bit-identical at
-            // any width.
-            let busy: Vec<&mut Strip> = strips.iter_mut().filter(|s| !s.bucket.is_empty()).collect();
-            let workers = par::resolve_workers(0, busy.len());
-            par::map_indexed(workers, busy, |_, strip| {
-                strip.route_bucket(&state.usage, &state.history, connections);
-            });
-            for strip in strips.iter_mut().filter(|s| !s.bucket.is_empty()) {
-                state.merge_delta(&strip.grid.delta);
-                for (k, total) in worker_totals.iter_mut().enumerate() {
-                    *total += strip.probe.counters_for(k);
+            for batch in pending.chunks(BATCH) {
+                batches += 1;
+                work.clear();
+                for &i in batch {
+                    let before = searcher.counters().instructions;
+                    paths[i] = state.route(connections[i], &mut search, &mut searcher);
+                    work.push(searcher.counters().instructions - before);
                 }
-                for (&i, path) in strip.bucket.iter().zip(strip.paths.drain(..)) {
-                    paths[i] = path;
+                for &i in batch {
+                    state.commit(&paths[i]);
+                }
+                for (makespan, ctx) in makespans.iter_mut().zip(ctxs) {
+                    *makespan += list_makespan(&work, ctx.threads());
                 }
             }
             // Serial phase: overflow scan + history bump + rip-up.
@@ -316,7 +250,11 @@ impl Router {
             }
         }
         drop(negotiate_span);
-        probe.absorb(&worker_totals);
+        let searched: Vec<CounterSet> = (0..ctxs.len()).map(|k| searcher.counters_for(k)).collect();
+        // Searches count the same events on every machine (only their
+        // LLC and AVX attribution differ).
+        let searched_ops = searched[0].instructions;
+        probe.absorb(&searched);
 
         let wirelength: u64 = paths.iter().map(|p| p.len() as u64).sum();
         spans.counter("ripup_rounds", iterations as u64);
@@ -329,14 +267,13 @@ impl Router {
             });
         }
 
-        // Worker events are the same on every machine of the group
-        // (only their LLC and AVX attribution differ).
-        let worker_ops = worker_totals[0].instructions as f64;
-        let results = ctxs.iter().enumerate().map(|(k, ctx)| {
+        let result = RoutingResult { grid, wirelength, overflowed_edges, iterations, batches };
+        let reports = ctxs.iter().zip(makespans).enumerate().map(|(k, (ctx, makespan))| {
+            // Coherence traffic: a batch's commits write edges that other
+            // workers' caches also hold; a share of those writes miss on
+            // real hardware (this is the paper's slight cache-miss
+            // increase at 8 vCPUs).
             let threads = ctx.threads();
-            // Coherence traffic: global connections write edges that worker
-            // caches also hold; a share of those writes miss on real hardware
-            // (this is the paper's slight cache-miss increase at 8 vCPUs).
             let mut counters = probe.counters_for(k);
             if threads > 1 {
                 let coherence = (wirelength as f64 * (1.0 - 1.0 / threads as f64) * 0.6) as u64;
@@ -345,42 +282,31 @@ impl Router {
                 counters.llc_misses += coherence / 2;
             }
 
-            // Work split: worker counters are the parallel share; the
-            // merge/overflow bookkeeping on the main probe is serial. When
-            // the design is too small to fill every vCPU with a strip
-            // (regions < vCPUs), the parallel work runs at width `regions`,
-            // not `vcpus` — inflate it so the machine model's division by
-            // effective cores lands on parallel/width (the Figure-3
-            // plateau).
+            // Work split: the searches are the parallel share; the
+            // rip-up and overflow bookkeeping on the main probe is
+            // serial. The searches kept `busy` threads working on average
+            // (their work over the sum of the batch makespans, 1 to
+            // `threads`), so the parallel work is charged at that width,
+            // not at every vCPU.
             let total_ops = counters.instructions.max(1) as f64;
-            let parallel_fraction = (worker_ops / total_ops).clamp(0.0, 0.99);
+            let parallel_fraction = (searched_ops as f64 / total_ops).clamp(0.0, 0.99);
             let sync = 1_500.0 * iterations as f64;
-            let mut work = StageWork::from_counters(&counters, parallel_fraction, sync, &ctx.model);
-            if regions < threads {
-                let eff_full = ctx.model.effective_cores(&ctx.machine);
-                let eff_width = 1.0 + (regions as f64 - 1.0) * ctx.model.scaling_efficiency;
-                work.parallel_cycles *= eff_full / eff_width;
-            }
-            let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
-            (
-                RoutingResult {
-                    grid,
-                    wirelength,
-                    overflowed_edges,
-                    iterations,
-                    local_connections,
-                    global_connections,
-                },
-                StageReport {
-                    kind: StageKind::Routing,
-                    runtime_secs,
-                    counters,
-                    work,
-                    parallel_fraction,
-                },
-            )
+            let model = &ctx.model;
+            let mut work = StageWork::from_counters(&counters, parallel_fraction, sync, model);
+            let busy = (searched_ops as f64 / makespan.max(1) as f64).max(1.0);
+            let at_busy = (1.0 + (busy - 1.0) * model.scaling_efficiency) * (1.0 - ctx.machine.interference);
+            work.parallel_cycles *= model.effective_cores(&ctx.machine) / at_busy;
+            let runtime_secs = model.runtime_secs(&work, &ctx.machine);
+            let report = StageReport {
+                kind: StageKind::Routing,
+                runtime_secs,
+                counters,
+                work,
+                parallel_fraction,
+            };
+            (result.clone(), report)
         });
-        Ok(results.collect())
+        Ok(reports.collect())
     }
 }
 
@@ -390,6 +316,16 @@ impl Default for Router {
     }
 }
 
+/// Makespan of `work`, in order, list-scheduled onto `threads` workers:
+/// each item goes to the worker that frees up first.
+fn list_makespan(work: &[u64], threads: usize) -> u64 {
+    let mut loads = vec![0u64; threads.clamp(1, work.len().max(1))];
+    for &w in work {
+        *loads.iter_mut().min().expect("at least one worker") += w;
+    }
+    loads.into_iter().max().unwrap_or(0)
+}
+
 /// One two-pin connection on the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Connection {
@@ -397,58 +333,13 @@ struct Connection {
     dst: (u16, u16),
 }
 
-/// What one strip's worker keeps for a whole run: its probe, search
-/// scratch and view of the grid are built once and reset for each
-/// round's bucket — cold caches, an untrained predictor and fresh
-/// search records, exactly as if built for that bucket.
-struct Strip {
-    /// This round's pending connections whose source lies in the strip.
-    bucket: Vec<usize>,
-    /// Their routed paths, in bucket order, until the round commits.
-    paths: Vec<Vec<u32>>,
-    probe: PerfProbe,
-    grid: GridState,
-    search: AStar,
-}
-
-impl Strip {
-    fn new(grid: usize, capacity: u16, ctxs: &[&ExecContext]) -> Self {
-        Self {
-            bucket: Vec::new(),
-            paths: Vec::new(),
-            probe: sweep_probe(ctxs.iter().copied()),
-            grid: GridState::new(grid, capacity),
-            search: AStar::new(grid * grid),
-        }
-    }
-
-    /// Route the bucket against the committed `background` usage,
-    /// leaving the paths, the usage delta and the probe's counters for
-    /// the round's serial phase to commit.
-    fn route_bucket(&mut self, background: &[u16], history: &[f32], connections: &[Connection]) {
-        self.probe.reset();
-        self.grid.rebase(background, history);
-        for &i in &self.bucket {
-            let path = self.grid.route(connections[i], &mut self.search, &mut self.probe);
-            self.paths.push(path);
-        }
-    }
-}
-
-/// Mutable routing state: edge usage (optionally layered on a read-only
-/// background snapshot) and congestion history.
+/// Routing state: committed edge usage and congestion history.
 #[derive(Debug, Clone)]
 struct GridState {
     grid: usize,
     capacity: u16,
-    /// Monotonic connection counter: each maze search allocates fresh
-    /// node records, so probe addresses are unique per search (cold).
-    search_seq: u64,
-    /// Horizontal edges then vertical edges. In a worker this holds the
-    /// background snapshot plus the worker's own commits; `delta`
-    /// remembers just the commits for the merge.
+    /// Horizontal edges then vertical edges.
     usage: Vec<u16>,
-    delta: Vec<u16>,
     history: Vec<f32>,
 }
 
@@ -459,24 +350,7 @@ impl GridState {
             grid,
             capacity,
             usage: vec![0; edges],
-            delta: vec![0; edges],
             history: vec![0.0; edges],
-            search_seq: 0,
-        }
-    }
-
-    /// Become a worker's view for one round: costs see `background`
-    /// plus own commits; commits are recorded separately for the merge.
-    fn rebase(&mut self, background: &[u16], history: &[f32]) {
-        self.usage.copy_from_slice(background);
-        self.delta.fill(0);
-        self.history.copy_from_slice(history);
-        self.search_seq = 0;
-    }
-
-    fn merge_delta(&mut self, delta: &[u16]) {
-        for (u, &d) in self.usage.iter_mut().zip(delta) {
-            *u += d;
         }
     }
 
@@ -492,22 +366,26 @@ impl GridState {
         1.0 + f64::from(self.history[e]) + over * 4.0
     }
 
-    fn commit_edge(&mut self, e: usize) {
-        self.usage[e] += 1;
-        self.delta[e] += 1;
+    /// Commit a routed path's edge usage.
+    fn commit(&mut self, path: &[u32]) {
+        for &e in path {
+            self.usage[e as usize] += 1;
+        }
     }
 
     fn overflow_count(&self) -> usize {
         self.usage.iter().filter(|&&u| u > self.capacity).count()
     }
 
-    /// A* maze route of one connection; commits edge usage and returns
-    /// the path (edge indices from destination back to source).
-    fn route(&mut self, c: Connection, search: &mut AStar, probe: &mut PerfProbe) -> Vec<u32> {
+    /// A* maze route of one connection against the committed usage;
+    /// returns the path (edge indices from destination back to source)
+    /// for its batch to commit.
+    fn route(&self, c: Connection, search: &mut AStar, probe: &mut PerfProbe) -> Vec<u32> {
         let g = self.grid;
-        self.search_seq += 1;
-        // Fresh per-search node-record arena (16 B per visited node).
-        let search_base = 0xA000_0000u64 + self.search_seq * 0x4_0000;
+        search.begin();
+        // Fresh per-search node-record arena (16 B per visited node),
+        // above the edge records for any number of searches.
+        let search_base = 0x10_0000_0000u64 + u64::from(search.search) * 0x4_0000;
         let idx = |x: usize, y: usize| y * g + x;
         let (sx, sy) = (c.src.0 as usize, c.src.1 as usize);
         let (dx, dy) = (c.dst.0 as usize, c.dst.1 as usize);
@@ -518,7 +396,6 @@ impl GridState {
         let y0 = sy.min(dy).saturating_sub(margin);
         let y1 = (sy.max(dy) + margin).min(g - 1);
 
-        search.begin();
         search.reach(idx(sx, sy), 0.0, u32::MAX);
         search.heap.push(HeapItem {
             cost: 0.0,
@@ -576,7 +453,7 @@ impl GridState {
                 }
             }
         }
-        // Backtrack and commit usage.
+        // Backtrack; the writes are the commit's.
         let mut path = Vec::new();
         let mut cur = idx(dx, dy);
         if search.from(cur) == u32::MAX && cur != idx(sx, sy) {
@@ -593,7 +470,6 @@ impl GridState {
             } else {
                 self.edge_index(cx, cy.min(py), 1)
             };
-            self.commit_edge(e);
             probe.write(0xB000_0000 + e as u64 * 256);
             path.push(e as u32);
             cur = prev;
@@ -602,10 +478,10 @@ impl GridState {
     }
 }
 
-/// Reusable A* state for one worker: a best cost and predecessor per
-/// grid node, and the open heap. A node's record counts only when its
-/// stamp is the current search's, so starting a search costs a counter
-/// bump instead of refilling two grid-sized vectors.
+/// Reusable A* state: a best cost and predecessor per grid node, and the
+/// open heap. A node's record counts only when its stamp is the current
+/// search's, so starting a search costs a counter bump instead of
+/// refilling two grid-sized vectors.
 struct AStar {
     nodes: Vec<SearchNode>,
     search: u32,
@@ -703,6 +579,10 @@ mod tests {
         Router::new().run(&nl, &pl, &ctx).unwrap()
     }
 
+    fn probe() -> PerfProbe {
+        PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1))
+    }
+
     #[test]
     fn routes_without_excess_overflow() {
         let (r, _) = routed(1);
@@ -723,23 +603,22 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_split_work_into_local_regions() {
+    fn one_layout_at_every_vcpu_count() {
         let (r1, rep1) = routed_design(generators::multiplier(12), 1);
         let (r4, rep4) = routed_design(generators::multiplier(12), 4);
-        // With one region everything is local.
-        assert_eq!(r1.global_connections, 0);
-        assert!(r4.global_connections > 0);
-        assert!(r4.local_connections > 0);
-        // Parallel fraction should be substantial at 4 threads on a
-        // reasonably sized design.
+        assert_eq!(r1, r4, "the machine does not change the layout");
+        assert!(r4.batches > r4.iterations, "{r4:?}");
+        // The searches are most of the work, and the same share of it
+        // on every machine; four vCPUs run it faster.
         assert!(rep4.parallel_fraction > 0.3, "p={}", rep4.parallel_fraction);
-        assert!(rep1.parallel_fraction <= 1.0);
+        assert_eq!(rep1.parallel_fraction.to_bits(), rep4.parallel_fraction.to_bits());
+        assert!(rep4.runtime_secs < rep1.runtime_secs);
     }
 
     #[test]
     fn large_design_scales_small_design_plateaus() {
         // The Figure-3 effect: a larger design keeps more of its
-        // connections region-local, so it scales further with threads.
+        // vCPUs busy, so it scales further with threads.
         let (_, small1) = routed_design(generators::adder(10), 1);
         let (_, small8) = routed_design(generators::adder(10), 8);
         let (_, big1) = routed_design(generators::multiplier(14), 1);
@@ -751,6 +630,39 @@ mod tests {
             "big {big_speedup} vs small {small_speedup}"
         );
         assert!(big_speedup > 1.3, "routing should scale, got {big_speedup}");
+    }
+
+    #[test]
+    fn list_makespan_of_one_thread_is_the_sum() {
+        assert_eq!(list_makespan(&[5, 1, 9, 3, 3], 1), 21);
+        assert_eq!(list_makespan(&[], 1), 0);
+    }
+
+    #[test]
+    fn list_makespan_with_a_thread_per_item_is_the_max() {
+        for threads in 5..9 {
+            assert_eq!(list_makespan(&[5, 1, 9, 3, 3], threads), 9);
+        }
+        assert_eq!(list_makespan(&[], 8), 0);
+    }
+
+    #[test]
+    fn list_makespan_never_grows_with_threads() {
+        // Batches of up to two of `BATCH`, with search costs spanning
+        // two orders of magnitude as maze searches do.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000 {
+            let len = (next() % (2 * BATCH as u64 + 1)) as usize;
+            let work: Vec<u64> = (0..len).map(|_| 1 + next() % 200).collect();
+            let spans: Vec<u64> = (1..=16).map(|threads| list_makespan(&work, threads)).collect();
+            assert!(spans.windows(2).all(|w| w[1] <= w[0]), "{work:?}: {spans:?}");
+        }
     }
 
     #[test]
@@ -768,23 +680,23 @@ mod tests {
     #[test]
     fn route_commits_manhattan_distance_on_empty_grid() {
         let mut s = GridState::new(16, 8);
-        let mut probe = PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1));
         let path = s.route(
             Connection {
                 src: (2, 2),
                 dst: (7, 5),
             },
             &mut AStar::new(16 * 16),
-            &mut probe,
+            &mut probe(),
         );
         assert_eq!(path.len(), 5 + 3, "uncongested route = Manhattan distance");
+        assert!(s.usage.iter().all(|&u| u == 0), "routing alone commits nothing");
+        s.commit(&path);
         assert_eq!(s.usage.iter().map(|&u| u64::from(u)).sum::<u64>(), 8);
     }
 
     #[test]
     fn congestion_forces_detour() {
         let mut s = GridState::new(16, 1);
-        let mut probe = PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1));
         // Saturate the straight-line corridor.
         for x in 2..7 {
             let e = s.edge_index(x, 3, 0);
@@ -796,7 +708,7 @@ mod tests {
                 dst: (7, 3),
             },
             &mut AStar::new(16 * 16),
-            &mut probe,
+            &mut probe(),
         );
         assert!(
             path.len() > 5,
@@ -805,65 +717,33 @@ mod tests {
         );
     }
 
-    /// A worker's view of `base` for one round.
-    fn worker_view(base: &GridState) -> GridState {
-        let mut view = GridState::new(base.grid, base.capacity);
-        view.rebase(&base.usage, &base.history);
-        view
-    }
-
     #[test]
-    fn worker_deltas_merge_exactly() {
-        // Two workers route over the same background; merging their
-        // deltas must equal the sum of their individual commits. The
-        // second worker reuses the first one's search scratch.
-        let mut probe = PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1));
+    fn a_batch_routes_against_the_usage_before_it() {
+        // Two equal connections of one batch both see the empty grid and
+        // take the same path, even at one track per edge; the next batch
+        // sees both commits and detours. One scratch serves every search.
+        let mut probe = probe();
         let mut search = AStar::new(16 * 16);
-        let mut state = GridState::new(16, 4);
-        let mut w1 = worker_view(&state);
-        let mut w2 = worker_view(&state);
+        let mut state = GridState::new(16, 1);
         let c = Connection {
             src: (1, 2),
             dst: (6, 2),
         };
-        let p1 = w1.route(c, &mut search, &mut probe);
-        let p2 = w2.route(c, &mut search, &mut probe);
+        let p1 = state.route(c, &mut search, &mut probe);
+        let p2 = state.route(c, &mut search, &mut probe);
         assert_eq!(p1, p2, "a reused scratch starts every search clean");
-        state.merge_delta(&w1.delta);
-        state.merge_delta(&w2.delta);
+        state.commit(&p1);
+        state.commit(&p2);
         let total: u64 = state.usage.iter().map(|&u| u64::from(u)).sum();
         assert_eq!(total as usize, p1.len() + p2.len());
+        let p3 = state.route(c, &mut search, &mut probe);
+        assert!(p3.len() > p1.len(), "committed usage steers the next batch: {p3:?}");
     }
 
     #[test]
-    fn background_usage_steers_worker_routes() {
-        // A worker seeing a congested background corridor must detour.
-        let mut probe = PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1));
-        let mut base = GridState::new(16, 1);
-        for x in 2..9 {
-            let e = base.edge_index(x, 3, 0);
-            base.usage[e] = 3;
-        }
-        let mut worker = worker_view(&base);
-        let path = worker.route(
-            Connection {
-                src: (2, 3),
-                dst: (9, 3),
-            },
-            &mut AStar::new(16 * 16),
-            &mut probe,
-        );
-        assert!(path.len() > 7, "detour expected, got {}", path.len());
-        // The delta records only the worker's own commits.
-        let committed: u64 = worker.delta.iter().map(|&u| u64::from(u)).sum();
-        assert_eq!(committed as usize, path.len());
-    }
-
-    #[test]
-    fn negotiation_clears_worker_conflicts_end_to_end() {
-        // Route a real design with several threads; the iterative
-        // negotiation must end within tolerance even though the blind
-        // parallel rounds create conflicts.
+    fn negotiation_clears_batch_conflicts_end_to_end() {
+        // The searches of a batch cannot see each other, so they collide;
+        // the negotiation must still end within tolerance.
         let (r, _) = routed_design(generators::multiplier(10), 4);
         assert!(r.iterations >= 1);
         assert!((r.overflowed_edges as f64) <= 0.02 * (2 * r.grid * r.grid) as f64);
@@ -894,9 +774,9 @@ mod tests {
         // round's rip-up takes every connection off every overflowed
         // edge, so the closing overflow count is always zero (DESIGN.md,
         // "The sweep probe" records it with the other routing-label
-        // defects). A negative tolerance makes that zero fail, in every
-        // strip-count group; the sweep must stop at the group holding
-        // the first context, as a loop of `run` stops at that context.
+        // defects). A negative tolerance makes that zero fail; the sweep
+        // negotiates once and fails with the error a loop of `run` stops
+        // at.
         let ctx = ExecContext::with_vcpus(1);
         let (nl, _) = Synthesizer::new()
             .with_verification(false)

@@ -5,7 +5,7 @@
 //! (`run_sweep`); `run` is the one-context case. Sharing is exact only
 //! if nothing a context's result depends on leaks between contexts —
 //! the sweep probe's per-machine LLC and FP split, the router's
-//! grouping by strip count, the span fan-out — so `run_sweep(ctxs)[k]`
+//! per-context makespans, the span fan-out — so `run_sweep(ctxs)[k]`
 //! is held to `run(ctxs[k])` field for field, bits for floats, over
 //! every generator family and context lists that are permuted,
 //! repeated, and mixed across instance families. Synthesis is also
@@ -105,13 +105,11 @@ fn context_list(variant: usize) -> Vec<ExecContext> {
         1 => vec![gp(8), gp(1), gp(4), gp(1), gp(2), gp(8)],
         // Both instance families, interleaved.
         2 => vec![mo(4), gp(4), mo(1), gp(8), mo(2), mo(8)],
-        // No AVX, fewer real threads than vCPUs, a calibrated model.
+        // No AVX, a calibrated model.
         _ => {
             let scalar = ExecContext::new(MachineConfig { avx: false, ..MachineConfig::vcpus(4) });
-            let mut narrow = mo(8);
-            narrow.real_threads = 2;
             let scaled = gp(2).with_model(MachineModel::with_work_scale(2_420.0));
-            vec![scalar, narrow, scaled, gp(1)]
+            vec![scalar, mo(8), scaled, gp(1)]
         }
     }
 }
@@ -211,27 +209,21 @@ fn sweeps_equal_per_context_runs_on_every_family_resyn2() {
 }
 
 #[test]
-fn router_groups_contexts_by_strip_count() {
-    let split = |results: &[RoutingResult]| {
-        let mut splits: Vec<(usize, usize)> =
-            results.iter().map(|r| (r.local_connections, r.global_connections)).collect();
-        splits.sort_unstable();
-        splits.dedup();
-        splits.len()
-    };
-    // multiplier6 has connections for 1, 2, 4 and 8 strips: every
-    // context of the paper's sweep negotiates on its own.
-    let netlist = synthesized("multiplier", 6, &Recipe::balanced());
-    let results = assert_flow_sweeps_equal_runs(&netlist, &context_list(0), "multiplier6");
-    assert_eq!(split(&results), 4, "four strip counts, four local/global splits");
-    // parity4 is one strip at any vCPU count: one negotiation serves
-    // the whole sweep, and an empty sweep returns what does not depend
-    // on a context — the netlist, the placement, the timing — and no
-    // reports.
-    let netlist = synthesized("parity", 4, &Recipe::balanced());
-    let results = assert_flow_sweeps_equal_runs(&netlist, &context_list(1), "parity4");
-    assert_eq!(split(&results), 1);
-    assert!(results.iter().all(|r| r.global_connections == 0));
+fn router_negotiates_once_per_netlist() {
+    // One layout per netlist: every context of the paper's sweep, and
+    // of a permuted list with repeats, gets the same `RoutingResult`;
+    // only the reports differ.
+    for (family, size) in [("multiplier", 6), ("parity", 4)] {
+        let netlist = synthesized(family, size, &Recipe::balanced());
+        for variant in [0, 1] {
+            let what = format!("{family}{size} contexts {variant}");
+            let results = assert_flow_sweeps_equal_runs(&netlist, &context_list(variant), &what);
+            assert!(results.windows(2).all(|w| w[0] == w[1]), "{what}: {results:?}");
+            assert!(results[0].batches > 0, "{what}: {results:?}");
+        }
+    }
+    // An empty sweep returns what does not depend on a context — the
+    // netlist, the placement, the timing — and no reports.
     let aig = generators::build_family("parity", 4).expect("known family");
     let netlist = assert_synthesis_sweep_equals_runs(&aig, &Recipe::balanced(), &[], true, "parity4, no contexts");
     assert_flow_sweeps_equal_runs(&netlist, &[], "parity4, no contexts");

@@ -15,8 +15,8 @@ const REUSE_MIN_TAGS: usize = 4096;
 /// Arrays one thread keeps between probes: as many as the LLC slices
 /// of one 1/2/4/8-vCPU sweep probe (however many times its contexts
 /// repeat that sweep), at most 2.9 MB of tags once all four are 8-vCPU
-/// sized. A run that holds more caches at once (the router's per-strip
-/// probes) allocates the excess and frees it again on drop.
+/// sized. A run that holds more caches at once (the router's main and
+/// search probes) allocates the excess and frees it again on drop.
 const FREE_LIST_SLOTS: usize = 4;
 
 /// The arrays behind one cache. On the free list every tag is

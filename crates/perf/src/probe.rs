@@ -266,18 +266,15 @@ impl PerfProbe {
         }
         c += machine.absorbed;
         // LLC misses live in the hierarchy (kept there to avoid a
-        // second counter increment on the hot path). Assigning them
-        // here drops the LLC misses of absorbed worker counters, so a
-        // stage that routes on workers under-reports them — a recorded
-        // defect every routing label carries (DESIGN.md, "The sweep
-        // probe"; ROADMAP item 2), reproduced on purpose.
-        c.llc_misses = self.cache.llc_misses_at(k);
+        // second counter increment on the hot path); absorbed worker
+        // counters bring their own.
+        c.llc_misses += self.cache.llc_misses_at(k);
         c
     }
 
-    /// Merge counters collected by worker probes (e.g. one per routing
-    /// strip), one set per machine in the probe's machine order — a
-    /// worker's LLC and AVX attribution are its machine's.
+    /// Merge counters collected by worker probes (e.g. the router's
+    /// search probe), one set per machine in the probe's machine order —
+    /// a worker's LLC and AVX attribution are its machine's.
     ///
     /// A traced probe (always one machine) records the set verbatim, so
     /// a trace containing absorbs replays machine-independently only if
@@ -371,6 +368,17 @@ mod tests {
         main.absorb(&[worker.counters()]);
         assert_eq!(main.counters().instructions, 51);
         assert_eq!(main.counters().branches, 1);
+    }
+
+    #[test]
+    fn absorbed_llc_misses_reach_the_counters() {
+        let machines = [MachineConfig::vcpus(1), MachineConfig::vcpus(8)];
+        let mut main = PerfProbe::for_machines(&machines);
+        main.read(0); // one cold miss in every hierarchy
+        let worker = |llc_misses| CounterSet { llc_misses, ..CounterSet::default() };
+        main.absorb(&[worker(40), worker(7)]);
+        assert_eq!(main.counters_for(0).llc_misses, 41);
+        assert_eq!(main.counters_for(1).llc_misses, 8);
     }
 
     /// Drive a deterministic but machine-sensitive event mix through a
@@ -472,9 +480,9 @@ mod tests {
         }
     }
 
-    /// The single-machine probe as it was before the sweep probe, event
-    /// for event: stamp caches, FP attributed as it arrives, absorbed
-    /// counters added into the one set, `llc_misses` assigned on read.
+    /// The single-machine probe's arithmetic, event for event: stamp
+    /// caches, FP attributed as it arrives, absorbed counters added into
+    /// the one set, the hierarchy's `llc_misses` added to theirs on read.
     fn reference_counters(machine: &MachineConfig, events: &[ProbeEvent], k: usize) -> CounterSet {
         let (mut l1, mut llc) = StampCache::hierarchy_for_vcpus(machine.vcpus);
         let mut branch = BranchPredictor::new(4096);
@@ -516,7 +524,7 @@ mod tests {
                 ProbeEvent::Absorb(base) => c += worker_set(base, k),
             }
         }
-        c.llc_misses = llc_misses;
+        c.llc_misses += llc_misses;
         c
     }
 

@@ -1,9 +1,9 @@
 //! The workspace's one host-parallel primitive: fan a job list out over
 //! scoped threads and join the results **by index**.
 //!
-//! Every subsystem that parallelises on the host (characterization
-//! sweeps, router negotiation rounds, per-stage model forwards,
-//! retraining, recipe evaluation, sharded event windows) does it under
+//! Every subsystem that parallelises on the host (corpus labelling,
+//! fleet planning, per-stage model forwards, retraining, sharded event
+//! windows) does it under
 //! the same policy: jobs are numbered up front and each result lands in
 //! its job's slot, so the output is a function of the job list alone —
 //! never of thread scheduling. A run at any worker count is therefore
@@ -16,8 +16,7 @@ use std::sync::{Mutex, OnceLock};
 /// `cap` (the widest fan-out the call site can use) and at least 1.
 #[must_use]
 pub fn resolve_workers(requested: usize, cap: usize) -> usize {
-    // Asked once per process: the query reads cgroup files on Linux,
-    // and the router resolves its width every negotiation round.
+    // Asked once per process: the query reads cgroup files on Linux.
     static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let workers = if requested > 0 {
         requested
@@ -64,9 +63,9 @@ where
         done
     };
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    // The caller only joins: jobs that allocate heavily (the router's
-    // per-bucket cache simulators) thrash the main thread's malloc arena
-    // when run there between spawns — 6x the page faults on `char_sweep`.
+    // The caller only joins: jobs that allocate heavily (cache
+    // simulators) thrash the main thread's malloc arena when run there
+    // between spawns — measured at 6x the page faults.
     std::thread::scope(|scope| {
         let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
         for handle in spawned {

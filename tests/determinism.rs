@@ -54,21 +54,23 @@ fn training_is_deterministic() {
 }
 
 #[test]
-fn characterization_is_identical_across_worker_counts() {
-    // The sweep engine's canonical (index-keyed) reduction contract:
-    // fanning the vCPU sweep out over 4 workers produces output
-    // bit-identical to the serial (1-worker) sweep.
+fn characterization_is_identical_across_sweep_orders() {
+    // Routing lays a netlist out once for every machine, so a vCPU
+    // count's reports do not depend on which other counts are swept
+    // with it, or in what order.
     let workflow = Workflow::with_defaults();
     let design = generators::openpiton_design("dynamic_node").expect("known design");
-    let cfg = CharacterizationConfig::paper();
-    let serial = workflow
-        .characterize_design(&design, &cfg.clone().with_workers(1))
-        .expect("serial sweep");
-    for workers in [2, 4] {
-        let parallel = workflow
-            .characterize_design(&design, &cfg.clone().with_workers(workers))
-            .expect("parallel sweep");
-        assert_eq!(serial, parallel, "workers={workers}");
+    let paper = CharacterizationConfig::paper();
+    let full = workflow.characterize_design(&design, &paper).expect("paper sweep");
+    for vcpu_sweep in [vec![8, 4, 2, 1], vec![4]] {
+        let cfg = CharacterizationConfig { vcpu_sweep: vcpu_sweep.clone(), ..paper.clone() };
+        let other = workflow.characterize_design(&design, &cfg).expect("sweep");
+        for (stage, full_stage) in other.stages.iter().zip(&full.stages) {
+            for run in &stage.runs {
+                let want = full_stage.at_vcpus(run.vcpus);
+                assert_eq!(Some(run), want, "{} at {} vCPUs, sweep {vcpu_sweep:?}", stage.kind, run.vcpus);
+            }
+        }
     }
 }
 
