@@ -53,8 +53,7 @@ fn bench_stages(c: &mut Criterion) {
 fn bench_probe_construction(c: &mut Criterion) {
     // Create, one access, drop — warm, i.e. on the arrays the previous
     // probe of this thread left on the cache simulator's free list.
-    // Every engine run pays this once (the router twice: its main and
-    // search probes).
+    // Every engine run pays this once.
     let mut group = c.benchmark_group("probe");
     for vcpus in [1u32, 8] {
         let machine = MachineConfig::vcpus(vcpus);

@@ -146,7 +146,8 @@ impl<'a> DatasetBuilder<'a> {
     ///    An engine serves repeated contexts exactly as it serves each
     ///    alone, spans
     ///    included, so every member's labels and trace subtree are the
-    ///    ones a run of its own records.
+    ///    ones a run of its own records. Groups start largest netlist
+    ///    first, so the longest job does not start last.
     ///
     /// Entries are reduced in canonical triple order regardless of
     /// completion order, so the corpus is bit-identical for any worker
@@ -221,6 +222,15 @@ impl<'a> DatasetBuilder<'a> {
                 groups.len() - 1
             });
             groups[group_of[i]].push(i);
+        }
+        // Largest netlists first: one can take as long as all the small
+        // ones together, and started last it would run alone. Results
+        // land by group, so the order changes no label.
+        groups.sort_by_key(|g| std::cmp::Reverse(synthesized(g[0]).netlist.cell_count()));
+        for (g, members) in groups.iter().enumerate() {
+            for &i in members {
+                group_of[i] = g;
+            }
         }
         metrics.add("dataset.distinct_netlists", groups.len() as u64);
 

@@ -27,7 +27,7 @@
 use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
-use eda_cloud_perf::{CounterSet, PerfProbe, StageWork};
+use eda_cloud_perf::{PerfProbe, StageWork};
 use std::collections::BinaryHeap;
 
 /// Connections per batch. The searches of a batch see one usage
@@ -173,9 +173,6 @@ impl Router {
             .max((pin_density * 2.0).ceil() as u16);
 
         let mut probe = sweep_probe(ctxs);
-        // The searches' probe: the workers' private caches and
-        // predictor, warm for the whole negotiation.
-        let mut searcher = sweep_probe(ctxs);
         let spans = SpanFan::of(ctxs);
 
         // PathFinder-style negotiation: each round routes the pending
@@ -190,6 +187,8 @@ impl Router {
         // in searched instructions.
         let mut makespans = vec![0u64; ctxs.len()];
         let mut work: Vec<u64> = Vec::with_capacity(BATCH);
+        // Instructions the searches retired: the same on every machine.
+        let mut searched_ops = 0u64;
         let mut over = vec![false; state.usage.len()];
         let (mut iterations, mut batches) = (0usize, 0usize);
         let negotiate_span = spans.child("negotiate");
@@ -202,10 +201,11 @@ impl Router {
                 batches += 1;
                 work.clear();
                 for &i in batch {
-                    let before = searcher.counters().instructions;
-                    paths[i] = state.route(connections[i], &mut search, &mut searcher);
-                    work.push(searcher.counters().instructions - before);
+                    let before = probe.counters().instructions;
+                    paths[i] = state.route(connections[i], &mut search, &mut probe);
+                    work.push(probe.counters().instructions - before);
                 }
+                searched_ops += work.iter().sum::<u64>();
                 for &i in batch {
                     state.commit(&paths[i]);
                 }
@@ -250,11 +250,6 @@ impl Router {
             }
         }
         drop(negotiate_span);
-        let searched: Vec<CounterSet> = (0..ctxs.len()).map(|k| searcher.counters_for(k)).collect();
-        // Searches count the same events on every machine (only their
-        // LLC and AVX attribution differ).
-        let searched_ops = searched[0].instructions;
-        probe.absorb(&searched);
 
         let wirelength: u64 = paths.iter().map(|p| p.len() as u64).sum();
         spans.counter("ripup_rounds", iterations as u64);
@@ -283,9 +278,9 @@ impl Router {
             }
 
             // Work split: the searches are the parallel share; the
-            // rip-up and overflow bookkeeping on the main probe is
-            // serial. The searches kept `busy` threads working on average
-            // (their work over the sum of the batch makespans, 1 to
+            // rip-up and overflow bookkeeping is serial. The searches
+            // kept `busy` threads working on average (their work over
+            // the sum of the batch makespans, 1 to
             // `threads`), so the parallel work is charged at that width,
             // not at every vCPU.
             let total_ops = counters.instructions.max(1) as f64;
@@ -600,6 +595,18 @@ mod tests {
             report.counters.branch_miss_rate()
         );
         assert!(report.counters.branches > 1_000);
+    }
+
+    #[test]
+    fn searches_llc_misses_reach_the_label() {
+        // Every search first reads its source's record in a fresh
+        // arena, a miss at every level. A round of `p` pending
+        // connections routes them in `ceil(p / BATCH)` batches, so the
+        // label holds at least this many LLC misses.
+        let (r, report) = routed(1);
+        let searches = BATCH * (r.batches - r.iterations) + r.iterations;
+        assert!(searches > 100, "{r:?}");
+        assert!(report.counters.llc_misses >= searches as u64, "{r:?}: {:?}", report.counters);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl BranchPredictor {
         }
         predicted_taken == taken
     }
-
-    /// Reset the training state.
-    pub fn reset(&mut self) {
-        self.table.fill(1);
-    }
 }
 
 #[cfg(test)]
@@ -99,14 +94,6 @@ mod tests {
             misses += u32::from(!bp.predict_and_update(200, false));
         }
         assert!(misses < 100, "misses={misses}");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut bp = BranchPredictor::new(64);
-        bp.predict_and_update(1, true);
-        bp.reset();
-        assert_eq!(bp, BranchPredictor::new(64));
     }
 
     #[test]

@@ -15,8 +15,8 @@ const REUSE_MIN_TAGS: usize = 4096;
 /// Arrays one thread keeps between probes: as many as the LLC slices
 /// of one 1/2/4/8-vCPU sweep probe (however many times its contexts
 /// repeat that sweep), at most 2.9 MB of tags once all four are 8-vCPU
-/// sized. A run that holds more caches at once (the router's main and
-/// search probes) allocates the excess and frees it again on drop.
+/// sized. A run that holds more caches at once allocates the excess and
+/// frees it again on drop.
 const FREE_LIST_SLOTS: usize = 4;
 
 /// The arrays behind one cache. On the free list every tag is
@@ -338,16 +338,6 @@ impl CacheSim {
     pub fn llc_misses_at(&self, k: usize) -> u64 {
         self.llcs[self.slice_of[k]].misses
     }
-
-    /// Reset statistics and contents.
-    pub fn reset(&mut self) {
-        self.l1.flush();
-        for llc in &mut self.llcs {
-            llc.cache.flush();
-            llc.misses = 0;
-        }
-        self.l1_misses = 0;
-    }
 }
 
 /// The simulator this module replaced, kept as the reference the
@@ -517,15 +507,6 @@ mod tests {
             assert_eq!(sweep.l1_misses(), lone.l1_misses());
         }
         assert_ne!(sweep.llc_misses_at(0), sweep.llc_misses_at(1), "8 and 1 vCPUs disagree");
-    }
-
-    #[test]
-    fn reset_zeroes_stats() {
-        let mut sim = CacheSim::for_vcpu_sweep([1]);
-        sim.access(0);
-        sim.reset();
-        assert_eq!((sim.l1_misses(), sim.llc_misses()), (0, 0));
-        assert!(!sim.access(0), "contents flushed too");
     }
 
     /// Addresses that collide: a few sets, more lines per set than

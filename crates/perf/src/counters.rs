@@ -1,7 +1,6 @@
 //! Raw event counters and derived metrics.
 
 use std::fmt;
-use std::ops::{Add, AddAssign};
 
 /// A snapshot of simulated hardware event counters.
 ///
@@ -81,27 +80,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-impl Add for CounterSet {
-    type Output = CounterSet;
-    fn add(mut self, rhs: CounterSet) -> CounterSet {
-        self += rhs;
-        self
-    }
-}
-
-impl AddAssign for CounterSet {
-    fn add_assign(&mut self, rhs: CounterSet) {
-        self.instructions += rhs.instructions;
-        self.branches += rhs.branches;
-        self.branch_misses += rhs.branch_misses;
-        self.cache_refs += rhs.cache_refs;
-        self.l1_misses += rhs.l1_misses;
-        self.llc_misses += rhs.llc_misses;
-        self.flops += rhs.flops;
-        self.avx_ops += rhs.avx_ops;
-    }
-}
-
 impl fmt::Display for CounterSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -129,24 +107,6 @@ mod tests {
         assert_eq!(c.cache_miss_rate(), 0.0);
         assert_eq!(c.avx_share(), 0.0);
         assert_eq!(c.fp_instruction_share(), 0.0);
-    }
-
-    #[test]
-    fn addition_is_fieldwise() {
-        let a = CounterSet {
-            instructions: 10,
-            branches: 4,
-            branch_misses: 1,
-            cache_refs: 6,
-            l1_misses: 2,
-            llc_misses: 1,
-            flops: 3,
-            avx_ops: 5,
-        };
-        let sum = a + a;
-        assert_eq!(sum.instructions, 20);
-        assert_eq!(sum.avx_ops, 10);
-        assert_eq!(sum.branch_miss_rate(), a.branch_miss_rate());
     }
 
     #[test]

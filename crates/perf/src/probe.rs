@@ -32,8 +32,6 @@ pub enum ProbeEvent {
         /// Whether the work can land on vector hardware.
         vectorizable: bool,
     },
-    /// Counters merged in from a worker probe.
-    Absorb(CounterSet),
 }
 
 /// A machine-independent recording of every event a probed run emitted,
@@ -76,9 +74,8 @@ impl ProbeTrace {
 /// through a bimodal predictor, and floating-point work is attributed to
 /// AVX hardware when the machine supports it.
 ///
-/// One probe per thread; merge per-thread [`CounterSet`]s with
-/// [`PerfProbe::absorb`] after a parallel section (cache/predictor state
-/// is per-thread, matching private L1s).
+/// One probe per thread (cache/predictor state is per-thread, matching
+/// private L1s).
 ///
 /// A probe serves one machine ([`PerfProbe::for_machine`]) or a whole
 /// sweep of them ([`PerfProbe::for_machines`]). Machines differ, to a
@@ -101,16 +98,9 @@ pub struct PerfProbe {
     counters: CounterSet,
     cache: CacheSim,
     branch: BranchPredictor,
-    machines: Vec<Machine>,
+    /// Per machine of the sweep, whether it has AVX units.
+    avx: Vec<bool>,
     trace: Option<Vec<ProbeEvent>>,
-}
-
-/// What one machine of a sweep adds to the shared counts.
-#[derive(Debug, Clone)]
-struct Machine {
-    avx: bool,
-    /// Worker counters merged in by [`PerfProbe::absorb`].
-    absorbed: CounterSet,
 }
 
 impl PerfProbe {
@@ -129,10 +119,7 @@ impl PerfProbe {
             counters: CounterSet::default(),
             cache: CacheSim::for_vcpu_sweep(machines.iter().map(|m| m.vcpus)),
             branch: BranchPredictor::new(4096),
-            machines: machines
-                .iter()
-                .map(|m| Machine { avx: m.avx, absorbed: CounterSet::default() })
-                .collect(),
+            avx: machines.iter().map(|m| m.avx).collect(),
             trace: None,
         }
     }
@@ -187,11 +174,6 @@ impl PerfProbe {
                     self.counters.avx_ops += n;
                 } else {
                     self.counters.flops += n;
-                }
-            }
-            ProbeEvent::Absorb(other) => {
-                for machine in &mut self.machines {
-                    machine.absorbed += other;
                 }
             }
         }
@@ -258,56 +240,15 @@ impl PerfProbe {
     /// Panics if the probe has no machine `k`.
     #[must_use]
     pub fn counters_for(&self, k: usize) -> CounterSet {
-        let machine = &self.machines[k];
         let mut c = self.counters;
-        if !machine.avx {
+        if !self.avx[k] {
             c.flops += c.avx_ops;
             c.avx_ops = 0;
         }
-        c += machine.absorbed;
         // LLC misses live in the hierarchy (kept there to avoid a
-        // second counter increment on the hot path); absorbed worker
-        // counters bring their own.
-        c.llc_misses += self.cache.llc_misses_at(k);
+        // second counter increment on the hot path).
+        c.llc_misses = self.cache.llc_misses_at(k);
         c
-    }
-
-    /// Merge counters collected by worker probes (e.g. the router's
-    /// search probe), one set per machine in the probe's machine order —
-    /// a worker's LLC and AVX attribution are its machine's.
-    ///
-    /// A traced probe (always one machine) records the set verbatim, so
-    /// a trace containing absorbs replays machine-independently only if
-    /// the absorbed counters themselves are; the one engine that
-    /// absorbs, the router, is never traced.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `workers` holds exactly one set per machine.
-    pub fn absorb(&mut self, workers: &[CounterSet]) {
-        assert_eq!(workers.len(), self.machines.len(), "one worker counter set per machine");
-        if let [only] = workers {
-            self.record(ProbeEvent::Absorb(*only));
-        }
-        for (machine, &worker) in self.machines.iter_mut().zip(workers) {
-            machine.absorbed += worker;
-        }
-    }
-
-    /// Return the probe to its just-constructed state — cold caches,
-    /// untrained predictor, zero counts — keeping its arrays. A worker
-    /// that probes one batch after another resets in between instead
-    /// of building a probe per batch.
-    pub fn reset(&mut self) {
-        self.counters = CounterSet::default();
-        self.cache.reset();
-        self.branch.reset();
-        for machine in &mut self.machines {
-            machine.absorbed = CounterSet::default();
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.clear();
-        }
     }
 
     /// Finish a traced run, returning the final counters and the
@@ -357,28 +298,6 @@ mod tests {
         let c = without.counters();
         assert_eq!(c.avx_ops, 0);
         assert_eq!(c.flops, 10);
-    }
-
-    #[test]
-    fn absorb_merges_worker_counters() {
-        let mut main = probe();
-        let mut worker = probe();
-        worker.instr(50);
-        worker.branch(1, true);
-        main.absorb(&[worker.counters()]);
-        assert_eq!(main.counters().instructions, 51);
-        assert_eq!(main.counters().branches, 1);
-    }
-
-    #[test]
-    fn absorbed_llc_misses_reach_the_counters() {
-        let machines = [MachineConfig::vcpus(1), MachineConfig::vcpus(8)];
-        let mut main = PerfProbe::for_machines(&machines);
-        main.read(0); // one cold miss in every hierarchy
-        let worker = |llc_misses| CounterSet { llc_misses, ..CounterSet::default() };
-        main.absorb(&[worker(40), worker(7)]);
-        assert_eq!(main.counters_for(0).llc_misses, 41);
-        assert_eq!(main.counters_for(1).llc_misses, 8);
     }
 
     /// Drive a deterministic but machine-sensitive event mix through a
@@ -432,39 +351,13 @@ mod tests {
         assert_eq!(trace.len(), 0);
     }
 
-    #[test]
-    fn absorb_is_replayed() {
-        let m = MachineConfig::vcpus(2);
-        let mut p = PerfProbe::for_machine_traced(&m);
-        let mut worker = PerfProbe::for_machine(&m);
-        worker.instr(40);
-        p.absorb(&[worker.counters()]);
-        p.instr(2);
-        let (counters, trace) = p.into_traced();
-        assert_eq!(trace.replay(&m), counters);
-        assert_eq!(counters.instructions, 42);
-    }
     // -----------------------------------------------------------------
     // Differential tests: the sweep probe against one probe per
     // machine, and both against the arithmetic this module replaced.
     // -----------------------------------------------------------------
 
-    /// What machine `k`'s worker would hand to `absorb`: the same
-    /// events, its own LLC misses and FP attribution.
-    fn worker_set(base: CounterSet, k: usize) -> CounterSet {
-        let k = k as u64;
-        CounterSet {
-            llc_misses: base.llc_misses + 3 * k,
-            flops: base.flops + k,
-            avx_ops: base.avx_ops + 5 * k,
-            ..base
-        }
-    }
-
-    /// Feed `events` through the public entry points; `ks[i]` is the
-    /// sweep index of the probe's `i`-th machine (what its workers
-    /// absorb depends on it).
-    fn drive(p: &mut PerfProbe, events: &[ProbeEvent], ks: &[usize]) {
+    /// Feed `events` through the public entry points.
+    fn drive(p: &mut PerfProbe, events: &[ProbeEvent]) {
         for &event in events {
             match event {
                 ProbeEvent::Instr(n) => p.instr(n),
@@ -472,18 +365,14 @@ mod tests {
                 ProbeEvent::Branch { pc, taken } => p.branch(pc, taken),
                 ProbeEvent::LoopBranches(n) => p.loop_branches(n),
                 ProbeEvent::Fp { n, vectorizable } => p.fp(n, vectorizable),
-                ProbeEvent::Absorb(base) => {
-                    let sets: Vec<CounterSet> = ks.iter().map(|&k| worker_set(base, k)).collect();
-                    p.absorb(&sets);
-                }
             }
         }
     }
 
     /// The single-machine probe's arithmetic, event for event: stamp
-    /// caches, FP attributed as it arrives, absorbed counters added into
-    /// the one set, the hierarchy's `llc_misses` added to theirs on read.
-    fn reference_counters(machine: &MachineConfig, events: &[ProbeEvent], k: usize) -> CounterSet {
+    /// caches, FP attributed as it arrives, `llc_misses` counted aside
+    /// and set on read.
+    fn reference_counters(machine: &MachineConfig, events: &[ProbeEvent]) -> CounterSet {
         let (mut l1, mut llc) = StampCache::hierarchy_for_vcpus(machine.vcpus);
         let mut branch = BranchPredictor::new(4096);
         let mut c = CounterSet::default();
@@ -521,22 +410,21 @@ mod tests {
                         c.flops += n;
                     }
                 }
-                ProbeEvent::Absorb(base) => c += worker_set(base, k),
             }
         }
-        c.llc_misses += llc_misses;
+        c.llc_misses = llc_misses;
         c
     }
 
     /// Segments of strided passes sized around the 2.9–5.5 MiB LLC
     /// slices (so slices disagree and evict), clustered re-references
     /// (L1 hits at every depth), branches, loop branches, FP of both
-    /// kinds, plain instructions and absorbs.
+    /// kinds and plain instructions.
     fn event_stream() -> impl Strategy<Value = Vec<ProbeEvent>> {
         proptest::strategy::from_fn(|rng| {
             let mut events = Vec::new();
             for _ in 0..2 + rng.below(5) {
-                match rng.below(6) {
+                match rng.below(5) {
                     0 | 1 => {
                         let base = rng.below(4) << 28;
                         let stride = [64, 64, 192, 4096 + 64][rng.below(4) as usize];
@@ -559,7 +447,7 @@ mod tests {
                             events.push(ProbeEvent::Branch { pc, taken });
                         }
                     }
-                    4 => {
+                    _ => {
                         for _ in 0..1 + rng.below(12) {
                             events.push(match rng.below(3) {
                                 0 => ProbeEvent::Instr(rng.below(10_000)),
@@ -568,16 +456,6 @@ mod tests {
                             });
                         }
                     }
-                    _ => events.push(ProbeEvent::Absorb(CounterSet {
-                        instructions: rng.below(1 << 20),
-                        branches: rng.below(1 << 16),
-                        branch_misses: rng.below(1 << 10),
-                        cache_refs: rng.below(1 << 18),
-                        l1_misses: rng.below(1 << 12),
-                        llc_misses: rng.below(1 << 10),
-                        flops: rng.below(1 << 8),
-                        avx_ops: rng.below(1 << 8),
-                    })),
                 }
             }
             events
@@ -608,39 +486,27 @@ mod tests {
 
         #[test]
         fn sweep_probe_equals_one_probe_per_machine(machines in machine_list(), events in event_stream()) {
-            let all: Vec<usize> = (0..machines.len()).collect();
             let mut sweep = PerfProbe::for_machines(&machines);
-            drive(&mut sweep, &events, &all);
+            drive(&mut sweep, &events);
             for (k, machine) in machines.iter().enumerate() {
                 let mut single = PerfProbe::for_machine(machine);
-                drive(&mut single, &events, &[k]);
+                drive(&mut single, &events);
                 prop_assert_eq!(sweep.counters_for(k), single.counters(), "machine {} of {:?}", k, machines);
-                prop_assert_eq!(single.counters(), reference_counters(machine, &events, k), "machine {}", k);
+                prop_assert_eq!(single.counters(), reference_counters(machine, &events), "machine {}", k);
             }
         }
 
-        /// A probe that ran one stream, was reset, and runs another is a
-        /// fresh probe; so is one built on the arrays a dropped, larger
-        /// probe left on the free list.
+        /// A probe built on the arrays a dropped, larger probe left on
+        /// the free list is a fresh probe.
         #[test]
-        fn reset_or_reused_probe_equals_fresh(machines in machine_list(), first in event_stream(), second in event_stream()) {
-            let all: Vec<usize> = (0..machines.len()).collect();
-            let expected: Vec<CounterSet> = machines
-                .iter()
-                .enumerate()
-                .map(|(k, machine)| reference_counters(machine, &second, k))
-                .collect();
+        fn reused_probe_equals_fresh(machines in machine_list(), first in event_stream(), second in event_stream()) {
             let mut eights = PerfProbe::for_machines(&[MachineConfig::vcpus(8); 4]);
-            drive(&mut eights, &first, &[0, 1, 2, 3]);
+            drive(&mut eights, &first);
             drop(eights);
             let mut probe = PerfProbe::for_machines(&machines);
-            for round in 0..2 {
-                drive(&mut probe, &first, &all);
-                probe.reset();
-                drive(&mut probe, &second, &all);
-                for (k, want) in expected.iter().enumerate() {
-                    prop_assert_eq!(probe.counters_for(k), *want, "machine {} round {}", k, round);
-                }
+            drive(&mut probe, &second);
+            for (k, machine) in machines.iter().enumerate() {
+                prop_assert_eq!(probe.counters_for(k), reference_counters(machine, &second), "machine {}", k);
             }
         }
 
@@ -649,12 +515,12 @@ mod tests {
         #[test]
         fn replay_equals_a_fresh_run(machines in machine_list(), events in event_stream()) {
             let mut traced = PerfProbe::for_machine_traced(&machines[0]);
-            drive(&mut traced, &events, &[0]);
+            drive(&mut traced, &events);
             let (recorded, trace) = traced.into_traced();
             prop_assert_eq!(trace.len(), events.len());
-            prop_assert_eq!(recorded, reference_counters(&machines[0], &events, 0));
+            prop_assert_eq!(recorded, reference_counters(&machines[0], &events));
             for machine in &machines {
-                prop_assert_eq!(trace.replay(machine), reference_counters(machine, &events, 0));
+                prop_assert_eq!(trace.replay(machine), reference_counters(machine, &events));
             }
         }
     }
