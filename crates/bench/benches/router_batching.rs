@@ -1,8 +1,8 @@
 //! Criterion bench for one routing negotiation: `multiplier14`, placed,
 //! routed for one 4-vCPU context (`run`) and for the paper's 1/2/4/8
 //! sweep (`run_sweep`). The layout does not depend on the machine, so
-//! the sweep negotiates once; what it pays beyond one run is simulating
-//! four LLC slices per cache miss instead of one.
+//! the sweep negotiates once, and one LLC recency stack serves all four
+//! machines' slices: the sweep should cost about one run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eda_cloud_flow::{ExecContext, Placement, Placer, Recipe, Router, Synthesizer};

@@ -129,7 +129,7 @@ fn cache_model_ablation() {
         // cache sim directly with the same footprint placement touches.
         let mut sim = CacheSim::new(
             Cache::new(32 * 1024, 64, 8),
-            Cache::new_random_replacement(10 * 1024 * 1024, 64, 16),
+            Cache::new(10 * 1024 * 1024, 64, 16),
         );
         for _pass in 0..4 {
             for cell in 0..netlist.cell_count() as u64 {

@@ -1,54 +1,50 @@
 //! Set-associative cache simulator (L1 + last-level).
 
-use std::cell::RefCell;
+use std::cell::Cell;
 
 /// Tag of a way that holds no line. No byte address shifted by a line
 /// size of at least 8 can produce it.
 const INVALID: u64 = u64::MAX;
 
-/// Tag arrays at least this long go back to the free list when their
-/// cache drops. An L1-sized array (512 tags) is cheaper to allocate
-/// than to look up; an LLC slice is 47 104–90 112 tags (0.37–0.72 MB),
-/// and filling four of them is most of what constructing a probe cost.
+/// Tag arrays at least this long go back to the thread's spare slot
+/// when their cache drops. An L1-sized array (512 tags) is cheaper to
+/// allocate than to look up; a sweep probe's LLC stack is up to 90 112
+/// tags (0.72 MB), and filling it is most of what constructing a probe
+/// cost.
 const REUSE_MIN_TAGS: usize = 4096;
 
-/// Arrays one thread keeps between probes: as many as the LLC slices
-/// of one 1/2/4/8-vCPU sweep probe (however many times its contexts
-/// repeat that sweep), at most 2.9 MB of tags once all four are 8-vCPU
-/// sized. A run that holds more caches at once allocates the excess and
-/// frees it again on drop.
-const FREE_LIST_SLOTS: usize = 4;
+/// Sets of every [`CacheSim::for_vcpu_sweep`] LLC stack. The slice sizes
+/// (2.5 MiB plus 384 KiB per vCPU, of 64-byte lines) are all multiples
+/// of 2 048 lines, so every slice is 2 048 sets of `20 + 3 × vCPUs`
+/// ways: 23 at 1 vCPU, 44 at 8.
+const LLC_SETS: usize = 2048;
 
-/// The arrays behind one cache. On the free list every tag is
+/// The arrays behind one cache. In the spare slot every tag is
 /// [`INVALID`] and `dirty` is empty, so a reused pair needs no fill.
 type Arrays = (Vec<u64>, Vec<u32>);
 
 thread_local! {
-    /// Tag arrays of dropped caches. Per thread, so a sweep worker
-    /// reuses its own arrays without a lock and the list dies with it.
-    static FREE_LIST: RefCell<Vec<Arrays>> = const { RefCell::new(Vec::new()) };
+    /// The arrays of the longest cache this thread dropped. Per thread,
+    /// so a sweep worker reuses its own arrays without a lock and the
+    /// slot dies with it; one slot holds the one LLC stack a probe
+    /// builds.
+    static SPARE: Cell<Option<Arrays>> = const { Cell::new(None) };
 }
 
-/// Arrays for a cache of `tags` ways: the smallest free pair that is
-/// long enough, else a fresh fill. A reused array may be longer than
-/// asked; the tail is never indexed and stays [`INVALID`].
+/// Arrays for a cache of `tags` ways: the spare pair if it is long
+/// enough, else a fresh fill. A reused array may be longer than asked;
+/// the tail is never indexed and stays [`INVALID`].
 fn take_arrays(tags: usize) -> Arrays {
-    let reused = if tags < REUSE_MIN_TAGS {
-        None
-    } else {
-        // A thread that is exiting has no list left: allocate.
-        FREE_LIST
-            .try_with(|free| {
-                let mut free = free.try_borrow_mut().ok()?;
-                let best = (0..free.len())
-                    .filter(|&i| free[i].0.len() >= tags)
-                    .min_by_key(|&i| free[i].0.len())?;
-                Some(free.swap_remove(best))
-            })
-            .ok()
-            .flatten()
-    };
-    reused.unwrap_or_else(|| (vec![INVALID; tags], Vec::new()))
+    if tags >= REUSE_MIN_TAGS {
+        // A thread that is exiting has no slot left: allocate.
+        if let Ok(Some(spare)) = SPARE.try_with(Cell::take) {
+            if spare.0.len() >= tags {
+                return spare;
+            }
+            let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
+        }
+    }
+    (vec![INVALID; tags], Vec::new())
 }
 
 /// One level of set-associative cache with LRU replacement.
@@ -71,22 +67,14 @@ pub struct Cache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `sets x ways` tags (a reused array may be longer). Under LRU a
-    /// set is a recency stack: most recent line first, invalid ways at
-    /// the tail, so the way to replace — the first invalid one, else
-    /// the least recent — is always the last. Under random replacement
-    /// ways are physical and fill front to back. Either way a set
-    /// holds a line exactly when its first tag is valid.
+    /// `sets x ways` tags (a reused array may be longer). A set is a
+    /// recency stack: most recent line first, invalid ways at the tail,
+    /// so the way to replace — the first invalid one, else the least
+    /// recent — is always the last, and a set holds a line exactly when
+    /// its first tag is valid.
     tags: Vec<u64>,
     /// Sets holding at least one line: all a flush has to clear.
     dirty: Vec<u32>,
-    /// Accesses so far under random replacement; feeds its victim
-    /// hash.
-    tick: u64,
-    /// Replacement policy: LRU (true) or deterministic pseudo-random
-    /// (false). Large shared LLCs behave closer to random replacement,
-    /// which also avoids LRU's all-or-nothing cliff on cyclic scans.
-    lru: bool,
 }
 
 impl Cache {
@@ -113,24 +101,24 @@ impl Cache {
             line_shift: line_bytes.trailing_zeros(),
             tags,
             dirty,
-            tick: 0,
-            lru: true,
         }
-    }
-
-    /// Same geometry with deterministic pseudo-random replacement.
-    #[must_use]
-    pub fn new_random_replacement(size_bytes: usize, line_bytes: usize, ways: usize) -> Self {
-        let mut cache = Self::new(size_bytes, line_bytes, ways);
-        cache.lru = false;
-        cache
     }
 
     /// Simulate one access; returns `true` on hit. Misses install the
     /// line (allocate-on-miss; the replaced way is the first invalid
-    /// one, else the policy's victim).
+    /// one, else the least recently used).
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
+        self.lookup(addr).is_some()
+    }
+
+    /// [`Cache::access`] that reports where a hit was: the line's depth
+    /// in its set's recency stack before the access (0 = most recent).
+    /// Under LRU a cache of `w` ways with the same sets holds exactly
+    /// the top `w` lines of this stack, so the access would hit it
+    /// exactly when the depth is below `w`.
+    #[inline]
+    fn lookup(&mut self, addr: u64) -> Option<usize> {
         let line = addr >> self.line_shift;
         let set = if self.sets.is_power_of_two() {
             line as usize & (self.sets - 1)
@@ -140,40 +128,17 @@ impl Cache {
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
         let first = slots[0];
-        if self.lru {
-            if first == line {
-                return true;
-            }
-            // Move to front; on a miss the tail falls off.
-            let depth = slots.iter().position(|&t| t == line);
-            slots.copy_within(..depth.unwrap_or(self.ways - 1), 1);
-            slots[0] = line;
-            if depth.is_some() {
-                return true;
-            }
-        } else {
-            self.tick += 1;
-            // Nothing valid lies beyond the first invalid way.
-            let mut victim = None;
-            for (w, &t) in slots.iter().enumerate() {
-                if t == line {
-                    return true;
-                }
-                if t == INVALID {
-                    victim = Some(w);
-                    break;
-                }
-            }
-            // Deterministic hash of (tick, line): pseudo-random victim.
-            let victim = victim.unwrap_or_else(|| {
-                ((self.tick ^ line).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.ways
-            });
-            slots[victim] = line;
+        if first == line {
+            return Some(0);
         }
+        // Move to front; on a miss the tail falls off.
+        let depth = slots.iter().position(|&t| t == line);
+        slots.copy_within(..depth.unwrap_or(self.ways - 1), 1);
+        slots[0] = line;
         if first == INVALID {
             self.dirty.push(set as u32);
         }
-        false
+        depth
     }
 
     /// Drop all cached lines: the cache is as it was when constructed.
@@ -184,119 +149,97 @@ impl Cache {
             self.tags[base..base + self.ways].fill(INVALID);
         }
         self.dirty.clear();
-        self.tick = 0;
     }
 }
 
-/// Same geometry, policy and contents (a reused array's unused tail
-/// does not count).
+/// Same geometry and contents (a reused array's unused tail does not
+/// count).
 impl PartialEq for Cache {
     fn eq(&self, other: &Self) -> bool {
         let live = self.sets * self.ways;
-        (self.sets, self.ways, self.line_shift, self.lru, self.tick)
-            == (other.sets, other.ways, other.line_shift, other.lru, other.tick)
+        (self.sets, self.ways, self.line_shift) == (other.sets, other.ways, other.line_shift)
             && self.tags[..live] == other.tags[..live]
     }
 }
 
 impl Eq for Cache {}
 
-/// A dropped cache hands its arrays, flushed, to the thread's free
-/// list. A full list keeps the longest arrays — a longer one serves
-/// every request a shorter one does, so the list settles on arrays any
-/// LLC slice fits in.
+/// A dropped cache hands its arrays, flushed, to the thread's spare
+/// slot unless the spare is at least as long — a longer array serves
+/// every request a shorter one does, so the slot settles on an array
+/// any LLC stack fits in.
 impl Drop for Cache {
     fn drop(&mut self) {
         if self.tags.len() < REUSE_MIN_TAGS {
             return;
         }
-        // A thread that is exiting has no list left; the arrays just drop.
-        let _ = FREE_LIST.try_with(|free| {
-            let Ok(mut free) = free.try_borrow_mut() else { return };
-            let slot = if free.len() < FREE_LIST_SLOTS {
-                free.push(Arrays::default());
-                free.len() - 1
-            } else {
-                let shortest = (0..free.len())
-                    .min_by_key(|&i| free[i].0.len())
-                    .expect("the list has slots");
-                if free[shortest].0.len() >= self.tags.len() {
-                    return;
-                }
-                shortest
-            };
+        // A thread that is exiting has no slot left; the arrays just drop.
+        let _ = SPARE.try_with(|slot| {
+            let spare = slot.take();
+            if spare.as_ref().is_some_and(|(tags, _)| tags.len() >= self.tags.len()) {
+                slot.set(spare);
+                return;
+            }
             self.flush();
-            free[slot] = (std::mem::take(&mut self.tags), std::mem::take(&mut self.dirty));
+            slot.set(Some((std::mem::take(&mut self.tags), std::mem::take(&mut self.dirty))));
         });
     }
 }
 
-/// One private L1 in front of one last-level cache per machine, with
+/// One private L1 in front of a last-level cache per machine, with
 /// per-access statistics.
 ///
 /// The LLC capacity models the paper's observation that more vCPUs come
 /// with a larger share of the host's last-level cache:
-/// [`CacheSim::for_vcpu_sweep`] builds one LLC slice per vCPU count. VM
-/// sizes differ in nothing else, so one pass simulates several of them:
-/// every LLC sees exactly the L1's miss stream, which is the stream it
-/// would see behind an L1 of its own. Entries with the same slice size
-/// read one slice: equal geometry, fed the same stream from the same
-/// tick, ends in the same state with the same misses.
+/// [`CacheSim::for_vcpu_sweep`] gives each vCPU count an LLC slice of its
+/// own. VM sizes differ in nothing else, so one pass simulates several
+/// of them: every slice sees exactly the L1's miss stream, which is the
+/// stream it would see behind an L1 of its own. The slices are LRU
+/// caches with the same sets and differ only in ways, so each holds the
+/// top of one recency stack as deep as the widest (inclusion; Mattson
+/// et al., 1970): one stack, and a count of the L1 misses that hit it
+/// at each depth, gives every slice's exact miss count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSim {
     l1: Cache,
-    llcs: Vec<Llc>,
-    /// Entry `k`'s slice in `llcs`.
-    slice_of: Vec<usize>,
+    /// The recency stack, as many ways as the widest entry's slice.
+    llc: Cache,
+    /// Entry `k`'s slice: the top `ways[k]` lines of each stack set.
+    ways: Vec<usize>,
+    /// L1 misses that hit the stack at each depth.
+    depth_hits: Vec<u64>,
     l1_misses: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Llc {
-    cache: Cache,
-    misses: u64,
-}
-
 impl CacheSim {
-    /// Build from explicit level geometries.
+    /// Build from explicit level geometries (one entry, the given LLC).
     #[must_use]
     pub fn new(l1: Cache, llc: Cache) -> Self {
         Self {
+            ways: vec![llc.ways],
+            depth_hits: vec![0; llc.ways],
             l1,
-            llcs: vec![Llc { cache: llc, misses: 0 }],
-            slice_of: vec![0],
+            llc,
             l1_misses: 0,
         }
     }
 
-    /// One private 32 KiB L1 in front of one LLC slice per distinct
-    /// slice size among `vcpus`; entry `k` counts what a hierarchy built
-    /// for the `k`-th entry alone would. A slice grows *sub-linearly*
-    /// with the vCPU count — the hypervisor carves one physical
-    /// last-level cache among tenants, so a 1-vCPU tenant still sees a
-    /// few MiB while an 8-vCPU tenant gets roughly the paper's
-    /// Xeon-class share.
+    /// One private 32 KiB L1 in front of an LRU LLC slice per entry of
+    /// `vcpus`; entry `k` counts what a hierarchy built for the `k`-th
+    /// entry alone would. A slice grows *sub-linearly* with the vCPU
+    /// count, 2.875 MiB at 1 vCPU to 5.5 MiB at 8 — the hypervisor
+    /// carves one physical last-level cache among tenants, so a 1-vCPU
+    /// tenant still sees a few MiB while an 8-vCPU tenant gets roughly
+    /// the paper's Xeon-class share.
     #[must_use]
     pub fn for_vcpu_sweep(vcpus: impl IntoIterator<Item = u32>) -> Self {
-        let mut sizes: Vec<usize> = Vec::new();
-        let slice_of = vcpus
-            .into_iter()
-            .map(|v| {
-                let llc_bytes = 2_621_440 + (v as usize).max(1) * 393_216; // ~2.9 MiB .. ~5.6 MiB
-                sizes.iter().position(|&s| s == llc_bytes).unwrap_or_else(|| {
-                    sizes.push(llc_bytes);
-                    sizes.len() - 1
-                })
-            })
-            .collect();
-        let llcs = sizes
-            .into_iter()
-            .map(|bytes| Llc { cache: Cache::new_random_replacement(bytes, 64, 16), misses: 0 })
-            .collect();
+        let ways: Vec<usize> = vcpus.into_iter().map(|v| 20 + 3 * (v as usize).max(1)).collect();
+        let deepest = ways.iter().copied().max().unwrap_or(1);
         Self {
             l1: Cache::new(32 * 1024, 64, 8),
-            llcs,
-            slice_of,
+            llc: Cache::new(LLC_SETS * deepest * 64, 64, deepest),
+            depth_hits: vec![0; deepest],
+            ways,
             l1_misses: 0,
         }
     }
@@ -308,10 +251,8 @@ impl CacheSim {
             return true;
         }
         self.l1_misses += 1;
-        for llc in &mut self.llcs {
-            if !llc.cache.access(addr) {
-                llc.misses += 1;
-            }
+        if let Some(depth) = self.llc.lookup(addr) {
+            self.depth_hits[depth] += 1;
         }
         false
     }
@@ -336,14 +277,13 @@ impl CacheSim {
     /// Panics if the hierarchy has no entry `k`.
     #[must_use]
     pub fn llc_misses_at(&self, k: usize) -> u64 {
-        self.llcs[self.slice_of[k]].misses
+        self.l1_misses - self.depth_hits[..self.ways[k]].iter().sum::<u64>()
     }
 }
 
 /// The simulator this module replaced, kept as the reference the
-/// differential tests hold the recency-stack L1 and the stampless LLC
-/// to: physical ways, a stamp per way, victim = first invalid way, else
-/// least stamp (LRU) or the `(tick, line)` hash (random).
+/// differential tests hold the recency stacks to: physical ways, a stamp
+/// per way, victim = first invalid way, else least stamp.
 #[cfg(test)]
 pub(crate) mod oracle {
     #[derive(Debug, Clone)]
@@ -354,11 +294,10 @@ pub(crate) mod oracle {
         tags: Vec<u64>,
         stamps: Vec<u64>,
         tick: u64,
-        lru: bool,
     }
 
     impl StampCache {
-        pub(crate) fn new(size_bytes: usize, line_bytes: usize, ways: usize, lru: bool) -> Self {
+        pub(crate) fn new(size_bytes: usize, line_bytes: usize, ways: usize) -> Self {
             let sets = (size_bytes / line_bytes / ways).max(1);
             Self {
                 sets,
@@ -367,14 +306,14 @@ pub(crate) mod oracle {
                 tags: vec![u64::MAX; sets * ways],
                 stamps: vec![0; sets * ways],
                 tick: 0,
-                lru,
             }
         }
 
-        /// The L1 and LLC slice `CacheSim::for_vcpu_sweep` builds for one entry.
+        /// The L1 and LLC slice of one entry of `CacheSim::for_vcpu_sweep`:
+        /// 2.5 MiB plus 384 KiB per vCPU, in 2 048 sets.
         pub(crate) fn hierarchy_for_vcpus(vcpus: u32) -> (Self, Self) {
             let llc_bytes = 2_621_440 + (vcpus as usize).max(1) * 393_216;
-            (Self::new(32 * 1024, 64, 8, true), Self::new(llc_bytes, 64, 16, false))
+            (Self::new(32 * 1024, 64, 8), Self::new(llc_bytes, 64, llc_bytes / 64 / 2048))
         }
 
         pub(crate) fn access(&mut self, addr: u64) -> bool {
@@ -387,16 +326,10 @@ pub(crate) mod oracle {
                 self.stamps[base + w] = self.tick;
                 return true;
             }
-            let victim = if let Some(w) = (0..self.ways).find(|&w| self.tags[base + w] == u64::MAX)
-            {
-                w
-            } else if self.lru {
-                (0..self.ways)
-                    .min_by_key(|&w| self.stamps[base + w])
-                    .expect("ways > 0")
-            } else {
-                ((self.tick ^ line).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as usize % self.ways
-            };
+            let victim = (0..self.ways)
+                .find(|&w| self.tags[base + w] == u64::MAX)
+                .or_else(|| (0..self.ways).min_by_key(|&w| self.stamps[base + w]))
+                .expect("ways > 0");
             self.tags[base + victim] = line;
             self.stamps[base + victim] = self.tick;
             false
@@ -481,8 +414,9 @@ mod tests {
 
     #[test]
     fn more_vcpus_mean_more_llc() {
-        let sim = CacheSim::for_vcpu_sweep([1, 8]);
-        assert!(sim.llcs[1].cache.sets > sim.llcs[0].cache.sets);
+        let sim = CacheSim::for_vcpu_sweep([1, 2, 4, 8]);
+        assert_eq!(sim.ways, [23, 26, 32, 44]);
+        assert_eq!((sim.llc.sets, sim.llc.ways), (LLC_SETS, 44));
     }
 
     #[test]
@@ -498,7 +432,6 @@ mod tests {
         };
         let vcpus = [8, 1, 4, 1, 2, 8, 1];
         let mut sweep = CacheSim::for_vcpu_sweep(vcpus);
-        assert_eq!(sweep.llcs.len(), 4);
         touch(&mut sweep);
         for (k, &v) in vcpus.iter().enumerate() {
             let mut lone = CacheSim::for_vcpu_sweep([v]);
@@ -509,16 +442,17 @@ mod tests {
         assert_ne!(sweep.llc_misses_at(0), sweep.llc_misses_at(1), "8 and 1 vCPUs disagree");
     }
 
-    /// Addresses that collide: a few sets, more lines per set than
-    /// ways, with runs of re-references — cold fill, hits at every
-    /// stack depth, and evictions all occur within a short stream.
-    fn colliding_stream() -> impl Strategy<Value = Vec<u64>> {
-        proptest::strategy::from_fn(|rng| {
+    /// Addresses that collide: a few sets of a cache with `sets_apart`
+    /// sets, up to `max_lines` lines per set, with runs of
+    /// re-references — cold fill, hits at every stack depth, and
+    /// evictions all occur within a short stream.
+    fn colliding_stream(sets_apart: u64, max_lines: u64) -> impl Strategy<Value = Vec<u64>> {
+        proptest::strategy::from_fn(move |rng| {
             let sets = 1 + rng.below(4);
-            let lines_per_set = 1 + rng.below(24);
+            let lines_per_set = 1 + rng.below(max_lines);
             (0..200 + rng.below(600))
                 .map(|_| {
-                    let line = rng.below(lines_per_set) * 64 + rng.below(sets);
+                    let line = rng.below(lines_per_set) * sets_apart + rng.below(sets);
                     line * 64 + rng.below(64)
                 })
                 .collect()
@@ -531,33 +465,46 @@ mod tests {
         /// Recency stack == stamp LRU, access for access, from a cold
         /// set through eviction, at the L1's geometry and a tiny one.
         #[test]
-        fn recency_stack_matches_stamp_lru(stream in colliding_stream(), small in 0u8..2) {
+        fn recency_stack_matches_stamp_lru(stream in colliding_stream(64, 24), small in 0u8..2) {
             let (size, ways) = if small == 0 { (32 * 1024, 8) } else { (512, 4) };
             let mut stack = Cache::new(size, 64, ways);
-            let mut stamps = StampCache::new(size, 64, ways, true);
+            let mut stamps = StampCache::new(size, 64, ways);
             for (i, &addr) in stream.iter().enumerate() {
                 prop_assert_eq!(stack.access(addr), stamps.access(addr), "access {} at {:#x}", i, addr);
             }
         }
 
-        /// The stampless random-replacement cache picks the victims the
-        /// stamped one did (the hash reads the tick, never a stamp).
+        /// One 44-way stack behind the L1 counts, for every entry of the
+        /// 1/2/4/8 sweep and after every access, the misses of an LRU
+        /// slice of its own: 2 048 sets of 23 / 26 / 32 / 44 ways. The
+        /// stream crowds up to 64 lines into a few LLC sets, so every
+        /// depth on both sides of each slice's ways occurs.
         #[test]
-        fn stampless_random_replacement_matches_oracle(stream in colliding_stream()) {
-            let mut new = Cache::new_random_replacement(2048, 64, 4);
-            let mut old = StampCache::new(2048, 64, 4, false);
+        fn one_stack_equals_four_lru_caches(stream in colliding_stream(LLC_SETS as u64, 64)) {
+            let vcpus = [1, 2, 4, 8];
+            let mut sweep = CacheSim::for_vcpu_sweep(vcpus);
+            let mut lone: Vec<_> = vcpus.map(StampCache::hierarchy_for_vcpus).into();
+            let mut counts = [(0u64, 0u64); 4];
             for (i, &addr) in stream.iter().enumerate() {
-                prop_assert_eq!(new.access(addr), old.access(addr), "access {} at {:#x}", i, addr);
+                sweep.access(addr);
+                for (k, (l1, llc)) in lone.iter_mut().enumerate() {
+                    if !l1.access(addr) {
+                        counts[k].0 += 1;
+                        if !llc.access(addr) {
+                            counts[k].1 += 1;
+                        }
+                    }
+                    prop_assert_eq!((sweep.l1_misses(), sweep.llc_misses_at(k)), counts[k], "access {} entry {}", i, k);
+                }
             }
         }
 
         /// A cache that ran a larger footprint, was flushed, and runs
-        /// again is indistinguishable from a fresh one — for both
-        /// policies, in state and in every later hit/miss.
+        /// again is indistinguishable from a fresh one, in state and in
+        /// every later hit/miss.
         #[test]
-        fn flushed_cache_equals_fresh(first in colliding_stream(), second in colliding_stream(), lru in 0u8..2) {
-            let build = || if lru == 1 { Cache::new(2048, 64, 4) } else { Cache::new_random_replacement(2048, 64, 4) };
-            let mut reused = build();
+        fn flushed_cache_equals_fresh(first in colliding_stream(64, 24), second in colliding_stream(64, 24)) {
+            let mut reused = Cache::new(2048, 64, 4);
             for &addr in &first {
                 reused.access(addr);
             }
@@ -566,7 +513,7 @@ mod tests {
                 reused.access(set * 64);
             }
             reused.flush();
-            let mut fresh = build();
+            let mut fresh = Cache::new(2048, 64, 4);
             prop_assert_eq!(&reused, &fresh);
             for &addr in &second {
                 prop_assert_eq!(reused.access(addr), fresh.access(addr));
@@ -577,14 +524,16 @@ mod tests {
 
     #[test]
     fn dropped_llc_arrays_are_reused_clean_and_bounded() {
-        FREE_LIST.with(|free| free.borrow_mut().clear());
-        let free_lens = || {
-            FREE_LIST.with(|free| {
-                let free = free.borrow();
-                assert!(free.iter().all(|(tags, dirty)| dirty.is_empty() && tags.iter().all(|&t| t == INVALID)));
-                let mut lens: Vec<usize> = free.iter().map(|(tags, _)| tags.len()).collect();
-                lens.sort_unstable();
-                lens
+        // The spare slot's tag count, after checking the spare is clean.
+        let spare_len = || {
+            SPARE.with(|slot| {
+                let spare = slot.take();
+                let len = spare.as_ref().map(|(tags, dirty)| {
+                    assert!(dirty.is_empty() && tags.iter().all(|&t| t == INVALID));
+                    tags.len()
+                });
+                slot.set(spare);
+                len
             })
         };
         let touch = |sim: &mut CacheSim| {
@@ -592,27 +541,31 @@ mod tests {
                 sim.access(i * 4096 + (i % 7) * 64);
             }
         };
+        SPARE.with(Cell::take);
         let mut first = CacheSim::for_vcpu_sweep([1, 2, 1, 1, 4, 8, 8]);
-        assert_eq!(first.llcs.len(), 4, "one slice per distinct vCPU count");
+        assert_eq!(first.llc.tags.len(), 90_112, "one stack as deep as the widest slice");
         touch(&mut first);
-        let mut second = CacheSim::for_vcpu_sweep([8]);
+        let mut second = CacheSim::for_vcpu_sweep([1]);
         touch(&mut second);
         let expected = {
             let mut fresh = CacheSim::for_vcpu_sweep([1, 2]);
             touch(&mut fresh);
             fresh
         };
-        drop(first);
-        assert_eq!(free_lens(), [47_104, 53_248, 65_536, 90_112]);
         drop(second);
-        // Five dirty LLCs dropped, shortest first: the four longest stay.
-        assert_eq!(free_lens(), [53_248, 65_536, 90_112, 90_112]);
-        // Smaller caches on longer, previously dirty arrays.
+        assert_eq!(spare_len(), Some(47_104));
+        drop(first);
+        // The longer stack displaces the shorter one.
+        assert_eq!(spare_len(), Some(90_112));
+        // A smaller stack on the longer, previously dirty array.
         let mut reused = CacheSim::for_vcpu_sweep([1, 2]);
-        assert_eq!(free_lens(), [90_112, 90_112]);
-        assert_eq!(reused.llcs[0].cache.tags.len(), 53_248);
-        assert_eq!(reused.llcs[1].cache.tags.len(), 65_536);
+        assert_eq!(spare_len(), None);
+        assert_eq!(reused.llc.tags.len(), 90_112);
         touch(&mut reused);
         assert_eq!(reused, expected);
+        // A shorter array never displaces the spare.
+        drop(reused);
+        drop(expected);
+        assert_eq!(spare_len(), Some(90_112));
     }
 }

@@ -81,9 +81,10 @@ impl ProbeTrace {
 /// sweep of them ([`PerfProbe::for_machines`]). Machines differ, to a
 /// probe, in two things only — the LLC slice their vCPU count buys and
 /// whether vector FP lands on AVX units — so a sweep probe runs one L1,
-/// one predictor and one set of event counts for all of them, one LLC
-/// per distinct vCPU count behind the shared L1's miss stream, and
-/// splits the vectorizable FP per machine when counters are read.
+/// one predictor and one set of event counts for all of them, one LRU
+/// recency stack behind the shared L1's miss stream whose top ways are
+/// each machine's LLC slice, and splits the vectorizable FP per machine
+/// when counters are read.
 /// [`PerfProbe::counters_for`]`(k)` is, bit for bit, what a probe for
 /// machine `k` alone reports after the same events.
 ///
@@ -304,8 +305,8 @@ mod tests {
     /// probe (large-stride accesses hit different cache levels per
     /// machine; FP attribution depends on AVX).
     fn exercise(p: &mut PerfProbe) {
-        // Working set of 4 MiB: larger than the 1-vCPU LLC (~3 MiB),
-        // smaller than the 8-vCPU LLC (~5.8 MiB), so the same trace
+        // Working set of 4 MiB: larger than the 1-vCPU LLC (2.875 MiB),
+        // smaller than the 8-vCPU LLC (5.5 MiB), so the same trace
         // produces different LLC miss counts on the two machines.
         for pass in 0..3u64 {
             for i in 0..(4 << 20) / 64u64 {
@@ -416,7 +417,7 @@ mod tests {
         c
     }
 
-    /// Segments of strided passes sized around the 2.9–5.5 MiB LLC
+    /// Segments of strided passes sized around the 2.875–5.5 MiB LLC
     /// slices (so slices disagree and evict), clustered re-references
     /// (L1 hits at every depth), branches, loop branches, FP of both
     /// kinds and plain instructions.

@@ -1,6 +1,7 @@
 //! Paper-fidelity pins. Problem 3: Table I and Figure 6 on the
 //! paper's own sparc_core runtime matrix (EXPERIMENTS.md § Table I,
 //! § Figure 6). Problem 1: Figure 2's orderings on the `fig2 --smoke`
+//! design, and 2-b's cache-miss drop on the `fig2 --cache-model`
 //! design. A solver, pricing or engine change that moves a published
 //! number or ordering fails here, not in a report nobody diffs.
 //!
@@ -10,7 +11,7 @@
 //! `fpu`), and `fig3 --smoke` takes 27 s in release.
 
 use eda_cloud::core::{CharacterizationConfig, StageRuntimes, Workflow};
-use eda_cloud::flow::StageKind;
+use eda_cloud::flow::{ExecContext, Placer, Recipe, StageKind, Synthesizer};
 use eda_cloud::mckp::{Objective, Solver};
 use eda_cloud::netlist::generators;
 
@@ -126,4 +127,22 @@ fn fig2_orderings_hold_on_the_smoke_design() {
         let runtimes: Vec<f64> = stage(kind).runs.iter().map(|r| r.report.runtime_secs).collect();
         assert!(runtimes.windows(2).all(|w| w[1] <= w[0]), "{kind}: {runtimes:?}");
     }
+}
+
+/// 2-b: the paper explains placement's falling cache-miss rate with
+/// "more vCPUs buy more last-level cache". On `l2_bank` the placer's
+/// working set outgrows the 1-vCPU LLC slice and fits the 8-vCPU one,
+/// so its miss rate at 8 vCPUs is below half the 1-vCPU rate (`fig2
+/// --cache-model` prints the partitioned column: 36.9 % → 0.9 %).
+#[test]
+fn fig2b_placement_misses_fall_with_the_llc_share() {
+    let design = generators::openpiton_design("l2_bank").expect("known design");
+    let ctxs = [1, 8].map(ExecContext::with_vcpus);
+    let (netlist, _) = Synthesizer::new()
+        .with_verification(false)
+        .run(&design, &Recipe::balanced(), &ctxs[0])
+        .expect("synthesis");
+    let (_, reports) = Placer::new().run_sweep(&netlist, &ctxs).expect("placement");
+    let [one, eight] = [0, 1].map(|k| reports[k].counters.perf_cache_miss_rate());
+    assert!(eight < one / 2.0, "placement cache-miss rate {one} at 1 vCPU, {eight} at 8");
 }
