@@ -12,11 +12,7 @@ fn bench_search(c: &mut Criterion) {
     let aig = generators::build_family("comparator", 6).expect("known family");
     let mut group = c.benchmark_group("recipe_search");
     group.sample_size(10);
-    let search = RecipeSearch::new(SearchConfig {
-        iters: 24,
-        seed: 7,
-        ..SearchConfig::default()
-    });
+    let search = RecipeSearch::new(SearchConfig { iters: 24, seed: 7 });
     group.bench_function("iters_24", |bench| {
         bench.iter(|| black_box(search.run("comparator_6", &aig).expect("searches")));
     });

@@ -12,8 +12,6 @@ use eda_cloud_trace::Span;
 pub struct CharacterizationConfig {
     /// vCPU counts to sweep (the paper uses 1, 2, 4, 8).
     pub vcpu_sweep: Vec<u32>,
-    /// Synthesis recipe used to produce the netlist.
-    pub recipe: Recipe,
     /// Whether synthesis runs its equivalence spot-check.
     pub verify: bool,
 }
@@ -24,7 +22,6 @@ impl CharacterizationConfig {
     pub fn paper() -> Self {
         Self {
             vcpu_sweep: vec![1, 2, 4, 8],
-            recipe: Recipe::balanced(),
             verify: true,
         }
     }
@@ -34,7 +31,6 @@ impl CharacterizationConfig {
     pub fn fast() -> Self {
         Self {
             vcpu_sweep: vec![1, 2],
-            recipe: Recipe::balanced(),
             verify: false,
         }
     }
@@ -104,9 +100,10 @@ impl CharacterizationReport {
 }
 
 impl Workflow {
-    /// Run the four-stage flow at every vCPU count in the sweep, each
-    /// stage on its recommended instance family, and collect the
-    /// counter signatures and runtimes of the paper's Figure 2.
+    /// Synthesize `design` with [`Recipe::balanced`], run the four-stage
+    /// flow at every vCPU count in the sweep, each stage on its
+    /// recommended instance family, and collect the counter signatures
+    /// and runtimes of the paper's Figure 2.
     ///
     /// No stage's result depends on the machine, only its cost, so each
     /// stage runs once for the whole sweep through its `run_sweep`:
@@ -159,7 +156,7 @@ impl Workflow {
         let contexts = |stage| self.stage_contexts(stage, sweep, &points);
         let (netlist, syn_reports) = Synthesizer::new()
             .with_verification(config.verify)
-            .run_sweep(design, &config.recipe, &contexts(StageKind::Synthesis))?;
+            .run_sweep(design, &Recipe::balanced(), &contexts(StageKind::Synthesis))?;
         let (placement, place_reports) =
             Placer::new().run_sweep(&netlist, &contexts(StageKind::Placement))?;
         let routed = Router::new().run_sweep(&netlist, &placement, &contexts(StageKind::Routing))?;

@@ -73,7 +73,6 @@ impl RecipeScenario {
         SearchConfig {
             iters: self.iters,
             seed: self.design_seed(index),
-            ..SearchConfig::default()
         }
     }
 }

@@ -36,6 +36,12 @@ const MEAN_SERVICE_US: u64 = 40_000;
 const MEAN_GAP_US: u64 = 5_000;
 /// Cross-region message latency, µs; must be at least the lookahead.
 const INTER_REGION_LATENCY_US: u64 = 60_000;
+/// Conservative lookahead window, µs; at most the cross-region message
+/// latency.
+const LOOKAHEAD_US: u64 = 50_000;
+const _: () = assert!(0 < LOOKAHEAD_US && LOOKAHEAD_US <= INTER_REGION_LATENCY_US);
+/// Distinct cacheable design keys.
+const DESIGNS: u64 = 16;
 /// Gap between model-rollout wave starts, µs.
 const WAVE_INTERVAL_US: u64 = 200_000;
 
@@ -51,14 +57,9 @@ pub struct RegionSimConfig {
     pub tenants: u32,
     /// Jobs in the synthetic workload.
     pub jobs: u64,
-    /// Distinct cacheable design keys.
-    pub designs: u64,
     /// Percent of jobs that update their design (completing one
     /// broadcasts a cache invalidation to every other region), 0–100.
     pub update_pct: u32,
-    /// Conservative lookahead window, µs; at most the cross-region
-    /// message latency.
-    pub lookahead_us: u64,
     /// Local queue depth at which a fresh arrival is migrated to the
     /// next region instead of queued.
     pub migrate_threshold: u32,
@@ -77,9 +78,7 @@ impl Default for RegionSimConfig {
             regions: 3,
             tenants: 4,
             jobs: 200,
-            designs: 16,
             update_pct: 25,
-            lookahead_us: 50_000,
             migrate_threshold: 12,
             queue_capacity: 32,
             tenant_quota: 16,
@@ -97,19 +96,8 @@ impl RegionSimConfig {
         if self.tenants == 0 {
             return Err(EngineError::InvalidConfig("region sim needs at least one tenant"));
         }
-        if self.designs == 0 {
-            return Err(EngineError::InvalidConfig("the design pool cannot be empty"));
-        }
         if self.update_pct > 100 {
             return Err(EngineError::InvalidConfig("update percentage must be in 0..=100"));
-        }
-        if self.lookahead_us == 0 {
-            return Err(EngineError::InvalidConfig("lookahead window must be positive"));
-        }
-        if INTER_REGION_LATENCY_US < self.lookahead_us {
-            return Err(EngineError::InvalidConfig(
-                "cross-region latency must be at least the lookahead window",
-            ));
         }
         if self.queue_capacity == 0 {
             return Err(EngineError::InvalidConfig("queue capacity must be positive"));
@@ -160,7 +148,7 @@ pub fn synthetic_region_jobs(config: &RegionSimConfig) -> Result<Vec<RegionJob>,
             region: rng.gen_range(0..config.regions),
             tenant: rng.gen_range(0..config.tenants),
             service_us: rng.gen_range(service_lo..service_hi),
-            design: rng.gen_range(0..config.designs),
+            design: rng.gen_range(0..DESIGNS),
             update: rng.gen_range(0u32..100) < config.update_pct,
         });
     }
@@ -581,7 +569,7 @@ impl RegionSim {
                 RegionEvent::Arrival(QueuedJob {
                     ord: ord as u64,
                     tenant: job.tenant,
-                    design: job.design % config.designs,
+                    design: job.design % DESIGNS,
                     service_us: job.service_us,
                     arrival_us: job.arrival_us,
                     update: job.update,
@@ -596,7 +584,7 @@ impl RegionSim {
                 .ok_or(EngineError::Time("wave start overflows the microsecond clock"))?;
             regions[0].heap.push(at, RegionEvent::Wave { version: wave + 1 });
         }
-        let mut sim = ShardedSim::with_faults(regions, config.lookahead_us, faults)?;
+        let mut sim = ShardedSim::with_faults(regions, LOOKAHEAD_US, faults)?;
         sim.run(workers, shards)?;
         let stats = sim.stats();
         let windows = sim.windows();

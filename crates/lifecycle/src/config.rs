@@ -13,9 +13,14 @@ pub(crate) const REPLAY_CAPACITY: usize = 48;
 pub(crate) const PH_DELTA_MICROS: i64 = 250_000;
 /// Page-Hinkley firing threshold, cumulative log-bias micros.
 pub(crate) const PH_LAMBDA_MICROS: i64 = 2_500_000;
+/// Serving result-cache capacity (entries).
+pub(crate) const CACHE_CAPACITY: usize = 32;
 /// The canary promotes only if its mean serving latency stays within
 /// this budget, µs.
 pub const CANARY_LATENCY_BUDGET_US: u64 = 50_000;
+/// The canary promotes only if `canary_mape * 100 <= PROMOTE_MAX_ERROR_PCT
+/// * primary_mape`.
+pub const PROMOTE_MAX_ERROR_PCT: u64 = 90;
 
 /// The lifecycle controller's knobs: the synthetic workload it serves,
 /// the drift it injects into ground truth, the detector calibration,
@@ -40,12 +45,6 @@ pub struct LifecycleConfig {
     pub drift_at: u64,
     /// Multiplicative runtime shift applied from `drift_at` onward.
     pub drift_factor: f64,
-    /// Serving result-cache capacity (entries); 0 disables caching.
-    pub cache_capacity: usize,
-    /// Simulated service cost of a cache miss (one GCN forward), µs.
-    pub per_miss_us: u64,
-    /// Simulated service cost of a cache hit, µs.
-    pub per_hit_us: u64,
     /// Fine-tune epochs used to bootstrap the first snapshot from the
     /// oracle-labeled design pool; 0 serves the raw seeded model.
     pub bootstrap_epochs: usize,
@@ -66,8 +65,6 @@ pub struct LifecycleConfig {
     pub canary_every: u64,
     /// Joins required on *each* arm before guardrails are evaluated.
     pub canary_min: usize,
-    /// Promote only if `canary_mape * 100 <= pct * primary_mape`.
-    pub promote_max_error_pct: u64,
 }
 
 impl Default for LifecycleConfig {
@@ -79,9 +76,6 @@ impl Default for LifecycleConfig {
             workers: 1,
             drift_at: 106,
             drift_factor: 2.2,
-            cache_capacity: 32,
-            per_miss_us: 1_000,
-            per_hit_us: 50,
             bootstrap_epochs: 40,
             retrain_epochs: 60,
             learning_rate: 3e-3,
@@ -89,7 +83,6 @@ impl Default for LifecycleConfig {
             calibration: 24,
             canary_every: 4,
             canary_min: 8,
-            promote_max_error_pct: 90,
         }
     }
 }
@@ -157,9 +150,6 @@ impl LifecycleConfig {
         }
         if self.min_retrain > REPLAY_CAPACITY {
             return err("min_retrain must fit the replay capacity");
-        }
-        if self.promote_max_error_pct == 0 {
-            return err("promote_max_error_pct must be positive");
         }
         Ok(())
     }
@@ -248,13 +238,6 @@ mod tests {
                     ..Default::default()
                 },
                 "replay capacity",
-            ),
-            (
-                LifecycleConfig {
-                    promote_max_error_pct: 0,
-                    ..Default::default()
-                },
-                "promote_max_error_pct",
             ),
         ];
         for (config, needle) in cases {

@@ -19,18 +19,20 @@
 //! folded [`LifecycleReport`] is therefore byte-identical across runs
 //! and worker counts.
 
-use crate::config::{FEEDBACK_DELAY_US, PH_DELTA_MICROS, PH_LAMBDA_MICROS, REPLAY_CAPACITY};
+use crate::config::{
+    CACHE_CAPACITY, FEEDBACK_DELAY_US, PH_DELTA_MICROS, PH_LAMBDA_MICROS, REPLAY_CAPACITY,
+};
 use crate::{
     ape_micros, log_bias_micros, Arm, DesignBaseline, DriftDetector, DriftSignal, FeedbackEvent,
     LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleReport, NoLifecycleFaults,
     ReplayBuffer, Retrainer, RolloutDecision, RolloutManager, RuntimeOracle, SharedLifecycleFaults,
-    StageErrors, TimelineEvent, CANARY_LATENCY_BUDGET_US,
+    StageErrors, TimelineEvent, CANARY_LATENCY_BUDGET_US, PROMOTE_MAX_ERROR_PCT,
 };
 use eda_cloud_engine::EventHeap;
 use eda_cloud_gcn::{GraphBatch, ModelConfig};
 use eda_cloud_serve::{
     design_pool, synthetic_requests, LruCache, ModelRegistry, ModelSnapshot, ServeDesign,
-    ServeRequest, WorkloadConfig, STAGE_NAMES,
+    ServeRequest, WorkloadConfig, PER_HIT_US, PER_MISS_US, STAGE_NAMES,
 };
 use eda_cloud_trace::{LatencyFold, Span, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -222,7 +224,7 @@ impl<'a> Run<'a> {
             frozen,
             frozen_version,
             frozen_preds: BTreeMap::new(),
-            cache: LruCache::new(cfg.cache_capacity),
+            cache: LruCache::new(CACHE_CAPACITY),
             serve_free_at: 0,
             latencies: LatencyFold::with_capacity(requests.len()),
             mode: Mode::Monitor,
@@ -236,7 +238,7 @@ impl<'a> Run<'a> {
             buffers: std::array::from_fn(|_| ReplayBuffer::new(REPLAY_CAPACITY)),
             rollout: RolloutManager::new(
                 cfg.canary_min,
-                cfg.promote_max_error_pct,
+                PROMOTE_MAX_ERROR_PCT,
                 CANARY_LATENCY_BUDGET_US,
             ),
             seen: BTreeSet::new(),
@@ -248,7 +250,7 @@ impl<'a> Run<'a> {
     /// Serving plane: route request `i` to an arm, answer it (cache or
     /// fresh forward) in FIFO service time, schedule its feedback join.
     fn on_arrival(&mut self, i: usize) -> Result<(), LifecycleError> {
-        let (cfg, faults) = (&self.ctl.config, &self.ctl.faults);
+        let faults = &self.ctl.faults;
         let request = &self.requests[i];
         self.counters.requests += 1;
         let (version, snapshot) = self.registry.route(request.ordinal)?;
@@ -268,7 +270,7 @@ impl<'a> Run<'a> {
             }
             _ => Arm::Primary,
         };
-        let service_us = if cache_hit { cfg.per_hit_us } else { cfg.per_miss_us };
+        let service_us = if cache_hit { PER_HIT_US } else { PER_MISS_US };
         let done = self.now.max(self.serve_free_at) + service_us;
         self.serve_free_at = done;
         // An injected spike models a slow response, not a busy server:
@@ -760,7 +762,7 @@ mod tests {
         let config = LifecycleConfig { requests: 16, bootstrap_epochs: 0, ..quick_config() };
         let plain = LifecycleController::new(config.clone()).expect("valid");
         let arrivals: Vec<u64> = Run::new(&plain).requests.iter().map(|r| r.arrival_us).collect();
-        let undelayed = arrivals[0] + config.per_miss_us + FEEDBACK_DELAY_US;
+        let undelayed = arrivals[0] + PER_MISS_US + FEEDBACK_DELAY_US;
         let tie = arrivals[15];
         assert!(tie > undelayed, "the last arrival is later than join 0 would be");
         let aligned = plain.with_faults(Arc::new(Align(tie - undelayed)));

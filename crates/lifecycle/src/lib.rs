@@ -63,7 +63,7 @@ mod report;
 mod retrain;
 mod rollout;
 
-pub use config::{LifecycleConfig, CANARY_LATENCY_BUDGET_US};
+pub use config::{LifecycleConfig, CANARY_LATENCY_BUDGET_US, PROMOTE_MAX_ERROR_PCT};
 pub use controller::LifecycleController;
 pub use drift::{DesignBaseline, DriftDetector, DriftSignal};
 pub use error::LifecycleError;

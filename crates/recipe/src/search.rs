@@ -5,8 +5,8 @@
 //! Every source of nondeterminism is closed off by construction:
 //!
 //! * **Selection and expansion are strictly sequential.** Iterations
-//!   are grouped into fixed-size batches (a property of the
-//!   [`SearchConfig`], not of the machine); within a batch, leaves are
+//!   are grouped into fixed-size batches (`BATCH`, a property of the
+//!   search, not of the machine); within a batch, leaves are
 //!   selected one after another with the visit increment applied
 //!   immediately (a virtual loss), so the K-th selection of a batch is
 //!   a pure function of the tree state and never of thread timing.
@@ -25,7 +25,7 @@
 //!   evaluations without perturbing a single visit count. There is no
 //!   evaluation fan-out:
 //!   a whole search is under 100 µs per evaluation on batches of at
-//!   most `batch` candidates, and measured slower on 2 and 4 threads
+//!   most `BATCH` candidates, and measured slower on 2 and 4 threads
 //!   than on 1 (EXPERIMENTS.md § Synthesis joins `run_sweep`).
 
 use crate::encode::{recipe_from_passes, recipe_key, ALPHABET};
@@ -54,6 +54,11 @@ const EVAL_MISS_US: u64 = 1_000;
 /// Simulated cost of an evaluation served from the cache.
 const EVAL_HIT_US: u64 = 50;
 
+/// Leaf selections grouped per evaluation batch. Part of the search
+/// definition — the tree depends on it, so it must not be derived from
+/// the machine.
+const BATCH: u64 = 4;
+
 /// Maximum recipe length the tree may reach (at most
 /// [`crate::MAX_RECIPE_LEN`]).
 const MAX_LEN: usize = 4;
@@ -63,10 +68,6 @@ const MAX_LEN: usize = 4;
 pub struct SearchConfig {
     /// Total MCTS iterations (leaf selections).
     pub iters: u64,
-    /// Leaf selections grouped per evaluation batch. Part of the
-    /// search definition — the tree depends on it, so it must not be
-    /// derived from the machine.
-    pub batch: usize,
     /// Rollout seed.
     pub seed: u64,
 }
@@ -75,7 +76,6 @@ impl Default for SearchConfig {
     fn default() -> Self {
         Self {
             iters: 64,
-            batch: 4,
             seed: 7,
         }
     }
@@ -356,7 +356,7 @@ impl RecipeSearch {
         let mut iter = 0u64;
         while iter < self.config.iters {
             let remaining = self.config.iters - iter;
-            let batch_len = (self.config.batch.max(1) as u64).min(remaining);
+            let batch_len = BATCH.min(remaining);
 
             // Sequential selection phase: virtual visits + rollouts.
             let mut selections = Vec::with_capacity(batch_len as usize);

@@ -87,4 +87,4 @@ pub use request::{
     design_pool, synthetic_requests, synthetic_requests_with_uploads, RequestKind, ServeDesign,
     ServeRequest, UploadDoc, WorkloadConfig,
 };
-pub use server::{RequestOutcome, ServeConfig, Server};
+pub use server::{RequestOutcome, ServeConfig, Server, PER_HIT_US, PER_MISS_US};

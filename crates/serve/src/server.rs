@@ -22,6 +22,13 @@ use eda_cloud_trace::{Histogram, LatencyFold, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Simulated marginal cost of one GCN forward (a cache miss), µs. The
+/// serving loop charges it per missed design of a batch, the lifecycle
+/// controller per missed request.
+pub const PER_MISS_US: u64 = 1_000;
+/// Simulated per-request assembly cost, µs: every request of a batch
+/// here, a cache hit's whole service time in the lifecycle controller.
+pub const PER_HIT_US: u64 = 50;
 /// Simulated fixed cost of executing one micro-batch, µs.
 const BATCH_OVERHEAD_US: u64 = 4_000;
 /// Simulated cost of one MCKP solve, µs.
@@ -32,8 +39,8 @@ const INGEST_CACHE_CAPACITY: usize = 16;
 /// pass, µs.
 const INGEST_US: u64 = 2_000;
 
-/// Serving knobs: batching, queueing, caching, and the simulated
-/// service-time model.
+/// Serving knobs: batching, queueing, caching and the stage fan-out
+/// (the simulated service-time model is the constants above).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Most requests coalesced into one micro-batch.
@@ -49,10 +56,6 @@ pub struct ServeConfig {
     /// per stage model); 0 picks the available parallelism. Worker
     /// count never changes results.
     pub workers: usize,
-    /// Simulated marginal cost of one GCN forward (a cache miss), µs.
-    pub per_miss_us: u64,
-    /// Simulated per-request assembly cost (hit or miss), µs.
-    pub per_hit_us: u64,
 }
 
 impl Default for ServeConfig {
@@ -63,8 +66,6 @@ impl Default for ServeConfig {
             cache_capacity: 32,
             pad_stride: 8,
             workers: 1,
-            per_miss_us: 1_000,
-            per_hit_us: 50,
         }
     }
 }
@@ -404,7 +405,7 @@ impl<'a> Run<'a> {
     }
 
     /// Fill each slot's prediction from the result cache, or from one
-    /// padded batched forward (`per_miss_us` each) over the unique
+    /// padded batched forward ([`PER_MISS_US`] each) over the unique
     /// missed designs in first-occurrence order; duplicates of a missed
     /// design within the batch ride the single forward.
     fn forward_misses(&mut self, slots: &mut [Slot]) {
@@ -443,13 +444,12 @@ impl<'a> Run<'a> {
             slots[i].stage_secs = miss_secs[miss];
         }
         self.counters.gcn_predictions += miss_designs.len() as u64;
-        self.now += miss_designs.len() as u64 * config.per_miss_us;
+        self.now += miss_designs.len() as u64 * PER_MISS_US;
     }
 
     /// Charge the batch's fixed, per-request and per-plan costs, then
     /// plan, count, trace and emit every slot at that completion time.
     fn complete(&mut self, slots: Vec<Slot>) -> Result<(), ServeError> {
-        let config = &self.server.config;
         let plans = slots
             .iter()
             .filter(|s| {
@@ -457,7 +457,7 @@ impl<'a> Run<'a> {
             })
             .count() as u64;
         let len = slots.len() as u64;
-        self.now += BATCH_OVERHEAD_US + len * config.per_hit_us + plans * PLAN_US;
+        self.now += BATCH_OVERHEAD_US + len * PER_HIT_US + plans * PLAN_US;
         for slot in slots {
             let Slot { request, disposition, stage_secs, cache_hit, .. } = slot;
             let latency_us = self.now.saturating_sub(request.arrival_us);

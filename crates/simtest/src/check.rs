@@ -11,7 +11,7 @@ use eda_cloud_engine::RegionReport;
 use eda_cloud_fleet::FleetReport;
 use eda_cloud_lifecycle::{
     ape_micros, Arm, FeedbackEvent, LifecycleConfig, LifecycleReport, RolloutDecision,
-    RolloutManager, CANARY_LATENCY_BUDGET_US,
+    RolloutManager, CANARY_LATENCY_BUDGET_US, PROMOTE_MAX_ERROR_PCT,
 };
 use eda_cloud_recipe::TreeStats;
 use eda_cloud_serve::{IngestDisposition, RequestOutcome, ServeReport};
@@ -378,7 +378,7 @@ pub fn check_guardrail_soundness(
         cursor = start_pos + 1;
         let mut manager = RolloutManager::new(
             config.canary_min,
-            config.promote_max_error_pct,
+            PROMOTE_MAX_ERROR_PCT,
             CANARY_LATENCY_BUDGET_US,
         );
         let mut replayed: Option<(RolloutDecision, u64)> = None;
@@ -567,8 +567,7 @@ mod tests {
         use eda_cloud_recipe::{EvalCache, RecipeSearch, SearchConfig};
 
         let aig = generators::build_family("adder", 4).expect("known family");
-        let search =
-            RecipeSearch::new(SearchConfig { iters: 12, seed: 7, ..SearchConfig::default() });
+        let search = RecipeSearch::new(SearchConfig { iters: 12, seed: 7 });
         let clean = search.run("adder_4", &aig).expect("clean search");
 
         let faults = PlanFaults::new(FaultPlan {

@@ -19,9 +19,6 @@ fn spelled_out(requests: usize, seed: u64, drift_at: u64) -> LifecycleConfig {
         workers: 0,
         drift_at,
         drift_factor: 2.2,
-        cache_capacity: 32,
-        per_miss_us: 1_000,
-        per_hit_us: 50,
         bootstrap_epochs: 40,
         retrain_epochs: 60,
         learning_rate: 3e-3,
@@ -29,7 +26,6 @@ fn spelled_out(requests: usize, seed: u64, drift_at: u64) -> LifecycleConfig {
         calibration: 24,
         canary_every: 4,
         canary_min: 8,
-        promote_max_error_pct: 90,
     }
 }
 

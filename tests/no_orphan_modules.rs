@@ -10,7 +10,8 @@
 //! counts have a ceiling that may only be lowered.
 
 use std::path::{Path, PathBuf};
-use std::{collections::HashSet, fs};
+use std::collections::{HashMap, HashSet};
+use std::fs;
 
 /// Functions no product code names that stay anyway, each with its reason:
 /// references that tests compare a fast path against, the paper-mapped
@@ -202,8 +203,9 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
 }
 
 /// Ceilings of the knob census; lower them when a knob goes, never raise them.
-const MAX_KNOBS: usize = 91;
+const MAX_KNOBS: usize = 81;
 const MAX_UNWRITTEN_KNOBS: usize = 10;
+const MAX_NAMESAKE_ONLY_KNOBS: usize = 5;
 
 /// A struct whose `pub` fields are knobs: each is a value a caller may set.
 fn is_knob_struct(name: &str) -> bool {
@@ -211,63 +213,199 @@ fn is_knob_struct(name: &str) -> bool {
         || ["Trainer", "Retrainer"].contains(&name)
 }
 
-/// Whether `line` sets a field called `field`: `field:` in a struct literal
+/// Where `line` sets a field called `field`: `field:` in a struct literal
 /// (not the path `field::`), `.field =` (not `==`), or the field-init
-/// shorthand `{ field,` / `, field }`, outside a trailing comment.
-fn writes(line: &str, field: &str) -> bool {
+/// shorthand `{ field,` / `, field }`, outside a trailing comment. Each hit
+/// is its byte offset and whether it is an assignment.
+fn writes<'a>(line: &'a str, field: &'a str) -> impl Iterator<Item = (usize, bool)> + 'a {
     let code = line.split("//").next().unwrap_or(line);
-    code.match_indices(field).any(|(at, _)| {
+    code.match_indices(field).filter_map(move |(at, _)| {
         let prev = code[..at].chars().next_back();
         let rest = &code[at + field.len()..];
         let literal = prev != Some('.') && rest.starts_with(':') && !rest.starts_with("::");
-        let assigned = rest.trim_start().strip_prefix('=').is_some_and(|r| !r.starts_with('='));
+        let assigned = prev == Some('.')
+            && rest.trim_start().strip_prefix('=').is_some_and(|r| !r.starts_with('='));
         let (before, after) = (code[..at].trim_end(), rest.trim_start());
         let shorthand = (before.ends_with('{') || before.ends_with(','))
             && (after.starts_with(',') || after.starts_with('}'));
         let starts_ident = !prev.is_some_and(|c| c.is_alphanumeric() || c == '_');
-        starts_ident && (literal || prev == Some('.') && assigned || shorthand)
+        (starts_ident && (literal || assigned || shorthand)).then_some((at, assigned))
     })
 }
 
-/// Whether a line ending in `{` opens a struct literal (`let c = Name {`,
-/// `Ok(Self {`) rather than an item, a function body or a control block.
-fn opens_literal(line: &str) -> bool {
-    let head = line.trim_end_matches('{').trim_end();
-    let name = head.rsplit(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap_or("");
-    let item = idents(line).any(|w| ["struct", "enum", "impl", "trait", "fn"].contains(&w));
-    name.starts_with(|c: char| c.is_ascii_uppercase()) && !item
+/// What a `{` opens: a literal of the named struct, an `impl` of the named
+/// type, or any other block.
+#[derive(Clone, Copy)]
+enum Frame<'a> {
+    Literal(&'a str),
+    Impl(&'a str),
+    Block,
 }
 
-/// Whether product code `code` sets `field`: [`writes`] on some line, or the
-/// shorthand `field,` on a line of its own directly inside a struct literal.
-fn sets(code: &str, field: &str) -> bool {
-    let mut in_literal = false;
-    code_lines(code).any(|line| {
-        let lone = in_literal && line.strip_suffix(',') == Some(field);
-        if line.ends_with('{') {
-            in_literal = opens_literal(line);
-        } else if line.starts_with('}') {
-            in_literal = false;
+/// `pub type` aliases of product code: alias name → the type it names.
+fn aliases(sources: &[(String, String)]) -> HashMap<&str, &str> {
+    let product_lines = sources.iter().filter(|(path, _)| caller(path));
+    let lines = product_lines.flat_map(|(_, text)| code_lines(product(text)));
+    lines
+        .filter_map(|line| {
+            let (name, target) = line.strip_prefix("pub type ")?.split_once('=')?;
+            Some((idents(name).next()?, idents(target).last()?))
+        })
+        .collect()
+}
+
+/// Offsets of the `{` and `}` of `line` outside string and char literals.
+fn braces(line: &str) -> Vec<(usize, u8)> {
+    let bytes = line.as_bytes();
+    let (mut out, mut quoted, mut escaped) = (Vec::new(), false, false);
+    for (i, &b) in bytes.iter().enumerate() {
+        let char_literal = i > 0 && bytes[i - 1] == b'\'' && bytes.get(i + 1) == Some(&b'\'');
+        match b {
+            _ if escaped => escaped = false,
+            b'\\' if quoted => escaped = true,
+            b'"' if !char_literal => quoted = !quoted,
+            b'{' | b'}' if !quoted && !char_literal => out.push((i, b)),
+            _ => {}
         }
-        lone || writes(line, field)
-    })
+    }
+    out
 }
 
-/// `Struct.field` of every `pub` field of a knob struct declared above the first
-/// `#[cfg(test)]` of a `crates/*/src/**` file, and the subset with no product
-/// writer: no struct literal or assignment sets a field of that name in the
-/// non-test part of another file outside `tests/` and `benches/` (the
-/// field-init shorthand included). The match is
-/// by field name, so a namesake in another struct counts as a writer — the
-/// second list is a floor.
-fn knob_census(sources: &[(String, String)]) -> (Vec<String>, Vec<String>) {
+/// What the `{` at byte `at` of `line` opens inside `outer` (innermost
+/// last): `Name {` a literal of `Name` (through `aliases`), `Self {` one of
+/// the innermost `impl`'s type, `impl … for Type {` an impl of `Type`.
+fn opens<'a>(
+    line: &'a str,
+    at: usize,
+    outer: &[Frame<'a>],
+    aliases: &HashMap<&str, &'a str>,
+) -> Frame<'a> {
+    let head = &line[..at];
+    let head = head[head.rfind(['{', '}', ';']).map_or(0, |i| i + 1)..].trim();
+    if let Some(rest) = head.strip_prefix("impl").filter(|r| r.starts_with([' ', '<'])) {
+        // `impl<T> Trait for Type<T>`: skip the `<…>` parameters, then take
+        // the type after the last ` for `.
+        let mut depth = 0;
+        let close = rest.find(|c: char| {
+            depth += i32::from(c == '<') - i32::from(c == '>');
+            depth == 0
+        });
+        let rest = if rest.starts_with('<') { close.map_or("", |i| &rest[i + 1..]) } else { rest };
+        let target = rest.rsplit_once(" for ").map_or(rest, |(_, t)| t);
+        return idents(target).next().map_or(Frame::Block, Frame::Impl);
+    }
+    let name = head.rsplit(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap_or("");
+    let item = idents(head).any(|w| ["struct", "enum", "impl", "trait", "fn"].contains(&w));
+    if item || !name.starts_with(|c: char| c.is_ascii_uppercase()) {
+        return Frame::Block;
+    }
+    if name == "Self" {
+        let impl_of = |f: &Frame<'a>| if let Frame::Impl(t) = f { Some(*t) } else { None };
+        return outer.iter().rev().find_map(impl_of).map_or(Frame::Block, Frame::Literal);
+    }
+    Frame::Literal(aliases.get(name).copied().unwrap_or(name))
+}
+
+/// One product write of a field: inside a literal of the named struct,
+/// an assignment `.field =` (whose struct the scan cannot tell), or a
+/// `field:` / `{ field,` outside any literal (a parameter, an ascription).
+#[derive(PartialEq)]
+enum Write<'a> {
+    Literal(&'a str),
+    Assigned,
+    Bare,
+}
+
+/// Every write of `field` in product code `code`: [`writes`] on some line,
+/// or the shorthand `field,` on a line of its own directly inside a struct
+/// literal. A line ending in `{` opens a frame and one starting with `}`
+/// closes it; braces within a line nest on top of those.
+fn writes_in<'a>(code: &'a str, field: &str, aliases: &HashMap<&str, &'a str>) -> Vec<Write<'a>> {
+    let mut open: Vec<Frame<'a>> = Vec::new();
+    let mut found = Vec::new();
+    for line in code_lines(code) {
+        if line.starts_with('}') {
+            open.pop();
+        }
+        // The frames open at byte `at`: `open`, then this line's own.
+        let frames_at = |at: usize| {
+            let mut frames = open.clone();
+            let depth = frames.len();
+            // A leading `}` closed a frame of `open` above.
+            for (i, b) in braces(line).into_iter().filter(|&(i, b)| i < at && (i, b) != (0, b'}')) {
+                if b == b'{' {
+                    let frame = opens(line, i, &frames, aliases);
+                    frames.push(frame);
+                } else if frames.len() > depth {
+                    frames.pop();
+                }
+            }
+            frames
+        };
+        let lone = line.strip_suffix(',') == Some(field);
+        if let (true, Some(Frame::Literal(name))) = (lone, open.last()) {
+            found.push(Write::Literal(name));
+        }
+        for (at, assigned) in writes(line, field) {
+            found.push(match frames_at(at).last() {
+                _ if assigned => Write::Assigned,
+                Some(Frame::Literal(name)) => Write::Literal(name),
+                _ => Write::Bare,
+            });
+        }
+        if line.ends_with('{') {
+            let frames = frames_at(line.len() - 1);
+            open.push(opens(line, line.len() - 1, &frames, aliases));
+        }
+    }
+    found
+}
+
+/// The knob census: `Struct.field` of every `pub` field of a knob struct
+/// declared above the first `#[cfg(test)]` of a `crates/*/src/**` file,
+/// with two subsets by the writes of that field name in the non-test part
+/// of other files outside `tests/` and `benches/`. *Unwritten*: there is
+/// none. *Namesake-only*: each is a literal of another struct or a bare
+/// `field:` (a parameter), so only a namesake sets it. An assignment counts
+/// as a write of every struct, so both subsets are floors.
+struct Census {
+    knobs: Vec<String>,
+    unwritten: Vec<String>,
+    namesake_only: Vec<String>,
+}
+
+impl Census {
+    /// `Ok` when each list is within its ceiling, else the failure message.
+    fn within(&self, knobs: usize, unwritten: usize, namesake_only: usize) -> Result<(), String> {
+        let over = self.knobs.len() > knobs
+            || self.unwritten.len() > unwritten
+            || self.namesake_only.len() > namesake_only;
+        if !over {
+            return Ok(());
+        }
+        Err(format!(
+            "{} public knobs (ceiling {knobs}), {} that no product code sets (ceiling \
+             {unwritten}), {} that only namesakes set (ceiling {namesake_only}) — delete a knob, \
+             do not raise a ceiling.\nknobs: {}\nnever set: {}\nnamesake-only: {}",
+            self.knobs.len(),
+            self.unwritten.len(),
+            self.namesake_only.len(),
+            self.knobs.join(" "),
+            self.unwritten.join(" "),
+            self.namesake_only.join(" ")
+        ))
+    }
+}
+
+fn knob_census(sources: &[(String, String)]) -> Census {
+    let aliases = aliases(sources);
     // Product code of every possible writer, with its identifiers as a prefilter.
     let writers: Vec<(&String, &str, HashSet<&str>)> = sources
         .iter()
         .filter(|(path, _)| caller(path))
         .map(|(path, text)| (path, product(text), words(product(text))))
         .collect();
-    let (mut knobs, mut unwritten) = (Vec::new(), Vec::new());
+    let mut census = Census { knobs: Vec::new(), unwritten: Vec::new(), namesake_only: Vec::new() };
     for (path, text) in sources.iter().filter(|(path, _)| audited(path)) {
         let mut owner = None;
         for line in code_lines(product(text)) {
@@ -280,33 +418,31 @@ fn knob_census(sources: &[(String, String)]) -> (Vec<String>, Vec<String>) {
                 else {
                     continue;
                 };
-                let written = writers.iter().any(|(other, code, names)| {
-                    *other != path
-                        && names.contains(field)
-                        && sets(code, field)
-                });
-                knobs.push(format!("{owner}.{field}"));
-                if !written {
-                    unwritten.push(format!("{owner}.{field}"));
+                let found: Vec<Write> = writers
+                    .iter()
+                    .filter(|(other, _, names)| *other != path && names.contains(field))
+                    .flat_map(|(_, code, _)| writes_in(code, field, &aliases))
+                    .collect();
+                let own = |w: &Write| matches!(w, Write::Assigned) || *w == Write::Literal(owner);
+                let knob = format!("{owner}.{field}");
+                if found.is_empty() {
+                    census.unwritten.push(knob.clone());
+                } else if !found.iter().any(own) {
+                    census.namesake_only.push(knob.clone());
                 }
+                census.knobs.push(knob);
             }
         }
     }
-    (knobs, unwritten)
+    census
 }
 
 #[test]
 fn public_knobs_are_not_up() {
-    let (knobs, unwritten) = knob_census(&workspace_sources());
-    assert!(
-        knobs.len() <= MAX_KNOBS && unwritten.len() <= MAX_UNWRITTEN_KNOBS,
-        "{} public knobs (ceiling {MAX_KNOBS}), {} that no product code sets (ceiling \
-         {MAX_UNWRITTEN_KNOBS}) — delete a knob, do not raise a ceiling.\nknobs: {}\nnever set: {}",
-        knobs.len(),
-        unwritten.len(),
-        knobs.join(" "),
-        unwritten.join(" ")
-    );
+    let census = knob_census(&workspace_sources());
+    census
+        .within(MAX_KNOBS, MAX_UNWRITTEN_KNOBS, MAX_NAMESAKE_ONLY_KNOBS)
+        .unwrap_or_else(|message| panic!("{message}"));
 }
 
 #[test]
@@ -322,14 +458,15 @@ fn the_census_counts_pub_fields_and_their_product_writers() {
     let sources = vec![file("crates/a/src/gauge.rs", lib), file("crates/a/src/bin/x.rs", bin)];
     // `cap` is private, `Gauge` is not a knob struct, `HiddenConfig` is test code;
     // the declaring file's own literal, a comment, `==` and a path are not writers.
-    let (knobs, unwritten) = knob_census(&sources);
-    assert_eq!(knobs, ["GaugeConfig.rate", "GaugeConfig.depth", "GaugeConfig.tag"]);
-    assert_eq!(unwritten, ["GaugeConfig.depth", "GaugeConfig.tag"]);
+    let census = knob_census(&sources);
+    assert_eq!(census.knobs, ["GaugeConfig.rate", "GaugeConfig.depth", "GaugeConfig.tag"]);
+    assert_eq!(census.unwritten, ["GaugeConfig.depth", "GaugeConfig.tag"]);
+    assert!(census.namesake_only.is_empty());
     // An assignment in an example is a product writer; one under `tests/` is not.
     let assign = "fn f(c: &mut GaugeConfig) { c.depth = 4; c.tag= 5; }\n";
     for (path, left) in [("examples/e.rs", 0), ("crates/a/tests/it.rs", 2)] {
         let with_writer = [sources.clone(), vec![file(path, assign)]].concat();
-        assert_eq!(knob_census(&with_writer).1.len(), left, "{path}");
+        assert_eq!(knob_census(&with_writer).unwritten.len(), left, "{path}");
     }
     // The field-init shorthand is a writer, in a one-line literal or on a line
     // of its own inside a multi-line one; a lone `tag,` call argument is not.
@@ -339,8 +476,42 @@ fn the_census_counts_pub_fields_and_their_product_writers() {
     let argument = "fn f() {\n    let tag = 5;\n    g(\n        tag,\n    );\n}\n";
     for (text, left) in [(one_line, "GaugeConfig.tag"), (own_line, "GaugeConfig.depth")] {
         let with_writer = [sources.clone(), vec![file("crates/a/src/bin/y.rs", text)]].concat();
-        assert_eq!(knob_census(&with_writer).1, [left], "{text}");
+        assert_eq!(knob_census(&with_writer).unwritten, [left], "{text}");
     }
     let with_call = [sources.clone(), vec![file("crates/a/src/bin/y.rs", argument)]].concat();
-    assert_eq!(knob_census(&with_call).1.len(), 2, "a call argument sets nothing");
+    assert_eq!(knob_census(&with_call).unwritten.len(), 2, "a call argument sets nothing");
+    // Two structs share `cost_us`, and each one's `Default` is the only literal
+    // that sets it, in its own file: by name alone each looks set by the other.
+    let declare = |name: &str, cost: u32| {
+        format!(
+            "pub struct {name} {{\n    pub cost_us: u64,\n}}\n\
+             impl Default for {name} {{\n    fn default() -> Self {{\n        \
+             Self {{ cost_us: {cost} }}\n    }}\n}}\n"
+        )
+    };
+    let sources = vec![
+        file("crates/a/src/a.rs", &declare("AConfig", 1)),
+        file("crates/b/src/b.rs", &declare("BConfig", 2)),
+    ];
+    let census = knob_census(&sources);
+    assert_eq!(census.knobs, ["AConfig.cost_us", "BConfig.cost_us"]);
+    assert!(census.unwritten.is_empty(), "matching by name alone counts each as written");
+    assert_eq!(census.namesake_only, ["AConfig.cost_us", "BConfig.cost_us"]);
+    let caught = census.within(2, 0, 0).expect_err("the namesake ceiling catches both");
+    assert!(caught.contains("namesake-only: AConfig.cost_us BConfig.cost_us"), "{caught}");
+    // A literal of the struct itself (directly, through `Self` in its impl,
+    // or through a `pub type` alias) or an assignment is a real writer; a
+    // parameter and another struct's literal are not.
+    let bare = "fn f(cost_us: u64) -> u64 { cost_us }\n\
+                fn g() -> CConfig { CConfig { cost_us: 3 } }\n";
+    let alias = "pub type AScenario = a::AConfig;\nfn f() -> AScenario {\n    AScenario {\n        \
+                 cost_us: 4,\n    }\n}\n";
+    let own_impl =
+        "impl AConfig {\n    fn cheap() -> Self {\n        Self { cost_us: 0 }\n    }\n}\n";
+    let assigned = "fn f(c: &mut Unknown) {\n    c.cost_us = 5;\n}\n";
+    let direct = "fn f() {\n    let c = a::AConfig { cost_us: 6 };\n}\n";
+    for (text, left) in [(bare, 2), (alias, 1), (own_impl, 1), (assigned, 0), (direct, 1)] {
+        let with_writer = [sources.clone(), vec![file("crates/c/src/bin/x.rs", text)]].concat();
+        assert_eq!(knob_census(&with_writer).namesake_only.len(), left, "{text}");
+    }
 }

@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn search_is_deterministic(seed in 0u64..1000, iters in 4u64..20) {
         let aig = generators::build_family("parity", 4).expect("known family");
-        let search = RecipeSearch::new(SearchConfig { iters, seed, ..SearchConfig::default() });
+        let search = RecipeSearch::new(SearchConfig { iters, seed });
         let first = search.run("parity_4", &aig).expect("search");
         let second = search.run("parity_4", &aig).expect("search");
         prop_assert_eq!(&first, &second);
@@ -61,11 +61,7 @@ proptest! {
     #[test]
     fn evaluation_cache_is_transparent(seed in 0u64..1000) {
         let aig = generators::build_family("adder", 4).expect("known family");
-        let search = RecipeSearch::new(SearchConfig {
-            iters: 10,
-            seed,
-            ..SearchConfig::default()
-        });
+        let search = RecipeSearch::new(SearchConfig { iters: 10, seed });
         let cold = search.run("adder_4", &aig).expect("cold search");
 
         let mut cache = EvalCache::new();
