@@ -1,7 +1,8 @@
 //! Criterion benches for the deterministic simulation substrate: the
 //! raw event heap (time-ordered pushes on its run lane, a standing
 //! queue on its heap lane), and the sharded multi-region simulation at
-//! 1 vs 4 workers and 1 vs 3 shards.
+//! 1 vs 4 workers and 1 vs 3 shards, plus one run at the end-to-end
+//! `region_sim` size (400 000 jobs, 1 worker, 3 shards).
 //!
 //! Before timing anything, the multi-region comparison asserts that
 //! every fan-out produces the byte-identical report — the determinism
@@ -68,17 +69,18 @@ fn bench_region_sim(c: &mut Criterion) {
         let json = RegionSim::run(&config, workers, shards).expect("runs").to_json();
         assert_eq!(baseline, json, "fan-out must not change the report bytes");
     }
+    // The end-to-end `region_sim` size: at 400 jobs neither the run
+    // queues nor the 38 561 barrier windows show.
+    let large = RegionSimConfig { jobs: 400_000, ..RegionSimConfig::default() };
 
     let mut group = c.benchmark_group("region_sim");
     group.sample_size(10);
-    for (workers, shards) in [(1usize, 1usize), (4, 3)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("w{workers}_s{shards}")),
-            &(workers, shards),
-            |b, &(w, s)| {
-                b.iter(|| black_box(RegionSim::run(black_box(&config), w, s).unwrap()));
-            },
-        );
+    for (label, config, workers, shards) in
+        [("w1_s1", &config, 1usize, 1usize), ("w4_s3", &config, 4, 3), ("w1_s3_400k", &large, 1, 3)]
+    {
+        group.bench_with_input(BenchmarkId::from_parameter(label), &(workers, shards), |b, &(w, s)| {
+            b.iter(|| black_box(RegionSim::run(black_box(config), w, s).unwrap()));
+        });
     }
     group.finish();
 }

@@ -78,7 +78,14 @@ impl<E> EventHeap<E> {
     /// An empty heap with the sequence counter at zero.
     #[must_use]
     pub fn new() -> Self {
-        Self { run: VecDeque::new(), heap: BinaryHeap::new(), seq: 0 }
+        Self::with_capacity(0)
+    }
+
+    /// An empty heap whose run lane holds `run` pushes before it
+    /// regrows — size it to a simulator's arrival stream.
+    #[must_use]
+    pub(crate) fn with_capacity(run: usize) -> Self {
+        Self { run: VecDeque::with_capacity(run), heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Schedule `event` at `t` microseconds. Events pushed at the same
@@ -127,6 +134,20 @@ impl<E> EventHeap<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap_script::{heap_script, replay_against_model};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tier-1 differential of `tests/engine_service.rs`, on heaps
+        /// whose run lane is pre-sized below, at or above the script's
+        /// pushes.
+        #[test]
+        fn event_heap_matches_an_ordered_map_model(script in heap_script(), run in 0usize..512) {
+            replay_against_model(EventHeap::with_capacity(run), &script);
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -46,6 +46,12 @@ mod region;
 mod sharded;
 pub mod time;
 
+/// `EventHeap`'s push/pop scripts and their `BTreeMap` model, shared with
+/// the tier-1 differential.
+#[cfg(test)]
+#[path = "../../../tests/common/heap_script.rs"]
+mod heap_script;
+
 pub use error::EngineError;
 pub use fair::{AdmitRejection, FairShare, TenantCounters, TenantPolicy};
 pub use faults::{EngineFaults, NoEngineFaults};

@@ -62,7 +62,20 @@ impl<M> Outbox<M> {
     /// coordinator's lookahead window) on every send.
     #[must_use]
     pub fn new(src_region: u32, min_latency_us: u64, next_seq: u64) -> Self {
-        Self { src_region, min_latency_us, next_seq, pending: Vec::new() }
+        Self::with_buffer(Vec::new(), src_region, min_latency_us, next_seq)
+    }
+
+    /// [`Outbox::new`] over `buffer`, emptied first: the coordinator
+    /// hands each region the buffer it drained at the last barrier, so
+    /// a window's sends reuse that allocation.
+    pub(crate) fn with_buffer(
+        mut buffer: Vec<Envelope<M>>,
+        src_region: u32,
+        min_latency_us: u64,
+        next_seq: u64,
+    ) -> Self {
+        buffer.clear();
+        Self { src_region, min_latency_us, next_seq, pending: buffer }
     }
 
     /// Send `payload` to `dst_region`, arriving `latency_us` after

@@ -17,7 +17,8 @@ use crate::time::checked_add_us;
 use crate::{AdmitRejection, EngineError, EngineFaults, EventHeap, FairShare, TenantPolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -42,6 +43,7 @@ const LOOKAHEAD_US: u64 = 50_000;
 const _: () = assert!(0 < LOOKAHEAD_US && LOOKAHEAD_US <= INTER_REGION_LATENCY_US);
 /// Distinct cacheable design keys.
 const DESIGNS: u64 = 16;
+const _: () = assert!(DESIGNS <= u16::BITS as u64, "every design needs a bit of DesignCache");
 /// Gap between model-rollout wave starts, µs.
 const WAVE_INTERVAL_US: u64 = 200_000;
 
@@ -155,8 +157,10 @@ pub fn synthetic_region_jobs(config: &RegionSimConfig) -> Result<Vec<RegionJob>,
     Ok(jobs)
 }
 
-/// A job as it moves through queues and across regions.
-#[derive(Debug, Clone, Copy)]
+/// A job as it moves through queues and across regions. The derived
+/// order compares `ord` first, and no two jobs share one, so it is the
+/// ordinal order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct QueuedJob {
     /// Global workload ordinal — the deterministic tie-breaker.
     ord: u64,
@@ -240,6 +244,31 @@ pub struct TenantUsage {
     pub shed: u64,
 }
 
+/// A region's run queue: admitted jobs, popped in ascending
+/// `(stride tag, ordinal)` order. The pair is unique, so the order is
+/// total.
+type RunQueue = BinaryHeap<Reverse<(u64, QueuedJob)>>;
+
+/// A region's replicated design cache: bit `d` is set while design
+/// `d`'s result is warm. `RegionSim::run_with` reduces every design
+/// below [`DESIGNS`].
+#[derive(Clone, Copy, Default)]
+struct DesignCache(u16);
+
+impl DesignCache {
+    fn contains(self, design: u64) -> bool {
+        self.0 & (1 << design) != 0
+    }
+
+    fn insert(&mut self, design: u64) {
+        self.0 |= 1 << design;
+    }
+
+    fn remove(&mut self, design: u64) {
+        self.0 &= !(1 << design);
+    }
+}
+
 /// One region's full state.
 struct RegionState {
     id: u32,
@@ -248,26 +277,28 @@ struct RegionState {
     migrate_threshold: u32,
     heap: EventHeap<RegionEvent>,
     fair: FairShare,
-    queue: BTreeMap<(u64, u64), QueuedJob>,
+    queue: RunQueue,
     slots_free: u32,
-    cache: BTreeSet<u64>,
+    cache: DesignCache,
     counters: RegionCounters,
     latency_hist: Histogram,
     traffic_hist: Histogram,
 }
 
 impl RegionState {
-    fn new(id: u32, config: &RegionSimConfig) -> Result<Self, EngineError> {
+    /// A region whose event heap holds its `arrivals` without
+    /// regrowing.
+    fn new(id: u32, arrivals: usize, config: &RegionSimConfig) -> Result<Self, EngineError> {
         Ok(Self {
             id,
             regions: config.regions,
             latency_us: INTER_REGION_LATENCY_US,
             migrate_threshold: config.migrate_threshold,
-            heap: EventHeap::new(),
+            heap: EventHeap::with_capacity(arrivals),
             fair: FairShare::new(config.policies(), config.queue_capacity)?,
-            queue: BTreeMap::new(),
+            queue: RunQueue::new(),
             slots_free: SERVERS_PER_REGION,
-            cache: BTreeSet::new(),
+            cache: DesignCache::default(),
             counters: RegionCounters::default(),
             latency_hist: Histogram::new(LATENCY_EDGES_US.to_vec()),
             traffic_hist: Histogram::new(TRAFFIC_EDGES_US.to_vec()),
@@ -294,7 +325,7 @@ impl RegionState {
         match self.fair.try_admit(job.tenant) {
             Ok(tag) => {
                 self.counters.admitted += 1;
-                self.queue.insert((tag, job.ord), job);
+                self.queue.push(Reverse((tag, job)));
                 self.pump(now)
             }
             Err(AdmitRejection::QuotaExceeded { .. }) => {
@@ -311,13 +342,12 @@ impl RegionState {
     /// Start queued jobs on free slots, in ascending stride-tag order.
     fn pump(&mut self, now: u64) -> Result<(), EngineError> {
         while self.slots_free > 0 {
-            let Some((&(tag, ord), _)) = self.queue.first_key_value() else {
+            let Some(Reverse((tag, job))) = self.queue.pop() else {
                 break;
             };
-            let job = self.queue.remove(&(tag, ord)).expect("key just observed");
             self.slots_free -= 1;
             let mut service = job.service_us.max(1);
-            if self.cache.contains(&job.design) {
+            if self.cache.contains(job.design) {
                 self.counters.cache_hits += 1;
                 service = (service / 2).max(1);
             }
@@ -347,7 +377,7 @@ impl RegionState {
         self.counters.waves_applied += 1;
         self.counters.final_version = version;
         // A new model version invalidates every replicated result.
-        self.cache.clear();
+        self.cache = DesignCache::default();
         if self.id + 1 < self.regions {
             outbox.send(now, self.id + 1, self.latency_us, RegionMsg::Rollout { version })?;
         }
@@ -376,7 +406,7 @@ impl RegionState {
                     RegionMsg::Rollout { version } => self.apply_wave(now, version, outbox),
                     RegionMsg::Invalidate { design } => {
                         self.counters.invalidations_applied += 1;
-                        self.cache.remove(&design);
+                        self.cache.remove(design);
                         Ok(())
                     }
                 }
@@ -554,16 +584,24 @@ impl RegionSim {
         shards: usize,
     ) -> Result<RegionReport, EngineError> {
         config.validate()?;
-        let mut regions = (0..config.regions)
-            .map(|id| RegionState::new(id, config))
-            .collect::<Result<Vec<_>, _>>()?;
-        for (ord, job) in jobs.iter().enumerate() {
+        let mut tenants =
+            vec![TenantUsage { weight: 1, ..TenantUsage::default() }; config.tenants as usize];
+        let mut arrivals = vec![0usize; config.regions as usize];
+        for job in jobs {
             if job.region >= config.regions {
                 return Err(EngineError::InvalidConfig("job names a region outside the topology"));
             }
             if job.tenant >= config.tenants {
                 return Err(EngineError::InvalidConfig("job names a tenant outside the table"));
             }
+            tenants[job.tenant as usize].submitted += 1;
+            arrivals[job.region as usize] += 1;
+        }
+        let mut regions = (0..config.regions)
+            .zip(arrivals)
+            .map(|(id, arrivals)| RegionState::new(id, arrivals, config))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (ord, job) in jobs.iter().enumerate() {
             regions[job.region as usize].heap.push(
                 job.arrival_us,
                 RegionEvent::Arrival(QueuedJob {
@@ -590,11 +628,6 @@ impl RegionSim {
         let windows = sim.windows();
         let regions = sim.into_regions();
 
-        let mut tenants =
-            vec![TenantUsage { weight: 1, ..TenantUsage::default() }; config.tenants as usize];
-        for job in jobs {
-            tenants[job.tenant as usize].submitted += 1;
-        }
         let mut latency_hist = Histogram::new(LATENCY_EDGES_US.to_vec());
         let mut traffic_hist = Histogram::new(TRAFFIC_EDGES_US.to_vec());
         let mut makespan_us = 0u64;
@@ -627,157 +660,4 @@ impl RegionSim {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_config_validates_and_runs() {
-        let report = RegionSim::run(&RegionSimConfig::default(), 1, 1).expect("runs");
-        let submitted: u64 = report.regions.iter().map(|c| c.submitted).sum();
-        assert_eq!(submitted, 200);
-        let served: u64 = report.regions.iter().map(|c| c.served).sum();
-        let quota: u64 = report.regions.iter().map(|c| c.quota_rejected).sum();
-        let shed: u64 = report.regions.iter().map(|c| c.shed).sum();
-        assert_eq!(served + quota + shed, submitted, "every job reaches a terminal outcome");
-        assert!(report.messages.sent > 0, "cross-region traffic flows");
-        assert_eq!(report.messages.sent, report.messages.delivered + report.messages.dropped);
-        assert!(report.regions.iter().all(|c| c.final_version == 2), "both waves landed");
-    }
-
-    #[test]
-    fn report_is_byte_identical_across_workers_and_shards() {
-        let config = RegionSimConfig::default();
-        let baseline = RegionSim::run(&config, 1, 1).expect("runs").to_json();
-        for (workers, shards) in [(2, 1), (2, 3), (8, 3), (8, 1), (1, 3)] {
-            let json = RegionSim::run(&config, workers, shards).expect("runs").to_json();
-            assert_eq!(baseline, json, "workers={workers} shards={shards}");
-        }
-    }
-
-    #[test]
-    fn quota_bounds_a_bursting_tenant() {
-        // Tenant 0 floods region 0 at t=0; tenants 1..3 trickle in.
-        // The fair-share bound keeps tenant 0 from monopolizing the
-        // queue and the rejection counters prove enforcement.
-        let config = RegionSimConfig {
-            regions: 1,
-            tenants: 3,
-            migrate_threshold: u32::MAX, // isolate admission from migration
-            queue_capacity: 12,
-            tenant_quota: 16, // higher than the share bound: the fair share binds
-            rollout_waves: 0,
-            ..RegionSimConfig::default()
-        };
-        let mut jobs = Vec::new();
-        for i in 0..60u64 {
-            jobs.push(RegionJob {
-                arrival_us: 0,
-                region: 0,
-                tenant: 0,
-                service_us: 50_000,
-                design: i % 4,
-                update: false,
-            });
-        }
-        for i in 0..6u64 {
-            jobs.push(RegionJob {
-                arrival_us: 1_000 + i,
-                region: 0,
-                tenant: 1 + (i % 2) as u32,
-                service_us: 50_000,
-                design: i % 4,
-                update: false,
-            });
-        }
-        let report = RegionSim::run_with(
-            &config,
-            &jobs,
-            Arc::new(crate::NoEngineFaults),
-            1,
-            1,
-        )
-        .expect("runs");
-        let t0 = &report.tenants[0];
-        // Share bound for tenant 0: capacity 12 * weight 1 / Σ3 = 4.
-        assert!(t0.quota_rejected > 0, "the burst hits the quota: {t0:?}");
-        assert_eq!(t0.submitted, 60);
-        assert!(
-            t0.admitted <= 4 + t0.served,
-            "tenant 0 never holds more than its share: {t0:?}"
-        );
-        // The trickling tenants were not starved by the burst.
-        assert_eq!(report.tenants[1].quota_rejected, 0, "{:?}", report.tenants[1]);
-        assert_eq!(report.tenants[2].quota_rejected, 0, "{:?}", report.tenants[2]);
-        assert_eq!(report.tenants[1].served, report.tenants[1].submitted);
-        assert_eq!(report.tenants[2].served, report.tenants[2].submitted);
-    }
-
-    #[test]
-    fn migration_moves_overload_and_conserves_jobs() {
-        let config = RegionSimConfig {
-            regions: 2,
-            migrate_threshold: 2,
-            queue_capacity: 64,
-            tenant_quota: 64,
-            rollout_waves: 0,
-            update_pct: 0,
-            ..RegionSimConfig::default()
-        };
-        // Flood region 0 only.
-        let jobs: Vec<RegionJob> = (0..40)
-            .map(|i| RegionJob {
-                arrival_us: i * 100,
-                region: 0,
-                tenant: (i % 4) as u32,
-                service_us: 80_000,
-                design: i % 8,
-                update: false,
-            })
-            .collect();
-        let report =
-            RegionSim::run_with(&config, &jobs, Arc::new(crate::NoEngineFaults), 1, 1)
-                .expect("runs");
-        assert!(report.regions[0].migrated_out > 0, "overload migrates");
-        assert_eq!(report.regions[0].migrated_out, report.regions[1].migrated_in);
-        let served: u64 = report.regions.iter().map(|c| c.served).sum();
-        let rejected: u64 =
-            report.regions.iter().map(|c| c.quota_rejected + c.shed).sum();
-        assert_eq!(served + rejected, 40, "migration loses no jobs");
-        assert!(report.regions[1].served > 0, "the neighbor absorbed work");
-    }
-
-    #[test]
-    fn waves_stage_region_by_region_in_order() {
-        let config = RegionSimConfig {
-            jobs: 0,
-            rollout_waves: 3,
-            ..RegionSimConfig::default()
-        };
-        let report = RegionSim::run_with(
-            &config,
-            &[],
-            Arc::new(crate::NoEngineFaults),
-            1,
-            1,
-        )
-        .expect("runs");
-        for c in &report.regions {
-            assert_eq!(c.waves_applied, 3);
-            assert_eq!(c.final_version, 3);
-        }
-        // Each wave crosses regions-1 hops.
-        assert_eq!(report.messages.sent, u64::from(3 * (config.regions - 1)));
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let report = RegionSim::run(&RegionSimConfig { jobs: 20, ..Default::default() }, 1, 1)
-            .expect("runs");
-        let json = report.to_json();
-        assert_eq!(json, report.to_json());
-        assert!(json.starts_with("{\"seed\":7,\"totals\":{\"submitted\":20,"));
-        assert!(json.contains("\"per_region\":[{\"region\":0,"));
-        assert!(json.contains("\"per_tenant\":[{\"tenant\":0,\"weight\":1,"));
-        assert!(json.ends_with('}'));
-    }
-}
+mod tests;

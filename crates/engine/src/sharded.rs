@@ -18,7 +18,10 @@
 //! delivers them one by one on the coordinator thread. Sorting erases
 //! the only nondeterminism fan-out could introduce (collection order),
 //! so delivery order — and with it every downstream sequence number —
-//! is a pure function of the simulation inputs.
+//! is a pure function of the simulation inputs. The key is unique, so
+//! an unstable sort yields the order a stable one would, and the
+//! per-region outbox buffers and the merge buffer can be reused from
+//! one window to the next without the collection order showing.
 
 use crate::message::{Envelope, Outbox};
 use crate::time::checked_add_us;
@@ -26,9 +29,9 @@ use crate::{EngineError, EngineFaults, NoEngineFaults};
 use eda_cloud_trace::par;
 use std::sync::Arc;
 
-/// One shard of work for a window: a contiguous chunk of regions and
-/// their sequence cursors.
-type ShardChunk<'a, S> = (&'a mut [S], &'a mut [u64]);
+/// One shard of work for a window: a contiguous chunk of regions, their
+/// sequence cursors and their outbox buffers.
+type ShardChunk<'a, S, M> = ((&'a mut [S], &'a mut [u64]), &'a mut [Vec<Envelope<M>>]);
 
 /// One region's event loop, driven by the coordinator.
 pub trait RegionShard: Send {
@@ -74,6 +77,10 @@ pub struct ShardedSim<S: RegionShard> {
     lookahead_us: u64,
     faults: Arc<dyn EngineFaults>,
     next_seq: Vec<u64>,
+    /// Each region's outbox buffer, drained at every barrier.
+    sent: Vec<Vec<Envelope<S::Msg>>>,
+    /// The barrier's merge buffer.
+    merged: Vec<Envelope<S::Msg>>,
     stats: MessageStats,
     windows: u64,
 }
@@ -103,7 +110,17 @@ impl<S: RegionShard> ShardedSim<S> {
             return Err(EngineError::InvalidConfig("lookahead window must be positive"));
         }
         let next_seq = vec![0; regions.len()];
-        Ok(Self { regions, lookahead_us, faults, next_seq, stats: MessageStats::default(), windows: 0 })
+        let sent = regions.iter().map(|_| Vec::new()).collect();
+        Ok(Self {
+            regions,
+            lookahead_us,
+            faults,
+            next_seq,
+            sent,
+            merged: Vec::new(),
+            stats: MessageStats::default(),
+            windows: 0,
+        })
     }
 
     /// Run to quiescence: barrier windows until no region has a
@@ -119,47 +136,57 @@ impl<S: RegionShard> ShardedSim<S> {
                 return Ok(());
             };
             let horizon = checked_add_us(t, self.lookahead_us)?;
-            let mut envelopes = self.advance_window(horizon, workers, shard_count)?;
-            envelopes.sort_by_key(Envelope::merge_key);
-            self.deliver_all(envelopes)?;
+            self.advance_window(horizon, workers, shard_count)?;
+            let mut merged = std::mem::take(&mut self.merged);
+            for sent in &mut self.sent {
+                merged.append(sent);
+            }
+            merged.sort_unstable_by_key(Envelope::merge_key);
+            self.deliver_all(merged.drain(..))?;
+            self.merged = merged;
             self.windows += 1;
         }
     }
 
-    /// Advance every region to `horizon` and collect their outboxes.
+    /// Advance every region to `horizon`, leaving each region's sends in
+    /// its outbox buffer.
     fn advance_window(
         &mut self,
         horizon: u64,
         workers: usize,
         shard_count: usize,
-    ) -> Result<Vec<Envelope<S::Msg>>, EngineError> {
+    ) -> Result<(), EngineError> {
         let lookahead = self.lookahead_us;
         let chunk = self.regions.len().div_ceil(shard_count);
         // Shards are contiguous chunks of regions. Grouping is invisible
         // in the result because regions only read/write their own state
         // this side of the barrier.
-        let shards: Vec<ShardChunk<'_, S>> =
-            self.regions.chunks_mut(chunk).zip(self.next_seq.chunks_mut(chunk)).collect();
-        let sent = par::map_indexed(workers, shards, |shard, (regions, seqs)| {
-            let mut sent = Vec::new();
-            for (k, (region, seq)) in regions.iter_mut().zip(seqs.iter_mut()).enumerate() {
-                let mut outbox = Outbox::new((shard * chunk + k) as u32, lookahead, *seq);
+        let shards: Vec<ShardChunk<'_, S, S::Msg>> = self
+            .regions
+            .chunks_mut(chunk)
+            .zip(self.next_seq.chunks_mut(chunk))
+            .zip(self.sent.chunks_mut(chunk))
+            .collect();
+        let done = par::map_indexed(workers, shards, |shard, ((regions, seqs), sent)| {
+            let lanes = regions.iter_mut().zip(seqs.iter_mut()).zip(sent.iter_mut());
+            for (k, ((region, seq), sent)) in lanes.enumerate() {
+                let src = (shard * chunk + k) as u32;
+                let mut outbox = Outbox::with_buffer(std::mem::take(sent), src, lookahead, *seq);
                 region.advance(horizon, &mut outbox)?;
                 *seq = outbox.next_seq();
-                sent.extend(outbox.into_envelopes());
+                *sent = outbox.into_envelopes();
             }
-            Ok::<_, EngineError>(sent)
+            Ok::<_, EngineError>(())
         });
-        let mut all = Vec::new();
-        for shard_sent in sent {
-            all.extend(shard_sent?);
-        }
-        Ok(all)
+        done.into_iter().collect()
     }
 
     /// Deliver merged envelopes in canonical order, applying fault
     /// hooks. Runs on the coordinator thread only.
-    fn deliver_all(&mut self, envelopes: Vec<Envelope<S::Msg>>) -> Result<(), EngineError> {
+    fn deliver_all(
+        &mut self,
+        envelopes: impl Iterator<Item = Envelope<S::Msg>>,
+    ) -> Result<(), EngineError> {
         for mut env in envelopes {
             self.stats.sent += 1;
             let (src, dst, seq) = (env.src_region, env.dst_region, env.seq);

@@ -273,12 +273,14 @@ impl<'a> Engine<'a> {
             })
             .collect::<Result<Vec<_>, FleetError>>()?;
         // Spans are created in job order here — canonical data — so the
-        // trace does not depend on anything the event loop does.
+        // trace does not depend on anything the event loop does. A
+        // disabled tracer gets clones of its disabled span: no labels.
         let sim_span = tracer.root("fleet/sim");
-        let job_spans = jobs
-            .iter()
-            .map(|j| sim_span.child(&format!("job/{:04}", j.plan.id)))
-            .collect();
+        let job_spans = if sim_span.is_enabled() {
+            jobs.iter().map(|j| sim_span.child(&format!("job/{:04}", j.plan.id))).collect()
+        } else {
+            vec![sim_span.clone(); jobs.len()]
+        };
         Ok(Self {
             catalog,
             config,

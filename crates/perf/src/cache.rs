@@ -131,14 +131,27 @@ impl Cache {
         if first == line {
             return Some(0);
         }
-        // Move to front; on a miss the tail falls off.
-        let depth = slots.iter().position(|&t| t == line);
-        slots.copy_within(..depth.unwrap_or(self.ways - 1), 1);
         slots[0] = line;
         if first == INVALID {
+            // An empty set: the line is all it holds.
             self.dirty.push(set as u32);
+            return None;
         }
-        depth
+        // Move to front in one pass: each way takes its predecessor's
+        // line until the hit's old way, the first invalid way (the rest
+        // are invalid too) or the tail, whose line falls off on a miss.
+        let mut carry = first;
+        for (depth, slot) in slots.iter_mut().enumerate().skip(1) {
+            let old = std::mem::replace(slot, carry);
+            if old == line {
+                return Some(depth);
+            }
+            if old == INVALID {
+                break;
+            }
+            carry = old;
+        }
+        None
     }
 
     /// Drop all cached lines: the cache is as it was when constructed.

@@ -4,16 +4,20 @@
 //! `regions` binary), and fair-share admission bounds a bursting tenant
 //! while its neighbors ride out the storm untouched.
 //!
+//! A second golden pins a 20 000-job run, where run queues are deep and
+//! migrations, quota rejections and invalidations all fire.
+//!
 //! Under all of it sits `EventHeap`'s two lanes (a sorted run and a
 //! binary heap); the differential at the end drives it against a
 //! `BTreeMap` model through random push/pop scripts.
 
 use eda_cloud::engine::{EventHeap, RegionJob, RegionSim, RegionSimConfig};
+use heap_script::{heap_script, replay_against_model};
 use proptest::prelude::*;
-use proptest::test_runner::TestRng;
-use std::collections::BTreeMap;
 
 mod common;
+#[path = "common/heap_script.rs"]
+mod heap_script;
 
 fn ci_config() -> RegionSimConfig {
     // Mirrors the CI smoke scenario:
@@ -25,6 +29,16 @@ fn ci_config() -> RegionSimConfig {
 fn golden_region_report_for_seed_7() {
     let report = RegionSim::run(&ci_config(), 1, 1).expect("multi-region run");
     common::assert_golden(&report.to_json(), "golden/region_report.json");
+}
+
+/// `regions --jobs 20000 --seed 11 --json --workers 1 --shards 1`: queues
+/// run deep and migrations, quota rejections and invalidations all fire,
+/// which the 200-job golden above barely reaches.
+#[test]
+fn golden_region_report_for_20k_jobs_at_seed_11() {
+    let config = RegionSimConfig { seed: 11, jobs: 20_000, ..Default::default() };
+    let report = RegionSim::run(&config, 1, 1).expect("multi-region run");
+    common::assert_golden(&report.to_json(), "golden/region_report_20k.json");
 }
 
 #[test]
@@ -97,84 +111,11 @@ fn overload_burst_is_bounded_to_the_tenants_share() {
 
 // ---- EventHeap against a BTreeMap<(t, push index), payload> model ----
 
-/// One step of a heap script.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    Push(u64),
-    Pop,
-    /// Pop until empty; later pushes refill the heap.
-    Drain,
-}
-
-prop_compose! {
-    /// A script mixing ascending runs, out-of-order pushes, equal-time
-    /// bursts that straddle both lanes, interleaved pops, and drains.
-    fn heap_script()(seed in 0u64..u64::MAX, len in 1usize..400) -> Vec<Step> {
-        let mut rng = TestRng::for_test(&seed.to_string());
-        // The latest time pushed so far: the run lane's tail is at most this.
-        let mut clock = 0u64;
-        let mut steps = Vec::with_capacity(len + 8);
-        while steps.len() < len {
-            match rng.below(5) {
-                0 => {
-                    for _ in 0..=rng.below(12) {
-                        clock += rng.below(4);
-                        steps.push(Step::Push(clock));
-                    }
-                }
-                1 => {
-                    for _ in 0..=rng.below(6) {
-                        steps.push(Step::Push(rng.below(clock + 1)));
-                    }
-                }
-                2 => {
-                    // Two at `t` join the run, a later push moves its
-                    // tail past `t`, two more at `t` go to the heap.
-                    let t = clock;
-                    clock += 1 + rng.below(3);
-                    steps.extend([t, t, clock, t, t].map(Step::Push));
-                }
-                3 => steps.extend((0..=rng.below(6)).map(|_| Step::Pop)),
-                _ => {
-                    steps.push(Step::Drain);
-                    clock = rng.below(clock + 1); // refill from earlier times too
-                }
-            }
-        }
-        steps
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn event_heap_matches_an_ordered_map_model(script in heap_script()) {
-        let mut heap = EventHeap::new();
-        let mut model = BTreeMap::new();
-        let mut pushed = 0u64;
-        let pop_both = |heap: &mut EventHeap<u64>, model: &mut BTreeMap<(u64, u64), u64>| {
-            let want = model.pop_first().map(|((t, _), payload)| (t, payload));
-            assert_eq!(heap.pop(), want);
-        };
-        for step in script {
-            match step {
-                Step::Push(t) => {
-                    heap.push(t, pushed);
-                    model.insert((t, pushed), pushed);
-                    pushed += 1;
-                }
-                Step::Pop => pop_both(&mut heap, &mut model),
-                Step::Drain => {
-                    while !model.is_empty() {
-                        pop_both(&mut heap, &mut model);
-                    }
-                    pop_both(&mut heap, &mut model);
-                }
-            }
-            prop_assert_eq!(heap.peek_time(), model.keys().next().map(|&(t, _)| t));
-            prop_assert_eq!(heap.len(), model.len());
-            prop_assert_eq!(heap.is_empty(), model.is_empty());
-        }
+        replay_against_model(EventHeap::new(), &script);
     }
 }
