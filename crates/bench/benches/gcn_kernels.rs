@@ -95,6 +95,30 @@ fn bench_dense_matmul(c: &mut Criterion) {
             black_box(&out);
         });
     });
+    // The fast model's second layer on the same chunk (32 -> 16): the
+    // narrow rows the dense kernels keep in a register tile.
+    let h = relu_matrix(rows, 32, 8);
+    let w = lcg_matrix(32, 16, 9);
+    c.bench_function("dense_matmul_relu/32x16", |b| {
+        b.iter(|| {
+            black_box(&h).matmul_into(black_box(&w), &mut out);
+            black_box(&out);
+        });
+    });
+    // Its weight gradient on one chunk and on a 6 000-row operand, where
+    // an `i`-outer nesting (no 64-row blocks) runs 2x slower.
+    let mut group = c.benchmark_group("matmul_tn_relu_32x16");
+    for n in [rows, 6000] {
+        let h = relu_matrix(n, 32, 10);
+        let dz = lcg_matrix(n, 16, 11);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
+            bench.iter(|| {
+                black_box(&h).matmul_tn_into(black_box(&dz), &mut out);
+                black_box(&out);
+            });
+        });
+    }
+    group.finish();
     // The weight-gradient shape of the paper model's first layer on
     // `aes`: a tall activation transposed against a tall gradient.
     let s = sample();
@@ -126,6 +150,16 @@ fn bench_model(c: &mut Criterion) {
             b.iter(|| black_box(m.train_step(black_box(&s), 1e-3)));
         });
     }
+    // The fast model on a tall graph (`multiplier16`, 2 849 nodes): every
+    // weight-gradient product crosses 45 of its 64-row blocks.
+    let tall = GraphSample::new(
+        &DesignGraph::from_aig(&generators::multiplier(16)),
+        [100.0, 60.0, 35.0, 22.0],
+    );
+    group.bench_function("train_step_fast_tall", |b| {
+        let mut m = RuntimePredictor::new(&ModelConfig::fast(), 3);
+        b.iter(|| black_box(m.train_step(black_box(&tall), 1e-3)));
+    });
     group.finish();
 }
 

@@ -341,6 +341,30 @@ fn seamed(seed: u64, k: usize, rot: usize) -> Matrix {
     Matrix::from_vec(rows, k, data)
 }
 
+/// Left operand of the tall differential, `height x 13`: planted zeros,
+/// `±inf` and `NaN` in three seeded cells, then column 5 and row
+/// `height / 2` all `±0.0`.
+fn tall(seed: u64, height: usize) -> Matrix {
+    let mut a = planted(seed, height, 13, false);
+    plant_specials(&mut a, seed);
+    for r in 0..height {
+        a.set(r, 5, if r % 2 == 0 { 0.0 } else { -0.0 });
+    }
+    for c in 0..13 {
+        a.set(height / 2, c, if c % 2 == 0 { -0.0 } else { 0.0 });
+    }
+    a
+}
+
+/// Overwrite three seeded cells with `+inf`, `-inf` and `NaN`.
+fn plant_specials(m: &mut Matrix, seed: u64) {
+    let cells = m.data().len() as u64;
+    for (t, v) in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].into_iter().enumerate() {
+        let at = (seed ^ 0xA5A5).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        m.data_mut()[(at.rotate_left(17 * t as u32 + 5) % cells) as usize] = v;
+    }
+}
+
 /// [`bits`] with every `NaN` mapped to one pattern. Which payload and
 /// sign a `NaN` result carries when two different `NaN`s meet depends on
 /// operand order at the instruction level, which Rust does not fix; that
@@ -439,16 +463,17 @@ proptest! {
     }
 
     /// `matmul_into` and `matmul_tn_into` are the naive `i`-`k`-`j` loop
-    /// bit for bit at every seam of the gather-and-fold kernel: inner
-    /// dimensions and per-row non-zero counts from [`SEAMS`], all-zero
-    /// rows, output widths below, at and far above one vector, `±0.0`,
+    /// bit for bit at every seam of the gather-and-fold kernel and of the
+    /// register tiles: inner dimensions and per-row non-zero counts from
+    /// [`SEAMS`], all-zero rows, output widths below, at and far above
+    /// one vector and on both sides of 16 and 32, `±0.0`,
     /// `±inf` and `NaN` planted in both operands, and one dirty output
     /// buffer, larger than any case, reused across every shape.
     #[test]
     fn dense_kernels_match_the_naive_loop(seed in 0u64..1_000_000) {
         let mut out = Matrix::from_vec(20, 140, vec![f64::NAN; 2800]);
         for (n, &k) in SEAMS.iter().enumerate() {
-            for cols in [1usize, 2, 3, 16, 128] {
+            for cols in [1usize, 2, 3, 15, 16, 17, 31, 32, 33, 128] {
                 let a = seamed(seed ^ (k * 131 + cols) as u64, k, n);
                 let mut b = planted(seed ^ 0x9E37 ^ (cols * 977 + k) as u64, k, cols, true);
                 for (i, v) in b.data_mut().iter_mut().enumerate() {
@@ -461,6 +486,38 @@ proptest! {
                 prop_assert_eq!(bits_nan_folded(&out), want.clone(), "matmul k {} cols {}", k, cols);
                 transpose(&a).matmul_tn_into(&b, &mut out);
                 prop_assert_eq!(bits_nan_folded(&out), want, "matmul_tn k {} cols {}", k, cols);
+            }
+        }
+    }
+
+    /// The register tiles over tall operands: `matmul_tn_into` at
+    /// heights on both sides of one and two 64-row block edges and at
+    /// 6 000 rows, and `matmul_into` over the transpose (so the same
+    /// heights become its inner dimension), at output widths on both
+    /// sides of 16 and 32. The left operand has an all-zero column and
+    /// an all-zero row; `±inf` and `NaN` sit in both operands, and the
+    /// right operand's row under the all-zero row holds `inf` and `NaN`,
+    /// so a `0 · inf` the naive loop never forms would show. One dirty
+    /// output buffer, larger than any case, is reused throughout.
+    #[test]
+    fn narrow_tiles_match_the_naive_loop_on_tall_operands(seed in 0u64..1_000_000) {
+        let mut out = Matrix::from_vec(64, 40, vec![f64::NAN; 2560]);
+        for height in [63usize, 64, 65, 129, 6000] {
+            let a = tall(seed ^ height as u64, height);
+            let at = transpose(&a);
+            for cols in [15usize, 16, 17, 31, 32, 33] {
+                let b_seed = seed ^ 0x7F ^ (height * 41 + cols) as u64;
+                let mut b = planted(b_seed, height, cols, false);
+                plant_specials(&mut b, seed ^ cols as u64);
+                b.set(height / 2, 1, f64::INFINITY);
+                b.set(height / 2, 2, f64::NAN);
+                let want = bits_nan_folded(&naive_matmul(&at, &b));
+                a.matmul_tn_into(&b, &mut out);
+                let got = bits_nan_folded(&out);
+                prop_assert_eq!(got, want.clone(), "tn height {} cols {}", height, cols);
+                at.matmul_into(&b, &mut out);
+                let got = bits_nan_folded(&out);
+                prop_assert_eq!(got, want, "matmul height {} cols {}", height, cols);
             }
         }
     }

@@ -197,15 +197,22 @@ impl Matrix {
     ///
     /// Per output row the non-zero entries of `self`'s row are gathered
     /// 64 of `k` at a time and the matching rows of `rhs` folded onto it
-    /// several per pass: every output element still accumulates its
-    /// terms in ascending `k` onto `+0.0`, and a `self[i][k] == 0.0` term
-    /// is never formed (`NaN` is not zero and is kept).
+    /// several per pass. A 16- or 32-column `rhs` instead keeps each
+    /// output row in a register tile across all of its terms and stores
+    /// it once. Either way every output element accumulates its terms in
+    /// ascending `k` onto `+0.0`, and a `self[i][k] == 0.0` term is never
+    /// formed (`NaN` is not zero and is kept).
     ///
     /// # Panics
     ///
     /// Panics on an inner-dimension mismatch.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
+        match rhs.cols {
+            16 => return self.tile_rows::<16>(rhs, out),
+            32 => return self.tile_rows::<32>(rhs, out),
+            _ => {}
+        }
         let c = rhs.cols;
         out.reshape_zeroed(self.rows, c);
         let (mut idx, mut val) = ([0usize; GATHER_BLOCK], [0.0f64; GATHER_BLOCK]);
@@ -231,13 +238,20 @@ impl Matrix {
     /// rather than once per `k`, however tall the operands are. Every
     /// output element accumulates its terms in ascending `k` and skips
     /// `self[k][i] == 0.0`, exactly like [`Matrix::matmul`] on the
-    /// materialized transpose, so the result is bit-identical to it.
+    /// materialized transpose, so the result is bit-identical to it. A
+    /// 16- or 32-column `rhs` folds each block's terms onto a register
+    /// tile of the output row instead, loaded and stored once per block.
     ///
     /// # Panics
     ///
     /// Panics if the operands' row counts differ.
     pub fn matmul_tn_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "inner dimensions must agree");
+        match rhs.cols {
+            16 => return self.tile_tn::<16>(rhs, out),
+            32 => return self.tile_tn::<32>(rhs, out),
+            _ => {}
+        }
         let c = rhs.cols;
         out.reshape_zeroed(self.cols, c);
         let (mut idx, mut val) = ([0usize; GATHER_BLOCK], [0.0f64; GATHER_BLOCK]);
@@ -247,6 +261,47 @@ impl Matrix {
                 let column = ks.clone().map(|k| (k, self.data[k * self.cols + i]));
                 let m = gather(column, &mut idx, &mut val);
                 fold_rows(&mut out.data[i * c..(i + 1) * c], &idx[..m], &val[..m], &rhs.data);
+            }
+        }
+    }
+
+    /// [`Matrix::matmul_into`] for a `W`-column `rhs`: each output row
+    /// is accumulated in a `[f64; W]` tile over all of its terms and
+    /// stored once. The zero skip is a branch here, not a [`gather`]:
+    /// on the fast model's training rows the branch measured faster
+    /// (DESIGN.md § Raw-speed kernels, "Narrow rows in registers").
+    fn tile_rows<const W: usize>(&self, rhs: &Matrix, out: &mut Matrix) {
+        out.reshape_for_overwrite(self.rows, W);
+        let (w_rows, _) = rhs.data.as_chunks::<W>();
+        let (o_rows, _) = out.data.as_chunks_mut::<W>();
+        for (i, orow) in o_rows.iter_mut().enumerate() {
+            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
+            let mut acc = [0.0; W];
+            tile_fold(&mut acc, arow.iter().copied().zip(w_rows));
+            *orow = acc;
+        }
+    }
+
+    /// [`Matrix::matmul_tn_into`] for a `W`-column `rhs`, in the same
+    /// 64-row blocks: within a block, output row `i` is loaded into a
+    /// `[f64; W]` tile, the block's non-zero entries of column `i` are
+    /// gathered and their terms added, and the row is stored back. The
+    /// skip is a [`gather`]: a branch read the same on training data but
+    /// 2.5× slower on a tall column of a random ReLU mask.
+    fn tile_tn<const W: usize>(&self, rhs: &Matrix, out: &mut Matrix) {
+        out.reshape_zeroed(self.cols, W);
+        let (w_rows, _) = rhs.data.as_chunks::<W>();
+        let (o_rows, _) = out.data.as_chunks_mut::<W>();
+        let (mut idx, mut val) = ([0usize; GATHER_BLOCK], [0.0f64; GATHER_BLOCK]);
+        for k0 in (0..self.rows).step_by(GATHER_BLOCK) {
+            let ks = k0..(k0 + GATHER_BLOCK).min(self.rows);
+            for (i, orow) in o_rows.iter_mut().enumerate() {
+                let column = ks.clone().map(|k| (k, self.data[k * self.cols + i]));
+                let m = gather(column, &mut idx, &mut val);
+                let terms = val[..m].iter().copied().zip(idx[..m].iter().map(|&k| &w_rows[k]));
+                let mut acc = *orow;
+                tile_fold(&mut acc, terms);
+                *orow = acc;
             }
         }
     }
@@ -386,6 +441,23 @@ fn fold_rows(acc: &mut [f64], idx: &[usize], val: &[f64], rhs: &[f64]) {
     for (&k, &a) in idx4.remainder().iter().zip(val4.remainder()) {
         for (o, &b) in acc.iter_mut().zip(row(k)) {
             *o += a * b;
+        }
+    }
+}
+
+/// `acc += a · w` for each `(a, w)` pair in the order given, skipping
+/// `a == 0.0` exactly as [`gather`] does (`NaN` is kept). The tile stays
+/// in registers across all of the terms, and each element still gets
+/// one product added per term onto whatever it held.
+fn tile_fold<'w, const W: usize>(
+    acc: &mut [f64; W],
+    terms: impl Iterator<Item = (f64, &'w [f64; W])>,
+) {
+    for (a, w) in terms {
+        if a != 0.0 {
+            for (o, &b) in acc.iter_mut().zip(w) {
+                *o += a * b;
+            }
         }
     }
 }

@@ -45,8 +45,9 @@ pub fn assert_golden(actual: &str, rel_path: &str) {
 }
 
 /// Where `actual` first departs from `golden`: the line and byte, the
-/// nearest `"key":` before that point (most goldens are one-line JSON,
-/// so the line alone says little), and a short excerpt of each side.
+/// full key path of the JSON value that point sits in (most goldens
+/// are one-line JSON, so the line alone says little), and a short
+/// excerpt of each side.
 #[allow(dead_code)] // Each integration-test crate uses its own copy.
 pub fn first_difference(golden: &str, actual: &str) -> String {
     const CONTEXT: usize = 40;
@@ -55,10 +56,7 @@ pub fn first_difference(golden: &str, actual: &str) -> String {
         at -= 1; // the shared prefix ends inside a multi-byte character
     }
     let line = golden[..at].matches('\n').count() + 1;
-    let key = golden[..at]
-        .rfind("\":")
-        .and_then(|end| golden[..end].rfind('"').map(|start| &golden[start..end + 2]))
-        .unwrap_or("(none)");
+    let path = key_path(&golden[..at]);
     let excerpt = |text: &str| {
         let (mut from, mut to) = (at.saturating_sub(CONTEXT), (at + CONTEXT).min(text.len()));
         while !text.is_char_boundary(from) {
@@ -70,8 +68,55 @@ pub fn first_difference(golden: &str, actual: &str) -> String {
         format!("{:?}", &text[from..to])
     };
     format!(
-        "first difference at line {line}, byte {at}, after key {key}\n  golden: {}\n  actual: {}",
+        "first difference at line {line}, byte {at}, under key {}\n  golden: {}\n  actual: {}",
+        if path.is_empty() { "(none)" } else { &path },
         excerpt(golden),
         excerpt(actual)
     )
+}
+
+/// The key path open at the end of a JSON prefix, such as
+/// `stages[2].runs[0].secs`: a string-aware scan that tracks each open
+/// object's current key and each open array's index, and skips escaped
+/// quotes inside strings. Keys are shown as written, escapes included.
+fn key_path(prefix: &str) -> String {
+    enum Open<'a> {
+        Object(Option<&'a str>),
+        Array(usize),
+    }
+    let mut open: Vec<Open> = Vec::new();
+    let (mut string_start, mut escaped, mut last_string) = (None, false, None);
+    for (pos, ch) in prefix.char_indices() {
+        if let Some(start) = string_start {
+            match ch {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => (string_start, last_string) = (None, Some(&prefix[start..pos])),
+                _ => {}
+            }
+            continue;
+        }
+        match (ch, open.last_mut()) {
+            ('"', _) => string_start = Some(pos + 1),
+            (':', Some(Open::Object(key))) => *key = last_string,
+            (',', Some(Open::Object(key))) => *key = None,
+            (',', Some(Open::Array(index))) => *index += 1,
+            ('{', _) => open.push(Open::Object(None)),
+            ('[', _) => open.push(Open::Array(0)),
+            ('}' | ']', _) => {
+                open.pop();
+            }
+            _ => {}
+        }
+    }
+    let mut path = String::new();
+    for step in &open {
+        match step {
+            Open::Object(Some(key)) if path.is_empty() => path.push_str(key),
+            Open::Object(Some(key)) => path.push_str(&format!(".{key}")),
+            Open::Object(None) => {}
+            Open::Array(index) => path.push_str(&format!("[{index}]")),
+        }
+    }
+    path
 }

@@ -219,3 +219,46 @@ fn generators_are_stable_across_calls() {
         assert_eq!(a.outputs(), b.outputs(), "{name}");
     }
 }
+
+/// Fast-model training and batched inference, pinned by bits: 20
+/// `train_step`s cycling over three AIGs on `ModelConfig::fast()` (the
+/// 32 → 16 GCN whose 16- and 32-wide dense products every e2e training
+/// workload runs), then `predict_log_batch` over a two-chunk batch.
+/// `multiplier(8)` is taller than 129 nodes, so the weight-gradient
+/// product `matmul_tn_into` crosses two of its 64-row block edges.
+/// `save_weights` prints round-trip `{:e}`, so its digest is the
+/// weights' bits. A kernel change that keeps every product's terms and
+/// their order leaves both constants alone.
+#[test]
+fn fast_model_training_is_pinned_by_bits() {
+    use eda_cloud::gcn::{GraphBatch, GraphSample, ModelConfig, RuntimePredictor};
+    use eda_cloud::netlist::DesignGraph;
+    let sample = |aig: &eda_cloud::netlist::Aig, t1: f64| {
+        GraphSample::new(&DesignGraph::from_aig(aig), [t1, t1 / 1.6, t1 / 2.4, t1 / 3.0])
+    };
+    let samples = [
+        sample(&generators::adder(6), 610.0),
+        sample(&generators::parity(10), 183.0),
+        sample(&generators::multiplier(8), 920.0),
+    ];
+    assert!(samples[2].node_count() > 129, "{} nodes", samples[2].node_count());
+    let mut model = RuntimePredictor::new(&ModelConfig::fast(), 11);
+    let losses: Vec<u64> =
+        (0..20).map(|step| model.train_step(&samples[step % 3], 3e-3).to_bits()).collect();
+    let weights = eda_cloud::trace::fnv1a64(model.save_weights().as_bytes());
+    assert_eq!(weights, 0xc63e_b4e0_db54_b2cc, "fitted-weights digest (losses {losses:x?})");
+
+    let refs: Vec<&GraphSample> = samples.iter().collect();
+    // Greedy chunking at this row target: `adder` and `parity` fill
+    // the first chunk exactly, `multiplier` is the second.
+    let first_two = samples[0].node_count() + samples[1].node_count();
+    let batch = GraphBatch::pack_chunked(&refs, 1, first_two);
+    let bits: Vec<[u64; 4]> =
+        model.predict_log_batch(&batch).iter().map(|p| p.map(f64::to_bits)).collect();
+    let want: [[u64; 4]; 3] = [
+        [0x4006_285d_e9dc_1717, 0x4002_8259_3d75_c353, 0x4001_7c39_1628_c939, 0x3ffd_c8e4_336f_8ed3],
+        [0x3ffd_9c76_9b62_4bb4, 0x3ff8_a7de_6de9_b5bc, 0x3ff8_2c92_2061_8f98, 0x3ff6_cd64_35d2_e418],
+        [0x4021_fe59_fd4a_8362, 0x401a_f19a_86aa_00d4, 0x401b_4048_2379_3849, 0x401a_e877_4448_21f7],
+    ];
+    assert_eq!(bits, want, "predict_log_batch bits");
+}

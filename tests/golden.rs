@@ -106,17 +106,44 @@ fn characterization_document_is_deterministic() {
 }
 
 /// A golden failure names where the documents part: on a one-line JSON
-/// report that differs in one nested value, the message gives the key
-/// that value sits under and an excerpt of both sides.
+/// report that differs in one nested value, the message gives the full
+/// key path of that value and an excerpt of both sides.
 #[test]
 fn golden_drift_names_the_changed_key() {
     let golden = r#"{"seed":7,"latency":{"p50_ms":9.10,"p95_ms":9.10},"plans":13}"#;
     let actual = r#"{"seed":7,"latency":{"p50_ms":9.10,"p95_ms":9.25},"plans":13}"#;
     let message = common::first_difference(golden, actual);
-    assert!(message.contains(r#"after key "p95_ms":"#), "{message}");
+    assert!(message.contains("under key latency.p95_ms\n"), "{message}");
     assert!(message.contains("line 1"), "{message}");
     assert!(message.contains("9.10") && message.contains("9.25"), "{message}");
     let (golden, actual) = ("{\n  \"a\": 1,\n  \"b\": 2\n}", "{\n  \"a\": 1,\n  \"b\": 3\n}");
     let multi_line = common::first_difference(golden, actual);
-    assert!(multi_line.contains(r#"line 3, byte 19, after key "b":"#), "{multi_line}");
+    assert!(multi_line.contains("line 3, byte 19, under key b\n"), "{multi_line}");
+}
+
+/// The key path follows nesting: object keys joined by `.`, array
+/// elements by index, a closed container dropped from the path.
+#[test]
+fn golden_drift_names_the_full_key_path() {
+    let path = |golden: &str, actual: &str| {
+        let message = common::first_difference(golden, actual);
+        let after = message.split_once("under key ").expect("a key clause").1;
+        after.lines().next().expect("one line").to_owned()
+    };
+    // A nested object, entered after a closed sibling.
+    let golden = r#"{"seed":7,"meta":{"v":1},"counters":{"served":4,"requests":12}}"#;
+    let actual = r#"{"seed":7,"meta":{"v":1},"counters":{"served":4,"requests":13}}"#;
+    assert_eq!(path(golden, actual), "counters.requests");
+    // An array of objects, each holding an array.
+    let golden = r#"{"stages":[{"runs":[{"secs":1}]},{"runs":[]},{"runs":[{"secs":2},{"secs":3}]}]}"#;
+    let actual = r#"{"stages":[{"runs":[{"secs":1}]},{"runs":[]},{"runs":[{"secs":2.5},{"secs":3}]}]}"#;
+    assert_eq!(path(golden, actual), "stages[2].runs[0].secs");
+    // Commas, braces and escaped quotes inside strings are text.
+    let golden = r#"{"say \"hi\", {x}":{"n":[1,2]},"tail":"a\"b,c","z":1}"#;
+    let actual = r#"{"say \"hi\", {x}":{"n":[1,3]},"tail":"a\"b,c","z":1}"#;
+    assert_eq!(path(golden, actual), r#"say \"hi\", {x}.n[1]"#);
+    let actual = r#"{"say \"hi\", {x}":{"n":[1,2]},"tail":"a\"b,c","z":2}"#;
+    assert_eq!(path(golden, actual), "z");
+    // Text that is not JSON names no key.
+    assert_eq!(path("stage a 1\nstage b 2", "stage a 1\nstage b 3"), "(none)");
 }
