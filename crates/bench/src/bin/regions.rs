@@ -1,8 +1,8 @@
 //! Runs the sharded multi-region simulation: N region shards exchange
 //! job migrations, staged model-rollout waves, and replicated cache
 //! invalidations under a conservative lookahead barrier, with
-//! per-tenant fair-share admission (equal weights) in front of every
-//! region's run queue.
+//! per-tenant equal-share admission in front of every region's run
+//! queue.
 //!
 //! ```text
 //! cargo run -p eda-cloud-bench --bin regions --release -- --regions 3 --tenants 4 --jobs 200
@@ -94,7 +94,6 @@ fn print_report(report: &RegionReport) {
         .map(|(t, u)| {
             vec![
                 format!("{t}"),
-                format!("{}", u.weight),
                 format!("{}", u.submitted),
                 format!("{}", u.admitted),
                 format!("{}", u.served),
@@ -104,7 +103,6 @@ fn print_report(report: &RegionReport) {
         .collect();
     println!(
         "{}",
-        render_table(&["tenant", "weight", "submitted", "admitted", "served", "rejected"],
-            &tenant_rows)
+        render_table(&["tenant", "submitted", "admitted", "served", "rejected"], &tenant_rows)
     );
 }

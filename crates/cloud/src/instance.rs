@@ -57,7 +57,6 @@ impl InstanceType {
         };
         MachineConfig {
             vcpus: self.vcpus,
-            memory_gb: self.memory_gb,
             clock_ghz: self.clock_ghz,
             avx: true,
             mem_bw_gbps: bw_per_vcpu * f64::from(self.vcpus),
@@ -235,10 +234,10 @@ mod tests {
     #[test]
     fn machine_config_reflects_family() {
         let c = Catalog::aws_like();
-        let r5 = c.instance("r5.2xlarge").unwrap().machine_config();
-        let m5 = c.instance("m5.2xlarge").unwrap().machine_config();
-        assert!(r5.mem_bw_gbps > m5.mem_bw_gbps);
+        let (r5, m5) = (c.instance("r5.2xlarge").unwrap(), c.instance("m5.2xlarge").unwrap());
         assert!(r5.memory_gb > m5.memory_gb);
+        let (r5, m5) = (r5.machine_config(), m5.machine_config());
+        assert!(r5.mem_bw_gbps > m5.mem_bw_gbps);
         let c5 = c.instance("c5.2xlarge").unwrap().machine_config();
         assert!(c5.clock_ghz > m5.clock_ghz);
     }

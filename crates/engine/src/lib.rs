@@ -25,8 +25,8 @@
 //!    The merged timeline is byte-identical at any worker count and
 //!    any shard count; [`EngineFaults`] hooks bend the message path
 //!    (delay, partition, drop) without breaking that contract.
-//! 5. [`FairShare`] — per-tenant quotas and weighted fair-share
-//!    admission (stride scheduling over integer virtual time).
+//! 5. [`FairShare`] — per-tenant quotas and equal-share admission
+//!    (stride-1 scheduling over integer virtual time).
 //! 6. [`RegionSim`] — the multi-region workload built from all of the
 //!    above: tenant job streams, migration, staged rollout waves,
 //!    replicated cache invalidations, and a byte-stable
@@ -53,7 +53,7 @@ pub mod time;
 mod heap_script;
 
 pub use error::EngineError;
-pub use fair::{AdmitRejection, FairShare, TenantCounters, TenantPolicy};
+pub use fair::{AdmitRejection, FairShare, TenantCounters};
 pub use faults::{EngineFaults, NoEngineFaults};
 pub use heap::EventHeap;
 pub use message::{Envelope, Outbox};

@@ -14,7 +14,7 @@ use crate::message::{Envelope, Outbox};
 use eda_cloud_trace::Histogram;
 use crate::sharded::{MessageStats, RegionShard, ShardedSim};
 use crate::time::checked_add_us;
-use crate::{AdmitRejection, EngineError, EngineFaults, EventHeap, FairShare, TenantPolicy};
+use crate::{AdmitRejection, EngineError, EngineFaults, EventHeap, FairShare};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
@@ -47,8 +47,8 @@ const _: () = assert!(DESIGNS <= u16::BITS as u64, "every design needs a bit of 
 /// Gap between model-rollout wave starts, µs.
 const WAVE_INTERVAL_US: u64 = 200_000;
 
-/// How to run a multi-region simulation. Every tenant has fair-share
-/// weight 1.
+/// How to run a multi-region simulation. Every tenant gets an equal
+/// share of each region's run queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionSimConfig {
     /// Seed for the synthetic workload.
@@ -65,9 +65,10 @@ pub struct RegionSimConfig {
     /// Local queue depth at which a fresh arrival is migrated to the
     /// next region instead of queued.
     pub migrate_threshold: u32,
-    /// Run-queue capacity per region (fair-share total).
+    /// Run-queue capacity per region, split equally among the tenants.
     pub queue_capacity: usize,
-    /// Per-tenant hard quota on queued jobs per region.
+    /// Per-tenant hard quota on queued jobs per region, applied on top
+    /// of the tenant's equal share of `queue_capacity`.
     pub tenant_quota: u32,
     /// Model-rollout waves to stage through the regions.
     pub rollout_waves: u32,
@@ -108,12 +109,6 @@ impl RegionSimConfig {
             return Err(EngineError::InvalidConfig("tenant quota must be positive"));
         }
         Ok(())
-    }
-
-    /// The per-tenant policies this config implies.
-    fn policies(&self) -> Vec<TenantPolicy> {
-        let policy = TenantPolicy { weight: 1, max_queued: self.tenant_quota };
-        vec![policy; self.tenants as usize]
     }
 }
 
@@ -230,8 +225,6 @@ pub struct RegionCounters {
 /// Per-tenant usage folded across regions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantUsage {
-    /// Fair-share weight.
-    pub weight: u64,
     /// Jobs the tenant submitted (workload-wide).
     pub submitted: u64,
     /// Jobs admitted across regions.
@@ -295,7 +288,7 @@ impl RegionState {
             latency_us: INTER_REGION_LATENCY_US,
             migrate_threshold: config.migrate_threshold,
             heap: EventHeap::with_capacity(arrivals),
-            fair: FairShare::new(config.policies(), config.queue_capacity)?,
+            fair: FairShare::new(config.tenants, config.tenant_quota, config.queue_capacity)?,
             queue: RunQueue::new(),
             slots_free: SERVERS_PER_REGION,
             cache: DesignCache::default(),
@@ -328,11 +321,11 @@ impl RegionState {
                 self.queue.push(Reverse((tag, job)));
                 self.pump(now)
             }
-            Err(AdmitRejection::QuotaExceeded { .. }) => {
+            Err(AdmitRejection::QuotaExceeded) => {
                 self.counters.quota_rejected += 1;
                 Ok(())
             }
-            Err(AdmitRejection::CapacityExhausted { .. }) => {
+            Err(AdmitRejection::CapacityExhausted) => {
                 self.counters.shed += 1;
                 Ok(())
             }
@@ -546,9 +539,9 @@ impl RegionReport {
             }
             let _ = write!(
                 s,
-                "{{\"tenant\":{i},\"weight\":{},\"submitted\":{},\"admitted\":{},\"served\":{},\
+                "{{\"tenant\":{i},\"submitted\":{},\"admitted\":{},\"served\":{},\
                  \"quota_rejected\":{},\"shed\":{}}}",
-                t.weight, t.submitted, t.admitted, t.served, t.quota_rejected, t.shed,
+                t.submitted, t.admitted, t.served, t.quota_rejected, t.shed,
             );
         }
         s.push_str("],");
@@ -584,8 +577,7 @@ impl RegionSim {
         shards: usize,
     ) -> Result<RegionReport, EngineError> {
         config.validate()?;
-        let mut tenants =
-            vec![TenantUsage { weight: 1, ..TenantUsage::default() }; config.tenants as usize];
+        let mut tenants = vec![TenantUsage::default(); config.tenants as usize];
         let mut arrivals = vec![0usize; config.regions as usize];
         for job in jobs {
             if job.region >= config.regions {

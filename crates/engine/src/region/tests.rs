@@ -22,7 +22,7 @@ fn queued(ord: u64, tenant: u32) -> QueuedJob {
 #[test]
 fn run_queue_pops_by_tag_then_ordinal() {
     let mut queue = RunQueue::new();
-    // Equal weights hand every tenant the same tag sequence, so tags tie
+    // Equal shares hand every tenant the same tag sequence, so tags tie
     // across tenants. Tenant order disagrees with ordinal order here:
     // only the ordinal may break the tie, never the tenant or the push.
     for (tag, ord, tenant) in [(5, 9, 0), (5, 3, 3), (2, 7, 1), (5, 4, 1), (2, 8, 0)] {
@@ -137,7 +137,7 @@ fn quota_bounds_a_bursting_tenant() {
     )
     .expect("runs");
     let t0 = &report.tenants[0];
-    // Share bound for tenant 0: capacity 12 * weight 1 / Σ3 = 4.
+    // Share bound for tenant 0: capacity 12 / 3 tenants = 4.
     assert!(t0.quota_rejected > 0, "the burst hits the quota: {t0:?}");
     assert_eq!(t0.submitted, 60);
     assert!(
@@ -216,6 +216,6 @@ fn json_shape_is_stable() {
     assert_eq!(json, report.to_json());
     assert!(json.starts_with("{\"seed\":7,\"totals\":{\"submitted\":20,"));
     assert!(json.contains("\"per_region\":[{\"region\":0,"));
-    assert!(json.contains("\"per_tenant\":[{\"tenant\":0,\"weight\":1,"));
+    assert!(json.contains("\"per_tenant\":[{\"tenant\":0,\"submitted\":"));
     assert!(json.ends_with('}'));
 }

@@ -89,14 +89,10 @@ fn synthesized(family: &str, size: u32, recipe: &Recipe) -> Netlist {
 /// Context lists a sweep may be asked for; `variant` picks one.
 fn context_list(variant: usize) -> Vec<ExecContext> {
     let gp = |v| ExecContext::with_vcpus(v);
-    // Memory-optimized sizes: double the memory, +50% bandwidth per vCPU.
+    // Memory-optimized sizes: +50% bandwidth per vCPU.
     let mo = |v| {
         let base = MachineConfig::vcpus(v);
-        ExecContext::new(MachineConfig {
-            memory_gb: base.memory_gb * 2.0,
-            mem_bw_gbps: base.mem_bw_gbps * 1.5,
-            ..base
-        })
+        ExecContext::new(MachineConfig { mem_bw_gbps: base.mem_bw_gbps * 1.5, ..base })
     };
     match variant % 4 {
         // The paper's sweep.

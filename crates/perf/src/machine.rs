@@ -7,13 +7,13 @@ use crate::CounterSet;
 /// The paper emulates VM sizes (1/2/4/8 vCPUs) by throttling a 14-core
 /// Xeon E5-2680 host with cgroups; this struct captures the quantities
 /// that throttling controls plus the instance-family traits the paper's
-/// recommendations hinge on (AVX support, memory-to-core ratio).
+/// recommendations hinge on (AVX support, memory bandwidth per core).
+/// Memory capacity is catalog data (`InstanceType::memory_gb`); no
+/// model reads it, so the machine does not carry it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Number of virtual CPUs (hardware threads).
     pub vcpus: u32,
-    /// Memory in GiB.
-    pub memory_gb: f64,
     /// Core clock in GHz.
     pub clock_ghz: f64,
     /// Whether the underlying processor exposes AVX vector units.
@@ -26,14 +26,13 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// A general-purpose VM with `vcpus` cores (4 GiB and ~6 GB/s of
-    /// memory bandwidth per vCPU, AVX available, Xeon-like 3.3 GHz).
+    /// A general-purpose VM with `vcpus` cores (~6 GB/s of memory
+    /// bandwidth per vCPU, AVX available, Xeon-like 3.3 GHz).
     #[must_use]
     pub fn vcpus(vcpus: u32) -> Self {
         let vcpus = vcpus.max(1);
         Self {
             vcpus,
-            memory_gb: 4.0 * f64::from(vcpus),
             clock_ghz: 3.3,
             avx: true,
             mem_bw_gbps: 6.0 * f64::from(vcpus),

@@ -12,8 +12,8 @@
 //!   at any worker count.
 //! * [`hybrid`] — a hybrid (design, recipe) → runtime predictor: a
 //!   frozen seeded GCN design embedding concatenated with a positional
-//!   recipe encoding through a small trainable dense head, snapshot-
-//!   versioned as `recipe-hybrid-predictor v1` with a checksum footer.
+//!   recipe encoding through a small trainable dense head. It lives in
+//!   memory only: fitted per run, it has no stored format.
 //! * [`report`] — the byte-stable [`RecipeReport`], including the
 //!   joint (recipe, VM plan) answer per design once the serving tier
 //!   has planned over the candidate set.

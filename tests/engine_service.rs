@@ -95,7 +95,7 @@ fn overload_burst_is_bounded_to_the_tenants_share() {
     .expect("runs");
     let t0 = &report.tenants[0];
     assert_eq!(t0.submitted, 80);
-    // Equal weights over capacity 16: tenant 0's share bound is 4.
+    // Four equal shares of capacity 16: tenant 0's share bound is 4.
     assert!(t0.quota_rejected > 0, "the burst must hit the share bound: {t0:?}");
     assert_eq!(
         t0.admitted + t0.quota_rejected + t0.shed,

@@ -4,7 +4,9 @@
 //! a member crate declares above its file's first `#[cfg(test)]` is named by
 //! product code — a bin, an example, the e2e workloads or non-test library
 //! code — or sits in [`TEST_REFERENCES`] with the reason it stays. A module
-//! or function only tests and benches reach is a design nobody runs.
+//! or function only tests and benches reach is a design nobody runs. A file
+//! that a `#[cfg(test)]` `mod` declaration names is test code throughout: it
+//! neither declares audited items nor calls or writes them.
 //! **Knobs**: the `pub` fields of the configuration structs are counted, and
 //! so are those no product code outside the declaring file ever sets; both
 //! counts have a ceiling that may only be lowered.
@@ -124,6 +126,69 @@ fn caller(path: &str) -> bool {
     !path.split('/').any(|dir| dir == "tests" || dir == "benches")
 }
 
+/// `a/b/../c` → `a/c`.
+fn normalize(path: &str) -> String {
+    let mut parts: Vec<&str> = Vec::new();
+    for part in path.split('/') {
+        match part {
+            "." | "" => {}
+            ".." => {
+                parts.pop();
+            }
+            _ => parts.push(part),
+        }
+    }
+    parts.join("/")
+}
+
+/// Paths of the files a `#[cfg(test)]`-gated `mod name;` declares: the
+/// `#[path]` it gives, relative to the declaring file's directory, else
+/// `name.rs` or `name/mod.rs` beside a `lib.rs` / `main.rs` / `mod.rs` and
+/// under `stem/` beside any other file. Their whole text is test code.
+fn test_modules(sources: &[(String, String)]) -> HashSet<String> {
+    let mut found = HashSet::new();
+    for (path, text) in sources {
+        let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+        let stem = file.strip_suffix(".rs").unwrap_or(file);
+        let beside = ["lib", "main", "mod"].contains(&stem);
+        let base = if beside { dir.to_owned() } else { format!("{dir}/{stem}") };
+        // Inside the attributes of a `#[cfg(test)]` item, and its `#[path]`.
+        let (mut gated, mut at) = (false, None);
+        for line in text.lines().map(str::trim) {
+            if line == "#[cfg(test)]" || gated && line.starts_with("#[") {
+                gated = true;
+                let path = line.strip_prefix("#[path = \"").and_then(|p| p.strip_suffix("\"]"));
+                at = path.or(at);
+                continue;
+            }
+            let declared = ["pub(crate) mod ", "pub mod ", "mod "]
+                .iter()
+                .find_map(|v| line.strip_prefix(v))
+                .and_then(|rest| rest.strip_suffix(';'));
+            match (gated, declared, at) {
+                (true, Some(_), Some(to)) => {
+                    found.insert(normalize(&format!("{dir}/{to}")));
+                }
+                (true, Some(name), None) => {
+                    found.insert(format!("{base}/{name}.rs"));
+                    found.insert(format!("{base}/{name}/mod.rs"));
+                }
+                _ => {}
+            }
+            (gated, at) = (false, None);
+        }
+    }
+    found
+}
+
+/// `(path, product part)` of every file whose non-test part product code
+/// compiles: a [`caller`] that no `#[cfg(test)]` module declaration names.
+fn product_sources(sources: &[(String, String)]) -> Vec<(&String, &str)> {
+    let tests = test_modules(sources);
+    let compiled = sources.iter().filter(|(path, _)| caller(path) && !tests.contains(path));
+    compiled.map(|(path, text)| (path, product(text))).collect()
+}
+
 /// A `crates/*/src/**` file: where audited declarations live.
 fn audited(path: &str) -> bool {
     matches!(path.split('/').collect::<Vec<_>>()[..], ["crates", _, "src", _, ..])
@@ -131,16 +196,14 @@ fn audited(path: &str) -> bool {
 
 /// `path: name` of every function declared above the first `#[cfg(test)]` of a
 /// `crates/*/src/**` file that nothing names from product code: callers are
-/// the non-test part of any file outside a `tests/` or `benches/` directory.
+/// the [`product_sources`].
 fn unreferenced_fns(sources: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<String> {
-    let called: HashSet<&str> = sources
-        .iter()
-        .filter(|(path, _)| caller(path))
-        .flat_map(|(_, text)| code_lines(product(text)).flat_map(uses))
-        .collect();
+    let product = product_sources(sources);
+    let called: HashSet<&str> =
+        product.iter().flat_map(|(_, code)| code_lines(code).flat_map(uses)).collect();
     let mut orphans = Vec::new();
-    for (path, text) in sources.iter().filter(|(path, _)| audited(path)) {
-        for name in code_lines(product(text)).filter_map(pub_fn_name) {
+    for (path, code) in product.iter().filter(|(path, _)| audited(path)) {
+        for name in code_lines(code).filter_map(pub_fn_name) {
             if !called.contains(name) && !allowed.iter().any(|(n, _)| *n == name) {
                 orphans.push(format!("{path}: {name}"));
             }
@@ -200,10 +263,14 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
         let with_caller = [sources.clone(), vec![file(path, caller)]].concat();
         assert_eq!(unreferenced_fns(&with_caller, &[]).len(), orphans, "{path}");
     }
+    // Nor is one in a file that a `#[cfg(test)]` `mod` declaration names.
+    let declares = file("crates/a/src/lib.rs", "mod gauge;\n#[cfg(test)]\nmod oracle;\n");
+    let oracle = file("crates/a/src/oracle.rs", caller);
+    assert_eq!(unreferenced_fns(&[sources, vec![declares, oracle]].concat(), &[]).len(), 2);
 }
 
 /// Ceilings of the knob census; lower them when a knob goes, never raise them.
-const MAX_KNOBS: usize = 81;
+const MAX_KNOBS: usize = 78;
 const MAX_UNWRITTEN_KNOBS: usize = 10;
 const MAX_NAMESAKE_ONLY_KNOBS: usize = 5;
 
@@ -243,9 +310,8 @@ enum Frame<'a> {
 }
 
 /// `pub type` aliases of product code: alias name → the type it names.
-fn aliases(sources: &[(String, String)]) -> HashMap<&str, &str> {
-    let product_lines = sources.iter().filter(|(path, _)| caller(path));
-    let lines = product_lines.flat_map(|(_, text)| code_lines(product(text)));
+fn aliases<'a>(product: &[(&String, &'a str)]) -> HashMap<&'a str, &'a str> {
+    let lines = product.iter().flat_map(|(_, code)| code_lines(code));
     lines
         .filter_map(|line| {
             let (name, target) = line.strip_prefix("pub type ")?.split_once('=')?;
@@ -362,9 +428,9 @@ fn writes_in<'a>(code: &'a str, field: &str, aliases: &HashMap<&str, &'a str>) -
 }
 
 /// The knob census: `Struct.field` of every `pub` field of a knob struct
-/// declared above the first `#[cfg(test)]` of a `crates/*/src/**` file,
-/// with two subsets by the writes of that field name in the non-test part
-/// of other files outside `tests/` and `benches/`. *Unwritten*: there is
+/// declared above the first `#[cfg(test)]` of a `crates/*/src/**` product
+/// file, with two subsets by the writes of that field name in the other
+/// [`product_sources`]. *Unwritten*: there is
 /// none. *Namesake-only*: each is a literal of another struct or a bare
 /// `field:` (a parameter), so only a namesake sets it. An assignment counts
 /// as a write of every struct, so both subsets are floors.
@@ -398,17 +464,15 @@ impl Census {
 }
 
 fn knob_census(sources: &[(String, String)]) -> Census {
-    let aliases = aliases(sources);
+    let product = product_sources(sources);
+    let aliases = aliases(&product);
     // Product code of every possible writer, with its identifiers as a prefilter.
-    let writers: Vec<(&String, &str, HashSet<&str>)> = sources
-        .iter()
-        .filter(|(path, _)| caller(path))
-        .map(|(path, text)| (path, product(text), words(product(text))))
-        .collect();
+    let writers: Vec<(&String, &str, HashSet<&str>)> =
+        product.iter().map(|&(path, code)| (path, code, words(code))).collect();
     let mut census = Census { knobs: Vec::new(), unwritten: Vec::new(), namesake_only: Vec::new() };
-    for (path, text) in sources.iter().filter(|(path, _)| audited(path)) {
+    for (path, code) in product.iter().filter(|(path, _)| audited(path)) {
         let mut owner = None;
-        for line in code_lines(product(text)) {
+        for line in code_lines(code) {
             if let Some(name) = line.strip_prefix("pub struct ").and_then(|l| idents(l).next()) {
                 owner = (is_knob_struct(name) && line.ends_with('{')).then_some(name);
             } else if line == "}" {
@@ -420,7 +484,7 @@ fn knob_census(sources: &[(String, String)]) -> Census {
                 };
                 let found: Vec<Write> = writers
                     .iter()
-                    .filter(|(other, _, names)| *other != path && names.contains(field))
+                    .filter(|(other, _, names)| *other != *path && names.contains(field))
                     .flat_map(|(_, code, _)| writes_in(code, field, &aliases))
                     .collect();
                 let own = |w: &Write| matches!(w, Write::Assigned) || *w == Write::Literal(owner);
@@ -480,6 +544,25 @@ fn the_census_counts_pub_fields_and_their_product_writers() {
     }
     let with_call = [sources.clone(), vec![file("crates/a/src/bin/y.rs", argument)]].concat();
     assert_eq!(knob_census(&with_call).unwritten.len(), 2, "a call argument sets nothing");
+    // A file a `#[cfg(test)]` `mod` declares is test code, at `name.rs` beside
+    // `lib.rs`, under the declaring file's stem, or at its `#[path]`: its
+    // literal sets nothing. In a module the product compiles it is a writer.
+    let lib_rs = "mod gauge;\nmod u;\n#[cfg(test)]\nmod t;\n#[cfg(test)]\n\
+                  #[path = \"../fixtures/g.rs\"]\nmod g;\n";
+    let declared = vec![
+        file("crates/a/src/lib.rs", lib_rs),
+        file("crates/a/src/region.rs", "#[cfg(test)]\nmod tests;\n"),
+    ];
+    let literal = "fn f() -> GaugeConfig {\n    GaugeConfig { rate: 1, depth: 2, tag: 3 }\n}\n";
+    for (path, left) in [
+        ("crates/a/src/t.rs", 2),
+        ("crates/a/src/region/tests.rs", 2),
+        ("crates/a/fixtures/g.rs", 2),
+        ("crates/a/src/u.rs", 0),
+    ] {
+        let with_module = [sources.clone(), declared.clone(), vec![file(path, literal)]].concat();
+        assert_eq!(knob_census(&with_module).unwritten.len(), left, "{path}");
+    }
     // Two structs share `cost_us`, and each one's `Default` is the only literal
     // that sets it, in its own file: by name alone each looks set by the other.
     let declare = |name: &str, cost: u32| {
