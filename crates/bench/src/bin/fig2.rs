@@ -14,13 +14,8 @@ use eda_cloud_core::{CharacterizationConfig, Workflow};
 
 fn main() {
     let args = Args::from_env();
-    let cache_model = args.flag("cache-model");
     let design = experiment_design(&args);
     args.reject_unknown();
-    if cache_model {
-        cache_model_ablation();
-        return;
-    }
     println!("Figure 2 — characterization of `{}` ({})", design.name(), design);
 
     let workflow = Workflow::with_defaults();
@@ -97,55 +92,5 @@ fn main() {
             &["task", "family", "1 vCPU", "2 vCPUs", "4 vCPUs", "8 vCPUs", "speedup@8", "p"],
             &rows
         )
-    );
-}
-
-/// Ablation for the Fig. 2-b cache model: the default hierarchy grows
-/// the LLC slice with the vCPU count (hypervisor partitioning); the
-/// alternative gives every VM size the full host LLC (pure sharing).
-/// Placement's miss-rate drop from 1 to 8 vCPUs only appears under
-/// partitioning — evidence for the paper's "more cache available with
-/// more vCPUs" explanation.
-fn cache_model_ablation() {
-    use eda_cloud_flow::{ExecContext, Placer, Recipe, Synthesizer};
-    use eda_cloud_netlist::generators;
-    use eda_cloud_perf::{Cache, CacheSim};
-
-    println!("Figure 2-b ablation — partitioned vs shared LLC (placement)");
-    let design = generators::openpiton_design("l2_bank").expect("design");
-    let ctx1 = ExecContext::with_vcpus(1);
-    let (netlist, _) = Synthesizer::new()
-        .with_verification(false)
-        .run(&design, &Recipe::balanced(), &ctx1)
-        .expect("synthesis");
-
-    let mut rows = Vec::new();
-    for vcpus in [1u32, 8] {
-        let ctx = ExecContext::with_vcpus(vcpus);
-        // Partitioned (default machine-sized probe).
-        let (_, report) = Placer::new().run(&netlist, &ctx).expect("placement");
-        let partitioned = report.counters.perf_cache_miss_rate();
-        // Shared: fixed 10 MiB LLC regardless of size. Exercise the
-        // cache sim directly with the same footprint placement touches.
-        let mut sim = CacheSim::new(
-            Cache::new(32 * 1024, 64, 8),
-            Cache::new(10 * 1024 * 1024, 64, 16),
-        );
-        for _pass in 0..4 {
-            for cell in 0..netlist.cell_count() as u64 {
-                sim.access(0x1000_0000 + cell * 192);
-                sim.access(0x5000_0000 + cell * 192);
-            }
-        }
-        let shared = sim.llc_misses() as f64 / sim.l1_misses() as f64;
-        rows.push(vec![
-            format!("{vcpus}"),
-            pct(partitioned),
-            pct(shared),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(&["vCPUs", "partitioned LLC", "shared LLC"], &rows)
     );
 }

@@ -8,13 +8,6 @@ use std::fmt;
 pub enum CloudError {
     /// No instance type with the given name exists in the catalog.
     UnknownInstance(String),
-    /// The host has no free cores for the requested VM.
-    InsufficientCapacity {
-        /// Cores requested.
-        requested: u32,
-        /// Cores free on the host.
-        available: u32,
-    },
     /// Operation on a VM in the wrong lifecycle state.
     InvalidState {
         /// The VM id.
@@ -30,13 +23,6 @@ impl fmt::Display for CloudError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CloudError::UnknownInstance(name) => write!(f, "unknown instance type `{name}`"),
-            CloudError::InsufficientCapacity {
-                requested,
-                available,
-            } => write!(
-                f,
-                "host capacity exhausted: requested {requested} vCPUs, {available} free"
-            ),
             CloudError::InvalidState { vm, operation } => {
                 write!(f, "vm {vm} cannot `{operation}` in its current state")
             }
@@ -56,12 +42,6 @@ mod tests {
         assert!(CloudError::UnknownInstance("z9.mega".into())
             .to_string()
             .contains("z9.mega"));
-        assert!(CloudError::InsufficientCapacity {
-            requested: 8,
-            available: 2
-        }
-        .to_string()
-        .contains("8 vCPUs"));
     }
 
     #[test]

@@ -60,7 +60,6 @@ impl InstanceType {
             clock_ghz: self.clock_ghz,
             avx: true,
             mem_bw_gbps: bw_per_vcpu * f64::from(self.vcpus),
-            interference: 0.0,
         }
     }
 }

@@ -1,5 +1,4 @@
-//! Cloud substrate: instance catalog, pricing, provisioning, and the
-//! multi-tenant host model.
+//! Cloud substrate: instance catalog, pricing, and provisioning.
 //!
 //! The paper provisions AWS VMs and prices deployments with "the pricing
 //! table for the machine configurations from AWS at the time of this
@@ -7,9 +6,9 @@
 //! built-in on-demand catalog shaped like AWS's m5 (general-purpose),
 //! r5 (memory-optimized), and c5 (compute-optimized) families at
 //! `.large` through `.2xlarge` sizes, per-second billing with a
-//! 60-second minimum, a simulated VM lifecycle, and a hypervisor host
-//! model that produces co-tenant interference — the environment the
-//! paper emulates with cgroups.
+//! 60-second minimum, and a simulated VM lifecycle. Each instance maps
+//! to the machine a job observes — its vCPU count, clock and memory
+//! bandwidth — the VM sizes the paper emulates with cgroups.
 //!
 //! # Examples
 //!
@@ -30,10 +29,8 @@ mod error;
 mod instance;
 mod pricing;
 mod provision;
-mod tenancy;
 
 pub use error::CloudError;
 pub use instance::{Catalog, InstanceFamily, InstanceType};
 pub use pricing::{Pricing, SpotMarket};
 pub use provision::{JobRecord, Provisioner, Vm, VmState};
-pub use tenancy::{Host, TenancyModel};

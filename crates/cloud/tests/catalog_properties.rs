@@ -1,6 +1,6 @@
 //! Property-based tests for the cloud substrate.
 
-use eda_cloud_cloud::{Catalog, Host, Pricing, SpotMarket};
+use eda_cloud_cloud::{Catalog, Pricing, SpotMarket};
 use proptest::prelude::*;
 
 proptest! {
@@ -23,19 +23,6 @@ proptest! {
         let billed = p.billed_secs(secs);
         prop_assert!(billed as f64 >= secs.max(0.0).floor());
         prop_assert!(billed >= p.min_billed_secs);
-    }
-
-    /// A host can always be filled exactly to capacity with 1-vCPU
-    /// placements and never beyond.
-    #[test]
-    fn host_capacity_is_exact(cores in 1u32..32) {
-        let catalog = Catalog::aws_like();
-        let small = catalog.instance("m5.medium").expect("1 vCPU size");
-        let mut host = Host::with_cores(cores);
-        for _ in 0..cores {
-            prop_assert!(host.place(small).is_ok());
-        }
-        prop_assert!(host.place(small).is_err());
     }
 
     /// Spot completion probability is a proper probability and decreases

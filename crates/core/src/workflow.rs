@@ -6,11 +6,8 @@ use eda_cloud_flow::{ExecContext, StageKind};
 use eda_cloud_perf::MachineModel;
 use eda_cloud_trace::{Metrics, Span, Tracer};
 
-/// Base calibration constant bridging this reproduction's lightweight
-/// engines to commercial-flow runtimes (see `DESIGN.md`).
-pub(crate) const DEFAULT_WORK_SCALE: f64 = 1.0;
-
-/// Per-stage calibration on top of `DEFAULT_WORK_SCALE`: each engine
+/// Per-stage calibration bridging this reproduction's lightweight
+/// engines to commercial-flow runtimes (see `DESIGN.md`): each engine
 /// under-models a different share of its commercial counterpart's work
 /// (a production synthesis tool runs orders of magnitude more
 /// optimization than our three passes; our router is closer to the real
@@ -43,7 +40,6 @@ pub fn stage_work_scale(stage: StageKind) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Workflow {
     catalog: Catalog,
-    model: MachineModel,
     tracer: Tracer,
     metrics: Metrics,
 }
@@ -54,7 +50,6 @@ impl Workflow {
     pub fn with_defaults() -> Self {
         Self {
             catalog: Catalog::aws_like(),
-            model: MachineModel::with_work_scale(DEFAULT_WORK_SCALE),
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
         }
@@ -112,11 +107,7 @@ impl Workflow {
                 cfg
             })
             .unwrap_or_else(|| eda_cloud_perf::MachineConfig::vcpus(vcpus));
-        let model = eda_cloud_perf::MachineModel {
-            work_scale: self.model.work_scale * stage_work_scale(stage),
-            ..self.model
-        };
-        ExecContext::new(machine).with_model(model)
+        ExecContext::new(machine).with_model(MachineModel::with_work_scale(stage_work_scale(stage)))
     }
 
     /// [`Workflow::exec_context`] for `stage` at every point of a
@@ -163,10 +154,7 @@ mod tests {
     fn work_scale_applied_per_stage() {
         let wf = Workflow::with_defaults();
         let ctx = wf.exec_context(StageKind::Routing, 1);
-        assert_eq!(
-            ctx.model.work_scale,
-            DEFAULT_WORK_SCALE * stage_work_scale(StageKind::Routing)
-        );
+        assert_eq!(ctx.model, MachineModel::with_work_scale(stage_work_scale(StageKind::Routing)));
         // Synthesis is scaled harder than routing (its engine models a
         // smaller share of the commercial tool's work).
         assert!(

@@ -19,7 +19,7 @@ use std::fmt::Display;
 pub struct ExecContext {
     /// The VM configuration the job runs on.
     pub machine: MachineConfig,
-    /// Cost model (cycle weights, scaling efficiency, work scale).
+    /// Cost model (its per-stage work scale).
     pub model: MachineModel,
     /// Parent trace span the stage hangs its phase spans under.
     /// Disabled by default; instrumentation is a no-op then.

@@ -27,7 +27,7 @@
 use crate::exec::{sweep_probe, SpanFan};
 use crate::{ExecContext, FlowError, Placement, StageKind, StageReport};
 use eda_cloud_netlist::{NetDriver, NetSink, Netlist};
-use eda_cloud_perf::{PerfProbe, StageWork};
+use eda_cloud_perf::{MachineModel, PerfProbe, StageWork};
 use std::collections::BinaryHeap;
 
 /// Connections per batch. The searches of a batch see one usage
@@ -286,12 +286,11 @@ impl Router {
             let total_ops = counters.instructions.max(1) as f64;
             let parallel_fraction = (searched_ops as f64 / total_ops).clamp(0.0, 0.99);
             let sync = 1_500.0 * iterations as f64;
-            let model = &ctx.model;
-            let mut work = StageWork::from_counters(&counters, parallel_fraction, sync, model);
+            let mut work = StageWork::from_counters(&counters, parallel_fraction, sync);
             let busy = (searched_ops as f64 / makespan.max(1) as f64).max(1.0);
-            let at_busy = (1.0 + (busy - 1.0) * model.scaling_efficiency) * (1.0 - ctx.machine.interference);
-            work.parallel_cycles *= model.effective_cores(&ctx.machine) / at_busy;
-            let runtime_secs = model.runtime_secs(&work, &ctx.machine);
+            let cores = MachineModel::cores_at(f64::from(ctx.machine.vcpus.max(1)));
+            work.parallel_cycles *= cores / MachineModel::cores_at(busy);
+            let runtime_secs = ctx.model.runtime_secs(&work, &ctx.machine);
             let report = StageReport {
                 kind: StageKind::Routing,
                 runtime_secs,

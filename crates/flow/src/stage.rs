@@ -66,7 +66,7 @@ impl StageReport {
         sync_cycles: f64,
         ctx: &ExecContext,
     ) -> Self {
-        let work = StageWork::from_counters(&counters, parallel_fraction, sync_cycles, &ctx.model);
+        let work = StageWork::from_counters(&counters, parallel_fraction, sync_cycles);
         Self {
             kind,
             runtime_secs: ctx.model.runtime_secs(&work, &ctx.machine),

@@ -51,17 +51,6 @@ fn take_arrays(tags: usize) -> Arrays {
 ///
 /// Addresses are byte addresses; the simulator tracks tags only, so it is
 /// cheap enough for the EDA kernels to feed every (sampled) access.
-///
-/// # Examples
-///
-/// ```
-/// use eda_cloud_perf::Cache;
-///
-/// let mut l1 = Cache::new(32 * 1024, 64, 8);
-/// assert!(!l1.access(0x40));      // cold miss
-/// assert!(l1.access(0x40));       // now resident
-/// assert!(l1.access(0x44));       // same line
-/// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -225,18 +214,6 @@ pub struct CacheSim {
 }
 
 impl CacheSim {
-    /// Build from explicit level geometries (one entry, the given LLC).
-    #[must_use]
-    pub fn new(l1: Cache, llc: Cache) -> Self {
-        Self {
-            ways: vec![llc.ways],
-            depth_hits: vec![0; llc.ways],
-            l1,
-            llc,
-            l1_misses: 0,
-        }
-    }
-
     /// One private 32 KiB L1 in front of an LRU LLC slice per entry of
     /// `vcpus`; entry `k` counts what a hierarchy built for the `k`-th
     /// entry alone would. A slice grows *sub-linearly* with the vCPU
@@ -270,19 +247,6 @@ impl CacheSim {
         false
     }
 
-    /// Accesses that missed L1.
-    #[must_use]
-    pub fn l1_misses(&self) -> u64 {
-        self.l1_misses
-    }
-
-    /// Accesses that missed both levels (of the first entry's LLC slice,
-    /// for a sweep hierarchy).
-    #[must_use]
-    pub fn llc_misses(&self) -> u64 {
-        self.llc_misses_at(0)
-    }
-
     /// Accesses that missed both the L1 and entry `k`'s LLC slice.
     ///
     /// # Panics
@@ -291,6 +255,31 @@ impl CacheSim {
     #[must_use]
     pub fn llc_misses_at(&self, k: usize) -> u64 {
         self.l1_misses - self.depth_hits[..self.ways[k]].iter().sum::<u64>()
+    }
+}
+
+#[cfg(test)]
+impl CacheSim {
+    /// Build from explicit level geometries (one entry, the given LLC).
+    fn new(l1: Cache, llc: Cache) -> Self {
+        Self {
+            ways: vec![llc.ways],
+            depth_hits: vec![0; llc.ways],
+            l1,
+            llc,
+            l1_misses: 0,
+        }
+    }
+
+    /// Accesses that missed L1.
+    fn l1_misses(&self) -> u64 {
+        self.l1_misses
+    }
+
+    /// Accesses that missed both levels (of the first entry's LLC slice,
+    /// for a sweep hierarchy).
+    fn llc_misses(&self) -> u64 {
+        self.llc_misses_at(0)
     }
 }
 

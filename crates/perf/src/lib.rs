@@ -7,15 +7,16 @@
 //! memory accesses, branches, and floating-point operations into a
 //! [`PerfProbe`], which feeds
 //!
-//! * a set-associative two-level [`cache`](CacheSim) simulator,
+//! * a set-associative two-level cache simulator,
 //! * a 2-bit saturating-counter [`branch predictor`](BranchPredictor), and
 //! * plain event [`counters`](CounterSet),
 //!
 //! yielding the same derived metrics the paper plots. A calibrated
 //! [`MachineModel`] then converts the counted work plus a stage's
 //! serial/parallel split into a simulated runtime for a given
-//! [`MachineConfig`] (vCPUs, cache share, memory bandwidth, AVX support),
-//! reproducing the multi-tenant VM-size emulation deterministically.
+//! [`MachineConfig`] (vCPUs, clock, memory bandwidth, AVX support; the
+//! vCPU count also sizes the LLC slice the probe simulates),
+//! reproducing the paper's cgroups VM-size emulation deterministically.
 //!
 //! # Examples
 //!
@@ -41,7 +42,7 @@ mod machine;
 mod probe;
 
 pub use branch::BranchPredictor;
-pub use cache::{Cache, CacheSim};
+use cache::CacheSim;
 pub use counters::CounterSet;
 pub use machine::{MachineConfig, MachineModel, StageWork};
 pub use probe::{PerfProbe, ProbeEvent, ProbeTrace};

@@ -20,9 +20,6 @@ pub struct MachineConfig {
     pub avx: bool,
     /// Memory bandwidth available to this VM, GB/s.
     pub mem_bw_gbps: f64,
-    /// Interference factor from co-tenants in `[0, 1)`; effective core
-    /// throughput is scaled by `1 - interference`.
-    pub interference: f64,
 }
 
 impl MachineConfig {
@@ -36,23 +33,7 @@ impl MachineConfig {
             clock_ghz: 3.3,
             avx: true,
             mem_bw_gbps: 6.0 * f64::from(vcpus),
-            interference: 0.0,
         }
-    }
-
-    /// Simulate co-tenancy: return a copy with the given interference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interference` is not within `[0, 1)`.
-    #[must_use]
-    pub fn with_interference(mut self, interference: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&interference),
-            "interference must be in [0, 1)"
-        );
-        self.interference = interference;
-        self
     }
 }
 
@@ -61,6 +42,19 @@ impl Default for MachineConfig {
         Self::vcpus(1)
     }
 }
+
+/// Base instructions per cycle.
+const IPC: f64 = 2.0;
+/// Penalty cycles per branch mispredict.
+const BRANCH_MISS_CYCLES: f64 = 14.0;
+/// Stall cycles per L1 miss served by the LLC.
+const L1_MISS_CYCLES: f64 = 12.0;
+/// Stall cycles per LLC miss served by memory.
+const LLC_MISS_CYCLES: f64 = 180.0;
+/// Cycles saved per FP op executed on AVX instead of scalar units.
+const AVX_DISCOUNT_CYCLES: f64 = 0.35;
+/// Parallel-scaling efficiency per extra core (1.0 = perfect).
+const SCALING_EFFICIENCY: f64 = 0.92;
 
 /// The work a flow stage performed, split into scheduling classes.
 ///
@@ -88,23 +82,19 @@ impl StageWork {
     ///
     /// `parallel_fraction` is the share of compute cycles that the
     /// stage's algorithms can distribute (e.g. ~0.95 for independent-net
-    /// routing, ~0.5 for pass-dominated synthesis). Cost weights are
-    /// taken from `model`.
+    /// routing, ~0.5 for pass-dominated synthesis). Each event costs a
+    /// fixed number of cycles: IPC 2, 14 per branch mispredict, 12 per
+    /// L1 miss the LLC serves, 180 per LLC miss, −0.35 per AVX op.
     #[must_use]
-    pub fn from_counters(
-        counters: &CounterSet,
-        parallel_fraction: f64,
-        sync_cycles: f64,
-        model: &MachineModel,
-    ) -> Self {
+    pub fn from_counters(counters: &CounterSet, parallel_fraction: f64, sync_cycles: f64) -> Self {
         let p = parallel_fraction.clamp(0.0, 1.0);
-        let base = counters.instructions as f64 / model.ipc;
-        let branch_penalty = counters.branch_misses as f64 * model.branch_miss_cycles;
-        let vector_discount = counters.avx_ops as f64 * model.avx_discount_cycles;
+        let base = counters.instructions as f64 / IPC;
+        let branch_penalty = counters.branch_misses as f64 * BRANCH_MISS_CYCLES;
+        let vector_discount = counters.avx_ops as f64 * AVX_DISCOUNT_CYCLES;
         let compute = (base + branch_penalty - vector_discount).max(0.0);
-        let l1_stall = counters.l1_misses.saturating_sub(counters.llc_misses) as f64
-            * model.l1_miss_cycles;
-        let mem_stall = counters.llc_misses as f64 * model.llc_miss_cycles;
+        let l1_stall =
+            counters.l1_misses.saturating_sub(counters.llc_misses) as f64 * L1_MISS_CYCLES;
+        let mem_stall = counters.llc_misses as f64 * LLC_MISS_CYCLES;
         Self {
             serial_cycles: (compute + l1_stall) * (1.0 - p),
             parallel_cycles: (compute + l1_stall) * p,
@@ -123,7 +113,8 @@ impl StageWork {
 /// times fewer operations per cell than production tools, so counted work
 /// is multiplied by `work_scale` to land runtimes in the paper's range
 /// (thousands of seconds for a SPARC-core-class design). Only relative
-/// magnitudes matter for every experiment.
+/// magnitudes matter for every experiment. The machine's size, clock and
+/// bandwidth are the only other inputs.
 ///
 /// # Examples
 ///
@@ -144,33 +135,13 @@ impl StageWork {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineModel {
-    /// Base instructions per cycle.
-    pub ipc: f64,
-    /// Penalty cycles per branch mispredict.
-    pub branch_miss_cycles: f64,
-    /// Stall cycles per L1 miss served by the LLC.
-    pub l1_miss_cycles: f64,
-    /// Stall cycles per LLC miss served by memory.
-    pub llc_miss_cycles: f64,
-    /// Cycles saved per FP op executed on AVX instead of scalar units.
-    pub avx_discount_cycles: f64,
-    /// Parallel-scaling efficiency per extra core (1.0 = perfect).
-    pub scaling_efficiency: f64,
     /// Multiplier bridging modeled work to commercial-flow magnitudes.
-    pub work_scale: f64,
+    work_scale: f64,
 }
 
 impl Default for MachineModel {
     fn default() -> Self {
-        Self {
-            ipc: 2.0,
-            branch_miss_cycles: 14.0,
-            l1_miss_cycles: 12.0,
-            llc_miss_cycles: 180.0,
-            avx_discount_cycles: 0.35,
-            scaling_efficiency: 0.92,
-            work_scale: 1.0,
-        }
+        Self::with_work_scale(1.0)
     }
 }
 
@@ -178,25 +149,20 @@ impl MachineModel {
     /// Model with a work-scale calibration applied.
     #[must_use]
     pub fn with_work_scale(work_scale: f64) -> Self {
-        Self {
-            work_scale,
-            ..Self::default()
-        }
+        Self { work_scale }
     }
 
-    /// Effective parallel core count for a machine (accounts for
-    /// sub-linear scaling and co-tenant interference).
+    /// Effective core count of `threads` busy threads: each thread past
+    /// the first adds 0.92 of a core.
     #[must_use]
-    pub fn effective_cores(&self, machine: &MachineConfig) -> f64 {
-        let n = f64::from(machine.vcpus.max(1));
-        let scaled = 1.0 + (n - 1.0) * self.scaling_efficiency;
-        scaled * (1.0 - machine.interference)
+    pub fn cores_at(threads: f64) -> f64 {
+        1.0 + (threads - 1.0) * SCALING_EFFICIENCY
     }
 
     /// Predicted runtime in seconds for `work` on `machine`.
     #[must_use]
     pub fn runtime_secs(&self, work: &StageWork, machine: &MachineConfig) -> f64 {
-        let cores = self.effective_cores(machine);
+        let cores = Self::cores_at(f64::from(machine.vcpus.max(1)));
         let compute = work.serial_cycles + work.parallel_cycles / cores;
         // Parallel-section memory stalls overlap across cores but
         // saturate at the VM's bandwidth (roughly one outstanding miss
@@ -210,9 +176,101 @@ impl MachineModel {
     }
 }
 
+/// The cost model before its weights became constants and co-tenant
+/// interference left the machine: seven fields and the at-busy width the
+/// router wrote out itself. The differential test holds the folded model
+/// to it bit for bit; product code only ever ran it at interference 0.
+#[cfg(test)]
+mod oracle {
+    use crate::{CounterSet, MachineConfig, StageWork};
+
+    /// The only interference any product path set.
+    const INTERFERENCE: f64 = 0.0;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(super) struct MachineModel {
+        pub ipc: f64,
+        pub branch_miss_cycles: f64,
+        pub l1_miss_cycles: f64,
+        pub llc_miss_cycles: f64,
+        pub avx_discount_cycles: f64,
+        pub scaling_efficiency: f64,
+        pub work_scale: f64,
+    }
+
+    impl Default for MachineModel {
+        fn default() -> Self {
+            Self {
+                ipc: 2.0,
+                branch_miss_cycles: 14.0,
+                l1_miss_cycles: 12.0,
+                llc_miss_cycles: 180.0,
+                avx_discount_cycles: 0.35,
+                scaling_efficiency: 0.92,
+                work_scale: 1.0,
+            }
+        }
+    }
+
+    impl MachineModel {
+        pub(super) fn with_work_scale(work_scale: f64) -> Self {
+            Self {
+                work_scale,
+                ..Self::default()
+            }
+        }
+
+        pub(super) fn effective_cores(&self, machine: &MachineConfig) -> f64 {
+            let n = f64::from(machine.vcpus.max(1));
+            let scaled = 1.0 + (n - 1.0) * self.scaling_efficiency;
+            scaled * (1.0 - INTERFERENCE)
+        }
+
+        /// The router's width for `busy` threads on average.
+        pub(super) fn at_busy(&self, busy: f64) -> f64 {
+            (1.0 + (busy - 1.0) * self.scaling_efficiency) * (1.0 - INTERFERENCE)
+        }
+
+        pub(super) fn runtime_secs(&self, work: &StageWork, machine: &MachineConfig) -> f64 {
+            let cores = self.effective_cores(machine);
+            let compute = work.serial_cycles + work.parallel_cycles / cores;
+            let bw_streams = (machine.mem_bw_gbps / 12.0 * 1.5).max(1.0);
+            let mem = work.mem_serial_cycles + work.mem_parallel_cycles / cores.min(bw_streams);
+            let sync = work.sync_cycles * (f64::from(machine.vcpus.max(1))).log2().max(0.0);
+            let hz = machine.clock_ghz * 1e9;
+            (compute + mem + sync) * self.work_scale / hz
+        }
+    }
+
+    /// `StageWork::from_counters` with its cost weights read from `model`.
+    pub(super) fn from_counters(
+        counters: &CounterSet,
+        parallel_fraction: f64,
+        sync_cycles: f64,
+        model: &MachineModel,
+    ) -> StageWork {
+        let p = parallel_fraction.clamp(0.0, 1.0);
+        let base = counters.instructions as f64 / model.ipc;
+        let branch_penalty = counters.branch_misses as f64 * model.branch_miss_cycles;
+        let vector_discount = counters.avx_ops as f64 * model.avx_discount_cycles;
+        let compute = (base + branch_penalty - vector_discount).max(0.0);
+        let l1_stall = counters.l1_misses.saturating_sub(counters.llc_misses) as f64
+            * model.l1_miss_cycles;
+        let mem_stall = counters.llc_misses as f64 * model.llc_miss_cycles;
+        StageWork {
+            serial_cycles: (compute + l1_stall) * (1.0 - p),
+            parallel_cycles: (compute + l1_stall) * p,
+            mem_serial_cycles: mem_stall * (1.0 - p),
+            mem_parallel_cycles: mem_stall * p,
+            sync_cycles,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn work(p: f64) -> StageWork {
         StageWork {
@@ -241,16 +299,6 @@ mod tests {
         let t1 = model.runtime_secs(&w, &MachineConfig::vcpus(1));
         let t8 = model.runtime_secs(&w, &MachineConfig::vcpus(8));
         assert!(t1 / t8 > 4.5, "speedup={}", t1 / t8);
-    }
-
-    #[test]
-    fn interference_slows_execution() {
-        let model = MachineModel::default();
-        let w = work(0.9);
-        let quiet = model.runtime_secs(&w, &MachineConfig::vcpus(4));
-        let noisy =
-            model.runtime_secs(&w, &MachineConfig::vcpus(4).with_interference(0.3));
-        assert!(noisy > quiet);
     }
 
     #[test]
@@ -285,7 +333,6 @@ mod tests {
 
     #[test]
     fn from_counters_splits_by_fraction() {
-        let model = MachineModel::default();
         let counters = CounterSet {
             instructions: 2_000,
             branch_misses: 10,
@@ -293,11 +340,11 @@ mod tests {
             llc_misses: 40,
             ..CounterSet::default()
         };
-        let w = StageWork::from_counters(&counters, 0.75, 0.0, &model);
+        let w = StageWork::from_counters(&counters, 0.75, 0.0);
         assert!(w.serial_cycles > 0.0);
         assert!(w.parallel_cycles > w.serial_cycles);
         let mem_total = w.mem_serial_cycles + w.mem_parallel_cycles;
-        assert!((mem_total - 40.0 * model.llc_miss_cycles).abs() < 1e-9);
+        assert!((mem_total - 40.0 * LLC_MISS_CYCLES).abs() < 1e-9);
         // Split follows the parallel fraction.
         assert!((w.mem_parallel_cycles / mem_total - 0.75).abs() < 1e-9);
     }
@@ -315,21 +362,80 @@ mod tests {
             avx_ops: 5_000,
             ..CounterSet::default()
         };
-        let ws = StageWork::from_counters(&scalar, 0.5, 0.0, &model);
-        let wv = StageWork::from_counters(&vector, 0.5, 0.0, &model);
+        let ws = StageWork::from_counters(&scalar, 0.5, 0.0);
+        let wv = StageWork::from_counters(&vector, 0.5, 0.0);
         let one = MachineConfig::vcpus(1);
         assert!(model.runtime_secs(&wv, &one) < model.runtime_secs(&ws, &one));
-    }
-
-    #[test]
-    #[should_panic(expected = "interference must be in [0, 1)")]
-    fn bad_interference_panics() {
-        let _ = MachineConfig::vcpus(1).with_interference(1.5);
     }
 
     #[test]
     fn zero_vcpus_clamped() {
         let m = MachineConfig::vcpus(0);
         assert_eq!(m.vcpus, 1);
+    }
+
+    prop_compose! {
+        fn counters()(
+            instructions in 0u64..50_000_000,
+            branches in 0u64..5_000_000,
+            branch_miss_pct in 0u64..=100,
+            cache_refs in 0u64..5_000_000,
+            l1_pct in 0u64..=100,
+            llc_pct in 0u64..=100,
+            flops in 0u64..2_000_000,
+            avx_ops in 0u64..2_000_000,
+        ) -> CounterSet {
+            let l1_misses = cache_refs * l1_pct / 100;
+            CounterSet {
+                instructions,
+                branches,
+                branch_misses: branches * branch_miss_pct / 100,
+                cache_refs,
+                l1_misses,
+                llc_misses: l1_misses * llc_pct / 100,
+                flops,
+                avx_ops,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Folding the weights into constants and dropping interference
+        /// changes no bit of the work split, the runtime or the router's
+        /// at-busy width.
+        #[test]
+        fn the_folded_model_equals_the_seven_field_model_by_bits(
+            counters in counters(),
+            p in -0.25f64..1.25,
+            sync in 0.0f64..1e7,
+            vcpus in 1u32..=64,
+            clock_ghz in 1.0f64..5.0,
+            mem_bw_gbps in 1.0f64..800.0,
+            avx in 0u8..2,
+            work_scale in 1e-3f64..1e7,
+            busy in 1.0f64..64.0,
+        ) {
+            let old = oracle::MachineModel::with_work_scale(work_scale);
+            let new = MachineModel::with_work_scale(work_scale);
+            let machine = MachineConfig { vcpus, clock_ghz, avx: avx == 1, mem_bw_gbps };
+            let work = StageWork::from_counters(&counters, p, sync);
+            let bits = |w: &StageWork| {
+                let cycles = [w.serial_cycles, w.parallel_cycles, w.sync_cycles];
+                let stalls = [w.mem_serial_cycles, w.mem_parallel_cycles];
+                (cycles.map(f64::to_bits), stalls.map(f64::to_bits))
+            };
+            prop_assert_eq!(bits(&work), bits(&oracle::from_counters(&counters, p, sync, &old)));
+            prop_assert_eq!(
+                new.runtime_secs(&work, &machine).to_bits(),
+                old.runtime_secs(&work, &machine).to_bits()
+            );
+            let width = MachineModel::cores_at(f64::from(vcpus));
+            prop_assert_eq!(width.to_bits(), old.effective_cores(&machine).to_bits());
+            for busy in (1..=64u32).map(f64::from).chain([busy]) {
+                prop_assert_eq!(MachineModel::cores_at(busy).to_bits(), old.at_busy(busy).to_bits());
+            }
+        }
     }
 }

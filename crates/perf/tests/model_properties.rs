@@ -32,15 +32,14 @@ prop_compose! {
 
 proptest! {
     /// Runtime is positive and decreases (weakly) as vCPUs grow, for any
-    /// counter profile and parallel fraction, on a quiet machine with
-    /// zero sync overhead.
+    /// counter profile and parallel fraction, with zero sync overhead.
     #[test]
     fn more_vcpus_never_hurt_without_sync(
         counters in arbitrary_counters(),
         p in 0.0f64..1.0,
     ) {
         let model = MachineModel::default();
-        let work = StageWork::from_counters(&counters, p, 0.0, &model);
+        let work = StageWork::from_counters(&counters, p, 0.0);
         let mut last = f64::INFINITY;
         for vcpus in [1u32, 2, 4, 8] {
             let t = model.runtime_secs(&work, &MachineConfig::vcpus(vcpus));
@@ -57,10 +56,10 @@ proptest! {
         p in 0.0f64..1.0,
     ) {
         let model = MachineModel::default();
-        let work = StageWork::from_counters(&counters, p, 0.0, &model);
+        let work = StageWork::from_counters(&counters, p, 0.0);
         let t1 = model.runtime_secs(&work, &MachineConfig::vcpus(1));
         let t8 = model.runtime_secs(&work, &MachineConfig::vcpus(8));
-        let eff = model.effective_cores(&MachineConfig::vcpus(8));
+        let eff = MachineModel::cores_at(8.0);
         prop_assert!(t1 / t8 <= eff + 1e-9);
     }
 
@@ -71,9 +70,8 @@ proptest! {
         p1 in 0.0f64..1.0,
         p2 in 0.0f64..1.0,
     ) {
-        let model = MachineModel::default();
-        let a = StageWork::from_counters(&counters, p1, 0.0, &model);
-        let b = StageWork::from_counters(&counters, p2, 0.0, &model);
+        let a = StageWork::from_counters(&counters, p1, 0.0);
+        let b = StageWork::from_counters(&counters, p2, 0.0);
         let total = |w: &StageWork| {
             w.serial_cycles + w.parallel_cycles + w.mem_serial_cycles + w.mem_parallel_cycles
         };
@@ -88,7 +86,7 @@ proptest! {
     ) {
         let base_model = MachineModel::default();
         let scaled_model = MachineModel::with_work_scale(scale);
-        let work = StageWork::from_counters(&counters, 0.5, 100.0, &base_model);
+        let work = StageWork::from_counters(&counters, 0.5, 100.0);
         let m = MachineConfig::vcpus(4);
         let base = base_model.runtime_secs(&work, &m);
         let scaled = scaled_model.runtime_secs(&work, &m);

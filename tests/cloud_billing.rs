@@ -1,9 +1,9 @@
 //! Cross-crate integration: flow runtimes priced through the cloud
-//! substrate (provisioning, multi-tenant hosts, billing).
+//! substrate (provisioning, billing).
 
-use eda_cloud::cloud::{Catalog, Host, Provisioner, SpotMarket, VmState};
+use eda_cloud::cloud::{Catalog, Provisioner, SpotMarket, VmState};
 use eda_cloud::core::Workflow;
-use eda_cloud::flow::{ExecContext, Recipe, StageKind, Synthesizer};
+use eda_cloud::flow::{Recipe, StageKind, Synthesizer};
 use eda_cloud::netlist::generators;
 
 #[test]
@@ -30,43 +30,6 @@ fn flow_job_billed_end_to_end() {
     let direct = catalog.pricing().cost_usd(&instance, report.runtime_secs + 30.0);
     assert!((record.cost_usd - direct).abs() < 1e-9);
     assert_eq!(cloud.vms()[0].state, VmState::Terminated);
-}
-
-#[test]
-fn tenancy_interference_slows_jobs_measurably() {
-    // Same job on an empty host vs a packed one: the co-tenant
-    // interference from the host model must lengthen the simulated
-    // runtime.
-    let catalog = Catalog::aws_like();
-    let instance = catalog.instance("m5.xlarge").expect("catalog");
-    let design = generators::adder(12);
-
-    let mut empty_host = Host::xeon_14_core();
-    let quiet_cfg = empty_host.place(instance).expect("fits");
-
-    let mut busy_host = Host::xeon_14_core();
-    // Pack neighbors first.
-    for _ in 0..3 {
-        busy_host
-            .place(catalog.instance("m5.2xlarge").expect("catalog"))
-            .expect("fits");
-    }
-    let noisy_cfg = busy_host.place(instance).expect("fits");
-    assert!(noisy_cfg.interference > quiet_cfg.interference);
-
-    let synthesizer = Synthesizer::new().with_verification(false);
-    let (_, quiet) = synthesizer
-        .run(&design, &Recipe::balanced(), &ExecContext::new(quiet_cfg))
-        .expect("runs");
-    let (_, noisy) = synthesizer
-        .run(&design, &Recipe::balanced(), &ExecContext::new(noisy_cfg))
-        .expect("runs");
-    assert!(
-        noisy.runtime_secs > quiet.runtime_secs,
-        "noisy {} vs quiet {}",
-        noisy.runtime_secs,
-        quiet.runtime_secs
-    );
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Paper-fidelity pins. Problem 3: Table I and Figure 6 on the
 //! paper's own sparc_core runtime matrix (EXPERIMENTS.md § Table I,
 //! § Figure 6). Problem 1: Figure 2's orderings on the `fig2 --smoke`
-//! design, and 2-b's cache-miss drop on the `fig2 --cache-model`
+//! design, and 2-b's cache-miss drop on the `fig2 --design l2_bank`
 //! design. A solver, pricing or engine change that moves a published
 //! number or ordering fails here, not in a report nobody diffs.
 //!
 //! Figure 3's "speed-up grows with design size" is left out on
 //! purpose: it does not hold on the smoke-sized designs (routing at 8
 //! vCPUs reads 2.94x / 2.37x / 3.45x for `dynamic_node` / `aes` /
-//! `fpu`), and `fig3 --smoke` takes 27 s in release.
+//! `fpu`), and `fig3 --smoke` takes about 13 s in release.
 
 use eda_cloud::core::{CharacterizationConfig, StageRuntimes, Workflow};
 use eda_cloud::flow::{ExecContext, Placer, Recipe, StageKind, Synthesizer};
@@ -133,7 +133,7 @@ fn fig2_orderings_hold_on_the_smoke_design() {
 /// "more vCPUs buy more last-level cache". On `l2_bank` the placer's
 /// working set outgrows the 1-vCPU LLC slice and fits the 8-vCPU one,
 /// so its miss rate at 8 vCPUs is below half the 1-vCPU rate (`fig2
-/// --cache-model` prints the partitioned column: 36.9 % → 0.9 %).
+/// --design l2_bank` prints it in (b)'s placement row: 36.9 % → 0.9 %).
 #[test]
 fn fig2b_placement_misses_fall_with_the_llc_share() {
     let design = generators::openpiton_design("l2_bank").expect("known design");
