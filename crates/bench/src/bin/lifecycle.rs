@@ -1,6 +1,6 @@
 //! Runs the model-lifecycle controller over a request stream with
-//! injected ground-truth drift: serving from the registry-managed
-//! snapshot, joining feedback, detecting the drift with per-design
+//! injected ground-truth drift: serving from the primary snapshot,
+//! joining feedback, detecting the drift with per-design
 //! Page-Hinkley tests, shadow-retraining a candidate on the replay
 //! buffers, and canarying it to promotion or rollback.
 //!

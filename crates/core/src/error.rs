@@ -25,8 +25,7 @@ pub enum WorkflowError {
     Fleet(FleetError),
     /// The serving tier rejected the request or stream.
     Serve(ServeError),
-    /// The model-lifecycle controller rejected its configuration or a
-    /// registry operation.
+    /// The model-lifecycle controller rejected its configuration.
     Lifecycle(LifecycleError),
     /// The fault-injection harness rejected its configuration or plan,
     /// or a driven loop failed under it.

@@ -13,7 +13,7 @@ use eda_cloud_lifecycle::{FeedbackEvent, LifecycleConfig, LifecycleController, L
 
 impl Workflow {
     /// Run the model-lifecycle controller over the configured request
-    /// stream: serve from the registry-managed snapshot, join
+    /// stream: serve from the primary snapshot, join
     /// ground-truth feedback, detect the injected drift, shadow-retrain
     /// a candidate, canary it, and promote or roll back under the
     /// configured guardrails.
@@ -25,8 +25,7 @@ impl Workflow {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkflowError::Lifecycle`] for out-of-range knobs or a
-    /// registry operation rejected mid-run.
+    /// Returns [`WorkflowError::Lifecycle`] for out-of-range knobs.
     ///
     /// # Examples
     ///
@@ -46,7 +45,7 @@ impl Workflow {
     ) -> Result<(LifecycleReport, Vec<FeedbackEvent>), WorkflowError> {
         let controller =
             LifecycleController::new(config.clone())?.with_tracer(self.tracer().clone());
-        let (report, feedback) = controller.run()?;
+        let (report, feedback) = controller.run();
         let m = self.metrics();
         m.add("lifecycle.requests", report.counters.requests);
         m.add("lifecycle.feedback_joins", report.counters.feedback_joins);

@@ -2,16 +2,16 @@
 //!
 //! One simulated-microsecond clock drives two interleaved planes:
 //!
-//! * **Serving** — requests arrive (Poisson, seeded), are routed
-//!   through the [`ModelRegistry`] (primary or canary arm), answered
-//!   from the versioned result cache or a fresh GCN forward, and
-//!   charged a FIFO service time.
+//! * **Serving** — requests arrive (Poisson, seeded), are routed to
+//!   the primary slot or the in-flight canary, answered from the
+//!   versioned result cache or a fresh GCN forward, and charged a FIFO
+//!   service time.
 //! * **Control** — each response schedules a ground-truth feedback
 //!   join a fixed delay later (the flow "executes"). Joins feed the
 //!   per-stage [`DriftDetector`]s; a detection flips the controller
 //!   into collection mode, a filled replay buffer triggers a shadow
-//!   [`Retrainer`] run, the candidate canaries through the registry,
-//!   and the [`RolloutManager`] promotes or rolls it back.
+//!   [`Retrainer`] run, the candidate serves a canary slice of traffic,
+//!   and its [`RolloutManager`] promotes or rolls it back.
 //!
 //! Both planes are processed from one [`EventHeap`] (ascending time,
 //! push-order ties) on a single thread; the only parallelism is the stage fan-out
@@ -31,22 +31,34 @@ use crate::{
 use eda_cloud_engine::EventHeap;
 use eda_cloud_gcn::{GraphBatch, ModelConfig};
 use eda_cloud_serve::{
-    design_pool, synthetic_requests, LruCache, ModelRegistry, ModelSnapshot, ServeDesign,
-    ServeRequest, WorkloadConfig, PER_HIT_US, PER_MISS_US, STAGE_NAMES,
+    design_pool, synthetic_requests, LruCache, ModelSnapshot, ServeDesign, ServeRequest,
+    WorkloadConfig, PER_HIT_US, PER_MISS_US, STAGE_NAMES,
 };
 use eda_cloud_trace::{LatencyFold, Span, Tracer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+/// Version of the bootstrapped snapshot: the first one published, the
+/// primary until a promotion, and the frozen baseline every later
+/// version is compared to.
+const FROZEN_VERSION: u32 = 1;
+
 /// What the control plane is currently doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Watching primary-arm error through the drift detectors.
     Monitor,
     /// Drift detected; filling replay buffers with shifted samples.
     Collect,
-    /// Candidate published; the rollout manager is judging it.
-    Canary,
+    /// A candidate serves its canary slice while its guardrails judge it.
+    Canary(Box<Canary>),
+}
+
+/// The candidate under canary as one value: a promotion moves its
+/// snapshot into the primary slot, a rollback drops it with its tallies.
+struct Canary {
+    version: u32,
+    snapshot: ModelSnapshot,
+    rollout: RolloutManager,
 }
 
 /// One scheduled event on the simulated clock.
@@ -123,19 +135,14 @@ impl LifecycleController {
     /// Run the full lifecycle to completion. Returns the folded report
     /// plus every feedback join in processing order (the raw material
     /// for assertions the report aggregates away).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifecycleError::Serve`] if a registry operation is
-    /// rejected mid-run (a controller bug rather than an input error —
-    /// surfaced as a typed error instead of a panic).
-    pub fn run(&self) -> Result<(LifecycleReport, Vec<FeedbackEvent>), LifecycleError> {
+    #[must_use]
+    pub fn run(&self) -> (LifecycleReport, Vec<FeedbackEvent>) {
         let mut run = Run::new(self);
         while let Some((time_us, event)) = run.events.pop() {
             run.now = time_us;
             match event {
-                Event::Arrival(i) => run.on_arrival(i)?,
-                Event::Feedback(fb) => run.on_feedback(*fb)?,
+                Event::Arrival(i) => run.on_arrival(i),
+                Event::Feedback(fb) => run.on_feedback(*fb),
             }
         }
         run.report()
@@ -155,10 +162,13 @@ struct Run<'a> {
     /// Time of the event being handled, µs (the makespan, at the end).
     now: u64,
     // Serving plane.
-    registry: ModelRegistry,
-    /// The bootstrapped snapshot every later version is compared to.
+    /// The primary slot: the version and snapshot non-canary requests
+    /// are served from.
+    primary: (u32, ModelSnapshot),
+    /// The bootstrapped snapshot, [`FROZEN_VERSION`].
     frozen: ModelSnapshot,
-    frozen_version: u32,
+    /// Versions published so far; a candidate is published as the next.
+    published: u32,
     frozen_preds: BTreeMap<u64, [[f64; 4]; 4]>,
     cache: LruCache<(u32, u64), [[f64; 4]; 4]>,
     serve_free_at: u64,
@@ -171,7 +181,6 @@ struct Run<'a> {
     detectors: [DriftDetector; 4],
     baselines: [DesignBaseline; 4],
     buffers: [ReplayBuffer; 4],
-    rollout: RolloutManager,
     seen: BTreeSet<u64>,
     feedback_log: Vec<FeedbackEvent>,
 }
@@ -208,8 +217,6 @@ impl<'a> Run<'a> {
             };
             frozen = retrainer.retrain(&frozen, &buffers, workers).0;
         }
-        let mut registry = ModelRegistry::new();
-        let frozen_version = registry.publish(frozen.clone());
         let mut events = EventHeap::new();
         for (i, request) in requests.iter().enumerate() {
             events.push(request.arrival_us, Event::Arrival(i));
@@ -220,9 +227,9 @@ impl<'a> Run<'a> {
             oracle,
             events,
             now: 0,
-            registry,
+            primary: (FROZEN_VERSION, frozen.clone()),
             frozen,
-            frozen_version,
+            published: FROZEN_VERSION,
             frozen_preds: BTreeMap::new(),
             cache: LruCache::new(CACHE_CAPACITY),
             serve_free_at: 0,
@@ -236,11 +243,6 @@ impl<'a> Run<'a> {
             }),
             baselines: std::array::from_fn(|_| DesignBaseline::new()),
             buffers: std::array::from_fn(|_| ReplayBuffer::new(REPLAY_CAPACITY)),
-            rollout: RolloutManager::new(
-                cfg.canary_min,
-                PROMOTE_MAX_ERROR_PCT,
-                CANARY_LATENCY_BUDGET_US,
-            ),
             seen: BTreeSet::new(),
             feedback_log: Vec::with_capacity(requests.len()),
             requests,
@@ -249,11 +251,16 @@ impl<'a> Run<'a> {
 
     /// Serving plane: route request `i` to an arm, answer it (cache or
     /// fresh forward) in FIFO service time, schedule its feedback join.
-    fn on_arrival(&mut self, i: usize) -> Result<(), LifecycleError> {
+    fn on_arrival(&mut self, i: usize) {
         let faults = &self.ctl.faults;
         let request = &self.requests[i];
         self.counters.requests += 1;
-        let (version, snapshot) = self.registry.route(request.ordinal)?;
+        let (arm, version, snapshot) = match &self.mode {
+            Mode::Canary(c) if request.ordinal.is_multiple_of(self.ctl.config.canary_every) => {
+                (Arm::Canary, c.version, &c.snapshot)
+            }
+            _ => (Arm::Primary, self.primary.0, &self.primary.1),
+        };
         let key = (version, request.design.fingerprint);
         let (predicted, cache_hit) = match self.cache.get(&key) {
             Some(hit) => (hit, true),
@@ -263,12 +270,6 @@ impl<'a> Run<'a> {
                 self.counters.gcn_predictions += 1;
                 (secs, false)
             }
-        };
-        let arm = match self.registry.canary() {
-            Some(c) if c.version == version && request.ordinal.is_multiple_of(c.every) => {
-                Arm::Canary
-            }
-            _ => Arm::Primary,
         };
         let service_us = if cache_hit { PER_HIT_US } else { PER_MISS_US };
         let done = self.now.max(self.serve_free_at) + service_us;
@@ -292,7 +293,7 @@ impl<'a> Run<'a> {
         if faults.drop_feedback(request.ordinal) {
             self.counters.feedback_dropped += 1;
             span.attr("fault", "feedback_dropped");
-            return Ok(());
+            return;
         }
         let extra_us = faults.feedback_extra_delay_us(request.ordinal);
         if extra_us > 0 {
@@ -309,12 +310,11 @@ impl<'a> Run<'a> {
             latency_us,
         };
         self.events.push(done + FEEDBACK_DELAY_US + extra_us, Event::Feedback(Box::new(join)));
-        Ok(())
     }
 
     /// Control plane: book one ground-truth join's per-stage errors,
-    /// then let the current mode react to it.
-    fn on_feedback(&mut self, fb: FeedbackEvent) -> Result<(), LifecycleError> {
+    /// then let the current mode react to it and pick the next one.
+    fn on_feedback(&mut self, fb: FeedbackEvent) {
         self.counters.feedback_joins += 1;
         self.seen.insert(fb.design.fingerprint);
         match fb.arm {
@@ -334,20 +334,19 @@ impl<'a> Run<'a> {
                 stage.pre_drift.record(active);
             } else {
                 stage.post_drift_frozen.record(baseline);
-                if fb.version != self.frozen_version {
+                if fb.version != FROZEN_VERSION {
                     stage.post_rollout_frozen.record(baseline);
                     stage.post_rollout_active.record(active);
                 }
             }
         }
         push_relabeled(&mut self.buffers, &fb.design, &fb.actual);
-        match self.mode {
-            Mode::Monitor => self.monitor(&fb)?,
-            Mode::Collect => self.collect(&fb)?,
-            Mode::Canary => self.canary(&fb, ape_sum / 4)?,
-        }
+        self.mode = match std::mem::replace(&mut self.mode, Mode::Monitor) {
+            Mode::Monitor => self.monitor(&fb),
+            Mode::Collect => self.collect(&fb),
+            Mode::Canary(canary) => self.canary(&fb, ape_sum / 4, canary),
+        };
         self.feedback_log.push(fb);
-        Ok(())
     }
 
     /// Append a timeline entry for the join being handled and open the
@@ -370,12 +369,12 @@ impl<'a> Run<'a> {
 
     /// Monitor mode: feed the drift detectors; a detection starts
     /// collecting shifted-distribution samples.
-    fn monitor(&mut self, fb: &FeedbackEvent) -> Result<(), LifecycleError> {
+    fn monitor(&mut self, fb: &FeedbackEvent) -> Mode {
         // Watch only joins served by the *current* primary: in-flight
         // joins from a version retired mid-flight would poison the
         // fresh baseline profile after a rollout.
-        if fb.arm != Arm::Primary || fb.version != self.registry.primary()?.0 {
-            return Ok(());
+        if fb.arm != Arm::Primary || fb.version != self.primary.0 {
+            return Mode::Monitor;
         }
         let mut fired = false;
         for (k, &stage) in STAGE_NAMES.iter().enumerate() {
@@ -395,14 +394,14 @@ impl<'a> Run<'a> {
             // Keep only shifted-distribution samples for the retrain.
             self.buffers.iter_mut().for_each(ReplayBuffer::clear);
             push_relabeled(&mut self.buffers, &fb.design, &fb.actual);
-            self.mode = Mode::Collect;
+            return Mode::Collect;
         }
-        Ok(())
+        Mode::Monitor
     }
 
     /// Collect mode: once the replay window is covered, retrain in the
     /// shadow and start the candidate's canary.
-    fn collect(&mut self, fb: &FeedbackEvent) -> Result<(), LifecycleError> {
+    fn collect(&mut self, fb: &FeedbackEvent) -> Mode {
         let cfg = &self.ctl.config;
         // Retrain only once the replay window covers every design
         // traffic has ever shown us: a partial-coverage fine-tune
@@ -415,34 +414,35 @@ impl<'a> Run<'a> {
             self.buffers[0].len() == REPLAY_CAPACITY
         };
         if !covered || self.buffers.iter().any(|b| b.len() < cfg.min_retrain) {
-            return Ok(());
+            return Mode::Collect;
         }
         let retrainer = Retrainer {
             epochs: cfg.retrain_epochs,
             learning_rate: cfg.learning_rate,
             seed: cfg.seed ^ (0x5E7A + self.counters.retrains),
         };
-        let base = self.registry.primary()?.1;
-        let (candidate, trained_on) = retrainer.retrain(base, &self.buffers, self.workers);
-        let version = self.registry.publish(candidate);
+        let (snapshot, trained_on) =
+            retrainer.retrain(&self.primary.1, &self.buffers, self.workers);
+        self.published += 1;
+        let version = self.published;
         self.counters.retrains += 1;
         let span = self.control_event(fb, "retrained", "retrain", "-", version);
         span.attr("version", version);
         span.attr("epochs", cfg.retrain_epochs);
         span.counter("samples", trained_on.iter().sum::<usize>() as u64);
-        self.registry.set_canary(version, cfg.canary_every)?;
         self.counters.canaries_started += 1;
         let span = self.control_event(fb, "canary_started", "canary", "-", version);
         span.attr("version", version);
         span.attr("every", cfg.canary_every);
-        self.rollout.reset();
-        self.mode = Mode::Canary;
-        Ok(())
+        let rollout =
+            RolloutManager::new(cfg.canary_min, PROMOTE_MAX_ERROR_PCT, CANARY_LATENCY_BUDGET_US);
+        Mode::Canary(Box::new(Canary { version, snapshot, rollout }))
     }
 
-    /// Canary mode: feed the rollout guardrails; a verdict promotes or
-    /// rolls back the candidate and resumes monitoring from scratch.
-    fn canary(&mut self, fb: &FeedbackEvent, mean_ape: u64) -> Result<(), LifecycleError> {
+    /// Canary mode: feed the candidate's guardrails; a verdict moves it
+    /// into the primary slot or drops it, and monitoring resumes from
+    /// scratch.
+    fn canary(&mut self, fb: &FeedbackEvent, mean_ape: u64, mut canary: Box<Canary>) -> Mode {
         match fb.arm {
             Arm::Canary => {
                 #[allow(unused_mut)]
@@ -455,25 +455,24 @@ impl<'a> Run<'a> {
                     let spike_us = self.ctl.faults.latency_spike_us(fb.ordinal, Arm::Canary);
                     observed_us = observed_us.saturating_sub(spike_us);
                 }
-                self.rollout.record_canary(mean_ape, observed_us);
+                canary.rollout.record_canary(mean_ape, observed_us);
             }
-            Arm::Primary => self.rollout.record_primary(mean_ape),
+            Arm::Primary => canary.rollout.record_primary(mean_ape),
         }
-        let decision = self.rollout.evaluate();
+        let decision = canary.rollout.evaluate();
         if decision == RolloutDecision::Pending {
-            return Ok(());
+            return Mode::Canary(canary);
         }
-        let candidate = self.registry.canary().map_or(0, |c| c.version);
+        let Canary { version, snapshot, .. } = *canary;
         let span = if decision == RolloutDecision::Promote {
-            self.registry.promote(candidate)?;
+            self.primary = (version, snapshot);
             self.counters.promotions += 1;
-            self.control_event(fb, "promoted", "promote", "-", candidate)
+            self.control_event(fb, "promoted", "promote", "-", version)
         } else {
-            self.registry.clear_canary();
             self.counters.rollbacks += 1;
-            self.control_event(fb, "rolled_back", "rollback", "-", candidate)
+            self.control_event(fb, "rolled_back", "rollback", "-", version)
         };
-        span.attr("version", candidate);
+        span.attr("version", version);
         if decision == RolloutDecision::RollbackLatency {
             span.attr("guardrail", "latency");
         } else if decision == RolloutDecision::RollbackError {
@@ -484,11 +483,10 @@ impl<'a> Run<'a> {
             self.baselines[k].clear();
             self.buffers[k].clear();
         }
-        self.mode = Mode::Monitor;
-        Ok(())
+        Mode::Monitor
     }
 
-    fn report(mut self) -> Result<(LifecycleReport, Vec<FeedbackEvent>), LifecycleError> {
+    fn report(mut self) -> (LifecycleReport, Vec<FeedbackEvent>) {
         let cfg = &self.ctl.config;
         self.counters.cache_hits = self.cache.hits();
         self.counters.cache_misses = self.cache.misses();
@@ -498,7 +496,7 @@ impl<'a> Run<'a> {
             drift_at: cfg.drift_at,
             drift_factor: cfg.drift_factor,
             counters: self.counters,
-            final_primary_version: self.registry.primary()?.0,
+            final_primary_version: self.primary.0,
             stages: self.stages,
             timeline: self.timeline,
             mean_latency_us: self.latencies.mean_us() as u64,
@@ -506,7 +504,7 @@ impl<'a> Run<'a> {
             makespan_us: self.now,
             latency_hist: self.latencies.into_histogram(),
         };
-        Ok((report, self.feedback_log))
+        (report, self.feedback_log)
     }
 }
 
@@ -553,12 +551,58 @@ mod tests {
         }
     }
 
+    /// The routing the two model slots promise, replayed from the
+    /// timeline over the feedback log: candidates publish as versions 2,
+    /// 3, … after the bootstrap's 1; while a canary is in flight a
+    /// request is canary-served at the candidate's version exactly when
+    /// its ordinal is a multiple of `canary_every`; every other request
+    /// is served by the primary, whose version moves only on a
+    /// promotion. Returns how many joins arrived after a promotion and
+    /// after a rollback, so a caller can show its case was exercised.
+    fn assert_routing(
+        config: &LifecycleConfig,
+        report: &LifecycleReport,
+        feedback: &[FeedbackEvent],
+    ) -> (usize, usize) {
+        let published: Vec<u32> =
+            report.timeline.iter().filter(|e| e.kind == "retrained").map(|e| e.version).collect();
+        assert_eq!(published, (2..).take(published.len()).collect::<Vec<u32>>());
+        assert!(feedback.iter().any(|f| f.arm == Arm::Canary), "a canary served some joins");
+        // The request stream does not depend on the bootstrap: skip it.
+        let config = LifecycleConfig { bootstrap_epochs: 0, ..config.clone() };
+        let plain = LifecycleController::new(config.clone()).expect("valid");
+        let arrivals: BTreeMap<u64, u64> =
+            Run::new(&plain).requests.iter().map(|r| (r.ordinal, r.arrival_us)).collect();
+        let (mut after_promotion, mut after_rollback) = (0, 0);
+        for fb in feedback {
+            // An arrival pops before a join on the same microsecond, so
+            // only control events strictly earlier have routed it.
+            let arrival = arrivals[&fb.ordinal];
+            let (mut primary, mut canary, mut last) = (1, None, "");
+            for event in report.timeline.iter().take_while(|e| e.time_us < arrival) {
+                match event.kind {
+                    "canary_started" => canary = Some(event.version),
+                    "promoted" => (primary, canary) = (event.version, None),
+                    "rolled_back" => canary = None,
+                    _ => continue,
+                }
+                last = event.kind;
+            }
+            let expected = match canary {
+                Some(version) if fb.ordinal % config.canary_every == 0 => (Arm::Canary, version),
+                _ => (Arm::Primary, primary),
+            };
+            assert_eq!((fb.arm, fb.version), expected, "join {}", fb.ordinal);
+            after_promotion += usize::from(last == "promoted");
+            after_rollback += usize::from(last == "rolled_back");
+        }
+        (after_promotion, after_rollback)
+    }
+
     #[test]
     fn full_arc_detects_retrains_and_promotes() {
-        let (report, feedback) = LifecycleController::new(quick_config())
-            .expect("valid")
-            .run()
-            .expect("runs");
+        let config = quick_config();
+        let (report, feedback) = LifecycleController::new(config.clone()).expect("valid").run();
         assert_eq!(report.counters.requests, 200);
         assert_eq!(report.counters.feedback_joins, 200);
         assert_eq!(feedback.len(), 200);
@@ -593,6 +637,8 @@ mod tests {
                 "stage {k}: retrained model must beat the frozen baseline"
             );
         }
+        let (after_promotion, _) = assert_routing(&config, &report, &feedback);
+        assert!(after_promotion > 0, "the promoted candidate served as primary");
     }
 
     #[test]
@@ -604,8 +650,7 @@ mod tests {
         };
         let (report, _) = LifecycleController::new(config)
             .expect("valid")
-            .run()
-            .expect("runs");
+            .run();
         assert_eq!(report.counters.drift_detections, 0);
         assert_eq!(report.counters.retrains, 0);
         assert_eq!(report.counters.promotions, 0);
@@ -621,10 +666,7 @@ mod tests {
             retrain_epochs: 0,
             ..quick_config()
         };
-        let (report, _) = LifecycleController::new(config)
-            .expect("valid")
-            .run()
-            .expect("runs");
+        let (report, feedback) = LifecycleController::new(config.clone()).expect("valid").run();
         assert!(report.counters.retrains > 0);
         assert_eq!(report.counters.promotions, 0);
         assert!(
@@ -632,6 +674,32 @@ mod tests {
             "identical candidate must roll back"
         );
         assert_eq!(report.final_primary_version, 1, "primary never moves");
+        let (_, after_rollback) = assert_routing(&config, &report, &feedback);
+        assert!(after_rollback > 0, "the old primary served after the rollback");
+    }
+
+    #[test]
+    fn diverged_candidate_rolls_back_without_overflow() {
+        // At these learning rates the retrain diverges and the candidate
+        // predicts runtimes near `exp(700)` s: every canary join's error
+        // is capped, so the sums over the canary stay in range and the
+        // guardrail rolls the candidate back.
+        for learning_rate in [1e2, 1e4, 1e8] {
+            let config = LifecycleConfig {
+                learning_rate,
+                requests: 160,
+                drift_at: 50,
+                calibration: 12,
+                min_retrain: 6,
+                canary_min: 5,
+                bootstrap_epochs: 10,
+                retrain_epochs: 10,
+                ..Default::default()
+            };
+            let (report, _) = LifecycleController::new(config).expect("valid").run();
+            assert_eq!(report.counters.rollbacks, 1, "learning rate {learning_rate}");
+            assert_eq!(report.counters.promotions, 0, "learning rate {learning_rate}");
+        }
     }
 
     #[test]
@@ -643,8 +711,7 @@ mod tests {
         // frozen model's predictions.
         let (report, feedback) = LifecycleController::new(quick_config())
             .expect("valid")
-            .run()
-            .expect("runs");
+            .run();
         assert!(report.counters.promotions > 0);
         let post = feedback.iter().filter(|f| f.version > 1).count();
         assert!(post > 0, "some joins served by the promoted model");
@@ -709,7 +776,7 @@ mod tests {
             if faults {
                 controller = controller.with_faults(Arc::new(Plan));
             }
-            controller.run().expect("runs")
+            controller.run()
         };
         let (clean, _) = run(false);
         let (faulty, feedback) = run(true);
@@ -773,11 +840,11 @@ mod tests {
             match event {
                 Event::Arrival(i) => {
                     at_tie.extend((time_us == tie).then(|| format!("arrival {i}")));
-                    run.on_arrival(i).expect("serves");
+                    run.on_arrival(i);
                 }
                 Event::Feedback(fb) => {
                     at_tie.extend((time_us == tie).then(|| format!("join {}", fb.ordinal)));
-                    run.on_feedback(*fb).expect("joins");
+                    run.on_feedback(*fb);
                 }
             }
         }
@@ -808,7 +875,7 @@ mod tests {
             if bug {
                 controller = controller.with_planted_guardrail_bug();
             }
-            controller.run().expect("runs").0
+            controller.run().0
         };
         let sound = run(false);
         assert_eq!(sound.counters.promotions, 0, "sound guardrail rolls back");

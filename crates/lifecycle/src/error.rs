@@ -1,6 +1,5 @@
 //! Typed lifecycle errors.
 
-use eda_cloud_serve::ServeError;
 use std::error::Error;
 use std::fmt;
 
@@ -12,33 +11,17 @@ pub enum LifecycleError {
         /// What is wrong with the configuration.
         message: String,
     },
-    /// The serving layer (registry, snapshots) rejected an operation.
-    Serve(ServeError),
 }
 
 impl fmt::Display for LifecycleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Config { message } => write!(f, "invalid lifecycle config: {message}"),
-            Self::Serve(e) => write!(f, "serving layer error: {e}"),
         }
     }
 }
 
-impl Error for LifecycleError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            Self::Serve(e) => Some(e),
-            Self::Config { .. } => None,
-        }
-    }
-}
-
-impl From<ServeError> for LifecycleError {
-    fn from(e: ServeError) -> Self {
-        Self::Serve(e)
-    }
-}
+impl Error for LifecycleError {}
 
 #[cfg(test)]
 mod tests {
@@ -49,8 +32,5 @@ mod tests {
         let c = LifecycleError::Config { message: "requests must be positive".into() };
         assert!(c.to_string().contains("requests"));
         assert!(c.source().is_none());
-        let s = LifecycleError::from(ServeError::UnknownModel { name: "prod".into() });
-        assert!(s.to_string().contains("prod"));
-        assert!(s.source().is_some());
     }
 }

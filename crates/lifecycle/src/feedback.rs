@@ -38,11 +38,19 @@ pub struct FeedbackEvent {
     pub latency_us: u64,
 }
 
+/// The largest error [`ape_micros`] reports: 10^12 micros, a prediction
+/// 10^6 times its ground truth. A diverged retrain predicts runtimes
+/// whose error does not fit a `u64`; capped, the sums the controller,
+/// the report and the rollout guardrails keep over a run cannot
+/// overflow, and a candidate this far off still rolls back.
+const APE_CAP_MICROS: f64 = 1e12;
+
 /// Absolute percentage error between a predicted and an actual runtime
 /// vector, averaged over the four vCPU points and fixed-pointed to
-/// micros (1_000_000 = 100%). All downstream drift statistics stay in
-/// this integer domain, so accumulation order can never introduce
-/// floating-point divergence.
+/// micros (1_000_000 = 100%), capped at 10^12 micros (10^6 × the
+/// truth). All downstream drift statistics stay in this integer
+/// domain, so accumulation order can never introduce floating-point
+/// divergence.
 #[must_use]
 pub fn ape_micros(predicted: &[f64; 4], actual: &[f64; 4]) -> u64 {
     let mut sum = 0.0;
@@ -50,7 +58,7 @@ pub fn ape_micros(predicted: &[f64; 4], actual: &[f64; 4]) -> u64 {
         debug_assert!(actual[j] > 0.0, "ground truth must be positive");
         sum += (predicted[j] - actual[j]).abs() / actual[j];
     }
-    (sum / 4.0 * 1_000_000.0).round() as u64
+    (sum / 4.0 * 1_000_000.0).round().min(APE_CAP_MICROS) as u64
 }
 
 /// Signed log-space prediction bias, averaged over the four vCPU
@@ -170,6 +178,9 @@ mod tests {
         assert_eq!(ape_micros(&[1.5, 1.0, 1.0, 1.0], &[1.0; 4]), 125_000);
         // Symmetric under sign of the error.
         assert_eq!(ape_micros(&[0.5; 4], &[1.0; 4]), 500_000);
+        // A diverged prediction saturates at the cap, not at `u64::MAX`.
+        assert_eq!(ape_micros(&[700f64.exp(); 4], &[1.0; 4]), 1_000_000_000_000);
+        assert_eq!(ape_micros(&[f64::INFINITY; 4], &[1.0; 4]), 1_000_000_000_000);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Deterministic continual-learning model lifecycle.
 //!
 //! The paper trains its GCN runtime predictor once, offline; the serve
-//! tier froze that model behind a registry. This crate closes the
-//! train → serve loop: a controller runs in simulated time alongside
-//! serving and manages the model under traffic.
+//! tier serves that model as a frozen [`eda_cloud_serve::ModelSnapshot`].
+//! This crate closes the train → serve loop: a controller runs in
+//! simulated time alongside serving and manages the model under
+//! traffic. It owns two model slots — the primary and, while one is in
+//! flight, the canary candidate — and publishes versions 1, 2, … as it
+//! bootstraps and retrains.
 //!
 //! * **Feedback collection** ([`FeedbackEvent`], [`ReplayBuffer`]) —
 //!   each served prediction is joined with the ground-truth runtimes
@@ -18,10 +21,9 @@
 //! * **Shadow retraining** ([`Retrainer`]) — a copy of the serving
 //!   snapshot is fine-tuned on the replay buffers through the existing
 //!   Adam path, fanned over stage threads and joined by stage index.
-//! * **Canary rollout** ([`RolloutManager`]) — the candidate is
-//!   published to the [`eda_cloud_serve::ModelRegistry`] as a canary
-//!   serving a deterministic slice of ordinals; integer guardrails
-//!   (error ratio, latency budget) promote it or roll it back.
+//! * **Canary rollout** ([`RolloutManager`]) — the candidate serves a
+//!   deterministic slice of ordinals; integer guardrails (error ratio,
+//!   latency budget) move it into the primary slot or drop it.
 //!
 //! Everything folds into a [`LifecycleReport`] whose JSON rendering is
 //! byte-identical across runs and worker counts.
@@ -42,7 +44,7 @@
 //!     ..Default::default()
 //! };
 //! let controller = LifecycleController::new(config)?;
-//! let (report, _) = controller.run()?;
+//! let (report, _) = controller.run();
 //! assert!(report.counters.drift_detections > 0);
 //! assert!(report.counters.promotions + report.counters.rollbacks > 0);
 //! # Ok::<(), eda_cloud_lifecycle::LifecycleError>(())

@@ -74,7 +74,7 @@ pub struct LifecycleCounters {
     pub drift_detections: u64,
     /// Shadow retrains completed.
     pub retrains: u64,
-    /// Canaries published to the registry.
+    /// Candidates started on a canary slice.
     pub canaries_started: u64,
     /// Candidates promoted to primary.
     pub promotions: u64,

@@ -7,7 +7,8 @@
 //! evaluated in integer micros: the candidate must beat the primary's
 //! error by the configured margin *and* stay inside the latency
 //! budget. One evaluation, one decision — the controller acts on it
-//! and resets the manager.
+//! and drops the manager with the candidate it judged; the next canary
+//! starts a fresh one.
 
 /// The rollout manager's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,15 +95,6 @@ impl RolloutManager {
             RolloutDecision::RollbackError
         }
     }
-
-    /// Forget both arms (called when a canary starts or ends).
-    pub fn reset(&mut self) {
-        self.canary_err_sum = 0;
-        self.canary_joins = 0;
-        self.canary_latency_sum = 0;
-        self.primary_err_sum = 0;
-        self.primary_joins = 0;
-    }
 }
 
 #[cfg(test)]
@@ -129,12 +121,12 @@ mod tests {
         m.record_canary(90_000, 1_000);
         m.record_primary(100_000);
         assert_eq!(m.evaluate(), RolloutDecision::Promote);
-        m.reset();
+        let mut m = RolloutManager::new(1, 90, 10_000);
         // Just above: rollback.
         m.record_canary(90_001, 1_000);
         m.record_primary(100_000);
         assert_eq!(m.evaluate(), RolloutDecision::RollbackError);
-        m.reset();
+        let mut m = RolloutManager::new(1, 90, 10_000);
         // A candidate no better than the primary (equal error) fails a
         // sub-100% guardrail — the retrain must actually help.
         m.record_canary(100_000, 1_000);
@@ -156,7 +148,7 @@ mod tests {
         m.record_canary(1, 100);
         m.record_primary(0);
         assert_eq!(m.evaluate(), RolloutDecision::RollbackError);
-        m.reset();
+        let mut m = RolloutManager::new(1, 90, 10_000);
         m.record_canary(0, 100);
         m.record_primary(0);
         assert_eq!(m.evaluate(), RolloutDecision::Promote);

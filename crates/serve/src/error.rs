@@ -17,11 +17,6 @@ pub enum ServeError {
         /// Configured queue capacity.
         capacity: usize,
     },
-    /// The registry holds no snapshot at the requested version.
-    UnknownModel {
-        /// The version that failed to resolve, as `v<N>`.
-        name: String,
-    },
     /// A model snapshot failed to parse.
     Snapshot {
         /// What was malformed.
@@ -61,7 +56,6 @@ impl fmt::Display for ServeError {
                 f,
                 "request {ordinal} shed: admission queue full ({queue_depth}/{capacity})"
             ),
-            Self::UnknownModel { name } => write!(f, "no model registered under `{name}`"),
             Self::Snapshot { message } => write!(f, "cannot load model snapshot: {message}"),
             Self::Plan { message } => write!(f, "deployment planning failed: {message}"),
             Self::Ingest { message } => write!(f, "ingest routing failed: {message}"),
@@ -98,9 +92,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("request 9"), "{s}");
         assert!(s.contains("32/32"), "{s}");
-        assert!(ServeError::UnknownModel { name: "prod".into() }
-            .to_string()
-            .contains("`prod`"));
     }
 
     #[test]

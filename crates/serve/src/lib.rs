@@ -8,10 +8,9 @@
 //! optionally a flow budget to plan against) on a simulated
 //! microsecond clock:
 //!
-//! * **Model registry** ([`ModelRegistry`] / [`ModelSnapshot`]) —
-//!   versioned bundles of the four per-stage GCN predictors
-//!   with a canonical byte-stable text format whose save → load round
-//!   trip reproduces bit-identical predictions.
+//! * **Model snapshots** ([`ModelSnapshot`]) — the four per-stage GCN
+//!   predictors as one unit, with a canonical byte-stable text format
+//!   whose save → load round trip reproduces bit-identical predictions.
 //! * **Micro-batching inference** — queued requests are coalesced into
 //!   padded block-diagonal graph batches and pushed through each stage
 //!   model's batched forward pass ([`eda_cloud_gcn::GraphBatch`]);
@@ -69,10 +68,10 @@ mod ingestor;
 mod planner;
 mod queue;
 mod recipe_planner;
-mod registry;
 mod report;
 mod request;
 mod server;
+mod snapshot;
 
 pub use cache::LruCache;
 pub use error::ServeError;
@@ -81,10 +80,10 @@ pub use ingestor::{IngestDisposition, IngestOutcome, IngestSummary, Ingestor};
 pub use planner::{CostTablePlanner, PlanSummary, Planner, TABLE1_SECS, VCPUS};
 pub use queue::AdmissionQueue;
 pub use recipe_planner::{RecipePlanSummary, RecipePlanner};
-pub use registry::{CanaryState, ModelRegistry, ModelSnapshot, QuantizedSnapshot, STAGE_NAMES};
 pub use report::{ServeCounters, ServeReport};
 pub use request::{
     design_pool, synthetic_requests, synthetic_requests_with_uploads, RequestKind, ServeDesign,
     ServeRequest, UploadDoc, WorkloadConfig,
 };
 pub use server::{RequestOutcome, ServeConfig, Server, PER_HIT_US, PER_MISS_US};
+pub use snapshot::{ModelSnapshot, QuantizedSnapshot, STAGE_NAMES};

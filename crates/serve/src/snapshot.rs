@@ -1,4 +1,4 @@
-//! Versioned model snapshots and the registry that serves them.
+//! Model snapshots: the four stage predictors as one served unit.
 //!
 //! A [`ModelSnapshot`] bundles the four per-stage runtime predictors
 //! (synthesis / placement / routing / STA, mirroring the paper's
@@ -11,10 +11,6 @@
 //! bit-identical predictions. It is the one stored format: an int8
 //! [`QuantizedSnapshot`] is derived from a float one by
 //! [`QuantizedSnapshot::quantize`], a pure function of the weights.
-//!
-//! The [`ModelRegistry`] keys snapshots by monotonically increasing
-//! version, the way a production server rolls models forward without
-//! dropping in-flight traffic pinned to an older version.
 
 use crate::ServeError;
 use eda_cloud_gcn::{GraphBatch, ModelConfig, QuantizedPredictor, RuntimePredictor};
@@ -293,143 +289,6 @@ impl QuantizedSnapshot {
     }
 }
 
-/// Canary rollout state: the candidate version and the deterministic
-/// routing fraction (every `every`-th request ordinal goes to the
-/// candidate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CanaryState {
-    /// Candidate snapshot version.
-    pub version: u32,
-    /// Route ordinals where `ordinal % every == 0` to the candidate.
-    pub every: u64,
-}
-
-/// Versioned snapshot store for the one served model. Publishing bumps
-/// the version; lookups resolve a pinned version. The registry tracks a
-/// **primary** version (what baseline traffic sees) and an optional
-/// **canary** — a candidate version receiving a deterministic slice of
-/// requests until it is promoted or rolled back.
-#[derive(Debug, Clone, Default)]
-pub struct ModelRegistry {
-    versions: Vec<ModelSnapshot>,
-    /// 0 until the first publish.
-    primary: u32,
-    canary: Option<CanaryState>,
-}
-
-impl ModelRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Store a snapshot; returns its version (1-based, monotonically
-    /// increasing). The first publish becomes the primary; later
-    /// publishes leave the primary untouched until an explicit
-    /// [`ModelRegistry::promote`].
-    pub fn publish(&mut self, snapshot: ModelSnapshot) -> u32 {
-        self.versions.push(snapshot);
-        let version = self.versions.len() as u32;
-        if self.primary == 0 {
-            self.primary = version;
-        }
-        version
-    }
-
-    /// A pinned version's snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] if the version does not
-    /// exist.
-    pub fn get(&self, version: u32) -> Result<&ModelSnapshot, ServeError> {
-        version
-            .checked_sub(1)
-            .and_then(|i| self.versions.get(i as usize))
-            .ok_or_else(|| ServeError::UnknownModel {
-                name: format!("v{version}"),
-            })
-    }
-
-    /// The primary snapshot and its version — what baseline
-    /// (non-canary) traffic is served from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] if nothing was published.
-    pub fn primary(&self) -> Result<(u32, &ModelSnapshot), ServeError> {
-        Ok((self.primary, self.get(self.primary)?))
-    }
-
-    /// Start a canary: route every `every`-th request ordinal to
-    /// snapshot `version`. Replaces any in-flight canary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] if `version` does not
-    /// exist, or [`ServeError::Snapshot`] if `every == 0` or the
-    /// candidate is already the primary.
-    pub fn set_canary(&mut self, version: u32, every: u64) -> Result<(), ServeError> {
-        if every == 0 {
-            return Err(ServeError::Snapshot {
-                message: "canary `every` must be > 0".into(),
-            });
-        }
-        let _ = self.get(version)?;
-        if version == self.primary {
-            return Err(ServeError::Snapshot {
-                message: format!("v{version} is already primary"),
-            });
-        }
-        self.canary = Some(CanaryState { version, every });
-        Ok(())
-    }
-
-    /// The in-flight canary, if any.
-    #[must_use]
-    pub fn canary(&self) -> Option<CanaryState> {
-        self.canary
-    }
-
-    /// Abort the canary (rollback); baseline traffic was never moved,
-    /// so this only stops the candidate's request slice. Returns the
-    /// aborted state, or `None` if no canary was in flight.
-    pub fn clear_canary(&mut self) -> Option<CanaryState> {
-        self.canary.take()
-    }
-
-    /// Promote `version` to primary, clearing any canary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] if `version` does not
-    /// exist.
-    pub fn promote(&mut self, version: u32) -> Result<(), ServeError> {
-        let _ = self.get(version)?;
-        self.primary = version;
-        self.canary = None;
-        Ok(())
-    }
-
-    /// Resolve the snapshot serving request `ordinal`: the canary
-    /// candidate when one is in flight and `ordinal % every == 0`, the
-    /// primary otherwise. Deterministic in `ordinal`, so the same
-    /// request stream always splits the same way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] if nothing was published.
-    pub fn route(&self, ordinal: u64) -> Result<(u32, &ModelSnapshot), ServeError> {
-        if let Some(state) = self.canary {
-            if ordinal.is_multiple_of(state.every) {
-                return Ok((state.version, self.get(state.version)?));
-            }
-        }
-        self.primary()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,74 +370,6 @@ mod tests {
             ModelSnapshot::from_text(&flipped).is_err(),
             "bit rot must not load"
         );
-    }
-
-    #[test]
-    fn registry_versions_and_lookups() {
-        let mut reg = ModelRegistry::new();
-        assert!(reg.get(1).is_err());
-        assert!(reg.primary().is_err() && reg.route(0).is_err());
-        let v1 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 1));
-        let v2 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 2));
-        assert_eq!((v1, v2), (1, 2));
-        let s = sample();
-        let pinned = reg.get(1).expect("v1 kept");
-        let fresh = ModelSnapshot::seeded(&ModelConfig::fast(), 1);
-        assert_eq!(
-            pinned.stage(0).predict_log(&s),
-            fresh.stage(0).predict_log(&s)
-        );
-        assert!(reg.get(3).is_err());
-        assert!(reg.get(0).is_err());
-    }
-
-    #[test]
-    fn canary_routing_promote_and_rollback() {
-        let mut reg = ModelRegistry::new();
-        reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 1));
-        let v2 = reg.publish(ModelSnapshot::seeded(&ModelConfig::fast(), 2));
-        // First publish is primary; the second is not until promoted.
-        assert_eq!(reg.primary().expect("primary").0, 1);
-        assert!(reg.canary().is_none());
-
-        // Invalid canaries are typed errors.
-        assert!(reg.set_canary(v2, 0).is_err());
-        assert!(reg.set_canary(9, 4).is_err());
-        assert!(
-            reg.set_canary(1, 4).is_err(),
-            "primary can't canary itself"
-        );
-
-        reg.set_canary(v2, 4).expect("canary starts");
-        assert_eq!(
-            reg.canary(),
-            Some(CanaryState {
-                version: 2,
-                every: 4
-            })
-        );
-        // Deterministic split: multiples of `every` hit the candidate.
-        for ordinal in 0..12u64 {
-            let (version, _) = reg.route(ordinal).expect("routes");
-            assert_eq!(
-                version,
-                if ordinal % 4 == 0 { 2 } else { 1 },
-                "ordinal {ordinal}"
-            );
-        }
-
-        // Rollback: candidate slice stops, primary unchanged.
-        let aborted = reg.clear_canary().expect("was in flight");
-        assert_eq!(aborted.version, 2);
-        assert_eq!(reg.route(0).expect("routes").0, 1);
-
-        // Promote: primary moves, canary (restarted first) clears.
-        reg.set_canary(v2, 4).expect("canary restarts");
-        reg.promote(v2).expect("promotes");
-        assert_eq!(reg.primary().expect("primary").0, 2);
-        assert!(reg.canary().is_none());
-        assert_eq!(reg.route(3).expect("routes").0, 2);
-        assert!(reg.promote(9).is_err());
     }
 
     #[test]

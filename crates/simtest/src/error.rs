@@ -21,8 +21,7 @@ pub enum SimtestError {
     Fleet(FleetError),
     /// The serve phase rejected its stream.
     Serve(ServeError),
-    /// The lifecycle phase rejected its configuration or a registry
-    /// operation.
+    /// The lifecycle phase rejected its configuration.
     Lifecycle(LifecycleError),
     /// The engine phase rejected its multi-region configuration.
     Engine(EngineError),

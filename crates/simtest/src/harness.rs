@@ -271,7 +271,7 @@ pub fn run_simtest_traced(
             "planted_guardrail_bug requires the `planted-guardrail-bug` feature",
         ));
     }
-    let (lifecycle, feedback) = controller.run()?;
+    let (lifecycle, feedback) = controller.run();
     let lifecycle_trace = lifecycle_tracer.drain();
     fault_spans += count_fault_spans(&lifecycle_trace);
     tracer.adopt(2, "lifecycle", lifecycle_trace);
@@ -305,7 +305,7 @@ pub fn run_simtest_traced(
     violations.extend(check::check_cross_shard_conservation(&regions));
 
     // Corruption phase: every scheduled snapshot bit-flip must be
-    // rejected by the registry's checksum with a typed error.
+    // rejected by the snapshot checksum with a typed error.
     let snapshot_text = ModelSnapshot::seeded(&ModelConfig::fast(), config.seed).to_text();
     let mut corruption_injected = 0u64;
     let mut corruption_rejected = 0u64;

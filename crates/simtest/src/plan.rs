@@ -71,7 +71,7 @@ pub enum FaultEvent {
         /// Request ordinal whose join is lost.
         ordinal: u64,
     },
-    /// Flip one byte of the serialized model snapshot; the registry's
+    /// Flip one byte of the serialized model snapshot; the snapshot's
     /// checksum footer must reject the document with a typed error.
     SnapshotCorruption {
         /// Byte to flip, reduced modulo the document length at

@@ -66,7 +66,7 @@ pub struct SimtestReport {
     pub fault_spans: u64,
     /// Snapshot corruptions the plan scheduled.
     pub corruption_injected: u64,
-    /// Corruptions the registry's checksum rejected (should equal
+    /// Corruptions the snapshot checksum rejected (should equal
     /// `corruption_injected`; shortfalls also appear as violations).
     pub corruption_rejected: u64,
     /// Every invariant violation the checker suite found. Empty means

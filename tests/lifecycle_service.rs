@@ -56,7 +56,6 @@ fn run_small(workers: usize) -> LifecycleReport {
     LifecycleController::new(small_arc_config(workers))
         .expect("valid config")
         .run()
-        .expect("lifecycle run")
         .0
 }
 

@@ -192,22 +192,44 @@ fn audited(path: &str) -> bool {
     matches!(path.split('/').collect::<Vec<_>>()[..], ["crates", _, "src", _, ..])
 }
 
-/// `path: name` of every function declared above the first `#[cfg(test)]` of a
-/// `crates/*/src/**` file that nothing names from product code: callers are
-/// the [`product_sources`].
+/// `(path, name)` of every function declared above the first `#[cfg(test)]` of
+/// a `crates/*/src/**` file among the [`product_sources`]: the functions the
+/// audit holds to a product caller, and the ones [`MAX_PRODUCT_FNS`] counts.
+fn product_fns<'a>(product: &[(&'a String, &'a str)]) -> Vec<(&'a str, &'a str)> {
+    let mut fns = Vec::new();
+    for (path, code) in product.iter().filter(|(path, _)| audited(path)) {
+        fns.extend(code_lines(code).filter_map(pub_fn_name).map(|name| (path.as_str(), name)));
+    }
+    fns
+}
+
+/// `path: name` of every [`product_fns`] entry that nothing names from product
+/// code: callers are the [`product_sources`].
 fn unreferenced_fns(sources: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<String> {
     let product = product_sources(sources);
     let called: HashSet<&str> =
         product.iter().flat_map(|(_, code)| code_lines(code).flat_map(uses)).collect();
-    let mut orphans = Vec::new();
-    for (path, code) in product.iter().filter(|(path, _)| audited(path)) {
-        for name in code_lines(code).filter_map(pub_fn_name) {
-            if !called.contains(name) && !allowed.iter().any(|(n, _)| *n == name) {
-                orphans.push(format!("{path}: {name}"));
-            }
-        }
-    }
-    orphans
+    let unlisted = |name: &str| !allowed.iter().any(|(n, _)| *n == name);
+    product_fns(&product)
+        .into_iter()
+        .filter(|(_, name)| !called.contains(name) && unlisted(name))
+        .map(|(path, name)| format!("{path}: {name}"))
+        .collect()
+}
+
+/// Ceiling of the product `pub` / `pub(crate) fn`s; lower it when one goes,
+/// never raise it.
+const MAX_PRODUCT_FNS: usize = 612;
+
+#[test]
+fn product_functions_are_not_up() {
+    let sources = workspace_sources();
+    let count = product_fns(&product_sources(&sources)).len();
+    assert!(
+        count <= MAX_PRODUCT_FNS,
+        "{count} product `pub` / `pub(crate) fn`s (ceiling {MAX_PRODUCT_FNS}) — delete one, do \
+         not raise the ceiling"
+    );
 }
 
 #[test]
@@ -239,7 +261,8 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
                pub(crate) fn raw(&self) -> u32 { 7 }\n    pub fn reset(&mut self) {}\n}\n\
                impl std::fmt::Display for Gauge {\n    \
                fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { Ok(()) }\n}\n\
-               #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::Gauge.read(); }\n}\n";
+               #[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n    \
+               #[test]\n    fn t() { super::Gauge.read(); }\n}\n";
     let user = "// gauge.reset() in a comment is not a call\n\
                 pub use gauge::reset;\n\
                 #[cfg(test)]\nmod tests {\n    fn t(g: &mut Gauge) { g.reset(); g.read(); }\n}\n";
@@ -263,8 +286,13 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
     }
     // Nor is one in a file that a `#[cfg(test)]` `mod` declaration names.
     let declares = file("crates/a/src/lib.rs", "mod gauge;\n#[cfg(test)]\nmod oracle;\n");
-    let oracle = file("crates/a/src/oracle.rs", caller);
-    assert_eq!(unreferenced_fns(&[sources, vec![declares, oracle]].concat(), &[]).len(), 2);
+    let oracle = file("crates/a/src/oracle.rs", &format!("pub fn naive() {{}}\n{caller}"));
+    let with_oracle = [sources, vec![declares, oracle]].concat();
+    assert_eq!(unreferenced_fns(&with_oracle, &[]).len(), 2);
+    // (iv) The ceiling counts the audited set: `fixture` below a `#[cfg(test)]`
+    // and `naive` in a `#[cfg(test)]`-declared file are not product functions.
+    let counted = product_fns(&product_sources(&with_oracle));
+    assert_eq!(counted.iter().map(|(_, name)| *name).collect::<Vec<_>>(), ["read", "raw", "reset"]);
 }
 
 /// Ceilings of the knob census; lower them when a knob goes, never raise them.
