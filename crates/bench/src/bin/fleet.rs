@@ -2,7 +2,7 @@
 //! fleet-scale extension of the paper's single-flow deployment
 //! analysis. Each job is a scaled copy of the Table-I `sparc_core`
 //! flow, planned by the knapsack against its own deadline and executed
-//! through the provisioner with warm pools, optional spot purchasing,
+//! on per-second-billed VMs with warm pools, optional spot purchasing,
 //! interruption retries, and stage-boundary checkpointing.
 //!
 //! ```text

@@ -8,25 +8,12 @@ use std::fmt;
 pub enum CloudError {
     /// No instance type with the given name exists in the catalog.
     UnknownInstance(String),
-    /// Operation on a VM in the wrong lifecycle state.
-    InvalidState {
-        /// The VM id.
-        vm: u64,
-        /// What was attempted.
-        operation: &'static str,
-    },
-    /// No such VM id.
-    UnknownVm(u64),
 }
 
 impl fmt::Display for CloudError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CloudError::UnknownInstance(name) => write!(f, "unknown instance type `{name}`"),
-            CloudError::InvalidState { vm, operation } => {
-                write!(f, "vm {vm} cannot `{operation}` in its current state")
-            }
-            CloudError::UnknownVm(id) => write!(f, "no vm with id {id}"),
         }
     }
 }

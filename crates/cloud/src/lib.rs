@@ -1,4 +1,4 @@
-//! Cloud substrate: instance catalog, pricing, and provisioning.
+//! Cloud substrate: instance catalog and pricing.
 //!
 //! The paper provisions AWS VMs and prices deployments with "the pricing
 //! table for the machine configurations from AWS at the time of this
@@ -6,9 +6,11 @@
 //! built-in on-demand catalog shaped like AWS's m5 (general-purpose),
 //! r5 (memory-optimized), and c5 (compute-optimized) families at
 //! `.large` through `.2xlarge` sizes, per-second billing with a
-//! 60-second minimum, and a simulated VM lifecycle. Each instance maps
-//! to the machine a job observes — its vCPU count, clock and memory
-//! bandwidth — the VM sizes the paper emulates with cgroups.
+//! 60-second minimum, and spot-market expectations. VMs are launched and
+//! billed by the fleet simulator (`eda-cloud-fleet`), which keeps them on
+//! its own event clock. Each instance maps to the machine a job observes
+//! — its vCPU count, clock and memory bandwidth — the VM sizes the paper
+//! emulates with cgroups.
 //!
 //! # Examples
 //!
@@ -28,9 +30,7 @@
 mod error;
 mod instance;
 mod pricing;
-mod provision;
 
 pub use error::CloudError;
 pub use instance::{Catalog, InstanceFamily, InstanceType};
 pub use pricing::{Pricing, SpotMarket};
-pub use provision::{JobRecord, Provisioner, Vm, VmState};

@@ -41,6 +41,71 @@ impl Default for Pricing {
     }
 }
 
+/// Spot-market pricing extension: a discounted rate with an
+/// interruption probability per hour. Not part of the paper's
+/// evaluation (it prices on-demand machines), but the natural follow-on
+/// an EDA team asks for; [`Pricing::expected_spot_multiplier`] turns an
+/// on-demand cost into the expected spot cost including re-run work
+/// after interruptions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpotMarket {
+    /// Fraction of the on-demand price (e.g. 0.3 = 70% cheaper).
+    pub price_fraction: f64,
+    /// Probability a running instance is reclaimed within one hour.
+    pub interruption_per_hour: f64,
+}
+
+impl SpotMarket {
+    /// Typical spot conditions: ~70% discount, 5% hourly interruption.
+    #[must_use]
+    pub fn typical() -> Self {
+        Self {
+            price_fraction: 0.3,
+            interruption_per_hour: 0.05,
+        }
+    }
+
+    /// Probability the job of the given length completes uninterrupted.
+    #[must_use]
+    pub fn completion_probability(&self, runtime_secs: f64) -> f64 {
+        let hours = runtime_secs.max(0.0) / 3600.0;
+        (1.0 - self.interruption_per_hour).powf(hours)
+    }
+}
+
+impl Pricing {
+    /// Ratio of the expected spot cost to the on-demand cost for a job of
+    /// the given length. Instance-independent (hourly rates cancel), so
+    /// optimizers that already priced their choices on demand — e.g. the
+    /// MCKP choices in `eda-cloud-mckp` — can convert by multiplication
+    /// without re-deriving the instance. Under 1.0 the spot discount
+    /// wins; above it interruption re-runs dominate. Each attempt pays
+    /// for the time until interruption (approximated as half the
+    /// runtime) and the expected number of attempts is `1 / p_complete`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use eda_cloud_cloud::{Catalog, SpotMarket};
+    ///
+    /// let catalog = Catalog::aws_like();
+    /// let m5 = catalog.instance("m5.large")?;
+    /// let pricing = catalog.pricing();
+    /// let on_demand = pricing.cost_usd(m5, 3600.0);
+    /// let expected = on_demand * pricing.expected_spot_multiplier(3600.0, &SpotMarket::typical());
+    /// assert!(expected < on_demand, "short jobs: spot wins");
+    /// # Ok::<(), eda_cloud_cloud::CloudError>(())
+    /// ```
+    #[must_use]
+    pub fn expected_spot_multiplier(&self, runtime_secs: f64, market: &SpotMarket) -> f64 {
+        let p = market.completion_probability(runtime_secs).max(1e-9);
+        let failed_attempts = (1.0 - p) / p;
+        let full = self.billed_secs(runtime_secs) as f64;
+        let half = self.billed_secs(runtime_secs / 2.0) as f64;
+        market.price_fraction * (full + half * failed_attempts) / full
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,89 +185,6 @@ mod tests {
     }
 }
 
-/// Spot-market pricing extension: a discounted rate with an
-/// interruption probability per hour. Not part of the paper's
-/// evaluation (it prices on-demand machines), but the natural follow-on
-/// an EDA team asks for; [`Pricing::expected_spot_cost_usd`] gives the
-/// expected cost including re-run work after interruptions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpotMarket {
-    /// Fraction of the on-demand price (e.g. 0.3 = 70% cheaper).
-    pub price_fraction: f64,
-    /// Probability a running instance is reclaimed within one hour.
-    pub interruption_per_hour: f64,
-}
-
-impl SpotMarket {
-    /// Typical spot conditions: ~70% discount, 5% hourly interruption.
-    #[must_use]
-    pub fn typical() -> Self {
-        Self {
-            price_fraction: 0.3,
-            interruption_per_hour: 0.05,
-        }
-    }
-
-    /// Probability the job of the given length completes uninterrupted.
-    #[must_use]
-    pub fn completion_probability(&self, runtime_secs: f64) -> f64 {
-        let hours = runtime_secs.max(0.0) / 3600.0;
-        (1.0 - self.interruption_per_hour).powf(hours)
-    }
-}
-
-impl Pricing {
-    /// Expected cost of running a job on spot capacity, accounting for
-    /// lost work on interruption: each attempt pays for the time until
-    /// interruption (approximated as half the runtime) and the expected
-    /// number of attempts is `1 / p_complete`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use eda_cloud_cloud::{Catalog, SpotMarket};
-    ///
-    /// let catalog = Catalog::aws_like();
-    /// let m5 = catalog.instance("m5.large")?;
-    /// let spot = SpotMarket::typical();
-    /// let on_demand = catalog.pricing().cost_usd(m5, 3600.0);
-    /// let expected = catalog.pricing().expected_spot_cost_usd(m5, 3600.0, &spot);
-    /// assert!(expected < on_demand, "short jobs: spot wins");
-    /// # Ok::<(), eda_cloud_cloud::CloudError>(())
-    /// ```
-    #[must_use]
-    pub fn expected_spot_cost_usd(
-        &self,
-        instance: &InstanceType,
-        runtime_secs: f64,
-        market: &SpotMarket,
-    ) -> f64 {
-        let p = market.completion_probability(runtime_secs).max(1e-9);
-        let successful_run = self.cost_usd(instance, runtime_secs) * market.price_fraction;
-        // Expected failed attempts before success: (1-p)/p, each paying
-        // roughly half the runtime before being reclaimed.
-        let failed_attempts = (1.0 - p) / p;
-        let failed_cost =
-            self.cost_usd(instance, runtime_secs / 2.0) * market.price_fraction * failed_attempts;
-        successful_run + failed_cost
-    }
-
-    /// Ratio of the expected spot cost to the on-demand cost for a job of
-    /// the given length. Instance-independent (hourly rates cancel), so
-    /// optimizers that already priced their choices on demand — e.g. the
-    /// MCKP choices in `eda-cloud-mckp` — can convert by multiplication
-    /// without re-deriving the instance. Under 1.0 the spot discount
-    /// wins; above it interruption re-runs dominate.
-    #[must_use]
-    pub fn expected_spot_multiplier(&self, runtime_secs: f64, market: &SpotMarket) -> f64 {
-        let p = market.completion_probability(runtime_secs).max(1e-9);
-        let failed_attempts = (1.0 - p) / p;
-        let full = self.billed_secs(runtime_secs) as f64;
-        let half = self.billed_secs(runtime_secs / 2.0) as f64;
-        market.price_fraction * (full + half * failed_attempts) / full
-    }
-}
-
 #[cfg(test)]
 mod spot_tests {
     use super::*;
@@ -214,7 +196,7 @@ mod spot_tests {
         let i = c.instance("r5.xlarge").unwrap();
         let spot = SpotMarket::typical();
         let on_demand = c.pricing().cost_usd(i, 1800.0);
-        let expected = c.pricing().expected_spot_cost_usd(i, 1800.0, &spot);
+        let expected = on_demand * c.pricing().expected_spot_multiplier(1800.0, &spot);
         assert!(expected < 0.5 * on_demand);
     }
 
@@ -228,35 +210,12 @@ mod spot_tests {
             interruption_per_hour: 0.9,
         };
         let week = 7.0 * 24.0 * 3600.0;
-        let expected = c.pricing().expected_spot_cost_usd(i, week, &hostile);
         let on_demand = c.pricing().cost_usd(i, week);
+        let expected = on_demand * c.pricing().expected_spot_multiplier(week, &hostile);
         assert!(
             expected > on_demand,
             "interruption-dominated jobs cost more than on-demand"
         );
-    }
-
-    #[test]
-    fn multiplier_agrees_with_expected_cost_and_is_instance_free() {
-        let c = Catalog::aws_like();
-        let spot = SpotMarket::typical();
-        for secs in [45.0, 1800.0, 3600.0, 36_000.0] {
-            let mult = c.pricing().expected_spot_multiplier(secs, &spot);
-            for name in ["m5.large", "r5.xlarge", "c5.2xlarge"] {
-                let i = c.instance(name).unwrap();
-                let direct = c.pricing().expected_spot_cost_usd(i, secs, &spot);
-                let via_mult = c.pricing().cost_usd(i, secs) * mult;
-                assert!(
-                    (direct - via_mult).abs() < 1e-9 * direct.max(1.0),
-                    "{name} at {secs}s: {direct} vs {via_mult}"
-                );
-            }
-        }
-        // Short jobs keep most of the discount; hostile jobs lose it.
-        assert!(c.pricing().expected_spot_multiplier(600.0, &spot) < 0.35);
-        let hostile = SpotMarket { price_fraction: 0.3, interruption_per_hour: 0.9 };
-        let week = 7.0 * 24.0 * 3600.0;
-        assert!(c.pricing().expected_spot_multiplier(week, &hostile) > 1.0);
     }
 
     #[test]

@@ -16,15 +16,10 @@ use crate::sweep::{map_metered, reduce_results, resolve_workers};
 use crate::{StageRuntimes, Workflow, WorkflowError};
 use eda_cloud_fleet::{
     poisson_arrivals, FleetConfig, FleetJob, FleetReport, FleetSimulator, JobPlan, PlannedStage,
-    SpotPolicy,
+    SpotPolicy, BOOT_SECS,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Boot seconds budgeted per stage when converting a job deadline into
-/// an MCKP runtime constraint (the provisioner's 30-second boot, once
-/// per stage VM).
-const BOOT_SECS_PER_STAGE: f64 = 30.0;
 
 /// A fleet workload description: everything needed to regenerate the
 /// same job stream and simulation from a seed.
@@ -135,7 +130,9 @@ impl Workflow {
             .map(|r| r.runtimes_secs[3].max(0.0).ceil() as u64)
             .sum();
         let fastest: f64 = runtimes.iter().map(|r| r.runtimes_secs[3]).sum();
-        let boot_budget = BOOT_SECS_PER_STAGE * runtimes.len() as f64;
+        // The simulator's boot, once per stage VM, is budgeted out of
+        // the deadline.
+        let boot_budget = BOOT_SECS * runtimes.len() as f64;
         let deadline_secs = (slack * fastest + boot_budget).ceil() as u64;
         let constraint = deadline_secs
             .saturating_sub(boot_budget.ceil() as u64)
@@ -218,7 +215,7 @@ mod tests {
         let wf = Workflow::with_defaults();
         let jobs = wf.fleet_workload(&FleetScenario::new(8, 3)).expect("plans");
         for job in &jobs {
-            let boots = BOOT_SECS_PER_STAGE as u64 * job.plan.stages.len() as u64;
+            let boots = BOOT_SECS as u64 * job.plan.stages.len() as u64;
             assert!(
                 job.plan.planned_runtime_secs() + boots <= job.plan.deadline_secs,
                 "job {} plan {}s + {}s boots exceeds deadline {}s",

@@ -138,24 +138,3 @@ mod tests {
         assert!(t.contains("only"));
     }
 }
-
-/// Format a USD amount.
-#[must_use]
-pub fn usd(v: f64) -> String {
-    if v >= 1.0 {
-        format!("${v:.2}")
-    } else {
-        format!("${v:.4}")
-    }
-}
-
-#[cfg(test)]
-mod usd_tests {
-    use super::usd;
-
-    #[test]
-    fn usd_formats_small_and_large() {
-        assert_eq!(usd(12.345), "$12.35");
-        assert_eq!(usd(0.0421), "$0.0421");
-    }
-}

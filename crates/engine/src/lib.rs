@@ -46,12 +46,6 @@ mod region;
 mod sharded;
 pub mod time;
 
-/// `EventHeap`'s push/pop scripts and their `BTreeMap` model, shared with
-/// the tier-1 differential.
-#[cfg(test)]
-#[path = "../../../tests/common/heap_script.rs"]
-mod heap_script;
-
 pub use error::EngineError;
 pub use fair::{AdmitRejection, FairShare, TenantCounters};
 pub use faults::{EngineFaults, NoEngineFaults};
@@ -64,3 +58,9 @@ pub use region::{
 };
 pub use sharded::{MessageStats, RegionShard, ShardedSim};
 pub use time::poisson_arrivals;
+
+/// `EventHeap`'s push/pop scripts and their `BTreeMap` model, shared with
+/// the tier-1 differential.
+#[cfg(test)]
+#[path = "../../../tests/common/heap_script.rs"]
+mod heap_script;

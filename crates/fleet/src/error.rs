@@ -8,9 +8,8 @@ use std::fmt;
 /// Errors raised by the fleet simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
-    /// The cloud substrate rejected a request (unknown instance name in
-    /// a plan, or a lifecycle violation — the latter indicates a
-    /// scheduler bug and is surfaced, never panicked on).
+    /// The cloud substrate rejected a request (an unknown instance name
+    /// in a plan).
     Cloud(CloudError),
     /// A job plan or configuration value is unusable.
     InvalidConfig(&'static str),
@@ -55,8 +54,8 @@ mod tests {
 
     #[test]
     fn conversions_and_messages() {
-        let e: FleetError = CloudError::UnknownVm(3).into();
-        assert!(e.to_string().contains("no vm with id 3"));
+        let e: FleetError = CloudError::UnknownInstance("z9.mega".into()).into();
+        assert!(e.to_string().contains("z9.mega"));
         assert!(e.source().is_some());
         let e = FleetError::InvalidConfig("job 2 has no stages");
         assert!(e.to_string().contains("no stages"));

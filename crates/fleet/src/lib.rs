@@ -5,11 +5,12 @@
 //! question — what happens when a *stream* of flow jobs, each carrying
 //! an MCKP deployment plan, hits the cloud substrate over hours. A
 //! discrete-event engine ([`FleetSimulator`]) plays the stream against
-//! `eda-cloud-cloud`'s provisioner: per-stage VM requests with real
-//! boot intervals, a warm pool sized by an arrival-rate autoscaler
-//! (fixed window, cap and idle reap), optional spot purchasing with seeded
-//! interruption injection, exponential-backoff retries, and
-//! stage-boundary checkpointing ([`SpotPolicy`]). Each run folds into a
+//! `eda-cloud-cloud`'s catalog and billing rules: per-stage VMs with a
+//! real boot interval ([`BOOT_SECS`]), each billed per second from
+//! launch to termination on the engine's own clock, a warm pool sized by
+//! an arrival-rate autoscaler (fixed window, cap and idle reap), optional
+//! spot purchasing with seeded interruption injection, exponential-backoff
+//! retries, and stage-boundary checkpointing ([`SpotPolicy`]). Each run folds into a
 //! [`FleetReport`] — deadline-hit rate, total and per-job cost, latency
 //! percentiles, histograms — whose JSON rendering is byte-identical
 //! across same-seed runs.
@@ -69,5 +70,5 @@ pub use error::FleetError;
 pub use faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
 pub use job::{FleetJob, JobPlan, PlannedStage};
 pub use metrics::{FleetCounters, FleetReport};
-pub use sim::{FleetConfig, FleetSimulator};
+pub use sim::{FleetConfig, FleetSimulator, BOOT_SECS};
 pub use spot::SpotPolicy;

@@ -20,7 +20,7 @@ pub struct FleetCounters {
     pub jobs_completed: u64,
     /// Completed jobs whose latency met their deadline.
     pub deadline_hits: u64,
-    /// VMs requested from the provisioner (all kinds).
+    /// VMs launched (all kinds).
     pub vms_launched: u64,
     /// Stage placements that booted a fresh on-demand VM.
     pub cold_starts: u64,

@@ -8,21 +8,25 @@
 //! seeded ChaCha streams consumed in event order.
 //!
 //! Lifecycle of one job: for each plan stage in flow order the
-//! scheduler acquires a VM (warm-pool hit, or a cold launch through
-//! [`Provisioner::launch`] with its boot interval), starts the stage
-//! when the VM is ready, and either completes it after the planned
-//! runtime or — on spot capacity — suffers a reclaim drawn from the
-//! market's hourly interruption probability. A reclaimed stage restarts
-//! after exponential backoff (stage-boundary checkpointing: completed
-//! stages never re-run) and falls back to on-demand capacity once its
-//! spot attempts are exhausted.
+//! scheduler acquires a VM (warm-pool hit, or a cold launch that waits
+//! out [`BOOT_SECS`]), starts the stage when the VM is ready, and either
+//! completes it after the planned runtime or — on spot capacity —
+//! suffers a reclaim drawn from the market's hourly interruption
+//! probability. A reclaimed stage restarts after exponential backoff
+//! (stage-boundary checkpointing: completed stages never re-run) and
+//! falls back to on-demand capacity once its spot attempts are
+//! exhausted.
+//!
+//! The engine keeps its own VM table on the heap's clock: a VM bills
+//! once, when it is terminated, for its whole life from launch (boot
+//! and idle time included) at its price fraction.
 
 use crate::autoscale::{Autoscaler, MAX_IDLE_US};
 use crate::faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
 use crate::metrics::{FleetCounters, FleetReport, Samples};
 use crate::spot::{backoff_secs, SpotInjector, SpotPolicy, MAX_SPOT_ATTEMPTS};
 use crate::{FleetError, FleetJob};
-use eda_cloud_cloud::{Catalog, InstanceType, Provisioner, VmState};
+use eda_cloud_cloud::{Catalog, InstanceType};
 use eda_cloud_engine::{time, EventHeap};
 use eda_cloud_trace::{Histogram, Span, Tracer};
 use std::collections::BTreeMap;
@@ -47,6 +51,10 @@ fn to_secs(us: u64) -> f64 {
 fn stage_duration_us(runtime_secs: u64) -> Result<u64, FleetError> {
     Ok(time::secs_to_duration_us(runtime_secs)?)
 }
+
+/// Seconds from a VM's launch until it accepts work. The bill runs from
+/// launch, so the boot is paid for.
+pub const BOOT_SECS: f64 = 30.0;
 
 /// Latency histogram bucket edges, seconds: half an hour to 32 hours.
 const LATENCY_EDGES_SECS: [f64; 7] =
@@ -192,15 +200,26 @@ enum Event {
     /// A job enters the system.
     Arrival { job: usize },
     /// A cold-launched VM finished booting for this job's current stage.
-    VmReady { job: usize, vm: u64 },
+    VmReady { job: usize, vm: usize },
     /// The current stage ran to completion on `vm`.
-    StageDone { job: usize, vm: u64 },
+    StageDone { job: usize, vm: usize },
     /// The spot market reclaimed `vm` mid-stage.
-    Reclaim { job: usize, vm: u64 },
+    Reclaim { job: usize, vm: usize },
     /// Backoff elapsed; re-acquire capacity for the job's current stage.
     Retry { job: usize },
     /// A warm VM may have idled past the bound (stamp guards staleness).
-    IdleReap { vm: u64, stamp: u64 },
+    IdleReap { vm: usize, stamp: u64 },
+}
+
+/// One launched VM. Times are seconds on the heap's clock.
+struct Vm {
+    instance: InstanceType,
+    launched_at: f64,
+    ready_at: f64,
+    /// Price fraction: 1.0 on demand, the market's fraction on spot.
+    fraction: f64,
+    /// Not billed yet; `bill` clears it.
+    live: bool,
 }
 
 struct JobState {
@@ -219,7 +238,8 @@ struct Engine<'a> {
     catalog: &'a Catalog,
     config: &'a FleetConfig,
     jobs: &'a [FleetJob],
-    provisioner: Provisioner,
+    /// Every VM launched, indexed by id.
+    vms: Vec<Vm>,
     /// The extracted deterministic event core: pops in `(time, seq)`
     /// order, seq being a monotone push counter the heap owns.
     heap: EventHeap<Event>,
@@ -227,12 +247,9 @@ struct Engine<'a> {
     /// Idle booted on-demand VMs, keyed by instance name; entries are
     /// `(vm, stamp)` reused LIFO. BTree keys keep any iteration
     /// deterministic.
-    warm: BTreeMap<String, Vec<(u64, u64)>>,
+    warm: BTreeMap<String, Vec<(usize, u64)>>,
     warm_count: usize,
     stamp: u64,
-    /// Per-VM price fraction (1.0 on-demand, the market fraction for
-    /// spot), indexed by VM id.
-    vm_fraction: Vec<f64>,
     autoscaler: Autoscaler,
     injector: SpotInjector,
     counters: FleetCounters,
@@ -285,13 +302,12 @@ impl<'a> Engine<'a> {
             catalog,
             config,
             jobs,
-            provisioner: Provisioner::new(*catalog.pricing()),
+            vms: Vec::new(),
             heap: EventHeap::new(),
             states,
             warm: BTreeMap::new(),
             warm_count: 0,
             stamp: 0,
-            vm_fraction: Vec::new(),
             autoscaler: Autoscaler::default(),
             injector: SpotInjector::new(config.seed),
             counters: FleetCounters::default(),
@@ -316,8 +332,9 @@ impl<'a> Engine<'a> {
             let t = self.states[index].arrival_us;
             self.push(t, Event::Arrival { job: index });
         }
+        let mut last = 0;
         while let Some((t, event)) = self.heap.pop() {
-            self.provisioner.advance_to(to_secs(t));
+            last = t;
             self.sim_span.counter("events", 1);
             match event {
                 Event::Arrival { job } => {
@@ -325,20 +342,19 @@ impl<'a> Engine<'a> {
                     self.autoscaler.record_arrival(t);
                     self.acquire_stage_vm(job, t)?;
                 }
-                Event::VmReady { job, vm } => {
-                    self.provisioner.begin_job(vm)?;
-                    self.start_execution(job, vm, t)?;
-                }
+                Event::VmReady { job, vm } => self.start_execution(job, vm, t)?,
                 Event::StageDone { job, vm } => self.on_stage_done(job, vm, t)?,
                 Event::Reclaim { job, vm } => self.on_reclaim(job, vm, t)?,
                 Event::Retry { job } => self.acquire_stage_vm(job, t)?,
-                Event::IdleReap { vm, stamp } => self.on_idle_reap(vm, stamp)?,
+                Event::IdleReap { vm, stamp } => self.on_idle_reap(vm, stamp, t),
             }
         }
-        // Retire whatever is still booted (warm pool remainder).
-        for id in 0..self.vm_fraction.len() as u64 {
-            if self.provisioner.vm(id)?.state != VmState::Terminated {
-                self.bill(id)?;
+        // Retire whatever is still unbilled at the last event time. Every
+        // pooled VM has an idle reap pending, so the pool should be empty
+        // by now; this keeps the total whole if that ever changes.
+        for vm in 0..self.vms.len() {
+            if self.vms[vm].live {
+                self.bill(vm, last);
             }
         }
         Ok(self.report())
@@ -377,7 +393,6 @@ impl<'a> Engine<'a> {
             if let Some(vm) = self.take_warm(&instance_name) {
                 self.counters.warm_reuses += 1;
                 self.sim_span.counter("autoscale/warm_reuses", 1);
-                self.provisioner.begin_job(vm)?;
                 self.start_execution(job, vm, now)?;
                 return Ok(());
             }
@@ -385,30 +400,35 @@ impl<'a> Engine<'a> {
             self.sim_span.counter("autoscale/cold_starts", 1);
         }
         let instance = self.catalog.instance(&instance_name)?.clone();
-        let vm = self.launch(instance, on_spot);
-        // The provisioner's boot interval gates readiness; +1 us of
-        // slack absorbs float-to-integer rounding of `ready_at`.
-        let ready_secs = self.provisioner.vm(vm)?.ready_at;
+        let vm = self.launch(instance, on_spot, now);
+        // The boot interval gates readiness; +1 us of slack absorbs
+        // float-to-integer rounding of `ready_at`.
+        let ready_secs = self.vms[vm].ready_at;
         let ready = time::checked_add_us(time::secs_to_us_ceil(ready_secs)?, 1)?;
         self.push(ready, Event::VmReady { job, vm });
         Ok(())
     }
 
-    fn launch(&mut self, instance: InstanceType, on_spot: bool) -> u64 {
+    fn launch(&mut self, instance: InstanceType, on_spot: bool, now: u64) -> usize {
         let fraction = match (&self.config.spot, on_spot) {
             (Some(policy), true) => policy.market.price_fraction,
             _ => 1.0,
         };
-        let vm = self.provisioner.launch(instance);
-        debug_assert_eq!(vm as usize, self.vm_fraction.len());
-        self.vm_fraction.push(fraction);
+        let launched_at = to_secs(now);
+        self.vms.push(Vm {
+            instance,
+            launched_at,
+            ready_at: launched_at + BOOT_SECS,
+            fraction,
+            live: true,
+        });
         self.counters.vms_launched += 1;
-        vm
+        self.vms.len() - 1
     }
 
     /// The stage is on a ready VM now: decide completion vs reclaim and
     /// schedule exactly one of the two outcomes.
-    fn start_execution(&mut self, job: usize, vm: u64, now: u64) -> Result<(), FleetError> {
+    fn start_execution(&mut self, job: usize, vm: usize, now: u64) -> Result<(), FleetError> {
         let state = &self.states[job];
         let (stage_index, attempt) = (state.stage, state.attempt);
         let job_id = self.jobs[job].plan.id;
@@ -435,7 +455,7 @@ impl<'a> Engine<'a> {
             self.push(reclaim_at, Event::Reclaim { job, vm });
             return Ok(());
         }
-        let on_spot = self.vm_fraction[vm as usize] < 1.0;
+        let on_spot = self.vms[vm].fraction < 1.0;
         if on_spot {
             let market = self.config.spot.as_ref().expect("spot VM implies policy").market;
             if let Some(fraction) = self.injector.reclaim_fraction(runtime_secs as f64, &market) {
@@ -454,13 +474,13 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn on_stage_done(&mut self, job: usize, vm: u64, now: u64) -> Result<(), FleetError> {
-        let on_spot = self.vm_fraction[vm as usize] < 1.0;
+    fn on_stage_done(&mut self, job: usize, vm: usize, now: u64) -> Result<(), FleetError> {
+        let on_spot = self.vms[vm].fraction < 1.0;
         let state = &self.states[job];
         let runtime_secs = self.jobs[job].plan.stages[state.stage].runtime_secs;
         self.attribute_cost(job, vm, runtime_secs as f64);
         if on_spot {
-            self.bill(vm)?;
+            self.bill(vm, now);
         } else {
             self.release_or_bill(vm, now)?;
         }
@@ -476,16 +496,16 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn on_reclaim(&mut self, job: usize, vm: u64, now: u64) -> Result<(), FleetError> {
+    fn on_reclaim(&mut self, job: usize, vm: usize, now: u64) -> Result<(), FleetError> {
         self.counters.interruptions += 1;
         self.counters.retries += 1;
         self.job_spans[job].counter("reclaims", 1);
         // Pay for the partial run (the reclaimed VM's whole life bills
         // at the spot rate through `bill`); attribute the lost busy
         // time to the job as well.
-        let partial_secs = (to_secs(now) - self.provisioner.vm(vm)?.ready_at).max(0.0);
+        let partial_secs = (to_secs(now) - self.vms[vm].ready_at).max(0.0);
         self.attribute_cost(job, vm, partial_secs);
-        self.bill(vm)?;
+        self.bill(vm, now);
         // Injected interrupts can reclaim on-demand VMs with no spot
         // policy configured; those retries back off the same way.
         let backoff = backoff_secs(self.states[job].attempt);
@@ -494,9 +514,8 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    fn on_idle_reap(&mut self, vm: u64, stamp: u64) -> Result<(), FleetError> {
+    fn on_idle_reap(&mut self, vm: usize, stamp: u64, now: u64) {
         // Stale when the VM was reused (different stamp) or already gone.
-        let mut reaped = false;
         if let Some((name, position)) = self.find_warm(vm, stamp) {
             let entries = self.warm.get_mut(&name).expect("found above");
             entries.remove(position);
@@ -504,17 +523,13 @@ impl<'a> Engine<'a> {
                 self.warm.remove(&name);
             }
             self.warm_count -= 1;
-            reaped = true;
-        }
-        if reaped {
             self.counters.idle_reaped += 1;
             self.sim_span.counter("autoscale/idle_reaped", 1);
-            self.bill(vm)?;
+            self.bill(vm, now);
         }
-        Ok(())
     }
 
-    fn find_warm(&self, vm: u64, stamp: u64) -> Option<(String, usize)> {
+    fn find_warm(&self, vm: usize, stamp: u64) -> Option<(String, usize)> {
         for (name, entries) in &self.warm {
             if let Some(position) = entries.iter().position(|&(v, s)| v == vm && s == stamp) {
                 return Some((name.clone(), position));
@@ -523,7 +538,7 @@ impl<'a> Engine<'a> {
         None
     }
 
-    fn take_warm(&mut self, instance_name: &str) -> Option<u64> {
+    fn take_warm(&mut self, instance_name: &str) -> Option<usize> {
         let entries = self.warm.get_mut(instance_name)?;
         let (vm, _) = entries.pop()?;
         if entries.is_empty() {
@@ -535,11 +550,11 @@ impl<'a> Engine<'a> {
 
     /// Keep a finished on-demand VM warm when the pool is below the
     /// autoscaler's target, otherwise terminate and bill it.
-    fn release_or_bill(&mut self, vm: u64, now: u64) -> Result<(), FleetError> {
+    fn release_or_bill(&mut self, vm: usize, now: u64) -> Result<(), FleetError> {
         let target = self.autoscaler.target(now);
         if self.warm_count < target {
             self.sim_span.counter("autoscale/kept_warm", 1);
-            let name = self.provisioner.vm(vm)?.instance.name.clone();
+            let name = self.vms[vm].instance.name.clone();
             let stamp = self.stamp;
             self.stamp += 1;
             self.warm.entry(name).or_default().push((vm, stamp));
@@ -549,24 +564,26 @@ impl<'a> Engine<'a> {
             Ok(())
         } else {
             self.sim_span.counter("autoscale/terminated", 1);
-            self.bill(vm)
+            self.bill(vm, now);
+            Ok(())
         }
     }
 
-    /// Terminate the VM and add its lifetime bill (boot + busy + idle,
-    /// at its price fraction) to the fleet total.
-    fn bill(&mut self, vm: u64) -> Result<(), FleetError> {
-        let record = self.provisioner.terminate(vm)?;
-        self.total_cost_usd += record.cost_usd * self.vm_fraction[vm as usize];
-        Ok(())
+    /// Terminate the VM at `now` and add its lifetime bill (boot, busy
+    /// and idle time at its price fraction) to the fleet total.
+    fn bill(&mut self, vm: usize, now: u64) {
+        let vm = &mut self.vms[vm];
+        debug_assert!(vm.live, "a VM is billed exactly once");
+        vm.live = false;
+        let cost = self.catalog.pricing().cost_usd(&vm.instance, to_secs(now) - vm.launched_at);
+        self.total_cost_usd += cost * vm.fraction;
     }
 
     /// Attribute the busy-time cost of one stage attempt to its job.
-    fn attribute_cost(&mut self, job: usize, vm: u64, busy_secs: f64) {
-        if let Ok(vm_record) = self.provisioner.vm(vm) {
-            let cost = self.catalog.pricing().cost_usd(&vm_record.instance, busy_secs);
-            self.states[job].cost_usd += cost * self.vm_fraction[vm as usize];
-        }
+    fn attribute_cost(&mut self, job: usize, vm: usize, busy_secs: f64) {
+        let vm = &self.vms[vm];
+        let cost = self.catalog.pricing().cost_usd(&vm.instance, busy_secs);
+        self.states[job].cost_usd += cost * vm.fraction;
     }
 
     fn complete_job(&mut self, job: usize, now: u64) {

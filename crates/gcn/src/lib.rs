@@ -38,8 +38,6 @@ mod error;
 mod graph_data;
 mod layers;
 mod model;
-#[cfg(test)]
-mod oracle;
 mod profile;
 mod quant;
 mod tensor;
@@ -55,3 +53,6 @@ pub use profile::FeatureProfile;
 pub use quant::{QuantizedMatrix, QuantizedPredictor};
 pub use tensor::{Matrix, SparseMatrix};
 pub use train::{DatasetSplit, TrainOutcome, TrainReport, Trainer};
+
+#[cfg(test)]
+mod oracle;

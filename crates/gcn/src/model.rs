@@ -397,6 +397,143 @@ std::thread_local! {
         std::cell::RefCell::new(TrainScratch::default());
 }
 
+/// Error returned when loading serialized weights fails.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoadWeightsError {
+    /// What went wrong.
+    pub message: String,
+}
+
+impl std::fmt::Display for LoadWeightsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot load model weights: {}", self.message)
+    }
+}
+
+impl std::error::Error for LoadWeightsError {}
+
+impl RuntimePredictor {
+    /// Serialize all trainable parameters as a plain-text document
+    /// (architecture header + one line of numbers per tensor). Optimizer
+    /// state is not saved; a loaded model predicts but restarts Adam if
+    /// trained further.
+    #[must_use]
+    pub fn save_weights(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let dims: Vec<String> = self.config.gcn_dims.iter().map(|d| d.to_string()).collect();
+        let _ = writeln!(out, "gcn-runtime-predictor v1");
+        let _ = writeln!(out, "gcn_dims {}", dims.join(" "));
+        let _ = writeln!(out, "fc_dim {}", self.config.fc_dim);
+        let mut dump = |label: &str, m: &Matrix| {
+            let _ = write!(out, "{label} {} {}", m.rows(), m.cols());
+            for v in m.data() {
+                let _ = write!(out, " {v:e}");
+            }
+            let _ = writeln!(out);
+        };
+        for (i, layer) in self.gcn.iter().enumerate() {
+            dump(&format!("gcn{i}.w"), &layer.w);
+            dump(&format!("gcn{i}.b"), &layer.b);
+        }
+        dump("fc.w", &self.fc.w);
+        dump("fc.bias", &self.fc.bias);
+        dump("head.w", &self.head.w);
+        dump("head.bias", &self.head.bias);
+        out
+    }
+
+    /// Load parameters produced by [`RuntimePredictor::save_weights`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LoadWeightsError`] on version/shape mismatches or
+    /// unparsable numbers.
+    pub fn load_weights(text: &str) -> Result<Self, LoadWeightsError> {
+        let mut lines = text.lines();
+        let config = parse_header(&mut lines)?;
+        let mut model = Self::new(&config, 0);
+        let mut matrix = |expect: &str| tensor_line(&mut lines, expect);
+        for i in 0..model.gcn.len() {
+            model.gcn[i].w = matrix(&format!("gcn{i}.w"))?;
+            model.gcn[i].b = matrix(&format!("gcn{i}.b"))?;
+        }
+        model.fc.w = matrix("fc.w")?;
+        model.fc.bias = matrix("fc.bias")?;
+        model.head.w = matrix("head.w")?;
+        model.head.bias = matrix("head.bias")?;
+        Ok(model)
+    }
+}
+
+fn err(message: &str) -> LoadWeightsError {
+    LoadWeightsError { message: message.to_owned() }
+}
+
+/// Parse the three header lines a weight document opens with —
+/// `gcn-runtime-predictor v1`, `gcn_dims ..`, `fc_dim ..` — into the
+/// architecture.
+fn parse_header(lines: &mut std::str::Lines<'_>) -> Result<ModelConfig, LoadWeightsError> {
+    if lines.next() != Some("gcn-runtime-predictor v1") {
+        return Err(err("unknown header"));
+    }
+    let dims_line = lines.next().ok_or_else(|| err("missing gcn_dims"))?;
+    let gcn_dims: Vec<usize> = dims_line
+        .strip_prefix("gcn_dims ")
+        .ok_or_else(|| err("bad gcn_dims line"))?
+        .split_whitespace()
+        .map(|t| t.parse().map_err(|_| err("bad dim")))
+        .collect::<Result<_, _>>()?;
+    let fc_line = lines.next().ok_or_else(|| err("missing fc_dim"))?;
+    let fc_dim: usize = fc_line
+        .strip_prefix("fc_dim ")
+        .ok_or_else(|| err("bad fc_dim line"))?
+        .trim()
+        .parse()
+        .map_err(|_| err("bad fc_dim"))?;
+    // Validate the architecture before building it: an empty layer
+    // list would panic `RuntimePredictor::new`, and absurd widths would
+    // try to allocate the product — both must surface as typed errors.
+    const MAX_DIM: usize = 1 << 16;
+    if gcn_dims.is_empty() {
+        return Err(err("gcn_dims is empty"));
+    }
+    if gcn_dims.iter().any(|&d| d == 0 || d > MAX_DIM) || fc_dim == 0 || fc_dim > MAX_DIM {
+        return Err(err("layer width out of range"));
+    }
+    Ok(ModelConfig { gcn_dims, fc_dim })
+}
+
+/// Take the next tensor line: check its label is `expect`, read its
+/// `rows cols` shape, then parse the values and check their count
+/// against that shape.
+fn tensor_line(lines: &mut std::str::Lines<'_>, expect: &str) -> Result<Matrix, LoadWeightsError> {
+    let line = lines.next().ok_or_else(|| err("missing tensor"))?;
+    let mut tok = line.split_whitespace();
+    let label = tok.next().ok_or_else(|| err("missing label"))?;
+    if label != expect {
+        return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
+    }
+    let rows: usize = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad rows"))?;
+    let cols: usize = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad cols"))?;
+    let data: Vec<f64> = tok.map(finite).collect::<Result<_, _>>()?;
+    if data.len() != rows.checked_mul(cols).ok_or_else(|| err("tensor shape overflows"))? {
+        return Err(err("value count mismatch"));
+    }
+    Ok(Matrix::from_vec(rows, cols, data))
+}
+
+/// One float weight. `"NaN"` and `"inf"` parse as valid f64s, but a
+/// snapshot carrying them is corrupt: reject at load time instead of
+/// letting them poison serving.
+fn finite(token: &str) -> Result<f64, LoadWeightsError> {
+    match token.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(err("non-finite value")),
+        Err(_) => Err(err("bad value")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,143 +677,6 @@ mod tests {
         let secs = model.predict_secs(&s);
         assert!(secs.iter().all(|t| t.is_finite()), "{secs:?}");
         assert_eq!(secs, [MAX_LOG_SECS.exp(); 4]);
-    }
-}
-
-/// Error returned when loading serialized weights fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadWeightsError {
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for LoadWeightsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cannot load model weights: {}", self.message)
-    }
-}
-
-impl std::error::Error for LoadWeightsError {}
-
-impl RuntimePredictor {
-    /// Serialize all trainable parameters as a plain-text document
-    /// (architecture header + one line of numbers per tensor). Optimizer
-    /// state is not saved; a loaded model predicts but restarts Adam if
-    /// trained further.
-    #[must_use]
-    pub fn save_weights(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let dims: Vec<String> = self.config.gcn_dims.iter().map(|d| d.to_string()).collect();
-        let _ = writeln!(out, "gcn-runtime-predictor v1");
-        let _ = writeln!(out, "gcn_dims {}", dims.join(" "));
-        let _ = writeln!(out, "fc_dim {}", self.config.fc_dim);
-        let mut dump = |label: &str, m: &Matrix| {
-            let _ = write!(out, "{label} {} {}", m.rows(), m.cols());
-            for v in m.data() {
-                let _ = write!(out, " {v:e}");
-            }
-            let _ = writeln!(out);
-        };
-        for (i, layer) in self.gcn.iter().enumerate() {
-            dump(&format!("gcn{i}.w"), &layer.w);
-            dump(&format!("gcn{i}.b"), &layer.b);
-        }
-        dump("fc.w", &self.fc.w);
-        dump("fc.bias", &self.fc.bias);
-        dump("head.w", &self.head.w);
-        dump("head.bias", &self.head.bias);
-        out
-    }
-
-    /// Load parameters produced by [`RuntimePredictor::save_weights`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadWeightsError`] on version/shape mismatches or
-    /// unparsable numbers.
-    pub fn load_weights(text: &str) -> Result<Self, LoadWeightsError> {
-        let mut lines = text.lines();
-        let config = parse_header(&mut lines)?;
-        let mut model = Self::new(&config, 0);
-        let mut matrix = |expect: &str| tensor_line(&mut lines, expect);
-        for i in 0..model.gcn.len() {
-            model.gcn[i].w = matrix(&format!("gcn{i}.w"))?;
-            model.gcn[i].b = matrix(&format!("gcn{i}.b"))?;
-        }
-        model.fc.w = matrix("fc.w")?;
-        model.fc.bias = matrix("fc.bias")?;
-        model.head.w = matrix("head.w")?;
-        model.head.bias = matrix("head.bias")?;
-        Ok(model)
-    }
-}
-
-fn err(message: &str) -> LoadWeightsError {
-    LoadWeightsError { message: message.to_owned() }
-}
-
-/// Parse the three header lines a weight document opens with —
-/// `gcn-runtime-predictor v1`, `gcn_dims ..`, `fc_dim ..` — into the
-/// architecture.
-fn parse_header(lines: &mut std::str::Lines<'_>) -> Result<ModelConfig, LoadWeightsError> {
-    if lines.next() != Some("gcn-runtime-predictor v1") {
-        return Err(err("unknown header"));
-    }
-    let dims_line = lines.next().ok_or_else(|| err("missing gcn_dims"))?;
-    let gcn_dims: Vec<usize> = dims_line
-        .strip_prefix("gcn_dims ")
-        .ok_or_else(|| err("bad gcn_dims line"))?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|_| err("bad dim")))
-        .collect::<Result<_, _>>()?;
-    let fc_line = lines.next().ok_or_else(|| err("missing fc_dim"))?;
-    let fc_dim: usize = fc_line
-        .strip_prefix("fc_dim ")
-        .ok_or_else(|| err("bad fc_dim line"))?
-        .trim()
-        .parse()
-        .map_err(|_| err("bad fc_dim"))?;
-    // Validate the architecture before building it: an empty layer
-    // list would panic `RuntimePredictor::new`, and absurd widths would
-    // try to allocate the product — both must surface as typed errors.
-    const MAX_DIM: usize = 1 << 16;
-    if gcn_dims.is_empty() {
-        return Err(err("gcn_dims is empty"));
-    }
-    if gcn_dims.iter().any(|&d| d == 0 || d > MAX_DIM) || fc_dim == 0 || fc_dim > MAX_DIM {
-        return Err(err("layer width out of range"));
-    }
-    Ok(ModelConfig { gcn_dims, fc_dim })
-}
-
-/// Take the next tensor line: check its label is `expect`, read its
-/// `rows cols` shape, then parse the values and check their count
-/// against that shape.
-fn tensor_line(lines: &mut std::str::Lines<'_>, expect: &str) -> Result<Matrix, LoadWeightsError> {
-    let line = lines.next().ok_or_else(|| err("missing tensor"))?;
-    let mut tok = line.split_whitespace();
-    let label = tok.next().ok_or_else(|| err("missing label"))?;
-    if label != expect {
-        return Err(err(&format!("expected tensor `{expect}`, found `{label}`")));
-    }
-    let rows: usize = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad rows"))?;
-    let cols: usize = tok.next().and_then(|t| t.parse().ok()).ok_or_else(|| err("bad cols"))?;
-    let data: Vec<f64> = tok.map(finite).collect::<Result<_, _>>()?;
-    if data.len() != rows.checked_mul(cols).ok_or_else(|| err("tensor shape overflows"))? {
-        return Err(err("value count mismatch"));
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
-}
-
-/// One float weight. `"NaN"` and `"inf"` parse as valid f64s, but a
-/// snapshot carrying them is corrupt: reject at load time instead of
-/// letting them poison serving.
-fn finite(token: &str) -> Result<f64, LoadWeightsError> {
-    match token.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        Ok(_) => Err(err("non-finite value")),
-        Err(_) => Err(err("bad value")),
     }
 }
 

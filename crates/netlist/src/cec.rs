@@ -319,6 +319,80 @@ impl Dpll {
     }
 }
 
+/// Convert a gate-level netlist back into an AIG (combinational view:
+/// DFFs pass their data input through, matching
+/// [`crate::Netlist::simulate`]). Enables SAT-based verification of a
+/// mapped netlist against its source AIG.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::CombinationalCycle`] for cyclic designs and
+/// [`NetlistError::Undriven`] for nets without a driver.
+pub fn netlist_to_aig(netlist: &crate::Netlist) -> Result<Aig, NetlistError> {
+    use eda_cloud_tech::CellKind;
+
+    for net in netlist.nets() {
+        if net.driver.is_none() {
+            return Err(NetlistError::Undriven(net.name.clone()));
+        }
+    }
+    let order = netlist.topological_cells()?;
+    let mut aig = Aig::new(netlist.name());
+    let mut net_lit: Vec<Option<Lit>> = vec![None; netlist.net_count()];
+    for &net in netlist.primary_inputs() {
+        net_lit[net as usize] = Some(aig.add_pi());
+    }
+    // DFF outputs are sources in the combinational view but still carry
+    // their data input's function per Netlist::simulate; process cells
+    // in topological order (sequential cells first have in-degree 0 in
+    // that order only for their *consumers*, so resolve DFFs by passing
+    // the input literal through when available, otherwise treating the
+    // output as a fresh PI is NOT done — simulate() evaluates them
+    // in-order too, so the data literal is always resolved first for
+    // acyclic-through-register designs handled here).
+    for &cid in &order {
+        let cell = &netlist.cells()[cid as usize];
+        let arity = cell.kind.input_count();
+        let mut ins = Vec::with_capacity(arity);
+        for &inet in cell.inputs.iter().take(arity) {
+            let lit = net_lit[inet as usize].unwrap_or(Lit::FALSE);
+            ins.push(lit);
+        }
+        let out = match cell.kind {
+            CellKind::Tie0 => Lit::FALSE,
+            CellKind::Tie1 => Lit::TRUE,
+            CellKind::Inv => !ins[0],
+            CellKind::Buf | CellKind::Dff => ins[0],
+            CellKind::And2 => aig.and2(ins[0], ins[1]),
+            CellKind::Nand2 => !aig.and2(ins[0], ins[1]),
+            CellKind::Nand3 => {
+                let t = aig.and2(ins[0], ins[1]);
+                !aig.and2(t, ins[2])
+            }
+            CellKind::Nor2 => !aig.or2(ins[0], ins[1]),
+            CellKind::Or2 => aig.or2(ins[0], ins[1]),
+            CellKind::Xor2 => aig.xor2(ins[0], ins[1]),
+            CellKind::Xnor2 => aig.xnor2(ins[0], ins[1]),
+            CellKind::Aoi21 => {
+                let t = aig.and2(ins[0], ins[1]);
+                !aig.or2(t, ins[2])
+            }
+            CellKind::Oai21 => {
+                let t = aig.or2(ins[0], ins[1]);
+                !aig.and2(t, ins[2])
+            }
+            CellKind::Mux2 => aig.mux2(ins[2], ins[1], ins[0]),
+            CellKind::Maj3 => aig.maj3(ins[0], ins[1], ins[2]),
+        };
+        net_lit[cell.output as usize] = Some(out);
+    }
+    for (name, net) in netlist.primary_outputs() {
+        let lit = net_lit[*net as usize].ok_or(NetlistError::Undriven(name.clone()))?;
+        aig.add_po(name.clone(), lit);
+    }
+    Ok(aig)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,80 +514,6 @@ mod tests {
             CecResult::Equivalent
         );
     }
-}
-
-/// Convert a gate-level netlist back into an AIG (combinational view:
-/// DFFs pass their data input through, matching
-/// [`crate::Netlist::simulate`]). Enables SAT-based verification of a
-/// mapped netlist against its source AIG.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] for cyclic designs and
-/// [`NetlistError::Undriven`] for nets without a driver.
-pub fn netlist_to_aig(netlist: &crate::Netlist) -> Result<Aig, NetlistError> {
-    use eda_cloud_tech::CellKind;
-
-    for net in netlist.nets() {
-        if net.driver.is_none() {
-            return Err(NetlistError::Undriven(net.name.clone()));
-        }
-    }
-    let order = netlist.topological_cells()?;
-    let mut aig = Aig::new(netlist.name());
-    let mut net_lit: Vec<Option<Lit>> = vec![None; netlist.net_count()];
-    for &net in netlist.primary_inputs() {
-        net_lit[net as usize] = Some(aig.add_pi());
-    }
-    // DFF outputs are sources in the combinational view but still carry
-    // their data input's function per Netlist::simulate; process cells
-    // in topological order (sequential cells first have in-degree 0 in
-    // that order only for their *consumers*, so resolve DFFs by passing
-    // the input literal through when available, otherwise treating the
-    // output as a fresh PI is NOT done — simulate() evaluates them
-    // in-order too, so the data literal is always resolved first for
-    // acyclic-through-register designs handled here).
-    for &cid in &order {
-        let cell = &netlist.cells()[cid as usize];
-        let arity = cell.kind.input_count();
-        let mut ins = Vec::with_capacity(arity);
-        for &inet in cell.inputs.iter().take(arity) {
-            let lit = net_lit[inet as usize].unwrap_or(Lit::FALSE);
-            ins.push(lit);
-        }
-        let out = match cell.kind {
-            CellKind::Tie0 => Lit::FALSE,
-            CellKind::Tie1 => Lit::TRUE,
-            CellKind::Inv => !ins[0],
-            CellKind::Buf | CellKind::Dff => ins[0],
-            CellKind::And2 => aig.and2(ins[0], ins[1]),
-            CellKind::Nand2 => !aig.and2(ins[0], ins[1]),
-            CellKind::Nand3 => {
-                let t = aig.and2(ins[0], ins[1]);
-                !aig.and2(t, ins[2])
-            }
-            CellKind::Nor2 => !aig.or2(ins[0], ins[1]),
-            CellKind::Or2 => aig.or2(ins[0], ins[1]),
-            CellKind::Xor2 => aig.xor2(ins[0], ins[1]),
-            CellKind::Xnor2 => aig.xnor2(ins[0], ins[1]),
-            CellKind::Aoi21 => {
-                let t = aig.and2(ins[0], ins[1]);
-                !aig.or2(t, ins[2])
-            }
-            CellKind::Oai21 => {
-                let t = aig.or2(ins[0], ins[1]);
-                !aig.and2(t, ins[2])
-            }
-            CellKind::Mux2 => aig.mux2(ins[2], ins[1], ins[0]),
-            CellKind::Maj3 => aig.maj3(ins[0], ins[1], ins[2]),
-        };
-        net_lit[cell.output as usize] = Some(out);
-    }
-    for (name, net) in netlist.primary_outputs() {
-        let lit = net_lit[*net as usize].ok_or(NetlistError::Undriven(name.clone()))?;
-        aig.add_po(name.clone(), lit);
-    }
-    Ok(aig)
 }
 
 #[cfg(test)]

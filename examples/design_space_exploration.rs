@@ -11,8 +11,9 @@
 //! cargo run --example design_space_exploration --release
 //! ```
 
-use eda_cloud::cloud::{Catalog, Provisioner, SpotMarket};
+use eda_cloud::cloud::{Catalog, SpotMarket};
 use eda_cloud::core::report::render_table;
+use eda_cloud::fleet::BOOT_SECS;
 use eda_cloud::flow::{ExecContext, Recipe, StageKind, Synthesizer};
 use eda_cloud::netlist::generators;
 use eda_cloud::tech::Library;
@@ -53,9 +54,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     // the recipe sweep; wall-clock is the slowest slice, cost is the sum
     // of per-second-billed VMs (boot time included).
     let total_job_secs: f64 = results.iter().map(|r| r.1).sum();
+    let pricing = catalog.pricing();
     let mut rows = Vec::new();
     for fleet in [1usize, 2, 4, 8] {
-        let mut cloud = Provisioner::new(*catalog.pricing());
         // Round-robin the recipes over the fleet.
         let mut slices = vec![0.0f64; fleet];
         for (i, r) in results.iter().enumerate() {
@@ -64,14 +65,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut cost = 0.0;
         let mut wall: f64 = 0.0;
         for &slice in &slices {
-            let vm = cloud.launch(instance.clone());
-            let record = cloud.run_job(vm, slice)?;
-            cost += record.cost_usd;
-            wall = wall.max(slice + 30.0); // boot
+            cost += pricing.cost_usd(instance, slice + BOOT_SECS);
+            wall = wall.max(slice + BOOT_SECS);
         }
-        let spot = catalog
-            .pricing()
-            .expected_spot_cost_usd(instance, total_job_secs / fleet as f64, &SpotMarket::typical())
+        let per_vm = total_job_secs / fleet as f64;
+        let spot = pricing.cost_usd(instance, per_vm)
+            * pricing.expected_spot_multiplier(per_vm, &SpotMarket::typical())
             * fleet as f64;
         rows.push(vec![
             format!("{fleet}"),

@@ -10,7 +10,7 @@
 //! * [`netlist`] — AIG / netlist substrate and benchmark generators.
 //! * [`flow`] — synthesis, placement, routing, and STA engines.
 //! * [`perf`] — performance-counter and machine-execution models.
-//! * [`cloud`] — instance catalog, pricing, provisioning.
+//! * [`cloud`] — instance catalog and pricing.
 //! * [`engine`] — deterministic discrete-event substrate: the
 //!   `(time, seq)` event heap, checked simulated-time arithmetic,
 //!   sharded multi-region simulation with a conservative lookahead

@@ -89,3 +89,32 @@ fn golden_report_for_seed_7() {
     assert!(spot.total_cost_usd < 0.5 * on_demand.total_cost_usd);
     common::assert_golden(&spot.to_json(), "golden/fleet_report.json");
 }
+
+/// The fleet bills pinned by bits, on demand and on spot: the reports
+/// print six decimals, so a refactor of the billing path that moves a
+/// total by one ULP would pass every golden. The 2 000-job on-demand
+/// run keeps the warm pool and its idle reaps busy.
+#[test]
+fn fleet_bills_are_bit_identical() {
+    let workflow = Workflow::with_defaults();
+    for (jobs, seed, on_demand_bits, spot_bits) in [
+        (50, 7, 0x4032_2611_a3de_07ce_u64, 0x4015_bbd1_02bc_72e2_u64),
+        (2000, 11, 0x4087_ce69_4626_9c94, 0x406b_a591_063b_3bd7),
+    ] {
+        let on_demand = workflow.simulate_fleet(&FleetScenario::new(jobs, seed)).expect("runs");
+        let spot = workflow
+            .simulate_fleet(&FleetScenario::new(jobs, seed).with_spot(SpotPolicy::typical()))
+            .expect("runs");
+        for (label, total, bits) in [
+            ("on-demand", on_demand.total_cost_usd, on_demand_bits),
+            ("spot", spot.total_cost_usd, spot_bits),
+        ] {
+            assert_eq!(
+                total.to_bits(),
+                bits,
+                "{jobs} jobs, seed {seed}, {label}: total {total} is {:#x}",
+                total.to_bits()
+            );
+        }
+    }
+}
