@@ -315,11 +315,6 @@ fn parse_pl(
 }
 
 impl BookshelfDesign {
-    /// Number of pins across all nets.
-    pub fn pin_count(&self) -> usize {
-        self.nets.iter().map(|n| n.pins.len()).sum()
-    }
-
     /// Largest net degree (0 when there are no nets).
     pub fn max_degree(&self) -> usize {
         self.nets.iter().map(|n| n.pins.len()).max().unwrap_or(0)
@@ -333,7 +328,8 @@ impl BookshelfDesign {
     /// area from `width * height`.
     pub fn to_graph(&self) -> DesignGraph {
         let n = self.nodes.len();
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(self.pin_count());
+        let pins = self.nets.iter().map(|n| n.pins.len()).sum();
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(pins);
         let mut fanin = vec![0usize; n];
         let mut fanout = vec![0usize; n];
         for net in &self.nets {
@@ -418,7 +414,7 @@ a0 4 2 : N
         let d = parse_bookshelf("tiny", TINY).expect("parses");
         assert_eq!(d.nodes.len(), 4);
         assert_eq!(d.nets.len(), 2);
-        assert_eq!(d.pin_count(), 5);
+        assert_eq!(d.nets.iter().map(|n| n.pins.len()).sum::<usize>(), 5);
         assert_eq!(d.max_degree(), 3);
         assert!(d.nodes[0].terminal);
         assert_eq!(d.nodes[0].position, Some((0.0, 0.0)));

@@ -3,7 +3,7 @@
 //!
 //! One call to [`FrontDoor::ingest_doc`] takes an untrusted
 //! [`UploadDoc`] through byte quotas → parse → validate → size quotas
-//! → canonicalize → featurize → OOD score, producing a byte-stable
+//! → canonical order → featurize → OOD score, producing a byte-stable
 //! [`IngestReport`] and a servable [`ServeDesign`]. The design's
 //! fingerprint is computed under a constant internal name, so it
 //! depends only on the canonical structure — two uploads of the same
@@ -13,10 +13,10 @@ use crate::blif::parse_blif;
 use crate::bookshelf::parse_bookshelf;
 use crate::error::IngestError;
 use crate::ood::OodGate;
-use crate::pipeline::{canonicalize_with_depth, validate, IngestQuotas, IngestReport};
+use crate::pipeline::{canonical_order, validate, IngestQuotas, IngestReport};
 use crate::verilog::parse_verilog;
 use eda_cloud_gcn::{FeatureProfile, GraphSample};
-use eda_cloud_netlist::DesignGraph;
+use eda_cloud_netlist::{DesignGraph, Netlist};
 use eda_cloud_serve::{design_pool, IngestOutcome, IngestSummary, Ingestor, ServeDesign, UploadDoc};
 use eda_cloud_tech::Library;
 use std::sync::Arc;
@@ -133,23 +133,24 @@ impl FrontDoor {
     }
 
     /// Validate, size-check, canonicalize, and featurize a parsed
-    /// netlist (BLIF and Verilog share this tail).
-    fn netlist_shape(&self, nl: eda_cloud_netlist::Netlist) -> Result<Shape, IngestError> {
+    /// netlist (BLIF and Verilog share this tail). Canonicalization
+    /// yields an order, not a renamed netlist: the graph is built from
+    /// `nl` in that order, equal to the graph of the rebuilt netlist.
+    fn netlist_shape(&self, nl: Netlist) -> Result<Shape, IngestError> {
         validate(&nl)?;
         let nodes =
             (nl.cell_count() + nl.primary_inputs().len() + nl.primary_outputs().len()) as u64;
         let degree = nl.nets().iter().map(|n| n.sinks.len()).max().unwrap_or(0) as u64;
         self.config.quotas.check_graph(nodes, degree)?;
-        let (canon, depth) = canonicalize_with_depth(&nl, &self.lib)?;
-        let registers =
-            canon.cells().iter().filter(|c| c.kind.is_sequential()).count() as u64;
+        let (order, level) = canonical_order(&nl)?;
+        let registers = nl.cells().iter().filter(|c| c.kind.is_sequential()).count() as u64;
         Ok(Shape {
-            graph: DesignGraph::from_netlist(&canon),
-            pis: canon.primary_inputs().len() as u64,
-            pos: canon.primary_outputs().len() as u64,
-            cells: canon.cell_count() as u64,
+            graph: DesignGraph::from_netlist_in_order(&nl, &order, &level),
+            pis: nl.primary_inputs().len() as u64,
+            pos: nl.primary_outputs().len() as u64,
+            cells: nl.cell_count() as u64,
             registers,
-            depth: depth as u64,
+            depth: u64::from(level.iter().copied().max().unwrap_or(0)),
         })
     }
 }
@@ -182,6 +183,7 @@ impl Ingestor for FrontDoor {
 mod tests {
     use super::*;
     use crate::fixtures;
+    use eda_cloud_netlist::NetSink;
 
     fn door() -> FrontDoor {
         FrontDoor::with_pool_profile(FrontDoorConfig::default())
@@ -252,6 +254,62 @@ mod tests {
         };
         let e = FrontDoor::with_pool_profile(roomy).ingest_doc(&doc).unwrap_err();
         assert!(matches!(e, IngestError::Quota { what: "nodes", .. }), "{e}");
+    }
+
+    /// Differential: the in-order graph against the path it replaced —
+    /// the netlist rebuilt under canonical names, then featurized —
+    /// over every netlist `validate` accepts among the fixtures, the
+    /// mutants and 200 soups of `corpus::texts()`, and all 500
+    /// `gate_soup` seeds as built and as written to BLIF and Verilog.
+    #[test]
+    fn the_in_order_graph_is_the_rebuilt_netlists_graph() {
+        use crate::upload_gen::gate_soup;
+        use crate::{blif::parse_blif, pipeline::canonicalize, verilog::parse_verilog};
+        use eda_cloud_netlist::formats::{write_blif, write_verilog};
+        let (door, lib) = (door(), Library::synthetic_14nm());
+        let (mut checked, mut shared_nets) = (0, 0);
+        let mut check = |nl: Netlist, what: &dyn std::fmt::Debug| {
+            if validate(&nl).is_err() {
+                return;
+            }
+            let canon = canonicalize(&nl, &lib).expect("validated netlists canonicalize");
+            let oracle = DesignGraph::from_netlist(&canon);
+            // A net feeding both cells and POs is where the sink order shows.
+            let mixed = |net: &eda_cloud_netlist::Net| {
+                let po = |s: &NetSink| matches!(s, NetSink::PrimaryOutput(_));
+                net.sinks.iter().any(po) && !net.sinks.iter().all(po)
+            };
+            shared_nets += canon.nets().iter().filter(|n| mixed(n)).count();
+            let registers = canon.cells().iter().filter(|c| c.kind.is_sequential()).count();
+            let shape = door.netlist_shape(nl).expect("validated netlists pass the quotas");
+            assert!(shape.graph == oracle, "{what:?}");
+            let bits =
+                |g: &DesignGraph| g.features().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&shape.graph), bits(&oracle), "{what:?}");
+            assert_eq!(shape.depth, canon.depth() as u64, "{what:?}");
+            let counts = [canon.primary_inputs().len(), canon.primary_outputs().len()];
+            let counts = [counts[0], counts[1], canon.cell_count(), registers].map(|n| n as u64);
+            assert_eq!([shape.pis, shape.pos, shape.cells, shape.registers], counts, "{what:?}");
+            checked += 1;
+        };
+        for text in crate::corpus::texts() {
+            for nl in parse_blif(&text, &lib).into_iter().flatten() {
+                check(nl, &text);
+            }
+            if let Ok(nl) = parse_verilog(&text, &lib) {
+                check(nl, &text);
+            }
+        }
+        for seed in 0..500 {
+            let nl = gate_soup(seed);
+            let blif = parse_blif(&write_blif(&nl, &lib), &lib).expect("soup BLIF parses");
+            let verilog = parse_verilog(&write_verilog(&nl, &lib), &lib).expect("soup parses");
+            check(nl, &seed);
+            check(blif.into_iter().next().expect("one model"), &seed);
+            check(verilog, &seed);
+        }
+        assert!(checked > 25_000, "{checked} netlists validated");
+        assert!(shared_nets > 0, "no net fed both cells and POs");
     }
 
     #[test]

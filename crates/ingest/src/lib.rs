@@ -17,9 +17,11 @@
 //!    ([`pipeline::validate`]).
 //! 3. **Quota** — byte ceilings before parsing, node/degree ceilings
 //!    after, each rejection typed ([`IngestQuotas`]).
-//! 4. **Canonicalize** — deterministic structural renaming so
+//! 4. **Canonicalize** — a deterministic structural cell order, in
+//!    which the GCN graph is built straight from the parsed netlist, so
 //!    layout-identical uploads yield byte-identical artifacts and
-//!    name-independent fingerprints ([`pipeline::canonicalize`]).
+//!    name-independent fingerprints ([`pipeline::canonicalize`] rebuilds
+//!    the netlist under that order's names).
 //! 5. **Score** — an OOD gate measuring each graph against the
 //!    training-corpus feature profile in integer micros ([`OodGate`]);
 //!    flagged designs are served but surfaced in `ServeReport`.

@@ -9,16 +9,18 @@
 //!    lints the builder cannot catch.
 //! 4. **Size quotas** — node count and max net degree after parsing,
 //!    so a hostile upload cannot smuggle a huge graph past admission.
-//! 5. **Canonicalize** — deterministic structural renaming so two
+//! 5. **Canonicalize** — a deterministic structural cell order, so two
 //!    uploads of the same circuit under different names produce
-//!    byte-identical downstream artifacts.
+//!    byte-identical downstream artifacts. The front door builds the
+//!    GCN graph in that order; [`canonicalize`] rebuilds the netlist
+//!    under it.
 //!
 //! Every rejection is a typed [`IngestError`]; nothing in this module
 //! panics on user input.
 
 use crate::error::IngestError;
 use crate::text::numbered;
-use eda_cloud_netlist::{NetDriver, NetId, Netlist};
+use eda_cloud_netlist::{CellId, NetDriver, NetId, Netlist};
 use eda_cloud_tech::{CellKind, Library};
 use eda_cloud_trace::json::escape;
 use std::collections::HashMap;
@@ -120,25 +122,19 @@ pub fn validate(nl: &Netlist) -> Result<(), IngestError> {
 /// order — sorted by `(logic level, master, fanin count, fanout,
 /// original index)` — and POs become `o{i}` (interface order). Must be
 /// called after [`validate`]; the cell order is build-safe because all
-/// nets are created before any cell claims its driver slot.
+/// nets are created before any cell claims its driver slot. The front
+/// door never rebuilds: it reads the order and builds the GCN graph
+/// from `nl` directly ([`DesignGraph::from_netlist_in_order`]).
 ///
 /// # Errors
 ///
 /// Returns [`IngestError::Validation`] if the netlist has a
 /// combinational cycle (callers running [`validate`] first never see
 /// this).
+///
+/// [`DesignGraph::from_netlist_in_order`]: eda_cloud_netlist::DesignGraph::from_netlist_in_order
 pub fn canonicalize(nl: &Netlist, lib: &Library) -> Result<Netlist, IngestError> {
-    canonicalize_with_depth(nl, lib).map(|(canon, _)| canon)
-}
-
-/// [`canonicalize`], plus the combinational depth it computes on the
-/// way — the [`Netlist::depth`] of both `nl` and the result.
-pub(crate) fn canonicalize_with_depth(
-    nl: &Netlist,
-    lib: &Library,
-) -> Result<(Netlist, usize), IngestError> {
-    let level = levels(nl)?;
-    let order = structural_order(nl, &level);
+    let (order, _) = canonical_order(nl)?;
     let mut out = Netlist::new(nl.name(), lib.name());
     let mut net_map: Vec<NetId> = vec![NetId::MAX; nl.nets().len()];
     for (i, &pi) in nl.primary_inputs().iter().enumerate() {
@@ -162,7 +158,19 @@ pub(crate) fn canonicalize_with_depth(
     for (i, (_, net)) in nl.primary_outputs().iter().enumerate() {
         out.add_output(numbered("o", i), net_map[*net as usize]);
     }
-    Ok((out, level.iter().copied().max().unwrap_or(0) as usize))
+    Ok(out)
+}
+
+/// The structural order [`canonicalize`] numbers cells in, and every
+/// cell's logic level (indexed by [`CellId`]): one topological sort and
+/// one sort of integer keys.
+///
+/// # Errors
+///
+/// As [`canonicalize`].
+pub(crate) fn canonical_order(nl: &Netlist) -> Result<(Vec<CellId>, Vec<u32>), IngestError> {
+    let level = levels(nl)?;
+    Ok((structural_order(nl, &level), level))
 }
 
 /// Combinational logic level of every cell, as in [`Netlist::depth`].
@@ -190,7 +198,7 @@ fn levels(nl: &Netlist) -> Result<Vec<u32>, IngestError> {
 /// The sort compares one integer per cell: a master's rank among the
 /// distinct master names orders exactly as the names themselves do, so
 /// it stands in for the string, and the index makes every key distinct.
-fn structural_order(nl: &Netlist, level: &[u32]) -> Vec<u32> {
+fn structural_order(nl: &Netlist, level: &[u32]) -> Vec<CellId> {
     let mut first_seen: HashMap<&str, u32> = HashMap::new();
     let master_of: Vec<u32> = (nl.cells().iter())
         .map(|cell| {

@@ -6,7 +6,7 @@
 //! from the driving cell (or input pin) to each sink (or output pin).
 
 use crate::aig::{Aig, AigNode};
-use crate::netlist::{NetDriver, NetSink, Netlist};
+use crate::netlist::{CellId, NetDriver, NetId, NetSink, Netlist};
 
 /// Number of per-node input features produced by the converters.
 pub const FEATURE_DIM: usize = 10;
@@ -156,8 +156,6 @@ impl DesignGraph {
     pub fn from_netlist(netlist: &Netlist) -> Self {
         let n_cells = netlist.cell_count();
         let n_pis = netlist.primary_inputs().len();
-        let n_pos = netlist.primary_outputs().len();
-        let n = n_cells + n_pis + n_pos;
         // Node numbering: cells, then PI ports, then PO ports.
         let pi_node = |k: usize| (n_cells + k) as u32;
         let po_node = |k: usize| (n_cells + n_pis + k) as u32;
@@ -177,60 +175,106 @@ impl DesignGraph {
                 edges.push((from, to));
             }
         }
+        Self::star(netlist, |i| i, &levels(netlist), &edges)
+    }
 
-        // Per-cell levels for the depth feature.
-        let depth = netlist.depth().max(1) as f64;
-        let mut level = vec![0usize; n_cells];
-        if let Ok(order) = netlist.topological_cells() {
-            for &cid in &order {
-                let cell = &netlist.cells()[cid as usize];
-                if cell.kind.is_sequential() {
-                    continue;
-                }
-                let mut l = 1;
-                for &inet in &cell.inputs {
-                    if let Some(NetDriver::Cell(d)) = netlist.nets()[inet as usize].driver {
-                        if !netlist.cells()[d as usize].kind.is_sequential() {
-                            l = l.max(level[d as usize] + 1);
-                        }
-                    }
-                }
-                level[cid as usize] = l;
+    /// [`DesignGraph::from_netlist`] of `netlist` rebuilt with its cells
+    /// in `order`, without rebuilding it: node `i` is cell `order[i]`,
+    /// then come the PI ports, then the PO ports. Nets are enumerated
+    /// PI nets first, then each cell's output net in `order`; a net's
+    /// sinks are ordered by (position in `order`, pin), then POs by
+    /// index — where the rebuilt netlist's builder would have put them.
+    /// `level` is every cell's logic level, indexed by [`CellId`], as
+    /// [`Netlist::depth`] computes it.
+    ///
+    /// Every net must be driven ([`Netlist::check`]) and `order` must
+    /// be a permutation of the cells.
+    #[must_use]
+    pub fn from_netlist_in_order(netlist: &Netlist, order: &[CellId], level: &[u32]) -> Self {
+        let (cells, nets) = (netlist.cells(), netlist.nets());
+        let n_cells = netlist.cell_count();
+        let pi_node = |k: usize| (n_cells + k) as u32;
+        let po_node = |k: usize| (n_cells + netlist.primary_inputs().len() + k) as u32;
+        // Each net's sink nodes in the rebuilt order, one run per net:
+        // `at[net]` starts at the run's first slot and ends past its last.
+        let mut at = Vec::with_capacity(nets.len());
+        let mut total = 0;
+        for net in nets {
+            at.push(total);
+            total += net.sinks.len();
+        }
+        let mut sinks = vec![0u32; total];
+        let mut place = |net: NetId, node: u32| {
+            let slot = &mut at[net as usize];
+            sinks[*slot] = node;
+            *slot += 1;
+        };
+        for (rank, &c) in order.iter().enumerate() {
+            for &net in &cells[c as usize].inputs {
+                place(net, rank as u32);
             }
         }
+        for (k, &(_, net)) in netlist.primary_outputs().iter().enumerate() {
+            place(net, po_node(k));
+        }
+        let run = |net: NetId| {
+            let end = at[net as usize];
+            &sinks[end - nets[net as usize].sinks.len()..end]
+        };
+        let pis = netlist.primary_inputs().iter().enumerate().map(|(k, &net)| (net, pi_node(k)));
+        let outs =
+            order.iter().enumerate().map(|(rank, &c)| (cells[c as usize].output, rank as u32));
+        let mut edges = Vec::with_capacity(total);
+        for (net, from) in pis.chain(outs) {
+            edges.extend(run(net).iter().map(|&to| (from, to)));
+        }
+        Self::star(netlist, |i| order[i] as usize, level, &edges)
+    }
+
+    /// Featurize a star-model graph whose node `i < cell_count` is cell
+    /// `cell_at(i)`, at `level[cell_at(i)]`, followed by the PI ports and
+    /// then the PO ports; `edges` run from driver node to sink node.
+    fn star(
+        netlist: &Netlist,
+        cell_at: impl Fn(usize) -> usize,
+        level: &[u32],
+        edges: &[(u32, u32)],
+    ) -> Self {
+        let n_cells = netlist.cell_count();
+        let n_pis = netlist.primary_inputs().len();
+        let n = n_cells + n_pis + netlist.primary_outputs().len();
+        let depth = f64::from(level.iter().copied().max().unwrap_or(0).max(1));
         let mut fanout = vec![0u32; n];
-        for &(from, _) in &edges {
+        for &(from, _) in edges {
             fanout[from as usize] += 1;
         }
 
         let max_area = 2.0; // µm², roughly the largest master in synth14
         let mut features = vec![NodeFeatures([0.0; FEATURE_DIM]); n];
-        for (i, cell) in netlist.cells().iter().enumerate() {
-            let f = &mut features[i].0;
-            f[2] = if cell.kind.is_sequential() { 0.0 } else { 1.0 };
-            f[3] = if cell.kind.is_sequential() { 1.0 } else { 0.0 };
-            f[4] = cell.inputs.len() as f64 / 4.0;
-            f[5] = (1.0 + f64::from(fanout[i])).ln();
-            f[6] = level[i] as f64 / depth;
-            // Relative drive strength from the master name suffix.
-            f[7] = if cell.cell_name.ends_with("X2") { 1.0 } else { 0.5 };
-            f[8] = (0.2 + 0.1 * cell.inputs.len() as f64) / max_area;
+        for (i, node) in features.iter_mut().enumerate() {
+            let f = &mut node.0;
             f[9] = 1.0;
+            if i < n_cells {
+                let c = cell_at(i);
+                let cell = &netlist.cells()[c];
+                f[2] = if cell.kind.is_sequential() { 0.0 } else { 1.0 };
+                f[3] = if cell.kind.is_sequential() { 1.0 } else { 0.0 };
+                f[4] = cell.inputs.len() as f64 / 4.0;
+                f[5] = (1.0 + f64::from(fanout[i])).ln();
+                f[6] = f64::from(level[c]) / depth;
+                // Relative drive strength from the master name suffix.
+                f[7] = if cell.cell_name.ends_with("X2") { 1.0 } else { 0.5 };
+                f[8] = (0.2 + 0.1 * cell.inputs.len() as f64) / max_area;
+            } else if i < n_cells + n_pis {
+                f[0] = 1.0;
+                f[5] = (1.0 + f64::from(fanout[i])).ln();
+            } else {
+                f[1] = 1.0;
+                f[4] = 0.25;
+                f[6] = 1.0;
+            }
         }
-        for k in 0..n_pis {
-            let f = &mut features[pi_node(k) as usize].0;
-            f[0] = 1.0;
-            f[5] = (1.0 + f64::from(fanout[pi_node(k) as usize])).ln();
-            f[9] = 1.0;
-        }
-        for k in 0..n_pos {
-            let f = &mut features[po_node(k) as usize].0;
-            f[1] = 1.0;
-            f[4] = 0.25;
-            f[6] = 1.0;
-            f[9] = 1.0;
-        }
-        Self::from_edges(netlist.name().to_owned(), n, &edges, features)
+        Self::from_edges(netlist.name().to_owned(), n, edges, features)
     }
 
     /// Design name.
@@ -278,6 +322,30 @@ impl DesignGraph {
     pub fn features(&self) -> &[f64] {
         &self.features
     }
+}
+
+/// Combinational logic level of every cell, as [`Netlist::depth`]
+/// computes it (all zero when the netlist has a combinational cycle):
+/// one topological sort, one pass.
+fn levels(netlist: &Netlist) -> Vec<u32> {
+    let mut level = vec![0u32; netlist.cell_count()];
+    let Ok(order) = netlist.topological_cells() else { return level };
+    for cid in order {
+        let cell = &netlist.cells()[cid as usize];
+        if cell.kind.is_sequential() {
+            continue;
+        }
+        let mut l = 1;
+        for &inet in &cell.inputs {
+            if let Some(NetDriver::Cell(d)) = netlist.nets()[inet as usize].driver {
+                if !netlist.cells()[d as usize].kind.is_sequential() {
+                    l = l.max(level[d as usize] + 1);
+                }
+            }
+        }
+        level[cid as usize] = l;
+    }
+    level
 }
 
 #[cfg(test)]

@@ -291,9 +291,9 @@ impl Netlist {
                 }
             }
         }
-        let mut queue: Vec<CellId> = (0..self.cells.len() as CellId)
-            .filter(|&c| indeg[c as usize] == 0)
-            .collect();
+        // Every cell enters the queue once: size it up front.
+        let mut queue: Vec<CellId> = Vec::with_capacity(self.cells.len());
+        queue.extend((0..self.cells.len() as CellId).filter(|&c| indeg[c as usize] == 0));
         let mut order = Vec::with_capacity(self.cells.len());
         let mut head = 0;
         while head < queue.len() {

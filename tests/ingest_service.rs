@@ -202,3 +202,37 @@ fn golden_report_for_seed_7() {
         .expect("ingest run");
     common::assert_golden(&report.to_json(), "golden/ingest_report.json");
 }
+
+/// Every accepted upload's report, fingerprint and served adjacency, at
+/// the size the front door sees in service: `gate_soup` seeds 0..64
+/// written as BLIF and as Verilog, plus the fixtures. One FNV-1a digest
+/// over all of them pins the canonical order the graph is built in —
+/// node numbering, edge order and features — not just the counts the
+/// golden report carries.
+#[test]
+fn ingest_reports_are_bit_identical_at_scale() {
+    let lib = Library::synthetic_14nm();
+    let mut docs = fixtures::uploads();
+    for seed in 0..64 {
+        let nl = gate_soup(seed);
+        let texts = [("blif", write_blif(&nl, &lib)), ("verilog", write_verilog(&nl, &lib))];
+        for (format, text) in texts {
+            docs.push(UploadDoc::new(format!("soup{seed}"), format, text).into());
+        }
+    }
+    let mut bytes = Vec::new();
+    for doc in &docs {
+        let (report, design) = door()
+            .ingest_doc(doc)
+            .unwrap_or_else(|e| panic!("{} ({}) rejected: {e}", doc.name, doc.format));
+        bytes.extend_from_slice(report.to_json().as_bytes());
+        bytes.extend_from_slice(&design.fingerprint.to_le_bytes());
+        for (row, col, w) in design.netlist.a_norm.entries() {
+            bytes.extend_from_slice(&row.to_le_bytes());
+            bytes.extend_from_slice(&col.to_le_bytes());
+            bytes.extend_from_slice(&w.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(docs.len(), 5 + 128);
+    assert_eq!(eda_cloud::trace::fnv1a64(&bytes), 0xda2b_457f_497d_1613, "ingest output moved");
+}
