@@ -20,16 +20,21 @@
 //! The engine keeps its own VM table on the heap's clock: a VM bills
 //! once, when it is terminated, for its whole life from launch (boot
 //! and idle time included) at its price fraction.
+//!
+//! Instance names are resolved once per run, in the validation pass of
+//! [`FleetSimulator::run`]: each planned stage's catalog index goes into
+//! one job-major table, and from then on VMs, the warm pool and the
+//! bills work on that index — no event clones a name or scans the
+//! catalog.
 
 use crate::autoscale::{Autoscaler, MAX_IDLE_US};
 use crate::faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
 use crate::metrics::{FleetCounters, FleetReport, Samples};
 use crate::spot::{backoff_secs, SpotInjector, SpotPolicy, MAX_SPOT_ATTEMPTS};
 use crate::{FleetError, FleetJob};
-use eda_cloud_cloud::{Catalog, InstanceType};
+use eda_cloud_cloud::{Catalog, CloudError};
 use eda_cloud_engine::{time, EventHeap};
 use eda_cloud_trace::{Histogram, Span, Tracer};
-use std::collections::BTreeMap;
 
 /// Convert seconds to integer microseconds, rejecting values a
 /// saturating `as` cast would silently mangle: NaN (casts to 0),
@@ -39,10 +44,6 @@ use std::collections::BTreeMap;
 /// identical to the ones this crate used before the extraction.
 fn to_us(secs: f64) -> Result<u64, FleetError> {
     Ok(time::secs_to_us(secs)?)
-}
-
-fn to_secs(us: u64) -> f64 {
-    time::us_to_secs(us)
 }
 
 /// A planned stage runtime in microseconds, or an error when the
@@ -177,6 +178,10 @@ impl FleetSimulator {
         if config.max_stage_attempts == 0 {
             return Err(FleetError::InvalidConfig("max stage attempts must be positive"));
         }
+        let catalog = self.catalog.instances();
+        // Each planned stage's catalog index, job-major: the engine
+        // never looks a name up again.
+        let mut stage_instances = Vec::new();
         for job in jobs {
             if job.plan.stages.is_empty() {
                 return Err(FleetError::InvalidConfig("job plan has no stages"));
@@ -187,33 +192,45 @@ impl FleetSimulator {
             for stage in &job.plan.stages {
                 // Fail fast on bad instance names or runtimes that
                 // overflow the microsecond clock, before any event runs.
-                self.catalog.instance(&stage.instance)?;
+                let position = catalog.iter().position(|i| i.name == stage.instance);
+                let unknown = || CloudError::UnknownInstance(stage.instance.clone());
+                stage_instances.push(position.ok_or_else(unknown)?);
                 stage_duration_us(stage.runtime_secs)?;
             }
         }
-        Engine::new(&self.catalog, jobs, config, &self.tracer, &*self.faults)?.run()
+        Engine::new(&self.catalog, jobs, stage_instances, config, &self.tracer, &*self.faults)?
+            .run()
     }
 }
 
+/// Job and VM ids are `u32`, so a heap entry is 32 bytes. `Engine::new`
+/// and `Engine::launch` keep every id in range.
 #[derive(Debug)]
 enum Event {
     /// A job enters the system.
-    Arrival { job: usize },
+    Arrival { job: u32 },
     /// A cold-launched VM finished booting for this job's current stage.
-    VmReady { job: usize, vm: usize },
+    VmReady { job: u32, vm: u32 },
     /// The current stage ran to completion on `vm`.
-    StageDone { job: usize, vm: usize },
+    StageDone { job: u32, vm: u32 },
     /// The spot market reclaimed `vm` mid-stage.
-    Reclaim { job: usize, vm: usize },
+    Reclaim { job: u32, vm: u32 },
     /// Backoff elapsed; re-acquire capacity for the job's current stage.
-    Retry { job: usize },
+    Retry { job: u32 },
     /// A warm VM may have idled past the bound (stamp guards staleness).
-    IdleReap { vm: usize, stamp: u64 },
+    IdleReap { vm: u32, stamp: u64 },
+}
+
+/// An event id for a job or VM index that `Engine::new` or
+/// `Engine::launch` has range-checked.
+fn id(index: usize) -> u32 {
+    index as u32
 }
 
 /// One launched VM. Times are seconds on the heap's clock.
 struct Vm {
-    instance: InstanceType,
+    /// Position of its instance type in the catalog.
+    instance: usize,
     launched_at: f64,
     ready_at: f64,
     /// Price fraction: 1.0 on demand, the market's fraction on spot.
@@ -223,7 +240,8 @@ struct Vm {
 }
 
 struct JobState {
-    plan_stage_count: usize,
+    /// Where this job's stages start in `Engine::stage_instances`.
+    first_stage: usize,
     arrival_us: u64,
     deadline_secs: u64,
     /// Index of the stage currently executing (or next to acquire).
@@ -238,16 +256,17 @@ struct Engine<'a> {
     catalog: &'a Catalog,
     config: &'a FleetConfig,
     jobs: &'a [FleetJob],
+    /// The catalog index of every planned stage, job-major.
+    stage_instances: Vec<usize>,
     /// Every VM launched, indexed by id.
     vms: Vec<Vm>,
     /// The extracted deterministic event core: pops in `(time, seq)`
     /// order, seq being a monotone push counter the heap owns.
     heap: EventHeap<Event>,
     states: Vec<JobState>,
-    /// Idle booted on-demand VMs, keyed by instance name; entries are
-    /// `(vm, stamp)` reused LIFO. BTree keys keep any iteration
-    /// deterministic.
-    warm: BTreeMap<String, Vec<(usize, u64)>>,
+    /// Idle booted on-demand VMs, one bucket per catalog index; entries
+    /// are `(vm, stamp)` reused LIFO.
+    warm: Vec<Vec<(usize, u64)>>,
     warm_count: usize,
     stamp: u64,
     autoscaler: Autoscaler,
@@ -272,15 +291,22 @@ impl<'a> Engine<'a> {
     fn new(
         catalog: &'a Catalog,
         jobs: &'a [FleetJob],
+        stage_instances: Vec<usize>,
         config: &'a FleetConfig,
         tracer: &Tracer,
         faults: &'a dyn FleetFaults,
     ) -> Result<Self, FleetError> {
+        if u32::try_from(jobs.len()).is_err() {
+            return Err(FleetError::InvalidConfig("more jobs than event ids"));
+        }
+        let mut first_stage = 0;
         let states = jobs
             .iter()
             .map(|j| {
+                let first = first_stage;
+                first_stage += j.plan.stages.len();
                 Ok(JobState {
-                    plan_stage_count: j.plan.stages.len(),
+                    first_stage: first,
                     arrival_us: to_us(j.arrival_secs)?,
                     deadline_secs: j.plan.deadline_secs,
                     stage: 0,
@@ -302,10 +328,11 @@ impl<'a> Engine<'a> {
             catalog,
             config,
             jobs,
+            stage_instances,
             vms: Vec::new(),
             heap: EventHeap::new(),
             states,
-            warm: BTreeMap::new(),
+            warm: vec![Vec::new(); catalog.instances().len()],
             warm_count: 0,
             stamp: 0,
             autoscaler: Autoscaler::default(),
@@ -323,14 +350,10 @@ impl<'a> Engine<'a> {
         })
     }
 
-    fn push(&mut self, t: u64, event: Event) {
-        self.heap.push(t, event);
-    }
-
     fn run(mut self) -> Result<FleetReport, FleetError> {
         for index in 0..self.jobs.len() {
             let t = self.states[index].arrival_us;
-            self.push(t, Event::Arrival { job: index });
+            self.heap.push(t, Event::Arrival { job: id(index) });
         }
         let mut last = 0;
         while let Some((t, event)) = self.heap.pop() {
@@ -340,13 +363,13 @@ impl<'a> Engine<'a> {
                 Event::Arrival { job } => {
                     self.counters.jobs_submitted += 1;
                     self.autoscaler.record_arrival(t);
-                    self.acquire_stage_vm(job, t)?;
+                    self.acquire_stage_vm(job as usize, t)?;
                 }
-                Event::VmReady { job, vm } => self.start_execution(job, vm, t)?,
-                Event::StageDone { job, vm } => self.on_stage_done(job, vm, t)?,
-                Event::Reclaim { job, vm } => self.on_reclaim(job, vm, t)?,
-                Event::Retry { job } => self.acquire_stage_vm(job, t)?,
-                Event::IdleReap { vm, stamp } => self.on_idle_reap(vm, stamp, t),
+                Event::VmReady { job, vm } => self.start_execution(job as usize, vm as usize, t)?,
+                Event::StageDone { job, vm } => self.on_stage_done(job as usize, vm as usize, t)?,
+                Event::Reclaim { job, vm } => self.on_reclaim(job as usize, vm as usize, t)?,
+                Event::Retry { job } => self.acquire_stage_vm(job as usize, t)?,
+                Event::IdleReap { vm, stamp } => self.on_idle_reap(vm as usize, stamp, t),
             }
         }
         // Retire whatever is still unbilled at the last event time. Every
@@ -358,12 +381,6 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(self.report())
-    }
-
-    /// Whether the job's *next* attempt of its current stage runs on
-    /// spot capacity, given how many attempts it already burned.
-    fn next_attempt_on_spot(&self, state: &JobState) -> bool {
-        self.config.spot.is_some() && state.attempt < MAX_SPOT_ATTEMPTS
     }
 
     /// Acquire a VM for the job's current stage: a warm on-demand VM
@@ -380,8 +397,9 @@ impl<'a> Engine<'a> {
             self.job_spans[job].attr("exhausted_stage", state.stage);
             return Ok(());
         }
-        let on_spot = self.next_attempt_on_spot(state);
-        let instance_name = self.jobs[job].plan.stages[state.stage].instance.clone();
+        // Spot until the stage has burned its spot attempts.
+        let on_spot = self.config.spot.is_some() && state.attempt < MAX_SPOT_ATTEMPTS;
+        let instance = self.stage_instances[state.first_stage + state.stage];
         if self.config.spot.is_some() && state.attempt == MAX_SPOT_ATTEMPTS {
             self.counters.spot_fallbacks += 1;
         }
@@ -390,7 +408,8 @@ impl<'a> Engine<'a> {
         if !on_spot {
             // Spot VMs are never pooled; on-demand requests reuse warm
             // capacity when available (skipping the boot interval).
-            if let Some(vm) = self.take_warm(&instance_name) {
+            if let Some((vm, _)) = self.warm[instance].pop() {
+                self.warm_count -= 1;
                 self.counters.warm_reuses += 1;
                 self.sim_span.counter("autoscale/warm_reuses", 1);
                 self.start_execution(job, vm, now)?;
@@ -399,22 +418,24 @@ impl<'a> Engine<'a> {
             self.counters.cold_starts += 1;
             self.sim_span.counter("autoscale/cold_starts", 1);
         }
-        let instance = self.catalog.instance(&instance_name)?.clone();
-        let vm = self.launch(instance, on_spot, now);
+        let vm = self.launch(instance, on_spot, now)?;
         // The boot interval gates readiness; +1 us of slack absorbs
         // float-to-integer rounding of `ready_at`.
         let ready_secs = self.vms[vm].ready_at;
         let ready = time::checked_add_us(time::secs_to_us_ceil(ready_secs)?, 1)?;
-        self.push(ready, Event::VmReady { job, vm });
+        self.heap.push(ready, Event::VmReady { job: id(job), vm: id(vm) });
         Ok(())
     }
 
-    fn launch(&mut self, instance: InstanceType, on_spot: bool, now: u64) -> usize {
+    fn launch(&mut self, instance: usize, on_spot: bool, now: u64) -> Result<usize, FleetError> {
+        if u32::try_from(self.vms.len()).is_err() {
+            return Err(FleetError::InvalidConfig("more VMs than event ids"));
+        }
         let fraction = match (&self.config.spot, on_spot) {
             (Some(policy), true) => policy.market.price_fraction,
             _ => 1.0,
         };
-        let launched_at = to_secs(now);
+        let launched_at = time::us_to_secs(now);
         self.vms.push(Vm {
             instance,
             launched_at,
@@ -423,7 +444,7 @@ impl<'a> Engine<'a> {
             live: true,
         });
         self.counters.vms_launched += 1;
-        self.vms.len() - 1
+        Ok(self.vms.len() - 1)
     }
 
     /// The stage is on a ready VM now: decide completion vs reclaim and
@@ -452,7 +473,7 @@ impl<'a> Engine<'a> {
             let span = self.job_spans[job].child("fault/interrupt");
             span.attr("stage", stage_index);
             span.attr("attempt", attempt);
-            self.push(reclaim_at, Event::Reclaim { job, vm });
+            self.heap.push(reclaim_at, Event::Reclaim { job: id(job), vm: id(vm) });
             return Ok(());
         }
         let on_spot = self.vms[vm].fraction < 1.0;
@@ -465,12 +486,12 @@ impl<'a> Engine<'a> {
                 // `u64::MAX`.
                 let offset = time::fraction_of_us(duration_us, fraction)?;
                 let reclaim_at = time::checked_add_us(now, offset)?;
-                self.push(reclaim_at, Event::Reclaim { job, vm });
+                self.heap.push(reclaim_at, Event::Reclaim { job: id(job), vm: id(vm) });
                 return Ok(());
             }
         }
         let done_at = time::checked_add_us(now, duration_us)?;
-        self.push(done_at, Event::StageDone { job, vm });
+        self.heap.push(done_at, Event::StageDone { job: id(job), vm: id(vm) });
         Ok(())
     }
 
@@ -478,7 +499,7 @@ impl<'a> Engine<'a> {
         let on_spot = self.vms[vm].fraction < 1.0;
         let state = &self.states[job];
         let runtime_secs = self.jobs[job].plan.stages[state.stage].runtime_secs;
-        self.attribute_cost(job, vm, runtime_secs as f64);
+        self.states[job].cost_usd += self.cost_usd(vm, runtime_secs as f64);
         if on_spot {
             self.bill(vm, now);
         } else {
@@ -488,7 +509,7 @@ impl<'a> Engine<'a> {
         state.stage += 1;
         state.attempt = 0;
         self.job_spans[job].counter("stages_completed", 1);
-        if state.stage == state.plan_stage_count {
+        if state.stage == self.jobs[job].plan.stages.len() {
             self.complete_job(job, now);
         } else {
             self.acquire_stage_vm(job, now)?;
@@ -503,49 +524,27 @@ impl<'a> Engine<'a> {
         // Pay for the partial run (the reclaimed VM's whole life bills
         // at the spot rate through `bill`); attribute the lost busy
         // time to the job as well.
-        let partial_secs = (to_secs(now) - self.vms[vm].ready_at).max(0.0);
-        self.attribute_cost(job, vm, partial_secs);
+        let partial_secs = (time::us_to_secs(now) - self.vms[vm].ready_at).max(0.0);
+        self.states[job].cost_usd += self.cost_usd(vm, partial_secs);
         self.bill(vm, now);
         // Injected interrupts can reclaim on-demand VMs with no spot
         // policy configured; those retries back off the same way.
         let backoff = backoff_secs(self.states[job].attempt);
         let retry_at = time::checked_add_us(now, to_us(backoff)?)?;
-        self.push(retry_at, Event::Retry { job });
+        self.heap.push(retry_at, Event::Retry { job: id(job) });
         Ok(())
     }
 
     fn on_idle_reap(&mut self, vm: usize, stamp: u64, now: u64) {
         // Stale when the VM was reused (different stamp) or already gone.
-        if let Some((name, position)) = self.find_warm(vm, stamp) {
-            let entries = self.warm.get_mut(&name).expect("found above");
+        let entries = &mut self.warm[self.vms[vm].instance];
+        if let Some(position) = entries.iter().position(|&entry| entry == (vm, stamp)) {
             entries.remove(position);
-            if entries.is_empty() {
-                self.warm.remove(&name);
-            }
             self.warm_count -= 1;
             self.counters.idle_reaped += 1;
             self.sim_span.counter("autoscale/idle_reaped", 1);
             self.bill(vm, now);
         }
-    }
-
-    fn find_warm(&self, vm: usize, stamp: u64) -> Option<(String, usize)> {
-        for (name, entries) in &self.warm {
-            if let Some(position) = entries.iter().position(|&(v, s)| v == vm && s == stamp) {
-                return Some((name.clone(), position));
-            }
-        }
-        None
-    }
-
-    fn take_warm(&mut self, instance_name: &str) -> Option<usize> {
-        let entries = self.warm.get_mut(instance_name)?;
-        let (vm, _) = entries.pop()?;
-        if entries.is_empty() {
-            self.warm.remove(instance_name);
-        }
-        self.warm_count -= 1;
-        Some(vm)
     }
 
     /// Keep a finished on-demand VM warm when the pool is below the
@@ -554,41 +553,36 @@ impl<'a> Engine<'a> {
         let target = self.autoscaler.target(now);
         if self.warm_count < target {
             self.sim_span.counter("autoscale/kept_warm", 1);
-            let name = self.vms[vm].instance.name.clone();
             let stamp = self.stamp;
             self.stamp += 1;
-            self.warm.entry(name).or_default().push((vm, stamp));
+            self.warm[self.vms[vm].instance].push((vm, stamp));
             self.warm_count += 1;
             let reap_at = time::checked_add_us(now, MAX_IDLE_US)?;
-            self.push(reap_at, Event::IdleReap { vm, stamp });
-            Ok(())
+            self.heap.push(reap_at, Event::IdleReap { vm: id(vm), stamp });
         } else {
             self.sim_span.counter("autoscale/terminated", 1);
             self.bill(vm, now);
-            Ok(())
         }
+        Ok(())
     }
 
     /// Terminate the VM at `now` and add its lifetime bill (boot, busy
     /// and idle time at its price fraction) to the fleet total.
     fn bill(&mut self, vm: usize, now: u64) {
-        let vm = &mut self.vms[vm];
-        debug_assert!(vm.live, "a VM is billed exactly once");
-        vm.live = false;
-        let cost = self.catalog.pricing().cost_usd(&vm.instance, to_secs(now) - vm.launched_at);
-        self.total_cost_usd += cost * vm.fraction;
+        debug_assert!(self.vms[vm].live, "a VM is billed exactly once");
+        self.vms[vm].live = false;
+        self.total_cost_usd += self.cost_usd(vm, time::us_to_secs(now) - self.vms[vm].launched_at);
     }
 
-    /// Attribute the busy-time cost of one stage attempt to its job.
-    fn attribute_cost(&mut self, job: usize, vm: usize, busy_secs: f64) {
+    /// What `secs` on the VM cost: its instance's price at its fraction.
+    fn cost_usd(&self, vm: usize, secs: f64) -> f64 {
         let vm = &self.vms[vm];
-        let cost = self.catalog.pricing().cost_usd(&vm.instance, busy_secs);
-        self.states[job].cost_usd += cost * vm.fraction;
+        self.catalog.pricing().cost_usd(&self.catalog.instances()[vm.instance], secs) * vm.fraction
     }
 
     fn complete_job(&mut self, job: usize, now: u64) {
         let state = &self.states[job];
-        let latency_secs = to_secs(now - state.arrival_us);
+        let latency_secs = time::us_to_secs(now - state.arrival_us);
         self.counters.jobs_completed += 1;
         // Simulated time, not wall-clock — deterministic, so safe to
         // record on the span.
@@ -620,7 +614,7 @@ impl<'a> Engine<'a> {
             mean_latency_secs: self.latencies.mean(),
             p50_latency_secs: self.latencies.percentile(0.5),
             p95_latency_secs: self.latencies.percentile(0.95),
-            makespan_secs: to_secs(self.makespan_us),
+            makespan_secs: time::us_to_secs(self.makespan_us),
             latency_hist: self.latency_hist,
             cost_hist: self.cost_hist,
         }
@@ -631,7 +625,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::{JobPlan, PlannedStage};
-    use eda_cloud_cloud::SpotMarket;
+    use eda_cloud_cloud::{CloudError, SpotMarket};
 
     fn stage(name: &str, instance: &str, runtime_secs: u64) -> PlannedStage {
         PlannedStage {
@@ -935,6 +929,59 @@ mod tests {
             sim().run(&[bad_arrival], &FleetConfig::on_demand(1)).unwrap_err(),
             FleetError::InvalidConfig(_)
         ));
+    }
+
+    /// Validation reports the first fault in job-then-stage order: a
+    /// stage's instance name before its runtime, every plan before any
+    /// arrival's clock range, an unknown name as the typed cloud error.
+    #[test]
+    fn the_first_plan_fault_in_job_then_stage_order_wins() {
+        let job = |id, stages: Vec<PlannedStage>, arrival_secs| FleetJob {
+            plan: JobPlan { id, stages, deadline_secs: 10 },
+            arrival_secs,
+        };
+        let huge = u64::MAX / 1000;
+        let unknown = |name: &str| FleetError::Cloud(CloudError::UnknownInstance(name.into()));
+        let overflow = stage_duration_us(huge).unwrap_err();
+        assert!(matches!(overflow, FleetError::InvalidConfig(_)));
+        let cases = [
+            // One job: the earlier stage's fault wins, either way round.
+            (vec![job(0, vec![stage("a", "z9.mega", 10), stage("b", "m5.large", huge)], 0.0)],
+                unknown("z9.mega")),
+            (vec![job(0, vec![stage("a", "m5.large", huge), stage("b", "z9.mega", 10)], 0.0)],
+                overflow.clone()),
+            // One stage with both faults: the name is looked up first.
+            (vec![job(0, vec![stage("a", "z9.mega", huge)], 0.0)], unknown("z9.mega")),
+            // Two jobs: the earlier job's fault wins, either way round.
+            (vec![job(0, vec![stage("a", "m5.large", 10), stage("b", "m5.large", huge)], 0.0),
+                job(1, vec![stage("a", "z9.mega", 10)], 0.0)],
+                overflow.clone()),
+            (vec![job(0, vec![stage("a", "m5.large", 10), stage("b", "y1.tiny", 10)], 0.0),
+                job(1, vec![stage("a", "m5.large", huge), stage("b", "z9.mega", 10)], 0.0)],
+                unknown("y1.tiny")),
+            (vec![job(0, vec![stage("a", "y1.tiny", 10)], 0.0),
+                job(1, vec![stage("a", "z9.mega", 10)], 0.0)],
+                unknown("y1.tiny")),
+            // An empty plan is a fault of its job, in job order too.
+            (vec![job(0, vec![], 0.0), job(1, vec![stage("a", "z9.mega", 10)], 0.0)],
+                FleetError::InvalidConfig("job plan has no stages")),
+            (vec![job(0, vec![stage("a", "z9.mega", 10)], 0.0), job(1, vec![], 0.0)],
+                unknown("z9.mega")),
+            // An arrival beyond the clock is checked after every plan.
+            (vec![job(0, vec![stage("a", "m5.large", 10)], 1e20),
+                job(1, vec![stage("a", "z9.mega", 10)], 0.0)],
+                unknown("z9.mega")),
+        ];
+        for (case, (jobs, expected)) in cases.into_iter().enumerate() {
+            let got = sim().run(&jobs, &FleetConfig::on_demand(1)).unwrap_err();
+            assert_eq!(got, expected, "case {case}");
+        }
+    }
+
+    #[test]
+    fn an_event_is_sixteen_bytes() {
+        // With the heap's `(time, seq)` key, a 32-byte entry.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     #[test]

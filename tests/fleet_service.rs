@@ -118,3 +118,28 @@ fn fleet_bills_are_bit_identical() {
         }
     }
 }
+
+/// Thirty fleet reports pinned by one digest: seeds {1, 3, 7, 11, 19} ×
+/// {50, 400, 2000} jobs × {on-demand, spot}. Each workload is planned
+/// once and served both ways. The goldens cover 50 jobs at seed 7; the
+/// larger streams keep the warm pool, its idle reaps and the spot
+/// retries busy, so a change to the event loop's bookkeeping that moves
+/// any counter, percentile or bill shows here.
+#[test]
+fn fleet_reports_are_bit_identical_at_scale() {
+    use eda_cloud::fleet::{FleetConfig, FleetSimulator};
+    let workflow = Workflow::with_defaults();
+    let sim = FleetSimulator::new(workflow.catalog().clone());
+    let mut bytes = Vec::new();
+    for seed in [1, 3, 7, 11, 19] {
+        for jobs in [50, 400, 2000] {
+            let stream = workflow.fleet_workload(&FleetScenario::new(jobs, seed)).expect("plans");
+            let on_demand = FleetConfig::on_demand(seed);
+            for config in [on_demand.clone(), on_demand.with_spot(SpotPolicy::typical())] {
+                let report = sim.run(&stream, &config).expect("runs");
+                bytes.extend_from_slice(report.to_json().as_bytes());
+            }
+        }
+    }
+    assert_eq!(eda_cloud::trace::fnv1a64(&bytes), 0x4bfe_75c1_9798_304d, "fleet reports moved");
+}
