@@ -21,6 +21,13 @@ pub enum FlowError {
     PlacementDiverged,
     /// An empty design was given to a stage that needs logic.
     EmptyDesign,
+    /// Synthesis verification found an input on which the mapped
+    /// netlist computes other outputs than its source AIG: the input
+    /// was fine, the mapper was wrong.
+    MappingMismatch {
+        /// The failing input vector, one value per primary input.
+        inputs: Vec<bool>,
+    },
     /// A recipe was constructed with no passes. The explicit pass-free
     /// baseline is [`Recipe::raw`](crate::Recipe::raw); every other
     /// recipe must name at least one pass so runtime estimates and
@@ -41,6 +48,10 @@ impl fmt::Display for FlowError {
             }
             FlowError::PlacementDiverged => write!(f, "placement failed to converge"),
             FlowError::EmptyDesign => write!(f, "design has no logic to process"),
+            FlowError::MappingMismatch { inputs } => {
+                let bits: String = inputs.iter().map(|&b| if b { '1' } else { '0' }).collect();
+                write!(f, "mapped netlist differs from its AIG on input vector {bits} (input 0 first)")
+            }
             FlowError::EmptyRecipe { name } => {
                 write!(f, "recipe `{name}` has no passes; use Recipe::raw() for the pass-free baseline")
             }

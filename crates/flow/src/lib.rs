@@ -7,8 +7,9 @@
 //! its observations to:
 //!
 //! * [`synthesis`] — AIG optimization passes (balance / rewrite /
-//!   refactor) followed by pattern-based technology mapping. Pass-
-//!   dominated and hash-heavy: modest parallelism, balanced counters.
+//!   refactor) followed by pattern-based technology mapping, checked
+//!   against the source AIG by random simulation. Pass-dominated and
+//!   hash-heavy: modest parallelism, balanced counters.
 //! * [`placement`] — analytical quadratic placement by gradient descent
 //!   with bin-based spreading and row legalization. Convex-optimization
 //!   inner loops over large coordinate vectors: heavy vectorizable FP
@@ -59,7 +60,7 @@ pub use placement::{Placement, Placer};
 pub use routing::{Router, RoutingResult};
 pub use sta::{StaEngine, TimingReport};
 pub use stage::{StageKind, StageReport};
-pub use synthesis::{Pass, Recipe, SynthesisTrace, Synthesizer, VerifyMode};
+pub use synthesis::{Pass, Recipe, SynthesisTrace, Synthesizer};
 
 use eda_cloud_netlist::{Aig, Netlist};
 

@@ -5,8 +5,9 @@
 //! then a pattern-based technology mapper covers it with library cells
 //! (detecting XOR and MUX structures, choosing NAND/NOR/AND/OR polarity
 //! by fanout vote, inserting inverters on demand), and an optional
-//! 64-way random simulation verifies the mapped netlist against the
-//! source AIG.
+//! random simulation (four vectors, two above ten inputs) verifies the
+//! mapped netlist against the source AIG. A unit test decides the
+//! mapper's equivalence exhaustively on every small generator family.
 //!
 //! Different recipes produce structurally different netlists computing
 //! the same function — exactly how the paper turns 18 designs into 330
@@ -163,19 +164,6 @@ impl Default for Recipe {
     }
 }
 
-/// How the mapped netlist is verified against the source AIG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyMode {
-    /// No verification.
-    Off,
-    /// Random-vector simulation (fast, unsound).
-    Random,
-    /// Random pre-filter, then a sound SAT equivalence check of the
-    /// miter (falls back to the random result if the SAT budget is
-    /// exhausted on a pathological instance).
-    Sat,
-}
-
 /// The synthesis engine.
 ///
 /// Pass-dominated: each optimization pass is an inherently sequential
@@ -184,7 +172,7 @@ pub enum VerifyMode {
 #[derive(Debug, Clone)]
 pub struct Synthesizer {
     library: Library,
-    verify: VerifyMode,
+    verify: bool,
     parallel_fraction: f64,
 }
 
@@ -194,7 +182,7 @@ impl Synthesizer {
     pub fn new() -> Self {
         Self {
             library: Library::synthetic_14nm(),
-            verify: VerifyMode::Random,
+            verify: true,
             parallel_fraction: 0.48,
         }
     }
@@ -202,14 +190,7 @@ impl Synthesizer {
     /// Toggle the post-mapping equivalence spot-check (random vectors).
     #[must_use]
     pub fn with_verification(mut self, verify: bool) -> Self {
-        self.verify = if verify { VerifyMode::Random } else { VerifyMode::Off };
-        self
-    }
-
-    /// Select the verification mode explicitly.
-    #[must_use]
-    pub fn with_verify_mode(mut self, mode: VerifyMode) -> Self {
-        self.verify = mode;
+        self.verify = verify;
         self
     }
 
@@ -217,9 +198,10 @@ impl Synthesizer {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::EmptyDesign`] for a logic-free AIG and
-    /// [`FlowError::Design`] if verification detects a mismatch (which
-    /// would indicate an engine bug) or the input is malformed.
+    /// Returns [`FlowError::EmptyDesign`] for a logic-free AIG,
+    /// [`FlowError::Design`] if the input is malformed and
+    /// [`FlowError::MappingMismatch`] if verification finds an input on
+    /// which the mapped netlist differs from the AIG (an engine bug).
     pub fn run(
         &self,
         aig: &Aig,
@@ -263,7 +245,7 @@ impl Synthesizer {
     /// event stream into a replayable [`SynthesisTrace`].
     ///
     /// The engine never reads probe state back, so the event stream is
-    /// a pure function of `(aig, recipe, verify-mode)` — machine-
+    /// a pure function of `(aig, recipe, verify)` — machine-
     /// independent. Calling [`Synthesizer::report_from_trace`] with the
     /// trace and another context yields a report bit-identical to
     /// re-running synthesis under that context, without re-doing the
@@ -347,17 +329,9 @@ impl Synthesizer {
         };
 
         // Equivalence checking.
-        match self.verify {
-            VerifyMode::Off => {}
-            VerifyMode::Random => {
-                let _v = span.child("verify/random");
-                verify_equivalence(aig, &netlist, probe)?;
-            }
-            VerifyMode::Sat => {
-                let _v = span.child("verify/sat");
-                verify_equivalence(aig, &netlist, probe)?;
-                verify_equivalence_sat(aig, &netlist, probe)?;
-            }
+        if self.verify {
+            let _v = span.child("verify/random");
+            verify_equivalence(aig, &netlist, probe)?;
         }
         Ok(netlist)
     }
@@ -843,42 +817,10 @@ fn verify_equivalence(
         let golden = aig.simulate(&inputs)?;
         let mapped = netlist.simulate(&inputs)?;
         if golden != mapped {
-            return Err(FlowError::Design(
-                eda_cloud_netlist::NetlistError::Parse {
-                    line: 0,
-                    col: 0,
-                    message: "mapped netlist mismatches AIG on a random vector".to_owned(),
-                },
-            ));
+            return Err(FlowError::MappingMismatch { inputs });
         }
     }
     Ok(())
-}
-
-/// Sound SAT-based miter check of the mapped netlist against the AIG.
-/// Falls back silently when the propagation budget runs out (the random
-/// pre-filter has already passed at that point).
-fn verify_equivalence_sat(
-    aig: &Aig,
-    netlist: &Netlist,
-    probe: &mut PerfProbe,
-) -> Result<(), FlowError> {
-    use eda_cloud_netlist::cec::{self, CecResult};
-    let mapped_aig = cec::netlist_to_aig(netlist)?;
-    probe.instr((aig.node_count() + mapped_aig.node_count()) as u64 * 4);
-    let budget = 5_000_000;
-    match cec::check_equivalence(aig, &mapped_aig, budget) {
-        Ok(CecResult::Equivalent) => Ok(()),
-        Ok(CecResult::Inequivalent { .. }) => Err(FlowError::Design(
-            eda_cloud_netlist::NetlistError::Parse {
-                line: 0,
-                col: 0,
-                message: "SAT found a distinguishing input for the mapped netlist".to_owned(),
-            },
-        )),
-        // Budget exhausted: keep the random-simulation verdict.
-        Err(_) => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -1060,15 +1002,61 @@ mod tests {
     }
 
     #[test]
-    fn sat_verification_passes_on_real_recipes() {
-        let aig = generators::alu(3);
-        for recipe in [Recipe::raw(), Recipe::balanced()] {
-            let (nl, _) = Synthesizer::new()
-                .with_verify_mode(VerifyMode::Sat)
-                .run(&aig, &recipe, &ctx())
-                .unwrap_or_else(|e| panic!("SAT-verified synthesis failed: {e}"));
-            nl.check().expect("well-formed");
-        }
+    fn every_recipe_maps_every_small_family_exactly() {
+        // At n <= 9 inputs all 2^n vectors decide equivalence outright.
+        // Two workers: square and decoder (about 800 ANDs each) dominate
+        // the run and then simulate side by side.
+        let families = generators::FAMILY_NAMES.to_vec();
+        let checked = eda_cloud_trace::par::map_indexed(2, families, |_, name| {
+            // Each family at its largest size that fits; parity, arbiter,
+            // ctrl and hamming have 16 or more inputs even at size 2.
+            let Some(aig) = (2..=16)
+                .rev()
+                .filter_map(|size| generators::build_family(name, size))
+                .find(|aig| aig.input_count() <= 9)
+            else {
+                return false;
+            };
+            let n = aig.input_count();
+            let vectors: Vec<Vec<bool>> =
+                (0..1u32 << n).map(|v| (0..n).map(|i| v >> i & 1 == 1).collect()).collect();
+            let golden: Vec<Vec<bool>> =
+                vectors.iter().map(|v| aig.simulate(v).expect("arity")).collect();
+            for recipe in Recipe::standard_suite() {
+                let (nl, _) = Synthesizer::new()
+                    .with_verification(false)
+                    .run(&aig, &recipe, &ctx())
+                    .unwrap_or_else(|e| panic!("{name} under {}: {e}", recipe.name()));
+                for (v, want) in vectors.iter().zip(&golden) {
+                    let got = nl.simulate(v).expect("arity");
+                    assert_eq!(&got, want, "{name} ({n} inputs) under {} on {v:?}", recipe.name());
+                }
+            }
+            true
+        });
+        assert_eq!(checked.iter().filter(|&&c| c).count(), 14);
+    }
+
+    #[test]
+    fn a_mapping_mismatch_reports_the_failing_inputs() {
+        let mut aig = Aig::new("and");
+        let (a, b) = (aig.add_pi(), aig.add_pi());
+        let y = aig.and2(a, b);
+        aig.add_po("y", y);
+        // A mapper that emitted NAND for AND: wrong on every input.
+        let mut nl = Netlist::new("and", "synthetic_14nm");
+        let (na, nb) = (nl.add_input("a"), nl.add_input("b"));
+        let ny = nl.add_net("y");
+        nl.add_cell("g0", "NAND2_X1", CellKind::Nand2, vec![na, nb], ny);
+        nl.add_output("y", ny);
+        let mut probe = PerfProbe::for_machine(&eda_cloud_perf::MachineConfig::vcpus(1));
+        let err = verify_equivalence(&aig, &nl, &mut probe).expect_err("NAND is not AND");
+        let FlowError::MappingMismatch { inputs } = &err else { panic!("{err:?}") };
+        assert_ne!(aig.simulate(inputs).unwrap(), nl.simulate(inputs).unwrap());
+        assert_eq!(
+            err.to_string(),
+            "mapped netlist differs from its AIG on input vector 01 (input 0 first)"
+        );
     }
 
     #[test]

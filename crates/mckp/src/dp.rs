@@ -1,6 +1,6 @@
 //! The pseudo-polynomial dynamic program, on a sparse Pareto frontier.
 
-use crate::{MckpError, Problem, Stage};
+use crate::{Problem, Stage};
 
 /// Which objective the DP optimizes under the runtime budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,28 +73,6 @@ impl Solver {
         // `Problem` is validated at construction, so the DP core's
         // preconditions hold by type.
         Self::solve_core(problem.stages(), budget_secs, objective)
-    }
-
-    /// Solve over raw stages, without requiring a pre-validated
-    /// [`Problem`].
-    ///
-    /// This is the entry point for callers assembling stages on the fly
-    /// (e.g. from streamed predictions): malformed input surfaces as a
-    /// typed [`MckpError`] instead of a panic deep inside the DP.
-    /// `Ok(None)` still means "valid but infeasible under the budget".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MckpError::NoStages`], [`MckpError::EmptyStage`], or
-    /// [`MckpError::InvalidCost`] when the stages are malformed.
-    pub fn solve_stages(
-        &self,
-        stages: &[Stage],
-        budget_secs: u64,
-        objective: Objective,
-    ) -> Result<Option<Selection>, MckpError> {
-        crate::problem::validate(stages)?;
-        Ok(Self::solve_core(stages, budget_secs, objective))
     }
 
     fn solve_core(stages: &[Stage], budget_secs: u64, objective: Objective) -> Option<Selection> {
@@ -316,50 +294,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_stage_is_a_typed_error_not_a_panic() {
-        use crate::MckpError;
-        let solver = Solver::new();
-        assert_eq!(
-            solver.solve_stages(&[], 100, Objective::MinCost).unwrap_err(),
-            MckpError::NoStages
-        );
-        let stages = vec![
-            Stage::new("syn", vec![Choice::new("1v", 10, 0.1)]),
-            Stage::new("route", vec![]),
-        ];
-        assert_eq!(
-            solver
-                .solve_stages(&stages, 100, Objective::MinCost)
-                .unwrap_err(),
-            MckpError::EmptyStage("route".to_owned())
-        );
-        let stages = vec![Stage::new("syn", vec![Choice::new("1v", 10, f64::NAN)])];
-        assert!(matches!(
-            solver
-                .solve_stages(&stages, 100, Objective::MinCost)
-                .unwrap_err(),
-            MckpError::InvalidCost { .. }
-        ));
-    }
-
-    #[test]
-    fn single_choice_stages_solve_through_the_raw_entry() {
+    fn single_choice_stages_solve() {
         // One choice per stage: the DP has nothing to trade off but
         // must still reconstruct a complete parent chain.
-        let stages = vec![
+        let p = Problem::new(vec![
             Stage::new("syn", vec![Choice::new("only", 10, 0.10)]),
             Stage::new("route", vec![Choice::new("only", 7, 0.05)]),
-        ];
-        let sel = Solver::new()
-            .solve_stages(&stages, 17, Objective::MinCost)
-            .expect("valid stages")
-            .expect("feasible");
+        ])
+        .expect("valid stages");
+        let sel = Solver::new().solve_min_cost(&p, 17).expect("feasible");
         assert_eq!(sel.picks, vec![0, 0]);
         assert_eq!(sel.total_runtime_secs, 17);
-        let infeasible = Solver::new()
-            .solve_stages(&stages, 16, Objective::MinCost)
-            .expect("valid stages");
-        assert!(infeasible.is_none());
+        assert!(Solver::new().solve_min_cost(&p, 16).is_none());
     }
 
     #[test]
@@ -367,14 +313,12 @@ mod tests {
         // Two near-u64::MAX runtimes used to overflow the max-useful
         // sum (a debug-build panic); the clamp now saturates and the
         // solve stays a clean "infeasible".
-        let stages = vec![
+        let p = Problem::new(vec![
             Stage::new("a", vec![Choice::new("x", u64::MAX - 1, 0.1)]),
             Stage::new("b", vec![Choice::new("x", u64::MAX - 1, 0.1)]),
-        ];
-        let sel = Solver::new()
-            .solve_stages(&stages, 1_000, Objective::MinCost)
-            .expect("valid stages");
-        assert!(sel.is_none());
+        ])
+        .expect("valid stages");
+        assert!(Solver::new().solve_min_cost(&p, 1_000).is_none());
     }
 
     #[test]
@@ -382,15 +326,12 @@ mod tests {
         // The dense table read any budget it could not index with a
         // `usize` as "infeasible"; on a 32-bit target that is this one.
         let big = u64::from(u32::MAX);
-        let stages = vec![
+        let p = Problem::new(vec![
             Stage::new("a", vec![Choice::new("slow", 2 * big, 0.1), Choice::new("fast", big, 0.4)]),
             Stage::new("b", vec![Choice::new("slow", 2 * big, 0.2), Choice::new("fast", big, 0.3)]),
-        ];
-        let solve = |budget| {
-            Solver::new()
-                .solve_stages(&stages, budget, Objective::MinCost)
-                .expect("valid stages")
-        };
+        ])
+        .expect("valid stages");
+        let solve = |budget| Solver::new().solve_min_cost(&p, budget);
         let sel = solve(3 * big).expect("feasible");
         assert_eq!(sel.picks, vec![0, 1]);
         assert_eq!(sel.total_runtime_secs, 3 * big);

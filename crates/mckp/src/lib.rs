@@ -21,9 +21,9 @@
 //!   feasible but can pick different configurations; minimizing cost is
 //!   never worse in USD).
 //!
-//! Callers assembling stages on the fly can use
-//! [`Solver::solve_stages`], which validates raw stages and reports
-//! malformed input as a typed [`MckpError`] instead of panicking.
+//! [`Problem::new`] validates raw stages, so callers assembling them on
+//! the fly (the serving tier's planner) get malformed input back as a
+//! typed [`MckpError`], never a panic inside the DP.
 //!
 //! Baselines for Figure 6 live in [`baselines`]: over-provisioning
 //! (largest machine everywhere), under-provisioning (smallest machine

@@ -52,27 +52,6 @@ impl Stage {
     }
 }
 
-/// The conditions a [`Problem`] holds and the solver relies on.
-pub(crate) fn validate(stages: &[Stage]) -> Result<(), MckpError> {
-    if stages.is_empty() {
-        return Err(MckpError::NoStages);
-    }
-    for stage in stages {
-        if stage.choices.is_empty() {
-            return Err(MckpError::EmptyStage(stage.name.clone()));
-        }
-        for choice in &stage.choices {
-            if !choice.cost_usd.is_finite() || choice.cost_usd < 0.0 {
-                return Err(MckpError::InvalidCost {
-                    stage: stage.name.clone(),
-                    choice: choice.label.clone(),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// A validated MCKP instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
@@ -87,7 +66,23 @@ impl Problem {
     /// Returns [`MckpError::NoStages`], [`MckpError::EmptyStage`], or
     /// [`MckpError::InvalidCost`] when the instance is malformed.
     pub fn new(stages: Vec<Stage>) -> Result<Self, MckpError> {
-        validate(&stages)?;
+        // The conditions the solver relies on.
+        if stages.is_empty() {
+            return Err(MckpError::NoStages);
+        }
+        for stage in &stages {
+            if stage.choices.is_empty() {
+                return Err(MckpError::EmptyStage(stage.name.clone()));
+            }
+            for choice in &stage.choices {
+                if !choice.cost_usd.is_finite() || choice.cost_usd < 0.0 {
+                    return Err(MckpError::InvalidCost {
+                        stage: stage.name.clone(),
+                        choice: choice.label.clone(),
+                    });
+                }
+            }
+        }
         Ok(Self { stages })
     }
 
@@ -133,6 +128,12 @@ mod tests {
             Problem::new(vec![Stage::new("syn", vec![])]).unwrap_err(),
             MckpError::EmptyStage("syn".to_owned())
         );
+        // An empty stage behind a valid one is named too.
+        let late = Problem::new(vec![
+            Stage::new("syn", vec![Choice::new("1v", 10, 0.1)]),
+            Stage::new("route", vec![]),
+        ]);
+        assert_eq!(late.unwrap_err(), MckpError::EmptyStage("route".to_owned()));
         let bad = Problem::new(vec![Stage::new(
             "syn",
             vec![Choice::new("x", 10, f64::NAN)],

@@ -287,18 +287,12 @@ proptest! {
                     .collect(),
             ))
             .collect();
+        let problem = Problem::new(stages).expect("valid");
         let solver = Solver::new();
         for objective in [Objective::MinCost, Objective::MaxInverseCost] {
-            let a = solver.solve_stages(&stages, budget, objective).expect("valid");
-            let b = solver.solve_stages(&stages, budget, objective).expect("valid");
-            prop_assert_eq!(a.clone().map(|s| s.picks), b.map(|s| s.picks));
-            // The raw-stage entry agrees with the validated-Problem one.
-            let via_problem = solver.solve(
-                &Problem::new(stages.clone()).expect("valid"),
-                budget,
-                objective,
-            );
-            prop_assert_eq!(a.map(|s| s.picks), via_problem.map(|s| s.picks));
+            let a = solver.solve(&problem, budget, objective);
+            let b = solver.solve(&problem, budget, objective);
+            prop_assert_eq!(a.map(|s| s.picks), b.map(|s| s.picks));
         }
     }
 

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised when constructing or parsing designs.
+/// Errors raised when constructing, checking or simulating designs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {
     /// A literal or identifier referenced a node that does not exist.
@@ -21,17 +21,6 @@ pub enum NetlistError {
     Undriven(String),
     /// Structural check failed: the design contains a combinational cycle.
     CombinationalCycle,
-    /// A file-format parse error with a line/column position and message.
-    Parse {
-        /// 1-based line number where parsing failed (0 when the error
-        /// is not tied to a source position, e.g. a solver budget).
-        line: usize,
-        /// 1-based column (byte offset within the line) of the
-        /// offending token; 0 when unknown.
-        col: usize,
-        /// Explanation of the failure.
-        message: String,
-    },
     /// Simulation was given the wrong number of input values.
     InputArity {
         /// Number of values provided.
@@ -50,13 +39,6 @@ impl fmt::Display for NetlistError {
             NetlistError::MultipleDrivers(net) => write!(f, "net `{net}` has multiple drivers"),
             NetlistError::Undriven(net) => write!(f, "net `{net}` has no driver"),
             NetlistError::CombinationalCycle => write!(f, "design contains a combinational cycle"),
-            NetlistError::Parse { line, col, message } => {
-                if *col > 0 {
-                    write!(f, "parse error at line {line}, col {col}: {message}")
-                } else {
-                    write!(f, "parse error at line {line}: {message}")
-                }
-            }
             NetlistError::InputArity { got, expected } => {
                 write!(f, "expected {expected} input values, got {got}")
             }
@@ -78,21 +60,6 @@ mod tests {
             len: 3,
         };
         assert_eq!(e.to_string(), "invalid node reference 9 (only 3 exist)");
-        let positioned = NetlistError::Parse {
-            line: 4,
-            col: 9,
-            message: "bad token".into(),
-        }
-        .to_string();
-        assert!(positioned.contains("line 4"), "{positioned}");
-        assert!(positioned.contains("col 9"), "{positioned}");
-        let unpositioned = NetlistError::Parse {
-            line: 0,
-            col: 0,
-            message: "budget exhausted".into(),
-        }
-        .to_string();
-        assert!(!unpositioned.contains("col"), "{unpositioned}");
     }
 
     #[test]

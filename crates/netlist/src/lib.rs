@@ -16,6 +16,10 @@
 //! synthetic corpus: 18 parameterized design families whose AIGs are then
 //! synthesized under different recipes by `eda-cloud-flow`.
 //!
+//! Both representations simulate one input vector at a time
+//! ([`Aig::simulate`], [`Netlist::simulate`]); that is how the flow
+//! checks a mapped netlist against its source AIG.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,7 +36,6 @@
 
 mod aig;
 mod error;
-pub mod cec;
 pub mod formats;
 pub mod generators;
 mod graph;

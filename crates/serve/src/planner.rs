@@ -9,7 +9,7 @@
 //! run standalone or on the full pricing model.
 
 use crate::{ServeError, STAGE_NAMES};
-use eda_cloud_mckp::{Choice, Objective, Solver, Stage};
+use eda_cloud_mckp::{Choice, Problem, Solver, Stage};
 
 /// The swept vCPU counts, index-aligned with every `[f64; 4]` runtime
 /// vector in this crate.
@@ -104,8 +104,8 @@ impl Planner for CostTablePlanner {
                 Stage::new(*name, choices)
             })
             .collect();
-        let Some(selection) = Solver::new().solve_stages(&stages, budget_secs, Objective::MinCost)?
-        else {
+        let problem = Problem::new(stages)?;
+        let Some(selection) = Solver::new().solve_min_cost(&problem, budget_secs) else {
             return Ok(None);
         };
         let mut vcpus = [0u32; 4];

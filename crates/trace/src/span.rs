@@ -213,7 +213,13 @@ impl Span {
     pub fn counter(&self, name: &str, delta: u64) {
         if let Some(core) = &self.core {
             let mut data = core.data.lock().expect("span data");
-            *data.counters.entry(name.to_owned()).or_insert(0) += delta;
+            // The key is allocated once, when the counter first appears.
+            match data.counters.get_mut(name) {
+                Some(count) => *count += delta,
+                None => {
+                    data.counters.insert(name.to_owned(), delta);
+                }
+            }
         }
     }
 

@@ -20,7 +20,6 @@ use std::fs;
 /// its harness phase, a pinned name.
 const TEST_REFERENCES: &[(&str, &str)] = &[
     ("run_full_flow", "the four engines chained; tier-1 full_flow and determinism drive it"),
-    ("with_verify_mode", "selects VerifyMode::Sat + netlist::cec, the sound equivalence reference"),
     ("exhaustive_min_cost", "brute-force optimum the MCKP dynamic program is compared against"),
     ("greedy", "Figure 6's greedy-ratio baseline; solver properties hold the DP against it"),
     ("from_rows", "how gcn's unit tests and oracle differentials write a literal matrix"),
@@ -292,7 +291,7 @@ fn the_hidden_item_check_reports_ungated_items_below_tests() {
 
 /// Ceiling of the product `pub` / `pub(crate) fn`s; lower it when one goes,
 /// never raise it.
-const MAX_PRODUCT_FNS: usize = 608;
+const MAX_PRODUCT_FNS: usize = 603;
 
 #[test]
 fn product_functions_are_not_up() {
