@@ -1,6 +1,8 @@
 //! Criterion benches for the deterministic simulation substrate: the
-//! raw event heap (time-ordered pushes on its run lane, a standing
-//! queue on its heap lane), and the sharded multi-region simulation at
+//! raw event heap (time-ordered pushes on its run lane; a standing
+//! queue on its heap lane, where each pop leaves a hole at the root that
+//! the rescheduling push fills with one sift-down), and the sharded
+//! multi-region simulation at
 //! 1 vs 4 workers and 1 vs 3 shards, plus one run at the end-to-end
 //! `region_sim` size (400 000 jobs, 1 worker, 3 shards).
 //!
@@ -38,7 +40,7 @@ fn bench_event_heap(c: &mut Criterion) {
     // lane. A simulation's in-flight events do not: a standing queue of
     // 1 024 pops its earliest event and reschedules it at a pseudo-random
     // later time (e2e's `engine.heap_push_pop_ns` shape), which mostly
-    // exercises the heap lane.
+    // exercises the heap lane's pop-then-push through its hole.
     group.bench_function("standing_queue_10k", |b| {
         let mut state = 0x9E37_79B9_7F4A_7C15_u64;
         let mut next = move || {

@@ -14,10 +14,13 @@
 //!    [`poisson_arrivals`], the seeded arrival process of every tier.
 //! 2. [`EventHeap`] — the `(time_us, seq)` priority queue: ascending
 //!    time, push-order ties, sequence counter owned by the heap. Pushes
-//!    that keep time order append to a run lane, the rest go to a
-//!    binary heap, and `pop` takes the smaller `(time_us, seq)` head —
-//!    so sorted arrival streams cost O(1) each and the pop order is the
-//!    one a single heap gives.
+//!    that keep time order append to a run lane; the rest go to a
+//!    binary heap of `Copy` `(key, slot)` nodes — one `u128` key
+//!    `(time_us << 64) | seq`, payloads in a slab; `pop` takes the
+//!    smaller head — so sorted arrival streams cost O(1) each and the
+//!    pop order is the one a single heap gives. A heap-lane pop leaves
+//!    the root as a hole that the next heap-lane push fills with one
+//!    sift-down.
 //! 3. [`metrics`] — the running [`Samples`] behind report statistics.
 //! 4. [`ShardedSim`] — N independent [`RegionShard`] event loops
 //!    advancing under a conservative lookahead barrier, exchanging

@@ -21,11 +21,13 @@
 //! once, when it is terminated, for its whole life from launch (boot
 //! and idle time included) at its price fraction.
 //!
-//! Instance names are resolved once per run, in the validation pass of
-//! [`FleetSimulator::run`]: each planned stage's catalog index goes into
-//! one job-major table, and from then on VMs, the warm pool and the
-//! bills work on that index — no event clones a name or scans the
-//! catalog.
+//! Plans are read once per run, in the validation pass of
+//! [`FleetSimulator::run`]: each planned stage's catalog index, runtime
+//! and microsecond duration go into one job-major table of `Copy`
+//! records, and each job's state carries its plan id and stage count.
+//! From then on the event loop reads only that table — VMs, the warm
+//! pool and the bills work on catalog indices, and no event clones a
+//! name, scans the catalog or touches a plan.
 
 use crate::autoscale::{Autoscaler, MAX_IDLE_US};
 use crate::faults::{FleetFaults, NoFleetFaults, SharedFleetFaults};
@@ -179,9 +181,9 @@ impl FleetSimulator {
             return Err(FleetError::InvalidConfig("max stage attempts must be positive"));
         }
         let catalog = self.catalog.instances();
-        // Each planned stage's catalog index, job-major: the engine
-        // never looks a name up again.
-        let mut stage_instances = Vec::new();
+        // Each planned stage, job-major: the engine never reads a plan
+        // again.
+        let mut stages = Vec::new();
         for job in jobs {
             if job.plan.stages.is_empty() {
                 return Err(FleetError::InvalidConfig("job plan has no stages"));
@@ -194,17 +196,20 @@ impl FleetSimulator {
                 // overflow the microsecond clock, before any event runs.
                 let position = catalog.iter().position(|i| i.name == stage.instance);
                 let unknown = || CloudError::UnknownInstance(stage.instance.clone());
-                stage_instances.push(position.ok_or_else(unknown)?);
-                stage_duration_us(stage.runtime_secs)?;
+                let instance = position.ok_or_else(unknown)?;
+                stages.push(Stage {
+                    instance,
+                    runtime_secs: stage.runtime_secs,
+                    duration_us: stage_duration_us(stage.runtime_secs)?,
+                });
             }
         }
-        Engine::new(&self.catalog, jobs, stage_instances, config, &self.tracer, &*self.faults)?
-            .run()
+        Engine::new(&self.catalog, jobs, stages, config, &self.tracer, &*self.faults)?.run()
     }
 }
 
-/// Job and VM ids are `u32`, so a heap entry is 32 bytes. `Engine::new`
-/// and `Engine::launch` keep every id in range.
+/// Job and VM ids are `u32`, so an event is 16 bytes. `Engine::new` and
+/// `Engine::launch` keep every id in range.
 #[derive(Debug)]
 enum Event {
     /// A job enters the system.
@@ -239,9 +244,23 @@ struct Vm {
     live: bool,
 }
 
+/// One planned stage as the event loop reads it.
+#[derive(Clone, Copy)]
+struct Stage {
+    /// Position of its instance type in the catalog.
+    instance: usize,
+    runtime_secs: u64,
+    /// `runtime_secs` on the microsecond clock.
+    duration_us: u64,
+}
+
 struct JobState {
-    /// Where this job's stages start in `Engine::stage_instances`.
+    /// The plan's id, which the fault hooks key on.
+    plan_id: u64,
+    /// Where this job's stages start in `Engine::stages`.
     first_stage: usize,
+    /// How many stages the plan has.
+    stage_count: usize,
     arrival_us: u64,
     deadline_secs: u64,
     /// Index of the stage currently executing (or next to acquire).
@@ -255,9 +274,8 @@ struct JobState {
 struct Engine<'a> {
     catalog: &'a Catalog,
     config: &'a FleetConfig,
-    jobs: &'a [FleetJob],
-    /// The catalog index of every planned stage, job-major.
-    stage_instances: Vec<usize>,
+    /// Every planned stage, job-major.
+    stages: Vec<Stage>,
     /// Every VM launched, indexed by id.
     vms: Vec<Vm>,
     /// The extracted deterministic event core: pops in `(time, seq)`
@@ -290,8 +308,8 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(
         catalog: &'a Catalog,
-        jobs: &'a [FleetJob],
-        stage_instances: Vec<usize>,
+        jobs: &[FleetJob],
+        stages: Vec<Stage>,
         config: &'a FleetConfig,
         tracer: &Tracer,
         faults: &'a dyn FleetFaults,
@@ -306,7 +324,9 @@ impl<'a> Engine<'a> {
                 let first = first_stage;
                 first_stage += j.plan.stages.len();
                 Ok(JobState {
+                    plan_id: j.plan.id,
                     first_stage: first,
+                    stage_count: j.plan.stages.len(),
                     arrival_us: to_us(j.arrival_secs)?,
                     deadline_secs: j.plan.deadline_secs,
                     stage: 0,
@@ -327,8 +347,7 @@ impl<'a> Engine<'a> {
         Ok(Self {
             catalog,
             config,
-            jobs,
-            stage_instances,
+            stages,
             vms: Vec::new(),
             heap: EventHeap::new(),
             states,
@@ -351,7 +370,7 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> Result<FleetReport, FleetError> {
-        for index in 0..self.jobs.len() {
+        for index in 0..self.states.len() {
             let t = self.states[index].arrival_us;
             self.heap.push(t, Event::Arrival { job: id(index) });
         }
@@ -399,7 +418,7 @@ impl<'a> Engine<'a> {
         }
         // Spot until the stage has burned its spot attempts.
         let on_spot = self.config.spot.is_some() && state.attempt < MAX_SPOT_ATTEMPTS;
-        let instance = self.stage_instances[state.first_stage + state.stage];
+        let instance = self.stages[state.first_stage + state.stage].instance;
         if self.config.spot.is_some() && state.attempt == MAX_SPOT_ATTEMPTS {
             self.counters.spot_fallbacks += 1;
         }
@@ -451,10 +470,9 @@ impl<'a> Engine<'a> {
     /// schedule exactly one of the two outcomes.
     fn start_execution(&mut self, job: usize, vm: usize, now: u64) -> Result<(), FleetError> {
         let state = &self.states[job];
-        let (stage_index, attempt) = (state.stage, state.attempt);
-        let job_id = self.jobs[job].plan.id;
-        let runtime_secs = self.jobs[job].plan.stages[stage_index].runtime_secs;
-        let mut duration_us = stage_duration_us(runtime_secs)?;
+        let (job_id, stage_index, attempt) = (state.plan_id, state.stage, state.attempt);
+        let stage = self.stages[state.first_stage + stage_index];
+        let mut duration_us = stage.duration_us;
         // Injected VM stall: inflate the stage duration. Faults never
         // speed a stage up, so sub-100 percentages clamp to 100.
         let stall_pct = self.faults.stall_pct(job_id, stage_index).max(100);
@@ -479,7 +497,8 @@ impl<'a> Engine<'a> {
         let on_spot = self.vms[vm].fraction < 1.0;
         if on_spot {
             let market = self.config.spot.as_ref().expect("spot VM implies policy").market;
-            if let Some(fraction) = self.injector.reclaim_fraction(runtime_secs as f64, &market) {
+            let runtime_secs = stage.runtime_secs as f64;
+            if let Some(fraction) = self.injector.reclaim_fraction(runtime_secs, &market) {
                 // The reclaim point is a fraction of the stage; the
                 // checked helper rejects a NaN/out-of-range draw
                 // instead of letting the cast collapse it to 0 or
@@ -498,7 +517,7 @@ impl<'a> Engine<'a> {
     fn on_stage_done(&mut self, job: usize, vm: usize, now: u64) -> Result<(), FleetError> {
         let on_spot = self.vms[vm].fraction < 1.0;
         let state = &self.states[job];
-        let runtime_secs = self.jobs[job].plan.stages[state.stage].runtime_secs;
+        let runtime_secs = self.stages[state.first_stage + state.stage].runtime_secs;
         self.states[job].cost_usd += self.cost_usd(vm, runtime_secs as f64);
         if on_spot {
             self.bill(vm, now);
@@ -509,7 +528,7 @@ impl<'a> Engine<'a> {
         state.stage += 1;
         state.attempt = 0;
         self.job_spans[job].counter("stages_completed", 1);
-        if state.stage == self.jobs[job].plan.stages.len() {
+        if state.stage == state.stage_count {
             self.complete_job(job, now);
         } else {
             self.acquire_stage_vm(job, now)?;
@@ -980,8 +999,11 @@ mod tests {
 
     #[test]
     fn an_event_is_sixteen_bytes() {
-        // With the heap's `(time, seq)` key, a 32-byte entry.
+        // The heap lane's nodes are `(key, slot)` whatever the event; a
+        // 16-byte event keeps a run-lane entry at 32 bytes and a slab
+        // slot at 16.
         assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 16);
     }
 
     #[test]

@@ -4,6 +4,10 @@ use crate::NetlistError;
 use eda_cloud_tech::{CellKind, Library};
 use std::fmt;
 
+/// The most inputs any [`CellKind`] reads: the size of `simulate`'s
+/// input buffer.
+const MAX_CELL_INPUTS: usize = 3;
+
 /// Index of a cell instance inside a [`Netlist`].
 pub type CellId = u32;
 /// Index of a net inside a [`Netlist`].
@@ -344,15 +348,19 @@ impl Netlist {
         for (i, &net) in self.primary_inputs.iter().enumerate() {
             value[net as usize] = inputs[i];
         }
+        // One fixed buffer serves every cell. A cell with fewer nets than
+        // its kind reads hands `eval` a short slice, which panics on the
+        // arity.
+        let mut ins = [false; MAX_CELL_INPUTS];
         for &cid in &order {
             let cell = &self.cells[cid as usize];
-            let ins: Vec<bool> = cell
-                .inputs
-                .iter()
-                .map(|&n| value[n as usize])
-                .take(cell.kind.input_count())
-                .collect();
-            value[cell.output as usize] = cell.kind.eval(&ins);
+            let arity = cell.kind.input_count();
+            assert!(arity <= ins.len(), "cell {} reads {arity} inputs", cell.kind);
+            let nets = &cell.inputs[..arity.min(cell.inputs.len())];
+            for (slot, &n) in ins.iter_mut().zip(nets) {
+                *slot = value[n as usize];
+            }
+            value[cell.output as usize] = cell.kind.eval(&ins[..nets.len()]);
         }
         Ok(self
             .primary_outputs
@@ -545,6 +553,23 @@ mod tests {
                 expected: 2
             }
         ));
+    }
+
+    #[test]
+    fn every_kind_fits_the_simulation_buffer() {
+        let widest = CellKind::ALL.iter().map(|k| k.input_count()).max();
+        assert_eq!(widest, Some(MAX_CELL_INPUTS));
+    }
+
+    #[test]
+    #[should_panic(expected = "cell NAND2 expects 2 inputs, got 1")]
+    fn simulating_a_cell_short_of_inputs_panics_on_its_arity() {
+        let mut nl = Netlist::new("short", "synth14");
+        let a = nl.add_input("a");
+        let y = nl.add_net("y");
+        nl.add_cell("u1", "NAND2_X1", CellKind::Nand2, vec![a], y);
+        nl.add_output("y", y);
+        let _ = nl.simulate(&[true]);
     }
 
     #[test]

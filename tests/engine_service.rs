@@ -7,9 +7,11 @@
 //! A second golden pins a 20 000-job run, where run queues are deep and
 //! migrations, quota rejections and invalidations all fire.
 //!
-//! Under all of it sits `EventHeap`'s two lanes (a sorted run and a
-//! binary heap); the differential at the end drives it against a
-//! `BTreeMap` model through random push/pop scripts.
+//! Under all of it sits `EventHeap`'s two lanes: a sorted run, and a
+//! binary heap of `(key, slot)` nodes over a payload slab, whose pop
+//! leaves a hole at the root for the next push to fill. The
+//! differential at the end drives it against a `BTreeMap` model through
+//! random push/pop scripts, pop-then-push steps included.
 
 use eda_cloud::engine::{EventHeap, RegionJob, RegionSim, RegionSimConfig};
 use heap_script::{heap_script, replay_against_model};
