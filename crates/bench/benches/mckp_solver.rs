@@ -1,9 +1,11 @@
 //! Criterion benches for the MCKP solver: DP cost vs budget and stage
 //! count, against the greedy and exhaustive baselines — plus the
-//! objective ablation (paper's max Σ1/p vs direct min-cost), and the
-//! frontier's worst case.
+//! objective ablation (paper's max Σ1/p vs direct min-cost), the
+//! frontier's worst case, and the serving planner's split of Table I's
+//! knapsack into a one-off budget-free frontier and a per-request cut.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eda_cloud_core::{StageRuntimes, Workflow};
 use eda_cloud_mckp::{baselines, Choice, Objective, Problem, Solver, Stage};
 use std::hint::black_box;
 
@@ -100,6 +102,30 @@ fn bench_vs_baselines(c: &mut Criterion) {
     group.finish();
 }
 
+/// Table I's catalog-priced knapsack three ways: one budgeted solve
+/// (`solve_min_cost/table1`), the budget-free frontier a planner builds
+/// once per design (`frontier/table1`), and one deadline answered from
+/// it (`frontier_select/table1`).
+fn bench_table1_frontier(c: &mut Criterion) {
+    let problem = Workflow::with_defaults()
+        .deployment_problem(&StageRuntimes::table1())
+        .expect("Table I prices on the catalog");
+    let budget = problem.min_total_runtime() * 2;
+    let frontier = Solver::new().frontier(&problem, Objective::MinCost);
+    c.bench_function("solve_min_cost/table1", |b| {
+        b.iter(|| black_box(Solver::new().solve_min_cost(black_box(&problem), budget)));
+    });
+    c.bench_function("frontier/table1", |b| {
+        b.iter(|| black_box(Solver::new().frontier(black_box(&problem), Objective::MinCost)));
+    });
+    c.bench_function("frontier_select/table1", |b| {
+        b.iter(|| {
+            let fits = frontier.partition_point(|s| s.total_runtime_secs <= black_box(budget));
+            black_box(fits.checked_sub(1).map(|i| frontier[i].clone()))
+        });
+    });
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
@@ -110,6 +136,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_budget_scaling, bench_stage_scaling, bench_worst_case, bench_vs_baselines
+    targets = bench_budget_scaling, bench_stage_scaling, bench_worst_case, bench_vs_baselines,
+        bench_table1_frontier
 }
 criterion_main!(benches);

@@ -10,20 +10,40 @@
 //! table.
 
 use crate::predict::StagePredictors;
+use crate::optimize::VCPU_SWEEP;
 use crate::{StageRuntimes, Workflow, WorkflowError};
 use eda_cloud_flow::StageKind;
+use eda_cloud_mckp::{Objective, Solver};
 use eda_cloud_serve::{
     design_pool, synthetic_requests, ModelSnapshot, PlanSummary, Planner, RequestOutcome,
-    ServeConfig, ServeError, ServeReport, Server, WorkloadConfig, VCPUS,
+    ServeConfig, ServeError, ServeReport, Server, WorkloadConfig,
 };
+use std::collections::VecDeque;
+use std::sync::Mutex;
+
+/// Designs whose frontier a [`WorkflowPlanner`] keeps: the stock
+/// 18-design pool fits with room to spare.
+const FRONTIER_SLOTS: usize = 32;
+
+/// A design's predicted stage runtimes by bit pattern: the planner's
+/// only varying input, since the catalog behind a [`Workflow`] is fixed.
+type DesignKey = [[u64; 4]; 4];
 
 /// The workflow's deployment planner behind the serving API: predicted
-/// per-stage runtimes go through [`Workflow::plan_deployment`] — the
-/// catalog-priced exact MCKP — instead of the service's built-in flat
-/// rate table.
-#[derive(Debug, Clone)]
+/// per-stage runtimes are priced on the workflow's catalog
+/// ([`Workflow::deployment_problem`]) and solved as an exact min-cost
+/// MCKP instead of on the service's built-in flat rate table.
+///
+/// The knapsack is solved once per design: the planner keeps the
+/// budget-free Pareto frontier ([`Solver::frontier`]) of up to 32
+/// designs for its own lifetime, overwriting the oldest first, and
+/// answers each deadline by binary search on it — bit for bit what
+/// [`Workflow::plan_deployment`] returns.
+#[derive(Debug)]
 pub struct WorkflowPlanner {
     workflow: Workflow,
+    /// Per-design frontiers, oldest first.
+    frontiers: Mutex<VecDeque<(DesignKey, Vec<PlanSummary>)>>,
 }
 
 impl WorkflowPlanner {
@@ -31,7 +51,26 @@ impl WorkflowPlanner {
     /// and metrics by handle).
     #[must_use]
     pub fn new(workflow: Workflow) -> Self {
-        Self { workflow }
+        Self { workflow, frontiers: Mutex::default() }
+    }
+
+    /// Every Pareto-optimal deployment of one design, fastest first.
+    fn frontier(&self, stage_secs: &[[f64; 4]; 4]) -> Result<Vec<PlanSummary>, WorkflowError> {
+        let runtimes: Vec<StageRuntimes> = StageKind::ALL
+            .iter()
+            .zip(stage_secs)
+            .map(|(&kind, &runtimes_secs)| StageRuntimes { kind, runtimes_secs })
+            .collect();
+        let problem = self.workflow.deployment_problem(&runtimes)?;
+        let frontier = Solver::new().frontier(&problem, Objective::MinCost);
+        Ok(frontier
+            .into_iter()
+            .map(|selection| PlanSummary {
+                vcpus: std::array::from_fn(|k| VCPU_SWEEP[selection.picks[k]]),
+                total_runtime_secs: selection.total_runtime_secs,
+                total_cost_usd: selection.total_cost_usd,
+            })
+            .collect())
     }
 }
 
@@ -41,27 +80,24 @@ impl Planner for WorkflowPlanner {
         stage_secs: &[[f64; 4]; 4],
         budget_secs: u64,
     ) -> Result<Option<PlanSummary>, ServeError> {
-        let runtimes: Vec<StageRuntimes> = StageKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(k, &kind)| StageRuntimes { kind, runtimes_secs: stage_secs[k] })
-            .collect();
-        let plan = self
-            .workflow
-            .plan_deployment(&runtimes, budget_secs)
-            .map_err(|e| ServeError::Plan { message: e.to_string() })?;
-        let Some(plan) = plan else {
-            return Ok(None);
+        let key: DesignKey = stage_secs.map(|row| row.map(f64::to_bits));
+        let mut memo = self.frontiers.lock().expect("frontier memo");
+        let slot = match memo.iter().position(|(k, _)| *k == key) {
+            Some(slot) => slot,
+            None => {
+                let frontier = self
+                    .frontier(stage_secs)
+                    .map_err(|e| ServeError::Plan { message: e.to_string() })?;
+                if memo.len() == FRONTIER_SLOTS {
+                    memo.pop_front();
+                }
+                memo.push_back((key, frontier));
+                memo.len() - 1
+            }
         };
-        let mut vcpus = [VCPUS[0]; 4];
-        for (slot, stage) in vcpus.iter_mut().zip(&plan.stages) {
-            *slot = stage.vcpus;
-        }
-        Ok(Some(PlanSummary {
-            vcpus,
-            total_runtime_secs: plan.total_runtime_secs,
-            total_cost_usd: plan.total_cost_usd,
-        }))
+        let frontier = &memo[slot].1;
+        let fits = frontier.partition_point(|p| p.total_runtime_secs <= budget_secs);
+        Ok(fits.checked_sub(1).map(|i| frontier[i].clone()))
     }
 }
 
@@ -167,27 +203,57 @@ mod tests {
     #[test]
     fn workflow_planner_matches_plan_deployment() {
         let wf = Workflow::with_defaults();
-        let stage_secs = [
-            [6_100.0, 4_342.0, 3_449.0, 3_352.0],
-            [1_206.0, 905.0, 644.0, 519.0],
-            [10_461.0, 5_514.0, 2_894.0, 1_692.0],
-            [183.0, 119.0, 90.0, 82.0],
-        ];
         let planner = WorkflowPlanner::new(wf.clone());
-        let summary = planner.plan(&stage_secs, 100_000).expect("valid").expect("feasible");
-        let runtimes: Vec<StageRuntimes> = StageKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(k, &kind)| StageRuntimes { kind, runtimes_secs: stage_secs[k] })
+        // More designs than slots, so the first pass overwrites; the
+        // second runs backwards, so it starts on designs still kept.
+        // Designs `d` and `d + 16` differ in one runtime only, so a memo
+        // key that skipped it would hand one the other's frontier.
+        let designs: Vec<[[f64; 4]; 4]> = (0..FRONTIER_SLOTS + 8)
+            .map(|d| {
+                let mut secs = eda_cloud_serve::TABLE1_SECS.map(|row| row.map(|s| s + 0.25));
+                secs[d % 16 / 4][d % 4] += (1 + d / 16) as f64 * 211.0;
+                secs
+            })
             .collect();
-        let direct = wf.plan_deployment(&runtimes, 100_000).expect("valid").expect("feasible");
-        assert_eq!(summary.total_runtime_secs, direct.total_runtime_secs);
-        assert_eq!(summary.total_cost_usd, direct.total_cost_usd);
-        for (v, s) in summary.vcpus.iter().zip(&direct.stages) {
-            assert_eq!(*v, s.vcpus);
-        }
-        // Below the fastest selection there is no feasible plan.
-        assert!(planner.plan(&stage_secs, 5_000).expect("valid").is_none());
+        let check = |stage_secs: &[[f64; 4]; 4]| {
+            let runtimes: Vec<StageRuntimes> = StageKind::ALL
+                .iter()
+                .zip(stage_secs)
+                .map(|(&kind, &runtimes_secs)| StageRuntimes { kind, runtimes_secs })
+                .collect();
+            let problem = wf.deployment_problem(&runtimes).expect("valid");
+            let fastest = problem.min_total_runtime();
+            let slowest: u64 = problem
+                .stages()
+                .iter()
+                .map(|s| s.choices.iter().map(|c| c.runtime_secs).max().unwrap_or(0))
+                .sum();
+            // A sweep, plus each Pareto point's runtime and the second
+            // before it: where the answer changes.
+            let step = ((slowest - fastest) / 97).max(1);
+            let sweep = (0..=99).map(|i| (fastest - 1 + i * step).min(slowest + 1));
+            let edges = Solver::new()
+                .frontier(&problem, Objective::MinCost)
+                .into_iter()
+                .flat_map(|s| [s.total_runtime_secs - 1, s.total_runtime_secs]);
+            for budget in sweep.chain(edges).chain([0, u64::MAX]) {
+                let got = planner.plan(stage_secs, budget).expect("valid");
+                let want = wf.plan_deployment(&runtimes, budget).expect("valid");
+                let bits = |(vcpus, t, cost): ([u32; 4], u64, f64)| (vcpus, t, cost.to_bits());
+                assert_eq!(
+                    got.map(|p| bits((p.vcpus, p.total_runtime_secs, p.total_cost_usd))),
+                    want.map(|p| bits((
+                        std::array::from_fn(|k| p.stages[k].vcpus),
+                        p.total_runtime_secs,
+                        p.total_cost_usd,
+                    ))),
+                    "budget {budget} on {stage_secs:?}"
+                );
+            }
+        };
+        designs.iter().for_each(check);
+        assert_eq!(planner.frontiers.lock().expect("memo").len(), FRONTIER_SLOTS);
+        designs.iter().rev().for_each(check);
     }
 
     #[test]

@@ -31,9 +31,10 @@ pub struct Selection {
 /// exactly as in the paper's Equation (3). Runtimes are integer seconds
 /// and `z_l` is a step function of `C`, so only its steps are kept: a
 /// Pareto frontier of (runtime `t`, score) states, `t` and score both
-/// strictly increasing. Cost is `O(stages · choices · F)` up to the
-/// merge's `log choices`, `F <= min(Π choices, C + 1)` states per
-/// frontier: 256 for four stages of four sizes, whatever the deadline.
+/// strictly increasing. Cost is `O(stages · choices · F)` plus a stable
+/// sort of each level's `choices · F` candidates, `F <= min(Π choices,
+/// C + 1)` states per frontier: 256 for four stages of four sizes,
+/// whatever the deadline.
 ///
 /// The answer is bit for bit that of the one-cell-per-second table
 /// (kept as `dense_oracle` in `tests/solver_properties.rs`), because
@@ -46,6 +47,20 @@ pub struct Selection {
 /// matched or beaten too). LP-dominated choices are *not* dropped: one
 /// can sit in the integer optimum; Dudzinski and Walukiewicz use
 /// LP-dominance for the bound only.
+///
+/// A budget only prunes, so one frontier answers every deadline. Let
+/// `F_l` be level `l` built with no budget and `F_l(B)` the level built
+/// under budget `B`; then `F_l(B)` is the `t <= B` prefix of `F_l`, by
+/// induction on `l`. A candidate reaches `t <= B` only from a
+/// predecessor with `t <= B`, so level `l + 1`'s candidates under `B`
+/// are exactly its budget-free candidates with `t <= B`, generated in
+/// the same (choice, predecessor) order and pointing at the same
+/// predecessor indices (the predecessors are a prefix). The stable sort
+/// keeps that order within one `t`, and the reduction decides each
+/// state from the states before it, so it keeps the same prefix.
+/// [`Solver::solve`] returns the last state of `F_n(B)`, which is the
+/// last state of `F_n` with `t <= B`: the last selection of
+/// [`Solver::frontier`] with `total_runtime_secs <= budget_secs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Solver;
 
@@ -72,10 +87,32 @@ impl Solver {
     ) -> Option<Selection> {
         // `Problem` is validated at construction, so the DP core's
         // preconditions hold by type.
-        Self::solve_core(problem.stages(), budget_secs, objective)
+        let frontiers = Self::frontiers(problem.stages(), budget_secs, objective);
+        // Scores rise along a frontier: its last state is the best
+        // score at the smallest `t` reaching it.
+        let last = frontiers.last()?.len().checked_sub(1)?;
+        Self::selection(problem.stages(), &frontiers, last, objective)
     }
 
-    fn solve_core(stages: &[Stage], budget_secs: u64, objective: Objective) -> Option<Selection> {
+    /// Every Pareto-optimal selection, in strictly ascending
+    /// `total_runtime_secs` (and strictly improving objective). The
+    /// answer for a budget `B` is the last selection with
+    /// `total_runtime_secs <= B`, bit for bit what
+    /// [`solve`](Self::solve)`(problem, B, objective)` returns (see the
+    /// type's docs); no selection fits means `solve` returns `None`.
+    /// Selections whose runtime overflows `u64` fit no budget and are
+    /// left out.
+    #[must_use]
+    pub fn frontier(&self, problem: &Problem, objective: Objective) -> Vec<Selection> {
+        let frontiers = Self::frontiers(problem.stages(), u64::MAX, objective);
+        let width = frontiers.last().map_or(0, Vec::len);
+        (0..width)
+            .filter_map(|at| Self::selection(problem.stages(), &frontiers, at, objective))
+            .collect()
+    }
+
+    /// The DP's frontiers, every state's `t` at most `cap`.
+    fn frontiers(stages: &[Stage], cap: u64, objective: Objective) -> Vec<Vec<State>> {
         // score(choice): larger is better for the DP max.
         let score = |cost: f64| -> f64 {
             match objective {
@@ -98,7 +135,7 @@ impl Solver {
             cands.clear();
             for (j, choice) in stage.choices.iter().enumerate() {
                 // Subtracting first: an absurd runtime cannot overflow `t`.
-                let Some(room) = budget_secs.checked_sub(choice.runtime_secs) else { continue };
+                let Some(room) = cap.checked_sub(choice.runtime_secs) else { continue };
                 let s = score(choice.cost_usd);
                 for (i, p) in prev.iter().enumerate().take_while(|(_, p)| p.t <= room) {
                     let (t, score) = (p.t + choice.runtime_secs, p.score + s);
@@ -118,12 +155,19 @@ impl Solver {
             }
             frontiers.push(next);
         }
+        frontiers
+    }
 
-        // Scores rise along a frontier: its last state is the best
-        // score at the smallest `t` reaching it. Every state's `parent`
-        // indexes the frontier before its own, so the chain is complete
-        // by construction; `?` keeps the solver panic-free regardless.
-        let mut at = frontiers.last()?.len().checked_sub(1)?;
+    /// The selection ending at state `at` of the last frontier. Every
+    /// state's `parent` indexes the frontier before its own, so the
+    /// chain is complete by construction; `?` keeps the solver
+    /// panic-free regardless.
+    fn selection(
+        stages: &[Stage],
+        frontiers: &[Vec<State>],
+        mut at: usize,
+        objective: Objective,
+    ) -> Option<Selection> {
         let mut picks = vec![0usize; stages.len()];
         for (pick, frontier) in picks.iter_mut().zip(&frontiers[1..]).rev() {
             let state = frontier.get(at)?;
@@ -256,6 +300,21 @@ mod tests {
                 dp.total_cost_usd,
                 brute.total_cost_usd
             );
+        }
+    }
+
+    #[test]
+    fn frontier_cut_is_the_budgeted_solve() {
+        let p = toy_problem();
+        let frontier = Solver::new().frontier(&p, Objective::MinCost);
+        // Fastest first, cheapest last.
+        assert_eq!(frontier[0].total_runtime_secs, 5645);
+        let cheapest = Solver::new().solve_min_cost(&p, u64::MAX).expect("feasible");
+        assert_eq!(frontier.last(), Some(&cheapest));
+        for budget in [0u64, 5_644, 5_645, 6_000, 7_500, 10_000, 18_000, u64::MAX] {
+            let at = frontier.partition_point(|s| s.total_runtime_secs <= budget);
+            let cut = at.checked_sub(1).map(|i| frontier[i].clone());
+            assert_eq!(cut, Solver::new().solve_min_cost(&p, budget), "budget {budget}");
         }
     }
 

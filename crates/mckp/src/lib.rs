@@ -21,6 +21,12 @@
 //!   feasible but can pick different configurations; minimizing cost is
 //!   never worse in USD).
 //!
+//! [`Solver::frontier`] returns every Pareto-optimal selection of an
+//! instance at once, fastest first: the answer for any deadline is its
+//! last selection within it, the same as [`Solver::solve`]'s. A caller
+//! that asks one instance under many deadlines (the serving tier's
+//! planner) builds it once.
+//!
 //! [`Problem::new`] validates raw stages, so callers assembling them on
 //! the fly (the serving tier's planner) get malformed input back as a
 //! typed [`MckpError`], never a panic inside the DP.

@@ -46,8 +46,7 @@ impl Stage {
     }
 
     /// The fastest choice (used for feasibility checks).
-    #[must_use]
-    pub fn fastest(&self) -> Option<&Choice> {
+    fn fastest(&self) -> Option<&Choice> {
         self.choices.iter().min_by_key(|c| c.runtime_secs)
     }
 }

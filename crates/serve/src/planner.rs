@@ -4,9 +4,11 @@
 //! [`Planner`] can turn a design's per-stage runtime predictions into a
 //! deployment plan. [`CostTablePlanner`] is the built-in
 //! implementation — a flat hourly-rate table fed to the exact MCKP
-//! solver — and `eda-cloud-core` adapts its catalog-backed
-//! `Workflow::plan_deployment` to the same trait, so the service can
-//! run standalone or on the full pricing model.
+//! solver on every call — and `eda-cloud-core`'s `WorkflowPlanner`
+//! implements the same trait on the catalog's pricing, solving each
+//! design's knapsack once and answering every deadline from its Pareto
+//! frontier, so the service can run standalone or on the full pricing
+//! model.
 
 use crate::{ServeError, STAGE_NAMES};
 use eda_cloud_mckp::{Choice, Problem, Solver, Stage};

@@ -123,6 +123,31 @@ fn overload_sheds_requests_instead_of_stalling() {
         .any(|o| matches!(o, RequestOutcome::Shed { .. })));
 }
 
+#[test]
+fn a_reused_server_reports_what_a_fresh_one_does() {
+    // The workflow's planner keeps each design's deployment frontier for
+    // its lifetime: a server's second run must read byte for byte like a
+    // fresh server's first on the same stream.
+    let server = || {
+        Server::new(
+            seeded_snapshot(13),
+            Box::new(WorkflowPlanner::new(Workflow::with_defaults())),
+            ServeConfig::default(),
+        )
+    };
+    let (warm_up, stream) = (workload(48, 13), workload(48, 14));
+    let reused = server();
+    reused
+        .run(warm_up.seed, &synthetic_requests(&design_pool(), &warm_up))
+        .expect("first run");
+    let requests = synthetic_requests(&design_pool(), &stream);
+    let (again, again_out) = reused.run(stream.seed, &requests).expect("second run");
+    let (fresh, fresh_out) = server().run(stream.seed, &requests).expect("fresh run");
+    assert!(fresh.counters.plans > 0, "the stream must plan");
+    assert_eq!(again.to_json(), fresh.to_json());
+    assert_eq!(again_out, fresh_out);
+}
+
 /// Golden report for the CI smoke scenario
 /// (`serve --requests 64 --seed 7 --json`). The serving tier's output
 /// is a pure function of the workload and the snapshot — independent
