@@ -10,8 +10,12 @@
 //! slices, see `eda_cloud_gcn::CHUNK_TARGET_ROWS`) recovers that loss:
 //! batched inference runs at per-request speed while keeping the
 //! amortized dispatch, alloc-free steady state, and deterministic
-//! worker fan-out the serving tier batches for. `EXPERIMENTS.md`
-//! records the measured numbers.
+//! worker fan-out the serving tier batches for. Packing also folds each
+//! chunk's node rows into row classes (equal node states, computed
+//! once), so on circuit graphs a batched forward runs about half the
+//! rows the per-request loop does: `paper_pool_36` shows that saving on
+//! the paper model over the `serve_miss` benchmark's design pool.
+//! `EXPERIMENTS.md` records the measured numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_gcn::{GraphBatch, GraphSample, ModelConfig, RuntimePredictor};
@@ -56,6 +60,40 @@ fn bench_batched_vs_sequential(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 36 designs of the `serve_miss` benchmark pool (every generator
+/// family at sizes 4 and 8) on the paper model (GCN 256 → 128, FC 128):
+/// one batch packed at the serving tier's pad stride of 8, forwarded
+/// over its row classes, against 36 per-sample forwards over every node
+/// row. Both predict the same bits.
+fn bench_paper_pool(c: &mut Criterion) {
+    let mut samples = Vec::new();
+    for family in generators::FAMILY_NAMES {
+        for size in [4u32, 8] {
+            let aig = generators::build_family(family, size).expect("known family");
+            samples.push(GraphSample::new(&DesignGraph::from_aig(&aig), [1.0; 4]));
+        }
+    }
+    let picked: Vec<&GraphSample> = samples.iter().collect();
+    let model = RuntimePredictor::new(&ModelConfig::paper(), 7);
+    let batch = GraphBatch::pack_padded(&picked, 8);
+    let mut group = c.benchmark_group("paper_pool_36");
+    group.bench_function("batched", |b| {
+        b.iter(|| black_box(model.predict_log_batch(black_box(&batch))));
+    });
+    group.bench_function("sequential", |b| {
+        b.iter(|| {
+            for s in &picked {
+                black_box(model.predict_log(black_box(s)));
+            }
+        });
+    });
+    group.finish();
+}
+
+/// Packing cost: stacking the 18 stock designs into padded
+/// block-diagonal chunks, then partitioning each chunk into row classes
+/// (colour refinement to a stable partition) and building its
+/// class-level adjacency.
 fn bench_packing(c: &mut Criterion) {
     let samples = pool();
     let picked: Vec<&GraphSample> = samples.iter().collect();
@@ -74,6 +112,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_batched_vs_sequential, bench_packing
+    targets = bench_batched_vs_sequential, bench_paper_pool, bench_packing
 }
 criterion_main!(benches);

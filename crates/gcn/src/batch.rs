@@ -1,23 +1,39 @@
 //! Micro-batched inference: pack several graph samples into padded
-//! block-diagonal chunks and run the GCN forward pass once per chunk.
+//! block-diagonal chunks and run the GCN forward pass once per distinct
+//! node state of each chunk.
 //!
 //! A [`GraphBatch`] concatenates the node-feature matrices of
 //! consecutive graphs into one tall matrix per chunk and places their
 //! adjacencies on the diagonal of one sparse operator (optionally
-//! padded to a row stride). [`crate::RuntimePredictor::predict_log_batch`]
-//! pushes each chunk through the GCN stack, pools each graph's row
-//! segment separately and runs the dense layers once on a `B`-row
-//! matrix, so layer dispatch and the 1-row dense products are paid per
-//! chunk rather than per graph.
+//! padded to a row stride). Packing then folds each chunk's rows into
+//! **row classes**: two node rows share a class when their feature bits
+//! are equal and their `Ā` rows list the same `(weight bits, neighbour
+//! class)` sequence in entry order, refined until no class splits
+//! (stable ordered colour refinement: Weisfeiler–Lehman with edge order
+//! and edge weights), so the classes hold at every GCN depth and merge
+//! equal nodes across samples. A chunk keeps one feature row per class, a
+//! class-level `Ā` whose row `c` is the CSR row of class `c`'s first
+//! node with every column mapped to its class, and the class of every
+//! node row. [`crate::RuntimePredictor::predict_log_batch`] pushes the
+//! class rows through the GCN stack, pools each graph's node segment by
+//! reading every node's class row in node order, and runs the dense
+//! layers once on a `B`-row matrix, so layer dispatch and the 1-row
+//! dense products are paid per chunk rather than per graph, and every
+//! repeated node state is computed once.
 //!
 //! One-at-a-time prediction is the same body: `predict_log` hands it
 //! the sample's own adjacency and features, borrowed, as one chunk with
-//! one segment. Because the blocks are disjoint, every per-row
-//! accumulation of a packed chunk happens in exactly the order of that
-//! one-sample chunk, so batched predictions are **bit-identical** to
-//! one-at-a-time predictions — batching is a pure throughput
-//! optimization, invisible to every downstream consumer (verified by
-//! `batched_equals_sequential` below, and against an independent naive
+//! one segment and no classes. Batched predictions are **bit-identical**
+//! to it. The blocks are disjoint, so a node's row of a packed chunk
+//! sees only its own graph; and every kernel of the stack is row-pure —
+//! the CSR AXPY adds a row's terms in entry order, the dense kernels'
+//! zero skip and fold grouping depend only on the row's own values, add
+//! and ReLU are element-wise — so by induction over the layers every
+//! member of a class has its representative's activations bit for bit,
+//! and pooling adds them in node order exactly as the per-node pass
+//! does. Batching is a pure throughput optimization, invisible to every
+//! downstream consumer (verified by `batched_equals_sequential` and the
+//! row-class differentials below, and against an independent naive
 //! forward pass by the crate's oracle).
 //!
 //! Chunks are cache-sized (block diagonality makes any row partition
@@ -28,30 +44,40 @@
 
 use crate::{GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;
+use std::hash::{BuildHasher, Hasher, RandomState};
+use std::sync::OnceLock;
 
 /// Default target of padded node rows per internal chunk; a sample
-/// larger than the target gets a chunk of its own. 192 was chosen on the
-/// *fast* model by sweeping targets in the `inference_batching` bench
-/// (192 × 32 f64 = 48 KiB at its widest layer). At paper dims a chunk's
-/// widest activation is 192 × 256 f64 = 384 KiB — L2, not L1 — and the
-/// target barely matters: `serve_miss` reads 153 / 155 / 150 requests/s
-/// at 48 / 192 / 768 (`EXPERIMENTS.md` § Float GEMM), because the dense
-/// kernels walk one activation row at a time against weights that stay
-/// resident. What the chunking still buys is the bound on the scratch's
-/// size.
+/// larger than the target gets a chunk of its own. Chunks are cut by
+/// node rows, while the forward runs over class rows, about half as
+/// many on circuit graphs (48 % on the 36-design `serve_miss` pool,
+/// 32 % on the stock 18-design pool). 192 was chosen on the *fast*
+/// model by sweeping targets in the `inference_batching` bench (192 ×
+/// 32 f64 = 48 KiB at its widest layer). At paper dims a chunk's widest
+/// activation is at most 192 × 256 f64 = 384 KiB — L2, not L1 — and
+/// the target barely matters: `serve_miss` read 153 / 155 / 150
+/// requests/s at 48 / 192 / 768 (`EXPERIMENTS.md` § Float GEMM), because
+/// the dense kernels walk one activation row at a time against weights
+/// that stay resident. What the chunking still buys is the bound on the
+/// scratch's size.
 pub const CHUNK_TARGET_ROWS: usize = 192;
 
-/// One cache-sized slice of a batch: a block-diagonal adjacency over a
-/// consecutive run of samples, their stacked features, and the row
-/// segment each occupies within the chunk.
+/// One cache-sized slice of a batch: a consecutive run of samples,
+/// folded into row classes.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchChunk {
+    /// Class-level `Ā`: row `c` is the block-diagonal row of class
+    /// `c`'s first node, entries in their CSR order (not sorted,
+    /// duplicates kept), each column the neighbour's class.
     pub(crate) a_norm: SparseMatrix,
+    /// One feature row per class.
     pub(crate) features: Matrix,
-    /// `(first_row, node_count)` per sample; padding rows (zero
-    /// features, no adjacency) sit between segments when a stride is
-    /// requested and are ignored by pooling.
+    /// `(first_row, node_count)` per sample, in node rows; padding rows
+    /// (zero features, no adjacency) sit between segments when a stride
+    /// is requested and are ignored by pooling.
     pub(crate) segments: Vec<(usize, usize)>,
+    /// The class of every node row, padding rows included.
+    pub(crate) class_of: Vec<u32>,
 }
 
 /// A packed batch of graph samples, split into cache-sized
@@ -73,11 +99,15 @@ impl GraphBatch {
     /// of `stride` with zero rows. Padding rows carry no adjacency and
     /// zero features, so they stay zero through every ReLU layer and
     /// never reach the pooled readout — predictions are independent of
-    /// the stride (see `padding_does_not_change_predictions`).
+    /// the stride (see `padding_does_not_change_predictions`). A chunk's
+    /// padding rows all fall into one row class, so the stride moves
+    /// where chunks are cut but adds at most one class row per chunk to
+    /// the forward.
     ///
     /// # Panics
     ///
-    /// Panics if `stride` is zero.
+    /// Panics if `stride` is zero, or if a sample's adjacency is not
+    /// square over its feature rows.
     #[must_use]
     pub fn pack_padded(samples: &[&GraphSample], stride: usize) -> Self {
         Self::pack_chunked(samples, stride, CHUNK_TARGET_ROWS)
@@ -89,13 +119,26 @@ impl GraphBatch {
     /// for every target (see
     /// `chunking_preserves_sample_order_and_results`) — exposed so
     /// benchmarks can measure the cache cliff that monolithic batches
-    /// (`target_rows = usize::MAX`) fall off.
+    /// (`target_rows = usize::MAX`) fall off. A wider chunk also merges
+    /// more equal nodes across its samples.
     ///
     /// # Panics
     ///
-    /// Panics if `stride` or `target_rows` is zero.
+    /// Panics if `stride` or `target_rows` is zero, or if a sample's
+    /// adjacency is not square over its feature rows.
     #[must_use]
     pub fn pack_chunked(samples: &[&GraphSample], stride: usize, target_rows: usize) -> Self {
+        Self::pack_hashed(samples, stride, target_rows, &RowHashing::keyed())
+    }
+
+    /// [`GraphBatch::pack_chunked`] with the row-key hash given. The
+    /// packing does not depend on it: a hash match is only a candidate.
+    fn pack_hashed(
+        samples: &[&GraphSample],
+        stride: usize,
+        target_rows: usize,
+        hashing: &impl BuildHasher,
+    ) -> Self {
         assert!(stride > 0, "pad stride must be positive");
         assert!(target_rows > 0, "chunk row target must be positive");
         let pad = |n: usize| n.div_ceil(stride) * stride;
@@ -110,7 +153,7 @@ impl GraphBatch {
                 rows += pad(samples[end].node_count());
                 end += 1;
             }
-            chunks.push(Self::pack_chunk(&samples[start..end], &pad));
+            chunks.push(Self::pack_chunk(&samples[start..end], &pad, hashing));
             start = end;
         }
         Self {
@@ -119,27 +162,30 @@ impl GraphBatch {
         }
     }
 
-    /// Pack one consecutive run of samples into a chunk.
-    fn pack_chunk(samples: &[&GraphSample], pad: &dyn Fn(usize) -> usize) -> BatchChunk {
-        let total: usize = samples.iter().map(|s| pad(s.node_count())).sum();
-        let mut segments = Vec::with_capacity(samples.len());
-        let mut offsets = Vec::with_capacity(samples.len());
-        let mut features = Matrix::zeros(total, FEATURE_DIM);
-        let mut base = 0usize;
-        for s in samples {
-            let n = s.node_count();
-            segments.push((base, n));
-            offsets.push(base);
-            let dst = &mut features.data_mut()[base * FEATURE_DIM..(base + n) * FEATURE_DIM];
-            dst.copy_from_slice(s.features.data());
-            base += pad(n);
+    /// Pack one consecutive run of samples into a chunk: stack them at
+    /// node level, then keep one row per row class.
+    fn pack_chunk(
+        samples: &[&GraphSample],
+        pad: &dyn Fn(usize) -> usize,
+        hashing: &impl BuildHasher,
+    ) -> BatchChunk {
+        let nodes = NodeRows::stack(samples, pad);
+        let (class_of, reps) = row_classes(&nodes, hashing);
+        let classes = reps.len();
+        let mut features = Matrix::zeros(classes, FEATURE_DIM);
+        let mut triplets = Vec::new();
+        for (c, &rep) in reps.iter().enumerate() {
+            let rep = rep as usize;
+            let dst = &mut features.data_mut()[c * FEATURE_DIM..(c + 1) * FEATURE_DIM];
+            dst.copy_from_slice(nodes.features(rep));
+            let row = nodes.row(rep).iter();
+            triplets.extend(row.map(|&(col, w)| (c as u32, class_of[col as usize], w)));
         }
-        let blocks: Vec<&SparseMatrix> = samples.iter().map(|s| &s.a_norm).collect();
-        let a_norm = SparseMatrix::block_diagonal(&blocks, &offsets, total);
         BatchChunk {
-            a_norm,
+            a_norm: SparseMatrix::from_triplets(classes, classes, &triplets),
             features,
-            segments,
+            segments: nodes.segments,
+            class_of,
         }
     }
 
@@ -155,18 +201,368 @@ impl GraphBatch {
         self.len == 0
     }
 
-    /// Total node rows, padding included.
+    /// Total node rows, padding included (not class rows: this is how
+    /// many rows the chunks were cut by).
     #[must_use]
     pub fn node_rows(&self) -> usize {
-        self.chunks.iter().map(|c| c.features.rows()).sum()
+        self.chunks.iter().map(|c| c.class_of.len()).sum()
+    }
+}
+
+/// A chunk's block-diagonal graph at node level: every sample's `Ā`
+/// rows in CSR form with columns shifted to its segment, and the
+/// stacked features. Padding rows have no entries and zero features.
+struct NodeRows {
+    /// `offsets[r]..offsets[r + 1]` are row `r`'s entries.
+    offsets: Vec<u32>,
+    /// `(column, weight)` per stored entry, in each sample's CSR order.
+    entries: Vec<(u32, f64)>,
+    /// `FEATURE_DIM` values per node row.
+    features: Vec<f64>,
+    segments: Vec<(usize, usize)>,
+}
+
+impl NodeRows {
+    /// Stack `samples`, each padded to `pad(n)` rows.
+    fn stack(samples: &[&GraphSample], pad: &dyn Fn(usize) -> usize) -> Self {
+        let total: usize = samples.iter().map(|s| pad(s.node_count())).sum();
+        let mut nodes = Self {
+            offsets: Vec::with_capacity(total + 1),
+            entries: Vec::with_capacity(samples.iter().map(|s| s.a_norm.nnz()).sum()),
+            features: vec![0.0; total * FEATURE_DIM],
+            segments: Vec::with_capacity(samples.len()),
+        };
+        let mut base = 0usize;
+        for s in samples {
+            let n = s.node_count();
+            assert!(
+                s.a_norm.rows() == n && s.a_norm.cols() == n,
+                "a sample's adjacency must be square over its feature rows"
+            );
+            nodes.segments.push((base, n));
+            let dst = &mut nodes.features[base * FEATURE_DIM..(base + n) * FEATURE_DIM];
+            dst.copy_from_slice(s.features.data());
+            for (r, c, w) in s.a_norm.entries() {
+                nodes.open_rows_through(base + r as usize);
+                nodes.entries.push((base as u32 + c, w));
+            }
+            base += pad(n);
+            nodes.open_rows_through(base);
+        }
+        nodes
+    }
+
+    /// Record the start of every row up to `row` not yet started: rows
+    /// skipped over are empty, and `row` starts at the next entry.
+    fn open_rows_through(&mut self, row: usize) {
+        while self.offsets.len() <= row {
+            self.offsets.push(self.entries.len() as u32);
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn row(&self, r: usize) -> &[(u32, f64)] {
+        &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    fn features(&self, r: usize) -> &[f64] {
+        &self.features[r * FEATURE_DIM..(r + 1) * FEATURE_DIM]
+    }
+}
+
+/// Partition a chunk's node rows into row classes; returns the class of
+/// every row and the first row of every class.
+///
+/// Rows start out grouped by their feature bits. Then a class is split
+/// by its members' `(weight bits, neighbour class)` entry sequences in
+/// CSR order, and every class with a member that reads a row the split
+/// moved is queued to be split again, until the queue runs dry. The
+/// partition left is stable — members of a class have equal features
+/// and entry-for-entry equal rows over classes, which is what makes
+/// their activations equal at every depth — and it is the coarsest
+/// stable one under the feature grouping, since a split never parts two
+/// rows whose keys agree: the same partition, whatever order the queue
+/// is worked in. Classes are numbered by first appearance in node order
+/// at the end, and a hash match is only a candidate whose key is
+/// compared exactly, so the result is a pure function of the chunk,
+/// whatever the hash.
+fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher) -> (Vec<u32>, Vec<u32>) {
+    let rows = nodes.rows();
+    let mut table = GroupTable::new(rows);
+    let mut classes = 0u32;
+    let mut class = Vec::with_capacity(rows);
+    for r in 0..rows {
+        let key = nodes.features(r);
+        let mut h = hashing.build_hasher();
+        key.iter().for_each(|v| h.write_u64(v.to_bits()));
+        let same = |q: usize| {
+            nodes.features(q).iter().zip(key).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        class.push(table.group(h.finish(), r, same, || {
+            classes += 1;
+            classes - 1
+        }));
+    }
+    // Each class is the run `members[span.0..span.1]`.
+    let (mut members, mut spans) = runs(&class, classes as usize);
+    let (reader_at, readers) = readers(nodes);
+    let mut queued = vec![true; classes as usize];
+    let mut queue: Vec<u32> = (0..classes).rev().collect();
+    let (mut labels, mut tagged) = (Vec::new(), Vec::new());
+    while let Some(c) = queue.pop() {
+        queued[c as usize] = false;
+        let (start, end) = spans[c as usize];
+        let run = &members[start..end];
+        let groups = entry_groups(nodes, &class, run, &mut table, hashing, &mut labels);
+        if groups < 2 {
+            continue;
+        }
+        // Group 0 keeps the class; group `g` becomes class
+        // `classes + g - 1`, its members moved to a run of their own.
+        tagged.clear();
+        tagged.extend(labels.iter().copied().zip(members[start..end].iter().copied()));
+        tagged.sort_by_key(|&(g, _)| g);
+        let mut at = start;
+        for (g, run) in tagged.chunk_by(|a, b| a.0 == b.0).enumerate() {
+            let span = (at, at + run.len());
+            members[span.0..span.1].iter_mut().zip(run).for_each(|(m, &(_, r))| *m = r);
+            if g == 0 {
+                spans[c as usize] = span;
+            } else {
+                spans.push(span);
+            }
+            at = span.1;
+        }
+        let moved = &tagged[spans[c as usize].1 - start..];
+        for &(g, m) in moved {
+            class[m as usize] = classes + g - 1;
+        }
+        classes = spans.len() as u32;
+        queued.resize(spans.len(), false);
+        for &(_, m) in moved {
+            let m = m as usize;
+            for &q in &readers[reader_at[m] as usize..reader_at[m + 1] as usize] {
+                let d = class[q as usize] as usize;
+                if !std::mem::replace(&mut queued[d], true) {
+                    queue.push(d as u32);
+                }
+            }
+        }
+    }
+    // Number the classes by first appearance in node order.
+    let mut number = vec![u32::MAX; classes as usize];
+    let mut reps = Vec::new();
+    for (r, c) in class.iter_mut().enumerate() {
+        let n = &mut number[*c as usize];
+        if *n == u32::MAX {
+            *n = reps.len() as u32;
+            reps.push(r as u32);
+        }
+        *c = *n;
+    }
+    (class, reps)
+}
+
+/// Group the rows of one class by their `(weight bits, neighbour
+/// class)` entry sequences: `labels[i]` receives the group of
+/// `members[i]`, groups numbered by first appearance. Returns how many
+/// groups there are.
+fn entry_groups(
+    nodes: &NodeRows,
+    class: &[u32],
+    members: &[u32],
+    table: &mut GroupTable,
+    hashing: &impl BuildHasher,
+    labels: &mut Vec<u32>,
+) -> u32 {
+    table.next_generation();
+    labels.clear();
+    let mut groups = 0u32;
+    for &r in members {
+        let key = nodes.row(r as usize);
+        let mut h = hashing.build_hasher();
+        for &(col, w) in key {
+            h.write_u64(w.to_bits());
+            h.write_u32(class[col as usize]);
+        }
+        let same = |q: usize| {
+            let row = nodes.row(q);
+            row.len() == key.len()
+                && row.iter().zip(key).all(|(&(qc, qw), &(rc, rw))| {
+                    qw.to_bits() == rw.to_bits() && class[qc as usize] == class[rc as usize]
+                })
+        };
+        labels.push(table.group(h.finish(), r as usize, same, || {
+            groups += 1;
+            groups - 1
+        }));
+    }
+    groups
+}
+
+/// Rows sorted by class, in node order within a class, and each class's
+/// `(start, end)` in that order.
+fn runs(class: &[u32], classes: usize) -> (Vec<u32>, Vec<(usize, usize)>) {
+    let mut spans = vec![(0, 0); classes];
+    for &c in class {
+        spans[c as usize].1 += 1;
+    }
+    let mut at = 0;
+    for span in &mut spans {
+        *span = (at, at + span.1);
+        at = span.1;
+    }
+    let mut members = vec![0; class.len()];
+    let mut fill: Vec<usize> = spans.iter().map(|s| s.0).collect();
+    for (r, &c) in class.iter().enumerate() {
+        members[fill[c as usize]] = r as u32;
+        fill[c as usize] += 1;
+    }
+    (members, spans)
+}
+
+/// The transpose of a chunk's adjacency pattern: `readers[at[col]..at[col
+/// + 1]]` are the rows with an entry in column `col`.
+fn readers(nodes: &NodeRows) -> (Vec<u32>, Vec<u32>) {
+    let mut at = vec![0u32; nodes.rows() + 1];
+    for &(col, _) in &nodes.entries {
+        at[col as usize + 1] += 1;
+    }
+    for i in 0..nodes.rows() {
+        at[i + 1] += at[i];
+    }
+    let mut readers = vec![0; nodes.entries.len()];
+    let mut fill = at.clone();
+    for r in 0..nodes.rows() {
+        for &(col, _) in nodes.row(r) {
+            readers[fill[col as usize] as usize] = r as u32;
+            fill[col as usize] += 1;
+        }
+    }
+    (at, readers)
+}
+
+/// Open-addressed table from a row key's hash to the group of rows with
+/// that key, at most half full, linear probing. Slots of an earlier
+/// generation count as empty, so starting a new grouping costs nothing.
+struct GroupTable {
+    /// `(hash, first row, group, generation)`.
+    slots: Vec<(u32, u32, u32, u32)>,
+    generation: u32,
+}
+
+impl GroupTable {
+    fn new(rows: usize) -> Self {
+        Self {
+            slots: vec![(0, 0, 0, 0); (2 * rows).next_power_of_two()],
+            generation: 1,
+        }
+    }
+
+    fn next_generation(&mut self) {
+        self.generation += 1;
+    }
+
+    /// The group of `row`, whose key hashes to `hash`: the group of the
+    /// first earlier row of this generation that `same` accepts among
+    /// those with this hash, or a `fresh` one that `row` opens.
+    fn group(
+        &mut self,
+        hash: u64,
+        row: usize,
+        same: impl Fn(usize) -> bool,
+        fresh: impl FnOnce() -> u32,
+    ) -> u32 {
+        let mask = self.slots.len() - 1;
+        let hash = (hash >> 32) as u32;
+        let mut i = hash as usize & mask;
+        loop {
+            let (h, first, group, generation) = self.slots[i];
+            if generation != self.generation {
+                let group = fresh();
+                self.slots[i] = (hash, row as u32, group, self.generation);
+                return group;
+            }
+            if h == hash && same(first as usize) {
+                return group;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// The row-key hash: every word is folded into the state by a
+/// 64 × 64 → 128-bit multiply with a secret whose two halves are XORed
+/// (the folded multiply of aHash's and foldhash's portable paths). The
+/// seed and the secret are drawn once per process from [`RandomState`],
+/// so no upload can aim its rows at one probe chain. Packing never
+/// depends on the hash (see [`row_classes`]).
+#[derive(Clone, Copy)]
+struct RowHashing {
+    seed: u64,
+    secret: u64,
+}
+
+impl RowHashing {
+    fn keyed() -> Self {
+        static KEYS: OnceLock<RowHashing> = OnceLock::new();
+        *KEYS.get_or_init(|| {
+            let state = RandomState::new();
+            Self {
+                seed: state.hash_one(0u64),
+                secret: state.hash_one(1u64) | 1,
+            }
+        })
+    }
+}
+
+impl BuildHasher for RowHashing {
+    type Hasher = RowHasher;
+
+    fn build_hasher(&self) -> RowHasher {
+        RowHasher {
+            state: self.seed,
+            secret: self.secret,
+        }
+    }
+}
+
+struct RowHasher {
+    state: u64,
+    secret: u64,
+}
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(self.secret);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ModelConfig, RuntimePredictor};
+    use crate::{ModelConfig, QuantizedPredictor, RuntimePredictor};
     use eda_cloud_netlist::{generators, DesignGraph};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::hash::BuildHasherDefault;
 
     fn samples() -> Vec<GraphSample> {
         ["adder", "parity", "comparator", "max"]
@@ -258,6 +654,231 @@ mod tests {
         let batch = GraphBatch::pack(&refs);
         for (s, got) in samples.iter().zip(model.predict_secs_batch(&batch)) {
             assert_eq!(got, model.predict_secs(s));
+        }
+    }
+
+    /// Every stock serving-pool design (the six `serve` families at
+    /// sizes 4, 6 and 8, the 18 designs `serve_plan` draws) packs into
+    /// at most 35 % of its node rows as row classes: circuit graphs are
+    /// regular, and a packing that silently stopped folding them would
+    /// still predict right but lose the saving.
+    #[test]
+    fn stock_pool_packs_to_about_a_third_of_its_rows() {
+        let mut pool = Vec::new();
+        for family in ["adder", "parity", "comparator", "max", "gray2bin", "hamming"] {
+            for size in [4u32, 6, 8] {
+                let aig = generators::build_family(family, size).expect("family");
+                pool.push(GraphSample::new(&DesignGraph::from_aig(&aig), [1.0; 4]));
+            }
+        }
+        let refs: Vec<&GraphSample> = pool.iter().collect();
+        for stride in [1usize, 8] {
+            for target in [1usize, CHUNK_TARGET_ROWS] {
+                let batch = GraphBatch::pack_chunked(&refs, stride, target);
+                let classes: usize = batch.chunks.iter().map(|c| c.features.rows()).sum();
+                let rows = batch.node_rows();
+                assert!(
+                    classes * 100 <= rows * 35,
+                    "stride {stride} target {target}: {classes} class rows of {rows} node rows"
+                );
+            }
+        }
+    }
+
+    /// A chunk's padding rows carry no adjacency and zero features, so
+    /// they are one class, and a class of real nodes keeps its
+    /// representative's entries in CSR order, duplicates included.
+    #[test]
+    fn padding_is_one_class_and_class_rows_keep_entry_order() {
+        // Node 2 reads node 1, node 0 and node 1 again, in that order;
+        // nodes 0 and 1 are fanin-free with equal features.
+        let a_norm = SparseMatrix::from_triplets(3, 3, &[(2, 1, 0.5), (2, 0, 0.25), (2, 1, 0.25)]);
+        let mut features = Matrix::zeros(3, FEATURE_DIM);
+        features.data_mut()[2 * FEATURE_DIM] = 1.0;
+        features.data_mut()[..FEATURE_DIM].fill(2.0);
+        features.data_mut()[FEATURE_DIM..2 * FEATURE_DIM].fill(2.0);
+        let sample = sample_from(a_norm, features);
+        let batch = GraphBatch::pack_padded(&[&sample, &sample], 8);
+        let chunk = &batch.chunks[0];
+        assert_eq!(batch.node_rows(), 16);
+        // Classes by first appearance: {0, 1, 8, 9}, {2, 10}, padding.
+        let want = [0u32, 0, 1, 2, 2, 2, 2, 2, 0, 0, 1, 2, 2, 2, 2, 2];
+        assert_eq!(chunk.class_of, want);
+        let entries: Vec<(u32, u32, f64)> = chunk.a_norm.entries().collect();
+        assert_eq!(entries, [(1, 0, 0.5), (1, 0, 0.25), (1, 0, 0.25)]);
+        assert_eq!(chunk.segments, [(0, 3), (8, 3)]);
+    }
+
+    fn sample_from(a_norm: SparseMatrix, features: Matrix) -> GraphSample {
+        GraphSample {
+            name: "planted".to_owned(),
+            a_norm,
+            features,
+            log_targets: [0.0; 4],
+            targets_secs: [1.0; 4],
+        }
+    }
+
+    /// Feature and weight values with equal-looking but distinct bit
+    /// patterns (`±0.0`) and a `NaN`, so classes must be keyed by bits.
+    const PALETTE: [f64; 7] = [0.0, -0.0, 1.0, 0.5, -2.0, 3.25, f64::NAN];
+
+    /// A random graph with planted symmetry: `copies` copies of one
+    /// random subgraph (self-loops, repeated and out-of-order fanins,
+    /// weights `1/deg` or from [`PALETTE`]), then join nodes that read
+    /// the same node of two copies (two fanins from one class), then
+    /// fanin-free nodes. Feature rows come from a few prototypes drawn
+    /// from [`PALETTE`]; `NaN` is planted in about one graph in four.
+    fn planted(rng: &mut ChaCha8Rng) -> GraphSample {
+        let nan = rng.gen_range(0..4) == 0;
+        let values = PALETTE.len() - usize::from(!nan);
+        let value = |rng: &mut ChaCha8Rng| PALETTE[rng.gen_range(0..values)];
+        let protos: Vec<[f64; FEATURE_DIM]> = (0..rng.gen_range(1..4))
+            .map(|_| std::array::from_fn(|_| value(&mut *rng)))
+            .collect();
+        let k = rng.gen_range(1..7usize);
+        let copies = rng.gen_range(1..4usize);
+        let joins = rng.gen_range(0..4usize);
+        let sources = rng.gen_range(0..4usize);
+        let n = k * copies + joins + sources;
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        let mut feats: Vec<usize> = vec![0; n];
+        for v in 0..k {
+            let degree = rng.gen_range(0..5);
+            let fanins: Vec<usize> = (0..degree).map(|_| rng.gen_range(0..k)).collect();
+            let palette_weights = rng.gen_range(0..3) == 0;
+            let proto = rng.gen_range(0..protos.len());
+            for c in 0..copies {
+                feats[c * k + v] = proto;
+            }
+            for &u in &fanins {
+                let w = if palette_weights { value(&mut *rng) } else { 1.0 / fanins.len() as f64 };
+                for c in 0..copies {
+                    rows[c * k + v].push(((c * k + u) as u32, w));
+                }
+            }
+        }
+        for j in 0..joins {
+            let v = k * copies + j;
+            let u = rng.gen_range(0..k);
+            let (a, b) = (rng.gen_range(0..copies), rng.gen_range(0..copies));
+            let extra = rng.gen_range(0..n) as u32;
+            rows[v] = vec![((a * k + u) as u32, 0.5), ((b * k + u) as u32, 0.25), (extra, 0.25)];
+            feats[v] = rng.gen_range(0..protos.len());
+        }
+        for s in 0..sources {
+            feats[k * copies + joins + s] = rng.gen_range(0..protos.len());
+        }
+        let triplets: Vec<(u32, u32, f64)> = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(v, row)| row.iter().map(move |&(u, w)| (v as u32, u, w)))
+            .collect();
+        let data = feats.iter().flat_map(|&p| protos[p]).collect();
+        let a_norm = SparseMatrix::from_triplets(n, n, &triplets);
+        sample_from(a_norm, Matrix::from_vec(n, FEATURE_DIM, data))
+    }
+
+    /// A hasher under which every key collides: packing must still
+    /// tell keys apart by comparing them.
+    #[derive(Default)]
+    struct Colliding;
+
+    impl Hasher for Colliding {
+        fn write(&mut self, _: &[u8]) {}
+
+        fn finish(&self) -> u64 {
+            7
+        }
+    }
+
+    /// The batch `pack_chunked` cuts, with every chunk left at node
+    /// level: one class per node row. The reference the int8 path is
+    /// held to, whose activation scale is a max over a whole chunk.
+    fn per_node(samples: &[&GraphSample], stride: usize, target: usize) -> GraphBatch {
+        let mut batch = GraphBatch::pack_chunked(samples, stride, target);
+        let pad = |n: usize| n.div_ceil(stride) * stride;
+        let mut start = 0;
+        for chunk in &mut batch.chunks {
+            let end = start + chunk.segments.len();
+            let nodes = NodeRows::stack(&samples[start..end], &pad);
+            let rows = nodes.rows();
+            let triplets: Vec<(u32, u32, f64)> = (0..rows)
+                .flat_map(|r| nodes.row(r).iter().map(move |&(c, w)| (r as u32, c, w)))
+                .collect();
+            chunk.a_norm = SparseMatrix::from_triplets(rows, rows, &triplets);
+            chunk.features = Matrix::from_vec(rows, FEATURE_DIM, nodes.features.clone());
+            chunk.class_of = (0..rows as u32).collect();
+            start = end;
+        }
+        batch
+    }
+
+    /// A chunk's classes, class adjacency and class features, as bits.
+    type ChunkBits = (Vec<u32>, Vec<(u32, u32, u64)>, Vec<u64>);
+
+    fn chunk_bits(chunk: &BatchChunk) -> ChunkBits {
+        let entries = chunk.a_norm.entries().map(|(r, c, w)| (r, c, w.to_bits())).collect();
+        let features = chunk.features.data().iter().map(|v| v.to_bits()).collect();
+        (chunk.class_of.clone(), entries, features)
+    }
+
+    fn bits(rows: &[[f64; 4]]) -> Vec<[u64; 4]> {
+        rows.iter().map(|r| r.map(f64::to_bits)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Forwarding row classes predicts what forwarding every node
+        /// row predicts, bit for bit: float against per-sample
+        /// `predict_log`; int8, whose activation scales are per chunk
+        /// and per batch, against per-sample `predict_log` for a batch
+        /// of one and against the per-node packing at every target.
+        /// Graphs carry planted symmetry, and one of them is packed
+        /// twice. Packing under a hash where every key collides yields
+        /// the very same chunks.
+        #[test]
+        fn row_classes_predict_what_node_rows_predict(seed in 0u64..u64::MAX, deep in 0usize..2) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let count = rng.gen_range(1..5);
+            let samples: Vec<GraphSample> = (0..count).map(|_| planted(&mut rng)).collect();
+            let mut refs: Vec<&GraphSample> = samples.iter().collect();
+            refs.insert(rng.gen_range(0..=refs.len()), &samples[rng.gen_range(0..samples.len())]);
+            let config = if deep == 1 {
+                ModelConfig { gcn_dims: vec![12, 7, 5], fc_dim: 6 }
+            } else {
+                ModelConfig::fast()
+            };
+            let model = RuntimePredictor::new(&config, seed % 1_000);
+            let quantized = QuantizedPredictor::quantize(&model);
+            let float: Vec<[f64; 4]> = refs.iter().map(|s| model.predict_log(s)).collect();
+            for stride in [1usize, 8] {
+                for s in &refs {
+                    let alone = GraphBatch::pack_padded(&[s], stride);
+                    let want = bits(&[quantized.predict_log(s)]);
+                    prop_assert_eq!(bits(&quantized.predict_log_batch(&alone)), want);
+                }
+                for target in [1usize, CHUNK_TARGET_ROWS, usize::MAX] {
+                    let batch = GraphBatch::pack_chunked(&refs, stride, target);
+                    prop_assert_eq!(bits(&model.predict_log_batch(&batch)), bits(&float));
+                    let got = bits(&quantized.predict_log_batch(&batch));
+                    let unfolded = per_node(&refs, stride, target);
+                    prop_assert_eq!(&got, &bits(&quantized.predict_log_batch(&unfolded)));
+                    let collided = GraphBatch::pack_hashed(
+                        &refs, stride, target, &BuildHasherDefault::<Colliding>::default(),
+                    );
+                    let chunks = |b: &GraphBatch| -> Vec<ChunkBits> {
+                        b.chunks.iter().map(chunk_bits).collect()
+                    };
+                    prop_assert_eq!(chunks(&collided), chunks(&batch));
+                    if target == usize::MAX {
+                        let classes = batch.chunks[0].features.rows();
+                        let rows = batch.node_rows();
+                        prop_assert!(classes < rows, "a repeated sample shares its classes");
+                    }
+                }
+            }
         }
     }
 }

@@ -154,7 +154,7 @@ impl RuntimePredictor {
     #[must_use]
     pub fn predict_log(&self, sample: &GraphSample) -> [f64; 4] {
         let segment = [(0, sample.node_count())];
-        let chunk = (&sample.a_norm, &sample.features, &segment[..]);
+        let chunk = (&sample.a_norm, &sample.features, &segment[..], None);
         self.predict([chunk], 1, |out| head_row(out, 0))
     }
 
@@ -174,11 +174,16 @@ impl RuntimePredictor {
     /// Predicted `ln(runtime)` for every sample of a packed batch, in
     /// batch order — bit-identical to calling
     /// [`RuntimePredictor::predict_log`] per sample (the batch's blocks
-    /// are disjoint, so every accumulation runs in the same order), but
-    /// one pass through the layer stack per chunk instead of per sample.
+    /// are disjoint and every kernel is row-pure, so each class row is
+    /// computed by exactly its member nodes' operation sequence), but
+    /// one pass through the layer stack per chunk instead of per sample,
+    /// over the chunk's row classes instead of its node rows.
     #[must_use]
     pub fn predict_log_batch(&self, batch: &GraphBatch) -> Vec<[f64; 4]> {
-        let chunks = batch.chunks.iter().map(|c| (&c.a_norm, &c.features, &c.segments[..]));
+        let chunks = batch
+            .chunks
+            .iter()
+            .map(|c| (&c.a_norm, &c.features, &c.segments[..], Some(&c.class_of[..])));
         self.predict(chunks, batch.len(), |out| (0..out.rows()).map(|g| head_row(out, g)).collect())
     }
 
@@ -222,7 +227,7 @@ impl RuntimePredictor {
         SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
             let segment = [(0, sample.node_count())];
-            let chunk = (&sample.a_norm, &sample.features, &segment[..]);
+            let chunk = (&sample.a_norm, &sample.features, &segment[..], None);
             self.forward([chunk], 1, &mut s.forward).unwrap_or_else(|e| panic!("{e}"));
 
             // Loss and output gradient.
@@ -252,12 +257,14 @@ impl RuntimePredictor {
     }
 
     /// The forward pass every prediction and training step runs: the GCN
-    /// stack chunk by chunk, each sample's row segment sum-pooled and
-    /// scaled by `1/√n` into row `sample` of `s.pooled`, then FC (ReLU)
-    /// and head on all `samples` rows at once into `s.out`. Chunks are
-    /// block-diagonal, so a sample's rows see only its own graph; a
-    /// dense layer's output row depends only on its input row. After a
-    /// one-chunk call, `s` holds every operand the backward pass reads.
+    /// stack chunk by chunk, each sample's node segment sum-pooled in
+    /// node order (a node reads its class's row when the chunk has
+    /// classes) and scaled by `1/√n` into row `sample` of `s.pooled`,
+    /// then FC (ReLU) and head on all `samples` rows at once into
+    /// `s.out`. Chunks are block-diagonal, so a sample's rows see only
+    /// its own graph; a dense layer's output row depends only on its
+    /// input row. After a one-chunk call without classes, `s` holds
+    /// every operand the backward pass reads.
     fn forward<'a>(
         &self,
         chunks: impl IntoIterator<Item = Chunk<'a>>,
@@ -275,7 +282,7 @@ impl RuntimePredictor {
         let d = self.fc.w.rows();
         s.pooled.reshape_zeroed(samples, d);
         let mut sample = 0;
-        for (a_norm, features, segments) in chunks {
+        for (a_norm, features, segments, class_of) in chunks {
             for (i, layer) in self.gcn.iter().enumerate() {
                 let (below, rest) = layers.split_at_mut(i);
                 let input = below.last().map_or(features, |b| &b.output);
@@ -285,7 +292,8 @@ impl RuntimePredictor {
             for &(start, n) in segments {
                 let prow = &mut s.pooled.data_mut()[sample * d..(sample + 1) * d];
                 for r in start..start + n {
-                    for (o, &v) in prow.iter_mut().zip(h.row(r)) {
+                    let row = class_of.map_or(r, |classes| classes[r] as usize);
+                    for (o, &v) in prow.iter_mut().zip(h.row(row)) {
                         *o += v;
                     }
                 }
@@ -343,11 +351,12 @@ impl RuntimePredictor {
     }
 }
 
-/// One borrowed chunk of graph rows: a block-diagonal adjacency, the
-/// stacked node features, and each sample's `(first_row, node_count)`
-/// segment within them. A single sample is the chunk
-/// `(a_norm, features, [(0, n)])`.
-type Chunk<'a> = (&'a SparseMatrix, &'a Matrix, &'a [(usize, usize)]);
+/// One borrowed chunk of graph rows: an adjacency and features over
+/// the rows the GCN stack runs on, each sample's `(first_row,
+/// node_count)` segment of node rows, and, for a packed chunk, the row
+/// class of every node row (the stack then runs on class rows). A
+/// single sample is the chunk `(a_norm, features, [(0, n)], None)`.
+type Chunk<'a> = (&'a SparseMatrix, &'a Matrix, &'a [(usize, usize)], Option<&'a [u32]>);
 
 /// Row `g` of the head output: the four log-runtimes of sample `g`.
 fn head_row(out: &Matrix, g: usize) -> [f64; 4] {

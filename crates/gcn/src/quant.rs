@@ -413,11 +413,16 @@ impl QuantizedPredictor {
     }
 
     /// Batched [`QuantizedPredictor::predict_log`] over a packed batch,
-    /// in batch order. Activation quantization is per chunk, so the
-    /// results depend on the (deterministic) batch packing but never on
+    /// in batch order. Activation quantization is per chunk in the GCN
+    /// stack and per batch in the dense readout (one scale over every
+    /// sample's pooled row), so the results depend on the
+    /// (deterministic) batch packing but never on
     /// thread or worker count — the same batch always yields the same
     /// bytes. A single-sample batch reproduces
-    /// [`QuantizedPredictor::predict_log`] exactly.
+    /// [`QuantizedPredictor::predict_log`] exactly. The stack runs over
+    /// the chunk's row classes: an activation scale is a max over the
+    /// chunk's row values, which the distinct rows hold all of, so each
+    /// class row is what its member nodes' rows would be, bit for bit.
     #[must_use]
     pub fn predict_log_batch(&self, batch: &GraphBatch) -> Vec<[f64; 4]> {
         if batch.is_empty() {
@@ -434,7 +439,8 @@ impl QuantizedPredictor {
                 for &(start, n) in &chunk.segments {
                     let prow = &mut pooled.data_mut()[sample * d..(sample + 1) * d];
                     for r in start..start + n {
-                        for (o, &v) in prow.iter_mut().zip(scratch.h.row(r)) {
+                        let row = chunk.class_of[r] as usize;
+                        for (o, &v) in prow.iter_mut().zip(scratch.h.row(row)) {
                             *o += v;
                         }
                     }

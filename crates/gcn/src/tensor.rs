@@ -533,38 +533,6 @@ impl SparseMatrix {
         })
     }
 
-    /// Stack matrices along the diagonal: block `i` occupies rows
-    /// `row_offsets[i]..row_offsets[i] + blocks[i].rows()` (and the same
-    /// columns), everything off the blocks is zero. `row_offsets` must
-    /// be ascending and leave room for each block; the final dimension
-    /// is `total` in both directions. Used to pack several graphs into
-    /// one batched adjacency whose per-row products are bit-identical
-    /// to the unbatched ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if offsets/blocks disagree in count, a block overruns its
-    /// slot or `total`, or a block is not square.
-    #[must_use]
-    pub fn block_diagonal(blocks: &[&SparseMatrix], row_offsets: &[usize], total: usize) -> Self {
-        assert_eq!(blocks.len(), row_offsets.len(), "one offset per block");
-        let mut triplets = Vec::with_capacity(blocks.iter().map(|b| b.nnz()).sum());
-        let mut prev_end = 0usize;
-        for (block, &base) in blocks.iter().zip(row_offsets) {
-            assert_eq!(block.rows, block.cols, "blocks must be square");
-            assert!(
-                base >= prev_end,
-                "row offsets must ascend past the previous block"
-            );
-            prev_end = base + block.rows;
-            assert!(prev_end <= total, "block overruns the batched dimension");
-            for (r, c, v) in block.entries() {
-                triplets.push((r + base as u32, c + base as u32, v));
-            }
-        }
-        Self::from_triplets(total, total, &triplets)
-    }
-
     /// Sparse-dense product `self * dense` into a caller-owned buffer,
     /// reusing its allocation (see [`Matrix::matmul_into`] for why the
     /// serving hot loop needs this). `out` is reshaped and zeroed.
@@ -818,27 +786,5 @@ mod tests {
         let a = SparseMatrix::from_triplets(2, 2, &t);
         let got: Vec<(u32, u32, f64)> = a.entries().collect();
         assert_eq!(got, t);
-    }
-
-    #[test]
-    fn block_diagonal_isolates_blocks() {
-        let a = SparseMatrix::from_triplets(2, 2, &[(0, 1, 2.0), (1, 0, 1.0)]);
-        let b = SparseMatrix::from_triplets(1, 1, &[(0, 0, 5.0)]);
-        // Block `b` starts at row 3, leaving a zero padding row at 2.
-        let big = SparseMatrix::block_diagonal(&[&a, &b], &[0, 3], 4);
-        let x = Matrix::from_rows(&[&[1.0], &[2.0], &[9.0], &[4.0]]);
-        let mut y = Matrix::zeros(0, 0);
-        big.matmul_into(&x, &mut y).expect("shapes agree");
-        assert_eq!(y.get(0, 0), 4.0, "a's rows see only a's columns");
-        assert_eq!(y.get(1, 0), 1.0);
-        assert_eq!(y.get(2, 0), 0.0, "padding row has no entries");
-        assert_eq!(y.get(3, 0), 20.0, "b's row sees only b's columns");
-    }
-
-    #[test]
-    #[should_panic(expected = "overruns")]
-    fn block_diagonal_rejects_overrun() {
-        let a = SparseMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]);
-        let _ = SparseMatrix::block_diagonal(&[&a], &[1], 2);
     }
 }

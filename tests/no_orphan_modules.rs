@@ -291,7 +291,7 @@ fn the_hidden_item_check_reports_ungated_items_below_tests() {
 
 /// Ceiling of the product `pub` / `pub(crate) fn`s; lower it when one goes,
 /// never raise it.
-const MAX_PRODUCT_FNS: usize = 603;
+const MAX_PRODUCT_FNS: usize = 602;
 
 #[test]
 fn product_functions_are_not_up() {
