@@ -11,14 +11,14 @@
 //! batched inference runs at per-request speed while keeping the
 //! amortized dispatch, alloc-free steady state, and deterministic
 //! worker fan-out the serving tier batches for. Packing also folds each
-//! chunk's node rows into row classes (equal node states, computed
+//! design's node rows into row classes (equal node states, computed
 //! once), so on circuit graphs a batched forward runs about half the
 //! rows the per-request loop does: `paper_pool_36` shows that saving on
 //! the paper model over the `serve_miss` benchmark's design pool.
 //! `EXPERIMENTS.md` records the measured numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eda_cloud_gcn::{GraphBatch, GraphSample, ModelConfig, RuntimePredictor};
+use eda_cloud_gcn::{GraphBatch, GraphSample, ModelConfig, RowQuotient, RuntimePredictor};
 use eda_cloud_netlist::{generators, DesignGraph};
 use std::hint::black_box;
 
@@ -90,15 +90,22 @@ fn bench_paper_pool(c: &mut Criterion) {
     group.finish();
 }
 
-/// Packing cost: stacking the 18 stock designs into padded
-/// block-diagonal chunks, then partitioning each chunk into row classes
-/// (colour refinement to a stable partition) and building its
-/// class-level adjacency.
+/// Packing cost of the 18 stock designs at stride 8. `pack_padded_18`
+/// partitions every design into row classes (colour refinement to a
+/// stable partition; the classes are 32.1 % of the node rows) and joins
+/// the quotients into padded block-diagonal chunks: what a design costs
+/// the first time it is packed. `join_18` joins quotients kept from an
+/// earlier pack, as the server does for a design it has seen.
 fn bench_packing(c: &mut Criterion) {
     let samples = pool();
     let picked: Vec<&GraphSample> = samples.iter().collect();
     c.bench_function("pack_padded_18", |b| {
         b.iter(|| black_box(GraphBatch::pack_padded(black_box(&picked), 8)));
+    });
+    let kept: Vec<RowQuotient> = samples.iter().map(RowQuotient::from).collect();
+    let quotients: Vec<&RowQuotient> = kept.iter().collect();
+    c.bench_function("join_18", |b| {
+        b.iter(|| black_box(GraphBatch::join(black_box(&quotients), 8)));
     });
 }
 

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_core::{StageRuntimes, Workflow};
-use eda_cloud_mckp::{baselines, Choice, Objective, Problem, Solver, Stage};
+use eda_cloud_mckp::{baselines, Choice, Frontier, Objective, Problem, Solver, Stage};
 use std::hint::black_box;
 
 fn synth_problem(stages: usize, choices: usize) -> Problem {
@@ -103,26 +103,28 @@ fn bench_vs_baselines(c: &mut Criterion) {
 }
 
 /// Table I's catalog-priced knapsack three ways: one budgeted solve
-/// (`solve_min_cost/table1`), the budget-free frontier a planner builds
-/// once per design (`frontier/table1`), and one deadline answered from
-/// it (`frontier_select/table1`).
+/// (`solve_min_cost/table1`), the budget-free [`Frontier`] a planner
+/// builds once per design (`frontier/table1`), and one deadline answered from it
+/// (`frontier_select/table1`). `frontier_selections/table1` is
+/// [`Solver::frontier`], which builds a `Selection` for every Pareto
+/// point.
 fn bench_table1_frontier(c: &mut Criterion) {
     let problem = Workflow::with_defaults()
         .deployment_problem(&StageRuntimes::table1())
         .expect("Table I prices on the catalog");
     let budget = problem.min_total_runtime() * 2;
-    let frontier = Solver::new().frontier(&problem, Objective::MinCost);
+    let frontier = Frontier::new(&problem, Objective::MinCost);
     c.bench_function("solve_min_cost/table1", |b| {
         b.iter(|| black_box(Solver::new().solve_min_cost(black_box(&problem), budget)));
     });
     c.bench_function("frontier/table1", |b| {
-        b.iter(|| black_box(Solver::new().frontier(black_box(&problem), Objective::MinCost)));
+        b.iter(|| black_box(Frontier::new(black_box(&problem), Objective::MinCost)));
     });
     c.bench_function("frontier_select/table1", |b| {
-        b.iter(|| {
-            let fits = frontier.partition_point(|s| s.total_runtime_secs <= black_box(budget));
-            black_box(fits.checked_sub(1).map(|i| frontier[i].clone()))
-        });
+        b.iter(|| black_box(frontier.cut(black_box(budget))));
+    });
+    c.bench_function("frontier_selections/table1", |b| {
+        b.iter(|| black_box(Solver::new().frontier(black_box(&problem), Objective::MinCost)));
     });
 }
 

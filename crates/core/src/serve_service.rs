@@ -13,7 +13,7 @@ use crate::predict::StagePredictors;
 use crate::optimize::VCPU_SWEEP;
 use crate::{StageRuntimes, Workflow, WorkflowError};
 use eda_cloud_flow::StageKind;
-use eda_cloud_mckp::{Objective, Solver};
+use eda_cloud_mckp::{Frontier, Objective};
 use eda_cloud_serve::{
     design_pool, synthetic_requests, ModelSnapshot, PlanSummary, Planner, RequestOutcome,
     ServeConfig, ServeError, ServeReport, Server, WorkloadConfig,
@@ -35,15 +35,15 @@ type DesignKey = [[u64; 4]; 4];
 /// MCKP instead of on the service's built-in flat rate table.
 ///
 /// The knapsack is solved once per design: the planner keeps the
-/// budget-free Pareto frontier ([`Solver::frontier`]) of up to 32
-/// designs for its own lifetime, overwriting the oldest first, and
-/// answers each deadline by binary search on it — bit for bit what
-/// [`Workflow::plan_deployment`] returns.
+/// budget-free Pareto [`Frontier`] of up to 32 designs for its own
+/// lifetime, overwriting the oldest first, and answers each deadline by
+/// a binary search on it that rebuilds the one selection it picks — bit
+/// for bit what [`Workflow::plan_deployment`] returns.
 #[derive(Debug)]
 pub struct WorkflowPlanner {
     workflow: Workflow,
     /// Per-design frontiers, oldest first.
-    frontiers: Mutex<VecDeque<(DesignKey, Vec<PlanSummary>)>>,
+    frontiers: Mutex<VecDeque<(DesignKey, Frontier)>>,
 }
 
 impl WorkflowPlanner {
@@ -54,23 +54,15 @@ impl WorkflowPlanner {
         Self { workflow, frontiers: Mutex::default() }
     }
 
-    /// Every Pareto-optimal deployment of one design, fastest first.
-    fn frontier(&self, stage_secs: &[[f64; 4]; 4]) -> Result<Vec<PlanSummary>, WorkflowError> {
+    /// The budget-free frontier of one design's catalog-priced knapsack.
+    fn frontier(&self, stage_secs: &[[f64; 4]; 4]) -> Result<Frontier, WorkflowError> {
         let runtimes: Vec<StageRuntimes> = StageKind::ALL
             .iter()
             .zip(stage_secs)
             .map(|(&kind, &runtimes_secs)| StageRuntimes { kind, runtimes_secs })
             .collect();
         let problem = self.workflow.deployment_problem(&runtimes)?;
-        let frontier = Solver::new().frontier(&problem, Objective::MinCost);
-        Ok(frontier
-            .into_iter()
-            .map(|selection| PlanSummary {
-                vcpus: std::array::from_fn(|k| VCPU_SWEEP[selection.picks[k]]),
-                total_runtime_secs: selection.total_runtime_secs,
-                total_cost_usd: selection.total_cost_usd,
-            })
-            .collect())
+        Ok(Frontier::new(&problem, Objective::MinCost))
     }
 }
 
@@ -95,9 +87,11 @@ impl Planner for WorkflowPlanner {
                 memo.len() - 1
             }
         };
-        let frontier = &memo[slot].1;
-        let fits = frontier.partition_point(|p| p.total_runtime_secs <= budget_secs);
-        Ok(fits.checked_sub(1).map(|i| frontier[i].clone()))
+        Ok(memo[slot].1.cut(budget_secs).map(|selection| PlanSummary {
+            vcpus: std::array::from_fn(|k| VCPU_SWEEP[selection.picks[k]]),
+            total_runtime_secs: selection.total_runtime_secs,
+            total_cost_usd: selection.total_cost_usd,
+        }))
     }
 }
 
@@ -174,6 +168,7 @@ mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, DatasetConfig};
     use eda_cloud_gcn::{ModelConfig, Trainer};
+    use eda_cloud_mckp::Solver;
 
     fn seeded_snapshot(seed: u64) -> ModelSnapshot {
         ModelSnapshot::seeded(&ModelConfig::fast(), seed)

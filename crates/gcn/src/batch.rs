@@ -1,25 +1,36 @@
 //! Micro-batched inference: pack several graph samples into padded
 //! block-diagonal chunks and run the GCN forward pass once per distinct
-//! node state of each chunk.
+//! node state of each sample.
 //!
-//! A [`GraphBatch`] concatenates the node-feature matrices of
-//! consecutive graphs into one tall matrix per chunk and places their
-//! adjacencies on the diagonal of one sparse operator (optionally
-//! padded to a row stride). Packing then folds each chunk's rows into
-//! **row classes**: two node rows share a class when their feature bits
+//! Every sample is first folded into its **row-class quotient**
+//! ([`RowQuotient`]): two node rows share a class when their feature bits
 //! are equal and their `Ā` rows list the same `(weight bits, neighbour
 //! class)` sequence in entry order, refined until no class splits
 //! (stable ordered colour refinement: Weisfeiler–Lehman with edge order
-//! and edge weights), so the classes hold at every GCN depth and merge
-//! equal nodes across samples. A chunk keeps one feature row per class, a
-//! class-level `Ā` whose row `c` is the CSR row of class `c`'s first
-//! node with every column mapped to its class, and the class of every
-//! node row. [`crate::RuntimePredictor::predict_log_batch`] pushes the
-//! class rows through the GCN stack, pools each graph's node segment by
-//! reading every node's class row in node order, and runs the dense
-//! layers once on a `B`-row matrix, so layer dispatch and the 1-row
-//! dense products are paid per chunk rather than per graph, and every
-//! repeated node state is computed once.
+//! and edge weights), so the classes hold at every GCN depth. A quotient
+//! keeps one feature row per class, a class-level `Ā` whose row `c` is
+//! the CSR row of class `c`'s first node with every column mapped to its
+//! class, and the class of every node row. It is a function of the
+//! sample alone, so a caller that forwards the same design many times
+//! builds it once and keeps it (`eda_cloud_serve::ServeDesign` does).
+//!
+//! A [`GraphBatch`] joins quotients into chunks ([`GraphBatch::join`]):
+//! samples are cut into chunks greedily by padded node rows, each
+//! sample's class ids and `Ā` columns are offset past the classes laid
+//! down before it, and a chunk's padding rows are one zero-feature,
+//! entry-free class. The join hashes nothing and merges no classes of
+//! two samples — per-sample classes are 48.2 % of the node rows on the
+//! 36-design `serve_miss` pool against 47.8 % when each whole chunk was
+//! partitioned, 32.1 % against 31.8 % on the stock 18-design pool — but
+//! a quotient joined twice into one chunk is laid down once, so a
+//! repeated sample shares its classes. [`GraphBatch::pack_padded`] is
+//! the same join over quotients built on the spot.
+//! [`crate::RuntimePredictor::predict_log_batch`] pushes the class rows
+//! through the GCN stack, pools each graph's node segment by reading
+//! every node's class row in node order, and runs the dense layers once
+//! on a `B`-row matrix, so layer dispatch and the 1-row dense products
+//! are paid per chunk rather than per graph, and every repeated node
+//! state is computed once.
 //!
 //! One-at-a-time prediction is the same body: `predict_log` hands it
 //! the sample's own adjacency and features, borrowed, as one chunk with
@@ -36,6 +47,14 @@
 //! row-class differentials below, and against an independent naive
 //! forward pass by the crate's oracle).
 //!
+//! The refinement re-keys a class whenever a class it reads splits, so
+//! a split that travels one node per round (a shift register, a ring
+//! counter) would cost quadratic time. It stops after
+//! `KEYED_ROWS_PER_ITEM` keyed rows per row and stored entry of the
+//! sample and leaves every row a class of its own: the per-node graph,
+//! which is exact too, and on such graphs nearly the coarsest partition
+//! anyway.
+//!
 //! Chunks are cache-sized (block diagonality makes any row partition
 //! along segment boundaries exact, not approximate): one giant
 //! activation matrix would stream megabytes through every layer,
@@ -44,16 +63,19 @@
 
 use crate::{GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
+use std::ptr;
 use std::sync::OnceLock;
 
 /// Default target of padded node rows per internal chunk; a sample
 /// larger than the target gets a chunk of its own. Chunks are cut by
 /// node rows, while the forward runs over class rows, about half as
-/// many on circuit graphs (48 % on the 36-design `serve_miss` pool,
-/// 32 % on the stock 18-design pool). 192 was chosen on the *fast*
-/// model by sweeping targets in the `inference_batching` bench (192 ×
-/// 32 f64 = 48 KiB at its widest layer). At paper dims a chunk's widest
+/// many on circuit graphs (per-design classes are 48.2 % of the node
+/// rows on the 36-design `serve_miss` pool, 32.1 % on the stock
+/// 18-design pool). 192 was chosen on the *fast* model by sweeping
+/// targets in the `inference_batching` bench (192 × 32 f64 = 48 KiB at
+/// its widest layer). At paper dims a chunk's widest
 /// activation is at most 192 × 256 f64 = 384 KiB — L2, not L1 — and
 /// the target barely matters: `serve_miss` read 153 / 155 / 150
 /// requests/s at 48 / 192 / 768 (`EXPERIMENTS.md` § Float GEMM), because
@@ -62,8 +84,16 @@ use std::sync::OnceLock;
 /// scratch's size.
 pub const CHUNK_TARGET_ROWS: usize = 192;
 
+/// Rows the refinement of one sample may key, per row plus stored
+/// entry of the sample, before it gives up and returns one class per
+/// row. Circuit graphs settle far below it: no design of the serving
+/// mixes keys more than 0.5 rows per row plus entry (`EXPERIMENTS.md`
+/// § Row classes in bounded time), and a 32 000-stage ring counter
+/// spends about 6 ms reaching it.
+const KEYED_ROWS_PER_ITEM: usize = 2;
+
 /// One cache-sized slice of a batch: a consecutive run of samples,
-/// folded into row classes.
+/// their row-class quotients joined.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchChunk {
     /// Class-level `Ā`: row `c` is the block-diagonal row of class
@@ -104,6 +134,11 @@ impl GraphBatch {
     /// where chunks are cut but adds at most one class row per chunk to
     /// the forward.
     ///
+    /// Each distinct sample (by address) is quotiented here, then the
+    /// quotients are joined as by [`GraphBatch::join`]; a caller that
+    /// packs the same samples again should keep their [`RowQuotient`]s
+    /// and join those.
+    ///
     /// # Panics
     ///
     /// Panics if `stride` is zero, or if a sample's adjacency is not
@@ -119,8 +154,7 @@ impl GraphBatch {
     /// for every target (see
     /// `chunking_preserves_sample_order_and_results`) — exposed so
     /// benchmarks can measure the cache cliff that monolithic batches
-    /// (`target_rows = usize::MAX`) fall off. A wider chunk also merges
-    /// more equal nodes across its samples.
+    /// (`target_rows = usize::MAX`) fall off.
     ///
     /// # Panics
     ///
@@ -139,52 +173,98 @@ impl GraphBatch {
         target_rows: usize,
         hashing: &impl BuildHasher,
     ) -> Self {
+        let mut first: HashMap<*const GraphSample, usize> = HashMap::new();
+        let mut quotients = Vec::new();
+        let at: Vec<usize> = samples
+            .iter()
+            .map(|&s| {
+                *first.entry(ptr::from_ref(s)).or_insert_with(|| {
+                    quotients.push(RowQuotient::hashed(s, hashing, KEYED_ROWS_PER_ITEM));
+                    quotients.len() - 1
+                })
+            })
+            .collect();
+        let refs: Vec<&RowQuotient> = at.iter().map(|&i| &quotients[i]).collect();
+        Self::join_chunked(&refs, stride, target_rows)
+    }
+
+    /// Join row-class quotients into a batch, one sample each, padding
+    /// every sample's node segment up to a multiple of `stride` — the
+    /// batch [`GraphBatch::pack_padded`] makes of the samples they were
+    /// built from, without re-partitioning any of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero.
+    #[must_use]
+    pub fn join(quotients: &[&RowQuotient], stride: usize) -> Self {
+        Self::join_chunked(quotients, stride, CHUNK_TARGET_ROWS)
+    }
+
+    /// [`GraphBatch::join`] with an explicit chunk-row target: cut
+    /// greedily, at least one sample per chunk, then extend while the
+    /// padded node rows stay within the target.
+    fn join_chunked(quotients: &[&RowQuotient], stride: usize, target_rows: usize) -> Self {
         assert!(stride > 0, "pad stride must be positive");
         assert!(target_rows > 0, "chunk row target must be positive");
         let pad = |n: usize| n.div_ceil(stride) * stride;
         let mut chunks = Vec::new();
         let mut start = 0usize;
-        while start < samples.len() {
-            // Greedy chunking: at least one sample, then extend while
-            // the padded row budget holds.
+        while start < quotients.len() {
             let mut end = start + 1;
-            let mut rows = pad(samples[start].node_count());
-            while end < samples.len() && rows + pad(samples[end].node_count()) <= target_rows {
-                rows += pad(samples[end].node_count());
+            let mut rows = pad(quotients[start].node_count());
+            while end < quotients.len() && rows + pad(quotients[end].node_count()) <= target_rows {
+                rows += pad(quotients[end].node_count());
                 end += 1;
             }
-            chunks.push(Self::pack_chunk(&samples[start..end], &pad, hashing));
+            chunks.push(Self::join_chunk(&quotients[start..end], &pad));
             start = end;
         }
         Self {
             chunks,
-            len: samples.len(),
+            len: quotients.len(),
         }
     }
 
-    /// Pack one consecutive run of samples into a chunk: stack them at
-    /// node level, then keep one row per row class.
-    fn pack_chunk(
-        samples: &[&GraphSample],
-        pad: &dyn Fn(usize) -> usize,
-        hashing: &impl BuildHasher,
-    ) -> BatchChunk {
-        let nodes = NodeRows::stack(samples, pad);
-        let (class_of, reps) = row_classes(&nodes, hashing);
-        let classes = reps.len();
-        let mut features = Matrix::zeros(classes, FEATURE_DIM);
-        let mut triplets = Vec::new();
-        for (c, &rep) in reps.iter().enumerate() {
-            let rep = rep as usize;
-            let dst = &mut features.data_mut()[c * FEATURE_DIM..(c + 1) * FEATURE_DIM];
-            dst.copy_from_slice(nodes.features(rep));
-            let row = nodes.row(rep).iter();
-            triplets.extend(row.map(|&(col, w)| (c as u32, class_of[col as usize], w)));
+    /// Lay one consecutive run of quotients down as a chunk. Classes are
+    /// numbered by first appearance in node order: each new quotient's
+    /// classes follow the ones before it, and the padding class comes
+    /// right after the first sample that is padded. A quotient already
+    /// laid down in this chunk (the same one, by address) reuses its
+    /// classes; the scan for it is bounded by the chunk's samples.
+    fn join_chunk(quotients: &[&RowQuotient], pad: &dyn Fn(usize) -> usize) -> BatchChunk {
+        let rows = quotients.iter().map(|q| pad(q.node_count())).sum();
+        let mut class_of = Vec::with_capacity(rows);
+        let mut segments = Vec::with_capacity(quotients.len());
+        let (mut features, mut entries) = (Vec::new(), Vec::new());
+        let mut laid: Vec<(&RowQuotient, u32)> = Vec::new();
+        let mut padding = None;
+        for &q in quotients {
+            let base = if let Some(&(_, base)) = laid.iter().find(|(p, _)| ptr::eq(*p, q)) {
+                base
+            } else {
+                let base = (features.len() / FEATURE_DIM) as u32;
+                features.extend_from_slice(&q.features);
+                entries.extend(q.entries.iter().map(|&(r, c, w)| (base + r, base + c, w)));
+                laid.push((q, base));
+                base
+            };
+            let n = q.node_count();
+            segments.push((class_of.len(), n));
+            class_of.extend(q.class_of.iter().map(|&c| base + c));
+            if pad(n) > n {
+                let class = *padding.get_or_insert_with(|| {
+                    features.resize(features.len() + FEATURE_DIM, 0.0);
+                    (features.len() / FEATURE_DIM - 1) as u32
+                });
+                class_of.resize(class_of.len() + pad(n) - n, class);
+            }
         }
+        let classes = features.len() / FEATURE_DIM;
         BatchChunk {
-            a_norm: SparseMatrix::from_triplets(classes, classes, &triplets),
-            features,
-            segments: nodes.segments,
+            a_norm: SparseMatrix::from_triplets(classes, classes, &entries),
+            features: Matrix::from_vec(classes, FEATURE_DIM, features),
+            segments,
             class_of,
         }
     }
@@ -209,9 +289,59 @@ impl GraphBatch {
     }
 }
 
-/// A chunk's block-diagonal graph at node level: every sample's `Ā`
-/// rows in CSR form with columns shifted to its segment, and the
-/// stacked features. Padding rows have no entries and zero features.
+/// The row-class quotient of one graph sample (see the module docs):
+/// what [`GraphBatch::join`] lays down for it. Built once per sample by
+/// `RowQuotient::from(&sample)`; it does not follow later edits of the
+/// sample.
+#[derive(Debug, Clone)]
+pub struct RowQuotient {
+    /// Class-level `Ā` as `(class, neighbour class, weight)`, by class,
+    /// each class's entries in its first node's CSR order.
+    entries: Vec<(u32, u32, f64)>,
+    /// `FEATURE_DIM` values per class.
+    features: Vec<f64>,
+    /// The class of every node row.
+    class_of: Vec<u32>,
+}
+
+impl RowQuotient {
+    /// Partition `sample`'s node rows under `hashing`, keying at most
+    /// `per_item` rows per row plus stored entry of the sample.
+    fn hashed(sample: &GraphSample, hashing: &impl BuildHasher, per_item: usize) -> Self {
+        let nodes = NodeRows::stack(&[sample], &|n| n);
+        let budget = per_item * (nodes.rows() + nodes.entries.len());
+        let Classes { class_of, reps, keyed } = row_classes(&nodes, hashing, budget);
+        debug_assert!(keyed <= budget, "the refinement keyed past its budget");
+        let mut features = Vec::with_capacity(reps.len() * FEATURE_DIM);
+        let mut entries = Vec::new();
+        for (c, &rep) in reps.iter().enumerate() {
+            features.extend_from_slice(nodes.features(rep as usize));
+            let row = nodes.row(rep as usize).iter();
+            entries.extend(row.map(|&(col, w)| (c as u32, class_of[col as usize], w)));
+        }
+        Self { entries, features, class_of }
+    }
+
+    fn node_count(&self) -> usize {
+        self.class_of.len()
+    }
+}
+
+impl From<&GraphSample> for RowQuotient {
+    /// Partition the sample's node rows into row classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample's adjacency is not square over its feature
+    /// rows.
+    fn from(sample: &GraphSample) -> Self {
+        Self::hashed(sample, &RowHashing::keyed(), KEYED_ROWS_PER_ITEM)
+    }
+}
+
+/// Samples stacked at node level: every sample's `Ā` rows in CSR form
+/// with columns shifted to its segment, and the stacked features.
+/// Padding rows have no entries and zero features.
 struct NodeRows {
     /// `offsets[r]..offsets[r + 1]` are row `r`'s entries.
     offsets: Vec<u32>,
@@ -219,7 +349,6 @@ struct NodeRows {
     entries: Vec<(u32, f64)>,
     /// `FEATURE_DIM` values per node row.
     features: Vec<f64>,
-    segments: Vec<(usize, usize)>,
 }
 
 impl NodeRows {
@@ -230,7 +359,6 @@ impl NodeRows {
             offsets: Vec::with_capacity(total + 1),
             entries: Vec::with_capacity(samples.iter().map(|s| s.a_norm.nnz()).sum()),
             features: vec![0.0; total * FEATURE_DIM],
-            segments: Vec::with_capacity(samples.len()),
         };
         let mut base = 0usize;
         for s in samples {
@@ -239,7 +367,6 @@ impl NodeRows {
                 s.a_norm.rows() == n && s.a_norm.cols() == n,
                 "a sample's adjacency must be square over its feature rows"
             );
-            nodes.segments.push((base, n));
             let dst = &mut nodes.features[base * FEATURE_DIM..(base + n) * FEATURE_DIM];
             dst.copy_from_slice(s.features.data());
             for (r, c, w) in s.a_norm.entries() {
@@ -273,8 +400,20 @@ impl NodeRows {
     }
 }
 
-/// Partition a chunk's node rows into row classes; returns the class of
-/// every row and the first row of every class.
+/// A partition of a sample's node rows into row classes.
+struct Classes {
+    /// The class of every row, classes numbered by first appearance.
+    class_of: Vec<u32>,
+    /// The first row of every class.
+    reps: Vec<u32>,
+    /// Rows keyed by their entries on the way: every member of each
+    /// class of two or more rows, each time the class was worked.
+    keyed: usize,
+}
+
+/// Partition a sample's node rows into row classes, keying at most
+/// `budget` rows by their entries; past it, every row is a class of its
+/// own.
 ///
 /// Rows start out grouped by their feature bits. Then a class is split
 /// by its members' `(weight bits, neighbour class)` entry sequences in
@@ -287,9 +426,11 @@ impl NodeRows {
 /// rows whose keys agree: the same partition, whatever order the queue
 /// is worked in. Classes are numbered by first appearance in node order
 /// at the end, and a hash match is only a candidate whose key is
-/// compared exactly, so the result is a pure function of the chunk,
-/// whatever the hash.
-fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher) -> (Vec<u32>, Vec<u32>) {
+/// compared exactly, so the result is a pure function of the sample and
+/// the budget, whatever the hash. A class of one row cannot split and
+/// is not keyed. The identity partition returned past the budget is
+/// stable too (any partition into single rows is), so it is exact.
+fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher, budget: usize) -> Classes {
     let rows = nodes.rows();
     let mut table = GroupTable::new(rows);
     let mut classes = 0u32;
@@ -306,6 +447,7 @@ fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher) -> (Vec<u32>, Vec<u
             classes - 1
         }));
     }
+    let mut keyed = 0;
     // Each class is the run `members[span.0..span.1]`.
     let (mut members, mut spans) = runs(&class, classes as usize);
     let (reader_at, readers) = readers(nodes);
@@ -315,6 +457,14 @@ fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher) -> (Vec<u32>, Vec<u
     while let Some(c) = queue.pop() {
         queued[c as usize] = false;
         let (start, end) = spans[c as usize];
+        if end - start < 2 {
+            continue;
+        }
+        if keyed + (end - start) > budget {
+            let singletons: Vec<u32> = (0..rows as u32).collect();
+            return Classes { class_of: singletons.clone(), reps: singletons, keyed };
+        }
+        keyed += end - start;
         let run = &members[start..end];
         let groups = entry_groups(nodes, &class, run, &mut table, hashing, &mut labels);
         if groups < 2 {
@@ -363,7 +513,7 @@ fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher) -> (Vec<u32>, Vec<u
         }
         *c = *n;
     }
-    (class, reps)
+    Classes { class_of: class, reps, keyed }
 }
 
 /// Group the rows of one class by their `(weight bits, neighbour
@@ -424,7 +574,7 @@ fn runs(class: &[u32], classes: usize) -> (Vec<u32>, Vec<(usize, usize)>) {
     (members, spans)
 }
 
-/// The transpose of a chunk's adjacency pattern: `readers[at[col]..at[col
+/// The transpose of a sample's adjacency pattern: `readers[at[col]..at[col
 /// + 1]]` are the rows with an entry in column `col`.
 fn readers(nodes: &NodeRows) -> (Vec<u32>, Vec<u32>) {
     let mut at = vec![0u32; nodes.rows() + 1];
@@ -727,7 +877,12 @@ mod tests {
     /// random subgraph (self-loops, repeated and out-of-order fanins,
     /// weights `1/deg` or from [`PALETTE`]), then join nodes that read
     /// the same node of two copies (two fanins from one class), then
-    /// fanin-free nodes. Feature rows come from a few prototypes drawn
+    /// fanin-free nodes, then in four graphs of five a long run of
+    /// identical nodes along which a split travels one node per round:
+    /// a chain (each reads the one before), a ring closed through a
+    /// two-entry "inverter", a comb (spine nodes read the next one and a
+    /// fanin-free tooth; the last reads only its tooth), or a pure ring,
+    /// which is one class. Feature rows come from a few prototypes drawn
     /// from [`PALETTE`]; `NaN` is planted in about one graph in four.
     fn planted(rng: &mut ChaCha8Rng) -> GraphSample {
         let nan = rng.gen_range(0..4) == 0;
@@ -740,7 +895,9 @@ mod tests {
         let copies = rng.gen_range(1..4usize);
         let joins = rng.gen_range(0..4usize);
         let sources = rng.gen_range(0..4usize);
-        let n = k * copies + joins + sources;
+        let (shape, run) = (rng.gen_range(0..5usize), rng.gen_range(2..40usize));
+        let shaped = [0, run, run + 1, 2 * run, run][shape];
+        let n = k * copies + joins + sources + shaped;
         let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         let mut feats: Vec<usize> = vec![0; n];
         for v in 0..k {
@@ -769,6 +926,22 @@ mod tests {
         for s in 0..sources {
             feats[k * copies + joins + s] = rng.gen_range(0..protos.len());
         }
+        let at = k * copies + joins + sources;
+        let node = |i: usize| (at + i) as u32;
+        for i in 0..run.min(shaped) {
+            rows[at + i] = match shape {
+                1 if i > 0 => vec![(node(i - 1), 1.0)],
+                2 => vec![(node(if i == 0 { run } else { i - 1 }), 1.0)],
+                3 if i + 1 < run => vec![(node(i + 1), 0.5), (node(run + i), 0.5)],
+                3 => vec![(node(run + i), 1.0)],
+                4 => vec![(node((i + run - 1) % run), 1.0)],
+                _ => Vec::new(),
+            };
+        }
+        if shape == 2 {
+            rows[at + run] = vec![(node(run - 1), 0.5), (node(run - 1), 0.5)];
+        }
+        feats[at..].fill(rng.gen_range(0..protos.len()));
         let triplets: Vec<(u32, u32, f64)> = rows
             .iter()
             .enumerate()
@@ -876,6 +1049,129 @@ mod tests {
                         let classes = batch.chunks[0].features.rows();
                         let rows = batch.node_rows();
                         prop_assert!(classes < rows, "a repeated sample shares its classes");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `stages`-long shift register as the front door featurizes one:
+    /// a data input, one clock per 1 000 stages, and identical
+    /// flip-flops each reading the stage before and its clock. With
+    /// `ring`, the first stage reads an inverter of the last one (a
+    /// Johnson counter) instead of the input.
+    fn shift_register(stages: usize, ring: bool) -> GraphSample {
+        let clocks = stages.div_ceil(1_000);
+        let (input, first) = (clocks, clocks + 1);
+        let n = first + stages + usize::from(ring);
+        let inverter = first + stages;
+        let mut triplets = Vec::new();
+        for i in 0..stages {
+            let before = match (i, ring) {
+                (0, true) => inverter,
+                (0, false) => input,
+                _ => first + i - 1,
+            };
+            triplets.push(((first + i) as u32, before as u32, 0.5));
+            triplets.push(((first + i) as u32, (i / 1_000) as u32, 0.5));
+        }
+        if ring {
+            triplets.push((inverter as u32, (first + stages - 1) as u32, 1.0));
+        }
+        let kind = |v: usize| match v {
+            _ if v < clocks => 0,
+            _ if v == input => 1,
+            _ if v == inverter => 2,
+            _ => 3,
+        };
+        let data = (0..n).flat_map(|v| (0..FEATURE_DIM).map(move |f| f64::from(f == kind(v))));
+        let features = Matrix::from_vec(n, FEATURE_DIM, data.collect());
+        sample_from(SparseMatrix::from_triplets(n, n, &triplets), features)
+    }
+
+    /// The refinement's work is bounded by a count, not by the clock: on
+    /// 16 000-stage shift registers and ring counters, where a split
+    /// travels one stage per round and an unbounded refinement keys a
+    /// quadratic number of rows, it keys at most `KEYED_ROWS_PER_ITEM`
+    /// rows per row plus entry and then hands back one class per row —
+    /// exact, and what the coarsest partition nearly is on such a graph.
+    /// A pure ring of identical stages still folds to one class.
+    #[test]
+    fn refinement_work_is_bounded_on_shift_registers_and_rings() {
+        let hashing = RowHashing::keyed();
+        for ring in [false, true] {
+            let sample = shift_register(16_000, ring);
+            let nodes = NodeRows::stack(&[&sample], &|n| n);
+            let items = nodes.rows() + nodes.entries.len();
+            let classes = row_classes(&nodes, &hashing, KEYED_ROWS_PER_ITEM * items);
+            assert!(classes.keyed <= KEYED_ROWS_PER_ITEM * items, "ring {ring}: {}", classes.keyed);
+            assert_eq!(classes.reps.len(), nodes.rows(), "ring {ring}: one class per row");
+            let batch = GraphBatch::pack(&[&sample]);
+            assert_eq!(batch.chunks[0].features.rows(), nodes.rows());
+        }
+        // Unbounded, a 2 000-stage register keys a quadratic count.
+        let sample = shift_register(2_000, false);
+        let nodes = NodeRows::stack(&[&sample], &|n| n);
+        let unbounded = row_classes(&nodes, &hashing, usize::MAX);
+        assert!(unbounded.keyed > 2_000 * 2_000 / 4, "{} keyed rows", unbounded.keyed);
+        // Every stage has its own depth; the two clocks are one class.
+        assert_eq!(unbounded.reps.len(), nodes.rows() - 1);
+        // A ring of identical stages is one class, found cheaply.
+        let n = 16_000;
+        let cycle: Vec<(u32, u32, f64)> =
+            (0..n).map(|i| (i as u32, ((i + n - 1) % n) as u32, 1.0)).collect();
+        let pure = sample_from(
+            SparseMatrix::from_triplets(n, n, &cycle),
+            Matrix::from_vec(n, FEATURE_DIM, vec![1.0; n * FEATURE_DIM]),
+        );
+        let nodes = NodeRows::stack(&[&pure], &|n| n);
+        let classes = row_classes(&nodes, &hashing, KEYED_ROWS_PER_ITEM * 2 * n);
+        assert_eq!((classes.reps.len(), classes.keyed), (1, n));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Joining kept per-sample quotients predicts what per-node
+        /// packing predicts, bit for bit, at strides 1 and 8 and chunk
+        /// targets 1, 192 and unbounded: float against per-sample
+        /// `predict_log`, int8 against a per-node packing of the same
+        /// cut. Quotients built once serve two batches, a sample repeats
+        /// within one, and the chunks equal `pack_chunked`'s. Quotients
+        /// refined under a zero budget (one class per row) predict the
+        /// same bits.
+        #[test]
+        fn joined_quotients_predict_what_node_rows_predict(seed in 0u64..u64::MAX) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let count = rng.gen_range(1..5);
+            let samples: Vec<GraphSample> = (0..count).map(|_| planted(&mut rng)).collect();
+            let mut picks: Vec<usize> = (0..count).collect();
+            picks.insert(rng.gen_range(0..=count), rng.gen_range(0..count));
+            let refs: Vec<&GraphSample> = picks.iter().map(|&i| &samples[i]).collect();
+            let model = RuntimePredictor::new(&ModelConfig::fast(), seed % 1_000);
+            let quantized = QuantizedPredictor::quantize(&model);
+            let float: Vec<[f64; 4]> = refs.iter().map(|s| model.predict_log(s)).collect();
+            let hashing = RowHashing::keyed();
+            for per_item in [KEYED_ROWS_PER_ITEM, 0] {
+                let kept: Vec<RowQuotient> =
+                    samples.iter().map(|s| RowQuotient::hashed(s, &hashing, per_item)).collect();
+                let joined: Vec<&RowQuotient> = picks.iter().map(|&i| &kept[i]).collect();
+                for stride in [1usize, 8] {
+                    for target in [1usize, CHUNK_TARGET_ROWS, usize::MAX] {
+                        let batch = GraphBatch::join_chunked(&joined, stride, target);
+                        prop_assert_eq!(bits(&model.predict_log_batch(&batch)), bits(&float));
+                        let unfolded = per_node(&refs, stride, target);
+                        prop_assert_eq!(
+                            bits(&quantized.predict_log_batch(&batch)),
+                            bits(&quantized.predict_log_batch(&unfolded))
+                        );
+                        if per_item == KEYED_ROWS_PER_ITEM {
+                            let packed = GraphBatch::pack_chunked(&refs, stride, target);
+                            let chunks = |b: &GraphBatch| -> Vec<ChunkBits> {
+                                b.chunks.iter().map(chunk_bits).collect()
+                            };
+                            prop_assert_eq!(chunks(&batch), chunks(&packed));
+                        }
                     }
                 }
             }

@@ -44,7 +44,7 @@ mod tensor;
 mod train;
 
 pub use adam::Adam;
-pub use batch::{GraphBatch, CHUNK_TARGET_ROWS};
+pub use batch::{GraphBatch, RowQuotient, CHUNK_TARGET_ROWS};
 pub use error::GcnError;
 pub use graph_data::GraphSample;
 pub use layers::{DenseGrads, DenseLayer, GcnBuffers, GcnLayer, LayerScratch};

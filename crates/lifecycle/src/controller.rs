@@ -29,7 +29,7 @@ use crate::{
     StageErrors, TimelineEvent, CANARY_LATENCY_BUDGET_US, PROMOTE_MAX_ERROR_PCT,
 };
 use eda_cloud_engine::EventHeap;
-use eda_cloud_gcn::{GraphBatch, ModelConfig};
+use eda_cloud_gcn::ModelConfig;
 use eda_cloud_serve::{
     design_pool, synthetic_requests, LruCache, ModelSnapshot, ServeDesign, ServeRequest,
     WorkloadConfig, PER_HIT_US, PER_MISS_US, STAGE_NAMES,
@@ -508,12 +508,11 @@ impl<'a> Run<'a> {
     }
 }
 
-/// One forward pass over a single design: a 1-element batch through
-/// the snapshot's stage fan-out (joined by stage index, so the result
-/// is worker-invariant).
+/// One forward pass over a single design: a 1-element batch of the
+/// design's kept row-class quotients through the snapshot's stage
+/// fan-out (joined by stage index, so the result is worker-invariant).
 fn predict_one(snapshot: &ModelSnapshot, design: &ServeDesign, workers: usize) -> [[f64; 4]; 4] {
-    let aig = GraphBatch::pack(&[&design.aig]);
-    let netlist = GraphBatch::pack(&[&design.netlist]);
+    let (aig, netlist) = ServeDesign::pack_views(&[design], 1);
     snapshot.predict_batches(&aig, &netlist, workers)[0]
 }
 

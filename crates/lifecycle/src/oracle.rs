@@ -44,7 +44,7 @@ impl RuntimeOracle {
     ///
     /// Panics if `stage >= 4`.
     #[must_use]
-    pub fn stage_runtimes(&self, design: &ServeDesign, stage: usize, ordinal: u64) -> [f64; 4] {
+    fn stage_runtimes(&self, design: &ServeDesign, stage: usize, ordinal: u64) -> [f64; 4] {
         assert!(stage < 4, "stage index {stage} out of range");
         let nodes = if stage == 0 {
             design.aig.node_count()

@@ -91,7 +91,7 @@ impl Solver {
         // Scores rise along a frontier: its last state is the best
         // score at the smallest `t` reaching it.
         let last = frontiers.last()?.len().checked_sub(1)?;
-        Self::selection(problem.stages(), &frontiers, last, objective)
+        Self::selection(&frontiers, last, objective, Self::price(problem.stages()))
     }
 
     /// Every Pareto-optimal selection, in strictly ascending
@@ -101,14 +101,19 @@ impl Solver {
     /// [`solve`](Self::solve)`(problem, B, objective)` returns (see the
     /// type's docs); no selection fits means `solve` returns `None`.
     /// Selections whose runtime overflows `u64` fit no budget and are
-    /// left out.
+    /// left out. Every point is built in full; a caller that answers
+    /// budgets one at a time keeps a [`Frontier`] instead.
     #[must_use]
     pub fn frontier(&self, problem: &Problem, objective: Objective) -> Vec<Selection> {
         let frontiers = Self::frontiers(problem.stages(), u64::MAX, objective);
         let width = frontiers.last().map_or(0, Vec::len);
-        (0..width)
-            .filter_map(|at| Self::selection(problem.stages(), &frontiers, at, objective))
-            .collect()
+        let price = Self::price(problem.stages());
+        (0..width).filter_map(|at| Self::selection(&frontiers, at, objective, &price)).collect()
+    }
+
+    /// `(runtime_secs, cost_usd)` of choice `j` of stage `l`.
+    fn price(stages: &[Stage]) -> impl Fn(usize, usize) -> (u64, f64) + '_ {
+        |l, j| (stages[l].choices[j].runtime_secs, stages[l].choices[j].cost_usd)
     }
 
     /// The DP's frontiers, every state's `t` at most `cap`.
@@ -158,31 +163,24 @@ impl Solver {
         frontiers
     }
 
-    /// The selection ending at state `at` of the last frontier. Every
+    /// The selection ending at state `at` of the last frontier, each
+    /// pick's runtime and cost read from `price(stage, choice)`. Every
     /// state's `parent` indexes the frontier before its own, so the
     /// chain is complete by construction; `?` keeps the solver
     /// panic-free regardless.
     fn selection(
-        stages: &[Stage],
         frontiers: &[Vec<State>],
         mut at: usize,
         objective: Objective,
+        price: impl Fn(usize, usize) -> (u64, f64),
     ) -> Option<Selection> {
-        let mut picks = vec![0usize; stages.len()];
+        let mut picks = vec![0usize; frontiers.len().saturating_sub(1)];
         for (pick, frontier) in picks.iter_mut().zip(&frontiers[1..]).rev() {
             let state = frontier.get(at)?;
             (*pick, at) = (state.choice, state.parent);
         }
-        let total_runtime_secs: u64 = picks
-            .iter()
-            .zip(stages)
-            .map(|(&j, s)| s.choices[j].runtime_secs)
-            .sum();
-        let total_cost_usd: f64 = picks
-            .iter()
-            .zip(stages)
-            .map(|(&j, s)| s.choices[j].cost_usd)
-            .sum();
+        let total_runtime_secs: u64 = picks.iter().enumerate().map(|(l, &j)| price(l, j).0).sum();
+        let total_cost_usd: f64 = picks.iter().enumerate().map(|(l, &j)| price(l, j).1).sum();
         Some(Selection {
             picks,
             total_runtime_secs,
@@ -192,9 +190,49 @@ impl Solver {
     }
 }
 
+/// The budget-free frontier of one problem, kept as the DP left it:
+/// per level, each state's total runtime plus a back-pointer to the
+/// level before, and each choice's runtime and cost. [`Frontier::cut`]
+/// answers a budget by binary search on the last level and rebuilds the
+/// picks and totals of that one point only — bit for bit what
+/// [`Solver::solve`] returns for the budget (see [`Solver`]'s docs),
+/// without a [`Selection`] per Pareto point.
+#[derive(Debug, Clone)]
+pub struct Frontier {
+    /// `(runtime_secs, cost_usd)` per stage and choice.
+    prices: Vec<Vec<(u64, f64)>>,
+    levels: Vec<Vec<State>>,
+    objective: Objective,
+}
+
+impl Frontier {
+    /// Run the DP over `problem` with no budget.
+    #[must_use]
+    pub fn new(problem: &Problem, objective: Objective) -> Self {
+        let stages = problem.stages();
+        Self {
+            prices: stages
+                .iter()
+                .map(|s| s.choices.iter().map(|c| (c.runtime_secs, c.cost_usd)).collect())
+                .collect(),
+            levels: Solver::frontiers(stages, u64::MAX, objective),
+            objective,
+        }
+    }
+
+    /// The last Pareto point with total runtime at most `budget_secs`:
+    /// [`Solver::solve`]`(problem, budget_secs, objective)`.
+    #[must_use]
+    pub fn cut(&self, budget_secs: u64) -> Option<Selection> {
+        let last = self.levels.last()?;
+        let at = last.partition_point(|s| s.t <= budget_secs).checked_sub(1)?;
+        Solver::selection(&self.levels, at, self.objective, |l, j| self.prices[l][j])
+    }
+}
+
 /// One point of a frontier: the best score at total runtime exactly
 /// `t`, reached from state `parent` of the previous frontier by `choice`.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct State {
     t: u64,
     score: f64,

@@ -25,7 +25,9 @@
 //! instance at once, fastest first: the answer for any deadline is its
 //! last selection within it, the same as [`Solver::solve`]'s. A caller
 //! that asks one instance under many deadlines (the serving tier's
-//! planner) builds it once.
+//! planner) keeps a [`Frontier`] instead — the DP's states, a total
+//! runtime and a back-pointer each — and [`Frontier::cut`]s it per
+//! deadline, rebuilding the picks of the one point it selects.
 //!
 //! [`Problem::new`] validates raw stages, so callers assembling them on
 //! the fly (the serving tier's planner) get malformed input back as a
@@ -62,7 +64,7 @@ mod error;
 mod problem;
 mod savings;
 
-pub use dp::{Objective, Selection, Solver};
+pub use dp::{Frontier, Objective, Selection, Solver};
 pub use error::MckpError;
 pub use problem::{Choice, Problem, Stage};
 pub use savings::{

@@ -1,6 +1,6 @@
 //! Property-based tests for the MCKP solver.
 
-use eda_cloud_mckp::{baselines, Choice, Objective, Problem, Selection, Solver, Stage};
+use eda_cloud_mckp::{baselines, Choice, Frontier, Objective, Problem, Selection, Solver, Stage};
 use proptest::prelude::*;
 
 /// The solver's previous body, kept as the reference: one cell per
@@ -153,6 +153,27 @@ fn assert_frontier_answers_every_budget(problem: &Problem) {
             let context = format!("{objective:?} at budget {budget} on {problem:?}");
             assert_eq!(cut, solved.as_ref().map(bits), "solve: {context}");
             assert_eq!(cut, dense.as_ref().map(bits), "dense table: {context}");
+        }
+    }
+}
+
+/// A kept [`Frontier`], cut at every budget from 0 to the slowest total + 1
+/// and at `u64::MAX`, == `Solver::solve` at that budget, for both objectives.
+fn assert_kept_frontier_answers_every_budget(problem: &Problem) {
+    let slowest: u64 = problem
+        .stages()
+        .iter()
+        .map(|s| s.choices.iter().map(|c| c.runtime_secs).max().unwrap_or(0))
+        .sum();
+    for objective in [Objective::MinCost, Objective::MaxInverseCost] {
+        let frontier = Frontier::new(problem, objective);
+        for budget in (0..=slowest + 1).chain([u64::MAX]) {
+            let solved = Solver::new().solve(problem, budget, objective);
+            assert_eq!(
+                frontier.cut(budget).as_ref().map(bits),
+                solved.as_ref().map(bits),
+                "{objective:?} at budget {budget} on {problem:?}"
+            );
         }
     }
 }
@@ -394,5 +415,24 @@ proptest! {
     #[test]
     fn frontier_cuts_equal_solve_on_arbitrary_problems(problem in arbitrary_problem()) {
         assert_frontier_answers_every_budget(&problem);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn kept_frontier_cuts_equal_solve_on_tied_costs(problem in tied_cost_problem()) {
+        assert_kept_frontier_answers_every_budget(&problem);
+    }
+
+    #[test]
+    fn kept_frontier_cuts_equal_solve_on_tiny_runtimes(problem in tiny_runtime_problem()) {
+        assert_kept_frontier_answers_every_budget(&problem);
+    }
+
+    #[test]
+    fn kept_frontier_cuts_equal_solve_on_arbitrary_problems(problem in arbitrary_problem()) {
+        assert_kept_frontier_answers_every_budget(&problem);
     }
 }

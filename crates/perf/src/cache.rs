@@ -145,7 +145,7 @@ impl Cache {
 
     /// Drop all cached lines: the cache is as it was when constructed.
     /// Costs the sets that hold a line, not the whole array.
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         for &set in &self.dirty {
             let base = set as usize * self.ways;
             self.tags[base..base + self.ways].fill(INVALID);

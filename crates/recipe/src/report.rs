@@ -101,7 +101,7 @@ impl DesignReport {
     /// Whether the searched recipe beats the default on QoR score or
     /// on 4-vCPU runtime.
     #[must_use]
-    pub fn beats_baseline(&self) -> bool {
+    fn beats_baseline(&self) -> bool {
         self.best_score < self.baseline_score
             || self.best_runtime_ms[2] < self.baseline_runtime_ms[2]
     }

@@ -1,15 +1,25 @@
 //! Requests, designs, and the seeded synthetic workload.
 
 use eda_cloud_engine::poisson_arrivals;
-use eda_cloud_gcn::GraphSample;
+use eda_cloud_gcn::{GraphBatch, GraphSample, RowQuotient};
 use eda_cloud_netlist::{generators, DesignGraph};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A design as the server sees it: its two graph views plus a
 /// structural fingerprint used as the result-cache key.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The design also keeps the row-class quotient of each view
+/// ([`RowQuotient`]), built by the first forward that needs it, never at
+/// construction: most designs an ingest stream builds are answered from
+/// the result cache and never forwarded. When the two views are equal
+/// bit for bit — every stock-pool design and every upload — one quotient
+/// serves both. Equality, `Debug` and `Clone` ignore the quotients: a
+/// clone builds its own, so a clone whose views are then edited never
+/// forwards a stale one. Do not edit the views of a design that has
+/// been forwarded.
 pub struct ServeDesign {
     /// Design name (diagnostic only; the fingerprint is the identity).
     pub name: String,
@@ -20,6 +30,8 @@ pub struct ServeDesign {
     /// FNV-1a-style hash of the name and both views' node counts and
     /// features.
     pub fingerprint: u64,
+    /// One quotient per distinct view, the AIG view's first.
+    quotients: OnceLock<Vec<RowQuotient>>,
 }
 
 impl ServeDesign {
@@ -28,7 +40,79 @@ impl ServeDesign {
     pub fn new(name: impl Into<String>, aig: GraphSample, netlist: GraphSample) -> Self {
         let name = name.into();
         let fingerprint = fingerprint_views(&name, &aig, &netlist);
-        Self { name, aig, netlist, fingerprint }
+        Self { name, aig, netlist, fingerprint, quotients: OnceLock::new() }
+    }
+
+    /// Pack the AIG views and the netlist views of `designs` into two
+    /// index-aligned batches, every segment padded to a multiple of
+    /// `stride`, by joining each design's kept quotients
+    /// ([`GraphBatch::join`]): bit for bit the predictions of
+    /// [`GraphBatch::pack_padded`] over the views.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero.
+    #[must_use]
+    pub fn pack_views(designs: &[&ServeDesign], stride: usize) -> (GraphBatch, GraphBatch) {
+        let views: Vec<[&RowQuotient; 2]> = designs.iter().map(|d| d.quotients()).collect();
+        let aig: Vec<&RowQuotient> = views.iter().map(|v| v[0]).collect();
+        let netlist: Vec<&RowQuotient> = views.iter().map(|v| v[1]).collect();
+        (GraphBatch::join(&aig, stride), GraphBatch::join(&netlist, stride))
+    }
+
+    /// The quotients of the AIG and the netlist view, built on first use.
+    fn quotients(&self) -> [&RowQuotient; 2] {
+        let kept = self.quotients.get_or_init(|| {
+            let aig = RowQuotient::from(&self.aig);
+            if same_bits(&self.aig, &self.netlist) {
+                vec![aig]
+            } else {
+                vec![aig, RowQuotient::from(&self.netlist)]
+            }
+        });
+        [&kept[0], &kept[kept.len() - 1]]
+    }
+}
+
+/// Whether two samples have the same adjacency and features, bit for bit
+/// (`==` on floats would equate `0.0` and `-0.0`).
+fn same_bits(a: &GraphSample, b: &GraphSample) -> bool {
+    let entry = |(r, c, w): (u32, u32, f64)| (r, c, w.to_bits());
+    let bits = |v: &f64| v.to_bits();
+    a.node_count() == b.node_count()
+        && a.a_norm.entries().map(entry).eq(b.a_norm.entries().map(entry))
+        && a.features.data().iter().map(bits).eq(b.features.data().iter().map(bits))
+}
+
+impl Clone for ServeDesign {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            aig: self.aig.clone(),
+            netlist: self.netlist.clone(),
+            fingerprint: self.fingerprint,
+            quotients: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for ServeDesign {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.aig == other.aig
+            && self.netlist == other.netlist
+            && self.fingerprint == other.fingerprint
+    }
+}
+
+impl fmt::Debug for ServeDesign {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServeDesign")
+            .field("name", &self.name)
+            .field("aig", &self.aig)
+            .field("netlist", &self.netlist)
+            .field("fingerprint", &self.fingerprint)
+            .finish()
     }
 }
 
@@ -454,5 +538,54 @@ mod tests {
         prints.sort_unstable();
         prints.dedup();
         assert_eq!(prints.len(), pool.len(), "all pool designs distinct");
+    }
+
+    /// A design's kept quotients predict what packing its views afresh
+    /// predicts, bit for bit: on first use, once cached, from a clone
+    /// (which builds its own), when its two views differ (one quotient
+    /// each, also when they differ only in the sign of a zero), and from
+    /// a clone whose view was edited. Equality and `Debug` ignore the
+    /// cache.
+    #[test]
+    fn kept_quotients_predict_what_fresh_packing_predicts() {
+        use crate::ModelSnapshot;
+        use eda_cloud_gcn::ModelConfig;
+        let snapshot = ModelSnapshot::seeded(&ModelConfig::fast(), 5);
+        let bits = |secs: Vec<[[f64; 4]; 4]>| -> Vec<[[u64; 4]; 4]> {
+            secs.iter().map(|d| d.map(|s| s.map(f64::to_bits))).collect()
+        };
+        let fresh = |designs: &[&ServeDesign]| {
+            let aig: Vec<&GraphSample> = designs.iter().map(|d| &d.aig).collect();
+            let net: Vec<&GraphSample> = designs.iter().map(|d| &d.netlist).collect();
+            let (aig, net) = (GraphBatch::pack_padded(&aig, 8), GraphBatch::pack_padded(&net, 8));
+            bits(snapshot.predict_batches(&aig, &net, 1))
+        };
+        let kept = |designs: &[&ServeDesign]| {
+            let (aig, net) = ServeDesign::pack_views(designs, 8);
+            bits(snapshot.predict_batches(&aig, &net, 1))
+        };
+        let pool = design_pool();
+        let split = ServeDesign::new("split", pool[0].aig.clone(), pool[7].netlist.clone());
+        let mut signed = pool[2].netlist.clone();
+        let zero = signed.features.data_mut().iter_mut().find(|v| **v == 0.0).expect("a zero");
+        *zero = -0.0;
+        let signed = ServeDesign::new("signed", pool[2].aig.clone(), signed);
+        let mut designs: Vec<&ServeDesign> = pool.iter().map(|d| &**d).collect();
+        designs.extend([&split, &signed]);
+        let want = fresh(&designs);
+        assert!(pool[0].quotients.get().is_none(), "nothing is built before a forward");
+        assert_eq!(kept(&designs), want, "first use");
+        assert_eq!(kept(&designs), want, "cached");
+        assert_eq!(pool[0].quotients.get().map(Vec::len), Some(1), "equal views share one");
+        assert_eq!(split.quotients.get().map(Vec::len), Some(2));
+        assert_eq!(signed.quotients.get().map(Vec::len), Some(2));
+        let clone = split.clone();
+        assert!(clone.quotients.get().is_none(), "a clone builds its own");
+        assert_eq!((&clone, format!("{clone:?}")), (&split, format!("{split:?}")));
+        assert_eq!(kept(&[&clone]), fresh(&[&clone]));
+        let mut edited = split.clone();
+        edited.netlist = pool[3].netlist.clone();
+        assert_eq!(kept(&[&edited]), fresh(&[&edited]));
+        assert_ne!(kept(&[&edited]), kept(&[&split]));
     }
 }

@@ -17,7 +17,6 @@ use crate::{
     NoServeFaults, PlanSummary, Planner, RecipePlanSummary, RecipePlanner, RequestKind,
     ServeCounters, ServeError, ServeReport, ServeRequest, SharedServeFaults,
 };
-use eda_cloud_gcn::{GraphBatch, GraphSample};
 use eda_cloud_trace::{Histogram, LatencyFold, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -406,8 +405,9 @@ impl<'a> Run<'a> {
 
     /// Fill each slot's prediction from the result cache, or from one
     /// padded batched forward ([`PER_MISS_US`] each) over the unique
-    /// missed designs in first-occurrence order; duplicates of a missed
-    /// design within the batch ride the single forward.
+    /// missed designs in first-occurrence order, packed from the row-class
+    /// quotients each design keeps; duplicates of a missed design within
+    /// the batch ride the single forward.
     fn forward_misses(&mut self, slots: &mut [Slot]) {
         let config = &self.server.config;
         let mut miss_designs: Vec<Arc<crate::ServeDesign>> = Vec::new();
@@ -431,10 +431,8 @@ impl<'a> Run<'a> {
         if miss_designs.is_empty() {
             return;
         }
-        let aig_refs: Vec<&GraphSample> = miss_designs.iter().map(|d| &d.aig).collect();
-        let net_refs: Vec<&GraphSample> = miss_designs.iter().map(|d| &d.netlist).collect();
-        let aig_batch = GraphBatch::pack_padded(&aig_refs, config.pad_stride);
-        let net_batch = GraphBatch::pack_padded(&net_refs, config.pad_stride);
+        let refs: Vec<&crate::ServeDesign> = miss_designs.iter().map(|d| &**d).collect();
+        let (aig_batch, net_batch) = crate::ServeDesign::pack_views(&refs, config.pad_stride);
         let workers = config.resolved_workers();
         let miss_secs = self.server.snapshot.predict_batches(&aig_batch, &net_batch, workers);
         for (design, secs) in miss_designs.iter().zip(&miss_secs) {
@@ -567,7 +565,7 @@ impl<'a> Run<'a> {
 mod tests {
     use super::*;
     use crate::{design_pool, synthetic_requests, CostTablePlanner, ModelSnapshot, WorkloadConfig};
-    use eda_cloud_gcn::ModelConfig;
+    use eda_cloud_gcn::{GraphSample, ModelConfig};
 
     fn server(config: ServeConfig) -> Server {
         Server::new(

@@ -91,7 +91,7 @@ impl SimtestConfig {
     /// compressed version of the production defaults that still walks
     /// the full detect → retrain → canary → decide arc.
     #[must_use]
-    pub fn lifecycle_config(&self) -> LifecycleConfig {
+    fn lifecycle_config(&self) -> LifecycleConfig {
         LifecycleConfig {
             requests: LIFECYCLE_REQUESTS,
             seed: self.seed,
