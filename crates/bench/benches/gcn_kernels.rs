@@ -1,8 +1,8 @@
 //! Criterion benches for the GCN stack: sparse aggregation (allocating
 //! and allocation-free CSR kernels), dense matmul and the fused
 //! transposed product of the weight gradients, forward/backward
-//! passes, a full training step, and float vs int8-quantized
-//! per-request inference.
+//! passes, a full training step, one fine-tuning epoch over the stock
+//! serving pool, and float vs int8-quantized per-request inference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eda_cloud_gcn::{GraphSample, Matrix, ModelConfig, QuantizedPredictor, RuntimePredictor};
@@ -159,6 +159,16 @@ fn bench_model(c: &mut Criterion) {
     group.bench_function("train_step_fast_tall", |b| {
         let mut m = RuntimePredictor::new(&ModelConfig::fast(), 3);
         b.iter(|| black_box(m.train_step(black_box(&tall), 1e-3)));
+    });
+    // One epoch of the fast model over the 18 stock serving designs: the
+    // call builds each design's row classes, then steps over them.
+    let pool = eda_cloud_serve::design_pool();
+    let stock: Vec<GraphSample> =
+        pool.iter().map(|d| d.aig.with_targets([100.0, 60.0, 35.0, 22.0])).collect();
+    let stock: Vec<&GraphSample> = stock.iter().collect();
+    group.bench_function("fine_tune_epoch_stock", |b| {
+        let mut m = RuntimePredictor::new(&ModelConfig::fast(), 3);
+        b.iter(|| black_box(m.fine_tune(black_box(&stock), 1, 1e-3, 7)));
     });
     group.finish();
 }

@@ -63,7 +63,7 @@ impl RecipeScenario {
     /// stride per design so searches are decorrelated but fully
     /// determined by `(seed, index)`.
     #[must_use]
-    pub fn design_seed(&self, index: usize) -> u64 {
+    fn design_seed(&self, index: usize) -> u64 {
         self.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 

@@ -12,7 +12,9 @@
 //! the CSR row of class `c`'s first node with every column mapped to its
 //! class, and the class of every node row. It is a function of the
 //! sample alone, so a caller that forwards the same design many times
-//! builds it once and keeps it (`eda_cloud_serve::ServeDesign` does).
+//! builds it once and keeps it (`eda_cloud_serve::ServeDesign` does;
+//! `Trainer::try_fit` and `RuntimePredictor::fine_tune` build one per
+//! training sample per call and step over it).
 //!
 //! A [`GraphBatch`] joins quotients into chunks ([`GraphBatch::join`]):
 //! samples are cut into chunks greedily by padded node rows, each
@@ -306,18 +308,23 @@ pub struct RowQuotient {
 
 impl RowQuotient {
     /// Partition `sample`'s node rows under `hashing`, keying at most
-    /// `per_item` rows per row plus stored entry of the sample.
+    /// `per_item` rows per row plus stored entry of the sample. The
+    /// sample's CSR rows and feature rows are read in place.
     fn hashed(sample: &GraphSample, hashing: &impl BuildHasher, per_item: usize) -> Self {
-        let nodes = NodeRows::stack(&[sample], &|n| n);
-        let budget = per_item * (nodes.rows() + nodes.entries.len());
-        let Classes { class_of, reps, keyed } = row_classes(&nodes, hashing, budget);
+        let n = sample.node_count();
+        assert!(
+            sample.a_norm.rows() == n && sample.a_norm.cols() == n,
+            "a sample's adjacency must be square over its feature rows"
+        );
+        let budget = per_item * (n + sample.a_norm.nnz());
+        let Classes { class_of, reps, keyed } = row_classes(sample, hashing, budget);
         debug_assert!(keyed <= budget, "the refinement keyed past its budget");
         let mut features = Vec::with_capacity(reps.len() * FEATURE_DIM);
         let mut entries = Vec::new();
         for (c, &rep) in reps.iter().enumerate() {
-            features.extend_from_slice(nodes.features(rep as usize));
-            let row = nodes.row(rep as usize).iter();
-            entries.extend(row.map(|&(col, w)| (c as u32, class_of[col as usize], w)));
+            features.extend_from_slice(sample.feature_row(rep as usize));
+            let row = sample.row_entries(rep as usize);
+            entries.extend(row.map(|(col, w)| (c as u32, class_of[col as usize], w)));
         }
         Self { entries, features, class_of }
     }
@@ -339,64 +346,29 @@ impl From<&GraphSample> for RowQuotient {
     }
 }
 
-/// Samples stacked at node level: every sample's `Ā` rows in CSR form
-/// with columns shifted to its segment, and the stacked features.
-/// Padding rows have no entries and zero features.
-struct NodeRows {
-    /// `offsets[r]..offsets[r + 1]` are row `r`'s entries.
-    offsets: Vec<u32>,
-    /// `(column, weight)` per stored entry, in each sample's CSR order.
-    entries: Vec<(u32, f64)>,
-    /// `FEATURE_DIM` values per node row.
-    features: Vec<f64>,
+/// What the partition reads of a sample's node rows: each row's
+/// feature values and its `Ā` entries as `(column, weight)` in CSR
+/// order.
+trait NodeView {
+    fn rows(&self) -> usize;
+    fn feature_row(&self, r: usize) -> &[f64];
+    fn row_entries(&self, r: usize) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone;
 }
 
-impl NodeRows {
-    /// Stack `samples`, each padded to `pad(n)` rows.
-    fn stack(samples: &[&GraphSample], pad: &dyn Fn(usize) -> usize) -> Self {
-        let total: usize = samples.iter().map(|s| pad(s.node_count())).sum();
-        let mut nodes = Self {
-            offsets: Vec::with_capacity(total + 1),
-            entries: Vec::with_capacity(samples.iter().map(|s| s.a_norm.nnz()).sum()),
-            features: vec![0.0; total * FEATURE_DIM],
-        };
-        let mut base = 0usize;
-        for s in samples {
-            let n = s.node_count();
-            assert!(
-                s.a_norm.rows() == n && s.a_norm.cols() == n,
-                "a sample's adjacency must be square over its feature rows"
-            );
-            let dst = &mut nodes.features[base * FEATURE_DIM..(base + n) * FEATURE_DIM];
-            dst.copy_from_slice(s.features.data());
-            for (r, c, w) in s.a_norm.entries() {
-                nodes.open_rows_through(base + r as usize);
-                nodes.entries.push((base as u32 + c, w));
-            }
-            base += pad(n);
-            nodes.open_rows_through(base);
-        }
-        nodes
-    }
-
-    /// Record the start of every row up to `row` not yet started: rows
-    /// skipped over are empty, and `row` starts at the next entry.
-    fn open_rows_through(&mut self, row: usize) {
-        while self.offsets.len() <= row {
-            self.offsets.push(self.entries.len() as u32);
-        }
-    }
-
+/// A sample's own CSR and features, borrowed.
+impl NodeView for GraphSample {
     fn rows(&self) -> usize {
-        self.offsets.len() - 1
+        self.node_count()
     }
 
-    fn row(&self, r: usize) -> &[(u32, f64)] {
-        &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    fn feature_row(&self, r: usize) -> &[f64] {
+        self.features.row(r)
     }
 
-    fn features(&self, r: usize) -> &[f64] {
-        &self.features[r * FEATURE_DIM..(r + 1) * FEATURE_DIM]
+    fn row_entries(&self, r: usize) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone {
+        let a = &self.a_norm;
+        let span = a.offsets[r] as usize..a.offsets[r + 1] as usize;
+        a.indices[span.clone()].iter().copied().zip(a.values[span].iter().copied())
     }
 }
 
@@ -430,17 +402,17 @@ struct Classes {
 /// the budget, whatever the hash. A class of one row cannot split and
 /// is not keyed. The identity partition returned past the budget is
 /// stable too (any partition into single rows is), so it is exact.
-fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher, budget: usize) -> Classes {
+fn row_classes(nodes: &impl NodeView, hashing: &impl BuildHasher, budget: usize) -> Classes {
     let rows = nodes.rows();
     let mut table = GroupTable::new(rows);
     let mut classes = 0u32;
     let mut class = Vec::with_capacity(rows);
     for r in 0..rows {
-        let key = nodes.features(r);
+        let key = nodes.feature_row(r);
         let mut h = hashing.build_hasher();
         key.iter().for_each(|v| h.write_u64(v.to_bits()));
         let same = |q: usize| {
-            nodes.features(q).iter().zip(key).all(|(a, b)| a.to_bits() == b.to_bits())
+            nodes.feature_row(q).iter().zip(key).all(|(a, b)| a.to_bits() == b.to_bits())
         };
         class.push(table.group(h.finish(), r, same, || {
             classes += 1;
@@ -521,7 +493,7 @@ fn row_classes(nodes: &NodeRows, hashing: &impl BuildHasher, budget: usize) -> C
 /// `members[i]`, groups numbered by first appearance. Returns how many
 /// groups there are.
 fn entry_groups(
-    nodes: &NodeRows,
+    nodes: &impl NodeView,
     class: &[u32],
     members: &[u32],
     table: &mut GroupTable,
@@ -532,16 +504,16 @@ fn entry_groups(
     labels.clear();
     let mut groups = 0u32;
     for &r in members {
-        let key = nodes.row(r as usize);
+        let key = nodes.row_entries(r as usize);
         let mut h = hashing.build_hasher();
-        for &(col, w) in key {
+        for (col, w) in key.clone() {
             h.write_u64(w.to_bits());
             h.write_u32(class[col as usize]);
         }
         let same = |q: usize| {
-            let row = nodes.row(q);
+            let row = nodes.row_entries(q);
             row.len() == key.len()
-                && row.iter().zip(key).all(|(&(qc, qw), &(rc, rw))| {
+                && row.zip(key.clone()).all(|((qc, qw), (rc, rw))| {
                     qw.to_bits() == rw.to_bits() && class[qc as usize] == class[rc as usize]
                 })
         };
@@ -576,18 +548,21 @@ fn runs(class: &[u32], classes: usize) -> (Vec<u32>, Vec<(usize, usize)>) {
 
 /// The transpose of a sample's adjacency pattern: `readers[at[col]..at[col
 /// + 1]]` are the rows with an entry in column `col`.
-fn readers(nodes: &NodeRows) -> (Vec<u32>, Vec<u32>) {
-    let mut at = vec![0u32; nodes.rows() + 1];
-    for &(col, _) in &nodes.entries {
-        at[col as usize + 1] += 1;
+fn readers(nodes: &impl NodeView) -> (Vec<u32>, Vec<u32>) {
+    let rows = nodes.rows();
+    let mut at = vec![0u32; rows + 1];
+    for r in 0..rows {
+        for (col, _) in nodes.row_entries(r) {
+            at[col as usize + 1] += 1;
+        }
     }
-    for i in 0..nodes.rows() {
+    for i in 0..rows {
         at[i + 1] += at[i];
     }
-    let mut readers = vec![0; nodes.entries.len()];
+    let mut readers = vec![0; at[rows] as usize];
     let mut fill = at.clone();
-    for r in 0..nodes.rows() {
-        for &(col, _) in nodes.row(r) {
+    for r in 0..rows {
+        for (col, _) in nodes.row_entries(r) {
             readers[fill[col as usize] as usize] = r as u32;
             fill[col as usize] += 1;
         }
@@ -705,7 +680,7 @@ impl Hasher for RowHasher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{ModelConfig, QuantizedPredictor, RuntimePredictor};
     use eda_cloud_netlist::{generators, DesignGraph};
@@ -713,6 +688,70 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::hash::BuildHasherDefault;
+
+    /// Samples stacked at node level: every sample's `Ā` rows in CSR
+    /// form with columns shifted to its segment, and the stacked
+    /// features. Padding rows have no entries and zero features. The
+    /// per-node reference chunks are built from it.
+    struct NodeRows {
+        /// `offsets[r]..offsets[r + 1]` are row `r`'s entries.
+        offsets: Vec<u32>,
+        /// `(column, weight)` per stored entry, in each sample's CSR order.
+        entries: Vec<(u32, f64)>,
+        /// `FEATURE_DIM` values per node row.
+        features: Vec<f64>,
+    }
+
+    impl NodeRows {
+        /// Stack `samples`, each padded to `pad(n)` rows.
+        fn stack(samples: &[&GraphSample], pad: &dyn Fn(usize) -> usize) -> Self {
+            let total: usize = samples.iter().map(|s| pad(s.node_count())).sum();
+            let mut nodes = Self {
+                offsets: Vec::with_capacity(total + 1),
+                entries: Vec::with_capacity(samples.iter().map(|s| s.a_norm.nnz()).sum()),
+                features: vec![0.0; total * FEATURE_DIM],
+            };
+            let mut base = 0usize;
+            for s in samples {
+                let n = s.node_count();
+                let dst = &mut nodes.features[base * FEATURE_DIM..(base + n) * FEATURE_DIM];
+                dst.copy_from_slice(s.features.data());
+                for (r, c, w) in s.a_norm.entries() {
+                    nodes.open_rows_through(base + r as usize);
+                    nodes.entries.push((base as u32 + c, w));
+                }
+                base += pad(n);
+                nodes.open_rows_through(base);
+            }
+            nodes
+        }
+
+        /// Record the start of every row up to `row` not yet started:
+        /// rows skipped over are empty, and `row` starts at the next entry.
+        fn open_rows_through(&mut self, row: usize) {
+            while self.offsets.len() <= row {
+                self.offsets.push(self.entries.len() as u32);
+            }
+        }
+
+        fn row(&self, r: usize) -> &[(u32, f64)] {
+            &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+        }
+    }
+
+    impl NodeView for NodeRows {
+        fn rows(&self) -> usize {
+            self.offsets.len() - 1
+        }
+
+        fn feature_row(&self, r: usize) -> &[f64] {
+            &self.features[r * FEATURE_DIM..(r + 1) * FEATURE_DIM]
+        }
+
+        fn row_entries(&self, r: usize) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone {
+            self.row(r).iter().copied()
+        }
+    }
 
     fn samples() -> Vec<GraphSample> {
         ["adder", "parity", "comparator", "max"]
@@ -884,7 +923,7 @@ mod tests {
     /// fanin-free tooth; the last reads only its tooth), or a pure ring,
     /// which is one class. Feature rows come from a few prototypes drawn
     /// from [`PALETTE`]; `NaN` is planted in about one graph in four.
-    fn planted(rng: &mut ChaCha8Rng) -> GraphSample {
+    pub(crate) fn planted(rng: &mut ChaCha8Rng) -> GraphSample {
         let nan = rng.gen_range(0..4) == 0;
         let values = PALETTE.len() - usize::from(!nan);
         let value = |rng: &mut ChaCha8Rng| PALETTE[rng.gen_range(0..values)];

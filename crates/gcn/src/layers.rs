@@ -14,6 +14,10 @@ pub struct LayerScratch {
     /// The second operand of a sum of two products (`H·B`, `dZ·Wᵀ`,
     /// `dZ·Bᵀ`), consumed before the next one is formed.
     product: Matrix,
+    /// Class rows laid out as node rows for a pass that runs per node.
+    nodes: Matrix,
+    /// A per-class `∂L/∂Z` laid out as node rows.
+    node_dz: Matrix,
 }
 
 /// One graph-convolution layer implementing the paper's Equation (2):
@@ -97,6 +101,17 @@ impl GcnLayer {
     /// aggregation and a sum — is computed only when `dinput` is `Some`:
     /// the first layer of a stack has nobody upstream to hand it to.
     ///
+    /// With `class_of`, the forward pass ran over a sample's row classes
+    /// (`class_of[r]` is node `r`'s class): `input`, `aggregated` and
+    /// `output` hold one row per class, and so does `grad_output` at the
+    /// top of a stack, where pooling hands every node the same gradient;
+    /// below it, `grad_output` holds one row per node. `a_norm` and
+    /// `dinput` are per node. The two products run once per row of
+    /// `dZ`; the `Āᵀ` scatter, the sum and both weight gradients run per
+    /// node in node order, reading class rows through `class_of`. A
+    /// node's row is its class's bit for bit, so every element gets the
+    /// operation sequence of the per-node pass.
+    ///
     /// # Errors
     ///
     /// Propagates the adjacency kernel's typed errors (see
@@ -104,7 +119,8 @@ impl GcnLayer {
     ///
     /// # Panics
     ///
-    /// Panics if `input` and the buffers disagree in shape.
+    /// Panics if `input` and the buffers disagree in shape, or if a
+    /// class id is out of range.
     pub fn backward_into(
         &self,
         a_norm: &SparseMatrix,
@@ -112,21 +128,65 @@ impl GcnLayer {
         buffers: &mut GcnBuffers,
         work: &mut LayerScratch,
         dinput: Option<&mut Matrix>,
+        class_of: Option<&[u32]>,
     ) -> Result<(), GcnError> {
+        let LayerScratch { transposed, product, nodes, node_dz } = work;
         let dz = &mut buffers.grad_output;
-        dz.relu_mask(&buffers.output);
-        buffers.aggregated.matmul_tn_into(dz, &mut buffers.dw);
-        input.matmul_tn_into(dz, &mut buffers.db);
+        // Maps nodes onto `dZ`'s rows when they are classes.
+        let dz_classes = class_of.filter(|_| dz.rows() == buffers.output.rows());
+        match class_of.filter(|_| dz_classes.is_none()) {
+            None => dz.relu_mask(&buffers.output),
+            Some(classes) => zip_class_rows(dz, &buffers.output, classes, |g, z| {
+                *g = if z > 0.0 { *g } else { 0.0 };
+            }),
+        }
         if let Some(dinput) = dinput {
             // dH = Āᵀ (dZ Wᵀ) + dZ Bᵀ
-            self.w.transpose_into(&mut work.transposed);
-            dz.matmul_into(&work.transposed, &mut work.product);
-            a_norm.matmul_transposed_into(&work.product, dinput)?;
-            self.b.transpose_into(&mut work.transposed);
-            dz.matmul_into(&work.transposed, &mut work.product);
-            dinput.add_assign(&work.product);
+            self.w.transpose_into(transposed);
+            dz.matmul_into(transposed, product);
+            a_norm.matmul_transposed_into(node_rows(product, dz_classes, nodes), dinput)?;
+            self.b.transpose_into(transposed);
+            dz.matmul_into(transposed, product);
+            match dz_classes {
+                None => dinput.add_assign(product),
+                Some(classes) => zip_class_rows(dinput, product, classes, |d, p| *d += p),
+            }
         }
+        // Weight gradients sum over nodes, in node order.
+        let dz = node_rows(dz, dz_classes, node_dz);
+        node_rows(&buffers.aggregated, class_of, nodes).matmul_tn_into(dz, &mut buffers.dw);
+        node_rows(input, class_of, nodes).matmul_tn_into(dz, &mut buffers.db);
         Ok(())
+    }
+}
+
+/// `rows` read per node: row `r` of the result is row `class_of[r]` of
+/// `rows`, laid out in `out`; without classes, `rows` itself.
+fn node_rows<'m>(rows: &'m Matrix, class_of: Option<&[u32]>, out: &'m mut Matrix) -> &'m Matrix {
+    let Some(class_of) = class_of else {
+        return rows;
+    };
+    let cols = rows.cols();
+    out.reshape_for_overwrite(class_of.len(), cols);
+    for (r, &class) in class_of.iter().enumerate() {
+        out.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(rows.row(class as usize));
+    }
+    out
+}
+
+/// `f(x, y)` for every element `x` of node row `r` of `nodes` and the
+/// matching element `y` of row `class_of[r]` of `classes`.
+fn zip_class_rows(
+    nodes: &mut Matrix,
+    classes: &Matrix,
+    class_of: &[u32],
+    f: impl Fn(&mut f64, f64),
+) {
+    assert_eq!((nodes.rows(), nodes.cols()), (class_of.len(), classes.cols()), "shape mismatch");
+    let cols = nodes.cols();
+    for (r, &class) in class_of.iter().enumerate() {
+        let row = &mut nodes.data_mut()[r * cols..(r + 1) * cols];
+        row.iter_mut().zip(classes.row(class as usize)).for_each(|(x, &y)| f(x, y));
     }
 }
 
@@ -230,7 +290,7 @@ mod tests {
         buffers.grad_output = Matrix::from_vec(rows, cols, vec![1.0; rows * cols]);
         let mut dx = Matrix::zeros(0, 0);
         layer
-            .backward_into(a, x, &mut buffers, &mut LayerScratch::default(), Some(&mut dx))
+            .backward_into(a, x, &mut buffers, &mut LayerScratch::default(), Some(&mut dx), None)
             .expect("shapes agree");
         (buffers, dx)
     }

@@ -1,7 +1,7 @@
 //! The runtime-prediction model (paper Figure 4).
 
 use crate::adam::Adam;
-use crate::batch::GraphBatch;
+use crate::batch::{BatchChunk, GraphBatch};
 use crate::layers::{DenseGrads, DenseLayer, GcnBuffers, GcnLayer, LayerScratch};
 use crate::{GcnError, GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;
@@ -224,10 +224,31 @@ impl RuntimePredictor {
     /// Panics if the sample's adjacency, features and this model's
     /// input width disagree in shape.
     pub fn train_step(&mut self, sample: &GraphSample, lr: f64) -> f64 {
+        self.train_step_on(sample, None, lr)
+    }
+
+    /// [`RuntimePredictor::train_step`], run over the sample's row
+    /// classes when `classes` is its one-sample chunk (its
+    /// [`crate::RowQuotient`] joined at stride 1): the forward pass and
+    /// the top GCN layer's `∂L/∂Z` products run once per class, and
+    /// everything that sums over nodes runs per node in node order (see
+    /// [`GcnLayer::backward_into`]). The loss and every updated weight
+    /// are the per-node step's bit for bit; `try_fit` and `fine_tune`
+    /// build each sample's chunk once per call.
+    pub(crate) fn train_step_on(
+        &mut self,
+        sample: &GraphSample,
+        classes: Option<&BatchChunk>,
+        lr: f64,
+    ) -> f64 {
         SCRATCH.with(|cell| {
             let s = &mut *cell.borrow_mut();
             let segment = [(0, sample.node_count())];
-            let chunk = (&sample.a_norm, &sample.features, &segment[..], None);
+            let chunk = classes.map_or(
+                (&sample.a_norm, &sample.features, &segment[..], None),
+                |c| (&c.a_norm, &c.features, &c.segments[..], Some(&c.class_of[..])),
+            );
+            assert_eq!(chunk.2, segment, "the chunk must be this sample's alone");
             self.forward([chunk], 1, &mut s.forward).unwrap_or_else(|e| panic!("{e}"));
 
             // Loss and output gradient.
@@ -239,7 +260,7 @@ impl RuntimePredictor {
                 s.dout.set(0, c, 2.0 * diff / 4.0);
             }
 
-            self.backward(sample, s).unwrap_or_else(|e| panic!("{e}"));
+            self.backward(&sample.a_norm, chunk, s).unwrap_or_else(|e| panic!("{e}"));
 
             // Adam updates, in the same order the states were allocated.
             let mut k = 0;
@@ -311,10 +332,16 @@ impl RuntimePredictor {
     }
 
     /// Backward pass from `s.dout` through head, FC, pooling and the
-    /// GCN stack, leaving every parameter gradient in `s`. The bottom
-    /// GCN layer has nobody below it to hand an input gradient to, so
-    /// none is computed there.
-    fn backward(&self, sample: &GraphSample, s: &mut TrainScratch) -> Result<(), GcnError> {
+    /// GCN stack, leaving every parameter gradient in `s`. `chunk` is
+    /// the one-sample chunk the forward pass ran on and `a_norm` the
+    /// sample's own per-node `Ā`. The bottom GCN layer has nobody below
+    /// it to hand an input gradient to, so none is computed there.
+    fn backward(
+        &self,
+        a_norm: &SparseMatrix,
+        (_, features, segments, class_of): Chunk<'_>,
+        s: &mut TrainScratch,
+    ) -> Result<(), GcnError> {
         let f = &mut s.forward;
         let work = &mut f.work;
         self.head
@@ -323,15 +350,16 @@ impl RuntimePredictor {
         self.fc
             .backward_into(&f.pooled, &s.dfc_act, work, &mut s.fc_grads, Some(&mut s.dpooled));
 
-        // Un-pool: every node row receives the pooled gradient times the
-        // scale factor.
+        // Un-pool: every node's gradient is the pooled one times `1/√n`,
+        // `n` the sample's node count — one row for all members of a
+        // class, so the top layer's `∂L/∂H'` has a row per row the
+        // stack ran on.
         let layers = &mut f.layers[..self.gcn.len()];
         let top = layers.last_mut().expect("try_new rejects an empty GCN stack");
-        let n = top.output.rows();
-        let pooled_scale = 1.0 / (n as f64).sqrt();
-        let cols = s.dpooled.cols();
-        top.grad_output.reshape_for_overwrite(n, cols);
-        for r in 0..n {
+        let pooled_scale = 1.0 / (segments[0].1 as f64).sqrt();
+        let (rows, cols) = (top.output.rows(), s.dpooled.cols());
+        top.grad_output.reshape_for_overwrite(rows, cols);
+        for r in 0..rows {
             let row = &mut top.grad_output.data_mut()[r * cols..(r + 1) * cols];
             for (g, &d) in row.iter_mut().zip(s.dpooled.data()) {
                 *g = d * pooled_scale;
@@ -343,9 +371,9 @@ impl RuntimePredictor {
             let (below, rest) = layers.split_at_mut(i);
             let (input, dinput) = match below.last_mut() {
                 Some(b) => (&b.output, Some(&mut b.grad_output)),
-                None => (&sample.features, None),
+                None => (features, None),
             };
-            layer.backward_into(&sample.a_norm, input, &mut rest[0], work, dinput)?;
+            layer.backward_into(a_norm, input, &mut rest[0], work, dinput, class_of)?;
         }
         Ok(())
     }

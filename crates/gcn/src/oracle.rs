@@ -18,9 +18,11 @@
 //! kernel replaced it — `Matrix::matmul` is a wrapper over the new body,
 //! so using it here would compare the kernel with itself.
 
+use crate::batch::{tests::planted as planted_graph, BatchChunk};
 use crate::layers::{DenseLayer, GcnLayer};
 use crate::{
-    GcnError, GraphBatch, GraphSample, Matrix, ModelConfig, RuntimePredictor, SparseMatrix,
+    GcnError, GraphBatch, GraphSample, Matrix, ModelConfig, RowQuotient, RuntimePredictor,
+    SparseMatrix,
 };
 use eda_cloud_netlist::{generators, DesignGraph};
 use proptest::prelude::*;
@@ -200,7 +202,11 @@ fn reference_predict_log(model: &RuntimePredictor, sample: &GraphSample) -> [f64
 }
 
 /// One Adam step on one sample, the old way; returns the pre-step loss.
-fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: f64) -> f64 {
+pub(crate) fn reference_train_step(
+    model: &mut RuntimePredictor,
+    sample: &GraphSample,
+    lr: f64,
+) -> f64 {
     let (gcn_caches, [pooled, fc_pre, fc_act, out]) = reference_forward(model, sample);
     let n = sample.node_count();
     let pooled_scale = 1.0 / (n as f64).sqrt();
@@ -245,6 +251,22 @@ fn reference_train_step(model: &mut RuntimePredictor, sample: &GraphSample, lr: 
     model.adam[k + 2].step(&mut model.head.w, &head_dw, lr);
     model.adam[k + 3].step(&mut model.head.bias, &head_dbias, lr);
     loss
+}
+
+/// `sample`'s one-sample chunk, what `try_fit` and `fine_tune` build
+/// for it: its row-class quotient joined at stride 1.
+pub(crate) fn class_chunk(sample: &GraphSample) -> BatchChunk {
+    GraphBatch::join(&[&RowQuotient::from(sample)], 1).chunks.remove(0)
+}
+
+/// A graph of the row-class differentials (chains, rings, combs,
+/// planted symmetry, `±0.0` and `NaN` features) with runtime targets
+/// drawn from `rng`.
+pub(crate) fn planted_sample(rng: &mut ChaCha8Rng) -> GraphSample {
+    use rand::Rng;
+    let graph = planted_graph(rng);
+    let t1 = rng.gen_range(1.0..1_000.0);
+    graph.with_targets([t1, t1 / 1.6, t1 / 2.4, t1 / 3.0])
 }
 
 fn family_sample(family: &str, size: u32, t1: f64) -> GraphSample {
@@ -402,6 +424,40 @@ proptest! {
             prop_assert_eq!(got.to_bits(), want.to_bits(), "loss at step {}", step);
         }
         prop_assert_eq!(fused.save_weights(), reference.save_weights());
+    }
+
+    /// The class-row step walks the reference trajectory bit for bit on
+    /// graphs with planted symmetry (chains, rings, combs, `±0.0` and
+    /// `NaN` features), for the fast, paper and one-layer 16-wide
+    /// architectures: two graphs visited alternately for 24 steps, each
+    /// loss equal by bits to the reference's and to the per-node step's,
+    /// then equal `save_weights()`. Most of these graphs fold to fewer
+    /// class rows than node rows, so a step that scaled, pooled or summed
+    /// weight gradients over classes would show.
+    #[test]
+    fn class_row_steps_match_the_reference(
+        seed in 0u64..u64::MAX,
+        config in proptest::sample::select(
+            vec![ModelConfig::fast(), ModelConfig::paper(), ModelConfig::shallow(16)],
+        ),
+        lr_exp in 2i32..4,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let samples = [planted_sample(&mut rng), planted_sample(&mut rng)];
+        let chunks = samples.each_ref().map(class_chunk);
+        let lr = 10f64.powi(-lr_exp);
+        let mut classes = RuntimePredictor::new(&config, seed % 1_000);
+        let (mut nodes, mut reference) = (classes.clone(), classes.clone());
+        for step in 0..24 {
+            let (sample, chunk) = (&samples[step % 2], &chunks[step % 2]);
+            let got = classes.train_step_on(sample, Some(chunk), lr);
+            let per_node = nodes.train_step(sample, lr);
+            let want = reference_train_step(&mut reference, sample, lr);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "loss at step {}", step);
+            prop_assert_eq!(per_node.to_bits(), want.to_bits(), "per-node loss at step {}", step);
+        }
+        prop_assert_eq!(classes.save_weights(), reference.save_weights());
+        prop_assert_eq!(nodes.save_weights(), reference.save_weights());
     }
 
     /// `predict_log` and `predict_log_batch` are the reference forward

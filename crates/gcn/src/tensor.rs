@@ -470,9 +470,12 @@ fn tile_fold<'w, const W: usize>(
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
-    offsets: Vec<u32>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
+    /// `offsets[r]..offsets[r + 1]` index row `r`'s stored entries.
+    pub(crate) offsets: Vec<u32>,
+    /// Column of every stored entry, row by row in storage order.
+    pub(crate) indices: Vec<u32>,
+    /// Value of every stored entry, aligned with `indices`.
+    pub(crate) values: Vec<f64>,
 }
 
 impl SparseMatrix {

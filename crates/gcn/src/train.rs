@@ -1,6 +1,7 @@
 //! Training loop, dataset splitting, and accuracy metrics.
 
-use crate::{GcnError, GraphSample, ModelConfig, RuntimePredictor};
+use crate::batch::BatchChunk;
+use crate::{GcnError, GraphBatch, GraphSample, ModelConfig, RowQuotient, RuntimePredictor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -204,20 +205,12 @@ impl Trainer {
             }
         }
         let mut model = RuntimePredictor::try_new(&self.config, self.seed)?;
-        let mut order: Vec<usize> = split.train.clone();
+        let train: Vec<&GraphSample> = split.train.iter().map(|&i| &samples[i]).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0xE70C);
-        let mut epoch_losses = Vec::with_capacity(self.epochs);
-        for epoch in 0..self.epochs {
-            order.shuffle(&mut rng);
-            let mut total = 0.0;
-            for &i in &order {
-                total += model.train_step(&samples[i], self.lr);
-            }
-            let mean = total / order.len() as f64;
-            if !mean.is_finite() {
-                return Err(GcnError::NonFiniteLoss { epoch });
-            }
-            epoch_losses.push(mean);
+        let epoch_losses =
+            run_epochs(&mut model, &train, self.epochs, self.lr, &mut rng, f64::is_finite);
+        if let Some(epoch) = epoch_losses.iter().position(|l| !l.is_finite()) {
+            return Err(GcnError::NonFiniteLoss { epoch });
         }
         let mut test_errors = Vec::new();
         for &i in &split.test {
@@ -253,7 +246,9 @@ impl RuntimePredictor {
     /// relabeled samples: `epochs` seeded-shuffle passes of
     /// [`RuntimePredictor::train_step`] over `samples`, continuing the
     /// model's existing Adam state (a warm start, not a restart).
-    /// Returns the mean pre-step loss of each epoch.
+    /// Returns the mean pre-step loss of each epoch. Each sample's row
+    /// classes are built once per call and every step runs over them,
+    /// which leaves the weights the per-node steps would, bit for bit.
     ///
     /// Deterministic: the visit order is drawn from one ChaCha8 stream
     /// seeded by `seed`, and every step is serial — the same
@@ -270,19 +265,45 @@ impl RuntimePredictor {
         if samples.is_empty() {
             return Vec::new();
         }
-        let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF17E_7D4E);
-        let mut epoch_losses = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            order.shuffle(&mut rng);
-            let mut total = 0.0;
-            for &i in &order {
-                total += self.train_step(samples[i], lr);
-            }
-            epoch_losses.push(total / order.len() as f64);
-        }
-        epoch_losses
+        run_epochs(self, samples, epochs, lr, &mut rng, |_| true)
     }
+}
+
+/// Up to `epochs` passes of the training step over `samples`, each in
+/// the visit order `rng` reshuffles before it, ending early after the
+/// first pass whose mean pre-step loss `go_on` rejects; returns each
+/// pass's mean. Each sample's row classes are built once, here, and
+/// every step runs over them ([`RuntimePredictor::train_step_on`]):
+/// the weights are those of [`RuntimePredictor::train_step`] per node,
+/// bit for bit.
+fn run_epochs(
+    model: &mut RuntimePredictor,
+    samples: &[&GraphSample],
+    epochs: usize,
+    lr: f64,
+    rng: &mut ChaCha8Rng,
+    go_on: impl Fn(f64) -> bool,
+) -> Vec<f64> {
+    let chunks: Vec<BatchChunk> = samples
+        .iter()
+        .map(|&s| GraphBatch::join(&[&RowQuotient::from(s)], 1).chunks.remove(0))
+        .collect();
+    let mut order: Vec<usize> = (0..samples.len()).collect();
+    let mut epoch_losses = Vec::with_capacity(epochs);
+    for _ in 0..epochs {
+        order.shuffle(rng);
+        let mut total = 0.0;
+        for &i in &order {
+            total += model.train_step_on(samples[i], Some(&chunks[i]), lr);
+        }
+        let mean = total / order.len() as f64;
+        epoch_losses.push(mean);
+        if !go_on(mean) {
+            break;
+        }
+    }
+    epoch_losses
 }
 
 #[cfg(test)]
@@ -521,4 +542,122 @@ mod tests {
     }
 
     use std::collections::BTreeSet;
+
+    /// `try_fit` as it ran before row classes: one per-node
+    /// `train_step` per visit, the split's indices reshuffled in place.
+    fn per_node_fit(
+        trainer: &Trainer,
+        samples: &[GraphSample],
+        split: &DatasetSplit,
+    ) -> Result<TrainOutcome, GcnError> {
+        let mut model = RuntimePredictor::try_new(&trainer.config, trainer.seed)?;
+        let mut order: Vec<usize> = split.train.clone();
+        let mut rng = ChaCha8Rng::seed_from_u64(trainer.seed ^ 0xE70C);
+        let mut epoch_losses = Vec::with_capacity(trainer.epochs);
+        for epoch in 0..trainer.epochs {
+            order.shuffle(&mut rng);
+            let mut total = 0.0;
+            for &i in &order {
+                total += model.train_step(&samples[i], trainer.lr);
+            }
+            let mean = total / order.len() as f64;
+            if !mean.is_finite() {
+                return Err(GcnError::NonFiniteLoss { epoch });
+            }
+            epoch_losses.push(mean);
+        }
+        let mut test_errors = Vec::new();
+        for &i in &split.test {
+            let pred = model.predict_secs(&samples[i]);
+            for (p, t) in pred.iter().zip(&samples[i].targets_secs) {
+                test_errors.push((p - t).abs() / t);
+            }
+        }
+        let mean_error = if test_errors.is_empty() {
+            0.0
+        } else {
+            test_errors.iter().sum::<f64>() / test_errors.len() as f64
+        };
+        let report = TrainReport { epoch_losses, test_errors, mean_error };
+        Ok(TrainOutcome { model, report })
+    }
+
+    /// `fine_tune` as it ran before row classes.
+    fn per_node_fine_tune(
+        model: &mut RuntimePredictor,
+        samples: &[&GraphSample],
+        epochs: usize,
+        lr: f64,
+        seed: u64,
+    ) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..samples.len()).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF17E_7D4E);
+        let mut epoch_losses = Vec::with_capacity(epochs);
+        for _ in 0..epochs {
+            order.shuffle(&mut rng);
+            let mut total = 0.0;
+            for &i in &order {
+                total += model.train_step(samples[i], lr);
+            }
+            epoch_losses.push(total / order.len() as f64);
+        }
+        epoch_losses
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A fit's outcome as bits: epoch losses, test errors, mean error
+    /// and weights, or the error that stopped it.
+    fn outcome_bits(fit: Result<TrainOutcome, GcnError>) -> Result<OutcomeBits, GcnError> {
+        fit.map(|o| {
+            let r = &o.report;
+            let errors = bits(&r.test_errors);
+            (bits(&r.epoch_losses), errors, r.mean_error.to_bits(), o.model.save_weights())
+        })
+    }
+
+    type OutcomeBits = (Vec<u64>, Vec<u64>, u64, String);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// `try_fit` and `fine_tune`, which build each sample's row
+        /// classes once and step over them, end where the per-node loops
+        /// above end, bit for bit — epoch losses, test errors and
+        /// weights, or the same error — on corpora of planted-symmetry
+        /// graphs (a `NaN` feature stops `try_fit` at epoch 0 and runs
+        /// `fine_tune` on `NaN` weights), for the fast, paper and
+        /// one-layer 16-wide architectures.
+        #[test]
+        fn class_row_fits_equal_the_per_node_loops(
+            seed in 0u64..u64::MAX,
+            config in proptest::sample::select(
+                vec![ModelConfig::fast(), ModelConfig::paper(), ModelConfig::shallow(16)],
+            ),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let samples: Vec<GraphSample> = (0..5)
+                .map(|i| {
+                    let mut s = crate::oracle::planted_sample(&mut rng);
+                    s.name = format!("design{}.v{i}", i % 3);
+                    s
+                })
+                .collect();
+            let trainer = Trainer { epochs: 3, lr: 1e-2, seed: seed % 1_000, config };
+            let split = DatasetSplit::by_design(&samples, 0.34, seed);
+            proptest::prop_assert_eq!(
+                outcome_bits(trainer.try_fit(&samples, &split)),
+                outcome_bits(per_node_fit(&trainer, &samples, &split))
+            );
+            let refs: Vec<&GraphSample> = samples.iter().collect();
+            let mut tuned = RuntimePredictor::new(&trainer.config, seed % 997);
+            let mut per_node = tuned.clone();
+            let got = tuned.fine_tune(&refs, 3, 3e-3, seed);
+            let want = per_node_fine_tune(&mut per_node, &refs, 3, 3e-3, seed);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            proptest::prop_assert_eq!(tuned.save_weights(), per_node.save_weights());
+        }
+    }
 }

@@ -1,5 +1,6 @@
-//! A warm `train_step` or `predict_log` allocates nothing, and a warm
-//! `predict_log_batch` only the `Vec` it returns.
+//! A warm `train_step` or `predict_log` allocates nothing, a warm
+//! `predict_log_batch` only the `Vec` it returns, and a warm
+//! `fine_tune` only its samples' row-class chunks.
 //!
 //! The speed of the training path rests on one property: after the
 //! per-thread scratch has seen the largest graph, a step makes no heap
@@ -110,6 +111,33 @@ fn warm_train_steps_allocate_nothing() {
         });
         assert!(losses.iter().all(|l| l.is_finite()));
         assert_eq!(warm, 0, "{config:?}: 12 warm steps allocated ({cold} in the warm-up lap)");
+    }
+}
+
+/// `fine_tune` builds each sample's row-class chunk once per call and
+/// steps over it. Once the thread's scratch has seen the largest graph,
+/// a call's allocations are those chunks — at most
+/// `CHUNK_ALLOCATIONS` per sample — plus a few vectors of the call's
+/// own, and six epochs allocate exactly what one does: a warm
+/// class-row step allocates nothing.
+#[test]
+fn fine_tune_allocates_only_its_chunks() {
+    const CHUNK_ALLOCATIONS: u64 = 48;
+    let samples = samples();
+    let refs: Vec<&GraphSample> = samples.iter().collect();
+    let three_layers = ModelConfig {
+        gcn_dims: vec![12, 7, 5],
+        fc_dim: 6,
+    };
+    for config in [three_layers, ModelConfig::fast(), ModelConfig::shallow(8)] {
+        let mut model = RuntimePredictor::new(&config, 7);
+        model.fine_tune(&refs, 1, 1e-3, 1);
+        let (one, once, _) = allocations_in(|| model.fine_tune(&refs, 1, 1e-3, 2));
+        let (six, six_times, _) = allocations_in(|| model.fine_tune(&refs, 6, 1e-3, 3));
+        assert!(one.iter().chain(&six).all(|l| l.is_finite()));
+        assert_eq!(six_times, once, "{config:?}: the warm steps allocated");
+        let bound = CHUNK_ALLOCATIONS * refs.len() as u64 + 4;
+        assert!(once <= bound, "{config:?}: {once} allocations for {} samples", refs.len());
     }
 }
 
