@@ -60,7 +60,7 @@ fn bench_front_door(c: &mut Criterion) {
 /// writers emit is what the parsers accept: every primary output named
 /// after its net, and nets left without a sink promoted to outputs (as
 /// e2e's `gen::roundtrippable` does; the writers' PO-alias defect is
-/// ROADMAP item 6).
+/// part of ROADMAP's robustness item).
 fn roundtrippable_multiplier() -> Netlist {
     let aig = generators::build_family("multiplier", 8).expect("known family");
     let (nl, _) = Synthesizer::new()

@@ -105,9 +105,7 @@ fn bench_vs_baselines(c: &mut Criterion) {
 /// Table I's catalog-priced knapsack three ways: one budgeted solve
 /// (`solve_min_cost/table1`), the budget-free [`Frontier`] a planner
 /// builds once per design (`frontier/table1`), and one deadline answered from it
-/// (`frontier_select/table1`). `frontier_selections/table1` is
-/// [`Solver::frontier`], which builds a `Selection` for every Pareto
-/// point.
+/// (`frontier_select/table1`).
 fn bench_table1_frontier(c: &mut Criterion) {
     let problem = Workflow::with_defaults()
         .deployment_problem(&StageRuntimes::table1())
@@ -122,9 +120,6 @@ fn bench_table1_frontier(c: &mut Criterion) {
     });
     c.bench_function("frontier_select/table1", |b| {
         b.iter(|| black_box(frontier.cut(black_box(budget))));
-    });
-    c.bench_function("frontier_selections/table1", |b| {
-        b.iter(|| black_box(Solver::new().frontier(black_box(&problem), Objective::MinCost)));
     });
 }
 

@@ -1,7 +1,7 @@
 //! Criterion bench for the deterministic MCTS recipe search: one
 //! seeded 24-iteration search over one design's pass sequences. A
 //! developer bench with no baseline — the gated number will be the
-//! `recipe_search` e2e workload (ROADMAP item 1c).
+//! `recipe_search` e2e workload (ROADMAP's e2e re-base item).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eda_cloud_netlist::generators;

@@ -97,5 +97,5 @@ pub use workflow::{stage_work_scale, Workflow};
 
 /// The lifecycle tier's own config under the name the e2e benchmark
 /// package still pins; [`Workflow::lifecycle`] takes it directly.
-/// Deleted once that package stops naming it (ROADMAP item 1(a)).
+/// Deleted once that package stops naming it (ROADMAP's e2e re-base item).
 pub type LifecycleScenario = eda_cloud_lifecycle::LifecycleConfig;

@@ -168,7 +168,7 @@ mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, DatasetConfig};
     use eda_cloud_gcn::{ModelConfig, Trainer};
-    use eda_cloud_mckp::Solver;
+    use eda_cloud_mckp::Selection;
 
     fn seeded_snapshot(seed: u64) -> ModelSnapshot {
         ModelSnapshot::seeded(&ModelConfig::fast(), seed)
@@ -224,12 +224,13 @@ mod tests {
                 .map(|s| s.choices.iter().map(|c| c.runtime_secs).max().unwrap_or(0))
                 .sum();
             // A sweep, plus each Pareto point's runtime and the second
-            // before it: where the answer changes.
+            // before it: where the answer changes. The points are found
+            // slowest first, each by cutting just below the one before.
             let step = ((slowest - fastest) / 97).max(1);
             let sweep = (0..=99).map(|i| (fastest - 1 + i * step).min(slowest + 1));
-            let edges = Solver::new()
-                .frontier(&problem, Objective::MinCost)
-                .into_iter()
+            let frontier = Frontier::new(&problem, Objective::MinCost);
+            let cut_below = |s: &Selection| frontier.cut(s.total_runtime_secs - 1);
+            let edges = std::iter::successors(frontier.cut(u64::MAX), cut_below)
                 .flat_map(|s| [s.total_runtime_secs - 1, s.total_runtime_secs]);
             for budget in sweep.chain(edges).chain([0, u64::MAX]) {
                 let got = planner.plan(stage_secs, budget).expect("valid");

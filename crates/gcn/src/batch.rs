@@ -23,10 +23,10 @@
 //! entry-free class. The join hashes nothing and merges no classes of
 //! two samples — per-sample classes are 48.2 % of the node rows on the
 //! 36-design `serve_miss` pool against 47.8 % when each whole chunk was
-//! partitioned, 32.1 % against 31.8 % on the stock 18-design pool — but
-//! a quotient joined twice into one chunk is laid down once, so a
-//! repeated sample shares its classes. [`GraphBatch::pack_padded`] is
-//! the same join over quotients built on the spot.
+//! partitioned, 32.1 % against 31.8 % on the stock 18-design pool — and
+//! a quotient joined twice is laid down twice.
+//! [`GraphBatch::pack_padded`] is the same join over quotients built on
+//! the spot, one per sample.
 //! [`crate::RuntimePredictor::predict_log_batch`] pushes the class rows
 //! through the GCN stack, pools each graph's node segment by reading
 //! every node's class row in node order, and runs the dense layers once
@@ -65,9 +65,7 @@
 
 use crate::{GraphSample, Matrix, SparseMatrix};
 use eda_cloud_netlist::FEATURE_DIM;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher, RandomState};
-use std::ptr;
 use std::sync::OnceLock;
 
 /// Default target of padded node rows per internal chunk; a sample
@@ -91,7 +89,7 @@ pub const CHUNK_TARGET_ROWS: usize = 192;
 /// row. Circuit graphs settle far below it: no design of the serving
 /// mixes keys more than 0.5 rows per row plus entry (`EXPERIMENTS.md`
 /// § Row classes in bounded time), and a 32 000-stage ring counter
-/// spends about 6 ms reaching it.
+/// spends about 4.2–4.6 ms reaching it.
 const KEYED_ROWS_PER_ITEM: usize = 2;
 
 /// One cache-sized slice of a batch: a consecutive run of samples,
@@ -121,12 +119,6 @@ pub struct GraphBatch {
 }
 
 impl GraphBatch {
-    /// Pack samples back to back (no padding).
-    #[must_use]
-    pub fn pack(samples: &[&GraphSample]) -> Self {
-        Self::pack_padded(samples, 1)
-    }
-
     /// Pack samples, padding every graph's row segment up to a multiple
     /// of `stride` with zero rows. Padding rows carry no adjacency and
     /// zero features, so they stay zero through every ReLU layer and
@@ -136,10 +128,9 @@ impl GraphBatch {
     /// where chunks are cut but adds at most one class row per chunk to
     /// the forward.
     ///
-    /// Each distinct sample (by address) is quotiented here, then the
-    /// quotients are joined as by [`GraphBatch::join`]; a caller that
-    /// packs the same samples again should keep their [`RowQuotient`]s
-    /// and join those.
+    /// Each sample is quotiented here, then the quotients are joined as
+    /// by [`GraphBatch::join`]; a caller that packs the same samples
+    /// again should keep their [`RowQuotient`]s and join those.
     ///
     /// # Panics
     ///
@@ -164,30 +155,8 @@ impl GraphBatch {
     /// adjacency is not square over its feature rows.
     #[must_use]
     pub fn pack_chunked(samples: &[&GraphSample], stride: usize, target_rows: usize) -> Self {
-        Self::pack_hashed(samples, stride, target_rows, &RowHashing::keyed())
-    }
-
-    /// [`GraphBatch::pack_chunked`] with the row-key hash given. The
-    /// packing does not depend on it: a hash match is only a candidate.
-    fn pack_hashed(
-        samples: &[&GraphSample],
-        stride: usize,
-        target_rows: usize,
-        hashing: &impl BuildHasher,
-    ) -> Self {
-        let mut first: HashMap<*const GraphSample, usize> = HashMap::new();
-        let mut quotients = Vec::new();
-        let at: Vec<usize> = samples
-            .iter()
-            .map(|&s| {
-                *first.entry(ptr::from_ref(s)).or_insert_with(|| {
-                    quotients.push(RowQuotient::hashed(s, hashing, KEYED_ROWS_PER_ITEM));
-                    quotients.len() - 1
-                })
-            })
-            .collect();
-        let refs: Vec<&RowQuotient> = at.iter().map(|&i| &quotients[i]).collect();
-        Self::join_chunked(&refs, stride, target_rows)
+        let quotients: Vec<RowQuotient> = samples.iter().map(|&s| RowQuotient::from(s)).collect();
+        Self::join_chunked(&quotients.iter().collect::<Vec<_>>(), stride, target_rows)
     }
 
     /// Join row-class quotients into a batch, one sample each, padding
@@ -229,28 +198,19 @@ impl GraphBatch {
     }
 
     /// Lay one consecutive run of quotients down as a chunk. Classes are
-    /// numbered by first appearance in node order: each new quotient's
+    /// numbered by first appearance in node order: each quotient's
     /// classes follow the ones before it, and the padding class comes
-    /// right after the first sample that is padded. A quotient already
-    /// laid down in this chunk (the same one, by address) reuses its
-    /// classes; the scan for it is bounded by the chunk's samples.
+    /// right after the first sample that is padded.
     fn join_chunk(quotients: &[&RowQuotient], pad: &dyn Fn(usize) -> usize) -> BatchChunk {
         let rows = quotients.iter().map(|q| pad(q.node_count())).sum();
         let mut class_of = Vec::with_capacity(rows);
         let mut segments = Vec::with_capacity(quotients.len());
         let (mut features, mut entries) = (Vec::new(), Vec::new());
-        let mut laid: Vec<(&RowQuotient, u32)> = Vec::new();
         let mut padding = None;
         for &q in quotients {
-            let base = if let Some(&(_, base)) = laid.iter().find(|(p, _)| ptr::eq(*p, q)) {
-                base
-            } else {
-                let base = (features.len() / FEATURE_DIM) as u32;
-                features.extend_from_slice(&q.features);
-                entries.extend(q.entries.iter().map(|&(r, c, w)| (base + r, base + c, w)));
-                laid.push((q, base));
-                base
-            };
+            let base = (features.len() / FEATURE_DIM) as u32;
+            features.extend_from_slice(&q.features);
+            entries.extend(q.entries.iter().map(|&(r, c, w)| (base + r, base + c, w)));
             let n = q.node_count();
             segments.push((class_of.len(), n));
             class_of.extend(q.class_of.iter().map(|&c| base + c));
@@ -322,8 +282,8 @@ impl RowQuotient {
         let mut features = Vec::with_capacity(reps.len() * FEATURE_DIM);
         let mut entries = Vec::new();
         for (c, &rep) in reps.iter().enumerate() {
-            features.extend_from_slice(sample.feature_row(rep as usize));
-            let row = sample.row_entries(rep as usize);
+            features.extend_from_slice(sample.features.row(rep as usize));
+            let row = row_entries(sample, rep as usize);
             entries.extend(row.map(|(col, w)| (c as u32, class_of[col as usize], w)));
         }
         Self { entries, features, class_of }
@@ -346,30 +306,15 @@ impl From<&GraphSample> for RowQuotient {
     }
 }
 
-/// What the partition reads of a sample's node rows: each row's
-/// feature values and its `Ā` entries as `(column, weight)` in CSR
-/// order.
-trait NodeView {
-    fn rows(&self) -> usize;
-    fn feature_row(&self, r: usize) -> &[f64];
-    fn row_entries(&self, r: usize) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone;
-}
-
-/// A sample's own CSR and features, borrowed.
-impl NodeView for GraphSample {
-    fn rows(&self) -> usize {
-        self.node_count()
-    }
-
-    fn feature_row(&self, r: usize) -> &[f64] {
-        self.features.row(r)
-    }
-
-    fn row_entries(&self, r: usize) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone {
-        let a = &self.a_norm;
-        let span = a.offsets[r] as usize..a.offsets[r + 1] as usize;
-        a.indices[span.clone()].iter().copied().zip(a.values[span].iter().copied())
-    }
+/// Row `r`'s `Ā` entries as `(column, weight)` in CSR order, read in
+/// place.
+fn row_entries(
+    sample: &GraphSample,
+    r: usize,
+) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone + '_ {
+    let a = &sample.a_norm;
+    let span = a.offsets[r] as usize..a.offsets[r + 1] as usize;
+    a.indices[span.clone()].iter().copied().zip(a.values[span].iter().copied())
 }
 
 /// A partition of a sample's node rows into row classes.
@@ -402,17 +347,17 @@ struct Classes {
 /// the budget, whatever the hash. A class of one row cannot split and
 /// is not keyed. The identity partition returned past the budget is
 /// stable too (any partition into single rows is), so it is exact.
-fn row_classes(nodes: &impl NodeView, hashing: &impl BuildHasher, budget: usize) -> Classes {
-    let rows = nodes.rows();
+fn row_classes(sample: &GraphSample, hashing: &impl BuildHasher, budget: usize) -> Classes {
+    let rows = sample.node_count();
     let mut table = GroupTable::new(rows);
     let mut classes = 0u32;
     let mut class = Vec::with_capacity(rows);
     for r in 0..rows {
-        let key = nodes.feature_row(r);
+        let key = sample.features.row(r);
         let mut h = hashing.build_hasher();
         key.iter().for_each(|v| h.write_u64(v.to_bits()));
         let same = |q: usize| {
-            nodes.feature_row(q).iter().zip(key).all(|(a, b)| a.to_bits() == b.to_bits())
+            sample.features.row(q).iter().zip(key).all(|(a, b)| a.to_bits() == b.to_bits())
         };
         class.push(table.group(h.finish(), r, same, || {
             classes += 1;
@@ -422,7 +367,7 @@ fn row_classes(nodes: &impl NodeView, hashing: &impl BuildHasher, budget: usize)
     let mut keyed = 0;
     // Each class is the run `members[span.0..span.1]`.
     let (mut members, mut spans) = runs(&class, classes as usize);
-    let (reader_at, readers) = readers(nodes);
+    let (reader_at, readers) = readers(sample);
     let mut queued = vec![true; classes as usize];
     let mut queue: Vec<u32> = (0..classes).rev().collect();
     let (mut labels, mut tagged) = (Vec::new(), Vec::new());
@@ -438,7 +383,7 @@ fn row_classes(nodes: &impl NodeView, hashing: &impl BuildHasher, budget: usize)
         }
         keyed += end - start;
         let run = &members[start..end];
-        let groups = entry_groups(nodes, &class, run, &mut table, hashing, &mut labels);
+        let groups = entry_groups(sample, &class, run, &mut table, hashing, &mut labels);
         if groups < 2 {
             continue;
         }
@@ -493,7 +438,7 @@ fn row_classes(nodes: &impl NodeView, hashing: &impl BuildHasher, budget: usize)
 /// `members[i]`, groups numbered by first appearance. Returns how many
 /// groups there are.
 fn entry_groups(
-    nodes: &impl NodeView,
+    sample: &GraphSample,
     class: &[u32],
     members: &[u32],
     table: &mut GroupTable,
@@ -504,14 +449,14 @@ fn entry_groups(
     labels.clear();
     let mut groups = 0u32;
     for &r in members {
-        let key = nodes.row_entries(r as usize);
+        let key = row_entries(sample, r as usize);
         let mut h = hashing.build_hasher();
         for (col, w) in key.clone() {
             h.write_u64(w.to_bits());
             h.write_u32(class[col as usize]);
         }
         let same = |q: usize| {
-            let row = nodes.row_entries(q);
+            let row = row_entries(sample, q);
             row.len() == key.len()
                 && row.zip(key.clone()).all(|((qc, qw), (rc, rw))| {
                     qw.to_bits() == rw.to_bits() && class[qc as usize] == class[rc as usize]
@@ -548,11 +493,11 @@ fn runs(class: &[u32], classes: usize) -> (Vec<u32>, Vec<(usize, usize)>) {
 
 /// The transpose of a sample's adjacency pattern: `readers[at[col]..at[col
 /// + 1]]` are the rows with an entry in column `col`.
-fn readers(nodes: &impl NodeView) -> (Vec<u32>, Vec<u32>) {
-    let rows = nodes.rows();
+fn readers(sample: &GraphSample) -> (Vec<u32>, Vec<u32>) {
+    let rows = sample.node_count();
     let mut at = vec![0u32; rows + 1];
     for r in 0..rows {
-        for (col, _) in nodes.row_entries(r) {
+        for (col, _) in row_entries(sample, r) {
             at[col as usize + 1] += 1;
         }
     }
@@ -562,7 +507,7 @@ fn readers(nodes: &impl NodeView) -> (Vec<u32>, Vec<u32>) {
     let mut readers = vec![0; at[rows] as usize];
     let mut fill = at.clone();
     for r in 0..rows {
-        for (col, _) in nodes.row_entries(r) {
+        for (col, _) in row_entries(sample, r) {
             readers[fill[col as usize] as usize] = r as u32;
             fill[col as usize] += 1;
         }
@@ -734,22 +679,12 @@ pub(crate) mod tests {
             }
         }
 
-        fn row(&self, r: usize) -> &[(u32, f64)] {
-            &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-        }
-    }
-
-    impl NodeView for NodeRows {
         fn rows(&self) -> usize {
             self.offsets.len() - 1
         }
 
-        fn feature_row(&self, r: usize) -> &[f64] {
-            &self.features[r * FEATURE_DIM..(r + 1) * FEATURE_DIM]
-        }
-
-        fn row_entries(&self, r: usize) -> impl ExactSizeIterator<Item = (u32, f64)> + Clone {
-            self.row(r).iter().copied()
+        fn row(&self, r: usize) -> &[(u32, f64)] {
+            &self.entries[self.offsets[r] as usize..self.offsets[r + 1] as usize]
         }
     }
 
@@ -769,7 +704,7 @@ pub(crate) mod tests {
         let samples = samples();
         let refs: Vec<&GraphSample> = samples.iter().collect();
         let model = RuntimePredictor::new(&ModelConfig::fast(), 11);
-        let batch = GraphBatch::pack(&refs);
+        let batch = GraphBatch::pack_padded(&refs, 1);
         let batched = model.predict_log_batch(&batch);
         assert_eq!(batched.len(), samples.len());
         for (s, got) in samples.iter().zip(&batched) {
@@ -782,7 +717,7 @@ pub(crate) mod tests {
         let samples = samples();
         let refs: Vec<&GraphSample> = samples.iter().collect();
         let model = RuntimePredictor::new(&ModelConfig::fast(), 3);
-        let packed = model.predict_log_batch(&GraphBatch::pack(&refs));
+        let packed = model.predict_log_batch(&GraphBatch::pack_padded(&refs, 1));
         for stride in [4usize, 16, 64] {
             let padded_batch = GraphBatch::pack_padded(&refs, stride);
             assert!(padded_batch.node_rows() >= refs.iter().map(|s| s.node_count()).sum());
@@ -827,7 +762,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_batch_predicts_nothing() {
         let model = RuntimePredictor::new(&ModelConfig::fast(), 1);
-        let batch = GraphBatch::pack(&[]);
+        let batch = GraphBatch::pack_padded(&[], 1);
         assert!(batch.is_empty());
         assert_eq!(batch.len(), 0);
         assert!(batch.chunks.is_empty());
@@ -840,7 +775,7 @@ pub(crate) mod tests {
         let samples = samples();
         let refs: Vec<&GraphSample> = samples.iter().collect();
         let model = RuntimePredictor::new(&ModelConfig::fast(), 11);
-        let batch = GraphBatch::pack(&refs);
+        let batch = GraphBatch::pack_padded(&refs, 1);
         for (s, got) in samples.iter().zip(model.predict_secs_batch(&batch)) {
             assert_eq!(got, model.predict_secs(s));
         }
@@ -875,8 +810,9 @@ pub(crate) mod tests {
     }
 
     /// A chunk's padding rows carry no adjacency and zero features, so
-    /// they are one class, and a class of real nodes keeps its
-    /// representative's entries in CSR order, duplicates included.
+    /// they are one class shared by every padded sample, each copy of a
+    /// sample gets classes of its own, and a class of real nodes keeps
+    /// its representative's entries in CSR order, duplicates included.
     #[test]
     fn padding_is_one_class_and_class_rows_keep_entry_order() {
         // Node 2 reads node 1, node 0 and node 1 again, in that order;
@@ -890,11 +826,13 @@ pub(crate) mod tests {
         let batch = GraphBatch::pack_padded(&[&sample, &sample], 8);
         let chunk = &batch.chunks[0];
         assert_eq!(batch.node_rows(), 16);
-        // Classes by first appearance: {0, 1, 8, 9}, {2, 10}, padding.
-        let want = [0u32, 0, 1, 2, 2, 2, 2, 2, 0, 0, 1, 2, 2, 2, 2, 2];
+        // Classes by first appearance: {0, 1}, {2}, padding, {8, 9}, {10}.
+        let want = [0u32, 0, 1, 2, 2, 2, 2, 2, 3, 3, 4, 2, 2, 2, 2, 2];
         assert_eq!(chunk.class_of, want);
         let entries: Vec<(u32, u32, f64)> = chunk.a_norm.entries().collect();
-        assert_eq!(entries, [(1, 0, 0.5), (1, 0, 0.25), (1, 0, 0.25)]);
+        let copy = [(1, 0, 0.5), (1, 0, 0.25), (1, 0, 0.25)];
+        let second = copy.map(|(r, c, w)| (r + 3, c + 3, w));
+        assert_eq!(entries, [copy, second].concat());
         assert_eq!(chunk.segments, [(0, 3), (8, 3)]);
     }
 
@@ -1048,8 +986,8 @@ pub(crate) mod tests {
         /// and per batch, against per-sample `predict_log` for a batch
         /// of one and against the per-node packing at every target.
         /// Graphs carry planted symmetry, and one of them is packed
-        /// twice. Packing under a hash where every key collides yields
-        /// the very same chunks.
+        /// twice. Quotients built under a hash where every key collides
+        /// join into the very same chunks.
         #[test]
         fn row_classes_predict_what_node_rows_predict(seed in 0u64..u64::MAX, deep in 0usize..2) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -1065,6 +1003,12 @@ pub(crate) mod tests {
             let model = RuntimePredictor::new(&config, seed % 1_000);
             let quantized = QuantizedPredictor::quantize(&model);
             let float: Vec<[f64; 4]> = refs.iter().map(|s| model.predict_log(s)).collect();
+            let colliding = BuildHasherDefault::<Colliding>::default();
+            let collided: Vec<RowQuotient> = refs
+                .iter()
+                .map(|s| RowQuotient::hashed(s, &colliding, KEYED_ROWS_PER_ITEM))
+                .collect();
+            let collided: Vec<&RowQuotient> = collided.iter().collect();
             for stride in [1usize, 8] {
                 for s in &refs {
                     let alone = GraphBatch::pack_padded(&[s], stride);
@@ -1077,18 +1021,11 @@ pub(crate) mod tests {
                     let got = bits(&quantized.predict_log_batch(&batch));
                     let unfolded = per_node(&refs, stride, target);
                     prop_assert_eq!(&got, &bits(&quantized.predict_log_batch(&unfolded)));
-                    let collided = GraphBatch::pack_hashed(
-                        &refs, stride, target, &BuildHasherDefault::<Colliding>::default(),
-                    );
+                    let collided = GraphBatch::join_chunked(&collided, stride, target);
                     let chunks = |b: &GraphBatch| -> Vec<ChunkBits> {
                         b.chunks.iter().map(chunk_bits).collect()
                     };
                     prop_assert_eq!(chunks(&collided), chunks(&batch));
-                    if target == usize::MAX {
-                        let classes = batch.chunks[0].features.rows();
-                        let rows = batch.node_rows();
-                        prop_assert!(classes < rows, "a repeated sample shares its classes");
-                    }
                 }
             }
         }
@@ -1140,21 +1077,20 @@ pub(crate) mod tests {
         let hashing = RowHashing::keyed();
         for ring in [false, true] {
             let sample = shift_register(16_000, ring);
-            let nodes = NodeRows::stack(&[&sample], &|n| n);
-            let items = nodes.rows() + nodes.entries.len();
-            let classes = row_classes(&nodes, &hashing, KEYED_ROWS_PER_ITEM * items);
+            let rows = sample.node_count();
+            let items = rows + sample.a_norm.nnz();
+            let classes = row_classes(&sample, &hashing, KEYED_ROWS_PER_ITEM * items);
             assert!(classes.keyed <= KEYED_ROWS_PER_ITEM * items, "ring {ring}: {}", classes.keyed);
-            assert_eq!(classes.reps.len(), nodes.rows(), "ring {ring}: one class per row");
-            let batch = GraphBatch::pack(&[&sample]);
-            assert_eq!(batch.chunks[0].features.rows(), nodes.rows());
+            assert_eq!(classes.reps.len(), rows, "ring {ring}: one class per row");
+            let batch = GraphBatch::pack_padded(&[&sample], 1);
+            assert_eq!(batch.chunks[0].features.rows(), rows);
         }
         // Unbounded, a 2 000-stage register keys a quadratic count.
         let sample = shift_register(2_000, false);
-        let nodes = NodeRows::stack(&[&sample], &|n| n);
-        let unbounded = row_classes(&nodes, &hashing, usize::MAX);
+        let unbounded = row_classes(&sample, &hashing, usize::MAX);
         assert!(unbounded.keyed > 2_000 * 2_000 / 4, "{} keyed rows", unbounded.keyed);
         // Every stage has its own depth; the two clocks are one class.
-        assert_eq!(unbounded.reps.len(), nodes.rows() - 1);
+        assert_eq!(unbounded.reps.len(), sample.node_count() - 1);
         // A ring of identical stages is one class, found cheaply.
         let n = 16_000;
         let cycle: Vec<(u32, u32, f64)> =
@@ -1163,8 +1099,7 @@ pub(crate) mod tests {
             SparseMatrix::from_triplets(n, n, &cycle),
             Matrix::from_vec(n, FEATURE_DIM, vec![1.0; n * FEATURE_DIM]),
         );
-        let nodes = NodeRows::stack(&[&pure], &|n| n);
-        let classes = row_classes(&nodes, &hashing, KEYED_ROWS_PER_ITEM * 2 * n);
+        let classes = row_classes(&pure, &hashing, KEYED_ROWS_PER_ITEM * 2 * n);
         assert_eq!((classes.reps.len(), classes.keyed), (1, n));
     }
 

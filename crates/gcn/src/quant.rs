@@ -552,7 +552,7 @@ mod tests {
         let model = trained_model();
         let q = QuantizedPredictor::quantize(&model);
         let s = sample();
-        let batch = GraphBatch::pack(&[&s]);
+        let batch = GraphBatch::pack_padded(&[&s], 1);
         assert_eq!(q.predict_log_batch(&batch), vec![q.predict_log(&s)]);
         assert_eq!(q.predict_secs_batch(&batch), vec![q.predict_secs(&s)]);
     }
@@ -570,7 +570,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&GraphSample> = samples.iter().collect();
-        let batch = GraphBatch::pack(&refs);
+        let batch = GraphBatch::pack_padded(&refs, 1);
         let a = q.predict_log_batch(&batch);
         let b = q.predict_log_batch(&batch);
         assert_eq!(a, b);

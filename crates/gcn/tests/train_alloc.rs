@@ -163,7 +163,7 @@ fn cloning_a_trained_model_copies_no_scratch() {
 /// `[small], [small, mid], [all three]` — the last is the largest.
 fn batches(samples: &[GraphSample]) -> Vec<GraphBatch> {
     (1..=samples.len())
-        .map(|n| GraphBatch::pack(&samples[..n].iter().collect::<Vec<_>>()))
+        .map(|n| GraphBatch::pack_padded(&samples[..n].iter().collect::<Vec<_>>(), 1))
         .collect()
 }
 

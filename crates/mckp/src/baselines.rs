@@ -5,7 +5,7 @@
 //! stage on the largest machine) and *under-provisioning* (run every
 //! stage on the smallest machine).
 
-use crate::{Objective, Problem, Selection};
+use crate::{Problem, Selection};
 
 /// Select the last (largest / fastest-configured) choice of every stage
 /// — the paper's "8 vCPUs in all jobs" baseline.
@@ -134,12 +134,7 @@ fn selection_from(problem: &Problem, picks: Vec<usize>) -> Selection {
         .zip(stages)
         .map(|(&j, s)| s.choices[j].cost_usd)
         .sum();
-    Selection {
-        picks,
-        total_runtime_secs,
-        total_cost_usd,
-        objective: Objective::MinCost,
-    }
+    Selection { picks, total_runtime_secs, total_cost_usd }
 }
 
 #[cfg(test)]

@@ -20,8 +20,6 @@ pub struct Selection {
     pub total_runtime_secs: u64,
     /// Total cost of the selection in USD.
     pub total_cost_usd: f64,
-    /// Objective used to produce this selection.
-    pub objective: Objective,
 }
 
 /// Exact MCKP solver (Dudzinski–Walukiewicz dynamic programming).
@@ -59,8 +57,8 @@ pub struct Selection {
 /// keeps that order within one `t`, and the reduction decides each
 /// state from the states before it, so it keeps the same prefix.
 /// [`Solver::solve`] returns the last state of `F_n(B)`, which is the
-/// last state of `F_n` with `t <= B`: the last selection of
-/// [`Solver::frontier`] with `total_runtime_secs <= budget_secs`.
+/// last state of `F_n` with `t <= B`: what [`Frontier::cut`] returns
+/// for `B`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Solver;
 
@@ -91,24 +89,7 @@ impl Solver {
         // Scores rise along a frontier: its last state is the best
         // score at the smallest `t` reaching it.
         let last = frontiers.last()?.len().checked_sub(1)?;
-        Self::selection(&frontiers, last, objective, Self::price(problem.stages()))
-    }
-
-    /// Every Pareto-optimal selection, in strictly ascending
-    /// `total_runtime_secs` (and strictly improving objective). The
-    /// answer for a budget `B` is the last selection with
-    /// `total_runtime_secs <= B`, bit for bit what
-    /// [`solve`](Self::solve)`(problem, B, objective)` returns (see the
-    /// type's docs); no selection fits means `solve` returns `None`.
-    /// Selections whose runtime overflows `u64` fit no budget and are
-    /// left out. Every point is built in full; a caller that answers
-    /// budgets one at a time keeps a [`Frontier`] instead.
-    #[must_use]
-    pub fn frontier(&self, problem: &Problem, objective: Objective) -> Vec<Selection> {
-        let frontiers = Self::frontiers(problem.stages(), u64::MAX, objective);
-        let width = frontiers.last().map_or(0, Vec::len);
-        let price = Self::price(problem.stages());
-        (0..width).filter_map(|at| Self::selection(&frontiers, at, objective, &price)).collect()
+        Self::selection(&frontiers, last, Self::price(problem.stages()))
     }
 
     /// `(runtime_secs, cost_usd)` of choice `j` of stage `l`.
@@ -171,7 +152,6 @@ impl Solver {
     fn selection(
         frontiers: &[Vec<State>],
         mut at: usize,
-        objective: Objective,
         price: impl Fn(usize, usize) -> (u64, f64),
     ) -> Option<Selection> {
         let mut picks = vec![0usize; frontiers.len().saturating_sub(1)];
@@ -181,12 +161,7 @@ impl Solver {
         }
         let total_runtime_secs: u64 = picks.iter().enumerate().map(|(l, &j)| price(l, j).0).sum();
         let total_cost_usd: f64 = picks.iter().enumerate().map(|(l, &j)| price(l, j).1).sum();
-        Some(Selection {
-            picks,
-            total_runtime_secs,
-            total_cost_usd,
-            objective,
-        })
+        Some(Selection { picks, total_runtime_secs, total_cost_usd })
     }
 }
 
@@ -195,14 +170,12 @@ impl Solver {
 /// level before, and each choice's runtime and cost. [`Frontier::cut`]
 /// answers a budget by binary search on the last level and rebuilds the
 /// picks and totals of that one point only — bit for bit what
-/// [`Solver::solve`] returns for the budget (see [`Solver`]'s docs),
-/// without a [`Selection`] per Pareto point.
+/// [`Solver::solve`] returns for the budget (see [`Solver`]'s docs).
 #[derive(Debug, Clone)]
 pub struct Frontier {
     /// `(runtime_secs, cost_usd)` per stage and choice.
     prices: Vec<Vec<(u64, f64)>>,
     levels: Vec<Vec<State>>,
-    objective: Objective,
 }
 
 impl Frontier {
@@ -216,7 +189,6 @@ impl Frontier {
                 .map(|s| s.choices.iter().map(|c| (c.runtime_secs, c.cost_usd)).collect())
                 .collect(),
             levels: Solver::frontiers(stages, u64::MAX, objective),
-            objective,
         }
     }
 
@@ -226,7 +198,7 @@ impl Frontier {
     pub fn cut(&self, budget_secs: u64) -> Option<Selection> {
         let last = self.levels.last()?;
         let at = last.partition_point(|s| s.t <= budget_secs).checked_sub(1)?;
-        Solver::selection(&self.levels, at, self.objective, |l, j| self.prices[l][j])
+        Solver::selection(&self.levels, at, |l, j| self.prices[l][j])
     }
 }
 
@@ -344,15 +316,14 @@ mod tests {
     #[test]
     fn frontier_cut_is_the_budgeted_solve() {
         let p = toy_problem();
-        let frontier = Solver::new().frontier(&p, Objective::MinCost);
-        // Fastest first, cheapest last.
-        assert_eq!(frontier[0].total_runtime_secs, 5645);
+        let frontier = Frontier::new(&p, Objective::MinCost);
+        // The fastest point, and the cheapest.
+        assert_eq!(frontier.cut(5_645).map(|s| s.total_runtime_secs), Some(5645));
         let cheapest = Solver::new().solve_min_cost(&p, u64::MAX).expect("feasible");
-        assert_eq!(frontier.last(), Some(&cheapest));
+        assert_eq!(frontier.cut(u64::MAX), Some(cheapest));
         for budget in [0u64, 5_644, 5_645, 6_000, 7_500, 10_000, 18_000, u64::MAX] {
-            let at = frontier.partition_point(|s| s.total_runtime_secs <= budget);
-            let cut = at.checked_sub(1).map(|i| frontier[i].clone());
-            assert_eq!(cut, Solver::new().solve_min_cost(&p, budget), "budget {budget}");
+            let solved = Solver::new().solve_min_cost(&p, budget);
+            assert_eq!(frontier.cut(budget), solved, "budget {budget}");
         }
     }
 

@@ -21,13 +21,11 @@
 //!   feasible but can pick different configurations; minimizing cost is
 //!   never worse in USD).
 //!
-//! [`Solver::frontier`] returns every Pareto-optimal selection of an
-//! instance at once, fastest first: the answer for any deadline is its
-//! last selection within it, the same as [`Solver::solve`]'s. A caller
-//! that asks one instance under many deadlines (the serving tier's
-//! planner) keeps a [`Frontier`] instead — the DP's states, a total
-//! runtime and a back-pointer each — and [`Frontier::cut`]s it per
-//! deadline, rebuilding the picks of the one point it selects.
+//! A caller that asks one instance under many deadlines (the serving
+//! tier's planner) keeps a [`Frontier`] — the DP's budget-free Pareto
+//! states, a total runtime and a back-pointer each — and
+//! [`Frontier::cut`]s it per deadline, rebuilding the picks of the one
+//! point it selects: bit for bit what [`Solver::solve`] returns.
 //!
 //! [`Problem::new`] validates raw stages, so callers assembling them on
 //! the fly (the serving tier's planner) get malformed input back as a

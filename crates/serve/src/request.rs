@@ -16,10 +16,10 @@ use std::sync::{Arc, OnceLock};
 /// construction: most designs an ingest stream builds are answered from
 /// the result cache and never forwarded. When the two views are equal
 /// bit for bit — every stock-pool design and every upload — one quotient
-/// serves both. Equality, `Debug` and `Clone` ignore the quotients: a
-/// clone builds its own, so a clone whose views are then edited never
-/// forwards a stale one. Do not edit the views of a design that has
-/// been forwarded.
+/// serves both. Equality, `Debug` and `Clone` ignore the quotients (see
+/// `Quotients`). Do not edit the views of a design that has been
+/// forwarded.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeDesign {
     /// Design name (diagnostic only; the fingerprint is the identity).
     pub name: String,
@@ -31,7 +31,32 @@ pub struct ServeDesign {
     /// features.
     pub fingerprint: u64,
     /// One quotient per distinct view, the AIG view's first.
-    quotients: OnceLock<Vec<RowQuotient>>,
+    quotients: Quotients,
+}
+
+/// A design's quotient cache, invisible to the design's value: every
+/// two caches are equal, one prints as `..`, and a clone starts empty —
+/// so a clone whose views are then edited never forwards a stale
+/// quotient.
+#[derive(Default)]
+struct Quotients(OnceLock<Vec<RowQuotient>>);
+
+impl Clone for Quotients {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for Quotients {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Quotients {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl ServeDesign {
@@ -40,7 +65,7 @@ impl ServeDesign {
     pub fn new(name: impl Into<String>, aig: GraphSample, netlist: GraphSample) -> Self {
         let name = name.into();
         let fingerprint = fingerprint_views(&name, &aig, &netlist);
-        Self { name, aig, netlist, fingerprint, quotients: OnceLock::new() }
+        Self { name, aig, netlist, fingerprint, quotients: Quotients::default() }
     }
 
     /// Pack the AIG views and the netlist views of `designs` into two
@@ -62,7 +87,7 @@ impl ServeDesign {
 
     /// The quotients of the AIG and the netlist view, built on first use.
     fn quotients(&self) -> [&RowQuotient; 2] {
-        let kept = self.quotients.get_or_init(|| {
+        let kept = self.quotients.0.get_or_init(|| {
             let aig = RowQuotient::from(&self.aig);
             if same_bits(&self.aig, &self.netlist) {
                 vec![aig]
@@ -82,38 +107,6 @@ fn same_bits(a: &GraphSample, b: &GraphSample) -> bool {
     a.node_count() == b.node_count()
         && a.a_norm.entries().map(entry).eq(b.a_norm.entries().map(entry))
         && a.features.data().iter().map(bits).eq(b.features.data().iter().map(bits))
-}
-
-impl Clone for ServeDesign {
-    fn clone(&self) -> Self {
-        Self {
-            name: self.name.clone(),
-            aig: self.aig.clone(),
-            netlist: self.netlist.clone(),
-            fingerprint: self.fingerprint,
-            quotients: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for ServeDesign {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.aig == other.aig
-            && self.netlist == other.netlist
-            && self.fingerprint == other.fingerprint
-    }
-}
-
-impl fmt::Debug for ServeDesign {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServeDesign")
-            .field("name", &self.name)
-            .field("aig", &self.aig)
-            .field("netlist", &self.netlist)
-            .field("fingerprint", &self.fingerprint)
-            .finish()
-    }
 }
 
 /// The fingerprint hash: `bytes` folded into `hash`, which starts at
@@ -573,14 +566,14 @@ mod tests {
         let mut designs: Vec<&ServeDesign> = pool.iter().map(|d| &**d).collect();
         designs.extend([&split, &signed]);
         let want = fresh(&designs);
-        assert!(pool[0].quotients.get().is_none(), "nothing is built before a forward");
+        assert!(pool[0].quotients.0.get().is_none(), "nothing is built before a forward");
         assert_eq!(kept(&designs), want, "first use");
         assert_eq!(kept(&designs), want, "cached");
-        assert_eq!(pool[0].quotients.get().map(Vec::len), Some(1), "equal views share one");
-        assert_eq!(split.quotients.get().map(Vec::len), Some(2));
-        assert_eq!(signed.quotients.get().map(Vec::len), Some(2));
+        assert_eq!(pool[0].quotients.0.get().map(Vec::len), Some(1), "equal views share one");
+        assert_eq!(split.quotients.0.get().map(Vec::len), Some(2));
+        assert_eq!(signed.quotients.0.get().map(Vec::len), Some(2));
         let clone = split.clone();
-        assert!(clone.quotients.get().is_none(), "a clone builds its own");
+        assert!(clone.quotients.0.get().is_none(), "a clone builds its own");
         assert_eq!((&clone, format!("{clone:?}")), (&split, format!("{split:?}")));
         assert_eq!(kept(&[&clone]), fresh(&[&clone]));
         let mut edited = split.clone();

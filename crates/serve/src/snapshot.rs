@@ -383,7 +383,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&GraphSample> = samples.iter().collect();
-        let batch = GraphBatch::pack(&refs);
+        let batch = GraphBatch::pack_padded(&refs, 1);
         let one = snap.predict_batches(&batch, &batch, 1);
         for workers in [2usize, 4, 8] {
             assert_eq!(
@@ -408,7 +408,8 @@ mod tests {
         let pool = crate::design_pool();
         let aig: Vec<&GraphSample> = pool.iter().map(|d| &d.aig).collect();
         let netlist: Vec<&GraphSample> = pool.iter().map(|d| &d.netlist).collect();
-        let (aig, netlist) = (GraphBatch::pack(&aig), GraphBatch::pack(&netlist));
+        let aig = GraphBatch::pack_padded(&aig, 1);
+        let netlist = GraphBatch::pack_padded(&netlist, 1);
         for (config, seed) in [(ModelConfig::fast(), 11), (ModelConfig::paper(), 12)] {
             let float = ModelSnapshot::seeded(&config, seed);
             let direct = QuantizedSnapshot::quantize(&float);
@@ -437,7 +438,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&GraphSample> = samples.iter().collect();
-        let batch = GraphBatch::pack(&refs);
+        let batch = GraphBatch::pack_padded(&refs, 1);
         let one = snap.predict_batches(&batch, &batch, 1);
         for workers in [2usize, 4, 8] {
             assert_eq!(

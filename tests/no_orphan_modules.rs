@@ -24,7 +24,10 @@ const TEST_REFERENCES: &[(&str, &str)] = &[
     ("greedy", "Figure 6's greedy-ratio baseline; solver properties hold the DP against it"),
     ("from_rows", "how gcn's unit tests and oracle differentials write a literal matrix"),
     ("identity", "vocabulary of the gcn differentials (A·I = A)"),
-    ("check_recipe_visit_conservation", "ROADMAP item 6 wires it into run_simtest's recipe phase"),
+    (
+        "check_recipe_visit_conservation",
+        "ROADMAP's robustness item (its fault coverage) wires it into run_simtest's recipe phase",
+    ),
     ("is_accepted", "named by a unit test inside crates/bench/e2e, which this PR may not edit"),
 ];
 
@@ -291,7 +294,7 @@ fn the_hidden_item_check_reports_ungated_items_below_tests() {
 
 /// Ceiling of the product `pub` / `pub(crate) fn`s; lower it when one goes,
 /// never raise it.
-const MAX_PRODUCT_FNS: usize = 602;
+const MAX_PRODUCT_FNS: usize = 600;
 
 #[test]
 fn product_functions_are_not_up() {
