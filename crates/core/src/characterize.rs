@@ -25,15 +25,6 @@ impl CharacterizationConfig {
             verify: true,
         }
     }
-
-    /// A minimal sweep for tests and doc examples.
-    #[must_use]
-    pub fn fast() -> Self {
-        Self {
-            vcpu_sweep: vec![1, 2],
-            verify: false,
-        }
-    }
 }
 
 impl Default for CharacterizationConfig {
@@ -175,11 +166,16 @@ mod tests {
     use super::*;
     use eda_cloud_netlist::generators;
 
+    /// A minimal sweep: two vCPU counts, no verification.
+    fn fast() -> CharacterizationConfig {
+        CharacterizationConfig { vcpu_sweep: vec![1, 2], verify: false }
+    }
+
     #[test]
     fn sweep_produces_all_stages_and_vcpus() {
         let wf = Workflow::with_defaults();
         let report = wf
-            .characterize_design(&generators::adder(8), &CharacterizationConfig::fast())
+            .characterize_design(&generators::adder(8), &fast())
             .expect("characterization runs");
         assert_eq!(report.stages.len(), 4);
         for stage in &report.stages {
@@ -195,7 +191,7 @@ mod tests {
     fn placement_and_routing_run_on_memory_optimized() {
         let wf = Workflow::with_defaults();
         let report = wf
-            .characterize_design(&generators::adder(6), &CharacterizationConfig::fast())
+            .characterize_design(&generators::adder(6), &fast())
             .expect("characterization runs");
         assert_eq!(report.stage(StageKind::Placement).unwrap().family, "memory-optimized");
         assert_eq!(report.stage(StageKind::Sta).unwrap().family, "general-purpose");
@@ -205,7 +201,7 @@ mod tests {
     fn speedups_start_at_one() {
         let wf = Workflow::with_defaults();
         let report = wf
-            .characterize_design(&generators::multiplier(6), &CharacterizationConfig::fast())
+            .characterize_design(&generators::multiplier(6), &fast())
             .expect("characterization runs");
         for stage in &report.stages {
             let sp = stage.speedups();

@@ -56,13 +56,6 @@ impl FleetScenario {
             workers: 0,
         }
     }
-
-    /// The same scenario buying spot capacity under `policy`.
-    #[must_use]
-    pub fn with_spot(mut self, policy: SpotPolicy) -> Self {
-        self.spot = Some(policy);
-        self
-    }
 }
 
 impl Workflow {
@@ -263,7 +256,7 @@ mod tests {
             market: SpotMarket { price_fraction: 0.3, interruption_per_hour: 0.25 },
         };
         let spot = wf
-            .simulate_fleet(&FleetScenario::new(12, 5).with_spot(stormy))
+            .simulate_fleet(&FleetScenario { spot: Some(stormy), ..FleetScenario::new(12, 5) })
             .expect("simulates");
         assert_eq!(spot.counters.jobs_completed, 12, "retries always finish jobs");
         assert!(spot.counters.interruptions > 0, "hour-long stages get reclaimed");
@@ -274,7 +267,8 @@ mod tests {
     #[test]
     fn simulate_fleet_is_reproducible() {
         let wf = Workflow::with_defaults();
-        let scenario = FleetScenario::new(8, 21).with_spot(SpotPolicy::typical());
+        let scenario =
+            FleetScenario { spot: Some(SpotPolicy::typical()), ..FleetScenario::new(8, 21) };
         let a = wf.simulate_fleet(&scenario).expect("simulates");
         let b = wf.simulate_fleet(&scenario).expect("simulates");
         assert_eq!(a.to_json(), b.to_json());

@@ -57,7 +57,8 @@
 //!
 //! let workflow = Workflow::with_defaults();
 //! let design = generators::adder(8);
-//! let report = workflow.characterize_design(&design, &CharacterizationConfig::fast())?;
+//! let sweep = CharacterizationConfig { vcpu_sweep: vec![1, 2], verify: false };
+//! let report = workflow.characterize_design(&design, &sweep)?;
 //! assert_eq!(report.stages.len(), 4);
 //! assert!(report.stages[0].runs[0].report.runtime_secs > 0.0);
 //! # Ok::<(), eda_cloud_core::WorkflowError>(())

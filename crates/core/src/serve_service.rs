@@ -9,7 +9,6 @@
 //! on the real instance catalog rather than the service's flat rate
 //! table.
 
-use crate::predict::StagePredictors;
 use crate::optimize::VCPU_SWEEP;
 use crate::{StageRuntimes, Workflow, WorkflowError};
 use eda_cloud_flow::StageKind;
@@ -95,20 +94,6 @@ impl Planner for WorkflowPlanner {
     }
 }
 
-impl StagePredictors {
-    /// Freeze the four trained stage models into a serving snapshot
-    /// (evaluation reports stay behind; only the weights ship).
-    #[must_use]
-    pub fn snapshot(&self) -> ModelSnapshot {
-        ModelSnapshot::new(
-            self.synthesis.model.clone(),
-            self.placement.model.clone(),
-            self.routing.model.clone(),
-            self.sta.model.clone(),
-        )
-    }
-}
-
 impl Workflow {
     /// Serve the workload's request stream — seeded Poisson arrivals
     /// over the synthetic design pool, uniform deadline windows, a
@@ -167,6 +152,7 @@ impl Workflow {
 mod tests {
     use super::*;
     use crate::dataset::{DatasetBuilder, DatasetConfig};
+    use crate::predict::StagePredictors;
     use eda_cloud_gcn::{ModelConfig, Trainer};
     use eda_cloud_mckp::Selection;
 
@@ -259,7 +245,12 @@ mod tests {
         let mut trainer = Trainer::fast();
         trainer.epochs = 2; // keep the unit test quick
         let predictors = StagePredictors::train(&data, &trainer).expect("training");
-        let snapshot = predictors.snapshot();
+        let snapshot = ModelSnapshot::new(
+            predictors.synthesis.model.clone(),
+            predictors.placement.model.clone(),
+            predictors.routing.model.clone(),
+            predictors.sta.model.clone(),
+        );
         // Snapshot predictions match the live predictors bit-for-bit.
         let text = snapshot.to_text();
         let reloaded = ModelSnapshot::from_text(&text).expect("parses");

@@ -30,7 +30,8 @@ impl Workflow {
     /// use eda_cloud_simtest::{FaultPlan, SimtestConfig};
     ///
     /// let workflow = Workflow::with_defaults();
-    /// let report = workflow.simtest(&SimtestConfig::new(7), &FaultPlan::generate(7, 4))?;
+    /// let config = SimtestConfig { seed: 7, ..SimtestConfig::default() };
+    /// let report = workflow.simtest(&config, &FaultPlan::generate(7, 4))?;
     /// assert!(report.passed());
     /// # Ok::<(), eda_cloud_core::WorkflowError>(())
     /// ```

@@ -57,17 +57,11 @@ pub struct Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// An empty outbox for `src_region`, continuing its sequence
-    /// numbering at `next_seq` and enforcing `min_latency_us` (the
-    /// coordinator's lookahead window) on every send.
-    #[must_use]
-    pub fn new(src_region: u32, min_latency_us: u64, next_seq: u64) -> Self {
-        Self::with_buffer(Vec::new(), src_region, min_latency_us, next_seq)
-    }
-
-    /// [`Outbox::new`] over `buffer`, emptied first: the coordinator
-    /// hands each region the buffer it drained at the last barrier, so
-    /// a window's sends reuse that allocation.
+    /// An empty outbox for `src_region` over `buffer` (emptied first),
+    /// continuing its sequence numbering at `next_seq` and enforcing
+    /// `min_latency_us` (the coordinator's lookahead window) on every
+    /// send. The coordinator hands each region the buffer it drained at
+    /// the last barrier, so a window's sends reuse that allocation.
     pub(crate) fn with_buffer(
         mut buffer: Vec<Envelope<M>>,
         src_region: u32,
@@ -120,18 +114,6 @@ impl<M> Outbox<M> {
         self.next_seq
     }
 
-    /// Number of buffered envelopes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when nothing was sent this window.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// Drain the buffered envelopes.
     #[must_use]
     pub fn into_envelopes(self) -> Vec<Envelope<M>> {
@@ -145,12 +127,12 @@ mod tests {
 
     #[test]
     fn sends_stamp_monotone_sequences_and_delivery_times() {
-        let mut outbox: Outbox<&str> = Outbox::new(2, 100, 7);
-        assert!(outbox.is_empty());
+        let mut outbox: Outbox<&str> = Outbox::with_buffer(Vec::new(), 2, 100, 7);
+        assert!(outbox.pending.is_empty());
         assert_eq!(outbox.send(1_000, 0, 150, "a"), Ok(7));
         assert_eq!(outbox.send(1_000, 1, 100, "b"), Ok(8));
         assert_eq!(outbox.next_seq(), 9);
-        assert_eq!(outbox.len(), 2);
+        assert_eq!(outbox.pending.len(), 2);
         let envs = outbox.into_envelopes();
         assert_eq!(envs[0].merge_key(), (1_000, 2, 7));
         assert_eq!(envs[0].deliver_at_us, 1_150);
@@ -159,15 +141,15 @@ mod tests {
 
     #[test]
     fn latency_below_lookahead_is_rejected_at_the_source() {
-        let mut outbox: Outbox<()> = Outbox::new(0, 100, 0);
+        let mut outbox: Outbox<()> = Outbox::with_buffer(Vec::new(), 0, 100, 0);
         let err = outbox.send(5, 1, 99, ()).unwrap_err();
         assert_eq!(err, EngineError::LookaheadViolation { latency_us: 99, min_latency_us: 100 });
-        assert!(outbox.is_empty(), "a rejected send buffers nothing");
+        assert!(outbox.pending.is_empty(), "a rejected send buffers nothing");
     }
 
     #[test]
     fn delivery_time_overflow_is_typed() {
-        let mut outbox: Outbox<()> = Outbox::new(0, 0, 0);
+        let mut outbox: Outbox<()> = Outbox::with_buffer(Vec::new(), 0, 0, 0);
         assert!(matches!(outbox.send(u64::MAX, 1, 1, ()), Err(EngineError::Time(_))));
     }
 }

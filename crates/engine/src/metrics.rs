@@ -36,18 +36,6 @@ impl Samples {
         let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
         *values.select_nth_unstable_by(rank - 1, f64::total_cmp).1
     }
-
-    /// Number of recorded observations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -110,11 +98,11 @@ mod tests {
         let mut s = Samples::default();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(0.95), 0.0);
-        assert!(s.is_empty());
+        assert!(s.values.is_empty());
         for v in [4.0, 1.0, 3.0, 2.0] {
             s.record(v);
         }
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.values.len(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert_eq!(s.percentile(0.5), 2.0);
         assert_eq!(s.percentile(0.95), 4.0);

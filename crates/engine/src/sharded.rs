@@ -25,7 +25,7 @@
 
 use crate::message::{Envelope, Outbox};
 use crate::time::checked_add_us;
-use crate::{EngineError, EngineFaults, NoEngineFaults};
+use crate::{EngineError, EngineFaults};
 use eda_cloud_trace::par;
 use std::sync::Arc;
 
@@ -86,18 +86,14 @@ pub struct ShardedSim<S: RegionShard> {
 }
 
 impl<S: RegionShard> ShardedSim<S> {
-    /// A coordinator over `regions` with the given lookahead window.
+    /// A coordinator over `regions` with the given lookahead window and
+    /// fault hooks on the message path.
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidConfig`] when `regions` is empty or the
     /// lookahead is zero (a zero window would never make progress
     /// past simultaneous events).
-    pub fn new(regions: Vec<S>, lookahead_us: u64) -> Result<Self, EngineError> {
-        Self::with_faults(regions, lookahead_us, Arc::new(NoEngineFaults))
-    }
-
-    /// [`ShardedSim::new`] with fault hooks on the message path.
     pub fn with_faults(
         regions: Vec<S>,
         lookahead_us: u64,
@@ -240,7 +236,7 @@ impl<S: RegionShard> ShardedSim<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventHeap;
+    use crate::{EventHeap, NoEngineFaults};
 
     /// A token-passing region: each delivery schedules a local event
     /// that forwards the token to the next region, `hops` times.
@@ -288,7 +284,8 @@ mod tests {
     }
 
     fn run_ring(regions: u32, workers: usize, shards: usize) -> (Vec<Vec<(u64, u64)>>, MessageStats) {
-        let mut sim = ShardedSim::new(ring(regions), 1_000).expect("valid");
+        let mut sim = ShardedSim::with_faults(ring(regions), 1_000, Arc::new(NoEngineFaults))
+            .expect("valid");
         sim.run(workers, shards).expect("runs");
         let stats = sim.stats();
         (sim.into_regions().into_iter().map(|r| r.log).collect(), stats)
@@ -315,11 +312,11 @@ mod tests {
     #[test]
     fn zero_lookahead_and_empty_topologies_are_rejected() {
         assert!(matches!(
-            ShardedSim::<Ring>::new(Vec::new(), 10),
+            ShardedSim::<Ring>::with_faults(Vec::new(), 10, Arc::new(NoEngineFaults)),
             Err(EngineError::InvalidConfig(_))
         ));
         assert!(matches!(
-            ShardedSim::new(ring(2), 0),
+            ShardedSim::with_faults(ring(2), 0, Arc::new(NoEngineFaults)),
             Err(EngineError::InvalidConfig(_))
         ));
     }

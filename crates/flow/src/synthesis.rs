@@ -1082,7 +1082,7 @@ mod tests {
         assert_eq!(nl_plain.cell_count(), nl_traced.cell_count());
         assert_eq!(format!("{nl_plain:?}"), format!("{nl_traced:?}"));
         assert_eq!(rep_plain, rep_traced);
-        assert!(!trace.events.is_empty());
+        assert_ne!(trace.events, ProbeTrace::default());
     }
 
     #[test]

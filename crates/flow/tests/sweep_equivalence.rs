@@ -67,7 +67,7 @@ fn assert_synthesis_sweep_equals_runs(
         assert_eq!(report_bits(&reports[k]), report_bits(&replayed), "{what}: replayed report {k}");
     }
     assert_eq!(sweep_trace, single_trace, "{what}: synthesis spans");
-    assert_eq!(sweep_trace.is_empty(), ctxs.is_empty(), "{what}: passes and mapping are traced");
+    assert_eq!(sweep_trace.records().is_empty(), ctxs.is_empty(), "{what}: passes and mapping are traced");
     netlist
 }
 

@@ -15,8 +15,7 @@
 //!
 //! Every dense product here goes through [`naive_matmul`], the
 //! `i`-`k`-`j` loop `Matrix::matmul_into` was before the gather-and-fold
-//! kernel replaced it — `Matrix::matmul` is a wrapper over the new body,
-//! so using it here would compare the kernel with itself.
+//! kernel replaced it, so the kernel is never compared with itself.
 
 use crate::batch::{tests::planted as planted_graph, BatchChunk};
 use crate::layers::{DenseLayer, GcnLayer};

@@ -405,13 +405,6 @@ impl QuantizedPredictor {
         })
     }
 
-    /// Predicted runtimes in seconds, saturated like
-    /// [`RuntimePredictor::predict_secs`].
-    #[must_use]
-    pub fn predict_secs(&self, sample: &GraphSample) -> [f64; 4] {
-        self.predict_log(sample).map(saturating_exp)
-    }
-
     /// Batched [`QuantizedPredictor::predict_log`] over a packed batch,
     /// in batch order. Activation quantization is per chunk in the GCN
     /// stack and per batch in the dense readout (one scale over every
@@ -455,7 +448,8 @@ impl QuantizedPredictor {
         })
     }
 
-    /// Batched [`QuantizedPredictor::predict_secs`].
+    /// Batched predicted runtimes in seconds, saturated like
+    /// [`RuntimePredictor::predict_secs`].
     #[must_use]
     pub fn predict_secs_batch(&self, batch: &GraphBatch) -> Vec<[f64; 4]> {
         self.predict_log_batch(batch)
@@ -544,7 +538,8 @@ mod tests {
                 "log-space drift too large: {f:?} vs {ql:?}"
             );
         }
-        assert!(q.predict_secs(&s).iter().all(|v| v.is_finite() && *v > 0.0));
+        let secs = q.predict_secs_batch(&GraphBatch::pack_padded(&[&s], 1));
+        assert!(secs[0].iter().all(|v| v.is_finite() && *v > 0.0));
     }
 
     #[test]
@@ -554,7 +549,7 @@ mod tests {
         let s = sample();
         let batch = GraphBatch::pack_padded(&[&s], 1);
         assert_eq!(q.predict_log_batch(&batch), vec![q.predict_log(&s)]);
-        assert_eq!(q.predict_secs_batch(&batch), vec![q.predict_secs(&s)]);
+        assert_eq!(q.predict_secs_batch(&batch), vec![q.predict_log(&s).map(saturating_exp)]);
     }
 
     #[test]

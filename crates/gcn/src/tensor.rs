@@ -12,7 +12,9 @@ use rand::Rng;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let b = Matrix::identity(2);
-/// assert_eq!(a.matmul(&b), a);
+/// let mut out = Matrix::zeros(0, 0);
+/// a.matmul_into(&b, &mut out);
+/// assert_eq!(out, a);
 /// ```
 #[derive(Debug, Default, PartialEq)]
 pub struct Matrix {
@@ -176,24 +178,11 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inner-dimension mismatch.
-    #[must_use]
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] into a caller-owned buffer, reusing its
-    /// allocation. Large batched products otherwise allocate past the
+    /// Matrix product `self * rhs` into a caller-owned buffer, reusing
+    /// its allocation. Large batched products otherwise allocate past the
     /// allocator's mmap threshold and pay a page-fault storm per call;
     /// the model keeps its buffers in a per-thread scratch instead. `out`
-    /// is reshaped and zeroed; the result is bit-identical to
-    /// [`Matrix::matmul`].
+    /// is reshaped and zeroed.
     ///
     /// Per output row the non-zero entries of `self`'s row are gathered
     /// 64 of `k` at a time and the matching rows of `rhs` folded onto it
@@ -237,7 +226,7 @@ impl Matrix {
     /// `self.cols x rhs.cols` output is swept once per block of `k`
     /// rather than once per `k`, however tall the operands are. Every
     /// output element accumulates its terms in ascending `k` and skips
-    /// `self[k][i] == 0.0`, exactly like [`Matrix::matmul`] on the
+    /// `self[k][i] == 0.0`, exactly like [`Matrix::matmul_into`] on the
     /// materialized transpose, so the result is bit-identical to it. A
     /// 16- or 32-column `rhs` folds each block's terms onto a register
     /// tile of the output row instead, loaded and stored once per block.
@@ -652,7 +641,8 @@ mod tests {
     fn matmul_known_values() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let mut c = Matrix::zeros(0, 0);
+        a.matmul_into(&b, &mut c);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 
@@ -730,7 +720,7 @@ mod tests {
     fn mismatched_matmul_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Matrix::zeros(0, 0));
     }
 
     #[test]

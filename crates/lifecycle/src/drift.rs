@@ -48,18 +48,6 @@ impl DesignBaseline {
         }
     }
 
-    /// Number of designs profiled so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.profile.len()
-    }
-
-    /// Whether no design has been profiled yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.profile.is_empty()
-    }
-
     /// Forget every profiled design — called when the model under the
     /// profile changes (its per-design biases change with it).
     pub fn clear(&mut self) {
@@ -253,7 +241,7 @@ mod tests {
         // Two designs with wildly different constant biases.
         assert_eq!(profile.deviation(0xAA, 900_000), None, "first sight");
         assert_eq!(profile.deviation(0xBB, -1_200_000), None, "first sight");
-        assert_eq!(profile.len(), 2);
+        assert_eq!(profile.profile.len(), 2);
         for _ in 0..5 {
             assert_eq!(profile.deviation(0xAA, 900_000), Some(0));
             assert_eq!(profile.deviation(0xBB, -1_200_000), Some(0));
@@ -263,7 +251,7 @@ mod tests {
         assert_eq!(profile.deviation(0xAA, 900_000 + 788_457), Some(788_457));
         assert_eq!(profile.deviation(0xBB, -1_200_000 + 788_457), Some(788_457));
         profile.clear();
-        assert!(profile.is_empty());
+        assert!(profile.profile.is_empty());
         assert_eq!(profile.deviation(0xAA, 0), None, "cleared profiles re-learn");
     }
 

@@ -80,16 +80,16 @@ pub fn log_bias_micros(predicted: &[f64; 4], actual: &[f64; 4]) -> i64 {
 
 /// Bounded FIFO buffer of relabeled training samples for one stage.
 /// When full, the oldest sample falls out — the buffer always holds
-/// the freshest window of the observed distribution. Samples can be
-/// keyed by design fingerprint: a keyed push *replaces* an earlier
-/// sample with the same key, so the buffer holds at most one (the
-/// freshest) sample per design — fine-tuning on a lopsided,
+/// the freshest window of the observed distribution. Each sample is
+/// keyed by design fingerprint: a push *replaces* an earlier sample
+/// with the same key, so the buffer holds at most one (the freshest)
+/// sample per design — fine-tuning on a lopsided,
 /// duplicate-heavy window distorts the model on under-represented
 /// designs, so replay coverage matters more than replay volume.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayBuffer {
     capacity: usize,
-    samples: VecDeque<(Option<u64>, GraphSample)>,
+    samples: VecDeque<(u64, GraphSample)>,
 }
 
 impl ReplayBuffer {
@@ -99,51 +99,34 @@ impl ReplayBuffer {
         Self { capacity, samples: VecDeque::with_capacity(capacity) }
     }
 
-    /// Append an unkeyed sample, evicting the oldest if the buffer is
-    /// full.
-    pub fn push(&mut self, sample: GraphSample) {
-        self.insert(None, sample);
-    }
-
     /// Append a sample keyed by design fingerprint, replacing any
     /// earlier sample with the same key (the replacement moves to the
     /// freshest slot). Evicts the oldest entry if the buffer is full.
     pub fn push_keyed(&mut self, key: u64, sample: GraphSample) {
-        self.samples.retain(|(k, _)| *k != Some(key));
-        self.insert(Some(key), sample);
-    }
-
-    fn insert(&mut self, key: Option<u64>, sample: GraphSample) {
         if self.capacity == 0 {
             return;
         }
+        self.samples.retain(|(k, _)| *k != key);
         if self.samples.len() == self.capacity {
             self.samples.pop_front();
         }
         self.samples.push_back((key, sample));
     }
 
-    /// Whether a keyed sample for this design is currently held.
+    /// Whether a sample for this design is currently held.
     #[must_use]
     pub fn contains_key(&self, key: u64) -> bool {
-        self.samples.iter().any(|(k, _)| *k == Some(key))
+        self.samples.iter().any(|(k, _)| *k == key)
     }
 
-    /// Samples currently held, oldest first.
-    #[must_use]
-    pub fn samples(&self) -> Vec<&GraphSample> {
-        self.samples.iter().map(|(_, s)| s).collect()
-    }
-
-    /// Samples in canonical order: unkeyed entries first (oldest
-    /// first), then keyed entries by ascending key. Fine-tuning is
+    /// Samples in canonical order, by ascending key. Fine-tuning is
     /// order-sensitive (the epoch shuffle maps positions, not
     /// contents), so training from the canonical order makes the
     /// retrained model a function of the sample *set* rather than of
     /// the arrival order traffic happened to produce.
     #[must_use]
     pub fn samples_canonical(&self) -> Vec<&GraphSample> {
-        let mut entries: Vec<&(Option<u64>, GraphSample)> = self.samples.iter().collect();
+        let mut entries: Vec<&(u64, GraphSample)> = self.samples.iter().collect();
         entries.sort_by_key(|(k, _)| *k);
         entries.iter().map(|(_, s)| s).collect()
     }
@@ -203,10 +186,10 @@ mod tests {
         let pool = design_pool();
         let mut buffer = ReplayBuffer::new(3);
         for (i, design) in pool.iter().take(5).enumerate() {
-            buffer.push(design.netlist.with_targets([(i + 1) as f64; 4]));
+            buffer.push_keyed(design.fingerprint, design.netlist.with_targets([(i + 1) as f64; 4]));
         }
         assert_eq!(buffer.len(), 3);
-        let held: Vec<f64> = buffer.samples().iter().map(|s| s.targets_secs[0]).collect();
+        let held: Vec<f64> = buffer.samples.iter().map(|(_, s)| s.targets_secs[0]).collect();
         assert_eq!(held, vec![3.0, 4.0, 5.0], "oldest two evicted");
         buffer.clear();
         assert!(buffer.is_empty());
@@ -224,15 +207,26 @@ mod tests {
         assert_eq!(buffer.len(), 2, "one sample per design");
         assert!(buffer.contains_key(pool[0].fingerprint));
         assert!(!buffer.contains_key(pool[2].fingerprint));
-        let held: Vec<f64> = buffer.samples().iter().map(|s| s.targets_secs[0]).collect();
+        let held: Vec<f64> = buffer.samples.iter().map(|(_, s)| s.targets_secs[0]).collect();
         assert_eq!(held, vec![2.0, 3.0], "replacement is freshest");
+    }
+
+    #[test]
+    fn canonical_order_is_by_key_not_by_arrival() {
+        let pool = design_pool();
+        let mut buffer = ReplayBuffer::new(3);
+        for (key, target) in [(30, 1.0), (10, 2.0), (20, 3.0)] {
+            buffer.push_keyed(key, pool[0].netlist.with_targets([target; 4]));
+        }
+        let held: Vec<f64> = buffer.samples_canonical().iter().map(|s| s.targets_secs[0]).collect();
+        assert_eq!(held, vec![2.0, 3.0, 1.0]);
     }
 
     #[test]
     fn zero_capacity_buffer_stays_empty() {
         let pool = design_pool();
         let mut buffer = ReplayBuffer::new(0);
-        buffer.push(pool[0].netlist.clone());
+        buffer.push_keyed(pool[0].fingerprint, pool[0].netlist.clone());
         assert!(buffer.is_empty());
     }
 }

@@ -70,9 +70,9 @@ mod tests {
             [ReplayBuffer::new(capacity), ReplayBuffer::new(capacity), ReplayBuffer::new(capacity), ReplayBuffer::new(capacity)];
         for (i, design) in pool.iter().take(6).enumerate() {
             let target = (i + 1) as f64 * 100.0;
-            buffers[0].push(design.aig.with_targets([target; 4]));
+            buffers[0].push_keyed(design.fingerprint, design.aig.with_targets([target; 4]));
             for b in buffers.iter_mut().skip(1) {
-                b.push(design.netlist.with_targets([target * 0.5; 4]));
+                b.push_keyed(design.fingerprint, design.netlist.with_targets([target * 0.5; 4]));
             }
         }
         buffers

@@ -169,7 +169,7 @@ mod tests {
         let p = problem();
         let sel = over_provision(&p);
         assert_eq!(sel.total_runtime_secs, 60);
-        assert_eq!(p.describe(&sel), Some(vec!["4v", "4v"]));
+        assert_eq!(sel.picks, [2, 2], "4v, 4v");
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
         let p = problem();
         let sel = under_provision(&p);
         assert_eq!(sel.total_runtime_secs, 150);
-        assert_eq!(p.describe(&sel), Some(vec!["1v", "1v"]));
+        assert_eq!(sel.picks, [0, 0], "1v, 1v");
     }
 
     #[test]

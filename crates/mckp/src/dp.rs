@@ -262,7 +262,7 @@ mod tests {
         let p = toy_problem();
         let sel = Solver::new().solve_min_cost(&p, 5645).expect("feasible");
         assert_eq!(sel.total_runtime_secs, 5645);
-        assert_eq!(p.describe(&sel), Some(vec!["8v", "8v", "8v", "8v"]));
+        assert_eq!(sel.picks, [3, 3, 3, 3], "8v everywhere");
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
         )])
         .unwrap();
         let sel = Solver::new().solve(&p, 100, Objective::MaxInverseCost).expect("feasible");
-        assert_eq!(p.describe(&sel), Some(vec!["gratis"]));
+        assert_eq!(p.stages()[0].choices[sel.picks[0]].label, "gratis");
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!     ],
 //! )])?;
 //! let pick = Solver::new().solve_min_cost(&problem, 50).expect("feasible");
-//! assert_eq!(problem.describe(&pick), Some(vec!["8 vCPU"]));
+//! assert_eq!(problem.stages()[0].choices[pick.picks[0]].label, "8 vCPU");
 //! # Ok::<(), eda_cloud_mckp::MckpError>(())
 //! ```
 

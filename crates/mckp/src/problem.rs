@@ -99,21 +99,6 @@ impl Problem {
             .map(|s| s.fastest().map_or(0, |c| c.runtime_secs))
             .sum()
     }
-
-    /// Labels of the choices picked by a selection, stage by stage;
-    /// `None` if the selection does not match this problem's shape.
-    #[must_use]
-    pub fn describe(&self, selection: &crate::Selection) -> Option<Vec<&str>> {
-        if selection.picks.len() != self.stages.len() {
-            return None;
-        }
-        selection
-            .picks
-            .iter()
-            .zip(&self.stages)
-            .map(|(&j, s)| s.choices.get(j).map(|c| c.label.as_str()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -160,20 +145,5 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(p.min_total_runtime(), 11);
-    }
-
-    #[test]
-    fn describe_rejects_a_selection_of_the_wrong_shape() {
-        let p = Problem::new(vec![
-            Stage::new("a", vec![Choice::new("x", 10, 0.1), Choice::new("y", 4, 0.5)]),
-            Stage::new("b", vec![Choice::new("z", 7, 0.1)]),
-        ])
-        .unwrap();
-        let mut sel = crate::Solver::new().solve_min_cost(&p, 11).expect("feasible");
-        assert_eq!(p.describe(&sel), Some(vec!["y", "z"]));
-        sel.picks[1] = 1;
-        assert_eq!(p.describe(&sel), None, "choice index out of range");
-        sel.picks.pop();
-        assert_eq!(p.describe(&sel), None, "one pick short");
     }
 }

@@ -305,18 +305,6 @@ impl DesignGraph {
         &self.rev_targets[self.rev_offsets[v] as usize..self.rev_offsets[v + 1] as usize]
     }
 
-    /// CSR offsets over outgoing edges (length `node_count + 1`).
-    #[must_use]
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// CSR target array over outgoing edges.
-    #[must_use]
-    pub fn targets(&self) -> &[u32] {
-        &self.targets
-    }
-
     /// Flat row-major feature matrix (`node_count x FEATURE_DIM`).
     #[must_use]
     pub fn features(&self) -> &[f64] {
@@ -368,7 +356,7 @@ mod tests {
         let g = DesignGraph::from_aig(&generators::adder(4));
         let mut fwd: Vec<(u32, u32)> = Vec::new();
         for v in 0..g.node_count() {
-            for &t in &g.targets()[g.offsets()[v] as usize..g.offsets()[v + 1] as usize] {
+            for &t in &g.targets[g.offsets[v] as usize..g.offsets[v + 1] as usize] {
                 fwd.push((v as u32, t));
             }
         }
@@ -400,7 +388,7 @@ mod tests {
         assert_eq!(g.edge_count(), 7);
         assert_eq!(g.node_count(), 4 + 1 + 3);
         // drv node (id 0) has 3 outgoing star edges.
-        assert_eq!(g.offsets()[1] - g.offsets()[0], 3);
+        assert_eq!(g.offsets[1] - g.offsets[0], 3);
     }
 
     #[test]

@@ -32,10 +32,9 @@ proptest! {
         let g = DesignGraph::from_aig(&aig);
         prop_assert_eq!(g.node_count(), aig.node_count() + aig.output_count());
         prop_assert_eq!(g.edge_count(), 2 * aig.and_count() + aig.output_count());
-        // Degree sums equal edge count on both CSR views.
-        let out_deg = *g.offsets().last().expect("node_count + 1 offsets") as usize;
+        // In-degrees sum to the edge count (the graph's unit tests hold
+        // the two CSR views to each other's transpose).
         let in_deg: usize = (0..g.node_count()).map(|v| g.in_neighbors(v).len()).sum();
-        prop_assert_eq!(out_deg, g.edge_count());
         prop_assert_eq!(in_deg, g.edge_count());
         // Features: right width, finite, bias set.
         prop_assert_eq!(g.features().len(), g.node_count() * FEATURE_DIM);

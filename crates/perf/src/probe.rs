@@ -44,18 +44,6 @@ pub struct ProbeTrace {
 }
 
 impl ProbeTrace {
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace recorded nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Replay the trace into a fresh probe for `machine` and return the
     /// resulting counters — bit-identical to running the original
     /// kernel against that machine.
@@ -328,7 +316,7 @@ mod tests {
         let mut traced = PerfProbe::for_machine_traced(&m1);
         exercise(&mut traced);
         let (recorded, trace) = traced.into_traced();
-        assert!(!trace.is_empty());
+        assert!(!trace.events.is_empty());
 
         // Replay on the recording machine reproduces its counters.
         assert_eq!(trace.replay(&m1), recorded);
@@ -348,8 +336,7 @@ mod tests {
         p.instr(5);
         let (counters, trace) = p.into_traced();
         assert_eq!(counters.instructions, 5);
-        assert!(trace.is_empty());
-        assert_eq!(trace.len(), 0);
+        assert_eq!(trace, ProbeTrace::default());
     }
 
     // -----------------------------------------------------------------
@@ -518,7 +505,7 @@ mod tests {
             let mut traced = PerfProbe::for_machine_traced(&machines[0]);
             drive(&mut traced, &events);
             let (recorded, trace) = traced.into_traced();
-            prop_assert_eq!(trace.len(), events.len());
+            prop_assert_eq!(trace.events.len(), events.len());
             prop_assert_eq!(recorded, reference_counters(&machines[0], &events));
             for machine in &machines {
                 prop_assert_eq!(trace.replay(machine), reference_counters(machine, &events));

@@ -127,18 +127,6 @@ impl EvalCache {
     pub fn insert(&mut self, key: String, outcome: EvalOutcome) {
         self.map.insert(key, outcome);
     }
-
-    /// Number of cached evaluations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// Per-node statistics exported for reporting and invariant checking.

@@ -79,18 +79,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.entries.clear();
     }
 
-    /// Entries currently cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lookups that found an entry.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -124,7 +112,7 @@ mod tests {
         c.insert(2, 20);
         assert_eq!(c.get(&1), Some(10)); // 1 is now fresher than 2
         c.insert(3, 30); // evicts 2
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(10));
         assert_eq!(c.get(&3), Some(30));
@@ -136,7 +124,7 @@ mod tests {
         c.insert(1, 10);
         c.insert(2, 20);
         c.insert(1, 11); // refresh, not a third entry
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         c.insert(3, 30); // evicts 2 (1 was refreshed later)
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(11));
@@ -148,7 +136,7 @@ mod tests {
         c.insert(1, 10);
         assert_eq!(c.get(&1), Some(10));
         c.clear();
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
         assert_eq!(c.get(&1), None, "wiped entries must miss");
         assert_eq!((c.hits(), c.misses()), (1, 1), "counters survive the wipe");
     }
@@ -157,7 +145,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let mut c: LruCache<u64, u64> = LruCache::new(0);
         c.insert(1, 10);
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
         assert_eq!(c.get(&1), None);
         assert_eq!(c.misses(), 1);
     }

@@ -704,10 +704,11 @@ mod tests {
         assert!(report.counters.gcn_predictions <= report.counters.cache_misses);
         assert!(report.counters.plans > 0);
         assert!(report.mean_latency_ms > 0.0);
-        assert_eq!(
-            report.latency_hist.counts().iter().sum::<u64>(),
-            report.counters.completed
-        );
+        // The histogram holds one latency per completed request.
+        let json = report.latency_hist.to_json();
+        let counts = json.rsplit_once("\"counts\":[").expect("counts").1.trim_end_matches("]}");
+        let total: u64 = counts.split(',').map(|c| c.parse::<u64>().expect("a count")).sum();
+        assert_eq!(total, report.counters.completed);
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl Default for SimtestConfig {
 }
 
 impl SimtestConfig {
-    /// A default-shaped config at `seed`.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self { seed, ..Self::default() }
-    }
-
     /// The lifecycle controller configuration this harness drives: a
     /// compressed version of the production defaults that still walks
     /// the full detect → retrain → canary → decide arc.

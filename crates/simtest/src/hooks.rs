@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_inert() {
-        let h = PlanFaults::new(FaultPlan::empty(7));
+        let h = PlanFaults::new(FaultPlan { seed: 7, events: Vec::new() });
         assert_eq!(h.interrupt(0, 0, 0), None);
         assert_eq!(h.stall_pct(0, 0), 100);
         assert!(!h.force_shed(0) && !h.wipe_cache(0) && !h.drop_feedback(0));

@@ -248,12 +248,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with no faults: the harness runs clean.
-    #[must_use]
-    pub fn empty(seed: u64) -> Self {
-        Self { seed, events: Vec::new() }
-    }
-
     /// Generate `faults` events from `seed`, targeted at the harness's
     /// workload shapes so most events actually land. Generation
     /// consumes one ChaCha8 stream in event order — same seed, same

@@ -193,7 +193,7 @@ mod tests {
     fn report_json_is_stable_and_reflects_violations() {
         let report = SimtestReport {
             seed: 7,
-            plan: FaultPlan::empty(7),
+            plan: FaultPlan { seed: 7, events: Vec::new() },
             fleet: FleetCounters::default(),
             serve: ServeCounters::default(),
             lifecycle: LifecycleCounters::default(),

@@ -8,7 +8,7 @@ use eda_cloud_simtest::{run_simtest, FaultEvent, FaultPlan, SimtestConfig};
 #[test]
 fn clean_seed_7_run_walks_the_full_arc_and_passes() {
     let config = SimtestConfig::default();
-    let run = run_simtest(&config, &FaultPlan::empty(config.seed)).expect("harness runs");
+    let run = run_simtest(&config, &FaultPlan { seed: config.seed, events: Vec::new() }).expect("harness runs");
     let report = &run.report;
     assert!(report.passed(), "violations: {:?}", report.violations);
     assert_eq!(report.fleet.jobs_submitted, 6);
@@ -37,7 +37,7 @@ fn clean_seed_7_run_walks_the_full_arc_and_passes() {
 fn ingest_faults_quarantine_uploads_without_poisoning_caches() {
     let config = SimtestConfig::default();
     let clean =
-        run_simtest(&config, &FaultPlan::empty(config.seed)).expect("clean run");
+        run_simtest(&config, &FaultPlan { seed: config.seed, events: Vec::new() }).expect("clean run");
     // Flood the whole window and corrupt a few ordinals: every ingest
     // request in the stream must be rejected, and the quarantine
     // checker must still pass (no cache poisoning, no GCN leakage).

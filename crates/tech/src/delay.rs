@@ -69,13 +69,16 @@ impl DelayModel for LinearDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Library;
+    use crate::{CellKind, Library};
 
     #[test]
     fn gate_delay_monotone_in_load() {
         let lib = Library::synthetic_14nm();
         let model = LinearDelay::new();
-        for cell in lib.cells().filter(|c| c.drive_resistance_kohm > 0.0) {
+        // Every cell master: each kind at each drive it is offered at.
+        let names = CellKind::ALL.iter().flat_map(|kind| [1, 2].map(|d| format!("{kind}_X{d}")));
+        let cells = names.filter_map(|name| lib.cell(&name).ok());
+        for cell in cells.filter(|c| c.drive_resistance_kohm > 0.0) {
             let d1 = model.gate_delay_ps(cell, 1.0);
             let d2 = model.gate_delay_ps(cell, 10.0);
             assert!(d2 > d1, "{}: delay must grow with load", cell.name);

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 /// use eda_cloud_tech::{Library, CellKind};
 ///
 /// let lib = Library::synthetic_14nm();
-/// assert!(lib.len() > 10);
+/// assert_eq!(lib.cell("NAND2_X2").expect("has a strong NAND").drive, 2);
 /// let inv = lib.cell_by_kind(CellKind::Inv).expect("has inverter");
 /// assert_eq!(inv.kind, CellKind::Inv);
 /// ```
@@ -159,23 +159,6 @@ impl Library {
         &self.name
     }
 
-    /// Number of cell masters.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the library holds no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Iterate over all cell masters.
-    pub fn cells(&self) -> impl Iterator<Item = &CellType> {
-        self.cells.iter()
-    }
-
     /// Look up a cell by exact name.
     ///
     /// # Errors
@@ -226,7 +209,7 @@ mod tests {
     #[test]
     fn stronger_drive_trades_area_for_resistance() {
         let lib = Library::synthetic_14nm();
-        let inverters: Vec<&CellType> = lib.cells().filter(|c| c.kind == CellKind::Inv).collect();
+        let inverters: Vec<&CellType> = lib.cells.iter().filter(|c| c.kind == CellKind::Inv).collect();
         let [x1, x2] = inverters[..] else { panic!("two inverter drives, weakest first") };
         assert!(x1.drive < x2.drive);
         assert_eq!(lib.cell_by_kind(CellKind::Inv), Some(x1), "lowest drive is the default");

@@ -256,18 +256,6 @@ impl Trace {
         &self.records
     }
 
-    /// Number of spans in the trace.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace holds no spans.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Compact byte-stable JSON: one object per span in canonical
     /// order, keys in fixed order, counters sorted by name.
     #[must_use]
@@ -481,7 +469,7 @@ mod tests {
         child.counter("x", 1);
         child.attr("k", "v");
         assert!(!child.is_enabled());
-        assert!(tracer.drain().is_empty());
+        assert!(tracer.drain().records().is_empty());
         assert!(Span::disabled().child("x").core.is_none());
     }
 
@@ -489,8 +477,8 @@ mod tests {
     fn drain_takes_ownership() {
         let tracer = Tracer::new();
         drop(tracer.root("one"));
-        assert_eq!(tracer.drain().len(), 1);
-        assert!(tracer.drain().is_empty(), "second drain starts empty");
+        assert_eq!(tracer.drain().records().len(), 1);
+        assert!(tracer.drain().records().is_empty(), "second drain starts empty");
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //!
 //! let workflow = Workflow::with_defaults();
 //! let design = eda_cloud::netlist::generators::openpiton_design("dynamic_node").unwrap();
-//! let report = workflow.characterize_design(&design, &CharacterizationConfig::fast())?;
+//! let sweep = CharacterizationConfig { vcpu_sweep: vec![1, 2], verify: false };
+//! let report = workflow.characterize_design(&design, &sweep)?;
 //! assert_eq!(report.stages.len(), 4);
 //! # Ok::<(), eda_cloud::core::WorkflowError>(())
 //! ```

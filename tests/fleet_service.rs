@@ -11,7 +11,8 @@ use eda_cloud::fleet::SpotPolicy;
 #[test]
 fn same_seed_reports_are_byte_identical() {
     let workflow = Workflow::with_defaults();
-    let scenario = FleetScenario::new(20, 42).with_spot(SpotPolicy::typical());
+    let scenario =
+        FleetScenario { spot: Some(SpotPolicy::typical()), ..FleetScenario::new(20, 42) };
     let a = workflow.simulate_fleet(&scenario).expect("first run");
     let b = workflow.simulate_fleet(&scenario).expect("second run");
     assert_eq!(a.to_json(), b.to_json(), "same seed must replay exactly");
@@ -21,7 +22,8 @@ fn same_seed_reports_are_byte_identical() {
 #[test]
 fn planning_worker_count_cannot_change_the_report() {
     let workflow = Workflow::with_defaults();
-    let mut scenario = FleetScenario::new(16, 9).with_spot(SpotPolicy::typical());
+    let mut scenario =
+        FleetScenario { spot: Some(SpotPolicy::typical()), ..FleetScenario::new(16, 9) };
     scenario.workers = 1;
     let serial = workflow.simulate_fleet(&scenario).expect("serial");
     scenario.workers = 4;
@@ -72,7 +74,10 @@ fn golden_report_for_seed_7() {
     );
 
     let spot = workflow
-        .simulate_fleet(&FleetScenario::new(50, 7).with_spot(SpotPolicy::typical()))
+        .simulate_fleet(&FleetScenario {
+            spot: Some(SpotPolicy::typical()),
+            ..FleetScenario::new(50, 7)
+        })
         .expect("spot run");
     assert_eq!(spot.counters.jobs_completed, 50);
     assert_eq!(spot.counters.deadline_hits, 48);
@@ -103,7 +108,10 @@ fn fleet_bills_are_bit_identical() {
     ] {
         let on_demand = workflow.simulate_fleet(&FleetScenario::new(jobs, seed)).expect("runs");
         let spot = workflow
-            .simulate_fleet(&FleetScenario::new(jobs, seed).with_spot(SpotPolicy::typical()))
+            .simulate_fleet(&FleetScenario {
+                spot: Some(SpotPolicy::typical()),
+                ..FleetScenario::new(jobs, seed)
+            })
             .expect("runs");
         for (label, total, bits) in [
             ("on-demand", on_demand.total_cost_usd, on_demand_bits),

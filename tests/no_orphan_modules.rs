@@ -6,7 +6,9 @@
 //! code — or sits in [`TEST_REFERENCES`] with the reason it stays. A module
 //! or function only tests and benches reach is a design nobody runs. A file
 //! that a `#[cfg(test)]` `mod` declaration names is test code throughout: it
-//! neither declares audited items nor calls or writes them.
+//! neither declares audited items nor calls or writes them. Tier-1 matches
+//! callers by name; the ignored census test resolves them by owner, through
+//! the compiler.
 //! **Knobs**: the `pub` fields of the configuration structs are counted, and
 //! so are those no product code outside the declaring file ever sets; both
 //! counts have a ceiling that may only be lowered.
@@ -14,31 +16,66 @@
 use std::path::{Path, PathBuf};
 use std::collections::{HashMap, HashSet};
 use std::fs;
+use std::process::Command;
 
-/// Functions no product code names that stay anyway, each with its reason:
+/// Items no product code uses that stay anyway, each with its reason:
 /// references that tests compare a fast path against, a checker waiting for
-/// its harness phase, a pinned name.
+/// its harness phase, a pinned name, a method clippy requires. Each is keyed
+/// by its owner, `Type::name` for an inherent method or associated const and
+/// `path: name` for a free one, so a namesake cannot stand in for it.
 const TEST_REFERENCES: &[(&str, &str)] = &[
-    ("run_full_flow", "the four engines chained; tier-1 full_flow and determinism drive it"),
-    ("exhaustive_min_cost", "brute-force optimum the MCKP dynamic program is compared against"),
-    ("greedy", "Figure 6's greedy-ratio baseline; solver properties hold the DP against it"),
-    ("from_rows", "how gcn's unit tests and oracle differentials write a literal matrix"),
-    ("identity", "vocabulary of the gcn differentials (A·I = A)"),
     (
-        "check_recipe_visit_conservation",
+        "crates/flow/src/lib.rs: run_full_flow",
+        "the four engines chained; tier-1 full_flow and determinism drive it",
+    ),
+    (
+        "crates/mckp/src/baselines.rs: exhaustive_min_cost",
+        "brute-force optimum the MCKP dynamic program is compared against",
+    ),
+    (
+        "crates/mckp/src/baselines.rs: greedy",
+        "Figure 6's greedy-ratio baseline; solver properties hold the DP against it",
+    ),
+    ("Matrix::from_rows", "how gcn's unit tests and oracle differentials write a literal matrix"),
+    ("Matrix::identity", "vocabulary of the gcn differentials (A·I = A)"),
+    (
+        "crates/simtest/src/check.rs: check_recipe_visit_conservation",
         "ROADMAP's robustness item (its fault coverage) wires it into run_simtest's recipe phase",
     ),
-    ("is_accepted", "named by a unit test inside crates/bench/e2e, which this PR may not edit"),
+    (
+        "IngestOutcome::is_accepted",
+        "named by a unit test inside the pinned crates/bench/e2e package",
+    ),
+    (
+        "EventHeap::is_empty",
+        "clippy's len_without_is_empty requires it beside the len product code calls",
+    ),
+    (
+        "ReplayBuffer::is_empty",
+        "clippy's len_without_is_empty requires it beside the len product code calls",
+    ),
+    (
+        "QuantizedPredictor::predict_log",
+        "int8's per-sample reference for the row-class differentials; goes when int8 retires",
+    ),
+    ("CellKind::ALL", "how the tech and netlist tests enumerate every cell kind"),
 ];
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every file under `dir`, skipping `.git` and every `target` directory.
+fn tree_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for path in fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()) {
-        if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        if path.is_dir() && path.file_name().is_some_and(|n| n != "target" && n != ".git") {
+            tree_files(&path, out);
+        } else if path.is_file() {
             out.push(path);
         }
     }
+}
+
+/// `path` relative to `root`, `/`-separated.
+fn relative(path: &Path, root: &Path) -> String {
+    let parts = path.strip_prefix(root).expect("under root").iter();
+    parts.map(|p| p.to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
 /// `(path relative to the repo root, text)` of every `.rs` file under the
@@ -46,27 +83,30 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    "crates src tests examples".split(' ').for_each(|d| rust_files(&root.join(d), &mut files));
-    let rel = |f: &PathBuf| {
-        let parts = f.strip_prefix(root).expect("under root").iter();
-        parts.map(|p| p.to_string_lossy()).collect::<Vec<_>>().join("/")
-    };
-    files.iter().map(|f| (rel(f), fs::read_to_string(f).expect("utf-8"))).collect()
+    "crates src tests examples".split(' ').for_each(|d| tree_files(&root.join(d), &mut files));
+    let rust = files.iter().filter(|f| f.extension().is_some_and(|e| e == "rs"));
+    rust.map(|f| (relative(f, root), fs::read_to_string(f).expect("utf-8"))).collect()
 }
 
 fn idents(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| !c.is_alphanumeric() && c != '_').filter(|w| !w.is_empty())
 }
 
-/// Trimmed lines of `src`, skipping `//` lines and `pub use …;`.
-fn code_lines(src: &str) -> impl Iterator<Item = &str> {
+/// `(index, line)` of the lines of `src`, skipping `//` lines and `pub use …;`.
+fn numbered_code_lines(src: &str) -> impl Iterator<Item = (usize, &str)> {
     let mut in_use = false;
-    src.lines().map(str::trim).filter(move |line| {
+    src.lines().enumerate().filter(move |(_, line)| {
+        let line = line.trim();
         in_use |= line.starts_with("pub use ") || line.starts_with("pub(crate) use ");
         let skip = in_use || line.starts_with("//");
         in_use &= !line.ends_with(';');
         !skip
     })
+}
+
+/// Trimmed lines of `src`, skipping `//` lines and `pub use …;`.
+fn code_lines(src: &str) -> impl Iterator<Item = &str> {
+    numbered_code_lines(src).map(|(_, line)| line.trim())
 }
 
 /// Identifier tokens of `src`, skipping `//` lines and `pub use …;`.
@@ -113,12 +153,13 @@ fn pub_fn_name(line: &str) -> Option<&str> {
 }
 
 /// Identifier tokens of one code line that *use* a name: a trailing `//`
-/// comment is dropped, and so is the name a `fn` declares — a second
-/// declaration of `total` is not a caller of the first.
+/// comment is dropped, and so is the name a `fn`, `const` or `static`
+/// declares — a second declaration of `total` is not a caller of the first.
 fn uses(line: &str) -> impl Iterator<Item = &str> {
     let mut prev = "";
     let code = line.split("//").next().unwrap_or(line);
-    idents(code).filter(move |w| std::mem::replace(&mut prev, w) != "fn")
+    let declares = |w: &str| ["fn", "const", "static"].contains(&w);
+    idents(code).filter(move |w| !declares(std::mem::replace(&mut prev, w)))
 }
 
 /// A file whose non-test part is product code: not under `tests/` or `benches/`.
@@ -194,29 +235,116 @@ fn audited(path: &str) -> bool {
     matches!(path.split('/').collect::<Vec<_>>()[..], ["crates", _, "src", _, ..])
 }
 
-/// `(path, name)` of every function declared above the first `#[cfg(test)]` of
-/// a `crates/*/src/**` file among the [`product_sources`]: the functions the
-/// audit holds to a product caller, and the ones [`MAX_PRODUCT_FNS`] counts.
-fn product_fns<'a>(product: &[(&'a String, &'a str)]) -> Vec<(&'a str, &'a str)> {
-    let mut fns = Vec::new();
-    for (path, code) in product.iter().filter(|(path, _)| audited(path)) {
-        fns.extend(code_lines(code).filter_map(pub_fn_name).map(|name| (path.as_str(), name)));
-    }
-    fns
+/// The name a `pub` / `pub(crate)` `const` or `static` line declares (not
+/// a `const fn`).
+fn pub_const_name(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("pub(crate) ").or_else(|| line.strip_prefix("pub "))?;
+    let mut w = idents(rest);
+    let kind = w.next()?;
+    let name = w.next().filter(|name| *name != "fn")?;
+    ["const", "static"].contains(&kind).then_some(name)
 }
 
-/// `path: name` of every [`product_fns`] entry that nothing names from product
-/// code: callers are the [`product_sources`].
+/// One audited declaration: a `pub` / `pub(crate)` `fn`, `const` or `static`
+/// above the first `#[cfg(test)]` of a `crates/*/src/**` product file.
+struct Item<'a> {
+    path: &'a str,
+    /// Index of the declaring line in the file.
+    line: usize,
+    /// The type of the inherent `impl` block it sits in; `None` when free.
+    owner: Option<&'a str>,
+    name: &'a str,
+    is_fn: bool,
+}
+
+impl Item<'_> {
+    /// How [`TEST_REFERENCES`] names it: `Type::name`, or `path: name` when free.
+    fn key(&self) -> String {
+        match self.owner {
+            Some(owner) => format!("{owner}::{}", self.name),
+            None => format!("{}: {}", self.path, self.name),
+        }
+    }
+
+    /// How a failure lists it: its file, then its owner and name.
+    fn label(&self) -> String {
+        match self.owner {
+            Some(owner) => format!("{}: {owner}::{}", self.path, self.name),
+            None => self.key(),
+        }
+    }
+}
+
+/// The audited items of `code`, the product part of the file at `path`. A
+/// one-line `impl … {` header owns the items up to the `}` at its indent.
+fn declared_items<'a>(path: &'a str, code: &'a str) -> Vec<Item<'a>> {
+    let no_aliases = HashMap::new();
+    let (mut owner, mut items) = (None, Vec::new());
+    for (line, raw) in numbered_code_lines(code) {
+        let text = raw.trim();
+        let indent = raw.len() - raw.trim_start().len();
+        if owner.is_some_and(|(_, at)| at == indent && text.starts_with('}')) {
+            owner = None;
+        }
+        if text.starts_with("impl") && text.ends_with('{') {
+            if let Frame::Impl(ty) = opens(text, text.len() - 1, &[], &no_aliases) {
+                owner = Some((ty, indent));
+            }
+        }
+        let found = pub_fn_name(text).map(|name| (name, true));
+        let found = found.or_else(|| pub_const_name(text).map(|name| (name, false)));
+        if let Some((name, is_fn)) = found {
+            items.push(Item { path, line, owner: owner.map(|(ty, _)| ty), name, is_fn });
+        }
+    }
+    items
+}
+
+/// Every [`declared_items`] entry of a `crates/*/src/**` file among the
+/// [`product_sources`]: the items the audits hold to a product user. Its
+/// functions are the ones [`MAX_PRODUCT_FNS`] counts.
+fn product_items<'a>(product: &[(&'a String, &'a str)]) -> Vec<Item<'a>> {
+    let audited = product.iter().filter(|(path, _)| audited(path));
+    audited.flat_map(|(path, code)| declared_items(path, code)).collect()
+}
+
+/// Every identifier product code uses.
+fn called_names<'a>(product: &[(&String, &'a str)]) -> HashSet<&'a str> {
+    product.iter().flat_map(|(_, code)| code_lines(code).flat_map(uses)).collect()
+}
+
+/// `path: [Type::]name` of every function among the [`product_items`] that
+/// nothing names from product code: callers are the [`product_sources`].
 fn unreferenced_fns(sources: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<String> {
     let product = product_sources(sources);
-    let called: HashSet<&str> =
-        product.iter().flat_map(|(_, code)| code_lines(code).flat_map(uses)).collect();
-    let unlisted = |name: &str| !allowed.iter().any(|(n, _)| *n == name);
-    product_fns(&product)
-        .into_iter()
-        .filter(|(_, name)| !called.contains(name) && unlisted(name))
-        .map(|(path, name)| format!("{path}: {name}"))
+    let called = called_names(&product);
+    let unlisted = |item: &Item| !allowed.iter().any(|(key, _)| *key == item.key());
+    product_items(&product)
+        .iter()
+        .filter(|item| item.is_fn && !called.contains(item.name) && unlisted(item))
+        .map(Item::label)
         .collect()
+}
+
+/// Each entry of `allowed` that is stale as far as names can tell: it keys
+/// no audited item or several, or product code names it while no other
+/// audited item shares its name. A shared name only the census can judge.
+fn stale_by_name(sources: &[(String, String)], allowed: &[(&str, &str)]) -> Vec<String> {
+    let product = product_sources(sources);
+    let (called, items) = (called_names(&product), product_items(&product));
+    let namesakes = |item: &Item| items.iter().filter(|other| other.name == item.name).count();
+    let mut stale = Vec::new();
+    for (key, _) in allowed {
+        let keyed: Vec<&Item> = items.iter().filter(|item| item.key() == *key).collect();
+        match keyed[..] {
+            [item] if called.contains(item.name) && namesakes(item) == 1 => {
+                stale.push(format!("{key} (product code names it)"));
+            }
+            [_] => {}
+            _ => stale.push(format!("{key} (declared {} times)", keyed.len())),
+        }
+    }
+    stale
 }
 
 /// First words of a top-level item; a line that starts with anything else
@@ -294,12 +422,13 @@ fn the_hidden_item_check_reports_ungated_items_below_tests() {
 
 /// Ceiling of the product `pub` / `pub(crate) fn`s; lower it when one goes,
 /// never raise it.
-const MAX_PRODUCT_FNS: usize = 600;
+const MAX_PRODUCT_FNS: usize = 567;
 
 #[test]
 fn product_functions_are_not_up() {
     let sources = workspace_sources();
-    let count = product_fns(&product_sources(&sources)).len();
+    let items = product_items(&product_sources(&sources));
+    let count = items.iter().filter(|item| item.is_fn).count();
     assert!(
         count <= MAX_PRODUCT_FNS,
         "{count} product `pub` / `pub(crate) fn`s (ceiling {MAX_PRODUCT_FNS}) — delete one, do \
@@ -318,15 +447,121 @@ fn every_public_function_is_named_by_product_code() {
         orphans.len(),
         orphans.join("\n")
     );
-    // A stale allow-list entry fails too: each must still be declared and
-    // still have no product caller.
-    let unlisted = unreferenced_fns(&sources, &[]);
-    for (name, reason) in TEST_REFERENCES {
-        assert!(!reason.is_empty(), "`{name}` needs a reason");
-        let wanted = format!(": {name}");
-        let live = unlisted.iter().any(|o| o.ends_with(&wanted));
-        assert!(live, "stale TEST_REFERENCES entry `{name}`");
+    // A stale allow-list entry fails too: each must still be declared, once,
+    // and, where its name is its own, still have no product caller.
+    for (key, reason) in TEST_REFERENCES {
+        assert!(!reason.is_empty(), "`{key}` needs a reason");
     }
+    let stale = stale_by_name(&sources, TEST_REFERENCES);
+    assert!(stale.is_empty(), "stale TEST_REFERENCES entries:\n{}", stale.join("\n"));
+}
+
+/// `text` with `#[deprecated(note = "owner-census:<index>:")]` above each
+/// `(line, index)` of `marks` (in line order), at that line's indent.
+fn mark(text: &str, marks: &[(usize, usize)]) -> String {
+    let mut out = String::with_capacity(text.len() + 48 * marks.len());
+    let mut marks = marks.iter().peekable();
+    for (n, line) in text.split_inclusive('\n').enumerate() {
+        while let Some((_, index)) = marks.next_if(|(at, _)| *at == n) {
+            let indent = &line[..line.len() - line.trim_start().len()];
+            out.push_str(&format!("{indent}#[deprecated(note = \"owner-census:{index}:\")]\n"));
+        }
+        out.push_str(line);
+    }
+    out
+}
+
+/// `cargo build --offline` of `args` in `dir` into `target`, with every use
+/// of a deprecated item a warning whatever the code allows or denies; its
+/// diagnostics, one per line.
+fn build_marked(dir: &Path, args: &[&str], target: &Path) -> String {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_owned());
+    let out = Command::new(cargo)
+        .current_dir(dir)
+        .args(["build", "--offline", "--message-format", "short"])
+        .args(args)
+        .env("CARGO_TARGET_DIR", target)
+        .env("RUSTFLAGS", "--force-warn=deprecated")
+        .env_remove("CARGO_ENCODED_RUSTFLAGS")
+        .output()
+        .expect("cargo starts");
+    let log = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "the marked build {args:?} failed:\n{log}");
+    log
+}
+
+/// The item audit with callers resolved by owner, by the compiler: a copy of
+/// the tree in `target/owner-census/` marks every [`product_items`] entry
+/// `#[deprecated]` with its index as the note, the product (workspace libs,
+/// bins and examples, then the e2e package) is built, and an item no
+/// "use of deprecated" warning names has no product user. The name scan
+/// above cannot tell `Trace::len` from `Vec::len`; this can.
+#[test]
+#[ignore = "builds a marked copy of the workspace and the e2e package (~30 s once warm); CI runs \
+            it with `cargo test --test no_orphan_modules -- --ignored`"]
+fn every_audited_item_has_a_product_user_by_owner() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let copy = root.join("target/owner-census");
+    let sources = workspace_sources();
+    let product = product_sources(&sources);
+    let items = product_items(&product);
+    let mut marks: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (index, item) in items.iter().enumerate() {
+        marks.entry(item.path).or_default().push((item.line, index));
+    }
+    // Mirror the tree, writing a file only when its bytes change so that a
+    // warm rerun rebuilds only what changed, and drop what the tree lost.
+    let (mut files, mut copied) = (Vec::new(), Vec::new());
+    tree_files(root, &mut files);
+    let mut kept = HashSet::new();
+    for file in &files {
+        let rel = relative(file, root);
+        let bytes = match marks.get(rel.as_str()) {
+            Some(at) => mark(&fs::read_to_string(file).expect("utf-8"), at).into_bytes(),
+            None => fs::read(file).expect("readable"),
+        };
+        let to = copy.join(&rel);
+        if fs::read(&to).ok().as_deref() != Some(&bytes[..]) {
+            fs::create_dir_all(to.parent().expect("a file has a parent")).expect("mkdir");
+            fs::write(&to, bytes).expect("write the copy");
+        }
+        kept.insert(to);
+    }
+    tree_files(&copy, &mut copied);
+    for gone in copied.iter().filter(|f| !kept.contains(*f)) {
+        fs::remove_file(gone).expect("remove a file the tree no longer has");
+    }
+    let target = copy.join("target");
+    let mut log = build_marked(&copy, &["--workspace", "--lib", "--bins", "--examples"], &target);
+    let e2e = ["--manifest-path", "crates/bench/e2e/Cargo.toml"];
+    log += &build_marked(&copy, &e2e, &target.join("e2e"));
+    let used: HashSet<usize> = log
+        .split("owner-census:")
+        .skip(1)
+        .filter_map(|rest| rest.split(':').next()?.parse().ok())
+        .collect();
+    let listed = |item: &Item| TEST_REFERENCES.iter().any(|(key, _)| *key == item.key());
+    let unused: Vec<String> = (0..items.len())
+        .filter(|i| !used.contains(i) && !listed(&items[*i]))
+        .map(|i| items[i].label())
+        .collect();
+    // An entry is stale once a product use names it, or unless it keys one item.
+    let stale: Vec<&str> = TEST_REFERENCES
+        .iter()
+        .map(|(key, _)| *key)
+        .filter(|key| {
+            let keyed: Vec<usize> = (0..items.len()).filter(|&i| items[i].key() == *key).collect();
+            keyed.len() != 1 || used.contains(&keyed[0])
+        })
+        .collect();
+    assert!(
+        unused.is_empty() && stale.is_empty(),
+        "{} of {} items have no product user, resolved by owner (delete them, or add them to \
+         TEST_REFERENCES with a reason):\n{}\nstale TEST_REFERENCES entries: {stale:?}",
+        unused.len(),
+        items.len(),
+        unused.join("\n")
+    );
 }
 
 #[test]
@@ -347,10 +582,29 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
     // by a `pub use` and by their own declarations; `raw` has a product caller;
     // (iii) the trait-impl method `fmt` carries no `pub` and is exempt.
     let reported = unreferenced_fns(&sources, &[]);
-    assert_eq!(reported, ["crates/a/src/gauge.rs: read", "crates/a/src/gauge.rs: reset"]);
-    // (ii) an allow-listed name is not reported.
-    let allowed = unreferenced_fns(&sources, &[("reset", "kept for a reason")]);
-    assert_eq!(allowed, ["crates/a/src/gauge.rs: read"]);
+    let gauge = |name: &str| format!("crates/a/src/gauge.rs: Gauge::{name}");
+    assert_eq!(reported, [gauge("read"), gauge("reset")]);
+    // (ii) an allow-listed item is not reported; the list keys it by owner, so
+    // a namesake's entry excuses nothing and is stale.
+    let allowed = unreferenced_fns(&sources, &[("Gauge::reset", "kept for a reason")]);
+    assert_eq!(allowed, [gauge("read")]);
+    let namesake = [("Meter::reset", "kept for a reason")];
+    assert_eq!(unreferenced_fns(&sources, &namesake).len(), 2);
+    assert_eq!(stale_by_name(&sources, &namesake), ["Meter::reset (declared 0 times)"]);
+    // An entry whose name product code uses is stale when no other audited
+    // item shares that name; a free item is keyed by its file.
+    let free = "pub fn tally() -> u32 { 1 }\npub const LIMIT: u32 = 2;\npub fn raw() {}\n";
+    let with_free = [sources.clone(), vec![file("crates/a/src/free.rs", free)]].concat();
+    let entries = [
+        ("crates/a/src/free.rs: tally", "never called"),
+        ("crates/a/src/free.rs: LIMIT", "never read"),
+        ("Gauge::raw", "shares its name with free.rs's raw"),
+    ];
+    assert!(stale_by_name(&with_free, &entries).is_empty());
+    let bin = file("crates/a/src/bin/x.rs", "fn main() { tally(); }\n");
+    let with_bin = [with_free, vec![bin]].concat();
+    let stale = stale_by_name(&with_bin, &entries);
+    assert_eq!(stale, ["crates/a/src/free.rs: tally (product code names it)"]);
     // A caller under `tests/` or `benches/` is not product code; one in a bin is.
     let caller = "fn main() { Gauge.read(); Gauge.reset(); }\n";
     for (path, orphans) in
@@ -366,8 +620,9 @@ fn the_audit_reports_test_only_functions_and_nothing_else() {
     assert_eq!(unreferenced_fns(&with_oracle, &[]).len(), 2);
     // (iv) The ceiling counts the audited set: `fixture` below a `#[cfg(test)]`
     // and `naive` in a `#[cfg(test)]`-declared file are not product functions.
-    let counted = product_fns(&product_sources(&with_oracle));
-    assert_eq!(counted.iter().map(|(_, name)| *name).collect::<Vec<_>>(), ["read", "raw", "reset"]);
+    let counted = product_items(&product_sources(&with_oracle));
+    let keys: Vec<String> = counted.iter().filter(|item| item.is_fn).map(Item::key).collect();
+    assert_eq!(keys, ["Gauge::read", "Gauge::raw", "Gauge::reset"]);
 }
 
 /// Ceilings of the knob census; lower them when a knob goes, never raise them.

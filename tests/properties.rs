@@ -6,6 +6,13 @@ use eda_cloud::mckp::{baselines, Choice, Problem, Solver, Stage};
 use eda_cloud::netlist::{generators, Aig};
 use proptest::prelude::*;
 
+/// Dense `a * b` into a fresh matrix.
+fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
+    a.matmul_into(b, &mut out);
+    out
+}
+
 fn bits(v: u64, w: u32) -> Vec<bool> {
     (0..w).map(|i| (v >> i) & 1 == 1).collect()
 }
@@ -140,7 +147,7 @@ proptest! {
         }
         let mut sparse = Matrix::zeros(0, 0);
         a.matmul_into(&x, &mut sparse).expect("valid operands");
-        let dense = dense_a.matmul(&x);
+        let dense = matmul(&dense_a, &x);
         for r in 0..rows {
             for c in 0..x_cols {
                 prop_assert!((sparse.get(r, c) - dense.get(r, c)).abs() < 1e-9);

@@ -21,7 +21,9 @@
 //! interleaved admits and pops.
 
 use eda_cloud::core::{Workflow, WorkflowPlanner};
-use eda_cloud::gcn::{GraphBatch, GraphSample, ModelConfig, QuantizedPredictor, RuntimePredictor};
+use eda_cloud::gcn::{
+    saturating_exp, GraphBatch, GraphSample, ModelConfig, QuantizedPredictor, RuntimePredictor,
+};
 use eda_cloud::netlist::{generators, DesignGraph};
 use eda_cloud::serve::{
     design_pool, synthetic_requests, AdmissionQueue, ModelSnapshot, RequestKind, RequestOutcome,
@@ -385,7 +387,8 @@ fn int8_predictions_stay_within_the_stated_bound_of_float() {
             let int8 = QuantizedPredictor::quantize(&model);
             let (mut worst, mut sum) = (0.0f64, 0.0f64);
             for sample in &corpus {
-                let (f, q) = (model.predict_secs(sample), int8.predict_secs(sample));
+                let f = model.predict_secs(sample);
+                let q = int8.predict_log(sample).map(saturating_exp);
                 for (f, q) in f.iter().zip(&q) {
                     let rel = (q - f).abs() / f;
                     worst = worst.max(rel);

@@ -28,7 +28,8 @@ fn seed_7_plan() -> FaultPlan {
 #[test]
 fn golden_report_for_seed_7() {
     let workflow = Workflow::with_defaults();
-    let report = workflow.simtest(&SimtestConfig::new(7), &seed_7_plan()).expect("simtest run");
+    let config = SimtestConfig { seed: 7, ..SimtestConfig::default() };
+    let report = workflow.simtest(&config, &seed_7_plan()).expect("simtest run");
     assert!(report.passed(), "seed-7 violations: {:?}", report.violations);
     assert!(report.fault_spans > 0, "the generated plan injects observable faults");
     common::assert_golden(&report.to_json(), "golden/simtest_report.json");
@@ -41,7 +42,8 @@ fn golden_report_for_seed_7() {
 fn a_replayed_plan_renders_the_golden_and_records_metrics() {
     let replayed = FaultPlan::from_json(&seed_7_plan().to_json()).expect("plan round-trips");
     let workflow = Workflow::with_defaults().with_metrics(eda_cloud::trace::Metrics::new());
-    let report = workflow.simtest(&SimtestConfig::new(7), &replayed).expect("simtest run");
+    let config = SimtestConfig { seed: 7, ..SimtestConfig::default() };
+    let report = workflow.simtest(&config, &replayed).expect("simtest run");
     common::assert_golden(&report.to_json(), "golden/simtest_report.json");
     assert_eq!(workflow.metrics().counter("simtest.fault_events"), 6);
     assert_eq!(workflow.metrics().counter("simtest.fault_spans"), report.fault_spans);
@@ -51,7 +53,8 @@ fn a_replayed_plan_renders_the_golden_and_records_metrics() {
 fn instrumented_workflow_exports_the_fault_span_tree() {
     let tracer = eda_cloud::trace::Tracer::new();
     let workflow = Workflow::with_defaults().with_tracer(tracer.clone());
-    let report = workflow.simtest(&SimtestConfig::new(7), &seed_7_plan()).expect("simtest run");
+    let config = SimtestConfig { seed: 7, ..SimtestConfig::default() };
+    let report = workflow.simtest(&config, &seed_7_plan()).expect("simtest run");
     let trace = tracer.drain();
     let fault_spans = trace
         .records()
@@ -70,7 +73,7 @@ fn instrumented_workflow_exports_the_fault_span_tree() {
 #[test]
 fn workflow_reports_are_byte_identical_across_worker_counts() {
     let run = |workers| {
-        let config = SimtestConfig { workers, ..SimtestConfig::new(7) };
+        let config = SimtestConfig { seed: 7, workers, ..SimtestConfig::default() };
         Workflow::with_defaults().simtest(&config, &seed_7_plan()).expect("simtest run")
     };
     let serial = run(1).to_json();
